@@ -310,10 +310,27 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// (e.g. "drop all snippets of the document that was just deleted").
     /// Removals are invalidations, not capacity pressure, so they do not
     /// count as evictions.
+    ///
+    /// Every entry is filed in the recency index under exactly its
+    /// `recency_tick`, so a removed entry takes its own position with it:
+    /// `O(removed · log n)`, and no survivor's key is ever rehashed (live
+    /// serving calls this with a cache mutex held, per mutation).
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        self.map.retain(|k, _| keep(k));
-        let map = &self.map;
-        self.recency.retain(|_, k| map.contains_key(k));
+        let recency = &mut self.recency;
+        self.map.retain(|k, entry| {
+            let kept = keep(k);
+            if !kept {
+                recency.remove(&entry.recency_tick);
+            }
+            kept
+        });
+    }
+
+    /// The retained values, in no particular order (recency untouched,
+    /// nothing counted as a lookup) — for gauges over what the cache
+    /// holds.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|entry| &entry.value)
     }
 
     /// Drop all entries and reset the counters.
@@ -558,6 +575,29 @@ mod tests {
             cache.insert(i, i);
         }
         assert_eq!(cache.len(), 8);
+    }
+
+    #[test]
+    fn retain_keeps_the_eviction_order_of_survivors() {
+        let mut cache: LruCache<u32, u32> = LruCache::new(4);
+        for i in 0..4u32 {
+            cache.insert(i, i);
+        }
+        // A hit leaves key 0 filed under its insert tick: the true LRU
+        // order is now 1, 2, 3, 0, with one stale recency position.
+        assert_eq!(cache.get(&0), Some(0));
+        cache.retain(|k| *k != 2);
+        assert_eq!(cache.recency.len(), 3, "the removed entry took its position with it");
+        assert_eq!(cache.values().copied().sum::<u32>(), 4, "survivors 0, 1, 3");
+        // Survivors are evicted in their pre-retain order: 1, 3, then 0.
+        cache.insert(10, 10); // fills the freed seat, evicts nothing
+        for (newcomer, victim) in [(11, 1), (12, 3), (13, 0)] {
+            assert!(cache.map.contains_key(&victim), "{victim} outlives {newcomer}'s arrival");
+            cache.insert(newcomer, newcomer);
+            assert!(!cache.map.contains_key(&victim), "{victim} is the LRU for {newcomer}");
+            assert_eq!(cache.len(), 4);
+        }
+        assert_eq!(cache.stats().evictions, 3, "the retain itself evicted nothing");
     }
 
     #[test]

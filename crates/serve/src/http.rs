@@ -419,6 +419,11 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// Room for the longest head [`write_response`] emits (status line, the
+/// three fixed headers and all three optional ones come to ~230 bytes),
+/// so head and body share one allocation.
+const HEAD_CAPACITY: usize = 256;
+
 /// Write `response` with `Content-Length` and the connection-persistence
 /// decision: `Connection: keep-alive` when the server will read another
 /// request from this socket, `Connection: close` when it won't. The
@@ -435,31 +440,30 @@ pub fn write_response<W: Write>(
     response: &Response,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let retry_after = match response.retry_after {
-        Some(seconds) => format!("Retry-After: {seconds}\r\n"),
-        None => String::new(),
-    };
-    let trace = match response.trace_id {
-        Some(id) => format!("{}: {id}\r\n", extract_obs::TRACE_HEADER),
-        None => String::new(),
-    };
-    let epoch = match response.corpus_epoch {
-        Some(n) => format!("X-Corpus-Epoch: {n}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}{}Connection: {}\r\n\r\n",
+    let mut wire = Vec::with_capacity(HEAD_CAPACITY + response.body.len());
+    write!(
+        wire,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         reason_phrase(response.status),
         response.content_type,
         response.body.len(),
-        retry_after,
-        trace,
-        epoch,
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    let mut wire = Vec::with_capacity(head.len() + response.body.len());
-    wire.extend_from_slice(head.as_bytes());
+    )?;
+    if let Some(seconds) = response.retry_after {
+        write!(wire, "Retry-After: {seconds}\r\n")?;
+    }
+    if let Some(id) = response.trace_id {
+        write!(wire, "{}: {id}\r\n", extract_obs::TRACE_HEADER)?;
+    }
+    if let Some(n) = response.corpus_epoch {
+        write!(wire, "X-Corpus-Epoch: {n}\r\n")?;
+    }
+    let connection: &[u8] = if keep_alive {
+        b"Connection: keep-alive\r\n\r\n"
+    } else {
+        b"Connection: close\r\n\r\n"
+    };
+    wire.extend_from_slice(connection);
     wire.extend_from_slice(&response.body);
     stream.write_all(&wire)?;
     stream.flush()
@@ -678,6 +682,29 @@ mod tests {
         let mut out = Vec::new();
         write_response(&mut out, &Response::json(200, "{}".into()), false).unwrap();
         assert!(!String::from_utf8(out).unwrap().contains("Retry-After"), "spurious header");
+    }
+
+    #[test]
+    fn full_head_is_pinned_byte_for_byte_and_fits_its_capacity() {
+        let mut response = Response::error(503, "over capacity")
+            .with_retry_after(u32::MAX)
+            .with_corpus_epoch(u64::MAX);
+        response.trace_id = TraceId::parse("ffffffffffffffff");
+        let mut out = Vec::new();
+        write_response(&mut out, &response, true).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(
+            text,
+            "HTTP/1.1 503 Service Unavailable\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: 25\r\n\
+             Retry-After: 4294967295\r\n\
+             X-Trace-Id: ffffffffffffffff\r\n\
+             X-Corpus-Epoch: 18446744073709551615\r\n\
+             Connection: keep-alive\r\n\r\n\
+             {\"error\":\"over capacity\"}"
+        );
+        assert!(text.len() - response.body.len() <= HEAD_CAPACITY, "head outgrew its buffer");
     }
 
     #[test]

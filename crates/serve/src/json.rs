@@ -79,6 +79,13 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
+    /// An empty writer with room for `bytes` of output — for documents
+    /// whose size is known up front, such as one about to splice in a
+    /// pre-rendered value ([`JsonWriter::raw`]).
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter { buf: String::with_capacity(bytes), ..JsonWriter::default() }
+    }
+
     fn comma(&mut self) {
         if self.pending_key {
             self.pending_key = false;
@@ -168,6 +175,15 @@ impl JsonWriter {
     pub fn null(&mut self) {
         self.comma();
         self.buf.push_str("null");
+    }
+
+    /// Write a pre-rendered value verbatim: `json` must be one complete
+    /// JSON value — in practice the [`JsonWriter::finish`]ed output of
+    /// another writer, kept so the same bytes can be served again without
+    /// re-escaping them. Comma placement is handled as for any value.
+    pub fn raw(&mut self, json: &str) {
+        self.comma();
+        self.buf.push_str(json);
     }
 
     /// The finished document.
@@ -556,6 +572,29 @@ mod tests {
         w.num_f64(1.5);
         w.obj_end();
         assert_eq!(w.finish(), r#"{"a":[],"b":{"c":null},"d":1.5}"#);
+    }
+
+    #[test]
+    fn raw_splices_a_finished_value_with_correct_commas() {
+        let mut inner = JsonWriter::new();
+        inner.arr_begin();
+        inner.str("a\"b");
+        inner.num_u64(7);
+        inner.arr_end();
+        let inner = inner.finish();
+        let mut w = JsonWriter::with_capacity(inner.len() + 32);
+        w.obj_begin();
+        w.key("first");
+        w.raw(&inner);
+        w.key("again");
+        w.arr_begin();
+        w.raw(&inner);
+        w.raw("null");
+        w.arr_end();
+        w.obj_end();
+        let doc = w.finish();
+        assert_eq!(doc, r#"{"first":["a\"b",7],"again":[["a\"b",7],null]}"#);
+        parse(&doc).expect("spliced document is valid JSON");
     }
 
     #[test]

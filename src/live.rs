@@ -47,7 +47,9 @@ use extract_obs::PromWriter;
 use extract_serve::obs_http;
 use extract_serve::{JsonWriter, Request, Response, ServerHandle};
 
-use crate::serve::{parse_search_params, search_body, SearchAppConfig};
+use crate::serve::{
+    parse_search_params, search_body, write_cache_metrics, write_cache_stats, SearchAppConfig,
+};
 use crate::session::{QuerySession, SessionCaches};
 
 /// The live routing + rendering layer: the moral twin of
@@ -133,9 +135,10 @@ impl LiveSearchApp {
     }
 
     /// `/search` against the **current snapshot**: the per-request
-    /// session shares the long-lived cache bundle, so the only fresh
-    /// cost on a hot query is one `Arc` clone and a `Vec` of empty
-    /// `OnceLock` slots.
+    /// session shares the long-lived cache bundle, so a hot query is one
+    /// `Arc` clone, a `Vec` of empty `OnceLock` slots, one page-cache
+    /// lookup and a copy of the entry's already-rendered results into
+    /// the response.
     fn search(&self, request: &Request) -> Response {
         let (q, k, offset) = match parse_search_params(request, &self.config) {
             Ok(params) => params,
@@ -228,25 +231,7 @@ impl LiveSearchApp {
         let snapshot = self.corpus.snapshot();
         let mut w = PromWriter::new();
         obs_http::write_server_metrics(&mut w, handle);
-        w.help("extract_cache_events_total", "Session cache hits/misses/evictions.");
-        w.type_("extract_cache_events_total", "counter");
-        for (cache, stats) in [
-            ("page_cache", self.caches.page_stats()),
-            ("corpus_page_cache", self.caches.corpus_page_stats()),
-            ("snippet_cache", self.caches.snippet_stats()),
-        ] {
-            for (event, value) in [
-                ("hit", stats.hits),
-                ("miss", stats.misses),
-                ("eviction", stats.evictions),
-            ] {
-                w.sample_u64(
-                    "extract_cache_events_total",
-                    &[("cache", cache), ("event", event)],
-                    value,
-                );
-            }
-        }
+        write_cache_metrics(&mut w, &self.caches);
         w.help("extract_corpus_documents", "Live documents in the served corpus.");
         w.type_("extract_corpus_documents", "gauge");
         w.sample_u64("extract_corpus_documents", &[], snapshot.len() as u64);
@@ -301,13 +286,7 @@ impl LiveSearchApp {
         w.obj_begin();
         w.key("engines_cached");
         w.num_u64(self.caches.engines_cached() as u64);
-        crate::serve::cache_stats(&mut w, "page_cache", self.caches.page_stats());
-        crate::serve::cache_stats(
-            &mut w,
-            "corpus_page_cache",
-            self.caches.corpus_page_stats(),
-        );
-        crate::serve::cache_stats(&mut w, "snippet_cache", self.caches.snippet_stats());
+        write_cache_stats(&mut w, &self.caches);
         w.obj_end();
         w.key("corpus");
         w.obj_begin();

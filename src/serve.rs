@@ -28,7 +28,7 @@ use extract_obs::{PromWriter, Stage};
 use extract_serve::obs_http;
 use extract_serve::{JsonWriter, Request, Response, ServerHandle};
 
-use crate::session::QuerySession;
+use crate::session::{CorpusTopK, QuerySession, SessionCaches};
 
 /// Application-level knobs (the server-level ones live in
 /// [`extract_serve::ServeConfig`]).
@@ -139,25 +139,7 @@ impl<'d> SearchApp<'d> {
         };
         let mut w = PromWriter::new();
         obs_http::write_server_metrics(&mut w, handle);
-        w.help("extract_cache_events_total", "Session cache hits/misses/evictions.");
-        w.type_("extract_cache_events_total", "counter");
-        for (cache, stats) in [
-            ("page_cache", self.session.page_stats()),
-            ("corpus_page_cache", self.session.corpus_page_stats()),
-            ("snippet_cache", self.session.snippet_stats()),
-        ] {
-            for (event, value) in [
-                ("hit", stats.hits),
-                ("miss", stats.misses),
-                ("eviction", stats.evictions),
-            ] {
-                w.sample_u64(
-                    "extract_cache_events_total",
-                    &[("cache", cache), ("event", event)],
-                    value,
-                );
-            }
-        }
+        write_cache_metrics(&mut w, &self.session.caches());
         if let Some(corpus) = self.session.corpus() {
             w.help("extract_corpus_documents", "Documents in the served corpus.");
             w.type_("extract_corpus_documents", "gauge");
@@ -215,9 +197,7 @@ impl<'d> SearchApp<'d> {
         w.num_u64(self.session.workers() as u64);
         w.key("engines_built");
         w.num_u64(self.session.engines_built() as u64);
-        cache_stats(&mut w, "page_cache", self.session.page_stats());
-        cache_stats(&mut w, "corpus_page_cache", self.session.corpus_page_stats());
-        cache_stats(&mut w, "snippet_cache", self.session.snippet_stats());
+        write_cache_stats(&mut w, &self.session.caches());
         let fanin = self.session.routing_fanin();
         w.key("routing_fanin");
         w.obj_begin();
@@ -247,16 +227,62 @@ impl<'d> SearchApp<'d> {
     }
 }
 
-pub(crate) fn cache_stats(w: &mut JsonWriter, name: &str, stats: CacheStats) {
-    w.key(name);
-    w.obj_begin();
-    w.key("hits");
-    w.num_u64(stats.hits);
-    w.key("misses");
-    w.num_u64(stats.misses);
-    w.key("evictions");
-    w.num_u64(stats.evictions);
-    w.obj_end();
+/// The result caches by their wire names — one table behind `/stats`
+/// and `/metrics`, for the static and the live app alike.
+fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats); 3] {
+    [
+        ("page_cache", caches.page_stats()),
+        ("corpus_page_cache", caches.corpus_page_stats()),
+        ("snippet_cache", caches.snippet_stats()),
+    ]
+}
+
+/// The cache members of `/stats`' `session` object: per-cache counters,
+/// then the rendered `/search` bytes the corpus page cache holds.
+pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
+    for (name, stats) in cache_counters(caches) {
+        w.key(name);
+        w.obj_begin();
+        w.key("hits");
+        w.num_u64(stats.hits);
+        w.key("misses");
+        w.num_u64(stats.misses);
+        w.key("evictions");
+        w.num_u64(stats.evictions);
+        w.obj_end();
+    }
+    w.key("corpus_page_body_bytes");
+    w.num_u64(caches.corpus_page_body_bytes() as u64);
+}
+
+/// The cache families of `/metrics`: hit/miss/eviction counters per
+/// cache, and the rendered `/search` bytes the corpus page cache holds.
+pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
+    w.help("extract_cache_events_total", "Session cache hits/misses/evictions.");
+    w.type_("extract_cache_events_total", "counter");
+    for (cache, stats) in cache_counters(caches) {
+        for (event, value) in [
+            ("hit", stats.hits),
+            ("miss", stats.misses),
+            ("eviction", stats.evictions),
+        ] {
+            w.sample_u64(
+                "extract_cache_events_total",
+                &[("cache", cache), ("event", event)],
+                value,
+            );
+        }
+    }
+    w.help(
+        "extract_corpus_page_cache_body_bytes",
+        "Rendered /search result bytes held by the corpus page cache.",
+    );
+    w.type_("extract_corpus_page_cache_body_bytes", "gauge");
+    w.sample_u64(
+        "extract_corpus_page_cache_body_bytes",
+        &[],
+        caches.corpus_page_body_bytes() as u64,
+    );
 }
 
 /// Validate `/search` parameters exactly once for both the static and
@@ -292,6 +318,14 @@ pub(crate) fn parse_search_params<'r>(
 /// The `/search` body over any session — shared by [`SearchApp`] and the
 /// live app so the wire format (field order included — the router's
 /// merge path pins it) has exactly one producer.
+///
+/// The `results` array is the expensive part (ten snippet trees walked to
+/// XML, then escaped into JSON), and it is a pure function of the page —
+/// so it is rendered once per page-cache entry and kept in the entry
+/// ([`CorpusTopK::rendered`]). A page hit splices those bytes behind the
+/// request's own header fields: the page key holds the *normalized*
+/// query while `"query"` echoes the *raw* one, so the echo is never
+/// cached.
 pub(crate) fn search_body(
     session: &QuerySession<'_>,
     snippet: &ExtractConfig,
@@ -300,45 +334,58 @@ pub(crate) fn search_body(
     offset: usize,
 ) -> String {
     // `answer_corpus_topk` times its own `search` and `snippet`
-    // stages; JSON rendering is this request's `serialize` span.
+    // stages; rendering the results is this request's `serialize` span —
+    // recorded by the request that renders, so a page hit records none.
     let page = session.answer_corpus_topk(q, snippet, k, offset);
-    let corpus = session.corpus();
-    extract_obs::time_stage(Stage::Serialize, || {
-        let mut w = JsonWriter::new();
+    let results = page.rendered.get_or_init(|| {
+        extract_obs::time_stage(Stage::Serialize, || render_results(&page, session.corpus()))
+    });
+    let mut w = JsonWriter::with_capacity(HEADER_CAPACITY + q.len() + results.len());
+    w.obj_begin();
+    w.key("query");
+    w.str(q);
+    w.key("k");
+    w.num_u64(page.k as u64);
+    w.key("offset");
+    w.num_u64(page.offset as u64);
+    w.key("total");
+    w.num_u64(page.total as u64);
+    w.key("count");
+    w.num_u64(page.results.len() as u64);
+    w.key("results");
+    w.raw(results);
+    w.obj_end();
+    w.finish()
+}
+
+/// Buffer room for what a `/search` body holds besides the raw query
+/// and the results array — six keys, four integers, punctuation (a
+/// sizing hint: the buffer grows if a body ever needs more).
+const HEADER_CAPACITY: usize = 128;
+
+/// One page's `results` array, as JSON.
+fn render_results(page: &CorpusTopK, corpus: Option<&Corpus>) -> Box<str> {
+    let mut w = JsonWriter::new();
+    w.arr_begin();
+    for answer in page.results.iter() {
         w.obj_begin();
-        w.key("query");
-        w.str(q);
-        w.key("k");
-        w.num_u64(page.k as u64);
-        w.key("offset");
-        w.num_u64(page.offset as u64);
-        w.key("total");
-        w.num_u64(page.total as u64);
-        w.key("count");
-        w.num_u64(page.results.len() as u64);
-        w.key("results");
-        w.arr_begin();
-        for answer in page.results.iter() {
-            w.obj_begin();
-            w.key("doc");
-            match corpus {
-                Some(corpus) => w.str(corpus.name(answer.doc)),
-                None => w.str("document"),
-            }
-            w.key("doc_id");
-            w.num_u64(answer.doc.index() as u64);
-            w.key("root");
-            w.num_u64(answer.result.result.root.index() as u64);
-            w.key("score");
-            w.num_f64(answer.score);
-            w.key("snippet");
-            w.str(&answer.result.snippet.to_xml());
-            w.obj_end();
+        w.key("doc");
+        match corpus {
+            Some(corpus) => w.str(corpus.name(answer.doc)),
+            None => w.str("document"),
         }
-        w.arr_end();
+        w.key("doc_id");
+        w.num_u64(answer.doc.index() as u64);
+        w.key("root");
+        w.num_u64(answer.result.result.root.index() as u64);
+        w.key("score");
+        w.num_f64(answer.score);
+        w.key("snippet");
+        w.str(&answer.result.snippet.to_xml());
         w.obj_end();
-        w.finish()
-    })
+    }
+    w.arr_end();
+    w.finish().into_boxed_str()
 }
 
 /// Convenience: the borrow-friendly pieces a daemon needs, wired together

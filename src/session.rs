@@ -25,12 +25,16 @@
 //!    repeated hot query a single hash lookup plus an `Arc` clone —
 //!    routing, search, ranking and snippet generation are all skipped
 //!    (single-document and corpus pages live in separate caches because
-//!    their page types differ);
-//! 2. the per-result [`SnippetCache`] (`query + (DocId, root) + config →
-//!    SnippetedResult`) catches queries whose page entry was evicted and
-//!    amortizes snippet generation across overlapping result sets — one
-//!    shared cache serves every document of a corpus thanks to the
-//!    [`DocId`]-qualified keys.
+//!    their page types differ). A corpus page entry also keeps the
+//!    window's `/search` rendering once it has been served
+//!    ([`CorpusTopK`]), so a hit re-serves bytes instead of re-walking
+//!    snippet trees;
+//! 2. the per-result snippet cache (`query + (DocId, root) + config →
+//!    Arc<SnippetedResult>`) catches queries whose page entry was evicted
+//!    and amortizes snippet generation across overlapping result sets —
+//!    one shared cache serves every document of a corpus thanks to the
+//!    [`DocId`]-qualified keys. Corpus pages hold the same `Arc`s, so a
+//!    snippet exists once however many pages show it.
 //!
 //! Both sit behind `Mutex`es held strictly for `get`/`insert` — never
 //! during computation — so contention stays negligible next to the work
@@ -61,9 +65,9 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use extract_core::cache::{CacheKey, LruCache, PageKey, SnippetCache};
+use extract_core::cache::{CacheKey, LruCache, PageKey};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, EngineParts, Extract, ExtractConfig, SnippetedResult};
 use extract_corpus::{Corpus, DocId, FanIn};
@@ -96,8 +100,12 @@ pub struct CorpusAnswer {
     /// The ranking score ([`extract_search::ranking::score`]), comparable
     /// across documents.
     pub score: f64,
-    /// The query result with its snippet.
-    pub result: SnippetedResult,
+    /// The query result with its snippet — shared with the snippet-cache
+    /// entry it came from (or went into), so a cached page holds
+    /// references, not deep copies: retiring a page generation is
+    /// refcount decrements, not a thousand snippet trees freed under the
+    /// cache lock.
+    pub result: Arc<SnippetedResult>,
 }
 
 /// One answered corpus query: results merged across documents, shared
@@ -118,6 +126,13 @@ pub struct CorpusTopK {
     pub k: usize,
     /// The rank of the first served result.
     pub offset: usize,
+    /// The window's `results` array as `/search` serves it, filled by the
+    /// wire-format producer (`serve::search_body`) the first time this
+    /// page is rendered. The cell is shared with the page-cache entry, so
+    /// the rendered bytes live and die with the page they were rendered
+    /// from — same key, same epoch, same eviction — and a later hit
+    /// serves them as they are.
+    pub(crate) rendered: Arc<OnceLock<Box<str>>>,
 }
 
 /// The engines behind a session: one document, or one per corpus document
@@ -126,6 +141,15 @@ pub struct CorpusTopK {
 enum Engines<'d> {
     Single(Box<Extract<'d>>),
     Corpus { corpus: &'d Corpus, engines: Vec<OnceLock<Extract<'d>>> },
+}
+
+/// Acquire a cache mutex, recovering from poisoning instead of panicking.
+/// Every cache here holds derived data behind `get`/`insert`/`retain`
+/// calls that leave the entry set valid at every step, so whatever
+/// panicked while holding the guard, the next request is better served by
+/// the cache as it stands than by a daemon-wide panic loop.
+fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The shareable cache state of one serving lineage: result pages,
@@ -139,9 +163,10 @@ pub struct SessionCaches {
     cache_capacity: usize,
     pages: Mutex<LruCache<PageKey, AnswerPage>>,
     /// Corpus pages cache *windows*: the key carries `(k, offset)` and the
-    /// value remembers the full result count alongside the served slice.
-    corpus_pages: Mutex<LruCache<PageKey, (CorpusPage, usize)>>,
-    snippets: Mutex<SnippetCache>,
+    /// value is the answer itself — the served slice, the full result
+    /// count, and the slice's rendered bytes once `/search` has served it.
+    corpus_pages: Mutex<LruCache<PageKey, CorpusTopK>>,
+    snippets: Mutex<LruCache<CacheKey, Arc<SnippetedResult>>>,
     /// Offline artifacts (index + model + keys) per document, so sessions
     /// sharing this bundle skip the offline stages for documents any of
     /// them already built. Keyed by generational [`DocId`]: a mutated
@@ -164,7 +189,7 @@ impl SessionCaches {
             cache_capacity,
             pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             corpus_pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
-            snippets: Mutex::new(SnippetCache::new(cache_capacity)),
+            snippets: Mutex::new(LruCache::new(cache_capacity)),
             engine_parts: Mutex::new(LruCache::new(ENGINE_CACHE_CAPACITY)),
             fanin_postings: AtomicU64::new(0),
             fanin_directory: AtomicU64::new(0),
@@ -177,45 +202,48 @@ impl SessionCaches {
     /// generational keys already guarantee the old bytes can't be served,
     /// this frees their memory eagerly.
     pub fn invalidate_doc(&self, doc: DocId) {
-        self.snippets
-            .lock()
-            .expect("snippet cache lock")
-            .retain(|k| k.doc() != doc);
-        self.engine_parts
-            .lock()
-            .expect("engine cache lock")
-            .retain(|k| *k != doc);
+        lock_unpoisoned(&self.snippets).retain(|k| k.doc() != doc);
+        lock_unpoisoned(&self.engine_parts).retain(|k| *k != doc);
     }
 
     /// Drop result pages computed before `epoch` (their keys can never
     /// match again once the corpus moved on — this reclaims the memory
     /// instead of waiting for LRU pressure).
     pub fn retire_pages_before(&self, epoch: u64) {
-        self.pages.lock().expect("page cache lock").retain(|k| k.epoch() >= epoch);
-        self.corpus_pages
-            .lock()
-            .expect("corpus page cache lock")
-            .retain(|k| k.epoch() >= epoch);
+        lock_unpoisoned(&self.pages).retain(|k| k.epoch() >= epoch);
+        lock_unpoisoned(&self.corpus_pages).retain(|k| k.epoch() >= epoch);
     }
 
     /// Number of documents with cached engine artifacts.
     pub fn engines_cached(&self) -> usize {
-        self.engine_parts.lock().expect("engine cache lock").len()
+        lock_unpoisoned(&self.engine_parts).len()
     }
 
     /// Single-document page-cache counters since the bundle was created.
     pub fn page_stats(&self) -> CacheStats {
-        self.pages.lock().expect("page cache lock").stats()
+        lock_unpoisoned(&self.pages).stats()
     }
 
     /// Corpus page-cache counters since the bundle was created.
     pub fn corpus_page_stats(&self) -> CacheStats {
-        self.corpus_pages.lock().expect("corpus page cache lock").stats()
+        lock_unpoisoned(&self.corpus_pages).stats()
     }
 
     /// Per-result snippet-cache counters since the bundle was created.
     pub fn snippet_stats(&self) -> CacheStats {
-        self.snippets.lock().expect("snippet cache lock").stats()
+        lock_unpoisoned(&self.snippets).stats()
+    }
+
+    /// Bytes of rendered `/search` results the corpus page cache holds
+    /// right now — what serving hits without re-rendering costs in memory
+    /// (at most [`PAGE_CAPACITY`] pages, one copy each). Summed on demand:
+    /// nothing on the request path maintains it.
+    pub fn corpus_page_body_bytes(&self) -> usize {
+        lock_unpoisoned(&self.corpus_pages)
+            .values()
+            .filter_map(|page| page.rendered.get())
+            .map(|rendered| rendered.len())
+            .sum()
     }
 }
 
@@ -345,25 +373,18 @@ impl<'d> QuerySession<'d> {
                 extract
             }
             Engines::Corpus { corpus, engines } => {
+                // xlint: allow(L3, "doc.index() < slot_count: `engines` is sized to the snapshot's slot count, and ids come out of that snapshot's own routing — or are the doc 0 of `extract()`/`answer()`, whose out-of-range panic is documented and which no daemon route calls")
                 engines[doc.index()].get_or_init(|| {
                     // Shared artifact cache first: another session of this
                     // lineage (or this one, pre-eviction) may have already
                     // paid for the offline stages of this exact document
                     // generation.
-                    let cached = self
-                        .caches
-                        .engine_parts
-                        .lock()
-                        .expect("engine cache lock")
-                        .get(&doc);
+                    let cached = lock_unpoisoned(&self.caches.engine_parts).get(&doc);
                     match cached {
                         Some(parts) => Extract::with_parts(corpus.doc(doc), parts),
                         None => {
                             let extract = Extract::new(corpus.doc(doc));
-                            self.caches
-                                .engine_parts
-                                .lock()
-                                .expect("engine cache lock")
+                            lock_unpoisoned(&self.caches.engine_parts)
                                 .insert(doc, extract.parts());
                             extract
                         }
@@ -419,9 +440,9 @@ impl<'d> QuerySession<'d> {
     /// the routing fan-in). Cached per-document engine artifacts are kept:
     /// they are derived structures, not query results.
     pub fn clear_cache(&self) {
-        self.caches.pages.lock().expect("page cache lock").clear();
-        self.caches.corpus_pages.lock().expect("corpus page cache lock").clear();
-        self.caches.snippets.lock().expect("snippet cache lock").clear();
+        lock_unpoisoned(&self.caches.pages).clear();
+        lock_unpoisoned(&self.caches.corpus_pages).clear();
+        lock_unpoisoned(&self.caches.snippets).clear();
         self.caches.fanin_postings.store(0, Ordering::Relaxed);
         self.caches.fanin_directory.store(0, Ordering::Relaxed);
     }
@@ -438,19 +459,21 @@ impl<'d> QuerySession<'d> {
         let caching = self.caches.cache_capacity > 0;
         let pkey = caching.then(|| PageKey::unbounded(&query, config).at_epoch(self.epoch()));
         if let Some(pkey) = &pkey {
-            if let Some(page) = self.caches.pages.lock().expect("page cache lock").get(pkey) {
+            if let Some(page) = lock_unpoisoned(&self.caches.pages).get(pkey) {
                 return page;
             }
         }
         let extract = self.extract();
         let ranked = extract.ranked_results(&query);
         let mut scratch = IListScratch::default();
+        let doc = DocId::from_index(0);
         let page: AnswerPage = ranked
             .into_iter()
-            .map(|r| self.snippet_for(extract, DocId::from_index(0), &query, &r.result, config, &mut scratch))
+            .map(|r| self.snippet_for(extract, doc, &query, &r.result, config, &mut scratch))
+            .map(Arc::unwrap_or_clone)
             .collect();
         if let Some(pkey) = pkey {
-            self.caches.pages.lock().expect("page cache lock").insert(pkey, page.clone());
+            lock_unpoisoned(&self.caches.pages).insert(pkey, page.clone());
         }
         page
     }
@@ -474,20 +497,16 @@ impl<'d> QuerySession<'d> {
         result: &extract_search::QueryResult,
         config: &ExtractConfig,
         scratch: &mut IListScratch,
-    ) -> SnippetedResult {
+    ) -> Arc<SnippetedResult> {
         if self.caches.cache_capacity == 0 {
-            return extract.snippet_with_scratch(query, result, config, scratch);
+            return Arc::new(extract.snippet_with_scratch(query, result, config, scratch));
         }
         let key = CacheKey::for_doc(query, doc, result.root, config);
-        if let Some(hit) = self.caches.snippets.lock().expect("snippet cache lock").get(&key) {
+        if let Some(hit) = lock_unpoisoned(&self.caches.snippets).get(&key) {
             return hit;
         }
-        let computed = extract.snippet_with_scratch(query, result, config, scratch);
-        self.caches
-            .snippets
-            .lock()
-            .expect("snippet cache lock")
-            .insert(key, computed.clone());
+        let computed = Arc::new(extract.snippet_with_scratch(query, result, config, scratch));
+        lock_unpoisoned(&self.caches.snippets).insert(key, Arc::clone(&computed));
         computed
     }
 
@@ -536,10 +555,8 @@ impl<'d> QuerySession<'d> {
         let pkey =
             caching.then(|| PageKey::bounded(&query, config, k, offset).at_epoch(self.epoch()));
         if let Some(pkey) = &pkey {
-            if let Some((results, total)) =
-                self.caches.corpus_pages.lock().expect("corpus page cache lock").get(pkey)
-            {
-                return CorpusTopK { results, total, k, offset };
+            if let Some(page) = lock_unpoisoned(&self.caches.corpus_pages).get(pkey) {
+                return page;
             }
         }
         // Stage 1 — search + rank only: no snippet work yet. Timed as
@@ -579,14 +596,13 @@ impl<'d> QuerySession<'d> {
         });
         // Stage 2 — snippets for the served window only (the `snippet`
         // span).
-        let total = ranked.len();
-        let start = offset.min(total);
-        let end = offset.saturating_add(k).min(total);
         let window: Vec<CorpusAnswer> =
             extract_obs::time_stage(extract_obs::Stage::Snippet, || {
                 let mut scratch = IListScratch::default();
-                ranked[start..end]
+                ranked
                     .iter()
+                    .skip(offset)
+                    .take(k)
                     .map(|(doc, score, result)| {
                         let extract = self.engine(*doc);
                         let result = self
@@ -595,15 +611,17 @@ impl<'d> QuerySession<'d> {
                     })
                     .collect()
             });
-        let results: CorpusPage = window.into();
+        let page = CorpusTopK {
+            results: window.into(),
+            total: ranked.len(),
+            k,
+            offset,
+            rendered: Arc::default(),
+        };
         if let Some(pkey) = pkey {
-            self.caches
-                .corpus_pages
-                .lock()
-                .expect("corpus page cache lock")
-                .insert(pkey, (results.clone(), total));
+            lock_unpoisoned(&self.caches.corpus_pages).insert(pkey, page.clone());
         }
-        CorpusTopK { results, total, k, offset }
+        page
     }
 
     /// Answer a batch of queries on the worker pool: `workers` scoped
@@ -611,7 +629,7 @@ impl<'d> QuerySession<'d> {
     /// The output is index-aligned with `queries` and identical to calling
     /// [`QuerySession::answer`] serially.
     pub fn answer_batch(&self, queries: &[&str], config: &ExtractConfig) -> Vec<AnswerPage> {
-        self.run_pool(queries.len(), |i| self.answer(queries[i], config))
+        self.run_pool(queries, |q| self.answer(q, config))
     }
 
     /// [`QuerySession::answer_corpus`] over a batch, on the worker pool.
@@ -622,49 +640,47 @@ impl<'d> QuerySession<'d> {
         queries: &[&str],
         config: &ExtractConfig,
     ) -> Vec<CorpusPage> {
-        self.run_pool(queries.len(), |i| self.answer_corpus(queries[i], config))
+        self.run_pool(queries, |q| self.answer_corpus(q, config))
     }
 
-    /// Run `f(0..n)` across the worker pool, returning index-aligned
-    /// results. Falls back to a serial loop for tiny batches or
-    /// single-worker sessions.
-    fn run_pool<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Run `f` over `items` across the worker pool, returning results
+    /// aligned with `items`. Falls back to a serial loop for tiny batches
+    /// or single-worker sessions. A worker's panic is re-raised here, as
+    /// the serial loop would have raised it.
+    fn run_pool<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
+        I: Sync,
         T: Send,
-        F: Fn(usize) -> T + Sync,
+        F: Fn(&I) -> T + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n);
+        let workers = self.workers.min(items.len());
         if workers <= 1 {
-            return (0..n).map(f).collect();
+            return items.iter().map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        let mut answered: Vec<(usize, T)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut mine: Vec<(usize, T)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            mine.push((i, f(i)));
+                            let Some(item) = items.get(i) else { break };
+                            mine.push((i, f(item)));
                         }
                         mine
                     })
                 })
                 .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("worker panicked") {
-                    results[i] = Some(r);
-                }
-            }
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
-        results.into_iter().map(|r| r.expect("every query answered")).collect()
+        answered.sort_unstable_by_key(|(i, _)| *i);
+        answered.into_iter().map(|(_, answer)| answer).collect()
     }
 }
 
@@ -1078,6 +1094,50 @@ mod tests {
             caches.engine_parts.lock().expect("engine cache lock").get(&victim).is_none(),
             "engine parts for the victim are gone"
         );
+    }
+
+    /// One request panicking with a cache guard held must not turn every
+    /// later request into a panic: the caches recover the guard, and the
+    /// entry set behind it is as valid as before.
+    #[test]
+    fn a_poisoned_page_cache_still_serves_search() {
+        use crate::live::LiveSearchApp;
+        use crate::serve::SearchAppConfig;
+        use extract_corpus::LiveCorpus;
+
+        let app = LiveSearchApp::new(
+            LiveCorpus::from_corpus(small_corpus()),
+            SearchAppConfig::default(),
+            128,
+        );
+        let request = extract_serve::Request {
+            method: "GET".to_string(),
+            path: "/search".to_string(),
+            query: vec![("q".to_string(), "store texas".to_string())],
+            http11: true,
+            keep_alive: true,
+            trace_id: None,
+            body: Vec::new(),
+        };
+        let healthy = app.handle(&request);
+        assert_eq!(healthy.status, 200);
+
+        let caches = Arc::clone(app.caches());
+        let poisoner = std::thread::spawn(move || {
+            let _guard = caches.corpus_pages.lock().expect("not poisoned yet");
+            panic!("poisoning the corpus page cache on purpose");
+        });
+        assert!(poisoner.join().is_err(), "the poisoner panicked");
+        assert!(app.caches().corpus_pages.is_poisoned());
+
+        let hits = app.caches().corpus_page_stats().hits;
+        let after = app.handle(&request);
+        assert_eq!(after.status, 200);
+        assert_eq!(after.body, healthy.body, "same page, same bytes");
+        assert_eq!(app.caches().corpus_page_stats().hits, hits + 1, "served from the cache");
+        // The mutation path takes the same lock.
+        app.caches().retire_pages_before(1);
+        assert_eq!(app.caches().corpus_page_body_bytes(), 0, "epoch-0 pages retired");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!    served again, under any interleaving of warming queries.
 //! 2. **Snapshot isolation**: a query session pinned to a snapshot
 //!    keeps answering from that snapshot — byte-identically — while
-//!    the corpus is deleted from and re-ingested underneath it.
+//!    the corpus is deleted from and re-ingested underneath it; two
+//!    sessions on either side of an ingest never serve each other's
+//!    rendered page.
 //! 3. **Rejection cap**: a hostile ingest stream cannot grow the
 //!    rejection log past [`CorpusOptions::max_rejected`]; the overflow
 //!    is counted, not retained, and `/stats` shows both numbers.
@@ -17,6 +19,9 @@
 //!    ingested and deleted over HTTP; deleted content disappears from
 //!    answers immediately and the epoch on `/stats` tracks every
 //!    mutation. No restart, ever.
+//! 5. **The cached body is the rendered body**: a page-cache hit serves
+//!    the bytes the miss rendered, and both equal what a cache-less app
+//!    renders — for any window, and for any raw spelling of the query.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -24,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use extract::live::{serve_live, LiveSearchApp};
 use extract::prelude::*;
-use extract::serve::SearchAppConfig;
+use extract::serve::{SearchApp, SearchAppConfig};
 use extract_corpus::CorpusOptions;
 use extract_serve::json::{self, Value};
 use extract_serve::testing::KeepAliveClient;
@@ -40,6 +45,14 @@ fn seed_corpus(docs: usize) -> Corpus {
         builder.add_document(&doc_name(i), &doc_xml(i, 0)).expect("seed doc parses");
     }
     builder.finish()
+}
+
+fn live_app(docs: usize, cache_capacity: usize) -> LiveSearchApp {
+    LiveSearchApp::new(
+        LiveCorpus::from_corpus(seed_corpus(docs)),
+        SearchAppConfig::default(),
+        cache_capacity,
+    )
 }
 
 fn doc_name(i: usize) -> String {
@@ -64,10 +77,22 @@ fn request(method: &str, path: &str, query: &[(&str, String)], body: &[u8]) -> R
     }
 }
 
-fn search(app: &LiveSearchApp, q: &str) -> Value {
-    let response = app.handle(&request("GET", "/search", &[("q", q.to_string())], b""));
+/// The raw `/search` body for `(q, k, offset)`.
+fn search_bytes(app: &LiveSearchApp, q: &str, k: usize, offset: usize) -> String {
+    let query =
+        [("q", q.to_string()), ("k", k.to_string()), ("offset", offset.to_string())];
+    let response = app.handle(&request("GET", "/search", &query, b""));
     assert_eq!(response.status, 200);
-    json::parse(std::str::from_utf8(&response.body).expect("utf-8")).expect("JSON")
+    String::from_utf8(response.body).expect("utf-8")
+}
+
+/// Search **twice**: with caching on, the second answer is a page-cache
+/// hit serving the entry's stored rendering, so a stale *body* fails
+/// here even where the structured page behind it is right.
+fn search(app: &LiveSearchApp, q: &str) -> Value {
+    let first = search_bytes(app, q, 10, 0);
+    assert_eq!(search_bytes(app, q, 10, 0), first, "the repeat of {q:?} changed bytes");
+    json::parse(&first).expect("JSON")
 }
 
 fn result_count(v: &Value) -> u64 {
@@ -98,11 +123,7 @@ proptest! {
         victim_seed in 0usize..64,
         warm_rounds in 1usize..3,
     ) {
-        let app = LiveSearchApp::new(
-            LiveCorpus::from_corpus(seed_corpus(docs)),
-            SearchAppConfig::default(),
-            4096,
-        );
+        let app = live_app(docs, 4096);
         let victim = victim_seed % docs;
         // Warm page, snippet and engine caches on every document —
         // repeatedly, so later rounds are genuine cache hits.
@@ -153,6 +174,52 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cached body is the rendered body: for any window, the miss,
+    /// the hit that follows it and a cache-less app all answer with the
+    /// same bytes.
+    #[test]
+    fn miss_hit_and_uncached_bodies_are_byte_equal(
+        query in 0usize..5,
+        k in 1usize..7,
+        offset in 0usize..7,
+    ) {
+        let q = ["texas", "store texas", "tok1v0", "name texas", "zzz-no-such-token"][query];
+        let cached = live_app(5, 4096);
+        let uncached = live_app(5, 0);
+        let miss = search_bytes(&cached, q, k, offset);
+        let hit = search_bytes(&cached, q, k, offset);
+        let stats = cached.caches().corpus_page_stats();
+        prop_assert_eq!((stats.misses, stats.hits), (1, 1), "one miss, then one hit");
+        prop_assert_eq!(&hit, &miss, "the hit served other bytes than the miss");
+        prop_assert_eq!(&search_bytes(&uncached, q, k, offset), &miss);
+        prop_assert_eq!(uncached.caches().corpus_page_stats().hits, 0);
+    }
+}
+
+/// The page key holds the *normalized* query, the body echoes the *raw*
+/// one: spellings of one query share a page entry (one miss, then hits)
+/// yet each response carries its own `"query"` string — including one
+/// that needs JSON escaping.
+#[test]
+fn raw_spellings_share_a_page_entry_but_echo_their_own_query() {
+    let app = live_app(3, 4096);
+    let spellings = ["Texas  store", "texas store", "texas \"store\"\\"];
+    let pages: Vec<Value> = spellings
+        .iter()
+        .map(|q| json::parse(&search_bytes(&app, q, 10, 0)).expect("JSON"))
+        .collect();
+    let stats = app.caches().corpus_page_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 2), "three spellings, one page entry");
+    for (q, page) in spellings.iter().zip(&pages) {
+        assert_eq!(page.get("query").and_then(Value::as_str), Some(*q), "raw echo");
+        assert_eq!(result_count(page), 3);
+        assert_eq!(page.get("results"), pages[0].get("results"), "{q:?} shares the page");
+    }
+}
+
 /// RCU reader guarantee: a session pinned to a snapshot answers from
 /// that snapshot — byte-identically — through any number of concurrent
 /// mutations. The writer never waits for it, and publishing new epochs
@@ -200,6 +267,36 @@ fn in_flight_sessions_complete_on_their_snapshot() {
     assert_eq!(fresh_session.answer_corpus_topk("tok1v0", &config, 10, 0).total, 0);
     assert_eq!(fresh_session.answer_corpus_topk("tok1v1", &config, 10, 0).total, 0);
     assert_eq!(fresh.len(), 2, "docs 0 and 2 remain");
+}
+
+/// Rendered pages are as snapshot-isolated as the pages themselves: a
+/// session pinned before an ingest and one opened after it share one
+/// cache bundle and ask for the same window, and — however their
+/// requests interleave, hits included — each is served its own
+/// snapshot's bytes.
+#[test]
+fn sessions_across_an_ingest_never_serve_each_others_body() {
+    let corpus = LiveCorpus::from_corpus(seed_corpus(3));
+    let caches = Arc::new(SessionCaches::new(1024));
+    let before = corpus.snapshot();
+    corpus.ingest("newcomer", &doc_xml(9, 0)).expect("ingest parses");
+    let after = corpus.snapshot();
+    let app = |snapshot, caches| {
+        SearchApp::new(QuerySession::for_snapshot(snapshot, 1, caches), SearchAppConfig::default())
+    };
+    let uncached = || Arc::new(SessionCaches::new(0));
+    let old_body = app(&before, uncached()).render_search("texas", 10, 0);
+    let new_body = app(&after, uncached()).render_search("texas", 10, 0);
+    assert_ne!(old_body, new_body, "the ingest changed this window");
+
+    let old = app(&before, Arc::clone(&caches));
+    let new = app(&after, Arc::clone(&caches));
+    for round in 0..3 {
+        assert_eq!(old.render_search("texas", 10, 0), old_body, "pinned, round {round}");
+        assert_eq!(new.render_search("texas", 10, 0), new_body, "fresh, round {round}");
+    }
+    let stats = caches.corpus_page_stats();
+    assert_eq!((stats.misses, stats.hits), (2, 4), "one entry per epoch, then hits");
 }
 
 /// A hostile ingest stream cannot grow the rejection log without bound:
