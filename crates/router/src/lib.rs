@@ -10,10 +10,12 @@
 //!   connections ([`ClientPool`]).
 //! - [`health`] — the per-shard circuit [`Breaker`]; the hedge delay is
 //!   computed from each shard's `extract_obs` latency histogram.
-//! - [`merge`] — shard page parsing, doc-id remapping, the exact
-//!   (score desc, doc asc, root asc) merge, and response rendering.
-//! - [`router`] — [`RouterApp`] (routes, scatter-gather, retries,
-//!   hedging, probing, `/stats` aggregation) and [`serve_router`].
+//! - [`merge`] — the validating shard-page scanner (borrowed hits, no
+//!   tree), doc-id remapping, the exact (score desc, doc asc, root asc)
+//!   k-way merge, and response rendering by splicing the shards' bytes.
+//! - [`router`] — [`RouterApp`] (routes, the inline scatter-gather and
+//!   its escalation to retries and hedge races, probing, `/stats`
+//!   aggregation) and [`serve_router`].
 //!
 //! The request path never panics: all fallible steps return `Result`s
 //! and every client outcome is an HTTP response. A shard that is down,

@@ -7,7 +7,11 @@
 //! back if its connection survived. A client whose request failed is
 //! *dropped*, not returned — its socket is in an unknown framing state
 //! and the next checkout simply dials fresh (with the client's own
-//! bounded, jittered backoff).
+//! bounded, jittered backoff). The scatter path holds its checked-out
+//! clients across the two halves of an exchange (send to every shard,
+//! then receive from each), so `check_out` and `check_in` are the pool's
+//! real interface inside the crate and [`request`](ClientPool::request)
+//! is the three steps back to back.
 
 use std::net::SocketAddr;
 use std::sync::Mutex;
@@ -56,7 +60,7 @@ impl ClientPool {
     /// the `Vec::pop`: the caller receives an owned handle and performs
     /// all I/O lock-free, so a slow shard can never convoy the other
     /// checkouts behind a socket operation (L6 enforces this shape).
-    fn check_out(&self) -> HttpClient {
+    pub(crate) fn check_out(&self) -> HttpClient {
         let pooled = lock_unpoisoned(&self.conns).pop();
         pooled.unwrap_or_else(|| HttpClient::new(self.addr, self.config.clone()))
     }
@@ -64,7 +68,7 @@ impl ClientPool {
     /// Return a client whose exchange succeeded. Re-locks `conns` only
     /// after all I/O is done; beyond `max_idle` the client is dropped
     /// (its socket closes) rather than pooled.
-    fn check_in(&self, client: HttpClient) {
+    pub(crate) fn check_in(&self, client: HttpClient) {
         let mut conns = lock_unpoisoned(&self.conns);
         if conns.len() < self.max_idle {
             conns.push(client);

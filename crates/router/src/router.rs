@@ -1,6 +1,15 @@
 //! The router application: scatter `/search` to every shard, gather
 //! under one absolute deadline, merge, and degrade gracefully.
 //!
+//! Request flow: the request's own worker thread writes the over-fetch
+//! to one pooled connection per shard — all of them before it reads
+//! anything, so the shards work side by side — then reads the answers
+//! in turn, each until that shard's hedge instant. While every shard
+//! answers usably in time that is the whole scatter: no thread, no
+//! channel. Only a shard attempt that fails, answers 5xx/429 or outlives
+//! its hedge delay *escalates* (counted in
+//! [`RouterCounters::escalations`]) to the machinery below.
+//!
 //! Failure policy, end to end:
 //!
 //! - Every client request gets **one absolute deadline**
@@ -12,8 +21,9 @@
 //!   backoff, except after a deadline timeout — the absolute clock is
 //!   spent, retrying cannot help.
 //! - A slow-but-healthy shard gets a **hedged** second request once the
-//!   attempt outlives the shard's recent latency percentile; the first
-//!   usable response wins and the loser is abandoned to its deadline.
+//!   attempt outlives the shard's recent latency percentile: the overdue
+//!   primary and the hedge move to two racer threads, the first
+//!   response wins and the loser is abandoned to its deadline.
 //! - Repeated failures open the shard's **circuit breaker**: the
 //!   scatter path skips it instantly instead of burning the budget, and
 //!   a background prober's `/healthz` checks close it again when the
@@ -32,7 +42,7 @@ use extract_obs::{Histogram, PromWriter, Stage, TraceId, TRACE_HEADER};
 use extract_serve::http::percent_encode;
 use extract_serve::json::{self, JsonWriter, Value};
 use extract_serve::obs_http;
-use extract_serve::{ClientError, Request, Response, ServerHandle, WireResponse};
+use extract_serve::{ClientError, HttpClient, Request, Response, ServerHandle, WireResponse};
 
 use crate::config::RouterConfig;
 use crate::health::Breaker;
@@ -58,6 +68,9 @@ pub struct RouterCounters {
     pub hedges_fired: AtomicU64,
     /// Hedges whose response beat the primary.
     pub hedge_wins: AtomicU64,
+    /// Shard attempts that left the inline path: every retry and every
+    /// hedge race. Zero while every shard answers in time.
+    pub escalations: AtomicU64,
     /// Distinct breaker open transitions.
     pub breaker_opens: AtomicU64,
     /// `200` responses flagged `"partial": true`.
@@ -162,6 +175,34 @@ enum ShardFailure {
     Failed(String),
 }
 
+/// What one scatter asks of every shard, and until when.
+struct Ask<'a> {
+    target: &'a str,
+    /// Extra raw header lines (the trace ID).
+    headers: &'a [&'a str],
+    deadline: Instant,
+}
+
+/// How one inline attempt at a shard ended — the request written, the
+/// answer awaited on the request's own thread.
+enum Attempt {
+    /// A response arrived, whatever its status.
+    Answered(WireResponse),
+    /// The transport failed.
+    Failed(ClientError),
+    /// No byte came by the hedge instant: the request is still in
+    /// flight on this client.
+    Overdue(HttpClient),
+}
+
+impl Attempt {
+    /// An answer the merge can take as it is: this shard's leg is done
+    /// without leaving the inline path.
+    fn is_usable(&self) -> bool {
+        matches!(self, Attempt::Answered(response) if RouterApp::usable(response))
+    }
+}
+
 /// The scatter-gather router application. `handle` is safe to call from
 /// many worker threads at once.
 pub struct RouterApp {
@@ -252,6 +293,9 @@ impl RouterApp {
             }),
             ("hedges_fired", "Hedged second requests launched.", hedges_fired),
             ("hedge_wins", "Hedged requests whose response was used.", hedge_wins),
+            ("scatter_escalations", "Shard attempts that left the inline path.", {
+                self.counters.escalations.load(Ordering::Relaxed)
+            }),
             ("breaker_opens", "Distinct breaker open transitions.", {
                 self.counters.breaker_opens.load(Ordering::Relaxed)
             }),
@@ -350,99 +394,63 @@ impl RouterApp {
     }
 
     /// Scatter the over-fetch to every shard, gather, merge, render.
-    /// The whole scatter-gather is the request's `search` span and the
-    /// merge + render its `serialize` span; `trace` is forwarded to
-    /// every shard as `X-Trace-Id`, so one ID follows the request across
-    /// both tiers' logs and flight recorders.
+    /// The whole scatter-gather is the request's `search` span; scanning
+    /// the shard pages, the merge and the render are its `serialize`
+    /// span. `trace` is forwarded to every shard as `X-Trace-Id`, so one
+    /// ID follows the request across both tiers' logs and flight
+    /// recorders.
     fn scatter_search(&self, q: &str, k: usize, offset: usize, trace: TraceId) -> Response {
-        let deadline = Instant::now() + self.config.request_deadline;
         let requested_k = k.saturating_add(offset);
         let target =
             format!("/search?q={}&k={requested_k}&offset=0", percent_encode(q));
         let trace_header = format!("{TRACE_HEADER}: {trace}");
-        // Fan out with N-1 scoped threads: the last shard is fetched on
-        // the scattering thread itself, so the common small-N case pays
-        // one spawn fewer per request (for N=2, half of them). The span
-        // covers the whole scatter-gather because the attempt threads'
-        // work *is* this thread's wait.
-        let outcomes: Vec<Result<ShardPage, ShardFailure>> =
-            extract_obs::time_stage(Stage::Search, || {
-                std::thread::scope(|scope| {
-                    let (spawned, inline) =
-                        self.shards.split_at(self.shards.len().saturating_sub(1));
-                    let handles: Vec<_> = spawned
-                        .iter()
-                        .map(|shard| {
-                            let target = target.as_str();
-                            let trace_header = trace_header.as_str();
-                            scope.spawn(move || {
-                                self.fetch_shard_page(shard, target, trace_header, deadline)
-                            })
-                        })
-                        .collect();
-                    let mut tail: Vec<Result<ShardPage, ShardFailure>> = inline
-                        .iter()
-                        .map(|shard| {
-                            self.fetch_shard_page(
-                                shard,
-                                target.as_str(),
-                                trace_header.as_str(),
-                                deadline,
-                            )
-                        })
-                        .collect();
-                    let mut outcomes: Vec<Result<ShardPage, ShardFailure>> = handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(ShardFailure::Failed(
-                                    "scatter thread panicked".to_string(),
-                                ))
-                            })
-                        })
-                        .collect();
-                    outcomes.append(&mut tail);
-                    outcomes
-                })
-            });
-        let queried = self.shards.len();
-        let answered = outcomes.iter().filter(|o| o.is_ok()).count();
-        for (index, outcome) in outcomes.iter().enumerate() {
-            if let Err(ShardFailure::Failed(reason)) = outcome {
-                eprintln!(
-                    "router: trace={trace} shard {index} dropped from response: {reason}"
-                );
-            }
-        }
-        if answered == 0 {
-            return Response::error(503, "no shards available")
-                .with_retry_after(UNAVAILABLE_RETRY_AFTER_SECS);
-        }
+        let ask = Ask {
+            target: &target,
+            headers: &[&trace_header],
+            deadline: Instant::now() + self.config.request_deadline,
+        };
+        let bodies = extract_obs::time_stage(Stage::Search, || self.gather(&ask));
         extract_obs::time_stage(Stage::Serialize, || {
-            let pages: Vec<Option<ShardPage>> =
-                outcomes.into_iter().map(Result::ok).collect();
-            let doc_bases = self.doc_bases();
-            let merged: MergedPage =
-                merge::merge_pages(&pages, &doc_bases, k, offset, requested_k);
+            // The pages borrow the shard bodies: a hit is three numbers
+            // and two byte ranges, never a copy of its snippet.
+            let pages: Vec<Option<ShardPage<'_>>> = bodies
+                .iter()
+                .enumerate()
+                .map(|(index, body)| {
+                    let reason = match body {
+                        Ok(body) => match merge::parse_page(body) {
+                            Ok(page) => return Some(page),
+                            Err(reason) => reason,
+                        },
+                        Err(ShardFailure::Skipped) => return None,
+                        Err(ShardFailure::Failed(reason)) => reason.clone(),
+                    };
+                    eprintln!(
+                        "router: trace={trace} shard {index} dropped from response: {reason}"
+                    );
+                    None
+                })
+                .collect();
+            let queried = self.shards.len();
+            let answered = pages.iter().flatten().count();
+            if answered == 0 {
+                return Response::error(503, "no shards available")
+                    .with_retry_after(UNAVAILABLE_RETRY_AFTER_SECS);
+            }
+            let merged: MergedPage<'_> =
+                merge::merge_pages(&pages, &self.doc_bases(), k, offset, requested_k);
             let partial = answered < queried || merged.truncated;
             if partial {
                 bump(&self.counters.partial_responses);
             }
-            let body = merge::render_search(
-                q,
-                k,
-                offset,
-                &merged,
-                partial,
-                ShardTally { queried, answered },
-            );
-            Response::json(200, body)
+            let tally = ShardTally { queried, answered };
+            Response::json(200, merge::render_search(q, k, offset, &merged, partial, tally))
         })
     }
 
     /// Global doc-id bases: prefix sums of per-shard document counts in
     /// configured order. An unlearned count contributes zero — its shard
-    /// cannot have answered (the fetch path learns the count first), and
+    /// cannot have answered (the gather learns the count first), and
     /// the response is already marked partial.
     fn doc_bases(&self) -> Vec<u64> {
         let mut bases = Vec::with_capacity(self.shards.len());
@@ -454,106 +462,163 @@ impl RouterApp {
         bases
     }
 
-    /// One shard's page for this request: breaker gate, doc-count
-    /// bootstrap, then the retry loop.
-    fn fetch_shard_page(
-        &self,
-        shard: &Arc<Shard>,
+    /// The scatter primitive: write the request to every shard in
+    /// `shards`, one pooled connection each, before any answer is read —
+    /// the shards then work side by side while the caller stays on its
+    /// own thread and reads them in turn.
+    fn send_all(shards: &[&Arc<Shard>], ask: &Ask) -> Vec<Result<HttpClient, ClientError>> {
+        shards.iter().map(|shard| Self::send(shard, ask)).collect()
+    }
+
+    /// Check a connection out of `shard`'s pool and write the request to
+    /// it; the answer is owed to the returned client.
+    fn send(shard: &Shard, ask: &Ask) -> Result<HttpClient, ClientError> {
+        let mut client = shard.pool.check_out();
+        client.send("GET", ask.target, ask.headers, ask.deadline)?;
+        Ok(client)
+    }
+
+    /// [`send_all`](Self::send_all) `GET target`, then each answer in
+    /// turn under the one `deadline`.
+    fn get_all(
+        shards: &[&Arc<Shard>],
         target: &str,
-        trace_header: &str,
         deadline: Instant,
-    ) -> Result<ShardPage, ShardFailure> {
-        if !shard.breaker.allows_requests() {
-            return Err(ShardFailure::Skipped);
-        }
-        if shard.doc_count().is_none() && !self.learn_doc_count(shard, deadline) {
+    ) -> Vec<Result<WireResponse, ClientError>> {
+        let sent = Self::send_all(shards, &Ask { target, headers: &[], deadline });
+        shards
+            .iter()
+            .zip(sent)
+            .map(|(shard, sent)| Self::receive(shard, sent?, deadline))
+            .collect()
+    }
+
+    /// Read the answer `client` is owed, however long it takes within
+    /// `deadline`, and hand the connection back to `shard`'s pool.
+    fn receive(
+        shard: &Shard,
+        mut client: HttpClient,
+        deadline: Instant,
+    ) -> Result<WireResponse, ClientError> {
+        let response = client.receive(deadline, deadline)?.ok_or(ClientError::TimedOut)?;
+        shard.pool.check_in(client);
+        Ok(response)
+    }
+
+    /// Every shard's `/search` body for this request, in shard order:
+    /// breaker gate and doc-count bootstrap, one inline exchange per
+    /// shard, and only for a shard whose exchange failed, answered
+    /// unusably or outlived its hedge delay the retry / hedge machinery.
+    fn gather(&self, ask: &Ask) -> Vec<Result<String, ShardFailure>> {
+        let mut outcomes: Vec<Result<String, ShardFailure>> =
+            self.shards.iter().map(|_| Err(ShardFailure::Skipped)).collect();
+        let mut live: Vec<&Arc<Shard>> =
+            self.shards.iter().filter(|s| s.breaker.allows_requests()).collect();
+        let unlearned: Vec<&Arc<Shard>> =
+            live.iter().copied().filter(|s| s.doc_count().is_none()).collect();
+        let learned = self.learn_doc_counts(&unlearned, ask.deadline, None);
+        for (shard, _) in unlearned.iter().zip(learned).filter(|(_, learned)| !learned) {
             // A shard that can't even report its corpus size is failing:
             // count it against the breaker like any other failed attempt.
             if shard.breaker.on_failure() {
                 bump(&self.counters.breaker_opens);
             }
-            return Err(ShardFailure::Failed("doc count unavailable".to_string()));
-        }
-        let response = self.fetch_with_retries(shard, target, trace_header, deadline)?;
-        if response.status != 200 {
-            return Err(ShardFailure::Failed(format!(
-                "shard answered {}",
-                response.status
-            )));
-        }
-        // A live shard stamps every answer with its corpus epoch. If it
-        // moved since we last looked, the shard mutated mid-session and
-        // our cached document count — hence this request's doc-id
-        // remap — may be stale: relearn it *before* the merge reads
-        // `doc_bases`, so the global ids stay correct without waiting
-        // for a breaker heal.
-        if let Some(epoch) = response.corpus_epoch {
-            let known = shard.corpus_epoch.swap(epoch, Ordering::SeqCst);
-            if known != epoch && !self.learn_doc_count(shard, deadline) {
-                return Err(ShardFailure::Failed(
-                    "doc count unavailable after epoch change".to_string(),
-                ));
+            live.retain(|s| s.index != shard.index);
+            if let Some(outcome) = outcomes.get_mut(shard.index) {
+                *outcome = Err(ShardFailure::Failed("doc count unavailable".to_string()));
             }
         }
-        merge::parse_page(&response.body).map_err(ShardFailure::Failed)
+        let started = Instant::now();
+        let sent = Self::send_all(&live, ask);
+        let settle = &|shard, attempt| self.settle(shard, attempt, started, ask);
+        let mut settled = Vec::with_capacity(live.len());
+        let mut escalated = Vec::new();
+        for (shard, sent) in live.iter().copied().zip(sent) {
+            let attempt = self.await_inline(shard, sent, started, ask.deadline);
+            if attempt.is_usable() {
+                settled.push((shard, settle(shard, attempt)));
+            } else {
+                escalated.push((shard, attempt));
+            }
+        }
+        // Escalated legs block (backoff sleeps, hedge races), so they run
+        // side by side: all but the last on scoped threads — none when
+        // one shard escalated, and none of this when none did.
+        if let Some((last_shard, last_attempt)) = escalated.pop() {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = escalated
+                    .into_iter()
+                    .map(|(shard, attempt)| {
+                        (shard, scope.spawn(move || settle(shard, attempt)))
+                    })
+                    .collect();
+                settled.push((last_shard, settle(last_shard, last_attempt)));
+                settled.extend(handles.into_iter().map(|(shard, handle)| {
+                    let panicked = "scatter thread panicked".to_string();
+                    let leg = handle.join().unwrap_or(Err(ShardFailure::Failed(panicked)));
+                    (shard, leg)
+                }));
+            });
+        }
+        for (shard, leg) in settled {
+            if let Some(outcome) = outcomes.get_mut(shard.index) {
+                *outcome = self.page_body(shard, leg, ask.deadline);
+            }
+        }
+        outcomes
     }
 
-    /// Learn a shard's document count (and corpus epoch, when the shard
-    /// reports one) from its `/stats`. Runs under the caller's deadline;
-    /// returns whether the count is now known.
-    fn learn_doc_count(&self, shard: &Shard, deadline: Instant) -> bool {
-        let Ok(response) = shard.pool.request("GET", "/stats", deadline) else {
-            return false;
+    /// Wait on the request's own thread for the answer to a request
+    /// already written to `sent`'s connection — until the shard's hedge
+    /// instant, or the deadline when hedging is off or could only start
+    /// past it.
+    fn await_inline(
+        &self,
+        shard: &Shard,
+        sent: Result<HttpClient, ClientError>,
+        started: Instant,
+        deadline: Instant,
+    ) -> Attempt {
+        let mut client = match sent {
+            Ok(client) => client,
+            Err(error) => return Attempt::Failed(error),
         };
-        if response.status != 200 {
-            return false;
+        let hedge = self.config.hedge.as_ref();
+        let hedge_at = hedge.map_or(deadline, |hedge| started + shard.hedge_delay(hedge));
+        match client.receive(hedge_at, deadline) {
+            Ok(Some(response)) => {
+                shard.pool.check_in(client);
+                Attempt::Answered(response)
+            }
+            Ok(None) => Attempt::Overdue(client),
+            Err(error) => Attempt::Failed(error),
         }
-        let Ok(stats) = json::parse(&response.body) else {
-            return false;
-        };
-        let corpus = stats.get("corpus");
-        let Some(documents) =
-            corpus.and_then(|v| v.get("documents")).and_then(Value::as_u64)
-        else {
-            return false;
-        };
-        if let Some(epoch) = corpus.and_then(|v| v.get("epoch")).and_then(Value::as_u64) {
-            shard.corpus_epoch.store(epoch.min(EPOCH_UNKNOWN - 1), Ordering::SeqCst);
-        }
-        shard.doc_count.store(documents.min(DOC_COUNT_UNKNOWN - 1), Ordering::SeqCst);
-        true
     }
 
-    /// The per-shard retry loop: hedged attempts with exponential
-    /// backoff against the one absolute deadline. Success means a
-    /// response arrived — any status; HTTP-level failures (5xx / 429)
-    /// still count against the breaker and the retry budget.
-    fn fetch_with_retries(
+    /// The per-shard retry loop around the attempt already made: an
+    /// overdue attempt is raced against a hedge, a failed or unusable
+    /// one is retried with exponential backoff, all against the one
+    /// absolute deadline. Success means a response arrived — any status;
+    /// HTTP-level failures (5xx / 429) still count against the breaker
+    /// and the retry budget. An [`Attempt::is_usable`] one returns at
+    /// once.
+    fn settle(
         &self,
         shard: &Arc<Shard>,
-        target: &str,
-        trace_header: &str,
-        deadline: Instant,
+        mut attempt: Attempt,
+        mut started: Instant,
+        ask: &Ask,
     ) -> Result<WireResponse, ShardFailure> {
-        let mut last_error = String::new();
-        for attempt in 0..=self.config.retry_budget {
-            if Instant::now() >= deadline {
-                last_error = "request deadline exhausted".to_string();
-                break;
-            }
-            if attempt > 0 {
-                bump(&self.counters.retries);
-                let exp = attempt.saturating_sub(1).min(16);
-                let backoff = self
-                    .config
-                    .retry_backoff_base
-                    .saturating_mul(1_u32 << exp)
-                    .min(self.config.retry_backoff_max)
-                    .min(deadline.saturating_duration_since(Instant::now()));
-                std::thread::sleep(backoff);
-            }
-            let started = Instant::now();
-            match self.exchange_hedged(shard, target, trace_header, deadline) {
+        let mut last_error;
+        let mut retries = 0;
+        loop {
+            let mut timed_out = false;
+            let exchange = match attempt {
+                Attempt::Answered(response) => Ok((response, false)),
+                Attempt::Failed(error) => Err(error),
+                Attempt::Overdue(primary) => self.race(shard, primary, ask),
+            };
+            match exchange {
                 Ok((response, from_hedge)) if Self::usable(&response) => {
                     // A hedge "wins" only when its response is actually
                     // used — a hedge that merely arrived first with a
@@ -565,24 +630,36 @@ impl RouterApp {
                     shard.record_latency(started.elapsed());
                     return Ok(response);
                 }
-                Ok((response, _)) => {
-                    last_error = format!("status {}", response.status);
-                    if shard.breaker.on_failure() {
-                        bump(&self.counters.breaker_opens);
-                    }
-                }
+                Ok((response, _)) => last_error = format!("status {}", response.status),
                 Err(error) => {
                     last_error = error.to_string();
-                    if shard.breaker.on_failure() {
-                        bump(&self.counters.breaker_opens);
-                    }
                     // The deadline is absolute: once an attempt timed
                     // out against it, further attempts cannot fit.
-                    if matches!(error, ClientError::TimedOut) {
-                        break;
-                    }
+                    timed_out = matches!(error, ClientError::TimedOut);
                 }
             }
+            if shard.breaker.on_failure() {
+                bump(&self.counters.breaker_opens);
+            }
+            if timed_out || retries >= self.config.retry_budget {
+                break;
+            }
+            if Instant::now() >= ask.deadline {
+                last_error = "request deadline exhausted".to_string();
+                break;
+            }
+            bump(&self.counters.retries);
+            bump(&self.counters.escalations);
+            let backoff = self
+                .config
+                .retry_backoff_base
+                .saturating_mul(1_u32 << retries.min(16))
+                .min(self.config.retry_backoff_max)
+                .min(ask.deadline.saturating_duration_since(Instant::now()));
+            std::thread::sleep(backoff);
+            retries += 1;
+            started = Instant::now();
+            attempt = self.await_inline(shard, Self::send(shard, ask), started, ask.deadline);
         }
         Err(ShardFailure::Failed(last_error))
     }
@@ -593,118 +670,159 @@ impl RouterApp {
         response.status < 500 && response.status != 429
     }
 
-    /// One attempt, hedged: launch the primary, and if it outlives the
-    /// shard's hedge delay, race an identical second request. First
-    /// response (success or failure) from either wins; the loser runs
-    /// on to its own deadline and its connection pools or drops itself.
-    /// The returned flag says whether the winning response came from the
-    /// hedge — the *caller* decides if that counts as a hedge win, since
-    /// only a usable response is one.
-    fn exchange_hedged(
+    /// The hedge race, on two racer threads: `primary` keeps waiting for
+    /// the answer it is owed, an identical second request goes out on
+    /// another connection. First response from either wins; the loser
+    /// runs on to its own deadline and its connection pools or drops
+    /// itself. The returned flag says whether the winning response came
+    /// from the hedge — the *caller* decides if that counts as a hedge
+    /// win, since only a usable response is one.
+    fn race(
         &self,
         shard: &Arc<Shard>,
-        target: &str,
-        trace_header: &str,
-        deadline: Instant,
+        primary: HttpClient,
+        ask: &Ask,
     ) -> Result<(WireResponse, bool), ClientError> {
-        let headers = [trace_header];
-        let Some(hedge) = self.config.hedge.as_ref() else {
-            return shard
-                .pool
-                .request_with("GET", target, &headers, deadline)
-                .map(|r| (r, false));
-        };
-        let delay = shard.hedge_delay(hedge);
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        // A hedge that could only start after the deadline is pointless.
-        if delay >= remaining {
-            return shard
-                .pool
-                .request_with("GET", target, &headers, deadline)
-                .map(|r| (r, false));
-        }
+        bump(&self.counters.hedges_fired);
+        bump(&self.counters.escalations);
+        type Racer = Box<dyn FnOnce() -> Result<WireResponse, ClientError> + Send>;
+        let deadline = ask.deadline;
         let (tx, rx) = mpsc::channel();
-        let launch = |is_hedge: bool| {
-            let shard = Arc::clone(shard);
-            let target = target.to_string();
-            let trace_header = trace_header.to_string();
+        let launch = |is_hedge: bool, racer: Racer| {
             let tx = tx.clone();
-            // xlint: allow(L8, "hedge racer: at most two per exchange, lifetime bounded by the request deadline plus GATHER_GRACE; the gather loop below accounts for both via `outstanding`")
+            // xlint: allow(L8, "hedge racer: two per race, lifetime bounded by the request deadline; the gather loop below waits for both unless one answers")
             std::thread::spawn(move || {
-                let result =
-                    shard.pool.request_with("GET", &target, &[&trace_header], deadline);
                 // xlint: allow(L7, "the gather side hanging up early (first response won) is the expected benign race")
-                let _ = tx.send((is_hedge, result));
+                let _ = tx.send((is_hedge, racer()));
             });
         };
-        launch(false);
-        let first = match rx.recv_timeout(delay) {
-            Ok(outcome) => Some(outcome),
-            Err(_) => {
-                bump(&self.counters.hedges_fired);
-                launch(true);
-                None
-            }
-        };
-        let mut outstanding = if first.is_some() { 0 } else { 2 };
-        let mut queue: Vec<(bool, Result<WireResponse, ClientError>)> =
-            first.into_iter().collect();
-        let mut last_error: Option<ClientError> = None;
-        loop {
-            let (is_hedge, result) = match queue.pop() {
-                Some(next) => next,
-                None if outstanding > 0 => {
-                    let wait = deadline
-                        .saturating_duration_since(Instant::now())
-                        .saturating_add(GATHER_GRACE);
-                    match rx.recv_timeout(wait) {
-                        Ok(next) => {
-                            outstanding -= 1;
-                            next
-                        }
-                        Err(_) => break,
-                    }
-                }
-                None => break,
-            };
-            match result {
-                Ok(response) => return Ok((response, is_hedge)),
-                Err(error) => last_error = Some(error),
+        let owner = Arc::clone(shard);
+        launch(false, Box::new(move || Self::receive(&owner, primary, deadline)));
+        let owner = Arc::clone(shard);
+        let target = ask.target.to_string();
+        let headers: Vec<String> = ask.headers.iter().map(|h| h.to_string()).collect();
+        launch(
+            true,
+            Box::new(move || {
+                let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+                owner.pool.request_with("GET", &target, &headers, deadline)
+            }),
+        );
+        let mut last_error = ClientError::TimedOut;
+        for _ in 0..2 {
+            let wait = deadline
+                .saturating_duration_since(Instant::now())
+                .saturating_add(GATHER_GRACE);
+            match rx.recv_timeout(wait) {
+                Ok((is_hedge, Ok(response))) => return Ok((response, is_hedge)),
+                Ok((_, Err(error))) => last_error = error,
+                Err(_) => break,
             }
         }
-        Err(last_error.unwrap_or(ClientError::TimedOut))
+        Err(last_error)
+    }
+
+    /// A settled shard leg's page body: a non-200 is a failure, and an
+    /// answer stamped with an epoch other than the one the shard's
+    /// document count belongs to relearns that count first. A live shard
+    /// stamps every answer with its corpus epoch; if it moved, the shard
+    /// mutated mid-session and this request's doc-id remap may be stale:
+    /// relearn *before* the merge reads `doc_bases`, so the global ids
+    /// stay correct without waiting for a breaker heal. The new epoch is
+    /// published only together with its count — after a failed relearn
+    /// the next request sees the old epoch and tries again.
+    fn page_body(
+        &self,
+        shard: &Arc<Shard>,
+        settled: Result<WireResponse, ShardFailure>,
+        deadline: Instant,
+    ) -> Result<String, ShardFailure> {
+        let response = settled?;
+        if response.status != 200 {
+            return Err(ShardFailure::Failed(format!("shard answered {}", response.status)));
+        }
+        let moved = response.corpus_epoch.filter(|epoch| shard.corpus_epoch() != Some(*epoch));
+        if let Some(epoch) = moved {
+            if self.learn_doc_counts(&[shard], deadline, Some(epoch)) != [true] {
+                return Err(ShardFailure::Failed(
+                    "doc count unavailable after epoch change".to_string(),
+                ));
+            }
+        }
+        Ok(response.body)
+    }
+
+    /// Learn the shards' document counts (and corpus epochs) from their
+    /// `/stats`, one scatter under the caller's deadline; says per shard
+    /// whether its count is now known. `answer_epoch` stands in for a
+    /// shard whose `/stats` names no epoch.
+    fn learn_doc_counts(
+        &self,
+        shards: &[&Arc<Shard>],
+        deadline: Instant,
+        answer_epoch: Option<u64>,
+    ) -> Vec<bool> {
+        shards
+            .iter()
+            .zip(Self::get_all(shards, "/stats", deadline))
+            .map(|(shard, response)| {
+                let Some(stats) = Self::ok_json(response) else {
+                    return false;
+                };
+                let corpus = stats.get("corpus");
+                let Some(documents) =
+                    corpus.and_then(|v| v.get("documents")).and_then(Value::as_u64)
+                else {
+                    return false;
+                };
+                // Count before epoch: whoever reads the new epoch reads
+                // the count that belongs to it.
+                shard.doc_count.store(documents.min(DOC_COUNT_UNKNOWN - 1), Ordering::SeqCst);
+                let epoch = corpus.and_then(|v| v.get("epoch")).and_then(Value::as_u64);
+                if let Some(epoch) = epoch.or(answer_epoch) {
+                    shard.corpus_epoch.store(epoch.min(EPOCH_UNKNOWN - 1), Ordering::SeqCst);
+                }
+                true
+            })
+            .collect()
+    }
+
+    /// The parsed body of a `200`, else nothing.
+    fn ok_json(response: Result<WireResponse, ClientError>) -> Option<Value> {
+        let response = response.ok().filter(|r| r.status == 200)?;
+        json::parse(&response.body).ok()
     }
 
     /// One background probe round: re-check every shard whose breaker
-    /// wants a probe, and (re-)learn missing document counts.
+    /// wants a probe — one after the other, each under its own probe
+    /// deadline, so a shard that swallows its whole deadline cannot
+    /// starve the next one's healing — then (re-)learn missing document
+    /// counts in one scatter.
     pub fn probe_round(&self) {
-        let deadline = Instant::now() + self.config.probe_deadline;
-        std::thread::scope(|scope| {
-            for shard in self.shards.iter() {
-                scope.spawn(move || {
-                    if shard.breaker.probe_due() {
-                        bump(&self.counters.probes);
-                        match shard.pool.request("GET", "/healthz", deadline) {
-                            Ok(response) if response.status == 200 => {
-                                // The shard may have restarted with a
-                                // different corpus: relearn its size and
-                                // epoch from scratch.
-                                shard.doc_count.store(DOC_COUNT_UNKNOWN, Ordering::SeqCst);
-                                shard.corpus_epoch.store(EPOCH_UNKNOWN, Ordering::SeqCst);
-                                shard.breaker.on_success();
-                            }
-                            _ => {
-                                shard.breaker.on_failure();
-                            }
-                        }
-                    }
-                    if shard.breaker.allows_requests() && shard.doc_count().is_none() {
-                        bump(&self.counters.probes);
-                        self.learn_doc_count(shard, deadline);
-                    }
-                });
+        for shard in self.shards.iter().filter(|s| s.breaker.probe_due()) {
+            bump(&self.counters.probes);
+            let deadline = Instant::now() + self.config.probe_deadline;
+            match shard.pool.request("GET", "/healthz", deadline) {
+                Ok(response) if response.status == 200 => {
+                    // The shard may have restarted with a different
+                    // corpus: relearn its size and epoch from scratch.
+                    shard.doc_count.store(DOC_COUNT_UNKNOWN, Ordering::SeqCst);
+                    shard.corpus_epoch.store(EPOCH_UNKNOWN, Ordering::SeqCst);
+                    shard.breaker.on_success();
+                }
+                _ => {
+                    shard.breaker.on_failure();
+                }
             }
-        });
+        }
+        let unlearned: Vec<&Arc<Shard>> = self
+            .shards
+            .iter()
+            .filter(|s| s.breaker.allows_requests() && s.doc_count().is_none())
+            .collect();
+        self.counters.probes.fetch_add(unlearned.len() as u64, Ordering::Relaxed);
+        let deadline = Instant::now() + self.config.probe_deadline;
+        self.learn_doc_counts(&unlearned, deadline, None);
     }
 
     /// The `/stats` body: router counters, per-shard health, and
@@ -712,23 +830,16 @@ impl RouterApp {
     /// `/stats` (fetched live under the probe deadline).
     pub fn render_stats(&self) -> String {
         let deadline = Instant::now() + self.config.probe_deadline;
-        let upstream: Vec<Option<Value>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let response =
-                            shard.pool.request("GET", "/stats", deadline).ok()?;
-                        if response.status != 200 {
-                            return None;
-                        }
-                        json::parse(&response.body).ok()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap_or(None)).collect()
-        });
+        // Only shards the scatter path would ask: an open breaker reads
+        // `reachable: false` without spending the deadline on it.
+        let asked: Vec<&Arc<Shard>> =
+            self.shards.iter().filter(|s| s.breaker.allows_requests()).collect();
+        let mut upstream: Vec<Option<Value>> = self.shards.iter().map(|_| None).collect();
+        for (shard, answer) in asked.iter().zip(Self::get_all(&asked, "/stats", deadline)) {
+            if let Some(slot) = upstream.get_mut(shard.index) {
+                *slot = Self::ok_json(answer);
+            }
+        }
         let sum_server = |key: &str| -> u64 {
             upstream
                 .iter()
@@ -754,6 +865,8 @@ impl RouterApp {
         w.num_u64(hedges_fired);
         w.key("hedge_wins");
         w.num_u64(hedge_wins);
+        w.key("escalations");
+        w.num_u64(self.counters.escalations.load(Ordering::Relaxed));
         w.key("breaker_opens");
         w.num_u64(self.counters.breaker_opens.load(Ordering::Relaxed));
         w.key("partial_responses");

@@ -85,27 +85,42 @@ fn spawn_shard(
     documents: u64,
     fault: Option<FaultPlan>,
 ) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
-    let config = ServeConfig {
+    let config = ServeConfig { fault: fault.map(Arc::new), ..stub_config() };
+    spawn_stub(addr, config, move |request| match request.path.as_str() {
+        "/search" => Response::json(200, search_body(&hits, request)),
+        "/stats" => Response::json(200, stats_body(documents)),
+        _ => Response::error(404, "no such route"),
+    })
+}
+
+fn stub_config() -> ServeConfig {
+    ServeConfig {
         workers: 2,
         queue_depth: 16,
         per_client_inflight: 64,
-        fault: fault.map(Arc::new),
         ..ServeConfig::default()
-    };
+    }
+}
+
+/// The `/search` answer of a stub holding `hits`, honoring the request's `k`.
+fn search_body(hits: &[Hit], request: &Request) -> String {
+    let k = request.param("k").and_then(|raw| raw.parse().ok()).unwrap_or(10);
+    shard_body(hits, k, request.param("q").unwrap_or(""))
+}
+
+/// A stub shard answering with `routes` (and `/healthz` with ok).
+fn spawn_stub(
+    addr: &str,
+    config: ServeConfig,
+    routes: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
     let server = Server::bind(addr, config).expect("bind stub shard");
     let bound = server.local_addr();
     let handle = server.handle();
     let thread = std::thread::spawn(move || {
         server.run(move |request: &Request| match request.path.as_str() {
-            "/search" => {
-                let q = request.param("q").unwrap_or("");
-                let k: usize =
-                    request.param("k").and_then(|raw| raw.parse().ok()).unwrap_or(10);
-                Response::json(200, shard_body(&hits, k, q))
-            }
-            "/stats" => Response::json(200, stats_body(documents)),
             "/healthz" => Response::json(200, "{\"ok\":true}".to_string()),
-            _ => Response::error(404, "no such route"),
+            _ => routes(request),
         });
     });
     (bound, handle, thread)
@@ -400,4 +415,123 @@ fn router_healthz_and_stats_report_shard_state() {
 
     ha.shutdown();
     let _ = ta.join();
+}
+
+#[test]
+fn a_failed_relearn_does_not_publish_the_new_epoch() {
+    use std::sync::atomic::AtomicU64;
+    // Shard A stamps its answers with a corpus epoch and reports a
+    // document count that grows with it; its second `/stats` (the first
+    // relearn) fails once.
+    let epoch = Arc::new(AtomicU64::new(1));
+    let fault = FaultPlan::from_specs(&["status:/stats:code=500:after=1:count=1"]);
+    let config = ServeConfig { fault: Some(Arc::new(fault.expect("plan"))), ..stub_config() };
+    let (a, ha, ta) = {
+        let epoch = Arc::clone(&epoch);
+        spawn_stub("127.0.0.1:0", config, move |request| {
+            let now = epoch.load(Ordering::SeqCst);
+            match request.path.as_str() {
+                "/search" => Response::json(200, search_body(&[(0, 1, 0.9)], request))
+                    .with_corpus_epoch(now),
+                // Epoch 1 holds two documents, epoch 2 five.
+                "/stats" => {
+                    let documents = 3 * now - 1;
+                    let corpus = format!("{{\"documents\":{documents},\"epoch\":{now}}}");
+                    Response::json(200, format!("{{\"corpus\":{corpus}}}"))
+                }
+                _ => Response::error(404, "no such route"),
+            }
+        })
+    };
+    let (b, hb, tb) = spawn_shard("127.0.0.1:0", vec![(0, 4, 0.7)], 3, None);
+    let app = RouterApp::new(router_config(vec![a, b]));
+
+    // Epoch 1: shard B's only document sits behind A's two.
+    let body = body_json(&get(&app, "/search", &[("q", "x")]));
+    assert_eq!(body.get("partial"), Some(&Value::Bool(false)));
+    assert_eq!(doc_ids(&body), vec![0, 2]);
+
+    // A grows to five documents; the relearn its new epoch triggers
+    // fails, so A drops out of this answer — flagged, not silent.
+    epoch.store(2, Ordering::SeqCst);
+    let body = body_json(&get(&app, "/search", &[("q", "x")]));
+    assert_eq!(body.get("partial"), Some(&Value::Bool(true)));
+    assert_eq!(app.shards().first().and_then(|s| s.corpus_epoch()), Some(1));
+
+    // The next request must try again — the failed attempt published
+    // nothing — and remap B behind A's five documents.
+    let body = body_json(&get(&app, "/search", &[("q", "x")]));
+    assert_eq!(body.get("partial"), Some(&Value::Bool(false)));
+    assert_eq!(doc_ids(&body), vec![0, 5], "stale remap served after a failed relearn");
+    assert_eq!(app.shards().first().and_then(|s| s.doc_count()), Some(5));
+
+    ha.shutdown();
+    hb.shutdown();
+    let _ = (ta.join(), tb.join());
+}
+
+#[test]
+fn a_keep_alive_the_shard_closed_is_redialed_without_a_retry() {
+    // The shard evicts idle connections after 40 ms: the router's pooled
+    // socket is dead by the second request.
+    let config = ServeConfig { idle_timeout: Duration::from_millis(40), ..stub_config() };
+    let (a, ha, ta) = spawn_stub("127.0.0.1:0", config, |request| match request.path.as_str() {
+        "/search" => Response::json(200, search_body(&[(0, 1, 0.9)], request)),
+        "/stats" => Response::json(200, stats_body(1)),
+        _ => Response::error(404, "no such route"),
+    });
+    let app = RouterApp::new(router_config(vec![a]));
+    for _ in 0..3 {
+        let response = get(&app, "/search", &[("q", "x")]);
+        assert_eq!(response.status, 200);
+        assert_eq!(body_json(&response).get("partial"), Some(&Value::Bool(false)));
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    assert_eq!(app.counters().retries.load(Ordering::Relaxed), 0);
+    assert_eq!(app.counters().escalations.load(Ordering::Relaxed), 0);
+    assert_eq!(app.counters().breaker_opens.load(Ordering::Relaxed), 0);
+
+    ha.shutdown();
+    let _ = ta.join();
+}
+
+#[test]
+fn the_healthy_path_never_escalates_and_nothing_waits_out_a_timer() {
+    let (a, ha, ta) = spawn_shard("127.0.0.1:0", vec![(0, 1, 0.9), (1, 2, 0.5)], 2, None);
+    let (b, hb, tb) = spawn_shard("127.0.0.1:0", vec![(0, 4, 0.7)], 3, None);
+    let config = RouterConfig {
+        probe_deadline: Duration::from_millis(250),
+        hedge: Some(HedgeConfig {
+            max_delay: Duration::from_millis(500),
+            ..HedgeConfig::default()
+        }),
+        ..router_config(vec![a, b])
+    };
+
+    // Start-up to first answer: no step may sit out a probe deadline or
+    // a hedge delay.
+    let started = Instant::now();
+    let app = RouterApp::new(config);
+    app.probe_round();
+    let response = get(&app, "/search", &[("q", "x"), ("k", "10")]);
+    let elapsed = started.elapsed();
+    assert_eq!(response.status, 200);
+    assert_eq!(doc_ids(&body_json(&response)), vec![0, 2, 1]);
+    assert!(elapsed < Duration::from_millis(100), "first answer took {elapsed:?}");
+
+    for _ in 0..200 {
+        let response = get(&app, "/search", &[("q", "x"), ("k", "10")]);
+        assert_eq!(response.status, 200);
+    }
+    let counters = app.counters();
+    assert_eq!(counters.escalations.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.hedges_fired.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    let stats = body_json(&get(&app, "/stats", &[]));
+    let router = stats.get("router").expect("router block");
+    assert_eq!(router.get("escalations").and_then(Value::as_u64), Some(0));
+
+    ha.shutdown();
+    hb.shutdown();
+    let _ = (ta.join(), tb.join());
 }

@@ -22,7 +22,11 @@
 //!   fresh socket. Actual connect failures back off exponentially with
 //!   jitter, bounded by [`ClientConfig::backoff_max`] and the request
 //!   deadline — a dead shard costs a bounded slice of the deadline, not
-//!   a hot reconnect loop.
+//!   a hot reconnect loop. An exchange comes in two halves,
+//!   [`HttpClient::send`] and [`HttpClient::receive`], so one thread can
+//!   put a request to each of several peers on the wire before it waits
+//!   for the first answer — and can stop waiting at a hedge instant
+//!   without losing the answer it is still owed.
 //!
 //! Everything returns `Result` — no panics, no `unwrap` — because this
 //! code runs inside the router's request path where a malformed byte
@@ -153,6 +157,46 @@ fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
+/// Time left until `deadline`; none left is [`ClientError::TimedOut`].
+fn remaining(deadline: Instant) -> Result<Duration, ClientError> {
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    if remaining.is_zero() {
+        return Err(ClientError::TimedOut);
+    }
+    Ok(remaining)
+}
+
+/// Buffer room for a request head besides its target: method, version,
+/// `Host`, a trace header, `Content-Length` (a sizing hint: the buffer
+/// grows if a head ever needs more).
+const HEAD_CAPACITY: usize = 128;
+
+/// Frame one request into `wire`, replacing what it held: request line,
+/// `Host`, the raw `extra_headers` lines, a `Content-Length` when there
+/// is a body, the blank line, the body.
+fn write_request(
+    wire: &mut Vec<u8>,
+    method: &str,
+    target: &str,
+    extra_headers: &[&str],
+    body: &[u8],
+) -> Result<(), ClientError> {
+    wire.clear();
+    for part in [method, " ", target, " HTTP/1.1\r\nHost: router\r\n"] {
+        wire.extend_from_slice(part.as_bytes());
+    }
+    for header in extra_headers {
+        wire.extend_from_slice(header.as_bytes());
+        wire.extend_from_slice(b"\r\n");
+    }
+    if !body.is_empty() {
+        write!(wire, "Content-Length: {}\r\n", body.len()).map_err(ClientError::Io)?;
+    }
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    Ok(())
+}
+
 /// One persistent HTTP/1.1 connection: many requests, one socket,
 /// responses framed by `Content-Length` (never by EOF).
 #[derive(Debug)]
@@ -188,18 +232,20 @@ impl Connection {
         self.served
     }
 
-    fn arm(&mut self, deadline: Option<Instant>) -> Result<(), ClientError> {
-        if let Some(deadline) = deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClientError::TimedOut);
-            }
-            let stream = &self.reader.get_ref().stream;
-            stream.set_write_timeout(Some(remaining)).map_err(ClientError::Io)?;
-        } else {
-            let stream = &self.reader.get_ref().stream;
-            stream.set_read_timeout(None).map_err(ClientError::Io)?;
-            stream.set_write_timeout(None).map_err(ClientError::Io)?;
+    /// Arm the write side for one send: the socket's write timeout
+    /// becomes the time left until `deadline` (none without one).
+    fn arm_write(&mut self, deadline: Option<Instant>) -> Result<(), ClientError> {
+        let timeout = deadline.map(remaining).transpose()?;
+        self.stream().set_write_timeout(timeout).map_err(ClientError::Io)
+    }
+
+    /// Arm the read side. With a deadline nothing touches the socket
+    /// here — every read shrinks its own timeout ([`DeadlineStream`]);
+    /// without one, a timeout an earlier deadline left behind is cleared.
+    fn arm_read(&mut self, deadline: Option<Instant>) -> Result<(), ClientError> {
+        match deadline {
+            Some(deadline) => drop(remaining(deadline)?),
+            None => self.stream().set_read_timeout(None).map_err(ClientError::Io)?,
         }
         self.reader.get_mut().deadline = deadline;
         Ok(())
@@ -228,54 +274,53 @@ impl Connection {
         body: &[u8],
         deadline: Option<Instant>,
     ) -> Result<(), ClientError> {
-        self.arm(deadline)?;
-        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: router\r\n");
-        for header in extra_headers {
-            head.push_str(header);
-            head.push_str("\r\n");
-        }
-        if !body.is_empty() {
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        head.push_str("\r\n");
-        let mut wire = Vec::with_capacity(head.len() + body.len());
-        wire.extend_from_slice(head.as_bytes());
-        wire.extend_from_slice(body);
+        let mut wire = Vec::with_capacity(HEAD_CAPACITY + target.len() + body.len());
+        write_request(&mut wire, method, target, extra_headers, body)?;
+        self.send_wire(&wire, deadline)
+    }
+
+    /// Write one already-framed request ([`write_request`]) under
+    /// `deadline`.
+    fn send_wire(
+        &mut self,
+        wire: &[u8],
+        deadline: Option<Instant>,
+    ) -> Result<(), ClientError> {
+        self.arm_write(deadline)?;
         let stream = &mut self.reader.get_mut().stream;
-        stream.write_all(&wire).map_err(|e| {
+        stream.write_all(wire).map_err(|e| {
             if is_timeout(&e) { ClientError::TimedOut } else { ClientError::Io(e) }
         })
     }
 
-    /// Read one line terminated by `\n` (tolerating `\r`), capped.
-    fn read_line(&mut self, first: bool) -> Result<String, ClientError> {
-        let mut buf = Vec::with_capacity(64);
-        loop {
-            let mut byte = 0u8;
-            match self.reader.read(std::slice::from_mut(&mut byte)) {
-                Err(e) if is_timeout(&e) => return Err(ClientError::TimedOut),
-                Err(e) => return Err(ClientError::Io(e)),
-                Ok(0) => {
-                    if first && buf.is_empty() {
-                        return Err(ClientError::Closed);
-                    }
-                    return Err(ClientError::Malformed("truncated line"));
-                }
-                Ok(_) => {
-                    if byte == b'\n' {
-                        if buf.last() == Some(&b'\r') {
-                            buf.pop();
-                        }
-                        return String::from_utf8(buf)
-                            .map_err(|_| ClientError::Malformed("non-UTF-8 line"));
-                    }
-                    if buf.len() >= MAX_HEADER_LINE {
-                        return Err(ClientError::Malformed("header line too long"));
-                    }
-                    buf.push(byte);
-                }
-            }
+    /// Read one line terminated by `\n` (tolerating `\r`), capped, into
+    /// `line` (replacing what it held).
+    fn read_line<'l>(
+        &mut self,
+        line: &'l mut Vec<u8>,
+        first: bool,
+    ) -> Result<&'l str, ClientError> {
+        line.clear();
+        // One byte past the cap: a line that long without its newline
+        // is over it.
+        let mut capped = (&mut self.reader).take(MAX_HEADER_LINE as u64 + 1);
+        match capped.read_until(b'\n', line) {
+            Err(e) if is_timeout(&e) => return Err(ClientError::TimedOut),
+            Err(e) => return Err(ClientError::Io(e)),
+            Ok(0) if first => return Err(ClientError::Closed),
+            Ok(_) => {}
         }
+        if line.pop() != Some(b'\n') {
+            return Err(ClientError::Malformed(if line.len() >= MAX_HEADER_LINE {
+                "header line too long"
+            } else {
+                "truncated line"
+            }));
+        }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        std::str::from_utf8(line).map_err(|_| ClientError::Malformed("non-UTF-8 line"))
     }
 
     /// Read one `Content-Length`-framed response, enforcing the body cap
@@ -286,9 +331,10 @@ impl Connection {
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<WireResponse, ClientError> {
-        self.arm(deadline)?;
-        let line = self.read_line(true)?;
-        let status: u16 = line
+        self.arm_read(deadline)?;
+        let mut line = Vec::with_capacity(128);
+        let status: u16 = self
+            .read_line(&mut line, true)?
             .strip_prefix("HTTP/1.")
             .and_then(|rest| rest.split_once(' '))
             .and_then(|(_, rest)| rest.get(..3))
@@ -302,7 +348,7 @@ impl Connection {
             if n >= MAX_HEADERS {
                 return Err(ClientError::Malformed("too many headers"));
             }
-            let header = self.read_line(false)?;
+            let header = self.read_line(&mut line, false)?;
             if header.is_empty() {
                 break;
             }
@@ -395,11 +441,36 @@ impl Connection {
     /// has closed the connection, `Ok(false)` when bytes are waiting,
     /// `Err(TimedOut)` when the connection simply stayed idle.
     pub fn at_eof(&mut self, deadline: Option<Instant>) -> Result<bool, ClientError> {
-        self.arm(deadline)?;
+        self.arm_read(deadline)?;
         match self.reader.fill_buf() {
             Ok(buf) => Ok(buf.is_empty()),
             Err(e) if is_timeout(&e) => Err(ClientError::TimedOut),
             Err(e) => Err(ClientError::Io(e)),
+        }
+    }
+
+    /// Wait until `wait_until` for the first byte of the next response:
+    /// `Ok(true)` when bytes are waiting ([`read_response`] will not
+    /// block on the first one), `Ok(false)` when none came — nothing was
+    /// consumed, the exchange is still cleanly in flight and can be
+    /// polled again. An answer that has already arrived is seen even
+    /// when `wait_until` has passed (one non-blocking look).
+    ///
+    /// [`read_response`]: Connection::read_response
+    pub fn poll_response(&mut self, wait_until: Instant) -> Result<bool, ClientError> {
+        let overdue = wait_until <= Instant::now();
+        if overdue {
+            self.stream().set_nonblocking(true).map_err(ClientError::Io)?;
+        }
+        let seen = self.at_eof((!overdue).then_some(wait_until));
+        if overdue {
+            self.stream().set_nonblocking(false).map_err(ClientError::Io)?;
+        }
+        match seen {
+            Ok(false) => Ok(true),
+            Ok(true) => Err(ClientError::Closed),
+            Err(ClientError::TimedOut) => Ok(false),
+            Err(other) => Err(other),
         }
     }
 }
@@ -407,6 +478,11 @@ impl Connection {
 /// A [`Connection`] plus the redial policy: transparently replaces a
 /// stale kept-alive socket, backs off (with jitter) on connect failure,
 /// and never sleeps past the request deadline.
+///
+/// An exchange has two halves, [`send`](HttpClient::send) and
+/// [`receive`](HttpClient::receive), so a caller talking to several
+/// peers can write every request before it waits for any answer;
+/// [`request_with`](HttpClient::request_with) is the two back to back.
 ///
 /// Retrying a request that may have been *processed* is the caller's
 /// call — this type only redials when the failure happened before the
@@ -420,6 +496,12 @@ pub struct HttpClient {
     /// xorshift64* state for backoff jitter — decorrelates the redial
     /// storms of many clients without pulling in a rand dependency.
     rng: u64,
+    /// The request in flight, framed: what a stale-connection redial
+    /// writes again (and one buffer for every request of this client).
+    wire: Vec<u8>,
+    /// Whether that request rode a connection that had answered before —
+    /// only then is a dead socket a stale pool entry, not a peer failure.
+    reused: bool,
 }
 
 impl HttpClient {
@@ -431,7 +513,7 @@ impl HttpClient {
         use std::hash::BuildHasher;
         let seed = std::collections::hash_map::RandomState::new().hash_one(addr);
         let rng = seed | 1; // xorshift state must be non-zero
-        HttpClient { addr, config, conn: None, rng }
+        HttpClient { addr, config, conn: None, rng, wire: Vec::new(), reused: false }
     }
 
     /// The shard address this client dials.
@@ -494,29 +576,81 @@ impl HttpClient {
         extra_headers: &[&str],
         deadline: Instant,
     ) -> Result<WireResponse, ClientError> {
-        // Fast path: ride the kept-alive connection. A failure before
-        // the first response byte on a *reused* socket is a stale pool
-        // entry (idle-evicted by the server), not a shard failure — fall
-        // through to a free fresh dial.
-        if let Some(mut conn) = self.conn.take() {
-            let reused = conn.served() > 0;
-            match conn.request_with(method, target, extra_headers, Some(deadline)) {
-                Ok(response) => {
-                    if response.keep_alive {
-                        self.conn = Some(conn);
-                    }
-                    return Ok(response);
+        self.send(method, target, extra_headers, deadline)?;
+        self.receive(deadline, deadline)?.ok_or(ClientError::TimedOut)
+    }
+
+    /// The first half of an exchange: write the request, on the
+    /// kept-alive connection when there is one, else on a fresh dial.
+    pub fn send(
+        &mut self,
+        method: &str,
+        target: &str,
+        extra_headers: &[&str],
+        deadline: Instant,
+    ) -> Result<(), ClientError> {
+        write_request(&mut self.wire, method, target, extra_headers, &[])?;
+        if let Some(conn) = self.conn.as_mut() {
+            self.reused = conn.served() > 0;
+            match conn.send_wire(&self.wire, Some(deadline)) {
+                Ok(()) => return Ok(()),
+                // A write against an already-FIN'd socket surfaces as a
+                // broken pipe / reset: a stale pool entry (idle-evicted
+                // by the server), not a shard failure — dial afresh.
+                Err(ClientError::Io(_)) if self.reused => {}
+                Err(other) => {
+                    self.conn = None;
+                    return Err(other);
                 }
-                Err(ClientError::Closed) if reused => {} // stale: redial below
-                Err(ClientError::Io(e)) if reused => {
-                    // A write against an already-FIN'd socket surfaces as
-                    // a broken pipe / reset rather than a clean EOF.
-                    let _ = e;
-                }
-                Err(other) => return Err(other),
             }
         }
-        // Dial loop with bounded, jittered backoff under the deadline.
+        self.dial_and_send(deadline)
+    }
+
+    /// The second half: wait until `wait_until` for the answer to begin,
+    /// then read it under `deadline`. `Ok(None)` means no byte came by
+    /// `wait_until` (and `deadline` is still ahead): the request stays
+    /// in flight and `receive` may be called again. A reused connection
+    /// that turns out dead before the first response byte is replaced
+    /// and the request re-sent, once, for free.
+    pub fn receive(
+        &mut self,
+        wait_until: Instant,
+        deadline: Instant,
+    ) -> Result<Option<WireResponse>, ClientError> {
+        loop {
+            let Some(conn) = self.conn.as_mut() else {
+                return Err(ClientError::Closed);
+            };
+            match conn.poll_response(wait_until.min(deadline)) {
+                Ok(true) => {
+                    let result = conn.read_response(Some(deadline));
+                    if !matches!(&result, Ok(response) if response.keep_alive) {
+                        self.conn = None;
+                    }
+                    return result.map(Some);
+                }
+                Ok(false) if Instant::now() < deadline => return Ok(None),
+                Ok(false) => {
+                    self.conn = None;
+                    return Err(ClientError::TimedOut);
+                }
+                Err(ClientError::Closed | ClientError::Io(_)) if self.reused => {
+                    self.dial_and_send(deadline)?;
+                }
+                Err(other) => {
+                    self.conn = None;
+                    return Err(other);
+                }
+            }
+        }
+    }
+
+    /// Dial with bounded, jittered backoff under the deadline and write
+    /// the framed request on the new connection.
+    fn dial_and_send(&mut self, deadline: Instant) -> Result<(), ClientError> {
+        self.conn = None;
+        self.reused = false;
         let attempts = self.config.connect_attempts.max(1);
         let mut last = ClientError::TimedOut;
         for attempt in 0..attempts {
@@ -525,12 +659,9 @@ impl HttpClient {
             }
             match Connection::connect(self.addr, &self.config) {
                 Ok(mut conn) => {
-                    let response =
-                        conn.request_with(method, target, extra_headers, Some(deadline))?;
-                    if response.keep_alive {
-                        self.conn = Some(conn);
-                    }
-                    return Ok(response);
+                    conn.send_wire(&self.wire, Some(deadline))?;
+                    self.conn = Some(conn);
+                    return Ok(());
                 }
                 Err(e) => last = e,
             }
@@ -625,6 +756,33 @@ mod tests {
         let mut conn = Connection::connect(addr, &config).expect("connect");
         let response = conn.request("GET", "/x", Some(deadline())).expect("response");
         assert_eq!(response.body.len(), 64);
+    }
+
+    #[test]
+    fn header_lines_are_capped_at_max_header_line() {
+        // `X-Pad: ` + padding fills the line to exactly the cap, then to
+        // one byte over it.
+        let response = |line_len: usize| {
+            let pad = "p".repeat(line_len - "X-Pad: ".len());
+            format!("HTTP/1.1 200 OK\r\nX-Pad: {pad}\r\nContent-Length: 2\r\n\r\n{{}}")
+        };
+        let addr = canned_server(vec![response(MAX_HEADER_LINE - 1)]);
+        let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+        let fits = conn.request("GET", "/x", Some(deadline())).expect("a line at the cap");
+        assert_eq!(fits.body, "{}");
+        let addr = canned_server(vec![response(MAX_HEADER_LINE + 1)]);
+        let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+        match conn.request("GET", "/x", Some(deadline())) {
+            Err(ClientError::Malformed(what)) => assert_eq!(what, "header line too long"),
+            other => panic!("wanted Malformed, got {other:?}"),
+        }
+        // A peer that hangs up mid-line is truncated, not too long.
+        let addr = canned_server(vec!["HTTP/1.1 200 OK\r\nContent-Le".to_string()]);
+        let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+        match conn.request("GET", "/x", Some(deadline())) {
+            Err(ClientError::Malformed(what)) => assert_eq!(what, "truncated line"),
+            other => panic!("wanted Malformed, got {other:?}"),
+        }
     }
 
     #[test]

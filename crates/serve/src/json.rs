@@ -186,6 +186,18 @@ impl JsonWriter {
         self.buf.push_str(json);
     }
 
+    /// Write a pre-rendered value whose one unsigned-integer field is
+    /// rewritten: the value's bytes are `head`, then `n` as
+    /// [`JsonWriter::num_u64`] writes it, then `tail`. Together the three
+    /// must be one complete JSON value — in practice an object another
+    /// writer rendered, cut around the integer.
+    pub fn raw_with_u64(&mut self, head: &str, n: u64, tail: &str) {
+        self.comma();
+        self.buf.push_str(head);
+        let _ = write!(self.buf, "{}", n.min(MAX_SAFE_JSON_INT));
+        self.buf.push_str(tail);
+    }
+
     /// The finished document.
     ///
     /// # Panics
@@ -299,7 +311,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 
 /// Nesting depth bound: deeper documents are rejected instead of
 /// overflowing the stack (the daemon never emits anything close).
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -595,6 +607,19 @@ mod tests {
         let doc = w.finish();
         assert_eq!(doc, r#"{"first":["a\"b",7],"again":[["a\"b",7],null]}"#);
         parse(&doc).expect("spliced document is valid JSON");
+    }
+
+    #[test]
+    fn raw_with_u64_rewrites_the_integer_a_value_was_cut_around() {
+        let mut w = JsonWriter::new();
+        w.arr_begin();
+        w.raw_with_u64(r#"{"doc":"a","doc_id":"#, 12, r#","root":4}"#);
+        w.raw_with_u64(r#"{"doc_id":"#, u64::MAX, "}");
+        w.arr_end();
+        assert_eq!(
+            w.finish(),
+            r#"[{"doc":"a","doc_id":12,"root":4},{"doc_id":9007199254740991}]"#
+        );
     }
 
     #[test]

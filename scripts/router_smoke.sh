@@ -2,7 +2,9 @@
 # CI smoke test for the scatter-gather router: build the shard daemon
 # and the router, boot two shards plus a router in front of them, probe
 # /healthz, /search and /stats over the wire (200 + well-formed JSON,
-# validated by the dependency-free `jsonv` binary), then hard-kill one
+# validated by the dependency-free `jsonv` binary), require that the
+# healthy searches never left the inline scatter path
+# (`extract_router_scatter_escalations_total 0`), then hard-kill one
 # shard and require graceful degradation: /search keeps answering 200
 # with `"partial": true`, exactly one shard answering, and the dead
 # shard's circuit breaker opens. Finishes with a graceful router
@@ -103,6 +105,14 @@ case "$BODY" in
     *'"partial":false'*) echo "router_smoke: full result from 2 shards" ;;
     *) echo "router_smoke: expected \"partial\":false, got: $BODY" >&2; exit 1 ;;
 esac
+
+echo "==> router_smoke: healthy searches must not have left the inline scatter path"
+ESCALATIONS=$(curl -s "$URL/metrics" | sed -n 's/^extract_router_scatter_escalations_total \([0-9]*\)$/\1/p')
+if [[ "$ESCALATIONS" != "0" ]]; then
+    echo "router_smoke: extract_router_scatter_escalations_total is '$ESCALATIONS' (want 0)" >&2
+    exit 1
+fi
+echo "router_smoke: extract_router_scatter_escalations_total 0"
 
 echo "==> router_smoke: hard-killing shard B"
 kill -9 "$SHARD_B_PID"
