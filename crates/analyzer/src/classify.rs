@@ -100,17 +100,18 @@ impl EntityModel {
         if doc.node(root).is_element() && self.is_entity(root) {
             return vec![root];
         }
+        // Scan the root's ID interval, jumping over the subtree of every
+        // entity found: what is left are entities with none above them.
         let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = doc.element_children(root).collect();
-        // Depth-first, but stop descending once an entity is found on a path.
-        while let Some(n) = stack.pop() {
-            if self.is_entity(n) {
+        let mut descendants = doc.subtree(root).skip(1);
+        while let Some(n) = descendants.next() {
+            if doc.node(n).is_element() && self.is_entity(n) {
                 out.push(n);
-            } else {
-                stack.extend(doc.element_children(n));
+                if let Some(inside) = doc.subtree_size(n).checked_sub(2) {
+                    descendants.nth(inside);
+                }
             }
         }
-        out.sort_unstable();
         out
     }
 

@@ -38,29 +38,44 @@ pub struct ValueCount {
     pub count: u32,
 }
 
-/// Per-value statistics.
-#[derive(Debug, Clone, Default)]
-struct ValueStats {
+/// One `(type, value)` pair of a result.
+#[derive(Debug, Clone)]
+struct ValueStats<'d> {
+    ftype: FeatureType,
+    value: &'d str,
+    /// `N(e,a,v)`.
     count: u32,
-    /// Attribute nodes carrying this value, document order.
-    occurrences: Vec<NodeId>,
+    /// This value's instances are `occurrences[end - count..end]`.
+    end: u32,
 }
 
-/// Statistics of one feature type within a result.
-#[derive(Debug, Clone, Default)]
+/// Per-type totals.
+#[derive(Debug, Clone, Copy, Default)]
 struct TypeStats {
     /// `N(e,a)`.
     total: u32,
-    values: HashMap<String, ValueStats>,
+    /// `D(e,a)`.
+    distinct: u32,
 }
 
 /// Feature statistics for one query result (the subtree at a result root).
+///
+/// Values are `&str`s borrowed from the document (`'d`) and every value's
+/// instance list is a slice of one shared vector, so computing the
+/// statistics of a result allocates a handful of tables — not a `String`
+/// and a `Vec` per distinct value.
 #[derive(Debug, Clone, Default)]
-pub struct ResultStats {
+pub struct ResultStats<'d> {
     types: HashMap<FeatureType, TypeStats>,
+    /// `(type, value)` → index into `values`.
+    index: HashMap<(FeatureType, &'d str), usize>,
+    /// Distinct `(type, value)` pairs in order of first occurrence.
+    values: Vec<ValueStats<'d>>,
+    /// Attribute nodes grouped by value, document order within a value.
+    occurrences: Vec<NodeId>,
 }
 
-impl ResultStats {
+impl<'d> ResultStats<'d> {
     /// Compute statistics over the subtree rooted at `root`.
     ///
     /// Every attribute node in the subtree contributes one occurrence of
@@ -68,64 +83,81 @@ impl ResultStats {
     /// is the nearest strict ancestor entity; attributes above every entity
     /// (e.g. attributes of a connection-node root) are attributed to the
     /// result root's label, so no feature is silently dropped.
-    pub fn compute(doc: &Document, model: &EntityModel, root: NodeId) -> ResultStats {
+    pub fn compute(doc: &'d Document, model: &EntityModel, root: NodeId) -> ResultStats<'d> {
         let mut stats = ResultStats::default();
-        // One pass; track the nearest entity ancestor with an explicit stack
-        // instead of per-node upward walks.
         let root_label = doc.node(root).label();
-        let mut stack: Vec<(NodeId, Symbol)> = vec![(root, entity_label_for_root(doc, model, root, root_label))];
-        while let Some((node, owner)) = stack.pop() {
-            for child in doc.element_children(node) {
-                if model.is_attribute(child) {
-                    if let Some(value) = doc.text_of(child) {
-                        let ft = FeatureType { entity: owner, attribute: doc.node(child).label() };
-                        let ts = stats.types.entry(ft).or_default();
-                        ts.total += 1;
-                        let vs = ts.values.entry(value.to_string()).or_default();
-                        vs.count += 1;
-                        vs.occurrences.push(child);
-                    }
-                    continue;
-                }
-                let child_owner =
-                    if model.is_entity(child) { doc.node(child).label() } else { owner };
-                stack.push((child, child_owner));
+        // One scan of the root's ID interval. Attributes arrive in document
+        // order, so consecutive ones usually share a parent: remember the
+        // last parent's owner instead of re-walking to it.
+        let mut last_owner: Option<(NodeId, Symbol)> = None;
+        // Which value each attribute node carries, in document order.
+        let mut seen: Vec<(usize, NodeId)> = Vec::new();
+        for node in doc.subtree_elements(root).skip(1) {
+            if !model.is_attribute(node) {
+                continue;
             }
+            let (Some(value), Some(parent)) = (doc.text_of(node), doc.parent(node)) else {
+                continue;
+            };
+            let owner = match last_owner {
+                Some((p, owner)) if p == parent => owner,
+                _ => model
+                    .entity_of(doc, parent)
+                    .map_or(root_label, |entity| doc.node(entity).label()),
+            };
+            last_owner = Some((parent, owner));
+            let ftype = FeatureType { entity: owner, attribute: doc.node(node).label() };
+            let ts = stats.types.entry(ftype).or_default();
+            ts.total += 1;
+            let values = &mut stats.values;
+            let slot = *stats.index.entry((ftype, value)).or_insert_with(|| {
+                ts.distinct += 1;
+                values.push(ValueStats { ftype, value, count: 0, end: 0 });
+                values.len() - 1
+            });
+            values[slot].count += 1;
+            seen.push((slot, node));
         }
-        // Document order for occurrence lists (stack traversal perturbs it).
-        for ts in stats.types.values_mut() {
-            for vs in ts.values.values_mut() {
-                vs.occurrences.sort_unstable();
-            }
+        // Lay the instance lists out back to back: each value's range
+        // starts where the previous one's ends, and filling in document
+        // order keeps every list sorted.
+        let mut start = 0;
+        for vs in &mut stats.values {
+            vs.end = start;
+            start += vs.count;
+        }
+        stats.occurrences = vec![root; seen.len()];
+        for (slot, node) in seen {
+            let vs = &mut stats.values[slot];
+            stats.occurrences[vs.end as usize] = node;
+            vs.end += 1;
         }
         stats
     }
 
+    fn value_stats(&self, ft: FeatureType, value: &str) -> Option<&ValueStats<'d>> {
+        self.values.get(*self.index.get(&(ft, value))?)
+    }
+
     /// `N(e,a)` — total value occurrences of a type.
     pub fn n_type(&self, ft: FeatureType) -> u32 {
-        self.types.get(&ft).map(|t| t.total).unwrap_or(0)
+        self.types.get(&ft).map_or(0, |t| t.total)
     }
 
     /// `D(e,a)` — domain size of a type.
     pub fn d_type(&self, ft: FeatureType) -> u32 {
-        self.types.get(&ft).map(|t| t.values.len() as u32).unwrap_or(0)
+        self.types.get(&ft).map_or(0, |t| t.distinct)
     }
 
     /// `N(e,a,v)` — occurrences of one value.
     pub fn n_value(&self, ft: FeatureType, value: &str) -> u32 {
-        self.types
-            .get(&ft)
-            .and_then(|t| t.values.get(value))
-            .map(|v| v.count)
-            .unwrap_or(0)
+        self.value_stats(ft, value).map_or(0, |v| v.count)
     }
 
     /// Attribute node instances carrying `(ft, value)`, in document order.
     pub fn occurrences(&self, ft: FeatureType, value: &str) -> &[NodeId] {
-        self.types
-            .get(&ft)
-            .and_then(|t| t.values.get(value))
-            .map(|v| v.occurrences.as_slice())
+        self.value_stats(ft, value)
+            .and_then(|v| self.occurrences.get((v.end - v.count) as usize..v.end as usize))
             .unwrap_or(&[])
     }
 
@@ -134,16 +166,19 @@ impl ResultStats {
         self.types.keys().copied()
     }
 
+    /// Every `(type, value, N(e,a,v))` of the result, in order of first
+    /// occurrence; the values are borrowed from the document.
+    pub fn value_counts(&self) -> impl Iterator<Item = (FeatureType, &'d str, u32)> + '_ {
+        self.values.iter().map(|v| (v.ftype, v.value, v.count))
+    }
+
     /// Values of one type sorted by descending count, then value — the
     /// statistics panel of the paper's Figure 1.
     pub fn value_table(&self, ft: FeatureType) -> Vec<ValueCount> {
-        let Some(ts) = self.types.get(&ft) else {
-            return Vec::new();
-        };
-        let mut rows: Vec<ValueCount> = ts
-            .values
-            .iter()
-            .map(|(value, vs)| ValueCount { value: value.clone(), count: vs.count })
+        let mut rows: Vec<ValueCount> = self
+            .value_counts()
+            .filter(|&(ftype, _, _)| ftype == ft)
+            .map(|(_, value, count)| ValueCount { value: value.to_string(), count })
             .collect();
         rows.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.value.cmp(&b.value)));
         rows
@@ -170,21 +205,6 @@ impl ResultStats {
         }
         out
     }
-}
-
-/// Root attribution: if the root is (or sits under) an entity, use that
-/// entity's label for attributes directly under connection chains; else the
-/// root's own label.
-fn entity_label_for_root(
-    doc: &Document,
-    model: &EntityModel,
-    root: NodeId,
-    fallback: Symbol,
-) -> Symbol {
-    model
-        .entity_of(doc, root)
-        .map(|e| doc.node(e).label())
-        .unwrap_or(fallback)
 }
 
 #[cfg(test)]

@@ -19,16 +19,39 @@
 //! result pages). The cache is a plain mutable structure; concurrent
 //! callers (e.g. a query session's worker pool) wrap it in a `Mutex`,
 //! holding the lock only for `get`/`insert` — never during snippet
-//! computation.
+//! computation, and never while a value is freed: [`LruCache::insert`]
+//! and [`LruCache::retain`] hand the entries they remove back to the
+//! caller, who drops them after the guard.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
 use extract_index::DocId;
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
 
 use crate::pipeline::{ExtractConfig, SelectorKind, SnippetedResult};
+
+/// The normalized text of a query ([`KeywordQuery`] display form:
+/// lowercased tokens, deduplicated, original order), shared: a request
+/// normalizes its query once and every key it builds — the page key, one
+/// snippet key per served result, and the copies the caches file in their
+/// recency indexes — holds the same allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct QueryText(Arc<str>);
+
+impl From<&KeywordQuery> for QueryText {
+    fn from(query: &KeywordQuery) -> QueryText {
+        QueryText(query.to_string().into())
+    }
+}
+
+impl From<&QueryText> for QueryText {
+    fn from(text: &QueryText) -> QueryText {
+        text.clone()
+    }
+}
 
 /// The lookup key: everything that determines a snippet's bytes.
 ///
@@ -41,9 +64,8 @@ use crate::pipeline::{ExtractConfig, SelectorKind, SnippetedResult};
 /// `"store texas store"` all share one entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Normalized query ([`KeywordQuery`] display form: lowercased tokens,
-    /// deduplicated, original order).
-    query: String,
+    /// Normalized query.
+    query: QueryText,
     /// The document the result root lives in (`DocId` 0 for single-document
     /// sessions, so single-doc and corpus paths over the same document
     /// share entries).
@@ -61,21 +83,22 @@ pub struct CacheKey {
 impl CacheKey {
     /// Build the key for one (query, result root, config) triple in a
     /// single-document setting (document id 0).
-    pub fn new(query: &KeywordQuery, root: NodeId, config: &ExtractConfig) -> CacheKey {
+    pub fn new(query: impl Into<QueryText>, root: NodeId, config: &ExtractConfig) -> CacheKey {
         CacheKey::for_doc(query, DocId::from_index(0), root, config)
     }
 
     /// Build the key for one (query, document, result root, config)
     /// quadruple — the corpus query path, where the same [`NodeId`] exists
-    /// in every document.
+    /// in every document. `query` is a [`KeywordQuery`] (normalized here)
+    /// or a [`QueryText`] normalized earlier in the request (shared).
     pub fn for_doc(
-        query: &KeywordQuery,
+        query: impl Into<QueryText>,
         doc: DocId,
         root: NodeId,
         config: &ExtractConfig,
     ) -> CacheKey {
         CacheKey {
-            query: query.to_string(),
+            query: query.into(),
             doc,
             root,
             size_bound: config.size_bound,
@@ -102,8 +125,8 @@ impl CacheKey {
 /// window.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PageKey {
-    /// Normalized query ([`KeywordQuery`] display form).
-    query: String,
+    /// Normalized query.
+    query: QueryText,
     /// Snippet size bound.
     size_bound: usize,
     /// Dominant-feature cap.
@@ -124,20 +147,20 @@ pub struct PageKey {
 
 impl PageKey {
     /// The key of the full, unpaginated page for `(query, config)`.
-    pub fn unbounded(query: &KeywordQuery, config: &ExtractConfig) -> PageKey {
+    pub fn unbounded(query: impl Into<QueryText>, config: &ExtractConfig) -> PageKey {
         PageKey::bounded(query, config, usize::MAX, 0)
     }
 
     /// The key of the `[offset, offset + k)` window of the ranked result
     /// list for `(query, config)`.
     pub fn bounded(
-        query: &KeywordQuery,
+        query: impl Into<QueryText>,
         config: &ExtractConfig,
         k: usize,
         offset: usize,
     ) -> PageKey {
         PageKey {
-            query: query.to_string(),
+            query: query.into(),
             size_bound: config.size_bound,
             max_dominant_features: config.max_dominant_features,
             selector: config.selector,
@@ -252,36 +275,43 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Insert (or refresh) an entry, evicting the least-recently-used one
-    /// when full.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// when full. The value this displaces — the key's previous value, or
+    /// the evicted entry's — is handed back rather than dropped here: a
+    /// caller holding a lock around the cache frees it after the guard
+    /// (with caching disabled that is `value` itself).
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         if self.capacity == 0 {
-            return;
+            return Some(value);
         }
         self.tick += 1;
         let entry = Entry { value, last_used: self.tick, recency_tick: self.tick };
-        if let Some(old) = self.map.insert(key.clone(), entry) {
-            self.recency.remove(&old.recency_tick);
-        } else if self.map.len() > self.capacity {
-            self.evict_lru();
-        }
+        let displaced = match self.map.insert(key.clone(), entry) {
+            Some(old) => {
+                self.recency.remove(&old.recency_tick);
+                Some(old.value)
+            }
+            None if self.map.len() > self.capacity => self.evict_lru(),
+            None => None,
+        };
         self.recency.insert(self.tick, key);
+        displaced
     }
 
     /// Pop recency positions until one matches its entry's true
     /// `last_used`; entries touched since their last filing are re-filed
     /// at their current recency instead of being evicted.
-    fn evict_lru(&mut self) {
+    fn evict_lru(&mut self) -> Option<V> {
         while let Some((tick, key)) = self.recency.pop_first() {
             let Some(entry) = self.map.get_mut(&key) else { continue };
             if entry.last_used == tick {
-                self.map.remove(&key);
                 self.stats.evictions += 1;
-                return;
+                return self.map.remove(&key).map(|entry| entry.value);
             }
             let fresh = entry.last_used;
             entry.recency_tick = fresh;
             self.recency.insert(fresh, key);
         }
+        None
     }
 
     /// Number of retained entries.
@@ -305,25 +335,27 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.stats
     }
 
-    /// Drop every entry whose key fails `keep`, preserving recency of the
-    /// survivors — the targeted-invalidation primitive for live corpora
+    /// Remove every entry whose key fails `keep`, preserving recency of
+    /// the survivors — the targeted-invalidation primitive for live corpora
     /// (e.g. "drop all snippets of the document that was just deleted").
     /// Removals are invalidations, not capacity pressure, so they do not
-    /// count as evictions.
+    /// count as evictions. Like [`LruCache::insert`], this hands the
+    /// removed values back instead of dropping them: live serving calls it
+    /// with a cache mutex held, per mutation, and frees a thousand snippet
+    /// trees only after the guard.
     ///
     /// Every entry is filed in the recency index under exactly its
     /// `recency_tick`, so a removed entry takes its own position with it:
-    /// `O(removed · log n)`, and no survivor's key is ever rehashed (live
-    /// serving calls this with a cache mutex held, per mutation).
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+    /// `O(removed · log n)`, and no survivor's key is ever rehashed.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<V> {
         let recency = &mut self.recency;
-        self.map.retain(|k, entry| {
-            let kept = keep(k);
-            if !kept {
+        self.map
+            .extract_if(|k, _| !keep(k))
+            .map(|(_, entry)| {
                 recency.remove(&entry.recency_tick);
-            }
-            kept
-        });
+                entry.value
+            })
+            .collect()
     }
 
     /// The retained values, in no particular order (recency untouched,
@@ -598,6 +630,36 @@ mod tests {
             assert_eq!(cache.len(), 4);
         }
         assert_eq!(cache.stats().evictions, 3, "the retain itself evicted nothing");
+    }
+
+    #[test]
+    fn insert_and_retain_hand_back_what_they_remove() {
+        let mut cache: LruCache<u32, &str> = LruCache::new(2);
+        assert_eq!(cache.insert(1, "one"), None);
+        assert_eq!(cache.insert(1, "uno"), Some("one"), "the key's previous value");
+        assert_eq!(cache.insert(2, "two"), None);
+        assert_eq!(cache.insert(3, "three"), Some("uno"), "the evicted LRU entry");
+        let mut removed = cache.retain(|k| *k != 2);
+        removed.sort_unstable();
+        assert_eq!(removed, ["two"]);
+        assert!(cache.retain(|_| true).is_empty());
+        let mut off: LruCache<u32, &str> = LruCache::new(0);
+        assert_eq!(off.insert(1, "one"), Some("one"), "nothing is retained, nothing is lost");
+    }
+
+    #[test]
+    fn keys_of_one_request_share_the_normalized_query() {
+        let config = ExtractConfig::default();
+        let query = KeywordQuery::parse("Store, TEXAS");
+        let text = QueryText::from(&query);
+        let page = PageKey::bounded(&text, &config, 10, 0);
+        let snippet = CacheKey::for_doc(&text, DocId::from_index(3), setup().root(), &config);
+        assert!(Arc::ptr_eq(&page.query.0, &text.0) && Arc::ptr_eq(&snippet.query.0, &text.0));
+        // Equality and hashing are the text's, not the allocation's.
+        assert_eq!(page, PageKey::bounded(&query, &config, 10, 0));
+        let again = CacheKey::for_doc(&query, DocId::from_index(3), setup().root(), &config);
+        assert_eq!(snippet, again);
+        assert_eq!(&*text.0, "store texas");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct DominantFeature {
 }
 
 /// The dominance score of one feature, or `None` if the type is absent.
-pub fn dominance_score(stats: &ResultStats, ftype: FeatureType, value: &str) -> Option<f64> {
+pub fn dominance_score(stats: &ResultStats<'_>, ftype: FeatureType, value: &str) -> Option<f64> {
     let n_type = stats.n_type(ftype);
     let d = stats.d_type(ftype);
     if n_type == 0 || d == 0 {
@@ -41,30 +41,30 @@ pub fn dominance_score(stats: &ResultStats, ftype: FeatureType, value: &str) -> 
 /// All dominant features of a result, sorted by decreasing score, then
 /// decreasing occurrence count, then `(entity, attribute, value)` labels —
 /// a total, deterministic order.
-pub fn dominant_features(doc: &Document, stats: &ResultStats) -> Vec<DominantFeature> {
+pub fn dominant_features(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
     let mut out = Vec::new();
-    for ftype in stats.feature_types() {
+    for (ftype, value, count) in stats.value_counts() {
         let d = stats.d_type(ftype);
-        let n_type = stats.n_type(ftype);
-        for row in stats.value_table(ftype) {
-            let score = row.count as f64 * d as f64 / n_type as f64;
-            let trivial = d == 1;
-            if score > 1.0 || trivial {
-                out.push(DominantFeature { ftype, value: row.value, score, trivial });
-            }
+        let score = count as f64 * d as f64 / stats.n_type(ftype) as f64;
+        let trivial = d == 1;
+        if score > 1.0 || trivial {
+            out.push(DominantFeature { ftype, value: value.to_string(), score, trivial });
         }
     }
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                let (ea, aa) = (doc.resolve(a.ftype.entity), doc.resolve(a.ftype.attribute));
-                let (eb, ab) = (doc.resolve(b.ftype.entity), doc.resolve(b.ftype.attribute));
-                (ea, aa, &a.value).cmp(&(eb, ab, &b.value))
-            })
-    });
+    sort_by_score_then_labels(doc, &mut out);
     out
+}
+
+/// Decreasing score, then `(entity, attribute, value)` labels: a total
+/// order, since a `(type, value)` pair occurs once.
+fn sort_by_score_then_labels(doc: &Document, features: &mut [DominantFeature]) {
+    features.sort_by(|a, b| {
+        b.score.total_cmp(&a.score).then_with(|| {
+            let (ea, aa) = (doc.resolve(a.ftype.entity), doc.resolve(a.ftype.attribute));
+            let (eb, ab) = (doc.resolve(b.ftype.entity), doc.resolve(b.ftype.attribute));
+            (ea, aa, &a.value).cmp(&(eb, ab, &b.value))
+        })
+    });
 }
 
 /// Ablation of the paper's §2.3 argument: rank features by **raw occurrence
@@ -74,28 +74,17 @@ pub fn dominant_features(doc: &Document, stats: &ResultStats) -> Vec<DominantFea
 /// dominant". Experiment E12 uses this ranking to show exactly that
 /// failure: with raw counts, high-frequency low-signal values (casual, man)
 /// crowd out Houston entirely.
-pub fn features_by_raw_frequency(doc: &Document, stats: &ResultStats) -> Vec<DominantFeature> {
-    let mut out = Vec::new();
-    for ftype in stats.feature_types() {
-        for row in stats.value_table(ftype) {
-            out.push(DominantFeature {
-                ftype,
-                value: row.value,
-                score: row.count as f64,
-                trivial: false,
-            });
-        }
-    }
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                let (ea, aa) = (doc.resolve(a.ftype.entity), doc.resolve(a.ftype.attribute));
-                let (eb, ab) = (doc.resolve(b.ftype.entity), doc.resolve(b.ftype.attribute));
-                (ea, aa, &a.value).cmp(&(eb, ab, &b.value))
-            })
-    });
+pub fn features_by_raw_frequency(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
+    let mut out: Vec<DominantFeature> = stats
+        .value_counts()
+        .map(|(ftype, value, count)| DominantFeature {
+            ftype,
+            value: value.to_string(),
+            score: count as f64,
+            trivial: false,
+        })
+        .collect();
+    sort_by_score_then_labels(doc, &mut out);
     out
 }
 
@@ -104,11 +93,11 @@ mod tests {
     use super::*;
     use extract_analyzer::EntityModel;
 
-    fn setup() -> (Document, ResultStats) {
+    fn setup() -> Document {
         // cities: Houston 3, Austin 1 → D=2, N=4, DS(Houston)=1.5,
         // DS(Austin)=0.5. fitting: man 2, woman 1, children 1 → D=3, N=4,
         // DS(man)=1.5, others 0.75. state: Texas only → trivial.
-        let doc = Document::parse_str(
+        Document::parse_str(
             "<r>\
              <store><city>Houston</city><state>Texas</state><f>man</f></store>\
              <store><city>Houston</city><state>Texas</state><f>man</f></store>\
@@ -116,10 +105,11 @@ mod tests {
              <store><city>Austin</city><state>Texas</state><f>children</f></store>\
              </r>",
         )
-        .unwrap();
-        let model = EntityModel::analyze(&doc);
-        let stats = ResultStats::compute(&doc, &model, doc.root());
-        (doc, stats)
+        .unwrap()
+    }
+
+    fn stats_of(doc: &Document) -> ResultStats<'_> {
+        ResultStats::compute(doc, &EntityModel::analyze(doc), doc.root())
     }
 
     fn ft(doc: &Document, e: &str, a: &str) -> FeatureType {
@@ -131,7 +121,8 @@ mod tests {
 
     #[test]
     fn scores_match_the_formula() {
-        let (doc, stats) = setup();
+        let doc = setup();
+        let stats = stats_of(&doc);
         let city = ft(&doc, "store", "city");
         assert_eq!(dominance_score(&stats, city, "Houston"), Some(1.5));
         assert_eq!(dominance_score(&stats, city, "Austin"), Some(0.5));
@@ -140,7 +131,8 @@ mod tests {
 
     #[test]
     fn unknown_type_has_no_score() {
-        let (doc, stats) = setup();
+        let doc = setup();
+        let stats = stats_of(&doc);
         let mut d2 = doc.clone();
         let bogus = d2.intern("zzz");
         let ft = FeatureType { entity: bogus, attribute: bogus };
@@ -149,7 +141,8 @@ mod tests {
 
     #[test]
     fn dominant_set_is_correct() {
-        let (doc, stats) = setup();
+        let doc = setup();
+        let stats = stats_of(&doc);
         let doms = dominant_features(&doc, &stats);
         let values: Vec<&str> = doms.iter().map(|d| d.value.as_str()).collect();
         assert!(values.contains(&"Houston"));
@@ -161,7 +154,8 @@ mod tests {
 
     #[test]
     fn trivial_features_score_one_and_sort_last() {
-        let (doc, stats) = setup();
+        let doc = setup();
+        let stats = stats_of(&doc);
         let doms = dominant_features(&doc, &stats);
         let texas = doms.iter().find(|d| d.value == "Texas").unwrap();
         assert!(texas.trivial);
@@ -209,7 +203,8 @@ mod tests {
 
     #[test]
     fn raw_frequency_ranking_buries_low_count_dominant_values() {
-        let (doc, stats) = setup();
+        let doc = setup();
+        let stats = stats_of(&doc);
         // DS ranking puts Houston (3 of 4 cities) on top among city values;
         // raw ranking ranks by absolute count where Texas (4) and man/…
         // compete. The orders must differ on this data.
@@ -222,7 +217,8 @@ mod tests {
 
     #[test]
     fn raw_ranking_is_deterministic_and_complete() {
-        let (doc, stats) = setup();
+        let doc = setup();
+        let stats = stats_of(&doc);
         let raw = features_by_raw_frequency(&doc, &stats);
         // Every (type, value) pair appears exactly once.
         let total: usize = stats

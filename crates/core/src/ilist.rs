@@ -12,7 +12,7 @@
 //! result that contain the item's information, which is exactly what the
 //! Instance Selector chooses among (§2.4).
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use extract_analyzer::{EntityModel, KeyCatalog, ResultStats};
 use extract_search::{KeywordQuery, QueryResult};
@@ -56,18 +56,32 @@ pub enum IListItem {
 }
 
 impl IListItem {
-    /// The human-readable text of the item (what Figure 3 prints).
-    pub fn display_text(&self, doc: &Document) -> String {
+    /// The human-readable text of the item (what Figure 3 prints),
+    /// borrowed from the item or the document's label table.
+    pub fn text<'a>(&'a self, doc: &'a Document) -> &'a str {
         match self {
-            IListItem::Keyword(k) => k.clone(),
-            IListItem::EntityName { label } => doc.resolve(*label).to_string(),
-            IListItem::ResultKey { value, .. } | IListItem::Feature { value, .. } => value.clone(),
+            IListItem::Keyword(k) => k,
+            IListItem::EntityName { label } => doc.resolve(*label),
+            IListItem::ResultKey { value, .. } | IListItem::Feature { value, .. } => value,
         }
     }
 
-    /// Case-insensitive deduplication token.
-    pub fn dedup_token(&self, doc: &Document) -> String {
-        self.display_text(doc).to_lowercase()
+    /// [`IListItem::text`], owned.
+    pub fn display_text(&self, doc: &Document) -> String {
+        self.text(doc).to_string()
+    }
+
+    /// Whether two items say the same thing: their texts are equal once
+    /// lowercased. Decided in place for ASCII texts (all of them, on
+    /// data-oriented XML), so checking an item against the list builds no
+    /// strings.
+    fn duplicates(&self, other: &IListItem, doc: &Document) -> bool {
+        let (a, b) = (self.text(doc), other.text(doc));
+        if a.is_ascii() && b.is_ascii() {
+            a.eq_ignore_ascii_case(b)
+        } else {
+            a.to_lowercase() == b.to_lowercase()
+        }
     }
 }
 
@@ -133,12 +147,31 @@ pub struct IListOptions {
 }
 
 /// Reusable working buffers for IList construction. One query produces one
-/// IList per result; threading a scratch through the loop keeps the dedup
-/// set's allocation alive across results instead of reallocating per call.
+/// IList per result; threading a scratch through the loop keeps the
+/// entity-grouping buffers alive across results instead of reallocating
+/// them per call.
 #[derive(Debug, Default)]
 pub struct IListScratch {
-    /// Case-folded dedup tokens of the items pushed so far.
-    seen: Vec<String>,
+    /// The result's entity nodes, document order.
+    entities: Vec<NodeId>,
+    /// The same nodes keyed and sorted by label: one run per entity type.
+    by_label: Vec<(Symbol, NodeId)>,
+    /// One `by_label` run per entity type, in IList order.
+    types: Vec<(Symbol, Range<usize>)>,
+}
+
+/// Append `item` unless an item already on the list says the same thing
+/// (case-insensitively — the earlier, more important item wins). Instances
+/// are only collected for items that make it onto the list.
+fn push(
+    items: &mut Vec<RankedItem>,
+    doc: &Document,
+    item: IListItem,
+    instances: impl FnOnce() -> Vec<NodeId>,
+) {
+    if !items.iter().any(|pushed| pushed.item.duplicates(&item, doc)) {
+        items.push(RankedItem { item, instances: instances() });
+    }
 }
 
 /// Build the IList of `result` for `query` (paper §2.1–§2.3).
@@ -161,7 +194,7 @@ pub fn build_ilist_with_stats(
     catalog: &KeyCatalog,
     query: &KeywordQuery,
     result: &QueryResult,
-    stats: &ResultStats,
+    stats: &ResultStats<'_>,
     options: &IListOptions,
 ) -> IList {
     let mut scratch = IListScratch::default();
@@ -177,81 +210,77 @@ pub fn build_ilist_with_scratch(
     catalog: &KeyCatalog,
     query: &KeywordQuery,
     result: &QueryResult,
-    stats: &ResultStats,
+    stats: &ResultStats<'_>,
     options: &IListOptions,
     scratch: &mut IListScratch,
 ) -> IList {
-    let mut items: Vec<RankedItem> = Vec::new();
-    scratch.seen.clear();
-    let seen = &mut scratch.seen;
-
-    let mut push = |item: IListItem, instances: Vec<NodeId>, seen: &mut Vec<String>| {
-        let token = item.dedup_token(doc);
-        if seen.contains(&token) {
-            return;
+    // Entity types (§2.1) and dominant features (§2.3) first: together
+    // with the keywords and the key they bound the list's length. Entity
+    // instances are grouped by label; types are ordered by descending
+    // instance count (more instances ⇒ more of the result is about them),
+    // ties alphabetically — this reproduces Figure 3's "…, clothes,
+    // store, …".
+    let IListScratch { entities, by_label, types } = scratch;
+    entities.clear();
+    entities.extend(doc.subtree_elements(result.root).filter(|&n| model.is_entity(n)));
+    by_label.clear();
+    by_label.extend(entities.iter().map(|&e| (doc.node(e).label(), e)));
+    by_label.sort_unstable();
+    types.clear();
+    for (i, &(label, _)) in by_label.iter().enumerate() {
+        match types.last_mut() {
+            Some((last, run)) if *last == label => run.end = i + 1,
+            _ => types.push((label, i..i + 1)),
         }
-        seen.push(token);
-        items.push(RankedItem { item, instances });
-    };
-
-    // 1. Query keywords, in query order ("IList is initialized with the
-    //    query keywords", §2).
-    for (i, k) in query.keywords().iter().enumerate() {
-        let instances = result.matches.get(i).cloned().unwrap_or_default();
-        push(IListItem::Keyword(k.clone()), instances, seen);
     }
-
-    // 2. Entity names (§2.1). Group entity instances by label; order types
-    //    by descending instance count (more instances ⇒ more of the result
-    //    is about them), ties alphabetically — this reproduces Figure 3's
-    //    "…, clothes, store, …".
-    let entities = model.entities_in(doc, result.root);
-    let mut by_label: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
-    for e in entities {
-        by_label.entry(doc.node(e).label()).or_default().push(e);
-    }
-    let mut types: Vec<(Symbol, Vec<NodeId>)> = by_label.into_iter().collect();
     types.sort_by(|a, b| {
-        b.1.len()
-            .cmp(&a.1.len())
-            .then_with(|| doc.resolve(a.0).cmp(doc.resolve(b.0)))
+        b.1.len().cmp(&a.1.len()).then_with(|| doc.resolve(a.0).cmp(doc.resolve(b.0)))
     });
-    for (label, instances) in types {
-        push(IListItem::EntityName { label }, instances, seen);
-    }
-
-    // 3. The result key (§2.2).
-    let return_entities = return_entity::identify(doc, model, query, result);
-    let result_key = key::identify(doc, model, catalog, &return_entities);
-    if let Some(k) = &result_key {
-        push(
-            IListItem::ResultKey {
-                entity: k.entity,
-                attribute: k.attribute,
-                value: k.value.clone(),
-            },
-            k.instances.clone(),
-            seen,
-        );
-    }
-
-    // 4. Dominant features in decreasing dominance score (§2.3).
     let mut doms = dominant_features(doc, stats);
     if let Some(cap) = options.max_dominant_features {
         doms.truncate(cap);
     }
+
+    let mut items: Vec<RankedItem> =
+        Vec::with_capacity(query.len() + types.len() + 1 + doms.len());
+
+    // 1. Query keywords, in query order ("IList is initialized with the
+    //    query keywords", §2).
+    for (i, k) in query.keywords().iter().enumerate() {
+        push(&mut items, doc, IListItem::Keyword(k.clone()), || {
+            result.matches.get(i).cloned().unwrap_or_default()
+        });
+    }
+
+    // 2. Entity names.
+    for (label, run) in types.iter() {
+        push(&mut items, doc, IListItem::EntityName { label: *label }, || {
+            by_label.get(run.clone()).unwrap_or_default().iter().map(|&(_, e)| e).collect()
+        });
+    }
+
+    // 3. The result key (§2.2).
+    let return_entities = return_entity::identify_among(doc, model, query, result.root, entities);
+    let result_key = key::identify(doc, model, catalog, &return_entities);
+    if let Some(k) = &result_key {
+        let item = IListItem::ResultKey {
+            entity: k.entity,
+            attribute: k.attribute,
+            value: k.value.clone(),
+        };
+        push(&mut items, doc, item, || k.instances.clone());
+    }
+
+    // 4. Dominant features in decreasing dominance score.
     for d in doms {
-        let instances = stats.occurrences(d.ftype, &d.value).to_vec();
-        push(
-            IListItem::Feature {
-                entity: d.ftype.entity,
-                attribute: d.ftype.attribute,
-                value: d.value,
-                score: d.score,
-            },
-            instances,
-            seen,
-        );
+        let instances = stats.occurrences(d.ftype, &d.value);
+        let item = IListItem::Feature {
+            entity: d.ftype.entity,
+            attribute: d.ftype.attribute,
+            value: d.value,
+            score: d.score,
+        };
+        push(&mut items, doc, item, || instances.to_vec());
     }
 
     IList { items, return_entities, result_key }

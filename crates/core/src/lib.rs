@@ -72,7 +72,7 @@ pub mod return_entity;
 pub mod selector;
 pub mod snippet;
 
-pub use cache::{CacheKey, CacheStats, LruCache, PageKey, SnippetCache};
+pub use cache::{CacheKey, CacheStats, LruCache, PageKey, QueryText, SnippetCache};
 pub use dominance::{dominant_features, DominantFeature};
 pub use ilist::{IList, IListItem, RankedItem};
 pub use pipeline::{EngineParts, Extract, ExtractConfig, SelectorKind, SnippetedResult};

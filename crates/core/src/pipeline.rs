@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use extract_analyzer::{EntityModel, KeyCatalog, ResultStats};
 use extract_index::XmlIndex;
-use extract_search::ranking::RankedResult;
-use extract_search::xseek::{self, RootPolicy};
+use extract_search::ranking::{self, RankedResult};
 use extract_search::{KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId};
 
@@ -182,20 +181,33 @@ impl<'d> Extract<'d> {
         config: &ExtractConfig,
         scratch: &mut IListScratch,
     ) -> SnippetedResult {
+        self.snippet_of(query, result.clone(), config, scratch)
+    }
+
+    /// [`Extract::snippet_with_scratch`] for a caller that built `result`
+    /// for this snippet alone (a served page window): the result moves
+    /// into the answer instead of being cloned into it.
+    pub fn snippet_of(
+        &self,
+        query: &KeywordQuery,
+        result: QueryResult,
+        config: &ExtractConfig,
+        scratch: &mut IListScratch,
+    ) -> SnippetedResult {
         let stats = ResultStats::compute(self.doc, &self.parts.model, result.root);
         let ilist = build_ilist_with_scratch(
             self.doc,
             &self.parts.model,
             &self.parts.keys,
             query,
-            result,
+            &result,
             &stats,
             &IListOptions { max_dominant_features: config.max_dominant_features },
             scratch,
         );
         let outcome = self.select(&ilist, result.root, config);
         let snippet = Snippet::from_selection(self.doc, &ilist, outcome);
-        SnippetedResult { result: result.clone(), ilist, snippet }
+        SnippetedResult { result, ilist, snippet }
     }
 
     fn select(&self, ilist: &IList, root: NodeId, config: &ExtractConfig) -> SelectionOutcome {
@@ -211,9 +223,7 @@ impl<'d> Extract<'d> {
     /// Run the built-in XSeek-style engine on `query` and rank the results
     /// (the shared front half of every end-to-end entry point).
     pub fn ranked_results(&self, query: &KeywordQuery) -> Vec<RankedResult> {
-        let results =
-            xseek::search(self.doc, &self.parts.index, &self.parts.model, query, RootPolicy::Entity);
-        extract_search::rank(self.doc, results)
+        ranking::ranked_results(self.doc, &self.parts.index, &self.parts.model, query)
     }
 
     /// End-to-end: run the built-in XSeek-style engine on `query_str`, then
@@ -259,6 +269,7 @@ impl<'d> Extract<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extract_search::xseek::{self, RootPolicy};
 
     const STORES: &str = "<stores>\
         <store><name>Levis</name><state>Texas</state>\

@@ -48,18 +48,29 @@ pub fn identify(
     query: &KeywordQuery,
     result: &QueryResult,
 ) -> ReturnEntities {
-    let entities = model.entities_in(doc, result.root);
+    identify_among(doc, model, query, result.root, &model.entities_in(doc, result.root))
+}
+
+/// [`identify`] for a caller that already holds the entity nodes of the
+/// result rooted at `root` (`entities`, document order).
+pub fn identify_among(
+    doc: &Document,
+    model: &EntityModel,
+    query: &KeywordQuery,
+    root: NodeId,
+    entities: &[NodeId],
+) -> ReturnEntities {
     if entities.is_empty() {
         return ReturnEntities {
             label: None,
             reason: ReturnEntityReason::HighestEntity,
-            instances: vec![result.root],
+            instances: vec![root],
         };
     }
 
     // Entity types present, in order of first instance (document order).
     let mut types: Vec<Symbol> = Vec::new();
-    for &e in &entities {
+    for &e in entities {
         let label = doc.node(e).label();
         if !types.contains(&label) {
             types.push(label);
@@ -70,25 +81,25 @@ pub fn identify(
     for &label in &types {
         let name = doc.resolve(label);
         if query.keywords().iter().any(|k| contains_token(name, k)) {
-            return chosen(doc, &entities, label, ReturnEntityReason::NameMatch);
+            return chosen(doc, entities, label, ReturnEntityReason::NameMatch);
         }
     }
 
     // Rule 2: an attribute name of the entity matches a keyword.
     for &label in &types {
         let attr_match = entities.iter().filter(|&&e| doc.node(e).label() == label).any(|&e| {
-            model.attribute_children(doc, e).iter().any(|&a| {
+            doc.element_children(e).filter(|&a| model.is_attribute(a)).any(|a| {
                 let attr_name = doc.resolve(doc.node(a).label());
                 query.keywords().iter().any(|k| contains_token(attr_name, k))
             })
         });
         if attr_match {
-            return chosen(doc, &entities, label, ReturnEntityReason::AttributeNameMatch);
+            return chosen(doc, entities, label, ReturnEntityReason::AttributeNameMatch);
         }
     }
 
     // Rule 3: the highest entities.
-    let highest = model.highest_entities(doc, result.root);
+    let highest = model.highest_entities(doc, root);
     let label = doc.node(highest[0]).label();
     ReturnEntities {
         label: Some(label),

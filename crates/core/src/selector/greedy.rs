@@ -44,7 +44,7 @@ pub fn greedy_select_with_policy(
     policy: InstancePolicy,
 ) -> SelectionOutcome {
     let mut tree = SnippetTree::new(doc, root);
-    let mut covered = Vec::new();
+    let mut covered = Vec::with_capacity(ilist.len());
     let mut skipped = Vec::new();
 
     for (idx, ranked) in ilist.items().iter().enumerate() {

@@ -58,20 +58,10 @@ impl<'d> SnippetTree<'d> {
     /// # Panics
     /// Panics if `node` is outside the root's subtree.
     pub fn add(&mut self, node: NodeId) -> usize {
-        let mut path: Vec<NodeId> = Vec::new();
-        let mut connected = false;
-        for a in self.doc.ancestors_or_self(node) {
-            if self.included.contains(&a) {
-                connected = true;
-                break;
-            }
-            path.push(a);
-        }
-        assert!(connected, "node {node} is outside the snippet root's subtree");
-        let added = path.len();
-        for n in path {
-            self.included.insert(n);
-        }
+        let added = self
+            .cost(node)
+            .unwrap_or_else(|| panic!("node {node} is outside the snippet root's subtree"));
+        self.included.extend(self.doc.ancestors_or_self(node).take(added));
         self.edges += added;
         added
     }

@@ -17,6 +17,10 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Crates (package names) allowed to contain `unsafe` at all.
     pub unsafe_allow: Vec<String>,
+    /// Single files allowed to contain `unsafe` although their crate is
+    /// not — a test's `#[global_allocator]` is no reason to open a whole
+    /// crate. Every site still needs its `SAFETY:` comment.
+    pub unsafe_files: Vec<String>,
     /// Files the lock-order lint analyzes.
     pub lock_order_files: Vec<String>,
     /// The canonical lock-domain order: a later domain may be acquired
@@ -95,6 +99,7 @@ impl Config {
         let slot = match (section, key) {
             ("workspace", "exclude") => &mut self.exclude,
             ("unsafe", "allow") => &mut self.unsafe_allow,
+            ("unsafe", "files") => &mut self.unsafe_files,
             ("lock-order", "files") => &mut self.lock_order_files,
             ("lock-order", "order") => &mut self.lock_order,
             ("lock-order", "lock-fns") => &mut self.lock_fns,
@@ -199,6 +204,7 @@ mod tests {
             exclude = ["vendor"]  # shims
             [unsafe]
             allow = ["extract-serve"]
+            files = ["tests/alloc_budget.rs"]
             [lock-order]
             files = ["crates/serve/src/server.rs"]
             order = [
@@ -229,6 +235,7 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.exclude, ["vendor"]);
         assert_eq!(cfg.unsafe_allow, ["extract-serve"]);
+        assert_eq!(cfg.unsafe_files, ["tests/alloc_budget.rs"]);
         assert_eq!(cfg.lock_order, ["queue", "inflight", "parked"]);
         assert_eq!(cfg.lock_fns, ["lock_unpoisoned"]);
         assert_eq!(cfg.condvar_names, ["available"]);

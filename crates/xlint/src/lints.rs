@@ -703,15 +703,17 @@ fn panic_path(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Diagnostic>) {
 // L4 unsafe-hygiene
 // ---------------------------------------------------------------------------
 
-/// L4: `unsafe` is allowed only in allowlisted crates, and every site
-/// needs a `SAFETY:` comment on the same line or the contiguous comment
-/// block directly above its statement.
+/// L4: `unsafe` is allowed only in allowlisted crates (or single
+/// allowlisted files), and every site needs a `SAFETY:` comment on the
+/// same line or the contiguous comment block directly above its statement.
 fn unsafe_hygiene(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Diagnostic>) {
+    let allowlisted = cfg.unsafe_allow.iter().any(|c| c == ctx.crate_name)
+        || cfg.unsafe_files.iter().any(|f| f == ctx.path);
     for t in &ctx.tokens {
         if !t.is_ident("unsafe") {
             continue;
         }
-        if !cfg.unsafe_allow.iter().any(|c| c == ctx.crate_name) {
+        if !allowlisted {
             out.push(Diagnostic {
                 code: "L4",
                 lint: "unsafe-hygiene",
@@ -720,7 +722,7 @@ fn unsafe_hygiene(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Diagnostic>) {
                 line: t.line,
                 message: format!(
                     "`unsafe` in crate `{}`, which is not allowlisted in xlint.toml \
-                     ([unsafe] allow) — keep unsafe confined to the audited crates",
+                     ([unsafe] allow / files) — keep unsafe confined to the audited crates",
                     ctx.crate_name
                 ),
             });

@@ -13,6 +13,7 @@ fn cfg() -> Config {
     Config {
         exclude: vec![],
         unsafe_allow: vec!["fixture-ffi".into()],
+        unsafe_files: vec![],
         lock_order_files: vec![
             "tests/fixtures/l1_lock_order.rs".into(),
             "tests/fixtures/clean.rs".into(),
@@ -112,6 +113,19 @@ fn l4_fires_on_every_unsafe_outside_the_allowlist() {
     );
     assert_eq!(codes(&diags), [("L4", 4), ("L4", 10)], "{diags:#?}");
     assert!(diags[0].message.contains("not allowlisted"));
+}
+
+#[test]
+fn l4_file_entry_admits_one_file_but_still_wants_safety_comments() {
+    let path = "tests/fixtures/l4_unsafe.rs";
+    let policy = Config { unsafe_files: vec![path.into()], ..cfg() };
+    let src = include_str!("fixtures/l4_unsafe.rs");
+    let diags = analyze_source(path, "extract-core", src, &policy);
+    assert_eq!(codes(&diags), [("L4", 4)], "{diags:#?}");
+    assert!(diags[0].message.contains("SAFETY"));
+    // The entry names a file, not its crate: a sibling stays closed.
+    let sibling = analyze_source("tests/fixtures/other.rs", "extract-core", src, &policy);
+    assert_eq!(codes(&sibling), [("L4", 4), ("L4", 10)], "{sibling:#?}");
 }
 
 #[test]

@@ -4,7 +4,10 @@
 //! root (O(depth) per call). The search algorithms compare Dewey labels
 //! millions of times, so this store materializes all labels once in a
 //! struct-of-arrays layout: one flat component vector plus an offset table —
-//! no per-node heap allocation, cache-friendly sequential build.
+//! no per-node heap allocation, cache-friendly sequential build. Next to
+//! them sits each node's subtree end (preorder IDs make a subtree the
+//! interval `[n, subtree_end(n))`), so containment questions need neither
+//! the labels nor the document.
 
 use extract_xml::{Dewey, Document, NodeId};
 
@@ -14,6 +17,8 @@ pub struct DeweyStore {
     /// `offsets[n]..offsets[n+1]` indexes `components` for node `n`.
     offsets: Vec<u32>,
     components: Vec<u32>,
+    /// One past the last node of each node's subtree.
+    subtree_end: Vec<NodeId>,
 }
 
 impl DeweyStore {
@@ -44,7 +49,8 @@ impl DeweyStore {
             components[s + plen] = doc.node(node).rank();
             debug_assert_eq!(e - s, plen + 1);
         }
-        DeweyStore { offsets, components }
+        let subtree_end = doc.all_nodes().map(|node| doc.subtree_end(node)).collect();
+        DeweyStore { offsets, components, subtree_end }
     }
 
     /// Number of nodes covered.
@@ -79,11 +85,15 @@ impl DeweyStore {
         self.components(a).cmp(self.components(b))
     }
 
-    /// True iff `a` is an ancestor-or-self of `b` (prefix test on slices).
+    /// One past the last node in the subtree of `node`.
+    pub fn subtree_end(&self, node: NodeId) -> NodeId {
+        self.subtree_end[node.index()]
+    }
+
+    /// True iff `a` is an ancestor-or-self of `b`: `b` lies in `a`'s
+    /// interval.
     pub fn is_ancestor_or_self(&self, a: NodeId, b: NodeId) -> bool {
-        let pa = self.components(a);
-        let pb = self.components(b);
-        pb.len() >= pa.len() && &pb[..pa.len()] == pa
+        a <= b && b < self.subtree_end(a)
     }
 
     /// Length of the longest common prefix of the labels of `a` and `b` —
@@ -97,12 +107,12 @@ impl DeweyStore {
     }
 
     /// Estimated heap footprint in bytes, counting **allocated capacity**
-    /// (not just live length) of both vectors. The build constructs each
-    /// with `vec![0; n]`, so capacity equals length and the footprint is
-    /// exactly `(nodes + 1 + Σ depth(n)) * 4`.
+    /// (not just live length) of the three vectors. The build sizes each
+    /// exactly, so capacity equals length and the footprint is
+    /// `(2 · nodes + 1 + Σ depth(n)) * 4`.
     pub fn memory_footprint(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.components.capacity() * std::mem::size_of::<u32>()
+        (self.offsets.capacity() + self.components.capacity() + self.subtree_end.capacity())
+            * std::mem::size_of::<u32>()
     }
 }
 
@@ -184,9 +194,10 @@ mod tests {
         let d = doc();
         let store = DeweyStore::build(&d);
         // offsets: one u32 per node plus the sentinel; components: one u32
-        // per Dewey component, i.e. the sum of all node depths.
+        // per Dewey component, i.e. the sum of all node depths; subtree
+        // ends: one u32 per node.
         let total_components: usize = d.all_nodes().map(|n| d.depth(n)).sum();
-        let expected = (d.len() + 1) * 4 + total_components * 4;
+        let expected = (d.len() + 1) * 4 + total_components * 4 + d.len() * 4;
         assert_eq!(store.memory_footprint(), expected);
     }
 }

@@ -18,8 +18,17 @@ pub fn tokenize(text: &str) -> Vec<String> {
 }
 
 /// True if any token of `text` equals the (already normalized) `token`.
+/// ASCII runs — labels, on data-oriented XML — are compared in place; only
+/// a non-ASCII run is lowercased into a `String` first.
 pub fn contains_token(text: &str, token: &str) -> bool {
-    tokens_of(text).any(|t| t == token)
+    text.split(|c: char| !c.is_alphanumeric()).filter(|run| !run.is_empty()).any(|run| {
+        if run.is_ascii() {
+            run.len() == token.len()
+                && run.bytes().zip(token.bytes()).all(|(r, t)| r.to_ascii_lowercase() == t)
+        } else {
+            run.to_lowercase() == token
+        }
+    })
 }
 
 #[cfg(test)]
@@ -55,6 +64,18 @@ mod tests {
         assert!(contains_token("Brook Brothers", "brook"));
         assert!(!contains_token("Brookline", "brook"), "no substring matching");
         assert!(contains_token("category: outwear", "outwear"));
+    }
+
+    #[test]
+    fn contains_token_agrees_with_tokens_of() {
+        let texts = ["Brook Brothers", "open_auction-1", "NAÏVE café", "ΟΔΟΣ", "", "a", "İ x"];
+        let tokens = ["brook", "auction", "1", "naïve", "café", "οδος", "a", "A", "Brook", "i̇", "x"];
+        for text in texts {
+            for token in tokens {
+                let reference = tokens_of(text).any(|t| t == token);
+                assert_eq!(contains_token(text, token), reference, "{text:?} / {token:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! example can order results: more keyword matches are better, tighter
 //! (smaller) results are better.
 
-use extract_xml::Document;
+use extract_analyzer::EntityModel;
+use extract_index::XmlIndex;
+use extract_xml::{Document, NodeId};
 
-use crate::result::QueryResult;
+use crate::query::KeywordQuery;
+use crate::result::{postings_within, QueryResult};
+use crate::xseek::{self, RootPolicy, RootsScratch};
 
 /// A query result with its score.
 #[derive(Debug, Clone)]
@@ -19,16 +23,77 @@ pub struct RankedResult {
     pub score: f64,
 }
 
-/// Score one result: log-damped match counts per keyword, normalized by the
-/// log of the subtree size (an XRANK-flavoured compactness prior).
+/// The scoring formula: log-damped match counts per keyword (query order),
+/// normalized by the log of the subtree size (an XRANK-flavoured
+/// compactness prior). A score needs the *number* of matches per keyword,
+/// never the matches — every entry point below feeds this one function, so
+/// their scores agree to the bit.
+fn score_counts(match_counts: impl Iterator<Item = usize>, subtree_size: usize) -> f64 {
+    let tf: f64 = match_counts.map(|n| (1.0 + n as f64).ln()).sum();
+    tf / (1.0 + (subtree_size as f64).ln().max(0.0))
+}
+
+/// Score one built result.
 pub fn score(doc: &Document, result: &QueryResult) -> f64 {
-    let tf: f64 = result
-        .matches
-        .iter()
-        .map(|m| (1.0 + m.len() as f64).ln())
-        .sum();
-    let size = result.size(doc) as f64;
-    tf / (1.0 + size.ln().max(0.0))
+    score_counts(result.matches.iter().map(Vec::len), result.size(doc))
+}
+
+/// Score the result rooted at `root` **without building it**: per keyword,
+/// count the postings inside the root's ID interval (two binary searches
+/// each). `lists` holds the query's posting lists in query order. Equal,
+/// bit for bit, to [`score`] of [`QueryResult::build`] for the same root.
+pub fn score_root<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L], root: NodeId) -> f64 {
+    let end = doc.subtree_end(root);
+    score_counts(
+        lists.iter().map(|l| postings_within(l.as_ref(), root, end).len()),
+        doc.subtree_size(root),
+    )
+}
+
+/// Find the XSeek result roots of `query` in one document and hand each to
+/// `emit` with its score, in document order — the search + scoring half of
+/// every ranked entry point. No [`QueryResult`] is built: callers decide
+/// which roots are worth one after they have seen every score.
+pub fn scored_roots<'i>(
+    doc: &Document,
+    index: &'i XmlIndex,
+    model: &EntityModel,
+    query: &KeywordQuery,
+    scratch: &mut RootsScratch<'i>,
+    mut emit: impl FnMut(NodeId, f64),
+) {
+    xseek::result_roots_with(doc, index, model, query, RootPolicy::Entity, scratch);
+    for &root in scratch.roots() {
+        emit(root, score_root(doc, scratch.lists(), root));
+    }
+}
+
+/// The ranking order on scores: higher first. A total order (scores are
+/// finite and non-negative), so sorts and selections on it are
+/// deterministic once ties are broken by position.
+pub fn by_score_desc(a: f64, b: f64) -> std::cmp::Ordering {
+    b.total_cmp(&a)
+}
+
+/// Search one document with the XSeek engine and return **every** result,
+/// built and in rank order (score descending, ties toward the earlier
+/// root). Roots are scored by counting and sorted as `(score, root)` pairs;
+/// a [`QueryResult`] is built per root only once its place is known.
+pub fn ranked_results(
+    doc: &Document,
+    index: &XmlIndex,
+    model: &EntityModel,
+    query: &KeywordQuery,
+) -> Vec<RankedResult> {
+    let mut scored: Vec<(f64, NodeId)> = Vec::new();
+    scored_roots(doc, index, model, query, &mut RootsScratch::default(), |root, score| {
+        scored.push((score, root));
+    });
+    scored.sort_unstable_by(|a, b| by_score_desc(a.0, b.0).then_with(|| a.1.cmp(&b.1)));
+    scored
+        .into_iter()
+        .map(|(score, root)| RankedResult { result: QueryResult::build(index, query, root), score })
+        .collect()
 }
 
 /// Rank results by descending score; ties break toward the earlier root in
@@ -39,10 +104,7 @@ pub fn rank(doc: &Document, results: Vec<QueryResult>) -> Vec<RankedResult> {
         .map(|result| RankedResult { score: score(doc, &result), result })
         .collect();
     ranked.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.result.root.cmp(&b.result.root))
+        by_score_desc(a.score, b.score).then_with(|| a.result.root.cmp(&b.result.root))
     });
     ranked
 }

@@ -22,24 +22,26 @@ pub struct QueryResult {
     pub matches: Vec<Vec<NodeId>>,
 }
 
+/// The part of a posting list (document order) inside the ID interval
+/// `[root, end)` — by the preorder-ID invariant, the postings in the
+/// subtree whose root is `root` and whose interval ends at `end`. Two
+/// binary searches; nothing is copied, so counting a result's matches
+/// costs no more than that.
+pub fn postings_within(postings: &[NodeId], root: NodeId, end: NodeId) -> &[NodeId] {
+    let start = postings.partition_point(|&n| n < root);
+    let tail = postings.get(start..).unwrap_or_default();
+    tail.get(..tail.partition_point(|&n| n < end)).unwrap_or_default()
+}
+
 impl QueryResult {
     /// Build a result for `root`: restrict each keyword's postings to the
-    /// subtree of `root` (binary search + ancestor filter; postings are in
-    /// document order).
+    /// subtree of `root` ([`postings_within`] its ID interval).
     pub fn build(index: &XmlIndex, query: &KeywordQuery, root: NodeId) -> QueryResult {
-        let store = index.dewey_store();
+        let end = index.dewey_store().subtree_end(root);
         let matches = query
             .keywords()
             .iter()
-            .map(|k| {
-                let postings = index.postings(k);
-                let start = postings.partition_point(|&n| n < root);
-                postings[start..]
-                    .iter()
-                    .copied()
-                    .take_while(|&n| store.is_ancestor_or_self(root, n))
-                    .collect()
-            })
+            .map(|k| postings_within(index.postings(k), root, end).to_vec())
             .collect();
         QueryResult { root, matches }
     }

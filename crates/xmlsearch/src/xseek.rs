@@ -13,7 +13,7 @@ use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
 use crate::result::QueryResult;
-use crate::slca::slca_auto;
+use crate::slca::{slca_auto_with, SlcaScratch};
 
 /// How result roots are derived from SLCA nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,6 +25,34 @@ pub enum RootPolicy {
     Entity,
 }
 
+/// Reusable buffers for [`result_roots_with`]: one instance serves every
+/// candidate document of a request (`'i` is the borrow of their indexes),
+/// so a corpus query allocates for its largest document, not once per
+/// document.
+#[derive(Debug, Default)]
+pub struct RootsScratch<'i> {
+    /// The query's posting lists in the current document, query order.
+    lists: Vec<&'i [NodeId]>,
+    slca: SlcaScratch,
+    slcas: Vec<NodeId>,
+    roots: Vec<NodeId>,
+}
+
+impl<'i> RootsScratch<'i> {
+    /// The posting lists (one per query keyword, query order) of the
+    /// document the last [`result_roots_with`] call ran on — what a
+    /// scorer restricts to each root's interval.
+    pub fn lists(&self) -> &[&'i [NodeId]] {
+        &self.lists
+    }
+
+    /// The result roots the last [`result_roots_with`] call found, in
+    /// document order.
+    pub fn roots(&self) -> &[NodeId] {
+        &self.roots
+    }
+}
+
 /// Compute result roots for `query` under `policy`.
 pub fn result_roots(
     doc: &Document,
@@ -33,29 +61,44 @@ pub fn result_roots(
     query: &KeywordQuery,
     policy: RootPolicy,
 ) -> Vec<NodeId> {
-    let lists: Vec<&[NodeId]> =
-        query.keywords().iter().map(|k| index.postings(k)).collect();
-    let slcas = slca_auto(doc, index.dewey_store(), &lists);
+    let mut scratch = RootsScratch::default();
+    result_roots_with(doc, index, model, query, policy, &mut scratch);
+    scratch.roots
+}
+
+/// [`result_roots`] into caller-owned buffers: the roots land in
+/// [`RootsScratch::roots`], and nothing allocates once `scratch` has
+/// warmed up.
+pub fn result_roots_with<'i>(
+    doc: &Document,
+    index: &'i XmlIndex,
+    model: &EntityModel,
+    query: &KeywordQuery,
+    policy: RootPolicy,
+    scratch: &mut RootsScratch<'i>,
+) {
+    let RootsScratch { lists, slca, slcas, roots } = scratch;
+    lists.clear();
+    lists.extend(query.keywords().iter().map(|k| index.postings(k)));
     match policy {
-        RootPolicy::Slca => slcas,
+        RootPolicy::Slca => slca_auto_with(doc, index.dewey_store(), lists, slca, roots),
         RootPolicy::Entity => {
-            let mut roots: Vec<NodeId> = slcas
-                .into_iter()
-                .map(|n| model.entity_of(doc, n).unwrap_or(n))
-                .collect();
+            slca_auto_with(doc, index.dewey_store(), lists, slca, slcas);
+            roots.clear();
+            roots.extend(slcas.iter().map(|&n| model.entity_of(doc, n).unwrap_or(n)));
             roots.sort_unstable();
             roots.dedup();
             // Lifting can create nesting (one lifted root inside another);
-            // keep the highest so results stay disjoint.
-            let store = index.dewey_store();
-            let mut keep: Vec<NodeId> = Vec::with_capacity(roots.len());
-            for r in roots {
-                match keep.last() {
-                    Some(&last) if store.is_ancestor_or_self(last, r) => {}
-                    _ => keep.push(r),
+            // keep the highest so results stay disjoint. In document order
+            // a root is nested iff it starts before the last kept one ends.
+            let mut covered = None;
+            roots.retain(|&r| {
+                if covered.is_some_and(|end| r < end) {
+                    return false;
                 }
-            }
-            keep
+                covered = Some(doc.subtree_end(r));
+                true
+            });
         }
     }
 }

@@ -5,7 +5,10 @@
 use extract_index::XmlIndex;
 use extract_search::slca::{slca_bruteforce, slca_indexed_lookup, slca_scan_eager};
 use extract_search::elca::{elca_bruteforce, elca_stack};
-use extract_search::{Algorithm, Engine, KeywordQuery};
+use extract_search::ranking::{self, ranked_results, score_root};
+use extract_search::result::postings_within;
+use extract_search::xseek::{self, RootPolicy};
+use extract_search::{Algorithm, Engine, KeywordQuery, QueryResult};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
 
@@ -149,6 +152,48 @@ proptest! {
                 prop_assert!(!doc.is_ancestor_or_self(a.root, b.root));
                 prop_assert!(!doc.is_ancestor_or_self(b.root, a.root));
             }
+        }
+    }
+
+    /// Ranking by counting: a root's score from the number of postings in
+    /// its ID interval is the score of its built result, to the bit — and
+    /// the interval slice is exactly the ancestor-filtered posting list.
+    #[test]
+    fn counting_scores_equal_built_scores_bit_for_bit(
+        spec in spec_strategy(),
+        keywords in keyword_strategy(),
+    ) {
+        let doc = build(&spec);
+        let engine = Engine::new(&doc);
+        let (index, model) = (engine.index(), engine.model());
+        let q = KeywordQuery::from_keywords(keywords.clone());
+        let lists: Vec<&[NodeId]> = q.keywords().iter().map(|k| index.postings(k)).collect();
+        // Every element is a legitimate root to score, not just the
+        // query's own results.
+        for root in doc.subtree_elements(doc.root()) {
+            for list in &lists {
+                let by_walk: Vec<NodeId> = list
+                    .iter()
+                    .copied()
+                    .filter(|&n| doc.is_ancestor_or_self(root, n))
+                    .collect();
+                prop_assert_eq!(postings_within(list, root, doc.subtree_end(root)), &by_walk[..]);
+            }
+            let built = QueryResult::build(index, &q, root);
+            prop_assert_eq!(
+                score_root(&doc, &lists, root).to_bits(),
+                ranking::score(&doc, &built).to_bits()
+            );
+        }
+        // The ranked entry point is the old pipeline — build every result,
+        // score it, stable-sort — in results, scores and order.
+        let reference =
+            ranking::rank(&doc, xseek::search(&doc, index, model, &q, RootPolicy::Entity));
+        let ranked = ranked_results(&doc, index, model, &q);
+        prop_assert_eq!(ranked.len(), reference.len());
+        for (got, want) in ranked.iter().zip(&reference) {
+            prop_assert_eq!(&got.result, &want.result);
+            prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
         }
     }
 }

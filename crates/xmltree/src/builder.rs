@@ -19,48 +19,38 @@
 //! assert_eq!(doc.element_count(), 5);
 //! ```
 
-use crate::document::{Document, Node, NodeId, NodeKind};
+use std::sync::Arc;
+
+use crate::document::{Arena, Document, NodeId, NodeKind, Shared};
 use crate::symbol::SymbolTable;
 
 /// Builds a [`Document`] top-down.
 #[derive(Debug)]
 pub struct DocBuilder {
-    doc: Document,
+    shared: Shared,
+    arena: Arena,
     stack: Vec<NodeId>,
 }
 
 impl DocBuilder {
     /// Start a document whose root element is `root_label`.
     pub fn new(root_label: &str) -> Self {
-        let mut doc = Document {
-            symbols: SymbolTable::with_capacity(32),
-            nodes: Vec::new(),
-            root: NodeId(0),
-            doctype_name: None,
-            dtd: None,
-        };
-        let sym = doc.symbols.intern(root_label);
-        doc.nodes.push(Node {
-            kind: NodeKind::Element,
-            label: sym,
-            parent: None,
-            rank: 0,
-            children: Vec::new(),
-            text: None,
-        });
-        DocBuilder { doc, stack: vec![NodeId(0)] }
+        let mut shared = Shared { symbols: SymbolTable::with_capacity(32), ..Shared::default() };
+        let mut arena = Arena::default();
+        let root = arena.push(NodeKind::Element, shared.symbols.intern(root_label), None, None);
+        DocBuilder { shared, arena, stack: vec![root] }
     }
 
     /// Pre-allocate space for roughly `n` nodes.
     pub fn reserve(&mut self, n: usize) -> &mut Self {
-        self.doc.nodes.reserve(n);
+        self.arena.reserve(n);
         self
     }
 
     /// Attach a parsed DTD (used by generators that also emit a DOCTYPE).
     pub fn with_dtd(&mut self, dtd: crate::dtd::Dtd, doctype_name: &str) -> &mut Self {
-        self.doc.dtd = Some(dtd);
-        self.doc.doctype_name = Some(doctype_name.to_string());
+        self.shared.dtd = Some(dtd);
+        self.shared.doctype_name = Some(doctype_name.to_string());
         self
     }
 
@@ -70,19 +60,8 @@ impl DocBuilder {
 
     fn push_node(&mut self, kind: NodeKind, label: &str, text: Option<&str>) -> NodeId {
         let parent = self.current();
-        let sym = self.doc.symbols.intern(label);
-        let id = NodeId(self.doc.nodes.len() as u32);
-        let rank = self.doc.nodes[parent.index()].children.len() as u32;
-        self.doc.nodes[parent.index()].children.push(id);
-        self.doc.nodes.push(Node {
-            kind,
-            label: sym,
-            parent: Some(parent),
-            rank,
-            children: Vec::new(),
-            text: text.map(Into::into),
-        });
-        id
+        let sym = self.shared.symbols.intern(label);
+        self.arena.push(kind, sym, Some(parent), text.map(Into::into))
     }
 
     /// Open a child element; subsequent nodes attach under it until
@@ -93,13 +72,19 @@ impl DocBuilder {
         self
     }
 
+    fn close_innermost(&mut self) {
+        if let Some(id) = self.stack.pop() {
+            self.arena.close(id);
+        }
+    }
+
     /// Close the innermost open element.
     ///
     /// # Panics
     /// Panics if only the root is open.
     pub fn end(&mut self) -> &mut Self {
         assert!(self.stack.len() > 1, "end() called with no open child element");
-        self.stack.pop();
+        self.close_innermost();
         self
     }
 
@@ -108,7 +93,7 @@ impl DocBuilder {
         let id = self.push_node(NodeKind::Element, label, None);
         self.stack.push(id);
         self.push_node(NodeKind::Text, "#text", Some(text));
-        self.stack.pop();
+        self.close_innermost();
         self
     }
 
@@ -139,12 +124,12 @@ impl DocBuilder {
     }
 
     /// Finish building, returning `None` if `begin`/`end` are unbalanced.
-    pub fn try_build(self) -> Option<Document> {
+    pub fn try_build(mut self) -> Option<Document> {
         if self.stack.len() != 1 {
             return None;
         }
-        debug_assert_eq!(self.doc.debug_validate(), Ok(()));
-        Some(self.doc)
+        self.close_innermost();
+        Some(self.arena.finish(Arc::new(self.shared), NodeId(0)))
     }
 }
 

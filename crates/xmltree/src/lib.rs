@@ -66,3 +66,11 @@ pub use error::{Error, Position, Result};
 pub use parser::ParseOptions;
 pub use schema::{PathId, Schema};
 pub use symbol::{Symbol, SymbolTable, SYMBOL_ENTRY_OVERHEAD};
+
+/// Dense-index → `u32` id, loud on overflow: nodes, labels and label paths
+/// are addressed with `u32`, so a document past 4 billion of any of them
+/// cannot be represented — truncating instead of panicking would alias
+/// ids (and corrupt subtree intervals) silently.
+pub(crate) fn id32(index: usize) -> u32 {
+    u32::try_from(index).expect("dense id exceeds u32::MAX")
+}

@@ -1,6 +1,8 @@
 //! Tree construction from the token stream, with well-formedness checks.
 
-use crate::document::{Document, Node, NodeId, NodeKind};
+use std::sync::Arc;
+
+use crate::document::{Arena, Document, NodeId, NodeKind, Shared};
 use crate::error::{Error, Position, Result};
 use crate::symbol::SymbolTable;
 use crate::tokenizer::{Token, Tokenizer};
@@ -42,13 +44,8 @@ impl Default for ParseOptions {
 /// Parse `source` into a [`Document`].
 pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
     let mut tokenizer = Tokenizer::new(source);
-    let mut doc = Document {
-        symbols: SymbolTable::with_capacity(64),
-        nodes: Vec::new(),
-        root: NodeId(0),
-        doctype_name: None,
-        dtd: None,
-    };
+    let mut shared = Shared { symbols: SymbolTable::with_capacity(64), ..Shared::default() };
+    let mut arena = Arena::default();
     // Stack of open elements.
     let mut stack: Vec<NodeId> = Vec::new();
     let mut root: Option<NodeId> = None;
@@ -62,17 +59,21 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
                 if stack.len() >= options.max_depth {
                     return Err(Error::TooDeep { limit: options.max_depth, position });
                 }
-                let id = push_element(&mut doc, &name, stack.last().copied());
+                let symbols = &mut shared.symbols;
+                let id = push_element(&mut arena, symbols, &name, stack.last().copied());
                 if root.is_none() {
                     root = Some(id);
                 }
                 if options.attributes_as_elements {
                     for (attr_name, value) in &attributes {
-                        let attr_id = push_element(&mut doc, attr_name, Some(id));
-                        push_text(&mut doc, value, attr_id);
+                        let attr_id = push_element(&mut arena, symbols, attr_name, Some(id));
+                        push_text(&mut arena, symbols, value, attr_id);
+                        arena.close(attr_id);
                     }
                 }
-                if !self_closing {
+                if self_closing {
+                    arena.close(id);
+                } else {
                     stack.push(id);
                 }
             }
@@ -84,7 +85,7 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
                         position,
                     });
                 };
-                let open_label = doc.symbols.resolve(doc.nodes[open.index()].label);
+                let open_label = shared.symbols.resolve(arena.nodes[open.index()].label);
                 if open_label != name {
                     return Err(Error::MismatchedTag {
                         expected: open_label.to_string(),
@@ -92,6 +93,7 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
                         position,
                     });
                 }
+                arena.close(open);
             }
             Token::Text { content, position } => {
                 let text: &str =
@@ -102,7 +104,7 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
                 }
                 match stack.last() {
                     Some(&parent) => {
-                        push_text(&mut doc, text, parent);
+                        push_text(&mut arena, &mut shared.symbols, text, parent);
                     }
                     None => {
                         if !effectively_blank {
@@ -116,25 +118,25 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
             }
             Token::CData { content, .. } => {
                 if let Some(&parent) = stack.last() {
-                    push_text(&mut doc, &content, parent);
+                    push_text(&mut arena, &mut shared.symbols, &content, parent);
                 }
             }
             Token::Comment { .. } | Token::ProcessingInstruction { .. } => {}
             Token::Doctype { name, internal, position } => {
-                doc.doctype_name = Some(name);
+                shared.doctype_name = Some(name);
                 if options.parse_dtd && !internal.trim().is_empty() {
                     let dtd = crate::dtd::Dtd::parse(&internal).map_err(|e| match e {
                         Error::Dtd { message, .. } => Error::Dtd { message, position },
                         other => other,
                     })?;
-                    doc.dtd = Some(dtd);
+                    shared.dtd = Some(dtd);
                 }
             }
         }
     }
 
     if let Some(open) = stack.last() {
-        let label = doc.symbols.resolve(doc.nodes[open.index()].label).to_string();
+        let label = shared.symbols.resolve(arena.nodes[open.index()].label).to_string();
         return Err(Error::UnexpectedEof {
             expected: format!("</{label}>"),
             position: Position {
@@ -145,58 +147,36 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
         });
     }
     let root = root.ok_or(Error::NoRootElement)?;
-    doc.root = root;
-    debug_assert_eq!(doc.debug_validate(), Ok(()));
-    Ok(doc)
+    Ok(arena.finish(Arc::new(shared), root))
 }
 
-fn push_element(doc: &mut Document, label: &str, parent: Option<NodeId>) -> NodeId {
-    let sym = doc.symbols.intern(label);
-    let id = NodeId(doc.nodes.len() as u32);
-    let rank = match parent {
-        Some(p) => {
-            let r = doc.nodes[p.index()].children.len() as u32;
-            doc.nodes[p.index()].children.push(id);
-            r
-        }
-        None => 0,
-    };
-    doc.nodes.push(Node {
-        kind: NodeKind::Element,
-        label: sym,
-        parent,
-        rank,
-        children: Vec::new(),
-        text: None,
-    });
-    id
+fn push_element(
+    arena: &mut Arena,
+    symbols: &mut SymbolTable,
+    label: &str,
+    parent: Option<NodeId>,
+) -> NodeId {
+    arena.push(NodeKind::Element, symbols.intern(label), parent, None)
 }
 
-fn push_text(doc: &mut Document, content: &str, parent: NodeId) -> NodeId {
+fn push_text(
+    arena: &mut Arena,
+    symbols: &mut SymbolTable,
+    content: &str,
+    parent: NodeId,
+) -> NodeId {
     // Merge adjacent text nodes so `text_of` sees one value.
-    if let Some(&last) = doc.nodes[parent.index()].children.last() {
-        if doc.nodes[last.index()].is_text() {
-            let existing = doc.nodes[last.index()].text.take().unwrap_or_default();
+    if let Some(&last) = arena.nodes[parent.index()].children.last() {
+        if arena.nodes[last.index()].is_text() {
+            let existing = arena.nodes[last.index()].text.take().unwrap_or_default();
             let mut merged = String::with_capacity(existing.len() + content.len());
             merged.push_str(&existing);
             merged.push_str(content);
-            doc.nodes[last.index()].text = Some(merged.into_boxed_str());
+            arena.nodes[last.index()].text = Some(merged.into());
             return last;
         }
     }
-    let sym = doc.symbols.intern("#text");
-    let id = NodeId(doc.nodes.len() as u32);
-    let rank = doc.nodes[parent.index()].children.len() as u32;
-    doc.nodes[parent.index()].children.push(id);
-    doc.nodes.push(Node {
-        kind: NodeKind::Text,
-        label: sym,
-        parent: Some(parent),
-        rank,
-        children: Vec::new(),
-        text: Some(content.into()),
-    });
-    id
+    arena.push(NodeKind::Text, symbols.intern("#text"), Some(parent), Some(content.into()))
 }
 
 #[cfg(test)]

@@ -140,7 +140,7 @@ impl Schema {
         if let Some(&p) = self.lookup.get(&(parent, label)) {
             return p;
         }
-        let id = PathId(self.paths.len() as u32);
+        let id = PathId(crate::id32(self.paths.len()));
         let depth = parent.map(|p| self.paths[p.index()].depth + 1).unwrap_or(0);
         self.paths.push(PathInfo {
             parent,
@@ -188,7 +188,7 @@ impl Schema {
 
     /// Iterate over all paths.
     pub fn paths(&self) -> impl Iterator<Item = (PathId, &PathInfo)> {
-        self.paths.iter().enumerate().map(|(i, p)| (PathId(i as u32), p))
+        self.paths.iter().enumerate().map(|(i, p)| (PathId(crate::id32(i)), p))
     }
 
     /// Render a path as `/a/b/c`.

@@ -31,7 +31,7 @@ impl Symbol {
     /// Reconstruct a symbol from a raw index. The caller must ensure the
     /// index came from [`Symbol::index`] on the same table.
     pub fn from_index(index: usize) -> Self {
-        Symbol(index as u32)
+        Symbol(crate::id32(index))
     }
 }
 
@@ -64,7 +64,7 @@ impl SymbolTable {
         if let Some(&sym) = self.lookup.get(s) {
             return sym;
         }
-        let sym = Symbol(self.strings.len() as u32);
+        let sym = Symbol(crate::id32(self.strings.len()));
         let boxed: Box<str> = s.into();
         self.strings.push(boxed.clone());
         self.lookup.insert(boxed, sym);
@@ -102,7 +102,7 @@ impl SymbolTable {
 
     /// Iterate over `(Symbol, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings.iter().enumerate().map(|(i, s)| (Symbol(i as u32), &**s))
+        self.strings.iter().enumerate().map(|(i, s)| (Symbol(crate::id32(i)), &**s))
     }
 }
 

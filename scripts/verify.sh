@@ -6,6 +6,9 @@
 # Runs, in order:
 #   1. cargo build --release          — every crate, bin, and example
 #   2. cargo test -q                  — unit, integration, property, doc tests
+#      cargo test --release --test alloc_budget
+#                                     — the allocation budgets again, on the
+#                                       profile that ships
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -30,6 +33,7 @@ run() {
 
 run cargo build --release --offline
 run cargo test -q --offline
+run cargo test -q --offline --release --test alloc_budget
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

@@ -37,8 +37,22 @@
 //!    snippet exists once however many pages show it.
 //!
 //! Both sit behind `Mutex`es held strictly for `get`/`insert` — never
-//! during computation — so contention stays negligible next to the work
-//! they save.
+//! during computation, and never while an entry is freed: what an insert
+//! evicts or a mutation invalidates is handed out of the cache and
+//! dropped after the guard — so contention stays negligible next to the
+//! work they save. An evicted *snippet* goes one step further, back to
+//! the thread that built it ([`Returns`]): with several workers filling
+//! one cache, half of what a worker evicts was allocated by another, and
+//! freeing it there takes that thread's allocator lock some thirty times
+//! per snippet — the workers then sleep on each other instead of
+//! searching.
+//!
+//! A miss pays for the window it serves, not for the results it ranks:
+//! every result root of every candidate document is *scored by counting*
+//! (its keyword matches are the postings inside its ID interval — two
+//! binary searches per keyword, [`ranking::scored_roots`]), the served
+//! window is selected from `(document, score, root)` triples, and only
+//! its ≤ `k` roots ever become a `QueryResult`, an IList and a snippet.
 //!
 //! All cache state lives in an [`SessionCaches`] bundle behind an `Arc`.
 //! A standalone session owns a private bundle; a **live** serving layer
@@ -64,15 +78,18 @@
 //! assert_eq!(corpus.name(page[0].doc), "texas");
 //! ```
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use extract_core::cache::{CacheKey, LruCache, PageKey};
+use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, EngineParts, Extract, ExtractConfig, SnippetedResult};
 use extract_corpus::{Corpus, DocId, FanIn};
-use extract_search::KeywordQuery;
-use extract_xml::Document;
+use extract_search::ranking::{self, by_score_desc};
+use extract_search::xseek::RootsScratch;
+use extract_search::{KeywordQuery, QueryResult};
+use extract_xml::{Document, NodeId};
 
 /// Default worker count when the host's parallelism cannot be queried.
 const DEFAULT_WORKERS: usize = 4;
@@ -152,6 +169,127 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Insert under the cache's lock; free what the insert displaced (an
+/// evicted snippet tree, a whole page) after the guard, so no reader
+/// waits on a deallocation.
+fn store<K: Eq + Hash + Clone, V: Clone>(cache: &Mutex<LruCache<K, V>>, key: K, value: V) {
+    let displaced = lock_unpoisoned(cache).insert(key, value);
+    drop(displaced);
+}
+
+/// Remove the entries failing `keep` under the cache's lock; free them
+/// after the guard.
+fn purge<K: Eq + Hash + Clone, V: Clone>(
+    cache: &Mutex<LruCache<K, V>>,
+    keep: impl FnMut(&K) -> bool,
+) {
+    let removed = lock_unpoisoned(cache).retain(keep);
+    drop(removed);
+}
+
+/// How many threads' returns are kept apart. Threads beyond that share
+/// bins round-robin; two threads sharing a bin free each other's entries,
+/// which costs what every eviction cost before bins existed.
+const HOMES: usize = 16;
+
+/// Most entries a bin holds for a thread that has not come back for them
+/// (a worker gone idle, a batch thread that exited); past that the
+/// evicting thread frees the entry itself.
+const BIN_LIMIT: usize = 64;
+
+/// The calling thread's bin, assigned on its first cache insert.
+fn home() -> u8 {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static HOME: u8 =
+            u8::try_from(NEXT.fetch_add(1, Ordering::Relaxed) % HOMES).unwrap_or(0);
+    }
+    HOME.with(|home| *home)
+}
+
+/// Cache entries on their way back to the thread that built them.
+///
+/// A cached snippet is some thirty allocations, all made by the worker
+/// that computed it. Evicted by another worker and dropped there, each of
+/// them is returned to the *builder's* allocator arena under that arena's
+/// lock, while the builder is allocating from it: measured with two
+/// workers on the benchmark's miss keys, 4.2 futex sleeps per request and
+/// 1.25× one worker's throughput, against 0.4 and 1.8× when every thread
+/// frees only what it allocated. So the evicting thread leaves the entry
+/// in its builder's bin, and a thread empties its own bin whenever it is
+/// about to insert — on the miss path, next to the allocations the freed
+/// memory will serve.
+#[derive(Debug)]
+struct Returns<V> {
+    bins: [Mutex<Vec<V>>; HOMES],
+}
+
+impl<V> Returns<V> {
+    fn new() -> Returns<V> {
+        Returns { bins: std::array::from_fn(|_| Mutex::new(Vec::new())) }
+    }
+
+    /// Free what other threads left for `home`, one entry per lock hold —
+    /// never under the bin's guard, and the bin keeps its buffer.
+    fn reap(&self, home: u8) {
+        let Some(bin) = self.bins.get(usize::from(home)) else { return };
+        loop {
+            let Some(entry) = lock_unpoisoned(bin).pop() else { return };
+            drop(entry);
+        }
+    }
+
+    /// Leave `value` for the thread that built it; hand it back when that
+    /// thread's bin is full.
+    fn send(&self, home: u8, value: V) -> Option<V> {
+        let Some(bin) = self.bins.get(usize::from(home)) else { return Some(value) };
+        let mut bin = lock_unpoisoned(bin);
+        if bin.len() < BIN_LIMIT {
+            bin.push(value);
+            None
+        } else {
+            Some(value)
+        }
+    }
+
+    /// How many entries wait for `home`.
+    #[cfg(test)]
+    fn waiting(&self, home: u8) -> usize {
+        self.bins.get(usize::from(home)).map_or(0, |bin| lock_unpoisoned(bin).len())
+    }
+}
+
+/// [`store`] for a cache whose entries carry their builder's [`home`]
+/// (`me` is the calling thread's): the thread first frees what came back
+/// to it, then inserts, and what the insert displaced goes to *its*
+/// builder — dropped here only when that is this thread (or the
+/// builder's bin is full).
+fn store_homed<K: Eq + Hash + Clone, V: Clone>(
+    cache: &Mutex<LruCache<K, (u8, V)>>,
+    returns: &Returns<V>,
+    me: u8,
+    key: K,
+    value: V,
+) {
+    returns.reap(me);
+    let displaced = lock_unpoisoned(cache).insert(key, (me, value));
+    let dropped_here = match displaced {
+        Some((builder, value)) if builder != me => returns.send(builder, value),
+        Some((_, value)) => Some(value),
+        None => None,
+    };
+    drop(dropped_here);
+}
+
+/// One ranked result before it is built: where it is and what it scored.
+type Ranked = (DocId, f64, NodeId);
+
+/// The page order: score descending, then document, then root — total,
+/// since a `(document, root)` pair occurs once.
+fn page_order(a: &Ranked, b: &Ranked) -> std::cmp::Ordering {
+    by_score_desc(a.1, b.1).then_with(|| a.0.cmp(&b.0)).then_with(|| a.2.cmp(&b.2))
+}
+
 /// The shareable cache state of one serving lineage: result pages,
 /// per-result snippets, per-document engine artifacts and the routing
 /// fan-in counters. A standalone [`QuerySession`] owns a private bundle;
@@ -166,7 +304,10 @@ pub struct SessionCaches {
     /// value is the answer itself — the served slice, the full result
     /// count, and the slice's rendered bytes once `/search` has served it.
     corpus_pages: Mutex<LruCache<PageKey, CorpusTopK>>,
-    snippets: Mutex<LruCache<CacheKey, Arc<SnippetedResult>>>,
+    /// Each snippet with the [`home`] of the thread that built it.
+    snippets: Mutex<LruCache<CacheKey, (u8, Arc<SnippetedResult>)>>,
+    /// Evicted snippets waiting for their builders.
+    snippet_returns: Returns<Arc<SnippetedResult>>,
     /// Offline artifacts (index + model + keys) per document, so sessions
     /// sharing this bundle skip the offline stages for documents any of
     /// them already built. Keyed by generational [`DocId`]: a mutated
@@ -190,6 +331,7 @@ impl SessionCaches {
             pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             corpus_pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             snippets: Mutex::new(LruCache::new(cache_capacity)),
+            snippet_returns: Returns::new(),
             engine_parts: Mutex::new(LruCache::new(ENGINE_CACHE_CAPACITY)),
             fanin_postings: AtomicU64::new(0),
             fanin_directory: AtomicU64::new(0),
@@ -200,18 +342,20 @@ impl SessionCaches {
     /// epoch key, but snippets and engine parts are keyed per document and
     /// purged here. Invalidation hygiene for mutated documents: the
     /// generational keys already guarantee the old bytes can't be served,
-    /// this frees their memory eagerly.
+    /// this frees their memory eagerly (snippets already evicted and
+    /// waiting in a [`Returns`] bin — at most `BIN_LIMIT` per thread —
+    /// go when their builder next inserts).
     pub fn invalidate_doc(&self, doc: DocId) {
-        lock_unpoisoned(&self.snippets).retain(|k| k.doc() != doc);
-        lock_unpoisoned(&self.engine_parts).retain(|k| *k != doc);
+        purge(&self.snippets, |k| k.doc() != doc);
+        purge(&self.engine_parts, |k| *k != doc);
     }
 
     /// Drop result pages computed before `epoch` (their keys can never
     /// match again once the corpus moved on — this reclaims the memory
     /// instead of waiting for LRU pressure).
     pub fn retire_pages_before(&self, epoch: u64) {
-        lock_unpoisoned(&self.pages).retain(|k| k.epoch() >= epoch);
-        lock_unpoisoned(&self.corpus_pages).retain(|k| k.epoch() >= epoch);
+        purge(&self.pages, |k| k.epoch() >= epoch);
+        purge(&self.corpus_pages, |k| k.epoch() >= epoch);
     }
 
     /// Number of documents with cached engine artifacts.
@@ -384,8 +528,7 @@ impl<'d> QuerySession<'d> {
                         Some(parts) => Extract::with_parts(corpus.doc(doc), parts),
                         None => {
                             let extract = Extract::new(corpus.doc(doc));
-                            lock_unpoisoned(&self.caches.engine_parts)
-                                .insert(doc, extract.parts());
+                            store(&self.caches.engine_parts, doc, extract.parts());
                             extract
                         }
                     }
@@ -456,26 +599,61 @@ impl<'d> QuerySession<'d> {
     /// Safe to call from many threads at once — `&self` only.
     pub fn answer(&self, query_str: &str, config: &ExtractConfig) -> AnswerPage {
         let query = KeywordQuery::parse(query_str);
-        let caching = self.caches.cache_capacity > 0;
-        let pkey = caching.then(|| PageKey::unbounded(&query, config).at_epoch(self.epoch()));
+        let text = self.query_text(&query);
+        let pkey =
+            text.as_ref().map(|text| PageKey::unbounded(text, config).at_epoch(self.epoch()));
         if let Some(pkey) = &pkey {
             if let Some(page) = lock_unpoisoned(&self.caches.pages).get(pkey) {
                 return page;
             }
         }
-        let extract = self.extract();
-        let ranked = extract.ranked_results(&query);
+        let (ranked, _) = self.search(&query, &[DocId::from_index(0)], usize::MAX);
         let mut scratch = IListScratch::default();
-        let doc = DocId::from_index(0);
         let page: AnswerPage = ranked
-            .into_iter()
-            .map(|r| self.snippet_for(extract, doc, &query, &r.result, config, &mut scratch))
+            .iter()
+            .map(|&at| self.snippet_for(at, &query, text.as_ref(), config, &mut scratch))
             .map(Arc::unwrap_or_clone)
             .collect();
         if let Some(pkey) = pkey {
-            lock_unpoisoned(&self.caches.pages).insert(pkey, page.clone());
+            store(&self.caches.pages, pkey, page.clone());
         }
         page
+    }
+
+    /// The request's query, normalized once for every cache key built
+    /// from it — `None` when result caching is off and no key ever is.
+    fn query_text(&self, query: &KeywordQuery) -> Option<QueryText> {
+        (self.caches.cache_capacity > 0).then(|| QueryText::from(query))
+    }
+
+    /// Search + rank: score every result root of every candidate document
+    /// by counting, then put the first `served` of them (all, for
+    /// `usize::MAX`) in page order. Returns that prefix and how many
+    /// results there are in all. Nothing is built for any result here —
+    /// one triple each — and the buffers SLCA and entity lifting work in
+    /// are shared by every candidate.
+    fn search(
+        &self,
+        query: &KeywordQuery,
+        candidates: &[DocId],
+        served: usize,
+    ) -> (Vec<Ranked>, usize) {
+        let mut ranked: Vec<Ranked> = Vec::new();
+        let mut scratch = RootsScratch::default();
+        for &doc in candidates {
+            let extract = self.engine(doc);
+            let (index, model) = (extract.index(), extract.model());
+            let emit = |root, score| ranked.push((doc, score, root));
+            ranking::scored_roots(extract.document(), index, model, query, &mut scratch, emit);
+        }
+        let total = ranked.len();
+        let served = served.min(total);
+        if served < total {
+            ranked.select_nth_unstable_by(served, page_order);
+            ranked.truncate(served);
+        }
+        ranked.sort_unstable_by(page_order);
+        (ranked, total)
     }
 
     /// The epoch page keys are pinned to: the corpus epoch for corpus
@@ -487,26 +665,33 @@ impl<'d> QuerySession<'d> {
         }
     }
 
-    /// One result's snippet, via the shared snippet cache when enabled
-    /// (capacity > 0).
+    /// One served result's snippet, via the shared snippet cache when
+    /// enabled (`text` is the request's normalized query then). This is
+    /// where a ranked triple first becomes a [`QueryResult`] — on a
+    /// snippet-cache miss only.
     fn snippet_for(
         &self,
-        extract: &Extract<'d>,
-        doc: DocId,
+        (doc, _, root): Ranked,
         query: &KeywordQuery,
-        result: &extract_search::QueryResult,
+        text: Option<&QueryText>,
         config: &ExtractConfig,
         scratch: &mut IListScratch,
     ) -> Arc<SnippetedResult> {
-        if self.caches.cache_capacity == 0 {
-            return Arc::new(extract.snippet_with_scratch(query, result, config, scratch));
-        }
-        let key = CacheKey::for_doc(query, doc, result.root, config);
-        if let Some(hit) = lock_unpoisoned(&self.caches.snippets).get(&key) {
+        let extract = self.engine(doc);
+        let compute = |scratch: &mut IListScratch| {
+            let result = QueryResult::build(extract.index(), query, root);
+            Arc::new(extract.snippet_of(query, result, config, scratch))
+        };
+        let Some(text) = text else {
+            return compute(scratch);
+        };
+        let key = CacheKey::for_doc(text, doc, root, config);
+        if let Some((_, hit)) = lock_unpoisoned(&self.caches.snippets).get(&key) {
             return hit;
         }
-        let computed = Arc::new(extract.snippet_with_scratch(query, result, config, scratch));
-        lock_unpoisoned(&self.caches.snippets).insert(key, Arc::clone(&computed));
+        let computed = compute(scratch);
+        let caches = &self.caches;
+        store_homed(&caches.snippets, &caches.snippet_returns, home(), key, Arc::clone(&computed));
         computed
     }
 
@@ -551,18 +736,20 @@ impl<'d> QuerySession<'d> {
         offset: usize,
     ) -> CorpusTopK {
         let query = KeywordQuery::parse(query_str);
-        let caching = self.caches.cache_capacity > 0;
-        let pkey =
-            caching.then(|| PageKey::bounded(&query, config, k, offset).at_epoch(self.epoch()));
+        let text = self.query_text(&query);
+        let pkey = text
+            .as_ref()
+            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(self.epoch()));
         if let Some(pkey) = &pkey {
             if let Some(page) = lock_unpoisoned(&self.caches.corpus_pages).get(pkey) {
                 return page;
             }
         }
-        // Stage 1 — search + rank only: no snippet work yet. Timed as
-        // the request's `search` span (the cache-hit return above
-        // records no stage at all — a hit does no search work).
-        let ranked = extract_obs::time_stage(extract_obs::Stage::Search, || {
+        // Stage 1 — search + rank only: no snippet work yet, and nothing
+        // built for a result outside the window. Timed as the request's
+        // `search` span (the cache-hit return above records no stage at
+        // all — a hit does no search work).
+        let (ranked, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
             let candidates: Vec<DocId> = match (&self.engines, query.is_empty()) {
                 (_, true) => Vec::new(),
                 (Engines::Single(_), false) => vec![DocId::from_index(0)],
@@ -579,47 +766,26 @@ impl<'d> QuerySession<'d> {
                     docs
                 }
             };
-            let mut ranked: Vec<(DocId, f64, extract_search::QueryResult)> = Vec::new();
-            for doc in candidates {
-                let extract = self.engine(doc);
-                for r in extract.ranked_results(&query) {
-                    ranked.push((doc, r.score, r.result));
-                }
-            }
-            ranked.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-                    .then_with(|| a.2.root.cmp(&b.2.root))
-            });
-            ranked
+            self.search(&query, &candidates, offset.saturating_add(k))
         });
         // Stage 2 — snippets for the served window only (the `snippet`
-        // span).
+        // span): `ranked` ends where the window does.
         let window: Vec<CorpusAnswer> =
             extract_obs::time_stage(extract_obs::Stage::Snippet, || {
                 let mut scratch = IListScratch::default();
                 ranked
                     .iter()
-                    .skip(offset)
-                    .take(k)
-                    .map(|(doc, score, result)| {
-                        let extract = self.engine(*doc);
-                        let result = self
-                            .snippet_for(extract, *doc, &query, result, config, &mut scratch);
-                        CorpusAnswer { doc: *doc, score: *score, result }
+                    .skip(offset.min(total))
+                    .map(|&at| CorpusAnswer {
+                        doc: at.0,
+                        score: at.1,
+                        result: self.snippet_for(at, &query, text.as_ref(), config, &mut scratch),
                     })
                     .collect()
             });
-        let page = CorpusTopK {
-            results: window.into(),
-            total: ranked.len(),
-            k,
-            offset,
-            rendered: Arc::default(),
-        };
+        let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };
         if let Some(pkey) = pkey {
-            lock_unpoisoned(&self.caches.corpus_pages).insert(pkey, page.clone());
+            store(&self.caches.corpus_pages, pkey, page.clone());
         }
         page
     }
@@ -959,6 +1125,58 @@ mod tests {
         assert_eq!(first.results.len(), full.len().min(1), "k=1 window, not a stale alias");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any window is the same slice of the unbounded answer — results,
+        /// order, scores to the bit, snippets, `total` — including empty
+        /// windows, windows past the end, saturating bounds, and ties that
+        /// span documents (the corpus holds one document three times).
+        #[test]
+        fn any_window_equals_that_slice_of_the_unbounded_answer(
+            query in 0usize..5,
+            k in 0usize..7,
+            offset in 0usize..8,
+        ) {
+            let mut builder = CorpusBuilder::new();
+            for name in ["twin-a", "twin-b", "twin-c"] {
+                builder.add_parsed(
+                    name,
+                    RetailerConfig { retailers: 2, seed: 0xA, ..Default::default() }.generate(),
+                );
+            }
+            builder.add_parsed("dblp", DblpConfig { papers: 12, ..Default::default() }.generate());
+            let corpus = builder.finish();
+            let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+            let config = ExtractConfig::with_bound(8);
+            let q = ["store texas", "texas", "name", "paper", "zzz"][query];
+            let full = session.answer_corpus(q, &config);
+            let pick = |n: usize| match n {
+                5 => full.len(),
+                6 => full.len() + 3,
+                7 => usize::MAX,
+                n => n,
+            };
+            let (k, offset) = (pick(k), pick(offset));
+            let page = session.answer_corpus_topk(q, &config, k, offset);
+            proptest::prop_assert_eq!(page.total, full.len());
+            let start = offset.min(full.len());
+            let want = &full[start..start.saturating_add(k).min(full.len())];
+            let row = |a: &CorpusAnswer| {
+                (a.doc, a.result.result.root, a.score.to_bits(), a.result.snippet.to_xml())
+            };
+            proptest::prop_assert_eq!(
+                page.results.iter().map(row).collect::<Vec<_>>(),
+                want.iter().map(row).collect::<Vec<_>>()
+            );
+            if q == "store texas" {
+                let tied =
+                    full.windows(2).any(|w| w[0].score == w[1].score && w[0].doc != w[1].doc);
+                proptest::prop_assert!(tied, "the twins must tie across documents");
+            }
+        }
+    }
+
     #[test]
     fn routing_skips_unrelated_documents() {
         let corpus = small_corpus();
@@ -1094,6 +1312,130 @@ mod tests {
             caches.engine_parts.lock().expect("engine cache lock").get(&victim).is_none(),
             "engine parts for the victim are gone"
         );
+    }
+
+    /// A cached value that notes, when dropped, whether its cache's mutex
+    /// was held at that moment.
+    #[derive(Clone)]
+    struct DropProbe {
+        cache: std::sync::Weak<Mutex<LruCache<u32, DropProbe>>>,
+        dropped: Arc<AtomicUsize>,
+        dropped_under_lock: Arc<AtomicUsize>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+            let Some(cache) = self.cache.upgrade() else { return };
+            // `try_lock` from the holder's own thread reports WouldBlock.
+            if cache.try_lock().is_err() {
+                self.dropped_under_lock.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Eviction, replacement and invalidation all free their entries
+    /// after the cache guard: a reader is never made to wait on a
+    /// deallocation (the snippet trees a mutation retires run to
+    /// milliseconds of `free`).
+    #[test]
+    fn removed_entries_are_dropped_after_the_cache_guard() {
+        let cache = Arc::new(Mutex::new(LruCache::<u32, DropProbe>::new(4)));
+        let (dropped, under_lock) = (Arc::default(), Arc::default());
+        let probe = || DropProbe {
+            cache: Arc::downgrade(&cache),
+            dropped: Arc::clone(&dropped),
+            dropped_under_lock: Arc::clone(&under_lock),
+        };
+        for key in 0..8 {
+            store(&cache, key, probe()); // four of these evict
+        }
+        store(&cache, 7, probe()); // replaces
+        assert_eq!(dropped.load(Ordering::SeqCst), 5);
+        purge(&cache, |key| key % 2 == 0); // invalidates 5 and 7
+        assert_eq!(dropped.load(Ordering::SeqCst), 7);
+        assert_eq!(under_lock.load(Ordering::SeqCst), 0, "an entry was freed under the mutex");
+
+        // The probe does see a drop under the guard — what `retain` did
+        // before it handed its removals back.
+        let mut guard = cache.lock().expect("cache lock");
+        drop(guard.retain(|_| false));
+        drop(guard);
+        assert_eq!(dropped.load(Ordering::SeqCst), 9);
+        assert_eq!(under_lock.load(Ordering::SeqCst), 2);
+    }
+
+    /// A value that notes which thread dropped it, and whether the cache
+    /// it was stored in was locked at that moment.
+    #[derive(Clone)]
+    struct HomedProbe {
+        cache: std::sync::Weak<Mutex<LruCache<u32, (u8, HomedProbe)>>>,
+        dropped_by: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+        dropped_under_lock: Arc<AtomicUsize>,
+    }
+
+    impl Drop for HomedProbe {
+        fn drop(&mut self) {
+            lock_unpoisoned(&self.dropped_by).push(std::thread::current().id());
+            let Some(cache) = self.cache.upgrade() else { return };
+            if cache.try_lock().is_err() {
+                self.dropped_under_lock.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// What one thread evicts of another's building waits for the builder
+    /// and is freed on the builder's thread at its next insert.
+    #[test]
+    fn an_evicted_entry_is_freed_by_the_thread_that_built_it() {
+        use std::sync::Barrier;
+
+        let cache = Arc::new(Mutex::new(LruCache::<u32, (u8, HomedProbe)>::new(2)));
+        let returns = Returns::new();
+        let (dropped_by, under_lock) = (Arc::new(Mutex::new(Vec::new())), Arc::default());
+        let probe = || HomedProbe {
+            cache: Arc::downgrade(&cache),
+            dropped_by: Arc::clone(&dropped_by),
+            dropped_under_lock: Arc::clone(&under_lock),
+        };
+        let dropped = || lock_unpoisoned(&dropped_by).clone();
+        let (a_home, b_home) = (0u8, 1u8);
+        let turn = Barrier::new(2);
+        let a = std::thread::scope(|scope| {
+            let builder = scope.spawn(|| {
+                store_homed(&cache, &returns, a_home, 0, probe());
+                store_homed(&cache, &returns, a_home, 1, probe());
+                turn.wait(); // B evicts both
+                turn.wait();
+                assert!(dropped().is_empty(), "evicted entries wait for their builder");
+                store_homed(&cache, &returns, a_home, 4, probe()); // reaps, then evicts B's 2
+                std::thread::current().id()
+            });
+            scope.spawn(|| {
+                turn.wait();
+                store_homed(&cache, &returns, b_home, 2, probe());
+                store_homed(&cache, &returns, b_home, 3, probe());
+                turn.wait();
+            });
+            builder.join().expect("builder")
+        });
+        assert_eq!(dropped(), vec![a, a], "A's entries, freed by A");
+        assert_eq!(returns.waiting(b_home), 1, "B's entry waits for B");
+        assert_eq!(under_lock.load(Ordering::SeqCst), 0, "an entry was freed under the cache mutex");
+    }
+
+    /// A builder that stays away has at most `BIN_LIMIT` entries kept for
+    /// it; the rest are handed back to the evicting thread to free.
+    #[test]
+    fn a_full_bin_hands_the_entry_back() {
+        let returns = Returns::new();
+        for n in 0..BIN_LIMIT {
+            assert_eq!(returns.send(3, n), None);
+        }
+        assert_eq!(returns.send(3, BIN_LIMIT), Some(BIN_LIMIT));
+        assert_eq!(returns.send(4, 0), None, "bins are per home");
+        returns.reap(3);
+        assert_eq!(returns.send(3, 0), None);
     }
 
     /// One request panicking with a cache guard held must not turn every

@@ -1,0 +1,253 @@
+//! Allocation budgets for the page-miss path — counts, not timings, so
+//! they are the same on every machine and every run.
+//!
+//! A miss that ranks six hundred results to serve ten must pay for the ten:
+//! a counting `#[global_allocator]` (per thread, so parallel tests do not
+//! see each other) pins that
+//!
+//! 1. a whole `answer_corpus_topk` miss at `k = 10` allocates at most a
+//!    quarter of what the parent commit did on this corpus;
+//! 2. for a fixed window the search stage's allocations do not grow with
+//!    the number of results it ranks — one `(doc, score, root)` triple
+//!    each, in one growing vector;
+//! 3. one snippet is a bounded number of allocations on entity-sized
+//!    results, and at most linear in the result's size beyond that (the
+//!    allocation-count form of the paper's "generation time linear in
+//!    result size", experiment E5);
+//! 4. a cached snippet owns its nodes and nothing else: its label table is
+//!    its source document's, not a copy.
+//!
+//! The corpus is the benchmark's shape (48 mixed documents of ~4 000
+//! nodes, `extract_datagen`), the queries are fixed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use extract::core::ilist::IListScratch;
+use extract::prelude::*;
+use extract::session::SessionCaches;
+use extract_datagen::corpus::CorpusConfig;
+
+thread_local! {
+    /// Allocations (`alloc` + `realloc` calls) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread.
+struct CountingAllocator;
+
+fn count_one() {
+    // A `const`-initialized `Cell` has no lazy initializer and no
+    // destructor, so touching it from inside the allocator neither
+    // allocates nor outlives the thread's TLS; `try_with` covers teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract is therefore this type's; the only addition is a
+// thread-local counter bump that touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: the caller's `layout` obligations are passed on to `System`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` came from `System` via this allocator with this
+    // `layout` (the caller's obligation), which is what `System` needs.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: as `dealloc` for `ptr`/`layout`, as `alloc` for `new_size`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Run `f`, returning its value and how many allocations this thread made
+/// meanwhile.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let value = f();
+    (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn corpus() -> Corpus {
+    let config = CorpusConfig { documents: 48, target_nodes_per_doc: 4_000, seed: 7 };
+    let mut builder = CorpusBuilder::new();
+    for (name, doc) in config.documents() {
+        builder.add_parsed(&name, doc);
+    }
+    builder.finish()
+}
+
+/// Queries whose results are entities (papers, stores, items) — what the
+/// benchmark's miss keys look like. They rank 176 … 13 177 results each.
+const ENTITY_QUERIES: [&str; 9] = [
+    "paper sigmod",
+    "author vldb",
+    "houston jeans",
+    "store texas",
+    "woman outwear",
+    "name",
+    "search name",
+    "retailer apparel",
+    "item description",
+];
+
+/// Queries whose results are whole documents (~4 000 nodes each).
+const DOCUMENT_QUERIES: [&str; 3] =
+    ["keyword search xml", "open auction item", "gold watch seller"];
+
+const PAGE: usize = 10;
+
+/// A bundle of caches in which every engine the queries touch is built, so
+/// the counts below are page misses, not first-touch index builds. The
+/// warm-up window is empty: no snippet is generated or cached.
+fn warm_caches(corpus: &Corpus, capacity: usize, config: &ExtractConfig) -> Arc<SessionCaches> {
+    let caches = Arc::new(SessionCaches::new(capacity));
+    for q in ENTITY_QUERIES.iter().chain(&DOCUMENT_QUERIES) {
+        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(&caches));
+        session.answer_corpus_topk(q, config, 0, usize::MAX);
+    }
+    caches
+}
+
+/// One request as the daemon serves it: a fresh session over the shared
+/// caches, one window. Returns the page and the allocations it cost.
+fn miss(
+    corpus: &Corpus,
+    caches: &Arc<SessionCaches>,
+    config: &ExtractConfig,
+    q: &str,
+    k: usize,
+) -> (extract::CorpusTopK, u64) {
+    let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
+    allocations_of(|| session.answer_corpus_topk(q, config, k, 0))
+}
+
+/// What the parent commit (64650ee) allocates per miss: the mean over
+/// [`ENTITY_QUERIES`] of one `answer_corpus_topk(q, k = 10, offset = 0)` on
+/// this corpus with the shipped cache capacity, every engine warm and
+/// every cache cold for the key — this file's first test, run against that
+/// commit (debug and release agree).
+const PARENT_ALLOCATIONS_PER_MISS: u64 = 11_015;
+
+#[test]
+fn a_miss_allocates_a_quarter_of_what_the_parent_did() {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let caches = warm_caches(&corpus, 4096, &config);
+    let mut total = 0;
+    for q in ENTITY_QUERIES {
+        let (page, allocations) = miss(&corpus, &caches, &config, q, PAGE);
+        assert_eq!(page.results.len(), PAGE, "{q}: a full page");
+        println!("{q:20} ranks {:6} results in {allocations} allocations", page.total);
+        total += allocations;
+    }
+    let per_miss = total / ENTITY_QUERIES.len() as u64;
+    println!("allocations per miss: {per_miss} (parent {PARENT_ALLOCATIONS_PER_MISS})");
+    assert!(
+        per_miss * 4 <= PARENT_ALLOCATIONS_PER_MISS,
+        "{per_miss} allocations per miss is more than a quarter of the parent's \
+         {PARENT_ALLOCATIONS_PER_MISS}"
+    );
+    assert_eq!(caches.corpus_page_stats().hits, 0, "every request above was a miss");
+}
+
+#[test]
+fn ranking_more_results_allocates_no_more_than_the_triples_growth() {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let caches = warm_caches(&corpus, 0, &config);
+    // An empty window: the request is its search stage.
+    let stage = |q| {
+        let (page, allocations) = miss(&corpus, &caches, &config, q, 0);
+        (page.total, allocations)
+    };
+    let (few, few_allocations) = stage("retailer apparel");
+    let (many, many_allocations) = stage("woman outwear");
+    let (most, most_allocations) = stage("name");
+    assert!(few < 200 && many > 5 * few && most > 10 * many, "{few} / {many} / {most} results");
+    // Doubling a vector from ~200 to ~13 000 entries is seven steps; the
+    // candidate documents (16 vs 48) cost nothing each.
+    for (results, allocations) in [(many, many_allocations), (most, most_allocations)] {
+        assert!(
+            allocations <= few_allocations + 8,
+            "ranking {results} results took {allocations} allocations, {few} took {few_allocations}"
+        );
+    }
+    assert!(most_allocations <= 40, "{most_allocations} allocations in the search stage");
+}
+
+#[test]
+fn a_snippet_is_a_bounded_number_of_allocations() {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let mut scratch = IListScratch::default();
+    let (mut entity_sized, mut entity_allocations) = (0, 0);
+    for q in ENTITY_QUERIES.iter().chain(&DOCUMENT_QUERIES) {
+        let query = KeywordQuery::parse(q);
+        let keywords: Vec<&str> = query.keywords().iter().map(String::as_str).collect();
+        let (candidates, _) = corpus.candidate_docs_str(&keywords);
+        for &id in candidates.iter().take(3) {
+            let doc = corpus.doc(id);
+            let extract = Extract::new(doc);
+            for ranked in extract.ranked_results(&query).into_iter().take(PAGE) {
+                let nodes = doc.subtree_size(ranked.result.root) as u64;
+                let (snippeted, allocations) = allocations_of(|| {
+                    extract.snippet_of(&query, ranked.result, &config, &mut scratch)
+                });
+                // The slope form of E5: a fixed cost plus, at most, a
+                // fraction of the result's size — a bigger result has more
+                // dominant features, and every IList item owns its text
+                // and its instance list.
+                assert!(
+                    allocations <= 90 + nodes / 4,
+                    "{q}: {allocations} allocations for a {nodes}-node result"
+                );
+                if nodes <= 200 {
+                    entity_sized += 1;
+                    entity_allocations += allocations;
+                }
+                // The snippet tree shares its document's label table.
+                assert!(snippeted.snippet.tree().shares_symbols_with(doc));
+            }
+        }
+    }
+    assert!(entity_sized >= 100, "only {entity_sized} entity-sized results were measured");
+    // Papers, items, stores, retailers: what a result page is made of. The
+    // parent spent ~250 allocations on each.
+    let per_snippet = entity_allocations / entity_sized;
+    println!("allocations per entity-sized snippet: {per_snippet} over {entity_sized} results");
+    assert!(per_snippet <= 90, "{per_snippet} allocations per entity-sized snippet");
+}
+
+#[test]
+fn a_cached_snippet_shares_its_documents_symbol_table() {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let caches = warm_caches(&corpus, 4096, &config);
+    for q in ["store texas", "paper sigmod"] {
+        let (page, _) = miss(&corpus, &caches, &config, q, PAGE);
+        // The page and the snippet cache hold the same `Arc`s; ask again
+        // from a new session to get them back out of the cache.
+        let (cached, _) = miss(&corpus, &caches, &config, q, PAGE);
+        assert_eq!(cached.results.len(), page.results.len());
+        for (served, cached) in page.results.iter().zip(cached.results.iter()) {
+            assert!(Arc::ptr_eq(&served.result, &cached.result), "{q}: one snippet, shared");
+            let tree = cached.result.snippet.tree();
+            assert!(
+                tree.shares_symbols_with(corpus.doc(cached.doc)),
+                "{q}: the cached snippet carries a private symbol table"
+            );
+        }
+    }
+    assert!(caches.corpus_page_stats().hits >= 2);
+}
