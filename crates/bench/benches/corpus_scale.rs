@@ -1,5 +1,5 @@
 //! Criterion registration of the PR-3 corpus workload: streaming corpus
-//! build, sharded candidate routing vs the flat scan, and corpus query
+//! build, directory candidate routing vs the segment scan, and corpus query
 //! answering (the `corpus_scale` binary covers the full matrix and emits
 //! JSON).
 
@@ -8,31 +8,19 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use extract::prelude::*;
-use extract_bench::corpus_scale::{build_corpus, quick_corpus_config};
+use extract_bench::corpus_scale::{build_corpus, keyword_lists, quick_corpus_config};
 use extract_datagen::corpus::CorpusConfig;
 
 fn bench_corpus_scale(c: &mut Criterion) {
     let cfg = quick_corpus_config();
-    let corpus = build_corpus(&cfg, extract::corpus::MAX_LABEL_SHARDS);
-    let unsharded = build_corpus(&cfg, 0);
+    let corpus = build_corpus(&cfg);
     let queries: Vec<&str> = CorpusConfig::query_mix()
         .into_iter()
         .filter(|q| !q.contains("name"))
         .collect();
-    let resolve = |corpus: &Corpus| -> Vec<Vec<extract::index::TokenId>> {
-        queries
-            .iter()
-            .filter_map(|q| {
-                KeywordQuery::parse(q)
-                    .keywords()
-                    .iter()
-                    .map(|k| corpus.postings().token_id(k))
-                    .collect()
-            })
-            .collect()
-    };
-    let resolved = resolve(&corpus);
-    let resolved_flat = resolve(&unsharded);
+    let owned = keyword_lists(&queries);
+    let mix: Vec<Vec<&str>> =
+        owned.iter().map(|q| q.iter().map(String::as_str).collect()).collect();
 
     let mut group = c.benchmark_group("corpus_scale");
     group.measurement_time(Duration::from_secs(3));
@@ -40,25 +28,25 @@ fn bench_corpus_scale(c: &mut Criterion) {
     group.sample_size(15);
 
     group.bench_with_input(BenchmarkId::new("build-streaming", cfg.documents), &(), |b, _| {
-        b.iter(|| black_box(build_corpus(&cfg, extract::corpus::MAX_LABEL_SHARDS)));
+        b.iter(|| black_box(build_corpus(&cfg)));
     });
-    group.bench_with_input(BenchmarkId::new("route-sharded", cfg.documents), &(), |b, _| {
+    group.bench_with_input(BenchmarkId::new("route-directory", cfg.documents), &(), |b, _| {
         b.iter(|| {
             let mut docs = Vec::new();
             let mut fanin = FanIn::default();
-            for ids in &resolved {
-                corpus.postings().candidate_docs(ids, &mut docs, &mut fanin);
+            for q in &mix {
+                corpus.postings().candidate_docs(q, &mut docs, &mut fanin);
                 black_box(docs.len());
             }
             black_box(fanin.total())
         });
     });
-    group.bench_with_input(BenchmarkId::new("route-flat-scan", cfg.documents), &(), |b, _| {
+    group.bench_with_input(BenchmarkId::new("route-segment-scan", cfg.documents), &(), |b, _| {
         b.iter(|| {
             let mut docs = Vec::new();
             let mut fanin = FanIn::default();
-            for ids in &resolved_flat {
-                unsharded.postings().candidate_docs_by_scan(ids, &mut docs, &mut fanin);
+            for q in &mix {
+                corpus.postings().candidate_docs_by_scan(q, &mut docs, &mut fanin);
                 black_box(docs.len());
             }
             black_box(fanin.total())

@@ -3,11 +3,12 @@
 //! Builds a 200-document mixed corpus (~10^6 nodes) through the streaming
 //! path and measures:
 //!
-//! * corpus construction — label-sharded vs unsharded-arena builds;
+//! * corpus construction — one index segment per document plus the
+//!   directory fold;
 //! * **SLCA candidate fan-in** — index entries touched to route the query
-//!   mix: sharded doc-directory intersection vs the flat-arena posting
-//!   scan (the acceptance metric);
-//! * per-document posting extraction with shard-bitmap probing;
+//!   mix: doc-directory intersection vs reading every segment's postings
+//!   (the acceptance metric);
+//! * per-document posting extraction — one lookup in one segment;
 //! * end-to-end `QuerySession::answer_corpus` batches — cold vs cached.
 //!
 //! ```text

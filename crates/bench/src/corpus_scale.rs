@@ -1,6 +1,6 @@
-//! The `corpus_scale` workload (PR 3): streaming corpus builds, sharded vs
-//! unsharded SLCA candidate fan-in, and corpus query throughput over a
-//! DBLP-scale generated collection (200 documents, ~10^6 nodes).
+//! The `corpus_scale` workload (PR 3): the streaming corpus build,
+//! directory vs scan SLCA candidate fan-in, and corpus query throughput
+//! over a DBLP-scale generated collection (200 documents, ~10^6 nodes).
 //!
 //! Shared by the `corpus_scale` binary (which emits `BENCH_PR3.json`) and
 //! the Criterion bench of the same name, so both measure the same work.
@@ -8,7 +8,6 @@
 use std::time::Instant;
 
 use extract::prelude::*;
-use extract_corpus::{CorpusOptions, TokenId};
 use extract_datagen::corpus::CorpusConfig;
 
 use crate::throughput::{Effort, ScenarioResult};
@@ -27,22 +26,18 @@ pub fn quick_corpus_config() -> CorpusConfig {
 }
 
 /// Build a corpus from `cfg` through the streaming path.
-pub fn build_corpus(cfg: &CorpusConfig, max_label_shards: usize) -> Corpus {
-    let mut b = CorpusBuilder::with_options(CorpusOptions {
-        max_label_shards,
-        ..Default::default()
-    });
+pub fn build_corpus(cfg: &CorpusConfig) -> Corpus {
+    let mut b = CorpusBuilder::new();
     for (name, doc) in cfg.documents() {
         b.add_parsed(&name, doc);
     }
     b.finish()
 }
 
-/// Resolve a query's keywords against a corpus (`None` if any keyword is
-/// absent corpus-wide — candidate generation short-circuits to empty).
-fn resolve(corpus: &Corpus, query: &str) -> Option<Vec<TokenId>> {
-    let q = KeywordQuery::parse(query);
-    q.keywords().iter().map(|k| corpus.postings().token_id(k)).collect()
+/// The query mix as normalized keyword lists, parsed once outside every
+/// timed region.
+pub fn keyword_lists(queries: &[&str]) -> Vec<Vec<String>> {
+    queries.iter().map(|q| KeywordQuery::parse(q).keywords().to_vec()).collect()
 }
 
 /// Run every scenario of the corpus workload. `effort` controls sample
@@ -53,99 +48,75 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
         out.push(ScenarioResult { corpus: "mixed", scenario, median_ns, unit });
     };
 
-    // -- Streaming build: generation excluded, sharded vs unsharded. ------
-    // Documents are cloned *outside* the timed region (add_parsed takes
-    // ownership), so the timed work is exactly the fold + finish of the
-    // streaming build, not arena clones.
+    // -- Streaming build: generation excluded. ----------------------------
+    // `add_parsed` takes ownership, so the timed work is exactly one index
+    // build + directory fold per document, not arena clones.
     let docs: Vec<(String, Document)> = cfg.documents().collect();
-    let build = |max_shards: usize, pre_cloned: Vec<(String, Document)>| {
-        let t = Instant::now();
-        let mut b = CorpusBuilder::with_options(CorpusOptions {
-            max_label_shards: max_shards,
-            ..Default::default()
-        });
-        for (name, doc) in pre_cloned {
-            b.add_parsed(&name, doc);
-        }
-        (b.finish(), t.elapsed())
-    };
-    let (sharded, t_sharded_build) = build(extract_corpus::MAX_LABEL_SHARDS, docs.clone());
-    push("corpus_build_sharded", t_sharded_build.as_nanos() as f64, "build");
-    let (unsharded, t_unsharded_build) = build(0, docs.clone());
-    push("corpus_build_unsharded", t_unsharded_build.as_nanos() as f64, "build");
-    push("corpus_total_nodes", sharded.total_nodes() as f64, "count");
-    push("corpus_total_postings", sharded.postings().total_postings() as f64, "count");
-    push("corpus_shards", sharded.postings().shard_count() as f64, "count");
-    push(
-        "corpus_memory_footprint",
-        sharded.memory_footprint() as f64,
-        "bytes",
-    );
+    let t = Instant::now();
+    let mut b = CorpusBuilder::new();
+    for (name, doc) in docs {
+        b.add_parsed(&name, doc);
+    }
+    let corpus = b.finish();
+    push("corpus_build", t.elapsed().as_nanos() as f64, "build");
+    push("corpus_total_nodes", corpus.total_nodes() as f64, "count");
+    push("corpus_total_postings", corpus.postings().total_postings() as f64, "count");
+    push("corpus_memory_footprint", corpus.memory_footprint() as f64, "bytes");
 
-    // -- Candidate fan-in: sharded directory routing vs flat-arena scan. --
+    // -- Candidate fan-in: directory routing vs the no-directory scan. ----
     // The acceptance metric: index entries touched to answer "which
     // documents must SLCA run on?" for the whole query mix.
     let queries = CorpusConfig::query_mix();
-    let resolved: Vec<Vec<TokenId>> =
-        queries.iter().filter_map(|q| resolve(&sharded, q)).collect();
-    let resolved_unsharded: Vec<Vec<TokenId>> =
-        queries.iter().filter_map(|q| resolve(&unsharded, q)).collect();
+    let owned = keyword_lists(&queries);
+    let mix: Vec<Vec<&str>> =
+        owned.iter().map(|q| q.iter().map(String::as_str).collect()).collect();
+    let postings = corpus.postings();
     let mut candidates = Vec::new();
-    let mut fanin_sharded = FanIn::default();
-    for ids in &resolved {
-        sharded.postings().candidate_docs(ids, &mut candidates, &mut fanin_sharded);
-    }
+    let mut fanin_directory = FanIn::default();
     let mut fanin_scan = FanIn::default();
-    for ids in &resolved_unsharded {
-        unsharded
-            .postings()
-            .candidate_docs_by_scan(ids, &mut candidates, &mut fanin_scan);
+    for q in &mix {
+        postings.candidate_docs(q, &mut candidates, &mut fanin_directory);
+        postings.candidate_docs_by_scan(q, &mut candidates, &mut fanin_scan);
     }
-    push("candidate_fanin_sharded", fanin_sharded.total() as f64, "entries");
-    push("candidate_fanin_unsharded_scan", fanin_scan.total() as f64, "entries");
+    push("candidate_fanin_directory", fanin_directory.total() as f64, "entries");
+    push("candidate_fanin_scan", fanin_scan.total() as f64, "entries");
 
     // Wall-clock for the same routing work.
     let per_mix = effort.inner.max(1) as f64;
-    let t_sharded = median_time(effort.samples, || {
+    let t_directory = median_time(effort.samples, || {
         for _ in 0..effort.inner.max(1) {
             let mut f = FanIn::default();
-            for ids in &resolved {
-                sharded.postings().candidate_docs(ids, &mut candidates, &mut f);
+            for q in &mix {
+                postings.candidate_docs(q, &mut candidates, &mut f);
             }
             std::hint::black_box(&candidates);
         }
     });
-    push("candidate_time_sharded", t_sharded.as_nanos() as f64 / per_mix, "mix");
+    push("candidate_time_directory", t_directory.as_nanos() as f64 / per_mix, "mix");
     let t_scan = median_time(effort.samples, || {
         for _ in 0..effort.inner.max(1) {
             let mut f = FanIn::default();
-            for ids in &resolved_unsharded {
-                unsharded.postings().candidate_docs_by_scan(ids, &mut candidates, &mut f);
+            for q in &mix {
+                postings.candidate_docs_by_scan(q, &mut candidates, &mut f);
             }
             std::hint::black_box(&candidates);
         }
     });
-    push("candidate_time_unsharded_scan", t_scan.as_nanos() as f64 / per_mix, "mix");
+    push("candidate_time_scan", t_scan.as_nanos() as f64 / per_mix, "mix");
 
-    // -- Per-document posting extraction: shard-bitmap probing. -----------
-    let mut nodes = Vec::new();
-    let mut probe_fanin = FanIn::default();
+    // -- Per-document posting extraction: one lookup in one segment. ------
     let t_probe = median_time(effort.samples, || {
-        for ids in &resolved {
-            let mut docs = Vec::new();
-            let mut f = FanIn::default();
-            sharded.postings().candidate_docs(ids, &mut docs, &mut f);
-            for &d in docs.iter().take(8) {
-                for &t in ids {
-                    sharded.postings().postings_in_doc(t, d, &mut nodes, &mut probe_fanin);
-                    std::hint::black_box(nodes.len());
+        let mut f = FanIn::default();
+        for q in &mix {
+            postings.candidate_docs(q, &mut candidates, &mut f);
+            for &d in candidates.iter().take(8) {
+                for t in q {
+                    std::hint::black_box(postings.postings_in_doc(t, d).len());
                 }
             }
         }
     });
     push("postings_in_doc_probe", t_probe.as_nanos() as f64, "mix");
-    push("probe_shards_probed", probe_fanin.shards_probed as f64, "count");
-    push("probe_shards_skipped", probe_fanin.shards_skipped as f64, "count");
 
     // -- End-to-end corpus serving: cold vs routed-and-cached. ------------
     // Selective queries keep cold result sets bounded; the broad "name"
@@ -157,7 +128,7 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
     let selective: Vec<&str> =
         queries.iter().copied().filter(|q| !q.contains("name")).collect();
     let config = ExtractConfig::with_bound(8);
-    let cold_session = QuerySession::from_corpus_with_options(&sharded, 1, 0);
+    let cold_session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
     let t = Instant::now();
     let mut results_total = 0usize;
     for q in &selective {
@@ -171,7 +142,7 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
     push("corpus_results_total", results_total as f64, "count");
     push("engines_built_selective", cold_session.engines_built() as f64, "count");
 
-    let batch_session = QuerySession::from_corpus_with_options(&sharded, 4, 0);
+    let batch_session = QuerySession::from_corpus_with_options(&corpus, 4, 0);
     let t = Instant::now();
     std::hint::black_box(batch_session.answer_corpus_batch(&selective, &config));
     push(
@@ -180,7 +151,7 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
         "query",
     );
 
-    let warm_session = QuerySession::from_corpus_with_options(&sharded, 1, 4096);
+    let warm_session = QuerySession::from_corpus_with_options(&corpus, 1, 4096);
     for q in &selective {
         warm_session.answer_corpus(q, &config); // warm the caches serially
     }
@@ -208,8 +179,8 @@ pub fn reductions(results: &[ScenarioResult]) -> Vec<(String, f64)> {
     };
     let mut out = Vec::new();
     let pairs = [
-        ("candidate_fanin_reduction", "candidate_fanin_unsharded_scan", "candidate_fanin_sharded"),
-        ("candidate_time_reduction", "candidate_time_unsharded_scan", "candidate_time_sharded"),
+        ("candidate_fanin_reduction", "candidate_fanin_scan", "candidate_fanin_directory"),
+        ("candidate_time_reduction", "candidate_time_scan", "candidate_time_directory"),
         ("cache_hit_vs_cold", "corpus_query_cold", "corpus_query_cached"),
     ];
     for (name, base, new) in pairs {
@@ -259,9 +230,9 @@ mod tests {
         let results = run_all(&cfg, Effort::quick());
         let names: Vec<&str> = results.iter().map(|r| r.scenario).collect();
         for expected in [
-            "corpus_build_sharded",
-            "candidate_fanin_sharded",
-            "candidate_fanin_unsharded_scan",
+            "corpus_build",
+            "candidate_fanin_directory",
+            "candidate_fanin_scan",
             "corpus_query_cold",
             "corpus_query_cold_batch_x4",
             "corpus_query_cached",
@@ -272,10 +243,10 @@ mod tests {
         // The directory path must beat the flat scan even on small corpora
         // with realistic (generator) documents.
         assert!(
-            get("candidate_fanin_sharded") < get("candidate_fanin_unsharded_scan"),
-            "sharded {} vs scan {}",
-            get("candidate_fanin_sharded"),
-            get("candidate_fanin_unsharded_scan"),
+            get("candidate_fanin_directory") < get("candidate_fanin_scan"),
+            "directory {} vs scan {}",
+            get("candidate_fanin_directory"),
+            get("candidate_fanin_scan"),
         );
         let json = to_json(&results);
         assert!(json.contains("\"mixed/candidate_fanin_reduction\""));

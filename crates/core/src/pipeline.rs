@@ -79,10 +79,21 @@ pub struct EngineParts {
 impl EngineParts {
     /// Run the offline stages for `doc`.
     pub fn build(doc: &Document) -> EngineParts {
-        let index = XmlIndex::build(doc);
+        EngineParts::with_index(doc, Arc::new(XmlIndex::build(doc)))
+    }
+
+    /// Run the offline stages for `doc` around an index somebody already
+    /// built from it — a corpus hands over the document's segment, so the
+    /// document is not tokenized a second time.
+    pub fn with_index(doc: &Document, index: Arc<XmlIndex>) -> EngineParts {
         let model = EntityModel::analyze(doc);
         let keys = KeyCatalog::mine(doc, &model);
-        EngineParts { index: Arc::new(index), model: Arc::new(model), keys: Arc::new(keys) }
+        EngineParts { index, model: Arc::new(model), keys: Arc::new(keys) }
+    }
+
+    /// The shared index.
+    pub fn index(&self) -> &Arc<XmlIndex> {
+        &self.index
     }
 }
 

@@ -3,32 +3,36 @@
 //! The paper evaluates on whole collections (DBLP-scale, 10^7+ nodes); the
 //! per-document [`extract_index::XmlIndex`] alone cannot answer "which
 //! documents should this query even run on?". This crate owns many
-//! documents behind stable [`DocId`]s and a corpus-wide, label-sharded
-//! postings structure:
+//! documents behind stable [`DocId`]s, each with its index **segment**
+//! (its `Arc<XmlIndex>`, built once when the document arrives), and a
+//! token → document directory over them:
 //!
 //! * [`CorpusBuilder`] — **streaming** ingestion: each added document is
-//!   tokenized and folded into the shared [`ShardedPostings`] arena
-//!   immediately ([`CorpusBuilder::add_document`] /
-//!   [`CorpusBuilder::add_parsed`]); there is no "collect everything, then
-//!   index" phase, so a DBLP-scale generator run builds in one pass with
-//!   peak memory equal to the retained documents plus their postings.
-//!   A document that fails to parse is **rejected softly**: the builder
-//!   reports the error and stays usable for every following document.
-//! * [`Corpus`] — the immutable result: documents, names, the sharded
-//!   postings, and query-routing via [`Corpus::candidate_docs`] (which
-//!   documents contain every keyword of a query, plus the [`FanIn`] work
-//!   counters the corpus benchmark reports).
+//!   indexed and folded into the shared [`ShardedPostings`] immediately
+//!   ([`CorpusBuilder::add_document`] / [`CorpusBuilder::add_parsed`]);
+//!   there is no "collect everything, then index" phase, so a DBLP-scale
+//!   generator run builds in one pass with peak memory equal to the
+//!   retained documents plus their segments. A document that fails to
+//!   parse is **rejected softly**: the builder reports the error and stays
+//!   usable for every following document.
+//! * [`Corpus`] — the immutable result: documents, names, segments, the
+//!   directory, and query-routing via [`Corpus::candidate_docs_str`]
+//!   (which documents contain every keyword of a query, plus the [`FanIn`]
+//!   work counters the corpus benchmark reports).
 //!
 //! The query path itself (per-document SLCA + XSeek snippet generation,
 //! merged across documents) lives in the umbrella crate's `QuerySession`,
-//! which wraps a [`Corpus`] with lazily-built per-document engines.
+//! which wraps a [`Corpus`] with lazily-built per-document engines over
+//! the corpus's own segments ([`Corpus::segment`]) — a document is
+//! tokenized once in its life.
 //!
 //! A corpus is **slotted**: each document occupies a dense slot and its
 //! [`DocId`] carries the slot's reuse *generation*. A corpus built once
 //! ([`CorpusBuilder`]) is dense and all-generation-`0`; the [`live`]
 //! module wraps corpora in a [`live::LiveCorpus`] writer that applies
-//! add/update/delete mutations by rebuilding and atomically republishing
-//! an [`std::sync::Arc`]`<Corpus>` snapshot under a bumped epoch, while
+//! add/update/delete mutations — the same fold the builder runs, one
+//! document at a time — and atomically publishes an
+//! [`std::sync::Arc`]`<Corpus>` snapshot under a bumped epoch, while
 //! in-flight readers finish on the snapshot they hold.
 //!
 //! ```
@@ -53,13 +57,13 @@
 use std::sync::Arc;
 
 use extract_index::sharded::{ShardedPostings, ShardedPostingsBuilder};
+use extract_index::XmlIndex;
 use extract_xml::{Document, ParseOptions};
 
 pub mod live;
 
-pub use extract_index::sharded::{DocId, FanIn, Posting, MAX_LABEL_SHARDS};
-pub use extract_index::TokenId;
-pub use live::{LiveCorpus, Mutation};
+pub use extract_index::sharded::{DocId, FanIn};
+pub use live::{LiveCorpus, Mutation, MutationCost};
 
 /// Why a document was rejected during ingestion.
 #[derive(Debug)]
@@ -89,10 +93,6 @@ pub const DEFAULT_MAX_REJECTED: usize = 64;
 /// Ingestion options.
 #[derive(Debug, Clone)]
 pub struct CorpusOptions {
-    /// Maximum dedicated label shards (see
-    /// [`extract_index::sharded::MAX_LABEL_SHARDS`]); `0` builds the
-    /// unsharded-arena baseline.
-    pub max_label_shards: usize,
     /// Parser options for [`CorpusBuilder::add_document`].
     pub parse: ParseOptions,
     /// Cap on retained rejection-log names. A hostile ingest stream can
@@ -105,7 +105,6 @@ pub struct CorpusOptions {
 impl Default for CorpusOptions {
     fn default() -> Self {
         CorpusOptions {
-            max_label_shards: MAX_LABEL_SHARDS,
             parse: ParseOptions::default(),
             max_rejected: DEFAULT_MAX_REJECTED,
         }
@@ -148,10 +147,9 @@ impl CorpusBuilder {
 
     /// A builder with explicit options.
     pub fn with_options(options: CorpusOptions) -> CorpusBuilder {
-        let postings = ShardedPostingsBuilder::with_label_shards(options.max_label_shards);
         CorpusBuilder {
             options,
-            postings,
+            postings: ShardedPostingsBuilder::new(),
             docs: Vec::new(),
             total_nodes: 0,
             rejected: Vec::new(),
@@ -178,8 +176,8 @@ impl CorpusBuilder {
         }
     }
 
-    /// Fold an already-parsed document in (generators hand documents over
-    /// directly; no serialization round-trip).
+    /// Index an already-parsed document and fold it in (generators hand
+    /// documents over directly; no serialization round-trip).
     pub fn add_parsed(&mut self, name: &str, doc: Document) -> DocId {
         let id = self.postings.add_document(&doc);
         debug_assert_eq!(id.index(), self.docs.len());
@@ -243,7 +241,8 @@ fn record_rejection(log: &mut Vec<String>, dropped: &mut u64, max_rejected: usiz
 }
 
 /// An immutable multi-document corpus snapshot: documents behind stable
-/// generational [`DocId`]s plus the corpus-wide sharded postings.
+/// generational [`DocId`]s plus their index segments and the token →
+/// document directory.
 ///
 /// Documents live in *slots*; a freshly built corpus is dense, but a
 /// snapshot published by a [`LiveCorpus`] can hold free slots where
@@ -263,8 +262,8 @@ pub struct Corpus {
 
 impl Corpus {
     /// Assemble a snapshot from a live writer's slot table (crate-private:
-    /// the invariants — `live`/`total_nodes` matching the slots, postings
-    /// folded under each entry's exact id — are the writer's to uphold).
+    /// the invariants — `live`/`total_nodes` matching the slots, a segment
+    /// under each entry's exact id — are the writer's to uphold).
     pub(crate) fn from_live_parts(
         postings: ShardedPostings,
         slots: Vec<Option<Arc<DocEntry>>>,
@@ -364,7 +363,14 @@ impl Corpus {
         self.rejected_dropped
     }
 
-    /// The corpus-wide label-sharded postings.
+    /// The index segment of `id` — the one `Arc<XmlIndex>` built when the
+    /// document arrived, shared by every snapshot that contains it and by
+    /// the query engine of that document. Panics like [`Corpus::doc`].
+    pub fn segment(&self, id: DocId) -> &Arc<XmlIndex> {
+        self.postings.segment(id).expect("DocId does not resolve in this corpus snapshot")
+    }
+
+    /// The segments and the token → document directory.
     pub fn postings(&self) -> &ShardedPostings {
         &self.postings
     }
@@ -376,19 +382,12 @@ impl Corpus {
     pub fn candidate_docs_str(&self, keywords: &[&str]) -> (Vec<DocId>, FanIn) {
         let mut fanin = FanIn::default();
         let mut out = Vec::new();
-        let ids: Option<Vec<TokenId>> =
-            keywords.iter().map(|k| self.postings.token_id(k)).collect();
-        match ids {
-            Some(ids) if !ids.is_empty() => {
-                self.postings.candidate_docs(&ids, &mut out, &mut fanin);
-            }
-            _ => {}
-        }
+        self.postings.candidate_docs(keywords, &mut out, &mut fanin);
         (out, fanin)
     }
 
-    /// Estimated heap footprint in bytes: sharded postings plus retained
-    /// documents' arenas.
+    /// Estimated heap footprint in bytes: segments and directory plus
+    /// retained documents' arenas.
     pub fn memory_footprint(&self) -> usize {
         self.postings.memory_footprint()
             + self
@@ -486,15 +485,14 @@ mod tests {
     }
 
     #[test]
-    fn unsharded_option_builds_one_shard() {
-        let mut b = CorpusBuilder::with_options(CorpusOptions {
-            max_label_shards: 0,
-            ..Default::default()
-        });
-        b.add_document("stores", STORES).unwrap();
-        let corpus = b.finish();
-        assert_eq!(corpus.postings().shard_count(), 1);
-        let (docs, _) = corpus.candidate_docs_str(&["texas"]);
-        assert_eq!(docs.len(), 1);
+    fn a_documents_segment_is_its_standalone_index() {
+        let corpus = corpus();
+        for (id, _, doc) in corpus.iter() {
+            let solo = extract_index::InvertedIndex::build(doc);
+            assert_eq!(corpus.segment(id).inverted().total_postings(), solo.total_postings());
+            for (token, postings) in solo.iter() {
+                assert_eq!(corpus.postings().postings_in_doc(token, id), postings, "{token}");
+            }
+        }
     }
 }

@@ -5,11 +5,17 @@
 //! off a [`DocId`] and assumes the bytes behind it never change. This
 //! module keeps that contract while still allowing add/update/delete:
 //!
-//! * The writer owns a slot table (documents + per-slot generation
-//!   counters). A mutation edits the table, **rebuilds** the sharded
-//!   postings over the surviving documents under their existing ids,
-//!   wraps the result in a fresh [`Corpus`] snapshot with `epoch + 1`,
-//!   and atomically republishes it as an [`Arc`].
+//! * A mutation costs its document. [`LiveCorpus::ingest`] parses and
+//!   indexes the one document it was handed — before taking any lock —
+//!   then, under the writer lock, edits the slot table and the directory
+//!   lists of that document's distinct tokens
+//!   ([`ShardedPostingsBuilder::insert`] / `remove`, the same fold a cold
+//!   [`CorpusBuilder`] runs), packages a [`Corpus`] snapshot with
+//!   `epoch + 1` and swaps it in as an [`Arc`]. [`LiveCorpus::delete`] is
+//!   the directory edit alone. Neither reads another document: every
+//!   untouched document's `Document` and index segment is the same `Arc`
+//!   in the new snapshot as in the old, and a snapshot costs one
+//!   reference per document and per directory token.
 //! * Readers call [`LiveCorpus::snapshot`] per query and keep the `Arc`
 //!   until they finish — RCU-style snapshot isolation with zero unsafe
 //!   code. A swap never blocks readers beyond the brief publish lock.
@@ -19,21 +25,18 @@
 //!   no longer resolves — the generational-arena ABA fix. Re-ingesting an
 //!   existing *name* updates in place: same slot, next generation.
 //!
-//! The rebuild is `O(corpus)` re-tokenization per mutation — the honest
-//! cost of keeping the counting-sorted postings layout byte-identical to
-//! a cold build. Incremental per-slot postings (streaming SAX ingest)
-//! stay on the ROADMAP.
-//!
 //! Lock order: `writer` before `published`. The writer lock serializes
-//! mutations and is held across the rebuild; the publish lock is only
-//! ever held for an `Arc` clone or swap.
+//! mutations and covers slot bookkeeping, the directory edit and the
+//! swap — never a parse or an index build; the publish lock is only ever
+//! held for an `Arc` clone or swap.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-use extract_xml::Document;
+use std::time::{Duration, Instant};
 
 use extract_index::sharded::ShardedPostingsBuilder;
+use extract_index::XmlIndex;
+use extract_xml::Document;
 
 use crate::{
     record_rejection, Corpus, CorpusBuilder, CorpusOptions, DocEntry, DocId, RejectedDocument,
@@ -43,8 +46,21 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Where one mutation's time went. A delete neither parses nor indexes:
+/// those stay zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MutationCost {
+    /// XML parse of the ingested document.
+    pub parse: Duration,
+    /// Building the document's index segment.
+    pub index: Duration,
+    /// Waiting for the writer lock, slot bookkeeping, the directory edit
+    /// and the snapshot swap.
+    pub publish: Duration,
+}
+
 /// What one successful mutation did — everything a serving layer needs
-/// for targeted cache invalidation.
+/// for targeted cache invalidation, and what it cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mutation {
     /// The epoch of the snapshot this mutation published.
@@ -55,12 +71,15 @@ pub struct Mutation {
     /// For an in-place update (ingest under an existing name): the
     /// replaced document's previous id — same slot, older generation.
     pub replaced: Option<DocId>,
+    /// Time spent per phase.
+    pub cost: MutationCost,
 }
 
 /// The single-writer slot table behind a [`LiveCorpus`].
 #[derive(Debug)]
 struct Writer {
-    options: CorpusOptions,
+    /// Segments + directory, edited one document at a time.
+    postings: ShardedPostingsBuilder,
     /// Slot → live document (`None` = freed, awaiting reuse).
     slots: Vec<Option<Arc<DocEntry>>>,
     /// Slot → the *next* generation to hand out. Survives deletion
@@ -80,29 +99,26 @@ struct Writer {
 }
 
 impl Writer {
-    /// Rebuild postings over the surviving slots and package a snapshot
-    /// at the current epoch.
-    fn republish(&self) -> Corpus {
-        let mut postings =
-            ShardedPostingsBuilder::with_label_shards(self.options.max_label_shards);
-        for entry in self.slots.iter().filter_map(|s| s.as_deref()) {
-            postings.add_document_as(&entry.doc, entry.id);
-        }
-        Corpus::from_live_parts(
-            postings.finish(),
+    /// Bump the epoch and package the current state as a snapshot:
+    /// reference-count bumps, no document read.
+    fn publish(&mut self) -> Arc<Corpus> {
+        self.epoch += 1;
+        Arc::new(Corpus::from_live_parts(
+            self.postings.snapshot(),
             self.slots.clone(),
             self.total_nodes,
             self.epoch,
             self.rejected.clone(),
             self.rejected_dropped,
-        )
+        ))
     }
 }
 
 /// A mutable corpus publishing immutable [`Corpus`] snapshots (see the
-/// module docs for the isolation and ABA guarantees).
+/// module docs for the cost model and the isolation and ABA guarantees).
 #[derive(Debug)]
 pub struct LiveCorpus {
+    options: CorpusOptions,
     writer: Mutex<Writer>,
     published: Mutex<Arc<Corpus>>,
 }
@@ -115,12 +131,12 @@ impl LiveCorpus {
 
     /// An empty live corpus with explicit options.
     pub fn with_options(options: CorpusOptions) -> LiveCorpus {
-        LiveCorpus::from_corpus_with_options(CorpusBuilder::with_options(options.clone()).finish(), options)
+        LiveCorpus::from_corpus_with_options(CorpusBuilder::new().finish(), options)
     }
 
-    /// Wrap an already-built corpus (its documents keep their ids; its
-    /// rejection log carries over) with default options for future
-    /// mutations.
+    /// Wrap an already-built corpus (its documents keep their ids and
+    /// segments; its rejection log carries over) with default options for
+    /// future mutations.
     pub fn from_corpus(corpus: Corpus) -> LiveCorpus {
         LiveCorpus::from_corpus_with_options(corpus, CorpusOptions::default())
     }
@@ -151,9 +167,9 @@ impl LiveCorpus {
                 }
             }
         }
-        free.sort_unstable_by(|a, b| b.cmp(a));
+        free.reverse();
         let writer = Writer {
-            options,
+            postings: ShardedPostingsBuilder::resume(corpus.postings.clone()),
             slots: corpus.slots.clone(),
             generations,
             free,
@@ -163,7 +179,11 @@ impl LiveCorpus {
             rejected: corpus.rejected.clone(),
             rejected_dropped: corpus.rejected_dropped,
         };
-        LiveCorpus { writer: Mutex::new(writer), published: Mutex::new(Arc::new(corpus)) }
+        LiveCorpus {
+            options,
+            writer: Mutex::new(writer),
+            published: Mutex::new(Arc::new(corpus)),
+        }
     }
 
     /// The current snapshot. Queries clone the `Arc` once and run to
@@ -178,26 +198,38 @@ impl LiveCorpus {
         self.snapshot().epoch()
     }
 
-    /// Parse `xml` and publish a snapshot containing it. An existing
-    /// live document named `name` is **updated in place** (same slot,
-    /// next generation); otherwise the lowest free slot is reused under
-    /// its next generation, or a fresh slot is appended.
+    /// Swap `snapshot` in and hand the one it replaces back, so the
+    /// caller can let go of it — possibly its last reference, a whole
+    /// directory to free — after the writer lock is released.
+    fn swap(&self, snapshot: Arc<Corpus>) -> Arc<Corpus> {
+        std::mem::replace(&mut *lock_unpoisoned(&self.published), snapshot)
+    }
+
+    /// Parse and index `xml`, then publish a snapshot containing it. An
+    /// existing live document named `name` is **updated in place** (same
+    /// slot, next generation); otherwise the lowest free slot is reused
+    /// under its next generation, or a fresh slot is appended.
     ///
     /// A malformed document is rejected softly, exactly like
     /// [`CorpusBuilder::add_document`]: the error is returned, the
     /// bounded rejection log records it, and nothing else changes — no
     /// slot is consumed, no epoch is bumped.
     pub fn ingest(&self, name: &str, xml: &str) -> Result<Mutation, RejectedDocument> {
-        let mut writer = lock_unpoisoned(&self.writer);
-        let doc = match Document::parse_with(xml, &writer.options.parse) {
+        let started = Instant::now();
+        let doc = match Document::parse_with(xml, &self.options.parse) {
             Ok(doc) => doc,
             Err(error) => {
-                let max = writer.options.max_rejected;
-                let writer = &mut *writer;
+                let writer = &mut *lock_unpoisoned(&self.writer);
+                let max = self.options.max_rejected;
                 record_rejection(&mut writer.rejected, &mut writer.rejected_dropped, max, name);
                 return Err(RejectedDocument { name: name.to_string(), error });
             }
         };
+        let parsed = Instant::now();
+        let segment = Arc::new(XmlIndex::build(&doc));
+        let indexed = Instant::now();
+
+        let mut writer = lock_unpoisoned(&self.writer);
         let (slot, replaced) = match writer.by_name.get(name) {
             Some(&slot) => {
                 let live = writer.slots.get(slot as usize).and_then(|s| s.as_deref());
@@ -221,18 +253,29 @@ impl LiveCorpus {
         writer.generations[index] = generation.checked_add(1).expect("slot generation overflow");
         let id = DocId::from_parts(index, generation);
         // xlint: allow(L3, "same bound: index < slots.len() by the writer's own bookkeeping")
-        if let Some(old) = writer.slots[index].take() {
+        let old = writer.slots[index].take();
+        if let Some(old) = &old {
             writer.total_nodes -= old.doc.len();
+            writer.postings.remove(old.id);
         }
         writer.total_nodes += doc.len();
+        writer.postings.insert(id, segment);
         // xlint: allow(L3, "same bound: index < slots.len() by the writer's own bookkeeping")
         writer.slots[index] = Some(Arc::new(DocEntry { id, name: name.to_string(), doc }));
         writer.by_name.insert(name.to_string(), slot);
-        writer.epoch += 1;
-        let snapshot = Arc::new(writer.republish());
-        let mutation = Mutation { epoch: writer.epoch, id, replaced };
-        *lock_unpoisoned(&self.published) = snapshot;
-        Ok(mutation)
+        let retired = self.swap(writer.publish());
+        let epoch = writer.epoch;
+        // What the mutation let go of — the replaced document and, if no
+        // reader still holds it, the previous snapshot — is freed after
+        // the lock, not under it.
+        drop(writer);
+        drop((old, retired));
+        let cost = MutationCost {
+            parse: parsed - started,
+            index: indexed - parsed,
+            publish: indexed.elapsed(),
+        };
+        Ok(Mutation { epoch, id, replaced, cost })
     }
 
     /// Delete the live document named `name` and publish a snapshot
@@ -240,19 +283,22 @@ impl LiveCorpus {
     /// `None` if no live document carries the name — nothing changes and
     /// no epoch is bumped.
     pub fn delete(&self, name: &str) -> Option<Mutation> {
+        let started = Instant::now();
         let mut writer = lock_unpoisoned(&self.writer);
         let slot = writer.by_name.remove(name)?;
-        let index = slot as usize;
         // xlint: allow(L3, "by_name maps only to occupied slots; a miss here is corrupted bookkeeping and must stop loudly, not serve wrong documents")
-        let entry = writer.slots[index].take().expect("named slot must be occupied");
+        let entry = writer.slots[slot as usize].take().expect("named slot must be occupied");
         writer.total_nodes -= entry.doc.len();
-        writer.free.push(slot);
-        writer.free.sort_unstable_by(|a, b| b.cmp(a));
-        writer.epoch += 1;
-        let snapshot = Arc::new(writer.republish());
-        let mutation = Mutation { epoch: writer.epoch, id: entry.id, replaced: None };
-        *lock_unpoisoned(&self.published) = snapshot;
-        Some(mutation)
+        writer.postings.remove(entry.id);
+        let at = writer.free.partition_point(|&free| free > slot);
+        writer.free.insert(at, slot);
+        let retired = self.swap(writer.publish());
+        let epoch = writer.epoch;
+        drop(writer);
+        let id = entry.id;
+        drop((entry, retired));
+        let cost = MutationCost { publish: started.elapsed(), ..MutationCost::default() };
+        Some(Mutation { epoch, id, replaced: None, cost })
     }
 
     /// The rejection log: retained names (bounded by
@@ -399,5 +445,81 @@ mod tests {
         let m = live.ingest("e", SHOPS).unwrap();
         assert_eq!(m.id.index(), 1);
         assert_eq!(live.snapshot().slot_count(), 3, "no slot growth while holes exist");
+    }
+
+    #[test]
+    fn a_thousand_freed_slots_are_reused_lowest_first() {
+        let live = LiveCorpus::new();
+        for i in 0..1_000 {
+            live.ingest(&format!("d{i}"), SHOPS).unwrap();
+        }
+        // Free them in an order that is neither ascending nor descending.
+        for i in (0..1_000).map(|i| (i * 7) % 1_000) {
+            live.delete(&format!("d{i}")).unwrap();
+        }
+        assert!(live.snapshot().is_empty());
+        for i in 0..1_000 {
+            let m = live.ingest(&format!("again-{i}"), SHOPS).unwrap();
+            assert_eq!(m.id, DocId::from_parts(i, 1), "lowest free slot, next generation");
+        }
+        assert_eq!(live.snapshot().slot_count(), 1_000);
+    }
+
+    // A mutation costs its document: every other document's entry and
+    // segment is the same allocation in the new snapshot as in the old.
+    #[test]
+    fn untouched_documents_are_shared_not_rebuilt() {
+        let live = seeded();
+        live.ingest("shops", SHOPS).unwrap();
+        let steps: [&dyn Fn() -> Mutation; 3] = [
+            &|| live.ingest("more", DBLP).unwrap(),
+            &|| live.ingest("stores", SHOPS).unwrap(),
+            &|| live.delete("dblp").unwrap(),
+        ];
+        for step in steps {
+            let before = live.snapshot();
+            let (texas, _) = before.candidate_docs_str(&["texas"]);
+            let mutation = step();
+            let after = live.snapshot();
+            let mut shared = 0;
+            for id in before.doc_ids().filter(|&id| after.contains(id)) {
+                assert!(Arc::ptr_eq(before.segment(id), after.segment(id)), "{id} re-indexed");
+                assert!(std::ptr::eq(before.doc(id), after.doc(id)), "{id} copied");
+                shared += 1;
+            }
+            let gone = mutation.replaced.is_some() || before.contains(mutation.id);
+            assert_eq!(shared, before.len() - usize::from(gone));
+            // The old snapshot still answers exactly as taken.
+            assert_eq!(before.candidate_docs_str(&["texas"]).0, texas);
+            assert_eq!(before.epoch() + 1, after.epoch());
+        }
+    }
+
+    // Churn is bounded: a document that came and went leaves nothing
+    // behind — not its tokens, not its directory entries, not its slot.
+    #[test]
+    fn ingest_delete_churn_leaves_vocabulary_and_footprint_where_they_started() {
+        let live = seeded();
+        // One round first, so the slot the churn reuses already exists.
+        live.ingest("transient", SHOPS).unwrap();
+        live.delete("transient").unwrap();
+        let start = live.snapshot();
+        let vocabulary = start.postings().vocabulary_size();
+        let footprint = start.memory_footprint();
+        for i in 0..2_000 {
+            let xml = format!("<stores><store><name>unique{i} only{i}</name></store></stores>");
+            live.ingest("transient", &xml).unwrap();
+            assert_eq!(live.snapshot().postings().vocabulary_size(), vocabulary + 2);
+            live.delete("transient").unwrap();
+        }
+        let end = live.snapshot();
+        assert_eq!(end.postings().vocabulary_size(), vocabulary);
+        assert_eq!(end.slot_count(), start.slot_count(), "the freed slot is reused every time");
+        assert_eq!(end.memory_footprint(), footprint);
+        live.delete("stores").unwrap();
+        live.delete("dblp").unwrap();
+        let empty = live.snapshot();
+        assert_eq!(empty.postings().vocabulary_size(), 0, "delete-all empties the directory");
+        assert_eq!(empty.postings().total_postings(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! extract-obs — dependency-free observability for the eXtract serving
 //! tier.
 //!
-//! Four pieces, each `std`-only and allocation-free on the hot path:
+//! Six pieces, each `std`-only and allocation-free on the hot path:
 //!
 //! - [`hist`] — lock-free log₂-bucketed latency [`Histogram`]s with
 //!   mergeable [`Snapshot`]s and pinned quantile error bounds.
@@ -15,6 +15,8 @@
 //!   (the *flight recorder*) behind `/debug/traces`.
 //! - [`expo`] — Prometheus text exposition (format 0.0.4) rendering
 //!   for `/metrics` on both daemons.
+//! - [`mutation`] — [`MutationObs`], the write path's histograms: what an
+//!   ingest or a delete cost, by phase.
 //!
 //! [`RequestObs`] ties them together: one per daemon, fed a
 //! [`TraceRecord`] per completed request; it maintains the stage and
@@ -27,12 +29,14 @@
 pub mod expo;
 pub mod flight;
 pub mod hist;
+pub mod mutation;
 pub mod stage;
 pub mod trace;
 
 pub use expo::PromWriter;
 pub use flight::{FlightRecorder, TraceRecord};
 pub use hist::{Histogram, Snapshot};
+pub use mutation::{MutationObs, MutationOp, MutationPhase};
 pub use stage::{
     elapsed_ns, is_enabled, set_enabled, stage_add, time_stage, trace_begin, trace_take, Stage,
     STAGES,

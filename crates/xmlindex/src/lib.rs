@@ -14,9 +14,9 @@
 //!   directly contains produces that token);
 //! * [`LabelIndex`] — label → element nodes in document order;
 //! * [`XmlIndex`] — the facade bundling all of the above for one document;
-//! * [`sharded`] — label-sharded multi-document postings with a streaming
-//!   builder and per-token document directory, the corpus-scale layer
-//!   consumed by `extract-corpus`.
+//! * [`sharded`] — the corpus-scale layer consumed by `extract-corpus`: one
+//!   `Arc<XmlIndex>` segment per document behind a token → document
+//!   directory, edited one document at a time.
 //!
 //! ```
 //! use extract_xml::Document;
@@ -43,7 +43,7 @@ pub mod tokenize;
 pub use dewey_store::DeweyStore;
 pub use inverted::{InvertedIndex, TokenId};
 pub use labels::LabelIndex;
-pub use sharded::{DocId, FanIn, Posting, ShardedPostings, ShardedPostingsBuilder};
+pub use sharded::{DocId, FanIn, ShardedPostings, ShardedPostingsBuilder};
 pub use tokenize::{tokenize, tokens_of};
 
 use extract_xml::{Document, NodeId};

@@ -1,41 +1,43 @@
-//! Label-sharded, multi-document postings — the corpus-scale index layer.
+//! Per-document index segments behind a token → document directory — the
+//! corpus-scale index layer.
 //!
-//! A single [`crate::InvertedIndex`] serves one document. At collection
-//! scale (the paper's DBLP-sized evaluation, 10^7+ nodes across many
-//! documents) a query must first decide *which documents* to run SLCA and
-//! snippet generation on; doing that by scanning one flat corpus-wide
-//! posting list per keyword touches every posting of every keyword. This
-//! module provides [`ShardedPostings`], the structure the `extract-corpus`
-//! crate builds and queries:
+//! A single [`XmlIndex`] serves one document. At collection scale (the
+//! paper's DBLP-sized evaluation, 10^7+ nodes across many documents) a
+//! query must first decide *which documents* to run SLCA and snippet
+//! generation on. [`ShardedPostings`] answers that and nothing more — the
+//! shard is the document:
 //!
-//! * **Documents** are identified by dense [`DocId`]s in insertion order;
-//!   each posting is a `(DocId, NodeId)` pair ([`Posting`]).
-//! * **Streaming build**: [`ShardedPostingsBuilder::add_document`] folds
-//!   one document at a time into per-shard buffers — there is no
-//!   "collect all documents, then index" phase, so corpus ingestion is
-//!   one pass and peak memory is the postings themselves.
-//! * **Label sharding**: postings are partitioned by the *label of the
-//!   posting element* (the first [`MAX_LABEL_SHARDS`] distinct labels get
-//!   their own shard; the long tail shares a catch-all shard). Every token
-//!   carries a bitmap of the shards it occurs in, so per-document posting
-//!   extraction probes only the shards a keyword actually hits.
-//! * **Doc directory**: per token, the sorted list of documents containing
-//!   it. Candidate generation ([`ShardedPostings::candidate_docs`])
-//!   intersects directories rarest-keyword-first instead of scanning
-//!   postings, and [`FanIn`] counts exactly how many index entries each
-//!   strategy touched — the number the corpus benchmark reports.
+//! * **Segments.** A document's segment is its `Arc<XmlIndex>`, built once
+//!   when the document arrives and never again: the slot table here holds
+//!   it under the document's generational [`DocId`], every later snapshot
+//!   shares the same `Arc`, and the query engine of that document searches
+//!   it directly ([`ShardedPostings::segment`]). A document is tokenized
+//!   once in its life.
+//! * **Directory.** Per token, the sorted documents containing it.
+//!   Candidate generation ([`ShardedPostings::candidate_docs`]) intersects
+//!   directory lists rarest-keyword-first, and [`FanIn`] counts the index
+//!   entries each strategy touched — the number the corpus benchmark
+//!   reports.
+//! * **One edit.** [`ShardedPostingsBuilder::insert`] and
+//!   [`ShardedPostingsBuilder::remove`] touch the directory lists of one
+//!   document's distinct tokens and nothing else. A cold build is `insert`
+//!   once per document; a live mutation is one `remove` and/or one
+//!   `insert` followed by [`ShardedPostingsBuilder::snapshot`]. Lists are
+//!   copy-on-write (`Arc<Vec<DocId>>`): a snapshot costs one reference per
+//!   token and per segment, an edit copies only the lists it changes, and a
+//!   token whose last document is removed leaves with its string.
 //!
-//! The per-token, per-document posting slices reproduced by
-//! [`ShardedPostings::postings_in_doc`] are **identical** to what a
-//! standalone per-document [`crate::InvertedIndex`] build produces (pinned
-//! by the equivalence proptests in `extract-corpus`).
+//! [`ShardedPostings::postings_in_doc`] is one lookup in one segment, so it
+//! is **identical** to a standalone per-document [`crate::InvertedIndex`]
+//! by construction; the equivalence proptests in `extract-corpus` pin the
+//! directory against a cold build after every step of a mutation sequence.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use extract_xml::{Document, NodeId, SymbolTable};
+use extract_xml::{Document, NodeId};
 
-use crate::inverted::TokenId;
-use crate::tokenize::tokens_of;
+use crate::XmlIndex;
 
 /// A document's identity within one corpus: a dense *slot* (assigned in
 /// insertion order) plus a *generation* that advances each time the slot
@@ -47,11 +49,10 @@ use crate::tokenize::tokens_of;
 /// cache or an in-flight query therefore never aliases the new occupant —
 /// lookups compare the full `(slot, generation)` pair. Static corpora
 /// built once via [`ShardedPostingsBuilder::add_document`] only ever see
-/// generation `0`, so [`DocId::from_index`] round-trips exactly as it did
-/// when `DocId` was a bare index.
+/// generation `0`, so [`DocId::from_index`] round-trips a bare index.
 ///
-/// Ordering is lexicographic `(slot, generation)`, so postings sorted by
-/// `DocId` keep slots contiguous and generations ordered within a slot.
+/// Ordering is lexicographic `(slot, generation)`: a directory list sorted
+/// by `DocId` is sorted by slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId {
     slot: u32,
@@ -88,10 +89,9 @@ impl DocId {
     ///
     /// On a slot index past `u32::MAX`, like [`DocId::from_index`].
     pub fn from_parts(index: usize, generation: u32) -> DocId {
-        DocId {
-            slot: u32::try_from(index).expect("document index exceeds u32::MAX"),
-            generation,
-        }
+        let slot = u32::try_from(index);
+        assert!(slot.is_ok(), "document index exceeds u32::MAX");
+        DocId { slot: slot.unwrap_or(u32::MAX), generation }
     }
 }
 
@@ -105,34 +105,15 @@ impl std::fmt::Display for DocId {
     }
 }
 
-/// One corpus posting: a matching element in a specific document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Posting {
-    /// The document.
-    pub doc: DocId,
-    /// The matching element within that document.
-    pub node: NodeId,
-}
-
-/// Maximum number of dedicated label shards. Labels beyond the first
-/// `MAX_LABEL_SHARDS` distinct ones share the catch-all shard `0`, so a
-/// token's shard membership always fits one `u64` bitmap.
-pub const MAX_LABEL_SHARDS: usize = 63;
-
-/// Work counters for candidate generation and posting extraction: how many
-/// index entries (arena postings + directory entries) a query touched, and
-/// how the shard bitmap paid off. This is the "SLCA candidate fan-in"
-/// metric the corpus benchmark compares sharded vs unsharded.
+/// Work counters for candidate generation: how many index entries a
+/// routing strategy touched. This is the "SLCA candidate fan-in" metric the
+/// corpus benchmark compares between the directory and the scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FanIn {
-    /// Posting-arena entries read.
+    /// Segment postings read.
     pub postings_touched: u64,
-    /// Doc-directory entries read (including binary-search probes).
+    /// Directory entries read (including binary-search probes).
     pub directory_touched: u64,
-    /// Shard ranges binary-searched for postings.
-    pub shards_probed: u64,
-    /// Shard probes avoided by the per-token shard bitmap.
-    pub shards_skipped: u64,
 }
 
 impl FanIn {
@@ -142,473 +123,245 @@ impl FanIn {
     }
 }
 
-/// One label shard: its slice of the corpus postings, token-major.
-#[derive(Debug, Default)]
-struct Shard {
-    /// `(token, start)` pairs sorted by token; a token's postings live in
-    /// `arena[start .. next_start]`. A final sentinel `(u32::MAX, len)`
-    /// closes the last range.
-    token_starts: Vec<(u32, u32)>,
-    /// Postings sorted by `(token, doc, node)`.
-    arena: Vec<Posting>,
+/// One occupied slot: the document's full id and its index.
+#[derive(Debug, Clone)]
+struct Segment {
+    id: DocId,
+    index: Arc<XmlIndex>,
 }
 
-impl Shard {
-    /// The posting range of `token` in this shard (empty if absent).
-    fn range(&self, token: u32) -> &[Posting] {
-        match self.token_starts.binary_search_by_key(&token, |&(t, _)| t) {
-            Ok(i) => {
-                let start = self.token_starts[i].1 as usize;
-                let end = self.token_starts[i + 1].1 as usize;
-                &self.arena[start..end]
-            }
-            Err(_) => &[],
-        }
-    }
-}
-
-/// Label-sharded corpus postings with a per-token document directory. Built
-/// by [`ShardedPostingsBuilder`]; immutable afterwards.
-#[derive(Debug)]
+/// An immutable corpus index snapshot: the generational slot table of
+/// per-document segments plus the token → document directory. Produced by
+/// [`ShardedPostingsBuilder`]; cloning shares every segment and every
+/// directory list.
+#[derive(Debug, Clone, Default)]
 pub struct ShardedPostings {
-    /// Corpus-wide token interner.
-    tokens: SymbolTable,
-    /// Per token: bitmap of the shards it occurs in.
-    token_shards: Vec<u64>,
-    /// Per token: `doc_dir_starts[t]..doc_dir_starts[t+1]` indexes
-    /// `doc_dir` — the sorted distinct documents containing the token.
-    doc_dir_starts: Vec<u32>,
-    doc_dir: Vec<DocId>,
-    shards: Vec<Shard>,
-    /// Shard-key labels in shard order (`shard_labels[0]` is the catch-all
-    /// and has no single label).
-    shard_labels: Vec<String>,
-    doc_count: u32,
+    /// Slot → the live document there (`None` = free).
+    slots: Vec<Option<Segment>>,
+    /// Token → the sorted documents containing it; never an empty list.
+    directory: HashMap<Arc<str>, Arc<Vec<DocId>>>,
+    doc_count: usize,
     total_postings: usize,
 }
 
 impl ShardedPostings {
-    /// The id of `token` if it occurs anywhere in the corpus. `token` must
-    /// already be normalized (see [`crate::tokenize`]).
-    pub fn token_id(&self, token: &str) -> Option<TokenId> {
-        self.tokens.get(token).map(|s| TokenId::from_index(s.index()))
-    }
-
-    /// Number of distinct tokens in the corpus.
+    /// Number of distinct tokens across the live documents.
     pub fn vocabulary_size(&self) -> usize {
-        self.tokens.len()
+        self.directory.len()
     }
 
-    /// Number of documents folded in.
+    /// Number of live documents.
     pub fn doc_count(&self) -> usize {
-        self.doc_count as usize
+        self.doc_count
     }
 
-    /// Total `(token, document, element)` postings across all shards.
+    /// Total `(token, document, element)` postings across all segments.
     pub fn total_postings(&self) -> usize {
         self.total_postings
     }
 
-    /// Number of shards (dedicated label shards + the catch-all).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// The segment of `doc`: `None` for a free slot or a stale generation.
+    pub fn segment(&self, doc: DocId) -> Option<&Arc<XmlIndex>> {
+        let segment = self.slots.get(doc.index())?.as_ref()?;
+        (segment.id == doc).then_some(&segment.index)
     }
 
-    /// The shard-key label of shard `i` (`None` for the catch-all shard 0).
-    pub fn shard_label(&self, i: usize) -> Option<&str> {
-        if i == 0 {
-            None
-        } else {
-            self.shard_labels.get(i).map(|s| s.as_str())
-        }
+    /// Sorted distinct documents containing `token` (already normalized,
+    /// see [`crate::tokenize`]); empty for a token no live document has.
+    pub fn docs_for(&self, token: &str) -> &[DocId] {
+        self.directory.get(token).map_or(&[], |docs| docs.as_slice())
     }
 
-    /// Number of distinct documents containing `token`.
-    pub fn doc_frequency(&self, token: TokenId) -> usize {
-        self.docs_for(token).len()
-    }
-
-    /// Sorted distinct documents containing `token` (empty for foreign
-    /// ids).
-    pub fn docs_for(&self, token: TokenId) -> &[DocId] {
-        let t = token.index();
-        if t + 1 >= self.doc_dir_starts.len() {
-            return &[];
-        }
-        &self.doc_dir[self.doc_dir_starts[t] as usize..self.doc_dir_starts[t + 1] as usize]
-    }
-
-    /// Total corpus postings of `token` across all shards (what a flat
-    /// unsharded arena would hand a scan).
-    pub fn corpus_frequency(&self, token: TokenId) -> usize {
-        let t = token.index();
-        let Some(&bitmap) = self.token_shards.get(t) else {
-            return 0;
-        };
-        let mut n = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if bitmap & (1u64 << i) != 0 {
-                n += shard.range(t as u32).len();
-            }
-        }
-        n
-    }
-
-    /// The documents containing **every** token, via the sharded path:
-    /// intersect doc directories rarest-keyword-first. `out` is cleared and
+    /// The documents containing **every** token, via the directory:
+    /// intersect its lists rarest-keyword-first. `out` is cleared and
     /// receives the candidates in ascending [`DocId`] order; `fanin`
     /// accumulates the directory entries touched.
-    pub fn candidate_docs(&self, tokens: &[TokenId], out: &mut Vec<DocId>, fanin: &mut FanIn) {
+    pub fn candidate_docs(&self, tokens: &[&str], out: &mut Vec<DocId>, fanin: &mut FanIn) {
         out.clear();
-        if tokens.is_empty() {
+        let mut lists: Vec<&[DocId]> = tokens.iter().map(|t| self.docs_for(t)).collect();
+        lists.sort_by_key(|docs| docs.len());
+        let Some((rarest, rest)) = lists.split_first() else {
             return;
-        }
-        let mut order: Vec<&TokenId> = tokens.iter().collect();
-        order.sort_by_key(|t| self.doc_frequency(**t));
-        let rarest = self.docs_for(*order[0]);
+        };
         fanin.directory_touched += rarest.len() as u64;
-        if rarest.is_empty() {
-            return;
-        }
         out.extend_from_slice(rarest);
-        for &&t in &order[1..] {
-            let docs = self.docs_for(t);
-            if docs.is_empty() {
-                out.clear();
+        for docs in rest {
+            if out.is_empty() {
                 return;
             }
             // One binary-search probe per surviving candidate.
-            fanin.directory_touched +=
-                (out.len() as u64).saturating_mul(usize::BITS.saturating_sub(docs.len().leading_zeros()) as u64);
+            let probe = u64::from(usize::BITS - docs.len().leading_zeros());
+            fanin.directory_touched += (out.len() as u64).saturating_mul(probe);
             out.retain(|d| docs.binary_search(d).is_ok());
+        }
+    }
+
+    /// The documents containing every token, the way a store with **no
+    /// directory** has to compute them: read every posting of every token
+    /// in every segment and intersect the document sets. Produces the same
+    /// candidates as [`ShardedPostings::candidate_docs`] (pinned by tests);
+    /// exists so the corpus benchmark can measure the fan-in the directory
+    /// avoids.
+    pub fn candidate_docs_by_scan(
+        &self,
+        tokens: &[&str],
+        out: &mut Vec<DocId>,
+        fanin: &mut FanIn,
+    ) {
+        out.clear();
+        for (i, token) in tokens.iter().enumerate() {
+            let mut docs: Vec<DocId> = Vec::new();
+            for segment in self.slots.iter().flatten() {
+                let postings = segment.index.postings(token);
+                fanin.postings_touched += postings.len() as u64;
+                if !postings.is_empty() {
+                    docs.push(segment.id);
+                }
+            }
+            // Slot order is `DocId` order: `docs` is sorted.
+            if i == 0 {
+                *out = docs;
+            } else {
+                out.retain(|d| docs.binary_search(d).is_ok());
+            }
             if out.is_empty() {
                 return;
             }
         }
     }
 
-    /// The documents containing every token, the way a **flat unsharded
-    /// arena** has to compute them: scan every posting of every token and
-    /// intersect the document sets. Produces the same candidates as
-    /// [`ShardedPostings::candidate_docs`] (pinned by tests); exists so the
-    /// corpus benchmark can measure the fan-in it avoids.
-    pub fn candidate_docs_by_scan(
-        &self,
-        tokens: &[TokenId],
-        out: &mut Vec<DocId>,
-        fanin: &mut FanIn,
-    ) {
-        out.clear();
-        if tokens.is_empty() {
-            return;
-        }
-        let mut acc: Vec<DocId> = Vec::new();
-        for (i, &t) in tokens.iter().enumerate() {
-            let mut docs: Vec<DocId> = Vec::new();
-            let idx = t.index();
-            let Some(&bitmap) = self.token_shards.get(idx) else {
-                out.clear();
-                return;
-            };
-            // A flat arena would hold one contiguous list; scanning all
-            // shard ranges touches the same entries.
-            for (s, shard) in self.shards.iter().enumerate() {
-                if bitmap & (1u64 << s) == 0 {
-                    continue;
-                }
-                let range = shard.range(idx as u32);
-                fanin.postings_touched += range.len() as u64;
-                for p in range {
-                    if docs.last() != Some(&p.doc) {
-                        docs.push(p.doc);
-                    }
-                }
-            }
-            docs.sort_unstable();
-            docs.dedup();
-            if i == 0 {
-                acc = docs;
-            } else {
-                acc.retain(|d| docs.binary_search(d).is_ok());
-            }
-            if acc.is_empty() {
-                return;
-            }
-        }
-        out.extend_from_slice(&acc);
+    /// The sorted element postings of `token` inside `doc` — one lookup in
+    /// that document's segment; empty for a stale or free `doc`.
+    pub fn postings_in_doc(&self, token: &str, doc: DocId) -> &[NodeId] {
+        self.segment(doc).map_or(&[], |index| index.postings(token))
     }
 
-    /// The sorted element postings of `token` inside `doc` — byte-identical
-    /// to what a per-document [`crate::InvertedIndex`] returns for the same
-    /// token. Probes only the shards whose bitmap contains the token;
-    /// `out` is cleared first.
-    pub fn postings_in_doc(
-        &self,
-        token: TokenId,
-        doc: DocId,
-        out: &mut Vec<NodeId>,
-        fanin: &mut FanIn,
-    ) {
-        out.clear();
-        let t = token.index();
-        let Some(&bitmap) = self.token_shards.get(t) else {
-            return;
-        };
-        for (i, shard) in self.shards.iter().enumerate() {
-            if bitmap & (1u64 << i) == 0 {
-                fanin.shards_skipped += 1;
-                continue;
-            }
-            fanin.shards_probed += 1;
-            let range = shard.range(t as u32);
-            let lo = range.partition_point(|p| p.doc < doc);
-            let hi = range.partition_point(|p| p.doc <= doc);
-            fanin.postings_touched += (hi - lo) as u64;
-            out.extend(range[lo..hi].iter().map(|p| p.node));
-        }
-        // Shards hold disjoint node sets but interleave in document order.
-        out.sort_unstable();
-    }
-
-    /// Estimated heap footprint in bytes (allocated capacity of the arenas
-    /// and tables, plus the token interner at the same per-token estimate
-    /// as [`crate::inverted::TOKEN_TABLE_OVERHEAD`]).
+    /// Estimated heap footprint in bytes: every segment, plus the directory
+    /// at its live size — each token string, its list's entries, and
+    /// [`crate::inverted::TOKEN_TABLE_OVERHEAD`] for the two `Arc` headers
+    /// and the map entry. Counts lengths, not capacities, so it is a
+    /// function of the live documents alone.
     pub fn memory_footprint(&self) -> usize {
-        let shards: usize = self
-            .shards
+        let segments: usize =
+            self.slots.iter().flatten().map(|s| s.index.memory_footprint()).sum();
+        let directory: usize = self
+            .directory
             .iter()
-            .map(|s| {
-                s.arena.capacity() * std::mem::size_of::<Posting>()
-                    + s.token_starts.capacity() * std::mem::size_of::<(u32, u32)>()
+            .map(|(token, docs)| {
+                token.len()
+                    + crate::inverted::TOKEN_TABLE_OVERHEAD
+                    + docs.len() * std::mem::size_of::<DocId>()
             })
             .sum();
-        let dir = self.doc_dir.capacity() * std::mem::size_of::<DocId>()
-            + self.doc_dir_starts.capacity() * std::mem::size_of::<u32>();
-        let bitmaps = self.token_shards.capacity() * std::mem::size_of::<u64>();
-        let tokens: usize = self
-            .tokens
-            .iter()
-            .map(|(_, s)| 2 * s.len() + crate::inverted::TOKEN_TABLE_OVERHEAD)
-            .sum();
-        shards + dir + bitmaps + tokens
+        segments + directory + self.slots.len() * std::mem::size_of::<Option<Segment>>()
     }
 }
 
-/// Streaming builder for [`ShardedPostings`]: documents are folded in one
-/// at a time and only their postings are retained.
-#[derive(Debug)]
+/// The mutable working copy of a [`ShardedPostings`]: the one fold behind
+/// cold builds and live mutations alike. Every edit is `O(distinct tokens
+/// of one document)`; no edit reads another document.
+#[derive(Debug, Default)]
 pub struct ShardedPostingsBuilder {
-    tokens: SymbolTable,
-    token_shards: Vec<u64>,
-    /// Label string → shard index. Filled first-come-first-served up to
-    /// `max_label_shards`; later labels map to the catch-all shard 0.
-    shard_of_label: HashMap<String, usize>,
-    shard_labels: Vec<String>,
-    max_label_shards: usize,
-    /// Per shard: unsorted-by-token `(token, posting)` pairs, in `(doc,
-    /// node)` arrival order (counting-sorted by token at finish).
-    pending: Vec<Vec<(u32, Posting)>>,
-    /// `(token, doc)` pairs (deduplicated per document) for the directory.
-    dir_pairs: Vec<(u32, DocId)>,
-    doc_count: u32,
-    /// Highest id folded so far — [`ShardedPostingsBuilder::add_document_as`]
-    /// enforces strictly increasing ids so the directory counting sort
-    /// stays valid without a per-token re-sort.
-    last_doc: Option<DocId>,
-}
-
-impl Default for ShardedPostingsBuilder {
-    fn default() -> Self {
-        ShardedPostingsBuilder::new()
-    }
+    postings: ShardedPostings,
 }
 
 impl ShardedPostingsBuilder {
-    /// A builder with the default shard budget ([`MAX_LABEL_SHARDS`]).
+    /// An empty builder.
     pub fn new() -> ShardedPostingsBuilder {
-        ShardedPostingsBuilder::with_label_shards(MAX_LABEL_SHARDS)
+        ShardedPostingsBuilder::default()
     }
 
-    /// A builder with at most `max_label_shards` dedicated label shards
-    /// (clamped to [`MAX_LABEL_SHARDS`]; `0` puts everything in the
-    /// catch-all shard — the "unsharded arena" baseline).
-    pub fn with_label_shards(max_label_shards: usize) -> ShardedPostingsBuilder {
-        let max_label_shards = max_label_shards.min(MAX_LABEL_SHARDS);
-        ShardedPostingsBuilder {
-            tokens: SymbolTable::new(),
-            token_shards: Vec::new(),
-            shard_of_label: HashMap::new(),
-            shard_labels: vec![String::new()], // catch-all
-            max_label_shards,
-            pending: vec![Vec::new()], // catch-all
-            dir_pairs: Vec::new(),
-            doc_count: 0,
-            last_doc: None,
-        }
+    /// Continue from a snapshot (a live corpus wrapping a built one). The
+    /// snapshot's segments and lists are shared until an edit changes them.
+    pub fn resume(postings: ShardedPostings) -> ShardedPostingsBuilder {
+        ShardedPostingsBuilder { postings }
     }
 
-    /// Documents folded in so far.
-    pub fn doc_count(&self) -> usize {
-        self.doc_count as usize
-    }
-
-    /// Tokenize `doc` and fold its postings into the corpus, returning the
-    /// [`DocId`] it was assigned (the next dense slot, generation `0`).
-    /// Matching semantics are exactly those of
-    /// [`crate::InvertedIndex::build`]: an element posts a token if its
-    /// label or directly-contained text yields it, once per element.
+    /// Index `doc` and fold it in under the next dense slot (generation
+    /// `0`), returning the [`DocId`] it was assigned.
     pub fn add_document(&mut self, doc: &Document) -> DocId {
-        let id = DocId::from_index(self.doc_count as usize);
-        self.fold(doc, id);
+        let id = DocId::from_index(self.postings.slots.len());
+        self.add_document_as(doc, id);
         id
     }
 
-    /// Fold `doc` in under a caller-chosen [`DocId`] — the rebuild path
-    /// for live corpora, where surviving documents keep their slot and
-    /// generation across a reindex instead of being renumbered densely.
+    /// Index `doc` and fold it in under a caller-chosen [`DocId`]. Panics
+    /// like [`ShardedPostingsBuilder::insert`].
+    pub fn add_document_as(&mut self, doc: &Document, id: DocId) {
+        self.insert(id, Arc::new(XmlIndex::build(doc)));
+    }
+
+    /// Fold an already-built segment in under `id`: the slot takes the
+    /// segment and `id` joins the directory list of each of its distinct
+    /// tokens. Matching semantics are the segment's own — those of
+    /// [`crate::InvertedIndex::build`].
     ///
     /// # Panics
     ///
-    /// If `id` is not strictly greater than every previously folded id:
-    /// the per-token document directory is counting-sorted assuming ids
-    /// arrive in ascending order, and a duplicate id would merge two
-    /// documents' postings.
-    pub fn add_document_as(&mut self, doc: &Document, id: DocId) {
-        assert!(
-            self.last_doc.is_none_or(|last| last < id),
-            "documents must be folded in strictly increasing DocId order"
-        );
-        self.fold(doc, id);
-    }
-
-    fn fold(&mut self, doc: &Document, id: DocId) {
-        // Loud overflow: wrapping past u32::MAX would hand out DocId 0
-        // again and merge two documents' postings.
-        self.doc_count = self.doc_count.checked_add(1).expect("corpus exceeds u32::MAX documents");
-        self.last_doc = Some(id);
-        let mut seen: Vec<u32> = Vec::with_capacity(8);
-        let mut doc_tokens: Vec<u32> = Vec::new();
-        for node in doc.all_nodes() {
-            let n = doc.node(node);
-            if !n.is_element() {
-                continue;
-            }
-            let label = doc.resolve(n.label());
-            let shard = self.shard_for(label);
-            seen.clear();
-            for tok in tokens_of(label) {
-                seen.push(self.intern(&tok, shard));
-            }
-            for &child in n.children() {
-                if let Some(text) = doc.node(child).text() {
-                    for tok in tokens_of(text) {
-                        seen.push(self.intern(&tok, shard));
-                    }
-                }
-            }
-            seen.sort_unstable();
-            seen.dedup();
-            for &t in &seen {
-                self.pending[shard].push((t, Posting { doc: id, node }));
-                doc_tokens.push(t);
-            }
+    /// If the slot of `id` is occupied: two documents in one slot would
+    /// answer for each other. [`ShardedPostingsBuilder::remove`] the old
+    /// occupant first.
+    pub fn insert(&mut self, id: DocId, segment: Arc<XmlIndex>) {
+        let postings = &mut self.postings;
+        if postings.slots.len() <= id.index() {
+            postings.slots.resize_with(id.index() + 1, || None);
         }
-        doc_tokens.sort_unstable();
-        doc_tokens.dedup();
-        for t in doc_tokens {
-            self.dir_pairs.push((t, id));
-        }
-    }
-
-    fn shard_for(&mut self, label: &str) -> usize {
-        if let Some(&s) = self.shard_of_label.get(label) {
-            return s;
-        }
-        let s = if self.shard_of_label.len() < self.max_label_shards {
-            self.pending.push(Vec::new());
-            self.shard_labels.push(label.to_string());
-            self.pending.len() - 1
-        } else {
-            0 // catch-all
+        let Some(slot) = postings.slots.get_mut(id.index()) else {
+            return; // the table was just grown to hold this slot
         };
-        self.shard_of_label.insert(label.to_string(), s);
-        s
+        assert!(slot.is_none(), "slot of {id} is occupied");
+        for (token, _) in segment.inverted().iter() {
+            match postings.directory.get_mut(token) {
+                Some(docs) => {
+                    let docs = Arc::make_mut(docs);
+                    let at = docs.partition_point(|d| *d < id);
+                    docs.insert(at, id);
+                }
+                None => {
+                    postings.directory.insert(Arc::from(token), Arc::new(vec![id]));
+                }
+            }
+        }
+        postings.total_postings += segment.inverted().total_postings();
+        postings.doc_count += 1;
+        *slot = Some(Segment { id, index: segment });
     }
 
-    fn intern(&mut self, token: &str, shard: usize) -> u32 {
-        let sym = self.tokens.intern(token);
-        let t = sym.index();
-        if t == self.token_shards.len() {
-            self.token_shards.push(0);
+    /// Take `id` out: its slot is freed, `id` leaves the directory list of
+    /// each of its segment's tokens, and a token no other document has
+    /// leaves the directory. Returns the segment; `None` (and no change) if
+    /// `id` is not live here.
+    pub fn remove(&mut self, id: DocId) -> Option<Arc<XmlIndex>> {
+        let postings = &mut self.postings;
+        let slot = postings.slots.get_mut(id.index())?;
+        if slot.as_ref().map(|s| s.id) != Some(id) {
+            return None;
         }
-        self.token_shards[t] |= 1u64 << shard;
-        u32::try_from(t).expect("vocabulary exceeds u32::MAX tokens")
+        let segment = slot.take()?.index;
+        for (token, _) in segment.inverted().iter() {
+            let Some(docs) = postings.directory.get_mut(token) else {
+                continue;
+            };
+            if docs.as_slice() == [id] {
+                postings.directory.remove(token);
+            } else if let Ok(at) = docs.binary_search(&id) {
+                Arc::make_mut(docs).remove(at);
+            }
+        }
+        postings.total_postings -= segment.inverted().total_postings();
+        postings.doc_count -= 1;
+        Some(segment)
     }
 
-    /// Finalize into an immutable [`ShardedPostings`]. Each shard is
-    /// counting-sorted by token (stable, so `(doc, node)` arrival order is
-    /// preserved within a token — which *is* sorted `(doc, node)` order).
-    pub fn finish(mut self) -> ShardedPostings {
-        let vocab = self.tokens.len();
-        let shards: Vec<Shard> = self
-            .pending
-            .drain(..)
-            .map(|pairs| {
-                // Count per token, prefix-sum, place.
-                let mut counts: HashMap<u32, u32> = HashMap::new();
-                for &(t, _) in &pairs {
-                    *counts.entry(t).or_insert(0) += 1;
-                }
-                let mut present: Vec<u32> = counts.keys().copied().collect();
-                present.sort_unstable();
-                let mut token_starts: Vec<(u32, u32)> = Vec::with_capacity(present.len() + 1);
-                let mut acc = 0u32;
-                for &t in &present {
-                    token_starts.push((t, acc));
-                    acc += counts[&t];
-                }
-                token_starts.push((u32::MAX, acc));
-                let mut cursor: HashMap<u32, u32> =
-                    token_starts.iter().take(present.len()).copied().collect();
-                let mut arena =
-                    vec![Posting { doc: DocId::from_index(0), node: NodeId::from_index(0) }; pairs.len()];
-                for (t, p) in pairs {
-                    let c = cursor.get_mut(&t).expect("counted token");
-                    arena[*c as usize] = p;
-                    *c += 1;
-                }
-                Shard { token_starts, arena }
-            })
-            .collect();
+    /// The current state as an immutable snapshot: one reference per
+    /// segment and per directory list, no document read.
+    pub fn snapshot(&self) -> ShardedPostings {
+        self.postings.clone()
+    }
 
-        // Directory: counting-sort the (token, doc) pairs by token. Pairs
-        // arrive doc-major with per-doc dedup, so each token's doc run is
-        // already sorted and distinct.
-        let mut starts = vec![0u32; vocab + 1];
-        for &(t, _) in &self.dir_pairs {
-            starts[t as usize + 1] += 1;
-        }
-        for i in 1..=vocab {
-            starts[i] += starts[i - 1];
-        }
-        let mut cursor = starts.clone();
-        let mut doc_dir = vec![DocId::from_index(0); self.dir_pairs.len()];
-        for &(t, d) in &self.dir_pairs {
-            doc_dir[cursor[t as usize] as usize] = d;
-            cursor[t as usize] += 1;
-        }
-
-        let total_postings = shards.iter().map(|s| s.arena.len()).sum();
-        ShardedPostings {
-            tokens: self.tokens,
-            token_shards: self.token_shards,
-            doc_dir_starts: starts,
-            doc_dir,
-            shards,
-            shard_labels: self.shard_labels,
-            doc_count: self.doc_count,
-            total_postings,
-        }
+    /// Finalize into an immutable [`ShardedPostings`].
+    pub fn finish(self) -> ShardedPostings {
+        self.postings
     }
 }
 
@@ -648,9 +401,9 @@ mod tests {
         ]
     }
 
-    fn build(max_shards: usize) -> (Vec<Document>, ShardedPostings) {
+    fn build() -> (Vec<Document>, ShardedPostings) {
         let ds = docs();
-        let mut b = ShardedPostingsBuilder::with_label_shards(max_shards);
+        let mut b = ShardedPostingsBuilder::new();
         for d in &ds {
             b.add_document(d);
         }
@@ -659,113 +412,85 @@ mod tests {
 
     #[test]
     fn matches_per_document_inverted_indexes() {
-        for shards in [0, 2, MAX_LABEL_SHARDS] {
-            let (ds, sp) = build(shards);
-            let mut out = Vec::new();
-            let mut fanin = FanIn::default();
-            for (i, d) in ds.iter().enumerate() {
-                let solo = InvertedIndex::build(d);
-                for (token, expected) in solo.iter() {
-                    let id = sp.token_id(token).expect("corpus has every doc token");
-                    sp.postings_in_doc(id, DocId::from_index(i), &mut out, &mut fanin);
-                    assert_eq!(out, expected, "token {token} doc {i} shards {shards}");
-                }
+        let (ds, sp) = build();
+        let mut total = 0;
+        for (i, d) in ds.iter().enumerate() {
+            let solo = InvertedIndex::build(d);
+            total += solo.total_postings();
+            for (token, expected) in solo.iter() {
+                assert_eq!(
+                    sp.postings_in_doc(token, DocId::from_index(i)),
+                    expected,
+                    "token {token} doc {i}"
+                );
             }
         }
+        assert_eq!(sp.total_postings(), total);
     }
 
     #[test]
-    fn doc_directory_and_frequencies() {
-        let (_, sp) = build(MAX_LABEL_SHARDS);
-        let houston = sp.token_id("houston").unwrap();
-        assert_eq!(sp.doc_frequency(houston), 3);
+    fn doc_directory_and_counts() {
+        let (_, sp) = build();
         assert_eq!(
-            sp.docs_for(houston),
+            sp.docs_for("houston"),
             &[DocId::from_index(0), DocId::from_index(1), DocId::from_index(2)],
             "sorted distinct docs"
         );
-        let gap = sp.token_id("gap").unwrap();
-        assert_eq!(sp.docs_for(gap), &[DocId::from_index(1)]);
-        assert!(sp.token_id("dallas").is_none());
+        assert_eq!(sp.docs_for("gap"), &[DocId::from_index(1)]);
+        assert!(sp.docs_for("dallas").is_empty());
         assert_eq!(sp.doc_count(), 3);
         assert!(sp.total_postings() > 0);
         assert!(sp.memory_footprint() > 0);
     }
 
     #[test]
-    fn candidate_docs_sharded_equals_scan() {
-        let (_, sp) = build(MAX_LABEL_SHARDS);
+    fn candidate_docs_directory_equals_scan() {
+        let (_, sp) = build();
         let queries: Vec<Vec<&str>> = vec![
             vec!["houston"],
             vec!["retailer", "houston"],
             vec!["gap", "houston"],
             vec!["houston", "search"],
             vec!["retailer", "title"],
+            vec!["houston", "dallas"],
         ];
         for q in queries {
-            let ids: Vec<TokenId> = q.iter().filter_map(|k| sp.token_id(k)).collect();
-            assert_eq!(ids.len(), q.len());
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            let mut fa = FanIn::default();
-            let mut fb = FanIn::default();
-            sp.candidate_docs(&ids, &mut a, &mut fa);
-            sp.candidate_docs_by_scan(&ids, &mut b, &mut fb);
+            let mut fanin = FanIn::default();
+            sp.candidate_docs(&q, &mut a, &mut fanin);
+            sp.candidate_docs_by_scan(&q, &mut b, &mut fanin);
             assert_eq!(a, b, "query {q:?}");
             assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted distinct");
         }
     }
 
     #[test]
-    fn sharded_candidate_fanin_is_lower_than_scan() {
-        let (_, sp) = build(MAX_LABEL_SHARDS);
-        let ids: Vec<TokenId> =
-            ["gap", "houston"].iter().map(|k| sp.token_id(k).unwrap()).collect();
+    fn directory_fanin_is_lower_than_scan() {
+        let (_, sp) = build();
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut sharded = FanIn::default();
+        let mut directory = FanIn::default();
         let mut scan = FanIn::default();
-        sp.candidate_docs(&ids, &mut a, &mut sharded);
-        sp.candidate_docs_by_scan(&ids, &mut b, &mut scan);
+        sp.candidate_docs(&["gap", "houston"], &mut a, &mut directory);
+        sp.candidate_docs_by_scan(&["gap", "houston"], &mut b, &mut scan);
         assert!(
-            sharded.total() < scan.total(),
-            "directory path must touch fewer entries: {sharded:?} vs {scan:?}"
+            directory.total() < scan.total(),
+            "directory path must touch fewer entries: {directory:?} vs {scan:?}"
         );
     }
 
     #[test]
-    fn shard_bitmap_skips_foreign_shards() {
-        let (_, sp) = build(MAX_LABEL_SHARDS);
-        // "gap" only occurs under <name>, so probing it touches one shard.
-        let gap = sp.token_id("gap").unwrap();
-        let mut out = Vec::new();
-        let mut fanin = FanIn::default();
-        sp.postings_in_doc(gap, DocId::from_index(1), &mut out, &mut fanin);
-        assert_eq!(out.len(), 1);
-        assert_eq!(fanin.shards_probed, 1);
-        assert!(fanin.shards_skipped > 0, "{fanin:?}");
-    }
-
-    #[test]
-    fn catch_all_absorbs_label_overflow() {
-        let (_, sp) = build(2);
-        assert_eq!(sp.shard_count(), 3, "catch-all + 2 label shards");
-        assert_eq!(sp.shard_label(0), None);
-        assert_eq!(sp.shard_label(1), Some("retailer"));
-        assert_eq!(sp.shard_label(2), Some("name"));
-    }
-
-    #[test]
     fn unknown_and_empty_queries() {
-        let (_, sp) = build(MAX_LABEL_SHARDS);
+        let (_, sp) = build();
         let mut out = vec![DocId::from_index(9)];
         let mut fanin = FanIn::default();
         sp.candidate_docs(&[], &mut out, &mut fanin);
         assert!(out.is_empty());
-        let foreign = TokenId::from_index(100_000);
-        assert_eq!(sp.doc_frequency(foreign), 0);
-        assert_eq!(sp.corpus_frequency(foreign), 0);
-        let mut nodes = vec![NodeId::from_index(3)];
-        sp.postings_in_doc(foreign, DocId::from_index(0), &mut nodes, &mut fanin);
-        assert!(nodes.is_empty());
+        out.push(DocId::from_index(9));
+        sp.candidate_docs_by_scan(&[], &mut out, &mut fanin);
+        assert!(out.is_empty());
+        assert_eq!(fanin, FanIn::default(), "an empty query touches nothing");
+        assert!(sp.postings_in_doc("dallas", DocId::from_index(0)).is_empty());
+        assert!(sp.postings_in_doc("houston", DocId::from_index(7)).is_empty());
     }
 
     #[test]
@@ -773,7 +498,8 @@ mod tests {
         let sp = ShardedPostingsBuilder::new().finish();
         assert_eq!(sp.doc_count(), 0);
         assert_eq!(sp.total_postings(), 0);
-        assert!(sp.token_id("anything").is_none());
+        assert_eq!(sp.vocabulary_size(), 0);
+        assert!(sp.docs_for("anything").is_empty());
     }
 
     #[test]
@@ -790,9 +516,9 @@ mod tests {
         assert_eq!(new.to_string(), "d3g1");
     }
 
-    // The ABA scenario at the postings layer: a rebuilt corpus holds the
-    // slot's new generation, so a stale id from before the delete finds
-    // no postings instead of the replacement document's.
+    // The ABA scenario at the postings layer: the slot holds its new
+    // generation, so a stale id from before the delete finds no postings
+    // instead of the replacement document's.
     #[test]
     fn stale_generation_finds_no_postings() {
         let ds = docs();
@@ -800,36 +526,74 @@ mod tests {
         b.add_document_as(&ds[0], DocId::from_parts(0, 0));
         b.add_document_as(&ds[1], DocId::from_parts(1, 2));
         let sp = b.finish();
-        let houston = sp.token_id("houston").unwrap();
-        assert_eq!(
-            sp.docs_for(houston),
-            &[DocId::from_parts(0, 0), DocId::from_parts(1, 2)]
+        assert_eq!(sp.docs_for("houston"), &[DocId::from_parts(0, 0), DocId::from_parts(1, 2)]);
+        assert!(
+            sp.postings_in_doc("houston", DocId::from_parts(1, 1)).is_empty(),
+            "stale generation must not alias the new occupant"
         );
-        let mut out = Vec::new();
-        let mut fanin = FanIn::default();
-        sp.postings_in_doc(houston, DocId::from_parts(1, 1), &mut out, &mut fanin);
-        assert!(out.is_empty(), "stale generation must not alias the new occupant");
-        sp.postings_in_doc(houston, DocId::from_parts(1, 2), &mut out, &mut fanin);
-        assert_eq!(out.len(), 1, "the live generation still resolves");
+        assert_eq!(sp.postings_in_doc("houston", DocId::from_parts(1, 2)).len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing DocId order")]
-    fn out_of_order_explicit_ids_panic() {
+    #[should_panic(expected = "slot of d1g1 is occupied")]
+    fn a_second_document_in_one_slot_panics() {
         let ds = docs();
         let mut b = ShardedPostingsBuilder::new();
         b.add_document_as(&ds[0], DocId::from_parts(1, 0));
-        b.add_document_as(&ds[1], DocId::from_parts(1, 0));
+        b.add_document_as(&ds[1], DocId::from_parts(1, 1));
     }
 
     #[test]
-    fn corpus_frequency_sums_shards() {
-        let (ds, sp) = build(MAX_LABEL_SHARDS);
-        let houston = sp.token_id("houston").unwrap();
-        let per_doc: usize = ds
-            .iter()
-            .map(|d| InvertedIndex::build(d).postings("houston").len())
-            .sum();
-        assert_eq!(sp.corpus_frequency(houston), per_doc);
+    fn ids_may_arrive_in_any_order() {
+        let ds = docs();
+        let mut b = ShardedPostingsBuilder::new();
+        for i in [2, 0, 1] {
+            b.add_document_as(&ds[i], DocId::from_index(i));
+        }
+        let (_, cold) = build();
+        let sp = b.finish();
+        for token in ["houston", "retailer", "gap", "search"] {
+            assert_eq!(sp.docs_for(token), cold.docs_for(token), "{token}");
+        }
+    }
+
+    #[test]
+    fn remove_undoes_insert_and_drops_orphaned_tokens() {
+        let ds = docs();
+        let mut b = ShardedPostingsBuilder::new();
+        b.add_document(&ds[0]);
+        let before = b.snapshot();
+        let id = b.add_document(&ds[2]);
+        assert_eq!(b.snapshot().docs_for("search"), &[id]);
+        assert!(b.remove(DocId::from_parts(1, 7)).is_none(), "a stale id removes nothing");
+        assert!(b.remove(id).is_some());
+        assert!(b.remove(id).is_none(), "already gone");
+        let after = b.finish();
+        assert!(after.docs_for("search").is_empty());
+        assert_eq!(after.vocabulary_size(), before.vocabulary_size(), "orphaned tokens left");
+        assert_eq!(after.total_postings(), before.total_postings());
+        assert_eq!(after.doc_count(), 1);
+        assert_eq!(after.memory_footprint() - before.memory_footprint(),
+            std::mem::size_of::<Option<Segment>>(), "only the freed slot remains");
+        assert_eq!(after.docs_for("houston"), before.docs_for("houston"));
+    }
+
+    #[test]
+    fn snapshots_share_segments_and_never_see_later_edits() {
+        let ds = docs();
+        let mut b = ShardedPostingsBuilder::new();
+        let first = b.add_document(&ds[0]);
+        let old = b.snapshot();
+        let second = b.add_document(&ds[1]);
+        b.remove(first);
+        let new = b.finish();
+        assert_eq!(old.docs_for("houston"), &[first], "the old snapshot answers as taken");
+        assert_eq!(new.docs_for("houston"), &[second]);
+        assert!(old.segment(second).is_none() && new.segment(first).is_none());
+        let resumed = ShardedPostingsBuilder::resume(new.clone()).snapshot();
+        assert!(Arc::ptr_eq(
+            resumed.segment(second).expect("live"),
+            new.segment(second).expect("live")
+        ));
     }
 }

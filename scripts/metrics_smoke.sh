@@ -11,7 +11,11 @@
 #      dependency-free `jsonv` binary), and the *same* trace ID appears
 #      in the router's and the shard's flight recorders — one request,
 #      followable end to end,
-#   3. the router echoes the client's X-Trace-Id response header.
+#   3. the router echoes the client's X-Trace-Id response header,
+#   4. one ingest and one delete against the shard leave exactly one
+#      sample in each `extract_mutation_duration_seconds{op,phase}` series
+#      they should have produced (a count, not a timing: the smoke
+#      corpus is tiny).
 #
 # Usage: scripts/metrics_smoke.sh
 #
@@ -85,6 +89,19 @@ case "$HEADERS" in
        exit 1 ;;
 esac
 
+echo "==> metrics_smoke: one ingest and one delete against the shard"
+mutate() { # mutate URL [curl args…] — POST, require 200
+    local status
+    status=$(curl -s -o /dev/null -w '%{http_code}' -X POST "${@:2}" "$1")
+    if [[ "$status" != "200" ]]; then
+        echo "metrics_smoke: POST $1 returned $status" >&2
+        exit 1
+    fi
+}
+mutate "$SHARD_URL/ingest?name=smoke" \
+    --data '<stores><store><name>Smoke</name><state>Texas</state></store></stores>'
+mutate "$SHARD_URL/delete?doc=smoke"
+
 # check_metrics URL NAME — scrape and validate one daemon's /metrics.
 check_metrics() {
     local url=$1 name=$2 body="$SCRATCH/$2.metrics" status
@@ -123,6 +140,16 @@ grep -q 'extract_router_shard_latency_seconds_bucket{shard="0"' "$SCRATCH/router
     || { echo "metrics_smoke: router missing per-shard latency histogram" >&2; exit 1; }
 grep -q '^extract_request_stage_duration_seconds_count{stage="snippet"} [1-9]' "$SCRATCH/shard.metrics" \
     || { echo "metrics_smoke: shard snippet stage histogram is empty" >&2; exit 1; }
+
+for series in 'op="ingest",phase="parse"' 'op="ingest",phase="index"' \
+    'op="ingest",phase="publish"' 'op="ingest",phase="invalidate"' \
+    'op="delete",phase="publish"' 'op="delete",phase="invalidate"'; do
+    grep -q "^extract_mutation_duration_seconds_count{$series} 1\$" "$SCRATCH/shard.metrics" \
+        || { echo "metrics_smoke: shard mutation series {$series} is not at count 1" >&2
+             grep '^extract_mutation_duration_seconds_count' "$SCRATCH/shard.metrics" >&2
+             exit 1; }
+done
+echo "metrics_smoke: shard mutation histograms hold one ingest and one delete"
 
 echo "==> metrics_smoke: the pinned trace must appear in both flight recorders"
 check_traces() { # check_traces URL NAME

@@ -15,7 +15,7 @@
 //! | [`search`] | `extract-search` | SLCA / ELCA / XSeek engines, ranking |
 //! | [`analyzer`] | `extract-analyzer` | entity model, key mining, feature statistics |
 //! | [`core`] | `extract-core` | IList, dominance, instance selectors, snippets, baselines |
-//! | [`corpus`] | `extract-corpus` | multi-document corpus: streaming build, `DocId`s, label-sharded postings |
+//! | [`corpus`] | `extract-corpus` | multi-document corpus: streaming build, `DocId`s, per-document segments + directory |
 //! | [`datagen`] | `extract-datagen` | retailer / movies / auction / dblp / corpus workload generators |
 //!
 //! # Quickstart
@@ -65,7 +65,7 @@ pub mod core {
 }
 
 /// Multi-document corpus layer: streaming build, stable `DocId`s,
-/// label-sharded postings, query routing.
+/// per-document index segments, query routing, live mutation.
 pub mod corpus {
     pub use extract_corpus::*;
 }

@@ -11,9 +11,11 @@
 //!   concurrent mutation can never pull the corpus out from under it —
 //!   the query completes against the world it started in.
 //! * The writer ([`LiveCorpus::ingest`] / [`LiveCorpus::delete`])
-//!   rebuilds the sharded postings, bumps the corpus **epoch** and
-//!   publishes a new snapshot. Readers that start after the publish see
-//!   the new world; readers that started before finish on the old one.
+//!   indexes the one document it was handed, edits that document's
+//!   directory entries, bumps the corpus **epoch** and publishes a new
+//!   snapshot sharing everything else with the old one. Readers that
+//!   start after the publish see the new world; readers that started
+//!   before finish on the old one.
 //!
 //! Caches stay **warm across epochs** because one [`SessionCaches`]
 //! bundle outlives every per-request session. Correctness across
@@ -42,8 +44,10 @@
 
 use std::sync::Arc;
 
+use std::time::Instant;
+
 use extract_corpus::{LiveCorpus, Mutation};
-use extract_obs::PromWriter;
+use extract_obs::{MutationObs, MutationOp, MutationPhase, PromWriter};
 use extract_serve::obs_http;
 use extract_serve::{JsonWriter, Request, Response, ServerHandle};
 
@@ -58,6 +62,8 @@ use crate::session::{QuerySession, SessionCaches};
 pub struct LiveSearchApp {
     corpus: LiveCorpus,
     caches: Arc<SessionCaches>,
+    /// What each mutation cost, by phase (`/metrics`).
+    mutations: MutationObs,
     config: SearchAppConfig,
     server: Option<ServerHandle>,
 }
@@ -69,6 +75,7 @@ impl LiveSearchApp {
         LiveSearchApp {
             corpus,
             caches: Arc::new(SessionCaches::new(cache_capacity)),
+            mutations: MutationObs::new(),
             config,
             server: None,
         }
@@ -167,7 +174,7 @@ impl LiveSearchApp {
         }
         match self.corpus.ingest(name, xml) {
             Ok(mutation) => {
-                self.apply_invalidation(&mutation);
+                self.apply_invalidation(MutationOp::Ingest, &mutation);
                 let mut w = JsonWriter::new();
                 w.obj_begin();
                 w.key("ingested");
@@ -195,7 +202,7 @@ impl LiveSearchApp {
         };
         match self.corpus.delete(name) {
             Some(mutation) => {
-                self.apply_invalidation(&mutation);
+                self.apply_invalidation(MutationOp::Delete, &mutation);
                 let mut w = JsonWriter::new();
                 w.obj_begin();
                 w.key("deleted");
@@ -213,17 +220,28 @@ impl LiveSearchApp {
     /// per-document entries (the dead generation on update/delete, the
     /// new id is trivially absent) and retire result pages of every
     /// earlier epoch. Nothing else is touched — untouched documents stay
-    /// cache-hot.
-    fn apply_invalidation(&self, mutation: &Mutation) {
+    /// cache-hot. Then the mutation's cost goes on record, this phase
+    /// included (a delete's parse and index are not series: dropped).
+    fn apply_invalidation(&self, op: MutationOp, mutation: &Mutation) {
+        let started = Instant::now();
         self.caches.invalidate_doc(mutation.id);
         if let Some(replaced) = mutation.replaced {
             self.caches.invalidate_doc(replaced);
         }
         self.caches.retire_pages_before(mutation.epoch);
+        let invalidate = started.elapsed();
+        for (phase, took) in [
+            (MutationPhase::Parse, mutation.cost.parse),
+            (MutationPhase::Index, mutation.cost.index),
+            (MutationPhase::Publish, mutation.cost.publish),
+            (MutationPhase::Invalidate, invalidate),
+        ] {
+            self.mutations.record(op, phase, took);
+        }
     }
 
-    /// The `/metrics` body — the static app's families plus the corpus
-    /// epoch gauge.
+    /// The `/metrics` body — the static app's families plus the mutation
+    /// cost histograms and the corpus gauges.
     fn metrics(&self) -> Response {
         let Some(handle) = &self.server else {
             return Response::error(503, "no server attached");
@@ -232,6 +250,7 @@ impl LiveSearchApp {
         let mut w = PromWriter::new();
         obs_http::write_server_metrics(&mut w, handle);
         write_cache_metrics(&mut w, &self.caches);
+        self.mutations.write_metrics(&mut w);
         w.help("extract_corpus_documents", "Live documents in the served corpus.");
         w.type_("extract_corpus_documents", "gauge");
         w.sample_u64("extract_corpus_documents", &[], snapshot.len() as u64);

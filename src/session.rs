@@ -13,9 +13,10 @@
 //! * **Corpus** ([`QuerySession::from_corpus`]): a borrowed
 //!   [`Corpus`] plus one *lazily built* [`Extract`] engine per document.
 //!   [`QuerySession::answer_corpus`] routes each query through the
-//!   corpus's label-sharded postings ([`Corpus::candidate_docs_str`]
+//!   corpus's token → document directory ([`Corpus::candidate_docs_str`]
 //!   semantics) so only documents containing **every** keyword pay for
-//!   engine construction, per-document SLCA and snippet generation; the
+//!   engine construction (entity model + keys around the corpus's own
+//!   index segment), per-document SLCA and snippet generation; the
 //!   per-document ranked results are then merged into one page ordered by
 //!   (score desc, document asc, root asc).
 //!
@@ -434,8 +435,9 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Serve a corpus with default pool and cache sizing. Per-document
-    /// engines are built lazily: a document pays for indexing + entity
-    /// analysis the first time a query routes to it.
+    /// engines are built lazily: a document pays for entity analysis and
+    /// key mining the first time a query routes to it (its index is the
+    /// corpus's segment, built at ingestion).
     ///
     /// # Panics
     /// If the corpus holds no documents.
@@ -527,9 +529,12 @@ impl<'d> QuerySession<'d> {
                     match cached {
                         Some(parts) => Extract::with_parts(corpus.doc(doc), parts),
                         None => {
-                            let extract = Extract::new(corpus.doc(doc));
-                            store(&self.caches.engine_parts, doc, extract.parts());
-                            extract
+                            // The index is the corpus's own segment: only
+                            // the entity model and the keys are built here.
+                            let segment = Arc::clone(corpus.segment(doc));
+                            let parts = EngineParts::with_index(corpus.doc(doc), segment);
+                            store(&self.caches.engine_parts, doc, parts.clone());
+                            Extract::with_parts(corpus.doc(doc), parts)
                         }
                     }
                 })
@@ -539,7 +544,7 @@ impl<'d> QuerySession<'d> {
 
     /// How many per-document engines have been built so far (equals 1 for
     /// single-document sessions). Exposes the effect of candidate routing:
-    /// documents never routed to never pay for indexing.
+    /// documents never routed to never pay for entity analysis.
     pub fn engines_built(&self) -> usize {
         match &self.engines {
             Engines::Single(_) => 1,
@@ -575,7 +580,6 @@ impl<'d> QuerySession<'d> {
         FanIn {
             postings_touched: self.caches.fanin_postings.load(Ordering::Relaxed),
             directory_touched: self.caches.fanin_directory.load(Ordering::Relaxed),
-            ..FanIn::default()
         }
     }
 
@@ -696,7 +700,7 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Answer one query against the whole corpus: route through the
-    /// label-sharded postings to the documents containing **every**
+    /// directory to the documents containing **every**
     /// keyword, run per-document search + ranking + snippet generation on
     /// exactly those, and merge into one page ordered by (score
     /// descending, document ascending, root ascending) — identical to
@@ -1282,6 +1286,22 @@ mod tests {
             assert_eq!(a.result.snippet.to_xml(), b.result.snippet.to_xml());
         }
         assert!(caches.engines_cached() > 0, "engine cache stays on with caches off");
+    }
+
+    // One tokenization per document: the engine a session builds searches
+    // the corpus's own segment, in this session and — through the shared
+    // parts cache — in every later one.
+    #[test]
+    fn an_engine_searches_the_corpus_segment_not_a_second_index() {
+        let corpus = small_corpus();
+        let caches = Arc::new(SessionCaches::new(0));
+        for _ in 0..2 {
+            let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
+            for id in corpus.doc_ids() {
+                let parts = session.engine(id).parts();
+                assert!(Arc::ptr_eq(parts.index(), corpus.segment(id)), "{id} was re-indexed");
+            }
+        }
     }
 
     #[test]

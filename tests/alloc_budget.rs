@@ -15,7 +15,10 @@
 //!    allocation-count form of the paper's "generation time linear in
 //!    result size", experiment E5);
 //! 4. a cached snippet owns its nodes and nothing else: its label table is
-//!    its source document's, not a copy.
+//!    its source document's, not a copy;
+//! 5. a document is tokenized once in its life: the first query to reach a
+//!    freshly ingested document builds its entity model and keys around the
+//!    corpus's index segment, not a second vocabulary.
 //!
 //! The corpus is the benchmark's shape (48 mixed documents of ~4 000
 //! nodes, `extract_datagen`), the queries are fixed.
@@ -250,4 +253,33 @@ fn a_cached_snippet_shares_its_documents_symbol_table() {
         }
     }
     assert!(caches.corpus_page_stats().hits >= 2);
+}
+
+#[test]
+fn the_first_query_on_a_fresh_document_builds_no_second_vocabulary() {
+    // One element whose text holds 5 000 distinct tokens: interning them
+    // is at least two allocations each (the table keeps every string
+    // twice) — paid when the document is indexed, and only then.
+    const TOKENS: u64 = 5_000;
+    let text: String = (0..TOKENS).map(|i| format!("fresh{i} ")).collect();
+    let xml = format!("<notes><note><body>{text}</body><by>ann</by></note></notes>");
+    let live = LiveCorpus::new();
+    let (_, indexing) = allocations_of(|| live.ingest("fresh", &xml).expect("well-formed"));
+    assert!(indexing >= 2 * TOKENS, "ingest made {indexing} allocations: no vocabulary built?");
+
+    let snapshot = live.snapshot();
+    let caches = Arc::new(SessionCaches::new(4096));
+    let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+    let config = ExtractConfig::default();
+    let (page, first_query) =
+        allocations_of(|| session.answer_corpus_topk("fresh42 ann", &config, PAGE, 0));
+    assert_eq!(page.total, 1, "the query reaches the fresh document");
+    assert_eq!(caches.engines_cached(), 1, "and built its engine");
+    println!("first query on a fresh document: {first_query} allocations (ingest {indexing})");
+    assert!(
+        first_query < TOKENS / 2,
+        "{first_query} allocations on first touch: the document was tokenized again"
+    );
+    let id = snapshot.doc_ids().next().expect("one document");
+    assert!(Arc::ptr_eq(session.extract().parts().index(), snapshot.segment(id)));
 }

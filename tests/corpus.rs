@@ -100,7 +100,7 @@ proptest! {
 /// The PR acceptance run: ≥200 generated documents, ≥10^6 total nodes,
 /// built via the streaming path (one generated document alive at a time)
 /// and served through `QuerySession::answer_corpus` with mixed-document
-/// batches routed by the sharded postings.
+/// batches routed by the directory.
 #[test]
 fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
     let cfg = CorpusConfig { documents: 200, target_nodes_per_doc: 5_400, seed: 0xBEEF };
@@ -112,7 +112,7 @@ fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
     let corpus = builder.finish();
     assert!(corpus.total_nodes() >= 1_000_000, "{} nodes", corpus.total_nodes());
     assert!(corpus.postings().total_postings() >= 1_000_000);
-    assert!(corpus.postings().shard_count() > 1, "label shards in use");
+    assert_eq!(corpus.postings().doc_count(), 200, "one segment per document");
 
     let session = QuerySession::from_corpus_with_options(&corpus, 4, 1024);
     let config = ExtractConfig::with_bound(8);

@@ -331,6 +331,46 @@ fn hostile_ingest_stream_cannot_grow_the_rejection_log() {
     assert_eq!(corpus.get("epoch").and_then(Value::as_u64), Some(0), "no mutation happened");
 }
 
+/// `/stats` — every scrape, the router's doc-count bootstrap — reads the
+/// rejection counters under the writer lock, so an ingest must not hold
+/// that lock while it parses. One thread ingests a document big enough
+/// to parse for a long while; the main thread asks `/stats` in a loop
+/// until the ingest is done. If the lock covered the parse, one of those
+/// answers would have waited out the whole ingest; held for the directory
+/// edit alone, the slowest is a small fraction of it.
+#[test]
+fn stats_answers_while_an_ingest_is_parsing() {
+    let app = live_app(2, 0);
+    let big: String = (0..60_000).map(|i| format!("<store><name>n{i}</name></store>")).collect();
+    let big = format!("<stores>{big}</stores>");
+    let ingest = request("POST", "/ingest", &[("name", "big".to_string())], big.as_bytes());
+    let (started, start) = mpsc::channel();
+    let done = AtomicBool::new(false);
+    let (ingest_took, slowest_stats) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            started.send(()).expect("main thread listens");
+            let begun = Instant::now();
+            assert_eq!(app.handle(&ingest).status, 200);
+            let took = begun.elapsed();
+            done.store(true, Ordering::SeqCst);
+            took
+        });
+        start.recv().expect("ingest thread started");
+        let mut slowest = Duration::ZERO;
+        while !done.load(Ordering::SeqCst) {
+            let begun = Instant::now();
+            assert_eq!(app.handle(&request("GET", "/stats", &[], b"")).status, 200);
+            slowest = slowest.max(begun.elapsed());
+        }
+        (writer.join().expect("ingest thread"), slowest)
+    });
+    assert_eq!(app.corpus().epoch(), 1);
+    assert!(
+        slowest_stats * 2 < ingest_took,
+        "a /stats request took {slowest_stats:?} of a {ingest_took:?} ingest: it sat out the parse"
+    );
+}
+
 /// The kill-free end-to-end: one daemon, one socket, zero restarts.
 /// Clients hammer `/search` the whole time; the main thread ingests,
 /// searches, deletes and re-checks over HTTP. Every concurrent response
