@@ -84,7 +84,7 @@ impl EntityModel {
     /// The nearest ancestor-or-self of `node` that is an entity, if any.
     pub fn entity_of(&self, doc: &Document, node: NodeId) -> Option<NodeId> {
         doc.ancestors_or_self(node)
-            .find(|&n| doc.node(n).is_element() && self.is_entity(n))
+            .find(|&n| doc.is_element(n) && self.is_entity(n))
     }
 
     /// The nearest **strict** ancestor entity of `node`, if any.
@@ -97,7 +97,7 @@ impl EntityModel {
     /// as the default return entity (§2.2). If `root` itself is an entity,
     /// it is the single highest entity.
     pub fn highest_entities(&self, doc: &Document, root: NodeId) -> Vec<NodeId> {
-        if doc.node(root).is_element() && self.is_entity(root) {
+        if doc.is_element(root) && self.is_entity(root) {
             return vec![root];
         }
         // Scan the root's ID interval, jumping over the subtree of every
@@ -105,7 +105,7 @@ impl EntityModel {
         let mut out = Vec::new();
         let mut descendants = doc.subtree(root).skip(1);
         while let Some(n) = descendants.next() {
-            if doc.node(n).is_element() && self.is_entity(n) {
+            if doc.is_element(n) && self.is_entity(n) {
                 out.push(n);
                 if let Some(inside) = doc.subtree_size(n).checked_sub(2) {
                     descendants.nth(inside);

@@ -85,7 +85,10 @@ impl<'d> ResultStats<'d> {
     /// result root's label, so no feature is silently dropped.
     pub fn compute(doc: &'d Document, model: &EntityModel, root: NodeId) -> ResultStats<'d> {
         let mut stats = ResultStats::default();
-        let root_label = doc.node(root).label();
+        // A text node has no attributes below it.
+        let Some(root_label) = doc.label(root) else {
+            return stats;
+        };
         // One scan of the root's ID interval. Attributes arrive in document
         // order, so consecutive ones usually share a parent: remember the
         // last parent's owner instead of re-walking to it.
@@ -96,17 +99,20 @@ impl<'d> ResultStats<'d> {
             if !model.is_attribute(node) {
                 continue;
             }
-            let (Some(value), Some(parent)) = (doc.text_of(node), doc.parent(node)) else {
+            let (Some(value), Some(parent), Some(attribute)) =
+                (doc.text_of(node), doc.parent(node), doc.label(node))
+            else {
                 continue;
             };
             let owner = match last_owner {
                 Some((p, owner)) if p == parent => owner,
                 _ => model
                     .entity_of(doc, parent)
-                    .map_or(root_label, |entity| doc.node(entity).label()),
+                    .and_then(|entity| doc.label(entity))
+                    .unwrap_or(root_label),
             };
             last_owner = Some((parent, owner));
-            let ftype = FeatureType { entity: owner, attribute: doc.node(node).label() };
+            let ftype = FeatureType { entity: owner, attribute };
             let ts = stats.types.entry(ftype).or_default();
             ts.total += 1;
             let values = &mut stats.values;

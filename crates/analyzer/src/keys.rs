@@ -62,7 +62,7 @@ impl KeyCatalog {
         let mut stats: HashMap<(PathId, PathId), AttrStats> = HashMap::new();
 
         for node in doc.all_nodes() {
-            if !doc.node(node).is_element() || !model.is_entity(node) {
+            if !doc.is_element(node) || !model.is_entity(node) {
                 continue;
             }
             let entity_path = schema.path_of(node);

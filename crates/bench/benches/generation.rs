@@ -17,7 +17,7 @@ fn bench_generation(c: &mut Criterion) {
         let doc = scaled_retailer_db(target);
         let extract = Extract::new(&doc);
         let root = scaled_retailer_root(&doc);
-        let result = QueryResult::build(extract.index(), &query, root);
+        let result = QueryResult::build(extract.document(), extract.index(), &query, root);
         let nodes = doc.subtree_size(root);
         let config = ExtractConfig::with_bound(20);
         group.throughput(Throughput::Elements(nodes as u64));

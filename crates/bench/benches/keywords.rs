@@ -19,7 +19,7 @@ fn bench_keywords(c: &mut Criterion) {
     group.sample_size(20);
     for k in [1usize, 2, 4, 6, 8] {
         let query = KeywordQuery::from_keywords(all[..k].to_vec());
-        let result = QueryResult::build(extract.index(), &query, root);
+        let result = QueryResult::build(extract.document(), extract.index(), &query, root);
         let config = ExtractConfig::with_bound(20);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| black_box(extract.snippet(&query, &result, &config)));

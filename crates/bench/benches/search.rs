@@ -30,14 +30,14 @@ fn bench_search(c: &mut Criterion) {
             BenchmarkId::new("slca-ile", query_str),
             &query_str,
             |b, _| {
-                b.iter(|| black_box(slca_indexed_lookup(&doc, index.dewey_store(), &lists)));
+                b.iter(|| black_box(slca_indexed_lookup(&doc, &lists)));
             },
         );
         group.bench_with_input(
             BenchmarkId::new("slca-se", query_str),
             &query_str,
             |b, _| {
-                b.iter(|| black_box(slca_scan_eager(&doc, index.dewey_store(), &lists)));
+                b.iter(|| black_box(slca_scan_eager(&doc, &lists)));
             },
         );
         group.bench_with_input(BenchmarkId::new("elca", query_str), &query_str, |b, _| {

@@ -12,7 +12,7 @@ fn bench_size_bound(c: &mut Criterion) {
     let extract = Extract::new(&doc);
     let root = scaled_retailer_root(&doc);
     let query = KeywordQuery::parse("texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, root);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, root);
 
     let mut group = c.benchmark_group("e6_generation_vs_size_bound");
     group.measurement_time(Duration::from_secs(3));

@@ -149,7 +149,7 @@ fn e2_figure2_snippet() {
     let extract = Extract::new(&doc);
     let bb = retailer::figure1_result_root(&doc);
     let query = KeywordQuery::parse("Texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, bb);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, bb);
     let out = extract.snippet(&query, &result, &ExtractConfig::with_bound(13));
     print!("{}", out.snippet.to_ascii_tree());
     check("snippet uses exactly 13 edges", out.snippet.edges == 13);
@@ -218,7 +218,7 @@ fn e3_figure3_ilist() {
     check("all published dominance scores reproduced", all_ok);
 
     let query = KeywordQuery::parse("Texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, bb);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, bb);
     let ilist = extract.ilist(&query, &result, &ExtractConfig::default());
     let measured = ilist.display(&doc);
     let expected = retailer::figure1_expected_ilist();
@@ -271,7 +271,7 @@ fn e5_time_vs_result_size() {
         let doc = scaled_retailer_db(target);
         let extract = Extract::new(&doc);
         let root = scaled_retailer_root(&doc);
-        let result = QueryResult::build(extract.index(), &query, root);
+        let result = QueryResult::build(extract.document(), extract.index(), &query, root);
         let nodes = doc.subtree_size(root);
         let config = ExtractConfig::with_bound(20);
         let ilist_len = extract.ilist(&query, &result, &config).len();
@@ -307,7 +307,7 @@ fn e6_time_vs_size_bound() {
     let extract = Extract::new(&doc);
     let root = scaled_retailer_root(&doc);
     let query = KeywordQuery::parse("texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, root);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, root);
     let mut t = Table::new(["bound (edges)", "edges used", "items covered", "time"]);
     let bounds = [4usize, 8, 16, 32, 64, 100];
     let mut coverages = Vec::new();
@@ -345,7 +345,7 @@ fn e7_time_vs_keywords() {
     let mut t = Table::new(["keywords", "ilist items", "time"]);
     for k in 1..=all.len() {
         let query = KeywordQuery::from_keywords(all[..k].to_vec());
-        let result = QueryResult::build(extract.index(), &query, root);
+        let result = QueryResult::build(extract.document(), extract.index(), &query, root);
         let config = ExtractConfig::with_bound(20);
         let items = extract.ilist(&query, &result, &config).len();
         let d = median_time(5, || {
@@ -564,10 +564,10 @@ fn e11_search_engines() {
             let lists: Vec<Vec<_>> =
                 query.keywords().iter().map(|k| index.postings(k).to_vec()).collect();
             let ile = median_time(5, || {
-                std::hint::black_box(slca_indexed_lookup(&doc, index.dewey_store(), &lists));
+                std::hint::black_box(slca_indexed_lookup(&doc, &lists));
             });
             let se = median_time(5, || {
-                std::hint::black_box(slca_scan_eager(&doc, index.dewey_store(), &lists));
+                std::hint::black_box(slca_scan_eager(&doc, &lists));
             });
             let el = median_time(5, || {
                 std::hint::black_box(elca_stack(&doc, &lists));

@@ -277,7 +277,7 @@ mod tests {
         for val in ["vcat", "vfit", "vsit", "vfab", "vcol", "vbra"] {
             let count = doc
                 .all_nodes()
-                .filter(|&n| doc.node(n).is_text() && doc.node(n).text() == Some(val))
+                .filter(|&n| doc.text(n) == Some(val))
                 .count();
             assert_eq!(count, 2, "{val}");
         }

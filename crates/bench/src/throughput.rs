@@ -35,18 +35,17 @@ impl HashMapIndex {
         let mut postings: HashMap<String, Vec<extract_xml::NodeId>> = HashMap::new();
         let mut seen: Vec<String> = Vec::with_capacity(8);
         for node in doc.all_nodes() {
-            let n = doc.node(node);
-            if !n.is_element() {
+            let Some(label) = doc.label_str(node) else {
                 continue;
-            }
+            };
             seen.clear();
-            for tok in tokens_of(doc.resolve(n.label())) {
+            for tok in tokens_of(label) {
                 if !seen.contains(&tok) {
                     seen.push(tok);
                 }
             }
-            for &child in n.children() {
-                if let Some(text) = doc.node(child).text() {
+            for child in doc.children(node) {
+                if let Some(text) = doc.text(child) {
                     for tok in tokens_of(text) {
                         if !seen.contains(&tok) {
                             seen.push(tok);
@@ -255,21 +254,9 @@ pub fn run_corpus(corpus: &Corpus, effort: Effort) -> Vec<ScenarioResult> {
                     let lists: Vec<&[NodeId]> =
                         q.keywords().iter().map(|k| index.postings(k)).collect();
                     match which {
-                        "ile" => slca_indexed_lookup_with(
-                            doc,
-                            index.dewey_store(),
-                            &lists,
-                            scratch,
-                            roots,
-                        ),
-                        "se" => slca_scan_eager_with(
-                            doc,
-                            index.dewey_store(),
-                            &lists,
-                            scratch,
-                            roots,
-                        ),
-                        _ => slca_auto_with(doc, index.dewey_store(), &lists, scratch, roots),
+                        "ile" => slca_indexed_lookup_with(doc, &lists, scratch, roots),
+                        "se" => slca_scan_eager_with(doc, &lists, scratch, roots),
+                        _ => slca_auto_with(doc, &lists, scratch, roots),
                     }
                     std::hint::black_box(roots.len());
                 }
@@ -295,11 +282,7 @@ pub fn run_corpus(corpus: &Corpus, effort: Effort) -> Vec<ScenarioResult> {
                     .iter()
                     .map(|k| hashmap.postings(k).to_vec())
                     .collect();
-                std::hint::black_box(extract_search::slca::slca_indexed_lookup(
-                    doc,
-                    index.dewey_store(),
-                    &lists,
-                ));
+                std::hint::black_box(extract_search::slca::slca_indexed_lookup(doc, &lists));
             }
         }
     });

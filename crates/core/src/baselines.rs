@@ -34,7 +34,7 @@ impl BaselineContent {
         match self {
             BaselineContent::Tree { nodes, .. } => {
                 let root = nodes.iter().copied().min().expect("tree has a root");
-                let (tree, _) = doc.project(root, nodes);
+                let tree = doc.project(root, nodes);
                 tree.to_xml_string()
             }
             BaselineContent::Text(t) => t.clone(),
@@ -206,7 +206,7 @@ mod tests {
         .unwrap();
         let index = XmlIndex::build(&doc);
         let q = KeywordQuery::parse("store texas");
-        let result = QueryResult::build(&index, &q, doc.root());
+        let result = QueryResult::build(&doc, &index, &q, doc.root());
         (doc, result)
     }
 

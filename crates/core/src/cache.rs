@@ -387,7 +387,7 @@ mod tests {
     fn snippet_for(doc: &Document, extract: &crate::Extract<'_>, q: &str) -> SnippetedResult {
         let query = KeywordQuery::parse(q);
         let root = doc.root();
-        let result = QueryResult::build(extract.index(), &query, root);
+        let result = QueryResult::build(extract.document(), extract.index(), &query, root);
         extract.snippet(&query, &result, &ExtractConfig::default())
     }
 

@@ -224,7 +224,7 @@ pub fn build_ilist_with_scratch(
     entities.clear();
     entities.extend(doc.subtree_elements(result.root).filter(|&n| model.is_entity(n)));
     by_label.clear();
-    by_label.extend(entities.iter().map(|&e| (doc.node(e).label(), e)));
+    by_label.extend(entities.iter().filter_map(|&e| Some((doc.label(e)?, e))));
     by_label.sort_unstable();
     types.clear();
     for (i, &(label, _)) in by_label.iter().enumerate() {
@@ -316,7 +316,7 @@ mod tests {
         let (doc, model, catalog, index) = setup();
         let query = KeywordQuery::parse(q);
         let root = doc.elements_with_label("store")[root_label_idx];
-        let result = QueryResult::build(&index, &query, root);
+        let result = QueryResult::build(&doc, &index, &query, root);
         let il = build_ilist(&doc, &model, &catalog, &query, &result, &Default::default());
         (doc, il)
     }
@@ -385,7 +385,7 @@ mod tests {
         let (doc, model, catalog, index) = setup();
         let query = KeywordQuery::parse("levis store");
         let root = doc.elements_with_label("store")[0];
-        let result = QueryResult::build(&index, &query, root);
+        let result = QueryResult::build(&doc, &index, &query, root);
         let il = build_ilist(&doc, &model, &catalog, &query, &result, &Default::default());
         let display = il.display(&doc);
         // The key value "Levis" duplicates the keyword "levis" ⇒ suppressed.
@@ -400,7 +400,7 @@ mod tests {
         let (doc, model, catalog, index) = setup();
         let query = KeywordQuery::parse("store texas");
         let root = doc.elements_with_label("store")[0];
-        let result = QueryResult::build(&index, &query, root);
+        let result = QueryResult::build(&doc, &index, &query, root);
         let full =
             build_ilist(&doc, &model, &catalog, &query, &result, &Default::default());
         let capped = build_ilist(
@@ -419,7 +419,7 @@ mod tests {
         let (doc, model, catalog, index) = setup();
         let query = KeywordQuery::parse("texas");
         let root = doc.elements_with_label("store")[0];
-        let result = QueryResult::build(&index, &query, root);
+        let result = QueryResult::build(&doc, &index, &query, root);
         let il = build_ilist(&doc, &model, &catalog, &query, &result, &Default::default());
         let display = il.display(&doc);
         let clothes_pos = display.iter().position(|s| s == "clothes").unwrap();

@@ -36,7 +36,7 @@ pub fn identify(
     let first = *return_entities.instances.first()?;
     let key_node = catalog.key_node(doc, model, first)?;
     let value = doc.text_of(key_node)?.to_string();
-    let attribute = doc.node(key_node).label();
+    let attribute = doc.label(key_node)?;
     // The key of *the result* is the first instance's value; record every
     // return-entity instance whose key carries the same value (normally
     // exactly one, keys being unique).
@@ -74,7 +74,7 @@ mod tests {
         let (doc, model, catalog, index) = setup(STORES);
         let q = KeywordQuery::parse("store texas");
         let store2 = doc.elements_with_label("store")[1];
-        let result = QueryResult::build(&index, &q, store2);
+        let result = QueryResult::build(&doc, &index, &q, store2);
         let re = return_entity::identify(&doc, &model, &q, &result);
         let key = identify(&doc, &model, &catalog, &re).expect("store has a key");
         assert_eq!(doc.resolve(key.entity), "store");
@@ -89,7 +89,7 @@ mod tests {
         let (doc, model, catalog, index) =
             setup("<r><e><x/></e><e><x/></e></r>");
         let q = KeywordQuery::parse("e");
-        let result = QueryResult::build(&index, &q, doc.root());
+        let result = QueryResult::build(&doc, &index, &q, doc.root());
         let re = return_entity::identify(&doc, &model, &q, &result);
         assert!(identify(&doc, &model, &catalog, &re).is_none());
     }
@@ -98,7 +98,7 @@ mod tests {
     fn no_key_for_entityless_results() {
         let (doc, model, catalog, index) = setup("<a><b>k</b></a>");
         let q = KeywordQuery::parse("k");
-        let result = QueryResult::build(&index, &q, doc.root());
+        let result = QueryResult::build(&doc, &index, &q, doc.root());
         let re = return_entity::identify(&doc, &model, &q, &result);
         assert!(identify(&doc, &model, &catalog, &re).is_none());
     }
@@ -108,7 +108,7 @@ mod tests {
         let (doc, model, catalog, index) = setup(STORES);
         let q = KeywordQuery::parse("store");
         // Result rooted at <stores> has two store instances; Levis is first.
-        let result = QueryResult::build(&index, &q, doc.root());
+        let result = QueryResult::build(&doc, &index, &q, doc.root());
         let re = return_entity::identify(&doc, &model, &q, &result);
         let key = identify(&doc, &model, &catalog, &re).unwrap();
         assert_eq!(key.value, "Levis");

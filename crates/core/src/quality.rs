@@ -199,7 +199,7 @@ mod tests {
         let index = XmlIndex::build(&doc);
         let q = KeywordQuery::parse("store texas");
         let root = doc.elements_with_label("store")[0];
-        let result = QueryResult::build(&index, &q, root);
+        let result = QueryResult::build(&doc, &index, &q, root);
         let il = build_ilist(&doc, &model, &catalog, &q, &result, &Default::default());
         (doc, il, result)
     }

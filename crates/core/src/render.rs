@@ -48,12 +48,12 @@ fn json_escape(s: &str) -> String {
 }
 
 fn render_node_html(doc: &Document, node: NodeId, out: &mut String) {
-    let n = doc.node(node);
-    if n.is_text() {
-        let _ = write!(out, "<span class=\"val\">{}</span>", html_escape(n.text().unwrap_or("")));
+    let Some(label) = doc.label_str(node) else {
+        let text = doc.text(node).unwrap_or("");
+        let _ = write!(out, "<span class=\"val\">{}</span>", html_escape(text));
         return;
-    }
-    let label = html_escape(doc.resolve(n.label()));
+    };
+    let label = html_escape(label);
     if let Some(value) = doc.text_of(node) {
         if doc.child_count(node) == 1 {
             let _ = write!(
@@ -65,9 +65,9 @@ fn render_node_html(doc: &Document, node: NodeId, out: &mut String) {
         }
     }
     let _ = write!(out, "<li><span class=\"elem\">{label}</span>");
-    if !n.children().is_empty() {
+    if doc.subtree_size(node) > 1 {
         out.push_str("<ul>");
-        for &c in n.children() {
+        for c in doc.children(node) {
             render_node_html(doc, c, out);
         }
         out.push_str("</ul>");

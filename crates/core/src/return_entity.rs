@@ -70,8 +70,7 @@ pub fn identify_among(
 
     // Entity types present, in order of first instance (document order).
     let mut types: Vec<Symbol> = Vec::new();
-    for &e in entities {
-        let label = doc.node(e).label();
+    for label in entities.iter().filter_map(|&e| doc.label(e)) {
         if !types.contains(&label) {
             types.push(label);
         }
@@ -87,9 +86,9 @@ pub fn identify_among(
 
     // Rule 2: an attribute name of the entity matches a keyword.
     for &label in &types {
-        let attr_match = entities.iter().filter(|&&e| doc.node(e).label() == label).any(|&e| {
+        let attr_match = entities.iter().filter(|&&e| doc.label(e) == Some(label)).any(|&e| {
             doc.element_children(e).filter(|&a| model.is_attribute(a)).any(|a| {
-                let attr_name = doc.resolve(doc.node(a).label());
+                let attr_name = doc.label_str(a).unwrap_or_default();
                 query.keywords().iter().any(|k| contains_token(attr_name, k))
             })
         });
@@ -100,9 +99,8 @@ pub fn identify_among(
 
     // Rule 3: the highest entities.
     let highest = model.highest_entities(doc, root);
-    let label = doc.node(highest[0]).label();
     ReturnEntities {
-        label: Some(label),
+        label: highest.first().and_then(|&h| doc.label(h)),
         reason: ReturnEntityReason::HighestEntity,
         instances: highest,
     }
@@ -120,7 +118,7 @@ fn chosen(
         instances: entities
             .iter()
             .copied()
-            .filter(|&e| doc.node(e).label() == label)
+            .filter(|&e| doc.label(e) == Some(label))
             .collect(),
     }
 }
@@ -152,8 +150,8 @@ mod tests {
         </retailer>\
         </retailers>";
 
-    fn result_for(index: &XmlIndex, q: &KeywordQuery, root: NodeId) -> QueryResult {
-        QueryResult::build(index, q, root)
+    fn result_for(doc: &Document, index: &XmlIndex, q: &KeywordQuery, root: NodeId) -> QueryResult {
+        QueryResult::build(doc, index, q, root)
     }
 
     #[test]
@@ -161,7 +159,7 @@ mod tests {
         let (doc, model, index) = setup(RETAILER);
         let q = KeywordQuery::parse("houston retailer");
         let bb = doc.elements_with_label("retailer")[0];
-        let r = result_for(&index, &q, bb);
+        let r = result_for(&doc, &index, &q, bb);
         let re = identify(&doc, &model, &q, &r);
         assert_eq!(re.reason, ReturnEntityReason::NameMatch);
         assert_eq!(doc.resolve(re.label.unwrap()), "retailer");
@@ -175,7 +173,7 @@ mod tests {
         // category.
         let q = KeywordQuery::parse("category houston");
         let bb = doc.elements_with_label("retailer")[0];
-        let r = result_for(&index, &q, bb);
+        let r = result_for(&doc, &index, &q, bb);
         let re = identify(&doc, &model, &q, &r);
         assert_eq!(re.reason, ReturnEntityReason::AttributeNameMatch);
         assert_eq!(doc.resolve(re.label.unwrap()), "clothes");
@@ -186,7 +184,7 @@ mod tests {
         let (doc, model, index) = setup(RETAILER);
         let q = KeywordQuery::parse("houston suit");
         let bb = doc.elements_with_label("retailer")[0];
-        let r = result_for(&index, &q, bb);
+        let r = result_for(&doc, &index, &q, bb);
         let re = identify(&doc, &model, &q, &r);
         assert_eq!(re.reason, ReturnEntityReason::HighestEntity);
         // Result root is the retailer — itself an entity ⇒ highest.
@@ -201,7 +199,7 @@ mod tests {
         // the *name* rule must win even though retailer comes first.
         let q = KeywordQuery::parse("clothes name");
         let bb = doc.elements_with_label("retailer")[0];
-        let r = result_for(&index, &q, bb);
+        let r = result_for(&doc, &index, &q, bb);
         let re = identify(&doc, &model, &q, &r);
         assert_eq!(re.reason, ReturnEntityReason::NameMatch);
         assert_eq!(doc.resolve(re.label.unwrap()), "clothes");
@@ -212,7 +210,7 @@ mod tests {
     fn entityless_result_falls_back_to_root() {
         let (doc, model, index) = setup("<a><b><c>k</c></b></a>");
         let q = KeywordQuery::parse("k");
-        let r = result_for(&index, &q, doc.root());
+        let r = result_for(&doc, &index, &q, doc.root());
         let re = identify(&doc, &model, &q, &r);
         assert!(re.label.is_none());
         assert_eq!(re.instances, vec![doc.root()]);
@@ -225,7 +223,7 @@ mod tests {
              <open_auction><seller>bob</seller><price>20</price></open_auction></site>",
         );
         let q = KeywordQuery::parse("auction alice");
-        let r = result_for(&index, &q, doc.root());
+        let r = result_for(&doc, &index, &q, doc.root());
         let re = identify(&doc, &model, &q, &r);
         assert_eq!(re.reason, ReturnEntityReason::NameMatch);
         assert_eq!(doc.resolve(re.label.unwrap()), "open_auction");

@@ -34,7 +34,7 @@ impl Snippet {
             .copied()
             .min()
             .expect("selection always includes the root");
-        let (tree, _) = doc.project(root, &outcome.nodes);
+        let tree = doc.project(root, &outcome.nodes);
         let covered = outcome
             .covered
             .iter()

@@ -99,7 +99,7 @@ fn e3_figure3_ilist_and_dominance_scores() {
     // The full IList of Figure 3.
     let extract = Extract::new(&doc);
     let query = KeywordQuery::parse("Texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, bb);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, bb);
     let ilist = extract.ilist(&query, &result, &ExtractConfig::default());
     assert_eq!(ilist.display(&doc), figure1_expected_ilist());
 }
@@ -113,7 +113,7 @@ fn e2_figure2_snippet() {
     let extract = Extract::new(&doc);
     let bb = figure1_result_root(&doc);
     let query = KeywordQuery::parse("Texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, bb);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, bb);
 
     let out = extract.snippet(&query, &result, &ExtractConfig::with_bound(13));
     assert_eq!(out.snippet.edges, 13);
@@ -136,7 +136,7 @@ fn e2_bound_sweep_respects_limit_and_monotone_coverage() {
     let extract = Extract::new(&doc);
     let bb = figure1_result_root(&doc);
     let query = KeywordQuery::parse("Texas apparel retailer");
-    let result = QueryResult::build(extract.index(), &query, bb);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, bb);
 
     let mut last_coverage = 0;
     for bound in 0..=16 {
@@ -195,7 +195,7 @@ fn figure_key_identification() {
     let index = XmlIndex::build(&doc);
     let bb = figure1_result_root(&doc);
     let query = KeywordQuery::parse("Texas apparel retailer");
-    let result = QueryResult::build(&index, &query, bb);
+    let result = QueryResult::build(&doc, &index, &query, bb);
 
     let re = extract_core::return_entity::identify(&doc, &model, &query, &result);
     assert_eq!(doc.resolve(re.label.unwrap()), "retailer");

@@ -387,7 +387,7 @@ impl Corpus {
     }
 
     /// Estimated heap footprint in bytes: segments and directory plus
-    /// retained documents' arenas.
+    /// the retained documents (node columns, text buffers, label tables).
     pub fn memory_footprint(&self) -> usize {
         self.postings.memory_footprint()
             + self

@@ -31,20 +31,17 @@
 //! held for an `Arc` clone or swap.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use extract_index::sharded::ShardedPostingsBuilder;
 use extract_index::XmlIndex;
+use extract_obs::lock_unpoisoned;
 use extract_xml::Document;
 
 use crate::{
     record_rejection, Corpus, CorpusBuilder, CorpusOptions, DocEntry, DocId, RejectedDocument,
 };
-
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Where one mutation's time went. A delete neither parses nor indexes:
 /// those stay zero.

@@ -6,8 +6,9 @@
 //! `/debug/traces` dumps the ring as JSON; the slow-request log line in
 //! [`crate::RequestObs::observe`] is fed from the same [`TraceRecord`]s.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
+use crate::lock_unpoisoned;
 use crate::stage::{Stage, STAGES};
 use crate::trace::TraceId;
 
@@ -52,16 +53,6 @@ pub struct FlightRecorder {
     /// Lock order: `flight` is terminal — nothing else is ever acquired
     /// while holding it, and it is held only for a copy in/out.
     flight: Mutex<Ring>,
-}
-
-/// Recover the data from a poisoned mutex rather than cascading the
-/// panic: trace records are plain `Copy` data, valid regardless of
-/// where a holder panicked.
-fn lock_unpoisoned(flight: &Mutex<Ring>) -> MutexGuard<'_, Ring> {
-    match flight.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl std::fmt::Debug for FlightRecorder {

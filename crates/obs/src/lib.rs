@@ -43,6 +43,20 @@ pub use stage::{
 };
 pub use trace::{TraceId, TRACE_HEADER};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Acquire a mutex, recovering from poisoning instead of panicking. Every
+/// mutex in the serving tier — caches, the live corpus's writer and
+/// published snapshot, connection pools, breakers, the flight recorder —
+/// guards state that is valid at every statement boundary, so whatever
+/// panicked while holding the guard, the next request is better served by
+/// the data as it stands than by a cascade of poisoned-lock panics. xlint's
+/// lock-order lint knows this helper by name (`[lock-order] lock-fns`),
+/// called bare or path-qualified.
+pub fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Per-daemon request observability: stage + total latency histograms,
 /// the flight recorder, and slow-request logging. One instance lives
 /// for the daemon's lifetime; [`observe`](RequestObs::observe) is called

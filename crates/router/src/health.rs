@@ -16,6 +16,8 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use extract_obs::lock_unpoisoned;
+
 /// The three breaker positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -51,13 +53,6 @@ pub struct Breaker {
     threshold: u32,
     cooldown: Duration,
     breaker: Mutex<BreakerInner>,
-}
-
-/// See [`lock_unpoisoned`](extract_serve::server) — same recover-don't-
-/// cascade policy: the guarded state is a tiny enum + counters, valid at
-/// every statement boundary.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Breaker {

@@ -17,13 +17,8 @@ use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use extract_obs::lock_unpoisoned;
 use extract_serve::{ClientConfig, ClientError, HttpClient, WireResponse};
-
-/// See the serving tier's poisoning policy: the guarded `Vec` is valid
-/// at every statement boundary, so recover instead of cascading.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// A bounded pool of [`HttpClient`]s for one shard address.
 #[derive(Debug)]

@@ -58,7 +58,7 @@
 //!
 //! # Poisoning policy
 //!
-//! Every acquisition goes through [`lock_unpoisoned`], which *recovers*
+//! Every acquisition goes through [`extract_obs::lock_unpoisoned`], which *recovers*
 //! a poisoned mutex instead of panicking. Rationale: the handler runs
 //! with **no** locks held, so a panicking request cannot corrupt a
 //! critical section; the in-lock regions themselves only perform
@@ -77,7 +77,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use extract_obs::{RequestObs, Stage, TraceId, TraceRecord};
+use extract_obs::{lock_unpoisoned, RequestObs, Stage, TraceId, TraceRecord};
 
 use crate::event::{arm_reset, bind_reuseaddr, socket_ready, PollerKind, Readiness};
 use crate::fault::{FaultAction, FaultPlan};
@@ -316,15 +316,6 @@ struct Shared {
     /// in the lock order — nothing is acquired while it is held.
     obs: RequestObs,
     addr: SocketAddr,
-}
-
-/// Acquire a mutex, recovering from poisoning instead of panicking —
-/// see the module-level "Poisoning policy". All lock acquisitions in
-/// this file go through here (the L1 lock-order lint knows this helper
-/// by name), so a worker that panicked mid-request can never cascade
-/// into poisoned-lock panics in `/stats`, admission or shutdown.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The admission key for a peer: IPv4-mapped IPv6 addresses

@@ -1,5 +1,6 @@
-// Seeded L1 violations: a canonical-order inversion and a self-nested
-// acquisition. Not compiled by cargo (fixtures are data for the lint
+// Seeded L1 violations: a canonical-order inversion, a self-nested
+// acquisition, and an inversion through the path-qualified
+// `extract_obs::lock_unpoisoned` helper. Not compiled by cargo (fixtures are data for the lint
 // tests) and excluded from the workspace xlint run via xlint.toml.
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -22,6 +23,13 @@ fn self_nested(shared: &Shared) {
     let second = shared.queue.lock().unwrap(); // L1: queue taken twice
     drop(second);
     drop(first);
+}
+
+fn inverted_through_the_shared_helper(shared: &Shared) {
+    let parked = extract_obs::lock_unpoisoned(&shared.parked);
+    let queue = extract_obs::lock_unpoisoned(&shared.queue); // L1: path-qualified helper
+    drop(queue);
+    drop(parked);
 }
 
 fn canonical(shared: &Shared) {

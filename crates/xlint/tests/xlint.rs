@@ -64,9 +64,10 @@ fn l1_fires_on_inversion_and_self_nesting_only() {
         "fixture",
         include_str!("fixtures/l1_lock_order.rs"),
     );
-    assert_eq!(codes(&diags), [("L1", 15), ("L1", 22)], "{diags:#?}");
+    assert_eq!(codes(&diags), [("L1", 16), ("L1", 23), ("L1", 30)], "{diags:#?}");
     assert!(diags[0].message.contains("inverts the canonical lock order"));
     assert!(diags[1].message.contains("self-deadlock"));
+    assert!(diags[2].message.contains("inverts the canonical lock order"));
 }
 
 #[test]

@@ -79,16 +79,15 @@ impl InvertedIndex {
         let mut pairs: Vec<(u32, NodeId)> = Vec::new();
         let mut seen: Vec<u32> = Vec::with_capacity(8);
         for node in doc.all_nodes() {
-            let n = doc.node(node);
-            if !n.is_element() {
+            let Some(label) = doc.label_str(node) else {
                 continue;
-            }
+            };
             seen.clear();
-            for tok in tokens_of(doc.resolve(n.label())) {
+            for tok in tokens_of(label) {
                 seen.push(id32(tokens.intern(&tok).index()));
             }
-            for &child in n.children() {
-                if let Some(text) = doc.node(child).text() {
+            for child in doc.children(node) {
+                if let Some(text) = doc.text(child) {
                     for tok in tokens_of(text) {
                         seen.push(id32(tokens.intern(&tok).index()));
                     }

@@ -15,9 +15,8 @@ impl LabelIndex {
     pub fn build(doc: &Document) -> LabelIndex {
         let mut by_label: Vec<Vec<NodeId>> = vec![Vec::new(); doc.symbols().len()];
         for node in doc.all_nodes() {
-            let n = doc.node(node);
-            if n.is_element() {
-                by_label[n.label().index()].push(node);
+            if let Some(label) = doc.label(node) {
+                by_label[label.index()].push(node);
             }
         }
         LabelIndex { by_label }

@@ -6,9 +6,6 @@
 //!
 //! * [`tokenize`] — the keyword normalization shared by indexing and query
 //!   parsing (lowercased alphanumeric runs);
-//! * [`DeweyStore`] — a dense, flattened `NodeId → Dewey` store (one big
-//!   component vector plus offsets, struct-of-arrays style) with slice-based
-//!   comparison/ancestor primitives for the search algorithms;
 //! * [`InvertedIndex`] — keyword → postings of matching **element** nodes in
 //!   document order (an element matches a token if its label or the text it
 //!   directly contains produces that token);
@@ -34,13 +31,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod dewey_store;
 pub mod inverted;
 pub mod labels;
 pub mod sharded;
 pub mod tokenize;
 
-pub use dewey_store::DeweyStore;
 pub use inverted::{InvertedIndex, TokenId};
 pub use labels::LabelIndex;
 pub use sharded::{DocId, FanIn, ShardedPostings, ShardedPostingsBuilder};
@@ -48,10 +43,12 @@ pub use tokenize::{tokenize, tokens_of};
 
 use extract_xml::{Document, NodeId};
 
-/// All per-document indexes bundled together.
+/// All per-document indexes bundled together. Structure — ancestry,
+/// subtree intervals, LCAs — is the document's own (`extract_xml`'s
+/// preorder ids and `subtree_end` column); the index holds only what
+/// keyword and label lookups need.
 #[derive(Debug)]
 pub struct XmlIndex {
-    dewey: DeweyStore,
     inverted: InvertedIndex,
     labels: LabelIndex,
 }
@@ -59,16 +56,7 @@ pub struct XmlIndex {
 impl XmlIndex {
     /// Build every index for `doc` in one pass each.
     pub fn build(doc: &Document) -> XmlIndex {
-        XmlIndex {
-            dewey: DeweyStore::build(doc),
-            inverted: InvertedIndex::build(doc),
-            labels: LabelIndex::build(doc),
-        }
-    }
-
-    /// The Dewey store.
-    pub fn dewey_store(&self) -> &DeweyStore {
-        &self.dewey
+        XmlIndex { inverted: InvertedIndex::build(doc), labels: LabelIndex::build(doc) }
     }
 
     /// The inverted keyword index.
@@ -99,17 +87,10 @@ impl XmlIndex {
         self.inverted.postings_by_id(id)
     }
 
-    /// Dewey components of a node.
-    pub fn dewey(&self, node: NodeId) -> &[u32] {
-        self.dewey.components(node)
-    }
-
     /// Estimated heap footprint in bytes (reported by the indexing
     /// experiment, E10).
     pub fn memory_footprint(&self) -> usize {
-        self.dewey.memory_footprint()
-            + self.inverted.memory_footprint()
-            + self.labels.memory_footprint()
+        self.inverted.memory_footprint() + self.labels.memory_footprint()
     }
 }
 
@@ -129,6 +110,6 @@ mod tests {
         assert_eq!(idx.postings("retailer").len(), 1);
         assert!(idx.memory_footprint() > 0);
         let store = doc.first_element_with_label("store").unwrap();
-        assert_eq!(idx.dewey(store), &[1]);
+        assert_eq!(idx.label_index().nodes_by_str(&doc, "store"), &[store]);
     }
 }

@@ -2,7 +2,7 @@
 //! document — complete (every true match is indexed) and sound (every
 //! posting is a true match).
 
-use extract_index::{tokenize, DeweyStore, InvertedIndex, LabelIndex, XmlIndex};
+use extract_index::{tokenize, InvertedIndex, LabelIndex, XmlIndex};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
 
@@ -47,18 +47,13 @@ fn push(b: &mut DocBuilder, s: &SpecNode) {
 
 /// Reference: does element `n` match `token` by label or direct text?
 fn matches(doc: &Document, n: NodeId, token: &str) -> bool {
-    if !doc.node(n).is_element() {
+    if !doc.is_element(n) {
         return false;
     }
     if tokenize::contains_token(doc.label_str(n).unwrap_or(""), token) {
         return true;
     }
-    doc.children(n).any(|c| {
-        doc.node(c)
-            .text()
-            .map(|t| tokenize::contains_token(t, token))
-            .unwrap_or(false)
-    })
+    doc.children(n).any(|c| doc.text(c).is_some_and(|t| tokenize::contains_token(t, token)))
 }
 
 proptest! {
@@ -107,13 +102,13 @@ proptest! {
         let mut reference: std::collections::HashMap<String, Vec<NodeId>> =
             std::collections::HashMap::new();
         for node in doc.all_nodes() {
-            if !doc.node(node).is_element() {
+            if !doc.is_element(node) {
                 continue;
             }
             let mut toks: Vec<String> =
                 tokenize::tokenize(doc.label_str(node).unwrap_or(""));
             for c in doc.children(node) {
-                if let Some(t) = doc.node(c).text() {
+                if let Some(t) = doc.text(c) {
                     toks.extend(tokenize::tokenize(t));
                 }
             }
@@ -139,17 +134,6 @@ proptest! {
         // And iter() exposes exactly the reference's entries.
         for (token, list) in index.iter() {
             prop_assert_eq!(Some(list), reference.get(token).map(Vec::as_slice), "token {}", token);
-        }
-    }
-
-    #[test]
-    fn dewey_store_matches_document(spec in spec_strategy()) {
-        let doc = build(&spec);
-        let store = DeweyStore::build(&doc);
-        prop_assert_eq!(store.len(), doc.len());
-        for n in doc.all_nodes() {
-            let expected = doc.dewey(n);
-            prop_assert_eq!(store.components(n), expected.components());
         }
     }
 

@@ -67,7 +67,7 @@ fn elca_bruteforce_impl<M: Mask, L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]
     }
     (0..doc.len())
         .map(NodeId::from_index)
-        .filter(|&n| doc.node(n).is_element() && countable[n.index()].is_full(k))
+        .filter(|&n| doc.is_element(n) && countable[n.index()].is_full(k))
         .collect()
 }
 

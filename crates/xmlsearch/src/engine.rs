@@ -69,13 +69,9 @@ impl<'d> Engine<'d> {
         let lists: Vec<&[NodeId]> =
             query.keywords().iter().map(|k| self.index.postings(k)).collect();
         match algorithm {
-            Algorithm::SlcaIndexedLookup => {
-                slca_indexed_lookup(self.doc, self.index.dewey_store(), &lists)
-            }
-            Algorithm::SlcaScanEager => {
-                slca_scan_eager(self.doc, self.index.dewey_store(), &lists)
-            }
-            Algorithm::SlcaAuto => slca_auto(self.doc, self.index.dewey_store(), &lists),
+            Algorithm::SlcaIndexedLookup => slca_indexed_lookup(self.doc, &lists),
+            Algorithm::SlcaScanEager => slca_scan_eager(self.doc, &lists),
+            Algorithm::SlcaAuto => slca_auto(self.doc, &lists),
             Algorithm::Elca => elca_stack(self.doc, &lists),
             Algorithm::XSeek => {
                 xseek::result_roots(self.doc, &self.index, &self.model, query, RootPolicy::Entity)
@@ -87,7 +83,7 @@ impl<'d> Engine<'d> {
     pub fn search(&self, query: &KeywordQuery, algorithm: Algorithm) -> Vec<QueryResult> {
         self.roots(query, algorithm)
             .into_iter()
-            .map(|root| QueryResult::build(&self.index, query, root))
+            .map(|root| QueryResult::build(self.doc, &self.index, query, root))
             .collect()
     }
 

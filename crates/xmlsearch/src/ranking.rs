@@ -92,7 +92,7 @@ pub fn ranked_results(
     scored.sort_unstable_by(|a, b| by_score_desc(a.0, b.0).then_with(|| a.1.cmp(&b.1)));
     scored
         .into_iter()
-        .map(|(score, root)| RankedResult { result: QueryResult::build(index, query, root), score })
+        .map(|(score, root)| RankedResult { result: QueryResult::build(doc, index, query, root), score })
         .collect()
 }
 
@@ -129,7 +129,7 @@ mod tests {
         let q = KeywordQuery::parse("k");
         let stores = doc.elements_with_label("s");
         let results: Vec<QueryResult> =
-            stores.iter().map(|&s| QueryResult::build(&index, &q, s)).collect();
+            stores.iter().map(|&s| QueryResult::build(&doc, &index, &q, s)).collect();
         let ranked = rank(&doc, results);
         assert_eq!(ranked[0].result.root, stores[0]);
         assert!(ranked[0].score > ranked[1].score);
@@ -148,7 +148,7 @@ mod tests {
         let q = KeywordQuery::parse("k");
         let stores = doc.elements_with_label("s");
         let results: Vec<QueryResult> =
-            stores.iter().map(|&s| QueryResult::build(&index, &q, s)).collect();
+            stores.iter().map(|&s| QueryResult::build(&doc, &index, &q, s)).collect();
         let ranked = rank(&doc, results);
         assert_eq!(ranked[0].result.root, stores[1], "the compact result wins");
     }
@@ -162,7 +162,7 @@ mod tests {
         let results: Vec<QueryResult> = stores
             .iter()
             .rev() // feed them in reverse to prove sorting normalizes
-            .map(|&s| QueryResult::build(&index, &q, s))
+            .map(|&s| QueryResult::build(&doc, &index, &q, s))
             .collect();
         let ranked = rank(&doc, results);
         assert_eq!(ranked[0].result.root, stores[0]);

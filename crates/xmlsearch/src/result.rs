@@ -36,8 +36,13 @@ pub fn postings_within(postings: &[NodeId], root: NodeId, end: NodeId) -> &[Node
 impl QueryResult {
     /// Build a result for `root`: restrict each keyword's postings to the
     /// subtree of `root` ([`postings_within`] its ID interval).
-    pub fn build(index: &XmlIndex, query: &KeywordQuery, root: NodeId) -> QueryResult {
-        let end = index.dewey_store().subtree_end(root);
+    pub fn build(
+        doc: &Document,
+        index: &XmlIndex,
+        query: &KeywordQuery,
+        root: NodeId,
+    ) -> QueryResult {
+        let end = doc.subtree_end(root);
         let matches = query
             .keywords()
             .iter()
@@ -71,8 +76,7 @@ impl QueryResult {
     /// display; algorithms work in place).
     pub fn materialize(&self, doc: &Document) -> Document {
         let keep = doc.subtree_elements(self.root).collect();
-        let (result, _) = doc.project(self.root, &keep);
-        result
+        doc.project(self.root, &keep)
     }
 }
 
@@ -97,7 +101,7 @@ mod tests {
     fn matches_are_scoped_to_the_subtree() {
         let (doc, index, query) = setup();
         let store1 = d_store(&doc, 0);
-        let r = QueryResult::build(&index, &query, store1);
+        let r = QueryResult::build(&doc, &index, &query, store1);
         assert_eq!(r.matches.len(), 2);
         assert_eq!(r.matches[0], vec![store1], "keyword `store` matches the root itself");
         assert_eq!(r.matches[1].len(), 1, "only store1's own texas");
@@ -109,7 +113,7 @@ mod tests {
     #[test]
     fn root_scope_sees_everything() {
         let (doc, index, query) = setup();
-        let r = QueryResult::build(&index, &query, doc.root());
+        let r = QueryResult::build(&doc, &index, &query, doc.root());
         assert_eq!(r.matches[0].len(), 2);
         assert_eq!(r.matches[1].len(), 2);
     }
@@ -118,7 +122,7 @@ mod tests {
     fn missing_keyword_leaves_empty_list() {
         let (doc, index, _) = setup();
         let q = KeywordQuery::parse("store dallas");
-        let r = QueryResult::build(&index, &q, doc.root());
+        let r = QueryResult::build(&doc, &index, &q, doc.root());
         assert!(!r.covers_all_keywords());
         assert!(r.matches[1].is_empty());
     }
@@ -127,7 +131,7 @@ mod tests {
     fn materialize_copies_the_subtree() {
         let (doc, index, query) = setup();
         let store2 = d_store(&doc, 1);
-        let r = QueryResult::build(&index, &query, store2);
+        let r = QueryResult::build(&doc, &index, &query, store2);
         let m = r.materialize(&doc);
         assert_eq!(m.label_str(m.root()), Some("store"));
         assert_eq!(m.element_count(), 3); // store, name, state
@@ -139,7 +143,7 @@ mod tests {
     fn sizes() {
         let (doc, index, query) = setup();
         let store1 = d_store(&doc, 0);
-        let r = QueryResult::build(&index, &query, store1);
+        let r = QueryResult::build(&doc, &index, &query, store1);
         assert_eq!(r.element_edges(&doc), 2);
         assert_eq!(r.size(&doc), 5); // 3 elements + 2 text
     }

@@ -18,8 +18,11 @@
 //! ratios (see [`choose_strategy`]), so callers on the hot query path don't
 //! have to.
 //!
-//! All implementations exploit the preorder-ID invariant: `NodeId` order
-//! *is* document order, so only LCA-depth computations touch Dewey labels.
+//! All implementations run on the preorder-ID invariant: `NodeId` order
+//! *is* document order and a subtree is the interval `[n, subtree_end(n))`,
+//! so an ancestor test is two integer compares and an LCA is a walk up the
+//! parent column to the first interval holding the other node — no Dewey
+//! labels anywhere.
 //!
 //! # Hot-path variants
 //!
@@ -32,7 +35,6 @@
 //! (owned lists) or `&[&[NodeId]]` (borrowed straight from the inverted
 //! index, zero copies).
 
-use extract_index::DeweyStore;
 use extract_xml::{Document, NodeId};
 
 use crate::mask::Mask;
@@ -127,7 +129,7 @@ fn slca_bruteforce_impl<M: Mask, L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]
             full_desc |= has_full_descendant[c.index()] || cm.is_full(k);
             m.or_assign(cm);
         }
-        if m.is_full(k) && !full_desc && doc.node(n).is_element() {
+        if m.is_full(k) && !full_desc && doc.is_element(n) {
             out.push(n);
         }
         subtree_mask[idx] = m;
@@ -139,13 +141,9 @@ fn slca_bruteforce_impl<M: Mask, L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]
 
 /// Indexed Lookup Eager. `lists` must be sorted in document order (as the
 /// inverted index produces them).
-pub fn slca_indexed_lookup<L: AsRef<[NodeId]>>(
-    doc: &Document,
-    store: &DeweyStore,
-    lists: &[L],
-) -> Vec<NodeId> {
+pub fn slca_indexed_lookup<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    slca_indexed_lookup_with(doc, store, lists, &mut SlcaScratch::new(), &mut out);
+    slca_indexed_lookup_with(doc, lists, &mut SlcaScratch::new(), &mut out);
     out
 }
 
@@ -154,7 +152,6 @@ pub fn slca_indexed_lookup<L: AsRef<[NodeId]>>(
 /// warmed up.
 pub fn slca_indexed_lookup_with<L: AsRef<[NodeId]>>(
     doc: &Document,
-    store: &DeweyStore,
     lists: &[L],
     scratch: &mut SlcaScratch,
     out: &mut Vec<NodeId>,
@@ -172,22 +169,18 @@ pub fn slca_indexed_lookup_with<L: AsRef<[NodeId]>>(
             if li == anchor_idx {
                 continue;
             }
-            let m = closest_by_binary_search(store, list.as_ref(), u);
-            u = lca_node(doc, store, u, m);
+            let list = list.as_ref();
+            u = deepest_lca(doc, list, list.partition_point(|&n| n < u), u);
         }
         scratch.candidates.push(u);
     }
-    remove_ancestors(store, &mut scratch.candidates, out);
+    remove_ancestors(doc, &mut scratch.candidates, out);
 }
 
 /// Scan Eager. `lists` must be sorted in document order.
-pub fn slca_scan_eager<L: AsRef<[NodeId]>>(
-    doc: &Document,
-    store: &DeweyStore,
-    lists: &[L],
-) -> Vec<NodeId> {
+pub fn slca_scan_eager<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    slca_scan_eager_with(doc, store, lists, &mut SlcaScratch::new(), &mut out);
+    slca_scan_eager_with(doc, lists, &mut SlcaScratch::new(), &mut out);
     out
 }
 
@@ -195,7 +188,6 @@ pub fn slca_scan_eager<L: AsRef<[NodeId]>>(
 /// [`slca_indexed_lookup_with`]).
 pub fn slca_scan_eager_with<L: AsRef<[NodeId]>>(
     doc: &Document,
-    store: &DeweyStore,
     lists: &[L],
     scratch: &mut SlcaScratch,
     out: &mut Vec<NodeId>,
@@ -223,38 +215,30 @@ pub fn slca_scan_eager_with<L: AsRef<[NodeId]>>(
             while *p < list.len() && list[*p] < v {
                 *p += 1;
             }
-            let m = closest_of(store, list, *p, u);
-            u = lca_node(doc, store, u, m);
+            u = deepest_lca(doc, list, *p, u);
         }
         scratch.candidates.push(u);
     }
-    remove_ancestors(store, &mut scratch.candidates, out);
+    remove_ancestors(doc, &mut scratch.candidates, out);
 }
 
 /// Eager SLCA with the algorithm chosen by [`choose_strategy`].
-pub fn slca_auto<L: AsRef<[NodeId]>>(
-    doc: &Document,
-    store: &DeweyStore,
-    lists: &[L],
-) -> Vec<NodeId> {
+pub fn slca_auto<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    slca_auto_with(doc, store, lists, &mut SlcaScratch::new(), &mut out);
+    slca_auto_with(doc, lists, &mut SlcaScratch::new(), &mut out);
     out
 }
 
 /// [`slca_auto`] into caller-owned buffers.
 pub fn slca_auto_with<L: AsRef<[NodeId]>>(
     doc: &Document,
-    store: &DeweyStore,
     lists: &[L],
     scratch: &mut SlcaScratch,
     out: &mut Vec<NodeId>,
 ) {
     match choose_strategy(lists) {
-        SlcaStrategy::IndexedLookup => {
-            slca_indexed_lookup_with(doc, store, lists, scratch, out)
-        }
-        SlcaStrategy::ScanEager => slca_scan_eager_with(doc, store, lists, scratch, out),
+        SlcaStrategy::IndexedLookup => slca_indexed_lookup_with(doc, lists, scratch, out),
+        SlcaStrategy::ScanEager => slca_scan_eager_with(doc, lists, scratch, out),
     }
 }
 
@@ -271,54 +255,28 @@ fn prepare<L: AsRef<[NodeId]>>(lists: &[L]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Among `list[p-1]` and `list[p]`, the node with the deepest LCA with `u`.
-fn closest_of(store: &DeweyStore, list: &[NodeId], p: usize, u: NodeId) -> NodeId {
-    let pred = p.checked_sub(1).map(|i| list[i]);
+/// The deeper of `u`'s LCAs with `list[p-1]` and `list[p]` — the two
+/// matches around `u` in document order, the only candidates for the
+/// closest one. Both LCAs are ancestors-or-self of `u`, on one root path,
+/// so one walk up from `u` meets the deeper first: the first interval that
+/// holds either match.
+fn deepest_lca(doc: &Document, list: &[NodeId], p: usize, u: NodeId) -> NodeId {
+    let pred = p.checked_sub(1).and_then(|i| list.get(i)).copied();
     let succ = list.get(p).copied();
-    match (pred, succ) {
-        (Some(a), Some(b)) => {
-            if store.lca_depth(a, u) >= store.lca_depth(b, u) {
-                a
-            } else {
-                b
-            }
-        }
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => unreachable!("lists are non-empty"),
-    }
-}
-
-/// Binary-search variant of [`closest_of`] (NodeId order == document order).
-fn closest_by_binary_search(store: &DeweyStore, list: &[NodeId], u: NodeId) -> NodeId {
-    let p = list.partition_point(|&n| n < u);
-    closest_of(store, list, p, u)
-}
-
-/// LCA of two nodes; prefers walking the shallower distance using the
-/// store's depths.
-fn lca_node(doc: &Document, store: &DeweyStore, a: NodeId, b: NodeId) -> NodeId {
-    if a == b {
-        return a;
-    }
-    let target = store.lca_depth(a, b);
-    let mut x = a;
-    for _ in 0..(store.depth(a) - target) {
-        x = doc.parent(x).expect("depth accounting");
-    }
-    x
+    let holds = |x: NodeId, m: Option<NodeId>| m.is_some_and(|m| doc.is_ancestor_or_self(x, m));
+    doc.ancestors_or_self(u).find(|&x| holds(x, pred) || holds(x, succ)).unwrap_or(u)
 }
 
 /// Sort `candidates`, deduplicate, and write to `out` every node that has
 /// no candidate descendant (SLCAs are the *deepest* full-containment
 /// nodes). `out` doubles as the keep-stack, so the pass is a single scan.
-fn remove_ancestors(store: &DeweyStore, candidates: &mut Vec<NodeId>, out: &mut Vec<NodeId>) {
+fn remove_ancestors(doc: &Document, candidates: &mut Vec<NodeId>, out: &mut Vec<NodeId>) {
     candidates.sort_unstable();
     candidates.dedup();
     out.reserve(candidates.len());
     for &c in candidates.iter() {
         while let Some(&last) = out.last() {
-            if store.is_ancestor_or_self(last, c) {
+            if doc.is_ancestor_or_self(last, c) {
                 out.pop();
             } else {
                 break;
@@ -346,16 +304,16 @@ mod tests {
     fn all_three(doc: &Document, index: &XmlIndex, keywords: &[&str]) -> Vec<NodeId> {
         let ls = lists(index, keywords);
         let brute = slca_bruteforce(doc, &ls);
-        let ile = slca_indexed_lookup(doc, index.dewey_store(), &ls);
-        let se = slca_scan_eager(doc, index.dewey_store(), &ls);
-        let auto = slca_auto(doc, index.dewey_store(), &ls);
+        let ile = slca_indexed_lookup(doc, &ls);
+        let se = slca_scan_eager(doc, &ls);
+        let auto = slca_auto(doc, &ls);
         assert_eq!(brute, ile, "indexed lookup disagrees with brute force");
         assert_eq!(brute, se, "scan eager disagrees with brute force");
         assert_eq!(brute, auto, "auto disagrees with brute force");
         // Borrowed-slice lists must produce the same answer with zero copies.
         let borrowed: Vec<&[NodeId]> =
             keywords.iter().map(|k| index.postings(k)).collect();
-        assert_eq!(brute, slca_auto(doc, index.dewey_store(), &borrowed));
+        assert_eq!(brute, slca_auto(doc, &borrowed));
         brute
     }
 
@@ -494,13 +452,13 @@ mod tests {
         let mut scratch = SlcaScratch::new();
         let mut out = Vec::new();
         let q1 = lists(&index, &["store", "texas"]);
-        slca_scan_eager_with(&doc, index.dewey_store(), &q1, &mut scratch, &mut out);
+        slca_scan_eager_with(&doc, &q1, &mut scratch, &mut out);
         assert_eq!(out.len(), 2);
         let q2 = lists(&index, &["gap", "ohio"]);
-        slca_scan_eager_with(&doc, index.dewey_store(), &q2, &mut scratch, &mut out);
+        slca_scan_eager_with(&doc, &q2, &mut scratch, &mut out);
         assert_eq!(out, slca_bruteforce(&doc, &q2));
         let q3 = lists(&index, &["levis"]);
-        slca_indexed_lookup_with(&doc, index.dewey_store(), &q3, &mut scratch, &mut out);
+        slca_indexed_lookup_with(&doc, &q3, &mut scratch, &mut out);
         assert_eq!(out, slca_bruteforce(&doc, &q3));
     }
 
@@ -523,11 +481,11 @@ mod tests {
         let lists: Vec<Vec<NodeId>> =
             vec![index.postings("k1").to_vec(), Vec::new(), index.postings("k2").to_vec()];
         assert!(slca_bruteforce(&doc, &lists).is_empty());
-        assert!(slca_indexed_lookup(&doc, index.dewey_store(), &lists).is_empty());
-        assert!(slca_scan_eager(&doc, index.dewey_store(), &lists).is_empty());
+        assert!(slca_indexed_lookup(&doc, &lists).is_empty());
+        assert!(slca_scan_eager(&doc, &lists).is_empty());
         let mut scratch = SlcaScratch::new();
         let mut out = vec![NodeId::from_index(1)]; // stale content must be cleared
-        slca_auto_with(&doc, index.dewey_store(), &lists, &mut scratch, &mut out);
+        slca_auto_with(&doc, &lists, &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 
@@ -552,9 +510,9 @@ mod tests {
         let three: Vec<Vec<NodeId>> = vec![one[0].clone(), one[0].clone(), one[0].clone()];
         let expected = slca_bruteforce(&doc, &one);
         assert_eq!(slca_bruteforce(&doc, &three), expected);
-        assert_eq!(slca_indexed_lookup(&doc, index.dewey_store(), &three), expected);
-        assert_eq!(slca_scan_eager(&doc, index.dewey_store(), &three), expected);
-        assert_eq!(slca_auto(&doc, index.dewey_store(), &three), expected);
+        assert_eq!(slca_indexed_lookup(&doc, &three), expected);
+        assert_eq!(slca_scan_eager(&doc, &three), expected);
+        assert_eq!(slca_auto(&doc, &three), expected);
     }
 
     #[test]
@@ -571,9 +529,9 @@ mod tests {
         let brute = slca_bruteforce(&doc, &lists);
         assert_eq!(brute, vec![doc.root()]);
         // The eager algorithms never had the cap; they must still agree.
-        assert_eq!(slca_indexed_lookup(&doc, index.dewey_store(), &lists), brute);
-        assert_eq!(slca_scan_eager(&doc, index.dewey_store(), &lists), brute);
-        assert_eq!(slca_auto(&doc, index.dewey_store(), &lists), brute);
+        assert_eq!(slca_indexed_lookup(&doc, &lists), brute);
+        assert_eq!(slca_scan_eager(&doc, &lists), brute);
+        assert_eq!(slca_auto(&doc, &lists), brute);
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub fn result_roots_with<'i>(
     lists.clear();
     lists.extend(query.keywords().iter().map(|k| index.postings(k)));
     match policy {
-        RootPolicy::Slca => slca_auto_with(doc, index.dewey_store(), lists, slca, roots),
+        RootPolicy::Slca => slca_auto_with(doc, lists, slca, roots),
         RootPolicy::Entity => {
-            slca_auto_with(doc, index.dewey_store(), lists, slca, slcas);
+            slca_auto_with(doc, lists, slca, slcas);
             roots.clear();
             roots.extend(slcas.iter().map(|&n| model.entity_of(doc, n).unwrap_or(n)));
             roots.sort_unstable();
@@ -113,7 +113,7 @@ pub fn search(
 ) -> Vec<QueryResult> {
     result_roots(doc, index, model, query, policy)
         .into_iter()
-        .map(|root| QueryResult::build(index, query, root))
+        .map(|root| QueryResult::build(doc, index, query, root))
         .collect()
 }
 

@@ -78,8 +78,8 @@ proptest! {
         let lists: Vec<Vec<NodeId>> =
             keywords.iter().map(|k| index.postings(k).to_vec()).collect();
         let oracle = slca_bruteforce(&doc, &lists);
-        prop_assert_eq!(&slca_indexed_lookup(&doc, index.dewey_store(), &lists), &oracle);
-        prop_assert_eq!(&slca_scan_eager(&doc, index.dewey_store(), &lists), &oracle);
+        prop_assert_eq!(&slca_indexed_lookup(&doc, &lists), &oracle);
+        prop_assert_eq!(&slca_scan_eager(&doc, &lists), &oracle);
     }
 
     #[test]
@@ -119,7 +119,7 @@ proptest! {
         let index = XmlIndex::build(&doc);
         let lists: Vec<Vec<NodeId>> =
             keywords.iter().map(|k| index.postings(k).to_vec()).collect();
-        let slcas = slca_indexed_lookup(&doc, index.dewey_store(), &lists);
+        let slcas = slca_indexed_lookup(&doc, &lists);
         // Pairwise: no SLCA is an ancestor of another.
         for (i, &a) in slcas.iter().enumerate() {
             for &b in &slcas[i + 1..] {
@@ -179,7 +179,7 @@ proptest! {
                     .collect();
                 prop_assert_eq!(postings_within(list, root, doc.subtree_end(root)), &by_walk[..]);
             }
-            let built = QueryResult::build(index, &q, root);
+            let built = QueryResult::build(&doc, index, &q, root);
             prop_assert_eq!(
                 score_root(&doc, &lists, root).to_bits(),
                 ranking::score(&doc, &built).to_bits()

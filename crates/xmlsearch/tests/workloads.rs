@@ -27,12 +27,12 @@ fn algorithms_agree_on_auction_data() {
             q.keywords().iter().map(|k| index.postings(k).to_vec()).collect();
         let oracle = slca_bruteforce(&doc, &lists);
         assert_eq!(
-            slca_indexed_lookup(&doc, index.dewey_store(), &lists),
+            slca_indexed_lookup(&doc, &lists),
             oracle,
             "ILE on {query:?}"
         );
         assert_eq!(
-            slca_scan_eager(&doc, index.dewey_store(), &lists),
+            slca_scan_eager(&doc, &lists),
             oracle,
             "SE on {query:?}"
         );
@@ -105,7 +105,7 @@ fn elca_supersets_slca_on_real_workloads() {
         let q = KeywordQuery::parse(query);
         let lists: Vec<Vec<NodeId>> =
             q.keywords().iter().map(|k| index.postings(k).to_vec()).collect();
-        let slcas = slca_indexed_lookup(&doc, index.dewey_store(), &lists);
+        let slcas = slca_indexed_lookup(&doc, &lists);
         let elcas = elca_stack(&doc, &lists);
         for s in &slcas {
             assert!(elcas.contains(s), "SLCA {s} missing from ELCA on {query:?}");

@@ -1,7 +1,8 @@
 //! Programmatic document construction.
 //!
-//! [`DocBuilder`] emits nodes directly into the arena in preorder, so built
-//! documents satisfy the same ID-order invariant as parsed ones. The API is
+//! [`DocBuilder`] appends nodes to the same columns the parser fills, in
+//! preorder, so built documents satisfy the same ID-order invariant as
+//! parsed ones. The API is
 //! stack-shaped (`begin`/`end`) with conveniences for the ubiquitous
 //! "attribute" pattern (`leaf`) — exactly what the data generators need.
 //!
@@ -19,26 +20,25 @@
 //! assert_eq!(doc.element_count(), 5);
 //! ```
 
-use std::sync::Arc;
-
-use crate::document::{Arena, Document, NodeId, NodeKind, Shared};
+use crate::document::{Arena, Document, NodeId};
 use crate::symbol::SymbolTable;
 
 /// Builds a [`Document`] top-down.
 #[derive(Debug)]
 pub struct DocBuilder {
-    shared: Shared,
+    symbols: SymbolTable,
     arena: Arena,
     stack: Vec<NodeId>,
+    doctype: Option<(String, crate::dtd::Dtd)>,
 }
 
 impl DocBuilder {
     /// Start a document whose root element is `root_label`.
     pub fn new(root_label: &str) -> Self {
-        let mut shared = Shared { symbols: SymbolTable::with_capacity(32), ..Shared::default() };
+        let mut symbols = SymbolTable::with_capacity(32);
         let mut arena = Arena::default();
-        let root = arena.push(NodeKind::Element, shared.symbols.intern(root_label), None, None);
-        DocBuilder { shared, arena, stack: vec![root] }
+        let root = arena.push_element(symbols.intern(root_label), None);
+        DocBuilder { symbols, arena, stack: vec![root], doctype: None }
     }
 
     /// Pre-allocate space for roughly `n` nodes.
@@ -49,8 +49,7 @@ impl DocBuilder {
 
     /// Attach a parsed DTD (used by generators that also emit a DOCTYPE).
     pub fn with_dtd(&mut self, dtd: crate::dtd::Dtd, doctype_name: &str) -> &mut Self {
-        self.shared.dtd = Some(dtd);
-        self.shared.doctype_name = Some(doctype_name.to_string());
+        self.doctype = Some((doctype_name.to_string(), dtd));
         self
     }
 
@@ -58,24 +57,18 @@ impl DocBuilder {
         *self.stack.last().expect("builder stack never empty until build()")
     }
 
-    fn push_node(&mut self, kind: NodeKind, label: &str, text: Option<&str>) -> NodeId {
+    fn push_element(&mut self, label: &str) -> NodeId {
         let parent = self.current();
-        let sym = self.shared.symbols.intern(label);
-        self.arena.push(kind, sym, Some(parent), text.map(Into::into))
+        let sym = self.symbols.intern(label);
+        self.arena.push_element(sym, Some(parent))
     }
 
     /// Open a child element; subsequent nodes attach under it until
     /// [`end`](Self::end).
     pub fn begin(&mut self, label: &str) -> &mut Self {
-        let id = self.push_node(NodeKind::Element, label, None);
+        let id = self.push_element(label);
         self.stack.push(id);
         self
-    }
-
-    fn close_innermost(&mut self) {
-        if let Some(id) = self.stack.pop() {
-            self.arena.close(id);
-        }
     }
 
     /// Close the innermost open element.
@@ -84,28 +77,27 @@ impl DocBuilder {
     /// Panics if only the root is open.
     pub fn end(&mut self) -> &mut Self {
         assert!(self.stack.len() > 1, "end() called with no open child element");
-        self.close_innermost();
+        self.stack.pop();
         self
     }
 
     /// Add an element with a single text child — the paper's "attribute".
     pub fn leaf(&mut self, label: &str, text: &str) -> &mut Self {
-        let id = self.push_node(NodeKind::Element, label, None);
-        self.stack.push(id);
-        self.push_node(NodeKind::Text, "#text", Some(text));
-        self.close_innermost();
+        let id = self.push_element(label);
+        self.arena.push_text(text, id);
         self
     }
 
     /// Add an empty element.
     pub fn empty(&mut self, label: &str) -> &mut Self {
-        self.push_node(NodeKind::Element, label, None);
+        self.push_element(label);
         self
     }
 
     /// Add a text node under the current element.
     pub fn text(&mut self, content: &str) -> &mut Self {
-        self.push_node(NodeKind::Text, "#text", Some(content));
+        let parent = self.current();
+        self.arena.push_text(content, parent);
         self
     }
 
@@ -124,12 +116,12 @@ impl DocBuilder {
     }
 
     /// Finish building, returning `None` if `begin`/`end` are unbalanced.
-    pub fn try_build(mut self) -> Option<Document> {
+    pub fn try_build(self) -> Option<Document> {
         if self.stack.len() != 1 {
             return None;
         }
-        self.close_innermost();
-        Some(self.arena.finish(Arc::new(self.shared), NodeId(0)))
+        let (doctype_name, dtd) = self.doctype.map_or((None, None), |(n, d)| (Some(n), Some(d)));
+        Some(self.arena.finish(self.symbols, doctype_name, dtd))
     }
 }
 

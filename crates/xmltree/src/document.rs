@@ -1,28 +1,34 @@
-//! The arena DOM: a flat, index-addressed XML tree.
+//! The document: a structure-of-arrays XML tree.
 //!
-//! Nodes live in one `Vec<Node>` and are addressed by [`NodeId`]; element
-//! labels are interned in a [`SymbolTable`]. The design follows the arena /
-//! newtype-index idioms: tree links are indexes, not reference-counted
-//! pointers, there is no interior mutability, traversal is cache-friendly,
-//! and IDs are dense array keys for downstream crates (indexes, search
-//! engines, the snippet selector). The only shared ownership is of what a
-//! [projection](Document::project) has in common with its source — the
-//! label table and the text values — so a snippet tree owns its nodes and
-//! nothing else.
+//! A node is its [`NodeId`] — its position in document (pre)order — and
+//! one entry in each of four parallel `u32` columns:
+//!
+//! * `label` — an element's interned label ([`Symbol`]), or, with the high
+//!   bit set, a text node's byte length: the node kind is folded into it;
+//! * `parent` — the parent's id (`u32::MAX` for the root);
+//! * `subtree_end` — one past the last id of the node's subtree;
+//! * `text_start` — where a text node's content starts in the document's
+//!   one text buffer (unused for elements).
+//!
+//! That is 16 bytes a node and no per-node allocation: a page miss touches
+//! four dense arrays, not a 64-byte node each. The label interner, the text
+//! buffer and the DOCTYPE live behind one `Arc` that a
+//! [projection](Document::project) shares with its source, so a snippet
+//! tree is four short columns and a refcount bump.
 //!
 //! # Invariant: IDs are in document order, so a subtree is an ID interval
 //!
-//! Construction (parser, [`crate::builder::DocBuilder`], [`Document::project`])
-//! assigns [`NodeId`]s in preorder, so comparing raw IDs compares document
-//! positions — and the subtree of node `n` is exactly the contiguous ID
-//! range `[n, subtree_end(n))`. Every constructor records that end in a
-//! vector parallel to the node arena when it closes the element, which
-//! makes [`Document::subtree_size`] and [`Document::is_ancestor_or_self`]
-//! two loads and a compare, and [`Document::subtree`] a range scan with no
-//! stack. [`Document::debug_validate`] checks both invariants along with
-//! parent/child consistency.
+//! Every constructor (parser, [`crate::builder::DocBuilder`],
+//! [`Document::project`]) appends nodes in preorder through one `Arena`,
+//! so comparing raw IDs compares document positions and the subtree of `n`
+//! is exactly the ID range `[n, subtree_end(n))`. Everything else is
+//! derived from that: the first child of `n` is `n + 1` when it lies inside
+//! the interval, the next sibling of a child `c` is `subtree_end(c)`, an
+//! ancestor test is two compares, and a node's rank among its siblings and
+//! its [`Dewey`] label are computed on demand. [`Document::debug_validate`]
+//! checks the invariants against pointer walks.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -30,7 +36,7 @@ use crate::dewey::Dewey;
 use crate::id32;
 use crate::symbol::{Symbol, SymbolTable};
 
-/// Index of a node within its [`Document`]'s arena.
+/// Index of a node within its [`Document`].
 ///
 /// IDs are assigned in document (preorder) order, so `a < b` means node `a`
 /// starts before node `b` in the document.
@@ -38,7 +44,7 @@ use crate::symbol::{Symbol, SymbolTable};
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
-    /// The raw arena index.
+    /// The raw index.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -67,195 +73,161 @@ pub enum NodeKind {
     Text,
 }
 
-/// A node's child IDs. Most XML nodes have a handful of children — an
-/// attribute element has one, its text — so up to [`Children::INLINE`] of
-/// them live in the node itself and only wider nodes own a heap list. A
-/// snippet tree is mostly narrow nodes: it allocates (and, when its cache
-/// entry is evicted, frees) per wide node, not per element.
-#[derive(Debug, Clone)]
-pub(crate) enum Children {
-    Inline { len: u8, ids: [NodeId; Children::INLINE] },
-    Heap(Vec<NodeId>),
-}
+/// High bit of a `label` entry: the node is text, and the low bits are its
+/// content's byte length.
+const TEXT: u32 = 1 << 31;
+/// The `parent` entry of the root.
+const NO_PARENT: u32 = u32::MAX;
 
-impl Children {
-    const INLINE: usize = 3;
-
-    const fn new() -> Children {
-        Children::Inline { len: 0, ids: [NodeId(0); Children::INLINE] }
-    }
-
-    /// An empty list with room for `n` children.
-    fn with_capacity(n: usize) -> Children {
-        if n <= Children::INLINE {
-            Children::new()
-        } else {
-            Children::Heap(Vec::with_capacity(n))
-        }
-    }
-
-    fn push(&mut self, id: NodeId) {
-        match self {
-            Children::Inline { len, ids } => match ids.get_mut(usize::from(*len)) {
-                Some(slot) => {
-                    *slot = id;
-                    *len += 1;
-                }
-                None => {
-                    let mut heap = Vec::with_capacity(2 * Children::INLINE);
-                    heap.extend_from_slice(ids);
-                    heap.push(id);
-                    *self = Children::Heap(heap);
-                }
-            },
-            Children::Heap(heap) => heap.push(id),
-        }
-    }
-
-    /// Bytes this list owns on the heap.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Children::Inline { .. } => 0,
-            Children::Heap(heap) => heap.capacity() * std::mem::size_of::<NodeId>(),
-        }
-    }
-}
-
-impl std::ops::Deref for Children {
-    type Target = [NodeId];
-
-    fn deref(&self) -> &[NodeId] {
-        match self {
-            Children::Inline { len, ids } => &ids[..usize::from(*len)],
-            Children::Heap(heap) => heap,
-        }
-    }
-}
-
-/// One node of the arena.
-#[derive(Debug, Clone)]
-pub struct Node {
-    pub(crate) kind: NodeKind,
-    /// Element label; unused (root symbol) for text nodes.
-    pub(crate) label: Symbol,
-    pub(crate) parent: Option<NodeId>,
-    /// Rank of this node among its parent's children (0-based).
-    pub(crate) rank: u32,
-    pub(crate) children: Children,
-    /// Character data for text nodes; `None` for elements. Shared with
-    /// every projection that carries this node, so a snippet's values are
-    /// refcount bumps, not copies.
-    pub(crate) text: Option<Arc<str>>,
-}
-
-impl Node {
-    /// The node kind.
-    pub fn kind(&self) -> NodeKind {
-        self.kind
-    }
-
-    /// The interned label (meaningful only for elements).
-    pub fn label(&self) -> Symbol {
-        self.label
-    }
-
-    /// The parent, or `None` for the root.
-    pub fn parent(&self) -> Option<NodeId> {
-        self.parent
-    }
-
-    /// This node's rank among its parent's children.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// Child IDs in document order.
-    pub fn children(&self) -> &[NodeId] {
-        &self.children
-    }
-
-    /// Text content for text nodes.
-    pub fn text(&self) -> Option<&str> {
-        self.text.as_deref()
-    }
-
-    /// Whether this is an element node.
-    pub fn is_element(&self) -> bool {
-        self.kind == NodeKind::Element
-    }
-
-    /// Whether this is a text node.
-    pub fn is_text(&self) -> bool {
-        self.kind == NodeKind::Text
-    }
-}
-
-/// The part of a document that no projection changes: the label interner
-/// and the DOCTYPE. A [`Document`] holds it behind an `Arc`, so
-/// [`Document::project`] shares it with the source for one refcount bump
-/// instead of deep-cloning a symbol table into every snippet tree.
+/// The part of a document no projection changes: the label interner, the
+/// text buffer and the DOCTYPE. A [`Document`] holds it behind an `Arc`, so
+/// [`Document::project`] shares it with the source for one refcount bump.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Shared {
     pub(crate) symbols: SymbolTable,
+    /// Every text node's content, back to back in document order.
+    text: Box<str>,
     /// Root element name declared in `<!DOCTYPE name ...>`, if any.
     pub(crate) doctype_name: Option<String>,
     /// Parsed internal DTD subset, if any.
     pub(crate) dtd: Option<crate::dtd::Dtd>,
 }
 
-/// The node arena under construction, shared by every constructor
-/// (parser, builder, projection) so the preorder-ID and subtree-interval
-/// invariants are established in one place.
+/// The columns under construction, shared by every constructor (parser,
+/// builder, projection) so the preorder and interval invariants are
+/// established in one place. Nodes are appended in preorder under an
+/// already-appended parent; [`Arena::finish`] derives the subtree ends.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
-    pub(crate) nodes: Vec<Node>,
-    subtree_end: Vec<u32>,
+    label: Vec<u32>,
+    parent: Vec<u32>,
+    text_start: Vec<u32>,
+    /// The text buffer: constructors write content here, then append the
+    /// text node that covers it ([`Arena::push_text_from`]).
+    pub(crate) text: String,
 }
 
 impl Arena {
-    pub(crate) fn with_capacity(n: usize) -> Arena {
-        Arena { nodes: Vec::with_capacity(n), subtree_end: Vec::with_capacity(n) }
+    /// An arena with room for `nodes` nodes and `text` bytes of content.
+    pub(crate) fn with_capacity(nodes: usize, text: usize) -> Arena {
+        Arena {
+            label: Vec::with_capacity(nodes),
+            parent: Vec::with_capacity(nodes),
+            text_start: Vec::with_capacity(nodes),
+            text: String::with_capacity(text),
+        }
     }
 
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.nodes.reserve(n);
-        self.subtree_end.reserve(n);
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.label.reserve(nodes);
+        self.parent.reserve(nodes);
+        self.text_start.reserve(nodes);
     }
 
-    /// Append a node as the last child of `parent`. Its subtree is just
-    /// itself until [`Arena::close`] says otherwise (text nodes and empty
-    /// elements never need closing).
-    pub(crate) fn push(
-        &mut self,
-        kind: NodeKind,
-        label: Symbol,
-        parent: Option<NodeId>,
-        text: Option<Arc<str>>,
-    ) -> NodeId {
-        let id = NodeId(id32(self.nodes.len()));
-        let rank = match parent {
-            Some(p) => {
-                let siblings = &mut self.nodes[p.index()].children;
-                siblings.push(id);
-                id32(siblings.len() - 1)
-            }
-            None => 0,
-        };
-        self.nodes.push(Node { kind, label, parent, rank, children: Children::new(), text });
-        self.subtree_end.push(id.0 + 1);
+    fn push(&mut self, label: u32, parent: Option<NodeId>, text_start: u32) -> NodeId {
+        let id = NodeId(id32(self.label.len()));
+        self.label.push(label);
+        self.parent.push(parent.map_or(NO_PARENT, |p| p.0));
+        self.text_start.push(text_start);
         id
     }
 
-    /// Close element `id`: every node pushed since it opened is its
-    /// descendant.
-    pub(crate) fn close(&mut self, id: NodeId) {
-        self.subtree_end[id.index()] = id32(self.nodes.len());
+    /// Append an element as the last child of `parent` (`None`: the root).
+    ///
+    /// # Panics
+    /// On a label symbol of 2³¹ or more, whose high bit the text kind takes.
+    pub(crate) fn push_element(&mut self, label: Symbol, parent: Option<NodeId>) -> NodeId {
+        assert!(label.0 < TEXT, "label table exceeds 2^31 entries");
+        self.push(label.0, parent, 0)
     }
 
-    pub(crate) fn finish(self, shared: Arc<Shared>, root: NodeId) -> Document {
-        let doc = Document { shared, nodes: self.nodes, subtree_end: self.subtree_end, root };
+    /// Append text content `self.text[start..]`, already written, as the
+    /// last child of `parent`. When that child is a text node already —
+    /// whose content then ends at `start` — the content joins it instead
+    /// (`merge`), so `text_of` sees one value.
+    pub(crate) fn push_text_from(&mut self, start: usize, parent: NodeId, merge: bool) -> NodeId {
+        if merge {
+            if let Some(last) = self.last_text_child(parent) {
+                let from = self.text_start[last.index()] as usize;
+                debug_assert_eq!(from + (self.label[last.index()] & !TEXT) as usize, start);
+                self.label[last.index()] = text_label(self.text.len() - from);
+                return last;
+            }
+        }
+        let label = text_label(self.text.len() - start);
+        self.push(label, Some(parent), id32(start))
+    }
+
+    /// Append `content` as a new text node under `parent`.
+    pub(crate) fn push_text(&mut self, content: &str, parent: NodeId) -> NodeId {
+        let start = self.text.len();
+        self.text.push_str(content);
+        self.push_text_from(start, parent, false)
+    }
+
+    /// The last node appended, if it is a text child of `parent`: then it
+    /// is `parent`'s last child (nothing after it can be) and its content
+    /// is the tail of the buffer.
+    fn last_text_child(&self, parent: NodeId) -> Option<NodeId> {
+        let last = self.label.len().checked_sub(1)?;
+        (self.label[last] & TEXT != 0 && self.parent[last] == parent.0)
+            .then(|| NodeId::from_index(last))
+    }
+
+    /// The label of element `id` (`None` for text nodes and foreign ids).
+    pub(crate) fn label_of(&self, id: NodeId) -> Option<Symbol> {
+        let label = *self.label.get(id.index())?;
+        (label & TEXT == 0).then_some(Symbol(label))
+    }
+
+    /// The document these columns make, owning the label table, the text
+    /// buffer and the DOCTYPE.
+    pub(crate) fn finish(
+        mut self,
+        symbols: SymbolTable,
+        doctype_name: Option<String>,
+        dtd: Option<crate::dtd::Dtd>,
+    ) -> Document {
+        let shared =
+            Shared { symbols, text: std::mem::take(&mut self.text).into(), doctype_name, dtd };
+        self.seal(Arc::new(shared))
+    }
+
+    /// Seal the columns over `shared` (owned, or a projection's source's).
+    /// Subtree ends come from one reverse pass: a node's interval ends where
+    /// its last descendant's does, and in preorder every descendant has a
+    /// larger id than its ancestors.
+    fn seal(mut self, shared: Arc<Shared>) -> Document {
+        let n = self.label.len();
+        let mut subtree_end: Vec<u32> = (1..=id32(n)).collect();
+        for i in (1..n).rev() {
+            let p = self.parent[i] as usize;
+            subtree_end[p] = subtree_end[p].max(subtree_end[i]);
+        }
+        self.label.shrink_to_fit();
+        self.parent.shrink_to_fit();
+        self.text_start.shrink_to_fit();
+        let doc = Document {
+            shared,
+            label: self.label,
+            parent: self.parent,
+            subtree_end,
+            text_start: self.text_start,
+        };
         debug_assert_eq!(doc.debug_validate(), Ok(()));
         doc
+    }
+}
+
+/// The `label` entry of a text node of `len` bytes.
+///
+/// # Panics
+/// On content of 2 GiB or more, which the 31-bit length cannot represent
+/// (loud, like [`id32`]: truncating would corrupt the text silently).
+fn text_label(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(len) if len < TEXT => TEXT | len,
+        _ => panic!("text node of {len} bytes exceeds the 2 GiB limit"),
     }
 }
 
@@ -263,10 +235,10 @@ impl Arena {
 #[derive(Debug, Clone)]
 pub struct Document {
     shared: Arc<Shared>,
-    nodes: Vec<Node>,
-    /// Parallel to `nodes`: one past the last ID of each node's subtree.
+    label: Vec<u32>,
+    parent: Vec<u32>,
     subtree_end: Vec<u32>,
-    root: NodeId,
+    text_start: Vec<u32>,
 }
 
 impl Document {
@@ -280,58 +252,45 @@ impl Document {
         crate::parser::parse(source, options)
     }
 
-    /// The root element.
+    /// The root element: the first node in document order.
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Total number of nodes (elements + text).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.label.len()
     }
 
     /// Whether the document has no nodes (never true for parsed documents).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.label.is_empty()
     }
 
     /// Number of element nodes.
     pub fn element_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_element()).count()
+        self.label.iter().filter(|&&l| l & TEXT == 0).count()
     }
 
-    /// Estimated heap footprint in bytes: the node arena and its parallel
-    /// subtree-end vector (allocated capacity), every node's child list
-    /// and text content, and the label
-    /// interner (each distinct label stored twice — interner vector plus
-    /// lookup-map key — at [`crate::SYMBOL_ENTRY_OVERHEAD`] bytes of fixed
-    /// overhead per entry, the same estimate the index crates use for
-    /// their token tables).
+    /// Estimated heap footprint in bytes: the four node columns (allocated
+    /// capacity), the text buffer, and the label interner (each distinct
+    /// label stored twice — interner vector plus lookup-map key — at
+    /// [`crate::SYMBOL_ENTRY_OVERHEAD`] bytes of fixed overhead per entry,
+    /// the same estimate the index crates use for their token tables). The
+    /// buffer and the interner are counted whole even when a projection
+    /// shares them with its source.
     pub fn memory_footprint(&self) -> usize {
-        let arena = self.nodes.capacity() * std::mem::size_of::<Node>();
-        let per_node: usize = self
-            .nodes
-            .iter()
-            .map(|n| {
-                n.children.heap_bytes() + n.text.as_deref().map_or(0, str::len)
-            })
-            .sum();
+        let columns = self.label.capacity()
+            + self.parent.capacity()
+            + self.subtree_end.capacity()
+            + self.text_start.capacity();
         let symbols: usize = self
             .shared
             .symbols
             .iter()
             .map(|(_, s)| 2 * s.len() + crate::SYMBOL_ENTRY_OVERHEAD)
             .sum();
-        let ends = self.subtree_end.capacity() * std::mem::size_of::<u32>();
-        arena + ends + per_node + symbols
-    }
-
-    /// Borrow a node.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of bounds for this document.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+        columns * std::mem::size_of::<u32>() + self.shared.text.len() + symbols
     }
 
     /// The symbol table holding element labels.
@@ -339,9 +298,10 @@ impl Document {
         &self.shared.symbols
     }
 
-    /// Whether `self` and `other` share one label table and DOCTYPE — true
-    /// of a document and its [projections](Document::project), which hold
-    /// the same allocation rather than copies of it.
+    /// Whether `self` and `other` share one label table, text buffer and
+    /// DOCTYPE — true of a document and its
+    /// [projections](Document::project), which hold the same allocation
+    /// rather than copies of it.
     pub fn shares_symbols_with(&self, other: &Document) -> bool {
         Arc::ptr_eq(&self.shared, &other.shared)
     }
@@ -357,15 +317,48 @@ impl Document {
         self.shared.symbols.resolve(sym)
     }
 
+    /// The kind of node `id`.
+    ///
+    /// # Panics
+    /// Like every per-node accessor, if `id` is out of bounds for this
+    /// document.
+    pub fn kind(&self, id: NodeId) -> NodeKind {
+        if self.is_text(id) {
+            NodeKind::Text
+        } else {
+            NodeKind::Element
+        }
+    }
+
+    /// Whether `id` is an element node.
+    pub fn is_element(&self, id: NodeId) -> bool {
+        self.label[id.index()] & TEXT == 0
+    }
+
+    /// Whether `id` is a text node.
+    pub fn is_text(&self, id: NodeId) -> bool {
+        !self.is_element(id)
+    }
+
     /// The label symbol of an element node (`None` for text nodes).
     pub fn label(&self, id: NodeId) -> Option<Symbol> {
-        let n = self.node(id);
-        n.is_element().then_some(n.label)
+        let label = self.label[id.index()];
+        (label & TEXT == 0).then_some(Symbol(label))
     }
 
     /// The label string of an element node (`None` for text nodes).
     pub fn label_str(&self, id: NodeId) -> Option<&str> {
         self.label(id).map(|s| self.shared.symbols.resolve(s))
+    }
+
+    /// The content of a text node (`None` for elements).
+    pub fn text(&self, id: NodeId) -> Option<&str> {
+        let label = self.label[id.index()];
+        if label & TEXT == 0 {
+            return None;
+        }
+        let start = self.text_start[id.index()] as usize;
+        self.shared.text.get(start..start + (label & !TEXT) as usize)
     }
 
     /// The declared DOCTYPE root name, if a DOCTYPE was present.
@@ -380,54 +373,59 @@ impl Document {
 
     /// Parent of `id`, or `None` for the root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        let p = self.parent[id.index()];
+        (p != NO_PARENT).then_some(NodeId(p))
     }
 
-    /// Children of `id` in document order.
-    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.node(id).children.iter().copied()
+    /// Children of `id` in document order: `id + 1`, then each child's
+    /// subtree end, while inside `id`'s interval.
+    pub fn children(&self, id: NodeId) -> ChildNodes<'_> {
+        ChildNodes { ends: &self.subtree_end, next: id.0 + 1, end: self.subtree_end[id.index()] }
     }
 
     /// Element children only.
     pub fn element_children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.children(id).filter(move |&c| self.node(c).is_element())
+        self.children(id).filter(move |&c| self.is_element(c))
     }
 
-    /// Number of children of `id`.
+    /// Number of children of `id` (a walk over them).
     pub fn child_count(&self, id: NodeId) -> usize {
-        self.node(id).children.len()
+        self.children(id).count()
     }
 
-    /// For a text node: its content. For an element whose children are all
-    /// text (at least one), the concatenated content — the "value" of an
-    /// attribute-like element. Otherwise `None`.
-    pub fn text_of(&self, id: NodeId) -> Option<&str> {
-        let n = self.node(id);
-        match n.kind {
-            NodeKind::Text => n.text.as_deref(),
-            NodeKind::Element => {
-                if n.children.len() == 1 {
-                    let c = self.node(n.children[0]);
-                    if c.is_text() {
-                        return c.text.as_deref();
-                    }
-                }
-                None
-            }
+    /// Rank of `id` among its parent's children (0-based; 0 for the
+    /// root), counted by walking the preceding siblings.
+    pub fn rank(&self, id: NodeId) -> u32 {
+        match self.parent(id) {
+            Some(p) => id32(self.children(p).take_while(|&c| c != id).count()),
+            None => 0,
         }
+    }
+
+    /// For a text node: its content. For an element whose only child is a
+    /// text node, that content — the "value" of an attribute-like element.
+    /// Otherwise `None`.
+    pub fn text_of(&self, id: NodeId) -> Option<&str> {
+        if self.is_text(id) {
+            return self.text(id);
+        }
+        // The only child is `id + 1`, and it is a leaf: the interval is two long.
+        let only = NodeId(id.0 + 1);
+        if self.subtree_end[id.index()] == id.0 + 2 {
+            return self.text(only);
+        }
+        None
     }
 
     /// Concatenated text of **all** text descendants of `id`, separated by
     /// single spaces (used by the structure-blind text baseline).
     pub fn concat_text(&self, id: NodeId) -> String {
         let mut out = String::new();
-        for n in self.subtree(id) {
-            if let Some(t) = self.node(n).text() {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(t);
+        for t in self.subtree(id).filter_map(|n| self.text(n)) {
+            if !out.is_empty() {
+                out.push(' ');
             }
+            out.push_str(t);
         }
         out
     }
@@ -446,7 +444,7 @@ impl Document {
 
     /// Preorder iterator over the **element** nodes of the subtree at `id`.
     pub fn subtree_elements(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.subtree(id).filter(move |&n| self.node(n).is_element())
+        self.subtree(id).filter(move |&n| self.is_element(n))
     }
 
     /// Number of nodes in the subtree at `id` (including `id`).
@@ -456,7 +454,7 @@ impl Document {
 
     /// Iterator over strict ancestors of `id`, nearest first.
     pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
-        Ancestors { doc: self, current: self.node(id).parent }
+        Ancestors { doc: self, current: self.parent(id) }
     }
 
     /// Iterator over `id` then its ancestors, nearest first.
@@ -475,41 +473,31 @@ impl Document {
         a <= b && b.0 < self.subtree_end[a.index()]
     }
 
-    /// The Dewey order label of `id`, computed by walking to the root
-    /// (O(depth)). The `extract-index` crate caches these densely.
+    /// The Dewey order label of `id`: the ranks on its root path, computed
+    /// on demand (O(depth · siblings)).
     pub fn dewey(&self, id: NodeId) -> Dewey {
-        let mut comps: Vec<u32> = self.ancestors_or_self(id).map(|n| self.node(n).rank).collect();
-        comps.pop(); // drop the root's meaningless rank
+        let mut comps: Vec<u32> = self
+            .ancestors_or_self(id)
+            .filter(|&n| self.parent(n).is_some())
+            .map(|n| self.rank(n))
+            .collect();
         comps.reverse();
         Dewey::from_components(comps)
     }
 
     /// Resolve a Dewey label back to a node, if it addresses one.
     pub fn node_by_dewey(&self, dewey: &Dewey) -> Option<NodeId> {
-        let mut cur = self.root;
+        let mut cur = self.root();
         for &rank in dewey.components() {
-            cur = *self.node(cur).children.get(rank as usize)?;
+            cur = self.children(cur).nth(rank as usize)?;
         }
         Some(cur)
     }
 
-    /// Lowest common ancestor of two nodes.
+    /// Lowest common ancestor of two nodes: the nearest ancestor-or-self
+    /// of `a` whose interval contains `b`.
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let da = self.depth(a);
-        let db = self.depth(b);
-        let (mut x, mut y) = (a, b);
-        // Lift the deeper node to the same depth, then walk up in lockstep.
-        for _ in db..da {
-            x = self.parent(x).expect("depth accounting");
-        }
-        for _ in da..db {
-            y = self.parent(y).expect("depth accounting");
-        }
-        while x != y {
-            x = self.parent(x).expect("nodes share a root");
-            y = self.parent(y).expect("nodes share a root");
-        }
-        x
+        self.ancestors_or_self(a).find(|&x| self.is_ancestor_or_self(x, b)).unwrap_or(self.root())
     }
 
     /// All element nodes with the given label, in document order.
@@ -517,86 +505,70 @@ impl Document {
         let Some(sym) = self.shared.symbols.get(label) else {
             return Vec::new();
         };
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_element() && n.label == sym)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
+        self.all_nodes().filter(|&n| self.label[n.index()] == sym.0).collect()
     }
 
     /// First element with the given label in document order.
     pub fn first_element_with_label(&self, label: &str) -> Option<NodeId> {
-        self.elements_with_label(label).into_iter().next()
+        let sym = self.shared.symbols.get(label)?;
+        self.label.iter().position(|&l| l == sym.0).map(NodeId::from_index)
     }
 
     /// Iterator over every node ID in document order.
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..id32(self.nodes.len())).map(NodeId)
+        (0..id32(self.len())).map(NodeId)
     }
 
     /// Extract the subtree rooted at `root`, keeping only element nodes in
     /// `keep` (the set is ancestor-closed internally: ancestors of kept
     /// nodes up to `root` are always included, as is `root` itself).
     /// Text children of kept elements ride along, so attribute values are
-    /// preserved. Returns the new document and the old→new ID mapping.
+    /// preserved. Nodes keep their document order.
     ///
-    /// The projection owns its nodes and nothing else: the label table
-    /// and DOCTYPE are shared with `self`
-    /// ([`Document::shares_symbols_with`]).
-    pub fn project(
-        &self,
-        root: NodeId,
-        keep: &HashSet<NodeId>,
-    ) -> (Document, HashMap<NodeId, NodeId>) {
-        // Close the keep set under ancestors (bounded by `root`), as marks
-        // over `root`'s ID interval.
-        let interval = root.index()..self.subtree_end[root.index()] as usize;
-        let mut closed = vec![false; interval.len()];
-        closed[0] = true;
-        let mut kept = 1;
-        for &n in keep {
-            if !interval.contains(&n.index()) {
-                continue;
-            }
+    /// The projection owns its four columns, sized exactly, and nothing
+    /// else: the label table, the text buffer and the DOCTYPE are shared
+    /// with `self` ([`Document::shares_symbols_with`]).
+    pub fn project(&self, root: NodeId, keep: &HashSet<NodeId>) -> Document {
+        // Over `root`'s interval: ABSENT, else in the keep set closed under
+        // ancestors up to `root` — KEPT, then the element's new id.
+        const ABSENT: u32 = u32::MAX;
+        const KEPT: u32 = u32::MAX - 1;
+        let (base, end) = (root.index(), self.subtree_end[root.index()] as usize);
+        let mut new_id = vec![ABSENT; end - base];
+        new_id[0] = KEPT;
+        for &n in keep.iter().filter(|n| (base..end).contains(&n.index())) {
             for a in self.ancestors_or_self(n) {
-                let mark = &mut closed[a.index() - interval.start];
-                if std::mem::replace(mark, true) {
+                if std::mem::replace(&mut new_id[a.index() - base], KEPT) != ABSENT {
                     break;
                 }
-                kept += 1;
             }
         }
-
-        let mut out = Arena::with_capacity(kept * 2);
-        let mut mapping = HashMap::with_capacity(kept);
-        self.project_rec(root, None, &closed, interval.start, &mut out, &mut mapping);
-        (out.finish(Arc::clone(&self.shared), NodeId(0)), mapping)
-    }
-
-    fn project_rec(
-        &self,
-        node: NodeId,
-        new_parent: Option<NodeId>,
-        closed: &[bool],
-        base: usize,
-        out: &mut Arena,
-        mapping: &mut HashMap<NodeId, NodeId>,
-    ) {
-        let src = self.node(node);
-        let new_id = out.push(src.kind, src.label, new_parent, src.text.clone());
-        mapping.insert(node, new_id);
-        // Kept elements recurse; text children of a kept element ride
-        // along so values stay attached to their attribute elements.
-        let rides = |c: NodeId| self.node(c).is_text() || closed[c.index() - base];
-        let riders = src.children.iter().filter(|&&c| rides(c)).count();
-        out.nodes[new_id.index()].children = Children::with_capacity(riders);
-        for &c in src.children.iter() {
-            if rides(c) {
-                self.project_rec(c, Some(new_id), closed, base, out, mapping);
+        // The next node from `i` on that rides along: the subtree of an
+        // element outside the set is skipped whole, so every node reached
+        // has a kept parent — kept elements and text nodes ride.
+        let next = |new_id: &[u32], mut i: usize| {
+            while i < end && self.label[i] & TEXT == 0 && new_id[i - base] == ABSENT {
+                i = self.subtree_end[i] as usize;
             }
+            i
+        };
+        let mut len = 0;
+        let mut i = next(&new_id, base);
+        while i < end {
+            len += 1;
+            i = next(&new_id, i + 1);
         }
-        out.close(new_id);
+        let mut out = Arena::with_capacity(len, 0);
+        let mut i = next(&new_id, base);
+        while i < end {
+            let parent = (i != base).then(|| NodeId(new_id[self.parent[i] as usize - base]));
+            let id = out.push(self.label[i], parent, self.text_start[i]);
+            if self.label[i] & TEXT == 0 {
+                new_id[i - base] = id.0;
+            }
+            i = next(&new_id, i + 1);
+        }
+        out.seal(Arc::clone(&self.shared))
     }
 
     /// Number of element→element edges in the subtree at `root`. This is the
@@ -606,17 +578,11 @@ impl Document {
         self.subtree_elements(root).count().saturating_sub(1)
     }
 
-    /// Reference for [`Document::subtree_size`]: a stack-driven DFS over
-    /// the child lists, which the interval is tested against.
+    /// Reference for [`Document::subtree_size`]: the nodes whose parent
+    /// walk reaches `id`, which the interval is tested against.
     #[cfg(test)]
     fn subtree_size_by_walk(&self, id: NodeId) -> usize {
-        let mut stack = vec![id];
-        let mut count = 0;
-        while let Some(n) = stack.pop() {
-            count += 1;
-            stack.extend(self.node(n).children.iter().copied());
-        }
-        count
+        self.all_nodes().filter(|&n| self.is_ancestor_or_self_by_walk(id, n)).count()
     }
 
     /// Reference for [`Document::is_ancestor_or_self`]: a parent-pointer
@@ -626,69 +592,84 @@ impl Document {
         self.ancestors_or_self(b).any(|n| n == a)
     }
 
-    /// Check structural invariants (parent/child symmetry, preorder ID
-    /// assignment, rank consistency, subtree intervals). Used by tests and
+    /// Check structural invariants: equal column lengths, a single root at
+    /// id 0, parents before their children, preorder contiguity and
+    /// subtree intervals, text ranges inside the buffer. Used by tests and
     /// debug builds.
     pub fn debug_validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
+        let n = self.label.len();
+        if n == 0 {
             return Err("empty document".into());
         }
-        if self.subtree_end.len() != self.nodes.len() {
-            return Err(format!(
-                "{} subtree ends for {} nodes",
-                self.subtree_end.len(),
-                self.nodes.len()
-            ));
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut order: Vec<NodeId> = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            if seen[n.index()] {
-                return Err(format!("node {n} reachable twice"));
-            }
-            seen[n.index()] = true;
-            order.push(n);
-            let node = self.node(n);
-            for (i, &c) in node.children.iter().enumerate() {
-                let cn = &self.nodes[c.index()];
-                if cn.parent != Some(n) {
-                    return Err(format!("child {c} of {n} has parent {:?}", cn.parent));
-                }
-                if cn.rank as usize != i {
-                    return Err(format!("child {c} of {n} has rank {} != {}", cn.rank, i));
-                }
-            }
-            for &c in node.children.iter().rev() {
-                stack.push(c);
+        for (name, len) in [
+            ("parent", self.parent.len()),
+            ("subtree end", self.subtree_end.len()),
+            ("text start", self.text_start.len()),
+        ] {
+            if len != n {
+                return Err(format!("{len} {name} entries for {n} nodes"));
             }
         }
-        if seen.iter().any(|s| !s) {
-            return Err("unreachable nodes in arena".into());
+        if self.parent[0] != NO_PARENT {
+            return Err("node n0 has a parent".into());
         }
-        for w in order.windows(2) {
-            if w[0] >= w[1] {
-                return Err(format!("IDs not in preorder: {} then {}", w[0], w[1]));
+        // Preorder: a node's parent is open when it starts — the parent
+        // precedes it and its interval, as the previous node's ancestry
+        // left it, still reaches it. Intervals are then checked by one
+        // reverse pass: a subtree ends where its last child's does.
+        let mut want_end: Vec<u32> = (1..=id32(n)).collect();
+        for i in 1..n {
+            let p = self.parent[i];
+            if p as usize >= i {
+                return Err(format!("node n{i} has parent n{p}, not an earlier node"));
+            }
+            let prev = NodeId::from_index(i - 1);
+            if !self.ancestors_or_self(prev).any(|a| a.0 == p) {
+                return Err(format!("IDs not in preorder: n{i}'s parent n{p} is closed"));
             }
         }
-        // With preorder IDs a subtree ends where its last child's does (or
-        // right after the node itself); children precede nothing they
-        // contain, so one reverse pass checks every interval.
-        for (i, node) in self.nodes.iter().enumerate().rev() {
-            let want = match node.children.last() {
-                Some(&last) => self.subtree_end[last.index()],
-                None => id32(i + 1),
-            };
-            if self.subtree_end[i] != want {
+        for i in (1..n).rev() {
+            let p = self.parent[i] as usize;
+            want_end[p] = want_end[p].max(want_end[i]);
+        }
+        for (i, (&got, &want)) in self.subtree_end.iter().zip(&want_end).enumerate() {
+            if got != want {
                 return Err(format!(
                     "subtree of {} ends at {} but its interval says {}",
                     NodeId::from_index(i),
                     want,
-                    self.subtree_end[i]
+                    got
                 ));
             }
         }
+        for id in self.all_nodes() {
+            if self.is_text(id) && self.text(id).is_none() {
+                return Err(format!("text of {id} is outside the buffer"));
+            }
+        }
         Ok(())
+    }
+}
+
+/// Children of a node: a hop from subtree end to subtree end. See
+/// [`Document::children`].
+#[derive(Debug, Clone)]
+pub struct ChildNodes<'a> {
+    ends: &'a [u32],
+    next: u32,
+    end: u32,
+}
+
+impl Iterator for ChildNodes<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.next >= self.end {
+            return None;
+        }
+        let child = self.next;
+        self.next = self.ends[child as usize];
+        Some(NodeId(child))
     }
 }
 
@@ -730,7 +711,7 @@ impl Iterator for Ancestors<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let n = self.current?;
-        self.current = self.doc.node(n).parent;
+        self.current = self.doc.parent(n);
         Some(n)
     }
 }
@@ -759,6 +740,10 @@ mod tests {
         assert_eq!(d.label_str(name), Some("name"));
         assert_eq!(d.text_of(name), Some("BB"));
         assert_eq!(d.parent(name), Some(root));
+        assert_eq!(d.kind(name), NodeKind::Element);
+        let text = d.children(name).next().unwrap();
+        assert_eq!((d.kind(text), d.text(text), d.label(text)), (NodeKind::Text, Some("BB"), None));
+        assert_eq!(d.text(name), None);
     }
 
     #[test]
@@ -819,6 +804,7 @@ mod tests {
         let stores = d.elements_with_label("store");
         assert_eq!(stores.len(), 2);
         assert!(stores[0] < stores[1]);
+        assert_eq!(d.first_element_with_label("store"), Some(stores[0]));
         assert!(d.elements_with_label("warehouse").is_empty());
     }
 
@@ -837,6 +823,9 @@ mod tests {
         assert_eq!(d.text_of(store), None);
         let city = d.elements_with_label("city")[0];
         assert_eq!(d.text_of(city), Some("Houston"));
+        // Mixed content: a text child beside an element is not a value.
+        let mixed = Document::parse_str("<p>a<b/></p>").unwrap();
+        assert_eq!(mixed.text_of(mixed.root()), None);
     }
 
     #[test]
@@ -847,6 +836,21 @@ mod tests {
         assert_eq!(d.subtree_size(store2), 3);
         assert_eq!(d.subtree_elements(store2).count(), 2);
         assert_eq!(d.element_edges(store2), 1);
+    }
+
+    #[test]
+    fn children_and_ranks_come_from_intervals() {
+        let d = sample();
+        for n in d.all_nodes() {
+            // Children are exactly the nodes whose parent is `n`, in order.
+            let by_parent: Vec<NodeId> =
+                d.all_nodes().filter(|&c| d.parent(c) == Some(n)).collect();
+            assert_eq!(d.children(n).collect::<Vec<_>>(), by_parent, "children of {n}");
+            assert_eq!(d.child_count(n), by_parent.len());
+            for (rank, &c) in by_parent.iter().enumerate() {
+                assert_eq!(d.rank(c) as usize, rank);
+            }
+        }
     }
 
     /// Interval answers agree with the pointer walks for every node pair.
@@ -913,27 +917,10 @@ mod tests {
             let pick = |p: u16| NodeId::from_index(usize::from(p) % built.len());
             let keep: HashSet<NodeId> = picks.iter().skip(1).map(|&p| pick(p)).collect();
             let root = picks.first().map_or(built.root(), |&p| pick(p));
-            let (projected, _) = built.project(root, &keep);
+            let projected = built.project(root, &keep);
             assert_intervals_match_walks(&projected);
             proptest::prop_assert!(projected.shares_symbols_with(&built));
         }
-    }
-
-    #[test]
-    fn narrow_child_lists_live_in_the_node() {
-        // Inlining must not grow the node: the list is no bigger than the
-        // `Vec` it stands in for.
-        assert!(std::mem::size_of::<Children>() <= std::mem::size_of::<Vec<NodeId>>());
-        let mut list = Children::new();
-        for i in 0..8 {
-            assert_eq!(list.len(), i);
-            assert_eq!(list.heap_bytes() == 0, i <= Children::INLINE, "{i} children");
-            list.push(NodeId::from_index(i));
-            let want: Vec<NodeId> = (0..=i).map(NodeId::from_index).collect();
-            assert_eq!(&list[..], &want[..]);
-        }
-        assert_eq!(Children::with_capacity(Children::INLINE).heap_bytes(), 0);
-        assert!(Children::with_capacity(Children::INLINE + 1).heap_bytes() > 0);
     }
 
     #[test]
@@ -958,6 +945,28 @@ mod tests {
         let mut short = good.clone();
         short.subtree_end.pop();
         assert!(short.debug_validate().is_err());
+        // A node whose parent closed before it started breaks preorder.
+        let mut reparented = good.clone();
+        let last = reparented.len() - 1;
+        reparented.parent[last] = 1;
+        assert!(reparented.debug_validate().unwrap_err().contains("preorder"));
+    }
+
+    #[test]
+    fn memory_footprint_arithmetic_is_pinned() {
+        let d = sample();
+        // Four u32 columns sized exactly by `finish`, the text buffer, and
+        // each distinct label twice plus the per-entry overhead.
+        let text: usize = ["BB", "Houston", "Austin", "Dallas"].iter().map(|t| t.len()).sum();
+        let labels: usize = ["retailer", "name", "store", "city"]
+            .iter()
+            .map(|l| 2 * l.len() + crate::SYMBOL_ENTRY_OVERHEAD)
+            .sum();
+        assert_eq!(d.len(), 11);
+        assert_eq!(d.memory_footprint(), 4 * 4 * d.len() + text + labels);
+        // A projection owns its columns only, but counts what it shares.
+        let snip = d.project(d.root(), &HashSet::new());
+        assert_eq!(snip.memory_footprint(), 4 * 4 * snip.len() + text + labels);
     }
 
     #[test]
@@ -967,13 +976,15 @@ mod tests {
         let name = d.elements_with_label("name")[0];
         let city_dallas = d.elements_with_label("city")[2];
         let keep: HashSet<NodeId> = [name, city_dallas].into_iter().collect();
-        let (snip, mapping) = d.project(root, &keep);
+        let snip = d.project(root, &keep);
         snip.debug_validate().unwrap();
-        // retailer, name+text, store2, city+text
+        // retailer, name+text, store2, city+text — in document order.
+        assert_eq!(
+            snip.to_xml_string(),
+            "<retailer><name>BB</name><store><city>Dallas</city></store></retailer>"
+        );
         assert_eq!(snip.element_count(), 4);
         assert_eq!(snip.label_str(snip.root()), Some("retailer"));
-        assert_eq!(snip.text_of(mapping[&name]), Some("BB"));
-        assert_eq!(snip.text_of(mapping[&city_dallas]), Some("Dallas"));
         // Houston/Austin store was not kept.
         assert_eq!(snip.elements_with_label("store").len(), 1);
         assert_eq!(snip.elements_with_label("city").len(), 1);
@@ -986,7 +997,7 @@ mod tests {
         let name = d.elements_with_label("name")[0]; // outside store1
         let austin = d.elements_with_label("city")[1];
         let keep: HashSet<NodeId> = [name, austin].into_iter().collect();
-        let (snip, _) = d.project(store1, &keep);
+        let snip = d.project(store1, &keep);
         assert_eq!(snip.label_str(snip.root()), Some("store"));
         assert_eq!(snip.elements_with_label("name").len(), 0);
         assert_eq!(snip.elements_with_label("city").len(), 1);
@@ -995,7 +1006,7 @@ mod tests {
     #[test]
     fn project_empty_keep_yields_root_only() {
         let d = sample();
-        let (snip, _) = d.project(d.root(), &HashSet::new());
+        let snip = d.project(d.root(), &HashSet::new());
         assert_eq!(snip.element_count(), 1);
         assert_eq!(snip.element_edges(snip.root()), 0);
     }

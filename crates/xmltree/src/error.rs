@@ -20,6 +20,21 @@ impl Position {
         Position { line: 1, column: 1, offset: 0 }
     }
 
+    /// The position of byte `offset` of `source`: what [`Position::advance`]
+    /// over every byte before it arrives at, computed only when an error
+    /// needs it (line and column saturate at `u32::MAX`).
+    pub fn locate(source: &str, offset: usize) -> Position {
+        let before = source.as_bytes().get(..offset).unwrap_or(source.as_bytes());
+        let newlines = before.iter().filter(|&&b| b == b'\n').count();
+        let line_start = before.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let to_u32 = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Position {
+            line: to_u32(newlines).saturating_add(1),
+            column: to_u32(before.len() - line_start).saturating_add(1),
+            offset: before.len(),
+        }
+    }
+
     /// Advance the position over one byte of input.
     pub fn advance(&mut self, byte: u8) {
         self.offset += 1;
@@ -160,6 +175,17 @@ mod tests {
         assert_eq!(p.line, 2);
         assert_eq!(p.column, 3);
         assert_eq!(p.offset, 5);
+    }
+
+    #[test]
+    fn locate_agrees_with_advancing_byte_by_byte() {
+        let src = "<a>\né\r\n\n  <b x='ü'/>\n</a>";
+        let mut walked = Position::start();
+        for (offset, &b) in src.as_bytes().iter().enumerate() {
+            assert_eq!(Position::locate(src, offset), walked, "offset {offset}");
+            walked.advance(b);
+        }
+        assert_eq!(Position::locate(src, src.len()), walked);
     }
 
     #[test]

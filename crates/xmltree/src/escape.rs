@@ -1,5 +1,7 @@
 //! Escaping and unescaping of XML character data and entity references.
 
+use std::fmt;
+
 use crate::error::{Error, Position, Result};
 
 /// Escape `s` for use as XML character data (text content).
@@ -7,30 +9,40 @@ use crate::error::{Error, Position, Result};
 /// Escapes `&`, `<`, `>`; leaves quotes alone (they are only special inside
 /// attribute values).
 pub fn escape_text(s: &str) -> String {
-    escape_impl(s, false)
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s, false);
+    out
+}
+
+/// Append `s` to `out` escaped as character data, as [`escape_text`].
+pub(crate) fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false);
 }
 
 /// Escape `s` for use inside a double-quoted attribute value.
 pub fn escape_attr(s: &str) -> String {
-    escape_impl(s, true)
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s, true);
+    out
 }
 
-fn escape_impl(s: &str, attr: bool) -> String {
-    // Fast path: nothing to escape.
-    if !s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"')) {
-        return s.to_string();
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let mut rest = s;
+    while let Some((i, b)) = rest
+        .bytes()
+        .enumerate()
+        .find(|&(_, b)| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"'))
+    {
+        out.push_str(rest.get(..i).unwrap_or_default());
+        out.push_str(match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => "&quot;",
+        });
+        rest = rest.get(i + 1..).unwrap_or_default();
     }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
+    out.push_str(rest);
 }
 
 /// Resolve a single entity or character reference body (the text between
@@ -39,45 +51,60 @@ fn escape_impl(s: &str, attr: bool) -> String {
 /// Supports the five XML predefined entities plus decimal (`#123`) and
 /// hexadecimal (`#x1F`) character references.
 pub fn resolve_reference(body: &str, position: Position) -> Result<char> {
+    resolve(body).ok_or_else(|| Error::BadReference { reference: body.to_string(), position })
+}
+
+fn resolve(body: &str) -> Option<char> {
     match body {
-        "amp" => return Ok('&'),
-        "lt" => return Ok('<'),
-        "gt" => return Ok('>'),
-        "quot" => return Ok('"'),
-        "apos" => return Ok('\''),
+        "amp" => return Some('&'),
+        "lt" => return Some('<'),
+        "gt" => return Some('>'),
+        "quot" => return Some('"'),
+        "apos" => return Some('\''),
         _ => {}
     }
-    let bad = || Error::BadReference { reference: body.to_string(), position };
-    if let Some(num) = body.strip_prefix("#x").or_else(|| body.strip_prefix("#X")) {
-        let code = u32::from_str_radix(num, 16).map_err(|_| bad())?;
-        return char::from_u32(code).ok_or_else(bad);
+    let code = if let Some(hex) = body.strip_prefix("#x").or_else(|| body.strip_prefix("#X")) {
+        u32::from_str_radix(hex, 16).ok()?
+    } else {
+        body.strip_prefix('#')?.parse().ok()?
+    };
+    char::from_u32(code)
+}
+
+/// Write `raw` to `out` with entity and character references resolved —
+/// straight into a document's text buffer, or into a sink that keeps
+/// nothing to only check it. A malformed reference fails with its text (the body between
+/// `&` and `;`, or the next 12 characters when `;` never comes); the
+/// caller knows where it is.
+pub fn unescape_into<W: fmt::Write>(raw: &str, out: &mut W) -> std::result::Result<(), String> {
+    let mut rest = raw;
+    while let Some((text, after)) = rest.split_once('&') {
+        out.write_str(text).map_err(|_| String::new())?;
+        let Some((body, tail)) = after.split_once(';') else {
+            return Err(after.chars().take(12).collect());
+        };
+        let c = resolve(body).ok_or_else(|| body.to_string())?;
+        out.write_char(c).map_err(|_| String::new())?;
+        rest = tail;
     }
-    if let Some(num) = body.strip_prefix('#') {
-        let code: u32 = num.parse().map_err(|_| bad())?;
-        return char::from_u32(code).ok_or_else(bad);
-    }
-    Err(bad())
+    out.write_str(rest).map_err(|_| String::new())
 }
 
 /// Unescape a string that may contain entity and character references.
 pub fn unescape(s: &str, position: Position) -> Result<String> {
-    if !s.contains('&') {
-        return Ok(s.to_string());
-    }
     let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(idx) = rest.find('&') {
-        out.push_str(&rest[..idx]);
-        rest = &rest[idx + 1..];
-        let end = rest.find(';').ok_or_else(|| Error::BadReference {
-            reference: rest.chars().take(12).collect(),
-            position,
-        })?;
-        out.push(resolve_reference(&rest[..end], position)?);
-        rest = &rest[end + 1..];
-    }
-    out.push_str(rest);
+    unescape_into(s, &mut out).map_err(|reference| Error::BadReference { reference, position })?;
     Ok(out)
+}
+
+/// A [`fmt::Write`] sink that keeps nothing: validation without output.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Discard;
+
+impl fmt::Write for Discard {
+    fn write_str(&mut self, _: &str) -> fmt::Result {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -135,5 +162,14 @@ mod tests {
     #[test]
     fn unescape_detects_unterminated_reference() {
         assert!(unescape("a &amp b", Position::start()).is_err());
+        assert_eq!(unescape_into("x &amp b and more", &mut Discard), Err("amp b and mo".into()));
+        assert_eq!(unescape_into("&bogus;", &mut Discard), Err("bogus".into()));
+    }
+
+    #[test]
+    fn unescape_into_appends() {
+        let mut out = String::from("<");
+        unescape_into("é &lt;&#x41;&#66;", &mut out).unwrap();
+        assert_eq!(out, "<é <AB");
     }
 }

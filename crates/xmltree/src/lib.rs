@@ -3,16 +3,20 @@
 //! This crate is a self-contained XML stack built for tree-centric keyword
 //! search workloads:
 //!
-//! * [`tokenizer`] — a streaming XML lexer with precise error positions.
-//! * [`parser`] — a well-formedness-checking tree builder with configurable
-//!   handling of XML-syntax attributes and whitespace.
-//! * [`Document`] — an arena DOM: nodes are stored in a flat `Vec` and
-//!   addressed by [`NodeId`] (a `u32` newtype), labels are interned in a
-//!   [`SymbolTable`]. This follows the index-arena idiom: no `Rc`/`RefCell`,
-//!   cheap traversal, and stable IDs that downstream crates can index.
+//! * [`tokenizer`] — a borrowed-token XML lexer with precise error
+//!   positions: tokens are slices of the input, nothing is allocated.
+//! * [`parser`] — one fold from tokens to a [`Document`], with
+//!   well-formedness checks and configurable handling of XML-syntax
+//!   attributes and whitespace.
+//! * [`Document`] — a structure-of-arrays tree: a node is a preorder
+//!   [`NodeId`] (a `u32` newtype) into parallel label / parent /
+//!   subtree-end / text-offset columns, text lives in one buffer and labels
+//!   are interned in a [`SymbolTable`]. A subtree is an ID interval, so
+//!   children, ancestor tests and LCAs are integer arithmetic.
 //! * [`Dewey`] — Dewey order labels (the path of child ranks from the root)
 //!   with document-order comparison, ancestor tests and longest-common-prefix
-//!   (LCA) computation; the workhorse of the SLCA/ELCA search algorithms.
+//!   (LCA) computation, computed on demand by [`Document::dewey`] (tests and
+//!   oracles; the search algorithms run on intervals).
 //! * [`dtd`] — an internal-subset DTD parser. Its main product is the set of
 //!   `*`-nodes (elements that may repeat under a parent), which the paper's
 //!   Data Analyzer uses to classify nodes into entities / attributes /
@@ -60,7 +64,7 @@ pub mod tokenizer;
 
 pub use builder::DocBuilder;
 pub use dewey::Dewey;
-pub use document::{Document, Node, NodeId, NodeKind};
+pub use document::{ChildNodes, Document, NodeId, NodeKind};
 pub use dtd::Dtd;
 pub use error::{Error, Position, Result};
 pub use parser::ParseOptions;

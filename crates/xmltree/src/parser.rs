@@ -1,9 +1,14 @@
-//! Tree construction from the token stream, with well-formedness checks.
+//! Tree construction: one fold over the borrowed token stream, with
+//! well-formedness checks.
+//!
+//! Each token lands in the document's columns as it is seen: start tags
+//! intern their name and append an element, text is unescaped straight
+//! into the text buffer (trimmed there, or dropped when blank), and the
+//! subtree ends are derived once at the end. Nothing is allocated per node.
 
-use std::sync::Arc;
-
-use crate::document::{Arena, Document, NodeId, NodeKind, Shared};
+use crate::document::{Arena, Document, NodeId};
 use crate::error::{Error, Position, Result};
+use crate::escape::unescape_into;
 use crate::symbol::SymbolTable;
 use crate::tokenizer::{Token, Tokenizer};
 
@@ -18,7 +23,7 @@ pub struct ParseOptions {
     /// Keep whitespace-only text nodes. Default: `false` (they are
     /// formatting noise in data-oriented XML).
     pub keep_whitespace_text: bool,
-    /// Trim leading/trailing ASCII whitespace from text content.
+    /// Trim leading/trailing whitespace from text content.
     /// Default: `true`.
     pub trim_text: bool,
     /// Maximum element nesting depth; guards against stack exhaustion in
@@ -41,142 +46,135 @@ impl Default for ParseOptions {
     }
 }
 
+/// Bytes of markup per node on data-oriented XML (≈13 on the generated
+/// corpora): the node columns are sized from the input once, not grown.
+const BYTES_PER_NODE: usize = 12;
+
 /// Parse `source` into a [`Document`].
 pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
     let mut tokenizer = Tokenizer::new(source);
-    let mut shared = Shared { symbols: SymbolTable::with_capacity(64), ..Shared::default() };
-    let mut arena = Arena::default();
+    let mut symbols = SymbolTable::with_capacity(64);
+    let (mut doctype_name, mut dtd) = (None, None);
+    let mut arena = Arena::with_capacity(source.len() / BYTES_PER_NODE + 1, source.len() / 3);
     // Stack of open elements.
     let mut stack: Vec<NodeId> = Vec::new();
-    let mut root: Option<NodeId> = None;
+    let mut has_root = false;
+    let at = |offset: usize| Position::locate(source, offset);
 
     while let Some(token) = tokenizer.next_token()? {
         match token {
-            Token::StartTag { name, attributes, self_closing, position } => {
-                if stack.is_empty() && root.is_some() {
-                    return Err(Error::MultipleRoots { position });
+            Token::StartTag { name, attributes, self_closing, offset } => {
+                if stack.is_empty() && has_root {
+                    return Err(Error::MultipleRoots { position: at(offset) });
                 }
                 if stack.len() >= options.max_depth {
-                    return Err(Error::TooDeep { limit: options.max_depth, position });
+                    return Err(Error::TooDeep { limit: options.max_depth, position: at(offset) });
                 }
-                let symbols = &mut shared.symbols;
-                let id = push_element(&mut arena, symbols, &name, stack.last().copied());
-                if root.is_none() {
-                    root = Some(id);
-                }
+                let id = arena.push_element(symbols.intern(name), stack.last().copied());
+                has_root = true;
                 if options.attributes_as_elements {
-                    for (attr_name, value) in &attributes {
-                        let attr_id = push_element(&mut arena, symbols, attr_name, Some(id));
-                        push_text(&mut arena, symbols, value, attr_id);
-                        arena.close(attr_id);
+                    for attribute in attributes {
+                        let attribute = attribute?;
+                        let attr_id = arena.push_element(symbols.intern(attribute.name), Some(id));
+                        let start = arena.text.len();
+                        unescape_into(attribute.value, &mut arena.text)
+                            .map_err(|reference| bad_reference(reference, at(attribute.offset)))?;
+                        arena.push_text_from(start, attr_id, false);
                     }
                 }
-                if self_closing {
-                    arena.close(id);
-                } else {
+                if !self_closing {
                     stack.push(id);
                 }
             }
-            Token::EndTag { name, position } => {
+            Token::EndTag { name, offset } => {
                 let Some(open) = stack.pop() else {
                     return Err(Error::MismatchedTag {
                         expected: "(nothing open)".into(),
-                        found: name,
-                        position,
+                        found: name.to_string(),
+                        position: at(offset),
                     });
                 };
-                let open_label = shared.symbols.resolve(arena.nodes[open.index()].label);
+                let open_label = label_str(&arena, &symbols, open);
                 if open_label != name {
                     return Err(Error::MismatchedTag {
                         expected: open_label.to_string(),
-                        found: name,
-                        position,
+                        found: name.to_string(),
+                        position: at(offset),
                     });
                 }
-                arena.close(open);
             }
-            Token::Text { content, position } => {
-                let text: &str =
-                    if options.trim_text { content.trim() } else { content.as_str() };
-                let effectively_blank = content.trim().is_empty();
-                if effectively_blank && !options.keep_whitespace_text {
-                    continue;
-                }
+            Token::Text { raw, offset } => {
+                let start = arena.text.len();
+                unescape_into(raw, &mut arena.text)
+                    .map_err(|reference| bad_reference(reference, at(offset)))?;
+                let blank = arena.text.get(start..).unwrap_or_default().trim().is_empty();
                 match stack.last() {
-                    Some(&parent) => {
-                        push_text(&mut arena, &mut shared.symbols, text, parent);
-                    }
-                    None => {
-                        if !effectively_blank {
-                            return Err(Error::syntax(
-                                "character data outside the root element",
-                                position,
-                            ));
+                    Some(&parent) if !blank || options.keep_whitespace_text => {
+                        if options.trim_text {
+                            trim_tail(&mut arena.text, start);
                         }
+                        arena.push_text_from(start, parent, true);
                     }
+                    None if !blank => {
+                        return Err(Error::syntax(
+                            "character data outside the root element",
+                            at(offset),
+                        ));
+                    }
+                    _ => arena.text.truncate(start),
                 }
             }
             Token::CData { content, .. } => {
                 if let Some(&parent) = stack.last() {
-                    push_text(&mut arena, &mut shared.symbols, &content, parent);
+                    let start = arena.text.len();
+                    arena.text.push_str(content);
+                    arena.push_text_from(start, parent, true);
                 }
             }
             Token::Comment { .. } | Token::ProcessingInstruction { .. } => {}
-            Token::Doctype { name, internal, position } => {
-                shared.doctype_name = Some(name);
+            Token::Doctype { name, internal, offset } => {
+                doctype_name = Some(name.to_string());
                 if options.parse_dtd && !internal.trim().is_empty() {
-                    let dtd = crate::dtd::Dtd::parse(&internal).map_err(|e| match e {
-                        Error::Dtd { message, .. } => Error::Dtd { message, position },
+                    let parsed = crate::dtd::Dtd::parse(internal).map_err(|e| match e {
+                        Error::Dtd { message, .. } => Error::Dtd { message, position: at(offset) },
                         other => other,
                     })?;
-                    shared.dtd = Some(dtd);
+                    dtd = Some(parsed);
                 }
             }
         }
     }
 
-    if let Some(open) = stack.last() {
-        let label = shared.symbols.resolve(arena.nodes[open.index()].label).to_string();
+    if let Some(&open) = stack.last() {
         return Err(Error::UnexpectedEof {
-            expected: format!("</{label}>"),
-            position: Position {
-                line: u32::MAX,
-                column: 0,
-                offset: source.len(),
-            },
+            expected: format!("</{}>", label_str(&arena, &symbols, open)),
+            position: Position { line: u32::MAX, column: 0, offset: source.len() },
         });
     }
-    let root = root.ok_or(Error::NoRootElement)?;
-    Ok(arena.finish(Arc::new(shared), root))
-}
-
-fn push_element(
-    arena: &mut Arena,
-    symbols: &mut SymbolTable,
-    label: &str,
-    parent: Option<NodeId>,
-) -> NodeId {
-    arena.push(NodeKind::Element, symbols.intern(label), parent, None)
-}
-
-fn push_text(
-    arena: &mut Arena,
-    symbols: &mut SymbolTable,
-    content: &str,
-    parent: NodeId,
-) -> NodeId {
-    // Merge adjacent text nodes so `text_of` sees one value.
-    if let Some(&last) = arena.nodes[parent.index()].children.last() {
-        if arena.nodes[last.index()].is_text() {
-            let existing = arena.nodes[last.index()].text.take().unwrap_or_default();
-            let mut merged = String::with_capacity(existing.len() + content.len());
-            merged.push_str(&existing);
-            merged.push_str(content);
-            arena.nodes[last.index()].text = Some(merged.into());
-            return last;
-        }
+    if !has_root {
+        return Err(Error::NoRootElement);
     }
-    arena.push(NodeKind::Text, symbols.intern("#text"), Some(parent), Some(content.into()))
+    Ok(arena.finish(symbols, doctype_name, dtd))
+}
+
+fn bad_reference(reference: String, position: Position) -> Error {
+    Error::BadReference { reference, position }
+}
+
+/// The label of open element `id`.
+fn label_str<'s>(arena: &Arena, symbols: &'s SymbolTable, id: NodeId) -> &'s str {
+    arena.label_of(id).and_then(|s| symbols.try_resolve(s)).unwrap_or_default()
+}
+
+/// Trim the whitespace around the content `text[start..]`, in place.
+fn trim_tail(text: &mut String, start: usize) {
+    let content = text.get(start..).unwrap_or_default();
+    let lead = content.len() - content.trim_start().len();
+    let kept = content.trim().len();
+    text.truncate(start + lead + kept);
+    if lead > 0 {
+        text.replace_range(start..start + lead, "");
+    }
 }
 
 #[cfg(test)]

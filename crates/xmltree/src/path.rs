@@ -34,7 +34,7 @@ enum NameTest {
 impl NameTest {
     fn matches(&self, doc: &Document, node: NodeId) -> bool {
         match self {
-            NameTest::Any => doc.node(node).is_element(),
+            NameTest::Any => doc.is_element(node),
             NameTest::Named(n) => doc.label_str(node) == Some(n.as_str()),
         }
     }

@@ -77,7 +77,9 @@ impl Schema {
 
         // Pass 1: assign paths in preorder and collect counts.
         let root = doc.root();
-        let root_label = doc.node(root).label();
+        // A document is rooted at an element; a projection of a lone text
+        // node has no label to summarize and gets a placeholder path.
+        let root_label = doc.label(root).unwrap_or(Symbol::from_index(0));
         let root_path = schema.intern_path(None, root_label);
         schema.root_path = root_path;
         schema.node_paths[root.index()] = root_path;
@@ -85,7 +87,7 @@ impl Schema {
         schema.paths[root_path.index()].max_siblings = 1;
 
         for node in doc.subtree(root) {
-            if !doc.node(node).is_element() {
+            if doc.is_text(node) {
                 if let Some(p) = doc.parent(node) {
                     schema.node_paths[node.index()] = schema.node_paths[p.index()];
                 }
@@ -95,17 +97,16 @@ impl Schema {
             // Count same-label children per this parent instance.
             let mut sibling_counts: HashMap<Symbol, u32> = HashMap::new();
             for child in doc.children(node) {
-                let cn = doc.node(child);
-                if cn.is_text() {
+                let Some(label) = doc.label(child) else {
                     schema.paths[node_path.index()].has_text_child = true;
                     schema.node_paths[child.index()] = node_path;
                     continue;
-                }
+                };
                 schema.paths[node_path.index()].has_element_child = true;
-                let child_path = schema.intern_path(Some(node_path), cn.label());
+                let child_path = schema.intern_path(Some(node_path), label);
                 schema.node_paths[child.index()] = child_path;
                 schema.paths[child_path.index()].instance_count += 1;
-                *sibling_counts.entry(cn.label()).or_insert(0) += 1;
+                *sibling_counts.entry(label).or_insert(0) += 1;
             }
             for (label, count) in sibling_counts {
                 let child_path = schema.lookup[&(Some(node_path), label)];

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::document::{Document, NodeId};
-use crate::escape::escape_text;
+use crate::escape::{escape_text, escape_text_into};
 
 impl Document {
     /// Serialize the whole document compactly (no added whitespace).
@@ -44,17 +44,15 @@ impl Document {
     }
 
     fn ascii_node(&self, node: NodeId, prefix: &str, is_last: bool, is_root: bool, out: &mut String) {
-        let n = self.node(node);
         let connector = if is_root {
             String::new()
         } else {
             format!("{}{} ", prefix, if is_last { "└─" } else { "├─" })
         };
-        if n.is_text() {
-            let _ = writeln!(out, "{}\"{}\"", connector, n.text().unwrap_or(""));
+        let Some(label) = self.label_str(node) else {
+            let _ = writeln!(out, "{}\"{}\"", connector, self.text(node).unwrap_or(""));
             return;
-        }
-        let label = self.resolve(n.label());
+        };
         match self.text_of(node) {
             Some(value) if self.child_count(node) == 1 => {
                 let _ = writeln!(out, "{connector}{label}: {value}");
@@ -75,33 +73,33 @@ impl Document {
     }
 }
 
+/// The subtree at `node`, one interval scan: after each node, close the
+/// ancestors whose intervals end with it (no recursion, no stack).
 fn write_compact(doc: &Document, node: NodeId, out: &mut String) {
-    let n = doc.node(node);
-    if n.is_text() {
-        out.push_str(&escape_text(n.text().unwrap_or("")));
-        return;
+    for n in doc.subtree(node) {
+        let next = NodeId::from_index(n.index() + 1);
+        match doc.label_str(n) {
+            None => escape_text_into(out, doc.text(n).unwrap_or("")),
+            Some(label) if doc.subtree_end(n) == next => {
+                let _ = write!(out, "<{label}/>");
+            }
+            Some(label) => {
+                let _ = write!(out, "<{label}>");
+            }
+        }
+        for a in doc.ancestors(n).take_while(|&a| a >= node && doc.subtree_end(a) == next) {
+            let _ = write!(out, "</{}>", doc.label_str(a).unwrap_or_default());
+        }
     }
-    let label = doc.resolve(n.label());
-    if n.children().is_empty() {
-        let _ = write!(out, "<{label}/>");
-        return;
-    }
-    let _ = write!(out, "<{label}>");
-    for &c in n.children() {
-        write_compact(doc, c, out);
-    }
-    let _ = write!(out, "</{label}>");
 }
 
 fn write_pretty(doc: &Document, node: NodeId, depth: usize, out: &mut String) {
-    let n = doc.node(node);
     let pad = "  ".repeat(depth);
-    if n.is_text() {
-        let _ = writeln!(out, "{pad}{}", escape_text(n.text().unwrap_or("")));
+    let Some(label) = doc.label_str(node) else {
+        let _ = writeln!(out, "{pad}{}", escape_text(doc.text(node).unwrap_or("")));
         return;
-    }
-    let label = doc.resolve(n.label());
-    if n.children().is_empty() {
+    };
+    if doc.subtree_size(node) == 1 {
         let _ = writeln!(out, "{pad}<{label}/>");
         return;
     }
@@ -113,7 +111,7 @@ fn write_pretty(doc: &Document, node: NodeId, depth: usize, out: &mut String) {
         }
     }
     let _ = writeln!(out, "{pad}<{label}>");
-    for &c in n.children() {
+    for c in doc.children(node) {
         write_pretty(doc, c, depth + 1, out);
     }
     let _ = writeln!(out, "{pad}</{label}>");

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::document::{Document, NodeKind};
+use crate::document::Document;
 
 /// Summary statistics of a document.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,25 +37,22 @@ impl DocumentStats {
         let mut max_depth = 0usize;
         let mut counts: HashMap<&str, usize> = HashMap::new();
 
-        // Track depth during one preorder walk instead of calling
-        // `Document::depth` per node (which is O(depth) each).
-        let mut stack: Vec<(crate::NodeId, usize)> = vec![(doc.root(), 0)];
-        while let Some((n, depth)) = stack.pop() {
-            let node = doc.node(n);
-            match node.kind() {
-                NodeKind::Element => {
+        // Depths in one pass over the parent column: parents come first.
+        let mut depths: Vec<usize> = Vec::with_capacity(doc.len());
+        for n in doc.all_nodes() {
+            let depth = doc.parent(n).map_or(0, |p| depths[p.index()] + 1);
+            depths.push(depth);
+            match doc.label_str(n) {
+                Some(label) => {
                     elements += 1;
                     depth_sum += depth;
                     max_depth = max_depth.max(depth);
-                    *counts.entry(doc.resolve(node.label())).or_insert(0) += 1;
+                    *counts.entry(label).or_insert(0) += 1;
                 }
-                NodeKind::Text => {
+                None => {
                     text_nodes += 1;
-                    text_bytes += node.text().map(str::len).unwrap_or(0);
+                    text_bytes += doc.text(n).map_or(0, str::len);
                 }
-            }
-            for &c in node.children() {
-                stack.push((c, depth + 1));
             }
         }
 

@@ -1,9 +1,9 @@
 //! String interning for element and attribute labels.
 //!
 //! XML documents repeat a small set of tag names millions of times; interning
-//! turns label comparisons into `u32` compares and keeps [`crate::Node`]
-//! small. The table is append-only: symbols are never freed, which is the
-//! right trade-off for document-lifetime label sets.
+//! turns label comparisons into `u32` compares and keeps a node's label one
+//! `u32` column entry. The table is append-only: symbols are never freed,
+//! which is the right trade-off for document-lifetime label sets.
 
 use std::collections::HashMap;
 use std::fmt;

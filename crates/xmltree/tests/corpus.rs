@@ -99,7 +99,7 @@ fn entity_references_everywhere() {
     let a = doc.element_children(t).next().unwrap();
     assert_eq!(doc.text_of(a), Some("<tag>"));
     let text = doc.children(t).last().unwrap();
-    assert_eq!(doc.node(text).text(), Some("Tom & Jerry © ™"));
+    assert_eq!(doc.text(text), Some("Tom & Jerry © ™"));
     // Serialization re-escapes safely.
     let re = Document::parse_str(&doc.to_xml_string()).unwrap();
     assert_eq!(re.concat_text(re.root()), doc.concat_text(doc.root()));

@@ -74,7 +74,7 @@ proptest! {
         // Whitespace-only text may legitimately be dropped on reparse of the
         // pretty form; skip specs that contain such text values.
         let has_blank_text = doc.all_nodes().any(|n| {
-            doc.node(n).is_text() && doc.node(n).text().is_some_and(|t| t.trim().is_empty())
+            doc.text(n).is_some_and(|t| t.trim().is_empty())
         });
         prop_assume!(!has_blank_text);
         let reparsed = Document::parse_str(&doc.to_xml_pretty()).unwrap();
@@ -115,12 +115,18 @@ proptest! {
         let doc = build(&spec);
         let elements: Vec<NodeId> = doc.subtree_elements(doc.root()).collect();
         let keep: HashSet<NodeId> = pick.iter().map(|i| *i.get(&elements)).collect();
-        let (snip, mapping) = doc.project(doc.root(), &keep);
+        let snip = doc.project(doc.root(), &keep);
         snip.debug_validate().unwrap();
-        // Every kept node appears in the projection.
-        for &k in &keep {
-            prop_assert!(mapping.contains_key(&k));
-        }
+        // Exactly the kept nodes, their ancestors and the root appear, in
+        // document order.
+        let mut closed: Vec<NodeId> =
+            keep.iter().flat_map(|&k| doc.ancestors_or_self(k)).chain([doc.root()]).collect();
+        closed.sort();
+        closed.dedup();
+        let projected: Vec<&str> =
+            snip.subtree_elements(snip.root()).map(|n| snip.label_str(n).unwrap()).collect();
+        let expected: Vec<&str> = closed.iter().map(|&n| doc.label_str(n).unwrap()).collect();
+        prop_assert_eq!(projected, expected);
         // The projection never grows beyond the source subtree.
         prop_assert!(snip.element_count() <= doc.element_count());
         // Root label preserved.

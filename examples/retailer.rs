@@ -38,7 +38,7 @@ fn main() {
     print!("{}", stats.statistics_panel(&doc));
 
     // ---- Figure 3: the IList ----
-    let result = QueryResult::build(extract.index(), &query, bb);
+    let result = QueryResult::build(extract.document(), extract.index(), &query, bb);
     let config = ExtractConfig::default();
     let ilist = extract.ilist(&query, &result, &config);
     println!("\n== Figure 3: IList ==");

@@ -10,8 +10,8 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`xml`] | `extract-xml` | parser, arena DOM, Dewey labels, DTD, schema inference |
-//! | [`index`] | `extract-index` | inverted keyword index, Dewey store, label index |
+//! | [`xml`] | `extract-xml` | borrowed-token parser, structure-of-arrays DOM, Dewey labels, DTD, schema inference |
+//! | [`index`] | `extract-index` | inverted keyword index, label index, per-document segments |
 //! | [`search`] | `extract-search` | SLCA / ELCA / XSeek engines, ranking |
 //! | [`analyzer`] | `extract-analyzer` | entity model, key mining, feature statistics |
 //! | [`core`] | `extract-core` | IList, dominance, instance selectors, snippets, baselines |
@@ -39,12 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// XML substrate: parsing, arena DOM, Dewey order labels, DTD, schema.
+/// XML substrate: parsing, structure-of-arrays DOM, Dewey order labels, DTD, schema.
 pub mod xml {
     pub use extract_xml::*;
 }
 
-/// Index Builder: inverted keyword index, Dewey store, label index.
+/// Index Builder: inverted keyword index, label index, per-document segments.
 pub mod index {
     pub use extract_index::*;
 }

@@ -81,12 +81,13 @@
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, EngineParts, Extract, ExtractConfig, SnippetedResult};
 use extract_corpus::{Corpus, DocId, FanIn};
+use extract_obs::lock_unpoisoned;
 use extract_search::ranking::{self, by_score_desc};
 use extract_search::xseek::RootsScratch;
 use extract_search::{KeywordQuery, QueryResult};
@@ -159,15 +160,6 @@ pub struct CorpusTopK {
 enum Engines<'d> {
     Single(Box<Extract<'d>>),
     Corpus { corpus: &'d Corpus, engines: Vec<OnceLock<Extract<'d>>> },
-}
-
-/// Acquire a cache mutex, recovering from poisoning instead of panicking.
-/// Every cache here holds derived data behind `get`/`insert`/`retain`
-/// calls that leave the entry set valid at every step, so whatever
-/// panicked while holding the guard, the next request is better served by
-/// the cache as it stands than by a daemon-wide panic loop.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Insert under the cache's lock; free what the insert displaced (an
@@ -683,7 +675,7 @@ impl<'d> QuerySession<'d> {
     ) -> Arc<SnippetedResult> {
         let extract = self.engine(doc);
         let compute = |scratch: &mut IListScratch| {
-            let result = QueryResult::build(extract.index(), query, root);
+            let result = QueryResult::build(extract.document(), extract.index(), query, root);
             Arc::new(extract.snippet_of(query, result, config, scratch))
         };
         let Some(text) = text else {

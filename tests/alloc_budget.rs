@@ -18,7 +18,10 @@
 //!    its source document's, not a copy;
 //! 5. a document is tokenized once in its life: the first query to reach a
 //!    freshly ingested document builds its entity model and keys around the
-//!    corpus's index segment, not a second vocabulary.
+//!    corpus's index segment, not a second vocabulary;
+//! 6. parsing a document allocates per distinct label and per vector
+//!    growth, not per node: names are borrowed from the input, text goes
+//!    into one buffer, and a node is four `u32` column entries.
 //!
 //! The corpus is the benchmark's shape (48 mixed documents of ~4 000
 //! nodes, `extract_datagen`), the queries are fixed.
@@ -141,6 +144,52 @@ fn miss(
 /// every cache cold for the key — this file's first test, run against that
 /// commit (debug and release agree).
 const PARENT_ALLOCATIONS_PER_MISS: u64 = 11_015;
+
+/// What commit 9e3c06e (the pointer-arena `Document`) allocated to parse
+/// [`parsed_document`] in a release build: a `String` per name, a `Vec` per
+/// start tag, an `Arc<str>` per text node, a child list per wide element.
+const PARENT_ALLOCATIONS_PER_PARSE: u64 = 8_615;
+
+/// What parsing [`parsed_document`] allocates now: the label table (two
+/// strings per distinct label), the node columns and text buffer sized
+/// from the input, their trim to size, the open-element stack — 29 in a
+/// release build, plus the debug build's validation pass.
+const ALLOCATIONS_PER_PARSE: u64 = 30;
+
+/// Document 0 of the benchmark-shaped corpus as XML (dblp, 4 093 nodes,
+/// 53 KB), and the same generator at `scale` times the node target.
+fn parsed_document(scale: usize) -> String {
+    let config = CorpusConfig { documents: 1, target_nodes_per_doc: 4_000 * scale, seed: 7 };
+    config.document(0).1.to_xml_string()
+}
+
+#[test]
+fn parsing_allocates_per_label_not_per_node() {
+    let xml = parsed_document(1);
+    let (doc, allocations) = allocations_of(|| Document::parse_str(&xml).expect("well-formed"));
+    println!(
+        "parse of {} nodes: {allocations} allocations (parent {PARENT_ALLOCATIONS_PER_PARSE})",
+        doc.len()
+    );
+    assert_eq!(doc.len(), 4_093);
+    assert!(
+        allocations <= ALLOCATIONS_PER_PARSE,
+        "{allocations} allocations to parse {} nodes",
+        doc.len()
+    );
+    // Four times the nodes under the same labels: nothing more to intern
+    // and the columns are sized from the input, so the count holds.
+    let bigger = parsed_document(4);
+    let (big, big_allocations) =
+        allocations_of(|| Document::parse_str(&bigger).expect("well-formed"));
+    assert!(big.len() > 3 * doc.len(), "{} nodes", big.len());
+    assert!(
+        big_allocations <= allocations + 2,
+        "{} nodes took {big_allocations} allocations, {} took {allocations}",
+        big.len(),
+        doc.len()
+    );
+}
 
 #[test]
 fn a_miss_allocates_a_quarter_of_what_the_parent_did() {

@@ -85,7 +85,7 @@ fn projection_digest(doc: &Document) -> String {
     let root = doc.all_nodes().filter(|&n| doc.label_str(n).is_some()).nth(doc.len() / 40);
     let root = root.unwrap_or(doc.root());
     let keep = doc.subtree_elements(root).step_by(5).collect();
-    let (projected, _) = doc.project(root, &keep);
+    let projected = doc.project(root, &keep);
     assert!(projected.shares_symbols_with(doc));
     digest(&projected)
 }

@@ -67,7 +67,7 @@ fn figure1_snippet_shape() {
     // rendered tree (nodes - 1 == edges of a tree).
     assert!(s.snippet.edges <= bound);
     let reparsed = Document::parse_str(&xml).unwrap();
-    let tree_nodes = reparsed.all_nodes().filter(|&n| !reparsed.node(n).is_text()).count();
+    let tree_nodes = reparsed.element_count();
     assert_eq!(tree_nodes - 1, s.snippet.edges, "rendered tree matches reported edge count");
 }
 

@@ -526,17 +526,29 @@ fn a_trace_id_follows_one_request_across_both_tiers() {
                     .cloned()
             })
     };
-    let (status, _, router_traces) = raw_get(router_addr, "/debug/traces", &[]);
-    assert_eq!(status, 200);
-    let router_trace = find_trace(&router_traces).expect("trace in the router's recorder");
+    // A daemon records a request's trace after writing its answer, so the
+    // record can trail the response we already hold: poll briefly.
+    let recorded = |addr| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let (status, _, traces) = raw_get(addr, "/debug/traces", &[]);
+            assert_eq!(status, 200);
+            match find_trace(&traces) {
+                Some(trace) => return (trace, traces),
+                None if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                None => panic!("trace never reached the recorder at {addr}: {traces}"),
+            }
+        }
+    };
+    let (router_trace, router_traces) = recorded(router_addr);
     let router_stages = router_trace.get("stages").expect("stages");
     assert!(
         router_stages.get("search").and_then(Value::as_u64).unwrap_or(0) > 0,
         "the router's search span is the scatter-gather: {router_traces}"
     );
-    let (status, _, shard_traces) = raw_get(shard.addr, "/debug/traces", &[]);
-    assert_eq!(status, 200);
-    let shard_trace = find_trace(&shard_traces).expect("trace in the shard's recorder");
+    let (shard_trace, shard_traces) = recorded(shard.addr);
     assert!(
         shard_trace
             .get("stages")
