@@ -20,8 +20,9 @@
 
 use std::time::Duration;
 
-use extract_bench::corpus_scale::{corpus_config, quick_corpus_config, reductions, run_all, to_json};
-use extract_bench::throughput::Effort;
+use extract_bench::corpus_scale::{
+    corpus_config, quick_corpus_config, reductions, run_all, to_json, Effort,
+};
 use extract_bench::{fmt_duration, Table};
 
 fn main() {

@@ -10,8 +10,42 @@ use std::time::Instant;
 use extract::prelude::*;
 use extract_datagen::corpus::CorpusConfig;
 
-use crate::throughput::{Effort, ScenarioResult};
 use crate::median_time;
+
+/// One measured scenario.
+#[derive(Debug, Clone)]
+pub struct ScenarioResult {
+    /// Corpus name.
+    pub corpus: &'static str,
+    /// Scenario name.
+    pub scenario: &'static str,
+    /// Median nanoseconds per operation (or the count / bytes `unit`
+    /// names).
+    pub median_ns: f64,
+    /// What one operation is (`build`, `mix`, `query`, `count`, …).
+    pub unit: &'static str,
+}
+
+/// How many timed repetitions each scenario runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Effort {
+    /// Median-of-N samples per scenario.
+    pub samples: usize,
+    /// Inner repetitions per sample for sub-microsecond operations.
+    pub inner: usize,
+}
+
+impl Effort {
+    /// The committed-numbers configuration.
+    pub fn full() -> Effort {
+        Effort { samples: 15, inner: 4 }
+    }
+
+    /// A fast smoke configuration for CI-adjacent runs.
+    pub fn quick() -> Effort {
+        Effort { samples: 5, inner: 1 }
+    }
+}
 
 /// The corpus shape of the committed numbers: 200 mixed-flavour documents,
 /// ~5.4k nodes each (≥ 10^6 total), matching the acceptance test in
@@ -124,11 +158,13 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
     // cached are both measured with a **serial** loop so their ratio is
     // consistent (a 4-worker batch would deflate cold per-query cost by
     // the host's effective parallelism); the worker pool gets its own
-    // scenario.
+    // scenario. Engines live on the corpus, so each cold scenario runs on
+    // a corpus of its own that no query has touched yet.
     let selective: Vec<&str> =
         queries.iter().copied().filter(|q| !q.contains("name")).collect();
     let config = ExtractConfig::with_bound(8);
-    let cold_session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+    let cold = build_corpus(cfg);
+    let cold_session = QuerySession::from_corpus_with_options(&cold, 1, 0);
     let t = Instant::now();
     let mut results_total = 0usize;
     for q in &selective {
@@ -140,11 +176,16 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
         "query",
     );
     push("corpus_results_total", results_total as f64, "count");
-    push("engines_built_selective", cold_session.engines_built() as f64, "count");
+    push("engines_built_selective", cold.engines_built() as f64, "count");
+    drop(cold_session);
+    drop(cold);
 
-    let batch_session = QuerySession::from_corpus_with_options(&corpus, 4, 0);
+    let cold = build_corpus(cfg);
+    let batch_session = QuerySession::from_corpus_with_options(&cold, 4, 0);
     let t = Instant::now();
     std::hint::black_box(batch_session.answer_corpus_batch(&selective, &config));
+    drop(batch_session);
+    drop(cold);
     push(
         "corpus_query_cold_batch_x4",
         t.elapsed().as_nanos() as f64 / selective.len() as f64,

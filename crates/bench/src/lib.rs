@@ -1,14 +1,12 @@
 //! Benchmark harness utilities: controlled workloads, timing helpers and
-//! table rendering shared by the `experiments` binary and the Criterion
-//! benches.
+//! table rendering shared by the `experiments` and `corpus_scale` binaries
+//! and the Criterion benches. The shipped daemons are measured end to end
+//! by the repo's `benchmark/` harness, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corpus_scale;
-pub mod router_throughput;
-pub mod serve_throughput;
-pub mod throughput;
 
 use std::time::{Duration, Instant};
 

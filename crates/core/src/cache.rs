@@ -119,10 +119,8 @@ impl CacheKey {
 /// **page bounds**. `k`/`offset` are part of the key because a top-k
 /// answer only materializes snippets for the served window: the page for
 /// `(k=10, offset=0)` and the page for `(k=10, offset=10)` are different
-/// values and must never alias ([`PageKey::bounded`]). Unpaginated
-/// answers use the canonical `(k=usize::MAX, offset=0)` form
-/// ([`PageKey::unbounded`]), so "the whole page" is itself just one more
-/// window.
+/// values and must never alias ([`PageKey::bounded`]). An unpaginated
+/// answer is the canonical `(k=usize::MAX, offset=0)` window.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PageKey {
     /// Normalized query.
@@ -137,8 +135,8 @@ pub struct PageKey {
     k: usize,
     /// Rank of the first materialized result.
     offset: usize,
-    /// Corpus epoch the page was computed against (`0` for static
-    /// sessions). A page aggregates candidates from *every* document, so
+    /// Corpus epoch the page was computed against (`0` for a corpus
+    /// built once). A page aggregates candidates from *every* document, so
     /// per-document invalidation cannot save it — any mutation changes
     /// the candidate set and the epoch in the key retires the whole page
     /// generation at once.
@@ -146,11 +144,6 @@ pub struct PageKey {
 }
 
 impl PageKey {
-    /// The key of the full, unpaginated page for `(query, config)`.
-    pub fn unbounded(query: impl Into<QueryText>, config: &ExtractConfig) -> PageKey {
-        PageKey::bounded(query, config, usize::MAX, 0)
-    }
-
     /// The key of the `[offset, offset + k)` window of the ranked result
     /// list for `(query, config)`.
     pub fn bounded(
@@ -170,8 +163,8 @@ impl PageKey {
         }
     }
 
-    /// The same window pinned to corpus epoch `epoch` — the live-corpus
-    /// page key (epoch `0` is exactly the static [`PageKey::bounded`]).
+    /// The same window pinned to corpus epoch `epoch` (epoch `0` is
+    /// exactly [`PageKey::bounded`]).
     pub fn at_epoch(mut self, epoch: u64) -> PageKey {
         self.epoch = epoch;
         self
@@ -505,9 +498,7 @@ mod tests {
     fn page_keys_separate_windows_and_normalize_queries() {
         let config = ExtractConfig::default();
         let q = KeywordQuery::parse("store texas");
-        let full = PageKey::unbounded(&q, &config);
-        // The unbounded key IS the canonical (usize::MAX, 0) window.
-        assert_eq!(full, PageKey::bounded(&q, &config, usize::MAX, 0));
+        let full = PageKey::bounded(&q, &config, usize::MAX, 0);
         // Distinct windows never alias: same query+config, different page.
         let keys = [
             full.clone(),

@@ -95,6 +95,11 @@ impl EngineParts {
     pub fn index(&self) -> &Arc<XmlIndex> {
         &self.index
     }
+
+    /// The shared entity model.
+    pub fn model(&self) -> &Arc<EntityModel> {
+        &self.model
+    }
 }
 
 /// The eXtract system bound to one document. The offline artifacts are

@@ -20,11 +20,13 @@
 //!   (which documents contain every keyword of a query, plus the [`FanIn`]
 //!   work counters the corpus benchmark reports).
 //!
-//! The query path itself (per-document SLCA + XSeek snippet generation,
-//! merged across documents) lives in the umbrella crate's `QuerySession`,
-//! which wraps a [`Corpus`] with lazily-built per-document engines over
-//! the corpus's own segments ([`Corpus::segment`]) — a document is
-//! tokenized once in its life.
+//! Each document also carries its query engine's offline artifacts
+//! ([`Corpus::engine`]: entity model and mined keys around the document's
+//! own segment), built by the first query routed to it and shared, like
+//! the segment, by every snapshot that holds the document — a document is
+//! tokenized once and analyzed once in its life. The query path itself
+//! (per-document SLCA + XSeek snippet generation, merged across
+//! documents) lives in the umbrella crate's `QuerySession`.
 //!
 //! A corpus is **slotted**: each document occupies a dense slot and its
 //! [`DocId`] carries the slot's reuse *generation*. A corpus built once
@@ -54,8 +56,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use extract_core::EngineParts;
 use extract_index::sharded::{ShardedPostings, ShardedPostingsBuilder};
 use extract_index::XmlIndex;
 use extract_xml::{Document, ParseOptions};
@@ -111,14 +114,24 @@ impl Default for CorpusOptions {
     }
 }
 
-/// One retained document with its caller-supplied name and its full
-/// `(slot, generation)` identity. `Arc`-shared between a live writer and
-/// every published corpus snapshot that still contains the document.
+/// One retained document with its caller-supplied name, its full
+/// `(slot, generation)` identity and its engine once a query has built
+/// it. `Arc`-shared between a live writer and every published corpus
+/// snapshot that still contains the document, so an engine built on one
+/// snapshot serves every later one — and a new generation is a new entry,
+/// which never sees the old build.
 #[derive(Debug)]
 struct DocEntry {
     id: DocId,
     name: String,
     doc: Document,
+    engine: OnceLock<EngineParts>,
+}
+
+impl DocEntry {
+    fn new(id: DocId, name: &str, doc: Document) -> DocEntry {
+        DocEntry { id, name: name.to_string(), doc, engine: OnceLock::new() }
+    }
 }
 
 /// Streaming corpus builder: add documents one at a time, then
@@ -182,7 +195,7 @@ impl CorpusBuilder {
         let id = self.postings.add_document(&doc);
         debug_assert_eq!(id.index(), self.docs.len());
         self.total_nodes += doc.len();
-        self.docs.push(Arc::new(DocEntry { id, name: name.to_string(), doc }));
+        self.docs.push(Arc::new(DocEntry::new(id, name, doc)));
         id
     }
 
@@ -247,8 +260,7 @@ fn record_rejection(log: &mut Vec<String>, dropped: &mut u64, max_rejected: usiz
 /// Documents live in *slots*; a freshly built corpus is dense, but a
 /// snapshot published by a [`LiveCorpus`] can hold free slots where
 /// documents were deleted. [`Corpus::len`] counts live documents;
-/// [`Corpus::slot_count`] is the slot-array length (what a per-slot
-/// engine table must be sized to).
+/// [`Corpus::slot_count`] is the slot-array length.
 #[derive(Debug)]
 pub struct Corpus {
     postings: ShardedPostings,
@@ -287,9 +299,8 @@ impl Corpus {
     }
 
     /// Length of the slot array (`>= len()`; the extra slots are freed by
-    /// deletions and awaiting reuse). Slot-indexed side tables — like a
-    /// query session's per-document engine array — must use this, not
-    /// [`Corpus::len`].
+    /// deletions and awaiting reuse). Slot-indexed side tables must use
+    /// this, not [`Corpus::len`].
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
@@ -368,6 +379,29 @@ impl Corpus {
     /// the query engine of that document. Panics like [`Corpus::doc`].
     pub fn segment(&self, id: DocId) -> &Arc<XmlIndex> {
         self.postings.segment(id).expect("DocId does not resolve in this corpus snapshot")
+    }
+
+    /// The query engine's offline artifacts for `id`: the entity model and
+    /// mined keys, built around the document's own [`Corpus::segment`] by
+    /// the first caller and shared by every snapshot that holds the
+    /// document. Concurrent first callers wait for one build. Panics like
+    /// [`Corpus::doc`].
+    pub fn engine(&self, id: DocId) -> &EngineParts {
+        let entry = self.entry(id);
+        entry
+            .engine
+            .get_or_init(|| EngineParts::with_index(&entry.doc, Arc::clone(self.segment(id))))
+    }
+
+    /// How many live documents have built their engine — what routing
+    /// saves shows here: a document no query reached has not paid for
+    /// entity analysis.
+    pub fn engines_built(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(|s| s.as_deref())
+            .filter(|e| e.engine.get().is_some())
+            .count()
     }
 
     /// The segments and the token → document directory.

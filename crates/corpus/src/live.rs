@@ -258,7 +258,7 @@ impl LiveCorpus {
         writer.total_nodes += doc.len();
         writer.postings.insert(id, segment);
         // xlint: allow(L3, "same bound: index < slots.len() by the writer's own bookkeeping")
-        writer.slots[index] = Some(Arc::new(DocEntry { id, name: name.to_string(), doc }));
+        writer.slots[index] = Some(Arc::new(DocEntry::new(id, name, doc)));
         writer.by_name.insert(name.to_string(), slot);
         let retired = self.swap(writer.publish());
         let epoch = writer.epoch;

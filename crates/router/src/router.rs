@@ -933,8 +933,8 @@ impl RouterApp {
     }
 }
 
-/// Bind, serve and probe until shutdown: the moral twin of the umbrella
-/// crate's `serve_corpus`. Spawns the background prober (first round
+/// Bind, serve and probe until shutdown: the router's counterpart of the
+/// umbrella crate's `serve_live`. Spawns the background prober (first round
 /// runs synchronously so doc counts are learned before the socket is
 /// announced), runs the server until drained, then joins the prober.
 pub fn serve_router(

@@ -2,8 +2,8 @@
 //! fresh connection per request), a persistent keep-alive client, plus
 //! the concurrency latches the deterministic server tests are built on.
 //! Shared by this crate's integration tests, the umbrella `tests/serve.rs`
-//! suite, the `serve` binary's self-check and the `serve_throughput`
-//! bench so the wire-format knowledge lives in one place. Not part of the
+//! suite, the `serve` binary's self-check and the `obs_overhead` guard
+//! so the wire-format knowledge lives in one place. Not part of the
 //! serving API.
 //!
 //! The wire machinery itself lives in [`client`](crate::client) — the

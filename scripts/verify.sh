@@ -16,7 +16,10 @@
 #                                       the GuardFlow lints L6-L9)
 #   5. xlint_list_check.sh            — README lint catalog matches --list
 #   6. cargo bench --no-run           — every Criterion bench compiles
-#   7. scripts/bench.sh --check       — the bench binaries compile
+#      cargo build -p extract-bench --bins
+#                                     — the bench binaries compile
+#   7. obs_overhead                   — stage timing on vs off over the
+#                                       live daemon, cache-hot: < 5 %
 #
 # The serving daemon additionally has scripts/serve_smoke.sh (boot, probe,
 # drain), run as its own CI job.
@@ -38,6 +41,7 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh
 run cargo bench --no-run --offline
-run scripts/bench.sh --check
+run cargo build --release --offline -p extract-bench --bins
+run cargo run --release --offline -q -p extract-bench --bin obs_overhead
 
 echo "verify: all gates green"

@@ -76,21 +76,20 @@ pub mod datagen {
 }
 
 /// Concurrent query serving: [`QuerySession`](session::QuerySession), a
-/// std-thread worker pool over shared immutable indexes (one document or a
-/// whole corpus) with a snippet cache.
+/// per-request session over one corpus snapshot with shared page and
+/// snippet caches and a std-thread pool for batches.
 pub mod session;
 
-/// The HTTP search application: routes `extract-serve` requests
-/// (`/search`, `/stats`, …) to a [`QuerySession`](session::QuerySession)
-/// and renders JSON result pages.
+/// The `/search` wire format: request parameters, the one body producer
+/// and the cache counters `/stats` and `/metrics` report.
 pub mod serve;
 
-/// Live serving: mutation endpoints (`/ingest`, `/delete`) over an
-/// epoch-swapped [`LiveCorpus`](corpus::LiveCorpus) — queries keep
-/// answering on their snapshot while the corpus changes underneath.
+/// The search application: `/search`, `/ingest`, `/delete`, `/stats`, …
+/// over an epoch-swapped [`LiveCorpus`](corpus::LiveCorpus) — queries
+/// keep answering on their snapshot while the corpus changes underneath.
 pub mod live;
 
-pub use session::{AnswerPage, CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, SessionCaches};
+pub use session::{CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, SessionCaches};
 
 /// The most common imports in one place.
 pub mod prelude {
@@ -102,8 +101,6 @@ pub mod prelude {
     pub use extract_xml::{DocBuilder, Document, NodeId};
 
     pub use crate::live::LiveSearchApp;
-    pub use crate::serve::{SearchApp, SearchAppConfig};
-    pub use crate::session::{
-        AnswerPage, CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, SessionCaches,
-    };
+    pub use crate::serve::SearchAppConfig;
+    pub use crate::session::{CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, SessionCaches};
 }

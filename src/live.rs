@@ -1,19 +1,36 @@
-//! Live serving: mutation endpoints over an epoch-swapped [`LiveCorpus`],
-//! with **zero downtime** — the daemon keeps answering `/search` while
-//! documents are added, updated and deleted.
+//! The search application: [`LiveSearchApp`] maps `extract-serve`
+//! requests onto per-request [`QuerySession`]s over an epoch-swapped
+//! [`LiveCorpus`], with **zero downtime** — the daemon keeps answering
+//! `/search` while documents are added, updated and deleted.
+//!
+//! | route | method | answer |
+//! |-------|--------|--------|
+//! | `/search?q=…&k=…&offset=…` | `GET` | one ranked, snippeted result page ([`search_body`]) |
+//! | `/ingest?name=…` (XML body) | `POST` | add or update one document |
+//! | `/delete?doc=…` | `POST` | remove one document |
+//! | `/stats` | `GET` | server + session + corpus counters |
+//! | `/metrics` | `GET` | Prometheus text exposition (counters, stage and mutation histograms) |
+//! | `/debug/traces` | `GET` | the flight recorder (recent request traces) as JSON |
+//! | `/healthz` | `GET` | liveness probe (`503` once draining) |
+//! | `/shutdown` | `POST` | begin graceful drain |
+//!
+//! `/search` answers carry an `X-Corpus-Epoch` header so the router can
+//! spot a mutated shard from the response itself.
 //!
 //! The concurrency model is RCU-shaped and entirely `std`-safe:
 //!
 //! * Readers ([`LiveSearchApp::handle`]) clone the current
-//!   `Arc<Corpus>` snapshot and build a cheap per-request
-//!   [`QuerySession`] over it ([`QuerySession::for_snapshot`]). An
-//!   in-flight query keeps its snapshot alive through the `Arc`, so a
-//!   concurrent mutation can never pull the corpus out from under it —
-//!   the query completes against the world it started in.
+//!   `Arc<Corpus>` snapshot and build a per-request [`QuerySession`] over
+//!   it ([`QuerySession::for_snapshot`] — a borrow and an `Arc` clone; the
+//!   documents' engines are the snapshot's). An in-flight query keeps its
+//!   snapshot alive through the `Arc`, so a concurrent mutation can never
+//!   pull the corpus out from under it — the query completes against the
+//!   world it started in.
 //! * The writer ([`LiveCorpus::ingest`] / [`LiveCorpus::delete`])
 //!   indexes the one document it was handed, edits that document's
 //!   directory entries, bumps the corpus **epoch** and publishes a new
-//!   snapshot sharing everything else with the old one. Readers that
+//!   snapshot sharing everything else with the old one — every untouched
+//!   document's entry, segment and built engine included. Readers that
 //!   start after the publish see the new world; readers that started
 //!   before finish on the old one.
 //!
@@ -27,20 +44,11 @@
 //!   generational arena exists to kill);
 //! * page keys carry the corpus **epoch** — whole-corpus aggregates are
 //!   retired per mutation ([`SessionCaches::retire_pages_before`]);
-//! * per-document entries of a mutated document are purged eagerly
-//!   ([`SessionCaches::invalidate_doc`]) — untouched documents keep
-//!   their snippets and engine artifacts, which is what keeps cache-hot
-//!   latency flat through a mutation burst.
-//!
-//! Routes on top of the static app's set:
-//!
-//! | route | method | answer |
-//! |-------|--------|--------|
-//! | `/ingest?name=…` (XML body) | `POST` | add or update one document |
-//! | `/delete?doc=…` | `POST` | remove one document |
-//!
-//! `/search` answers additionally carry an `X-Corpus-Epoch` header so
-//! the router can spot a mutated shard from the response itself.
+//! * the snippets of a dead generation — the replaced one on update, the
+//!   deleted one on delete — are purged eagerly
+//!   ([`SessionCaches::invalidate_doc`]); untouched documents keep their
+//!   snippets and engines, which is what keeps cache-hot latency flat
+//!   through a mutation burst.
 
 use std::sync::Arc;
 
@@ -56,8 +64,8 @@ use crate::serve::{
 };
 use crate::session::{QuerySession, SessionCaches};
 
-/// The live routing + rendering layer: the moral twin of
-/// [`SearchApp`](crate::serve::SearchApp), over a mutable corpus.
+/// The routing + rendering layer between [`extract_serve::Server`] and a
+/// mutable corpus.
 #[derive(Debug)]
 pub struct LiveSearchApp {
     corpus: LiveCorpus,
@@ -143,9 +151,8 @@ impl LiveSearchApp {
 
     /// `/search` against the **current snapshot**: the per-request
     /// session shares the long-lived cache bundle, so a hot query is one
-    /// `Arc` clone, a `Vec` of empty `OnceLock` slots, one page-cache
-    /// lookup and a copy of the entry's already-rendered results into
-    /// the response.
+    /// `Arc` clone, one page-cache lookup and a copy of the entry's
+    /// already-rendered results into the response.
     fn search(&self, request: &Request) -> Response {
         let (q, k, offset) = match parse_search_params(request, &self.config) {
             Ok(params) => params,
@@ -216,17 +223,22 @@ impl LiveSearchApp {
         }
     }
 
-    /// Per-mutation cache hygiene: purge the mutated document's
-    /// per-document entries (the dead generation on update/delete, the
-    /// new id is trivially absent) and retire result pages of every
-    /// earlier epoch. Nothing else is touched — untouched documents stay
-    /// cache-hot. Then the mutation's cost goes on record, this phase
-    /// included (a delete's parse and index are not series: dropped).
+    /// Per-mutation cache hygiene: purge the snippets of the generation
+    /// the mutation killed — the replaced one of an update, the deleted
+    /// one of a delete; an ingest's own id is live, and a reader may
+    /// already have cached valid snippets of it from the just-published
+    /// snapshot — and retire result pages of every earlier epoch. Nothing
+    /// else is touched — untouched documents stay cache-hot. Then the
+    /// mutation's cost goes on record, this phase included (a delete's
+    /// parse and index are not series: dropped).
     fn apply_invalidation(&self, op: MutationOp, mutation: &Mutation) {
         let started = Instant::now();
-        self.caches.invalidate_doc(mutation.id);
-        if let Some(replaced) = mutation.replaced {
-            self.caches.invalidate_doc(replaced);
+        let dead = match op {
+            MutationOp::Ingest => mutation.replaced,
+            MutationOp::Delete => Some(mutation.id),
+        };
+        if let Some(dead) = dead {
+            self.caches.invalidate_doc(dead);
         }
         self.caches.retire_pages_before(mutation.epoch);
         let invalidate = started.elapsed();
@@ -240,8 +252,10 @@ impl LiveSearchApp {
         }
     }
 
-    /// The `/metrics` body — the static app's families plus the mutation
-    /// cost histograms and the corpus gauges.
+    /// The `/metrics` body: server counters and request-stage latency
+    /// histograms (via [`obs_http`]), the session's cache families, the
+    /// mutation cost histograms and the corpus gauges, in Prometheus text
+    /// exposition format.
     fn metrics(&self) -> Response {
         let Some(handle) = &self.server else {
             return Response::error(503, "no server attached");
@@ -260,10 +274,11 @@ impl LiveSearchApp {
         obs_http::metrics_response(w)
     }
 
-    /// The `/stats` body: the static app's schema plus `epoch`, live
-    /// document count and the bounded rejection counters — the router's
-    /// doc-count bootstrap reads `corpus.documents` and `corpus.epoch`
-    /// from here.
+    /// The `/stats` body: server counters (when attached), the engines the
+    /// snapshot has built and the session caches' counters, then the
+    /// corpus — live document count, bounded rejection counters and
+    /// `epoch`; the router's doc-count bootstrap reads `corpus.documents`
+    /// and `corpus.epoch` from here.
     pub fn render_stats(&self) -> String {
         let snapshot = self.corpus.snapshot();
         let (rejected, rejected_dropped) = self.corpus.rejection_stats();
@@ -304,7 +319,7 @@ impl LiveSearchApp {
         w.key("session");
         w.obj_begin();
         w.key("engines_cached");
-        w.num_u64(self.caches.engines_cached() as u64);
+        w.num_u64(snapshot.engines_built() as u64);
         write_cache_stats(&mut w, &self.caches);
         w.obj_end();
         w.key("corpus");
@@ -325,11 +340,13 @@ impl LiveSearchApp {
     }
 }
 
-/// Bind, serve and mutate until shutdown — the live counterpart of
-/// [`serve_corpus`](crate::serve::serve_corpus). The app owns the
-/// corpus (no borrow: snapshots are `Arc`-shared), so the daemon can
-/// apply mutations for as long as it serves. Returns when the server
-/// has drained; `on_ready` runs once the socket is accepting.
+/// Bind, serve and mutate until shutdown: bind, build the app, attach the
+/// handle, serve. The app owns the corpus (no borrow: snapshots are
+/// `Arc`-shared), so the daemon can apply mutations for as long as it
+/// serves. `cache_capacity` sizes the session caches (0 disables).
+/// Requests are answered on the *server's* worker pool, so the session's
+/// own batch pool is left at one thread. Returns when the server has
+/// drained; `on_ready` runs once the socket is accepting.
 pub fn serve_live(
     corpus: LiveCorpus,
     addr: &str,
@@ -340,11 +357,7 @@ pub fn serve_live(
 ) -> std::io::Result<()> {
     let server = extract_serve::Server::bind(addr, serve_config)?;
     let handle = server.handle();
-    let mut app = LiveSearchApp::new(
-        corpus,
-        app_config,
-        cache_capacity,
-    );
+    let mut app = LiveSearchApp::new(corpus, app_config, cache_capacity);
     app.attach_server(handle.clone());
     on_ready(server.local_addr(), handle);
     server.run(|request| app.handle(request));
@@ -509,6 +522,26 @@ mod tests {
         assert_eq!(corpus.get("rejected").and_then(Value::as_u64), Some(1));
         assert_eq!(corpus.get("rejected_dropped").and_then(Value::as_u64), Some(0));
         assert!(v.get("session").is_some());
+    }
+
+    // An ingest's own id is the live generation: invalidating it would
+    // throw away snippets a reader cached from the just-published
+    // snapshot. Only the dead generation is purged.
+    #[test]
+    fn an_ingest_keeps_the_new_documents_cached_snippets() {
+        let app = app();
+        let xml = "<stores><store><name>Gap</name><state>Ohio</state></store>\
+                   <store><name>Gap Kids</name><state>Ohio</state></store></stores>";
+        let mutation = app.corpus().ingest("ohio", xml).expect("well-formed");
+        let page = get(&app, "/search", &[("q", "gap ohio"), ("k", "2")]);
+        assert_eq!(result_docs(&page), ["ohio", "ohio"]);
+        app.apply_invalidation(MutationOp::Ingest, &mutation);
+        let hits = app.caches().snippet_stats().hits;
+        // Another window of the same query: a page miss whose snippet is
+        // the one cached above.
+        let window = get(&app, "/search", &[("q", "gap ohio"), ("k", "1")]);
+        assert_eq!(result_docs(&window), ["ohio"]);
+        assert!(app.caches().snippet_stats().hits > hits, "the live generation's snippet was purged");
     }
 
     #[test]

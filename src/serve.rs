@@ -1,20 +1,9 @@
-//! The HTTP search application: [`SearchApp`] maps `extract-serve`
-//! requests onto a [`QuerySession`] and renders JSON result pages.
+//! The `/search` wire format: [`SearchAppConfig`], request parameter
+//! validation, the one `/search` body producer ([`search_body`]) and the
+//! cache counters `/stats` and `/metrics` report. The routes themselves
+//! live on [`LiveSearchApp`](crate::live::LiveSearchApp).
 //!
-//! The daemon model follows the ROADMAP: **one daemon = one corpus = one
-//! session**. `extract-serve` owns sockets, admission control and
-//! fairness; this module owns the routes and the wire format:
-//!
-//! | route | method | answer |
-//! |-------|--------|--------|
-//! | `/search?q=…&k=…&offset=…` | `GET` | one ranked, snippeted result page |
-//! | `/stats` | `GET` | server + session + corpus counters |
-//! | `/metrics` | `GET` | Prometheus text exposition (counters + stage histograms) |
-//! | `/debug/traces` | `GET` | the flight recorder (recent request traces) as JSON |
-//! | `/healthz` | `GET` | liveness probe |
-//! | `/shutdown` | `POST` | begin graceful drain |
-//!
-//! `/search` is honest pagination end to end: it calls
+//! `/search` is honest pagination end to end: [`search_body`] calls
 //! [`QuerySession::answer_corpus_topk`], so snippet generation stops at
 //! the page being served while `total` stays exact. `k` is clamped to
 //! [`SearchAppConfig::max_k`] (the response reports the effective value);
@@ -25,8 +14,7 @@
 use extract_corpus::Corpus;
 use extract_core::{CacheStats, ExtractConfig};
 use extract_obs::{PromWriter, Stage};
-use extract_serve::obs_http;
-use extract_serve::{JsonWriter, Request, Response, ServerHandle};
+use extract_serve::{JsonWriter, Request, Response};
 
 use crate::session::{CorpusTopK, QuerySession, SessionCaches};
 
@@ -49,189 +37,10 @@ impl Default for SearchAppConfig {
     }
 }
 
-/// The routing + rendering layer between [`extract_serve::Server`] and a
-/// [`QuerySession`].
-#[derive(Debug)]
-pub struct SearchApp<'d> {
-    session: QuerySession<'d>,
-    config: SearchAppConfig,
-    server: Option<ServerHandle>,
-}
-
-impl<'d> SearchApp<'d> {
-    /// Wrap `session` (usually [`QuerySession::from_corpus`]). Attach the
-    /// server handle with [`SearchApp::attach_server`] before serving if
-    /// `/stats` should include server counters and `/shutdown` should
-    /// work.
-    pub fn new(session: QuerySession<'d>, config: SearchAppConfig) -> SearchApp<'d> {
-        SearchApp { session, config, server: None }
-    }
-
-    /// Wire the running server in (enables `/shutdown` and the `server`
-    /// section of `/stats`).
-    pub fn attach_server(&mut self, handle: ServerHandle) {
-        self.server = Some(handle);
-    }
-
-    /// The session behind the app.
-    pub fn session(&self) -> &QuerySession<'d> {
-        &self.session
-    }
-
-    /// Route one request. Infallible: every outcome is a `Response`.
-    pub fn handle(&self, request: &Request) -> Response {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/search") => self.search(request),
-            ("GET", "/stats") => Response::json(200, self.render_stats()),
-            ("GET", "/healthz") => {
-                // Once shutdown begins the daemon still answers in-flight
-                // work, but load balancers must stop routing to it: say so
-                // with a 503 instead of lying "ok" until the socket dies.
-                let draining =
-                    self.server.as_ref().is_some_and(ServerHandle::is_shutting_down);
-                let mut w = JsonWriter::new();
-                w.obj_begin();
-                w.key("ok");
-                w.bool(!draining);
-                if draining {
-                    w.key("draining");
-                    w.bool(true);
-                }
-                w.obj_end();
-                Response::json(if draining { 503 } else { 200 }, w.finish())
-            }
-            ("GET", "/metrics") => self.metrics(),
-            ("GET", "/debug/traces") => match &self.server {
-                Some(handle) => Response::json(200, obs_http::traces_json(handle.obs())),
-                None => Response::error(503, "no server attached"),
-            },
-            ("POST", "/shutdown") => match &self.server {
-                Some(handle) => {
-                    handle.shutdown();
-                    let mut w = JsonWriter::new();
-                    w.obj_begin();
-                    w.key("draining");
-                    w.bool(true);
-                    w.obj_end();
-                    Response::json(200, w.finish())
-                }
-                None => Response::error(503, "no server attached"),
-            },
-            (_, "/search" | "/stats" | "/healthz" | "/shutdown" | "/metrics"
-            | "/debug/traces") => Response::error(405, "method not allowed"),
-            _ => Response::error(404, "no such route"),
-        }
-    }
-
-    fn search(&self, request: &Request) -> Response {
-        match parse_search_params(request, &self.config) {
-            Ok((q, k, offset)) => Response::json(200, self.render_search(q, k, offset)),
-            Err(response) => response,
-        }
-    }
-
-    /// The `/metrics` body: server counters and request-stage latency
-    /// histograms (via [`obs_http`]) plus the session's cache and corpus
-    /// gauges, in Prometheus text exposition format.
-    fn metrics(&self) -> Response {
-        let Some(handle) = &self.server else {
-            return Response::error(503, "no server attached");
-        };
-        let mut w = PromWriter::new();
-        obs_http::write_server_metrics(&mut w, handle);
-        write_cache_metrics(&mut w, &self.session.caches());
-        if let Some(corpus) = self.session.corpus() {
-            w.help("extract_corpus_documents", "Documents in the served corpus.");
-            w.type_("extract_corpus_documents", "gauge");
-            w.sample_u64("extract_corpus_documents", &[], corpus.len() as u64);
-        }
-        obs_http::metrics_response(w)
-    }
-
-    /// The `/search` body for `(q, k, offset)` — public so tests and the
-    /// load generator can compute the expected bytes without a socket.
-    pub fn render_search(&self, q: &str, k: usize, offset: usize) -> String {
-        search_body(&self.session, &self.config.snippet, q, k, offset)
-    }
-
-    /// The `/stats` body: server counters (when attached), session cache
-    /// and routing counters, corpus ingestion counters.
-    pub fn render_stats(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj_begin();
-        if let Some(handle) = &self.server {
-            let s = handle.stats();
-            w.key("server");
-            w.obj_begin();
-            w.key("accepted");
-            w.num_u64(s.accepted);
-            w.key("admitted");
-            w.num_u64(s.admitted);
-            w.key("shed_queue_full");
-            w.num_u64(s.shed_queue_full);
-            w.key("shed_per_client");
-            w.num_u64(s.shed_per_client);
-            w.key("served_ok");
-            w.num_u64(s.served_ok);
-            w.key("served_error");
-            w.num_u64(s.served_error);
-            w.key("reused_requests");
-            w.num_u64(s.reused_requests);
-            w.key("request_timeouts");
-            w.num_u64(s.request_timeouts);
-            w.key("idle_closed");
-            w.num_u64(s.idle_closed);
-            w.key("io_errors");
-            w.num_u64(s.io_errors);
-            w.key("queue_len");
-            w.num_u64(s.queue_len);
-            w.key("inflight");
-            w.num_u64(s.inflight);
-            w.key("parked");
-            w.num_u64(s.parked);
-            w.obj_end();
-        }
-        w.key("session");
-        w.obj_begin();
-        w.key("workers");
-        w.num_u64(self.session.workers() as u64);
-        w.key("engines_built");
-        w.num_u64(self.session.engines_built() as u64);
-        write_cache_stats(&mut w, &self.session.caches());
-        let fanin = self.session.routing_fanin();
-        w.key("routing_fanin");
-        w.obj_begin();
-        w.key("postings_touched");
-        w.num_u64(fanin.postings_touched);
-        w.key("directory_touched");
-        w.num_u64(fanin.directory_touched);
-        w.obj_end();
-        w.obj_end();
-        if let Some(corpus) = self.session.corpus() {
-            w.key("corpus");
-            w.obj_begin();
-            w.key("documents");
-            w.num_u64(corpus.len() as u64);
-            w.key("total_nodes");
-            w.num_u64(corpus.total_nodes() as u64);
-            w.key("rejected");
-            w.num_u64(corpus.rejected().len() as u64);
-            w.key("rejected_dropped");
-            w.num_u64(corpus.rejected_dropped());
-            w.key("epoch");
-            w.num_u64(corpus.epoch());
-            w.obj_end();
-        }
-        w.obj_end();
-        w.finish()
-    }
-}
-
 /// The result caches by their wire names — one table behind `/stats`
-/// and `/metrics`, for the static and the live app alike.
-fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats); 3] {
+/// and `/metrics`.
+fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats); 2] {
     [
-        ("page_cache", caches.page_stats()),
         ("corpus_page_cache", caches.corpus_page_stats()),
         ("snippet_cache", caches.snippet_stats()),
     ]
@@ -285,10 +94,9 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     );
 }
 
-/// Validate `/search` parameters exactly once for both the static and
-/// the live app: a missing/blank `q` or an unparseable number is a
-/// `400`, `k` is clamped to `max_k` (the clamp is visible in the
-/// response's `k` field).
+/// Validate `/search` parameters: a missing/blank `q` or an unparseable
+/// number is a `400`, `k` is clamped to `max_k` (the clamp is visible in
+/// the response's `k` field).
 pub(crate) fn parse_search_params<'r>(
     request: &'r Request,
     config: &SearchAppConfig,
@@ -315,9 +123,10 @@ pub(crate) fn parse_search_params<'r>(
     Ok((q, k, offset))
 }
 
-/// The `/search` body over any session — shared by [`SearchApp`] and the
-/// live app so the wire format (field order included — the router's
-/// merge path pins it) has exactly one producer.
+/// The `/search` body for `(q, k, offset)` over `session`'s snapshot —
+/// the one producer of the wire format (field order included — the
+/// router's merge path pins it): the daemon serves it, and tests call it
+/// for a pinned snapshot to know the expected bytes without a socket.
 ///
 /// The `results` array is the expensive part (ten snippet trees walked to
 /// XML, then escaped into JSON), and it is a pure function of the page —
@@ -326,7 +135,7 @@ pub(crate) fn parse_search_params<'r>(
 /// request's own header fields: the page key holds the *normalized*
 /// query while `"query"` echoes the *raw* one, so the echo is never
 /// cached.
-pub(crate) fn search_body(
+pub fn search_body(
     session: &QuerySession<'_>,
     snippet: &ExtractConfig,
     q: &str,
@@ -364,16 +173,13 @@ pub(crate) fn search_body(
 const HEADER_CAPACITY: usize = 128;
 
 /// One page's `results` array, as JSON.
-fn render_results(page: &CorpusTopK, corpus: Option<&Corpus>) -> Box<str> {
+fn render_results(page: &CorpusTopK, corpus: &Corpus) -> Box<str> {
     let mut w = JsonWriter::new();
     w.arr_begin();
     for answer in page.results.iter() {
         w.obj_begin();
         w.key("doc");
-        match corpus {
-            Some(corpus) => w.str(corpus.name(answer.doc)),
-            None => w.str("document"),
-        }
+        w.str(corpus.name(answer.doc));
         w.key("doc_id");
         w.num_u64(answer.doc.index() as u64);
         w.key("root");
@@ -388,34 +194,13 @@ fn render_results(page: &CorpusTopK, corpus: Option<&Corpus>) -> Box<str> {
     w.finish().into_boxed_str()
 }
 
-/// Convenience: the borrow-friendly pieces a daemon needs, wired together
-/// over one corpus — bind, build the app, attach the handle, serve until
-/// shutdown. `cache_capacity` sizes the session caches (0 disables).
-/// Requests are answered on the *server's* worker pool, so the session's
-/// own batch pool is left at one thread. Returns when the server has
-/// drained; `on_ready` runs once the socket is accepting.
-pub fn serve_corpus(
-    corpus: &Corpus,
-    addr: &str,
-    serve_config: extract_serve::ServeConfig,
-    app_config: SearchAppConfig,
-    cache_capacity: usize,
-    on_ready: impl FnOnce(std::net::SocketAddr, ServerHandle),
-) -> std::io::Result<()> {
-    let server = extract_serve::Server::bind(addr, serve_config)?;
-    let handle = server.handle();
-    let session = QuerySession::from_corpus_with_options(corpus, 1, cache_capacity);
-    let mut app = SearchApp::new(session, app_config);
-    app.attach_server(handle.clone());
-    on_ready(server.local_addr(), handle);
-    server.run(|request| app.handle(request));
-    Ok(())
-}
-
+// The wire format's cases, driven the way the daemon serves them:
+// through `LiveSearchApp::handle`, or `search_body` on a pinned snapshot.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extract_corpus::CorpusBuilder;
+    use crate::live::LiveSearchApp;
+    use extract_corpus::{CorpusBuilder, LiveCorpus};
     use extract_serve::json::{self, Value};
 
     fn tiny_corpus() -> Corpus {
@@ -435,6 +220,10 @@ mod tests {
         b.finish()
     }
 
+    fn app(config: SearchAppConfig) -> LiveSearchApp {
+        LiveSearchApp::new(LiveCorpus::from_corpus(tiny_corpus()), config, 4096)
+    }
+
     fn request(method: &str, path: &str, query: &[(&str, &str)]) -> Request {
         Request {
             method: method.to_string(),
@@ -450,11 +239,8 @@ mod tests {
     #[test]
     fn search_returns_valid_json_pages() {
         let corpus = tiny_corpus();
-        let app =
-            SearchApp::new(QuerySession::from_corpus(&corpus), SearchAppConfig::default());
-        let resp = app.handle(&request("GET", "/search", &[("q", "texas")]));
-        assert_eq!(resp.status, 200);
-        let body = String::from_utf8(resp.body).unwrap();
+        let session = QuerySession::from_corpus(&corpus);
+        let body = search_body(&session, &ExtractConfig::default(), "texas", 10, 0);
         let v = json::parse(&body).expect("valid JSON");
         assert_eq!(v.get("query").and_then(Value::as_str), Some("texas"));
         assert_eq!(v.get("k").and_then(Value::as_u64), Some(10));
@@ -472,11 +258,7 @@ mod tests {
 
     #[test]
     fn search_pagination_and_clamping() {
-        let corpus = tiny_corpus();
-        let app = SearchApp::new(
-            QuerySession::from_corpus(&corpus),
-            SearchAppConfig { max_k: 1, ..Default::default() },
-        );
+        let app = app(SearchAppConfig { max_k: 1, ..Default::default() });
         // k clamped to max_k = 1; the clamp is visible.
         let resp = app.handle(&request("GET", "/search", &[("q", "texas"), ("k", "50")]));
         let v = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
@@ -505,9 +287,7 @@ mod tests {
 
     #[test]
     fn bad_requests_are_400_not_panics() {
-        let corpus = tiny_corpus();
-        let app =
-            SearchApp::new(QuerySession::from_corpus(&corpus), SearchAppConfig::default());
+        let app = app(SearchAppConfig::default());
         for (path, query) in [
             ("/search", vec![]),
             ("/search", vec![("q", "  ")]),
@@ -529,9 +309,7 @@ mod tests {
 
     #[test]
     fn stats_report_corpus_rejections_and_caches() {
-        let corpus = tiny_corpus();
-        let app =
-            SearchApp::new(QuerySession::from_corpus(&corpus), SearchAppConfig::default());
+        let app = app(SearchAppConfig::default());
         app.handle(&request("GET", "/search", &[("q", "texas")]));
         app.handle(&request("GET", "/search", &[("q", "texas")]));
         let resp = app.handle(&request("GET", "/stats", &[]));
@@ -550,18 +328,24 @@ mod tests {
                 >= 1,
             "repeat query must hit the page cache: {session:?}"
         );
-        assert!(session.get("routing_fanin").is_some());
         assert!(v.get("server").is_none(), "no server attached");
         // Snippets containing XML quotes survive the JSON layer.
-        let page = app.render_search("levis quoted", 5, 0);
-        json::parse(&page).expect("quoted snippet stays valid JSON");
+        let resp = app.handle(&request("GET", "/search", &[("q", "levis quoted"), ("k", "5")]));
+        let page = json::parse(std::str::from_utf8(&resp.body).unwrap())
+            .expect("quoted snippet stays valid JSON");
+        let snippet = page
+            .get("results")
+            .and_then(Value::as_arr)
+            .and_then(|r| r.first())
+            .and_then(|r| r.get("snippet"))
+            .and_then(Value::as_str)
+            .expect("the quoted store is found");
+        assert!(snippet.contains("Levis \"Quoted\""), "{snippet}");
     }
 
     #[test]
     fn metrics_and_traces_require_an_attached_server() {
-        let corpus = tiny_corpus();
-        let app =
-            SearchApp::new(QuerySession::from_corpus(&corpus), SearchAppConfig::default());
+        let app = app(SearchAppConfig::default());
         assert_eq!(app.handle(&request("GET", "/metrics", &[])).status, 503);
         assert_eq!(app.handle(&request("GET", "/debug/traces", &[])).status, 503);
         assert_eq!(app.handle(&request("POST", "/metrics", &[])).status, 405);
@@ -570,9 +354,7 @@ mod tests {
 
     #[test]
     fn healthz_is_trivially_green() {
-        let corpus = tiny_corpus();
-        let app =
-            SearchApp::new(QuerySession::from_corpus(&corpus), SearchAppConfig::default());
+        let app = app(SearchAppConfig::default());
         let resp = app.handle(&request("GET", "/healthz", &[]));
         assert_eq!(resp.status, 200);
         assert_eq!(std::str::from_utf8(&resp.body).unwrap(), r#"{"ok":true}"#);

@@ -1,35 +1,27 @@
-//! A long-lived, thread-safe query session — the serving layer over one
-//! document **or a whole corpus**.
+//! A thread-safe query session over one corpus snapshot — the serving
+//! layer between a [`Corpus`] and the `/search` wire format.
 //!
-//! [`QuerySession`] wraps the offline stages (indexes, entity model, mined
-//! keys) behind a worker pool of plain `std` scoped threads, so N keyword
-//! queries are answered **concurrently against shared immutable indexes**
-//! — no `tokio` needed offline, no locks on the read path.
-//!
-//! Two backends share the same session machinery:
-//!
-//! * **Single document** ([`QuerySession::new`]): one [`Extract`] engine,
-//!   the PR-2 behaviour, unchanged.
-//! * **Corpus** ([`QuerySession::from_corpus`]): a borrowed
-//!   [`Corpus`] plus one *lazily built* [`Extract`] engine per document.
-//!   [`QuerySession::answer_corpus`] routes each query through the
-//!   corpus's token → document directory ([`Corpus::candidate_docs_str`]
-//!   semantics) so only documents containing **every** keyword pay for
-//!   engine construction (entity model + keys around the corpus's own
-//!   index segment), per-document SLCA and snippet generation; the
-//!   per-document ranked results are then merged into one page ordered by
-//!   (score desc, document asc, root asc).
+//! [`QuerySession`] is a borrowed [`Corpus`], a worker count for batches
+//! and a shared cache bundle — one over a shared bundle
+//! ([`QuerySession::for_snapshot`]) allocates nothing, so the daemon
+//! builds one per request. [`QuerySession::answer_corpus_topk`]
+//! routes each query through the corpus's token → document directory
+//! ([`Corpus::candidate_docs_str`]) so only documents containing **every**
+//! keyword are searched; each of them answers with its engine — entity
+//! model and keys around its own index segment — which lives on the
+//! snapshot ([`Corpus::engine`]): the first query to reach a document
+//! builds it, and every later request and every later snapshot holding
+//! the document reuses it. The per-document ranked results are merged
+//! into one page ordered by (score desc, document asc, root asc).
 //!
 //! Caching is two-level, both LRU:
 //!
-//! 1. a **page cache** (`normalized query + config → Arc<[..]>`) makes a
-//!    repeated hot query a single hash lookup plus an `Arc` clone —
-//!    routing, search, ranking and snippet generation are all skipped
-//!    (single-document and corpus pages live in separate caches because
-//!    their page types differ). A corpus page entry also keeps the
-//!    window's `/search` rendering once it has been served
-//!    ([`CorpusTopK`]), so a hit re-serves bytes instead of re-walking
-//!    snippet trees;
+//! 1. a **page cache** (`normalized query + config + window + epoch →`
+//!    [`CorpusTopK`]) makes a repeated hot query a single hash lookup
+//!    plus an `Arc` clone — routing, search, ranking and snippet
+//!    generation are all skipped. The entry also keeps the window's
+//!    `/search` rendering once it has been served, so a hit re-serves
+//!    bytes instead of re-walking snippet trees;
 //! 2. the per-result snippet cache (`query + (DocId, root) + config →
 //!    Arc<SnippetedResult>`) catches queries whose page entry was evicted
 //!    and amortizes snippet generation across overlapping result sets —
@@ -56,13 +48,13 @@
 //! its ≤ `k` roots ever become a `QueryResult`, an IList and a snippet.
 //!
 //! All cache state lives in an [`SessionCaches`] bundle behind an `Arc`.
-//! A standalone session owns a private bundle; a **live** serving layer
-//! shares one bundle across the cheap per-snapshot sessions it builds per
-//! request ([`QuerySession::for_snapshot`]), so page/snippet caches and
-//! per-document engine artifacts stay warm across epoch swaps. Safety
-//! across mutations comes from the keys: snippet keys carry generational
-//! [`DocId`]s and page keys carry the corpus epoch, so entries computed
-//! against an older snapshot can never answer for a newer one.
+//! A standalone session owns a private bundle; the live serving layer
+//! shares one bundle across the per-snapshot sessions it builds per
+//! request ([`QuerySession::for_snapshot`]), so page and snippet caches
+//! stay warm across epoch swaps. Safety across mutations comes from the
+//! keys: snippet keys carry generational [`DocId`]s and page keys carry
+//! the corpus epoch, so entries computed against an older snapshot can
+//! never answer for a newer one.
 //!
 //! ```
 //! use extract::prelude::*;
@@ -85,13 +77,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
-use extract_core::{CacheStats, EngineParts, Extract, ExtractConfig, SnippetedResult};
+use extract_core::{CacheStats, Extract, ExtractConfig, SnippetedResult};
 use extract_corpus::{Corpus, DocId, FanIn};
 use extract_obs::lock_unpoisoned;
 use extract_search::ranking::{self, by_score_desc};
 use extract_search::xseek::RootsScratch;
 use extract_search::{KeywordQuery, QueryResult};
-use extract_xml::{Document, NodeId};
+use extract_xml::NodeId;
 
 /// Default worker count when the host's parallelism cannot be queried.
 const DEFAULT_WORKERS: usize = 4;
@@ -100,15 +92,6 @@ const DEFAULT_WORKERS: usize = 4;
 /// snippets, so the page cache keeps a smaller hot set than the snippet
 /// cache.
 const PAGE_CAPACITY: usize = 128;
-
-/// Capacity of the shared per-document engine-artifact cache. Independent
-/// of the snippet-cache capacity: even a caches-off session benefits from
-/// not re-running the offline stages, and live serving relies on it so
-/// untouched documents keep warm engines across epoch swaps.
-const ENGINE_CACHE_CAPACITY: usize = 1024;
-
-/// One answered query: the ranked, snippeted results, shared immutably.
-pub type AnswerPage = Arc<[SnippetedResult]>;
 
 /// One corpus result: which document it came from, its ranking score, and
 /// the snippeted result itself.
@@ -152,14 +135,6 @@ pub struct CorpusTopK {
     /// from — same key, same epoch, same eviction — and a later hit
     /// serves them as they are.
     pub(crate) rendered: Arc<OnceLock<Box<str>>>,
-}
-
-/// The engines behind a session: one document, or one per corpus document
-/// (built on first touch, so routing decides which documents ever pay).
-#[derive(Debug)]
-enum Engines<'d> {
-    Single(Box<Extract<'d>>),
-    Corpus { corpus: &'d Corpus, engines: Vec<OnceLock<Extract<'d>>> },
 }
 
 /// Insert under the cache's lock; free what the insert displaced (an
@@ -284,15 +259,14 @@ fn page_order(a: &Ranked, b: &Ranked) -> std::cmp::Ordering {
 }
 
 /// The shareable cache state of one serving lineage: result pages,
-/// per-result snippets, per-document engine artifacts and the routing
-/// fan-in counters. A standalone [`QuerySession`] owns a private bundle;
+/// per-result snippets and the routing fan-in counters. A standalone
+/// [`QuerySession`] owns a private bundle;
 /// live serving keeps one bundle alive across the per-snapshot sessions
 /// it builds, so caches survive corpus mutations (see the module docs for
 /// why that is safe).
 #[derive(Debug)]
 pub struct SessionCaches {
     cache_capacity: usize,
-    pages: Mutex<LruCache<PageKey, AnswerPage>>,
     /// Corpus pages cache *windows*: the key carries `(k, offset)` and the
     /// value is the answer itself — the served slice, the full result
     /// count, and the slice's rendered bytes once `/search` has served it.
@@ -301,11 +275,6 @@ pub struct SessionCaches {
     snippets: Mutex<LruCache<CacheKey, (u8, Arc<SnippetedResult>)>>,
     /// Evicted snippets waiting for their builders.
     snippet_returns: Returns<Arc<SnippetedResult>>,
-    /// Offline artifacts (index + model + keys) per document, so sessions
-    /// sharing this bundle skip the offline stages for documents any of
-    /// them already built. Keyed by generational [`DocId`]: a mutated
-    /// document's new generation never sees the old build.
-    engine_parts: Mutex<LruCache<DocId, EngineParts>>,
     /// Routing fan-in accumulated by [`QuerySession::answer_corpus`]
     /// (directory + posting entries touched), split across atomics so the
     /// read path stays lock-free.
@@ -315,50 +284,34 @@ pub struct SessionCaches {
 
 impl SessionCaches {
     /// A fresh bundle; `cache_capacity` sizes the snippet cache and (capped
-    /// at an internal bound) the page caches, `0` disables result caching
-    /// (the engine-artifact cache stays on — it holds derived structures,
-    /// not query results).
+    /// at an internal bound) the page cache, `0` disables result caching.
     pub fn new(cache_capacity: usize) -> SessionCaches {
         SessionCaches {
             cache_capacity,
-            pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             corpus_pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             snippets: Mutex::new(LruCache::new(cache_capacity)),
             snippet_returns: Returns::new(),
-            engine_parts: Mutex::new(LruCache::new(ENGINE_CACHE_CAPACITY)),
             fanin_postings: AtomicU64::new(0),
             fanin_directory: AtomicU64::new(0),
         }
     }
 
-    /// Drop every cached artifact of `doc` — result pages are left to the
-    /// epoch key, but snippets and engine parts are keyed per document and
-    /// purged here. Invalidation hygiene for mutated documents: the
-    /// generational keys already guarantee the old bytes can't be served,
+    /// Drop every cached snippet of `doc` — result pages are left to the
+    /// epoch key, and the document's engine goes with the last snapshot
+    /// holding it. Invalidation hygiene for a dead document generation:
+    /// the generational keys already guarantee its bytes can't be served,
     /// this frees their memory eagerly (snippets already evicted and
     /// waiting in a [`Returns`] bin — at most `BIN_LIMIT` per thread —
     /// go when their builder next inserts).
     pub fn invalidate_doc(&self, doc: DocId) {
         purge(&self.snippets, |k| k.doc() != doc);
-        purge(&self.engine_parts, |k| *k != doc);
     }
 
     /// Drop result pages computed before `epoch` (their keys can never
     /// match again once the corpus moved on — this reclaims the memory
     /// instead of waiting for LRU pressure).
     pub fn retire_pages_before(&self, epoch: u64) {
-        purge(&self.pages, |k| k.epoch() >= epoch);
         purge(&self.corpus_pages, |k| k.epoch() >= epoch);
-    }
-
-    /// Number of documents with cached engine artifacts.
-    pub fn engines_cached(&self) -> usize {
-        lock_unpoisoned(&self.engine_parts).len()
-    }
-
-    /// Single-document page-cache counters since the bundle was created.
-    pub fn page_stats(&self) -> CacheStats {
-        lock_unpoisoned(&self.pages).stats()
     }
 
     /// Corpus page-cache counters since the bundle was created.
@@ -384,10 +337,10 @@ impl SessionCaches {
     }
 }
 
-/// A thread-safe query-answering session over one document or one corpus.
+/// A thread-safe query-answering session over one corpus snapshot.
 #[derive(Debug)]
 pub struct QuerySession<'d> {
-    engines: Engines<'d>,
+    corpus: &'d Corpus,
     workers: usize,
     caches: Arc<SessionCaches>,
 }
@@ -400,36 +353,9 @@ fn default_workers() -> usize {
 }
 
 impl<'d> QuerySession<'d> {
-    /// Run the offline stages for `doc` and size the pool to the host's
-    /// available parallelism (at least 2 workers), with the default cache
-    /// capacity.
-    pub fn new(doc: &'d Document) -> QuerySession<'d> {
-        QuerySession::with_options(doc, default_workers(), extract_core::cache::DEFAULT_CAPACITY)
-    }
-
-    /// Run the offline stages with an explicit worker count and snippet
-    /// cache capacity (`0` disables both cache levels).
-    pub fn with_options(doc: &'d Document, workers: usize, cache_capacity: usize) -> QuerySession<'d> {
-        QuerySession::from_extract(Extract::new(doc), workers, cache_capacity)
-    }
-
-    /// Wrap an already-built [`Extract`] (shares its indexes and models).
-    pub fn from_extract(
-        extract: Extract<'d>,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> QuerySession<'d> {
-        QuerySession::from_engines(
-            Engines::Single(Box::new(extract)),
-            workers,
-            Arc::new(SessionCaches::new(cache_capacity)),
-        )
-    }
-
-    /// Serve a corpus with default pool and cache sizing. Per-document
-    /// engines are built lazily: a document pays for entity analysis and
-    /// key mining the first time a query routes to it (its index is the
-    /// corpus's segment, built at ingestion).
+    /// Serve a corpus with default pool and cache sizing. A document pays
+    /// for entity analysis and key mining the first time a query routes
+    /// to it (its index is the corpus's segment, built at ingestion).
     ///
     /// # Panics
     /// If the corpus holds no documents.
@@ -458,25 +384,17 @@ impl<'d> QuerySession<'d> {
     /// A session over a (possibly empty) corpus **snapshot**, reusing an
     /// externally owned cache bundle. This is the live-serving entry
     /// point: the serving layer builds one of these per request over the
-    /// current [`Corpus`] snapshot, and because `caches` outlives the
-    /// session, page/snippet/engine caches stay warm across epoch swaps.
-    /// Unlike [`QuerySession::from_corpus`], an empty corpus is allowed —
-    /// a live corpus legitimately passes through empty.
+    /// current [`Corpus`] snapshot — no allocation, the engines are the
+    /// snapshot's — and because `caches` outlives the session, page and
+    /// snippet caches stay warm across epoch swaps. Unlike
+    /// [`QuerySession::from_corpus`], an empty corpus is allowed — a live
+    /// corpus legitimately passes through empty.
     pub fn for_snapshot(
         corpus: &'d Corpus,
         workers: usize,
         caches: Arc<SessionCaches>,
     ) -> QuerySession<'d> {
-        let engines = (0..corpus.slot_count()).map(|_| OnceLock::new()).collect();
-        QuerySession::from_engines(Engines::Corpus { corpus, engines }, workers, caches)
-    }
-
-    fn from_engines(
-        engines: Engines<'d>,
-        workers: usize,
-        caches: Arc<SessionCaches>,
-    ) -> QuerySession<'d> {
-        QuerySession { engines, workers: workers.max(1), caches }
+        QuerySession { corpus, workers: workers.max(1), caches }
     }
 
     /// The cache bundle behind this session — share it with
@@ -485,75 +403,14 @@ impl<'d> QuerySession<'d> {
         Arc::clone(&self.caches)
     }
 
-    /// The engine of document 0 (the only document for single-document
-    /// sessions; the first corpus document otherwise — built on demand).
-    pub fn extract(&self) -> &Extract<'d> {
-        self.engine(DocId::from_index(0))
-    }
-
-    /// The corpus behind this session, if it serves one.
-    pub fn corpus(&self) -> Option<&'d Corpus> {
-        match &self.engines {
-            Engines::Single(_) => None,
-            Engines::Corpus { corpus, .. } => Some(corpus),
-        }
-    }
-
-    /// The lazily-built engine of `doc`.
-    ///
-    /// # Panics
-    /// If `doc` is out of range for this session (single-document sessions
-    /// only have document 0).
-    fn engine(&self, doc: DocId) -> &Extract<'d> {
-        match &self.engines {
-            Engines::Single(extract) => {
-                assert_eq!(doc.index(), 0, "single-document session has only doc 0");
-                extract
-            }
-            Engines::Corpus { corpus, engines } => {
-                // xlint: allow(L3, "doc.index() < slot_count: `engines` is sized to the snapshot's slot count, and ids come out of that snapshot's own routing — or are the doc 0 of `extract()`/`answer()`, whose out-of-range panic is documented and which no daemon route calls")
-                engines[doc.index()].get_or_init(|| {
-                    // Shared artifact cache first: another session of this
-                    // lineage (or this one, pre-eviction) may have already
-                    // paid for the offline stages of this exact document
-                    // generation.
-                    let cached = lock_unpoisoned(&self.caches.engine_parts).get(&doc);
-                    match cached {
-                        Some(parts) => Extract::with_parts(corpus.doc(doc), parts),
-                        None => {
-                            // The index is the corpus's own segment: only
-                            // the entity model and the keys are built here.
-                            let segment = Arc::clone(corpus.segment(doc));
-                            let parts = EngineParts::with_index(corpus.doc(doc), segment);
-                            store(&self.caches.engine_parts, doc, parts.clone());
-                            Extract::with_parts(corpus.doc(doc), parts)
-                        }
-                    }
-                })
-            }
-        }
-    }
-
-    /// How many per-document engines have been built so far (equals 1 for
-    /// single-document sessions). Exposes the effect of candidate routing:
-    /// documents never routed to never pay for entity analysis.
-    pub fn engines_built(&self) -> usize {
-        match &self.engines {
-            Engines::Single(_) => 1,
-            Engines::Corpus { engines, .. } => {
-                engines.iter().filter(|e| e.get().is_some()).count()
-            }
-        }
+    /// The corpus snapshot this session answers from.
+    pub fn corpus(&self) -> &'d Corpus {
+        self.corpus
     }
 
     /// The pool size used by the batch entry points.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Single-document page-cache counters since session start.
-    pub fn page_stats(&self) -> CacheStats {
-        self.caches.page_stats()
     }
 
     /// Corpus page-cache counters since session start.
@@ -567,7 +424,7 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Index-entry fan-in accumulated by corpus routing since session
-    /// start (zero for single-document sessions).
+    /// start.
     pub fn routing_fanin(&self) -> FanIn {
         FanIn {
             postings_touched: self.caches.fanin_postings.load(Ordering::Relaxed),
@@ -576,44 +433,13 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Drop all cached pages and snippets (counters reset too, including
-    /// the routing fan-in). Cached per-document engine artifacts are kept:
-    /// they are derived structures, not query results.
+    /// the routing fan-in). The documents' engines are the corpus's and
+    /// stay built.
     pub fn clear_cache(&self) {
-        lock_unpoisoned(&self.caches.pages).clear();
         lock_unpoisoned(&self.caches.corpus_pages).clear();
         lock_unpoisoned(&self.caches.snippets).clear();
         self.caches.fanin_postings.store(0, Ordering::Relaxed);
         self.caches.fanin_directory.store(0, Ordering::Relaxed);
-    }
-
-    /// Answer one query against **document 0** (the only document for
-    /// single-document sessions). A page-cache hit costs one lock + hash
-    /// lookup + `Arc` clone; otherwise search + rank run, each result is
-    /// answered from the snippet cache or computed fresh, and the
-    /// assembled page is cached. With caching disabled (capacity 0) no
-    /// lock is ever taken, so the worker pool runs fully contention-free.
-    /// Safe to call from many threads at once — `&self` only.
-    pub fn answer(&self, query_str: &str, config: &ExtractConfig) -> AnswerPage {
-        let query = KeywordQuery::parse(query_str);
-        let text = self.query_text(&query);
-        let pkey =
-            text.as_ref().map(|text| PageKey::unbounded(text, config).at_epoch(self.epoch()));
-        if let Some(pkey) = &pkey {
-            if let Some(page) = lock_unpoisoned(&self.caches.pages).get(pkey) {
-                return page;
-            }
-        }
-        let (ranked, _) = self.search(&query, &[DocId::from_index(0)], usize::MAX);
-        let mut scratch = IListScratch::default();
-        let page: AnswerPage = ranked
-            .iter()
-            .map(|&at| self.snippet_for(at, &query, text.as_ref(), config, &mut scratch))
-            .map(Arc::unwrap_or_clone)
-            .collect();
-        if let Some(pkey) = pkey {
-            store(&self.caches.pages, pkey, page.clone());
-        }
-        page
     }
 
     /// The request's query, normalized once for every cache key built
@@ -637,10 +463,10 @@ impl<'d> QuerySession<'d> {
         let mut ranked: Vec<Ranked> = Vec::new();
         let mut scratch = RootsScratch::default();
         for &doc in candidates {
-            let extract = self.engine(doc);
-            let (index, model) = (extract.index(), extract.model());
+            let engine = self.corpus.engine(doc);
             let emit = |root, score| ranked.push((doc, score, root));
-            ranking::scored_roots(extract.document(), index, model, query, &mut scratch, emit);
+            let (document, index, model) = (self.corpus.doc(doc), engine.index(), engine.model());
+            ranking::scored_roots(document, index, model, query, &mut scratch, emit);
         }
         let total = ranked.len();
         let served = served.min(total);
@@ -650,15 +476,6 @@ impl<'d> QuerySession<'d> {
         }
         ranked.sort_unstable_by(page_order);
         (ranked, total)
-    }
-
-    /// The epoch page keys are pinned to: the corpus epoch for corpus
-    /// sessions, `0` for single documents (which never mutate).
-    fn epoch(&self) -> u64 {
-        match &self.engines {
-            Engines::Single(_) => 0,
-            Engines::Corpus { corpus, .. } => corpus.epoch(),
-        }
     }
 
     /// One served result's snippet, via the shared snippet cache when
@@ -673,8 +490,8 @@ impl<'d> QuerySession<'d> {
         config: &ExtractConfig,
         scratch: &mut IListScratch,
     ) -> Arc<SnippetedResult> {
-        let extract = self.engine(doc);
         let compute = |scratch: &mut IListScratch| {
+            let extract = Extract::with_parts(self.corpus.doc(doc), self.corpus.engine(doc).clone());
             let result = QueryResult::build(extract.document(), extract.index(), query, root);
             Arc::new(extract.snippet_of(query, result, config, scratch))
         };
@@ -697,10 +514,8 @@ impl<'d> QuerySession<'d> {
     /// exactly those, and merge into one page ordered by (score
     /// descending, document ascending, root ascending) — identical to
     /// answering each document standalone and merging with the same rule
-    /// (pinned by the equivalence proptests).
-    ///
-    /// On a single-document session this degrades gracefully to the one
-    /// document (no routing). Safe to call from many threads at once.
+    /// (pinned by the equivalence proptests). Safe to call from many
+    /// threads at once.
     ///
     /// This is the unbounded page: it delegates to
     /// [`QuerySession::answer_corpus_topk`] with `k = usize::MAX`.
@@ -735,7 +550,7 @@ impl<'d> QuerySession<'d> {
         let text = self.query_text(&query);
         let pkey = text
             .as_ref()
-            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(self.epoch()));
+            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(self.corpus.epoch()));
         if let Some(pkey) = &pkey {
             if let Some(page) = lock_unpoisoned(&self.caches.corpus_pages).get(pkey) {
                 return page;
@@ -746,21 +561,14 @@ impl<'d> QuerySession<'d> {
         // `search` span (the cache-hit return above records no stage at
         // all — a hit does no search work).
         let (ranked, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
-            let candidates: Vec<DocId> = match (&self.engines, query.is_empty()) {
-                (_, true) => Vec::new(),
-                (Engines::Single(_), false) => vec![DocId::from_index(0)],
-                (Engines::Corpus { corpus, .. }, false) => {
-                    let keywords: Vec<&str> =
-                        query.keywords().iter().map(String::as_str).collect();
-                    let (docs, fanin) = corpus.candidate_docs_str(&keywords);
-                    self.caches
-                        .fanin_postings
-                        .fetch_add(fanin.postings_touched, Ordering::Relaxed);
-                    self.caches
-                        .fanin_directory
-                        .fetch_add(fanin.directory_touched, Ordering::Relaxed);
-                    docs
-                }
+            let candidates: Vec<DocId> = if query.is_empty() {
+                Vec::new()
+            } else {
+                let keywords: Vec<&str> = query.keywords().iter().map(String::as_str).collect();
+                let (docs, fanin) = self.corpus.candidate_docs_str(&keywords);
+                self.caches.fanin_postings.fetch_add(fanin.postings_touched, Ordering::Relaxed);
+                self.caches.fanin_directory.fetch_add(fanin.directory_touched, Ordering::Relaxed);
+                docs
             };
             self.search(&query, &candidates, offset.saturating_add(k))
         });
@@ -786,17 +594,10 @@ impl<'d> QuerySession<'d> {
         page
     }
 
-    /// Answer a batch of queries on the worker pool: `workers` scoped
-    /// threads pull queries from a shared cursor until the batch drains.
-    /// The output is index-aligned with `queries` and identical to calling
-    /// [`QuerySession::answer`] serially.
-    pub fn answer_batch(&self, queries: &[&str], config: &ExtractConfig) -> Vec<AnswerPage> {
-        self.run_pool(queries, |q| self.answer(q, config))
-    }
-
-    /// [`QuerySession::answer_corpus`] over a batch, on the worker pool.
-    /// The output is index-aligned with `queries` and identical to calling
-    /// [`QuerySession::answer_corpus`] serially.
+    /// [`QuerySession::answer_corpus`] over a batch on the worker pool:
+    /// `workers` scoped threads pull queries from a shared cursor until
+    /// the batch drains. The output is index-aligned with `queries` and
+    /// identical to calling [`QuerySession::answer_corpus`] serially.
     pub fn answer_corpus_batch(
         &self,
         queries: &[&str],
@@ -853,8 +654,12 @@ mod tests {
     use extract_datagen::dblp::DblpConfig;
     use extract_datagen::retailer::RetailerConfig;
 
-    fn corpus_doc() -> Document {
-        RetailerConfig::default().generate()
+    /// One document: the default retailer database the batch and cache
+    /// tests below were written against.
+    fn retailer_corpus() -> Corpus {
+        let mut builder = CorpusBuilder::new();
+        builder.add_parsed("retailer", RetailerConfig::default().generate());
+        builder.finish()
     }
 
     fn queries() -> Vec<&'static str> {
@@ -870,35 +675,37 @@ mod tests {
         ]
     }
 
-    fn render(results: &[AnswerPage]) -> Vec<Vec<String>> {
-        results
+    fn render(pages: &[CorpusPage]) -> Vec<Vec<String>> {
+        pages
             .iter()
-            .map(|per_query| per_query.iter().map(|s| s.snippet.to_xml()).collect())
+            .map(|page| page.iter().map(|a| a.result.snippet.to_xml()).collect())
             .collect()
     }
 
     #[test]
     fn concurrent_batch_matches_serial_execution() {
-        let doc = corpus_doc();
+        let corpus = retailer_corpus();
         let config = ExtractConfig::with_bound(8);
         let qs = queries();
 
         // Serial reference: a plain Extract with no cache at all.
-        let extract = Extract::new(&doc);
-        let serial: Vec<AnswerPage> = qs
+        let extract = Extract::new(corpus.doc(DocId::from_index(0)));
+        let serial: Vec<Vec<SnippetedResult>> =
+            qs.iter().map(|q| extract.snippets_for_query(q, &config)).collect();
+        let serial_xml: Vec<Vec<String>> = serial
             .iter()
-            .map(|q| extract.snippets_for_query(q, &config).into())
+            .map(|page| page.iter().map(|s| s.snippet.to_xml()).collect())
             .collect();
 
         for workers in [4, 8] {
-            let session = QuerySession::with_options(&doc, workers, 64);
+            let session = QuerySession::from_corpus_with_options(&corpus, workers, 64);
             assert_eq!(session.workers(), workers);
-            let concurrent = session.answer_batch(&qs, &config);
-            assert_eq!(render(&serial), render(&concurrent), "workers={workers}");
+            let concurrent = session.answer_corpus_batch(&qs, &config);
+            assert_eq!(serial_xml, render(&concurrent), "workers={workers}");
             // Roots and ranking order must match too, not just rendering.
             for (s, c) in serial.iter().zip(concurrent.iter()) {
                 let roots_s: Vec<_> = s.iter().map(|r| r.result.root).collect();
-                let roots_c: Vec<_> = c.iter().map(|r| r.result.root).collect();
+                let roots_c: Vec<_> = c.iter().map(|a| a.result.result.root).collect();
                 assert_eq!(roots_s, roots_c);
             }
         }
@@ -906,12 +713,12 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_page_cache() {
-        let doc = corpus_doc();
-        let session = QuerySession::with_options(&doc, 4, 64);
+        let corpus = retailer_corpus();
+        let session = QuerySession::from_corpus_with_options(&corpus, 4, 64);
         let config = ExtractConfig::with_bound(8);
         let qs = queries();
-        session.answer_batch(&qs, &config);
-        let pages = session.page_stats();
+        session.answer_corpus_batch(&qs, &config);
+        let pages = session.corpus_page_stats();
         // 8 queries, 5 distinct. Batch scheduling may race any number of
         // worker threads past the same miss (under a loaded machine even
         // every duplicate can go concurrent), so the only deterministic
@@ -919,31 +726,31 @@ mod tests {
         assert!(pages.misses >= 5, "5 distinct queries: {pages:?}");
         // A *serial* repeat after the batch is deterministic: the page
         // is cached, so it must hit.
-        session.answer(qs[0], &config);
-        let after = session.page_stats();
+        session.answer_corpus(qs[0], &config);
+        let after = session.corpus_page_stats();
         assert!(after.hits > pages.hits, "serial repeat must hit: {pages:?} -> {after:?}");
         session.clear_cache();
-        assert_eq!(session.page_stats(), CacheStats::default());
+        assert_eq!(session.corpus_page_stats(), CacheStats::default());
         assert_eq!(session.snippet_stats(), CacheStats::default());
     }
 
     #[test]
     fn snippet_cache_backstops_page_eviction() {
-        let doc = corpus_doc();
-        let session = QuerySession::with_options(&doc, 1, 4096);
+        let corpus = retailer_corpus();
+        let session = QuerySession::from_corpus_with_options(&corpus, 1, 4096);
         let config = ExtractConfig::with_bound(8);
         // Fill the page cache past its capacity with distinct one-off
         // queries, then re-issue the first query: the page entry may be
         // gone but every per-result snippet must come from the snippet
         // cache (zero fresh computations can't be asserted directly, so
         // assert hits instead).
-        session.answer("texas apparel retailer", &config);
+        session.answer_corpus("texas apparel retailer", &config);
         for i in 0..PAGE_CAPACITY + 8 {
             // Distinct normalized queries (numbers tokenize fine).
-            session.answer(&format!("texas {i}"), &config);
+            session.answer_corpus(&format!("texas {i}"), &config);
         }
         let before = session.snippet_stats().hits;
-        session.answer("texas apparel retailer", &config);
+        session.answer_corpus("texas apparel retailer", &config);
         let after = session.snippet_stats();
         assert!(
             after.hits > before,
@@ -953,24 +760,24 @@ mod tests {
 
     #[test]
     fn empty_batch_and_single_worker_paths() {
-        let doc = corpus_doc();
-        let session = QuerySession::with_options(&doc, 1, 8);
+        let corpus = retailer_corpus();
+        let session = QuerySession::from_corpus_with_options(&corpus, 1, 8);
         let config = ExtractConfig::default();
-        assert!(session.answer_batch(&[], &config).is_empty());
-        let one = session.answer_batch(&["store texas"], &config);
+        assert!(session.answer_corpus_batch(&[], &config).is_empty());
+        let one = session.answer_corpus_batch(&["store texas"], &config);
         assert_eq!(one.len(), 1);
-        assert_eq!(render(&one), render(&[session.answer("store texas", &config)]));
+        assert_eq!(render(&one), render(&[session.answer_corpus("store texas", &config)]));
     }
 
     #[test]
     fn cache_disabled_session_still_answers() {
-        let doc = corpus_doc();
-        let session = QuerySession::with_options(&doc, 4, 0);
+        let corpus = retailer_corpus();
+        let session = QuerySession::from_corpus_with_options(&corpus, 4, 0);
         let config = ExtractConfig::with_bound(6);
-        let a = session.answer("houston jeans", &config);
-        let b = session.answer("houston jeans", &config);
+        let a = session.answer_corpus("houston jeans", &config);
+        let b = session.answer_corpus("houston jeans", &config);
         assert_eq!(render(&[a]), render(&[b]));
-        assert_eq!(session.page_stats().hits, 0, "capacity 0 never hits");
+        assert_eq!(session.corpus_page_stats().hits, 0, "capacity 0 never hits");
         assert_eq!(session.snippet_stats().hits, 0);
     }
 
@@ -1183,39 +990,10 @@ mod tests {
         let page = session.answer_corpus("paper sigmod", &config);
         assert!(!page.is_empty());
         assert!(page.iter().all(|a| corpus.name(a.doc) == "dblp"));
-        assert_eq!(session.engines_built(), 1, "only the routed document built an engine");
+        assert_eq!(corpus.engines_built(), 1, "only the routed document built an engine");
         assert!(session.routing_fanin().total() > 0);
         session.clear_cache();
         assert_eq!(session.routing_fanin(), FanIn::default());
-    }
-
-    #[test]
-    fn corpus_session_single_doc_answer_still_works() {
-        let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 64);
-        let config = ExtractConfig::with_bound(8);
-        // `answer` targets document 0 of the corpus.
-        let page = session.answer("store texas", &config);
-        let reference = Extract::new(corpus.doc(DocId::from_index(0)));
-        let expected = reference.snippets_for_query("store texas", &config);
-        assert_eq!(page.len(), expected.len());
-        for (a, b) in page.iter().zip(expected.iter()) {
-            assert_eq!(a.snippet.to_xml(), b.snippet.to_xml());
-        }
-        assert!(session.corpus().is_some());
-    }
-
-    #[test]
-    fn single_doc_session_answers_corpus_queries() {
-        let doc = corpus_doc();
-        let session = QuerySession::with_options(&doc, 1, 64);
-        let config = ExtractConfig::with_bound(8);
-        let page = session.answer_corpus("store texas", &config);
-        let flat = session.answer("store texas", &config);
-        assert_eq!(page.len(), flat.len());
-        assert!(page.iter().all(|a| a.doc == DocId::from_index(0)));
-        assert!(session.corpus().is_none());
-        assert_eq!(session.routing_fanin(), FanIn::default(), "no routing on one doc");
     }
 
     #[test]
@@ -1245,31 +1023,35 @@ mod tests {
         {
             let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
             session.answer_corpus("store texas", &config);
-            assert!(session.engines_built() > 0);
         }
-        assert!(caches.engines_cached() > 0, "engine artifacts outlive the session");
+        let built = corpus.engines_built();
+        assert!(built > 0, "engines outlive the session: they are the snapshot's");
         // A fresh session over the same snapshot: the page comes from the
-        // shared cache without building a single engine.
+        // shared cache without touching a single engine.
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
         let misses = session.corpus_page_stats().misses;
         session.answer_corpus("store texas", &config);
         let stats = session.corpus_page_stats();
         assert_eq!(stats.misses, misses, "warm page must hit: {stats:?}");
         assert!(stats.hits > 0);
-        assert_eq!(session.engines_built(), 0, "page hit builds no engine");
+        assert_eq!(corpus.engines_built(), built, "page hit builds no engine");
     }
 
     #[test]
-    fn snapshot_session_reuses_cached_engine_parts() {
+    fn snapshot_sessions_reuse_the_snapshots_engines() {
         let corpus = small_corpus();
         let caches = Arc::new(SessionCaches::new(0)); // result caches off
         let config = ExtractConfig::with_bound(8);
+        let models = || -> Vec<*const extract_analyzer::EntityModel> {
+            corpus.doc_ids().map(|id| Arc::as_ptr(corpus.engine(id).model())).collect()
+        };
         let first = {
             let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
             session.answer_corpus("paper sigmod", &config)
         };
+        let built = models();
         // Result caching is disabled, so the second session re-runs search
-        // + snippets — but from cached engine parts, and byte-identically.
+        // + snippets — on the engines the first one built, byte-identically.
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
         let again = session.answer_corpus("paper sigmod", &config);
         assert_eq!(first.len(), again.len());
@@ -1277,22 +1059,19 @@ mod tests {
             assert_eq!(a.doc, b.doc);
             assert_eq!(a.result.snippet.to_xml(), b.result.snippet.to_xml());
         }
-        assert!(caches.engines_cached() > 0, "engine cache stays on with caches off");
+        assert_eq!(models(), built, "no engine was rebuilt");
     }
 
-    // One tokenization per document: the engine a session builds searches
-    // the corpus's own segment, in this session and — through the shared
-    // parts cache — in every later one.
+    // One tokenization per document: the engine a query builds searches
+    // the corpus's own segment.
     #[test]
     fn an_engine_searches_the_corpus_segment_not_a_second_index() {
         let corpus = small_corpus();
-        let caches = Arc::new(SessionCaches::new(0));
-        for _ in 0..2 {
-            let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-            for id in corpus.doc_ids() {
-                let parts = session.engine(id).parts();
-                assert!(Arc::ptr_eq(parts.index(), corpus.segment(id)), "{id} was re-indexed");
-            }
+        let session = QuerySession::for_snapshot(&corpus, 1, Arc::new(SessionCaches::new(0)));
+        session.answer_corpus("texas", &ExtractConfig::with_bound(8));
+        assert!(corpus.engines_built() > 0);
+        for id in corpus.doc_ids() {
+            assert!(Arc::ptr_eq(corpus.engine(id).index(), corpus.segment(id)), "{id} was re-indexed");
         }
     }
 
@@ -1304,26 +1083,30 @@ mod tests {
         assert!(session.answer_corpus("anything", &ExtractConfig::default()).is_empty());
     }
 
+    /// `invalidate_doc` purges a dead generation's snippets; its engine
+    /// is the snapshot's and goes with the last snapshot holding it.
     #[test]
     fn invalidate_doc_purges_snippets_and_engines() {
-        let corpus = small_corpus();
+        let live = extract_corpus::LiveCorpus::from_corpus(small_corpus());
         let caches = Arc::new(SessionCaches::new(128));
         let config = ExtractConfig::with_bound(8);
-        let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-        let page = session.answer_corpus("store texas", &config);
-        assert!(!page.is_empty());
+        let snapshot = live.snapshot();
+        let page = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches))
+            .answer_corpus("store texas", &config);
         let victim = page[0].doc;
-        caches.invalidate_doc(victim);
-        let snippets = caches.snippets.lock().expect("snippet cache lock");
-        // No surviving snippet key may reference the invalidated document.
-        // (The cache exposes no key iterator; retain with a probe proves
-        // emptiness for the victim.)
-        drop(snippets);
-        caches.invalidate_doc(victim); // idempotent
-        assert!(
-            caches.engine_parts.lock().expect("engine cache lock").get(&victim).is_none(),
-            "engine parts for the victim are gone"
-        );
+        let victims = page.iter().filter(|a| a.doc == victim).count();
+        let cached = lock_unpoisoned(&caches.snippets).len();
+        assert_eq!(cached, page.len(), "every served result is cached");
+        let model = Arc::downgrade(snapshot.engine(victim).model());
+
+        let deleted = live.delete(snapshot.name(victim)).expect("a live document");
+        caches.invalidate_doc(deleted.id);
+        assert_eq!(lock_unpoisoned(&caches.snippets).len(), cached - victims);
+        caches.invalidate_doc(deleted.id); // idempotent
+        assert_eq!(lock_unpoisoned(&caches.snippets).len(), cached - victims);
+        assert!(model.upgrade().is_some(), "the pinned snapshot still answers with it");
+        drop(snapshot);
+        assert!(model.upgrade().is_none(), "the engine went with the last snapshot holding it");
     }
 
     /// A cached value that notes, when dropped, whether its cache's mutex

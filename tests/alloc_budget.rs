@@ -21,7 +21,12 @@
 //!    corpus's index segment, not a second vocabulary;
 //! 6. parsing a document allocates per distinct label and per vector
 //!    growth, not per node: names are borrowed from the input, text goes
-//!    into one buffer, and a node is four `u32` column entries.
+//!    into one buffer, and a node is four `u32` column entries;
+//! 7. the per-request session allocates nothing: the documents' engines
+//!    are the snapshot's, so there is no engine table to build — and an
+//!    engine lives exactly as long as its document generation: shared by
+//!    every snapshot holding it, fresh for a new generation, freed with
+//!    the last snapshot holding a deleted one.
 //!
 //! The corpus is the benchmark's shape (48 mixed documents of ~4 000
 //! nodes, `extract_datagen`), the queries are fixed.
@@ -134,8 +139,10 @@ fn miss(
     q: &str,
     k: usize,
 ) -> (extract::CorpusTopK, u64) {
-    let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
-    allocations_of(|| session.answer_corpus_topk(q, config, k, 0))
+    allocations_of(|| {
+        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
+        session.answer_corpus_topk(q, config, k, 0)
+    })
 }
 
 /// What the parent commit (64650ee) allocates per miss: the mean over
@@ -323,12 +330,54 @@ fn the_first_query_on_a_fresh_document_builds_no_second_vocabulary() {
     let (page, first_query) =
         allocations_of(|| session.answer_corpus_topk("fresh42 ann", &config, PAGE, 0));
     assert_eq!(page.total, 1, "the query reaches the fresh document");
-    assert_eq!(caches.engines_cached(), 1, "and built its engine");
+    assert_eq!(snapshot.engines_built(), 1, "and built its engine");
     println!("first query on a fresh document: {first_query} allocations (ingest {indexing})");
     assert!(
         first_query < TOKENS / 2,
         "{first_query} allocations on first touch: the document was tokenized again"
     );
     let id = snapshot.doc_ids().next().expect("one document");
-    assert!(Arc::ptr_eq(session.extract().parts().index(), snapshot.segment(id)));
+    assert!(Arc::ptr_eq(snapshot.engine(id).index(), snapshot.segment(id)));
+}
+
+#[test]
+fn a_session_over_a_snapshot_allocates_nothing() {
+    let corpus = corpus();
+    let caches = Arc::new(SessionCaches::new(4096));
+    let (session, allocations) =
+        allocations_of(|| QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches)));
+    assert_eq!(allocations, 0, "a session over {} slots allocated", corpus.slot_count());
+    drop(session);
+}
+
+#[test]
+fn an_engine_lives_and_dies_with_its_document_generation() {
+    let xml = |words: &str| format!("<notes><note><body>{words} words</body></note></notes>");
+    let live = LiveCorpus::new();
+    let kept = live.ingest("kept", &xml("kept")).expect("well-formed").id;
+    let updated = live.ingest("updated", &xml("old")).expect("well-formed").id;
+    let deleted = live.ingest("deleted", &xml("doomed")).expect("well-formed").id;
+    let before = live.snapshot();
+    let session = QuerySession::for_snapshot(&before, 1, Arc::new(SessionCaches::new(4096)));
+    let page = session.answer_corpus_topk("words", &ExtractConfig::default(), PAGE, 0);
+    assert_eq!((page.total, before.engines_built()), (3, 3), "one query built all three");
+    drop(session);
+    let replaced = Arc::downgrade(before.engine(updated).model());
+    let doomed = Arc::downgrade(before.engine(deleted).model());
+
+    let update = live.ingest("updated", &xml("new")).expect("well-formed");
+    assert_eq!(update.replaced, Some(updated));
+    live.delete("deleted").expect("a live document");
+    let after = live.snapshot();
+    assert_eq!(after.engines_built(), 1, "two epochs later only the untouched engine exists");
+    assert!(
+        Arc::ptr_eq(before.engine(kept).model(), after.engine(kept).model()),
+        "the untouched document's engine is shared across the swap"
+    );
+    let fresh = after.engine(update.id).model();
+    assert!(!Arc::ptr_eq(fresh, &replaced.upgrade().expect("held by `before`")));
+
+    drop((page, before));
+    assert!(replaced.upgrade().is_none(), "the replaced generation's engine was freed");
+    assert!(doomed.upgrade().is_none(), "the deleted document's engine was freed");
 }

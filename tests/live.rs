@@ -3,9 +3,10 @@
 //! end-to-end run over a real socket.
 //!
 //! 1. **ABA** (property test): delete a document and reinsert into the
-//!    *same slot* — through the full serving path (page, snippet and
-//!    engine caches all warm), the old generation's bytes are never
-//!    served again, under any interleaving of warming queries.
+//!    *same slot* — through the full serving path (page and snippet
+//!    caches and the documents' engines all warm), the old generation's
+//!    bytes are never served again, under any interleaving of warming
+//!    queries.
 //! 2. **Snapshot isolation**: a query session pinned to a snapshot
 //!    keeps answering from that snapshot — byte-identically — while
 //!    the corpus is deleted from and re-ingested underneath it; two
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use extract::live::{serve_live, LiveSearchApp};
 use extract::prelude::*;
-use extract::serve::{SearchApp, SearchAppConfig};
+use extract::serve::{search_body, SearchAppConfig};
 use extract_corpus::CorpusOptions;
 use extract_serve::json::{self, Value};
 use extract_serve::testing::KeepAliveClient;
@@ -281,19 +282,18 @@ fn sessions_across_an_ingest_never_serve_each_others_body() {
     let before = corpus.snapshot();
     corpus.ingest("newcomer", &doc_xml(9, 0)).expect("ingest parses");
     let after = corpus.snapshot();
-    let app = |snapshot, caches| {
-        SearchApp::new(QuerySession::for_snapshot(snapshot, 1, caches), SearchAppConfig::default())
-    };
+    let config = SearchAppConfig::default().snippet;
+    let body = |session: &QuerySession<'_>| search_body(session, &config, "texas", 10, 0);
     let uncached = || Arc::new(SessionCaches::new(0));
-    let old_body = app(&before, uncached()).render_search("texas", 10, 0);
-    let new_body = app(&after, uncached()).render_search("texas", 10, 0);
+    let old_body = body(&QuerySession::for_snapshot(&before, 1, uncached()));
+    let new_body = body(&QuerySession::for_snapshot(&after, 1, uncached()));
     assert_ne!(old_body, new_body, "the ingest changed this window");
 
-    let old = app(&before, Arc::clone(&caches));
-    let new = app(&after, Arc::clone(&caches));
+    let old = QuerySession::for_snapshot(&before, 1, Arc::clone(&caches));
+    let new = QuerySession::for_snapshot(&after, 1, Arc::clone(&caches));
     for round in 0..3 {
-        assert_eq!(old.render_search("texas", 10, 0), old_body, "pinned, round {round}");
-        assert_eq!(new.render_search("texas", 10, 0), new_body, "fresh, round {round}");
+        assert_eq!(body(&old), old_body, "pinned, round {round}");
+        assert_eq!(body(&new), new_body, "fresh, round {round}");
     }
     let stats = caches.corpus_page_stats();
     assert_eq!((stats.misses, stats.hits), (2, 4), "one entry per epoch, then hits");

@@ -1,10 +1,11 @@
 //! Router acceptance tests over real corpora.
 //!
-//! 1. **Equivalence** (property test): a router scattering over a
-//!    partitioned corpus answers `/search` byte-identical (through the
-//!    `results` array) to one daemon over the union corpus — every
-//!    window `(k, offset)`, including cross-shard score ties, which are
-//!    broken by the remapped global doc ids.
+//! 1. **Equivalence** (property test): a router scattering over
+//!    `serve_live` shards of a partitioned corpus answers `/search`
+//!    byte-identical (through the `results` array) to one uncached
+//!    daemon over the union corpus — every window `(k, offset)`,
+//!    including cross-shard score ties, which are broken by the remapped
+//!    global doc ids.
 //! 2. **Fault tolerance** (subprocess test): under concurrent load, one
 //!    of two shard daemons hard-exits via `--fault` injection; every
 //!    client keeps getting `200`, responses degrade to
@@ -24,8 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use extract::live::serve_live;
 use extract::prelude::*;
-use extract::serve::{serve_corpus, SearchApp, SearchAppConfig};
+use extract::serve::{search_body, SearchAppConfig};
 use extract_datagen::corpus::CorpusConfig;
 use extract_router::{RouterApp, RouterConfig};
 use extract_serve::json::{self, Value};
@@ -107,22 +109,20 @@ proptest! {
         let (left, right, union) = (left.finish(), right.finish(), union.finish());
 
         let app_config = SearchAppConfig::default();
-        let reference = SearchApp::new(
-            QuerySession::from_corpus_with_options(&union, 1, 0),
-            app_config.clone(),
-        );
+        // The union daemon's answers, caches off.
+        let reference = QuerySession::from_corpus_with_options(&union, 1, 0);
 
         std::thread::scope(|scope| {
             // Two real shard daemons over real sockets; the ready
             // callback carries each shard's partition index so arrival
             // order can't scramble the doc-id remapping.
             let (tx, rx) = mpsc::channel();
-            for (index, corpus) in [&left, &right].into_iter().enumerate() {
+            for (index, corpus) in [left, right].into_iter().enumerate() {
                 let tx = tx.clone();
                 let app_config = app_config.clone();
                 scope.spawn(move || {
-                    serve_corpus(
-                        corpus,
+                    serve_live(
+                        LiveCorpus::from_corpus(corpus),
                         "127.0.0.1:0",
                         ServeConfig { workers: 2, ..ServeConfig::default() },
                         app_config,
@@ -164,8 +164,8 @@ proptest! {
                         ],
                     );
                     assert_eq!(response.status, 200, "q={q} k={k} offset={offset}");
-                    let want =
-                        with_router_suffix(&reference.render_search(q, k, offset), false, 2, 2);
+                    let union_body = search_body(&reference, &app_config.snippet, q, k, offset);
+                    let want = with_router_suffix(&union_body, false, 2, 2);
                     assert_eq!(
                         body_text(&response),
                         want,
@@ -250,10 +250,8 @@ fn router_survives_shard_death_and_heals_on_restart_under_load() {
         builder.add_parsed(&name, doc);
     }
     let corpus_a = builder.finish();
-    let reference_a = SearchApp::new(
-        QuerySession::from_corpus_with_options(&corpus_a, 1, 0),
-        SearchAppConfig { snippet: extract_core::ExtractConfig::with_bound(10), ..Default::default() },
-    );
+    let reference_a = QuerySession::from_corpus_with_options(&corpus_a, 1, 0);
+    let snippet_config = extract_core::ExtractConfig::with_bound(10);
 
     let app = RouterApp::new(RouterConfig {
         shards: vec![shard_a.addr, shard_b.addr],
@@ -321,7 +319,8 @@ fn router_survives_shard_death_and_heals_on_restart_under_load() {
     let q = "texas";
     let response = get(&app, "/search", &[("q", q.to_string()), ("k", "5".to_string())]);
     assert_eq!(response.status, 200);
-    let want = with_router_suffix(&reference_a.render_search(q, 5, 0), true, 2, 1);
+    let survivor = search_body(&reference_a, &snippet_config, q, 5, 0);
+    let want = with_router_suffix(&survivor, true, 2, 1);
     assert_eq!(body_text(&response), want, "survivor page must be byte-exact");
 
     // Restart shard B on the same port (same corpus): the prober must

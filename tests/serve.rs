@@ -1,12 +1,13 @@
-//! Loopback integration tests for the `extract-serve` daemon wired to a
-//! real corpus-backed [`SearchApp`].
+//! Loopback integration tests for the `extract-serve` daemon wired to the
+//! search application the `serve` binary runs, [`LiveSearchApp`].
 //!
 //! The acceptance criteria of the serving PR, end to end over real
 //! sockets:
 //!
 //! * concurrent clients receive `/search` pages **byte-identical** to
-//!   what a direct (serial) [`QuerySession::answer_corpus_topk`] renders
-//!   for the same `(q, k, offset)`;
+//!   what [`search_body`] renders for the same `(q, k, offset)` over a
+//!   separately built corpus with caching off — each case a
+//!   cached-vs-uncached differential;
 //! * with queue depth Q and `2×Q` concurrent requests against a gated
 //!   single worker, **exactly** the excess beyond `workers + Q` is shed
 //!   with `503` — never a hang, never a dropped connection;
@@ -16,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use extract::prelude::*;
-use extract::serve::{SearchApp, SearchAppConfig};
+use extract::serve::{search_body, SearchAppConfig};
 use extract_datagen::corpus::CorpusConfig;
 use extract_serve::json::{self, Value};
 use extract_serve::testing::{fetch, DrainOnDrop, Gate, KeepAliveClient, ReleaseOnDrop};
@@ -35,6 +36,20 @@ fn app_config() -> SearchAppConfig {
     SearchAppConfig { default_k: 5, max_k: 50, ..Default::default() }
 }
 
+/// The daemon's app over its own copy of the test corpus, caches on.
+fn cached_app() -> LiveSearchApp {
+    LiveSearchApp::new(LiveCorpus::from_corpus(test_corpus()), app_config(), 256)
+}
+
+/// The expected `/search` bodies: the one wire producer over a separately
+/// built corpus, serially, caches off.
+fn reference(cases: &[(String, usize, usize)]) -> Vec<String> {
+    let corpus = test_corpus();
+    let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+    let config = app_config().snippet;
+    cases.iter().map(|(q, k, o)| search_body(&session, &config, q, *k, *o)).collect()
+}
+
 /// Percent-encode a query value (only what the tests need).
 fn encode(q: &str) -> String {
     q.replace(' ', "+")
@@ -42,13 +57,6 @@ fn encode(q: &str) -> String {
 
 #[test]
 fn concurrent_pages_are_byte_identical_to_direct_answers() {
-    let corpus = test_corpus();
-    // The reference: a *separate* session over the same corpus, rendered
-    // through the same app code, serially, caches off.
-    let reference = SearchApp::new(
-        QuerySession::from_corpus_with_options(&corpus, 1, 0),
-        app_config(),
-    );
     // (query, k, offset) mix: broad, narrow, paginated, missing.
     let cases: Vec<(String, usize, usize)> = CorpusConfig::query_mix()
         .into_iter()
@@ -59,8 +67,7 @@ fn concurrent_pages_are_byte_identical_to_direct_answers() {
         })
         .chain([("zzz-no-such-token".to_string(), 5, 0)])
         .collect();
-    let expected: Vec<String> =
-        cases.iter().map(|(q, k, o)| reference.render_search(q, *k, *o)).collect();
+    let expected = reference(&cases);
 
     let server = Server::bind(
         "127.0.0.1:0",
@@ -69,8 +76,7 @@ fn concurrent_pages_are_byte_identical_to_direct_answers() {
     .unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
-    let mut app =
-        SearchApp::new(QuerySession::from_corpus_with_options(&corpus, 1, 256), app_config());
+    let mut app = cached_app();
     app.attach_server(handle.clone());
 
     std::thread::scope(|scope| {
@@ -121,25 +127,18 @@ fn concurrent_pages_are_byte_identical_to_direct_answers() {
 
 #[test]
 fn keep_alive_pages_are_byte_identical_to_fresh_answers() {
-    let corpus = test_corpus();
-    let reference = SearchApp::new(
-        QuerySession::from_corpus_with_options(&corpus, 1, 0),
-        app_config(),
-    );
     let cases: Vec<(String, usize, usize)> = CorpusConfig::query_mix()
         .into_iter()
         .take(5)
         .enumerate()
         .flat_map(|(i, q)| vec![(q.to_string(), 2 + i % 3, 0), (q.to_string(), 2, 1)])
         .collect();
-    let expected: Vec<String> =
-        cases.iter().map(|(q, k, o)| reference.render_search(q, *k, *o)).collect();
+    let expected = reference(&cases);
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
-    let mut app =
-        SearchApp::new(QuerySession::from_corpus_with_options(&corpus, 1, 256), app_config());
+    let mut app = cached_app();
     app.attach_server(handle.clone());
 
     std::thread::scope(|scope| {
@@ -190,16 +189,10 @@ fn keep_alive_pages_are_byte_identical_to_fresh_answers() {
 #[test]
 fn overload_sheds_exactly_the_excess_and_drains_on_shutdown() {
     const QUEUE_DEPTH: usize = 4;
-    let corpus = test_corpus();
-    let reference = SearchApp::new(
-        QuerySession::from_corpus_with_options(&corpus, 1, 0),
-        app_config(),
-    );
-    let queries: Vec<String> = (0..2 * QUEUE_DEPTH)
-        .map(|i| CorpusConfig::query_mix()[i % 4].to_string())
+    let cases: Vec<(String, usize, usize)> = (0..2 * QUEUE_DEPTH)
+        .map(|i| (CorpusConfig::query_mix()[i % 4].to_string(), 3, 0))
         .collect();
-    let expected: Vec<String> =
-        queries.iter().map(|q| reference.render_search(q, 3, 0)).collect();
+    let expected = reference(&cases);
 
     let server = Server::bind(
         "127.0.0.1:0",
@@ -213,8 +206,7 @@ fn overload_sheds_exactly_the_excess_and_drains_on_shutdown() {
     .unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
-    let mut app =
-        SearchApp::new(QuerySession::from_corpus_with_options(&corpus, 1, 256), app_config());
+    let mut app = cached_app();
     app.attach_server(handle.clone());
     let gate = Gate::default();
 
@@ -234,7 +226,7 @@ fn overload_sheds_exactly_the_excess_and_drains_on_shutdown() {
         // the "queued" requests can race past the unclaimed connection
         // and overflow the queue prematurely; then fill the queue.
         let mut first = Vec::new();
-        for (q, want) in queries.iter().zip(expected.iter()).take(1 + QUEUE_DEPTH) {
+        for ((q, _, _), want) in cases.iter().zip(expected.iter()).take(1 + QUEUE_DEPTH) {
             let target = format!("/search?q={}&k=3&offset=0", encode(q));
             let want: &str = want;
             first.push(scope.spawn(move || (fetch(addr, "GET", &target), want)));
@@ -249,9 +241,9 @@ fn overload_sheds_exactly_the_excess_and_drains_on_shutdown() {
         }
 
         // Phase 2: 2×Q total — everything beyond capacity is the excess.
-        let excess = &queries[1 + QUEUE_DEPTH..];
+        let excess = &cases[1 + QUEUE_DEPTH..];
         assert_eq!(excess.len(), QUEUE_DEPTH - 1, "2×Q requests, Q+1 admitted");
-        for q in excess {
+        for (q, _, _) in excess {
             let start = Instant::now();
             let (status, body) = fetch(addr, "GET", &format!("/search?q={}&k=3", encode(q)));
             assert_eq!(status, 503, "excess must be shed");
@@ -279,12 +271,10 @@ fn overload_sheds_exactly_the_excess_and_drains_on_shutdown() {
 
 #[test]
 fn healthz_reports_draining_with_503_once_shutdown_begins() {
-    let corpus = test_corpus();
     // The handle alone drives the drain state; the server never runs.
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
     let handle = server.handle();
-    let mut app =
-        SearchApp::new(QuerySession::from_corpus_with_options(&corpus, 1, 0), app_config());
+    let mut app = cached_app();
     app.attach_server(handle.clone());
     let healthz = extract_serve::Request {
         method: "GET".to_string(),
