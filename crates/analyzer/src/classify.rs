@@ -97,12 +97,19 @@ impl EntityModel {
     /// as the default return entity (§2.2). If `root` itself is an entity,
     /// it is the single highest entity.
     pub fn highest_entities(&self, doc: &Document, root: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.highest_entities_into(doc, root, &mut out);
+        out
+    }
+
+    /// [`EntityModel::highest_entities`], appended to `out`.
+    pub fn highest_entities_into(&self, doc: &Document, root: NodeId, out: &mut Vec<NodeId>) {
         if doc.is_element(root) && self.is_entity(root) {
-            return vec![root];
+            out.push(root);
+            return;
         }
         // Scan the root's ID interval, jumping over the subtree of every
         // entity found: what is left are entities with none above them.
-        let mut out = Vec::new();
         let mut descendants = doc.subtree(root).skip(1);
         while let Some(n) = descendants.next() {
             if doc.is_element(n) && self.is_entity(n) {
@@ -112,7 +119,6 @@ impl EntityModel {
                 }
             }
         }
-        out
     }
 
     /// All entity nodes in the subtree of `root`, in document order.

@@ -42,7 +42,9 @@ pub struct MinedKey {
 /// Keys for every entity path of a document.
 #[derive(Debug, Clone, Default)]
 pub struct KeyCatalog {
-    keys: HashMap<PathId, MinedKey>,
+    /// Indexed by `PathId::index()`: a lookup on the query path is one
+    /// bounds check, not a hash.
+    keys: Vec<Option<MinedKey>>,
 }
 
 impl KeyCatalog {
@@ -127,22 +129,28 @@ impl KeyCatalog {
             }
         }
 
-        KeyCatalog { keys: keys.into_iter().map(|(k, (v, _))| (k, v)).collect() }
+        let mut dense = vec![None; schema.path_count()];
+        for (path, (key, _)) in keys {
+            if let Some(slot) = dense.get_mut(path.index()) {
+                *slot = Some(key);
+            }
+        }
+        KeyCatalog { keys: dense }
     }
 
     /// The mined key for an entity path.
     pub fn key_of(&self, entity_path: PathId) -> Option<&MinedKey> {
-        self.keys.get(&entity_path)
+        self.keys.get(entity_path.index())?.as_ref()
     }
 
     /// Number of entity paths with a mined key.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys.iter().flatten().count()
     }
 
     /// Whether no keys were mined.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.keys.iter().all(Option::is_none)
     }
 
     /// Resolve the key **node** of one entity instance: the attribute child
@@ -154,7 +162,7 @@ impl KeyCatalog {
         entity_instance: NodeId,
     ) -> Option<NodeId> {
         let entity_path = model.schema().path_of(entity_instance);
-        let key = self.keys.get(&entity_path)?;
+        let key = self.key_of(entity_path)?;
         doc.element_children(entity_instance)
             .find(|&c| model.schema().path_of(c) == key.attribute_path)
     }

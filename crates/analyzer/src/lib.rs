@@ -27,5 +27,5 @@ pub mod features;
 pub mod keys;
 
 pub use classify::{EntityModel, NodeCategory};
-pub use features::{FeatureType, ResultStats, ValueCount};
+pub use features::{FeatureTables, FeatureType, ResultStats, ValueCount, ValueStats};
 pub use keys::KeyCatalog;

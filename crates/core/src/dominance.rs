@@ -12,7 +12,7 @@
 //! size one (`D(e,a) = 1`) is trivially dominant even though its score is
 //! exactly 1. Dominant features enter the IList in decreasing score order.
 
-use extract_analyzer::{FeatureType, ResultStats};
+use extract_analyzer::{FeatureType, ResultStats, ValueStats};
 use extract_xml::Document;
 
 /// A dominant feature of one query result.
@@ -28,6 +28,17 @@ pub struct DominantFeature {
     pub trivial: bool,
 }
 
+/// A ranked feature as the snippet kernel keeps it: a position in
+/// [`ResultStats::values`] and its score — nothing copied out of the
+/// statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Ranked {
+    /// Position of the `(type, value)` in [`ResultStats::values`].
+    pub(crate) value: usize,
+    /// Its score.
+    pub(crate) score: f64,
+}
+
 /// The dominance score of one feature, or `None` if the type is absent.
 pub fn dominance_score(stats: &ResultStats<'_>, ftype: FeatureType, value: &str) -> Option<f64> {
     let n_type = stats.n_type(ftype);
@@ -38,32 +49,59 @@ pub fn dominance_score(stats: &ResultStats<'_>, ftype: FeatureType, value: &str)
     Some(stats.n_value(ftype, value) as f64 * d as f64 / n_type as f64)
 }
 
-/// All dominant features of a result, sorted by decreasing score, then
-/// decreasing occurrence count, then `(entity, attribute, value)` labels —
-/// a total, deterministic order.
-pub fn dominant_features(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
-    let mut out = Vec::new();
-    for (ftype, value, count) in stats.value_counts() {
-        let d = stats.d_type(ftype);
-        let score = count as f64 * d as f64 / stats.n_type(ftype) as f64;
-        let trivial = d == 1;
-        if score > 1.0 || trivial {
-            out.push(DominantFeature { ftype, value: value.to_string(), score, trivial });
+/// The dominant features of a result into `out`, sorted by decreasing
+/// score, then `(entity, attribute, value)` labels — a total,
+/// deterministic order. A warm `out` allocates nothing.
+pub(crate) fn dominant_into(doc: &Document, stats: &ResultStats<'_>, out: &mut Vec<Ranked>) {
+    out.clear();
+    for (value, v) in stats.values().enumerate() {
+        let d = v.type_distinct;
+        let score = v.count as f64 * d as f64 / v.type_total as f64;
+        if score > 1.0 || d == 1 {
+            out.push(Ranked { value, score });
         }
     }
-    sort_by_score_then_labels(doc, &mut out);
-    out
+    sort_by_score_then_labels(doc, stats, out);
+}
+
+/// All dominant features of a result, sorted by decreasing score, then
+/// `(entity, attribute, value)` labels — a total, deterministic order.
+pub fn dominant_features(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
+    let mut ranked = Vec::new();
+    dominant_into(doc, stats, &mut ranked);
+    owned(stats, &ranked, |v| v.type_distinct == 1)
+}
+
+fn owned(
+    stats: &ResultStats<'_>,
+    ranked: &[Ranked],
+    trivial: impl Fn(&ValueStats<'_>) -> bool,
+) -> Vec<DominantFeature> {
+    ranked
+        .iter()
+        .filter_map(|r| {
+            let v = stats.value(r.value)?;
+            Some(DominantFeature {
+                ftype: v.ftype,
+                value: v.value.to_string(),
+                score: r.score,
+                trivial: trivial(&v),
+            })
+        })
+        .collect()
 }
 
 /// Decreasing score, then `(entity, attribute, value)` labels: a total
-/// order, since a `(type, value)` pair occurs once.
-fn sort_by_score_then_labels(doc: &Document, features: &mut [DominantFeature]) {
-    features.sort_by(|a, b| {
-        b.score.total_cmp(&a.score).then_with(|| {
-            let (ea, aa) = (doc.resolve(a.ftype.entity), doc.resolve(a.ftype.attribute));
-            let (eb, ab) = (doc.resolve(b.ftype.entity), doc.resolve(b.ftype.attribute));
-            (ea, aa, &a.value).cmp(&(eb, ab, &b.value))
+/// order, since a `(type, value)` pair occurs once — so an unstable sort
+/// (which needs no buffer) gives the one answer.
+fn sort_by_score_then_labels(doc: &Document, stats: &ResultStats<'_>, ranked: &mut [Ranked]) {
+    let labels = |r: &Ranked| {
+        stats.value(r.value).map(|v| {
+            (doc.resolve(v.ftype.entity), doc.resolve(v.ftype.attribute), v.value)
         })
+    };
+    ranked.sort_unstable_by(|a, b| {
+        b.score.total_cmp(&a.score).then_with(|| labels(a).cmp(&labels(b)))
     });
 }
 
@@ -75,17 +113,13 @@ fn sort_by_score_then_labels(doc: &Document, features: &mut [DominantFeature]) {
 /// failure: with raw counts, high-frequency low-signal values (casual, man)
 /// crowd out Houston entirely.
 pub fn features_by_raw_frequency(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
-    let mut out: Vec<DominantFeature> = stats
-        .value_counts()
-        .map(|(ftype, value, count)| DominantFeature {
-            ftype,
-            value: value.to_string(),
-            score: count as f64,
-            trivial: false,
-        })
+    let mut ranked: Vec<Ranked> = stats
+        .values()
+        .enumerate()
+        .map(|(value, v)| Ranked { value, score: v.count as f64 })
         .collect();
-    sort_by_score_then_labels(doc, &mut out);
-    out
+    sort_by_score_then_labels(doc, stats, &mut ranked);
+    owned(stats, &ranked, |_| false)
 }
 
 #[cfg(test)]

@@ -11,16 +11,24 @@
 //! Every item carries its **instances**: the element nodes of the query
 //! result that contain the item's information, which is exactly what the
 //! Instance Selector chooses among (§2.4).
+//!
+//! The list is built in an [`IListScratch`] — the snippet kernel's one
+//! working memory. There an item is a *source* (a keyword's position in
+//! the query, a label, or the node whose text is its value) and a range of
+//! one instance arena, so building a result's IList copies no text and,
+//! warm, allocates nothing. The owned [`IList`] is read out of the scratch
+//! afterwards, for callers that keep it.
 
 use std::ops::Range;
 
-use extract_analyzer::{EntityModel, KeyCatalog, ResultStats};
+use extract_analyzer::{EntityModel, FeatureTables, FeatureType, KeyCatalog, ResultStats};
 use extract_search::{KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId, Symbol};
 
-use crate::dominance::dominant_features;
-use crate::key::{self, ResultKey};
+use crate::dominance::{self, Ranked};
+use crate::key::{self, KeyAt, ResultKey};
 use crate::return_entity::{self, ReturnEntities};
+use crate::selector::{Candidates, SelectionOutcome};
 
 /// One kind of information worth showing in a snippet.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,19 +77,6 @@ impl IListItem {
     /// [`IListItem::text`], owned.
     pub fn display_text(&self, doc: &Document) -> String {
         self.text(doc).to_string()
-    }
-
-    /// Whether two items say the same thing: their texts are equal once
-    /// lowercased. Decided in place for ASCII texts (all of them, on
-    /// data-oriented XML), so checking an item against the list builds no
-    /// strings.
-    fn duplicates(&self, other: &IListItem, doc: &Document) -> bool {
-        let (a, b) = (self.text(doc), other.text(doc));
-        if a.is_ascii() && b.is_ascii() {
-            a.eq_ignore_ascii_case(b)
-        } else {
-            a.to_lowercase() == b.to_lowercase()
-        }
     }
 }
 
@@ -139,6 +134,16 @@ impl IList {
     }
 }
 
+impl Candidates for IList {
+    fn item_count(&self) -> usize {
+        self.items.len()
+    }
+
+    fn instances(&self, item: usize) -> &[NodeId] {
+        self.items.get(item).map_or(&[], |r| &r.instances)
+    }
+}
+
 /// Options for IList construction.
 #[derive(Debug, Clone, Default)]
 pub struct IListOptions {
@@ -146,31 +151,263 @@ pub struct IListOptions {
     pub max_dominant_features: Option<usize>,
 }
 
-/// Reusable working buffers for IList construction. One query produces one
-/// IList per result; threading a scratch through the loop keeps the
-/// entity-grouping buffers alive across results instead of reallocating
-/// them per call.
+/// Where a built item's text is read from — the query or the document;
+/// nothing is copied.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Keyword `i` of the query.
+    Keyword(usize),
+    /// An entity label.
+    EntityName(Symbol),
+    /// The result key; its value is the text of `node`.
+    ResultKey { entity: Symbol, attribute: Symbol, node: NodeId },
+    /// A dominant feature; its value is the text of `node`.
+    Feature { ftype: FeatureType, node: NodeId, score: f64 },
+}
+
+impl Source {
+    fn text<'a>(&self, doc: &'a Document, query: &'a KeywordQuery) -> &'a str {
+        match *self {
+            Source::Keyword(i) => query.keywords().get(i).map_or("", String::as_str),
+            Source::EntityName(label) => doc.resolve(label),
+            Source::ResultKey { node, .. } | Source::Feature { node, .. } => {
+                doc.text_of(node).unwrap_or_default()
+            }
+        }
+    }
+
+    fn to_item(self, doc: &Document, query: &KeywordQuery) -> IListItem {
+        let value = || self.text(doc, query).to_string();
+        match self {
+            Source::Keyword(_) => IListItem::Keyword(value()),
+            Source::EntityName(label) => IListItem::EntityName { label },
+            Source::ResultKey { entity, attribute, .. } => {
+                IListItem::ResultKey { entity, attribute, value: value() }
+            }
+            Source::Feature { ftype, score, .. } => IListItem::Feature {
+                entity: ftype.entity,
+                attribute: ftype.attribute,
+                value: value(),
+                score,
+            },
+        }
+    }
+}
+
+/// One built item: its source and its instances' range of the arena.
+#[derive(Debug, Clone)]
+struct Entry {
+    source: Source,
+    /// Whether its text is ASCII, which [`same_text`] decides in place.
+    ascii: bool,
+    instances: Range<usize>,
+}
+
+/// The snippet kernel's working memory, reused from one result to the
+/// next: the result's feature statistics, its entity types, return
+/// entities and key, the IList built from them (items as sources and
+/// ranges of one instance arena), the selected snippet tree and its XML.
+/// Every buffer keeps its capacity between calls, so a warm scratch builds
+/// and renders a snippet without allocating. Drive it through
+/// [`crate::Extract::snippet_xml`] (the served bytes) or
+/// [`crate::Extract::snippet_of`] (an owned
+/// [`SnippetedResult`](crate::SnippetedResult) read out of it).
 #[derive(Debug, Default)]
 pub struct IListScratch {
-    /// The result's entity nodes, document order.
-    entities: Vec<NodeId>,
-    /// The same nodes keyed and sorted by label: one run per entity type.
+    /// The result's feature statistics.
+    features: FeatureTables,
+    /// Its dominant features, IList order.
+    dominant: Vec<Ranked>,
+    /// The result's entity nodes keyed and sorted by label: one run per
+    /// entity type.
     by_label: Vec<(Symbol, NodeId)>,
     /// One `by_label` run per entity type, in IList order.
     types: Vec<(Symbol, Range<usize>)>,
+    /// Attribute labels known to match a keyword, or not.
+    names: Vec<(Symbol, bool)>,
+    /// The return entities.
+    returns: ReturnEntities,
+    /// The result key, its instances in `arena`.
+    key: Option<KeyAt>,
+    /// The IList, in rank order.
+    entries: Vec<Entry>,
+    /// Every item's instances, back to back.
+    arena: Vec<NodeId>,
+    /// The last selection over `entries`.
+    selection: SelectionOutcome,
+    /// The last rendered snippet.
+    xml: String,
 }
 
-/// Append `item` unless an item already on the list says the same thing
-/// (case-insensitively — the earlier, more important item wins). Instances
-/// are only collected for items that make it onto the list.
-fn push(
-    items: &mut Vec<RankedItem>,
+/// The items of an [`IListScratch`], as the selectors read them.
+pub(crate) struct Items<'a> {
+    entries: &'a [Entry],
+    arena: &'a [NodeId],
+}
+
+impl Candidates for Items<'_> {
+    fn item_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn instances(&self, item: usize) -> &[NodeId] {
+        self.entries.get(item).and_then(|e| self.arena.get(e.instances.clone())).unwrap_or(&[])
+    }
+}
+
+/// Whether two item texts say the same thing: equal once lowercased.
+/// Decided in place when both are ASCII (all of them, on data-oriented
+/// XML), so checking an item against the list builds no strings.
+fn same_text((a, a_ascii): (&str, bool), (b, b_ascii): (&str, bool)) -> bool {
+    a.eq_ignore_ascii_case(b) || (!(a_ascii && b_ascii) && a.to_lowercase() == b.to_lowercase())
+}
+
+/// `None` when an item saying what `source` says is on the list already
+/// (the earlier, more important item wins); otherwise whether its text is
+/// ASCII, for the entry that will list it.
+fn unlisted(
+    entries: &[Entry],
     doc: &Document,
-    item: IListItem,
-    instances: impl FnOnce() -> Vec<NodeId>,
+    query: &KeywordQuery,
+    source: &Source,
+) -> Option<bool> {
+    let text = source.text(doc, query);
+    let ascii = text.is_ascii();
+    let said = |e: &Entry| same_text((e.source.text(doc, query), e.ascii), (text, ascii));
+    (!entries.iter().any(said)).then_some(ascii)
+}
+
+/// Append `source` if it is [`unlisted`]. Instances are only collected for
+/// items that make it onto the list.
+fn push(
+    entries: &mut Vec<Entry>,
+    arena: &mut Vec<NodeId>,
+    (doc, query): (&Document, &KeywordQuery),
+    source: Source,
+    instances: impl IntoIterator<Item = NodeId>,
 ) {
-    if !items.iter().any(|pushed| pushed.item.duplicates(&item, doc)) {
-        items.push(RankedItem { item, instances: instances() });
+    if let Some(ascii) = unlisted(entries, doc, query, &source) {
+        let start = arena.len();
+        arena.extend(instances);
+        entries.push(Entry { source, ascii, instances: start..arena.len() });
+    }
+}
+
+impl IListScratch {
+    /// Build the IList of the result rooted at `root` for `query` (paper
+    /// §2.1–§2.3); `matches(i)` is keyword `i`'s match nodes inside the
+    /// result, document order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn build<'m>(
+        &mut self,
+        doc: &Document,
+        model: &EntityModel,
+        catalog: &KeyCatalog,
+        query: &KeywordQuery,
+        root: NodeId,
+        matches: impl Fn(usize) -> &'m [NodeId],
+        options: &IListOptions,
+    ) {
+        let stats = ResultStats::compute_with(doc, model, root, std::mem::take(&mut self.features));
+        let IListScratch {
+            dominant, by_label, types, names, returns, key: key_at, entries, arena, ..
+        } = self;
+
+        // Entity types (§2.1) and dominant features (§2.3) first: together
+        // with the keywords and the key they bound the list's length. Entity
+        // instances are grouped by label; types are ordered by descending
+        // instance count (more instances ⇒ more of the result is about
+        // them), ties alphabetically — this reproduces Figure 3's "…,
+        // clothes, store, …".
+        return_entity::group_by_label(doc, stats.entities(), by_label, types);
+        types.sort_unstable_by(|a, b| {
+            b.1.len().cmp(&a.1.len()).then_with(|| doc.resolve(a.0).cmp(doc.resolve(b.0)))
+        });
+        dominance::dominant_into(doc, &stats, dominant);
+        if let Some(cap) = options.max_dominant_features {
+            dominant.truncate(cap);
+        }
+
+        entries.clear();
+        arena.clear();
+        let at = (doc, query);
+
+        // 1. Query keywords, in query order ("IList is initialized with the
+        //    query keywords", §2).
+        for i in 0..query.len() {
+            push(entries, arena, at, Source::Keyword(i), matches(i).iter().copied());
+        }
+
+        // 2. Entity names.
+        for (label, run) in types.iter() {
+            let nodes = by_label.get(run.clone()).unwrap_or_default();
+            push(entries, arena, at, Source::EntityName(*label), nodes.iter().map(|&(_, e)| e));
+        }
+
+        // 3. The result key (§2.2) — identified, with its instances, even
+        //    when a keyword already says it: the owned IList records it.
+        let runs = (by_label.as_slice(), types.as_slice());
+        return_entity::identify_into(doc, model, query, root, runs, names, returns);
+        *key_at = key::identify_into(doc, model, catalog, returns, arena);
+        if let Some(k) = key_at {
+            let source =
+                Source::ResultKey { entity: k.entity, attribute: k.attribute, node: k.node };
+            if let Some(ascii) = unlisted(entries, doc, query, &source) {
+                entries.push(Entry { source, ascii, instances: k.instances.clone() });
+            }
+        }
+
+        // 4. Dominant features in decreasing dominance score.
+        for d in dominant.iter() {
+            let instances = stats.instances(d.value);
+            let (Some(v), Some(&node)) = (stats.value(d.value), instances.first()) else {
+                continue;
+            };
+            let source = Source::Feature { ftype: v.ftype, node, score: d.score };
+            push(entries, arena, at, source, instances.iter().copied());
+        }
+
+        self.features = stats.into_tables();
+    }
+
+    /// The built items for a selector, and the outcome it writes.
+    pub(crate) fn items_and_selection(&mut self) -> (Items<'_>, &mut SelectionOutcome) {
+        (Items { entries: &self.entries, arena: &self.arena }, &mut self.selection)
+    }
+
+    /// The last selection.
+    pub(crate) fn selection(&self) -> &SelectionOutcome {
+        &self.selection
+    }
+
+    /// Render the last selection under `root` as compact XML, in the
+    /// scratch's buffer.
+    pub(crate) fn render(&mut self, doc: &Document, root: NodeId) -> &str {
+        self.xml.clear();
+        doc.write_xml_of(root, &self.selection.nodes, &mut self.xml);
+        &self.xml
+    }
+
+    /// The built IList, owned.
+    pub(crate) fn to_ilist(&self, doc: &Document, query: &KeywordQuery) -> IList {
+        let instances = |range: &Range<usize>| self.arena.get(range.clone()).unwrap_or_default();
+        let items = self
+            .entries
+            .iter()
+            .map(|e| RankedItem {
+                item: e.source.to_item(doc, query),
+                instances: instances(&e.instances).to_vec(),
+            })
+            .collect();
+        let result_key = self.key.as_ref().and_then(|k| {
+            Some(ResultKey {
+                entity: k.entity,
+                attribute: k.attribute,
+                value: doc.text_of(k.node)?.to_string(),
+                instances: instances(&k.instances).to_vec(),
+            })
+        });
+        IList { items, return_entities: self.returns.clone(), result_key }
     }
 }
 
@@ -183,107 +420,14 @@ pub fn build_ilist(
     result: &QueryResult,
     options: &IListOptions,
 ) -> IList {
-    let stats = ResultStats::compute(doc, model, result.root);
-    build_ilist_with_stats(doc, model, catalog, query, result, &stats, options)
-}
-
-/// [`build_ilist`] with precomputed statistics (lets callers reuse them).
-pub fn build_ilist_with_stats(
-    doc: &Document,
-    model: &EntityModel,
-    catalog: &KeyCatalog,
-    query: &KeywordQuery,
-    result: &QueryResult,
-    stats: &ResultStats<'_>,
-    options: &IListOptions,
-) -> IList {
     let mut scratch = IListScratch::default();
-    build_ilist_with_scratch(doc, model, catalog, query, result, stats, options, &mut scratch)
+    scratch.build(doc, model, catalog, query, result.root, matches_of(result), options);
+    scratch.to_ilist(doc, query)
 }
 
-/// [`build_ilist_with_stats`] with caller-owned scratch buffers (the hot
-/// query path reuses one [`IListScratch`] across all results of a query).
-#[allow(clippy::too_many_arguments)]
-pub fn build_ilist_with_scratch(
-    doc: &Document,
-    model: &EntityModel,
-    catalog: &KeyCatalog,
-    query: &KeywordQuery,
-    result: &QueryResult,
-    stats: &ResultStats<'_>,
-    options: &IListOptions,
-    scratch: &mut IListScratch,
-) -> IList {
-    // Entity types (§2.1) and dominant features (§2.3) first: together
-    // with the keywords and the key they bound the list's length. Entity
-    // instances are grouped by label; types are ordered by descending
-    // instance count (more instances ⇒ more of the result is about them),
-    // ties alphabetically — this reproduces Figure 3's "…, clothes,
-    // store, …".
-    let IListScratch { entities, by_label, types } = scratch;
-    entities.clear();
-    entities.extend(doc.subtree_elements(result.root).filter(|&n| model.is_entity(n)));
-    by_label.clear();
-    by_label.extend(entities.iter().filter_map(|&e| Some((doc.label(e)?, e))));
-    by_label.sort_unstable();
-    types.clear();
-    for (i, &(label, _)) in by_label.iter().enumerate() {
-        match types.last_mut() {
-            Some((last, run)) if *last == label => run.end = i + 1,
-            _ => types.push((label, i..i + 1)),
-        }
-    }
-    types.sort_by(|a, b| {
-        b.1.len().cmp(&a.1.len()).then_with(|| doc.resolve(a.0).cmp(doc.resolve(b.0)))
-    });
-    let mut doms = dominant_features(doc, stats);
-    if let Some(cap) = options.max_dominant_features {
-        doms.truncate(cap);
-    }
-
-    let mut items: Vec<RankedItem> =
-        Vec::with_capacity(query.len() + types.len() + 1 + doms.len());
-
-    // 1. Query keywords, in query order ("IList is initialized with the
-    //    query keywords", §2).
-    for (i, k) in query.keywords().iter().enumerate() {
-        push(&mut items, doc, IListItem::Keyword(k.clone()), || {
-            result.matches.get(i).cloned().unwrap_or_default()
-        });
-    }
-
-    // 2. Entity names.
-    for (label, run) in types.iter() {
-        push(&mut items, doc, IListItem::EntityName { label: *label }, || {
-            by_label.get(run.clone()).unwrap_or_default().iter().map(|&(_, e)| e).collect()
-        });
-    }
-
-    // 3. The result key (§2.2).
-    let return_entities = return_entity::identify_among(doc, model, query, result.root, entities);
-    let result_key = key::identify(doc, model, catalog, &return_entities);
-    if let Some(k) = &result_key {
-        let item = IListItem::ResultKey {
-            entity: k.entity,
-            attribute: k.attribute,
-            value: k.value.clone(),
-        };
-        push(&mut items, doc, item, || k.instances.clone());
-    }
-
-    // 4. Dominant features in decreasing dominance score.
-    for d in doms {
-        let instances = stats.occurrences(d.ftype, &d.value);
-        let item = IListItem::Feature {
-            entity: d.ftype.entity,
-            attribute: d.ftype.attribute,
-            value: d.value,
-            score: d.score,
-        };
-        push(&mut items, doc, item, || instances.to_vec());
-    }
-
-    IList { items, return_entities, result_key }
+/// Keyword `i`'s matches in `result`, as [`IListScratch::build`] reads them.
+pub(crate) fn matches_of<'r>(result: &'r QueryResult) -> impl Fn(usize) -> &'r [NodeId] {
+    |i| result.matches.get(i).map(Vec::as_slice).unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! document." The key of the result is the value of the mined key attribute
 //! of the (first) return-entity instance.
 
+use std::ops::Range;
+
 use extract_analyzer::{EntityModel, KeyCatalog};
 use extract_xml::{Document, NodeId, Symbol};
 
@@ -24,6 +26,17 @@ pub struct ResultKey {
     pub instances: Vec<NodeId>,
 }
 
+/// A result key as the snippet kernel keeps it: the value is the text of
+/// `node`, the instances a range of the caller's arena.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct KeyAt {
+    pub(crate) entity: Symbol,
+    pub(crate) attribute: Symbol,
+    /// The first return entity's key node.
+    pub(crate) node: NodeId,
+    pub(crate) instances: Range<usize>,
+}
+
 /// Identify the result key given the return entities. Returns `None` when
 /// the return entity type has no mined key, or no instance carries a value.
 pub fn identify(
@@ -32,21 +45,37 @@ pub fn identify(
     catalog: &KeyCatalog,
     return_entities: &ReturnEntities,
 ) -> Option<ResultKey> {
+    let mut instances = Vec::new();
+    let at = identify_into(doc, model, catalog, return_entities, &mut instances)?;
+    let value = doc.text_of(at.node)?.to_string();
+    Some(ResultKey { entity: at.entity, attribute: at.attribute, value, instances })
+}
+
+/// [`identify`], appending the key's instances to `arena`.
+pub(crate) fn identify_into(
+    doc: &Document,
+    model: &EntityModel,
+    catalog: &KeyCatalog,
+    return_entities: &ReturnEntities,
+    arena: &mut Vec<NodeId>,
+) -> Option<KeyAt> {
     let entity = return_entities.label?;
     let first = *return_entities.instances.first()?;
-    let key_node = catalog.key_node(doc, model, first)?;
-    let value = doc.text_of(key_node)?.to_string();
-    let attribute = doc.label(key_node)?;
+    let node = catalog.key_node(doc, model, first)?;
+    let value = doc.text_of(node)?;
+    let attribute = doc.label(node)?;
     // The key of *the result* is the first instance's value; record every
     // return-entity instance whose key carries the same value (normally
     // exactly one, keys being unique).
-    let instances = return_entities
-        .instances
-        .iter()
-        .filter_map(|&e| catalog.key_node(doc, model, e))
-        .filter(|&n| doc.text_of(n) == Some(value.as_str()))
-        .collect();
-    Some(ResultKey { entity, attribute, value, instances })
+    let start = arena.len();
+    arena.extend(
+        return_entities
+            .instances
+            .iter()
+            .filter_map(|&e| catalog.key_node(doc, model, e))
+            .filter(|&n| doc.text_of(n) == Some(value)),
+    );
+    Some(KeyAt { entity, attribute, node, instances: start..arena.len() })
 }
 
 #[cfg(test)]

@@ -4,18 +4,25 @@
 //! Index Builder, key mining — once per document. Each query then flows
 //! through Return Entity Identifier → Query Result Key Identifier →
 //! Dominant Feature Identifier → IList → Instance Selector.
+//!
+//! That query-time half is one pass over an [`IListScratch`], with two
+//! outputs: the snippet's XML, written straight from the source document
+//! into the scratch ([`Extract::snippet_xml`] — what a server sends), or
+//! an owned [`SnippetedResult`] read out of the scratch
+//! ([`Extract::snippet_of`] — what a library caller keeps).
 
 use std::sync::Arc;
 
-use extract_analyzer::{EntityModel, KeyCatalog, ResultStats};
+use extract_analyzer::{EntityModel, KeyCatalog};
 use extract_index::XmlIndex;
 use extract_search::ranking::{self, RankedResult};
+use extract_search::result::postings_within;
 use extract_search::{KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId};
 
 use crate::cache::{CacheKey, SnippetCache};
-use crate::ilist::{build_ilist, build_ilist_with_scratch, IList, IListOptions, IListScratch};
-use crate::selector::{exact_select, greedy_select, ExactLimits, SelectionOutcome};
+use crate::ilist::{build_ilist, matches_of, IList, IListOptions, IListScratch};
+use crate::selector::{exact_select, greedy_into, ExactLimits, InstancePolicy};
 use crate::snippet::Snippet;
 
 /// Which instance selector to run.
@@ -63,6 +70,11 @@ pub struct SnippetedResult {
     pub ilist: IList,
     /// The snippet.
     pub snippet: Snippet,
+}
+
+/// The IList options a snippet config asks for.
+fn options(config: &ExtractConfig) -> IListOptions {
+    IListOptions { max_dominant_features: config.max_dominant_features }
 }
 
 /// The offline artifacts of one document — index, entity model, mined
@@ -168,14 +180,7 @@ impl<'d> Extract<'d> {
 
     /// Build the IList of one query result (§2.1–§2.3).
     pub fn ilist(&self, query: &KeywordQuery, result: &QueryResult, config: &ExtractConfig) -> IList {
-        build_ilist(
-            self.doc,
-            &self.parts.model,
-            &self.parts.keys,
-            query,
-            result,
-            &IListOptions { max_dominant_features: config.max_dominant_features },
-        )
+        build_ilist(self.doc, &self.parts.model, &self.parts.keys, query, result, &options(config))
     }
 
     /// Generate the snippet of one query result (§2.4).
@@ -188,8 +193,8 @@ impl<'d> Extract<'d> {
         self.snippet_with_scratch(query, result, config, &mut IListScratch::default())
     }
 
-    /// [`Extract::snippet`] reusing caller-owned IList scratch buffers
-    /// (one scratch serves every result of a query).
+    /// [`Extract::snippet`] reusing caller-owned kernel scratch (one
+    /// scratch serves every result of a query).
     pub fn snippet_with_scratch(
         &self,
         query: &KeywordQuery,
@@ -201,8 +206,9 @@ impl<'d> Extract<'d> {
     }
 
     /// [`Extract::snippet_with_scratch`] for a caller that built `result`
-    /// for this snippet alone (a served page window): the result moves
-    /// into the answer instead of being cloned into it.
+    /// for this snippet alone: the result moves into the answer instead of
+    /// being cloned into it. The IList and the snippet are read out of the
+    /// scratch the kernel ran in.
     pub fn snippet_of(
         &self,
         query: &KeywordQuery,
@@ -210,28 +216,56 @@ impl<'d> Extract<'d> {
         config: &ExtractConfig,
         scratch: &mut IListScratch,
     ) -> SnippetedResult {
-        let stats = ResultStats::compute(self.doc, &self.parts.model, result.root);
-        let ilist = build_ilist_with_scratch(
-            self.doc,
-            &self.parts.model,
-            &self.parts.keys,
-            query,
-            &result,
-            &stats,
-            &IListOptions { max_dominant_features: config.max_dominant_features },
-            scratch,
-        );
-        let outcome = self.select(&ilist, result.root, config);
-        let snippet = Snippet::from_selection(self.doc, &ilist, outcome);
+        self.run(query, result.root, matches_of(&result), config, scratch);
+        let ilist = scratch.to_ilist(self.doc, query);
+        let snippet = Snippet::from_selection(self.doc, &ilist, scratch.selection().clone());
         SnippetedResult { result, ilist, snippet }
     }
 
-    fn select(&self, ilist: &IList, root: NodeId, config: &ExtractConfig) -> SelectionOutcome {
-        match config.selector {
-            SelectorKind::Greedy => greedy_select(self.doc, ilist, root, config.size_bound),
-            SelectorKind::Exact => {
-                exact_select(self.doc, ilist, root, config.size_bound, ExactLimits::default())
-                    .unwrap_or_else(|| greedy_select(self.doc, ilist, root, config.size_bound))
+    /// The snippet of the result rooted at `root` as the bytes a server
+    /// sends: its compact XML, written from the document into `scratch`
+    /// and borrowed from it — byte-identical to
+    /// [`Extract::snippet_of`]`(..).snippet.to_xml()`, with no owned IList,
+    /// snippet tree or `QueryResult` in between (the keyword matches are
+    /// read from the index in place). On a warm scratch this allocates
+    /// nothing.
+    pub fn snippet_xml<'s>(
+        &self,
+        query: &KeywordQuery,
+        root: NodeId,
+        config: &ExtractConfig,
+        scratch: &'s mut IListScratch,
+    ) -> &'s str {
+        let (index, end) = (&*self.parts.index, self.doc.subtree_end(root));
+        let matches = |i: usize| {
+            let postings = query.keywords().get(i).map(|k| index.postings(k)).unwrap_or_default();
+            postings_within(postings, root, end)
+        };
+        self.run(query, root, matches, config, scratch);
+        scratch.render(self.doc, root)
+    }
+
+    /// The kernel: build the IList into `scratch`, then select over it.
+    fn run<'m>(
+        &self,
+        query: &KeywordQuery,
+        root: NodeId,
+        matches: impl Fn(usize) -> &'m [NodeId],
+        config: &ExtractConfig,
+        scratch: &mut IListScratch,
+    ) {
+        let (doc, model, keys) = (self.doc, &*self.parts.model, &*self.parts.keys);
+        scratch.build(doc, model, keys, query, root, matches, &options(config));
+        let (items, selection) = scratch.items_and_selection();
+        let bound = config.size_bound;
+        let exact = match config.selector {
+            SelectorKind::Greedy => None,
+            SelectorKind::Exact => exact_select(doc, &items, root, bound, ExactLimits::default()),
+        };
+        match exact {
+            Some(outcome) => *selection = outcome,
+            None => {
+                greedy_into(doc, &items, root, bound, InstancePolicy::CheapestInstance, selection)
             }
         }
     }

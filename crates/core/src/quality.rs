@@ -15,8 +15,6 @@
 //! * **distinguishability across results** — fraction of snippet pairs
 //!   with distinct rendered content.
 
-use std::collections::HashSet;
-
 use extract_xml::{Document, NodeId};
 
 use crate::baselines::BaselineContent;
@@ -162,7 +160,7 @@ pub fn distinguishability(rendered: &[String]) -> f64 {
 
 /// Convenience: instance-level coverage of an arbitrary node set (used by
 /// tests and experiments comparing selectors).
-pub fn items_covered_by(ilist: &IList, nodes: &HashSet<NodeId>) -> usize {
+pub fn items_covered_by(ilist: &IList, nodes: &[NodeId]) -> usize {
     ilist
         .items()
         .iter()
@@ -270,7 +268,6 @@ mod tests {
         let (doc, il, result) = setup();
         let outcome = greedy_select(&doc, &il, result.root, 100);
         assert_eq!(items_covered_by(&il, &outcome.nodes), il.len());
-        let empty: HashSet<NodeId> = [result.root].into_iter().collect();
-        assert!(items_covered_by(&il, &empty) >= 1, "root-matching items count");
+        assert!(items_covered_by(&il, &[result.root]) >= 1, "root-matching items count");
     }
 }

@@ -13,24 +13,27 @@
 //! Name matching uses the same tokenization as the index (`open_auction`
 //! matches keyword `auction`).
 
+use std::ops::Range;
+
 use extract_analyzer::EntityModel;
 use extract_index::tokenize::contains_token;
 use extract_search::{KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId, Symbol};
 
 /// Why an entity type was chosen as the return entity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReturnEntityReason {
     /// The entity's name matches a query keyword.
     NameMatch,
     /// One of the entity's attribute names matches a query keyword.
     AttributeNameMatch,
     /// Fallback: the highest entities of the result.
+    #[default]
     HighestEntity,
 }
 
 /// The identified return entities of one query result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReturnEntities {
     /// The chosen entity label (`None` when the result has no entities at
     /// all — then `instances` falls back to the result root).
@@ -60,67 +63,120 @@ pub fn identify_among(
     root: NodeId,
     entities: &[NodeId],
 ) -> ReturnEntities {
-    if entities.is_empty() {
-        return ReturnEntities {
-            label: None,
-            reason: ReturnEntityReason::HighestEntity,
-            instances: vec![root],
-        };
-    }
+    let (mut by_label, mut runs) = (Vec::new(), Vec::new());
+    group_by_label(doc, entities, &mut by_label, &mut runs);
+    let mut out = ReturnEntities::default();
+    identify_into(doc, model, query, root, (&by_label, &runs), &mut Vec::new(), &mut out);
+    out
+}
 
-    // Entity types present, in order of first instance (document order).
-    let mut types: Vec<Symbol> = Vec::new();
-    for label in entities.iter().filter_map(|&e| doc.label(e)) {
-        if !types.contains(&label) {
-            types.push(label);
+/// A result's entities grouped by type, as [`group_by_label`] leaves
+/// them: the `(label, node)` pairs, sorted, and one `(label, range of the
+/// pairs)` run per type.
+pub(crate) type EntityRuns<'a> = (&'a [(Symbol, NodeId)], &'a [(Symbol, Range<usize>)]);
+
+/// Group entity nodes by label: `by_label` is `(label, node)` sorted, so
+/// each type's instances are one run in document order, and `runs` holds
+/// one `(label, range of by_label)` per type.
+pub(crate) fn group_by_label(
+    doc: &Document,
+    entities: &[NodeId],
+    by_label: &mut Vec<(Symbol, NodeId)>,
+    runs: &mut Vec<(Symbol, Range<usize>)>,
+) {
+    by_label.clear();
+    by_label.extend(entities.iter().filter_map(|&e| Some((doc.label(e)?, e))));
+    by_label.sort_unstable();
+    runs.clear();
+    let mut start = 0;
+    for run in by_label.chunk_by(|a, b| a.0 == b.0) {
+        if let Some(&(label, _)) = run.first() {
+            runs.push((label, start..start + run.len()));
         }
-    }
-
-    // Rule 1: entity name matches a keyword.
-    for &label in &types {
-        let name = doc.resolve(label);
-        if query.keywords().iter().any(|k| contains_token(name, k)) {
-            return chosen(doc, entities, label, ReturnEntityReason::NameMatch);
-        }
-    }
-
-    // Rule 2: an attribute name of the entity matches a keyword.
-    for &label in &types {
-        let attr_match = entities.iter().filter(|&&e| doc.label(e) == Some(label)).any(|&e| {
-            doc.element_children(e).filter(|&a| model.is_attribute(a)).any(|a| {
-                let attr_name = doc.label_str(a).unwrap_or_default();
-                query.keywords().iter().any(|k| contains_token(attr_name, k))
-            })
-        });
-        if attr_match {
-            return chosen(doc, entities, label, ReturnEntityReason::AttributeNameMatch);
-        }
-    }
-
-    // Rule 3: the highest entities.
-    let highest = model.highest_entities(doc, root);
-    ReturnEntities {
-        label: highest.first().and_then(|&h| doc.label(h)),
-        reason: ReturnEntityReason::HighestEntity,
-        instances: highest,
+        start += run.len();
     }
 }
 
-fn chosen(
+/// The §2.2 rules over the result's entity types, into `out`: `by_label`
+/// and `runs` come from [`group_by_label`] (runs in any order). The rules
+/// look at types in order of their first instance, so "the first type, in
+/// that order, that matches" is the matching run whose first node is
+/// smallest. `names` is a buffer for which attribute labels match a
+/// keyword, so each distinct label is tokenized once.
+pub(crate) fn identify_into(
     doc: &Document,
-    entities: &[NodeId],
+    model: &EntityModel,
+    query: &KeywordQuery,
+    root: NodeId,
+    (by_label, runs): EntityRuns<'_>,
+    names: &mut Vec<(Symbol, bool)>,
+    out: &mut ReturnEntities,
+) {
+    out.label = None;
+    out.reason = ReturnEntityReason::HighestEntity;
+    out.instances.clear();
+    if runs.is_empty() {
+        out.instances.push(root);
+        return;
+    }
+    let nodes = |run: &Range<usize>| by_label.get(run.clone()).unwrap_or_default();
+    let first = |run: &Range<usize>| nodes(run).first().map(|&(_, n)| n);
+    let matches = |name: &str| query.keywords().iter().any(|k| contains_token(name, k));
+
+    // Rule 1: entity name matches a keyword.
+    let named = runs
+        .iter()
+        .filter(|(label, _)| matches(doc.resolve(*label)))
+        .min_by_key(|(_, run)| first(run));
+    if let Some((label, run)) = named {
+        return chosen(out, *label, ReturnEntityReason::NameMatch, nodes(run));
+    }
+
+    // Rule 2: an attribute name of the entity matches a keyword. A type
+    // whose first instance comes after the best so far cannot win, so it
+    // is not checked.
+    names.clear();
+    let mut named = |label: Symbol| match names.iter().find(|&&(l, _)| l == label) {
+        Some(&(_, hit)) => hit,
+        None => {
+            let hit = matches(doc.resolve(label));
+            names.push((label, hit));
+            hit
+        }
+    };
+    let mut best: Option<(NodeId, Symbol, &Range<usize>)> = None;
+    for (label, run) in runs {
+        let Some(start) = first(run) else { continue };
+        if best.is_some_and(|(at, _, _)| at < start) {
+            continue;
+        }
+        let attr_match = nodes(run).iter().any(|&(_, e)| {
+            doc.element_children(e)
+                .filter(|&a| model.is_attribute(a))
+                .any(|a| doc.label(a).is_some_and(&mut named))
+        });
+        if attr_match {
+            best = Some((start, *label, run));
+        }
+    }
+    if let Some((_, label, run)) = best {
+        return chosen(out, label, ReturnEntityReason::AttributeNameMatch, nodes(run));
+    }
+
+    // Rule 3: the highest entities.
+    model.highest_entities_into(doc, root, &mut out.instances);
+    out.label = out.instances.first().and_then(|&h| doc.label(h));
+}
+
+fn chosen(
+    out: &mut ReturnEntities,
     label: Symbol,
     reason: ReturnEntityReason,
-) -> ReturnEntities {
-    ReturnEntities {
-        label: Some(label),
-        reason,
-        instances: entities
-            .iter()
-            .copied()
-            .filter(|&e| doc.label(e) == Some(label))
-            .collect(),
-    }
+    instances: &[(Symbol, NodeId)],
+) {
+    out.label = Some(label);
+    out.reason = reason;
+    out.instances.extend(instances.iter().map(|&(_, e)| e));
 }
 
 #[cfg(test)]

@@ -13,8 +13,7 @@
 
 use extract_xml::{Document, NodeId};
 
-use crate::ilist::IList;
-use crate::selector::{SelectionOutcome, SnippetTree};
+use crate::selector::{Candidates, SelectionOutcome, SnippetTree};
 
 /// Resource limits for the exact search.
 #[derive(Debug, Clone, Copy)]
@@ -29,8 +28,8 @@ impl Default for ExactLimits {
     }
 }
 
-struct Search<'a> {
-    ilist: &'a IList,
+struct Search<'a, C: ?Sized> {
+    ilist: &'a C,
     bound: usize,
     limits: ExactLimits,
     states: u64,
@@ -40,9 +39,9 @@ struct Search<'a> {
 /// Exhaustively find a selection with maximum coverage. Returns `None` if
 /// the search exceeded `limits.max_states` (the caller should fall back to
 /// the greedy result).
-pub fn exact_select(
+pub fn exact_select<C: Candidates + ?Sized>(
     doc: &Document,
-    ilist: &IList,
+    ilist: &C,
     root: NodeId,
     bound: usize,
     limits: ExactLimits,
@@ -57,14 +56,14 @@ pub fn exact_select(
         // No items at all: the empty selection is optimal.
         Some(SelectionOutcome {
             covered: Vec::new(),
-            skipped: (0..ilist.len()).collect(),
+            skipped: (0..ilist.item_count()).collect(),
             nodes: SnippetTree::new(doc, root).into_nodes(),
             edges: 0,
         })
     })
 }
 
-impl Search<'_> {
+impl<C: Candidates + ?Sized> Search<'_, C> {
     /// Returns `false` when the state budget is exhausted.
     fn dfs(&mut self, item: usize, tree: SnippetTree<'_>, covered: &mut Vec<usize>) -> bool {
         self.states += 1;
@@ -72,7 +71,7 @@ impl Search<'_> {
             return false;
         }
         // Upper bound: everything remaining could still be covered.
-        let optimistic = covered.len() + (self.ilist.len() - item);
+        let optimistic = covered.len() + (self.ilist.item_count() - item);
         if let Some(best) = &self.best {
             if optimistic < best.coverage()
                 || (optimistic == best.coverage() && !lex_could_beat(covered, &best.covered))
@@ -80,7 +79,7 @@ impl Search<'_> {
                 return true; // prune
             }
         }
-        if item == self.ilist.len() {
+        if item == self.ilist.item_count() {
             let candidate_better = match &self.best {
                 None => true,
                 Some(best) => {
@@ -94,11 +93,11 @@ impl Search<'_> {
             if candidate_better {
                 let edges = tree.edges();
                 let skipped =
-                    (0..self.ilist.len()).filter(|i| !covered.contains(i)).collect();
+                    (0..self.ilist.item_count()).filter(|i| !covered.contains(i)).collect();
                 self.best = Some(SelectionOutcome {
                     covered: covered.clone(),
                     skipped,
-                    nodes: tree.nodes().clone(),
+                    nodes: tree.nodes().to_vec(),
                     edges,
                 });
             }
@@ -109,8 +108,9 @@ impl Search<'_> {
         // equal-cost instances that lead to identical trees is not easy in
         // general, but skipping same-cost duplicates of *zero* cost is: one
         // zero-cost branch subsumes the rest.
-        let mut options: Vec<(usize, NodeId)> = self.ilist.items()[item]
-            .instances
+        let mut options: Vec<(usize, NodeId)> = self
+            .ilist
+            .instances(item)
             .iter()
             .filter_map(|&inst| tree.cost(inst).map(|c| (c, inst)))
             .filter(|&(c, _)| tree.edges() + c <= self.bound)
@@ -157,7 +157,7 @@ fn lex_could_beat(prefix: &[usize], best: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ilist::{IListItem, RankedItem};
+    use crate::ilist::{IList, IListItem, RankedItem};
     use crate::return_entity::{ReturnEntities, ReturnEntityReason};
     use crate::selector::greedy_select;
 

@@ -2,8 +2,7 @@
 
 use extract_xml::{Document, NodeId};
 
-use crate::ilist::IList;
-use crate::selector::{SelectionOutcome, SnippetTree};
+use crate::selector::{Candidates, SelectionOutcome, SnippetTree};
 
 /// How the greedy chooses among an item's instances. The paper's intuition
 /// — "we should select instances of each item such that they are close to
@@ -26,9 +25,9 @@ pub enum InstancePolicy {
 /// ties broken toward the earliest instance in document order. Items whose
 /// chosen instance exceeds the remaining budget are skipped; later items
 /// are still attempted.
-pub fn greedy_select(
+pub fn greedy_select<C: Candidates + ?Sized>(
     doc: &Document,
-    ilist: &IList,
+    ilist: &C,
     root: NodeId,
     bound: usize,
 ) -> SelectionOutcome {
@@ -36,21 +35,35 @@ pub fn greedy_select(
 }
 
 /// [`greedy_select`] with an explicit instance policy.
-pub fn greedy_select_with_policy(
+pub fn greedy_select_with_policy<C: Candidates + ?Sized>(
     doc: &Document,
-    ilist: &IList,
+    ilist: &C,
     root: NodeId,
     bound: usize,
     policy: InstancePolicy,
 ) -> SelectionOutcome {
-    let mut tree = SnippetTree::new(doc, root);
-    let mut covered = Vec::with_capacity(ilist.len());
-    let mut skipped = Vec::new();
+    let mut out = SelectionOutcome::default();
+    greedy_into(doc, ilist, root, bound, policy, &mut out);
+    out
+}
 
-    for (idx, ranked) in ilist.items().iter().enumerate() {
-        let budget = bound - tree.edges();
+/// [`greedy_select_with_policy`] into `out`, whose buffers are reused: a
+/// warm outcome allocates nothing.
+pub(crate) fn greedy_into<C: Candidates + ?Sized>(
+    doc: &Document,
+    ilist: &C,
+    root: NodeId,
+    bound: usize,
+    policy: InstancePolicy,
+    out: &mut SelectionOutcome,
+) {
+    out.covered.clear();
+    out.skipped.clear();
+    let mut tree = SnippetTree::reusing(doc, root, std::mem::take(&mut out.nodes));
+    for idx in 0..ilist.item_count() {
+        let budget = bound.saturating_sub(tree.edges());
         let mut best: Option<(usize, NodeId)> = None;
-        for &inst in &ranked.instances {
+        for &inst in ilist.instances(idx) {
             let Some(cost) = tree.cost(inst) else {
                 continue; // outside the result subtree
             };
@@ -74,14 +87,13 @@ pub fn greedy_select_with_policy(
         match best {
             Some((cost, inst)) if cost <= budget => {
                 tree.add(inst);
-                covered.push(idx);
+                out.covered.push(idx);
             }
-            _ => skipped.push(idx),
+            _ => out.skipped.push(idx),
         }
     }
-
-    let edges = tree.edges();
-    SelectionOutcome { covered, skipped, nodes: tree.into_nodes(), edges }
+    out.edges = tree.edges();
+    out.nodes = tree.into_nodes();
 }
 
 #[cfg(test)]

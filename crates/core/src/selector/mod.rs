@@ -29,20 +29,34 @@ mod tree;
 
 pub use exact::{exact_select, ExactLimits};
 pub use greedy::{greedy_select, greedy_select_with_policy, InstancePolicy};
+pub(crate) use greedy::greedy_into;
 pub use tree::SnippetTree;
 
 use extract_xml::NodeId;
-use std::collections::HashSet;
+
+/// What a selector reads of an IList: how many items it has and each
+/// item's candidate instances. Implemented by the owned [`crate::IList`]
+/// and by the IList a [`crate::ilist::IListScratch`] has just built, so
+/// the library and the serving path run the same selector.
+pub trait Candidates {
+    /// Number of items.
+    fn item_count(&self) -> usize;
+
+    /// The instances of item `item`, in document order (empty past the
+    /// end).
+    fn instances(&self, item: usize) -> &[NodeId];
+}
 
 /// The outcome of instance selection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SelectionOutcome {
     /// Indices (into the IList) of covered items, in rank order.
     pub covered: Vec<usize>,
     /// Indices of items that were skipped (did not fit or had no instance).
     pub skipped: Vec<usize>,
-    /// The chosen element nodes (ancestor-closed, including the root).
-    pub nodes: HashSet<NodeId>,
+    /// The chosen element nodes, sorted (document order), ancestor-closed
+    /// and including the root — at most `bound + 1` of them.
+    pub nodes: Vec<NodeId>,
     /// Number of element edges in the snippet tree.
     pub edges: usize,
 }

@@ -1,7 +1,10 @@
 //! The growing snippet tree: an ancestor-closed set of element nodes under
 //! a result root, with O(depth) marginal-cost queries.
-
-use std::collections::HashSet;
+//!
+//! The set is a sorted `Vec` — a snippet tree holds at most `bound + 1`
+//! nodes, so a binary search beats hashing, the set is already in the
+//! document order the XML writer walks, and the buffer can be handed in
+//! warm ([`SnippetTree::reusing`]).
 
 use extract_xml::{Document, NodeId};
 
@@ -10,16 +13,28 @@ use extract_xml::{Document, NodeId};
 pub struct SnippetTree<'d> {
     doc: &'d Document,
     root: NodeId,
-    included: HashSet<NodeId>,
+    /// Sorted.
+    included: Vec<NodeId>,
     edges: usize,
 }
 
 impl<'d> SnippetTree<'d> {
     /// Start a tree containing only `root` (zero edges).
     pub fn new(doc: &'d Document, root: NodeId) -> SnippetTree<'d> {
-        let mut included = HashSet::with_capacity(32);
-        included.insert(root);
-        SnippetTree { doc, root, included, edges: 0 }
+        SnippetTree::reusing(doc, root, Vec::new())
+    }
+
+    /// [`SnippetTree::new`] over a buffer from an earlier tree
+    /// ([`SnippetTree::into_nodes`]): its contents are discarded, its
+    /// capacity kept.
+    pub(crate) fn reusing(
+        doc: &'d Document,
+        root: NodeId,
+        mut buffer: Vec<NodeId>,
+    ) -> SnippetTree<'d> {
+        buffer.clear();
+        buffer.push(root);
+        SnippetTree { doc, root, included: buffer, edges: 0 }
     }
 
     /// The result root.
@@ -34,45 +49,42 @@ impl<'d> SnippetTree<'d> {
 
     /// Whether `node` is already included.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.included.contains(&node)
+        self.included.binary_search(&node).is_ok()
     }
 
     /// Number of **new** edges that including `node` (and its ancestors up
     /// to the nearest included node) would add; `None` if `node` is not in
     /// the root's subtree.
     pub fn cost(&self, node: NodeId) -> Option<usize> {
-        for (cost, a) in self.doc.ancestors_or_self(node).enumerate() {
-            if self.included.contains(&a) {
-                return Some(cost);
-            }
+        if !self.doc.is_ancestor_or_self(self.root, node) {
+            return None;
         }
-        // Fell off the document root without meeting an included node (the
-        // snippet root at the latest): `node` lies outside the result
-        // subtree.
-        None
+        // The walk meets the root at the latest.
+        self.doc.ancestors_or_self(node).position(|a| self.contains(a))
     }
 
     /// Include `node` and its ancestors up to the nearest included node.
-    /// Returns the number of edges added.
-    ///
-    /// # Panics
-    /// Panics if `node` is outside the root's subtree.
+    /// Returns the number of edges added — none for a node outside the
+    /// root's subtree, which is left out.
     pub fn add(&mut self, node: NodeId) -> usize {
-        let added = self
-            .cost(node)
-            .unwrap_or_else(|| panic!("node {node} is outside the snippet root's subtree"));
-        self.included.extend(self.doc.ancestors_or_self(node).take(added));
+        let Some(added) = self.cost(node) else {
+            return 0;
+        };
+        for a in self.doc.ancestors_or_self(node).take(added) {
+            let at = self.included.partition_point(|&n| n < a);
+            self.included.insert(at, a);
+        }
         self.edges += added;
         added
     }
 
-    /// The included node set (ancestor-closed, root included).
-    pub fn nodes(&self) -> &HashSet<NodeId> {
+    /// The included node set (sorted, ancestor-closed, root included).
+    pub fn nodes(&self) -> &[NodeId] {
         &self.included
     }
 
     /// Consume into the node set.
-    pub fn into_nodes(self) -> HashSet<NodeId> {
+    pub fn into_nodes(self) -> Vec<NodeId> {
         self.included
     }
 }
@@ -142,9 +154,27 @@ mod tests {
         for &n in t.nodes() {
             if let Some(p) = d.parent(n) {
                 if n != t.root() {
-                    assert!(t.nodes().contains(&p), "parent of {n} missing");
+                    assert!(t.contains(p), "parent of {n} missing");
                 }
             }
         }
+        assert!(t.nodes().windows(2).all(|w| w[0] < w[1]), "sorted: {:?}", t.nodes());
+    }
+
+    #[test]
+    fn outside_nodes_add_nothing_and_buffers_are_reused() {
+        let d = doc();
+        let a = d.first_element_with_label("a").unwrap();
+        let e = d.first_element_with_label("e").unwrap();
+        let mut t = SnippetTree::new(&d, a);
+        assert_eq!(t.add(e), 0, "e is outside a's subtree");
+        assert_eq!((t.nodes(), t.edges()), (&[a][..], 0));
+        let c = d.first_element_with_label("c").unwrap();
+        t.add(c);
+        let buffer = t.into_nodes();
+        let capacity = buffer.capacity();
+        let t = SnippetTree::reusing(&d, d.root(), buffer);
+        assert_eq!((t.nodes(), t.edges()), (&[d.root()][..], 0));
+        assert_eq!(t.into_nodes().capacity(), capacity);
     }
 }

@@ -1,7 +1,5 @@
 //! The snippet: a materialized, bounded subtree of a query result.
 
-use std::collections::HashSet;
-
 use extract_xml::{Document, NodeId};
 
 use crate::ilist::{IList, IListItem};
@@ -12,9 +10,9 @@ use crate::selector::SelectionOutcome;
 pub struct Snippet {
     /// The result root in the *original* document.
     pub result_root: NodeId,
-    /// The included element nodes in the original document
-    /// (ancestor-closed; contains `result_root`).
-    pub nodes: HashSet<NodeId>,
+    /// The included element nodes in the original document: sorted,
+    /// ancestor-closed, starting with `result_root`.
+    pub nodes: Vec<NodeId>,
     /// Element-edge count (the paper's size measure).
     pub edges: usize,
     /// Covered IList items, in rank order.
@@ -28,29 +26,18 @@ pub struct Snippet {
 impl Snippet {
     /// Materialize a snippet from a selection outcome.
     pub fn from_selection(doc: &Document, ilist: &IList, outcome: SelectionOutcome) -> Snippet {
-        let root = outcome
-            .nodes
-            .iter()
-            .copied()
-            .min()
-            .expect("selection always includes the root");
+        // The sorted node set starts with the root every selection includes.
+        let root = outcome.nodes.first().copied().unwrap_or(doc.root());
         let tree = doc.project(root, &outcome.nodes);
-        let covered = outcome
-            .covered
-            .iter()
-            .map(|&i| ilist.items()[i].item.clone())
-            .collect();
-        let skipped = outcome
-            .skipped
-            .iter()
-            .map(|&i| ilist.items()[i].item.clone())
-            .collect();
+        let items = |indices: &[usize]| -> Vec<IListItem> {
+            indices.iter().filter_map(|&i| ilist.items().get(i)).map(|r| r.item.clone()).collect()
+        };
         Snippet {
             result_root: root,
+            covered: items(&outcome.covered),
+            skipped: items(&outcome.skipped),
             nodes: outcome.nodes,
             edges: outcome.edges,
-            covered,
-            skipped,
             tree,
         }
     }

@@ -75,8 +75,7 @@ impl QueryResult {
     /// Copy the full result subtree into a standalone document (used for
     /// display; algorithms work in place).
     pub fn materialize(&self, doc: &Document) -> Document {
-        let keep = doc.subtree_elements(self.root).collect();
-        doc.project(self.root, &keep)
+        doc.project(self.root, &doc.subtree_elements(self.root).collect::<Vec<_>>())
     }
 }
 

@@ -28,7 +28,6 @@
 //! its [`Dewey`] label are computed on demand. [`Document::debug_validate`]
 //! checks the invariants against pointer walks.
 
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -527,8 +526,15 @@ impl Document {
     ///
     /// The projection owns its four columns, sized exactly, and nothing
     /// else: the label table, the text buffer and the DOCTYPE are shared
-    /// with `self` ([`Document::shares_symbols_with`]).
-    pub fn project(&self, root: NodeId, keep: &HashSet<NodeId>) -> Document {
+    /// with `self` ([`Document::shares_symbols_with`]). `keep` is any
+    /// collection of node references (a sorted `Vec`, a `HashSet`, …), in
+    /// any order. [`Document::write_xml_of`] writes the same projection's
+    /// XML without building it.
+    pub fn project<'k>(
+        &self,
+        root: NodeId,
+        keep: impl IntoIterator<Item = &'k NodeId>,
+    ) -> Document {
         // Over `root`'s interval: ABSENT, else in the keep set closed under
         // ancestors up to `root` — KEPT, then the element's new id.
         const ABSENT: u32 = u32::MAX;
@@ -536,7 +542,7 @@ impl Document {
         let (base, end) = (root.index(), self.subtree_end[root.index()] as usize);
         let mut new_id = vec![ABSENT; end - base];
         new_id[0] = KEPT;
-        for &n in keep.iter().filter(|n| (base..end).contains(&n.index())) {
+        for &n in keep.into_iter().filter(|n| (base..end).contains(&n.index())) {
             for a in self.ancestors_or_self(n) {
                 if std::mem::replace(&mut new_id[a.index() - base], KEPT) != ABSENT {
                     break;
@@ -719,6 +725,7 @@ impl Iterator for Ancestors<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn sample() -> Document {
         Document::parse_str(

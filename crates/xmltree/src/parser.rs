@@ -148,7 +148,7 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
     if let Some(&open) = stack.last() {
         return Err(Error::UnexpectedEof {
             expected: format!("</{}>", label_str(&arena, &symbols, open)),
-            position: Position { line: u32::MAX, column: 0, offset: source.len() },
+            position: at(source.len()),
         });
     }
     if !has_root {

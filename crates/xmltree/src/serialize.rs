@@ -21,6 +21,58 @@ impl Document {
         out
     }
 
+    /// Append the compact XML of the projection of `root`'s subtree onto
+    /// `nodes` — exactly what `self.project(root, nodes).to_xml_string()`
+    /// returns, written straight from this document: no projected columns,
+    /// no allocation beyond `out`'s growth. `nodes` must be sorted and
+    /// closed under ancestors up to `root` (a snippet tree's node set);
+    /// `root` itself is always kept, nodes outside its subtree are ignored,
+    /// and text children of kept elements ride along.
+    pub fn write_xml_of(&self, root: NodeId, nodes: &[NodeId], out: &mut String) {
+        let end = self.subtree_end(root);
+        let mut kept = nodes.iter().copied().peekable();
+        // The next node from `i` on that the projection holds. Every node
+        // reached has a kept parent — the subtree of an element outside the
+        // set is skipped whole — so a text node rides, and an element rides
+        // when it is in the set. The set is sorted and `i` only grows, so
+        // one cursor over it answers every membership test.
+        let mut next = |mut i: NodeId| {
+            while i < end {
+                if self.is_text(i) || i == root {
+                    return i;
+                }
+                while kept.next_if(|&k| k < i).is_some() {}
+                if kept.peek() == Some(&i) {
+                    return i;
+                }
+                i = self.subtree_end(i);
+            }
+            end
+        };
+        let mut n = next(root);
+        while n < end {
+            let after = next(NodeId::from_index(n.index() + 1));
+            // An element whose next projected node is outside its subtree
+            // has no projected children; the ancestors whose subtrees do
+            // not reach that node close here.
+            match self.label_str(n) {
+                None => escape_text_into(out, self.text(n).unwrap_or("")),
+                Some(label) => {
+                    out.push('<');
+                    out.push_str(label);
+                    out.push_str(if self.is_ancestor_or_self(n, after) { ">" } else { "/>" });
+                }
+            }
+            let open = |a: &NodeId| *a >= root && !self.is_ancestor_or_self(*a, after);
+            for a in self.ancestors(n).take_while(open) {
+                out.push_str("</");
+                out.push_str(self.label_str(a).unwrap_or_default());
+                out.push('>');
+            }
+            n = after;
+        }
+    }
+
     /// Serialize with two-space indentation, one element per line.
     pub fn to_xml_pretty(&self) -> String {
         let mut out = String::with_capacity(self.len() * 24);
@@ -176,6 +228,40 @@ mod tests {
         assert!(tree.contains("name: BB"), "{tree}");
         assert!(tree.contains("city: Houston"), "{tree}");
         assert!(tree.contains("└─"), "{tree}");
+    }
+
+    /// Every projection of a few documents: the writer and the projected
+    /// document's serializer agree byte for byte.
+    #[test]
+    fn write_xml_of_is_the_projections_xml() {
+        for src in [
+            "<r><a><b>x</b><c/></a><d>y<e>z</e>w</d><f><g><h>deep</h></g></f></r>",
+            "<retailer><name>BB &amp; Co</name><store><city>Houston</city><city>Austin</city>\
+             </store><store><city>Dallas</city></store></retailer>",
+        ] {
+            let d = Document::parse_str(src).unwrap();
+            let elements: Vec<NodeId> = d.all_nodes().filter(|&n| d.is_element(n)).collect();
+            for &root in &elements {
+                // Every ancestor-closed set generated by one or two picks.
+                for &p in &elements {
+                    for &q in &elements {
+                        let mut keep: Vec<NodeId> = Vec::new();
+                        for pick in [p, q] {
+                            if d.is_ancestor_or_self(root, pick) {
+                                keep.extend(d.ancestors_or_self(pick).take_while(|&a| a >= root));
+                            }
+                        }
+                        keep.push(root);
+                        keep.sort();
+                        keep.dedup();
+                        let mut written = String::from("prefix:");
+                        d.write_xml_of(root, &keep, &mut written);
+                        let projected = d.project(root, &keep).to_xml_string();
+                        assert_eq!(written, format!("prefix:{projected}"), "root {root}, {keep:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

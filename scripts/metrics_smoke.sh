@@ -15,7 +15,10 @@
 #   4. one ingest and one delete against the shard leave exactly one
 #      sample in each `extract_mutation_duration_seconds{op,phase}` series
 #      they should have produced (a count, not a timing: the smoke
-#      corpus is tiny).
+#      corpus is tiny),
+#   5. the shard reports what its snippet cache holds: the
+#      `extract_snippet_cache_bytes` gauge is present and non-zero after
+#      the load above.
 #
 # Usage: scripts/metrics_smoke.sh
 #
@@ -140,6 +143,11 @@ grep -q 'extract_router_shard_latency_seconds_bucket{shard="0"' "$SCRATCH/router
     || { echo "metrics_smoke: router missing per-shard latency histogram" >&2; exit 1; }
 grep -q '^extract_request_stage_duration_seconds_count{stage="snippet"} [1-9]' "$SCRATCH/shard.metrics" \
     || { echo "metrics_smoke: shard snippet stage histogram is empty" >&2; exit 1; }
+grep -q '^extract_snippet_cache_bytes [1-9]' "$SCRATCH/shard.metrics" \
+    || { echo "metrics_smoke: shard extract_snippet_cache_bytes gauge missing or zero" >&2
+         grep '^extract_snippet_cache_bytes' "$SCRATCH/shard.metrics" >&2
+         exit 1; }
+echo "metrics_smoke: shard snippet cache holds $(sed -n 's/^extract_snippet_cache_bytes //p' "$SCRATCH/shard.metrics") bytes"
 
 for series in 'op="ingest",phase="parse"' 'op="ingest",phase="index"' \
     'op="ingest",phase="publish"' 'op="ingest",phase="invalidate"' \

@@ -47,7 +47,8 @@ fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats); 2] {
 }
 
 /// The cache members of `/stats`' `session` object: per-cache counters,
-/// then the rendered `/search` bytes the corpus page cache holds.
+/// then the bytes each cache holds — rendered `/search` results in the
+/// page cache, snippet XML in the snippet cache.
 pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
     for (name, stats) in cache_counters(caches) {
         w.key(name);
@@ -62,10 +63,13 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
     }
     w.key("corpus_page_body_bytes");
     w.num_u64(caches.corpus_page_body_bytes() as u64);
+    w.key("snippet_cache_bytes");
+    w.num_u64(caches.snippet_cache_bytes() as u64);
 }
 
 /// The cache families of `/metrics`: hit/miss/eviction counters per
-/// cache, and the rendered `/search` bytes the corpus page cache holds.
+/// cache, the rendered `/search` bytes the corpus page cache holds and the
+/// snippet XML bytes the snippet cache holds.
 pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     w.help("extract_cache_events_total", "Session cache hits/misses/evictions.");
     w.type_("extract_cache_events_total", "counter");
@@ -92,6 +96,9 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
         &[],
         caches.corpus_page_body_bytes() as u64,
     );
+    w.help("extract_snippet_cache_bytes", "Snippet XML bytes held by the snippet cache.");
+    w.type_("extract_snippet_cache_bytes", "gauge");
+    w.sample_u64("extract_snippet_cache_bytes", &[], caches.snippet_cache_bytes() as u64);
 }
 
 /// Validate `/search` parameters: a missing/blank `q` or an unparseable
@@ -128,8 +135,8 @@ pub(crate) fn parse_search_params<'r>(
 /// router's merge path pins it): the daemon serves it, and tests call it
 /// for a pinned snapshot to know the expected bytes without a socket.
 ///
-/// The `results` array is the expensive part (ten snippet trees walked to
-/// XML, then escaped into JSON), and it is a pure function of the page —
+/// The `results` array is the expensive part (ten snippets escaped into
+/// JSON), and it is a pure function of the page —
 /// so it is rendered once per page-cache entry and kept in the entry
 /// ([`CorpusTopK::rendered`]). A page hit splices those bytes behind the
 /// request's own header fields: the page key holds the *normalized*
@@ -172,9 +179,20 @@ pub fn search_body(
 /// sizing hint: the buffer grows if a body ever needs more).
 const HEADER_CAPACITY: usize = 128;
 
-/// One page's `results` array, as JSON.
+/// Buffer room for what one result holds besides its document name and
+/// snippet — five keys, three numbers, punctuation (a sizing hint, like
+/// [`HEADER_CAPACITY`]).
+const RESULT_CAPACITY: usize = 112;
+
+/// One page's `results` array, as JSON: each snippet's cached XML,
+/// escaped — into a buffer sized for it up front.
 fn render_results(page: &CorpusTopK, corpus: &Corpus) -> Box<str> {
-    let mut w = JsonWriter::new();
+    let bytes: usize = page
+        .results
+        .iter()
+        .map(|answer| RESULT_CAPACITY + corpus.name(answer.doc).len() + answer.snippet.len())
+        .sum();
+    let mut w = JsonWriter::with_capacity(bytes + 2);
     w.arr_begin();
     for answer in page.results.iter() {
         w.obj_begin();
@@ -183,11 +201,11 @@ fn render_results(page: &CorpusTopK, corpus: &Corpus) -> Box<str> {
         w.key("doc_id");
         w.num_u64(answer.doc.index() as u64);
         w.key("root");
-        w.num_u64(answer.result.result.root.index() as u64);
+        w.num_u64(answer.root.index() as u64);
         w.key("score");
         w.num_f64(answer.score);
         w.key("snippet");
-        w.str(&answer.result.snippet.to_xml());
+        w.str(&answer.snippet);
         w.obj_end();
     }
     w.arr_end();
@@ -328,6 +346,8 @@ mod tests {
                 >= 1,
             "repeat query must hit the page cache: {session:?}"
         );
+        let snippet_bytes = session.get("snippet_cache_bytes").and_then(Value::as_u64);
+        assert!(snippet_bytes.is_some_and(|b| b > 0), "snippet cache holds bytes: {session:?}");
         assert!(v.get("server").is_none(), "no server attached");
         // Snippets containing XML quotes survive the JSON layer.
         let resp = app.handle(&request("GET", "/search", &[("q", "levis quoted"), ("k", "5")]));

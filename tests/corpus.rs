@@ -36,7 +36,7 @@ fn merge_standalone(
 
 fn render(page: &CorpusPage) -> Vec<(DocId, NodeId, String)> {
     page.iter()
-        .map(|a| (a.doc, a.result.result.root, a.result.snippet.to_xml()))
+        .map(|a| (a.doc, a.root, a.snippet.to_string()))
         .collect()
 }
 
@@ -141,8 +141,8 @@ fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
         assert!(page.windows(2).all(|w| {
             w[0].score > w[1].score
                 || (w[0].score == w[1].score
-                    && (w[0].doc, w[0].result.result.root)
-                        <= (w[1].doc, w[1].result.result.root))
+                    && (w[0].doc, w[0].root)
+                        <= (w[1].doc, w[1].root))
         }));
     }
 

@@ -23,6 +23,8 @@
 //! 5. **The cached body is the rendered body**: a page-cache hit serves
 //!    the bytes the miss rendered, and both equal what a cache-less app
 //!    renders — for any window, and for any raw spelling of the query.
+//! 6. **A rejected ingest says where**: a body cut off mid-document is a
+//!    `400` naming the line and column the input ended at.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -329,6 +331,41 @@ fn hostile_ingest_stream_cannot_grow_the_rejection_log() {
     assert_eq!(corpus.get("rejected").and_then(Value::as_u64), Some(3));
     assert_eq!(corpus.get("rejected_dropped").and_then(Value::as_u64), Some(7));
     assert_eq!(corpus.get("epoch").and_then(Value::as_u64), Some(0), "no mutation happened");
+}
+
+/// A document cut off before its root closes is rejected over the wire
+/// with the position the input ended at — a real line and column, not a
+/// sentinel.
+#[test]
+fn a_cut_off_ingest_is_a_400_that_names_where_the_input_ended() {
+    let (tx, rx) = mpsc::channel();
+    let server_thread = std::thread::spawn(move || {
+        serve_live(
+            LiveCorpus::from_corpus(seed_corpus(1)),
+            "127.0.0.1:0",
+            ServeConfig { workers: 1, ..ServeConfig::default() },
+            SearchAppConfig::default(),
+            64,
+            |addr, handle| tx.send((addr, handle)).expect("report daemon"),
+        )
+        .expect("daemon serves");
+    });
+    let (addr, handle) = rx.recv().expect("daemon up");
+    let mut client = KeepAliveClient::connect(addr);
+    let cut = b"<notes>\n  <note>kept</note>\n  <note>cut";
+    let response = client.request_body("POST", "/ingest?name=cut", cut);
+    assert_eq!(response.status, 400, "{}", response.body);
+    let message = json::parse(&response.body)
+        .ok()
+        .and_then(|v| v.get("error").and_then(Value::as_str).map(str::to_string))
+        .unwrap_or_else(|| panic!("a JSON error body: {}", response.body));
+    assert!(
+        message.contains("unexpected end of input at 3:12"),
+        "the 400 must name line 3, column 12: {message}"
+    );
+    assert_eq!(client.request("GET", "/stats").status, 200, "the daemon serves on");
+    handle.shutdown();
+    server_thread.join().expect("daemon thread");
 }
 
 /// `/stats` — every scrape, the router's doc-count bootstrap — reads the

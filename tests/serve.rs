@@ -308,7 +308,7 @@ fn corpus_snippet_text_roundtrips_through_the_json_writer() {
     for q in CorpusConfig::query_mix() {
         let page = session.answer_corpus_topk(q, &config, 8, 0);
         for answer in page.results.iter() {
-            let xml = answer.result.snippet.to_xml();
+            let xml = answer.snippet.to_string();
             let mut w = extract_serve::JsonWriter::new();
             w.str(&xml);
             let doc = w.finish();

@@ -182,12 +182,11 @@ fn digests(case: &Case, q: &str) -> (String, String) {
         served.u64(page.total as u64);
         served.u64(page.results.len() as u64);
         for answer in page.results.iter() {
-            let root = answer.result.result.root;
-            let xml = answer.result.snippet.to_xml();
+            let root = answer.root;
             served.str(corpus.name(answer.doc));
             served.u64(root.index() as u64);
             served.u64(answer.score.to_bits());
-            served.str(&xml);
+            served.str(&answer.snippet);
 
             let doc = corpus.doc(answer.doc);
             let snippeted = library_snippet(corpus, &query, answer.doc, root, &case.config);
@@ -262,13 +261,13 @@ proptest::proptest! {
         let page = session.answer_corpus_topk(q, &case.config, k, offset);
         let parsed = KeywordQuery::parse(q);
         for answer in page.results.iter() {
-            let root = answer.result.result.root;
-            let served = answer.result.snippet.to_xml();
+            let root = answer.root;
+            let served: &str = &answer.snippet;
             let library = library_snippet(&case.corpus, &parsed, answer.doc, root, &case.config);
-            proptest::prop_assert_eq!(&served, &library.snippet.to_xml());
+            proptest::prop_assert_eq!(served, library.snippet.to_xml());
             let projected =
                 case.corpus.doc(answer.doc).project(root, &library.snippet.nodes).to_xml_string();
-            proptest::prop_assert_eq!(&served, &projected);
+            proptest::prop_assert_eq!(served, projected);
         }
     }
 }
