@@ -1,14 +1,16 @@
-//! Scanning shard `/search` pages and merging them into one global page
+//! Reading shard `/search` pages and merging them into one global page
 //! — by moving bytes, not building trees.
 //!
 //! A shard's `results` array is stored bytes on the shard (its page
 //! cache keeps the rendered array), and the router's answer contains the
-//! winning hits' objects unchanged but for one integer. So
-//! [`parse_page`] is a validating *scanner*: it checks the whole body is
-//! the JSON document `extract_serve::json::parse` would accept, and
-//! yields per hit only the three merge keys plus the hit object's byte
-//! range, cut around its `doc_id` value. [`merge_pages`] k-way-merges
-//! the already-sorted pages without copying a hit's text, and
+//! winning hits' objects unchanged but for one integer. So [`parse_page`]
+//! is a walk over `extract_serve::json`'s one borrowed [`Scanner`] — the
+//! same grammar `json::parse` runs on — that yields per hit only the
+//! three merge keys plus the hit object's byte range, cut around its
+//! `doc_id` value. What is specific to a page lives here: the `page` /
+//! `results` / `hit` walk and the straight-through read of a hit spelled
+//! exactly as the daemon writes it. [`merge_pages`] k-way-merges the
+//! already-sorted pages without copying a hit's text, and
 //! [`render_search`] splices each winner's bytes around the rewritten
 //! `doc_id` — snippets pass through verbatim, never unescaped or
 //! re-escaped.
@@ -36,10 +38,9 @@
 //! global window — the merged page reports that as *truncated* and the
 //! router surfaces `"partial": true`.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use extract_serve::json::{JsonWriter, MAX_DEPTH};
+use extract_serve::json::{self, Flaw, JsonWriter, Scanner};
 
 /// One hit of a shard's `/search` page: the merge keys, and the hit
 /// object's own bytes (borrowed from the shard body) cut around its
@@ -71,399 +72,91 @@ pub struct ShardPage<'a> {
 
 /// Scan a shard `/search` body into a [`ShardPage`] borrowing from it.
 ///
-/// Accepts exactly the bodies the tree-building parser followed by a
-/// typed field lookup would: one complete JSON document (no duplicate
-/// keys, nesting within [`MAX_DEPTH`]), an object with a non-negative
-/// integer `total` and a `results` array of objects each holding string
-/// `doc` / `snippet`, non-negative integer `doc_id` / `root` and a
-/// numeric `score`. Key order, extra keys and whitespace are free.
+/// Accepts exactly the bodies `json::parse` followed by a typed field
+/// lookup would — the grammar is `json`'s one [`Scanner`]: one complete
+/// JSON document, an object with a non-negative integer `total` and a
+/// `results` array of objects each holding string `doc` / `snippet`,
+/// non-negative integer `doc_id` / `root` and a numeric `score`. Key
+/// order, extra keys and whitespace are free.
 pub fn parse_page(body: &str) -> Result<ShardPage<'_>, String> {
-    let mut scanner = Scanner { src: body, pos: 0, keys: Vec::with_capacity(16) };
-    scanner
-        .page()
-        .map_err(|what| format!("shard page: {what} at byte {}", scanner.pos))
+    json::scan(body, page).map_err(|e| format!("shard page: {} at byte {}", e.message, e.at))
 }
 
-/// What went wrong, for the log line; the position is added once.
-type Flaw = &'static str;
-
-/// A cursor over a shard body. Every byte it reads goes through
-/// `get`: a hostile body yields a [`Flaw`], never a panic.
-struct Scanner<'a> {
-    src: &'a str,
-    pos: usize,
-    /// The keys of the objects being scanned, innermost object last —
-    /// one stack for the whole body, so no object allocates its own.
-    keys: Vec<Cow<'a, str>>,
+/// The page object.
+fn page<'a>(scanner: &mut Scanner<'a>) -> Result<ShardPage<'a>, Flaw> {
+    let (mut total, mut hits) = (None, None);
+    scanner.object(|scanner, key| match key {
+        "total" => scanner.unsigned().map(|n| total = Some(n)),
+        "results" => results(scanner).map(|found| hits = Some(found)),
+        _ => scanner.value(),
+    })?;
+    Ok(ShardPage {
+        total: total.ok_or("missing 'total'")?,
+        hits: hits.ok_or("missing 'results'")?,
+    })
 }
 
-impl<'a> Scanner<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8, flaw: Flaw) -> Result<(), Flaw> {
-        if self.peek() != Some(byte) {
-            return Err(flaw);
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    /// The source between two positions the scanner itself produced.
-    fn slice(&self, from: usize, to: usize) -> Result<&'a str, Flaw> {
-        self.src.get(from..to).ok_or("scanner lost its place")
-    }
-
-    /// The whole document: the page object, then nothing but whitespace.
-    fn page(&mut self) -> Result<ShardPage<'a>, Flaw> {
-        self.skip_ws();
-        let mut total = None;
-        let mut hits = None;
-        self.object(|scanner, key| match key {
-            "total" => scanner.unsigned().map(|n| total = Some(n)),
-            "results" => scanner.results().map(|found| hits = Some(found)),
-            _ => scanner.value(1),
-        })?;
-        self.skip_ws();
-        if self.pos != self.src.len() {
-            return Err("trailing data after document");
-        }
-        Ok(ShardPage {
-            total: total.ok_or("missing 'total'")?,
-            hits: hits.ok_or("missing 'results'")?,
-        })
-    }
-
-    /// An object: `member` scans each value, told its (decoded) key.
-    fn object(
-        &mut self,
-        mut member: impl FnMut(&mut Scanner<'a>, &str) -> Result<(), Flaw>,
-    ) -> Result<(), Flaw> {
-        self.eat(b'{', "expected an object")?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        let outer_keys = self.keys.len();
-        loop {
-            self.skip_ws();
-            let key = self.string(true)?;
-            self.skip_ws();
-            self.eat(b':', "expected `:`")?;
-            self.skip_ws();
-            member(self, &key)?;
-            self.keys.push(key);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return self.pop_keys(outer_keys);
-                }
-                _ => return Err("expected `,` or `}`"),
-            }
-        }
-    }
-
-    /// Drop the innermost object's keys (everything past `outer_keys`).
-    /// A repeated key is a flaw, as it is to the tree parser, whose map
-    /// could not hold it.
-    fn pop_keys(&mut self, outer_keys: usize) -> Result<(), Flaw> {
-        let keys = self.keys.get_mut(outer_keys..).unwrap_or_default();
-        keys.sort_unstable();
-        let repeated = keys.windows(2).any(|pair| pair.first() == pair.last());
-        self.keys.truncate(outer_keys);
-        if repeated {
-            return Err("duplicate object key");
-        }
-        Ok(())
-    }
-
-    /// An array: `element` scans each element.
-    fn array(
-        &mut self,
-        mut element: impl FnMut(&mut Scanner<'a>) -> Result<(), Flaw>,
-    ) -> Result<(), Flaw> {
-        self.eat(b'[', "expected an array")?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            element(self)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    /// The `results` array: every element a hit object.
-    fn results(&mut self) -> Result<Vec<ShardHit<'a>>, Flaw> {
-        let mut hits = Vec::with_capacity(16);
-        self.array(|scanner| scanner.hit().map(|hit| hits.push(hit)))?;
-        Ok(hits)
-    }
-
-    /// One hit object; what it holds besides the five known members
-    /// nests three deep.
-    fn hit(&mut self) -> Result<ShardHit<'a>, Flaw> {
-        let open = self.pos;
-        if let Ok(hit) = self.daemon_hit() {
-            return Ok(hit);
-        }
-        self.pos = open;
-        let (mut doc, mut snippet) = (false, false);
-        let (mut doc_id, mut root, mut score) = (None, None, None);
-        self.object(|scanner, key| match key {
-            "doc" => scanner.string(false).map(|_| doc = true),
-            "snippet" => scanner.string(false).map(|_| snippet = true),
-            "doc_id" => {
-                let from = scanner.pos;
-                scanner.unsigned().map(|n| doc_id = Some((n, from, scanner.pos)))
-            }
-            "root" => scanner.unsigned().map(|n| root = Some(n)),
-            "score" => scanner.number().map(|n| score = Some(n)),
-            _ => scanner.value(3),
-        })?;
-        if !(doc && snippet) {
-            return Err("hit without string 'doc' and 'snippet'");
-        }
-        let (doc_id, from, to) = doc_id.ok_or("hit without 'doc_id'")?;
-        Ok(ShardHit {
-            doc_id,
-            root: root.ok_or("hit without 'root'")?,
-            score: score.ok_or("hit without 'score'")?,
-            head: self.slice(open, from)?,
-            tail: self.slice(to, self.pos)?,
-        })
-    }
-
-    /// A hit object exactly as the daemon renders it — its five members
-    /// in its order, no whitespace — read straight through, without the
-    /// key dispatch and duplicate bookkeeping of the general walk. Any
-    /// other spelling is a flaw *here* only: [`hit`](Self::hit) rescans
-    /// it the general way for the real verdict.
-    fn daemon_hit(&mut self) -> Result<ShardHit<'a>, Flaw> {
-        let open = self.pos;
-        self.literal("{\"doc\":")?;
-        self.string(false)?;
-        self.literal(",\"doc_id\":")?;
-        let from = self.pos;
-        let doc_id = self.unsigned()?;
-        let to = self.pos;
-        self.literal(",\"root\":")?;
-        let root = self.unsigned()?;
-        self.literal(",\"score\":")?;
-        let score = self.number()?;
-        self.literal(",\"snippet\":")?;
-        self.string(false)?;
-        self.literal("}")?;
-        let (head, tail) = (self.slice(open, from)?, self.slice(to, self.pos)?);
-        Ok(ShardHit { doc_id, root, score, head, tail })
-    }
-
-    /// Any value the page format does not name, validated and skipped;
-    /// it sits `depth` containers deep, and the bound is the tree
-    /// parser's (the named members sit at most three deep).
-    fn value(&mut self, depth: usize) -> Result<(), Flaw> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep");
-        }
-        match self.peek() {
-            Some(b'{') => self.object(|scanner, _| scanner.value(depth + 1)),
-            Some(b'[') => self.array(|scanner| scanner.value(depth + 1)),
-            Some(b'"') => self.string(false).map(drop),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
-            _ => Err("expected a value"),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), Flaw> {
-        let rest = self.src.as_bytes().get(self.pos..).unwrap_or_default();
-        if !rest.starts_with(word.as_bytes()) {
-            return Err("expected a literal");
-        }
-        self.pos += word.len();
-        Ok(())
-    }
-
-    /// A string token, validated: its text between the quotes, borrowed
-    /// from the body. With `decode` (object keys, which are compared) a
-    /// token holding escapes yields its decoded text instead; values are
-    /// only passed through and stay raw.
-    fn string(&mut self, decode: bool) -> Result<Cow<'a, str>, Flaw> {
-        self.eat(b'"', "expected a string")?;
-        let open = self.pos;
-        let mut decoded: Option<String> = None;
-        loop {
-            let run = self.pos;
-            self.pos += plain_run(self.src.as_bytes().get(run..).unwrap_or_default());
-            if let Some(decoded) = decoded.as_mut() {
-                decoded.push_str(self.slice(run, self.pos)?);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    let raw = self.slice(open, self.pos)?;
-                    self.pos += 1;
-                    return Ok(decoded.map_or(Cow::Borrowed(raw), Cow::Owned));
-                }
-                Some(b'\\') => {
-                    if decode && decoded.is_none() {
-                        decoded = Some(self.slice(open, self.pos)?.to_string());
-                    }
-                    self.pos += 1;
-                    let escaped = self.escape()?;
-                    if let Some(decoded) = decoded.as_mut() {
-                        decoded.push(escaped);
-                    }
-                }
-                Some(_) => return Err("raw control character in string"),
-                None => return Err("unterminated string"),
-            }
-        }
-    }
-
-    /// The character an escape stands for; the cursor is just past the
-    /// backslash.
-    fn escape(&mut self) -> Result<char, Flaw> {
-        let c = self.peek().ok_or("unterminated escape")?;
-        self.pos += 1;
-        Ok(match c {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{08}',
-            b'f' => '\u{0C}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let hi = self.hex4()?;
-                let code = match hi {
-                    // A high surrogate must be followed by a low one.
-                    0xD800..=0xDBFF => {
-                        self.eat(b'\\', "unpaired high surrogate")?;
-                        self.eat(b'u', "unpaired high surrogate")?;
-                        let lo = self.hex4()?;
-                        if !(0xDC00..=0xDFFF).contains(&lo) {
-                            return Err("invalid low surrogate");
-                        }
-                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                    }
-                    0xDC00..=0xDFFF => return Err("unpaired low surrogate"),
-                    _ => hi,
-                };
-                char::from_u32(code).ok_or("invalid code point")?
-            }
-            _ => return Err("invalid escape"),
-        })
-    }
-
-    fn hex4(&mut self) -> Result<u32, Flaw> {
-        let mut value = 0;
-        for _ in 0..4 {
-            let digit = self
-                .peek()
-                .and_then(|c| char::from(c).to_digit(16))
-                .ok_or("invalid \\u escape")?;
-            value = value * 16 + digit;
-            self.pos += 1;
-        }
-        Ok(value)
-    }
-
-    fn digits(&mut self) -> Result<usize, Flaw> {
-        let from = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == from {
-            return Err("expected digits");
-        }
-        Ok(self.pos - from)
-    }
-
-    /// A number token, checked against the JSON grammar, as the double
-    /// every JSON consumer reads it as.
-    fn number(&mut self) -> Result<f64, Flaw> {
-        let from = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let leading_zero = self.peek() == Some(b'0');
-        if self.digits()? > 1 && leading_zero {
-            return Err("leading zero");
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            self.digits()?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits()?;
-        }
-        self.slice(from, self.pos)?.parse().map_err(|_| "unparseable number")
-    }
-
-    /// A number that is a non-negative integer (by value: `3.0` and
-    /// `1e2` count), read through a double like the tree parser reads
-    /// it, so ids beyond 2^53 round the same way on both paths.
-    fn unsigned(&mut self) -> Result<u64, Flaw> {
-        let n = self.number()?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-            Ok(n as u64)
-        } else {
-            Err("expected a non-negative integer")
-        }
-    }
+/// The `results` array: every element a hit object.
+fn results<'a>(scanner: &mut Scanner<'a>) -> Result<Vec<ShardHit<'a>>, Flaw> {
+    let mut hits = Vec::with_capacity(16);
+    scanner.array(|scanner| hit(scanner).map(|hit| hits.push(hit)))?;
+    Ok(hits)
 }
 
-/// How many leading bytes of `bytes` are plain string content — no
-/// quote, no backslash, no control byte. Snippets are most of a page,
-/// so this is the scanner's inner loop: eight bytes a step, by the
-/// exact "does any byte of this word equal / lie below" bit tricks, then
-/// bytewise to the offender inside the word that held one.
-fn plain_run(bytes: &[u8]) -> usize {
-    const ONES: u64 = u64::MAX / 0xFF;
-    const HIGH_BITS: u64 = ONES * 0x80;
-    let mut run = 0;
-    for chunk in bytes.chunks_exact(8) {
-        let word = u64::from_le_bytes(<[u8; 8]>::try_from(chunk).unwrap_or_default());
-        let quote = word ^ (ONES * u64::from(b'"'));
-        let backslash = word ^ (ONES * u64::from(b'\\'));
-        let found = (quote.wrapping_sub(ONES) & !quote)
-            | (backslash.wrapping_sub(ONES) & !backslash)
-            | (word.wrapping_sub(ONES * 0x20) & !word);
-        if found & HIGH_BITS != 0 {
-            break;
-        }
-        run += 8;
+/// One hit object, in any spelling.
+fn hit<'a>(scanner: &mut Scanner<'a>) -> Result<ShardHit<'a>, Flaw> {
+    if let Some(hit) = scanner.attempt(daemon_hit) {
+        return Ok(hit);
     }
-    let rest = bytes.get(run..).unwrap_or_default();
-    let plain = |c: &u8| *c != b'"' && *c != b'\\' && *c >= 0x20;
-    run + rest.iter().position(|c| !plain(c)).unwrap_or(rest.len())
+    let open = scanner.pos();
+    let (mut doc, mut snippet) = (false, false);
+    let (mut doc_id, mut root, mut score) = (None, None, None);
+    scanner.object(|scanner, key| match key {
+        "doc" => scanner.string(false).map(|_| doc = true),
+        "snippet" => scanner.string(false).map(|_| snippet = true),
+        "doc_id" => {
+            let from = scanner.pos();
+            scanner.unsigned().map(|n| doc_id = Some((n, from, scanner.pos())))
+        }
+        "root" => scanner.unsigned().map(|n| root = Some(n)),
+        "score" => scanner.number().map(|n| score = Some(n)),
+        _ => scanner.value(),
+    })?;
+    if !(doc && snippet) {
+        return Err("hit without string 'doc' and 'snippet'");
+    }
+    let (doc_id, from, to) = doc_id.ok_or("hit without 'doc_id'")?;
+    Ok(ShardHit {
+        doc_id,
+        root: root.ok_or("hit without 'root'")?,
+        score: score.ok_or("hit without 'score'")?,
+        head: scanner.slice(open, from)?,
+        tail: scanner.slice(to, scanner.pos())?,
+    })
+}
+
+/// A hit object exactly as the daemon renders it — its five members in
+/// its order, no whitespace — read straight through, without the key
+/// dispatch and duplicate bookkeeping of the general walk. Any other
+/// spelling is a flaw *here* only: [`hit`] rescans it the general way
+/// for the real verdict.
+fn daemon_hit<'a>(scanner: &mut Scanner<'a>) -> Result<ShardHit<'a>, Flaw> {
+    let open = scanner.pos();
+    scanner.literal("{\"doc\":")?;
+    scanner.string(false)?;
+    scanner.literal(",\"doc_id\":")?;
+    let from = scanner.pos();
+    let doc_id = scanner.unsigned()?;
+    let to = scanner.pos();
+    scanner.literal(",\"root\":")?;
+    let root = scanner.unsigned()?;
+    scanner.literal(",\"score\":")?;
+    let score = scanner.number()?;
+    scanner.literal(",\"snippet\":")?;
+    scanner.string(false)?;
+    scanner.literal("}")?;
+    let (head, tail) = (scanner.slice(open, from)?, scanner.slice(to, scanner.pos())?);
+    Ok(ShardHit { doc_id, root, score, head, tail })
 }
 
 /// The globally merged page.
@@ -648,6 +341,11 @@ mod tests {
         assert_eq!(first.head, "{\"doc\":\"a.xml\",\"doc_id\":");
         assert_eq!(first.tail, ",\"root\":4,\"score\":1.5,\"snippet\":\"<a/>\"}");
         assert!(parse_page("{\"total\":1}").is_err(), "missing results must not parse");
+        // 2^64 is not a `u64`, as a `total` or as a `doc_id`.
+        let total = body.replacen("\"total\":3", "\"total\":18446744073709551616", 1);
+        assert!(parse_page(&total).is_err(), "a 2^64 total must not parse");
+        let doc_id = body.replacen("\"doc_id\":1", "\"doc_id\":18446744073709551616", 1);
+        assert!(parse_page(&doc_id).is_err(), "a 2^64 doc_id must not parse");
         assert!(parse_page("not json").is_err());
     }
 

@@ -1,5 +1,5 @@
-//! A hand-rolled, escape-correct JSON writer and a small validating
-//! parser.
+//! A hand-rolled, escape-correct JSON writer and one borrowed JSON
+//! scanner.
 //!
 //! The daemon's wire format is JSON, but the workspace builds offline with
 //! no registry access, so `serde` is off the table. [`JsonWriter`] covers
@@ -11,11 +11,15 @@
 //! (including multi-byte UTF-8) passes through verbatim, which is valid
 //! JSON.
 //!
-//! [`parse`] is the matching validator/decoder: a recursive-descent parser
-//! producing a [`Value`] tree. The tests use it to prove the writer emits
-//! only valid JSON (every write round-trips), and the load generator uses
-//! it to read `/search` and `/stats` payloads without a JSON dependency.
+//! [`Scanner`] is the workspace's one JSON grammar: a panic-free cursor
+//! that validates strings, escapes, surrogates, numbers and literals,
+//! walks objects and arrays through callbacks with one duplicate-key
+//! stack and one [`MAX_DEPTH`] check, and skips what its caller does not
+//! name. [`parse`] is a thin walk over it building a [`Value`] tree; the
+//! router's shard-page reader is another walk over the same scanner, so
+//! the two accept exactly the same documents.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -27,56 +31,62 @@ pub const MAX_SAFE_JSON_INT: u64 = (1 << 53) - 1;
 
 /// Append the RFC 8259 escaping of `s` (without surrounding quotes) to
 /// `out`. Only ASCII bytes are ever escaped, so the text between them is
-/// copied a run at a time, and the scan for them skips eight plain bytes
-/// per step.
+/// copied a run at a time, found by the scanner's own `plain_run`.
 pub fn escape_into(out: &mut String, s: &str) {
     let bytes = s.as_bytes();
-    let (mut copied, mut i) = (0, 0);
-    while let Some(rest) = bytes.get(i..) {
-        if let Some(word) = rest.first_chunk::<8>() {
-            if !has_special(u64::from_le_bytes(*word)) {
-                i += 8;
-                continue;
-            }
-        }
-        let Some(&b) = rest.first() else { break };
-        let short = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0x08 => Some("\\b"),
-            0x0C => Some("\\f"),
-            0x00..=0x1F => None,
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
+    let mut copied = 0;
+    let mut i = plain_run(bytes);
+    while let Some(&b) = bytes.get(i) {
         // `i` is an ASCII byte: a char boundary.
         out.push_str(s.get(copied..i).unwrap_or_default());
-        match short {
-            Some(escape) => out.push_str(escape),
-            None => {
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
-        i += 1;
-        copied = i;
+        copied = i + 1;
+        i = copied + plain_run(bytes.get(copied..).unwrap_or_default());
     }
     out.push_str(s.get(copied..).unwrap_or_default());
 }
 
-/// Whether any of the eight bytes of `word` is one JSON escapes: below
-/// `0x20`, `"` or `\`. (A byte-wise "less than" by borrow propagation: a
-/// borrow can only mark bytes above one that really matched, so the
-/// answer for the word is exact.)
-fn has_special(word: u64) -> bool {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
-    let below = |x: u64, n: u64| x.wrapping_sub(ONES * n) & !x & HIGH;
-    (below(word, 0x20) | below(word ^ (ONES * 0x22), 1) | below(word ^ (ONES * 0x5C), 1)) != 0
+/// How many leading bytes of `bytes` are plain string content — no
+/// quote, no backslash, no control byte: what a string token holds
+/// verbatim and what the writer copies without escaping. Snippets are
+/// most of a page, so this is the inner loop of both: sixteen bytes a
+/// step, two words tested by the exact "does any byte of this word
+/// equal / lie below" bit tricks (a borrow can only mark bytes above one
+/// that really matched), then bytewise to the offender.
+#[inline]
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::MAX / 0xFF;
+    const HIGH_BITS: u64 = ONES * 0x80;
+    let special = |chunk: &[u8]| {
+        let word = u64::from_le_bytes(<[u8; 8]>::try_from(chunk).unwrap_or_default());
+        let quote = word ^ (ONES * u64::from(b'"'));
+        let backslash = word ^ (ONES * u64::from(b'\\'));
+        (quote.wrapping_sub(ONES) & !quote)
+            | (backslash.wrapping_sub(ONES) & !backslash)
+            | (word.wrapping_sub(ONES * 0x20) & !word)
+    };
+    let mut run = 0;
+    for pair in bytes.chunks_exact(16) {
+        let (low, high) = pair.split_at(8);
+        if (special(low) | special(high)) & HIGH_BITS != 0 {
+            break;
+        }
+        run += 16;
+    }
+    let rest = bytes.get(run..).unwrap_or_default();
+    let plain = |c: &u8| *c != b'"' && *c != b'\\' && *c >= 0x20;
+    run + rest.iter().position(|c| !plain(c)).unwrap_or(rest.len())
 }
 
 /// A streaming JSON writer with internal comma/nesting bookkeeping.
@@ -296,12 +306,7 @@ impl Value {
 
     /// The numeric payload as a `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(whole_u64)
     }
 
     /// The array payload, if this is an array.
@@ -333,218 +338,352 @@ impl std::error::Error for ParseError {}
 /// Parse one complete JSON document (surrounding whitespace allowed,
 /// nothing else).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), input, pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after document"));
-    }
-    Ok(v)
+    scan(input, Scanner::tree)
 }
 
-/// Nesting depth bound: deeper documents are rejected instead of
-/// overflowing the stack (the daemon never emits anything close).
+/// Nesting depth bound: a value more than this many containers deep is
+/// rejected instead of overflowing the stack (the daemon never emits
+/// anything close).
 pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    input: &'a str,
-    pos: usize,
+/// What went wrong inside a [`Scanner`]; [`scan`] adds the position.
+pub type Flaw = &'static str;
+
+/// Run `document` over `src` as one complete JSON document: leading
+/// whitespace is skipped before it, and only whitespace may follow what
+/// it read.
+#[inline]
+pub fn scan<'a, T>(
+    src: &'a str,
+    document: impl FnOnce(&mut Scanner<'a>) -> Result<T, Flaw>,
+) -> Result<T, ParseError> {
+    let mut scanner = Scanner { src, pos: 0, depth: 0, keys: Vec::with_capacity(16) };
+    scanner.skip_ws();
+    let found = document(&mut scanner).and_then(|found| {
+        scanner.skip_ws();
+        if scanner.pos != src.len() {
+            return Err("trailing data after document");
+        }
+        Ok(found)
+    });
+    found.map_err(|message| ParseError { at: scanner.pos, message: message.to_string() })
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> ParseError {
-        ParseError { at: self.pos, message: message.to_string() }
+/// A cursor over one JSON text, borrowing it. Every byte it reads goes
+/// through `get`, so hostile input yields a [`Flaw`], never a panic.
+/// Callers walk the document with [`object`](Self::object) /
+/// [`array`](Self::array) callbacks and read the leaves they name;
+/// whatever they do not name they [`value`](Self::value)-skip, which
+/// still validates it. The token readers and the walkers are
+/// `#[inline]` so that a walk in another crate (the router's page read)
+/// compiles into one function with its callbacks; as plain calls across
+/// the crate boundary it measured ~15 % slower.
+#[derive(Debug)]
+pub struct Scanner<'a> {
+    src: &'a str,
+    pos: usize,
+    /// How many containers enclose the value under the cursor.
+    depth: usize,
+    /// The keys of the objects being scanned, innermost object last —
+    /// one stack for the whole document, so no object allocates its own.
+    keys: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Scanner<'a> {
+    /// The byte offset of the cursor.
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
+    /// The source between two positions the scanner itself reported.
+    #[inline]
+    pub fn slice(&self, from: usize, to: usize) -> Result<&'a str, Flaw> {
+        self.src.get(from..to).ok_or("scanner lost its place")
+    }
+
+    /// Run `scan`; if it fails, put the cursor back where it was — for a
+    /// fast path that reads one exact spelling and leaves every other to
+    /// the general walk.
+    #[inline]
+    pub fn attempt<T>(&mut self, scan: impl FnOnce(&mut Self) -> Result<T, Flaw>) -> Option<T> {
+        let (pos, depth, keys) = (self.pos, self.depth, self.keys.len());
+        let found = scan(self).ok();
+        if found.is_none() {
+            (self.pos, self.depth) = (pos, depth);
+            self.keys.truncate(keys);
+        }
+        found
+    }
+
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
+    #[inline]
+    fn eat(&mut self, byte: u8, flaw: Flaw) -> Result<(), Flaw> {
+        if self.peek() != Some(byte) {
+            return Err(flaw);
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
+    /// Exactly the bytes of `word`.
+    #[inline]
+    pub fn literal(&mut self, word: &str) -> Result<(), Flaw> {
+        let rest = self.src.as_bytes().get(self.pos..).unwrap_or_default();
+        if !rest.starts_with(word.as_bytes()) {
+            return Err("expected a literal");
         }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
+        self.pos += word.len();
+        Ok(())
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
+    /// Step into a non-empty container: its elements sit one level
+    /// deeper, and none may sit deeper than [`MAX_DEPTH`].
+    #[inline]
+    fn nest(&mut self) -> Result<(), Flaw> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err("nesting too deep");
         }
+        Ok(())
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
+    /// An object: `member` reads each value, told its (decoded) key. A
+    /// repeated key is a flaw, however it is spelled.
+    #[inline]
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), Flaw>,
+    ) -> Result<(), Flaw> {
+        self.eat(b'{', "expected an object")?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(map));
+            return Ok(());
         }
+        self.nest()?;
+        let outer_keys = self.keys.len();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string(true)?;
             self.skip_ws();
-            self.eat(b':')?;
+            self.eat(b':', "expected `:`")?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            if map.insert(key, value).is_some() {
-                return Err(self.err("duplicate object key"));
-            }
+            member(self, &key)?;
+            self.keys.push(key);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(map));
+                    self.depth -= 1;
+                    return self.pop_keys(outer_keys);
                 }
-                _ => return Err(self.err("expected `,` or `}`")),
+                _ => return Err("expected `,` or `}`"),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
+    /// Drop the innermost object's keys (everything past `outer_keys`),
+    /// failing if two of them are equal.
+    fn pop_keys(&mut self, outer_keys: usize) -> Result<(), Flaw> {
+        let keys = self.keys.get_mut(outer_keys..).unwrap_or_default();
+        keys.sort_unstable();
+        let repeated = keys.windows(2).any(|pair| pair.first() == pair.last());
+        self.keys.truncate(outer_keys);
+        if repeated {
+            return Err("duplicate object key");
+        }
+        Ok(())
+    }
+
+    /// An array: `element` reads each element.
+    #[inline]
+    pub fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), Flaw>,
+    ) -> Result<(), Flaw> {
+        self.eat(b'[', "expected an array")?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Arr(out));
+            return Ok(());
         }
+        self.nest()?;
         loop {
             self.skip_ws();
-            out.push(self.value(depth + 1)?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Arr(out));
+                    self.depth -= 1;
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected `,` or `]`")),
+                _ => return Err("expected `,` or `]`"),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes (no quote, backslash, control).
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+    /// Any value, validated and skipped.
+    pub fn value(&mut self) -> Result<(), Flaw> {
+        match self.peek() {
+            Some(b'{') => self.object(|scanner, _| scanner.value()),
+            Some(b'[') => self.array(Self::value),
+            Some(b'"') => self.string(false).map(drop),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => Err("expected a value"),
+        }
+    }
+
+    /// Any value, as a [`Value`] tree: the [`parse`] walk.
+    fn tree(&mut self) -> Result<Value, Flaw> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                let mut members = BTreeMap::new();
+                self.object(|scanner, key| {
+                    scanner.tree().map(|value| drop(members.insert(key.to_string(), value)))
+                })?;
+                Value::Obj(members)
             }
-            out.push_str(&self.input[start..self.pos]);
+            Some(b'[') => {
+                let mut elements = Vec::new();
+                self.array(|scanner| scanner.tree().map(|value| elements.push(value)))?;
+                Value::Arr(elements)
+            }
+            Some(b'"') => Value::Str(self.string(true)?.into_owned()),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true))?,
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false))?,
+            Some(b'n') => self.literal("null").map(|()| Value::Null)?,
+            Some(b'-' | b'0'..=b'9') => Value::Num(self.number()?),
+            _ => return Err("expected a value"),
+        })
+    }
+
+    /// A string token, validated: its text between the quotes, borrowed
+    /// from the source. With `decode` a token holding escapes yields its
+    /// decoded text instead; without, the raw text is all a caller
+    /// passing the token through needs.
+    #[inline]
+    pub fn string(&mut self, decode: bool) -> Result<Cow<'a, str>, Flaw> {
+        self.eat(b'"', "expected a string")?;
+        let open = self.pos;
+        let mut decoded: Option<String> = None;
+        loop {
+            let run = self.pos;
+            self.pos += plain_run(self.src.as_bytes().get(run..).unwrap_or_default());
+            if let Some(decoded) = decoded.as_mut() {
+                decoded.push_str(self.slice(run, self.pos)?);
+            }
             match self.peek() {
                 Some(b'"') => {
+                    let raw = self.slice(open, self.pos)?;
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(decoded.map_or(Cow::Borrowed(raw), Cow::Owned));
                 }
                 Some(b'\\') => {
+                    if decode && decoded.is_none() {
+                        decoded = Some(self.slice(open, self.pos)?.to_string());
+                    }
                     self.pos += 1;
-                    self.escape_into(&mut out)?;
+                    let escaped = self.escape()?;
+                    if let Some(decoded) = decoded.as_mut() {
+                        decoded.push(escaped);
+                    }
                 }
-                Some(_) => return Err(self.err("raw control character in string")),
-                None => return Err(self.err("unterminated string")),
+                Some(_) => return Err("raw control character in string"),
+                None => return Err("unterminated string"),
             }
         }
     }
 
-    fn escape_into(&mut self, out: &mut String) -> Result<(), ParseError> {
-        let c = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+    /// The character an escape stands for; the cursor is just past the
+    /// backslash.
+    fn escape(&mut self) -> Result<char, Flaw> {
+        let c = self.peek().ok_or("unterminated escape")?;
         self.pos += 1;
-        match c {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{08}'),
-            b'f' => out.push('\u{0C}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
+        Ok(match c {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{08}',
+            b'f' => '\u{0C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
             b'u' => {
                 let hi = self.hex4()?;
-                let cp = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair: a low surrogate must follow.
-                    if self.peek() != Some(b'\\') {
-                        return Err(self.err("unpaired high surrogate"));
+                let code = match hi {
+                    // A high surrogate must be followed by a low one.
+                    0xD800..=0xDBFF => {
+                        self.eat(b'\\', "unpaired high surrogate")?;
+                        self.eat(b'u', "unpaired high surrogate")?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..=0xDFFF).contains(&lo) {
+                            return Err("invalid low surrogate");
+                        }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                     }
-                    self.pos += 1;
-                    if self.peek() != Some(b'u') {
-                        return Err(self.err("unpaired high surrogate"));
-                    }
-                    self.pos += 1;
-                    let lo = self.hex4()?;
-                    if !(0xDC00..0xE000).contains(&lo) {
-                        return Err(self.err("invalid low surrogate"));
-                    }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else if (0xDC00..0xE000).contains(&hi) {
-                    return Err(self.err("unpaired low surrogate"));
-                } else {
-                    hi
+                    0xDC00..=0xDFFF => return Err("unpaired low surrogate"),
+                    _ => hi,
                 };
-                out.push(char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?);
+                char::from_u32(code).ok_or("invalid code point")?
             }
-            _ => return Err(self.err("invalid escape")),
-        }
-        Ok(())
+            _ => return Err("invalid escape"),
+        })
     }
 
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let mut v = 0u32;
+    fn hex4(&mut self) -> Result<u32, Flaw> {
+        let mut value = 0;
         for _ in 0..4 {
-            let c = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = (c as char).to_digit(16).ok_or_else(|| self.err("invalid hex digit"))?;
-            v = v * 16 + d;
+            let digit = self
+                .peek()
+                .and_then(|c| char::from(c).to_digit(16))
+                .ok_or("invalid \\u escape")?;
+            value = value * 16 + digit;
             self.pos += 1;
         }
-        Ok(v)
+        Ok(value)
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
+    #[inline]
+    fn digits(&mut self) -> Result<usize, Flaw> {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == from {
+            return Err("expected digits");
+        }
+        Ok(self.pos - from)
+    }
+
+    /// A number token, checked against the JSON grammar, as the double
+    /// every JSON consumer reads it as.
+    #[inline]
+    pub fn number(&mut self) -> Result<f64, Flaw> {
+        let from = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let int_digits = self.digits()?;
-        if int_digits > 1 && self.bytes[start] == b'0'
-            || int_digits > 1 && self.bytes[start] == b'-' && self.bytes[start + 1] == b'0'
-        {
-            return Err(self.err("leading zero"));
+        let leading_zero = self.peek() == Some(b'0');
+        if self.digits()? > 1 && leading_zero {
+            return Err("leading zero");
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -557,20 +696,25 @@ impl<'a> Parser<'a> {
             }
             self.digits()?;
         }
-        let text = &self.input[start..self.pos];
-        text.parse::<f64>().map(Value::Num).map_err(|_| self.err("unparseable number"))
+        self.slice(from, self.pos)?.parse().map_err(|_| "unparseable number")
     }
 
-    fn digits(&mut self) -> Result<usize, ParseError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected digits"));
-        }
-        Ok(self.pos - start)
+    /// A number that is a non-negative integer, as [`Value::as_u64`]
+    /// reads one.
+    #[inline]
+    pub fn unsigned(&mut self) -> Result<u64, Flaw> {
+        whole_u64(self.number()?).ok_or("expected a non-negative integer")
     }
+}
+
+/// `n` as a `u64` if it is a non-negative integer *by value* (`3.0` and
+/// `1e2` count) that a `u64` holds: below 2^64, which is exactly
+/// `u64::MAX as f64`, so no larger number saturates into range. Ids
+/// beyond 2^53 are read through the double, so they round alike on every
+/// path.
+#[inline]
+fn whole_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
 }
 
 #[cfg(test)]
@@ -776,6 +920,13 @@ mod tests {
         assert_eq!(v.get("a").and_then(Value::as_arr).map(<[Value]>::len), Some(1));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_f64(), Some(1.5));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), None);
+        // 2^64 is one past `u64::MAX`: out of range, not saturated into it.
+        // So is `u64::MAX` spelled out, which a double rounds up to 2^64;
+        // the largest double below 2^64 is the largest `u64` read.
+        let edges = "[18446744073709551616,18446744073709551615,18446744073709549568,1e19,-0]";
+        let edges: Vec<_> =
+            parse(edges).unwrap().as_arr().unwrap().iter().map(Value::as_u64).collect();
+        assert_eq!(edges, [None, None, Some(u64::MAX - 2047), Some(10_u64.pow(19)), Some(0)]);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Null.get("x"), None);
     }

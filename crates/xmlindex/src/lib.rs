@@ -9,7 +9,6 @@
 //! * [`InvertedIndex`] — keyword → postings of matching **element** nodes in
 //!   document order (an element matches a token if its label or the text it
 //!   directly contains produces that token);
-//! * [`LabelIndex`] — label → element nodes in document order;
 //! * [`XmlIndex`] — the facade bundling all of the above for one document;
 //! * [`sharded`] — the corpus-scale layer consumed by `extract-corpus`:
 //!   generational [`DocId`]s and the token → document directory over
@@ -32,12 +31,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod inverted;
-pub mod labels;
 pub mod sharded;
 pub mod tokenize;
 
 pub use inverted::{InvertedIndex, TokenId};
-pub use labels::LabelIndex;
 pub use sharded::{DocId, FanIn, ShardedPostings, ShardedPostingsBuilder};
 pub use tokenize::{tokenize, tokens_of};
 
@@ -46,27 +43,21 @@ use extract_xml::{Document, NodeId};
 /// All per-document indexes bundled together. Structure — ancestry,
 /// subtree intervals, LCAs — is the document's own (`extract_xml`'s
 /// preorder ids and `subtree_end` column); the index holds only what
-/// keyword and label lookups need.
+/// keyword lookups need (a label's tokens are keywords too).
 #[derive(Debug)]
 pub struct XmlIndex {
     inverted: InvertedIndex,
-    labels: LabelIndex,
 }
 
 impl XmlIndex {
-    /// Build every index for `doc` in one pass each.
+    /// Build the index for `doc`.
     pub fn build(doc: &Document) -> XmlIndex {
-        XmlIndex { inverted: InvertedIndex::build(doc), labels: LabelIndex::build(doc) }
+        XmlIndex { inverted: InvertedIndex::build(doc) }
     }
 
     /// The inverted keyword index.
     pub fn inverted(&self) -> &InvertedIndex {
         &self.inverted
-    }
-
-    /// The label index.
-    pub fn label_index(&self) -> &LabelIndex {
-        &self.labels
     }
 
     /// Postings (matching element nodes, document order) for a normalized
@@ -90,7 +81,7 @@ impl XmlIndex {
     /// Estimated heap footprint in bytes (reported by the indexing
     /// experiment, E10).
     pub fn memory_footprint(&self) -> usize {
-        self.inverted.memory_footprint() + self.labels.memory_footprint()
+        self.inverted.memory_footprint()
     }
 }
 
@@ -109,7 +100,5 @@ mod tests {
         assert_eq!(idx.postings("brook").len(), 1);
         assert_eq!(idx.postings("retailer").len(), 1);
         assert!(idx.memory_footprint() > 0);
-        let store = doc.first_element_with_label("store").unwrap();
-        assert_eq!(idx.label_index().nodes_by_str(&doc, "store"), &[store]);
     }
 }

@@ -2,7 +2,7 @@
 //! document — complete (every true match is indexed) and sound (every
 //! posting is a true match).
 
-use extract_index::{tokenize, InvertedIndex, LabelIndex, XmlIndex};
+use extract_index::{tokenize, InvertedIndex, XmlIndex};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
 
@@ -134,17 +134,6 @@ proptest! {
         // And iter() exposes exactly the reference's entries.
         for (token, list) in index.iter() {
             prop_assert_eq!(Some(list), reference.get(token).map(Vec::as_slice), "token {}", token);
-        }
-    }
-
-    #[test]
-    fn label_index_matches_document(spec in spec_strategy()) {
-        let doc = build(&spec);
-        let index = LabelIndex::build(&doc);
-        for label in LABELS.iter().chain(["db", "absent"].iter()) {
-            let via_index: Vec<NodeId> = index.nodes_by_str(&doc, label).to_vec();
-            let via_scan = doc.elements_with_label(label);
-            prop_assert_eq!(via_index, via_scan, "label {}", label);
         }
     }
 
