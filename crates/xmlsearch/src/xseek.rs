@@ -28,17 +28,38 @@ pub enum RootPolicy {
 /// Reusable buffers for [`result_roots_with`]: one instance serves every
 /// candidate document of a request (`'i` is the borrow of their indexes),
 /// so a corpus query allocates for its largest document, not once per
-/// document.
+/// document. What does not borrow the indexes is a [`RootsBuffers`],
+/// which a worker can keep warm from one request to the next.
 #[derive(Debug, Default)]
 pub struct RootsScratch<'i> {
     /// The query's posting lists in the current document, query order.
-    lists: Vec<&'i [NodeId]>,
+    pub(crate) lists: Vec<&'i [NodeId]>,
+    pub(crate) buffers: RootsBuffers,
+}
+
+/// The part of a [`RootsScratch`] that outlives a request: SLCA's
+/// buffers, the result roots, and the scoring sweep's cursors.
+#[derive(Debug, Default)]
+pub struct RootsBuffers {
     slca: SlcaScratch,
     slcas: Vec<NodeId>,
-    roots: Vec<NodeId>,
+    pub(crate) roots: Vec<NodeId>,
+    /// One forward-only position per posting list, for the scoring sweep
+    /// ([`crate::ranking::sweep_scores`]) over `roots`.
+    pub(crate) cursors: Vec<usize>,
 }
 
 impl<'i> RootsScratch<'i> {
+    /// A scratch over buffers an earlier request left behind.
+    pub fn with_buffers(buffers: RootsBuffers) -> RootsScratch<'i> {
+        RootsScratch { lists: Vec::new(), buffers }
+    }
+
+    /// The buffers, for the next request.
+    pub fn into_buffers(self) -> RootsBuffers {
+        self.buffers
+    }
+
     /// The posting lists (one per query keyword, query order) of the
     /// document the last [`result_roots_with`] call ran on — what a
     /// scorer restricts to each root's interval.
@@ -49,7 +70,7 @@ impl<'i> RootsScratch<'i> {
     /// The result roots the last [`result_roots_with`] call found, in
     /// document order.
     pub fn roots(&self) -> &[NodeId] {
-        &self.roots
+        &self.buffers.roots
     }
 }
 
@@ -63,7 +84,7 @@ pub fn result_roots(
 ) -> Vec<NodeId> {
     let mut scratch = RootsScratch::default();
     result_roots_with(doc, index, model, query, policy, &mut scratch);
-    scratch.roots
+    scratch.buffers.roots
 }
 
 /// [`result_roots`] into caller-owned buffers: the roots land in
@@ -77,7 +98,7 @@ pub fn result_roots_with<'i>(
     policy: RootPolicy,
     scratch: &mut RootsScratch<'i>,
 ) {
-    let RootsScratch { lists, slca, slcas, roots } = scratch;
+    let RootsScratch { lists, buffers: RootsBuffers { slca, slcas, roots, .. } } = scratch;
     lists.clear();
     lists.extend(query.keywords().iter().map(|k| index.postings(k)));
     match policy {

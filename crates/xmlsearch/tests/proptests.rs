@@ -5,9 +5,9 @@
 use extract_index::XmlIndex;
 use extract_search::slca::{slca_bruteforce, slca_indexed_lookup, slca_scan_eager};
 use extract_search::elca::{elca_bruteforce, elca_stack};
-use extract_search::ranking::{self, ranked_results, score_root};
+use extract_search::ranking::{self, ranked_results, score_root, sweep_scores};
 use extract_search::result::postings_within;
-use extract_search::xseek::{self, RootPolicy};
+use extract_search::xseek::{self, RootPolicy, RootsScratch};
 use extract_search::{Algorithm, Engine, KeywordQuery, QueryResult};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
@@ -158,6 +158,10 @@ proptest! {
     /// Ranking by counting: a root's score from the number of postings in
     /// its ID interval is the score of its built result, to the bit — and
     /// the interval slice is exactly the ancestor-filtered posting list.
+    /// The sweep that scores a request's roots in one merge emits, root by
+    /// root, exactly the binary-search reference's bits — on the query's
+    /// own roots and on other disjoint root sets, with a keyword repeated
+    /// and a keyword that matches nothing.
     #[test]
     fn counting_scores_equal_built_scores_bit_for_bit(
         spec in spec_strategy(),
@@ -184,6 +188,32 @@ proptest! {
                 score_root(&doc, &lists, root).to_bits(),
                 ranking::score(&doc, &built).to_bits()
             );
+        }
+        let mut swept: Vec<(NodeId, u64)> = Vec::new();
+        ranking::scored_roots(&doc, index, model, &q, &mut RootsScratch::default(), |root, score| {
+            swept.push((root, score.to_bits()));
+        });
+        let reference = |lists: &[&[NodeId]], roots: &[NodeId]| -> Vec<(NodeId, u64)> {
+            roots.iter().map(|&root| (root, score_root(&doc, lists, root).to_bits())).collect()
+        };
+        let roots = xseek::result_roots(&doc, index, model, &q, RootPolicy::Entity);
+        prop_assert_eq!(&swept, &reference(&lists, &roots));
+        let leaves: Vec<NodeId> =
+            doc.subtree(doc.root()).filter(|&n| doc.subtree_size(n) == 1).collect();
+        let children: Vec<NodeId> = doc.children(doc.root()).collect();
+        let slcas = slca_bruteforce(&doc, &lists);
+        let (first, empty): (&[NodeId], &[NodeId]) = (lists[0], &[]);
+        let odd: Vec<&[NodeId]> =
+            [first, empty, first].into_iter().chain(lists.iter().copied()).chain([first]).collect();
+        let mut cursors = Vec::new();
+        for roots in [&roots, &leaves, &children, &slcas, &vec![doc.root()], &Vec::new()] {
+            for lists in [&lists, &odd] {
+                let mut swept: Vec<(NodeId, u64)> = Vec::new();
+                sweep_scores(&doc, lists, roots, &mut cursors, |root, score| {
+                    swept.push((root, score.to_bits()));
+                });
+                prop_assert_eq!(&swept, &reference(lists, roots));
+            }
         }
         // The ranked entry point is the old pipeline — build every result,
         // score it, stable-sort — in results, scores and order.

@@ -9,6 +9,9 @@
 #      cargo test --release --test alloc_budget
 #                                     — the allocation budgets again, on the
 #                                       profile that ships
+#      cargo test --release -p extract-search
+#                                     — the search proptests where integer
+#                                       overflow wraps instead of panicking
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -37,6 +40,7 @@ run() {
 run cargo build --release --offline
 run cargo test -q --offline
 run cargo test -q --offline --release --test alloc_budget
+run cargo test -q --offline --release -p extract-search
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

@@ -40,10 +40,12 @@
 //!
 //! A miss pays for the window it serves, not for the results it ranks:
 //! every result root of every candidate document is *scored by counting*
-//! (its keyword matches are the postings inside its ID interval — two
-//! binary searches per keyword, [`ranking::scored_roots`]), the served
-//! window is selected from `(document, score, root)` triples, and only
-//! its ≤ `k` roots ever reach the snippet kernel. The kernel runs in
+//! (its keyword matches are the postings inside its ID interval, found by
+//! one forward merge over each keyword's posting list,
+//! [`ranking::scored_roots`]), the served window's `(document, score,
+//! root)` triples are kept in a buffer of at most twice its size — any
+//! other result is only counted — and only its ≤ `k` roots ever reach the
+//! snippet kernel. The kernel runs in
 //! this thread's [`IListScratch`](extract_core::ilist::IListScratch) —
 //! statistics, IList, selection and XML in one pass over reused buffers —
 //! and what it leaves is the snippet's bytes
@@ -74,7 +76,7 @@
 //! assert_eq!(corpus.name(page[0].doc), "texas");
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -85,7 +87,7 @@ use extract_core::{CacheStats, Extract, ExtractConfig};
 use extract_corpus::{Corpus, DocId, FanIn};
 use extract_obs::lock_unpoisoned;
 use extract_search::ranking::{self, by_score_desc};
-use extract_search::xseek::RootsScratch;
+use extract_search::xseek::{RootsBuffers, RootsScratch};
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
 
@@ -163,6 +165,11 @@ thread_local! {
     /// This thread's snippet kernel scratch: warm after its first miss, so
     /// a served snippet costs the one allocation of its bytes.
     static SCRATCH: RefCell<IListScratch> = RefCell::new(IListScratch::default());
+
+    /// This thread's search buffers (SLCA, result roots, sweep cursors):
+    /// warm after its first miss, so ranking more results does not
+    /// allocate more.
+    static ROOTS: Cell<RootsBuffers> = Cell::default();
 }
 
 /// Run `f` on this thread's kernel scratch (on a fresh one should it be
@@ -181,6 +188,57 @@ type Ranked = (DocId, f64, NodeId);
 /// since a `(document, root)` pair occurs once.
 fn page_order(a: &Ranked, b: &Ranked) -> std::cmp::Ordering {
     by_score_desc(a.1, b.1).then_with(|| a.0.cmp(&b.0)).then_with(|| a.2.cmp(&b.2))
+}
+
+/// The best `keep` results offered so far, in page order once finished,
+/// and how many were offered in all. Offers go into a buffer of at most
+/// `2 · keep` triples; when it fills, a `select_nth` cuts it back to the
+/// best `keep`, and the worst of those becomes the cut-off. A later offer
+/// that does not beat the cut-off cannot make the window and is only
+/// counted. `keep == 0` counts and keeps nothing; `keep == usize::MAX`
+/// never fills, so it keeps everything.
+struct Window {
+    keep: usize,
+    kept: Vec<Ranked>,
+    /// The worst kept triple at the last cut, once there has been one.
+    cutoff: Option<Ranked>,
+    total: usize,
+}
+
+impl Window {
+    fn new(keep: usize) -> Window {
+        Window { keep, kept: Vec::new(), cutoff: None, total: 0 }
+    }
+
+    fn offer(&mut self, at: Ranked) {
+        self.total += 1;
+        if self.keep == 0 || self.cutoff.is_some_and(|cut| page_order(&at, &cut).is_ge()) {
+            return;
+        }
+        self.kept.push(at);
+        if self.kept.len() >= self.keep.saturating_mul(2) {
+            self.cut();
+        }
+    }
+
+    /// Keep only the best `keep` triples (unordered), and the worst of
+    /// them as the cut-off.
+    fn cut(&mut self) {
+        if let Some(last) = self.keep.checked_sub(1).filter(|&last| last < self.kept.len()) {
+            self.kept.select_nth_unstable_by(last, page_order);
+            self.kept.truncate(self.keep);
+            self.cutoff = self.kept.last().copied();
+        }
+    }
+
+    /// The kept prefix of the page, sorted, and the number of offers.
+    fn finish(mut self) -> (Vec<Ranked>, usize) {
+        if self.kept.len() > self.keep {
+            self.cut();
+        }
+        self.kept.sort_unstable_by(page_order);
+        (self.kept, self.total)
+    }
 }
 
 /// The shareable cache state of one serving lineage: result pages,
@@ -376,33 +434,29 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Search + rank: score every result root of every candidate document
-    /// by counting, then put the first `served` of them (all, for
+    /// by counting, and keep the first `served` of them (all, for
     /// `usize::MAX`) in page order. Returns that prefix and how many
-    /// results there are in all. Nothing is built for any result here —
-    /// one triple each — and the buffers SLCA and entity lifting work in
-    /// are shared by every candidate.
+    /// results there are in all. Nothing is built for any result here: a
+    /// result is a triple in a buffer of at most `2 · served` ([`Window`])
+    /// or, once it cannot make the window, only a count. The buffers SLCA,
+    /// entity lifting and the scoring sweep work in are shared by every
+    /// candidate.
     fn search(
         &self,
         query: &KeywordQuery,
         candidates: &[DocId],
         served: usize,
     ) -> (Vec<Ranked>, usize) {
-        let mut ranked: Vec<Ranked> = Vec::new();
-        let mut scratch = RootsScratch::default();
+        let mut window = Window::new(served);
+        let mut scratch = RootsScratch::with_buffers(ROOTS.take());
         for &doc in candidates {
             let engine = self.corpus.engine(doc);
-            let emit = |root, score| ranked.push((doc, score, root));
+            let emit = |root, score| window.offer((doc, score, root));
             let (document, index, model) = (self.corpus.doc(doc), engine.index(), engine.model());
             ranking::scored_roots(document, index, model, query, &mut scratch, emit);
         }
-        let total = ranked.len();
-        let served = served.min(total);
-        if served < total {
-            ranked.select_nth_unstable_by(served, page_order);
-            ranked.truncate(served);
-        }
-        ranked.sort_unstable_by(page_order);
-        (ranked, total)
+        ROOTS.set(scratch.into_buffers());
+        window.finish()
     }
 
     /// One served result's snippet XML, via the shared snippet cache when
@@ -852,6 +906,48 @@ mod tests {
         assert_eq!(session.corpus_page_stats().hits, before + 1, "same window must hit");
         let first = session.answer_corpus_topk("store texas", &config, 1, 0);
         assert_eq!(first.results.len(), full.len().min(1), "k=1 window, not a stale alias");
+    }
+
+    /// The bounded window buffer against the unbounded answer, on windows
+    /// whose cut lands inside ties: three identical documents give every
+    /// score three times, once per document, `2 · (offset + k)` stays below
+    /// `total`, and some cut-off falls between equal scores of different
+    /// documents.
+    #[test]
+    fn bounded_windows_equal_slices_of_the_unbounded_answer() {
+        let mut builder = CorpusBuilder::new();
+        for name in ["twin-a", "twin-b", "twin-c"] {
+            let twin = RetailerConfig { retailers: 3, seed: 0xA, ..Default::default() };
+            builder.add_parsed(name, twin.generate());
+        }
+        let corpus = builder.finish();
+        let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+        let config = ExtractConfig::with_bound(8);
+        let rows = |answers: &[CorpusAnswer]| -> Vec<(DocId, NodeId, u64, String)> {
+            answers.iter().map(|a| (a.doc, a.root, a.score.to_bits(), a.snippet.to_string())).collect()
+        };
+        for q in ["store texas", "texas"] {
+            let full = session.answer_corpus(q, &config);
+            let total = full.len();
+            assert!(total > 2 * (5 + 3), "{q}: only {total} results");
+            let tied_across_documents = |end: usize| {
+                let pair = full.get(end - 1).zip(full.get(end));
+                pair.is_some_and(|(a, b)| a.score == b.score && a.doc != b.doc)
+            };
+            assert!(
+                [1, 2, 4, 8].into_iter().any(tied_across_documents),
+                "{q}: no window ends inside a cross-document tie"
+            );
+            for k in [0, 1, 3] {
+                for offset in [0, 1, 5, total - 1, total, usize::MAX] {
+                    let page = session.answer_corpus_topk(q, &config, k, offset);
+                    assert_eq!(page.total, total, "{q} k={k} offset={offset}");
+                    let start = offset.min(total);
+                    let want = &full[start..start.saturating_add(k).min(total)];
+                    assert_eq!(rows(&page.results), rows(want), "{q} k={k} offset={offset}");
+                }
+            }
+        }
     }
 
     proptest::proptest! {

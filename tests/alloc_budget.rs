@@ -9,9 +9,10 @@
 //!    quarter of what the parent commit of the first budget did on this
 //!    corpus, and at most a third of what it cost while a cached snippet
 //!    was an owned IList, snippet and tree;
-//! 2. for a fixed window the search stage's allocations do not grow with
-//!    the number of results it ranks — one `(doc, score, root)` triple
-//!    each, in one growing vector;
+//! 2. at a fixed window, a miss that ranks 13 177 results allocates no
+//!    more than one that ranks 176: the ranked `(doc, score, root)`
+//!    triples live in a buffer of at most twice the window, and SLCA, the
+//!    result roots and the scoring sweep reuse the worker's warm buffers;
 //! 3. one snippet is a bounded number of allocations on entity-sized
 //!    results, and at most linear in the result's size beyond that (the
 //!    allocation-count form of the paper's "generation time linear in
@@ -249,28 +250,27 @@ fn a_miss_allocates_a_third_of_what_owned_snippets_did() {
 }
 
 #[test]
-fn ranking_more_results_allocates_no_more_than_the_triples_growth() {
+fn ranking_more_results_allocates_no_more_at_a_fixed_window() {
     let corpus = corpus();
     let config = ExtractConfig::default();
     let caches = warm_caches(&corpus, 0, &config);
-    // An empty window: the request is its search stage.
-    let stage = |q| {
-        let (page, allocations) = miss(&corpus, &caches, &config, q, 0);
-        (page.total, allocations)
-    };
-    let (few, few_allocations) = stage("retailer apparel");
-    let (many, many_allocations) = stage("woman outwear");
-    let (most, most_allocations) = stage("name");
-    assert!(few < 200 && many > 5 * few && most > 10 * many, "{few} / {many} / {most} results");
-    // Doubling a vector from ~200 to ~13 000 entries is seven steps; the
-    // candidate documents (16 vs 48) cost nothing each.
-    for (results, allocations) in [(many, many_allocations), (most, most_allocations)] {
-        assert!(
-            allocations <= few_allocations + 8,
-            "ranking {results} results took {allocations} allocations, {few} took {few_allocations}"
-        );
+    let queries = ["retailer apparel", "name"];
+    // One round grows this thread's search and snippet buffers to both
+    // queries; the second is what a warm worker pays.
+    for q in queries {
+        miss(&corpus, &caches, &config, q, PAGE);
     }
-    assert!(most_allocations <= 40, "{most_allocations} allocations in the search stage");
+    let [(few, few_allocations), (most, most_allocations)] = queries.map(|q| {
+        let (page, allocations) = miss(&corpus, &caches, &config, q, PAGE);
+        assert_eq!(page.results.len(), PAGE, "{q}: a full page");
+        println!("{q:20} ranks {:6} results in {allocations} allocations", page.total);
+        (page.total, allocations)
+    });
+    assert!(few < 200 && most > 50 * few, "{few} / {most} results");
+    assert!(
+        most_allocations <= few_allocations,
+        "ranking {most} results took {most_allocations} allocations, {few} took {few_allocations}"
+    );
 }
 
 #[test]
