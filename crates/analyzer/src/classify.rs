@@ -3,8 +3,80 @@
 //! Classification is computed **per label path** (context-sensitive: `name`
 //! under `retailer` and under `store` are classified independently) and
 //! cached densely, so per-node queries are O(1).
+//!
+//! # One column per node
+//!
+//! The model keeps one `u32` per node. Most entries name the node's label
+//! path, which is all classification reads. A *valued attribute* — an
+//! attribute element whose only child is its text — names its **feature**
+//! instead: the `(entity label, attribute label, value)` triple of §2.3,
+//! numbered once per document so that numeric order *is* the order the
+//! statistics list values in (type, then value by first eight bytes,
+//! length, bytes — see [`crate::FeatureTables`]). A result's feature table
+//! is then a count over the ids in its interval, and no value is read.
+//! The attribute's own path is still one load away: its text child's entry
+//! records it.
+//!
+//! An attribute with no entity above it anywhere belongs to whichever
+//! result root counts it (§2.3's statistics name that root's label as its
+//! entity), so it gets one id per ancestor that could be that root, and
+//! its entry points at them, ordered by depth.
 
-use extract_xml::{Document, NodeId, PathId, Schema};
+use std::cmp::Ordering;
+
+use extract_xml::{Document, NodeId, PathId, Schema, Symbol};
+
+use crate::features::{inline_key, FeatureType};
+
+/// The top two bits of a column entry say what its low 30 bits are.
+const KIND: u32 = 0b11 << 30;
+/// An element's label path.
+const ELEMENT: u32 = 0;
+/// A text node's label path: its parent's.
+const TEXT: u32 = 0b01 << 30;
+/// A valued attribute's feature id.
+const FEATURE: u32 = 0b10 << 30;
+/// A valued attribute with no entity above it: where its ids start in
+/// the orphan table.
+const ORPHAN: u32 = 0b11 << 30;
+
+/// The column entry of `kind` holding `value`.
+///
+/// # Panics
+/// On a value of 2³⁰ or more: a document with that many label paths or
+/// features cannot be represented, and truncating would alias them.
+fn entry(kind: u32, value: usize) -> u32 {
+    match u32::try_from(value) {
+        Ok(v) if v & KIND == 0 => kind | v,
+        _ => panic!("{value} label paths or features exceed the entity model's 2^30"),
+    }
+}
+
+/// One node as the model's column records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// An element that is not a valued attribute, on this path.
+    Element(PathId),
+    /// A text node, on its parent's path.
+    Text(PathId),
+    /// A valued attribute with an entity above it: its feature id.
+    Feature(u32),
+    /// A valued attribute with no entity above it: where its ids start in
+    /// the orphan table ([`EntityModel::orphan_feature`]).
+    Orphan(u32),
+}
+
+impl Slot {
+    fn of(entry: u32) -> Slot {
+        let value = entry & !KIND;
+        match entry & KIND {
+            ELEMENT => Slot::Element(PathId::from_index(value as usize)),
+            TEXT => Slot::Text(PathId::from_index(value as usize)),
+            FEATURE => Slot::Feature(value),
+            _ => Slot::Orphan(value),
+        }
+    }
+}
 
 /// The three node categories of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,18 +101,42 @@ impl std::fmt::Display for NodeCategory {
 }
 
 /// The classified structural model of one document: the inferred
-/// [`Schema`] plus a category per label path.
+/// [`Schema`], a category per label path, and one column per node that
+/// names its path or, on a valued attribute, its feature (module docs).
 #[derive(Debug, Clone)]
 pub struct EntityModel {
     schema: Schema,
     /// Indexed by `PathId::index()`.
     categories: Vec<NodeCategory>,
+    /// One entry per node, by `NodeId::index()`.
+    column: Vec<u32>,
+    /// Per valued attribute with no entity above it: its feature id under
+    /// a result rooted at each of its ancestors, by the ancestor's depth.
+    orphans: Vec<u32>,
+    /// Each feature type with the first id numbered under it, in id order.
+    types: Vec<(FeatureType, u32)>,
+    /// How many feature ids there are.
+    features: usize,
+}
+
+/// A valued attribute's feature, waiting for its id.
+struct Numbering {
+    ftype: FeatureType,
+    /// The value's first eight bytes and its length ([`inline_key`]).
+    prefix: u64,
+    len: usize,
+    /// The attribute, whose text is the value.
+    node: NodeId,
+    /// Where the id goes: a column entry, or an orphan-table entry.
+    at: usize,
+    orphan: bool,
 }
 
 impl EntityModel {
-    /// Analyze `doc`: infer the schema (DTD-aware) and classify every path.
+    /// Analyze `doc`: infer the schema (DTD-aware), classify every path,
+    /// and number every valued attribute's feature.
     pub fn analyze(doc: &Document) -> EntityModel {
-        let schema = Schema::infer(doc);
+        let (schema, paths) = Schema::infer_with_node_paths(doc);
         let categories = schema
             .paths()
             .map(|(_, info)| {
@@ -53,7 +149,102 @@ impl EntityModel {
                 }
             })
             .collect();
-        EntityModel { schema, categories }
+        let column = paths
+            .into_iter()
+            .enumerate()
+            .map(|(i, path)| {
+                let kind = if doc.is_text(NodeId::from_index(i)) { TEXT } else { ELEMENT };
+                entry(kind, path.index())
+            })
+            .collect();
+        let mut model = EntityModel {
+            schema,
+            categories,
+            column,
+            orphans: Vec::new(),
+            types: Vec::new(),
+            features: 0,
+        };
+        model.number_features(doc);
+        model
+    }
+
+    /// Give every valued attribute its feature id: `(owner, attribute
+    /// label, value)`, the owner being the label of the nearest entity
+    /// above it, numbered in statistics order — equal triples share an id.
+    fn number_features(&mut self, doc: &Document) {
+        // The label of each element's nearest entity ancestor-or-self; a
+        // parent precedes its children in document order.
+        let mut owners: Vec<Option<Symbol>> = vec![None; doc.len()];
+        let mut pending: Vec<Numbering> = Vec::new();
+        let mut chain: Vec<Symbol> = Vec::new();
+        for node in doc.all_nodes() {
+            let Some(attribute) = doc.label(node) else { continue };
+            let parent = doc.parent(node);
+            let above = parent.and_then(|p| owners[p.index()]);
+            let category = self.category(node);
+            let entity = (category == NodeCategory::Entity).then_some(attribute);
+            owners[node.index()] = entity.or(above);
+            let (NodeCategory::Attribute, Some(value), Some(_)) =
+                (category, doc.text_of(node), parent)
+            else {
+                continue;
+            };
+            let (prefix, len) = inline_key(value);
+            let numbering = |entity, at, orphan| Numbering {
+                ftype: FeatureType { entity, attribute },
+                prefix,
+                len,
+                node,
+                at,
+                orphan,
+            };
+            match above {
+                Some(entity) => pending.push(numbering(entity, node.index(), false)),
+                None => {
+                    chain.clear();
+                    chain.extend(doc.ancestors(node).filter_map(|a| doc.label(a)));
+                    let base = self.orphans.len();
+                    self.column[node.index()] = entry(ORPHAN, base);
+                    for (depth, &entity) in chain.iter().rev().enumerate() {
+                        self.orphans.push(0);
+                        pending.push(numbering(entity, base + depth, true));
+                    }
+                }
+            }
+        }
+
+        let text = |n: &Numbering| doc.text_of(n.node).unwrap_or_default();
+        let order = |a: &Numbering, b: &Numbering| {
+            (a.ftype, a.prefix, a.len).cmp(&(b.ftype, b.prefix, b.len)).then_with(|| {
+                // Eight bytes and the length spell out a short value.
+                if a.len <= 8 {
+                    Ordering::Equal
+                } else {
+                    text(a).cmp(text(b))
+                }
+            })
+        };
+        pending.sort_unstable_by(order);
+        let mut id = 0;
+        let mut previous: Option<&Numbering> = None;
+        for n in &pending {
+            if let Some(p) = previous {
+                if order(p, n) != Ordering::Equal {
+                    id += 1;
+                }
+            }
+            if previous.is_none_or(|p| p.ftype != n.ftype) {
+                self.types.push((n.ftype, entry(0, id)));
+            }
+            if n.orphan {
+                self.orphans[n.at] = entry(0, id);
+            } else {
+                self.column[n.at] = entry(FEATURE, id);
+            }
+            previous = Some(n);
+        }
+        self.features = if pending.is_empty() { 0 } else { id + 1 };
     }
 
     /// The underlying structural summary.
@@ -66,9 +257,54 @@ impl EntityModel {
         self.categories[path.index()]
     }
 
+    /// The column entry of a node.
+    fn slot(&self, node: NodeId) -> Slot {
+        Slot::of(self.column[node.index()])
+    }
+
+    /// The label path of a node (for text nodes, the parent element's path).
+    pub fn path_of(&self, node: NodeId) -> PathId {
+        match self.slot(node) {
+            Slot::Element(path) | Slot::Text(path) => path,
+            // A valued attribute's only child is its text, on its path.
+            Slot::Feature(_) | Slot::Orphan(_) => {
+                match self.slot(NodeId::from_index(node.index() + 1)) {
+                    Slot::Text(path) => path,
+                    _ => unreachable!("a valued attribute's next node is its text"),
+                }
+            }
+        }
+    }
+
     /// Category of an element node (for text nodes: the parent's category).
     pub fn category(&self, node: NodeId) -> NodeCategory {
-        self.category_of_path(self.schema.path_of(node))
+        match self.slot(node) {
+            Slot::Element(path) | Slot::Text(path) => self.category_of_path(path),
+            Slot::Feature(_) | Slot::Orphan(_) => NodeCategory::Attribute,
+        }
+    }
+
+    /// The column entries of the nodes `from..to` (by index), in order.
+    pub(crate) fn slots(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = Slot> + '_ {
+        self.column.get(from.index()..to.index()).unwrap_or_default().iter().map(|&e| Slot::of(e))
+    }
+
+    /// The feature id of a valued attribute with no entity above it (its
+    /// slot's [`Slot::Orphan`] `at`), counted under a result root at
+    /// `depth`: one of the attribute's ancestors.
+    pub(crate) fn orphan_feature(&self, at: u32, depth: usize) -> Option<u32> {
+        self.orphans.get(at as usize + depth).copied()
+    }
+
+    /// How many feature ids the document has: every id is below it.
+    pub(crate) fn feature_count(&self) -> usize {
+        self.features
+    }
+
+    /// Every feature type with the first id numbered under it, in id order:
+    /// a type's ids run up to the next type's first.
+    pub(crate) fn feature_types(&self) -> &[(FeatureType, u32)] {
+        &self.types
     }
 
     /// Whether the element node is an entity.

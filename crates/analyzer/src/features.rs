@@ -13,17 +13,19 @@
 //! Feature types are keyed by **names** (labels), not label paths, matching
 //! the paper's definition.
 //!
-//! The statistics are one scan and one sort: every attribute occurrence of
-//! the result becomes a `(type, node)` row, the rows are sorted by `(type,
-//! value, node)`, and the runs of that order *are* the table — a type's run
-//! holds its values' runs, a value's run is its instance list in document
-//! order. No value string is hashed or copied, and the tables
-//! ([`FeatureTables`]) can be handed back and refilled, so a warm caller
-//! computes statistics without allocating.
+//! The statistics are one scan and a count. The entity model numbers
+//! every attribute occurrence's `(type, value)` once per document, in the
+//! order the tables list values ([`crate::EntityModel`]'s column), so a
+//! result's table is: count each id in the result's interval, sort the
+//! distinct ids it holds, and place each occurrence after the ones before
+//! its id. A type's run of ids holds its values, a value's run of nodes is
+//! its instance list in document order. No value is read, hashed or
+//! compared, and the tables ([`FeatureTables`]) can be handed back and
+//! refilled, so a warm caller computes statistics without allocating.
 
 use extract_xml::{Document, NodeId, Symbol};
 
-use crate::classify::{EntityModel, NodeCategory};
+use crate::classify::{EntityModel, NodeCategory, Slot};
 
 /// A feature type `(entity label, attribute label)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,7 +62,7 @@ pub struct ValueStats<'d> {
     pub type_distinct: u32,
 }
 
-/// One value's run of the sorted occurrences.
+/// One value's run of the placed occurrences.
 #[derive(Debug, Clone, Copy)]
 struct ValueRun {
     ftype: FeatureType,
@@ -79,21 +81,9 @@ struct TypeRun {
     distinct: u32,
 }
 
-/// One attribute occurrence, keyed for the sort: the value's length and
-/// leading bytes sit inline, so rows sort as integers and the text is read
-/// only to split values that share both.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    ftype: FeatureType,
-    /// The value's first eight bytes, big-endian, zero-padded.
-    prefix: u64,
-    /// The value's length in bytes.
-    len: usize,
-    node: NodeId,
-}
-
-/// A value's `(prefix, len)` key.
-fn inline_key(value: &str) -> (u64, usize) {
+/// A value's first eight bytes, big-endian and zero-padded, and its length:
+/// the integer part of the value order.
+pub(crate) fn inline_key(value: &str) -> (u64, usize) {
     let mut head = [0; 8];
     let bytes = value.as_bytes();
     let n = bytes.len().min(8);
@@ -103,38 +93,25 @@ fn inline_key(value: &str) -> (u64, usize) {
     (u64::from_be_bytes(head), bytes.len())
 }
 
-impl Row {
-    /// The integer part of the sort key.
-    fn key(&self) -> (FeatureType, u64, usize) {
-        (self.ftype, self.prefix, self.len)
-    }
-
-    /// [`Row::key`] then the node, packed into three words: the order the
-    /// first sort pass puts rows in, compared without branching on fields.
-    fn packed(&self) -> (u64, u64, u64) {
-        let FeatureType { entity, attribute } = self.ftype;
-        let ftype = (entity.index() as u64) << 32 | attribute.index() as u64;
-        (ftype, self.prefix, (self.len as u64) << 32 | self.node.index() as u64)
-    }
-
-    /// Whether the key alone decides the value: it holds all of its bytes.
-    fn inline(&self) -> bool {
-        self.len <= 8
-    }
-}
-
 /// The buffers [`ResultStats`] are computed into, reusable across results
-/// ([`ResultStats::compute_with`], [`ResultStats::into_tables`]).
+/// and documents ([`ResultStats::compute_with`],
+/// [`ResultStats::into_tables`]).
 ///
 /// Values are ordered by `(prefix, length, bytes)` — a total order on
-/// strings, cheaper than byte order because most values are told apart
-/// by their first eight bytes and length, and equal ones are never
-/// compared byte by byte unless they are longer than that.
+/// strings, which the entity model numbers features in once per document;
+/// most values are told apart by their first eight bytes and length.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureTables {
-    /// Every attribute occurrence, sorted by `(type, value, node)`.
-    rows: Vec<Row>,
-    /// The same nodes in the same order: each value's run is a slice.
+    /// The result's attribute occurrences as `(feature id, node)`, in
+    /// document order.
+    occurrences: Vec<(u32, NodeId)>,
+    /// By feature id: how often the result holds it, then, while nodes are
+    /// placed, where its next one goes. All zero between fills.
+    counts: Vec<u32>,
+    /// The feature ids the result holds, each once; sorted before use.
+    present: Vec<u32>,
+    /// The occurrences' nodes by `(feature, node)`: each value's run is a
+    /// slice.
     nodes: Vec<NodeId>,
     /// Distinct `(type, value)` pairs, sorted.
     values: Vec<ValueRun>,
@@ -152,78 +129,97 @@ fn count32(n: usize) -> u32 {
 impl FeatureTables {
     /// Refill the tables with the statistics of the subtree at `root`.
     fn fill(&mut self, doc: &Document, model: &EntityModel, root: NodeId) {
-        let FeatureTables { rows, nodes, values, types, entities } = self;
-        rows.clear();
+        let FeatureTables { occurrences, counts, present, nodes, values, types, entities } = self;
+        occurrences.clear();
+        present.clear();
         nodes.clear();
         values.clear();
         types.clear();
         entities.clear();
         // A text node has no attributes below it.
-        let Some(root_label) = doc.label(root) else {
+        if doc.is_text(root) {
             return;
-        };
-        // One scan of the root's ID interval, which also collects the
-        // entities. Attributes arrive in document order, so consecutive
-        // ones usually share a parent: remember the last parent's owner
-        // instead of re-walking to it.
-        let mut last_owner: Option<(NodeId, Symbol)> = None;
-        for node in doc.subtree_elements(root) {
-            match model.category(node) {
-                NodeCategory::Entity => {
-                    entities.push(node);
+        }
+        if counts.len() < model.feature_count() {
+            counts.resize(model.feature_count(), 0);
+        }
+        // One scan of the root's ID interval in the model's column, which
+        // also collects the entities. An attribute above every entity
+        // takes the root's label as its entity: its id depends on the
+        // root's depth, found once, at the first such attribute.
+        let mut depth = None;
+        let slots = model.slots(root, doc.subtree_end(root));
+        for (node, slot) in (root.index()..).map(NodeId::from_index).zip(slots) {
+            let feature = match slot {
+                Slot::Element(path) => {
+                    if model.category_of_path(path) == NodeCategory::Entity {
+                        entities.push(node);
+                    }
                     continue;
                 }
+                Slot::Text(_) => continue,
                 // The root's own value describes no entity below it.
-                NodeCategory::Attribute if node != root => {}
-                _ => continue,
+                _ if node == root => continue,
+                Slot::Feature(id) => id,
+                Slot::Orphan(at) => {
+                    let depth = *depth.get_or_insert_with(|| doc.depth(root));
+                    match model.orphan_feature(at, depth) {
+                        Some(id) => id,
+                        None => continue,
+                    }
+                }
+            };
+            let Some(count) = counts.get_mut(feature as usize) else { continue };
+            if *count == 0 {
+                present.push(feature);
             }
-            let (Some(value), Some(parent), Some(attribute)) =
-                (doc.text_of(node), doc.parent(node), doc.label(node))
+            *count += 1;
+            occurrences.push((feature, node));
+        }
+        // Ids in order are values in order, grouped by type: walk them
+        // beside the model's type table, turning each count into the
+        // position its value's run starts at.
+        present.sort_unstable();
+        let kinds = model.feature_types();
+        let mut kind = 0;
+        let mut start = 0;
+        for &feature in present.iter() {
+            while kinds.get(kind + 1).is_some_and(|&(_, first)| first <= feature) {
+                kind += 1;
+            }
+            let (Some(&(ftype, _)), Some(count)) =
+                (kinds.get(kind), counts.get_mut(feature as usize))
             else {
                 continue;
             };
-            let owner = match last_owner {
-                Some((p, owner)) if p == parent => owner,
-                _ => model
-                    .entity_of(doc, parent)
-                    .and_then(|entity| doc.label(entity))
-                    .unwrap_or(root_label),
-            };
-            last_owner = Some((parent, owner));
-            let (prefix, len) = inline_key(value);
-            rows.push(Row { ftype: FeatureType { entity: owner, attribute }, prefix, len, node });
+            let n = *count as usize;
+            *count = count32(start);
+            if types.last().is_none_or(|t| t.ftype != ftype) {
+                types.push(TypeRun { ftype, total: 0, distinct: 0 });
+            }
+            let type_index = types.len() - 1;
+            if let Some(t) = types.last_mut() {
+                t.total += count32(n);
+                t.distinct += 1;
+            }
+            values.push(ValueRun { ftype, start, end: start + n, type_index });
+            start += n;
         }
-        // Sort by the integer key, then by node; then split the runs whose
-        // key does not decide the value by the text — unless, as is usual,
-        // the whole run holds one value, which is already in node order.
-        // `(type, value, node)` is a total order: a node occurs once.
-        let value = |row: &Row| doc.text_of(row.node).unwrap_or_default();
-        rows.sort_unstable_by_key(Row::packed);
-        for run in rows.chunk_by_mut(|a, b| a.key() == b.key()) {
-            let mixed = match run.split_first() {
-                Some((first, rest)) if !first.inline() => {
-                    rest.iter().any(|row| value(row) != value(first))
+        // Place every occurrence after the ones before its id; a run fills
+        // in document order.
+        nodes.resize(start, root);
+        for &(feature, node) in occurrences.iter() {
+            if let Some(next) = counts.get_mut(feature as usize) {
+                if let Some(at) = nodes.get_mut(*next as usize) {
+                    *at = node;
                 }
-                _ => false,
-            };
-            if mixed {
-                run.sort_unstable_by(|a, b| value(a).cmp(value(b)).then(a.node.cmp(&b.node)));
+                *next += 1;
             }
         }
-        nodes.extend(rows.iter().map(|row| row.node));
-        let same_value =
-            |a: &Row, b: &Row| a.key() == b.key() && (a.inline() || value(a) == value(b));
-        let mut start = 0;
-        for of_type in rows.chunk_by(|a, b| a.ftype == b.ftype) {
-            let Some(&Row { ftype, .. }) = of_type.first() else { continue };
-            let type_index = types.len();
-            let mut distinct = 0;
-            for run in of_type.chunk_by(same_value) {
-                values.push(ValueRun { ftype, start, end: start + run.len(), type_index });
-                start += run.len();
-                distinct += 1;
+        for &feature in present.iter() {
+            if let Some(count) = counts.get_mut(feature as usize) {
+                *count = 0;
             }
-            types.push(TypeRun { ftype, total: count32(of_type.len()), distinct });
         }
     }
 }
@@ -570,5 +566,158 @@ mod tests {
         assert_eq!(stats.n_type(ft), 3);
         assert_eq!(stats.d_type(ft), 2);
         assert_eq!(stats.n_value(ft, "a"), 2);
+    }
+
+    /// Every `(type, value)` of a result in table order, with its instances.
+    type Table<'d> = Vec<(FeatureType, &'d str, Vec<NodeId>)>;
+
+    /// The statistics as one sort of `(type, value, node)` rows — how they
+    /// were computed before the entity model numbered features, kept as the
+    /// reference the counting pass is checked against: the result's table
+    /// and its entities. It classifies from the schema itself and walks up
+    /// to each attribute's entity, so it shares nothing with the model's
+    /// column.
+    fn sorted_reference(doc: &Document, root: NodeId) -> (Table<'_>, Vec<NodeId>) {
+        let (schema, paths) = extract_xml::Schema::infer_with_node_paths(doc);
+        let category = |n: NodeId| {
+            let info = schema.info(paths[n.index()]);
+            if info.starred {
+                NodeCategory::Entity
+            } else if !info.has_element_child && info.has_text_child {
+                NodeCategory::Attribute
+            } else {
+                NodeCategory::Connection
+            }
+        };
+        let (mut rows, mut entities) = (Vec::new(), Vec::new());
+        let Some(root_label) = doc.label(root) else { return (Vec::new(), entities) };
+        for node in doc.subtree_elements(root) {
+            match category(node) {
+                NodeCategory::Entity => {
+                    entities.push(node);
+                    continue;
+                }
+                NodeCategory::Attribute if node != root => {}
+                _ => continue,
+            }
+            let (Some(value), Some(parent), Some(attribute)) =
+                (doc.text_of(node), doc.parent(node), doc.label(node))
+            else {
+                continue;
+            };
+            let owner = doc
+                .ancestors_or_self(parent)
+                .find(|&a| category(a) == NodeCategory::Entity)
+                .and_then(|e| doc.label(e))
+                .unwrap_or(root_label);
+            rows.push((FeatureType { entity: owner, attribute }, value, node));
+        }
+        rows.sort_by_key(|&(ftype, value, node)| {
+            let (prefix, len) = inline_key(value);
+            (ftype, prefix, len, value, node)
+        });
+        let mut values = Table::new();
+        for (ftype, value, node) in rows {
+            match values.last_mut() {
+                Some((t, v, nodes)) if *t == ftype && *v == value => nodes.push(node),
+                _ => values.push((ftype, value, vec![node])),
+            }
+        }
+        (values, entities)
+    }
+
+    mod counted {
+        use super::*;
+        use extract_xml::DocBuilder;
+        use proptest::prelude::*;
+
+        const LABELS: [&str; 5] = ["store", "clothes", "city", "merch", "tag"];
+        /// Short values, long ones sharing their first eight bytes and
+        /// length, one that only its length tells apart, non-ASCII.
+        const VALUES: [&str; 8] = [
+            "man",
+            "houston",
+            "keyword search 13",
+            "keyword search 12",
+            "keyword search 123",
+            "keyword",
+            "keyword\u{e9}",
+            "",
+        ];
+
+        #[derive(Debug, Clone)]
+        struct Spec {
+            label: usize,
+            value: Option<usize>,
+            children: Vec<Spec>,
+        }
+
+        fn spec() -> impl Strategy<Value = Spec> {
+            let leaf = (0..LABELS.len(), proptest::option::of(0..VALUES.len()))
+                .prop_map(|(label, value)| Spec { label, value, children: Vec::new() });
+            leaf.prop_recursive(4, 64, 6, |inner| {
+                (0..LABELS.len(), proptest::collection::vec(inner, 0..6))
+                    .prop_map(|(label, children)| Spec { label, value: None, children })
+            })
+        }
+
+        fn push(b: &mut DocBuilder, s: &Spec) {
+            b.begin(LABELS[s.label]);
+            if let Some(v) = s.value {
+                b.text(VALUES[v]);
+            }
+            for c in &s.children {
+                push(b, c);
+            }
+            b.end();
+        }
+
+        fn build(specs: &[Spec]) -> Document {
+            let mut b = DocBuilder::new("db");
+            for s in specs {
+                push(&mut b, s);
+            }
+            b.build()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// On every interval of random documents — every node as the
+            /// result root, text nodes included — counting the model's
+            /// feature ids gives the sort's tables: the same `(type,
+            /// value)`s in the same order, the same instances, `N(e,a)` and
+            /// `D(e,a)`, and the same entities. One set of tables serves
+            /// every root of both documents, so a fill that left a count
+            /// behind, or sized its counts for the wrong document, shows.
+            #[test]
+            fn counted_statistics_equal_the_sorted_reference(
+                first in proptest::collection::vec(spec(), 1..4),
+                second in proptest::collection::vec(spec(), 1..4),
+            ) {
+                let mut tables = FeatureTables::default();
+                for doc in [build(&first), build(&second)] {
+                    let model = EntityModel::analyze(&doc);
+                    for root in doc.all_nodes() {
+                        let stats = ResultStats::compute_with(&doc, &model, root, tables);
+                        let (values, entities) = sorted_reference(&doc, root);
+                        let counted: Table<'_> = stats
+                            .values()
+                            .enumerate()
+                            .map(|(i, v)| (v.ftype, v.value, stats.instances(i).to_vec()))
+                            .collect();
+                        prop_assert_eq!(&counted, &values, "root {}", root);
+                        prop_assert_eq!(stats.entities(), &entities[..]);
+                        for v in stats.values() {
+                            let of_type = values.iter().filter(|(t, _, _)| *t == v.ftype);
+                            let total: usize = of_type.clone().map(|(_, _, n)| n.len()).sum();
+                            prop_assert_eq!(v.type_total as usize, total);
+                            prop_assert_eq!(v.type_distinct as usize, of_type.count());
+                        }
+                        tables = stats.into_tables();
+                    }
+                }
+            }
+        }
     }
 }

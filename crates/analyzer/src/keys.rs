@@ -67,13 +67,13 @@ impl KeyCatalog {
             if !doc.is_element(node) || !model.is_entity(node) {
                 continue;
             }
-            let entity_path = schema.path_of(node);
+            let entity_path = model.path_of(node);
             let mut seen_here: HashMap<PathId, u32> = HashMap::new();
             for child in doc.element_children(node) {
                 if !model.is_attribute(child) {
                     continue;
                 }
-                let attr_path = schema.path_of(child);
+                let attr_path = model.path_of(child);
                 *seen_here.entry(attr_path).or_insert(0) += 1;
                 if let Some(value) = doc.text_of(child) {
                     let s = stats.entry((entity_path, attr_path)).or_default();
@@ -161,10 +161,10 @@ impl KeyCatalog {
         model: &EntityModel,
         entity_instance: NodeId,
     ) -> Option<NodeId> {
-        let entity_path = model.schema().path_of(entity_instance);
+        let entity_path = model.path_of(entity_instance);
         let key = self.key_of(entity_path)?;
         doc.element_children(entity_instance)
-            .find(|&c| model.schema().path_of(c) == key.attribute_path)
+            .find(|&c| model.path_of(c) == key.attribute_path)
     }
 
     /// Resolve the key **value** of one entity instance.

@@ -59,14 +59,14 @@ proptest! {
                     // Attributes never have element children anywhere on
                     // their path (path-level classification).
                     prop_assert!(doc.element_children(n).next().is_none()
-                        || !model.schema().info(model.schema().path_of(n)).has_element_child);
+                        || !model.schema().info(model.path_of(n)).has_element_child);
                 }
                 NodeCategory::Entity => {
                     // Starred by the schema.
-                    prop_assert!(model.schema().node_is_starred(n));
+                    prop_assert!(model.schema().is_starred(model.path_of(n)));
                 }
                 NodeCategory::Connection => {
-                    prop_assert!(!model.schema().node_is_starred(n));
+                    prop_assert!(!model.schema().is_starred(model.path_of(n)));
                 }
             }
         }
@@ -196,7 +196,7 @@ proptest! {
             std::collections::HashMap::new();
         for n in doc.subtree_elements(doc.root()) {
             if model.is_entity(n) {
-                by_path.entry(model.schema().path_of(n)).or_default().push(n);
+                by_path.entry(model.path_of(n)).or_default().push(n);
             }
         }
         for (path, instances) in by_path {

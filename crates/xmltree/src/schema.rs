@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use crate::document::{Document, NodeId};
+use crate::document::Document;
 use crate::symbol::Symbol;
 
 /// Index of a label path in a [`Schema`].
@@ -27,6 +27,11 @@ impl PathId {
     /// Raw index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Reconstruct an id from a raw index (must come from the same schema).
+    pub fn from_index(index: usize) -> PathId {
+        PathId(crate::id32(index))
     }
 }
 
@@ -52,15 +57,15 @@ pub struct PathInfo {
     pub starred: bool,
 }
 
-/// A structural summary of one document.
+/// A structural summary of one document: its label paths. Which path each
+/// node is on is a per-node column the caller keeps
+/// ([`Schema::infer_with_node_paths`]); the analyzer folds it into its
+/// entity model's one column instead of holding a second.
 #[derive(Debug, Clone)]
 pub struct Schema {
     paths: Vec<PathInfo>,
     /// (parent path, child label) → child path.
     lookup: HashMap<(Option<PathId>, Symbol), PathId>,
-    /// NodeId → PathId for element nodes (dense; text nodes map to their
-    /// parent's path).
-    node_paths: Vec<PathId>,
     root_path: PathId,
 }
 
@@ -68,12 +73,15 @@ impl Schema {
     /// Infer the summary for `doc`, resolving `*`-nodes against the DTD when
     /// one was parsed.
     pub fn infer(doc: &Document) -> Schema {
-        let mut schema = Schema {
-            paths: Vec::new(),
-            lookup: HashMap::new(),
-            node_paths: vec![PathId(0); doc.len()],
-            root_path: PathId(0),
-        };
+        Schema::infer_with_node_paths(doc).0
+    }
+
+    /// [`Schema::infer`], plus every node's path by [`crate::NodeId::index`] (a
+    /// text node is on its parent's path).
+    pub fn infer_with_node_paths(doc: &Document) -> (Schema, Vec<PathId>) {
+        let mut schema =
+            Schema { paths: Vec::new(), lookup: HashMap::new(), root_path: PathId(0) };
+        let mut node_paths = vec![PathId(0); doc.len()];
 
         // Pass 1: assign paths in preorder and collect counts.
         let root = doc.root();
@@ -82,29 +90,29 @@ impl Schema {
         let root_label = doc.label(root).unwrap_or(Symbol::from_index(0));
         let root_path = schema.intern_path(None, root_label);
         schema.root_path = root_path;
-        schema.node_paths[root.index()] = root_path;
+        node_paths[root.index()] = root_path;
         schema.paths[root_path.index()].instance_count = 1;
         schema.paths[root_path.index()].max_siblings = 1;
 
         for node in doc.subtree(root) {
             if doc.is_text(node) {
                 if let Some(p) = doc.parent(node) {
-                    schema.node_paths[node.index()] = schema.node_paths[p.index()];
+                    node_paths[node.index()] = node_paths[p.index()];
                 }
                 continue;
             }
-            let node_path = schema.node_paths[node.index()];
+            let node_path = node_paths[node.index()];
             // Count same-label children per this parent instance.
             let mut sibling_counts: HashMap<Symbol, u32> = HashMap::new();
             for child in doc.children(node) {
                 let Some(label) = doc.label(child) else {
                     schema.paths[node_path.index()].has_text_child = true;
-                    schema.node_paths[child.index()] = node_path;
+                    node_paths[child.index()] = node_path;
                     continue;
                 };
                 schema.paths[node_path.index()].has_element_child = true;
                 let child_path = schema.intern_path(Some(node_path), label);
-                schema.node_paths[child.index()] = child_path;
+                node_paths[child.index()] = child_path;
                 schema.paths[child_path.index()].instance_count += 1;
                 *sibling_counts.entry(label).or_insert(0) += 1;
             }
@@ -134,7 +142,7 @@ impl Schema {
             };
             schema.paths[i].starred = starred;
         }
-        schema
+        (schema, node_paths)
     }
 
     fn intern_path(&mut self, parent: Option<PathId>, label: Symbol) -> PathId {
@@ -162,11 +170,6 @@ impl Schema {
         self.root_path
     }
 
-    /// The path of a node (for text nodes, the parent element's path).
-    pub fn path_of(&self, node: NodeId) -> PathId {
-        self.node_paths[node.index()]
-    }
-
     /// Summary data for a path.
     pub fn info(&self, path: PathId) -> &PathInfo {
         &self.paths[path.index()]
@@ -175,11 +178,6 @@ impl Schema {
     /// Whether `path` is a `*`-node (may repeat under its parent).
     pub fn is_starred(&self, path: PathId) -> bool {
         self.paths[path.index()].starred
-    }
-
-    /// Whether the **node** sits on a starred path.
-    pub fn node_is_starred(&self, node: NodeId) -> bool {
-        self.is_starred(self.path_of(node))
     }
 
     /// Number of distinct label paths.
@@ -224,6 +222,7 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
 
     fn doc_no_dtd() -> Document {
         Document::parse_str(
@@ -285,20 +284,21 @@ mod tests {
             "<retailer><name>BB</name><store><name>Galleria</name></store></retailer>",
         )
         .unwrap();
-        let s = Schema::infer(&d);
+        let (s, paths) = Schema::infer_with_node_paths(&d);
+        let path_of = |n: NodeId| paths[n.index()];
         let names = d.elements_with_label("name");
-        assert_ne!(s.path_of(names[0]), s.path_of(names[1]));
-        assert_eq!(s.path_string(s.path_of(names[0]), &d), "/retailer/name");
-        assert_eq!(s.path_string(s.path_of(names[1]), &d), "/retailer/store/name");
+        assert_ne!(path_of(names[0]), path_of(names[1]));
+        assert_eq!(s.path_string(path_of(names[0]), &d), "/retailer/name");
+        assert_eq!(s.path_string(path_of(names[1]), &d), "/retailer/store/name");
     }
 
     #[test]
     fn text_nodes_map_to_parent_path() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (_, paths) = Schema::infer_with_node_paths(&d);
         let name = d.first_element_with_label("name").unwrap();
         let text = d.children(name).next().unwrap();
-        assert_eq!(s.path_of(text), s.path_of(name));
+        assert_eq!(paths[text.index()], paths[name.index()]);
     }
 
     #[test]
