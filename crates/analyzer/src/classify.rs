@@ -13,14 +13,17 @@
 //! numbered once per document so that numeric order *is* the order the
 //! statistics list values in (type, then value by first eight bytes,
 //! length, bytes — see [`crate::FeatureTables`]). A result's feature table
-//! is then a count over the ids in its interval, and no value is read.
-//! The attribute's own path is still one load away: its text child's entry
-//! records it.
+//! is then a count over the ids in its interval, and no numbered value is
+//! read. The attribute's own path is still one load away: its text child's
+//! entry records it. Key mining counts an attribute's distinct values by
+//! the same ids.
 //!
 //! An attribute with no entity above it anywhere belongs to whichever
 //! result root counts it (§2.3's statistics name that root's label as its
-//! entity), so it gets one id per ancestor that could be that root, and
-//! its entry points at them, ordered by depth.
+//! entity), so it has no id: its entry only marks it, and the statistics
+//! order its value by text under each root that counts it. Every entry is
+//! one `u32`, so the model grows with the document's nodes, whatever their
+//! depth.
 
 use std::cmp::Ordering;
 
@@ -36,8 +39,7 @@ const ELEMENT: u32 = 0;
 const TEXT: u32 = 0b01 << 30;
 /// A valued attribute's feature id.
 const FEATURE: u32 = 0b10 << 30;
-/// A valued attribute with no entity above it: where its ids start in
-/// the orphan table.
+/// A valued attribute with no entity above it.
 const ORPHAN: u32 = 0b11 << 30;
 
 /// The column entry of `kind` holding `value`.
@@ -61,9 +63,9 @@ pub(crate) enum Slot {
     Text(PathId),
     /// A valued attribute with an entity above it: its feature id.
     Feature(u32),
-    /// A valued attribute with no entity above it: where its ids start in
-    /// the orphan table ([`EntityModel::orphan_feature`]).
-    Orphan(u32),
+    /// A valued attribute with no entity above it: its entity is the
+    /// result root's label, so its feature depends on the result.
+    Orphan,
 }
 
 impl Slot {
@@ -73,7 +75,7 @@ impl Slot {
             ELEMENT => Slot::Element(PathId::from_index(value as usize)),
             TEXT => Slot::Text(PathId::from_index(value as usize)),
             FEATURE => Slot::Feature(value),
-            _ => Slot::Orphan(value),
+            _ => Slot::Orphan,
         }
     }
 }
@@ -110,9 +112,6 @@ pub struct EntityModel {
     categories: Vec<NodeCategory>,
     /// One entry per node, by `NodeId::index()`.
     column: Vec<u32>,
-    /// Per valued attribute with no entity above it: its feature id under
-    /// a result rooted at each of its ancestors, by the ancestor's depth.
-    orphans: Vec<u32>,
     /// Each feature type with the first id numbered under it, in id order.
     types: Vec<(FeatureType, u32)>,
     /// How many feature ids there are.
@@ -125,18 +124,16 @@ struct Numbering {
     /// The value's first eight bytes and its length ([`inline_key`]).
     prefix: u64,
     len: usize,
-    /// The attribute, whose text is the value.
+    /// The attribute, whose text is the value; its column entry takes the
+    /// id.
     node: NodeId,
-    /// Where the id goes: a column entry, or an orphan-table entry.
-    at: usize,
-    orphan: bool,
 }
 
 impl EntityModel {
     /// Analyze `doc`: infer the schema (DTD-aware), classify every path,
     /// and number every valued attribute's feature.
     pub fn analyze(doc: &Document) -> EntityModel {
-        let (schema, paths) = Schema::infer_with_node_paths(doc);
+        let (schema, paths) = Schema::infer(doc);
         let categories = schema
             .paths()
             .map(|(_, info)| {
@@ -157,14 +154,7 @@ impl EntityModel {
                 entry(kind, path.index())
             })
             .collect();
-        let mut model = EntityModel {
-            schema,
-            categories,
-            column,
-            orphans: Vec::new(),
-            types: Vec::new(),
-            features: 0,
-        };
+        let mut model = EntityModel { schema, categories, column, types: Vec::new(), features: 0 };
         model.number_features(doc);
         model
     }
@@ -172,12 +162,12 @@ impl EntityModel {
     /// Give every valued attribute its feature id: `(owner, attribute
     /// label, value)`, the owner being the label of the nearest entity
     /// above it, numbered in statistics order — equal triples share an id.
+    /// One with no entity above it is only marked [`Slot::Orphan`].
     fn number_features(&mut self, doc: &Document) {
         // The label of each element's nearest entity ancestor-or-self; a
         // parent precedes its children in document order.
         let mut owners: Vec<Option<Symbol>> = vec![None; doc.len()];
         let mut pending: Vec<Numbering> = Vec::new();
-        let mut chain: Vec<Symbol> = Vec::new();
         for node in doc.all_nodes() {
             let Some(attribute) = doc.label(node) else { continue };
             let parent = doc.parent(node);
@@ -190,28 +180,12 @@ impl EntityModel {
             else {
                 continue;
             };
-            let (prefix, len) = inline_key(value);
-            let numbering = |entity, at, orphan| Numbering {
-                ftype: FeatureType { entity, attribute },
-                prefix,
-                len,
-                node,
-                at,
-                orphan,
+            let Some(entity) = above else {
+                self.column[node.index()] = ORPHAN;
+                continue;
             };
-            match above {
-                Some(entity) => pending.push(numbering(entity, node.index(), false)),
-                None => {
-                    chain.clear();
-                    chain.extend(doc.ancestors(node).filter_map(|a| doc.label(a)));
-                    let base = self.orphans.len();
-                    self.column[node.index()] = entry(ORPHAN, base);
-                    for (depth, &entity) in chain.iter().rev().enumerate() {
-                        self.orphans.push(0);
-                        pending.push(numbering(entity, base + depth, true));
-                    }
-                }
-            }
+            let (prefix, len) = inline_key(value);
+            pending.push(Numbering { ftype: FeatureType { entity, attribute }, prefix, len, node });
         }
 
         let text = |n: &Numbering| doc.text_of(n.node).unwrap_or_default();
@@ -237,11 +211,7 @@ impl EntityModel {
             if previous.is_none_or(|p| p.ftype != n.ftype) {
                 self.types.push((n.ftype, entry(0, id)));
             }
-            if n.orphan {
-                self.orphans[n.at] = entry(0, id);
-            } else {
-                self.column[n.at] = entry(FEATURE, id);
-            }
+            self.column[n.node.index()] = entry(FEATURE, id);
             previous = Some(n);
         }
         self.features = if pending.is_empty() { 0 } else { id + 1 };
@@ -267,7 +237,7 @@ impl EntityModel {
         match self.slot(node) {
             Slot::Element(path) | Slot::Text(path) => path,
             // A valued attribute's only child is its text, on its path.
-            Slot::Feature(_) | Slot::Orphan(_) => {
+            Slot::Feature(_) | Slot::Orphan => {
                 match self.slot(NodeId::from_index(node.index() + 1)) {
                     Slot::Text(path) => path,
                     _ => unreachable!("a valued attribute's next node is its text"),
@@ -280,7 +250,7 @@ impl EntityModel {
     pub fn category(&self, node: NodeId) -> NodeCategory {
         match self.slot(node) {
             Slot::Element(path) | Slot::Text(path) => self.category_of_path(path),
-            Slot::Feature(_) | Slot::Orphan(_) => NodeCategory::Attribute,
+            Slot::Feature(_) | Slot::Orphan => NodeCategory::Attribute,
         }
     }
 
@@ -289,11 +259,12 @@ impl EntityModel {
         self.column.get(from.index()..to.index()).unwrap_or_default().iter().map(|&e| Slot::of(e))
     }
 
-    /// The feature id of a valued attribute with no entity above it (its
-    /// slot's [`Slot::Orphan`] `at`), counted under a result root at
-    /// `depth`: one of the attribute's ancestors.
-    pub(crate) fn orphan_feature(&self, at: u32, depth: usize) -> Option<u32> {
-        self.orphans.get(at as usize + depth).copied()
+    /// The feature id of a valued attribute with an entity above it.
+    pub(crate) fn feature_of(&self, node: NodeId) -> Option<u32> {
+        match self.slot(node) {
+            Slot::Feature(id) => Some(id),
+            _ => None,
+        }
     }
 
     /// How many feature ids the document has: every id is below it.
@@ -498,6 +469,37 @@ mod tests {
         let title = d.first_element_with_label("title").unwrap();
         assert_eq!(m.category(author), NodeCategory::Entity);
         assert_eq!(m.category(title), NodeCategory::Attribute);
+    }
+
+    /// A chain of distinct labels with distinct valued leaves at its
+    /// bottom: nothing repeats, so nothing is an entity, and every leaf is
+    /// an attribute whose entity is whichever ancestor roots a result. The
+    /// model still holds one entry a node and a category a path, whatever
+    /// the depth.
+    #[test]
+    fn a_deep_document_without_entities_builds_a_model_linear_in_nodes() {
+        const DEPTH: usize = 1_000;
+        const LEAVES: usize = 500;
+        let mut b = extract_xml::DocBuilder::new("l0");
+        for i in 1..DEPTH {
+            b.begin(&format!("l{i}"));
+        }
+        for i in 0..LEAVES {
+            b.begin(&format!("x{i}")).text(&format!("v{i}")).end();
+        }
+        for _ in 1..DEPTH {
+            b.end();
+        }
+        let d = b.build();
+        assert_eq!(d.len(), DEPTH + 2 * LEAVES);
+        let m = EntityModel::analyze(&d);
+        let leaf = d.first_element_with_label("x0").unwrap();
+        assert_eq!(m.category(leaf), NodeCategory::Attribute);
+        assert_eq!(m.slot(leaf), Slot::Orphan);
+        assert_eq!(m.path_of(leaf), m.path_of(d.children(leaf).next().unwrap()));
+        assert_eq!(m.column.len(), d.len());
+        assert_eq!(m.categories.len(), DEPTH + LEAVES);
+        assert_eq!((m.features, m.types.len()), (0, 0), "no leaf has an entity to number under");
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //! distinct ids it holds, and place each occurrence after the ones before
 //! its id. A type's run of ids holds its values, a value's run of nodes is
 //! its instance list in document order. No value is read, hashed or
-//! compared, and the tables ([`FeatureTables`]) can be handed back and
-//! refilled, so a warm caller computes statistics without allocating.
+//! compared — except for an attribute with no entity above it anywhere,
+//! whose entity is the result root's label and which so has no id: those
+//! few are sorted by their text and merged into the runs. The tables
+//! ([`FeatureTables`]) can be handed back and refilled, so a warm caller
+//! computes statistics without allocating.
 
 use extract_xml::{Document, NodeId, Symbol};
 
@@ -108,10 +111,14 @@ pub struct FeatureTables {
     /// By feature id: how often the result holds it, then, while nodes are
     /// placed, where its next one goes. All zero between fills.
     counts: Vec<u32>,
-    /// The feature ids the result holds, each once; sorted before use.
-    present: Vec<u32>,
-    /// The occurrences' nodes by `(feature, node)`: each value's run is a
-    /// slice.
+    /// The feature ids the result holds, each once with its first node;
+    /// sorted by id before use.
+    present: Vec<(u32, NodeId)>,
+    /// The result's attributes with no entity above them (they have no
+    /// id), with their type under this root; sorted by type and value.
+    orphans: Vec<(FeatureType, NodeId)>,
+    /// The occurrences' nodes by `(type, value, node)`: each value's run is
+    /// a slice.
     nodes: Vec<NodeId>,
     /// Distinct `(type, value)` pairs, sorted.
     values: Vec<ValueRun>,
@@ -126,28 +133,45 @@ fn count32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
 
+/// Append the run of `n` nodes from `start`, one value of `ftype`, to the
+/// tables.
+fn push_run(
+    types: &mut Vec<TypeRun>,
+    values: &mut Vec<ValueRun>,
+    ftype: FeatureType,
+    start: usize,
+    n: usize,
+) {
+    if types.last().is_none_or(|t| t.ftype != ftype) {
+        types.push(TypeRun { ftype, total: 0, distinct: 0 });
+    }
+    let type_index = types.len() - 1;
+    if let Some(t) = types.last_mut() {
+        t.total += count32(n);
+        t.distinct += 1;
+    }
+    values.push(ValueRun { ftype, start, end: start + n, type_index });
+}
+
 impl FeatureTables {
     /// Refill the tables with the statistics of the subtree at `root`.
     fn fill(&mut self, doc: &Document, model: &EntityModel, root: NodeId) {
-        let FeatureTables { occurrences, counts, present, nodes, values, types, entities } = self;
+        let FeatureTables { occurrences, counts, present, orphans, nodes, values, types, entities } =
+            self;
         occurrences.clear();
         present.clear();
+        orphans.clear();
         nodes.clear();
         values.clear();
         types.clear();
         entities.clear();
         // A text node has no attributes below it.
-        if doc.is_text(root) {
-            return;
-        }
+        let Some(root_label) = doc.label(root) else { return };
         if counts.len() < model.feature_count() {
             counts.resize(model.feature_count(), 0);
         }
         // One scan of the root's ID interval in the model's column, which
-        // also collects the entities. An attribute above every entity
-        // takes the root's label as its entity: its id depends on the
-        // root's depth, found once, at the first such attribute.
-        let mut depth = None;
+        // also collects the entities.
         let slots = model.slots(root, doc.subtree_end(root));
         for (node, slot) in (root.index()..).map(NodeId::from_index).zip(slots) {
             let feature = match slot {
@@ -161,29 +185,51 @@ impl FeatureTables {
                 // The root's own value describes no entity below it.
                 _ if node == root => continue,
                 Slot::Feature(id) => id,
-                Slot::Orphan(at) => {
-                    let depth = *depth.get_or_insert_with(|| doc.depth(root));
-                    match model.orphan_feature(at, depth) {
-                        Some(id) => id,
-                        None => continue,
+                // Above every entity: the root's label is its entity.
+                Slot::Orphan => {
+                    if let Some(attribute) = doc.label(node) {
+                        orphans.push((FeatureType { entity: root_label, attribute }, node));
                     }
+                    continue;
                 }
             };
             let Some(count) = counts.get_mut(feature as usize) else { continue };
             if *count == 0 {
-                present.push(feature);
+                present.push((feature, node));
             }
             *count += 1;
             occurrences.push((feature, node));
         }
-        // Ids in order are values in order, grouped by type: walk them
-        // beside the model's type table, turning each count into the
-        // position its value's run starts at.
-        present.sort_unstable();
+        // Ids in order are values in order, grouped by type. The few
+        // attributes with no id are sorted by their text and merged in: a
+        // value equal to a counted one joins its run.
+        let key = |(ftype, node): (FeatureType, NodeId)| {
+            let value = doc.text_of(node).unwrap_or_default();
+            let (prefix, len) = inline_key(value);
+            (ftype, prefix, len, value)
+        };
+        present.sort_unstable_by_key(|&(feature, _)| feature);
+        orphans.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(a.1.cmp(&b.1)));
+        nodes.resize(occurrences.len() + orphans.len(), root);
+        // Move the orphans of the `(type, value)` at the head of `queue` to
+        // `nodes` from `at`: how many there are.
+        let mut rest = orphans.as_slice();
+        let mut take = |queue: &mut &[(FeatureType, NodeId)], at: usize| {
+            let Some(&first) = queue.first() else { return 0 };
+            let same = queue.iter().take_while(|&&o| key(o) == key(first)).count();
+            let (group, later) = queue.split_at(same);
+            for (to, &(_, node)) in nodes.iter_mut().skip(at).zip(group) {
+                *to = node;
+            }
+            *queue = later;
+            same
+        };
+        // Walk the ids beside the model's type table, turning each count
+        // into the position its value's run starts at.
         let kinds = model.feature_types();
         let mut kind = 0;
         let mut start = 0;
-        for &feature in present.iter() {
+        for &(feature, node) in present.iter() {
             while kinds.get(kind + 1).is_some_and(|&(_, first)| first <= feature) {
                 kind += 1;
             }
@@ -192,22 +238,30 @@ impl FeatureTables {
             else {
                 continue;
             };
-            let n = *count as usize;
+            // Orphan values before this one are runs of their own; one
+            // equal to it joins its run.
+            while let Some(&(orphan_type, _)) =
+                rest.first().filter(|&&o| key(o) < key((ftype, node)))
+            {
+                let n = take(&mut rest, start);
+                push_run(types, values, orphan_type, start, n);
+                start += n;
+            }
+            let mut n = *count as usize;
             *count = count32(start);
-            if types.last().is_none_or(|t| t.ftype != ftype) {
-                types.push(TypeRun { ftype, total: 0, distinct: 0 });
+            if rest.first().is_some_and(|&o| key(o) == key((ftype, node))) {
+                n += take(&mut rest, start + n);
             }
-            let type_index = types.len() - 1;
-            if let Some(t) = types.last_mut() {
-                t.total += count32(n);
-                t.distinct += 1;
-            }
-            values.push(ValueRun { ftype, start, end: start + n, type_index });
+            push_run(types, values, ftype, start, n);
             start += n;
         }
-        // Place every occurrence after the ones before its id; a run fills
-        // in document order.
-        nodes.resize(start, root);
+        while let Some(&(orphan_type, _)) = rest.first() {
+            let n = take(&mut rest, start);
+            push_run(types, values, orphan_type, start, n);
+            start += n;
+        }
+        // Place every counted occurrence after the ones before its id; a
+        // run fills in document order, and one an orphan joined is sorted.
         for &(feature, node) in occurrences.iter() {
             if let Some(next) = counts.get_mut(feature as usize) {
                 if let Some(at) = nodes.get_mut(*next as usize) {
@@ -216,7 +270,14 @@ impl FeatureTables {
                 *next += 1;
             }
         }
-        for &feature in present.iter() {
+        if !orphans.is_empty() {
+            for run in values.iter() {
+                if let Some(run) = nodes.get_mut(run.start..run.end) {
+                    run.sort_unstable();
+                }
+            }
+        }
+        for &(feature, _) in present.iter() {
             if let Some(count) = counts.get_mut(feature as usize) {
                 *count = 0;
             }
@@ -568,6 +629,60 @@ mod tests {
         assert_eq!(stats.n_value(ft, "a"), 2);
     }
 
+    /// An attribute with no entity above it takes the root's label as its
+    /// entity, so under the root `x` it shares `(x, a, 1)` with the `a`
+    /// of an `x` entity below: one run, its instances in document order.
+    #[test]
+    fn an_attribute_above_every_entity_joins_the_run_of_its_value() {
+        let d = Document::parse_str("<x><a>1</a><y><x><a>1</a></x><x><a>2</a></x></y><b>0</b></x>")
+            .unwrap();
+        let m = EntityModel::analyze(&d);
+        let [outer, inner, _] = d.elements_with_label("a")[..] else { panic!("three a") };
+        assert!(!m.is_entity(d.root()) && m.entity_of(&d, outer).is_none());
+        let stats = ResultStats::compute(&d, &m, d.root());
+        let (a, b) = (ft(&d, "x", "a"), ft(&d, "x", "b"));
+        assert_eq!((stats.n_type(a), stats.d_type(a)), (3, 2));
+        assert_eq!(stats.occurrences(a, "1"), &[outer, inner]);
+        assert_eq!(stats.n_value(b, "0"), 1);
+        let y = d.first_element_with_label("y").unwrap();
+        let below = ResultStats::compute(&d, &m, y);
+        assert_eq!(below.occurrences(a, "1"), &[inner], "no orphan below y");
+    }
+
+    /// Under every root of a deep chain with no entities, its leaves'
+    /// entity is that root's label.
+    #[test]
+    fn a_deep_chain_counts_its_leaves_under_every_root() {
+        // One leaf a level from depth 100 on: no label repeats under a
+        // parent, ten attribute labels share seven values.
+        let mut b = extract_xml::DocBuilder::new("l0");
+        for i in 1..200 {
+            if i > 100 {
+                b.begin(&format!("x{}", i % 10)).text(&format!("v{}", i % 7)).end();
+            }
+            b.begin(&format!("l{i}"));
+        }
+        for _ in 1..200 {
+            b.end();
+        }
+        let d = b.build();
+        let m = EntityModel::analyze(&d);
+        let mut tables = FeatureTables::default();
+        for depth in [0, 1, 120, 199] {
+            let root = d.first_element_with_label(&format!("l{depth}")).unwrap();
+            let stats = ResultStats::compute_with(&d, &m, root, tables);
+            let (values, entities) = sorted_reference(&d, root);
+            assert_eq!(stats.values().count(), values.len());
+            for (i, (t, value, nodes)) in values.iter().enumerate() {
+                assert_eq!(t.entity, d.label(root).unwrap());
+                assert_eq!(stats.value(i).map(|v| (v.ftype, v.value)), Some((*t, *value)));
+                assert_eq!(stats.instances(i), &nodes[..]);
+            }
+            assert_eq!(stats.entities(), &entities[..]);
+            tables = stats.into_tables();
+        }
+    }
+
     /// Every `(type, value)` of a result in table order, with its instances.
     type Table<'d> = Vec<(FeatureType, &'d str, Vec<NodeId>)>;
 
@@ -578,7 +693,7 @@ mod tests {
     /// to each attribute's entity, so it shares nothing with the model's
     /// column.
     fn sorted_reference(doc: &Document, root: NodeId) -> (Table<'_>, Vec<NodeId>) {
-        let (schema, paths) = extract_xml::Schema::infer_with_node_paths(doc);
+        let (schema, paths) = extract_xml::Schema::infer(doc);
         let category = |n: NodeId| {
             let info = schema.info(paths[n.index()]);
             if info.starred {

@@ -53,12 +53,14 @@ impl KeyCatalog {
         let schema = model.schema();
         // Gather, per (entity path, attribute child path): number of owning
         // instances that contain it, whether any instance has it twice, and
-        // the multiset of values.
+        // the multiset of values. An entity's attribute child is a valued
+        // attribute owned by that entity, so under one pair of paths its
+        // feature id stands for its value: equal ids, equal values.
         #[derive(Default)]
         struct AttrStats {
             instances_with: u32,
             multi_valued: bool,
-            values: HashSet<String>,
+            values: HashSet<u32>,
             value_count: u32,
         }
         let mut stats: HashMap<(PathId, PathId), AttrStats> = HashMap::new();
@@ -75,9 +77,9 @@ impl KeyCatalog {
                 }
                 let attr_path = model.path_of(child);
                 *seen_here.entry(attr_path).or_insert(0) += 1;
-                if let Some(value) = doc.text_of(child) {
+                if let Some(value) = model.feature_of(child) {
                     let s = stats.entry((entity_path, attr_path)).or_default();
-                    s.values.insert(value.to_string());
+                    s.values.insert(value);
                     s.value_count += 1;
                 }
             }

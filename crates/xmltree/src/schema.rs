@@ -58,9 +58,9 @@ pub struct PathInfo {
 }
 
 /// A structural summary of one document: its label paths. Which path each
-/// node is on is a per-node column the caller keeps
-/// ([`Schema::infer_with_node_paths`]); the analyzer folds it into its
-/// entity model's one column instead of holding a second.
+/// node is on is a per-node column the caller keeps (the second half of
+/// [`Schema::infer`]); the analyzer folds it into its entity model's one
+/// column instead of holding a second.
 #[derive(Debug, Clone)]
 pub struct Schema {
     paths: Vec<PathInfo>,
@@ -71,14 +71,9 @@ pub struct Schema {
 
 impl Schema {
     /// Infer the summary for `doc`, resolving `*`-nodes against the DTD when
-    /// one was parsed.
-    pub fn infer(doc: &Document) -> Schema {
-        Schema::infer_with_node_paths(doc).0
-    }
-
-    /// [`Schema::infer`], plus every node's path by [`crate::NodeId::index`] (a
+    /// one was parsed, and every node's path by [`crate::NodeId::index`] (a
     /// text node is on its parent's path).
-    pub fn infer_with_node_paths(doc: &Document) -> (Schema, Vec<PathId>) {
+    pub fn infer(doc: &Document) -> (Schema, Vec<PathId>) {
         let mut schema =
             Schema { paths: Vec::new(), lookup: HashMap::new(), root_path: PathId(0) };
         let mut node_paths = vec![PathId(0); doc.len()];
@@ -236,7 +231,7 @@ mod tests {
     #[test]
     fn repeated_siblings_are_starred_without_dtd() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         let store = s.path_by_string("/retailer/store", &d).unwrap();
         assert!(s.is_starred(store));
         let name = s.path_by_string("/retailer/name", &d).unwrap();
@@ -258,7 +253,7 @@ mod tests {
              <retailer><name>BB</name><store><city>Houston</city></store></retailer>",
         )
         .unwrap();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         let store = s.path_by_string("/retailer/store", &d).unwrap();
         assert!(s.is_starred(store), "DTD star wins over single instance");
         let city = s.path_by_string("/retailer/store/city", &d).unwrap();
@@ -268,7 +263,7 @@ mod tests {
     #[test]
     fn instance_counts_and_siblings() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         let store = s.path_by_string("/retailer/store", &d).unwrap();
         assert_eq!(s.info(store).instance_count, 2);
         assert_eq!(s.info(store).max_siblings, 2);
@@ -284,7 +279,7 @@ mod tests {
             "<retailer><name>BB</name><store><name>Galleria</name></store></retailer>",
         )
         .unwrap();
-        let (s, paths) = Schema::infer_with_node_paths(&d);
+        let (s, paths) = Schema::infer(&d);
         let path_of = |n: NodeId| paths[n.index()];
         let names = d.elements_with_label("name");
         assert_ne!(path_of(names[0]), path_of(names[1]));
@@ -295,7 +290,7 @@ mod tests {
     #[test]
     fn text_nodes_map_to_parent_path() {
         let d = doc_no_dtd();
-        let (_, paths) = Schema::infer_with_node_paths(&d);
+        let (_, paths) = Schema::infer(&d);
         let name = d.first_element_with_label("name").unwrap();
         let text = d.children(name).next().unwrap();
         assert_eq!(paths[text.index()], paths[name.index()]);
@@ -304,7 +299,7 @@ mod tests {
     #[test]
     fn has_text_and_element_child_flags() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         let retailer = s.root_path();
         assert!(s.info(retailer).has_element_child);
         assert!(!s.info(retailer).has_text_child);
@@ -316,14 +311,14 @@ mod tests {
     #[test]
     fn root_is_never_starred() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         assert!(!s.is_starred(s.root_path()));
     }
 
     #[test]
     fn path_by_string_rejects_unknown() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         assert!(s.path_by_string("/retailer/warehouse", &d).is_none());
         assert!(s.path_by_string("/store", &d).is_none());
     }
@@ -331,7 +326,7 @@ mod tests {
     #[test]
     fn path_count_matches_distinct_paths() {
         let d = doc_no_dtd();
-        let s = Schema::infer(&d);
+        let (s, _) = Schema::infer(&d);
         // /retailer, /retailer/name, /retailer/store, /retailer/store/city
         assert_eq!(s.path_count(), 4);
     }

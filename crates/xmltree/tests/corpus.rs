@@ -39,7 +39,7 @@ fn dblp_like_record() {
     assert_eq!(dtd.is_repeatable("article", "author"), Some(true));
     assert_eq!(dtd.is_repeatable("article", "title"), Some(false));
 
-    let schema = Schema::infer(&doc);
+    let (schema, _) = Schema::infer(&doc);
     let author_path = schema.path_by_string("/dblp/article/author", &doc).unwrap();
     assert!(schema.is_starred(author_path), "DTD says author+");
     let title_path = schema.path_by_string("/dblp/article/title", &doc).unwrap();
@@ -69,7 +69,7 @@ fn config_file_with_attributes_and_comments() {
     assert_eq!(doc.text_of(env), Some("prod"));
     let flags = path::select(&doc, "//flag").unwrap();
     assert_eq!(flags.len(), 2);
-    let schema = Schema::infer(&doc);
+    let (schema, _) = Schema::infer(&doc);
     let flag_path = schema.path_by_string("/config/features/flag", &doc).unwrap();
     assert!(schema.is_starred(flag_path), "two flag siblings");
 }
