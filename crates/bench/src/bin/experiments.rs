@@ -6,8 +6,7 @@
 //! cargo run --release -p extract-bench --bin experiments -- e3 e8   # some
 //! ```
 //!
-//! Each experiment prints paper-expected vs. measured values; the results
-//! are recorded in EXPERIMENTS.md.
+//! Each experiment prints paper-expected vs. measured values to stdout.
 
 use std::collections::HashMap;
 use std::time::Instant;

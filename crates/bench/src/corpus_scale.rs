@@ -83,8 +83,9 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
     };
 
     // -- Streaming build: generation excluded. ----------------------------
-    // `add_parsed` takes ownership, so the timed work is exactly one index
-    // build + directory fold per document, not arena clones.
+    // `add_parsed` takes ownership, so the timed work is exactly one engine
+    // build (index, entity model, keys) + directory fold per document, not
+    // arena clones.
     let docs: Vec<(String, Document)> = cfg.documents().collect();
     let t = Instant::now();
     let mut b = CorpusBuilder::new();
@@ -145,7 +146,7 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
             postings.candidate_docs(q, &mut candidates, &mut f);
             for &d in candidates.iter().take(8) {
                 for t in q {
-                    std::hint::black_box(corpus.segment(d).postings(t).len());
+                    std::hint::black_box(corpus.engine(d).index().postings(t).len());
                 }
             }
         }
@@ -158,13 +159,12 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
     // cached are both measured with a **serial** loop so their ratio is
     // consistent (a 4-worker batch would deflate cold per-query cost by
     // the host's effective parallelism); the worker pool gets its own
-    // scenario. Engines live on the corpus, so each cold scenario runs on
-    // a corpus of its own that no query has touched yet.
+    // scenario. Engines are built with the corpus, so "cold" means no
+    // result cache, not an unbuilt engine.
     let selective: Vec<&str> =
         queries.iter().copied().filter(|q| !q.contains("name")).collect();
     let config = ExtractConfig::with_bound(8);
-    let cold = build_corpus(cfg);
-    let cold_session = QuerySession::from_corpus_with_options(&cold, 1, 0);
+    let cold_session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
     let t = Instant::now();
     let mut results_total = 0usize;
     for q in &selective {
@@ -176,16 +176,12 @@ pub fn run_all(cfg: &CorpusConfig, effort: Effort) -> Vec<ScenarioResult> {
         "query",
     );
     push("corpus_results_total", results_total as f64, "count");
-    push("engines_built_selective", cold.engines_built() as f64, "count");
     drop(cold_session);
-    drop(cold);
 
-    let cold = build_corpus(cfg);
-    let batch_session = QuerySession::from_corpus_with_options(&cold, 4, 0);
+    let batch_session = QuerySession::from_corpus_with_options(&corpus, 4, 0);
     let t = Instant::now();
     std::hint::black_box(batch_session.answer_corpus_batch(&selective, &config));
     drop(batch_session);
-    drop(cold);
     push(
         "corpus_query_cold_batch_x4",
         t.elapsed().as_nanos() as f64 / selective.len() as f64,

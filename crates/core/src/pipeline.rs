@@ -90,16 +90,10 @@ pub struct EngineParts {
 impl EngineParts {
     /// Run the offline stages for `doc`.
     pub fn build(doc: &Document) -> EngineParts {
-        EngineParts::with_index(doc, Arc::new(XmlIndex::build(doc)))
-    }
-
-    /// Run the offline stages for `doc` around an index somebody already
-    /// built from it — a corpus hands over the document's segment, so the
-    /// document is not tokenized a second time.
-    pub fn with_index(doc: &Document, index: Arc<XmlIndex>) -> EngineParts {
+        let index = XmlIndex::build(doc);
         let model = EntityModel::analyze(doc);
         let keys = KeyCatalog::mine(doc, &model);
-        EngineParts { index, model: Arc::new(model), keys: Arc::new(keys) }
+        EngineParts { index: Arc::new(index), model: Arc::new(model), keys: Arc::new(keys) }
     }
 
     /// The shared index.
@@ -127,23 +121,6 @@ impl<'d> Extract<'d> {
     /// Run the offline stages for `doc`.
     pub fn new(doc: &'d Document) -> Extract<'d> {
         Extract { doc, parts: EngineParts::build(doc) }
-    }
-
-    /// Assemble from pre-built components.
-    pub fn from_parts(
-        doc: &'d Document,
-        index: XmlIndex,
-        model: EntityModel,
-        keys: KeyCatalog,
-    ) -> Extract<'d> {
-        Extract {
-            doc,
-            parts: EngineParts {
-                index: Arc::new(index),
-                model: Arc::new(model),
-                keys: Arc::new(keys),
-            },
-        }
     }
 
     /// Bind shared offline artifacts (from [`EngineParts::build`] on the

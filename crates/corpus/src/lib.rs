@@ -4,18 +4,19 @@
 //! per-document [`extract_index::XmlIndex`] alone cannot answer "which
 //! documents should this query even run on?". This crate keeps many
 //! documents in **one slot table**: each slot holds a document's name, its
-//! `Document`, its index **segment** (its `Arc<XmlIndex>`, built once when
-//! the document arrives) and, once a query has asked for it, its engine —
-//! all under one generational [`DocId`]. Beside the table, a token →
+//! `Document` and its engine ([`EngineParts`]: the index **segment**, the
+//! entity model and the mined keys, all built once when the document
+//! arrives) under one generational [`DocId`]. Beside the table, a token →
 //! document directory ([`ShardedPostings`]) routes queries.
 //!
 //! * [`CorpusBuilder`] — **streaming** ingestion: each added document is
-//!   indexed and folded in immediately ([`CorpusBuilder::add_document`] /
-//!   [`CorpusBuilder::add_parsed`]); there is no "collect everything, then
-//!   index" phase, so a DBLP-scale generator run builds in one pass with
-//!   peak memory equal to the retained documents plus their segments. A
-//!   document that fails to parse is **rejected softly**: the builder
-//!   reports the error and stays usable for every following document.
+//!   indexed, analyzed and folded in immediately
+//!   ([`CorpusBuilder::add_document`] / [`CorpusBuilder::add_parsed`]);
+//!   there is no "collect everything, then index" phase, so a DBLP-scale
+//!   generator run builds in one pass with peak memory equal to the
+//!   retained documents plus their engines. A document that fails to
+//!   parse is **rejected softly**: the builder reports the error and stays
+//!   usable for every following document.
 //! * [`Corpus`] — an immutable snapshot: the slot table, the directory,
 //!   and query-routing via [`Corpus::candidate_docs_str`] (which documents
 //!   contain every keyword of a query, plus the [`FanIn`] work counters
@@ -33,12 +34,12 @@
 //! same slot, next generation — in a cold build exactly as in a live
 //! ingest.
 //!
-//! Each document's engine ([`Corpus::engine`]: entity model and mined keys
-//! around the document's own segment) is built by the first query routed
-//! to it and shared, like the segment, by every snapshot that holds the
-//! document — a document is tokenized once and analyzed once in its life.
-//! The query path itself (per-document SLCA + XSeek snippet generation,
-//! merged across documents) lives in the umbrella crate's `QuerySession`.
+//! A slot holds a whole document: its engine ([`Corpus::engine`]) is
+//! built beside it before it is published, and shared by every snapshot
+//! that holds the document — a document is tokenized once and analyzed
+//! once in its life, and no query waits for either. The query path itself
+//! (per-document SLCA + XSeek snippet generation, merged across documents)
+//! lives in the umbrella crate's `QuerySession`.
 //!
 //! ```
 //! use extract_corpus::CorpusBuilder;
@@ -60,11 +61,10 @@
 #![warn(rust_2018_idioms)]
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use extract_core::EngineParts;
 use extract_index::sharded::{ShardedPostings, ShardedPostingsBuilder};
-use extract_index::XmlIndex;
 use extract_xml::{Document, ParseOptions};
 
 pub mod live;
@@ -119,18 +119,16 @@ impl Default for CorpusOptions {
 }
 
 /// One document in its slot: its full `(slot, generation)` identity, the
-/// caller-supplied name, the document, its segment and its engine once a
-/// query has built it. `Arc`-shared between the writer and every
-/// published snapshot that still contains the document, so an engine built
-/// on one snapshot serves every later one — and a new generation is a new
-/// entry, which never sees the old build.
+/// caller-supplied name, the document and its engine, whose index is the
+/// document's segment. `Arc`-shared between the writer and every
+/// published snapshot that still contains the document — a new generation
+/// is a new entry.
 #[derive(Debug)]
 struct DocEntry {
     id: DocId,
     name: String,
     doc: Document,
-    segment: Arc<XmlIndex>,
-    engine: OnceLock<EngineParts>,
+    engine: EngineParts,
 }
 
 /// One slot of the table: its document, if any, and the generation the
@@ -189,7 +187,7 @@ impl Writer {
         }
     }
 
-    /// Put `doc`, with the `segment` built from it, under `name`: into the
+    /// Put `doc`, with the `engine` built from it, under `name`: into the
     /// slot of the live document carrying `name` (which it replaces), else
     /// the lowest free slot, else a new one — under that slot's next
     /// generation. Returns the new id and the replaced entry, for the
@@ -198,7 +196,7 @@ impl Writer {
         &mut self,
         name: &str,
         doc: Document,
-        segment: Arc<XmlIndex>,
+        engine: EngineParts,
     ) -> (DocId, Option<Arc<DocEntry>>) {
         let index = match self.by_name.get(name) {
             Some(&index) => index,
@@ -216,13 +214,12 @@ impl Writer {
         let id = DocId::from_parts(index, slot.next_generation);
         // xlint: allow(L3, "2^32 documents through one slot is unreachable, and wrapping would resurrect old ids (the ABA hazard the generation exists to kill)")
         slot.next_generation = id.generation().checked_add(1).expect("slot generation overflow");
-        let entry = DocEntry { id, name: name.to_string(), doc, segment, engine: OnceLock::new() };
-        let entry = Arc::new(entry);
+        let entry = Arc::new(DocEntry { id, name: name.to_string(), doc, engine });
         let old = slot.entry.replace(Arc::clone(&entry));
         if let Some(old) = &old {
             self.forget(old);
         }
-        self.directory.insert(id, &entry.segment);
+        self.directory.insert(id, entry.engine.index());
         self.live += 1;
         self.total_nodes += entry.doc.len();
         (id, old)
@@ -243,7 +240,7 @@ impl Writer {
     /// Take a document that left its slot out of the directory and the
     /// counts.
     fn forget(&mut self, entry: &DocEntry) {
-        self.directory.remove(entry.id, &entry.segment);
+        self.directory.remove(entry.id, entry.engine.index());
         self.live -= 1;
         self.total_nodes -= entry.doc.len();
     }
@@ -322,12 +319,13 @@ impl CorpusBuilder {
         }
     }
 
-    /// Index an already-parsed document and fold it in (generators hand
-    /// documents over directly; no serialization round-trip). A name
-    /// already added is updated in place: same slot, next generation.
+    /// Build the engine of an already-parsed document and fold it in
+    /// (generators hand documents over directly; no serialization
+    /// round-trip). A name already added is updated in place: same slot,
+    /// next generation.
     pub fn add_parsed(&mut self, name: &str, doc: Document) -> DocId {
-        let segment = Arc::new(XmlIndex::build(&doc));
-        self.writer.put(name, doc, segment).0
+        let engine = EngineParts::build(&doc);
+        self.writer.put(name, doc, engine).0
     }
 
     /// Live documents folded in so far.
@@ -365,7 +363,7 @@ impl CorpusBuilder {
 }
 
 /// An immutable multi-document corpus snapshot: the slot table of
-/// documents behind stable generational [`DocId`]s, with their segments,
+/// documents behind stable generational [`DocId`]s, with their engines,
 /// plus the token → document directory.
 ///
 /// A freshly built corpus is dense, but a snapshot published by a
@@ -426,7 +424,7 @@ impl Corpus {
     fn entry(&self, id: DocId) -> &DocEntry {
         match self.get(id) {
             Some(entry) => entry,
-            // xlint: allow(L3, "documented contract of doc/name/segment/engine: every serving caller passes ids routed on this very snapshot; answering for a foreign or stale id would serve another document's bytes")
+            // xlint: allow(L3, "documented contract of doc/name/engine: every serving caller passes ids routed on this very snapshot; answering for a foreign or stale id would serve another document's bytes")
             None => panic!("{id} does not resolve in this corpus snapshot"),
         }
     }
@@ -476,30 +474,12 @@ impl Corpus {
         self.rejected_dropped
     }
 
-    /// The index segment of `id` — the one `Arc<XmlIndex>` built when the
-    /// document arrived, shared by every snapshot that contains it and by
-    /// the query engine of that document. Panics like [`Corpus::doc`].
-    pub fn segment(&self, id: DocId) -> &Arc<XmlIndex> {
-        &self.entry(id).segment
-    }
-
-    /// The query engine's offline artifacts for `id`: the entity model and
-    /// mined keys, built around the document's own [`Corpus::segment`] by
-    /// the first caller and shared by every snapshot that holds the
-    /// document. Concurrent first callers wait for one build. Panics like
+    /// The query engine's offline artifacts for `id` — its index segment,
+    /// entity model and mined keys, built when the document arrived and
+    /// shared by every snapshot that holds the document. Panics like
     /// [`Corpus::doc`].
     pub fn engine(&self, id: DocId) -> &EngineParts {
-        let entry = self.entry(id);
-        entry
-            .engine
-            .get_or_init(|| EngineParts::with_index(&entry.doc, Arc::clone(&entry.segment)))
-    }
-
-    /// How many live documents have built their engine — what routing
-    /// saves shows here: a document no query reached has not paid for
-    /// entity analysis.
-    pub fn engines_built(&self) -> usize {
-        self.entries().filter(|e| e.engine.get().is_some()).count()
+        &self.entry(id).engine
     }
 
     /// The token → document directory.
@@ -534,7 +514,7 @@ impl Corpus {
         for (i, token) in tokens.iter().enumerate() {
             let mut docs: Vec<DocId> = Vec::new();
             for entry in self.entries() {
-                let postings = entry.segment.postings(token);
+                let postings = entry.engine.index().postings(token);
                 fanin.postings_touched += postings.len() as u64;
                 if !postings.is_empty() {
                     docs.push(entry.id);
@@ -560,7 +540,9 @@ impl Corpus {
             + self.slots.len() * std::mem::size_of::<Slot>()
             + self
                 .entries()
-                .map(|e| e.segment.memory_footprint() + e.doc.memory_footprint() + e.name.len())
+                .map(|e| {
+                    e.engine.index().memory_footprint() + e.doc.memory_footprint() + e.name.len()
+                })
                 .sum::<usize>()
     }
 }
@@ -675,10 +657,11 @@ mod tests {
         let mut total = 0;
         for (id, _, doc) in corpus.iter() {
             let solo = extract_index::InvertedIndex::build(doc);
-            assert_eq!(corpus.segment(id).inverted().total_postings(), solo.total_postings());
+            let segment = corpus.engine(id).index();
+            assert_eq!(segment.inverted().total_postings(), solo.total_postings());
             total += solo.total_postings();
             for (token, postings) in solo.iter() {
-                assert_eq!(corpus.segment(id).postings(token), postings, "{token}");
+                assert_eq!(segment.postings(token), postings, "{token}");
             }
         }
         assert_eq!(corpus.postings().total_postings(), total);

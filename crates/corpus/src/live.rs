@@ -5,17 +5,17 @@
 //! off a [`DocId`] and assumes the bytes behind it never change. This
 //! module keeps that contract while still allowing add/update/delete:
 //!
-//! * A mutation costs its document. [`LiveCorpus::ingest`] parses and
-//!   indexes the one document it was handed — before taking any lock —
-//!   then, under the writer lock, runs the fold a cold [`CorpusBuilder`]
-//!   runs: one edit of the corpus's one slot table and of the directory
-//!   lists of that document's distinct tokens. It then packages a
-//!   [`Corpus`] snapshot with `epoch + 1` and swaps it in as an [`Arc`].
-//!   [`LiveCorpus::delete`] is the same edit without a document. Neither
-//!   reads another document: every untouched document's slot entry — its
-//!   `Document`, segment and engine — is the same `Arc` in the new
-//!   snapshot as in the old, and a snapshot costs one reference per slot
-//!   and per directory token.
+//! * A mutation costs its document. [`LiveCorpus::ingest`] parses the one
+//!   document it was handed and builds its engine (index segment, entity
+//!   model, keys) — before taking any lock — then, under the writer lock,
+//!   runs the fold a cold [`CorpusBuilder`] runs: one edit of the
+//!   corpus's one slot table and of the directory lists of that document's
+//!   distinct tokens. It then packages a [`Corpus`] snapshot with
+//!   `epoch + 1` and swaps it in as an [`Arc`]. [`LiveCorpus::delete`] is
+//!   the same edit without a document. Neither reads another document:
+//!   every untouched document's slot entry — its `Document` and its
+//!   engine — is the same `Arc` in the new snapshot as in the old, and a
+//!   snapshot costs one reference per slot and per directory token.
 //! * Readers call [`LiveCorpus::snapshot`] per query and keep the `Arc`
 //!   until they finish — RCU-style snapshot isolation with zero unsafe
 //!   code. A swap never blocks readers beyond the brief publish lock.
@@ -27,25 +27,26 @@
 //!
 //! Lock order: `writer` before `published`. The writer lock serializes
 //! mutations and covers the slot edit, the directory edit and the swap —
-//! never a parse or an index build; the publish lock is only ever held
-//! for an `Arc` clone or swap.
+//! never a parse, an index build or an analysis; the publish lock is only
+//! ever held for an `Arc` clone or swap.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use extract_index::XmlIndex;
+use extract_core::EngineParts;
 use extract_obs::lock_unpoisoned;
 use extract_xml::Document;
 
 use crate::{Corpus, CorpusBuilder, CorpusOptions, DocId, RejectedDocument, Writer};
 
-/// Where one mutation's time went. A delete neither parses nor indexes:
-/// those stay zero.
+/// Where one mutation's time went. A delete neither parses nor builds an
+/// engine: those stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationCost {
     /// XML parse of the ingested document.
     pub parse: Duration,
-    /// Building the document's index segment.
+    /// Building the document's engine: its index segment, entity model and
+    /// keys.
     pub index: Duration,
     /// Waiting for the writer lock, slot bookkeeping, the directory edit
     /// and the snapshot swap.
@@ -123,10 +124,10 @@ impl LiveCorpus {
         std::mem::replace(&mut *lock_unpoisoned(&self.published), snapshot)
     }
 
-    /// Parse and index `xml`, then publish a snapshot containing it. An
-    /// existing live document named `name` is **updated in place** (same
-    /// slot, next generation); otherwise the lowest free slot is reused
-    /// under its next generation, or a fresh slot is appended.
+    /// Parse `xml` and build its engine, then publish a snapshot containing
+    /// it. An existing live document named `name` is **updated in place**
+    /// (same slot, next generation); otherwise the lowest free slot is
+    /// reused under its next generation, or a fresh slot is appended.
     ///
     /// A malformed document is rejected softly, exactly like
     /// [`CorpusBuilder::add_document`]: the error is returned, the
@@ -142,11 +143,11 @@ impl LiveCorpus {
             }
         };
         let parsed = Instant::now();
-        let segment = Arc::new(XmlIndex::build(&doc));
+        let engine = EngineParts::build(&doc);
         let indexed = Instant::now();
 
         let mut writer = lock_unpoisoned(&self.writer);
-        let (id, old) = writer.put(name, doc, segment);
+        let (id, old) = writer.put(name, doc, engine);
         let retired = self.swap(writer.publish());
         let epoch = writer.epoch;
         // What the mutation let go of — the replaced document and, if no
@@ -288,7 +289,7 @@ mod tests {
         let snap = live.snapshot();
         assert!(!snap.contains(old), "stale generation must not alias the new occupant");
         assert_eq!(snap.postings().docs_for("texas"), &[DocId::from_parts(0, 0), new]);
-        assert_eq!(snap.segment(new).postings("vldb").len(), 1);
+        assert_eq!(snap.engine(new).index().postings("vldb").len(), 1);
     }
 
     // The writer never puts a second document into an occupied slot: a
@@ -314,7 +315,7 @@ mod tests {
         let mut b = CorpusBuilder::new();
         let first = b.add_document("first", STORES).unwrap();
         let cold = b.finish();
-        let segment = Arc::clone(cold.segment(first));
+        let segment = Arc::clone(cold.engine(first).index());
         let live = LiveCorpus::from_corpus(cold);
         let old = live.snapshot();
         let second = live.ingest("second", DBLP).unwrap().id;
@@ -323,7 +324,7 @@ mod tests {
         assert_eq!(old.candidate_docs_str(&["texas"]).0, [first], "answers as taken");
         assert_eq!(new.candidate_docs_str(&["texas"]).0, [second]);
         assert!(!old.contains(second) && !new.contains(first));
-        assert!(Arc::ptr_eq(old.segment(first), &segment), "resuming shares the segment");
+        assert!(Arc::ptr_eq(old.engine(first).index(), &segment), "resuming shares the segment");
     }
 
     #[test]
@@ -429,7 +430,6 @@ mod tests {
             let after = live.snapshot();
             let mut shared = 0;
             for id in before.doc_ids().filter(|&id| after.contains(id)) {
-                assert!(Arc::ptr_eq(before.segment(id), after.segment(id)), "{id} re-indexed");
                 assert!(std::ptr::eq(before.doc(id), after.doc(id)), "{id} copied");
                 assert!(std::ptr::eq(before.engine(id), after.engine(id)), "{id} re-analyzed");
                 shared += 1;

@@ -139,7 +139,7 @@ proptest! {
             let solo = InvertedIndex::build(d);
             solo_total += solo.total_postings();
             for token in probe_tokens() {
-                let nodes = corpus.segment(DocId::from_index(i)).postings(&token);
+                let nodes = corpus.engine(DocId::from_index(i)).index().postings(&token);
                 prop_assert_eq!(nodes, solo.postings(&token), "token {} doc {}", token, i);
                 prop_assert_eq!(
                     sp.docs_for(&token).contains(&DocId::from_index(i)),
@@ -218,8 +218,8 @@ proptest! {
         let n = docs.len();
         for (i, _) in docs.iter().enumerate() {
             for token in probe_tokens() {
-                let a = cf.segment(DocId::from_index(i)).postings(&token);
-                let b = cr.segment(DocId::from_index(n - 1 - i)).postings(&token);
+                let a = cf.engine(DocId::from_index(i)).index().postings(&token);
+                let b = cr.engine(DocId::from_index(n - 1 - i)).index().postings(&token);
                 prop_assert_eq!(a, b, "token {} doc {}", token, i);
             }
         }
@@ -332,14 +332,14 @@ proptest! {
                 prop_assert_eq!(snapshot.doc(id).len(), model[name].len(), "{}", name);
                 for token in &tokens {
                     prop_assert_eq!(
-                        snapshot.segment(id).postings(token), solo.postings(token),
+                        snapshot.engine(id).index().postings(token), solo.postings(token),
                         "token {} of {}", token, name
                     );
                 }
                 if before.contains(id) {
                     prop_assert!(Some(id) != touched);
                     prop_assert!(
-                        Arc::ptr_eq(before.segment(id), snapshot.segment(id)),
+                        Arc::ptr_eq(before.engine(id).index(), snapshot.engine(id).index()),
                         "{} was re-indexed by {:?}", name, step
                     );
                 }

@@ -1,8 +1,9 @@
 //! What a corpus mutation cost, phase by phase — the write path's
 //! counterpart of the per-request [`Stage`](crate::Stage) histograms.
 //!
-//! An ingest is *parse → index → publish → invalidate*; a delete neither
-//! parses nor indexes. [`MutationObs`] keeps one [`Histogram`] per
+//! An ingest is *parse → index → publish → invalidate*, where *index*
+//! builds the document's whole engine (segment, entity model, keys); a
+//! delete neither parses nor indexes. [`MutationObs`] keeps one [`Histogram`] per
 //! `(op, phase)` pair that can occur and renders them as one family,
 //! `extract_mutation_duration_seconds{op,phase}`.
 
@@ -24,7 +25,8 @@ pub enum MutationOp {
 pub enum MutationPhase {
     /// XML parse of the ingested document.
     Parse,
-    /// Building the document's index segment.
+    /// Building the document's engine: its index segment, entity model
+    /// and keys. Exported as `phase="index"`.
     Index,
     /// Writer lock, slot bookkeeping, directory edit, snapshot swap.
     Publish,

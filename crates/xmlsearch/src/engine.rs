@@ -43,11 +43,6 @@ impl<'d> Engine<'d> {
         Engine { doc, index: XmlIndex::build(doc), model: EntityModel::analyze(doc) }
     }
 
-    /// Reuse pre-built components (lets callers share them with eXtract).
-    pub fn from_parts(doc: &'d Document, index: XmlIndex, model: EntityModel) -> Engine<'d> {
-        Engine { doc, index, model }
-    }
-
     /// The document.
     pub fn document(&self) -> &'d Document {
         self.doc
@@ -176,14 +171,5 @@ mod tests {
             let results = engine.search(&q, algo);
             assert!(!results.is_empty(), "{algo:?}");
         }
-    }
-
-    #[test]
-    fn from_parts_reuses_components() {
-        let doc = Document::parse_str(XML).unwrap();
-        let index = XmlIndex::build(&doc);
-        let model = EntityModel::analyze(&doc);
-        let engine = Engine::from_parts(&doc, index, model);
-        assert_eq!(engine.search_str("gap", Algorithm::XSeek).len(), 1);
     }
 }

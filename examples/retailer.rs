@@ -7,7 +7,7 @@
 //! cargo run --example retailer
 //! ```
 
-use extract::analyzer::{EntityModel, ResultStats};
+use extract::analyzer::ResultStats;
 use extract::core::dominance::dominant_features;
 use extract::datagen::retailer::{figure1_db, figure1_result_root};
 use extract::prelude::*;
@@ -25,15 +25,14 @@ fn main() {
     let query = KeywordQuery::parse("Texas apparel retailer");
 
     // Search: the Brook Brothers retailer is the only result.
-    let engine = Engine::from_parts(&doc, XmlIndex::build(&doc), EntityModel::analyze(&doc));
+    let engine = Engine::new(&doc);
     let results = engine.search(&query, Algorithm::XSeek);
     println!("query: {query} — {} result(s)", results.len());
     let bb = figure1_result_root(&doc);
     assert_eq!(results[0].root, bb);
 
     // ---- Figure 1 (right panel): value-occurrence statistics ----
-    let model = EntityModel::analyze(&doc);
-    let stats = ResultStats::compute(&doc, &model, bb);
+    let stats = ResultStats::compute(&doc, extract.model(), bb);
     println!("\n== Figure 1: statistics of the query result ==");
     print!("{}", stats.statistics_panel(&doc));
 

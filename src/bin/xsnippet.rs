@@ -24,7 +24,7 @@
 
 use std::process::ExitCode;
 
-use extract::analyzer::{EntityModel, ResultStats};
+use extract::analyzer::ResultStats;
 use extract::core::baselines::{BaselineStrategy, TextWindows};
 use extract::core::pipeline::SelectorKind;
 use extract::datagen::{auction::AuctionConfig, dblp, movies, retailer};
@@ -163,7 +163,7 @@ fn main() -> ExitCode {
     };
 
     let extract = Extract::new(&doc);
-    let engine = Engine::from_parts(&doc, XmlIndex::build(&doc), EntityModel::analyze(&doc));
+    let engine = Engine::new(&doc);
     let query = KeywordQuery::from_keywords(opts.keywords.clone());
     let config = ExtractConfig {
         size_bound: opts.bound,
@@ -200,8 +200,7 @@ fn main() -> ExitCode {
             println!("IList: {}", out.ilist.display(&doc).join(", "));
         }
         if opts.stats {
-            let model = EntityModel::analyze(&doc);
-            let stats = ResultStats::compute(&doc, &model, r.result.root);
+            let stats = ResultStats::compute(&doc, extract.model(), r.result.root);
             print!("{}", stats.statistics_panel(&doc));
         }
         match opts.format {

@@ -27,10 +27,10 @@
 //!   pull the corpus out from under it — the query completes against the
 //!   world it started in.
 //! * The writer ([`LiveCorpus::ingest`] / [`LiveCorpus::delete`])
-//!   indexes the one document it was handed, edits that document's
-//!   directory entries, bumps the corpus **epoch** and publishes a new
-//!   snapshot sharing everything else with the old one — every untouched
-//!   document's entry, segment and built engine included. Readers that
+//!   builds the engine of the one document it was handed, edits that
+//!   document's directory entries, bumps the corpus **epoch** and
+//!   publishes a new snapshot sharing everything else with the old one —
+//!   every untouched document's entry and engine included. Readers that
 //!   start after the publish see the new world; readers that started
 //!   before finish on the old one.
 //!
@@ -274,11 +274,10 @@ impl LiveSearchApp {
         obs_http::metrics_response(w)
     }
 
-    /// The `/stats` body: server counters (when attached), the engines the
-    /// snapshot has built and the session caches' counters, then the
-    /// corpus — live document count, bounded rejection counters and
-    /// `epoch`; the router's doc-count bootstrap reads `corpus.documents`
-    /// and `corpus.epoch` from here.
+    /// The `/stats` body: server counters (when attached) and the session
+    /// caches' counters, then the corpus — live document count, bounded
+    /// rejection counters and `epoch`; the router's doc-count bootstrap
+    /// reads `corpus.documents` and `corpus.epoch` from here.
     pub fn render_stats(&self) -> String {
         let snapshot = self.corpus.snapshot();
         let (rejected, rejected_dropped) = self.corpus.rejection_stats();
@@ -295,8 +294,6 @@ impl LiveSearchApp {
         }
         w.key("session");
         w.obj_begin();
-        w.key("engines_cached");
-        w.num_u64(snapshot.engines_built() as u64);
         write_cache_stats(&mut w, &self.caches);
         w.obj_end();
         w.key("corpus");

@@ -7,12 +7,12 @@
 //! builds one per request. [`QuerySession::answer_corpus_topk`]
 //! routes each query through the corpus's token → document directory
 //! ([`Corpus::candidate_docs_str`]) so only documents containing **every**
-//! keyword are searched; each of them answers with its engine — entity
-//! model and keys around its own index segment — which lives on the
-//! snapshot ([`Corpus::engine`]): the first query to reach a document
-//! builds it, and every later request and every later snapshot holding
-//! the document reuses it. The per-document ranked results are merged
-//! into one page ordered by (score desc, document asc, root asc).
+//! keyword are searched; each of them answers with its engine — index
+//! segment, entity model and keys — which lives on the snapshot
+//! ([`Corpus::engine`]): built when the document arrived, before it was
+//! published, and shared by every request and every snapshot holding the
+//! document. The per-document ranked results are merged into one page
+//! ordered by (score desc, document asc, root asc).
 //!
 //! Caching is two-level, both LRU, and both hold only what `/search`
 //! sends:
@@ -338,9 +338,8 @@ fn default_workers() -> usize {
 }
 
 impl<'d> QuerySession<'d> {
-    /// Serve a corpus with default pool and cache sizing. A document pays
-    /// for entity analysis and key mining the first time a query routes
-    /// to it (its index is the corpus's segment, built at ingestion).
+    /// Serve a corpus with default pool and cache sizing. Every document's
+    /// engine was built when it arrived: a query only reads it.
     ///
     /// # Panics
     /// If the corpus holds no documents.
@@ -1007,12 +1006,11 @@ mod tests {
         let corpus = small_corpus();
         let session = QuerySession::from_corpus_with_options(&corpus, 1, 64);
         let config = ExtractConfig::with_bound(8);
-        // "sigmod" only exists in the dblp document: only its engine is
-        // built, the three retailer documents never pay.
+        // "sigmod" only exists in the dblp document: the three retailer
+        // documents are never searched.
         let page = session.answer_corpus("paper sigmod", &config);
         assert!(!page.is_empty());
         assert!(page.iter().all(|a| corpus.name(a.doc) == "dblp"));
-        assert_eq!(corpus.engines_built(), 1, "only the routed document built an engine");
         assert!(session.routing_fanin().total() > 0);
         session.clear_cache();
         assert_eq!(session.routing_fanin(), FanIn::default());
@@ -1046,8 +1044,6 @@ mod tests {
             let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
             session.answer_corpus("store texas", &config);
         }
-        let built = corpus.engines_built();
-        assert!(built > 0, "engines outlive the session: they are the snapshot's");
         // A fresh session over the same snapshot: the page comes from the
         // shared cache without touching a single engine.
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
@@ -1056,7 +1052,6 @@ mod tests {
         let stats = session.corpus_page_stats();
         assert_eq!(stats.misses, misses, "warm page must hit: {stats:?}");
         assert!(stats.hits > 0);
-        assert_eq!(corpus.engines_built(), built, "page hit builds no engine");
     }
 
     #[test]
@@ -1073,7 +1068,7 @@ mod tests {
         };
         let built = models();
         // Result caching is disabled, so the second session re-runs search
-        // + snippets — on the engines the first one built, byte-identically.
+        // + snippets — on the same engines, byte-identically.
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
         let again = session.answer_corpus("paper sigmod", &config);
         assert_eq!(first.len(), again.len());
@@ -1082,19 +1077,6 @@ mod tests {
             assert_eq!(a.snippet.to_string(), b.snippet.to_string());
         }
         assert_eq!(models(), built, "no engine was rebuilt");
-    }
-
-    // One tokenization per document: the engine a query builds searches
-    // the corpus's own segment.
-    #[test]
-    fn an_engine_searches_the_corpus_segment_not_a_second_index() {
-        let corpus = small_corpus();
-        let session = QuerySession::for_snapshot(&corpus, 1, Arc::new(SessionCaches::new(0)));
-        session.answer_corpus("texas", &ExtractConfig::with_bound(8));
-        assert!(corpus.engines_built() > 0);
-        for id in corpus.doc_ids() {
-            assert!(Arc::ptr_eq(corpus.engine(id).index(), corpus.segment(id)), "{id} was re-indexed");
-        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!    kernel scratch, is the allocation of its bytes and nothing else;
 //! 4. a cached snippet is its bytes: the page and the snippet cache hold
 //!    one `Arc<str>`;
-//! 5. a document is tokenized once in its life: the first query to reach a
-//!    freshly ingested document builds its entity model and keys around the
-//!    corpus's index segment, not a second vocabulary;
+//! 5. a document's engine is built when it arrives: the first query to
+//!    reach a freshly ingested document allocates no more than a repeat of
+//!    it — no second vocabulary, no entity analysis;
 //! 6. parsing a document allocates per distinct label and per vector
 //!    growth, not per node: names are borrowed from the input, text goes
 //!    into one buffer, and a node is four `u32` column entries;
@@ -122,9 +122,10 @@ const DOCUMENT_QUERIES: [&str; 3] =
 
 const PAGE: usize = 10;
 
-/// A bundle of caches in which every engine the queries touch is built, so
-/// the counts below are page misses, not first-touch index builds. The
-/// warm-up window is empty: no snippet is generated or cached.
+/// A bundle of caches after every query has searched once on this thread,
+/// so the counts below are page misses on warm search buffers, not their
+/// first growth. The warm-up window is empty: no snippet is generated or
+/// cached.
 fn warm_caches(corpus: &Corpus, capacity: usize, config: &ExtractConfig) -> Arc<SessionCaches> {
     let caches = Arc::new(SessionCaches::new(capacity));
     for q in ENTITY_QUERIES.iter().chain(&DOCUMENT_QUERIES) {
@@ -209,7 +210,7 @@ fn parsing_allocates_per_label_not_per_node() {
 }
 
 /// The mean allocations of one miss at `k = 10` over [`ENTITY_QUERIES`],
-/// every engine warm and every cache cold for the key.
+/// the search buffers warm and every cache cold for the key.
 fn allocations_per_miss() -> u64 {
     let corpus = corpus();
     let config = ExtractConfig::default();
@@ -384,31 +385,37 @@ fn a_cached_snippet_is_its_bytes() {
 
 #[test]
 fn the_first_query_on_a_fresh_document_builds_no_second_vocabulary() {
-    // One element whose text holds 5 000 distinct tokens: interning them
-    // is at least two allocations each (the table keeps every string
-    // twice) — paid when the document is indexed, and only then.
+    // Two documents of one shape, each an element whose text holds 5 000
+    // distinct tokens: interning them is at least two allocations each
+    // (the table keeps every string twice) — paid when the document is
+    // ingested, and only then.
     const TOKENS: u64 = 5_000;
-    let text: String = (0..TOKENS).map(|i| format!("fresh{i} ")).collect();
-    let xml = format!("<notes><note><body>{text}</body><by>ann</by></note></notes>");
+    let xml = |prefix: &str| {
+        let text: String = (0..TOKENS).map(|i| format!("{prefix}{i} ")).collect();
+        format!("<notes><note><body>{text}</body><by>ann</by></note></notes>")
+    };
     let live = LiveCorpus::new();
-    let (_, indexing) = allocations_of(|| live.ingest("fresh", &xml).expect("well-formed"));
-    assert!(indexing >= 2 * TOKENS, "ingest made {indexing} allocations: no vocabulary built?");
+    live.ingest("older", &xml("older")).expect("well-formed");
+    let (_, ingest) = allocations_of(|| live.ingest("newer", &xml("newer")).expect("well-formed"));
+    assert!(ingest >= 2 * TOKENS, "ingest made {ingest} allocations: no vocabulary built?");
 
     let snapshot = live.snapshot();
-    let caches = Arc::new(SessionCaches::new(4096));
-    let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+    let caches = Arc::new(SessionCaches::new(0)); // result caches off
     let config = ExtractConfig::default();
-    let (page, first_query) =
-        allocations_of(|| session.answer_corpus_topk("fresh42 ann", &config, PAGE, 0));
+    let ask = |q: &str| {
+        allocations_of(|| {
+            let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+            session.answer_corpus_topk(q, &config, PAGE, 0)
+        })
+    };
+    // The first document warms this thread's search and kernel scratch.
+    let (page, _) = ask("older42 ann");
+    assert_eq!(page.total, 1, "the warm-up reaches the older document");
+    let (page, first) = ask("newer42 ann");
     assert_eq!(page.total, 1, "the query reaches the fresh document");
-    assert_eq!(snapshot.engines_built(), 1, "and built its engine");
-    println!("first query on a fresh document: {first_query} allocations (ingest {indexing})");
-    assert!(
-        first_query < TOKENS / 2,
-        "{first_query} allocations on first touch: the document was tokenized again"
-    );
-    let id = snapshot.doc_ids().next().expect("one document");
-    assert!(Arc::ptr_eq(snapshot.engine(id).index(), snapshot.segment(id)));
+    let (_, repeat) = ask("newer42 ann");
+    println!("first query on a fresh document: {first} allocations (repeat {repeat})");
+    assert!(first <= repeat, "{first} allocations on first touch vs {repeat} on a repeat");
 }
 
 #[test]
@@ -429,10 +436,6 @@ fn an_engine_lives_and_dies_with_its_document_generation() {
     let updated = live.ingest("updated", &xml("old")).expect("well-formed").id;
     let deleted = live.ingest("deleted", &xml("doomed")).expect("well-formed").id;
     let before = live.snapshot();
-    let session = QuerySession::for_snapshot(&before, 1, Arc::new(SessionCaches::new(4096)));
-    let page = session.answer_corpus_topk("words", &ExtractConfig::default(), PAGE, 0);
-    assert_eq!((page.total, before.engines_built()), (3, 3), "one query built all three");
-    drop(session);
     let replaced = Arc::downgrade(before.engine(updated).model());
     let doomed = Arc::downgrade(before.engine(deleted).model());
 
@@ -440,7 +443,6 @@ fn an_engine_lives_and_dies_with_its_document_generation() {
     assert_eq!(update.replaced, Some(updated));
     live.delete("deleted").expect("a live document");
     let after = live.snapshot();
-    assert_eq!(after.engines_built(), 1, "two epochs later only the untouched engine exists");
     assert!(
         Arc::ptr_eq(before.engine(kept).model(), after.engine(kept).model()),
         "the untouched document's engine is shared across the swap"
@@ -448,7 +450,7 @@ fn an_engine_lives_and_dies_with_its_document_generation() {
     let fresh = after.engine(update.id).model();
     assert!(!Arc::ptr_eq(fresh, &replaced.upgrade().expect("held by `before`")));
 
-    drop((page, before));
+    drop(before);
     assert!(replaced.upgrade().is_none(), "the replaced generation's engine was freed");
     assert!(doomed.upgrade().is_none(), "the deleted document's engine was freed");
 }

@@ -422,11 +422,12 @@ fn every_stats_server_key_has_its_metrics_family() {
 
 /// `/stats` — every scrape, the router's doc-count bootstrap — reads the
 /// rejection counters under the writer lock, so an ingest must not hold
-/// that lock while it parses. One thread ingests a document big enough
-/// to parse for a long while; the main thread asks `/stats` in a loop
-/// until the ingest is done. If the lock covered the parse, one of those
-/// answers would have waited out the whole ingest; held for the directory
-/// edit alone, the slowest is a small fraction of it.
+/// that lock while it parses, indexes or analyzes the document. One thread
+/// ingests a document big enough to take a long while over those; the
+/// main thread asks `/stats` in a loop until the ingest is done. If the
+/// lock covered the parse or the engine build, one of those answers would
+/// have waited out the whole ingest; held for the directory edit alone,
+/// the slowest is a small fraction of it.
 #[test]
 fn stats_answers_while_an_ingest_is_parsing() {
     let app = live_app(2, 0);
