@@ -24,6 +24,15 @@
 //! order its value by text under each root that counts it. Every entry is
 //! one `u32`, so the model grows with the document's nodes, whatever their
 //! depth.
+//!
+//! # One entity bit per node
+//!
+//! Lifting a search result to its entity ([`EntityModel::entity_of`]) asks
+//! one question at every ancestor step: is this element an entity? The
+//! model answers it from a bit set built with the column — one bit a node,
+//! set on the entity elements — so the walk reads the document's
+//! navigation column and that bit, not the label, the column entry and the
+//! category table.
 
 use std::cmp::Ordering;
 
@@ -112,6 +121,8 @@ pub struct EntityModel {
     categories: Vec<NodeCategory>,
     /// One entry per node, by `NodeId::index()`.
     column: Vec<u32>,
+    /// One bit per node, by `NodeId::index()`: set on entity elements.
+    entities: Vec<u64>,
     /// Each feature type with the first id numbered under it, in id order.
     types: Vec<(FeatureType, u32)>,
     /// How many feature ids there are.
@@ -154,9 +165,26 @@ impl EntityModel {
                 entry(kind, path.index())
             })
             .collect();
-        let mut model = EntityModel { schema, categories, column, types: Vec::new(), features: 0 };
+        let mut model = EntityModel {
+            schema,
+            categories,
+            column,
+            entities: vec![0; doc.len().div_ceil(64)],
+            types: Vec::new(),
+            features: 0,
+        };
+        for node in doc.all_nodes() {
+            if doc.is_element(node) && model.is_entity(node) {
+                model.entities[node.index() / 64] |= 1 << (node.index() % 64);
+            }
+        }
         model.number_features(doc);
         model
+    }
+
+    /// Whether `node` is an entity element: its bit.
+    fn entity_bit(&self, node: NodeId) -> bool {
+        self.entities[node.index() / 64] >> (node.index() % 64) & 1 != 0
     }
 
     /// Give every valued attribute its feature id: `(owner, attribute
@@ -288,15 +316,15 @@ impl EntityModel {
         self.category(node) == NodeCategory::Attribute
     }
 
-    /// The nearest ancestor-or-self of `node` that is an entity, if any.
+    /// The nearest ancestor-or-self of `node` that is an entity element,
+    /// if any: a parent walk testing each step's entity bit.
     pub fn entity_of(&self, doc: &Document, node: NodeId) -> Option<NodeId> {
-        doc.ancestors_or_self(node)
-            .find(|&n| doc.is_element(n) && self.is_entity(n))
+        doc.ancestors_or_self(node).find(|&n| self.entity_bit(n))
     }
 
     /// The nearest **strict** ancestor entity of `node`, if any.
     pub fn ancestor_entity_of(&self, doc: &Document, node: NodeId) -> Option<NodeId> {
-        doc.ancestors(node).find(|&n| self.is_entity(n))
+        doc.ancestors(node).find(|&n| self.entity_bit(n))
     }
 
     /// Entities in the subtree of `root` that have no ancestor entity
@@ -311,7 +339,7 @@ impl EntityModel {
 
     /// [`EntityModel::highest_entities`], appended to `out`.
     pub fn highest_entities_into(&self, doc: &Document, root: NodeId, out: &mut Vec<NodeId>) {
-        if doc.is_element(root) && self.is_entity(root) {
+        if self.entity_bit(root) {
             out.push(root);
             return;
         }
@@ -319,7 +347,7 @@ impl EntityModel {
         // entity found: what is left are entities with none above them.
         let mut descendants = doc.subtree(root).skip(1);
         while let Some(n) = descendants.next() {
-            if doc.is_element(n) && self.is_entity(n) {
+            if self.entity_bit(n) {
                 out.push(n);
                 if let Some(inside) = doc.subtree_size(n).checked_sub(2) {
                     descendants.nth(inside);
@@ -330,7 +358,7 @@ impl EntityModel {
 
     /// All entity nodes in the subtree of `root`, in document order.
     pub fn entities_in(&self, doc: &Document, root: NodeId) -> Vec<NodeId> {
-        doc.subtree_elements(root).filter(|&n| self.is_entity(n)).collect()
+        doc.subtree(root).filter(|&n| self.entity_bit(n)).collect()
     }
 
     /// All attribute nodes in the subtree of `root`, in document order.
@@ -498,6 +526,7 @@ mod tests {
         assert_eq!(m.slot(leaf), Slot::Orphan);
         assert_eq!(m.path_of(leaf), m.path_of(d.children(leaf).next().unwrap()));
         assert_eq!(m.column.len(), d.len());
+        assert!(m.entities.len() * 64 < d.len() + 64, "at most one entity bit a node");
         assert_eq!(m.categories.len(), DEPTH + LEAVES);
         assert_eq!((m.features, m.types.len()), (0, 0), "no leaf has an entity to number under");
     }

@@ -72,12 +72,20 @@ proptest! {
         }
     }
 
-    /// `entity_of` returns an ancestor-or-self entity, and the nearest one.
+    /// `entity_of` returns an ancestor-or-self entity, and the nearest one
+    /// — for every node, text nodes included, exactly the element the
+    /// reference walk over labels and categories finds.
     #[test]
     fn entity_of_is_nearest_ancestor_entity(spec in spec_strategy()) {
         let doc = build(&spec);
         let model = EntityModel::analyze(&doc);
-        for n in doc.subtree_elements(doc.root()) {
+        for n in doc.all_nodes() {
+            let reference =
+                doc.ancestors_or_self(n).find(|&a| doc.is_element(a) && model.is_entity(a));
+            prop_assert_eq!(model.entity_of(&doc, n), reference, "entity of {}", n);
+            if doc.is_text(n) {
+                continue;
+            }
             match model.entity_of(&doc, n) {
                 Some(e) => {
                     prop_assert!(doc.is_ancestor_or_self(e, n));

@@ -17,14 +17,17 @@
 //! the generic [`LruCache`] (which the serving layer also reuses for whole
 //! result pages). The cache is a plain mutable structure; concurrent
 //! callers (e.g. a query session's worker pool) wrap it in a `Mutex`,
-//! holding the lock only for `get`/`insert` — never during snippet
-//! computation, and never while a value is freed: [`LruCache::insert`]
-//! and [`LruCache::retain`] hand the entries they remove back to the
-//! caller, who drops them after the guard.
+//! holding the lock only for lookups and inserts — the serving layer
+//! takes it once to look up a page's snippets and once to store the ones
+//! it had to compute — never during snippet computation, and never while
+//! a value is freed: [`LruCache::insert`] and [`LruCache::retain`] hand
+//! the entries they remove back to the caller, who drops them after the
+//! guard.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
-use std::sync::Arc;
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use extract_index::DocId;
 use extract_search::KeywordQuery;
@@ -33,16 +36,46 @@ use extract_xml::NodeId;
 use crate::pipeline::{ExtractConfig, SelectorKind};
 
 /// The normalized text of a query ([`KeywordQuery`] display form:
-/// lowercased tokens, deduplicated, original order), shared: a request
-/// normalizes its query once and every key it builds — the page key, one
-/// snippet key per served result, and the copies the caches file in their
-/// recency indexes — holds the same allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QueryText(Arc<str>);
+/// lowercased tokens, deduplicated, original order), shared and hashed
+/// once: a request normalizes its query once, and every key it builds —
+/// the page key, one snippet key per served result, and the key copies
+/// the caches keep beside their entries — holds the same allocation and
+/// the same hash.
+///
+/// The hash is the text's under one process-wide keyed [`RandomState`],
+/// and a key hashes it as a `u64`, so a cache map (itself keyed) never
+/// rehashes the text. The query is client-supplied: keying both hashes is
+/// what keeps a client from choosing texts that collide.
+#[derive(Debug, Clone)]
+pub struct QueryText(Arc<str>, u64);
+
+/// The keyed hasher every [`QueryText`] of this process is hashed with.
+static QUERY_HASHER: OnceLock<RandomState> = OnceLock::new();
+
+impl QueryText {
+    fn new(text: Arc<str>) -> QueryText {
+        let hash = QUERY_HASHER.get_or_init(RandomState::new).hash_one(&*text);
+        QueryText(text, hash)
+    }
+}
+
+impl PartialEq for QueryText {
+    fn eq(&self, other: &QueryText) -> bool {
+        self.1 == other.1 && (Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0)
+    }
+}
+
+impl Eq for QueryText {}
+
+impl Hash for QueryText {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.1);
+    }
+}
 
 impl From<&KeywordQuery> for QueryText {
     fn from(query: &KeywordQuery) -> QueryText {
-        QueryText(query.to_string().into())
+        QueryText::new(query.to_string().into())
     }
 }
 
@@ -168,16 +201,6 @@ impl PageKey {
     }
 }
 
-#[derive(Debug)]
-struct Entry<V> {
-    value: V,
-    /// Authoritative recency (bumped on every hit).
-    last_used: u64,
-    /// The tick this entry is filed under in the recency index (only
-    /// maintained at insert/requeue time — hits stay `O(1)`).
-    recency_tick: u64,
-}
-
 /// Hit/miss counters of a cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -204,23 +227,54 @@ impl CacheStats {
 /// Default retention capacity of `Default`-constructed caches.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// A generic LRU cache with `O(1)` hits and amortized `O(log n)` inserts.
+/// A generic LRU cache: a get, an insert and an eviction each cost one
+/// hash-map operation and a few link updates, `O(1)`.
 ///
 /// `capacity` bounds the number of retained entries; inserting into a full
-/// cache evicts the least-recently-used one. Recency lives in a `BTreeMap`
-/// keyed by a strictly increasing tick; hits only bump the entry's
-/// `last_used` field, and stale recency positions are repaired lazily
-/// during eviction (each repair re-files one entry, so eviction stays
-/// amortized logarithmic). A capacity of `0` disables retention entirely
-/// (every `get` misses).
+/// cache evicts the least-recently-used one. Entries live in a slab — a
+/// `Vec` of slots — threaded on an intrusive doubly linked recency list of
+/// `u32` slot indices, most recent at the head; the map takes a key to its
+/// slot. A hit relinks its slot at the head; an insert into a full cache
+/// reuses the tail's slot for the newcomer. A capacity of `0` disables
+/// retention entirely (every `get` misses).
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, Entry<V>>,
-    /// `recency_tick` → key; the first *accurate* entry is the LRU victim.
-    recency: BTreeMap<u64, K>,
+    /// Key → slot index.
+    map: HashMap<K, u32>,
+    /// The entries; every slot is on the recency list.
+    slots: Vec<Slot<K, V>>,
+    /// Most recently used slot, [`NIL`] when empty.
+    head: u32,
+    /// Least recently used slot — the next victim — [`NIL`] when empty.
+    tail: u32,
     capacity: usize,
-    tick: u64,
     stats: CacheStats,
+}
+
+/// The end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached entry and its recency links.
+#[derive(Debug)]
+struct Slot<K, V> {
+    /// A copy of the map's key, so an eviction can remove it.
+    key: K,
+    value: V,
+    /// The next more recently used slot.
+    newer: u32,
+    /// The next less recently used slot.
+    older: u32,
+}
+
+/// The `u32` link of slot `index`.
+///
+/// # Panics
+/// On a slab of 2³² − 1 entries, whose index would be [`NIL`].
+fn link(index: usize) -> u32 {
+    match u32::try_from(index) {
+        Ok(link) if link != NIL => link,
+        _ => panic!("LRU cache slab exceeds {NIL} entries"),
+    }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> Default for LruCache<K, V> {
@@ -234,9 +288,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     pub fn new(capacity: usize) -> LruCache<K, V> {
         LruCache {
             map: HashMap::with_capacity(capacity.min(1024)),
-            recency: BTreeMap::new(),
+            slots: Vec::with_capacity(capacity.min(1024)),
+            head: NIL,
+            tail: NIL,
             capacity,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -245,12 +300,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// cache stays the owner so eviction never invalidates callers. (Wrap
     /// big values in `Arc` to make the clone `O(1)`.)
     pub fn get(&mut self, key: &K) -> Option<V> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
+        match self.map.get(key) {
+            Some(&at) => {
                 self.stats.hits += 1;
-                Some(entry.value.clone())
+                self.touch(at);
+                Some(self.slots[at as usize].value.clone())
             }
             None => {
                 self.stats.misses += 1;
@@ -268,45 +322,75 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         if self.capacity == 0 {
             return Some(value);
         }
-        self.tick += 1;
-        let entry = Entry { value, last_used: self.tick, recency_tick: self.tick };
-        let displaced = match self.map.insert(key.clone(), entry) {
-            Some(old) => {
-                self.recency.remove(&old.recency_tick);
-                Some(old.value)
+        let vacant = match self.map.entry(key) {
+            Entry::Occupied(entry) => {
+                let at = *entry.get();
+                let old = std::mem::replace(&mut self.slots[at as usize].value, value);
+                self.touch(at);
+                return Some(old);
             }
-            None if self.map.len() > self.capacity => self.evict_lru(),
-            None => None,
+            Entry::Vacant(vacant) => vacant,
         };
-        self.recency.insert(self.tick, key);
-        displaced
+        let slot = Slot { key: vacant.key().clone(), value, newer: NIL, older: NIL };
+        if self.slots.len() < self.capacity {
+            let at = link(self.slots.len());
+            vacant.insert(at);
+            self.slots.push(slot);
+            self.push_head(at);
+            return None;
+        }
+        // Full: the newcomer takes the least recently used entry's slot.
+        let at = self.tail;
+        vacant.insert(at);
+        self.unlink(at);
+        let evicted = std::mem::replace(&mut self.slots[at as usize], slot);
+        self.push_head(at);
+        self.map.remove(&evicted.key);
+        self.stats.evictions += 1;
+        Some(evicted.value)
     }
 
-    /// Pop recency positions until one matches its entry's true
-    /// `last_used`; entries touched since their last filing are re-filed
-    /// at their current recency instead of being evicted.
-    fn evict_lru(&mut self) -> Option<V> {
-        while let Some((tick, key)) = self.recency.pop_first() {
-            let Some(entry) = self.map.get_mut(&key) else { continue };
-            if entry.last_used == tick {
-                self.stats.evictions += 1;
-                return self.map.remove(&key).map(|entry| entry.value);
-            }
-            let fresh = entry.last_used;
-            entry.recency_tick = fresh;
-            self.recency.insert(fresh, key);
+    /// Make slot `at` the most recently used.
+    fn touch(&mut self, at: u32) {
+        if self.head != at {
+            self.unlink(at);
+            self.push_head(at);
         }
-        None
+    }
+
+    /// Take slot `at` off the recency list.
+    fn unlink(&mut self, at: u32) {
+        let Slot { newer, older, .. } = self.slots[at as usize];
+        match newer {
+            NIL => self.head = older,
+            newer => self.slots[newer as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            older => self.slots[older as usize].newer = newer,
+        }
+    }
+
+    /// Put the unlinked slot `at` at the head of the recency list.
+    fn push_head(&mut self, at: u32) {
+        let old_head = self.head;
+        let slot = &mut self.slots[at as usize];
+        (slot.newer, slot.older) = (NIL, old_head);
+        match old_head {
+            NIL => self.tail = at,
+            old_head => self.slots[old_head as usize].newer = at,
+        }
+        self.head = at;
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// The retention capacity.
@@ -329,33 +413,73 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// with a cache mutex held, per mutation, and frees a thousand snippet
     /// trees only after the guard.
     ///
-    /// Every entry is filed in the recency index under exactly its
-    /// `recency_tick`, so a removed entry takes its own position with it:
-    /// `O(removed · log n)`, and no survivor's key is ever rehashed.
+    /// A removed slot is refilled by the slab's last one, which is
+    /// relinked and re-pointed in the map — one map operation per removal
+    /// and per move, so `O(n)` for the scan and `O(1)` a removal.
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<V> {
-        let recency = &mut self.recency;
-        self.map
-            .extract_if(|k, _| !keep(k))
-            .map(|(_, entry)| {
-                recency.remove(&entry.recency_tick);
-                entry.value
-            })
-            .collect()
+        let mut removed = Vec::new();
+        let mut at = 0;
+        while at < self.slots.len() {
+            if keep(&self.slots[at].key) {
+                at += 1;
+                continue;
+            }
+            let gone = link(at);
+            self.unlink(gone);
+            let slot = self.slots.swap_remove(at);
+            self.map.remove(&slot.key);
+            removed.push(slot.value);
+            if at < self.slots.len() {
+                self.relocate(link(self.slots.len()), gone);
+            }
+        }
+        removed
+    }
+
+    /// Re-point the links and the map entry of the slot that moved from
+    /// index `from` to index `to`.
+    fn relocate(&mut self, from: u32, to: u32) {
+        let Slot { newer, older, .. } = self.slots[to as usize];
+        match newer {
+            NIL => self.head = to,
+            newer => self.slots[newer as usize].older = to,
+        }
+        match older {
+            NIL => self.tail = to,
+            older => self.slots[older as usize].newer = to,
+        }
+        if let Some(index) = self.map.get_mut(&self.slots[to as usize].key) {
+            debug_assert_eq!(*index, from);
+            *index = to;
+        }
     }
 
     /// The retained values, in no particular order (recency untouched,
     /// nothing counted as a lookup) — for gauges over what the cache
     /// holds.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.map.values().map(|entry| &entry.value)
+        self.slots.iter().map(|slot| &slot.value)
     }
 
     /// Drop all entries and reset the counters.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.recency.clear();
+        self.slots.clear();
+        (self.head, self.tail) = (NIL, NIL);
         self.stats = CacheStats::default();
-        self.tick = 0;
+    }
+
+    /// The keys from least to most recently used: the recency list walked
+    /// from its tail.
+    #[cfg(test)]
+    fn lru_order(&self) -> Vec<K> {
+        let mut order = Vec::new();
+        let mut at = self.tail;
+        while at != NIL {
+            order.push(self.slots[at as usize].key.clone());
+            at = self.slots[at as usize].newer;
+        }
+        order
     }
 }
 
@@ -526,7 +650,7 @@ mod tests {
         for i in 1..100u32 {
             cache.insert(i, i);
             // Key 0 is touched after every insert, so it must never be the
-            // LRU victim even though its recency filing goes stale.
+            // LRU victim.
             assert_eq!(cache.get(&0), Some(0), "round {i}");
         }
         assert_eq!(cache.len(), 4);
@@ -592,11 +716,10 @@ mod tests {
         for i in 0..4u32 {
             cache.insert(i, i);
         }
-        // A hit leaves key 0 filed under its insert tick: the true LRU
-        // order is now 1, 2, 3, 0, with one stale recency position.
+        // A hit moves key 0 to the head: the LRU order is now 1, 2, 3, 0.
         assert_eq!(cache.get(&0), Some(0));
         cache.retain(|k| *k != 2);
-        assert_eq!(cache.recency.len(), 3, "the removed entry took its position with it");
+        assert_eq!(cache.lru_order(), [1, 3, 0], "the removed entry took its position with it");
         assert_eq!(cache.values().copied().sum::<u32>(), 4, "survivors 0, 1, 3");
         // Survivors are evicted in their pre-retain order: 1, 3, then 0.
         cache.insert(10, 10); // fills the freed seat, evicts nothing
@@ -637,6 +760,19 @@ mod tests {
         let again = CacheKey::for_doc(&query, DocId::from_index(3), setup().root(), &config);
         assert_eq!(snippet, again);
         assert_eq!(&*text.0, "store texas");
+    }
+
+    #[test]
+    fn query_texts_are_equal_and_hash_alike_exactly_when_their_texts_are() {
+        let hasher = RandomState::new();
+        let a = QueryText::from(&KeywordQuery::parse("Store, TEXAS"));
+        let b = QueryText::from(&KeywordQuery::parse("store texas"));
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "normalized twice, two allocations");
+        assert_eq!(a, b);
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let c = QueryText::from(&KeywordQuery::parse("texas store"));
+        assert_ne!(a, c);
+        assert_ne!(a.1, c.1, "the process-wide hash tells the texts apart");
     }
 
     #[test]

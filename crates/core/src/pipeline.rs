@@ -11,6 +11,7 @@
 //! an owned [`SnippetedResult`] read out of the scratch
 //! ([`Extract::snippet_of`] — what a library caller keeps).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use extract_analyzer::{EntityModel, KeyCatalog};
@@ -107,31 +108,39 @@ impl EngineParts {
     }
 }
 
-/// The eXtract system bound to one document. The offline artifacts are
-/// `Arc`-shared ([`EngineParts`]), so cloning an engine — or building one
-/// from cached parts via [`Extract::with_parts`] — is cheap; only the
-/// `Document` itself is borrowed.
+/// The eXtract system bound to one document. The offline artifacts
+/// ([`EngineParts`]) are owned ([`Extract::new`], [`Extract::with_parts`])
+/// or borrowed from wherever they live ([`Extract::borrowing`] — what a
+/// served snippet uses, so it touches no refcount); the `Document` itself
+/// is always borrowed.
 #[derive(Debug, Clone)]
 pub struct Extract<'d> {
     doc: &'d Document,
-    parts: EngineParts,
+    parts: Cow<'d, EngineParts>,
 }
 
 impl<'d> Extract<'d> {
     /// Run the offline stages for `doc`.
     pub fn new(doc: &'d Document) -> Extract<'d> {
-        Extract { doc, parts: EngineParts::build(doc) }
+        Extract { doc, parts: Cow::Owned(EngineParts::build(doc)) }
     }
 
     /// Bind shared offline artifacts (from [`EngineParts::build`] on the
     /// same document) to a borrow of that document.
     pub fn with_parts(doc: &'d Document, parts: EngineParts) -> Extract<'d> {
-        Extract { doc, parts }
+        Extract { doc, parts: Cow::Owned(parts) }
+    }
+
+    /// Bind a borrow of offline artifacts (from [`EngineParts::build`] on
+    /// the same document) to a borrow of that document: no clone, no
+    /// refcount.
+    pub fn borrowing(doc: &'d Document, parts: &'d EngineParts) -> Extract<'d> {
+        Extract { doc, parts: Cow::Borrowed(parts) }
     }
 
     /// The shared offline artifacts (an `Arc` clone per component).
     pub fn parts(&self) -> EngineParts {
-        self.parts.clone()
+        EngineParts::clone(&self.parts)
     }
 
     /// The document.

@@ -1,20 +1,22 @@
 //! The document: a structure-of-arrays XML tree.
 //!
 //! A node is its [`NodeId`] — its position in document (pre)order — and
-//! one entry in each of four parallel `u32` columns:
+//! one entry in each of three parallel columns:
 //!
 //! * `label` — an element's interned label ([`Symbol`]), or, with the high
 //!   bit set, a text node's byte length: the node kind is folded into it;
-//! * `parent` — the parent's id (`u32::MAX` for the root);
-//! * `subtree_end` — one past the last id of the node's subtree;
+//! * `nav` — the navigation pair `[parent, subtree_end]`: the parent's id
+//!   (`u32::MAX` for the root) and one past the last id of the node's
+//!   subtree, side by side, so an ancestor step and the interval test at
+//!   that ancestor read one cache line;
 //! * `text_start` — where a text node's content starts in the document's
 //!   one text buffer (unused for elements).
 //!
 //! That is 16 bytes a node and no per-node allocation: a page miss touches
-//! four dense arrays, not a 64-byte node each. The label interner, the text
-//! buffer and the DOCTYPE live behind one `Arc` that a
+//! three dense arrays, not a 64-byte node each. The label interner, the
+//! text buffer and the DOCTYPE live behind one `Arc` that a
 //! [projection](Document::project) shares with its source, so a snippet
-//! tree is four short columns and a refcount bump.
+//! tree is three short columns and a refcount bump.
 //!
 //! # Invariant: IDs are in document order, so a subtree is an ID interval
 //!
@@ -75,8 +77,12 @@ pub enum NodeKind {
 /// High bit of a `label` entry: the node is text, and the low bits are its
 /// content's byte length.
 const TEXT: u32 = 1 << 31;
-/// The `parent` entry of the root.
+/// The parent entry of the root.
 const NO_PARENT: u32 = u32::MAX;
+/// Where a `nav` pair keeps the parent.
+const PARENT: usize = 0;
+/// Where a `nav` pair keeps the subtree end.
+const END: usize = 1;
 
 /// The part of a document no projection changes: the label interner, the
 /// text buffer and the DOCTYPE. A [`Document`] holds it behind an `Arc`, so
@@ -99,7 +105,8 @@ pub(crate) struct Shared {
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     label: Vec<u32>,
-    parent: Vec<u32>,
+    /// `[parent, subtree_end]`; the end is only final once sealed.
+    nav: Vec<[u32; 2]>,
     text_start: Vec<u32>,
     /// The text buffer: constructors write content here, then append the
     /// text node that covers it ([`Arena::push_text_from`]).
@@ -111,7 +118,7 @@ impl Arena {
     pub(crate) fn with_capacity(nodes: usize, text: usize) -> Arena {
         Arena {
             label: Vec::with_capacity(nodes),
-            parent: Vec::with_capacity(nodes),
+            nav: Vec::with_capacity(nodes),
             text_start: Vec::with_capacity(nodes),
             text: String::with_capacity(text),
         }
@@ -119,14 +126,14 @@ impl Arena {
 
     pub(crate) fn reserve(&mut self, nodes: usize) {
         self.label.reserve(nodes);
-        self.parent.reserve(nodes);
+        self.nav.reserve(nodes);
         self.text_start.reserve(nodes);
     }
 
     fn push(&mut self, label: u32, parent: Option<NodeId>, text_start: u32) -> NodeId {
         let id = NodeId(id32(self.label.len()));
         self.label.push(label);
-        self.parent.push(parent.map_or(NO_PARENT, |p| p.0));
+        self.nav.push([parent.map_or(NO_PARENT, |p| p.0), id.0 + 1]);
         self.text_start.push(text_start);
         id
     }
@@ -169,7 +176,7 @@ impl Arena {
     /// is the tail of the buffer.
     fn last_text_child(&self, parent: NodeId) -> Option<NodeId> {
         let last = self.label.len().checked_sub(1)?;
-        (self.label[last] & TEXT != 0 && self.parent[last] == parent.0)
+        (self.label[last] & TEXT != 0 && self.nav[last][PARENT] == parent.0)
             .then(|| NodeId::from_index(last))
     }
 
@@ -193,26 +200,20 @@ impl Arena {
     }
 
     /// Seal the columns over `shared` (owned, or a projection's source's).
-    /// Subtree ends come from one reverse pass: a node's interval ends where
-    /// its last descendant's does, and in preorder every descendant has a
-    /// larger id than its ancestors.
+    /// Subtree ends come from one reverse pass over the ends each node was
+    /// pushed with (its own id + 1): a node's interval ends where its last
+    /// descendant's does, and in preorder every descendant has a larger id
+    /// than its ancestors.
     fn seal(mut self, shared: Arc<Shared>) -> Document {
-        let n = self.label.len();
-        let mut subtree_end: Vec<u32> = (1..=id32(n)).collect();
-        for i in (1..n).rev() {
-            let p = self.parent[i] as usize;
-            subtree_end[p] = subtree_end[p].max(subtree_end[i]);
+        for i in (1..self.nav.len()).rev() {
+            let [p, end] = self.nav[i];
+            let at = &mut self.nav[p as usize][END];
+            *at = (*at).max(end);
         }
         self.label.shrink_to_fit();
-        self.parent.shrink_to_fit();
+        self.nav.shrink_to_fit();
         self.text_start.shrink_to_fit();
-        let doc = Document {
-            shared,
-            label: self.label,
-            parent: self.parent,
-            subtree_end,
-            text_start: self.text_start,
-        };
+        let doc = Document { shared, label: self.label, nav: self.nav, text_start: self.text_start };
         debug_assert_eq!(doc.debug_validate(), Ok(()));
         doc
     }
@@ -235,8 +236,8 @@ fn text_label(len: usize) -> u32 {
 pub struct Document {
     shared: Arc<Shared>,
     label: Vec<u32>,
-    parent: Vec<u32>,
-    subtree_end: Vec<u32>,
+    /// `[parent, subtree_end]` per node.
+    nav: Vec<[u32; 2]>,
     text_start: Vec<u32>,
 }
 
@@ -271,18 +272,15 @@ impl Document {
         self.label.iter().filter(|&&l| l & TEXT == 0).count()
     }
 
-    /// Estimated heap footprint in bytes: the four node columns (allocated
-    /// capacity), the text buffer, and the label interner (each distinct
+    /// Estimated heap footprint in bytes: the node columns (allocated
+    /// capacity; a `nav` pair counts as two entries), the text buffer, and the label interner (each distinct
     /// label stored twice — interner vector plus lookup-map key — at
     /// [`crate::SYMBOL_ENTRY_OVERHEAD`] bytes of fixed overhead per entry,
     /// the same estimate the index crates use for their token tables). The
     /// buffer and the interner are counted whole even when a projection
     /// shares them with its source.
     pub fn memory_footprint(&self) -> usize {
-        let columns = self.label.capacity()
-            + self.parent.capacity()
-            + self.subtree_end.capacity()
-            + self.text_start.capacity();
+        let columns = self.label.capacity() + 2 * self.nav.capacity() + self.text_start.capacity();
         let symbols: usize = self
             .shared
             .symbols
@@ -372,14 +370,14 @@ impl Document {
 
     /// Parent of `id`, or `None` for the root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        let p = self.parent[id.index()];
+        let p = self.nav[id.index()][PARENT];
         (p != NO_PARENT).then_some(NodeId(p))
     }
 
     /// Children of `id` in document order: `id + 1`, then each child's
     /// subtree end, while inside `id`'s interval.
     pub fn children(&self, id: NodeId) -> ChildNodes<'_> {
-        ChildNodes { ends: &self.subtree_end, next: id.0 + 1, end: self.subtree_end[id.index()] }
+        ChildNodes { nav: &self.nav, next: id.0 + 1, end: self.end(id) }
     }
 
     /// Element children only.
@@ -410,7 +408,7 @@ impl Document {
         }
         // The only child is `id + 1`, and it is a leaf: the interval is two long.
         let only = NodeId(id.0 + 1);
-        if self.subtree_end[id.index()] == id.0 + 2 {
+        if self.end(id) == id.0 + 2 {
             return self.text(only);
         }
         None
@@ -432,13 +430,18 @@ impl Document {
     /// One past the last ID in the subtree of `id`: the subtree is exactly
     /// the ID interval `[id, subtree_end(id))`.
     pub fn subtree_end(&self, id: NodeId) -> NodeId {
-        NodeId(self.subtree_end[id.index()])
+        NodeId(self.end(id))
+    }
+
+    /// The raw subtree end of `id`.
+    fn end(&self, id: NodeId) -> u32 {
+        self.nav[id.index()][END]
     }
 
     /// Preorder iterator over the subtree rooted at `id`, including `id` —
     /// a scan of its ID interval.
     pub fn subtree(&self, id: NodeId) -> Subtree {
-        Subtree { ids: id.0..self.subtree_end[id.index()] }
+        Subtree { ids: id.0..self.end(id) }
     }
 
     /// Preorder iterator over the **element** nodes of the subtree at `id`.
@@ -448,7 +451,7 @@ impl Document {
 
     /// Number of nodes in the subtree at `id` (including `id`).
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        (self.subtree_end[id.index()] - id.0) as usize
+        (self.end(id) - id.0) as usize
     }
 
     /// Iterator over strict ancestors of `id`, nearest first.
@@ -469,7 +472,7 @@ impl Document {
     /// True iff `a` is an ancestor of `b` or equal to it: `b` lies in
     /// `a`'s ID interval.
     pub fn is_ancestor_or_self(&self, a: NodeId, b: NodeId) -> bool {
-        a <= b && b.0 < self.subtree_end[a.index()]
+        a <= b && b.0 < self.end(a)
     }
 
     /// The Dewey order label of `id`: the ranks on its root path, computed
@@ -539,7 +542,7 @@ impl Document {
         // ancestors up to `root` — KEPT, then the element's new id.
         const ABSENT: u32 = u32::MAX;
         const KEPT: u32 = u32::MAX - 1;
-        let (base, end) = (root.index(), self.subtree_end[root.index()] as usize);
+        let (base, end) = (root.index(), self.end(root) as usize);
         let mut new_id = vec![ABSENT; end - base];
         new_id[0] = KEPT;
         for &n in keep.into_iter().filter(|n| (base..end).contains(&n.index())) {
@@ -554,7 +557,7 @@ impl Document {
         // has a kept parent — kept elements and text nodes ride.
         let next = |new_id: &[u32], mut i: usize| {
             while i < end && self.label[i] & TEXT == 0 && new_id[i - base] == ABSENT {
-                i = self.subtree_end[i] as usize;
+                i = self.nav[i][END] as usize;
             }
             i
         };
@@ -567,7 +570,7 @@ impl Document {
         let mut out = Arena::with_capacity(len, 0);
         let mut i = next(&new_id, base);
         while i < end {
-            let parent = (i != base).then(|| NodeId(new_id[self.parent[i] as usize - base]));
+            let parent = (i != base).then(|| NodeId(new_id[self.nav[i][PARENT] as usize - base]));
             let id = out.push(self.label[i], parent, self.text_start[i]);
             if self.label[i] & TEXT == 0 {
                 new_id[i - base] = id.0;
@@ -607,16 +610,12 @@ impl Document {
         if n == 0 {
             return Err("empty document".into());
         }
-        for (name, len) in [
-            ("parent", self.parent.len()),
-            ("subtree end", self.subtree_end.len()),
-            ("text start", self.text_start.len()),
-        ] {
+        for (name, len) in [("navigation", self.nav.len()), ("text start", self.text_start.len())] {
             if len != n {
                 return Err(format!("{len} {name} entries for {n} nodes"));
             }
         }
-        if self.parent[0] != NO_PARENT {
+        if self.nav[0][PARENT] != NO_PARENT {
             return Err("node n0 has a parent".into());
         }
         // Preorder: a node's parent is open when it starts — the parent
@@ -625,7 +624,7 @@ impl Document {
         // reverse pass: a subtree ends where its last child's does.
         let mut want_end: Vec<u32> = (1..=id32(n)).collect();
         for i in 1..n {
-            let p = self.parent[i];
+            let p = self.nav[i][PARENT];
             if p as usize >= i {
                 return Err(format!("node n{i} has parent n{p}, not an earlier node"));
             }
@@ -635,10 +634,10 @@ impl Document {
             }
         }
         for i in (1..n).rev() {
-            let p = self.parent[i] as usize;
+            let p = self.nav[i][PARENT] as usize;
             want_end[p] = want_end[p].max(want_end[i]);
         }
-        for (i, (&got, &want)) in self.subtree_end.iter().zip(&want_end).enumerate() {
+        for (i, (&[_, got], &want)) in self.nav.iter().zip(&want_end).enumerate() {
             if got != want {
                 return Err(format!(
                     "subtree of {} ends at {} but its interval says {}",
@@ -661,7 +660,7 @@ impl Document {
 /// [`Document::children`].
 #[derive(Debug, Clone)]
 pub struct ChildNodes<'a> {
-    ends: &'a [u32],
+    nav: &'a [[u32; 2]],
     next: u32,
     end: u32,
 }
@@ -674,7 +673,7 @@ impl Iterator for ChildNodes<'_> {
             return None;
         }
         let child = self.next;
-        self.next = self.ends[child as usize];
+        self.next = self.nav[child as usize][END];
         Some(NodeId(child))
     }
 }
@@ -942,20 +941,20 @@ mod tests {
     fn validate_rejects_a_corrupted_interval() {
         let good = sample();
         for i in 0..good.len() {
-            for wrong in [good.subtree_end[i] - 1, good.subtree_end[i] + 1] {
+            for wrong in [good.nav[i][END] - 1, good.nav[i][END] + 1] {
                 let mut bad = good.clone();
-                bad.subtree_end[i] = wrong;
+                bad.nav[i][END] = wrong;
                 let err = bad.debug_validate().unwrap_err();
                 assert!(err.contains("interval"), "{err}");
             }
         }
         let mut short = good.clone();
-        short.subtree_end.pop();
+        short.nav.pop();
         assert!(short.debug_validate().is_err());
         // A node whose parent closed before it started breaks preorder.
         let mut reparented = good.clone();
         let last = reparented.len() - 1;
-        reparented.parent[last] = 1;
+        reparented.nav[last][PARENT] = 1;
         assert!(reparented.debug_validate().unwrap_err().contains("preorder"));
     }
 

@@ -12,6 +12,9 @@
 #      cargo test --release -p extract-search
 #                                     — the search proptests where integer
 #                                       overflow wraps instead of panicking
+#      cargo test --release -p extract-core -p extract-analyzer
+#                                     — the LRU reference model and the
+#                                       analyzer oracles, likewise
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -41,6 +44,7 @@ run cargo build --release --offline
 run cargo test -q --offline
 run cargo test -q --offline --release --test alloc_budget
 run cargo test -q --offline --release -p extract-search
+run cargo test -q --offline --release -p extract-core -p extract-analyzer
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

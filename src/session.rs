@@ -31,12 +31,18 @@
 //!    `Arc`s, so a snippet's bytes exist once however many pages show
 //!    them.
 //!
-//! Both sit behind `Mutex`es held strictly for `get`/`insert` — never
-//! during computation, and never while an entry is freed: what an insert
-//! evicts or a mutation invalidates is handed out of the cache and
-//! dropped after the guard — so contention stays negligible next to the
-//! work they save. A cached snippet is one allocation (its bytes), so
-//! freeing one that another worker built costs one cross-thread free.
+//! Both sit behind `Mutex`es held only to look up and to store: a miss
+//! takes the snippet cache's lock once to look up its whole window and
+//! once more to store the snippets it computed. A lock is never held
+//! during computation, nor while an entry is freed: what an insert evicts
+//! or a mutation invalidates is handed out of the cache and dropped after
+//! the guard — so contention stays negligible next to the work they save.
+//! Both caches are `O(1)` a lookup, insert or eviction
+//! ([`LruCache`]), and every key hashes the request's query text as the
+//! one keyed hash [`QueryText`] took when the request was parsed. A cached
+//! snippet is one allocation (its bytes), so freeing one that another
+//! worker built costs one cross-thread free. A miss's kernel borrows the
+//! document's engine from the snapshot: it clones nothing.
 //!
 //! A miss pays for the window it serves, not for the results it ranks:
 //! every result root of every candidate document is *scored by counting*
@@ -458,32 +464,62 @@ impl<'d> QuerySession<'d> {
         window.finish()
     }
 
-    /// One served result's snippet XML, via the shared snippet cache when
-    /// enabled (`text` is the request's normalized query then). A miss
-    /// runs the snippet kernel in this thread's scratch and keeps the
-    /// bytes it wrote.
-    fn snippet_for(
+    /// The served window's answers, their snippets via the shared snippet
+    /// cache when enabled (`text` is the request's normalized query then):
+    /// one lock looks up every result of the window, the misses run the
+    /// snippet kernel in this thread's scratch on the document's borrowed
+    /// engine, and one more lock stores the bytes they wrote.
+    fn answers(
         &self,
-        (doc, _, root): Ranked,
+        served: &[Ranked],
         query: &KeywordQuery,
         text: Option<&QueryText>,
         config: &ExtractConfig,
-    ) -> Arc<str> {
-        let compute = || {
-            let engine = self.corpus.engine(doc).clone();
-            let extract = Extract::with_parts(self.corpus.doc(doc), engine);
+    ) -> Vec<CorpusAnswer> {
+        let compute = |doc: DocId, root: NodeId| -> Arc<str> {
+            let extract = Extract::borrowing(self.corpus.doc(doc), self.corpus.engine(doc));
             with_scratch(|scratch| Arc::from(extract.snippet_xml(query, root, config, scratch)))
         };
+        let answer = |(doc, score, root): Ranked, snippet| CorpusAnswer { doc, score, root, snippet };
         let Some(text) = text else {
-            return compute();
+            return served.iter().map(|&at| answer(at, compute(at.0, at.2))).collect();
         };
-        let key = CacheKey::for_doc(text, doc, root, config);
-        if let Some(hit) = lock_unpoisoned(&self.caches.snippets).get(&key) {
-            return hit;
+        // Each result's key and, in its second half, first the cached
+        // bytes the lookup found, then — once the window has taken those —
+        // the bytes a miss computed, to be stored.
+        let mut keyed: Vec<(CacheKey, Option<Arc<str>>)> = served
+            .iter()
+            .map(|&(doc, _, root)| (CacheKey::for_doc(text, doc, root, config), None))
+            .collect();
+        {
+            let mut snippets = lock_unpoisoned(&self.caches.snippets);
+            for (key, hit) in &mut keyed {
+                *hit = snippets.get(key);
+            }
         }
-        let computed = compute();
-        store(&self.caches.snippets, key, Arc::clone(&computed));
-        computed
+        let mut misses = 0;
+        let window = served
+            .iter()
+            .zip(&mut keyed)
+            .map(|(&at, (_, slot))| {
+                let snippet = slot.take().unwrap_or_else(|| {
+                    let fresh = compute(at.0, at.2);
+                    *slot = Some(Arc::clone(&fresh));
+                    misses += 1;
+                    fresh
+                });
+                answer(at, snippet)
+            })
+            .collect();
+        if misses > 0 {
+            let fresh = keyed.into_iter().filter_map(|(key, xml)| Some((key, xml?)));
+            let displaced: Vec<Arc<str>> = {
+                let mut snippets = lock_unpoisoned(&self.caches.snippets);
+                fresh.filter_map(|(key, xml)| snippets.insert(key, xml)).collect()
+            };
+            drop(displaced);
+        }
+        window
     }
 
     /// Answer one query against the whole corpus: route through the
@@ -552,19 +588,10 @@ impl<'d> QuerySession<'d> {
         });
         // Stage 2 — snippets for the served window only (the `snippet`
         // span): `ranked` ends where the window does.
-        let window: Vec<CorpusAnswer> =
-            extract_obs::time_stage(extract_obs::Stage::Snippet, || {
-                ranked
-                    .iter()
-                    .skip(offset.min(total))
-                    .map(|&at| CorpusAnswer {
-                        doc: at.0,
-                        score: at.1,
-                        root: at.2,
-                        snippet: self.snippet_for(at, &query, text.as_ref(), config),
-                    })
-                    .collect()
-            });
+        let served = ranked.get(offset.min(total)..).unwrap_or_default();
+        let window = extract_obs::time_stage(extract_obs::Stage::Snippet, || {
+            self.answers(served, &query, text.as_ref(), config)
+        });
         let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };
         if let Some(pkey) = pkey {
             store(&self.caches.corpus_pages, pkey, page.clone());
@@ -1205,6 +1232,35 @@ mod tests {
         // The mutation path takes the same lock.
         app.caches().retire_pages_before(1);
         assert_eq!(app.caches().corpus_page_body_bytes(), 0, "epoch-0 pages retired");
+    }
+
+    /// A window looks its snippets up under one lock and stores its
+    /// misses under another, and still counts one lookup per result: a
+    /// fresh window of k misses k times, and re-serving it once its page
+    /// is retired hits k times, on the bytes it stored.
+    #[test]
+    fn a_window_counts_one_snippet_lookup_per_result() {
+        let corpus = retailer_corpus();
+        let caches = Arc::new(SessionCaches::new(4096));
+        let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
+        let config = ExtractConfig::with_bound(8);
+        let (k, offset) = (5, 2);
+        let fresh = session.answer_corpus_topk("store texas", &config, k, offset);
+        assert!(fresh.total >= k + offset, "the window is full: {}", fresh.total);
+        assert_eq!(fresh.results.len(), k);
+        let k = k as u64;
+        let stats = session.snippet_stats();
+        assert_eq!(stats.hits + stats.misses, k, "one lookup per result: {stats:?}");
+        assert_eq!(stats.misses, k, "a fresh window misses every snippet: {stats:?}");
+
+        caches.retire_pages_before(1);
+        let again = session.answer_corpus_topk("store texas", &config, 5, offset);
+        let after = session.snippet_stats();
+        assert_eq!(after.hits, stats.hits + k, "every snippet hits: {after:?}");
+        assert_eq!(after.misses, stats.misses, "{after:?}");
+        for (a, b) in fresh.results.iter().zip(again.results.iter()) {
+            assert!(Arc::ptr_eq(&a.snippet, &b.snippet), "served from the stored bytes");
+        }
     }
 
     #[test]
