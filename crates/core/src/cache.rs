@@ -358,9 +358,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Take slot `at` off the recency list.
-    fn unlink(&mut self, at: u32) {
-        let Slot { newer, older, .. } = self.slots[at as usize];
+    /// Link `older` right behind `newer` on the recency list. [`NIL`]
+    /// stands for the list's ends: `newer == NIL` makes `older` the head,
+    /// `older == NIL` makes `newer` the tail.
+    fn join(&mut self, newer: u32, older: u32) {
         match newer {
             NIL => self.head = older,
             newer => self.slots[newer as usize].older = older,
@@ -371,16 +372,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
+    /// Take slot `at` off the recency list.
+    fn unlink(&mut self, at: u32) {
+        let Slot { newer, older, .. } = self.slots[at as usize];
+        self.join(newer, older);
+    }
+
     /// Put the unlinked slot `at` at the head of the recency list.
     fn push_head(&mut self, at: u32) {
         let old_head = self.head;
-        let slot = &mut self.slots[at as usize];
-        (slot.newer, slot.older) = (NIL, old_head);
-        match old_head {
-            NIL => self.tail = at,
-            old_head => self.slots[old_head as usize].newer = at,
-        }
-        self.head = at;
+        self.join(NIL, at);
+        self.join(at, old_head);
     }
 
     /// Number of retained entries.
@@ -430,26 +432,19 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             self.map.remove(&slot.key);
             removed.push(slot.value);
             if at < self.slots.len() {
-                self.relocate(link(self.slots.len()), gone);
+                self.relocate(gone);
             }
         }
         removed
     }
 
-    /// Re-point the links and the map entry of the slot that moved from
-    /// index `from` to index `to`.
-    fn relocate(&mut self, from: u32, to: u32) {
+    /// Re-point the neighbours and the map entry of the slot that moved to
+    /// index `to`.
+    fn relocate(&mut self, to: u32) {
         let Slot { newer, older, .. } = self.slots[to as usize];
-        match newer {
-            NIL => self.head = to,
-            newer => self.slots[newer as usize].older = to,
-        }
-        match older {
-            NIL => self.tail = to,
-            older => self.slots[older as usize].newer = to,
-        }
+        self.join(newer, to);
+        self.join(to, older);
         if let Some(index) = self.map.get_mut(&self.slots[to as usize].key) {
-            debug_assert_eq!(*index, from);
             *index = to;
         }
     }

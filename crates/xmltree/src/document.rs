@@ -133,7 +133,7 @@ impl Arena {
     fn push(&mut self, label: u32, parent: Option<NodeId>, text_start: u32) -> NodeId {
         let id = NodeId(id32(self.label.len()));
         self.label.push(label);
-        self.nav.push([parent.map_or(NO_PARENT, |p| p.0), id.0 + 1]);
+        self.nav.push([parent.map_or(NO_PARENT, |p| p.0), id32(id.index() + 1)]);
         self.text_start.push(text_start);
         id
     }
@@ -273,12 +273,12 @@ impl Document {
     }
 
     /// Estimated heap footprint in bytes: the node columns (allocated
-    /// capacity; a `nav` pair counts as two entries), the text buffer, and the label interner (each distinct
-    /// label stored twice — interner vector plus lookup-map key — at
-    /// [`crate::SYMBOL_ENTRY_OVERHEAD`] bytes of fixed overhead per entry,
-    /// the same estimate the index crates use for their token tables). The
-    /// buffer and the interner are counted whole even when a projection
-    /// shares them with its source.
+    /// capacity; a `nav` pair counts as two entries), the text buffer, and
+    /// the label interner (each distinct label stored twice — interner
+    /// vector plus lookup-map key — at [`crate::SYMBOL_ENTRY_OVERHEAD`]
+    /// bytes of fixed overhead per entry, the same estimate the index
+    /// crates use for their token tables). The buffer and the interner are
+    /// counted whole even when a projection shares them with its source.
     pub fn memory_footprint(&self) -> usize {
         let columns = self.label.capacity() + 2 * self.nav.capacity() + self.text_start.capacity();
         let symbols: usize = self
