@@ -5,15 +5,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use extract_core::selector::{exact_select, greedy_select, ExactLimits};
 use extract_core::{Extract, ExtractConfig};
 use extract_datagen::retailer::demo_store_db;
-use extract_search::{Algorithm, Engine, KeywordQuery};
+use extract_search::{Algorithm, KeywordQuery};
 use std::hint::black_box;
 
 fn bench_selectors(c: &mut Criterion) {
     let doc = demo_store_db();
     let extract = Extract::new(&doc);
-    let engine = Engine::new(&doc);
     let query = KeywordQuery::parse("store texas");
-    let result = engine.search(&query, Algorithm::XSeek).remove(0);
+    let result = extract.search(&query, Algorithm::XSeek).remove(0);
     let ilist = extract.ilist(&query, &result, &ExtractConfig::default());
 
     let mut group = c.benchmark_group("e8_greedy_vs_exact");

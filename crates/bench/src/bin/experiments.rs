@@ -24,7 +24,7 @@ use extract_index::XmlIndex;
 use extract_search::elca::elca_stack;
 use extract_search::slca::{slca_indexed_lookup, slca_scan_eager};
 use extract_search::xseek::{self, RootPolicy};
-use extract_search::{Algorithm, Engine, KeywordQuery, QueryResult};
+use extract_search::{Algorithm, KeywordQuery, QueryResult};
 use extract_xml::Document;
 
 fn main() {
@@ -91,12 +91,11 @@ fn ft(doc: &Document, e: &str, a: &str) -> FeatureType {
 fn e1_figure1_statistics() {
     println!("== E1 · Figure 1: query result statistics of \"Texas apparel retailer\" ==");
     let doc = retailer::figure1_db();
-    let model = EntityModel::analyze(&doc);
-    let engine = Engine::new(&doc);
-    let results = engine.search_str("Texas apparel retailer", Algorithm::XSeek);
+    let extract = Extract::new(&doc);
+    let results = extract.search(&KeywordQuery::parse("Texas apparel retailer"), Algorithm::XSeek);
     check("exactly one query result (the Brook Brothers retailer)", results.len() == 1);
     let bb = retailer::figure1_result_root(&doc);
-    let stats = ResultStats::compute(&doc, &model, bb);
+    let stats = ResultStats::compute(&doc, extract.model(), bb);
 
     let mut t = Table::new(["attribute", "value", "paper", "measured", "ok"]);
     let expected: &[(&str, &str, &str, u32)] = &[
@@ -187,10 +186,9 @@ fn e2_figure2_snippet() {
 fn e3_figure3_ilist() {
     println!("== E3 · Figure 3: the IList and the published dominance scores ==");
     let doc = retailer::figure1_db();
-    let model = EntityModel::analyze(&doc);
     let extract = Extract::new(&doc);
     let bb = retailer::figure1_result_root(&doc);
-    let stats = ResultStats::compute(&doc, &model, bb);
+    let stats = ResultStats::compute(&doc, extract.model(), bb);
 
     let mut t = Table::new(["feature", "paper DS", "measured DS", "ok"]);
     let expected: &[(&str, &str, &str, f64)] = &[
@@ -379,13 +377,12 @@ fn e8_greedy_vs_exact() {
 
     for (name, doc) in &cases {
         let extract = Extract::new(doc);
-        let engine = Engine::new(doc);
         let query = KeywordQuery::parse(match *name {
             "movies" => "western",
             "retailer-rand" => "retailer apparel",
             _ => "store texas",
         });
-        let results = engine.search(&query, Algorithm::XSeek);
+        let results = extract.search(&query, Algorithm::XSeek);
         let Some(result) = results.first() else { continue };
         for bound in [4usize, 8, 12, 16] {
             let ilist = extract.ilist(&query, result, &ExtractConfig::default());
@@ -662,9 +659,8 @@ fn e13_ablation_instance_policy() {
     println!("  always takes the first instance in document order instead.");
     let doc = extract_bench::scattered_anchor_db();
     let extract = Extract::new(&doc);
-    let engine = Engine::new(&doc);
     let query = KeywordQuery::parse("retailer texas bayview");
-    let results = engine.search(&query, Algorithm::XSeek);
+    let results = extract.search(&query, Algorithm::XSeek);
     check("one query result (the retailer)", results.len() == 1);
     let result = &results[0];
     let ilist = extract.ilist(&query, result, &ExtractConfig::default());

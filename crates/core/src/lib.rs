@@ -38,7 +38,8 @@
 //!   document + result root + config, or + window + corpus epoch);
 //! * [`render`] — HTML results page (the demo's web UI, Figure 5) and
 //!   JSON export;
-//! * [`pipeline`] — [`Extract`], the end-to-end system facade.
+//! * [`pipeline`] — [`Extract`], the end-to-end system: search with any
+//!   algorithm, then snippets.
 //!
 //! # Quick example
 //!

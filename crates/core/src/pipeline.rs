@@ -1,9 +1,10 @@
 //! The end-to-end eXtract system (paper Figure 4).
 //!
 //! [`Extract::new`] runs the offline stages — Data Analyzer (entity model),
-//! Index Builder, key mining — once per document. Each query then flows
-//! through Return Entity Identifier → Query Result Key Identifier →
-//! Dominant Feature Identifier → IList → Instance Selector.
+//! Index Builder, key mining — once per document. The same engine answers
+//! the query with any search [`Algorithm`] ([`Extract::search`]) and builds
+//! each result's snippet: Return Entity Identifier → Query Result Key
+//! Identifier → Dominant Feature Identifier → IList → Instance Selector.
 //!
 //! That query-time half is one pass over an [`IListScratch`], with two
 //! outputs: the snippet's XML, written straight from the source document
@@ -18,7 +19,7 @@ use extract_analyzer::{EntityModel, KeyCatalog};
 use extract_index::XmlIndex;
 use extract_search::ranking::{self, RankedResult};
 use extract_search::result::postings_within;
-use extract_search::{KeywordQuery, QueryResult};
+use extract_search::{Algorithm, KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId};
 
 use crate::ilist::{build_ilist, matches_of, IList, IListOptions, IListScratch};
@@ -138,11 +139,6 @@ impl<'d> Extract<'d> {
         Extract { doc, parts: Cow::Borrowed(parts) }
     }
 
-    /// The shared offline artifacts (an `Arc` clone per component).
-    pub fn parts(&self) -> EngineParts {
-        EngineParts::clone(&self.parts)
-    }
-
     /// The document.
     pub fn document(&self) -> &'d Document {
         self.doc
@@ -161,6 +157,12 @@ impl<'d> Extract<'d> {
     /// The mined key catalog.
     pub fn keys(&self) -> &KeyCatalog {
         &self.parts.keys
+    }
+
+    /// Run `algorithm` for `query` over this engine's index and entity
+    /// model ([`extract_search::search`]): unranked, in document order.
+    pub fn search(&self, query: &KeywordQuery, algorithm: Algorithm) -> Vec<QueryResult> {
+        extract_search::search(self.doc, &self.parts.index, &self.parts.model, query, algorithm)
     }
 
     /// Build the IList of one query result (§2.1–§2.3).
@@ -276,7 +278,6 @@ impl<'d> Extract<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extract_search::xseek::{self, RootPolicy};
 
     const STORES: &str = "<stores>\
         <store><name>Levis</name><state>Texas</state>\
@@ -341,13 +342,7 @@ mod tests {
         let doc = Document::parse_str(STORES).unwrap();
         let extract = Extract::new(&doc);
         let query = KeywordQuery::parse("store texas");
-        let results = xseek::search(
-            &doc,
-            extract.index(),
-            extract.model(),
-            &query,
-            RootPolicy::Entity,
-        );
+        let results = extract.search(&query, Algorithm::XSeek);
         for result in &results {
             for bound in [2, 4, 6, 8] {
                 let greedy = extract.snippet(

@@ -6,7 +6,7 @@ use extract_core::dominance::{dominance_score, dominant_features};
 use extract_core::{Extract, ExtractConfig};
 use extract_datagen::retailer::{figure1_db, figure1_expected_ilist, figure1_result_root};
 use extract_index::XmlIndex;
-use extract_search::{Algorithm, Engine, KeywordQuery, QueryResult};
+use extract_search::{Algorithm, KeywordQuery, QueryResult};
 use extract_xml::Document;
 
 fn ft(doc: &Document, e: &str, a: &str) -> FeatureType {
@@ -21,16 +21,15 @@ fn ft(doc: &Document, e: &str, a: &str) -> FeatureType {
 #[test]
 fn e1_figure1_statistics() {
     let doc = figure1_db();
-    let model = EntityModel::analyze(&doc);
+    let extract = Extract::new(&doc);
 
     // The search engine must find exactly the Brook Brothers retailer.
-    let engine = Engine::new(&doc);
-    let results = engine.search_str("Texas apparel retailer", Algorithm::XSeek);
+    let results = extract.search(&KeywordQuery::parse("Texas apparel retailer"), Algorithm::XSeek);
     assert_eq!(results.len(), 1, "exactly one result");
     let bb = figure1_result_root(&doc);
     assert_eq!(results[0].root, bb);
 
-    let stats = ResultStats::compute(&doc, &model, bb);
+    let stats = ResultStats::compute(&doc, extract.model(), bb);
 
     // city: Houston 6, Austin 1, other cities (3): 3.
     let city = ft(&doc, "store", "city");

@@ -4,7 +4,7 @@
 use extract_core::quality::items_covered_by;
 use extract_core::selector::{exact_select, greedy_select, ExactLimits};
 use extract_core::{Extract, ExtractConfig};
-use extract_search::{Algorithm, Engine, KeywordQuery};
+use extract_search::{Algorithm, KeywordQuery};
 use extract_xml::{DocBuilder, Document};
 use proptest::prelude::*;
 
@@ -74,9 +74,8 @@ proptest! {
     ) {
         let doc = build(&spec);
         let extract = Extract::new(&doc);
-        let engine = Engine::new(&doc);
         let query = KeywordQuery::from_keywords(keywords);
-        for result in engine.search(&query, Algorithm::XSeek) {
+        for result in extract.search(&query, Algorithm::XSeek) {
             let out = extract.snippet(&query, &result, &ExtractConfig::with_bound(bound));
             // Bound.
             prop_assert!(out.snippet.edges <= bound);
@@ -110,9 +109,8 @@ proptest! {
     ) {
         let doc = build(&spec);
         let extract = Extract::new(&doc);
-        let engine = Engine::new(&doc);
         let query = KeywordQuery::from_keywords(keywords);
-        for result in engine.search(&query, Algorithm::XSeek).into_iter().take(3) {
+        for result in extract.search(&query, Algorithm::XSeek).into_iter().take(3) {
             let ilist = extract.ilist(&query, &result, &ExtractConfig::default());
             let greedy = greedy_select(&doc, &ilist, result.root, bound);
             let Some(exact) =
@@ -134,9 +132,8 @@ proptest! {
     ) {
         let doc = build(&spec);
         let extract = Extract::new(&doc);
-        let engine = Engine::new(&doc);
         let query = KeywordQuery::from_keywords(keywords);
-        for result in engine.search(&query, Algorithm::XSeek).into_iter().take(2) {
+        for result in extract.search(&query, Algorithm::XSeek).into_iter().take(2) {
             let ilist = extract.ilist(&query, &result, &ExtractConfig::default());
             let mut last = 0usize;
             for bound in [0usize, 2, 4, 8, 16, 32] {
@@ -156,9 +153,8 @@ proptest! {
     ) {
         let doc = build(&spec);
         let extract = Extract::new(&doc);
-        let engine = Engine::new(&doc);
         let query = KeywordQuery::from_keywords(keywords);
-        for result in engine.search(&query, Algorithm::XSeek) {
+        for result in extract.search(&query, Algorithm::XSeek) {
             let bound = doc.element_edges(result.root);
             let out = extract.snippet(&query, &result, &ExtractConfig::with_bound(bound));
             prop_assert_eq!(

@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn more_than_64_keywords_run_on_wide_masks() {
         // Regression: both ELCA implementations used to panic past 64
-        // lists; `elca_stack` is reachable from `Engine::search` with a
+        // lists; `elca_stack` is reachable from `crate::search` with a
         // user-supplied query, so that was a query-path panic.
         let body: String = (0..70).map(|i| format!("<w>t{i}</w>")).collect();
         let (doc, index) = setup(&format!("<r>{body}</r>"));

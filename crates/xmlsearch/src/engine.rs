@@ -1,5 +1,6 @@
-//! The search facade: one object owning the document's indexes and entity
-//! model, dispatching to every implemented algorithm.
+//! One entry point over every implemented search algorithm: the result
+//! semantics a caller picks ([`Algorithm`]) and the function that runs it
+//! over a document's offline artifacts ([`search`]).
 
 use extract_analyzer::EntityModel;
 use extract_index::XmlIndex;
@@ -7,7 +8,6 @@ use extract_xml::{Document, NodeId};
 
 use crate::elca::elca_stack;
 use crate::query::KeywordQuery;
-use crate::ranking::{rank, RankedResult};
 use crate::result::QueryResult;
 use crate::slca::{slca_auto, slca_indexed_lookup, slca_scan_eager};
 use crate::xseek::{self, RootPolicy};
@@ -29,73 +29,32 @@ pub enum Algorithm {
     XSeek,
 }
 
-/// A ready-to-query search engine over one document.
-#[derive(Debug)]
-pub struct Engine<'d> {
-    doc: &'d Document,
-    index: XmlIndex,
-    model: EntityModel,
-}
-
-impl<'d> Engine<'d> {
-    /// Build the indexes and entity model for `doc`.
-    pub fn new(doc: &'d Document) -> Engine<'d> {
-        Engine { doc, index: XmlIndex::build(doc), model: EntityModel::analyze(doc) }
-    }
-
-    /// The document.
-    pub fn document(&self) -> &'d Document {
-        self.doc
-    }
-
-    /// The indexes.
-    pub fn index(&self) -> &XmlIndex {
-        &self.index
-    }
-
-    /// The entity model.
-    pub fn model(&self) -> &EntityModel {
-        &self.model
-    }
-
-    /// Result roots only (no match scoping). Posting lists are borrowed
-    /// straight from the index — no per-query copies.
-    pub fn roots(&self, query: &KeywordQuery, algorithm: Algorithm) -> Vec<NodeId> {
-        let lists: Vec<&[NodeId]> =
-            query.keywords().iter().map(|k| self.index.postings(k)).collect();
-        match algorithm {
-            Algorithm::SlcaIndexedLookup => slca_indexed_lookup(self.doc, &lists),
-            Algorithm::SlcaScanEager => slca_scan_eager(self.doc, &lists),
-            Algorithm::SlcaAuto => slca_auto(self.doc, &lists),
-            Algorithm::Elca => elca_stack(self.doc, &lists),
-            Algorithm::XSeek => {
-                xseek::result_roots(self.doc, &self.index, &self.model, query, RootPolicy::Entity)
-            }
-        }
-    }
-
-    /// Full search: roots plus per-result keyword matches.
-    pub fn search(&self, query: &KeywordQuery, algorithm: Algorithm) -> Vec<QueryResult> {
-        self.roots(query, algorithm)
-            .into_iter()
-            .map(|root| QueryResult::build(self.doc, &self.index, query, root))
-            .collect()
-    }
-
-    /// Convenience: parse and search in one call.
-    pub fn search_str(&self, query: &str, algorithm: Algorithm) -> Vec<QueryResult> {
-        self.search(&KeywordQuery::parse(query), algorithm)
-    }
-
-    /// Search and rank.
-    pub fn search_ranked(&self, query: &KeywordQuery, algorithm: Algorithm) -> Vec<RankedResult> {
-        rank(self.doc, self.search(query, algorithm))
-    }
+/// Run `algorithm` for `query` over `doc`'s index and entity model: the
+/// result roots in document order, each with its per-keyword matches.
+/// Posting lists are borrowed straight from the index — no per-query
+/// copies.
+pub fn search(
+    doc: &Document,
+    index: &XmlIndex,
+    model: &EntityModel,
+    query: &KeywordQuery,
+    algorithm: Algorithm,
+) -> Vec<QueryResult> {
+    let lists: Vec<&[NodeId]> = query.keywords().iter().map(|k| index.postings(k)).collect();
+    let roots = match algorithm {
+        Algorithm::SlcaIndexedLookup => slca_indexed_lookup(doc, &lists),
+        Algorithm::SlcaScanEager => slca_scan_eager(doc, &lists),
+        Algorithm::SlcaAuto => slca_auto(doc, &lists),
+        Algorithm::Elca => elca_stack(doc, &lists),
+        Algorithm::XSeek => xseek::result_roots(doc, index, model, query, RootPolicy::Entity),
+    };
+    roots.into_iter().map(|root| QueryResult::build(doc, index, query, root)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::rank;
 
     const XML: &str = "<stores>\
         <store><name>Levis</name><state>Texas</state>\
@@ -109,10 +68,17 @@ mod tests {
         </store>\
         </stores>";
 
+    /// `(doc, index, model)` for `xml`.
+    fn setup(xml: &str) -> (Document, XmlIndex, EntityModel) {
+        let doc = Document::parse_str(xml).unwrap();
+        let index = XmlIndex::build(&doc);
+        let model = EntityModel::analyze(&doc);
+        (doc, index, model)
+    }
+
     #[test]
     fn all_algorithms_agree_on_the_store_query() {
-        let doc = Document::parse_str(XML).unwrap();
-        let engine = Engine::new(&doc);
+        let (doc, index, model) = setup(XML);
         let q = KeywordQuery::parse("store texas");
         for algo in [
             Algorithm::SlcaIndexedLookup,
@@ -120,33 +86,23 @@ mod tests {
             Algorithm::SlcaAuto,
             Algorithm::XSeek,
         ] {
-            let results = engine.search(&q, algo);
+            let results = search(&doc, &index, &model, &q, algo);
             assert_eq!(results.len(), 2, "{algo:?}");
             assert!(results.iter().all(|r| doc.label_str(r.root) == Some("store")));
         }
         // ELCA additionally sees no extra roots here (stores nest nothing
         // that independently covers both keywords).
-        let elca = engine.search(&q, Algorithm::Elca);
+        let elca = search(&doc, &index, &model, &q, Algorithm::Elca);
         assert_eq!(elca.len(), 2);
     }
 
     #[test]
     fn ranked_search_is_ordered() {
-        let doc = Document::parse_str(XML).unwrap();
-        let engine = Engine::new(&doc);
-        let ranked = engine.search_ranked(&KeywordQuery::parse("texas"), Algorithm::XSeek);
+        let (doc, index, model) = setup(XML);
+        let q = KeywordQuery::parse("texas");
+        let ranked = rank(&doc, search(&doc, &index, &model, &q, Algorithm::XSeek));
         assert_eq!(ranked.len(), 2);
         assert!(ranked[0].score >= ranked[1].score);
-    }
-
-    #[test]
-    fn engine_exposes_parts() {
-        let doc = Document::parse_str(XML).unwrap();
-        let engine = Engine::new(&doc);
-        assert!(engine.index().postings("texas").len() == 2);
-        let store = doc.first_element_with_label("store").unwrap();
-        assert!(engine.model().is_entity(store));
-        assert_eq!(engine.document().element_count(), doc.element_count());
     }
 
     #[test]
@@ -154,9 +110,7 @@ mod tests {
         // Regression: ELCA panicked past 64 keywords; a pasted paragraph
         // of a query is exactly how a user reaches that path.
         let body: String = (0..70).map(|i| format!("<w>t{i}</w>")).collect();
-        let xml = format!("<r>{body}</r>");
-        let doc = Document::parse_str(&xml).unwrap();
-        let engine = Engine::new(&doc);
+        let (doc, index, model) = setup(&format!("<r>{body}</r>"));
         let text: String =
             (0..70).map(|i| format!("t{i} ")).collect();
         let q = KeywordQuery::parse(&text);
@@ -168,7 +122,7 @@ mod tests {
             Algorithm::Elca,
             Algorithm::XSeek,
         ] {
-            let results = engine.search(&q, algo);
+            let results = search(&doc, &index, &model, &q, algo);
             assert!(!results.is_empty(), "{algo:?}");
         }
     }

@@ -19,17 +19,21 @@
 //!   ancestor-or-self *entity*, so results are semantic units (the paper's
 //!   Figure 1 result is the whole `retailer` subtree);
 //! * [`ranking`] — a simple deterministic relevance ranking;
-//! * [`engine`] — a facade bundling document, indexes and entity model.
+//! * [`engine`] — [`search`], which runs any [`Algorithm`] over a
+//!   document's index and entity model (`extract_core::Extract` owns both).
 //!
 //! ```
+//! use extract_analyzer::EntityModel;
+//! use extract_index::XmlIndex;
+//! use extract_search::{search, Algorithm, KeywordQuery};
 //! use extract_xml::Document;
-//! use extract_search::{Engine, Algorithm};
 //!
 //! let doc = Document::parse_str(
 //!     "<stores><store><name>Levis</name><state>Texas</state></store>\
 //!      <store><name>Gap</name><state>Ohio</state></store></stores>").unwrap();
-//! let engine = Engine::new(&doc);
-//! let results = engine.search_str("store texas", Algorithm::XSeek);
+//! let (index, model) = (XmlIndex::build(&doc), EntityModel::analyze(&doc));
+//! let query = KeywordQuery::parse("store texas");
+//! let results = search(&doc, &index, &model, &query, Algorithm::XSeek);
 //! assert_eq!(results.len(), 1);
 //! assert_eq!(doc.label_str(results[0].root), Some("store"));
 //! ```
@@ -47,7 +51,7 @@ pub mod result;
 pub mod slca;
 pub mod xseek;
 
-pub use engine::{Algorithm, Engine};
+pub use engine::{search, Algorithm};
 pub use query::KeywordQuery;
 pub use ranking::{rank, RankedResult};
 pub use result::QueryResult;

@@ -2,7 +2,7 @@
 //! algorithms (brute-force SLCA, both ELCAs) run unchanged with one
 //! inlined `u64` (k ≤ 64, the hot path) or a boxed multi-word mask
 //! (degenerate many-keyword queries — a hard 64-list cap made them
-//! library panics reachable from `Engine::search`). Callers dispatch on
+//! library panics reachable from `crate::search`). Callers dispatch on
 //! `lists.len() <= 64` so the common case never allocates per mask.
 
 /// The mask operations the algorithms need. `k` is the keyword count the

@@ -12,7 +12,6 @@ use extract_index::XmlIndex;
 use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
-use crate::result::QueryResult;
 use crate::slca::{slca_auto_with, SlcaScratch};
 
 /// How result roots are derived from SLCA nodes.
@@ -124,23 +123,10 @@ pub fn result_roots_with<'i>(
     }
 }
 
-/// Full XSeek search: roots under `policy`, then per-root match scoping.
-pub fn search(
-    doc: &Document,
-    index: &XmlIndex,
-    model: &EntityModel,
-    query: &KeywordQuery,
-    policy: RootPolicy,
-) -> Vec<QueryResult> {
-    result_roots(doc, index, model, query, policy)
-        .into_iter()
-        .map(|root| QueryResult::build(doc, index, query, root))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{search, Algorithm};
 
     fn setup(xml: &str) -> (Document, XmlIndex, EntityModel) {
         let doc = Document::parse_str(xml).unwrap();
@@ -239,7 +225,7 @@ mod tests {
              </stores>",
         );
         let q = KeywordQuery::parse("store texas");
-        let results = search(&doc, &index, &model, &q, RootPolicy::Entity);
+        let results = search(&doc, &index, &model, &q, Algorithm::XSeek);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert_eq!(doc.label_str(r.root), Some("store"));
@@ -251,6 +237,6 @@ mod tests {
     fn empty_query_has_no_results() {
         let (doc, index, model) = setup("<a>x</a>");
         let q = KeywordQuery::parse("");
-        assert!(search(&doc, &index, &model, &q, RootPolicy::Entity).is_empty());
+        assert!(search(&doc, &index, &model, &q, Algorithm::XSeek).is_empty());
     }
 }

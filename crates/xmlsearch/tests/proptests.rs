@@ -2,13 +2,14 @@
 //! brute-force oracles on arbitrary documents and queries, and structural
 //! invariants of results must hold.
 
+use extract_analyzer::EntityModel;
 use extract_index::XmlIndex;
 use extract_search::slca::{slca_bruteforce, slca_indexed_lookup, slca_scan_eager};
 use extract_search::elca::{elca_bruteforce, elca_stack};
 use extract_search::ranking::{self, ranked_results, score_root, sweep_scores};
 use extract_search::result::postings_within;
 use extract_search::xseek::{self, RootPolicy, RootsScratch};
-use extract_search::{Algorithm, Engine, KeywordQuery, QueryResult};
+use extract_search::{search, Algorithm, KeywordQuery, QueryResult};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
 
@@ -141,9 +142,9 @@ proptest! {
         keywords in keyword_strategy(),
     ) {
         let doc = build(&spec);
-        let engine = Engine::new(&doc);
+        let (index, model) = (XmlIndex::build(&doc), EntityModel::analyze(&doc));
         let q = KeywordQuery::from_keywords(keywords.clone());
-        let results = engine.search(&q, Algorithm::XSeek);
+        let results = search(&doc, &index, &model, &q, Algorithm::XSeek);
         for r in &results {
             prop_assert!(r.covers_all_keywords());
         }
@@ -168,8 +169,7 @@ proptest! {
         keywords in keyword_strategy(),
     ) {
         let doc = build(&spec);
-        let engine = Engine::new(&doc);
-        let (index, model) = (engine.index(), engine.model());
+        let (index, model) = (&XmlIndex::build(&doc), &EntityModel::analyze(&doc));
         let q = KeywordQuery::from_keywords(keywords.clone());
         let lists: Vec<&[NodeId]> = q.keywords().iter().map(|k| index.postings(k)).collect();
         // Every element is a legitimate root to score, not just the
@@ -217,8 +217,7 @@ proptest! {
         }
         // The ranked entry point is the old pipeline — build every result,
         // score it, stable-sort — in results, scores and order.
-        let reference =
-            ranking::rank(&doc, xseek::search(&doc, index, model, &q, RootPolicy::Entity));
+        let reference = ranking::rank(&doc, search(&doc, index, model, &q, Algorithm::XSeek));
         let ranked = ranked_results(&doc, index, model, &q);
         prop_assert_eq!(ranked.len(), reference.len());
         for (got, want) in ranked.iter().zip(&reference) {

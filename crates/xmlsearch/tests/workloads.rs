@@ -2,14 +2,21 @@
 //! retailer) — cross-validation of the fast algorithms on realistic data
 //! and semantic checks of result sets.
 
+use extract_analyzer::EntityModel;
 use extract_datagen::auction::AuctionConfig;
 use extract_datagen::dblp::DblpConfig;
 use extract_datagen::retailer;
 use extract_index::XmlIndex;
 use extract_search::elca::{elca_bruteforce, elca_stack};
 use extract_search::slca::{slca_bruteforce, slca_indexed_lookup, slca_scan_eager};
-use extract_search::{Algorithm, Engine, KeywordQuery};
-use extract_xml::NodeId;
+use extract_search::ranking::rank;
+use extract_search::{search, Algorithm, KeywordQuery};
+use extract_xml::{Document, NodeId};
+
+/// The offline artifacts [`search`] runs over.
+fn build(doc: &Document) -> (XmlIndex, EntityModel) {
+    (XmlIndex::build(doc), EntityModel::analyze(doc))
+}
 
 #[test]
 fn algorithms_agree_on_auction_data() {
@@ -43,9 +50,10 @@ fn algorithms_agree_on_auction_data() {
 #[test]
 fn auction_item_queries_return_items() {
     let doc = AuctionConfig::default().generate();
-    let engine = Engine::new(&doc);
+    let (index, model) = build(&doc);
     // "gold watch" hits item names; XSeek must lift to item entities.
-    let results = engine.search_str("gold watch", Algorithm::XSeek);
+    let q = KeywordQuery::parse("gold watch");
+    let results = search(&doc, &index, &model, &q, Algorithm::XSeek);
     assert!(!results.is_empty());
     for r in &results {
         assert_eq!(doc.label_str(r.root), Some("item"), "results are item entities");
@@ -56,14 +64,16 @@ fn auction_item_queries_return_items() {
 #[test]
 fn dblp_author_queries_return_papers_or_authors() {
     let doc = DblpConfig { papers: 80, ..Default::default() }.generate();
-    let engine = Engine::new(&doc);
-    let results = engine.search_str("paper sigmod keyword", Algorithm::XSeek);
+    let (index, model) = build(&doc);
+    let q = KeywordQuery::parse("paper sigmod keyword");
+    let results = search(&doc, &index, &model, &q, Algorithm::XSeek);
     for r in &results {
         assert_eq!(doc.label_str(r.root), Some("paper"));
     }
     // Author-name query: results are the deepest entities containing the
     // name — author nodes.
-    let results = engine.search_str("alice johnson", Algorithm::XSeek);
+    let q = KeywordQuery::parse("alice johnson");
+    let results = search(&doc, &index, &model, &q, Algorithm::XSeek);
     assert!(!results.is_empty());
     for r in &results {
         let label = doc.label_str(r.root).unwrap();
@@ -77,24 +87,25 @@ fn dblp_author_queries_return_papers_or_authors() {
 #[test]
 fn figure1_query_is_exact_on_the_retailer_db() {
     let doc = retailer::figure1_db();
-    let engine = Engine::new(&doc);
+    let (index, model) = build(&doc);
     let expected = retailer::figure1_result_root(&doc);
     let query = KeywordQuery::parse("texas apparel retailer");
+    let roots = |algo| -> Vec<NodeId> {
+        search(&doc, &index, &model, &query, algo).iter().map(|r| r.root).collect()
+    };
     // The SLCA family and XSeek: exactly the BB retailer.
     for algo in [
         Algorithm::SlcaIndexedLookup,
         Algorithm::SlcaScanEager,
         Algorithm::XSeek,
     ] {
-        let roots = engine.roots(&query, algo);
-        assert_eq!(roots, vec![expected], "{algo:?}");
+        assert_eq!(roots(algo), vec![expected], "{algo:?}");
     }
     // ELCA additionally reports the database root: the two distractor
     // retailers provide independent witnesses for every keyword ("texas"
     // from Circuit Town, "apparel" from Golden Gate, "retailer" labels) —
     // a genuine semantic difference between ELCA and SLCA.
-    let elca = engine.roots(&query, Algorithm::Elca);
-    assert_eq!(elca, vec![doc.root(), expected]);
+    assert_eq!(roots(Algorithm::Elca), vec![doc.root(), expected]);
 }
 
 #[test]
@@ -116,8 +127,9 @@ fn elca_supersets_slca_on_real_workloads() {
 #[test]
 fn ranking_prefers_tight_matches_on_dblp() {
     let doc = DblpConfig { papers: 60, ..Default::default() }.generate();
-    let engine = Engine::new(&doc);
-    let ranked = engine.search_ranked(&KeywordQuery::parse("xml search"), Algorithm::XSeek);
+    let (index, model) = build(&doc);
+    let q = KeywordQuery::parse("xml search");
+    let ranked = rank(&doc, search(&doc, &index, &model, &q, Algorithm::XSeek));
     if ranked.len() >= 2 {
         // Scores are non-increasing and positive.
         for w in ranked.windows(2) {
@@ -130,9 +142,10 @@ fn ranking_prefers_tight_matches_on_dblp() {
 #[test]
 fn rare_keyword_prunes_results() {
     let doc = retailer::figure1_db();
-    let engine = Engine::new(&doc);
+    let (index, model) = build(&doc);
     // "galleria" appears in exactly one store.
-    let results = engine.search_str("galleria houston", Algorithm::XSeek);
+    let q = KeywordQuery::parse("galleria houston");
+    let results = search(&doc, &index, &model, &q, Algorithm::XSeek);
     assert_eq!(results.len(), 1);
     assert_eq!(doc.label_str(results[0].root), Some("store"));
 }

@@ -14,7 +14,6 @@ fn main() {
     println!("sample movie database:\n{}", doc.to_xml_pretty());
 
     let extract = Extract::new(&doc);
-    let engine = Engine::new(&doc);
 
     for query_str in ["western texas", "alice johnson western", "drama"] {
         let query = KeywordQuery::parse(query_str);
@@ -24,12 +23,12 @@ fn main() {
             Algorithm::Elca,
             Algorithm::XSeek,
         ] {
-            let roots = engine.roots(&query, algo);
-            let labels: Vec<&str> = roots
+            let results = extract.search(&query, algo);
+            let labels: Vec<&str> = results
                 .iter()
-                .map(|&r| doc.label_str(r).unwrap_or("?"))
+                .map(|r| doc.label_str(r.root).unwrap_or("?"))
                 .collect();
-            println!("  {algo:?}: {} result root(s) {labels:?}", roots.len());
+            println!("  {algo:?}: {} result root(s) {labels:?}", results.len());
         }
 
         let snippets = extract.snippets_for_query(query_str, &ExtractConfig::with_bound(5));

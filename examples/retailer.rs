@@ -25,8 +25,7 @@ fn main() {
     let query = KeywordQuery::parse("Texas apparel retailer");
 
     // Search: the Brook Brothers retailer is the only result.
-    let engine = Engine::new(&doc);
-    let results = engine.search(&query, Algorithm::XSeek);
+    let results = extract.search(&query, Algorithm::XSeek);
     println!("query: {query} — {} result(s)", results.len());
     let bb = figure1_result_root(&doc);
     assert_eq!(results[0].root, bb);

@@ -24,6 +24,10 @@
 #   6. cargo bench --no-run           — every Criterion bench compiles
 #      cargo build -p extract-bench --bins
 #                                     — the bench binaries compile
+#      cargo check --manifest-path benchmark/Cargo.toml
+#                                     — the end-to-end harness compiles
+#                                       against the library API (it is its
+#                                       own package, outside the workspace)
 #   7. obs_overhead                   — stage timing on vs off over the
 #                                       live daemon, cache-hot: < 5 %
 #
@@ -50,6 +54,7 @@ run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh
 run cargo bench --no-run --offline
 run cargo build --release --offline -p extract-bench --bins
+run cargo check --offline --manifest-path benchmark/Cargo.toml
 run cargo run --release --offline -q -p extract-bench --bin obs_overhead
 
 echo "verify: all gates green"

@@ -12,6 +12,7 @@
 //!   --stats          print the result's value-occurrence statistics
 //!   --ilist          print the IList of each result
 //!   --demo NAME      built-in data: retailer | stores | movies | dblp | auction
+//!   -h, --help       print this usage on stdout and exit 0
 //! ```
 //!
 //! Examples:
@@ -29,6 +30,7 @@ use extract::core::baselines::{BaselineStrategy, TextWindows};
 use extract::core::pipeline::SelectorKind;
 use extract::datagen::{auction::AuctionConfig, dblp, movies, retailer};
 use extract::prelude::*;
+use extract::search::rank;
 
 struct Options {
     source: Source,
@@ -56,13 +58,14 @@ enum Format {
     Json,
 }
 
+const USAGE: &str = "usage: xsnippet <file.xml | --demo NAME> <keyword>... \
+    [--bound N] [--algo xseek|slca|scan|elca] [--format tree|xml|pretty|html|json] \
+    [--exact] [--baseline] [--stats] [--ilist]\n\
+    demos: retailer | stores | movies | dblp | auction";
+
+/// A command line that cannot run: usage on stderr, exit 2.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: xsnippet <file.xml | --demo NAME> <keyword>... \
-         [--bound N] [--algo xseek|slca|scan|elca] [--format tree|xml|pretty|html|json] \
-         [--exact] [--baseline] [--stats] [--ilist]\n\
-         demos: retailer | stores | movies | dblp | auction"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -113,7 +116,10 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--baseline" => baseline = true,
             "--stats" => stats = true,
             "--ilist" => ilist = true,
-            "--help" | "-h" => return Err(usage()),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return Err(ExitCode::SUCCESS);
+            }
             other if other.starts_with("--") => return Err(usage()),
             other => {
                 if source.is_none() {
@@ -163,7 +169,6 @@ fn main() -> ExitCode {
     };
 
     let extract = Extract::new(&doc);
-    let engine = Engine::new(&doc);
     let query = KeywordQuery::from_keywords(opts.keywords.clone());
     let config = ExtractConfig {
         size_bound: opts.bound,
@@ -171,7 +176,7 @@ fn main() -> ExitCode {
         ..Default::default()
     };
 
-    let ranked = engine.search_ranked(&query, opts.algo);
+    let ranked = rank(&doc, extract.search(&query, opts.algo));
     if opts.format == Format::Html {
         // One self-contained page for all results.
         let snippeted: Vec<_> = ranked

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use extract_core::{Extract, ExtractConfig, Snippet, SnippetedResult};
     pub use extract_corpus::{Corpus, CorpusBuilder, DocId, FanIn, LiveCorpus, Mutation};
     pub use extract_index::XmlIndex;
-    pub use extract_search::{Algorithm, Engine, KeywordQuery, QueryResult};
+    pub use extract_search::{Algorithm, KeywordQuery, QueryResult};
     pub use extract_xml::{DocBuilder, Document, NodeId};
 
     pub use crate::live::LiveSearchApp;

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline on every generated
 //! workload, exercised through the umbrella crate's public API.
 
-use extract::analyzer::{EntityModel, ResultStats};
+use extract::analyzer::ResultStats;
 use extract::core::quality::{distinguishability, evaluate_snippet};
 use extract::datagen::{auction::AuctionConfig, movies, retailer};
 use extract::prelude::*;
@@ -133,7 +133,6 @@ fn auction_pipeline_at_scale() {
 fn all_search_algorithms_feed_the_snippeter() {
     let doc = retailer::demo_store_db();
     let extract = Extract::new(&doc);
-    let engine = Engine::new(&doc);
     let query = KeywordQuery::parse("store texas");
     for algo in [
         Algorithm::SlcaIndexedLookup,
@@ -141,7 +140,7 @@ fn all_search_algorithms_feed_the_snippeter() {
         Algorithm::Elca,
         Algorithm::XSeek,
     ] {
-        for result in engine.search(&query, algo) {
+        for result in extract.search(&query, algo) {
             let out = extract.snippet(&query, &result, &ExtractConfig::with_bound(6));
             assert!(out.snippet.edges <= 6, "{algo:?}");
             assert!(out.snippet.coverage() > 0, "{algo:?}");
@@ -154,15 +153,14 @@ fn statistics_scoped_to_each_result() {
     // Per-result dominance: Levis result is jeans/man; ESprit result is
     // outwear/woman — even though globally woman (12+) rivals man.
     let doc = retailer::demo_store_db();
-    let model = EntityModel::analyze(&doc);
-    let engine = Engine::new(&doc);
-    let results = engine.search_str("store texas", Algorithm::XSeek);
+    let extract = Extract::new(&doc);
+    let results = extract.search(&KeywordQuery::parse("store texas"), Algorithm::XSeek);
     let sym = |s: &str| doc.symbols().get(s).unwrap();
     let fitting = extract::analyzer::FeatureType { entity: sym("clothes"), attribute: sym("fitting") };
 
-    let levis_stats = ResultStats::compute(&doc, &model, results[0].root);
+    let levis_stats = ResultStats::compute(&doc, extract.model(), results[0].root);
     assert!(levis_stats.n_value(fitting, "man") > levis_stats.n_value(fitting, "woman"));
-    let esprit_stats = ResultStats::compute(&doc, &model, results[1].root);
+    let esprit_stats = ResultStats::compute(&doc, extract.model(), results[1].root);
     assert!(esprit_stats.n_value(fitting, "woman") > esprit_stats.n_value(fitting, "man"));
 }
 

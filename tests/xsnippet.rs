@@ -1,7 +1,8 @@
 //! The `xsnippet` command line, run as a user runs it: the paper's
-//! Figure-1 snippet on the built-in retailer data, the `--stats` and
-//! `--algo elca` paths, and the exit codes of a missing file (1) and of a
-//! bad option (2).
+//! Figure-1 snippet on the built-in retailer data, the `--stats` path,
+//! every `--algo` on the stores demo, `--help` (usage on stdout, exit 0),
+//! and the exit codes of a missing file (1) and of a bad option (2, usage
+//! on stderr).
 
 use std::process::{Command, Output};
 
@@ -34,13 +35,31 @@ fn the_retailer_demo_prints_the_figure_1_snippet() {
 }
 
 #[test]
-fn stats_and_elca_answer() {
+fn stats_and_every_algorithm_answer() {
     let stats = xsnippet(&["--demo", "retailer", "texas", "apparel", "retailer", "--stats"]);
     assert!(stats.status.success(), "{stats:?}");
     assert!(stdout(&stats).contains("(store, city): N=10 D=5"), "{}", stdout(&stats));
-    let elca = xsnippet(&["--demo", "stores", "store", "texas", "--algo", "elca"]);
-    assert!(elca.status.success(), "{elca:?}");
-    assert!(stdout(&elca).contains("(bound 10, Elca)"), "{}", stdout(&elca));
+    for (algo, name) in
+        [("xseek", "XSeek"), ("slca", "SlcaIndexedLookup"), ("scan", "SlcaScanEager"), ("elca", "Elca")]
+    {
+        let out = xsnippet(&["--demo", "stores", "store", "texas", "--algo", algo]);
+        assert!(out.status.success(), "{algo}: {out:?}");
+        let text = stdout(&out);
+        assert!(
+            text.starts_with(&format!("2 result(s) for \"store texas\" (bound 10, {name})")),
+            "{algo}: {text}"
+        );
+    }
+}
+
+#[test]
+fn help_prints_usage_on_stdout_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let help = xsnippet(&[flag]);
+        assert_eq!(help.status.code(), Some(0), "{flag}: {help:?}");
+        assert!(stdout(&help).starts_with("usage: xsnippet"), "{flag}: {help:?}");
+        assert!(help.stderr.is_empty(), "{flag}: {help:?}");
+    }
 }
 
 #[test]
@@ -51,4 +70,5 @@ fn a_missing_file_exits_1_and_a_bad_option_exits_2() {
     let bad = xsnippet(&["--demo", "stores", "store", "--algo", "bogus"]);
     assert_eq!(bad.status.code(), Some(2), "{bad:?}");
     assert!(String::from_utf8_lossy(&bad.stderr).contains("usage: xsnippet"));
+    assert!(bad.stdout.is_empty(), "{bad:?}");
 }
