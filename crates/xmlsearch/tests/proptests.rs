@@ -226,3 +226,39 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Nested lifted roots are rare in these documents (the first one a
+    // lift that keeps the deeper root gets wrong is case 252), so this
+    // oracle runs more cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Lifting keeps the highest roots: the entity result roots are
+    /// exactly the maximal elements of the lifted SLCAs (each SLCA's
+    /// nearest entity, or the SLCA itself without one), in document
+    /// order — computed here by brute force over every pair. Disjointness
+    /// and coverage alone would also pass a lift that kept the deeper of
+    /// two nested roots.
+    #[test]
+    fn xseek_entity_roots_are_the_highest_lifted_slcas(
+        spec in spec_strategy(),
+        keywords in keyword_strategy(),
+    ) {
+        let doc = build(&spec);
+        let (index, model) = (XmlIndex::build(&doc), EntityModel::analyze(&doc));
+        let q = KeywordQuery::from_keywords(keywords.clone());
+        let lists: Vec<&[NodeId]> = q.keywords().iter().map(|k| index.postings(k)).collect();
+        let lifted: Vec<NodeId> = slca_bruteforce(&doc, &lists)
+            .into_iter()
+            .map(|s| model.entity_of(&doc, s).unwrap_or(s))
+            .collect();
+        let mut highest: Vec<NodeId> = lifted
+            .iter()
+            .copied()
+            .filter(|&r| !lifted.iter().any(|&a| a != r && doc.is_ancestor_or_self(a, r)))
+            .collect();
+        highest.sort_unstable();
+        highest.dedup();
+        prop_assert_eq!(xseek::result_roots(&doc, &index, &model, &q, RootPolicy::Entity), highest);
+    }
+}
