@@ -24,13 +24,20 @@
 //! parent column to the first interval holding the other node — no Dewey
 //! labels anywhere.
 //!
+//! Both eager algorithms emit SLCAs in document order as they scan, with
+//! no sort: each anchor's candidate meets the one pending candidate before
+//! it, which it either is an ancestor of (dropped), lies inside (replaces)
+//! or lies past (makes final) — the one-slot filter of Indexed Lookup
+//! Eager.
+//!
 //! # Hot-path variants
 //!
 //! Every algorithm `slca_x` has a `slca_x_with(…, &mut SlcaScratch, &mut
 //! Vec<NodeId>)` twin that is **allocation-free on the per-anchor path**:
-//! intermediate candidates and monotone pointers live in a caller-owned
-//! [`SlcaScratch`] and results are written into a caller-owned output
-//! vector, so a server answering many queries reuses the same buffers.
+//! Scan Eager's monotone pointers live in a caller-owned [`SlcaScratch`]
+//! and results are written into a caller-owned output vector, so a server
+//! answering many queries reuses the same buffers. No candidate is ever
+//! buffered.
 //! List arguments are generic over `AsRef<[NodeId]>`: pass `&[Vec<NodeId>]`
 //! (owned lists) or `&[&[NodeId]]` (borrowed straight from the inverted
 //! index, zero copies).
@@ -44,8 +51,6 @@ use crate::mask::Mask;
 /// grow to the high-water mark of the queries they serve.
 #[derive(Debug, Default)]
 pub struct SlcaScratch {
-    /// Per-anchor candidate SLCAs, before ancestor removal.
-    candidates: Vec<NodeId>,
     /// Monotone per-list cursors (Scan Eager only).
     pointers: Vec<usize>,
 }
@@ -148,22 +153,29 @@ pub fn slca_indexed_lookup<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> V
 }
 
 /// [`slca_indexed_lookup`] into caller-owned buffers: `out` is cleared and
-/// receives the SLCAs; no other allocation happens once `scratch` has
-/// warmed up.
+/// receives the SLCAs, and nothing else allocates. Indexed Lookup keeps
+/// no state in `scratch`; it takes one so the `_with` family is uniform.
 pub fn slca_indexed_lookup_with<L: AsRef<[NodeId]>>(
     doc: &Document,
     lists: &[L],
-    scratch: &mut SlcaScratch,
+    _scratch: &mut SlcaScratch,
     out: &mut Vec<NodeId>,
 ) {
     out.clear();
+    indexed_lookup_each(doc, lists, |n| out.push(n));
+}
+
+/// Indexed Lookup Eager, handing each SLCA to `emit` in document order.
+fn indexed_lookup_each<L: AsRef<[NodeId]>>(
+    doc: &Document,
+    lists: &[L],
+    emit: impl FnMut(NodeId),
+) {
     let Some(anchor_idx) = prepare(lists) else {
         return;
     };
-    let anchors = lists[anchor_idx].as_ref();
-    scratch.candidates.clear();
-    scratch.candidates.reserve(anchors.len());
-    for &v in anchors {
+    let mut pending = Pending::new(emit);
+    for &v in lists[anchor_idx].as_ref() {
         let mut u = v;
         for (li, list) in lists.iter().enumerate() {
             if li == anchor_idx {
@@ -172,9 +184,9 @@ pub fn slca_indexed_lookup_with<L: AsRef<[NodeId]>>(
             let list = list.as_ref();
             u = deepest_lca(doc, list, list.partition_point(|&n| n < u), u);
         }
-        scratch.candidates.push(u);
+        pending.offer(doc, u);
     }
-    remove_ancestors(doc, &mut scratch.candidates, out);
+    pending.finish();
 }
 
 /// Scan Eager. `lists` must be sorted in document order.
@@ -193,16 +205,24 @@ pub fn slca_scan_eager_with<L: AsRef<[NodeId]>>(
     out: &mut Vec<NodeId>,
 ) {
     out.clear();
+    scan_eager_each(doc, lists, scratch, |n| out.push(n));
+}
+
+/// Scan Eager, handing each SLCA to `emit` in document order.
+fn scan_eager_each<L: AsRef<[NodeId]>>(
+    doc: &Document,
+    lists: &[L],
+    scratch: &mut SlcaScratch,
+    emit: impl FnMut(NodeId),
+) {
     let Some(anchor_idx) = prepare(lists) else {
         return;
     };
-    let anchors = lists[anchor_idx].as_ref();
     // One monotone pointer per non-anchor list.
     scratch.pointers.clear();
     scratch.pointers.resize(lists.len(), 0);
-    scratch.candidates.clear();
-    scratch.candidates.reserve(anchors.len());
-    for &v in anchors {
+    let mut pending = Pending::new(emit);
+    for &v in lists[anchor_idx].as_ref() {
         let mut u = v;
         for (li, list) in lists.iter().enumerate() {
             if li == anchor_idx {
@@ -217,9 +237,9 @@ pub fn slca_scan_eager_with<L: AsRef<[NodeId]>>(
             }
             u = deepest_lca(doc, list, *p, u);
         }
-        scratch.candidates.push(u);
+        pending.offer(doc, u);
     }
-    remove_ancestors(doc, &mut scratch.candidates, out);
+    pending.finish();
 }
 
 /// Eager SLCA with the algorithm chosen by [`choose_strategy`].
@@ -236,9 +256,22 @@ pub fn slca_auto_with<L: AsRef<[NodeId]>>(
     scratch: &mut SlcaScratch,
     out: &mut Vec<NodeId>,
 ) {
+    out.clear();
+    slca_auto_each(doc, lists, scratch, |n| out.push(n));
+}
+
+/// [`slca_auto`], handing each SLCA to `emit` in document order as the
+/// scan finds it — what a caller that transforms every SLCA (entity
+/// lifting) reads instead of a buffer.
+pub(crate) fn slca_auto_each<L: AsRef<[NodeId]>>(
+    doc: &Document,
+    lists: &[L],
+    scratch: &mut SlcaScratch,
+    emit: impl FnMut(NodeId),
+) {
     match choose_strategy(lists) {
-        SlcaStrategy::IndexedLookup => slca_indexed_lookup_with(doc, lists, scratch, out),
-        SlcaStrategy::ScanEager => slca_scan_eager_with(doc, lists, scratch, out),
+        SlcaStrategy::IndexedLookup => indexed_lookup_each(doc, lists, emit),
+        SlcaStrategy::ScanEager => scan_eager_each(doc, lists, scratch, emit),
     }
 }
 
@@ -267,22 +300,44 @@ fn deepest_lca(doc: &Document, list: &[NodeId], p: usize, u: NodeId) -> NodeId {
     doc.ancestors_or_self(u).find(|&x| holds(x, pred) || holds(x, succ)).unwrap_or(u)
 }
 
-/// Sort `candidates`, deduplicate, and write to `out` every node that has
-/// no candidate descendant (SLCAs are the *deepest* full-containment
-/// nodes). `out` doubles as the keep-stack, so the pass is a single scan.
-fn remove_ancestors(doc: &Document, candidates: &mut Vec<NodeId>, out: &mut Vec<NodeId>) {
-    candidates.sort_unstable();
-    candidates.dedup();
-    out.reserve(candidates.len());
-    for &c in candidates.iter() {
-        while let Some(&last) = out.last() {
-            if doc.is_ancestor_or_self(last, c) {
-                out.pop();
-            } else {
-                break;
-            }
+/// The eager algorithms' ancestor filter: the one candidate not yet known
+/// to be an SLCA, fed the candidates in anchor order. Each candidate is an
+/// ancestor-or-self of its anchor and holds a match of every keyword, so
+/// against the pending candidate `p` a new one `c`
+///
+/// * that starts at or before `p` is `p` or an ancestor of it — it holds a
+///   later anchor than `p`, which lies past `p`'s start — and is dropped;
+/// * that starts inside `p`'s interval is a descendant of `p`, so `p` is
+///   no SLCA: `c` replaces it;
+/// * that starts past `p`'s end leaves `p` final: every later candidate
+///   holds a later anchor still, so it is `p`'s ancestor or past `p` too.
+///
+/// The pending candidate only ever moves forward, so the SLCAs come out in
+/// document order, each once, with no buffer and no sort.
+struct Pending<F> {
+    /// The pending candidate and its subtree's end.
+    at: Option<(NodeId, NodeId)>,
+    emit: F,
+}
+
+impl<F: FnMut(NodeId)> Pending<F> {
+    fn new(emit: F) -> Pending<F> {
+        Pending { at: None, emit }
+    }
+
+    fn offer(&mut self, doc: &Document, c: NodeId) {
+        match self.at {
+            Some((p, _)) if c <= p => return,
+            Some((p, end)) if c >= end => (self.emit)(p),
+            _ => {}
         }
-        out.push(c);
+        self.at = Some((c, doc.subtree_end(c)));
+    }
+
+    fn finish(mut self) {
+        if let Some((p, _)) = self.at {
+            (self.emit)(p);
+        }
     }
 }
 
@@ -428,6 +483,52 @@ mod tests {
         let r = all_three(&doc, &index, &["a", "k"]);
         assert_eq!(r.len(), 3);
         assert!(r.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Both eager algorithms on `keywords`, which must anchor on `k1`:
+    /// each must equal `expected` (labels, in document order) and the
+    /// oracle.
+    fn eager_both(doc: &Document, index: &XmlIndex, keywords: &[&str], expected: &[&str]) {
+        let ls = lists(index, keywords);
+        assert_eq!(ls[0], index.postings("k1"), "k1 must be the anchor list");
+        assert!(ls[1..].iter().all(|l| l.len() > ls[0].len()), "k1 must be the shortest list");
+        let labels = |r: Vec<NodeId>| -> Vec<&str> {
+            r.into_iter().map(|n| doc.label_str(n).unwrap()).collect()
+        };
+        assert_eq!(labels(slca_bruteforce(doc, &ls)), expected, "oracle");
+        assert_eq!(labels(slca_indexed_lookup(doc, &ls)), expected, "indexed lookup");
+        assert_eq!(labels(slca_scan_eager(doc, &ls)), expected, "scan eager");
+    }
+
+    #[test]
+    fn a_candidate_before_the_pending_one_is_its_ancestor_and_dropped() {
+        // Anchor 1 (in `a`) has `a` as its candidate; anchor 2 (in `b`)
+        // finds its nearest k2s in `a` and `c`, so its candidate is the
+        // root — which starts before the pending `a`.
+        let (doc, index) = setup(
+            "<r><a><x>k1</x><y>k2</y></a><b><x>k1</x></b><c><y>k2</y><y>k2</y></c></r>",
+        );
+        eager_both(&doc, &index, &["k1", "k2"], &["a"]);
+    }
+
+    #[test]
+    fn a_candidate_inside_the_pending_one_replaces_it() {
+        // Anchor 1 (in `a`) has no k2 nearer than `b`: its candidate is
+        // the root. Anchor 2's candidate is `b`, inside the root.
+        let (doc, index) = setup(
+            "<r><a><x>k1</x></a><b><x>k1</x><y>k2</y></b><c><y>k2</y><y>k2</y></c></r>",
+        );
+        eager_both(&doc, &index, &["k1", "k2"], &["b"]);
+    }
+
+    #[test]
+    fn a_candidate_past_the_pending_one_makes_it_final() {
+        // `a` is pending when anchor 2's candidate `b` starts past its end:
+        // `a` is emitted, then `b` at the end of the scan.
+        let (doc, index) = setup(
+            "<r><a><x>k1</x><y>k2</y></a><b><x>k1</x><y>k2</y></b><c><y>k2</y></c></r>",
+        );
+        eager_both(&doc, &index, &["k1", "k2"], &["a", "b"]);
     }
 
     #[test]

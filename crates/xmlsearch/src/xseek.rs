@@ -2,17 +2,23 @@
 //!
 //! Plain SLCA roots can be connection nodes (e.g. `merchandises`), which
 //! make poor semantic results. XSeek returns *meaningful* units: we lift
-//! each SLCA to its nearest ancestor-or-self **entity** node, deduplicate,
-//! and return the full subtree of each lifted root as the query result —
-//! matching the paper's Figure 1, where the result of "Texas apparel
-//! retailer" is the whole `retailer` subtree.
+//! each SLCA to its nearest ancestor-or-self **entity** node, keep the
+//! highest of any nested lifted roots, and return the full subtree of each
+//! as the query result — matching the paper's Figure 1, where the result
+//! of "Texas apparel retailer" is the whole `retailer` subtree.
+//!
+//! SLCA hands its nodes over in document order as it finds them, and each
+//! is lifted on arrival onto a keep-highest stack: a lifted root that
+//! starts at or before the last kept one is its ancestor and pops it. The
+//! roots come out disjoint and in document order with no SLCA buffer, sort
+//! or deduplication.
 
 use extract_analyzer::EntityModel;
 use extract_index::XmlIndex;
 use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
-use crate::slca::{slca_auto_with, SlcaScratch};
+use crate::slca::{slca_auto_each, slca_auto_with, SlcaScratch};
 
 /// How result roots are derived from SLCA nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,11 +43,10 @@ pub struct RootsScratch<'i> {
 }
 
 /// The part of a [`RootsScratch`] that outlives a request: SLCA's
-/// buffers, the result roots, and the scoring sweep's cursors.
+/// cursors, the result roots, and the scoring sweep's cursors.
 #[derive(Debug, Default)]
 pub struct RootsBuffers {
     slca: SlcaScratch,
-    slcas: Vec<NodeId>,
     pub(crate) roots: Vec<NodeId>,
     /// One forward-only position per posting list, for the scoring sweep
     /// ([`crate::ranking::sweep_scores`]) over `roots`.
@@ -97,29 +102,31 @@ pub fn result_roots_with<'i>(
     policy: RootPolicy,
     scratch: &mut RootsScratch<'i>,
 ) {
-    let RootsScratch { lists, buffers: RootsBuffers { slca, slcas, roots, .. } } = scratch;
+    let RootsScratch { lists, buffers: RootsBuffers { slca, roots, .. } } = scratch;
     lists.clear();
     lists.extend(query.keywords().iter().map(|k| index.postings(k)));
     match policy {
         RootPolicy::Slca => slca_auto_with(doc, lists, slca, roots),
         RootPolicy::Entity => {
-            slca_auto_with(doc, lists, slca, slcas);
             roots.clear();
-            roots.extend(slcas.iter().map(|&n| model.entity_of(doc, n).unwrap_or(n)));
-            roots.sort_unstable();
-            roots.dedup();
-            // Lifting can create nesting (one lifted root inside another);
-            // keep the highest so results stay disjoint. In document order
-            // a root is nested iff it starts before the last kept one ends.
-            let mut covered = None;
-            roots.retain(|&r| {
-                if covered.is_some_and(|end| r < end) {
-                    return false;
-                }
-                covered = Some(doc.subtree_end(r));
-                true
+            slca_auto_each(doc, lists, slca, |s| {
+                lift_onto(doc, roots, model.entity_of(doc, s).unwrap_or(s));
             });
         }
+    }
+}
+
+/// Push the lifted root `r` of the next SLCA in document order onto
+/// `kept`, the highest lifted roots so far (disjoint, in document order).
+/// `r` holds its SLCA, which lies past every kept root's SLCA, so a kept
+/// root that `r` starts at or before is `r` or inside it: it is popped.
+/// What is left ends before `r` or holds it — then `r` is dropped.
+fn lift_onto(doc: &Document, kept: &mut Vec<NodeId>, r: NodeId) {
+    while kept.last().is_some_and(|&last| r <= last) {
+        kept.pop();
+    }
+    if kept.last().is_none_or(|&last| r >= doc.subtree_end(last)) {
+        kept.push(r);
     }
 }
 
@@ -213,6 +220,30 @@ mod tests {
         let roots = result_roots(&doc, &index, &model, &q, RootPolicy::Entity);
         assert_eq!(roots.len(), 1);
         assert_eq!(doc.label_str(roots[0]), Some("store"));
+    }
+
+    #[test]
+    fn a_lifted_root_over_two_kept_roots_pops_both() {
+        // SLCAs in order: the two tags, then the name. The tags lift to
+        // their items and are kept; the name lifts to the store holding
+        // both items, which pops the two.
+        let (doc, index, model) = setup(
+            "<r>\
+             <store><item><tag>k</tag></item><item><tag>k</tag></item><name>k</name></store>\
+             <store><item><tag>x</tag></item><item><tag>y</tag></item><name>z</name></store>\
+             </r>",
+        );
+        let q = KeywordQuery::parse("k");
+        let slcas = result_roots(&doc, &index, &model, &q, RootPolicy::Slca);
+        let labels = |roots: &[NodeId]| -> Vec<&str> {
+            roots.iter().map(|&n| doc.label_str(n).unwrap()).collect()
+        };
+        assert_eq!(labels(&slcas), ["tag", "tag", "name"]);
+        let lifted: Vec<NodeId> =
+            slcas.iter().map(|&s| model.entity_of(&doc, s).unwrap()).collect();
+        assert_eq!(labels(&lifted), ["item", "item", "store"]);
+        let roots = result_roots(&doc, &index, &model, &q, RootPolicy::Entity);
+        assert_eq!(roots, [lifted[2]]);
     }
 
     #[test]

@@ -48,10 +48,13 @@
 //! every result root of every candidate document is *scored by counting*
 //! (its keyword matches are the postings inside its ID interval, found by
 //! one forward merge over each keyword's posting list,
-//! [`ranking::scored_roots`]), the served window's `(document, score,
-//! root)` triples are kept in a buffer of at most twice its size — any
-//! other result is only counted — and only its ≤ `k` roots ever reach the
-//! snippet kernel. The kernel runs in
+//! [`ranking::scored_roots`], on roots that SLCA and entity lifting hand
+//! over in document order with no sort), each result is ranked by one
+//! integer key — score, then offer order, which is (document, root) order
+//! — and the best `offset + k` are kept in a buffer of at most twice that
+//! size — any other result is only counted. Only the served tail `[offset,
+//! offset + k)` is sorted, and only its ≤ `k` roots ever reach the snippet
+//! kernel. The kernel runs in
 //! this thread's [`IListScratch`](extract_core::ilist::IListScratch) —
 //! statistics, IList, selection and XML in one pass over reused buffers —
 //! and what it leaves is the snippet's bytes
@@ -84,15 +87,15 @@
 
 use std::cell::{Cell, RefCell};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, Extract, ExtractConfig};
-use extract_corpus::{Corpus, DocId, FanIn};
+use extract_corpus::{Corpus, DocId};
 use extract_obs::lock_unpoisoned;
-use extract_search::ranking::{self, by_score_desc};
+use extract_search::ranking;
 use extract_search::xseek::{RootsBuffers, RootsScratch};
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
@@ -187,72 +190,122 @@ fn with_scratch<T>(f: impl FnOnce(&mut IListScratch) -> T) -> T {
     })
 }
 
-/// One ranked result before it is built: where it is and what it scored.
-type Ranked = (DocId, f64, NodeId);
-
-/// The page order: score descending, then document, then root — total,
-/// since a `(document, root)` pair occurs once.
-fn page_order(a: &Ranked, b: &Ranked) -> std::cmp::Ordering {
-    by_score_desc(a.1, b.1).then_with(|| a.0.cmp(&b.0)).then_with(|| a.2.cmp(&b.2))
+/// One ranked result before it is built: where it is, and its place on
+/// the page as one integer.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    /// Page order, ascending: the score's total-order bits, inverted so a
+    /// higher score comes first ([`descending_bits`]), above the offer's
+    /// sequence number — (document, root) order, since candidates arrive
+    /// in ascending `DocId` and each one's roots in document order.
+    key: u128,
+    doc: DocId,
+    root: NodeId,
 }
 
-/// The best `keep` results offered so far, in page order once finished,
-/// and how many were offered in all. Offers go into a buffer of at most
-/// `2 · keep` triples; when it fills, a `select_nth` cuts it back to the
-/// best `keep`, and the worst of those becomes the cut-off. A later offer
-/// that does not beat the cut-off cannot make the window and is only
-/// counted. `keep == 0` counts and keeps nothing; `keep == usize::MAX`
-/// never fills, so it keeps everything.
+impl Ranked {
+    /// The ranking score, recovered from the key's upper half.
+    fn score(&self) -> f64 {
+        f64::from_bits(!((self.key >> 64) as u64))
+    }
+}
+
+/// `score` as a `u64` that orders like [`ranking::by_score_desc`]:
+/// ascending key, descending score. A score is never negative (a sum of
+/// `ln(1 + n)` over a positive denominator), and non-negative `f64`s order
+/// like their bits.
+fn descending_bits(score: f64) -> u64 {
+    debug_assert!(score.is_sign_positive(), "negative score {score}");
+    !score.to_bits()
+}
+
+/// The best `offset + k` results offered so far and how many were offered
+/// in all; [`Window::finish`] hands over the served tail `[offset, offset +
+/// k)` of them in page order — score descending, then document, then root.
+/// Offers go into a buffer of at most `2 · (offset + k)` results; when it
+/// fills, a `select_nth` cuts it back to the best `offset + k`, and the
+/// worst of those becomes the cut-off. A later offer that does not beat
+/// the cut-off cannot make the window and is only counted. `k == 0` counts
+/// and keeps nothing; `offset + k` saturating at `usize::MAX` never fills,
+/// so it keeps everything.
 struct Window {
+    offset: usize,
     keep: usize,
     kept: Vec<Ranked>,
-    /// The worst kept triple at the last cut, once there has been one.
-    cutoff: Option<Ranked>,
+    /// The key of the worst kept result at the last cut, once there has
+    /// been one.
+    cutoff: Option<u128>,
     total: usize,
+    /// The last offer's place, to check that offers arrive in page-key
+    /// order.
+    #[cfg(debug_assertions)]
+    last: Option<(DocId, NodeId)>,
 }
 
 impl Window {
-    fn new(keep: usize) -> Window {
-        Window { keep, kept: Vec::new(), cutoff: None, total: 0 }
+    fn new(offset: usize, k: usize) -> Window {
+        Window {
+            offset,
+            keep: offset.saturating_add(k),
+            kept: Vec::new(),
+            cutoff: None,
+            total: 0,
+            #[cfg(debug_assertions)]
+            last: None,
+        }
     }
 
-    fn offer(&mut self, at: Ranked) {
+    /// Offer the next result; results must come in (document, root) order,
+    /// which makes the offer count a tie-break in page order.
+    fn offer(&mut self, doc: DocId, score: f64, root: NodeId) {
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(self.last < Some((doc, root)), "offers out of (document, root) order");
+            self.last = Some((doc, root));
+        }
+        let key = u128::from(descending_bits(score)) << 64 | self.total as u128;
         self.total += 1;
-        if self.keep == 0 || self.cutoff.is_some_and(|cut| page_order(&at, &cut).is_ge()) {
+        if self.keep == 0 || self.cutoff.is_some_and(|cut| key > cut) {
             return;
         }
-        self.kept.push(at);
+        self.kept.push(Ranked { key, doc, root });
         if self.kept.len() >= self.keep.saturating_mul(2) {
             self.cut();
         }
     }
 
-    /// Keep only the best `keep` triples (unordered), and the worst of
+    /// Keep only the best `keep` results (unordered), and the worst of
     /// them as the cut-off.
     fn cut(&mut self) {
         if let Some(last) = self.keep.checked_sub(1).filter(|&last| last < self.kept.len()) {
-            self.kept.select_nth_unstable_by(last, page_order);
+            self.kept.select_nth_unstable_by_key(last, |at| at.key);
             self.kept.truncate(self.keep);
-            self.cutoff = self.kept.last().copied();
+            self.cutoff = self.kept.last().map(|at| at.key);
         }
     }
 
-    /// The kept prefix of the page, sorted, and the number of offers.
+    /// The served tail, sorted, and the number of offers: the best
+    /// `offset` results are partitioned off ahead of it, unsorted, and
+    /// dropped.
     fn finish(mut self) -> (Vec<Ranked>, usize) {
         if self.kept.len() > self.keep {
             self.cut();
         }
-        self.kept.sort_unstable_by(page_order);
+        let skipped = self.offset.min(self.kept.len());
+        if skipped > 0 && skipped < self.kept.len() {
+            self.kept.select_nth_unstable_by_key(skipped, |at| at.key);
+        }
+        self.kept.drain(..skipped);
+        self.kept.sort_unstable_by_key(|at| at.key);
         (self.kept, self.total)
     }
 }
 
-/// The shareable cache state of one serving lineage: result pages,
-/// per-result snippets and the routing fan-in counters. A standalone
-/// [`QuerySession`] owns a private bundle;
-/// live serving keeps one bundle alive across the per-snapshot sessions
-/// it builds, so caches survive corpus mutations (see the module docs for
-/// why that is safe).
+/// The shareable cache state of one serving lineage: result pages and
+/// per-result snippets. A standalone [`QuerySession`] owns a private
+/// bundle; live serving keeps one bundle alive across the per-snapshot
+/// sessions it builds, so caches survive corpus mutations (see the module
+/// docs for why that is safe).
 #[derive(Debug)]
 pub struct SessionCaches {
     cache_capacity: usize,
@@ -262,11 +315,6 @@ pub struct SessionCaches {
     corpus_pages: Mutex<LruCache<PageKey, CorpusTopK>>,
     /// Each snippet's compact XML, shared with the pages showing it.
     snippets: Mutex<LruCache<CacheKey, Arc<str>>>,
-    /// Routing fan-in accumulated by [`QuerySession::answer_corpus`]
-    /// (directory + posting entries touched), split across atomics so the
-    /// read path stays lock-free.
-    fanin_postings: AtomicU64,
-    fanin_directory: AtomicU64,
 }
 
 impl SessionCaches {
@@ -277,8 +325,6 @@ impl SessionCaches {
             cache_capacity,
             corpus_pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             snippets: Mutex::new(LruCache::new(cache_capacity)),
-            fanin_postings: AtomicU64::new(0),
-            fanin_directory: AtomicU64::new(0),
         }
     }
 
@@ -413,23 +459,11 @@ impl<'d> QuerySession<'d> {
         self.caches.snippet_stats()
     }
 
-    /// Index-entry fan-in accumulated by corpus routing since session
-    /// start.
-    pub fn routing_fanin(&self) -> FanIn {
-        FanIn {
-            postings_touched: self.caches.fanin_postings.load(Ordering::Relaxed),
-            directory_touched: self.caches.fanin_directory.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop all cached pages and snippets (counters reset too, including
-    /// the routing fan-in). The documents' engines are the corpus's and
-    /// stay built.
+    /// Drop all cached pages and snippets (counters reset too). The
+    /// documents' engines are the corpus's and stay built.
     pub fn clear_cache(&self) {
         lock_unpoisoned(&self.caches.corpus_pages).clear();
         lock_unpoisoned(&self.caches.snippets).clear();
-        self.caches.fanin_postings.store(0, Ordering::Relaxed);
-        self.caches.fanin_directory.store(0, Ordering::Relaxed);
     }
 
     /// The request's query, normalized once for every cache key built
@@ -439,24 +473,24 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Search + rank: score every result root of every candidate document
-    /// by counting, and keep the first `served` of them (all, for
-    /// `usize::MAX`) in page order. Returns that prefix and how many
-    /// results there are in all. Nothing is built for any result here: a
-    /// result is a triple in a buffer of at most `2 · served` ([`Window`])
-    /// or, once it cannot make the window, only a count. The buffers SLCA,
-    /// entity lifting and the scoring sweep work in are shared by every
-    /// candidate.
+    /// by counting, and keep the `[offset, offset + k)` window of them in
+    /// page order. Returns that window and how many results there are in
+    /// all. Nothing is built for any result here: a result is a key in a
+    /// buffer of at most `2 · (offset + k)` ([`Window`]) or, once it cannot
+    /// make the window, only a count. The buffers SLCA, entity lifting and
+    /// the scoring sweep work in are shared by every candidate.
     fn search(
         &self,
         query: &KeywordQuery,
         candidates: &[DocId],
-        served: usize,
+        offset: usize,
+        k: usize,
     ) -> (Vec<Ranked>, usize) {
-        let mut window = Window::new(served);
+        let mut window = Window::new(offset, k);
         let mut scratch = RootsScratch::with_buffers(ROOTS.take());
         for &doc in candidates {
             let engine = self.corpus.engine(doc);
-            let emit = |root, score| window.offer((doc, score, root));
+            let emit = |root, score| window.offer(doc, score, root);
             let (document, index, model) = (self.corpus.doc(doc), engine.index(), engine.model());
             ranking::scored_roots(document, index, model, query, &mut scratch, emit);
         }
@@ -480,16 +514,18 @@ impl<'d> QuerySession<'d> {
             let extract = Extract::borrowing(self.corpus.doc(doc), self.corpus.engine(doc));
             with_scratch(|scratch| Arc::from(extract.snippet_xml(query, root, config, scratch)))
         };
-        let answer = |(doc, score, root): Ranked, snippet| CorpusAnswer { doc, score, root, snippet };
+        let answer = |at: Ranked, snippet| {
+            CorpusAnswer { doc: at.doc, score: at.score(), root: at.root, snippet }
+        };
         let Some(text) = text else {
-            return served.iter().map(|&at| answer(at, compute(at.0, at.2))).collect();
+            return served.iter().map(|&at| answer(at, compute(at.doc, at.root))).collect();
         };
         // Each result's key and, in its second half, first the cached
         // bytes the lookup found, then — once the window has taken those —
         // the bytes a miss computed, to be stored.
         let mut keyed: Vec<(CacheKey, Option<Arc<str>>)> = served
             .iter()
-            .map(|&(doc, _, root)| (CacheKey::for_doc(text, doc, root, config), None))
+            .map(|at| (CacheKey::for_doc(text, at.doc, at.root, config), None))
             .collect();
         {
             let mut snippets = lock_unpoisoned(&self.caches.snippets);
@@ -503,7 +539,7 @@ impl<'d> QuerySession<'d> {
             .zip(&mut keyed)
             .map(|(&at, (_, slot))| {
                 let snippet = slot.take().unwrap_or_else(|| {
-                    let fresh = compute(at.0, at.2);
+                    let fresh = compute(at.doc, at.root);
                     *slot = Some(Arc::clone(&fresh));
                     misses += 1;
                     fresh
@@ -574,23 +610,19 @@ impl<'d> QuerySession<'d> {
         // built for a result outside the window. Timed as the request's
         // `search` span (the cache-hit return above records no stage at
         // all — a hit does no search work).
-        let (ranked, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
+        let (served, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
             let candidates: Vec<DocId> = if query.is_empty() {
                 Vec::new()
             } else {
                 let keywords: Vec<&str> = query.keywords().iter().map(String::as_str).collect();
-                let (docs, fanin) = self.corpus.candidate_docs_str(&keywords);
-                self.caches.fanin_postings.fetch_add(fanin.postings_touched, Ordering::Relaxed);
-                self.caches.fanin_directory.fetch_add(fanin.directory_touched, Ordering::Relaxed);
-                docs
+                self.corpus.candidate_docs_str(&keywords).0
             };
-            self.search(&query, &candidates, offset.saturating_add(k))
+            self.search(&query, &candidates, offset, k)
         });
         // Stage 2 — snippets for the served window only (the `snippet`
-        // span): `ranked` ends where the window does.
-        let served = ranked.get(offset.min(total)..).unwrap_or_default();
+        // span).
         let window = extract_obs::time_stage(extract_obs::Stage::Snippet, || {
-            self.answers(served, &query, text.as_ref(), config)
+            self.answers(&served, &query, text.as_ref(), config)
         });
         let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };
         if let Some(pkey) = pkey {
@@ -1028,6 +1060,71 @@ mod tests {
         }
     }
 
+    /// Three documents with equal scores across them: the window serves
+    /// each `[offset, offset + k)` slice of the (score desc, document,
+    /// root) order — at offset 0, at offset `k`, past the end, and at
+    /// every offset in between, with cuts on the way.
+    #[test]
+    fn window_ties_across_documents_come_out_in_document_and_root_order() {
+        let offers: Vec<(DocId, f64, NodeId)> = (0..3)
+            .flat_map(|d| {
+                [(1, 1.0), (4, 2.0), (7, 1.0)]
+                    .map(|(root, score)| (DocId::from_index(d), score, NodeId::from_index(root)))
+            })
+            .collect();
+        let mut reference = offers.clone();
+        reference
+            .sort_by(|a, b| ranking::by_score_desc(a.1, b.1).then((a.0, a.2).cmp(&(b.0, b.2))));
+        let served = |offset: usize, k: usize| {
+            let mut window = Window::new(offset, k);
+            for &(doc, score, root) in &offers {
+                window.offer(doc, score, root);
+            }
+            let (served, total) = window.finish();
+            assert_eq!(total, offers.len());
+            served.iter().map(|at| (at.doc, at.score(), at.root)).collect::<Vec<_>>()
+        };
+        let (d, n) = (DocId::from_index, NodeId::from_index);
+        assert_eq!(served(0, 2), [(d(0), 2.0, n(4)), (d(1), 2.0, n(4))]);
+        assert_eq!(served(2, 2), [(d(2), 2.0, n(4)), (d(0), 1.0, n(1))]);
+        assert_eq!(served(9, 2), []);
+        for k in [0, 1, 2, 3, 4, 9, usize::MAX] {
+            for offset in 0..=10 {
+                let start = offset.min(reference.len());
+                let want = &reference[start..start.saturating_add(k).min(reference.len())];
+                assert_eq!(served(offset, k), want, "k={k} offset={offset}");
+            }
+        }
+    }
+
+    /// A key's score half orders like `by_score_desc` and gives the score
+    /// back to the bit.
+    #[test]
+    fn window_keys_order_like_scores_and_give_them_back() {
+        let scores = [0.0, 1e-300, 0.25, 0.5, 3.0, 1e300, f64::INFINITY];
+        for a in scores {
+            for b in scores {
+                assert_eq!(
+                    descending_bits(a).cmp(&descending_bits(b)),
+                    ranking::by_score_desc(a, b),
+                    "{a} vs {b}"
+                );
+            }
+            let key = u128::from(descending_bits(a)) << 64 | 7;
+            let at = Ranked { key, doc: DocId::from_index(0), root: NodeId::from_index(0) };
+            assert_eq!(at.score().to_bits(), a.to_bits());
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "offers out of (document, root) order")]
+    fn window_rejects_offers_out_of_order() {
+        let mut window = Window::new(0, 10);
+        window.offer(DocId::from_index(1), 1.0, NodeId::from_index(3));
+        window.offer(DocId::from_index(0), 1.0, NodeId::from_index(5));
+    }
+
     #[test]
     fn routing_skips_unrelated_documents() {
         let corpus = small_corpus();
@@ -1038,9 +1135,9 @@ mod tests {
         let page = session.answer_corpus("paper sigmod", &config);
         assert!(!page.is_empty());
         assert!(page.iter().all(|a| corpus.name(a.doc) == "dblp"));
-        assert!(session.routing_fanin().total() > 0);
-        session.clear_cache();
-        assert_eq!(session.routing_fanin(), FanIn::default());
+        let (candidates, fanin) = corpus.candidate_docs_str(&["paper", "sigmod"]);
+        assert!(candidates.iter().all(|&doc| corpus.name(doc) == "dblp"));
+        assert!(fanin.total() > 0);
     }
 
     #[test]

@@ -147,7 +147,8 @@ fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
     }
 
     // Routing did real work and the page cache serves repeats.
-    assert!(session.routing_fanin().directory_touched > 0);
+    let keywords: Vec<&str> = queries[0].split_whitespace().collect();
+    assert!(corpus.candidate_docs_str(&keywords).1.directory_touched > 0);
     let before = session.corpus_page_stats();
     session.answer_corpus(queries[0], &config);
     let after = session.corpus_page_stats();
