@@ -16,7 +16,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use extract_analyzer::{EntityModel, KeyCatalog};
-use extract_index::XmlIndex;
+use extract_index::{TokenId, XmlIndex};
 use extract_search::ranking::{self, RankedResult};
 use extract_search::result::postings_within;
 use extract_search::{Algorithm, KeywordQuery, QueryResult};
@@ -215,7 +215,8 @@ impl<'d> Extract<'d> {
     /// [`Extract::snippet_of`]`(..).snippet.to_xml()`, with no owned IList,
     /// snippet tree or `QueryResult` in between (the keyword matches are
     /// read from the index in place). On a warm scratch this allocates
-    /// nothing.
+    /// nothing. Each keyword is looked up by its string; a caller that
+    /// routed the query calls [`Extract::snippet_xml_by_id`].
     pub fn snippet_xml<'s>(
         &self,
         query: &KeywordQuery,
@@ -223,11 +224,39 @@ impl<'d> Extract<'d> {
         config: &ExtractConfig,
         scratch: &'s mut IListScratch,
     ) -> &'s str {
-        let (index, end) = (&*self.parts.index, self.doc.subtree_end(root));
-        let matches = |i: usize| {
-            let postings = query.keywords().get(i).map(|k| index.postings(k)).unwrap_or_default();
-            postings_within(postings, root, end)
-        };
+        let index = &*self.parts.index;
+        let postings = |i: usize| query.keywords().get(i).map(|k| index.postings(k));
+        self.render_xml(query, root, postings, config, scratch)
+    }
+
+    /// [`Extract::snippet_xml`] for a query resolved at routing: `ids` are
+    /// its keywords' token ids in this engine's index, in query order, so
+    /// no keyword is hashed here.
+    pub fn snippet_xml_by_id<'s>(
+        &self,
+        query: &KeywordQuery,
+        ids: &[TokenId],
+        root: NodeId,
+        config: &ExtractConfig,
+        scratch: &'s mut IListScratch,
+    ) -> &'s str {
+        let index = &*self.parts.index;
+        let postings = |i: usize| ids.get(i).map(|&id| index.postings_by_id(id));
+        self.render_xml(query, root, postings, config, scratch)
+    }
+
+    /// The kernel over keyword `i`'s whole posting list `postings(i)`, then
+    /// the snippet's XML.
+    fn render_xml<'s, 'm>(
+        &self,
+        query: &KeywordQuery,
+        root: NodeId,
+        postings: impl Fn(usize) -> Option<&'m [NodeId]>,
+        config: &ExtractConfig,
+        scratch: &'s mut IListScratch,
+    ) -> &'s str {
+        let end = self.doc.subtree_end(root);
+        let matches = |i: usize| postings_within(postings(i).unwrap_or_default(), root, end);
         self.run(query, root, matches, config, scratch);
         scratch.render(self.doc, root)
     }

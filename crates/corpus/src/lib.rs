@@ -20,7 +20,8 @@
 //! * [`Corpus`] — an immutable snapshot: the slot table, the directory,
 //!   and query-routing via [`Corpus::candidate_docs_str`] (which documents
 //!   contain every keyword of a query, plus the [`FanIn`] work counters
-//!   the corpus benchmark reports).
+//!   the corpus benchmark reports) and [`Corpus::route`] (the same
+//!   documents, each with the keywords' token ids in its segment).
 //! * [`live::LiveCorpus`] — add/update/delete mutations, each publishing
 //!   an [`std::sync::Arc`]`<Corpus>` snapshot under a bumped epoch while
 //!   in-flight readers finish on the snapshot they hold.
@@ -69,7 +70,7 @@ use extract_xml::{Document, ParseOptions};
 
 pub mod live;
 
-pub use extract_index::sharded::{DocId, FanIn};
+pub use extract_index::sharded::{DocId, FanIn, Routes};
 pub use live::{LiveCorpus, Mutation, MutationCost};
 
 /// Why a document was rejected during ingestion.
@@ -496,6 +497,15 @@ impl Corpus {
         let mut out = Vec::new();
         self.directory.candidate_docs(keywords, &mut out, &mut fanin);
         (out, fanin)
+    }
+
+    /// Route a query through the directory ([`ShardedPostings::route`]):
+    /// the candidates of [`Corpus::candidate_docs_str`] land in `routes`,
+    /// each beside the keywords' token ids in its segment
+    /// (`self.engine(doc).index()`), so searching a candidate hashes no
+    /// keyword again.
+    pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes, fanin: &mut FanIn) {
+        self.directory.route(keywords, routes, fanin);
     }
 
     /// The documents containing every token, the way a store with **no

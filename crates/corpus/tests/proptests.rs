@@ -1,15 +1,16 @@
 //! Property tests: the corpus index must be **exactly** equivalent to
 //! building every document standalone — same postings per `(DocId, token)`,
 //! same vocabulary coverage, identical candidate sets whichever routing
-//! strategy computes them — a live corpus must equal a cold build over
+//! strategy computes them, routed token ids that read each candidate's own
+//! posting lists — a live corpus must equal a cold build over
 //! its survivors after every single mutation, and a cold build and a live
 //! corpus fed the same adds must run the same fold to the same slot table.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use extract_corpus::{Corpus, CorpusBuilder, DocId, FanIn, LiveCorpus};
-use extract_index::{tokenize, InvertedIndex};
+use extract_corpus::{Corpus, CorpusBuilder, DocId, FanIn, LiveCorpus, Routes};
+use extract_index::{tokenize, InvertedIndex, TokenId};
 use extract_xml::{DocBuilder, Document};
 use proptest::prelude::*;
 
@@ -109,14 +110,36 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Both routing strategies' answer for `query`, as document names.
-fn candidates(corpus: &Corpus, query: &[&str]) -> Result<Vec<String>, TestCaseError> {
+/// A routed candidate: its document's name and the query's token ids in
+/// its segment.
+type Routed = (String, Vec<TokenId>);
+
+/// The routing answer for `query`: the directory's and the no-directory
+/// scan's candidates must agree, [`Corpus::route`] must find the same ones,
+/// and each candidate's routed ids must read exactly the keywords' posting
+/// lists in its segment. Returned as names beside ids, so two corpora with
+/// different slot tables compare.
+fn candidates(corpus: &Corpus, query: &[&str]) -> Result<Vec<Routed>, TestCaseError> {
     let (mut by_directory, mut by_scan) = (Vec::new(), Vec::new());
     let mut fanin = FanIn::default();
     corpus.postings().candidate_docs(query, &mut by_directory, &mut fanin);
     corpus.candidate_docs_by_scan(query, &mut by_scan, &mut fanin);
     prop_assert_eq!(&by_directory, &by_scan, "directory vs scan, query {:?}", query);
-    Ok(by_directory.iter().map(|&id| corpus.name(id).to_string()).collect())
+    let mut routes = Routes::default();
+    corpus.route(query, &mut routes, &mut FanIn::default());
+    prop_assert_eq!(routes.docs(), &by_directory[..], "route vs directory, query {:?}", query);
+    let mut routed = Vec::new();
+    for (doc, ids) in routes.iter() {
+        let segment = corpus.engine(doc).index();
+        prop_assert_eq!(ids.len(), query.len(), "query {:?}", query);
+        for (keyword, &id) in query.iter().zip(ids) {
+            let postings = segment.postings(keyword);
+            prop_assert!(!postings.is_empty(), "{} routed to {} without it", keyword, doc);
+            prop_assert_eq!(segment.postings_by_id(id), postings, "{} in {}", keyword, doc);
+        }
+        routed.push((corpus.name(doc).to_string(), ids.to_vec()));
+    }
+    Ok(routed)
 }
 
 proptest! {
@@ -142,7 +165,7 @@ proptest! {
                 let nodes = corpus.engine(DocId::from_index(i)).index().postings(&token);
                 prop_assert_eq!(nodes, solo.postings(&token), "token {} doc {}", token, i);
                 prop_assert_eq!(
-                    sp.docs_for(&token).contains(&DocId::from_index(i)),
+                    sp.docs_for(&token).any(|d| d == DocId::from_index(i)),
                     !nodes.is_empty(),
                     "directory entry of token {} for doc {}", token, i
                 );
@@ -264,6 +287,10 @@ proptest! {
     fn live_corpus_equals_a_cold_build_after_every_step(
         seed in proptest::collection::vec(spec_strategy(), 0..3),
         steps in proptest::collection::vec(step_strategy(), 1..12),
+        queries in proptest::collection::vec(
+            proptest::collection::vec(0usize..64, 1..5),
+            1..6,
+        ),
     ) {
         let mut model: BTreeMap<String, Document> = BTreeMap::new();
         let mut builder = CorpusBuilder::new();
@@ -317,6 +344,16 @@ proptest! {
             prop_assert_eq!(sp.vocabulary_size(), cp.vocabulary_size());
             prop_assert_eq!(sp.total_postings(), cp.total_postings());
 
+            // Random queries of one to four probe tokens, repeats allowed.
+            for picks in &queries {
+                let query: Vec<&str> =
+                    picks.iter().map(|&p| tokens[p % tokens.len()].as_str()).collect();
+                prop_assert_eq!(
+                    candidates(&snapshot, &query)?,
+                    candidates(&cold, &query)?,
+                    "{:?}", query
+                );
+            }
             for (i, a) in tokens.iter().enumerate() {
                 prop_assert_eq!(candidates(&snapshot, &[a])?, candidates(&cold, &[a])?, "{}", a);
                 for b in &tokens[i + 1..] {

@@ -15,13 +15,18 @@
 //!
 //! # Layout
 //!
-//! Tokens are interned into a [`TokenId`] table (the `symbol.rs` pattern
-//! from `extract-xml`), and all posting lists live in **one flat arena**:
-//! a single `Vec<NodeId>` plus a `starts` offset table indexed by token id.
-//! Compared to the obvious `HashMap<String, Vec<NodeId>>` this removes one
-//! heap allocation per distinct token, keeps hot lists cache-adjacent, and
-//! makes repeated lookups by [`TokenId`] free of string hashing entirely —
-//! resolve the query's tokens once, then hit `postings_by_id` per query.
+//! Tokens are interned into a [`TokenId`] table — `extract-xml`'s
+//! [`SymbolTable`], which stores each token string once, back to back in
+//! one buffer, beside a `u32` end per token and a half-full slot table —
+//! and all posting lists live in **one flat arena**: a single
+//! `Vec<NodeId>` plus a `starts` offset table indexed by token id.
+//! Compared to the obvious `HashMap<String, Vec<NodeId>>` this removes
+//! every per-token heap allocation, keeps hot lists cache-adjacent, and
+//! makes repeated lookups by [`TokenId`] free of string hashing entirely.
+//! A page miss never hashes a keyword here: a miss resolves each keyword
+//! once, at routing — the corpus directory keeps every document's token
+//! ids ([`crate::sharded::ShardedPostings::route`]) — and reads each
+//! candidate's lists with [`InvertedIndex::postings_by_id`].
 
 use extract_xml::{Document, NodeId, SymbolTable};
 
@@ -118,6 +123,7 @@ impl InvertedIndex {
             cursor[t as usize] += 1;
         }
 
+        tokens.shrink_to_fit();
         let index = InvertedIndex { tokens, starts, arena };
         // Elements are visited in ID (document) order, so each list is
         // already sorted; assert in debug builds.
@@ -174,6 +180,12 @@ impl InvertedIndex {
         self.arena.len()
     }
 
+    /// Iterate over `(id, token)` pairs in token-id order (first occurrence
+    /// order of the build pass).
+    pub fn tokens(&self) -> impl Iterator<Item = (TokenId, &str)> {
+        self.tokens.iter().map(|(sym, s)| (TokenId(id32(sym.index())), s))
+    }
+
     /// Iterate over `(token, postings)` pairs in token-id order (first
     /// occurrence order of the build pass).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
@@ -184,23 +196,14 @@ impl InvertedIndex {
 
     /// Estimated heap footprint in bytes, counting **allocated capacity**
     /// (not just live length) of the arena and offset table, plus the token
-    /// table: each distinct token string is stored twice (interner vector +
-    /// lookup map key) alongside two boxed-slice headers and a hash-map
-    /// entry, estimated at [`TOKEN_TABLE_OVERHEAD`] bytes per token.
+    /// table's buffers ([`SymbolTable::memory_footprint`]): each distinct
+    /// token string is stored once.
     pub fn memory_footprint(&self) -> usize {
         let arena = self.arena.capacity() * std::mem::size_of::<NodeId>();
         let starts = self.starts.capacity() * std::mem::size_of::<u32>();
-        let tokens: usize =
-            self.tokens.iter().map(|(_, s)| 2 * s.len() + TOKEN_TABLE_OVERHEAD).sum();
-        arena + starts + tokens
+        arena + starts + self.tokens.memory_footprint()
     }
 }
-
-/// Per-token bookkeeping estimate used by
-/// [`InvertedIndex::memory_footprint`]: the workspace-wide
-/// [`extract_xml::SYMBOL_ENTRY_OVERHEAD`] (two `Box<str>` headers plus
-/// hash-map entry overhead), aliased here for the index-facing name.
-pub const TOKEN_TABLE_OVERHEAD: usize = extract_xml::SYMBOL_ENTRY_OVERHEAD;
 
 #[cfg(test)]
 mod tests {
@@ -332,13 +335,14 @@ mod tests {
         let idx = InvertedIndex::build(&d);
         // The build produces exact-size allocations (`vec![..; n]`), so the
         // capacity terms equal the lengths and the whole sum is computable
-        // from public accessors.
+        // from public accessors; the token table is shrunk to its strings
+        // and ends, beside its slots.
         let arena = idx.total_postings() * std::mem::size_of::<NodeId>();
         let starts = (idx.vocabulary_size() + 1) * std::mem::size_of::<u32>();
-        let tokens: usize = idx
-            .iter()
-            .map(|(tok, _)| 2 * tok.len() + TOKEN_TABLE_OVERHEAD)
-            .sum();
+        let strings: usize = idx.iter().map(|(tok, _)| tok.len()).sum();
+        let slots = (2 * idx.vocabulary_size()).next_power_of_two().max(8);
+        let tokens = strings + 4 * idx.vocabulary_size() + 4 * slots;
+        assert_eq!(idx.tokens.memory_footprint(), tokens);
         assert_eq!(idx.memory_footprint(), arena + starts + tokens);
     }
 

@@ -8,30 +8,39 @@
 //! snippet generation on. [`ShardedPostings`] answers that and nothing
 //! more:
 //!
-//! * **Directory.** Per token, the sorted documents containing it.
-//!   Candidate generation ([`ShardedPostings::candidate_docs`]) intersects
-//!   directory lists rarest-keyword-first, and [`FanIn`] counts the index
-//!   entries each strategy touched — the number the corpus benchmark
-//!   reports.
+//! * **Directory.** Per token, the sorted documents containing it, each
+//!   beside the token's id in that document's segment ([`DocToken`]), in
+//!   one list. Candidate generation ([`ShardedPostings::candidate_docs`])
+//!   intersects directory lists rarest-keyword-first, and [`FanIn`] counts
+//!   the index entries each strategy touched — the number the corpus
+//!   benchmark reports.
+//! * **Routing hands over token ids.** [`ShardedPostings::route`] runs the
+//!   same intersection, then reads each surviving candidate's token ids
+//!   out of the lists it already holds ([`Routes`]). A miss resolves each
+//!   keyword once, at routing: every later posting lookup in a candidate
+//!   is [`XmlIndex::postings_by_id`], two array reads with no hashing.
+//!   The lists and the ids live in the caller's [`Routes`], so a warm
+//!   worker routes without allocating.
 //! * **One edit.** [`ShardedPostingsBuilder::insert`] and
 //!   [`ShardedPostingsBuilder::remove`] take a document's id and the
 //!   segment its caller already holds, and touch the directory lists of
 //!   that segment's distinct tokens and nothing else. A cold build is
 //!   `insert` once per document; a live mutation is one `remove` and/or
 //!   one `insert` followed by [`ShardedPostingsBuilder::snapshot`]. Lists
-//!   are copy-on-write (`Arc<Vec<DocId>>`): a snapshot costs one reference
-//!   per token, an edit copies only the lists it changes, and a token
-//!   whose last document is removed leaves with its string.
+//!   are copy-on-write (`Arc<Vec<DocToken>>`): a snapshot costs one
+//!   reference per token, an edit copies only the lists it changes, and a
+//!   token whose last document is removed leaves with its string.
 //!
-//! The equivalence proptests in `extract-corpus` pin the directory against
-//! a cold build after every step of a mutation sequence.
+//! The equivalence proptests in `extract-corpus` pin the directory and the
+//! routed ids against a cold build and the segments after every step of a
+//! mutation sequence.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use extract_xml::Document;
 
-use crate::XmlIndex;
+use crate::{TokenId, XmlIndex};
 
 /// A document's identity within one corpus: a dense *slot* (assigned in
 /// insertion order) plus a *generation* that advances each time the slot
@@ -117,12 +126,82 @@ impl FanIn {
     }
 }
 
+/// One directory entry: a document holding the token, and the token's id
+/// in that document's segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DocToken {
+    /// The document.
+    pub doc: DocId,
+    /// The token's id in the document's segment
+    /// ([`XmlIndex::postings_by_id`]).
+    pub token: TokenId,
+}
+
+/// A directory list borrowed for one request, beside the query position of
+/// its keyword.
+type Borrowed<'a> = (&'a [DocToken], usize);
+
+/// An empty vector on `lists`' allocation, for borrows of another lifetime
+/// — how [`Routes`] keeps its list buffer from one request to the next.
+/// The map never runs (the vector is empty); collecting a vector's own
+/// `into_iter` into an element type of the same layout reuses the
+/// allocation.
+fn recycle<'b>(mut lists: Vec<Borrowed<'_>>) -> Vec<Borrowed<'b>> {
+    lists.clear();
+    lists.into_iter().map(|_| (<&[DocToken]>::default(), 0)).collect()
+}
+
+/// What [`ShardedPostings::route`] found for a query: the candidate
+/// documents in ascending [`DocId`] order and, for each, the query's token
+/// ids in its segment, in query order. Reusable: a worker that keeps one
+/// routes every request in the buffers of the last.
+#[derive(Debug, Default)]
+pub struct Routes {
+    docs: Vec<DocId>,
+    /// `width` ids per candidate, candidate after candidate.
+    ids: Vec<TokenId>,
+    width: usize,
+    /// The directory lists of the last query, emptied: kept for their
+    /// allocation only.
+    lists: Vec<Borrowed<'static>>,
+}
+
+impl Routes {
+    /// The candidate documents, ascending.
+    pub fn docs(&self) -> &[DocId] {
+        &self.docs
+    }
+
+    /// The query's token ids in the segment of `doc` (query order), or
+    /// `None` if `doc` is not a candidate.
+    pub fn ids_of(&self, doc: DocId) -> Option<&[TokenId]> {
+        let row = self.docs.binary_search(&doc).ok()?;
+        self.ids.get(row * self.width..(row + 1) * self.width)
+    }
+
+    /// Each candidate with its token ids, in [`DocId`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (DocId, &[TokenId])> {
+        self.docs.iter().copied().zip(self.ids.chunks(self.width.max(1)))
+    }
+
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        self.docs.len()
+    }
+
+    /// Whether no document holds every keyword.
+    pub fn is_empty(&self) -> bool {
+        self.docs.is_empty()
+    }
+}
+
 /// An immutable token → document directory snapshot. Produced by
 /// [`ShardedPostingsBuilder`]; cloning shares every directory list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedPostings {
-    /// Token → the sorted documents containing it; never an empty list.
-    directory: HashMap<Arc<str>, Arc<Vec<DocId>>>,
+    /// Token → the sorted documents containing it, each with the token's
+    /// id in its segment; never an empty list.
+    directory: HashMap<Arc<str>, Arc<Vec<DocToken>>>,
     total_postings: usize,
 }
 
@@ -138,10 +217,17 @@ impl ShardedPostings {
         self.total_postings
     }
 
-    /// Sorted distinct documents containing `token` (already normalized,
-    /// see [`crate::tokenize`]); empty for a token no live document has.
-    pub fn docs_for(&self, token: &str) -> &[DocId] {
-        self.directory.get(token).map_or(&[], |docs| docs.as_slice())
+    /// The directory list of `token` (already normalized, see
+    /// [`crate::tokenize`]): the documents containing it, ascending, each
+    /// with the token's id in its segment; empty for a token no live
+    /// document has.
+    pub fn entries_for(&self, token: &str) -> &[DocToken] {
+        self.directory.get(token).map_or(&[], |list| list.as_slice())
+    }
+
+    /// The documents containing `token`, ascending.
+    pub fn docs_for(&self, token: &str) -> impl ExactSizeIterator<Item = DocId> + '_ {
+        self.entries_for(token).iter().map(|entry| entry.doc)
     }
 
     /// The documents containing **every** token, via the directory:
@@ -149,37 +235,82 @@ impl ShardedPostings {
     /// receives the candidates in ascending [`DocId`] order; `fanin`
     /// accumulates the directory entries touched.
     pub fn candidate_docs(&self, tokens: &[&str], out: &mut Vec<DocId>, fanin: &mut FanIn) {
+        self.intersect(tokens, &mut Vec::new(), out, fanin);
+    }
+
+    /// Route a query: [`ShardedPostings::candidate_docs`] into
+    /// `routes`, then each candidate's token ids, read from the directory
+    /// lists the intersection already holds — one forward pass per list
+    /// over the ascending candidates. Each keyword is hashed once, here;
+    /// `fanin` counts the intersection's entries, as
+    /// [`ShardedPostings::candidate_docs`] does.
+    pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes, fanin: &mut FanIn) {
+        let mut lists = recycle(std::mem::take(&mut routes.lists));
+        self.intersect(keywords, &mut lists, &mut routes.docs, fanin);
+        let width = keywords.len();
+        routes.width = width;
+        routes.ids.clear();
+        routes.ids.resize(routes.docs.len() * width, TokenId::from_index(0));
+        for &(list, at) in &lists {
+            let mut from = 0;
+            for (&doc, row) in routes.docs.iter().zip(routes.ids.chunks_mut(width.max(1))) {
+                let tail = list.get(from..).unwrap_or_default();
+                from += tail.partition_point(|entry| entry.doc < doc);
+                if let (Some(entry), Some(id)) = (list.get(from), row.get_mut(at)) {
+                    *id = entry.token;
+                }
+            }
+        }
+        routes.lists = recycle(lists);
+    }
+
+    /// The intersection behind [`ShardedPostings::candidate_docs`] and
+    /// [`ShardedPostings::route`]: `lists` receives each keyword's list
+    /// and query position, rarest first; `out` the documents in all of
+    /// them.
+    fn intersect<'a, S: AsRef<str>>(
+        &'a self,
+        keywords: &[S],
+        lists: &mut Vec<Borrowed<'a>>,
+        out: &mut Vec<DocId>,
+        fanin: &mut FanIn,
+    ) {
         out.clear();
-        let mut lists: Vec<&[DocId]> = tokens.iter().map(|t| self.docs_for(t)).collect();
-        lists.sort_by_key(|docs| docs.len());
-        let Some((rarest, rest)) = lists.split_first() else {
+        lists.clear();
+        lists.extend(keywords.iter().enumerate().map(|(at, k)| (self.entries_for(k.as_ref()), at)));
+        lists.sort_by_key(|(list, _)| list.len());
+        let Some(((rarest, _), rest)) = lists.split_first() else {
             return;
         };
         fanin.directory_touched += rarest.len() as u64;
-        out.extend_from_slice(rarest);
-        for docs in rest {
+        out.extend(rarest.iter().map(|entry| entry.doc));
+        for (list, _) in rest {
             if out.is_empty() {
                 return;
             }
             // One binary-search probe per surviving candidate.
-            let probe = u64::from(usize::BITS - docs.len().leading_zeros());
+            let probe = u64::from(usize::BITS - list.len().leading_zeros());
             fanin.directory_touched += (out.len() as u64).saturating_mul(probe);
-            out.retain(|d| docs.binary_search(d).is_ok());
+            out.retain(|d| list.binary_search_by_key(d, |entry| entry.doc).is_ok());
         }
     }
 
     /// Estimated heap footprint of the directory in bytes at its live
-    /// size: each token string, its list's entries, and
-    /// [`crate::inverted::TOKEN_TABLE_OVERHEAD`] for the two `Arc` headers
-    /// and the map entry. Counts lengths, not capacities, so it is a
-    /// function of the live documents alone.
+    /// size, per token: its map entry, its string's `Arc` (two counts and
+    /// the bytes), its list's `Arc` (two counts and the `Vec` header) and
+    /// the list's entries — a [`DocId`] and a [`TokenId`] each. Counts
+    /// lengths, not capacities, so it is a function of the live documents
+    /// alone.
     pub fn memory_footprint(&self) -> usize {
+        const COUNTS: usize = 2 * std::mem::size_of::<usize>();
+        const PER_TOKEN: usize = std::mem::size_of::<(Arc<str>, Arc<Vec<DocToken>>)>()
+            + COUNTS
+            + COUNTS
+            + std::mem::size_of::<Vec<DocToken>>();
         self.directory
             .iter()
-            .map(|(token, docs)| {
-                token.len()
-                    + crate::inverted::TOKEN_TABLE_OVERHEAD
-                    + docs.len() * std::mem::size_of::<DocId>()
+            .map(|(token, list)| {
+                PER_TOKEN + token.len() + list.len() * std::mem::size_of::<DocToken>()
             })
             .sum()
     }
@@ -217,15 +348,16 @@ impl ShardedPostingsBuilder {
     /// and guarantees `id` is not in the directory already.
     pub fn insert(&mut self, id: DocId, segment: &XmlIndex) {
         let postings = &mut self.postings;
-        for (token, _) in segment.inverted().iter() {
+        for (token_id, token) in segment.inverted().tokens() {
+            let entry = DocToken { doc: id, token: token_id };
             match postings.directory.get_mut(token) {
-                Some(docs) => {
-                    let docs = Arc::make_mut(docs);
-                    let at = docs.partition_point(|d| *d < id);
-                    docs.insert(at, id);
+                Some(list) => {
+                    let list = Arc::make_mut(list);
+                    let at = list.partition_point(|e| e.doc < id);
+                    list.insert(at, entry);
                 }
                 None => {
-                    postings.directory.insert(Arc::from(token), Arc::new(vec![id]));
+                    postings.directory.insert(Arc::from(token), Arc::new(vec![entry]));
                 }
             }
         }
@@ -237,14 +369,14 @@ impl ShardedPostingsBuilder {
     /// `segment` must be the one `id` was inserted with.
     pub fn remove(&mut self, id: DocId, segment: &XmlIndex) {
         let postings = &mut self.postings;
-        for (token, _) in segment.inverted().iter() {
-            let Some(docs) = postings.directory.get_mut(token) else {
+        for (_, token) in segment.inverted().tokens() {
+            let Some(list) = postings.directory.get_mut(token) else {
                 continue;
             };
-            if docs.as_slice() == [id] {
+            if matches!(list.as_slice(), [only] if only.doc == id) {
                 postings.directory.remove(token);
-            } else if let Ok(at) = docs.binary_search(&id) {
-                Arc::make_mut(docs).remove(at);
+            } else if let Ok(at) = list.binary_search_by_key(&id, |e| e.doc) {
+                Arc::make_mut(list).remove(at);
             }
         }
         postings.total_postings -= segment.inverted().total_postings();
@@ -320,7 +452,7 @@ mod tests {
             total += solo.total_postings();
             for (token, _) in solo.iter() {
                 let id = DocId::from_index(i);
-                assert!(sp.docs_for(token).contains(&id), "token {token} doc {i}");
+                assert!(sp.docs_for(token).any(|d| d == id), "token {token} doc {i}");
             }
         }
         assert_eq!(sp.total_postings(), total);
@@ -330,12 +462,12 @@ mod tests {
     fn doc_directory_and_counts() {
         let (_, sp) = build();
         assert_eq!(
-            sp.docs_for("houston"),
+            sp.docs_for("houston").collect::<Vec<_>>(),
             &[DocId::from_index(0), DocId::from_index(1), DocId::from_index(2)],
             "sorted distinct docs"
         );
-        assert_eq!(sp.docs_for("gap"), &[DocId::from_index(1)]);
-        assert!(sp.docs_for("dallas").is_empty());
+        assert_eq!(sp.docs_for("gap").collect::<Vec<_>>(), [DocId::from_index(1)]);
+        assert_eq!(sp.docs_for("dallas").len(), 0);
         assert!(sp.total_postings() > 0);
         assert!(sp.memory_footprint() > 0);
     }
@@ -365,6 +497,39 @@ mod tests {
     }
 
     #[test]
+    fn routes_hand_each_candidate_its_segment_token_ids() {
+        let (segments, sp) = build();
+        let queries: Vec<Vec<&str>> = vec![
+            vec!["houston", "retailer", "store"],
+            vec!["houston"],
+            vec!["store", "houston", "city", "name", "retailer"],
+            vec!["search", "houston"],
+            vec!["houston", "dallas"],
+            vec![],
+        ];
+        // One `Routes` for every query, as a worker keeps it.
+        let mut routes = Routes::default();
+        for q in queries {
+            let (mut docs, mut by_docs) = (Vec::new(), FanIn::default());
+            sp.candidate_docs(&q, &mut docs, &mut by_docs);
+            let mut by_route = FanIn::default();
+            sp.route(&q, &mut routes, &mut by_route);
+            assert_eq!(routes.docs(), docs, "{q:?}");
+            assert_eq!((routes.len(), routes.is_empty()), (docs.len(), docs.is_empty()));
+            assert_eq!(by_route, by_docs, "{q:?}: the same intersection");
+            assert_eq!(routes.iter().count(), docs.len());
+            for (doc, ids) in routes.iter() {
+                let segment = &segments[doc.index()];
+                let expected: Vec<TokenId> =
+                    q.iter().map(|k| segment.token_id(k).expect("a candidate has it")).collect();
+                assert_eq!(ids, expected, "{q:?} in {doc}");
+                assert_eq!(routes.ids_of(doc), Some(ids));
+            }
+        }
+        assert_eq!(routes.ids_of(DocId::from_index(0)), None, "the last query routed nothing");
+    }
+
+    #[test]
     fn unknown_and_empty_queries() {
         let (_, sp) = build();
         let mut out = vec![DocId::from_index(9)];
@@ -374,7 +539,7 @@ mod tests {
         assert_eq!(fanin, FanIn::default(), "an empty query touches nothing");
         sp.candidate_docs(&["houston", "dallas"], &mut out, &mut fanin);
         assert!(out.is_empty());
-        assert!(sp.docs_for("dallas").is_empty());
+        assert_eq!(sp.docs_for("dallas").len(), 0);
     }
 
     #[test]
@@ -383,7 +548,7 @@ mod tests {
         assert_eq!(sp.total_postings(), 0);
         assert_eq!(sp.vocabulary_size(), 0);
         assert_eq!(sp.memory_footprint(), 0);
-        assert!(sp.docs_for("anything").is_empty());
+        assert_eq!(sp.docs_for("anything").len(), 0);
     }
 
     #[test]
@@ -419,10 +584,10 @@ mod tests {
         let before = b.snapshot();
         let id = DocId::from_index(1);
         b.insert(id, &segments[2]);
-        assert_eq!(b.snapshot().docs_for("search"), &[id]);
+        assert_eq!(b.snapshot().docs_for("search").collect::<Vec<_>>(), [id]);
         b.remove(id, &segments[2]);
         let after = b.finish();
-        assert!(after.docs_for("search").is_empty());
+        assert_eq!(after.docs_for("search").len(), 0);
         assert_eq!(after.vocabulary_size(), before.vocabulary_size(), "orphaned tokens left");
         assert_eq!(after.total_postings(), before.total_postings());
         assert_eq!(after.memory_footprint(), before.memory_footprint());

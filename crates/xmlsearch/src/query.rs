@@ -1,6 +1,8 @@
 //! Keyword query parsing.
 
-use extract_index::tokenize;
+use std::collections::HashSet;
+
+use extract_index::{tokenize, tokens_of};
 
 /// A parsed keyword query: normalized tokens, duplicates removed, original
 /// order preserved. The order matters downstream — the IList is initialized
@@ -10,15 +12,37 @@ pub struct KeywordQuery {
     keywords: Vec<String>,
 }
 
+/// Up to this many tokens, duplicates are found by scanning the kept
+/// ones: no allocation, and at most a few hundred compares. Longer queries
+/// use a set, so a client's 8 KiB query costs linear time, not quadratic.
+const SCAN_DEDUP_MAX: usize = 32;
+
+/// Drop every token equal to an earlier one, keeping first positions.
+fn dedup_keep_first(tokens: &mut Vec<String>) {
+    if tokens.len() <= SCAN_DEDUP_MAX {
+        let mut kept = 0;
+        for i in 0..tokens.len() {
+            if !tokens[..kept].contains(&tokens[i]) {
+                tokens.swap(kept, i);
+                kept += 1;
+            }
+        }
+        tokens.truncate(kept);
+        return;
+    }
+    let keep: Vec<bool> = {
+        let mut seen = HashSet::with_capacity(tokens.len());
+        tokens.iter().map(|t| seen.insert(t.as_str())).collect()
+    };
+    let mut flags = keep.into_iter();
+    tokens.retain(|_| flags.next().unwrap_or(false));
+}
+
 impl KeywordQuery {
     /// Parse free text like `"Texas, apparel, retailer"`.
     pub fn parse(text: &str) -> KeywordQuery {
-        let mut keywords: Vec<String> = Vec::new();
-        for tok in tokenize(text) {
-            if !keywords.contains(&tok) {
-                keywords.push(tok);
-            }
-        }
+        let mut keywords = tokenize(text);
+        dedup_keep_first(&mut keywords);
         KeywordQuery { keywords }
     }
 
@@ -34,12 +58,9 @@ impl KeywordQuery {
     pub fn from_keywords<I: IntoIterator<Item = S>, S: Into<String>>(iter: I) -> KeywordQuery {
         let mut keywords: Vec<String> = Vec::new();
         for k in iter {
-            for tok in tokenize(&k.into()) {
-                if !keywords.contains(&tok) {
-                    keywords.push(tok);
-                }
-            }
+            keywords.extend(tokens_of(&k.into()));
         }
+        dedup_keep_first(&mut keywords);
         KeywordQuery { keywords }
     }
 
@@ -112,6 +133,51 @@ mod tests {
             KeywordQuery::from_keywords(["store texas"]),
             KeywordQuery::parse("store texas")
         );
+    }
+
+    /// The deduplication every constructor ran before the set: a linear
+    /// `contains` per token.
+    fn contains_dedup(tokens: Vec<String>) -> Vec<String> {
+        let mut keywords: Vec<String> = Vec::new();
+        for tok in tokens {
+            if !keywords.contains(&tok) {
+                keywords.push(tok);
+            }
+        }
+        keywords
+    }
+
+    #[test]
+    fn a_large_query_dedups_like_the_linear_scan() {
+        // ~8 KiB of text: 1 500 tokens drawn from 600 distinct words, in
+        // mixed case and with non-ASCII ones, so most repeat and the first
+        // position of each is somewhere in the middle.
+        let words: Vec<String> = (0..600)
+            .map(|i| match i % 3 {
+                0 => format!("Word{i}"),
+                1 => format!("wörd{i}"),
+                _ => format!("W{i}X"),
+            })
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let text: String = (0..1_500)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                format!("{} ", words[(state % 600) as usize])
+            })
+            .collect();
+        let parsed = KeywordQuery::parse(&text);
+        assert!(parsed.len() > SCAN_DEDUP_MAX && parsed.len() < 600, "{}", parsed.len());
+        assert_eq!(parsed.keywords(), contains_dedup(tokenize(&text)));
+        let items: Vec<&str> = text.split(' ').collect();
+        assert_eq!(KeywordQuery::from_keywords(items), parsed);
+        // Short queries take the scan; the two paths agree at the edge.
+        for n in [SCAN_DEDUP_MAX - 1, SCAN_DEDUP_MAX, SCAN_DEDUP_MAX + 1] {
+            let text: String = (0..n).map(|i| format!("k{} ", i % 7)).collect();
+            assert_eq!(KeywordQuery::parse(&text).keywords(), contains_dedup(tokenize(&text)));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::LazyLock;
 
 use extract_analyzer::EntityModel;
-use extract_index::XmlIndex;
+use extract_index::{TokenId, XmlIndex};
 use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
@@ -144,6 +144,27 @@ pub fn scored_roots<'i>(
     emit: impl FnMut(NodeId, f64),
 ) {
     xseek::result_roots_with(doc, index, model, query, RootPolicy::Entity, scratch);
+    sweep_roots(doc, scratch, emit);
+}
+
+/// [`scored_roots`] for a query resolved at routing: `ids` are its
+/// keywords' token ids in `index`, in query order (what a page miss hands
+/// each candidate document).
+pub fn scored_roots_by_id<'i>(
+    doc: &Document,
+    index: &'i XmlIndex,
+    model: &EntityModel,
+    ids: &[TokenId],
+    scratch: &mut RootsScratch<'i>,
+    emit: impl FnMut(NodeId, f64),
+) {
+    xseek::result_roots_by_id(doc, index, model, ids, RootPolicy::Entity, scratch);
+    sweep_roots(doc, scratch, emit);
+}
+
+/// [`sweep_scores`] over the roots and lists the last search left in
+/// `scratch`.
+fn sweep_roots(doc: &Document, scratch: &mut RootsScratch<'_>, emit: impl FnMut(NodeId, f64)) {
     let RootsScratch { lists, buffers: RootsBuffers { roots, cursors, .. } } = scratch;
     sweep_scores(doc, lists, roots, cursors, emit);
 }

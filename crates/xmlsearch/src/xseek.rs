@@ -14,7 +14,7 @@
 //! or deduplication.
 
 use extract_analyzer::EntityModel;
-use extract_index::XmlIndex;
+use extract_index::{TokenId, XmlIndex};
 use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
@@ -93,7 +93,9 @@ pub fn result_roots(
 
 /// [`result_roots`] into caller-owned buffers: the roots land in
 /// [`RootsScratch::roots`], and nothing allocates once `scratch` has
-/// warmed up.
+/// warmed up. Each keyword is looked up in `index` by its string; a caller
+/// that routed the query already holds its token ids and calls
+/// [`result_roots_by_id`], which runs the same search.
 pub fn result_roots_with<'i>(
     doc: &Document,
     index: &'i XmlIndex,
@@ -102,9 +104,36 @@ pub fn result_roots_with<'i>(
     policy: RootPolicy,
     scratch: &mut RootsScratch<'i>,
 ) {
+    scratch.lists.clear();
+    scratch.lists.extend(query.keywords().iter().map(|k| index.postings(k)));
+    roots_of_lists(doc, model, policy, scratch);
+}
+
+/// [`result_roots_with`] for a query resolved at routing: `ids` are its
+/// keywords' token ids in `index`, in query order, so no keyword is
+/// hashed here.
+pub fn result_roots_by_id<'i>(
+    doc: &Document,
+    index: &'i XmlIndex,
+    model: &EntityModel,
+    ids: &[TokenId],
+    policy: RootPolicy,
+    scratch: &mut RootsScratch<'i>,
+) {
+    scratch.lists.clear();
+    scratch.lists.extend(ids.iter().map(|&id| index.postings_by_id(id)));
+    roots_of_lists(doc, model, policy, scratch);
+}
+
+/// The search behind both entry points, over the posting lists already in
+/// `scratch`.
+fn roots_of_lists(
+    doc: &Document,
+    model: &EntityModel,
+    policy: RootPolicy,
+    scratch: &mut RootsScratch<'_>,
+) {
     let RootsScratch { lists, buffers: RootsBuffers { slca, roots, .. } } = scratch;
-    lists.clear();
-    lists.extend(query.keywords().iter().map(|k| index.postings(k)));
     match policy {
         RootPolicy::Slca => slca_auto_with(doc, lists, slca, roots),
         RootPolicy::Entity => {

@@ -274,20 +274,14 @@ impl Document {
 
     /// Estimated heap footprint in bytes: the node columns (allocated
     /// capacity; a `nav` pair counts as two entries), the text buffer, and
-    /// the label interner (each distinct label stored twice — interner
-    /// vector plus lookup-map key — at [`crate::SYMBOL_ENTRY_OVERHEAD`]
-    /// bytes of fixed overhead per entry, the same estimate the index
-    /// crates use for their token tables). The buffer and the interner are
-    /// counted whole even when a projection shares them with its source.
+    /// the label interner's buffers ([`SymbolTable::memory_footprint`]).
+    /// The buffer and the interner are counted whole even when a projection
+    /// shares them with its source.
     pub fn memory_footprint(&self) -> usize {
         let columns = self.label.capacity() + 2 * self.nav.capacity() + self.text_start.capacity();
-        let symbols: usize = self
-            .shared
-            .symbols
-            .iter()
-            .map(|(_, s)| 2 * s.len() + crate::SYMBOL_ENTRY_OVERHEAD)
-            .sum();
-        columns * std::mem::size_of::<u32>() + self.shared.text.len() + symbols
+        columns * std::mem::size_of::<u32>()
+            + self.shared.text.len()
+            + self.shared.symbols.memory_footprint()
     }
 
     /// The symbol table holding element labels.
@@ -962,12 +956,13 @@ mod tests {
     fn memory_footprint_arithmetic_is_pinned() {
         let d = sample();
         // Four u32 columns sized exactly by `finish`, the text buffer, and
-        // each distinct label twice plus the per-entry overhead.
+        // the label table's three buffers: the four labels back to back,
+        // their ends, and the slots.
         let text: usize = ["BB", "Houston", "Austin", "Dallas"].iter().map(|t| t.len()).sum();
-        let labels: usize = ["retailer", "name", "store", "city"]
-            .iter()
-            .map(|l| 2 * l.len() + crate::SYMBOL_ENTRY_OVERHEAD)
-            .sum();
+        let symbols = d.symbols();
+        assert_eq!(symbols.len(), 4);
+        let labels = symbols.memory_footprint();
+        assert!(labels >= "retailernamestorecity".len() + 4 * 4 + 8 * 4, "{labels}");
         assert_eq!(d.len(), 11);
         assert_eq!(d.memory_footprint(), 4 * 4 * d.len() + text + labels);
         // A projection owns its columns only, but counts what it shares.

@@ -69,7 +69,7 @@ pub use dtd::Dtd;
 pub use error::{Error, Position, Result};
 pub use parser::ParseOptions;
 pub use schema::{PathId, Schema};
-pub use symbol::{Symbol, SymbolTable, SYMBOL_ENTRY_OVERHEAD};
+pub use symbol::{Symbol, SymbolTable};
 
 /// Dense-index → `u32` id, loud on overflow: nodes, labels and label paths
 /// are addressed with `u32`, so a document past 4 billion of any of them

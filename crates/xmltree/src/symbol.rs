@@ -1,21 +1,35 @@
-//! String interning for element and attribute labels.
+//! String interning for element labels and index tokens.
 //!
 //! XML documents repeat a small set of tag names millions of times; interning
 //! turns label comparisons into `u32` compares and keeps a node's label one
-//! `u32` column entry. The table is append-only: symbols are never freed,
-//! which is the right trade-off for document-lifetime label sets.
+//! `u32` column entry. The index crates intern their tokens in the same
+//! table. The table is append-only: symbols are never freed, which is the
+//! right trade-off for document-lifetime label and token sets.
+//!
+//! # Layout
+//!
+//! A string is stored once. The table is three vectors, whatever the number
+//! of strings:
+//!
+//! * `text` — every interned string back to back, in symbol order;
+//! * `ends` — where each symbol's string ends in `text` (it starts where the
+//!   previous one ends);
+//! * `slots` — an open-addressing hash index of `symbol + 1` (`0` is an
+//!   empty slot), linearly probed and never more than half full.
+//!
+//! So a table of `n` strings is a handful of allocations, not `2n`. The hash
+//! is the table's own [`RandomState`]: keyed per table, so strings a client
+//! chose (an `/ingest` body's labels and words) cannot be aimed at one
+//! probe chain.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::ops::Range;
 
-/// Estimated fixed heap overhead per interned entry, used by every
-/// `memory_footprint` in the workspace that accounts for a [`SymbolTable`]
-/// (the document's label table, the index crates' token tables): each
-/// distinct string is stored twice (interner vector + lookup-map key) as
-/// two `Box<str>` headers (16 bytes each on 64-bit) plus ~48 bytes of
-/// hash-map entry overhead. Keep the estimates in one place so retuning it
-/// retunes every footprint the same way.
-pub const SYMBOL_ENTRY_OVERHEAD: usize = 80;
+/// Slots a table takes on its first intern: room for four strings at half
+/// load.
+const MIN_SLOTS: usize = 8;
 
 /// An interned string handle. Two symbols from the *same* [`SymbolTable`]
 /// are equal iff the strings they denote are equal.
@@ -41,11 +55,18 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// An append-only string interner.
+/// An append-only string interner: each string stored once, in one buffer
+/// (see the [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    strings: Vec<Box<str>>,
-    lookup: HashMap<Box<str>, Symbol>,
+    /// Every interned string, back to back in symbol order.
+    text: String,
+    /// `ends[s]`: where symbol `s`'s string ends in `text`.
+    ends: Vec<u32>,
+    /// `symbol + 1` per occupied slot, `0` per empty one; empty or a power
+    /// of two at least twice `ends.len()`.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
 
 impl SymbolTable {
@@ -56,24 +77,93 @@ impl SymbolTable {
 
     /// Create an empty table with capacity for `n` distinct strings.
     pub fn with_capacity(n: usize) -> Self {
-        SymbolTable { strings: Vec::with_capacity(n), lookup: HashMap::with_capacity(n) }
+        let slots = if n == 0 { 0 } else { (2 * n).next_power_of_two().max(MIN_SLOTS) };
+        SymbolTable {
+            text: String::new(),
+            ends: Vec::with_capacity(n),
+            slots: vec![0; slots],
+            hasher: RandomState::new(),
+        }
     }
 
     /// Intern `s`, returning its symbol. Idempotent.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.lookup.get(s) {
-            return sym;
+        let hash = self.hasher.hash_one(s);
+        let mut vacant = match self.find(hash, s) {
+            Ok(sym) => return sym,
+            Err(vacant) => vacant,
+        };
+        let sym = crate::id32(self.ends.len());
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+            vacant = self.vacant_slot(hash);
         }
-        let sym = Symbol(crate::id32(self.strings.len()));
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.lookup.insert(boxed, sym);
-        sym
+        self.text.push_str(s);
+        self.ends.push(crate::id32(self.text.len()));
+        if let Some(slot) = self.slots.get_mut(vacant) {
+            *slot = sym + 1;
+        }
+        Symbol(sym)
     }
 
     /// Look up a string without interning it.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.lookup.get(s).copied()
+        self.find(self.hasher.hash_one(s), s).ok()
+    }
+
+    /// The symbol of `s`, or the empty slot where it would go. The table
+    /// is at most half full, so a probe always reaches an empty slot; an
+    /// empty table has no slot and answers `Err` at once.
+    fn find(&self, hash: u64, s: &str) -> Result<Symbol, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = hash as usize & mask;
+        while let Some(&tagged) = self.slots.get(at) {
+            let Some(sym) = tagged.checked_sub(1) else {
+                return Err(at);
+            };
+            // Bytes, not `str`s: no char-boundary checks on the probe path.
+            let probed = self.span(sym as usize).and_then(|span| self.text.as_bytes().get(span));
+            if probed == Some(s.as_bytes()) {
+                return Ok(Symbol(sym));
+            }
+            at = (at + 1) & mask;
+        }
+        Err(at)
+    }
+
+    /// Where symbol `i`'s string lies in `text`.
+    fn span(&self, i: usize) -> Option<Range<usize>> {
+        let start = match i.checked_sub(1) {
+            Some(previous) => *self.ends.get(previous)?,
+            None => 0,
+        };
+        Some(start as usize..*self.ends.get(i)? as usize)
+    }
+
+    /// The first empty slot on `hash`'s probe chain, for a string known to
+    /// be absent.
+    fn vacant_slot(&self, hash: u64) -> usize {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = hash as usize & mask;
+        while self.slots.get(at).is_some_and(|&tagged| tagged != 0) {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Double the slots (or take the first [`MIN_SLOTS`]) and re-place
+    /// every symbol.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for sym in 0..self.ends.len() {
+            let s = self.span(sym).and_then(|span| self.text.get(span)).unwrap_or_default();
+            let at = self.vacant_slot(self.hasher.hash_one(s));
+            if let Some(slot) = self.slots.get_mut(at) {
+                *slot = crate::id32(sym) + 1;
+            }
+        }
     }
 
     /// Resolve a symbol back to its string.
@@ -81,28 +171,51 @@ impl SymbolTable {
     /// # Panics
     /// Panics if the symbol did not come from this table.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        match self.try_resolve(sym) {
+            Some(s) => s,
+            // xlint: allow(L3, "documented contract: a symbol from another table has no string here, and answering with some other string would mislabel silently")
+            None => panic!("{sym} is not in this symbol table"),
+        }
     }
 
     /// Resolve a symbol, returning `None` for foreign symbols instead of
     /// panicking.
     pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
-        self.strings.get(sym.index()).map(|s| &**s)
+        self.text.get(self.span(sym.index())?)
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterate over `(Symbol, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings.iter().enumerate().map(|(i, s)| (Symbol(crate::id32(i)), &**s))
+        let mut start = 0;
+        self.ends.iter().enumerate().map(move |(i, &end)| {
+            let s = self.text.get(start as usize..end as usize).unwrap_or_default();
+            start = end;
+            (Symbol(crate::id32(i)), s)
+        })
+    }
+
+    /// Give back the string buffer's and the end table's spare capacity
+    /// (the slots stay: they are sized by the load bound). For a table
+    /// that is done growing.
+    pub fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Heap bytes the table holds: the allocated capacity of its string
+    /// buffer, end table and slots.
+    pub fn memory_footprint(&self) -> usize {
+        self.text.capacity() + (self.ends.capacity() + self.slots.capacity()) * 4
     }
 }
 
@@ -145,6 +258,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sym#3 is not in this symbol table")]
+    fn resolve_panics_on_a_foreign_symbol() {
+        let mut t = SymbolTable::new();
+        t.intern("a");
+        t.resolve(Symbol(3));
+    }
+
+    #[test]
     fn iter_yields_in_interning_order() {
         let mut t = SymbolTable::new();
         t.intern("a");
@@ -159,5 +280,43 @@ mod tests {
         let mut t = SymbolTable::new();
         let e = t.intern("");
         assert_eq!(t.resolve(e), "");
+        assert_eq!(t.intern(""), e);
+        let a = t.intern("a");
+        assert_eq!((t.resolve(e), t.resolve(a)), ("", "a"));
+    }
+
+    #[test]
+    fn prefixes_are_distinct_strings() {
+        let mut t = SymbolTable::new();
+        let syms: Vec<Symbol> = ["ab", "a", "abc", ""].iter().map(|s| t.intern(s)).collect();
+        for (s, sym) in ["ab", "a", "abc", ""].iter().zip(&syms) {
+            assert_eq!(t.get(s), Some(*sym));
+            assert_eq!(t.resolve(*sym), *s);
+        }
+        assert!(t.get("abcd").is_none());
+    }
+
+    #[test]
+    fn the_table_stays_at_most_half_full() {
+        let mut t = SymbolTable::with_capacity(3);
+        for i in 0..1_000 {
+            t.intern(&format!("s{i}"));
+            assert!(2 * t.len() <= t.slots.len(), "{} strings in {} slots", t.len(), t.slots.len());
+            assert!(t.slots.len().is_power_of_two());
+        }
+        assert_eq!(t.slots.iter().filter(|&&s| s != 0).count(), 1_000);
+        for i in 0..1_000 {
+            assert_eq!(t.get(&format!("s{i}")), Some(Symbol(i)));
+        }
+    }
+
+    #[test]
+    fn memory_footprint_counts_the_three_buffers() {
+        let mut t = SymbolTable::new();
+        assert_eq!(t.memory_footprint(), 0);
+        t.intern("store");
+        t.intern("name");
+        t.shrink_to_fit();
+        assert_eq!(t.memory_footprint(), "storename".len() + 2 * 4 + MIN_SLOTS * 4);
     }
 }

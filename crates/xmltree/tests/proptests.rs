@@ -1,9 +1,9 @@
 //! Property-based tests for the XML substrate: round-trips, Dewey algebra,
-//! projection invariants.
+//! projection invariants, and the label interner against a reference model.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use extract_xml::{Dewey, DocBuilder, Document, NodeId};
+use extract_xml::{Dewey, DocBuilder, Document, NodeId, Symbol, SymbolTable};
 use proptest::prelude::*;
 
 fn spec_strategy() -> impl Strategy<Value = SpecNode> {
@@ -176,5 +176,73 @@ proptest! {
     ) {
         let input: String = parts.concat();
         let _ = Document::parse_str(&input);
+    }
+}
+
+/// Words that stress an interner: the empty string, strings that are
+/// prefixes of each other (so a string buffer without boundaries would
+/// confuse them), non-ASCII ones, and a few thousand numbered ones whose
+/// first occurrences drive the table through several growths.
+fn word_strategy() -> impl Strategy<Value = String> {
+    const TRICKY: [&str; 14] =
+        ["", "a", "ab", "abc", "abcd", "b", "é", "éé", "ée", "日", "日本", "日本語", "\u{0}", " "];
+    prop_oneof![
+        (0usize..TRICKY.len()).prop_map(|i| TRICKY[i].to_string()),
+        (0usize..3_000).prop_map(|n| format!("w{n}")),
+        (0usize..3_000).prop_map(|n| format!("w{n}")),
+        (0usize..11, 0usize..5)
+            .prop_map(|(cut, umlauts)| format!("{}{}", &"abcdefghij"[..cut], "ü".repeat(umlauts))),
+        "[a-cé]{0,4}",
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SymbolTable` against a reference model — a `Vec<String>` of the
+    /// strings in first-occurrence order and a `HashMap` from string to
+    /// position: every `intern` and `get` answers the model's symbol, and
+    /// at the end `resolve`, `try_resolve` (of foreign ids too), `iter`
+    /// order and `len` agree with it.
+    #[test]
+    fn symbol_table_equals_a_vec_and_map_model(
+        ops in proptest::collection::vec((any::<bool>(), word_strategy()), 0..1_500),
+    ) {
+        let mut table = SymbolTable::new();
+        let mut strings: Vec<String> = Vec::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
+        for (intern, word) in &ops {
+            if *intern {
+                let expected = *index.entry(word.clone()).or_insert_with(|| {
+                    strings.push(word.clone());
+                    strings.len() - 1
+                });
+                prop_assert_eq!(table.intern(word).index(), expected, "intern {:?}", word);
+            } else {
+                let expected = index.get(word).copied();
+                prop_assert_eq!(table.get(word).map(|s| s.index()), expected, "get {:?}", word);
+            }
+            prop_assert_eq!(table.len(), strings.len());
+        }
+        prop_assert_eq!(table.is_empty(), strings.is_empty());
+        for (i, s) in strings.iter().enumerate() {
+            let sym = Symbol::from_index(i);
+            prop_assert_eq!(table.resolve(sym), s.as_str());
+            prop_assert_eq!(table.try_resolve(sym), Some(s.as_str()));
+            prop_assert_eq!(table.get(s), Some(sym));
+        }
+        for foreign in [strings.len(), strings.len() + 1, strings.len() + 1_000] {
+            prop_assert_eq!(table.try_resolve(Symbol::from_index(foreign)), None);
+        }
+        let iterated: Vec<(usize, &str)> = table.iter().map(|(s, t)| (s.index(), t)).collect();
+        let modelled: Vec<(usize, &str)> =
+            strings.iter().enumerate().map(|(i, s)| (i, s.as_str())).collect();
+        prop_assert_eq!(iterated, modelled);
+        // A clone answers the same, and keeps answering after both grow.
+        let mut copy = table.clone();
+        prop_assert_eq!(copy.intern("a fresh string").index(), strings.len());
+        for (i, s) in strings.iter().enumerate() {
+            prop_assert_eq!(copy.get(s), Some(Symbol::from_index(i)));
+        }
     }
 }

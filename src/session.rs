@@ -6,8 +6,11 @@
 //! ([`QuerySession::for_snapshot`]) allocates nothing, so the daemon
 //! builds one per request. [`QuerySession::answer_corpus_topk`]
 //! routes each query through the corpus's token → document directory
-//! ([`Corpus::candidate_docs_str`]) so only documents containing **every**
-//! keyword are searched; each of them answers with its engine — index
+//! ([`Corpus::route`]) so only documents containing **every** keyword are
+//! searched, each handed the keywords' token ids in its segment: a miss
+//! resolves each keyword once, at routing, and search, scoring and the
+//! snippet kernel read posting lists by id (routing's buffers stay with
+//! the worker thread). Each candidate answers with its engine — index
 //! segment, entity model and keys — which lives on the snapshot
 //! ([`Corpus::engine`]): built when the document arrived, before it was
 //! published, and shared by every request and every snapshot holding the
@@ -93,7 +96,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, Extract, ExtractConfig};
-use extract_corpus::{Corpus, DocId};
+use extract_corpus::{Corpus, DocId, FanIn, Routes};
 use extract_obs::lock_unpoisoned;
 use extract_search::ranking;
 use extract_search::xseek::{RootsBuffers, RootsScratch};
@@ -179,6 +182,11 @@ thread_local! {
     /// warm after its first miss, so ranking more results does not
     /// allocate more.
     static ROOTS: Cell<RootsBuffers> = Cell::default();
+
+    /// This thread's routing buffers (directory lists, candidates, their
+    /// token ids): warm after its first miss, so routing allocates
+    /// nothing.
+    static ROUTES: Cell<Routes> = Cell::default();
 }
 
 /// Run `f` on this thread's kernel scratch (on a fresh one should it be
@@ -477,22 +485,18 @@ impl<'d> QuerySession<'d> {
     /// page order. Returns that window and how many results there are in
     /// all. Nothing is built for any result here: a result is a key in a
     /// buffer of at most `2 · (offset + k)` ([`Window`]) or, once it cannot
-    /// make the window, only a count. The buffers SLCA, entity lifting and
-    /// the scoring sweep work in are shared by every candidate.
-    fn search(
-        &self,
-        query: &KeywordQuery,
-        candidates: &[DocId],
-        offset: usize,
-        k: usize,
-    ) -> (Vec<Ranked>, usize) {
+    /// make the window, only a count. Each candidate's posting lists are
+    /// read by the token ids routing found, so no keyword is hashed again;
+    /// the buffers SLCA, entity lifting and the scoring sweep work in are
+    /// shared by every candidate.
+    fn search(&self, routes: &Routes, offset: usize, k: usize) -> (Vec<Ranked>, usize) {
         let mut window = Window::new(offset, k);
         let mut scratch = RootsScratch::with_buffers(ROOTS.take());
-        for &doc in candidates {
+        for (doc, ids) in routes.iter() {
             let engine = self.corpus.engine(doc);
             let emit = |root, score| window.offer(doc, score, root);
             let (document, index, model) = (self.corpus.doc(doc), engine.index(), engine.model());
-            ranking::scored_roots(document, index, model, query, &mut scratch, emit);
+            ranking::scored_roots_by_id(document, index, model, ids, &mut scratch, emit);
         }
         ROOTS.set(scratch.into_buffers());
         window.finish()
@@ -506,13 +510,17 @@ impl<'d> QuerySession<'d> {
     fn answers(
         &self,
         served: &[Ranked],
+        routes: &Routes,
         query: &KeywordQuery,
         text: Option<&QueryText>,
         config: &ExtractConfig,
     ) -> Vec<CorpusAnswer> {
         let compute = |doc: DocId, root: NodeId| -> Arc<str> {
             let extract = Extract::borrowing(self.corpus.doc(doc), self.corpus.engine(doc));
-            with_scratch(|scratch| Arc::from(extract.snippet_xml(query, root, config, scratch)))
+            let ids = routes.ids_of(doc).unwrap_or_default();
+            with_scratch(|scratch| {
+                Arc::from(extract.snippet_xml_by_id(query, ids, root, config, scratch))
+            })
         };
         let answer = |at: Ranked, snippet| {
             CorpusAnswer { doc: at.doc, score: at.score(), root: at.root, snippet }
@@ -610,20 +618,20 @@ impl<'d> QuerySession<'d> {
         // built for a result outside the window. Timed as the request's
         // `search` span (the cache-hit return above records no stage at
         // all — a hit does no search work).
+        // Routing resolves each keyword once, here: every candidate comes
+        // with the keywords' token ids in its segment, which search and the
+        // snippet kernel read its posting lists by.
+        let mut routes = ROUTES.take();
         let (served, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
-            let candidates: Vec<DocId> = if query.is_empty() {
-                Vec::new()
-            } else {
-                let keywords: Vec<&str> = query.keywords().iter().map(String::as_str).collect();
-                self.corpus.candidate_docs_str(&keywords).0
-            };
-            self.search(&query, &candidates, offset, k)
+            self.corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
+            self.search(&routes, offset, k)
         });
         // Stage 2 — snippets for the served window only (the `snippet`
         // span).
         let window = extract_obs::time_stage(extract_obs::Stage::Snippet, || {
-            self.answers(&served, &query, text.as_ref(), config)
+            self.answers(&served, &routes, &query, text.as_ref(), config)
         });
+        ROUTES.set(routes);
         let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };
         if let Some(pkey) = pkey {
             store(&self.caches.corpus_pages, pkey, page.clone());
