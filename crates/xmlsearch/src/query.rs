@@ -13,8 +13,9 @@ pub struct KeywordQuery {
 }
 
 /// Up to this many tokens, duplicates are found by scanning the kept
-/// ones: no allocation, and at most a few hundred compares. Longer queries
-/// use a set, so a client's 8 KiB query costs linear time, not quadratic.
+/// ones: at most a few hundred compares and no allocation, which is what
+/// every query of a page hit or miss pays. Longer queries use a set, so a
+/// client's 8 KiB query costs linear time, not quadratic.
 const SCAN_DEDUP_MAX: usize = 32;
 
 /// Drop every token equal to an earlier one, keeping first positions.
