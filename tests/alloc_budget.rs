@@ -454,7 +454,7 @@ fn the_first_query_on_a_fresh_document_builds_no_second_vocabulary() {
     assert!(first <= repeat, "{first} allocations on first touch vs {repeat} on a repeat");
 }
 
-/// `n` distinct strings of 6 to 9 bytes, shaped like index tokens.
+/// `n` distinct strings of 4 to 8 bytes, shaped like index tokens.
 fn distinct_strings(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("tok{i}")).collect()
 }
