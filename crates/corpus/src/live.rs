@@ -288,7 +288,8 @@ mod tests {
         assert_eq!((old, new), (DocId::from_parts(1, 0), DocId::from_parts(1, 1)));
         let snap = live.snapshot();
         assert!(!snap.contains(old), "stale generation must not alias the new occupant");
-        let texas: Vec<DocId> = snap.postings().docs_for("texas").collect();
+        let texas: Vec<DocId> =
+            snap.postings().entries_for("texas").iter().map(|e| e.doc).collect();
         assert_eq!(texas, [DocId::from_parts(0, 0), new]);
         assert_eq!(snap.engine(new).index().postings("vldb").len(), 1);
     }
@@ -307,8 +308,10 @@ mod tests {
         let snap = live.snapshot();
         assert_eq!((snap.len(), snap.slot_count()), (3, 3));
         let austin = [DocId::from_parts(0, 1), DocId::from_parts(1, 1)];
-        assert_eq!(snap.postings().docs_for("austin").collect::<Vec<_>>(), austin);
-        assert_eq!(snap.postings().docs_for("vldb").len(), 0);
+        let docs: Vec<DocId> =
+            snap.postings().entries_for("austin").iter().map(|e| e.doc).collect();
+        assert_eq!(docs, austin);
+        assert_eq!(snap.postings().entries_for("vldb").len(), 0);
     }
 
     #[test]

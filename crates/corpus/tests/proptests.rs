@@ -165,7 +165,7 @@ proptest! {
                 let nodes = corpus.engine(DocId::from_index(i)).index().postings(&token);
                 prop_assert_eq!(nodes, solo.postings(&token), "token {} doc {}", token, i);
                 prop_assert_eq!(
-                    sp.docs_for(&token).any(|d| d == DocId::from_index(i)),
+                    sp.entries_for(&token).iter().any(|e| e.doc == DocId::from_index(i)),
                     !nodes.is_empty(),
                     "directory entry of token {} for doc {}", token, i
                 );

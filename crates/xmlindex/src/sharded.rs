@@ -19,8 +19,9 @@
 //!   out of the lists it already holds ([`Routes`]). A miss resolves each
 //!   keyword once, at routing: every later posting lookup in a candidate
 //!   is [`XmlIndex::postings_by_id`], two array reads with no hashing.
-//!   The lists and the ids live in the caller's [`Routes`], so a warm
-//!   worker routes without allocating.
+//!   The candidates and their ids live in the caller's [`Routes`], so a
+//!   warm worker's routing allocates one small vector a request: the
+//!   keywords' borrowed lists.
 //! * **One edit.** [`ShardedPostingsBuilder::insert`] and
 //!   [`ShardedPostingsBuilder::remove`] take a document's id and the
 //!   segment its caller already holds, and touch the directory lists of
@@ -141,16 +142,6 @@ pub struct DocToken {
 /// its keyword.
 type Borrowed<'a> = (&'a [DocToken], usize);
 
-/// An empty vector on `lists`' allocation, for borrows of another lifetime
-/// — how [`Routes`] keeps its list buffer from one request to the next.
-/// The map never runs (the vector is empty); collecting a vector's own
-/// `into_iter` into an element type of the same layout reuses the
-/// allocation.
-fn recycle<'b>(mut lists: Vec<Borrowed<'_>>) -> Vec<Borrowed<'b>> {
-    lists.clear();
-    lists.into_iter().map(|_| (<&[DocToken]>::default(), 0)).collect()
-}
-
 /// What [`ShardedPostings::route`] found for a query: the candidate
 /// documents in ascending [`DocId`] order and, for each, the query's token
 /// ids in its segment, in query order. Reusable: a worker that keeps one
@@ -161,9 +152,6 @@ pub struct Routes {
     /// `width` ids per candidate, candidate after candidate.
     ids: Vec<TokenId>,
     width: usize,
-    /// The directory lists of the last query, emptied: kept for their
-    /// allocation only.
-    lists: Vec<Borrowed<'static>>,
 }
 
 impl Routes {
@@ -215,11 +203,6 @@ impl ShardedPostings {
         self.directory.get(token).map_or(&[], |list| list.as_slice())
     }
 
-    /// The documents containing `token`, ascending.
-    pub fn docs_for(&self, token: &str) -> impl ExactSizeIterator<Item = DocId> + '_ {
-        self.entries_for(token).iter().map(|entry| entry.doc)
-    }
-
     /// The documents containing **every** token, via the directory:
     /// intersect its lists rarest-keyword-first. `out` is cleared and
     /// receives the candidates in ascending [`DocId`] order; `fanin`
@@ -235,7 +218,7 @@ impl ShardedPostings {
     /// `fanin` counts the intersection's entries, as
     /// [`ShardedPostings::candidate_docs`] does.
     pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes, fanin: &mut FanIn) {
-        let mut lists = recycle(std::mem::take(&mut routes.lists));
+        let mut lists = Vec::with_capacity(keywords.len());
         self.intersect(keywords, &mut lists, &mut routes.docs, fanin);
         let width = keywords.len();
         routes.width = width;
@@ -251,7 +234,6 @@ impl ShardedPostings {
                 }
             }
         }
-        routes.lists = recycle(lists);
     }
 
     /// The intersection behind [`ShardedPostings::candidate_docs`] and
@@ -389,6 +371,11 @@ mod tests {
     use super::*;
     use crate::InvertedIndex;
 
+    /// The documents of `token`'s directory list.
+    fn docs_of(sp: &ShardedPostings, token: &str) -> Vec<DocId> {
+        sp.entries_for(token).iter().map(|entry| entry.doc).collect()
+    }
+
     #[test]
     fn doc_id_roundtrips_at_the_u32_boundary() {
         assert_eq!(DocId::from_index(u32::MAX as usize).index(), u32::MAX as usize);
@@ -442,7 +429,7 @@ mod tests {
             total += solo.total_postings();
             for (token, _) in solo.iter() {
                 let id = DocId::from_index(i);
-                assert!(sp.docs_for(token).any(|d| d == id), "token {token} doc {i}");
+                assert!(sp.entries_for(token).iter().any(|e| e.doc == id), "token {token} doc {i}");
             }
         }
         assert_eq!(sp.total_postings(), total);
@@ -452,12 +439,12 @@ mod tests {
     fn doc_directory_and_counts() {
         let (_, sp) = build();
         assert_eq!(
-            sp.docs_for("houston").collect::<Vec<_>>(),
+            docs_of(&sp, "houston"),
             &[DocId::from_index(0), DocId::from_index(1), DocId::from_index(2)],
             "sorted distinct docs"
         );
-        assert_eq!(sp.docs_for("gap").collect::<Vec<_>>(), [DocId::from_index(1)]);
-        assert_eq!(sp.docs_for("dallas").len(), 0);
+        assert_eq!(docs_of(&sp, "gap"), [DocId::from_index(1)]);
+        assert_eq!(sp.entries_for("dallas").len(), 0);
         assert!(sp.total_postings() > 0);
         assert!(sp.memory_footprint() > 0);
     }
@@ -516,9 +503,6 @@ mod tests {
             }
         }
         assert_eq!(routes.ids_of(DocId::from_index(0)), None, "the last query routed nothing");
-        // The list buffer outlives each request's borrows: emptied, with
-        // the capacity of the widest query so far.
-        assert!(routes.lists.is_empty() && routes.lists.capacity() >= 5);
     }
 
     #[test]
@@ -531,7 +515,7 @@ mod tests {
         assert_eq!(fanin, FanIn::default(), "an empty query touches nothing");
         sp.candidate_docs(&["houston", "dallas"], &mut out, &mut fanin);
         assert!(out.is_empty());
-        assert_eq!(sp.docs_for("dallas").len(), 0);
+        assert_eq!(sp.entries_for("dallas").len(), 0);
     }
 
     #[test]
@@ -540,7 +524,7 @@ mod tests {
         assert_eq!(sp.total_postings(), 0);
         assert_eq!(sp.vocabulary_size(), 0);
         assert_eq!(sp.memory_footprint(), 0);
-        assert_eq!(sp.docs_for("anything").len(), 0);
+        assert_eq!(sp.entries_for("anything").len(), 0);
     }
 
     #[test]
@@ -576,10 +560,10 @@ mod tests {
         let before = b.snapshot();
         let id = DocId::from_index(1);
         b.insert(id, &segments[2]);
-        assert_eq!(b.snapshot().docs_for("search").collect::<Vec<_>>(), [id]);
+        assert_eq!(docs_of(&b.snapshot(), "search"), [id]);
         b.remove(id, &segments[2]);
         let after = b.finish();
-        assert_eq!(after.docs_for("search").len(), 0);
+        assert_eq!(after.entries_for("search").len(), 0);
         assert_eq!(after.vocabulary_size(), before.vocabulary_size(), "orphaned tokens left");
         assert_eq!(after.total_postings(), before.total_postings());
         assert_eq!(after.memory_footprint(), before.memory_footprint());

@@ -12,25 +12,10 @@ pub struct KeywordQuery {
     keywords: Vec<String>,
 }
 
-/// Up to this many tokens, duplicates are found by scanning the kept
-/// ones: at most a few hundred compares and no allocation, which is what
-/// every query of a page hit or miss pays. Longer queries use a set, so a
-/// client's 8 KiB query costs linear time, not quadratic.
-const SCAN_DEDUP_MAX: usize = 32;
-
-/// Drop every token equal to an earlier one, keeping first positions.
+/// Drop every token equal to an earlier one, keeping first positions:
+/// one set lookup a token, so a client's 8 KiB query costs linear time,
+/// not quadratic.
 fn dedup_keep_first(tokens: &mut Vec<String>) {
-    if tokens.len() <= SCAN_DEDUP_MAX {
-        let mut kept = 0;
-        for i in 0..tokens.len() {
-            if !tokens[..kept].contains(&tokens[i]) {
-                tokens.swap(kept, i);
-                kept += 1;
-            }
-        }
-        tokens.truncate(kept);
-        return;
-    }
     let keep: Vec<bool> = {
         let mut seen = HashSet::with_capacity(tokens.len());
         tokens.iter().map(|t| seen.insert(t.as_str())).collect()
@@ -170,15 +155,10 @@ mod tests {
             })
             .collect();
         let parsed = KeywordQuery::parse(&text);
-        assert!(parsed.len() > SCAN_DEDUP_MAX && parsed.len() < 600, "{}", parsed.len());
+        assert!(parsed.len() > 500 && parsed.len() < 600, "{}", parsed.len());
         assert_eq!(parsed.keywords(), contains_dedup(tokenize(&text)));
         let items: Vec<&str> = text.split(' ').collect();
         assert_eq!(KeywordQuery::from_keywords(items), parsed);
-        // Short queries take the scan; the two paths agree at the edge.
-        for n in [SCAN_DEDUP_MAX - 1, SCAN_DEDUP_MAX, SCAN_DEDUP_MAX + 1] {
-            let text: String = (0..n).map(|i| format!("k{} ", i % 7)).collect();
-            assert_eq!(KeywordQuery::parse(&text).keywords(), contains_dedup(tokenize(&text)));
-        }
     }
 
     #[test]

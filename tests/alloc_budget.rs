@@ -42,6 +42,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use extract::core::ilist::IListScratch;
+use extract::corpus::Routes;
 use extract::prelude::*;
 use extract::xml::SymbolTable;
 use extract::session::SessionCaches;
@@ -180,8 +181,10 @@ const PARENT_ALLOCATIONS_PER_PARSE: u64 = 8_615;
 const ALLOCATIONS_PER_PARSE: u64 = 18;
 
 /// What a whole page miss at `k = 10` may allocate, the mean over
-/// [`ENTITY_QUERIES`]: 31 since routing hands each candidate its token ids
-/// in buffers the worker keeps (35 before).
+/// [`ENTITY_QUERIES`]: 34 since routing hands each candidate its token ids
+/// in buffers the worker keeps (35 before). Each request still allocates
+/// its routing's list of borrowed directory lists and its query's dedup
+/// set and flags.
 const ALLOCATIONS_PER_MISS: u64 = 35;
 
 /// Document 0 of the benchmark-shaped corpus as XML (dblp, 4 093 nodes,
@@ -336,41 +339,60 @@ fn a_snippet_is_a_bounded_number_of_allocations() {
 }
 
 /// The snippet kernel on a warm scratch: what serving one snippet costs
-/// is the `Arc<str>` of its bytes.
+/// is the `Arc<str>` of its bytes — through the routed ids a page miss
+/// serves with (`snippet_xml_by_id` and its `Routes::ids_of` lookup) and
+/// through the string-keyed `snippet_xml` alike, which write the same
+/// bytes.
 #[test]
 fn a_served_snippet_on_a_warm_scratch_is_its_bytes() {
     let corpus = corpus();
     let config = ExtractConfig::default();
     let mut scratch = IListScratch::default();
+    let mut routed = Vec::new();
     let mut served = Vec::new();
-    for q in ENTITY_QUERIES {
+    for (at, q) in ENTITY_QUERIES.into_iter().enumerate() {
         let query = KeywordQuery::parse(q);
-        let keywords: Vec<&str> = query.keywords().iter().map(String::as_str).collect();
-        let (candidates, _) = corpus.candidate_docs_str(&keywords);
-        for &id in candidates.iter().take(3) {
+        let mut routes = Routes::default();
+        corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
+        for &id in routes.docs().iter().take(3) {
             let extract = Extract::new(corpus.doc(id));
             for ranked in extract.ranked_results(&query).into_iter().take(PAGE) {
-                served.push((q, id, ranked.result.root));
+                served.push((at, id, ranked.result.root));
             }
         }
+        routed.push((query, routes));
     }
     assert!(served.len() >= 100, "only {} results", served.len());
     // One pass grows the scratch to the largest result; the second is warm.
     for pass in 0..2 {
-        let mut most = 0;
-        for &(q, id, root) in &served {
-            let query = KeywordQuery::parse(q);
-            let extract = Extract::with_parts(corpus.doc(id), corpus.engine(id).clone());
-            let (xml, allocations) = allocations_of(|| {
-                let xml: Arc<str> = Arc::from(extract.snippet_xml(&query, root, &config, &mut scratch));
+        let (mut most_by_id, mut most_by_str) = (0, 0);
+        for &(at, id, root) in &served {
+            let (query, routes) = &routed[at];
+            let extract = Extract::borrowing(corpus.doc(id), corpus.engine(id));
+            let (by_id, allocations) = allocations_of(|| {
+                let ids = routes.ids_of(id).unwrap_or_default();
+                let xml: Arc<str> =
+                    Arc::from(extract.snippet_xml_by_id(query, ids, root, &config, &mut scratch));
                 xml
             });
-            assert!(xml.starts_with('<'), "{q}: {xml}");
-            most = most.max(allocations);
+            most_by_id = most_by_id.max(allocations);
+            let (by_str, allocations) = allocations_of(|| {
+                let xml: Arc<str> =
+                    Arc::from(extract.snippet_xml(query, root, &config, &mut scratch));
+                xml
+            });
+            most_by_str = most_by_str.max(allocations);
+            assert!(by_id.starts_with('<'), "{query}: {by_id}");
+            assert_eq!(by_id, by_str, "{query}: one snippet through either entry point");
         }
-        println!("pass {pass}: at most {most} allocations per served snippet");
+        println!(
+            "pass {pass}: at most {most_by_id} (by id) / {most_by_str} (by string) allocations \
+             per served snippet"
+        );
         if pass == 1 {
-            assert!(most <= 2, "a served snippet on a warm scratch took {most} allocations");
+            for most in [most_by_id, most_by_str] {
+                assert!(most <= 2, "a served snippet on a warm scratch took {most} allocations");
+            }
         }
     }
 }
