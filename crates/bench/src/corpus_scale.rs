@@ -2,8 +2,7 @@
 //! directory vs scan SLCA candidate fan-in, and corpus query throughput
 //! over a DBLP-scale generated collection (200 documents, ~10^6 nodes).
 //!
-//! Shared by the `corpus_scale` binary (which emits `BENCH_PR3.json`) and
-//! the Criterion bench of the same name, so both measure the same work.
+//! Run by the `corpus_scale` binary, which emits `BENCH_PR3.json`.
 
 use std::time::Instant;
 
@@ -54,23 +53,14 @@ pub fn corpus_config() -> CorpusConfig {
     CorpusConfig { documents: 200, target_nodes_per_doc: 5_400, seed: 0xBEEF }
 }
 
-/// A scaled-down shape for smoke runs and the Criterion registration.
+/// A scaled-down shape for smoke runs (`corpus_scale --quick`).
 pub fn quick_corpus_config() -> CorpusConfig {
     CorpusConfig { documents: 48, target_nodes_per_doc: 2_000, seed: 0xBEEF }
 }
 
-/// Build a corpus from `cfg` through the streaming path.
-pub fn build_corpus(cfg: &CorpusConfig) -> Corpus {
-    let mut b = CorpusBuilder::new();
-    for (name, doc) in cfg.documents() {
-        b.add_parsed(&name, doc);
-    }
-    b.finish()
-}
-
 /// The query mix as normalized keyword lists, parsed once outside every
 /// timed region.
-pub fn keyword_lists(queries: &[&str]) -> Vec<Vec<String>> {
+fn keyword_lists(queries: &[&str]) -> Vec<Vec<String>> {
     queries.iter().map(|q| KeywordQuery::parse(q).keywords().to_vec()).collect()
 }
 

@@ -1,7 +1,7 @@
 //! Benchmark harness utilities: controlled workloads, timing helpers and
-//! table rendering shared by the `experiments` and `corpus_scale` binaries
-//! and the Criterion benches. The shipped daemons are measured end to end
-//! by the repo's `benchmark/` harness, not here.
+//! table rendering shared by the `experiments` and `corpus_scale` binaries.
+//! The shipped daemons are measured end to end by the repo's `benchmark/`
+//! harness, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

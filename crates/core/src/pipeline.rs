@@ -8,15 +8,16 @@
 //!
 //! That query-time half is one pass over an [`IListScratch`], with two
 //! outputs: the snippet's XML, written straight from the source document
-//! into the scratch ([`Extract::snippet_xml`] — what a server sends), or
-//! an owned [`SnippetedResult`] read out of the scratch
-//! ([`Extract::snippet_of`] — what a library caller keeps).
+//! into the scratch ([`Extract::snippet_xml`] — what a server sends, from
+//! the query's posting lists it already holds), or an owned
+//! [`SnippetedResult`] read out of the scratch ([`Extract::snippet_of`] —
+//! what a library caller keeps, from a built [`QueryResult`]).
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use extract_analyzer::{EntityModel, KeyCatalog};
-use extract_index::{TokenId, XmlIndex};
+use extract_index::XmlIndex;
 use extract_search::ranking::{self, RankedResult};
 use extract_search::result::postings_within;
 use extract_search::{Algorithm, KeywordQuery, QueryResult};
@@ -213,50 +214,23 @@ impl<'d> Extract<'d> {
     /// sends: its compact XML, written from the document into `scratch`
     /// and borrowed from it — byte-identical to
     /// [`Extract::snippet_of`]`(..).snippet.to_xml()`, with no owned IList,
-    /// snippet tree or `QueryResult` in between (the keyword matches are
-    /// read from the index in place). On a warm scratch this allocates
-    /// nothing. Each keyword is looked up by its string; a caller that
-    /// routed the query calls [`Extract::snippet_xml_by_id`].
+    /// snippet tree or `QueryResult` in between: each keyword's matches are
+    /// read in place from `lists`, the query's posting lists in this
+    /// engine's index (one per keyword, query order —
+    /// [`KeywordQuery::lists`], or what routing resolved). On a warm
+    /// scratch this allocates nothing.
     pub fn snippet_xml<'s>(
         &self,
         query: &KeywordQuery,
+        lists: &[&[NodeId]],
         root: NodeId,
-        config: &ExtractConfig,
-        scratch: &'s mut IListScratch,
-    ) -> &'s str {
-        let index = &*self.parts.index;
-        let postings = |i: usize| query.keywords().get(i).map(|k| index.postings(k));
-        self.render_xml(query, root, postings, config, scratch)
-    }
-
-    /// [`Extract::snippet_xml`] for a query resolved at routing: `ids` are
-    /// its keywords' token ids in this engine's index, in query order, so
-    /// no keyword is hashed here.
-    pub fn snippet_xml_by_id<'s>(
-        &self,
-        query: &KeywordQuery,
-        ids: &[TokenId],
-        root: NodeId,
-        config: &ExtractConfig,
-        scratch: &'s mut IListScratch,
-    ) -> &'s str {
-        let index = &*self.parts.index;
-        let postings = |i: usize| ids.get(i).map(|&id| index.postings_by_id(id));
-        self.render_xml(query, root, postings, config, scratch)
-    }
-
-    /// The kernel over keyword `i`'s whole posting list `postings(i)`, then
-    /// the snippet's XML.
-    fn render_xml<'s, 'm>(
-        &self,
-        query: &KeywordQuery,
-        root: NodeId,
-        postings: impl Fn(usize) -> Option<&'m [NodeId]>,
         config: &ExtractConfig,
         scratch: &'s mut IListScratch,
     ) -> &'s str {
         let end = self.doc.subtree_end(root);
-        let matches = |i: usize| postings_within(postings(i).unwrap_or_default(), root, end);
+        let matches = |i: usize| {
+            postings_within(lists.get(i).copied().unwrap_or_default(), root, end)
+        };
         self.run(query, root, matches, config, scratch);
         scratch.render(self.doc, root)
     }

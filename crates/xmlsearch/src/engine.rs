@@ -4,13 +4,13 @@
 
 use extract_analyzer::EntityModel;
 use extract_index::XmlIndex;
-use extract_xml::{Document, NodeId};
+use extract_xml::Document;
 
 use crate::elca::elca_stack;
 use crate::query::KeywordQuery;
 use crate::result::QueryResult;
 use crate::slca::{slca_auto, slca_indexed_lookup, slca_scan_eager};
-use crate::xseek::{self, RootPolicy};
+use crate::xseek::{self, RootPolicy, RootsBuffers};
 
 /// The available search algorithms / result semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +31,8 @@ pub enum Algorithm {
 
 /// Run `algorithm` for `query` over `doc`'s index and entity model: the
 /// result roots in document order, each with its per-keyword matches.
-/// Posting lists are borrowed straight from the index — no per-query
-/// copies.
+/// The query's posting lists are resolved once and borrowed straight from
+/// the index — no per-query copies.
 pub fn search(
     doc: &Document,
     index: &XmlIndex,
@@ -40,13 +40,17 @@ pub fn search(
     query: &KeywordQuery,
     algorithm: Algorithm,
 ) -> Vec<QueryResult> {
-    let lists: Vec<&[NodeId]> = query.keywords().iter().map(|k| index.postings(k)).collect();
+    let lists = query.lists(index);
     let roots = match algorithm {
         Algorithm::SlcaIndexedLookup => slca_indexed_lookup(doc, &lists),
         Algorithm::SlcaScanEager => slca_scan_eager(doc, &lists),
         Algorithm::SlcaAuto => slca_auto(doc, &lists),
         Algorithm::Elca => elca_stack(doc, &lists),
-        Algorithm::XSeek => xseek::result_roots(doc, index, model, query, RootPolicy::Entity),
+        Algorithm::XSeek => {
+            let mut buffers = RootsBuffers::default();
+            xseek::result_roots_in(doc, model, &lists, RootPolicy::Entity, &mut buffers);
+            buffers.roots
+        }
     };
     roots.into_iter().map(|root| QueryResult::build(doc, index, query, root)).collect()
 }

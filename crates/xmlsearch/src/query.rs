@@ -2,7 +2,8 @@
 
 use std::collections::HashSet;
 
-use extract_index::{tokenize, tokens_of};
+use extract_index::{tokenize, tokens_of, XmlIndex};
+use extract_xml::NodeId;
 
 /// A parsed keyword query: normalized tokens, duplicates removed, original
 /// order preserved. The order matters downstream — the IList is initialized
@@ -53,6 +54,13 @@ impl KeywordQuery {
     /// The normalized keywords in query order.
     pub fn keywords(&self) -> &[String] {
         &self.keywords
+    }
+
+    /// The keywords' posting lists in `index`, in query order (an empty
+    /// list for a keyword the index lacks) — what every search stage
+    /// reads.
+    pub fn lists<'i>(&self, index: &'i XmlIndex) -> Vec<&'i [NodeId]> {
+        self.keywords.iter().map(|k| index.postings(k)).collect()
     }
 
     /// Number of keywords.

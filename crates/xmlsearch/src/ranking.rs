@@ -9,12 +9,12 @@
 use std::sync::LazyLock;
 
 use extract_analyzer::EntityModel;
-use extract_index::{TokenId, XmlIndex};
+use extract_index::XmlIndex;
 use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
 use crate::result::{postings_within, QueryResult};
-use crate::xseek::{self, RootPolicy, RootsBuffers, RootsScratch};
+use crate::xseek::{self, RootPolicy, RootsBuffers};
 
 /// A query result with its score.
 #[derive(Debug, Clone)]
@@ -130,42 +130,22 @@ pub fn sweep_scores<L: AsRef<[NodeId]>>(
     }
 }
 
-/// Find the XSeek result roots of `query` in one document and hand each to
-/// `emit` with its score, in document order — the search + scoring half of
-/// every ranked entry point. The roots are scored by [`sweep_scores`], one
-/// merge over the posting lists; no [`QueryResult`] is built: callers
-/// decide which roots are worth one after they have seen every score.
-pub fn scored_roots<'i>(
+/// Find the XSeek result roots of a query in one document, from its
+/// posting lists there (`lists`, one per keyword in query order), and hand
+/// each to `emit` with its score, in document order — the search + scoring
+/// half of every ranked entry point. The roots are scored by
+/// [`sweep_scores`], one merge over the same lists; no [`QueryResult`] is
+/// built: callers decide which roots are worth one after they have seen
+/// every score.
+pub fn scored_roots(
     doc: &Document,
-    index: &'i XmlIndex,
     model: &EntityModel,
-    query: &KeywordQuery,
-    scratch: &mut RootsScratch<'i>,
+    lists: &[&[NodeId]],
+    buffers: &mut RootsBuffers,
     emit: impl FnMut(NodeId, f64),
 ) {
-    xseek::result_roots_with(doc, index, model, query, RootPolicy::Entity, scratch);
-    sweep_roots(doc, scratch, emit);
-}
-
-/// [`scored_roots`] for a query resolved at routing: `ids` are its
-/// keywords' token ids in `index`, in query order (what a page miss hands
-/// each candidate document).
-pub fn scored_roots_by_id<'i>(
-    doc: &Document,
-    index: &'i XmlIndex,
-    model: &EntityModel,
-    ids: &[TokenId],
-    scratch: &mut RootsScratch<'i>,
-    emit: impl FnMut(NodeId, f64),
-) {
-    xseek::result_roots_by_id(doc, index, model, ids, RootPolicy::Entity, scratch);
-    sweep_roots(doc, scratch, emit);
-}
-
-/// [`sweep_scores`] over the roots and lists the last search left in
-/// `scratch`.
-fn sweep_roots(doc: &Document, scratch: &mut RootsScratch<'_>, emit: impl FnMut(NodeId, f64)) {
-    let RootsScratch { lists, buffers: RootsBuffers { roots, cursors, .. } } = scratch;
+    xseek::result_roots_in(doc, model, lists, RootPolicy::Entity, buffers);
+    let RootsBuffers { roots, cursors, .. } = buffers;
     sweep_scores(doc, lists, roots, cursors, emit);
 }
 
@@ -187,7 +167,8 @@ pub fn ranked_results(
     query: &KeywordQuery,
 ) -> Vec<RankedResult> {
     let mut scored: Vec<(f64, NodeId)> = Vec::new();
-    scored_roots(doc, index, model, query, &mut RootsScratch::default(), |root, score| {
+    let lists = query.lists(index);
+    scored_roots(doc, model, &lists, &mut RootsBuffers::default(), |root, score| {
         scored.push((score, root));
     });
     scored.sort_unstable_by(|a, b| by_score_desc(a.0, b.0).then_with(|| a.1.cmp(&b.1)));

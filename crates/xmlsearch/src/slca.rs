@@ -30,17 +30,16 @@
 //! or lies past (makes final) — the one-slot filter of Indexed Lookup
 //! Eager.
 //!
-//! # Hot-path variants
+//! # Buffers
 //!
-//! Every algorithm `slca_x` has a `slca_x_with(…, &mut SlcaScratch, &mut
-//! Vec<NodeId>)` twin that is **allocation-free on the per-anchor path**:
-//! Scan Eager's monotone pointers live in a caller-owned [`SlcaScratch`]
-//! and results are written into a caller-owned output vector, so a server
-//! answering many queries reuses the same buffers. No candidate is ever
-//! buffered.
-//! List arguments are generic over `AsRef<[NodeId]>`: pass `&[Vec<NodeId>]`
-//! (owned lists) or `&[&[NodeId]]` (borrowed straight from the inverted
-//! index, zero copies).
+//! Each algorithm has an emit-callback core that hands every SLCA to a
+//! closure as the scan finds it; the public functions collect them into a
+//! vector. Scan Eager's monotone pointers live in a [`SlcaScratch`] that
+//! the search stage keeps across queries ([`crate::xseek::RootsBuffers`]),
+//! so the per-anchor path allocates nothing and no candidate is ever
+//! buffered. List arguments are generic over `AsRef<[NodeId]>`: pass
+//! `&[Vec<NodeId>]` (owned lists) or `&[&[NodeId]]` (borrowed straight
+//! from the inverted index, zero copies).
 
 use extract_xml::{Document, NodeId};
 
@@ -50,16 +49,9 @@ use crate::mask::Mask;
 /// (or per query loop); `Default::default()` starts empty and the buffers
 /// grow to the high-water mark of the queries they serve.
 #[derive(Debug, Default)]
-pub struct SlcaScratch {
+pub(crate) struct SlcaScratch {
     /// Monotone per-list cursors (Scan Eager only).
     pointers: Vec<usize>,
-}
-
-impl SlcaScratch {
-    /// A scratch with all buffers empty.
-    pub fn new() -> SlcaScratch {
-        SlcaScratch::default()
-    }
 }
 
 /// Which eager SLCA algorithm [`slca_auto`] would run for given lists.
@@ -148,21 +140,8 @@ fn slca_bruteforce_impl<M: Mask, L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]
 /// inverted index produces them).
 pub fn slca_indexed_lookup<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    slca_indexed_lookup_with(doc, lists, &mut SlcaScratch::new(), &mut out);
-    out
-}
-
-/// [`slca_indexed_lookup`] into caller-owned buffers: `out` is cleared and
-/// receives the SLCAs, and nothing else allocates. Indexed Lookup keeps
-/// no state in `scratch`; it takes one so the `_with` family is uniform.
-pub fn slca_indexed_lookup_with<L: AsRef<[NodeId]>>(
-    doc: &Document,
-    lists: &[L],
-    _scratch: &mut SlcaScratch,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
     indexed_lookup_each(doc, lists, |n| out.push(n));
+    out
 }
 
 /// Indexed Lookup Eager, handing each SLCA to `emit` in document order.
@@ -192,20 +171,8 @@ fn indexed_lookup_each<L: AsRef<[NodeId]>>(
 /// Scan Eager. `lists` must be sorted in document order.
 pub fn slca_scan_eager<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    slca_scan_eager_with(doc, lists, &mut SlcaScratch::new(), &mut out);
+    scan_eager_each(doc, lists, &mut SlcaScratch::default(), |n| out.push(n));
     out
-}
-
-/// [`slca_scan_eager`] into caller-owned buffers (see
-/// [`slca_indexed_lookup_with`]).
-pub fn slca_scan_eager_with<L: AsRef<[NodeId]>>(
-    doc: &Document,
-    lists: &[L],
-    scratch: &mut SlcaScratch,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    scan_eager_each(doc, lists, scratch, |n| out.push(n));
 }
 
 /// Scan Eager, handing each SLCA to `emit` in document order.
@@ -245,19 +212,8 @@ fn scan_eager_each<L: AsRef<[NodeId]>>(
 /// Eager SLCA with the algorithm chosen by [`choose_strategy`].
 pub fn slca_auto<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     let mut out = Vec::new();
-    slca_auto_with(doc, lists, &mut SlcaScratch::new(), &mut out);
+    slca_auto_each(doc, lists, &mut SlcaScratch::default(), |n| out.push(n));
     out
-}
-
-/// [`slca_auto`] into caller-owned buffers.
-pub fn slca_auto_with<L: AsRef<[NodeId]>>(
-    doc: &Document,
-    lists: &[L],
-    scratch: &mut SlcaScratch,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    slca_auto_each(doc, lists, scratch, |n| out.push(n));
 }
 
 /// [`slca_auto`], handing each SLCA to `emit` in document order as the
@@ -550,17 +506,20 @@ mod tests {
              <store><name>Gap</name><state>Ohio</state></store>\
              </stores>",
         );
-        let mut scratch = SlcaScratch::new();
+        let mut scratch = SlcaScratch::default();
         let mut out = Vec::new();
         let q1 = lists(&index, &["store", "texas"]);
-        slca_scan_eager_with(&doc, &q1, &mut scratch, &mut out);
+        scan_eager_each(&doc, &q1, &mut scratch, |n| out.push(n));
         assert_eq!(out.len(), 2);
+        out.clear();
         let q2 = lists(&index, &["gap", "ohio"]);
-        slca_scan_eager_with(&doc, &q2, &mut scratch, &mut out);
+        scan_eager_each(&doc, &q2, &mut scratch, |n| out.push(n));
         assert_eq!(out, slca_bruteforce(&doc, &q2));
+        out.clear();
         let q3 = lists(&index, &["levis"]);
-        slca_indexed_lookup_with(&doc, &q3, &mut scratch, &mut out);
+        slca_auto_each(&doc, &q3, &mut scratch, |n| out.push(n));
         assert_eq!(out, slca_bruteforce(&doc, &q3));
+        assert_eq!(slca_auto(&doc, &q3), out);
     }
 
     #[test]
@@ -576,18 +535,19 @@ mod tests {
 
     #[test]
     fn degenerate_empty_posting_list_yields_empty_everywhere() {
-        // One keyword with no matches: every variant (owned or scratch)
-        // must return empty without touching the other lists.
+        // One keyword with no matches: every variant (collected or
+        // emitting on a scratch) must return empty without touching the
+        // other lists.
         let (doc, index) = setup("<a><b>k1</b><c>k2</c></a>");
         let lists: Vec<Vec<NodeId>> =
             vec![index.postings("k1").to_vec(), Vec::new(), index.postings("k2").to_vec()];
         assert!(slca_bruteforce(&doc, &lists).is_empty());
         assert!(slca_indexed_lookup(&doc, &lists).is_empty());
         assert!(slca_scan_eager(&doc, &lists).is_empty());
-        let mut scratch = SlcaScratch::new();
-        let mut out = vec![NodeId::from_index(1)]; // stale content must be cleared
-        slca_auto_with(&doc, &lists, &mut scratch, &mut out);
-        assert!(out.is_empty());
+        assert!(slca_auto(&doc, &lists).is_empty());
+        let mut emitted = 0;
+        slca_auto_each(&doc, &lists, &mut SlcaScratch::default(), |_| emitted += 1);
+        assert_eq!(emitted, 0);
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! starts at or before the last kept one is its ancestor and pops it. The
 //! roots come out disjoint and in document order with no SLCA buffer, sort
 //! or deduplication.
+//!
+//! The search reads the query's posting lists, one per keyword in query
+//! order, and nothing else of the index: [`result_roots`] resolves them by
+//! string ([`KeywordQuery::lists`]), and a caller that holds them already
+//! (a routed page miss) runs [`result_roots_in`] on them.
 
 use extract_analyzer::EntityModel;
-use extract_index::{TokenId, XmlIndex};
+use extract_index::XmlIndex;
 use extract_xml::{Document, NodeId};
 
 use crate::query::KeywordQuery;
-use crate::slca::{slca_auto_each, slca_auto_with, SlcaScratch};
+use crate::slca::{slca_auto_each, SlcaScratch};
 
 /// How result roots are derived from SLCA nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,20 +35,11 @@ pub enum RootPolicy {
     Entity,
 }
 
-/// Reusable buffers for [`result_roots_with`]: one instance serves every
-/// candidate document of a request (`'i` is the borrow of their indexes),
-/// so a corpus query allocates for its largest document, not once per
-/// document. What does not borrow the indexes is a [`RootsBuffers`],
-/// which a worker can keep warm from one request to the next.
-#[derive(Debug, Default)]
-pub struct RootsScratch<'i> {
-    /// The query's posting lists in the current document, query order.
-    pub(crate) lists: Vec<&'i [NodeId]>,
-    pub(crate) buffers: RootsBuffers,
-}
-
-/// The part of a [`RootsScratch`] that outlives a request: SLCA's
-/// cursors, the result roots, and the scoring sweep's cursors.
+/// Reusable buffers for [`result_roots_in`]: SLCA's cursors, the result
+/// roots, and the scoring sweep's cursors. One instance serves every
+/// candidate document of a request, and a worker keeps it warm from one
+/// request to the next, so a query allocates for its largest document
+/// once, not per document or per request.
 #[derive(Debug, Default)]
 pub struct RootsBuffers {
     slca: SlcaScratch,
@@ -51,31 +47,6 @@ pub struct RootsBuffers {
     /// One forward-only position per posting list, for the scoring sweep
     /// ([`crate::ranking::sweep_scores`]) over `roots`.
     pub(crate) cursors: Vec<usize>,
-}
-
-impl<'i> RootsScratch<'i> {
-    /// A scratch over buffers an earlier request left behind.
-    pub fn with_buffers(buffers: RootsBuffers) -> RootsScratch<'i> {
-        RootsScratch { lists: Vec::new(), buffers }
-    }
-
-    /// The buffers, for the next request.
-    pub fn into_buffers(self) -> RootsBuffers {
-        self.buffers
-    }
-
-    /// The posting lists (one per query keyword, query order) of the
-    /// document the last [`result_roots_with`] call ran on — what a
-    /// scorer restricts to each root's interval.
-    pub fn lists(&self) -> &[&'i [NodeId]] {
-        &self.lists
-    }
-
-    /// The result roots the last [`result_roots_with`] call found, in
-    /// document order.
-    pub fn roots(&self) -> &[NodeId] {
-        &self.buffers.roots
-    }
 }
 
 /// Compute result roots for `query` under `policy`.
@@ -86,63 +57,31 @@ pub fn result_roots(
     query: &KeywordQuery,
     policy: RootPolicy,
 ) -> Vec<NodeId> {
-    let mut scratch = RootsScratch::default();
-    result_roots_with(doc, index, model, query, policy, &mut scratch);
-    scratch.buffers.roots
+    let mut buffers = RootsBuffers::default();
+    result_roots_in(doc, model, &query.lists(index), policy, &mut buffers);
+    buffers.roots
 }
 
-/// [`result_roots`] into caller-owned buffers: the roots land in
-/// [`RootsScratch::roots`], and nothing allocates once `scratch` has
-/// warmed up. Each keyword is looked up in `index` by its string; a caller
-/// that routed the query already holds its token ids and calls
-/// [`result_roots_by_id`], which runs the same search.
-pub fn result_roots_with<'i>(
-    doc: &Document,
-    index: &'i XmlIndex,
-    model: &EntityModel,
-    query: &KeywordQuery,
-    policy: RootPolicy,
-    scratch: &mut RootsScratch<'i>,
-) {
-    scratch.lists.clear();
-    scratch.lists.extend(query.keywords().iter().map(|k| index.postings(k)));
-    roots_of_lists(doc, model, policy, scratch);
-}
-
-/// [`result_roots_with`] for a query resolved at routing: `ids` are its
-/// keywords' token ids in `index`, in query order, so no keyword is
-/// hashed here.
-pub fn result_roots_by_id<'i>(
-    doc: &Document,
-    index: &'i XmlIndex,
-    model: &EntityModel,
-    ids: &[TokenId],
-    policy: RootPolicy,
-    scratch: &mut RootsScratch<'i>,
-) {
-    scratch.lists.clear();
-    scratch.lists.extend(ids.iter().map(|&id| index.postings_by_id(id)));
-    roots_of_lists(doc, model, policy, scratch);
-}
-
-/// The search behind both entry points, over the posting lists already in
-/// `scratch`.
-fn roots_of_lists(
+/// [`result_roots`] over the query's posting lists (`lists`, one per
+/// keyword in query order), into caller-owned buffers: the roots, in
+/// document order, are returned from `buffers`, and nothing allocates once
+/// they have warmed up.
+pub fn result_roots_in<'b>(
     doc: &Document,
     model: &EntityModel,
+    lists: &[&[NodeId]],
     policy: RootPolicy,
-    scratch: &mut RootsScratch<'_>,
-) {
-    let RootsScratch { lists, buffers: RootsBuffers { slca, roots, .. } } = scratch;
+    buffers: &'b mut RootsBuffers,
+) -> &'b [NodeId] {
+    let RootsBuffers { slca, roots, .. } = buffers;
+    roots.clear();
     match policy {
-        RootPolicy::Slca => slca_auto_with(doc, lists, slca, roots),
-        RootPolicy::Entity => {
-            roots.clear();
-            slca_auto_each(doc, lists, slca, |s| {
-                lift_onto(doc, roots, model.entity_of(doc, s).unwrap_or(s));
-            });
-        }
+        RootPolicy::Slca => slca_auto_each(doc, lists, slca, |s| roots.push(s)),
+        RootPolicy::Entity => slca_auto_each(doc, lists, slca, |s| {
+            lift_onto(doc, roots, model.entity_of(doc, s).unwrap_or(s));
+        }),
     }
+    roots
 }
 
 /// Push the lifted root `r` of the next SLCA in document order onto

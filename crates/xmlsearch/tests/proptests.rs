@@ -8,7 +8,7 @@ use extract_search::slca::{slca_bruteforce, slca_indexed_lookup, slca_scan_eager
 use extract_search::elca::{elca_bruteforce, elca_stack};
 use extract_search::ranking::{self, ranked_results, score_root, sweep_scores};
 use extract_search::result::postings_within;
-use extract_search::xseek::{self, RootPolicy, RootsScratch};
+use extract_search::xseek::{self, RootPolicy, RootsBuffers};
 use extract_search::{search, Algorithm, KeywordQuery, QueryResult};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
@@ -171,7 +171,7 @@ proptest! {
         let doc = build(&spec);
         let (index, model) = (&XmlIndex::build(&doc), &EntityModel::analyze(&doc));
         let q = KeywordQuery::from_keywords(keywords.clone());
-        let lists: Vec<&[NodeId]> = q.keywords().iter().map(|k| index.postings(k)).collect();
+        let lists = q.lists(index);
         // Every element is a legitimate root to score, not just the
         // query's own results.
         for root in doc.subtree_elements(doc.root()) {
@@ -190,7 +190,7 @@ proptest! {
             );
         }
         let mut swept: Vec<(NodeId, u64)> = Vec::new();
-        ranking::scored_roots(&doc, index, model, &q, &mut RootsScratch::default(), |root, score| {
+        ranking::scored_roots(&doc, model, &lists, &mut RootsBuffers::default(), |root, score| {
             swept.push((root, score.to_bits()));
         });
         let reference = |lists: &[&[NodeId]], roots: &[NodeId]| -> Vec<(NodeId, u64)> {
@@ -228,6 +228,32 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// One set of buffers serves document after document, as a worker's
+    /// does request after request: `result_roots_in` on buffers the last
+    /// query (another document, another policy) left behind finds exactly
+    /// the roots `result_roots` finds on fresh ones, under either policy.
+    #[test]
+    fn reused_roots_buffers_find_what_fresh_ones_do(
+        cases in proptest::collection::vec((spec_strategy(), keyword_strategy()), 1..6),
+    ) {
+        let mut buffers = RootsBuffers::default();
+        for (spec, keywords) in &cases {
+            let doc = build(spec);
+            let (index, model) = (XmlIndex::build(&doc), EntityModel::analyze(&doc));
+            let q = KeywordQuery::from_keywords(keywords.clone());
+            let lists = q.lists(&index);
+            for policy in [RootPolicy::Entity, RootPolicy::Slca] {
+                let fresh = xseek::result_roots(&doc, &index, &model, &q, policy);
+                let reused = xseek::result_roots_in(&doc, &model, &lists, policy, &mut buffers);
+                prop_assert_eq!(reused, &fresh[..], "{:?} on {}", policy, q);
+            }
+        }
+    }
+}
+
+proptest! {
     // Nested lifted roots are rare in these documents (the first one a
     // lift that keeps the deeper root gets wrong is case 252), so this
     // oracle runs more cases than the rest.
@@ -247,7 +273,7 @@ proptest! {
         let doc = build(&spec);
         let (index, model) = (XmlIndex::build(&doc), EntityModel::analyze(&doc));
         let q = KeywordQuery::from_keywords(keywords.clone());
-        let lists: Vec<&[NodeId]> = q.keywords().iter().map(|k| index.postings(k)).collect();
+        let lists = q.lists(&index);
         let lifted: Vec<NodeId> = slca_bruteforce(&doc, &lists)
             .into_iter()
             .map(|s| model.entity_of(&doc, s).unwrap_or(s))

@@ -21,8 +21,7 @@
 #                                       path, unsafe hygiene, casts, and
 #                                       the GuardFlow lints L6-L9)
 #   5. xlint_list_check.sh            — README lint catalog matches --list
-#   6. cargo bench --no-run           — every Criterion bench compiles
-#      cargo build -p extract-bench --bins
+#   6. cargo build -p extract-bench --bins
 #                                     — the bench binaries compile
 #      cargo check --manifest-path benchmark/Cargo.toml
 #                                     — the end-to-end harness compiles
@@ -52,7 +51,6 @@ run cargo test -q --offline --release -p extract-core -p extract-analyzer
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh
-run cargo bench --no-run --offline
 run cargo build --release --offline -p extract-bench --bins
 run cargo check --offline --manifest-path benchmark/Cargo.toml
 run cargo run --release --offline -q -p extract-bench --bin obs_overhead

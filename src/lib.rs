@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`xml`] | `extract-xml` | borrowed-token parser, structure-of-arrays DOM, Dewey labels, DTD, schema inference |
-//! | [`index`] | `extract-index` | inverted keyword index, label index, per-document segments |
+//! | [`index`] | `extract-index` | inverted keyword index, per-document segments, token → document directory |
 //! | [`search`] | `extract-search` | SLCA / ELCA / XSeek engines, ranking |
 //! | [`analyzer`] | `extract-analyzer` | entity model, key mining, feature statistics |
 //! | [`core`] | `extract-core` | IList, dominance, instance selectors, snippets, baselines |
@@ -44,7 +44,7 @@ pub mod xml {
     pub use extract_xml::*;
 }
 
-/// Index Builder: inverted keyword index, label index, per-document segments.
+/// Index Builder: inverted keyword index, per-document segments, token → document directory.
 pub mod index {
     pub use extract_index::*;
 }

@@ -8,9 +8,10 @@
 //! routes each query through the corpus's token → document directory
 //! ([`Corpus::route`]) so only documents containing **every** keyword are
 //! searched, each handed the keywords' token ids in its segment: a miss
-//! resolves each keyword once, at routing, and search, scoring and the
-//! snippet kernel read posting lists by id (routing's buffers stay with
-//! the worker thread). Each candidate answers with its engine — index
+//! resolves each keyword once, at routing, and reads a candidate's posting
+//! lists by those ids into the request's one list buffer — the only input
+//! search, scoring and the snippet kernel take (routing's buffers stay
+//! with the worker thread). Each candidate answers with its engine — index
 //! segment, entity model and keys — which lives on the snapshot
 //! ([`Corpus::engine`]): built when the document arrived, before it was
 //! published, and shared by every request and every snapshot holding the
@@ -59,8 +60,9 @@
 //! offset + k)` is sorted, and only its ≤ `k` roots ever reach the snippet
 //! kernel. The kernel runs in
 //! this thread's [`IListScratch`](extract_core::ilist::IListScratch) —
-//! statistics, IList, selection and XML in one pass over reused buffers —
-//! and what it leaves is the snippet's bytes
+//! statistics, IList, selection and XML in one pass over reused buffers,
+//! reading each keyword's matches from the same posting lists — and what
+//! it leaves is the snippet's bytes
 //! ([`Extract::snippet_xml`](extract_core::Extract::snippet_xml)): no
 //! `QueryResult`, owned IList or snippet tree is built to serve a page.
 //!
@@ -97,9 +99,10 @@ use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, Extract, ExtractConfig};
 use extract_corpus::{Corpus, DocId, FanIn, Routes};
+use extract_index::TokenId;
 use extract_obs::lock_unpoisoned;
 use extract_search::ranking;
-use extract_search::xseek::{RootsBuffers, RootsScratch};
+use extract_search::xseek::RootsBuffers;
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
 
@@ -480,25 +483,40 @@ impl<'d> QuerySession<'d> {
         (self.caches.cache_capacity > 0).then(|| QueryText::from(query))
     }
 
+    /// `doc`'s posting lists for the routed query, into `lists`: `ids` are
+    /// the keywords' token ids in its segment, in query order, as routing
+    /// found them, so no keyword is hashed again. Search and the snippet
+    /// window both read a candidate's lists through here.
+    fn lists_of(&self, doc: DocId, ids: &[TokenId], lists: &mut Vec<&'d [NodeId]>) {
+        let index = self.corpus.engine(doc).index();
+        lists.clear();
+        lists.extend(ids.iter().map(|&id| index.postings_by_id(id)));
+    }
+
     /// Search + rank: score every result root of every candidate document
     /// by counting, and keep the `[offset, offset + k)` window of them in
     /// page order. Returns that window and how many results there are in
     /// all. Nothing is built for any result here: a result is a key in a
     /// buffer of at most `2 · (offset + k)` ([`Window`]) or, once it cannot
-    /// make the window, only a count. Each candidate's posting lists are
-    /// read by the token ids routing found, so no keyword is hashed again;
-    /// the buffers SLCA, entity lifting and the scoring sweep work in are
-    /// shared by every candidate.
-    fn search(&self, routes: &Routes, offset: usize, k: usize) -> (Vec<Ranked>, usize) {
+    /// make the window, only a count. Each candidate's posting lists go
+    /// into the request's `lists`; the buffers SLCA, entity lifting and the
+    /// scoring sweep work in are shared by every candidate.
+    fn search(
+        &self,
+        routes: &Routes,
+        lists: &mut Vec<&'d [NodeId]>,
+        offset: usize,
+        k: usize,
+    ) -> (Vec<Ranked>, usize) {
         let mut window = Window::new(offset, k);
-        let mut scratch = RootsScratch::with_buffers(ROOTS.take());
+        let mut buffers = ROOTS.take();
         for (doc, ids) in routes.iter() {
-            let engine = self.corpus.engine(doc);
+            self.lists_of(doc, ids, lists);
             let emit = |root, score| window.offer(doc, score, root);
-            let (document, index, model) = (self.corpus.doc(doc), engine.index(), engine.model());
-            ranking::scored_roots_by_id(document, index, model, ids, &mut scratch, emit);
+            let (document, model) = (self.corpus.doc(doc), self.corpus.engine(doc).model());
+            ranking::scored_roots(document, model, lists, &mut buffers, emit);
         }
-        ROOTS.set(scratch.into_buffers());
+        ROOTS.set(buffers);
         window.finish()
     }
 
@@ -506,20 +524,22 @@ impl<'d> QuerySession<'d> {
     /// cache when enabled (`text` is the request's normalized query then):
     /// one lock looks up every result of the window, the misses run the
     /// snippet kernel in this thread's scratch on the document's borrowed
-    /// engine, and one more lock stores the bytes they wrote.
+    /// engine and its posting lists (in the request's `lists`), and one
+    /// more lock stores the bytes they wrote.
     fn answers(
         &self,
         served: &[Ranked],
         routes: &Routes,
+        lists: &mut Vec<&'d [NodeId]>,
         query: &KeywordQuery,
         text: Option<&QueryText>,
         config: &ExtractConfig,
     ) -> Vec<CorpusAnswer> {
-        let compute = |doc: DocId, root: NodeId| -> Arc<str> {
+        let mut compute = |doc: DocId, root: NodeId| -> Arc<str> {
             let extract = Extract::borrowing(self.corpus.doc(doc), self.corpus.engine(doc));
-            let ids = routes.ids_of(doc).unwrap_or_default();
+            self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
             with_scratch(|scratch| {
-                Arc::from(extract.snippet_xml_by_id(query, ids, root, config, scratch))
+                Arc::from(extract.snippet_xml(query, lists, root, config, scratch))
             })
         };
         let answer = |at: Ranked, snippet| {
@@ -619,17 +639,18 @@ impl<'d> QuerySession<'d> {
         // `search` span (the cache-hit return above records no stage at
         // all — a hit does no search work).
         // Routing resolves each keyword once, here: every candidate comes
-        // with the keywords' token ids in its segment, which search and the
-        // snippet kernel read its posting lists by.
+        // with the keywords' token ids in its segment, by which search and
+        // the snippet kernel read its posting lists into `lists`.
         let mut routes = ROUTES.take();
+        let mut lists = Vec::new();
         let (served, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
             self.corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
-            self.search(&routes, offset, k)
+            self.search(&routes, &mut lists, offset, k)
         });
         // Stage 2 — snippets for the served window only (the `snippet`
         // span).
         let window = extract_obs::time_stage(extract_obs::Stage::Snippet, || {
-            self.answers(&served, &routes, &query, text.as_ref(), config)
+            self.answers(&served, &routes, &mut lists, &query, text.as_ref(), config)
         });
         ROUTES.set(routes);
         let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };

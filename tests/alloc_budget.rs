@@ -339,10 +339,10 @@ fn a_snippet_is_a_bounded_number_of_allocations() {
 }
 
 /// The snippet kernel on a warm scratch: what serving one snippet costs
-/// is the `Arc<str>` of its bytes — through the routed ids a page miss
-/// serves with (`snippet_xml_by_id` and its `Routes::ids_of` lookup) and
-/// through the string-keyed `snippet_xml` alike, which write the same
-/// bytes.
+/// is the `Arc<str>` of its bytes — read as a page miss serves it, the
+/// posting lists by the routed ids (with the `Routes::ids_of` lookup) into
+/// a reused buffer, and the same bytes as `snippet_xml` over the lists the
+/// query resolves by string.
 #[test]
 fn a_served_snippet_on_a_warm_scratch_is_its_bytes() {
     let corpus = corpus();
@@ -363,36 +363,31 @@ fn a_served_snippet_on_a_warm_scratch_is_its_bytes() {
         routed.push((query, routes));
     }
     assert!(served.len() >= 100, "only {} results", served.len());
+    let mut lists = Vec::new();
     // One pass grows the scratch to the largest result; the second is warm.
     for pass in 0..2 {
-        let (mut most_by_id, mut most_by_str) = (0, 0);
+        let mut most = 0;
         for &(at, id, root) in &served {
             let (query, routes) = &routed[at];
             let extract = Extract::borrowing(corpus.doc(id), corpus.engine(id));
-            let (by_id, allocations) = allocations_of(|| {
+            let index = corpus.engine(id).index();
+            let (xml, allocations) = allocations_of(|| {
                 let ids = routes.ids_of(id).unwrap_or_default();
+                lists.clear();
+                lists.extend(ids.iter().map(|&token| index.postings_by_id(token)));
                 let xml: Arc<str> =
-                    Arc::from(extract.snippet_xml_by_id(query, ids, root, &config, &mut scratch));
+                    Arc::from(extract.snippet_xml(query, &lists, root, &config, &mut scratch));
                 xml
             });
-            most_by_id = most_by_id.max(allocations);
-            let (by_str, allocations) = allocations_of(|| {
-                let xml: Arc<str> =
-                    Arc::from(extract.snippet_xml(query, root, &config, &mut scratch));
-                xml
-            });
-            most_by_str = most_by_str.max(allocations);
-            assert!(by_id.starts_with('<'), "{query}: {by_id}");
-            assert_eq!(by_id, by_str, "{query}: one snippet through either entry point");
+            most = most.max(allocations);
+            let by_str =
+                extract.snippet_xml(query, &query.lists(index), root, &config, &mut scratch);
+            assert!(xml.starts_with('<'), "{query}: {xml}");
+            assert_eq!(&*xml, by_str, "{query}: routed lists and string-resolved lists");
         }
-        println!(
-            "pass {pass}: at most {most_by_id} (by id) / {most_by_str} (by string) allocations \
-             per served snippet"
-        );
+        println!("pass {pass}: at most {most} allocations per served snippet");
         if pass == 1 {
-            for most in [most_by_id, most_by_str] {
-                assert!(most <= 2, "a served snippet on a warm scratch took {most} allocations");
-            }
+            assert!(most <= 2, "a served snippet on a warm scratch took {most} allocations");
         }
     }
 }
