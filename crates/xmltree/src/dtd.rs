@@ -696,6 +696,27 @@ mod tests {
     }
 
     #[test]
+    fn malformed_attlists_stay_errors() {
+        // The internal subset arrives with every /ingest body: an ATTLIST
+        // the parser cannot read must be an error, whatever it keeps.
+        let rejects = |subset: &str, why: &str| {
+            let err = Dtd::parse(subset).unwrap_err();
+            assert!(matches!(err, Error::Dtd { .. }), "{subset}: {err:?}");
+            assert!(err.to_string().contains(why), "{subset}: {err}");
+        };
+        rejects("<!ATTLIST store id ID>", "expected a quoted default value");
+        rejects("<!ATTLIST store kind CDATA \"outlet>", "unterminated default value");
+        rejects("<!ATTLIST store id ID #REQUIRED", "unterminated <!ATTLIST>");
+        rejects("<!ATTLIST store id ID #FIXED>", "expected a quoted default value");
+        rejects("<!ATTLIST store kind (a|b \"a\">", "expected `)`");
+        // A quoted `>` is part of its literal, not the declaration's end.
+        rejects("<!ATTLIST store sign CDATA \"a > b\" oops>", "expected a name");
+        let dtd = Dtd::parse("<!ATTLIST store sign CDATA 'a > b'><!ELEMENT store (x*)>")
+            .unwrap();
+        assert_eq!(dtd.is_repeatable("store", "x"), Some(true));
+    }
+
+    #[test]
     fn repeatable_children_set() {
         let dtd = Dtd::parse(RETAILER_DTD).unwrap();
         let r = dtd.repeatable_children("retailer");
