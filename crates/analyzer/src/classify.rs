@@ -322,22 +322,10 @@ impl EntityModel {
         doc.ancestors_or_self(node).find(|&n| self.entity_bit(n))
     }
 
-    /// The nearest **strict** ancestor entity of `node`, if any.
-    pub fn ancestor_entity_of(&self, doc: &Document, node: NodeId) -> Option<NodeId> {
-        doc.ancestors(node).find(|&n| self.entity_bit(n))
-    }
-
     /// Entities in the subtree of `root` that have no ancestor entity
     /// strictly inside the subtree — the paper's "highest entities", used
     /// as the default return entity (§2.2). If `root` itself is an entity,
-    /// it is the single highest entity.
-    pub fn highest_entities(&self, doc: &Document, root: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.highest_entities_into(doc, root, &mut out);
-        out
-    }
-
-    /// [`EntityModel::highest_entities`], appended to `out`.
+    /// it is the single highest entity. They are appended to `out`.
     pub fn highest_entities_into(&self, doc: &Document, root: NodeId, out: &mut Vec<NodeId>) {
         if self.entity_bit(root) {
             out.push(root);
@@ -361,15 +349,6 @@ impl EntityModel {
         doc.subtree(root).filter(|&n| self.entity_bit(n)).collect()
     }
 
-    /// All attribute nodes in the subtree of `root`, in document order.
-    pub fn attributes_in(&self, doc: &Document, root: NodeId) -> Vec<NodeId> {
-        doc.subtree_elements(root).filter(|&n| self.is_attribute(n)).collect()
-    }
-
-    /// The attribute children of an element (typically of an entity).
-    pub fn attribute_children(&self, doc: &Document, node: NodeId) -> Vec<NodeId> {
-        doc.element_children(node).filter(|&c| self.is_attribute(c)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -435,7 +414,7 @@ mod tests {
         assert_eq!(m.entity_of(&d, category), Some(clothes));
         assert_eq!(m.entity_of(&d, clothes), Some(clothes), "ancestor-or-self");
         let store = d.first_element_with_label("store").unwrap();
-        assert_eq!(m.ancestor_entity_of(&d, clothes), Some(store));
+        assert_eq!(m.entity_of(&d, d.parent(clothes).unwrap()), Some(store), "strict ancestor");
         // Retailer's name has no entity ancestor (retailer is a connection
         // node here — single retailer, no DTD).
         let name = d.first_element_with_label("name").unwrap();
@@ -446,11 +425,15 @@ mod tests {
     fn highest_entities_stop_at_first_entity() {
         let d = retailer_doc();
         let m = EntityModel::analyze(&d);
-        let highest = m.highest_entities(&d, d.root());
+        let highest = |root| {
+            let mut out = Vec::new();
+            m.highest_entities_into(&d, root, &mut out);
+            out
+        };
         let stores = d.elements_with_label("store");
-        assert_eq!(highest, stores, "stores, not the clothes inside them");
+        assert_eq!(highest(d.root()), stores, "stores, not the clothes inside them");
         // From a store root, the store itself is the highest entity.
-        assert_eq!(m.highest_entities(&d, stores[0]), vec![stores[0]]);
+        assert_eq!(highest(stores[0]), vec![stores[0]]);
     }
 
     #[test]
@@ -460,7 +443,8 @@ mod tests {
         let store1 = d.elements_with_label("store")[0];
         let entities = m.entities_in(&d, store1);
         assert_eq!(entities.len(), 3); // store1 + 2 clothes
-        let attrs = m.attributes_in(&d, store1);
+        let attrs: Vec<NodeId> =
+            d.subtree_elements(store1).filter(|&n| m.is_attribute(n)).collect();
         // name, city, 2 categories
         assert_eq!(attrs.len(), 4);
     }
@@ -470,8 +454,11 @@ mod tests {
         let d = retailer_doc();
         let m = EntityModel::analyze(&d);
         let store1 = d.elements_with_label("store")[0];
-        let attrs = m.attribute_children(&d, store1);
-        let labels: Vec<&str> = attrs.iter().map(|&a| d.label_str(a).unwrap()).collect();
+        let labels: Vec<&str> = d
+            .element_children(store1)
+            .filter(|&c| m.is_attribute(c))
+            .map(|a| d.label_str(a).unwrap())
+            .collect();
         assert_eq!(labels, vec!["name", "city"]);
     }
 

@@ -365,6 +365,7 @@ impl<'d> ResultStats<'d> {
     }
 
     /// Attribute node instances carrying `(ft, value)`, in document order.
+    // xlint: allow(L10, "crates/analyzer/tests/proptests.rs checks value tables against it")
     pub fn occurrences(&self, ft: FeatureType, value: &str) -> &[NodeId] {
         self.value_run(ft, value)
             .and_then(|v| self.tables.nodes.get(v.start..v.end))
@@ -414,6 +415,7 @@ impl<'d> ResultStats<'d> {
 
     /// Values of one type sorted by descending count, then value — the
     /// statistics panel of the paper's Figure 1.
+    // xlint: allow(L10, "the tests of crates/core/src/dominance.rs, crates/core/tests/proptests.rs and crates/analyzer/tests/proptests.rs read it")
     pub fn value_table(&self, ft: FeatureType) -> Vec<ValueCount> {
         let mut rows: Vec<ValueCount> = self
             .values()

@@ -141,6 +141,7 @@ impl KeyCatalog {
     }
 
     /// The mined key for an entity path.
+    // xlint: allow(L10, "crates/analyzer/tests/proptests.rs checks mined keys by path")
     pub fn key_of(&self, entity_path: PathId) -> Option<&MinedKey> {
         self.keys.get(entity_path.index())?.as_ref()
     }
@@ -168,16 +169,6 @@ impl KeyCatalog {
         doc.element_children(entity_instance)
             .find(|&c| model.path_of(c) == key.attribute_path)
     }
-
-    /// Resolve the key **value** of one entity instance.
-    pub fn key_value<'d>(
-        &self,
-        doc: &'d Document,
-        model: &EntityModel,
-        entity_instance: NodeId,
-    ) -> Option<&'d str> {
-        self.key_node(doc, model, entity_instance).and_then(|n| doc.text_of(n))
-    }
 }
 
 /// Name heuristics: identifiers beat names beat everything else.
@@ -202,6 +193,12 @@ mod tests {
         EntityModel::analyze(doc)
     }
 
+    /// The label path of the first element labelled `label` (each label in
+    /// these documents is on one path).
+    fn path(d: &Document, m: &EntityModel, label: &str) -> PathId {
+        m.path_of(d.first_element_with_label(label).unwrap())
+    }
+
     #[test]
     fn unique_name_is_a_perfect_key() {
         let d = Document::parse_str(
@@ -213,10 +210,10 @@ mod tests {
         .unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let store_path = m.schema().path_by_string("/stores/store", &d).unwrap();
+        let store_path = path(&d, &m, "store");
         let key = catalog.key_of(store_path).expect("store has a key");
         assert_eq!(key.quality, KeyQuality::Perfect);
-        let name_path = m.schema().path_by_string("/stores/store/name", &d).unwrap();
+        let name_path = path(&d, &m, "name");
         assert_eq!(key.attribute_path, name_path, "city repeats, name does not");
     }
 
@@ -231,9 +228,9 @@ mod tests {
         .unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let s_path = m.schema().path_by_string("/ss/s", &d).unwrap();
+        let s_path = path(&d, &m, "s");
         let key = catalog.key_of(s_path).unwrap();
-        let id_path = m.schema().path_by_string("/ss/s/id", &d).unwrap();
+        let id_path = path(&d, &m, "id");
         assert_eq!(key.attribute_path, id_path);
     }
 
@@ -249,12 +246,12 @@ mod tests {
         .unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let s_path = m.schema().path_by_string("/ss/s", &d).unwrap();
+        let s_path = path(&d, &m, "s");
         let key = catalog.key_of(s_path).unwrap();
         assert_eq!(key.quality, KeyQuality::BestEffort);
         // name: 2 distinct of 3; kind: 2 distinct of 3 — name wins on the
         // name-preference heuristic.
-        let name_path = m.schema().path_by_string("/ss/s/name", &d).unwrap();
+        let name_path = path(&d, &m, "name");
         assert_eq!(key.attribute_path, name_path);
     }
 
@@ -269,7 +266,7 @@ mod tests {
         .unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let s_path = m.schema().path_by_string("/ss/s", &d).unwrap();
+        let s_path = path(&d, &m, "s");
         let key = catalog.key_of(s_path).unwrap();
         assert_eq!(key.quality, KeyQuality::BestEffort);
     }
@@ -287,9 +284,9 @@ mod tests {
         .unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let s_path = m.schema().path_by_string("/ss/s", &d).unwrap();
+        let s_path = path(&d, &m, "s");
         let key = catalog.key_of(s_path).unwrap();
-        let serial_path = m.schema().path_by_string("/ss/s/serial", &d).unwrap();
+        let serial_path = path(&d, &m, "serial");
         assert_eq!(key.attribute_path, serial_path);
     }
 
@@ -305,8 +302,9 @@ mod tests {
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
         let stores = d.elements_with_label("store");
-        assert_eq!(catalog.key_value(&d, &m, stores[0]), Some("Levis"));
-        assert_eq!(catalog.key_value(&d, &m, stores[1]), Some("ESprit"));
+        let value = |store| catalog.key_node(&d, &m, store).and_then(|n| d.text_of(n));
+        assert_eq!(value(stores[0]), Some("Levis"));
+        assert_eq!(value(stores[1]), Some("ESprit"));
         let key_node = catalog.key_node(&d, &m, stores[1]).unwrap();
         assert_eq!(d.label_str(key_node), Some("name"));
     }
@@ -316,7 +314,7 @@ mod tests {
         let d = Document::parse_str("<r><e><sub/></e><e><sub/></e></r>").unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let e_path = m.schema().path_by_string("/r/e", &d).unwrap();
+        let e_path = path(&d, &m, "e");
         assert!(catalog.key_of(e_path).is_none());
     }
 
@@ -335,12 +333,12 @@ mod tests {
         .unwrap();
         let m = model_of(&d);
         let catalog = KeyCatalog::mine(&d, &m);
-        let store_path = m.schema().path_by_string("/r/store", &d).unwrap();
-        let item_path = m.schema().path_by_string("/r/store/item", &d).unwrap();
+        let store_path = path(&d, &m, "store");
+        let item_path = path(&d, &m, "item");
         assert!(catalog.key_of(store_path).is_some());
         let item_key = catalog.key_of(item_path).unwrap();
         assert_eq!(item_key.quality, KeyQuality::Perfect);
-        let sku_path = m.schema().path_by_string("/r/store/item/sku", &d).unwrap();
+        let sku_path = path(&d, &m, "sku");
         assert_eq!(item_key.attribute_path, sku_path);
     }
 }

@@ -63,10 +63,10 @@ proptest! {
                 }
                 NodeCategory::Entity => {
                     // Starred by the schema.
-                    prop_assert!(model.schema().is_starred(model.path_of(n)));
+                    prop_assert!(model.schema().info(model.path_of(n)).starred);
                 }
                 NodeCategory::Connection => {
-                    prop_assert!(!model.schema().is_starred(model.path_of(n)));
+                    prop_assert!(!model.schema().info(model.path_of(n)).starred);
                 }
             }
         }
@@ -114,7 +114,8 @@ proptest! {
     fn highest_entities_cover_all_entities(spec in spec_strategy()) {
         let doc = build(&spec);
         let model = EntityModel::analyze(&doc);
-        let highest = model.highest_entities(&doc, doc.root());
+        let mut highest = Vec::new();
+        model.highest_entities_into(&doc, doc.root(), &mut highest);
         for (i, &a) in highest.iter().enumerate() {
             prop_assert!(model.is_entity(a));
             for &b in &highest[i + 1..] {
@@ -215,7 +216,8 @@ proptest! {
             let mut seen = HashSet::new();
             for inst in instances {
                 let value = catalog
-                    .key_value(&doc, &model, inst)
+                    .key_node(&doc, &model, inst)
+                    .and_then(|n| doc.text_of(n))
                     .expect("perfect keys exist on every instance");
                 prop_assert!(seen.insert(value.to_string()), "duplicate key {value}");
             }

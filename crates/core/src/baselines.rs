@@ -126,7 +126,7 @@ pub struct TextWindows;
 
 /// One tree edge buys roughly this many words of text snippet, so the text
 /// baseline gets a comparable information budget.
-pub const WORDS_PER_EDGE: usize = 3;
+const WORDS_PER_EDGE: usize = 3;
 
 impl BaselineStrategy for TextWindows {
     fn name(&self) -> &'static str {

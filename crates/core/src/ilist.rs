@@ -102,10 +102,10 @@ pub struct IList {
 }
 
 impl IList {
-    /// Assemble an IList from raw parts. Intended for tests and benchmarks
-    /// that need hand-crafted item/instance layouts.
-    #[doc(hidden)]
-    pub fn from_parts_for_tests(
+    /// Assemble an IList from raw parts, for tests that need hand-crafted
+    /// item/instance layouts.
+    #[cfg(test)]
+    pub(crate) fn from_parts_for_tests(
         items: Vec<RankedItem>,
         return_entities: ReturnEntities,
         result_key: Option<ResultKey>,

@@ -197,6 +197,7 @@ impl<'d> Extract<'d> {
     /// for this snippet alone: the result moves into the answer instead of
     /// being cloned into it. The IList and the snippet are read out of the
     /// scratch the kernel ran in.
+    // xlint: allow(L10, "tests/snippet_digest.rs and tests/alloc_budget.rs pin the owned IList and snippet it returns")
     pub fn snippet_of(
         &self,
         query: &KeywordQuery,

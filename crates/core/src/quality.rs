@@ -159,7 +159,8 @@ pub fn distinguishability(rendered: &[String]) -> f64 {
 }
 
 /// Convenience: instance-level coverage of an arbitrary node set (used by
-/// tests and experiments comparing selectors).
+/// tests comparing selectors).
+// xlint: allow(L10, "crates/core/tests/proptests.rs measures selector coverage with it")
 pub fn items_covered_by(ilist: &IList, nodes: &[NodeId]) -> usize {
     ilist
         .items()

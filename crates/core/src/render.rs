@@ -76,7 +76,7 @@ fn render_node_html(doc: &Document, node: NodeId, out: &mut String) {
 }
 
 /// Render one snippet as a nested HTML list.
-pub fn snippet_html(result: &SnippetedResult) -> String {
+fn snippet_html(result: &SnippetedResult) -> String {
     let tree = result.snippet.tree();
     let mut out = String::from("<ul class=\"snippet\">");
     render_node_html(tree, tree.root(), &mut out);

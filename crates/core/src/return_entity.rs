@@ -56,7 +56,7 @@ pub fn identify(
 
 /// [`identify`] for a caller that already holds the entity nodes of the
 /// result rooted at `root` (`entities`, document order).
-pub fn identify_among(
+fn identify_among(
     doc: &Document,
     model: &EntityModel,
     query: &KeywordQuery,

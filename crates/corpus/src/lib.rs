@@ -96,7 +96,7 @@ impl std::error::Error for RejectedDocument {
 
 /// Default cap on retained rejection-log entries
 /// ([`CorpusOptions::max_rejected`]).
-pub const DEFAULT_MAX_REJECTED: usize = 64;
+const DEFAULT_MAX_REJECTED: usize = 64;
 
 /// Ingestion options.
 #[derive(Debug, Clone)]
@@ -396,6 +396,7 @@ impl Corpus {
     /// Length of the slot array (`>= len()`; the extra slots are freed by
     /// deletions and awaiting reuse). Slot-indexed side tables must use
     /// this, not [`Corpus::len`].
+    // xlint: allow(L10, "the tests of crates/corpus/src/live.rs and crates/corpus/tests/proptests.rs watch slot reuse through it")
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }

@@ -47,7 +47,7 @@ pub struct ClothesSpec {
 /// with fitting = man 600 / woman 360 / children 40 / absent 70; situation
 /// = casual 700 / formal 300 / absent 70; category = outwear 220, suit 120,
 /// skirt 80, sweaters 70 and seven other categories totalling 580.
-pub fn figure1_clothes_specs() -> Vec<ClothesSpec> {
+fn figure1_clothes_specs() -> Vec<ClothesSpec> {
     const TOTAL: usize = 1070;
     let fittings: &[(Option<&str>, usize)] =
         &[(Some("man"), 600), (Some("woman"), 360), (Some("children"), 40), (None, 70)];
@@ -155,7 +155,7 @@ fn force_category(specs: &mut [ClothesSpec], at: usize, want: &'static str) {
 /// count)`. Six Houston stores, one Austin store, three other cities;
 /// clothes counts sum to 1070. Store 1 is Galleria/Houston as in the
 /// figure.
-pub const FIGURE1_STORES: &[(&str, &str, usize)] = &[
+const FIGURE1_STORES: &[(&str, &str, usize)] = &[
     ("Galleria", "Houston", 110),
     ("West Village", "Austin", 107),
     ("Uptown", "Houston", 110),

@@ -24,10 +24,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets — one per bit of a `u64`.
-pub const BUCKETS: usize = 64;
+const BUCKETS: usize = 64;
 
 /// The bucket index `value` falls into: `floor(log2(value))`, with `0`
 /// and `1` sharing bucket 0.
+// xlint: allow(L10, "crates/obs/tests/proptests.rs derives expected buckets with it")
 pub fn bucket_index(value: u64) -> usize {
     match value.checked_ilog2() {
         Some(b) => b as usize,
@@ -161,16 +162,6 @@ impl Snapshot {
     pub fn p90(&self) -> Option<u64> {
         self.quantile(0.9)
     }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<u64> {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th-percentile estimate.
-    pub fn p999(&self) -> Option<u64> {
-        self.quantile(0.999)
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +202,7 @@ mod tests {
         // rank(0.5 · 5) = 3 → the value 30, bucket 4 ([16, 32)) → 31.
         assert_eq!(s.p50(), Some(31));
         // rank ceil(0.99 · 5) = 5 → 1000, bucket 9 ([512, 1024)) → 1023.
-        assert_eq!(s.p99(), Some(1023));
+        assert_eq!(s.quantile(0.99), Some(1023));
         assert_eq!(Snapshot::default().p50(), None);
     }
 

@@ -38,7 +38,7 @@ pub use flight::{FlightRecorder, TraceRecord};
 pub use hist::{Histogram, Snapshot};
 pub use mutation::{MutationObs, MutationOp, MutationPhase};
 pub use stage::{
-    elapsed_ns, is_enabled, set_enabled, stage_add, time_stage, trace_begin, trace_take, Stage,
+    elapsed_ns, is_enabled, set_enabled, time_stage, trace_begin, trace_take, Stage,
     STAGES,
 };
 pub use trace::{TraceId, TRACE_HEADER};
@@ -116,15 +116,10 @@ impl RequestObs {
     }
 
     /// The latency histogram for one stage.
-    pub fn stage_histogram(&self, stage: Stage) -> &Histogram {
+    fn stage_histogram(&self, stage: Stage) -> &Histogram {
         // The array is indexed by Stage::index, which is < STAGES by
         // construction; fall back to `total` rather than panicking.
         self.stages.get(stage.index()).unwrap_or(&self.total)
-    }
-
-    /// The end-to-end latency histogram.
-    pub fn total_histogram(&self) -> &Histogram {
-        &self.total
     }
 
     /// The flight recorder's current contents, oldest first.
@@ -135,11 +130,6 @@ impl RequestObs {
     /// How many traces the flight recorder keeps.
     pub fn trace_capacity(&self) -> usize {
         self.recorder.capacity()
-    }
-
-    /// The slow-request threshold in nanoseconds.
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_threshold_ns
     }
 
     /// Emit the request-latency metric families into `w` (both daemons'
@@ -218,7 +208,7 @@ mod tests {
             stage_ns,
             total_ns: 1600,
         });
-        assert_eq!(obs.total_histogram().snapshot().count(), 1);
+        assert_eq!(obs.total.snapshot().count(), 1);
         assert_eq!(obs.stage_histogram(Stage::Search).snapshot().count(), 1);
         assert_eq!(obs.stage_histogram(Stage::Snippet).snapshot().count(), 1);
         // Stages that did not run are not sampled.

@@ -104,7 +104,7 @@ pub fn trace_take() -> [u64; STAGES] {
 }
 
 /// Add `ns` to `stage` in this thread's accumulator.
-pub fn stage_add(stage: Stage, ns: u64) {
+fn stage_add(stage: Stage, ns: u64) {
     if !is_enabled() {
         return;
     }

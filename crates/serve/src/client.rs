@@ -266,7 +266,7 @@ impl Connection {
     /// [`send`](Connection::send) with a request body: a `Content-Length`
     /// header frames `body`, and head + body go out in one write (the
     /// same Nagle discipline the server applies to responses).
-    pub fn send_with_body(
+    fn send_with_body(
         &mut self,
         method: &str,
         target: &str,
@@ -457,7 +457,7 @@ impl Connection {
     /// when `wait_until` has passed (one non-blocking look).
     ///
     /// [`read_response`]: Connection::read_response
-    pub fn poll_response(&mut self, wait_until: Instant) -> Result<bool, ClientError> {
+    fn poll_response(&mut self, wait_until: Instant) -> Result<bool, ClientError> {
         let overdue = wait_until <= Instant::now();
         if overdue {
             self.stream().set_nonblocking(true).map_err(ClientError::Io)?;
@@ -519,16 +519,6 @@ impl HttpClient {
     /// The shard address this client dials.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Whether a kept-alive connection is currently held.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// Drop the kept-alive connection (the next request redials).
-    pub fn disconnect(&mut self) {
-        self.conn = None;
     }
 
     fn next_jitter(&mut self) -> u64 {
@@ -835,7 +825,7 @@ mod tests {
         let mut client = HttpClient::new(addr, ClientConfig::default());
         let first = client.request("GET", "/a", deadline()).expect("first");
         assert_eq!(first.body, "first");
-        assert!(client.is_connected(), "keep-alive retained");
+        assert!(client.conn.is_some(), "keep-alive retained");
         // Give the server thread a beat to close the first socket.
         std::thread::sleep(Duration::from_millis(50));
         let second = client.request("GET", "/b", deadline()).expect("second (redial)");

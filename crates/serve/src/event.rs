@@ -1,201 +1,38 @@
 //! Socket readiness for parked keep-alive connections — a hand-rolled
-//! `epoll` loop behind a small safe wrapper, with a portable fallback.
+//! `epoll` loop behind a small safe wrapper.
 //!
 //! The worker pool is the concurrency bound; a kept-alive connection that
 //! has no request in flight must **not** occupy a worker while it idles.
-//! Instead the server *parks* it and asks this module to report when the
+//! Instead the server *parks* it and asks [`Epoll`] to report when the
 //! socket becomes readable (or is closed by the peer), at which point the
 //! connection re-enters admission like any other request source.
 //!
-//! Two implementations sit behind [`Readiness`]:
+//! `epoll_create1`/`epoll_ctl`/`epoll_wait` are called directly through
+//! `extern "C"` declarations against the C library the Rust standard
+//! library already links. No `libc` crate, no tokio: the workspace's
+//! vendored-only build stands. Registrations use `EPOLLONESHOT`, so an fd
+//! fires at most once per park and there is no rearm/duplicate-event race
+//! with the thread that unparks it; adding an already-readable fd wakes a
+//! concurrent `epoll_wait`, so parking never loses a wakeup. The epoll fd
+//! itself lives in an [`OwnedFd`](std::os::fd::OwnedFd) and closes on drop.
 //!
-//! * [`Epoll`] (Linux) — `epoll_create1`/`epoll_ctl`/`epoll_wait` called
-//!   directly through `extern "C"` declarations against the C library the
-//!   Rust standard library already links. No `libc` crate, no tokio: the
-//!   workspace's vendored-only build stands. Registrations use
-//!   `EPOLLONESHOT`, so an fd fires at most once per park and there is no
-//!   rearm/duplicate-event race with the thread that unparks it; adding
-//!   an already-readable fd wakes a concurrent `epoll_wait`, so parking
-//!   never loses a wakeup. The epoll fd itself lives in an
-//!   [`OwnedFd`](std::os::fd::OwnedFd) and closes on drop.
-//! * **Scan** (any platform, and the runtime fallback if `epoll_create1`
-//!   fails) — parked sockets are switched to non-blocking and probed with
-//!   [`TcpStream::peek`] on a short tick. O(parked) per tick instead of
-//!   O(ready), but dependency-free and portable; tests run it on Linux
-//!   too so both paths stay honest.
+//! The same raw surface binds listeners with `SO_REUSEADDR`
+//! ([`bind_reuseaddr`]) and arms `SO_LINGER{on, 0}` for the `reset` fault
+//! ([`arm_reset`]). It is Linux's, which is why the crate is Linux-only.
 
-use std::io;
-use std::net::TcpStream;
-use std::time::Duration;
+pub use linux::{arm_reset, bind_reuseaddr, Epoll};
 
-/// Which readiness backend to use. `Auto` picks [`Epoll`] on Linux when
-/// the kernel provides it and falls back to the scan backend otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// Platform default: epoll on Linux, scan elsewhere.
-    #[default]
-    Auto,
-    /// Force the portable peek-scan backend (useful in tests, and the
-    /// only backend off Linux).
-    Scan,
-}
-
-/// The readiness facade the server parks connections behind.
-#[derive(Debug)]
-pub enum Readiness {
-    /// Event-driven readiness (Linux).
-    #[cfg(target_os = "linux")]
-    Epoll(Epoll),
-    /// Peek-scan readiness (portable).
-    Scan,
-}
-
-impl Readiness {
-    /// Build the backend for `kind` (see [`PollerKind`]).
-    pub fn new(kind: PollerKind) -> Readiness {
-        match kind {
-            PollerKind::Scan => Readiness::Scan,
-            PollerKind::Auto => {
-                #[cfg(target_os = "linux")]
-                if let Ok(epoll) = Epoll::new() {
-                    return Readiness::Epoll(epoll);
-                }
-                Readiness::Scan
-            }
-        }
-    }
-
-    /// Whether this backend is event-driven (epoll) rather than scanning.
-    pub fn is_event_driven(&self) -> bool {
-        match self {
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(_) => true,
-            Readiness::Scan => false,
-        }
-    }
-
-    /// Start watching `stream` for readability under `token`. On the scan
-    /// backend this switches the socket to non-blocking so the periodic
-    /// peek probe cannot stall the poller thread.
-    pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(epoll) => {
-                use std::os::fd::AsRawFd;
-                epoll.add(stream.as_raw_fd(), token)
-            }
-            Readiness::Scan => stream.set_nonblocking(true),
-        }
-    }
-
-    /// Stop watching `stream`; restores blocking mode on the scan
-    /// backend. Always called before a parked connection is handed back
-    /// to a worker (or dropped), so workers only ever see blocking
-    /// sockets with their timeouts intact.
-    pub fn deregister(&self, stream: &TcpStream) {
-        match self {
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(epoll) => {
-                use std::os::fd::AsRawFd;
-                epoll.del(stream.as_raw_fd());
-            }
-            Readiness::Scan => {
-                // xlint: allow(L7, "deregister is best-effort: a socket that rejects the mode flip errors on its next read and is reaped there")
-                let _ = stream.set_nonblocking(false);
-            }
-        }
-    }
-
-    /// Block up to `timeout` and return the tokens of connections that
-    /// became readable (or hung up). The epoll backend sleeps in
-    /// `epoll_wait`; the scan backend sleeps a short slice of `timeout`
-    /// and then runs `scan_probe`, which the caller implements by peeking
-    /// every parked socket (see [`socket_ready`]). `has_parked` lets the
-    /// scan backend sleep the *full* `timeout` when nothing is parked —
-    /// an idle daemon must not busy-wake 200×/s probing an empty lot
-    /// (the one-time cost is that the first park after an idle stretch
-    /// waits up to `timeout` for its first probe).
-    pub fn wait<F>(&self, timeout: Duration, has_parked: bool, scan_probe: F) -> Vec<u64>
-    where
-        F: FnOnce() -> Vec<u64>,
-    {
-        match self {
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(epoll) => epoll.wait(timeout).unwrap_or_default(),
-            Readiness::Scan => {
-                if !has_parked {
-                    std::thread::sleep(timeout);
-                    return Vec::new();
-                }
-                std::thread::sleep(timeout.min(SCAN_TICK));
-                scan_probe()
-            }
-        }
-    }
-}
-
-/// How often the scan backend probes parked sockets. Bounded readiness
-/// latency in exchange for O(parked) work per tick.
-const SCAN_TICK: Duration = Duration::from_millis(5);
-
-/// Probe one parked (non-blocking) socket: `true` when a worker should
-/// take it — data is waiting, the peer hung up (`peek` returns `Ok(0)`),
-/// or the socket is in an error state the worker must discover.
-pub fn socket_ready(stream: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
-        Ok(_) => true,
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-        Err(_) => true,
-    }
-}
-
-/// Bind a listener with `SO_REUSEADDR` set (Linux; a plain
-/// [`TcpListener::bind`] elsewhere). Rust's `std` deliberately leaves
-/// the option off, which is right for long-lived daemons but wrong for
-/// a shard that must *restart on its old port*: connections left in
-/// `TIME_WAIT` by the previous incarnation would make the bind fail
-/// with `EADDRINUSE` for up to a minute — exactly the window the
-/// router's resurrection tests (and real operators) restart in.
-pub fn bind_reuseaddr(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    #[cfg(target_os = "linux")]
-    {
-        linux::bind_reuseaddr(addr)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        std::net::TcpListener::bind(addr)
-    }
-}
-
-/// Arrange for `stream`'s eventual close to be abrupt: on Linux,
-/// `SO_LINGER{on, 0}` turns the close into an immediate `RST` instead of
-/// an orderly `FIN`, which is what the `reset` fault action needs to
-/// look like a genuine peer crash. A no-op elsewhere — the close is then
-/// an ordinary `FIN`, still a hard, unannounced hangup from the client's
-/// perspective.
-pub fn arm_reset(stream: &TcpStream) {
-    #[cfg(target_os = "linux")]
-    linux::set_linger_zero(stream);
-    #[cfg(not(target_os = "linux"))]
-    let _ = stream;
-}
-
-#[cfg(target_os = "linux")]
-pub use linux::Epoll;
-
-#[cfg(target_os = "linux")]
 mod linux {
-    //! The raw `epoll` surface: three syscalls, three constants sets, one
-    //! `#[repr(C)]` struct — declared here instead of pulled from the
-    //! `libc` crate so the vendored-only build needs nothing new. The
-    //! symbols resolve against the platform C library `std` already
-    //! links.
+    //! The raw Linux surface: three epoll syscalls, `socket`/`bind`/
+    //! `listen`/`setsockopt`, their constants and `#[repr(C)]` structs —
+    //! declared here instead of pulled from the `libc` crate so the
+    //! vendored-only build needs nothing new. The symbols resolve against
+    //! the platform C library `std` already links.
 
     use std::ffi::{c_int, c_void};
     use std::io;
     use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::os::fd::{AsRawFd, FromRawFd, IntoRawFd, OwnedFd, RawFd};
+    use std::os::fd::{AsRawFd, FromRawFd, IntoRawFd, OwnedFd};
     use std::time::Duration;
 
     // `epoll_event` is packed on x86-64 (a 12-byte struct); other Linux
@@ -298,30 +135,31 @@ mod linux {
             Ok(Epoll { fd: unsafe { OwnedFd::from_raw_fd(raw) } })
         }
 
-        /// Watch `fd` for readability/hangup, one-shot, tagged `token`.
-        pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        /// Watch `stream` for readability/hangup, one-shot, tagged `token`.
+        pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
             let mut event =
                 EpollEvent { events: EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, data: token };
             // SAFETY: `event` is a live, properly-laid-out (ABI-pinned
             // by test) stack value for the duration of the call; the
             // kernel reads it before returning and keeps no pointer.
-            let rc = unsafe { epoll_ctl(self.fd.as_raw_fd(), EPOLL_CTL_ADD, fd, &mut event) };
+            let rc = unsafe { epoll_ctl(self.fd.as_raw_fd(), EPOLL_CTL_ADD, stream.as_raw_fd(), &mut event) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
             }
             Ok(())
         }
 
-        /// Stop watching `fd`. Best-effort: the fd may already be gone
-        /// (closed fds leave the set automatically), so errors are
-        /// swallowed.
-        pub fn del(&self, fd: RawFd) {
+        /// Stop watching `stream`. Always called before a parked connection
+        /// is handed back to a worker (or dropped). Best-effort: the fd may
+        /// already be gone (closed fds leave the set automatically), so
+        /// errors are swallowed.
+        pub fn deregister(&self, stream: &TcpStream) {
             let mut event = EpollEvent { events: 0, data: 0 };
-            // SAFETY: as in `add` — `event` outlives the call (pre-2.6.9
+            // SAFETY: as in `register` — `event` outlives the call (pre-2.6.9
             // kernels require a non-null pointer even for DEL, so one is
             // always passed); DEL on an unknown fd just returns ENOENT.
             // xlint: allow(L7, "documented best-effort: closed fds leave the set on their own, so ENOENT here is routine")
-            let _ = unsafe { epoll_ctl(self.fd.as_raw_fd(), EPOLL_CTL_DEL, fd, &mut event) };
+            let _ = unsafe { epoll_ctl(self.fd.as_raw_fd(), EPOLL_CTL_DEL, stream.as_raw_fd(), &mut event) };
         }
 
         /// Wait up to `timeout` for events; returns the ready tokens.
@@ -359,9 +197,12 @@ mod linux {
         }
     }
 
-    /// `SO_REUSEADDR` + bind + listen, by hand — see
-    /// [`bind_reuseaddr`](super::bind_reuseaddr) for why `std`'s bind is
-    /// not enough here.
+    /// Bind a listener with `SO_REUSEADDR` set, by hand. Rust's `std`
+    /// deliberately leaves the option off, which is right for long-lived
+    /// daemons but wrong for a shard that must *restart on its old port*:
+    /// connections left in `TIME_WAIT` by the previous incarnation would make
+    /// the bind fail with `EADDRINUSE` for up to a minute — exactly the
+    /// window the router's resurrection tests (and real operators) restart in.
     pub fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
         let family = match addr {
             SocketAddr::V4(_) => AF_INET,
@@ -445,10 +286,12 @@ mod linux {
         Ok(unsafe { TcpListener::from_raw_fd(fd.into_raw_fd()) })
     }
 
-    /// Arm `SO_LINGER{on, 0}` so the next close sends `RST` — see
-    /// [`reset_close`](super::reset_close). Best-effort: a socket this
-    /// cannot be set on just closes normally.
-    pub fn set_linger_zero(stream: &TcpStream) {
+    /// Arrange for `stream`'s eventual close to be abrupt: `SO_LINGER{on, 0}`
+    /// turns the close into an immediate `RST` instead of an orderly `FIN`,
+    /// which is what the `reset` fault action needs to look like a genuine
+    /// peer crash. Best-effort: a socket this cannot be set on just closes
+    /// normally.
+    pub fn arm_reset(stream: &TcpStream) {
         let linger = Linger { l_onoff: 1, l_linger: 0 };
         // SAFETY: `linger` is a live `#[repr(C)]` value for the duration
         // of the call and the length passed is exactly its size; the
@@ -490,8 +333,8 @@ mod linux {
             let bob = TcpStream::connect(addr).unwrap();
             let (bob_srv, _) = listener.accept().unwrap();
 
-            epoll.add(alice_srv.as_raw_fd(), 1).unwrap();
-            epoll.add(bob_srv.as_raw_fd(), 2).unwrap();
+            epoll.register(&alice_srv, 1).unwrap();
+            epoll.register(&bob_srv, 2).unwrap();
 
             // Nothing readable yet: a short wait returns empty.
             assert_eq!(epoll.wait(Duration::from_millis(10)).unwrap(), Vec::<u64>::new());
@@ -509,8 +352,8 @@ mod linux {
             let ready = epoll.wait(Duration::from_secs(5)).unwrap();
             assert_eq!(ready, vec![2]);
 
-            epoll.del(alice_srv.as_raw_fd());
-            epoll.del(bob_srv.as_raw_fd());
+            epoll.deregister(&alice_srv);
+            epoll.deregister(&bob_srv);
         }
 
         #[test]
@@ -539,53 +382,8 @@ mod linux {
             let (server_side, _) = listener.accept().unwrap();
             client.write_all(b"already here").unwrap();
             std::thread::sleep(Duration::from_millis(20)); // let the bytes land
-            epoll.add(server_side.as_raw_fd(), 7).unwrap();
+            epoll.register(&server_side, 7).unwrap();
             assert_eq!(epoll.wait(Duration::from_secs(5)).unwrap(), vec![7]);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Write;
-    use std::net::TcpListener;
-
-    #[test]
-    fn scan_backend_probes_parked_sockets() {
-        let readiness = Readiness::new(PollerKind::Scan);
-        assert!(!readiness.is_event_driven());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        readiness.register(&server_side, 3).unwrap();
-        assert!(!socket_ready(&server_side), "no bytes yet");
-
-        client.write_all(b"ping").unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let ready = loop {
-            let ready = readiness
-                .wait(Duration::from_millis(50), true, || {
-                    if socket_ready(&server_side) { vec![3] } else { Vec::new() }
-                });
-            if !ready.is_empty() || std::time::Instant::now() > deadline {
-                break ready;
-            }
-        };
-        assert_eq!(ready, vec![3]);
-        readiness.deregister(&server_side);
-
-        // Hangup also reads as ready, so closed peers get reaped.
-        drop(client);
-        std::thread::sleep(Duration::from_millis(20));
-        let _ = server_side.set_nonblocking(true);
-        assert!(socket_ready(&server_side));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn auto_prefers_epoll_on_linux() {
-        assert!(Readiness::new(PollerKind::Auto).is_event_driven());
     }
 }

@@ -24,7 +24,7 @@ use std::io::{self, BufRead, Read, Write};
 use extract_obs::TraceId;
 
 /// Longest accepted request line, in bytes.
-pub const MAX_REQUEST_LINE: usize = 8 * 1024;
+const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Most accepted headers.
 pub const MAX_HEADERS: usize = 64;
 /// Longest accepted header line, in bytes.
@@ -288,7 +288,7 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, HttpError> {
 
 /// Percent-decode `s`; in query strings (`plus_is_space`) `+` means a
 /// space. Returns `None` on truncated/invalid `%` escapes or non-UTF-8.
-pub fn percent_decode(s: &str, plus_is_space: bool) -> Option<String> {
+fn percent_decode(s: &str, plus_is_space: bool) -> Option<String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -403,7 +403,7 @@ impl Response {
 }
 
 /// The reason phrase for the status codes the daemon emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

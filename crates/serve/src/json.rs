@@ -27,12 +27,13 @@ use std::fmt::Write as _;
 /// `2^53 − 1` (IEEE-754 double mantissa; JavaScript's
 /// `Number.MAX_SAFE_INTEGER`). [`JsonWriter::num_u64`] clamps here so a
 /// wire counter never silently loses precision downstream.
+// xlint: allow(L10, "crates/router/tests/merge.rs clamps its expected doc ids with it")
 pub const MAX_SAFE_JSON_INT: u64 = (1 << 53) - 1;
 
 /// Append the RFC 8259 escaping of `s` (without surrounding quotes) to
 /// `out`. Only ASCII bytes are ever escaped, so the text between them is
 /// copied a run at a time, found by the scanner's own `plain_run`.
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     let bytes = s.as_bytes();
     let mut copied = 0;
     let mut i = plain_run(bytes);
@@ -280,14 +281,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -344,6 +337,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 /// Nesting depth bound: a value more than this many containers deep is
 /// rejected instead of overflowing the stack (the daemon never emits
 /// anything close).
+// xlint: allow(L10, "crates/serve/tests/json_proptests.rs and crates/router/tests/merge.rs probe the bound")
 pub const MAX_DEPTH: usize = 128;
 
 /// What went wrong inside a [`Scanner`]; [`scan`] adds the position.

@@ -10,8 +10,7 @@
 //! * [`http`] — minimal HTTP/1.1 request parsing and response writing
 //!   with explicit limits and keep-alive negotiation;
 //! * [`event`] — socket readiness for parked keep-alive connections: a
-//!   hand-rolled `epoll` wrapper (Linux, no `libc` crate) with a
-//!   portable peek-scan fallback;
+//!   hand-rolled `epoll` wrapper (no `libc` crate);
 //! * [`server`] — a blocking acceptor → bounded queue → worker pool with
 //!   per-request admission control (`503` load-shedding), per-client
 //!   fairness (`429`), HTTP/1.1 keep-alive with idle parking and
@@ -32,6 +31,9 @@
 //! wires it to `QuerySession` (see its `serve` module and the `serve`
 //! binary); that layering keeps the dependency graph acyclic and this
 //! substrate reusable.
+//!
+//! The crate is Linux-only: parking rides `epoll`, and listeners and the
+//! `reset` fault set socket options through the same raw Linux surface.
 //!
 //! ```
 //! use extract_serve::prelude::*;
@@ -54,6 +56,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("extract-serve is Linux-only: connection parking is built on epoll");
+
 pub mod client;
 pub mod event;
 pub mod fault;
@@ -64,7 +69,6 @@ pub mod server;
 pub mod testing;
 
 pub use client::{ClientConfig, ClientError, Connection, HttpClient, WireResponse};
-pub use event::PollerKind;
 pub use fault::{FaultAction, FaultPlan, FaultRule};
 pub use http::{Request, Response};
 pub use json::JsonWriter;
@@ -73,7 +77,6 @@ pub use server::{ServeConfig, Server, ServerHandle, ServerStats};
 /// The common imports in one place.
 pub mod prelude {
     pub use crate::client::{ClientConfig, ClientError, Connection, HttpClient, WireResponse};
-    pub use crate::event::PollerKind;
     pub use crate::fault::{FaultAction, FaultPlan, FaultRule};
     pub use crate::http::{Request, Response};
     pub use crate::json::JsonWriter;

@@ -37,9 +37,8 @@
 //!
 //! Everything is `std`: blocking sockets, a `Mutex`+`Condvar` queue,
 //! scoped worker threads, and an epoll fd driven through a thin safe
-//! wrapper (with a portable peek-scan fallback). No tokio — the worker
-//! pool is the concurrency bound, and the queue keeps the accept path
-//! O(1).
+//! wrapper. No tokio — the worker pool is the concurrency bound, and the
+//! queue keeps the accept path O(1).
 //!
 //! # Lock order
 //!
@@ -79,11 +78,14 @@ use std::time::{Duration, Instant};
 
 use extract_obs::{lock_unpoisoned, RequestObs, Stage, TraceId, TraceRecord};
 
-use crate::event::{arm_reset, bind_reuseaddr, socket_ready, PollerKind, Readiness};
+use crate::event::{arm_reset, bind_reuseaddr, Epoll};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::http::{is_timeout, read_request, write_response, HttpError, Request, Response};
 
-/// Server tuning knobs.
+/// Server tuning knobs: pool and queue sizes, per-client fairness,
+/// timeouts, keep-alive reuse, fault injection and tracing. Parked
+/// keep-alive connections always ride the one epoll readiness loop
+/// ([`crate::event`]); there is no backend to choose.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads answering admitted requests.
@@ -107,9 +109,6 @@ pub struct ServeConfig {
     /// How long a kept-alive connection may sit parked with no request
     /// before the readiness loop evicts (closes) it.
     pub idle_timeout: Duration,
-    /// Readiness backend for parked connections (epoll on Linux by
-    /// default; the scan fallback is always available).
-    pub poller: PollerKind,
     /// Deterministic fault injection (see [`crate::fault`]): consulted
     /// once per parsed request, `None` (the default) is a no-op.
     /// Production configs never set it; the `--fault` flag and the
@@ -133,7 +132,6 @@ impl Default for ServeConfig {
             keep_alive: true,
             max_requests_per_connection: 256,
             idle_timeout: Duration::from_secs(5),
-            poller: PollerKind::Auto,
             fault: None,
             trace_capacity: 128,
             slow_request: Duration::from_millis(500),
@@ -197,6 +195,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Every request that was refused admission.
+    // xlint: allow(L10, "crates/serve/tests/server.rs and crates/serve/tests/keepalive.rs assert exact shedding with it")
     pub fn shed_total(&self) -> u64 {
         self.shed_queue_full + self.shed_per_client
     }
@@ -293,7 +292,7 @@ struct Parked {
 
 #[derive(Debug)]
 struct Parker {
-    readiness: Readiness,
+    epoll: Epoll,
     parked: Mutex<HashMap<u64, Parked>>,
     next_token: AtomicU64,
 }
@@ -412,10 +411,12 @@ impl Server {
     ///
     /// `queue_depth` is clamped to at least 1 — with a 0-depth queue the
     /// admission gate would shed **every** request even against idle
-    /// workers, since hand-off always goes through the queue.
+    /// workers, since hand-off always goes through the queue. Fails if
+    /// the address cannot be bound or the kernel refuses an epoll
+    /// instance for the parking lot.
     pub fn bind<A: ToSocketAddrs>(addr: A, mut config: ServeConfig) -> std::io::Result<Server> {
         config.queue_depth = config.queue_depth.max(1);
-        // SO_REUSEADDR (on Linux) so a restarted daemon can rebind its
+        // SO_REUSEADDR so a restarted daemon can rebind its
         // old port past the previous incarnation's TIME_WAIT sockets —
         // shard resurrection must not wait out the kernel.
         let mut listener = None;
@@ -446,7 +447,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             inflight: Mutex::new(HashMap::new()),
             parker: Parker {
-                readiness: Readiness::new(config.poller),
+                epoll: Epoll::new()?,
                 parked: Mutex::new(HashMap::new()),
                 next_token: AtomicU64::new(0),
             },
@@ -461,12 +462,6 @@ impl Server {
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.addr
-    }
-
-    /// Whether parked connections ride an epoll loop (Linux) rather than
-    /// the portable scan fallback.
-    pub fn is_event_driven(&self) -> bool {
-        self.shared.parker.readiness.is_event_driven()
     }
 
     /// A handle for shutdown and stats, usable from other threads and
@@ -964,7 +959,7 @@ fn park(shared: &Shared, conn: Conn) {
         // token the poller cannot find. The token is fresh, so the
         // entry is always the one just inserted.
         let slot = parked.entry(token).or_insert(Parked { conn, since: Instant::now() });
-        if shared.parker.readiness.register(slot.conn.stream(), token).is_err() {
+        if shared.parker.epoll.register(slot.conn.stream(), token).is_err() {
             parked.remove(&token);
             shared.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             return;
@@ -975,7 +970,7 @@ fn park(shared: &Shared, conn: Conn) {
     // socket closes now instead of leaking past the drain.
     if shared.shutdown.load(Ordering::SeqCst) {
         if let Some(p) = lock_unpoisoned(&shared.parker.parked).remove(&token) {
-            shared.parker.readiness.deregister(p.conn.stream());
+            shared.parker.epoll.deregister(p.conn.stream());
         }
     }
 }
@@ -988,15 +983,9 @@ fn poller_loop(shared: &Arc<Shared>, config: &ServeConfig) {
     let tick = (config.idle_timeout / 4)
         .clamp(Duration::from_millis(5), Duration::from_millis(250));
     loop {
-        let has_parked = !lock_unpoisoned(&shared.parker.parked).is_empty();
-        let ready = shared.parker.readiness.wait(tick, has_parked, || {
-            let parked = lock_unpoisoned(&shared.parker.parked);
-            parked
-                .iter()
-                .filter(|(_, p)| socket_ready(p.conn.stream()))
-                .map(|(token, _)| *token)
-                .collect()
-        });
+        // A failed wait is an empty batch: every wakeup is advisory, and
+        // the sweeps below re-check shared state anyway.
+        let ready = shared.parker.epoll.wait(tick).unwrap_or_default();
         if shared.shutdown.load(Ordering::SeqCst) {
             // Parked connections have no request in flight: close them.
             let swept: Vec<Parked> = {
@@ -1004,7 +993,7 @@ fn poller_loop(shared: &Arc<Shared>, config: &ServeConfig) {
                 parked.drain().map(|(_, p)| p).collect()
             };
             for p in &swept {
-                shared.parker.readiness.deregister(p.conn.stream());
+                shared.parker.epoll.deregister(p.conn.stream());
             }
             return;
         }
@@ -1013,7 +1002,7 @@ fn poller_loop(shared: &Arc<Shared>, config: &ServeConfig) {
             else {
                 continue;
             };
-            shared.parker.readiness.deregister(p.conn.stream());
+            shared.parker.epoll.deregister(p.conn.stream());
             // A parked connection whose readability is just the peer's
             // FIN is a corpse: close it here instead of letting a mass
             // disconnect flood the admission queue and crowd out live
@@ -1039,7 +1028,7 @@ fn poller_loop(shared: &Arc<Shared>, config: &ServeConfig) {
             expired.into_iter().filter_map(|token| parked.remove(&token)).collect()
         };
         for p in &evicted {
-            shared.parker.readiness.deregister(p.conn.stream());
+            shared.parker.epoll.deregister(p.conn.stream());
             shared.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
         }
     }

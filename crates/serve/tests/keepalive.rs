@@ -40,8 +40,9 @@ fn echo_handler(gate: &Gate) -> impl Fn(&Request) -> Response + Sync + '_ {
 
 /// One socket, many sequential requests: every answer byte-identical to
 /// a fresh-connection answer, and the counters prove the reuse.
-fn sequential_reuse_roundtrip(poller: PollerKind) {
-    let config = ServeConfig { workers: 2, queue_depth: 8, poller, ..Default::default() };
+#[test]
+fn sequential_requests_reuse_one_connection() {
+    let config = ServeConfig { workers: 2, queue_depth: 8, ..Default::default() };
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let (addr, handle) = (server.local_addr(), server.handle());
     let gate = Gate::default();
@@ -76,17 +77,6 @@ fn sequential_reuse_roundtrip(poller: PollerKind) {
         }
         handle.shutdown();
     });
-}
-
-#[test]
-fn sequential_requests_reuse_one_connection() {
-    sequential_reuse_roundtrip(PollerKind::Auto);
-}
-
-#[test]
-fn sequential_requests_reuse_one_connection_scan_poller() {
-    // The portable fallback must behave identically to epoll.
-    sequential_reuse_roundtrip(PollerKind::Scan);
 }
 
 #[test]

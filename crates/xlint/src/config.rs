@@ -55,6 +55,10 @@ pub struct Config {
     /// Identifiers treated as wire-parsed size fields by L9
     /// (`content_length`, `k`, `offset`, …).
     pub wire_fields: Vec<String>,
+    /// Path prefixes outside the workspace read as callers only by the
+    /// unreferenced-pub lint (L10): their non-test code keeps a workspace
+    /// item alive, but they are never linted themselves.
+    pub pub_callers: Vec<String>,
 }
 
 impl Config {
@@ -113,6 +117,7 @@ impl Config {
             ("detached-thread", "allow") => &mut self.detached_allow,
             ("wire-alloc", "paths") => &mut self.wire_paths,
             ("wire-alloc", "fields") => &mut self.wire_fields,
+            ("unreferenced-pub", "callers") => &mut self.pub_callers,
             _ => return Err(format!("unknown key `{key}` in section `[{section}]`")),
         };
         *slot = values;
@@ -230,6 +235,8 @@ mod tests {
             [wire-alloc]
             paths = ["crates/serve"]
             fields = ["content_length", "k"]
+            [unreferenced-pub]
+            callers = ["benchmark/src"]
             "#,
         )
         .unwrap();
@@ -248,6 +255,7 @@ mod tests {
         assert_eq!(cfg.detached_allow, ["shed"]);
         assert_eq!(cfg.wire_paths, ["crates/serve"]);
         assert_eq!(cfg.wire_fields, ["content_length", "k"]);
+        assert_eq!(cfg.pub_callers, ["benchmark/src"]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use config::Config;
-pub use lints::{analyze_source, Diagnostic, LintInfo, Severity, CATALOG};
+pub use lints::{analyze_source, analyze_workspace, Diagnostic, LintInfo, Severity, Source, CATALOG};
 
 /// One Rust source file scheduled for analysis.
 #[derive(Debug)]
@@ -60,7 +60,7 @@ pub fn find_workspace_root(start: &Path) -> Result<PathBuf, String> {
 /// Enumerate every `.rs` file of every workspace member (plus the root
 /// package's `src/`, `tests/` and `examples/`), honoring the config's
 /// exclude prefixes. Paths come back sorted for deterministic output.
-pub fn collect_sources(root: &Path, cfg: &Config) -> Result<Vec<SourceFile>, String> {
+fn collect_sources(root: &Path, cfg: &Config) -> Result<Vec<SourceFile>, String> {
     let manifest = fs::read_to_string(root.join("Cargo.toml"))
         .map_err(|e| format!("read Cargo.toml: {e}"))?;
     let members = parse_members(&manifest);
@@ -87,19 +87,41 @@ pub fn collect_sources(root: &Path, cfg: &Config) -> Result<Vec<SourceFile>, Str
     Ok(out)
 }
 
-/// Analyze every collected source file against the workspace policy.
+/// Analyze every collected source file against the workspace policy,
+/// reading the `[unreferenced-pub] callers` prefixes as callers only.
 pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let cfg_text = fs::read_to_string(root.join("xlint.toml"))
         .map_err(|e| format!("read xlint.toml: {e}"))?;
     let cfg = Config::from_toml(&cfg_text)?;
-    let mut diags = Vec::new();
-    for file in collect_sources(root, &cfg)? {
-        let src = fs::read_to_string(&file.abs_path)
-            .map_err(|e| format!("read {}: {e}", file.rel_path))?;
-        diags.extend(analyze_source(&file.rel_path, &file.crate_name, &src, &cfg));
+    let files = collect_sources(root, &cfg)?;
+    let mut callers = Vec::new();
+    for prefix in &cfg.pub_callers {
+        collect_rs(root, &root.join(prefix), "", &cfg, &mut callers)?;
     }
+    let file_texts = read_all(&files)?;
+    let caller_texts = read_all(&callers)?;
+    let mut diags = analyze_workspace(
+        &as_sources(&files, &file_texts),
+        &as_sources(&callers, &caller_texts),
+        &cfg,
+    );
     diags.sort_by(|a, b| (a.path.clone(), a.line, a.code).cmp(&(b.path.clone(), b.line, b.code)));
     Ok(diags)
+}
+
+fn read_all(files: &[SourceFile]) -> Result<Vec<String>, String> {
+    files
+        .iter()
+        .map(|f| fs::read_to_string(&f.abs_path).map_err(|e| format!("read {}: {e}", f.rel_path)))
+        .collect()
+}
+
+fn as_sources<'a>(files: &'a [SourceFile], texts: &'a [String]) -> Vec<Source<'a>> {
+    files
+        .iter()
+        .zip(texts)
+        .map(|(f, text)| Source { path: &f.rel_path, crate_name: &f.crate_name, text })
+        .collect()
 }
 
 /// Pull the `members = [...]` array out of the workspace manifest.

@@ -1,6 +1,6 @@
-//! The lint registry: nine domain-specific analyses over the token
+//! The lint registry: ten domain-specific analyses over the token
 //! stream (plus two waiver meta-lints), each motivated by a real hazard
-//! in the serving tier.
+//! in the serving tier or a real cost in the tree.
 //!
 //! | id | name | hazard |
 //! |----|------|--------|
@@ -13,6 +13,7 @@
 //! | L7 | `swallowed-result` | `let _ =` / trailing `.ok()` dropping a `Result` → lost failure |
 //! | L8 | `detached-thread` | a `JoinHandle` dropped on the spot → thread outlives shutdown |
 //! | L9 | `wire-sized-allocation` | allocation sized by a wire field, unclamped → hostile sizing |
+//! | L10 | `unreferenced-pub` | a `pub` item only its own file or tests name → dead surface |
 //! | X0 | `bad-waiver` | a waiver without a justification |
 //! | X1 | `stale-waiver` | a justified waiver that no longer suppresses anything |
 //!
@@ -31,8 +32,11 @@
 //!
 //! L1 and L6 share the [`GuardScan`] guard-liveness pass and all lints
 //! share the [`ItemTree`] function index; both live in [`crate::syntax`].
+//! L1–L9 judge one file at a time ([`analyze_source`]); L10 needs every
+//! file's references, so a workspace run goes through
+//! [`analyze_workspace`].
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use crate::config::Config;
 use crate::lexer::{lex, Token, TokenKind};
@@ -50,7 +54,7 @@ pub enum Severity {
 
 /// One entry of the lint catalog (`xlint --list`).
 pub struct LintInfo {
-    /// Short lint id (`L1`…`L9`, `X0`/`X1`).
+    /// Short lint id (`L1`…`L10`, `X0`/`X1`).
     pub code: &'static str,
     /// Lint name as used in waivers and `xlint.toml` sections.
     pub name: &'static str,
@@ -126,6 +130,13 @@ pub const CATALOG: &[LintInfo] = &[
                   statement-local min/clamp bound",
     },
     LintInfo {
+        code: "L10",
+        name: "unreferenced-pub",
+        severity: Severity::Warning,
+        summary: "a pub fn, mod, const or static that no non-test code outside \
+                  its own file names",
+    },
+    LintInfo {
         code: "X0",
         name: "bad-waiver",
         severity: Severity::Error,
@@ -144,7 +155,7 @@ pub const CATALOG: &[LintInfo] = &[
 /// One finding, pointing at a workspace-relative file and 1-based line.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Short lint id (`L1`…`L9`, `X0`/`X1` for waiver problems).
+    /// Short lint id (`L1`…`L10`, `X0`/`X1` for waiver problems).
     pub code: &'static str,
     /// Lint name as used in waivers (`lock-order`, …).
     pub lint: &'static str,
@@ -328,26 +339,64 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Run every applicable lint on one file and apply waivers. `path` is
-/// workspace-relative with forward slashes.
+/// Run every per-file lint (L1–L9) on one file and apply waivers.
+/// `path` is workspace-relative with forward slashes.
+// xlint: allow(L10, "crates/xlint/tests/xlint.rs runs each fixture through it")
 pub fn analyze_source(
     path: &str,
     crate_name: &str,
     src: &str,
     cfg: &Config,
 ) -> Vec<Diagnostic> {
-    let ctx = FileCtx::new(path, crate_name, src);
-    let mut raw = Vec::new();
-    lock_order(&ctx, cfg, &mut raw);
-    condvar_wait(&ctx, cfg, &mut raw);
-    panic_path(&ctx, cfg, &mut raw);
-    unsafe_hygiene(&ctx, cfg, &mut raw);
-    cast_truncation(&ctx, cfg, &mut raw);
-    blocking_under_lock(&ctx, cfg, &mut raw);
-    swallowed_result(&ctx, cfg, &mut raw);
-    detached_thread(&ctx, cfg, &mut raw);
-    wire_sized_alloc(&ctx, cfg, &mut raw);
-    let mut out = apply_waivers(&ctx, raw);
+    analyze_file(&FileCtx::new(path, crate_name, src), cfg, Vec::new())
+}
+
+/// One source file handed to [`analyze_workspace`].
+pub struct Source<'a> {
+    /// Workspace-relative path with forward slashes.
+    pub path: &'a str,
+    /// Package name of the owning crate (empty for a caller).
+    pub crate_name: &'a str,
+    /// The file's text.
+    pub text: &'a str,
+}
+
+/// Run every lint over a whole tree: L1–L9 on each of `files`, and L10,
+/// whose verdict on an item reads every other file. `callers` are read
+/// only for the names their non-test code mentions (code outside the
+/// workspace that calls into it); they are never linted.
+pub fn analyze_workspace(
+    files: &[Source<'_>],
+    callers: &[Source<'_>],
+    cfg: &Config,
+) -> Vec<Diagnostic> {
+    let ctxs: Vec<FileCtx> =
+        files.iter().map(|f| FileCtx::new(f.path, f.crate_name, f.text)).collect();
+    let caller_ctxs: Vec<FileCtx> =
+        callers.iter().map(|f| FileCtx::new(f.path, f.crate_name, f.text)).collect();
+    let names = NamedBy::build(ctxs.iter().chain(&caller_ctxs));
+    let mut out = Vec::new();
+    for (file, ctx) in ctxs.iter().enumerate() {
+        let mut raw = Vec::new();
+        unreferenced_pub(ctx, file, &names, &mut raw);
+        out.extend(analyze_file(ctx, cfg, raw));
+    }
+    out
+}
+
+/// The per-file lints over `ctx`, then waivers over their findings and
+/// `raw` (findings of the workspace-level lints in this file).
+fn analyze_file(ctx: &FileCtx, cfg: &Config, mut raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    lock_order(ctx, cfg, &mut raw);
+    condvar_wait(ctx, cfg, &mut raw);
+    panic_path(ctx, cfg, &mut raw);
+    unsafe_hygiene(ctx, cfg, &mut raw);
+    cast_truncation(ctx, cfg, &mut raw);
+    blocking_under_lock(ctx, cfg, &mut raw);
+    swallowed_result(ctx, cfg, &mut raw);
+    detached_thread(ctx, cfg, &mut raw);
+    wire_sized_alloc(ctx, cfg, &mut raw);
+    let mut out = apply_waivers(ctx, raw);
     out.sort_by(|a, b| (a.line, a.code).cmp(&(b.line, b.code)));
     out
 }
@@ -1203,6 +1252,154 @@ fn wire_sized_alloc(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Diagnostic>) {
             }
             check_span(ci + 3, k - 1, t.line);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// L10 unreferenced-pub
+// ---------------------------------------------------------------------------
+
+/// Whether a whole file is test code: an integration test, a bench, or a
+/// helper module under either.
+fn is_test_file(path: &str) -> bool {
+    path.split('/').any(|part| part == "tests" || part == "benches")
+}
+
+/// Which files' non-test code names each identifier: the reference side
+/// of L10. Only the first file and whether a second one exists are kept,
+/// which is all "named outside its own file" needs.
+struct NamedBy<'a> {
+    names: HashMap<&'a str, (usize, bool)>,
+}
+
+impl<'a> NamedBy<'a> {
+    /// Index the identifiers of every non-test token in `files`, in
+    /// order; a file's position is its id. Re-exports (`pub use …;`) are
+    /// skipped: a re-export calls nothing, and counting it would keep
+    /// alive every item a crate root re-exports.
+    fn build(files: impl Iterator<Item = &'a FileCtx<'a>>) -> NamedBy<'a> {
+        let mut names: HashMap<&'a str, (usize, bool)> = HashMap::new();
+        for (file, ctx) in files.enumerate() {
+            if is_test_file(ctx.path) {
+                continue;
+            }
+            let mut in_reexport = false;
+            for (ci, &i) in ctx.code.iter().enumerate() {
+                let t = &ctx.tokens[i];
+                if in_reexport {
+                    in_reexport = !t.is_punct(';');
+                    continue;
+                }
+                if t.kind != TokenKind::Ident || ctx.in_tests(i) {
+                    continue;
+                }
+                let visibility = t.text == "pub";
+                if visibility && ctx.next_after_visibility(ci).is_some_and(|t| t.is_ident("use")) {
+                    in_reexport = true;
+                    continue;
+                }
+                names
+                    .entry(t.text.as_str())
+                    .and_modify(|(first, elsewhere)| *elsewhere |= *first != file)
+                    .or_insert((file, false));
+            }
+        }
+        NamedBy { names }
+    }
+
+    /// Whether non-test code in a file other than `file` names `name`.
+    fn outside(&self, name: &str, file: usize) -> bool {
+        self.names.get(name).is_some_and(|&(first, elsewhere)| elsewhere || first != file)
+    }
+}
+
+impl FileCtx<'_> {
+    /// The code token after the visibility starting at code-index `ci`
+    /// (`pub` or `pub(…)`).
+    fn next_after_visibility(&self, ci: usize) -> Option<&Token> {
+        let mut k = ci + 1;
+        if self.code_tok(k)?.is_punct('(') {
+            while !self.code_tok(k)?.is_punct(')') {
+                k += 1;
+            }
+            k += 1;
+        }
+        self.code_tok(k)
+    }
+
+    fn code_tok(&self, ci: usize) -> Option<&Token> {
+        self.code.get(ci).map(|&i| &self.tokens[i])
+    }
+}
+
+/// L10: a `pub fn`, `pub mod`, `pub const` or `pub static` outside test
+/// code whose name no non-test code in any other file mentions — in the
+/// workspace, its bins and examples, or the `[unreferenced-pub] callers`
+/// outside it. Such an item is either dead (only tests reach it) or
+/// needlessly public (only its own file does). Delete it or drop `pub`;
+/// an item that integration tests elsewhere share is waived with the
+/// files that need it.
+///
+/// Matching is by identifier token, so a name collision keeps an item and
+/// never flags one. Restricted visibility (`pub(crate)`) is left to
+/// rustc's dead-code lint, and types are out of scope: a public signature
+/// can force a type to be `pub`. Trait-impl methods carry no `pub` and so
+/// are never candidates.
+fn unreferenced_pub(ctx: &FileCtx, file: usize, names: &NamedBy, out: &mut Vec<Diagnostic>) {
+    if is_test_file(ctx.path) {
+        return;
+    }
+    for (ci, &i) in ctx.code.iter().enumerate() {
+        if !ctx.tokens[i].is_ident("pub") || ctx.in_tests(i) {
+            continue;
+        }
+        if ctx.code_tok(ci + 1).is_some_and(|t| t.is_punct('(')) {
+            continue;
+        }
+        // Qualifiers between `pub` and the item keyword: `const fn`,
+        // `unsafe fn`, `async fn`, `extern "C" fn`.
+        let mut k = ci + 1;
+        while let Some(t) = ctx.code_tok(k) {
+            let qualifier = t.is_ident("unsafe")
+                || t.is_ident("async")
+                || t.is_ident("extern")
+                || t.kind == TokenKind::Literal
+                || (t.is_ident("const")
+                    && ctx.code_tok(k + 1).is_some_and(|n| {
+                        ["fn", "unsafe", "async", "extern"].iter().any(|q| n.is_ident(q))
+                    }));
+            if !qualifier {
+                break;
+            }
+            k += 1;
+        }
+        let Some(kind) = ctx
+            .code_tok(k)
+            .and_then(|t| ["fn", "mod", "const", "static"].into_iter().find(|kw| t.is_ident(kw)))
+        else {
+            continue;
+        };
+        if kind == "static" && ctx.code_tok(k + 1).is_some_and(|t| t.is_ident("mut")) {
+            k += 1;
+        }
+        let Some(name) = ctx.code_tok(k + 1).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        if name.text == "_" || names.outside(&name.text, file) {
+            continue;
+        }
+        out.push(Diagnostic {
+            code: "L10",
+            lint: "unreferenced-pub",
+            severity: Severity::Warning,
+            path: ctx.path.to_string(),
+            line: name.line,
+            message: format!(
+                "`pub {kind} {}` is named by no non-test code outside this file — \
+                 delete it, drop `pub`, or waive with the files that need it",
+                name.text
+            ),
+        });
     }
 }
 

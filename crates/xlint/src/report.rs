@@ -5,6 +5,7 @@ use crate::lints::{Diagnostic, Severity, CATALOG};
 
 /// Version of the `--json` object shape. Consumers match on it; bump it
 /// whenever a field is added, removed, renamed, or retyped.
+// xlint: allow(L10, "crates/xlint/tests/xlint.rs pins the schema against it")
 pub const JSON_SCHEMA_VERSION: u32 = 1;
 
 fn severity_str(s: Severity) -> &'static str {

@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use extract_xlint::report::{render_json, render_list, JSON_SCHEMA_VERSION};
-use extract_xlint::{analyze_source, Config, Diagnostic, Severity, CATALOG};
+use extract_xlint::{analyze_source, analyze_workspace, Config, Diagnostic, Severity, Source, CATALOG};
 
 /// The policy used for the fixture corpus (mirrors the real xlint.toml
 /// shape, but scoped to the fixture files).
@@ -46,6 +46,7 @@ fn cfg() -> Config {
         detached_allow: vec!["reaper".into()],
         wire_paths: vec!["tests/fixtures".into()],
         wire_fields: vec!["content_length".into(), "k".into(), "offset".into()],
+        pub_callers: vec![],
     }
 }
 
@@ -191,6 +192,41 @@ fn l9_fires_on_unclamped_wire_sized_allocations_only() {
     assert!(diags[0].message.contains("`content_length`"));
     assert!(diags[2].message.contains("`k`"));
     assert!(diags.iter().all(|d| d.severity == Severity::Warning));
+}
+
+/// The L10 fixture pair as a two-file tree, beside an integration test
+/// that names items (which keeps none alive) and the given callers from
+/// outside the tree.
+fn l10_findings(callers: &[Source<'_>]) -> Vec<Diagnostic> {
+    let source = |path, text| Source { path, crate_name: "fixture", text };
+    let files = [
+        source("src/l10_unreferenced.rs", include_str!("fixtures/l10_unreferenced.rs")),
+        source("src/l10_clean.rs", include_str!("fixtures/l10_clean.rs")),
+        source("tests/it.rs", "#[test]\nfn t() { only_tests_call(); reexported(); }\n"),
+    ];
+    analyze_workspace(&files, callers, &cfg())
+}
+
+#[test]
+fn l10_fires_on_pub_items_nothing_outside_their_file_names() {
+    let caller = Source { path: "benchmark/src/main.rs", crate_name: "", text: "fn main() { named_by_a_caller(); }\n" };
+    let diags = l10_findings(&[caller]);
+    assert_eq!(
+        codes(&diags),
+        [("L10", 5), ("L10", 7), ("L10", 9), ("L10", 11), ("L10", 17), ("L10", 30)],
+        "{diags:#?}"
+    );
+    assert!(diags.iter().all(|d| d.path == "src/l10_unreferenced.rs"), "the clean twin passes");
+    assert!(diags[0].message.contains("`pub mod orphaned`"), "{}", diags[0].message);
+    assert!(diags[3].message.contains("`pub fn only_tests_call`"), "{}", diags[3].message);
+    assert_eq!(diags[0].severity, Severity::Warning);
+}
+
+#[test]
+fn l10_reads_callers_outside_the_tree() {
+    let diags = l10_findings(&[]);
+    let flagged: Vec<u32> = diags.iter().map(|d| d.line).collect();
+    assert!(flagged.contains(&23), "without its caller `named_by_a_caller` is flagged: {diags:#?}");
 }
 
 #[test]

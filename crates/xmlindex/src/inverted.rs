@@ -141,11 +141,6 @@ impl InvertedIndex {
         self.tokens.get(token).map(|s| TokenId(id32(s.index())))
     }
 
-    /// The token string of an id from this index.
-    pub fn token_str(&self, id: TokenId) -> Option<&str> {
-        self.tokens.try_resolve(extract_xml::Symbol::from_index(id.index()))
-    }
-
     /// The posting list for `token` (empty slice if absent). `token` must
     /// already be normalized (see [`crate::tokenize`]).
     pub fn postings(&self, token: &str) -> &[NodeId] {
@@ -163,11 +158,6 @@ impl InvertedIndex {
             return &[];
         }
         &self.arena[self.starts[t] as usize..self.starts[t + 1] as usize]
-    }
-
-    /// Number of elements matching `token`.
-    pub fn frequency(&self, token: &str) -> usize {
-        self.postings(token).len()
     }
 
     /// Number of distinct tokens.
@@ -237,9 +227,9 @@ mod tests {
         let d = doc();
         let idx = InvertedIndex::build(&d);
         // Label matches: one retailer, two stores, three names, two cities.
-        assert_eq!(idx.frequency("retailer"), 1);
-        assert_eq!(idx.frequency("store"), 2);
-        assert_eq!(idx.frequency("name"), 3);
+        assert_eq!(idx.postings("retailer").len(), 1);
+        assert_eq!(idx.postings("store").len(), 2);
+        assert_eq!(idx.postings("name").len(), 3);
         // Text matches point at the containing element.
         let houston = idx.postings("houston");
         assert_eq!(houston.len(), 2);
@@ -261,17 +251,17 @@ mod tests {
     fn multiword_text_tokenizes() {
         let d = doc();
         let idx = InvertedIndex::build(&d);
-        assert_eq!(idx.frequency("brook"), 1);
-        assert_eq!(idx.frequency("brothers"), 1);
-        assert_eq!(idx.frequency("west"), 1);
-        assert_eq!(idx.frequency("village"), 1);
+        assert_eq!(idx.postings("brook").len(), 1);
+        assert_eq!(idx.postings("brothers").len(), 1);
+        assert_eq!(idx.postings("west").len(), 1);
+        assert_eq!(idx.postings("village").len(), 1);
     }
 
     #[test]
     fn unknown_tokens_are_empty() {
         let idx = InvertedIndex::build(&doc());
         assert!(idx.postings("dallas").is_empty());
-        assert_eq!(idx.frequency("dallas"), 0);
+        assert_eq!(idx.postings("dallas").len(), 0);
         assert!(idx.token_id("dallas").is_none());
     }
 
@@ -279,19 +269,19 @@ mod tests {
     fn token_id_round_trips() {
         let idx = InvertedIndex::build(&doc());
         let id = idx.token_id("houston").expect("indexed token");
-        assert_eq!(idx.token_str(id), Some("houston"));
+        assert_eq!(idx.tokens().find(|&(t, _)| t == id), Some((id, "houston")));
         assert_eq!(idx.postings_by_id(id), idx.postings("houston"));
         // Foreign / out-of-range ids resolve to nothing.
         let foreign = TokenId::from_index(usize::from(u16::MAX));
         assert!(idx.postings_by_id(foreign).is_empty());
-        assert!(idx.token_str(foreign).is_none());
+        assert!(idx.tokens().all(|(t, _)| t != foreign));
     }
 
     #[test]
     fn element_with_same_token_in_label_and_text_posts_once() {
         let d = Document::parse_str("<city>city</city>").unwrap();
         let idx = InvertedIndex::build(&d);
-        assert_eq!(idx.frequency("city"), 1);
+        assert_eq!(idx.postings("city").len(), 1);
     }
 
     #[test]
@@ -325,7 +315,7 @@ mod tests {
         assert_eq!(idx.vocabulary_size(), n + 1, "n text tokens + the label");
         assert_eq!(idx.total_postings(), n + 1, "each posted once despite repeats");
         for i in [0usize, 1, n / 2, n - 1] {
-            assert_eq!(idx.frequency(&format!("tok{i}")), 1);
+            assert_eq!(idx.postings(&format!("tok{i}")).len(), 1);
         }
     }
 

@@ -199,6 +199,7 @@ impl ShardedPostings {
     /// [`crate::tokenize`]): the documents containing it, ascending, each
     /// with the token's id in its segment; empty for a token no live
     /// document has.
+    // xlint: allow(L10, "the tests of crates/corpus/src/live.rs and crates/corpus/tests/proptests.rs read the directory through it")
     pub fn entries_for(&self, token: &str) -> &[DocToken] {
         self.directory.get(token).map_or(&[], |list| list.as_slice())
     }

@@ -129,7 +129,7 @@ proptest! {
             prop_assert_eq!(index.postings(token), expected.as_slice(), "token {}", token);
             let id = index.token_id(token).expect("token interned");
             prop_assert_eq!(index.postings_by_id(id), expected.as_slice());
-            prop_assert_eq!(index.token_str(id), Some(token.as_str()));
+            prop_assert_eq!(index.tokens().find(|&(t, _)| t == id), Some((id, token.as_str())));
         }
         // And iter() exposes exactly the reference's entries.
         for (token, list) in index.iter() {

@@ -21,6 +21,7 @@ use crate::mask::Mask;
 
 /// Brute-force ELCA (testing oracle): quadratic in the worst case. Any
 /// keyword count is supported (see [`crate::mask`]).
+// xlint: allow(L10, "the oracle of crates/xmlsearch/tests/workloads.rs and crates/xmlsearch/tests/proptests.rs")
 pub fn elca_bruteforce<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     if lists.is_empty() || lists.iter().any(|l| l.as_ref().is_empty()) {
         return Vec::new();

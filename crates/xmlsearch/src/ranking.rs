@@ -71,6 +71,7 @@ pub fn score(doc: &Document, result: &QueryResult) -> f64 {
 /// bit for bit, to [`score`] of [`QueryResult::build`] for the same root.
 /// No request calls this: it is the reference [`sweep_scores`] is tested
 /// against, one root at a time and in any order.
+// xlint: allow(L10, "the reference of crates/xmlsearch/tests/proptests.rs for sweep_scores")
 pub fn score_root<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L], root: NodeId) -> f64 {
     let end = doc.subtree_end(root);
     score_counts(
@@ -108,6 +109,7 @@ fn gallop(list: &[NodeId], from: usize, target: NodeId) -> usize {
 /// between the two is the root's match count. `cursors` is the caller's
 /// buffer for them. Each score is [`score_root`]'s, to the bit: the same
 /// counts through the same arithmetic, keywords in query order.
+// xlint: allow(L10, "crates/xmlsearch/tests/proptests.rs drives it root by root against score_root")
 pub fn sweep_scores<L: AsRef<[NodeId]>>(
     doc: &Document,
     lists: &[L],
@@ -152,6 +154,7 @@ pub fn scored_roots(
 /// The ranking order on scores: higher first. A total order (scores are
 /// finite and non-negative), so sorts and selections on it are
 /// deterministic once ties are broken by position.
+// xlint: allow(L10, "the window oracles in the tests of src/session.rs sort with it")
 pub fn by_score_desc(a: f64, b: f64) -> std::cmp::Ordering {
     b.total_cmp(&a)
 }

@@ -51,12 +51,8 @@ impl QueryResult {
         QueryResult { root, matches }
     }
 
-    /// Total number of match nodes (all keywords).
-    pub fn match_count(&self) -> usize {
-        self.matches.iter().map(Vec::len).sum()
-    }
-
     /// Whether every keyword has at least one match in this result.
+    // xlint: allow(L10, "crates/xmlsearch/tests/workloads.rs, crates/xmlsearch/tests/proptests.rs and the tests of xseek.rs check results with it")
     pub fn covers_all_keywords(&self) -> bool {
         !self.matches.is_empty() && self.matches.iter().all(|m| !m.is_empty())
     }
@@ -70,12 +66,6 @@ impl QueryResult {
     /// size measure).
     pub fn element_edges(&self, doc: &Document) -> usize {
         doc.element_edges(self.root)
-    }
-
-    /// Copy the full result subtree into a standalone document (used for
-    /// display; algorithms work in place).
-    pub fn materialize(&self, doc: &Document) -> Document {
-        doc.project(self.root, &doc.subtree_elements(self.root).collect::<Vec<_>>())
     }
 }
 
@@ -106,7 +96,6 @@ mod tests {
         assert_eq!(r.matches[1].len(), 1, "only store1's own texas");
         assert!(doc.is_ancestor_or_self(store1, r.matches[1][0]));
         assert!(r.covers_all_keywords());
-        assert_eq!(r.match_count(), 2);
     }
 
     #[test]
@@ -124,18 +113,6 @@ mod tests {
         let r = QueryResult::build(&doc, &index, &q, doc.root());
         assert!(!r.covers_all_keywords());
         assert!(r.matches[1].is_empty());
-    }
-
-    #[test]
-    fn materialize_copies_the_subtree() {
-        let (doc, index, query) = setup();
-        let store2 = d_store(&doc, 1);
-        let r = QueryResult::build(&doc, &index, &query, store2);
-        let m = r.materialize(&doc);
-        assert_eq!(m.label_str(m.root()), Some("store"));
-        assert_eq!(m.element_count(), 3); // store, name, state
-        assert!(m.to_xml_string().contains("ESprit"));
-        assert!(!m.to_xml_string().contains("Levis"));
     }
 
     #[test]

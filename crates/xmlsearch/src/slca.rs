@@ -69,7 +69,7 @@ pub enum SlcaStrategy {
 /// estimates. With a rare anchor (the common interactive case) Indexed
 /// Lookup wins; with comparable list sizes Scan Eager's linear pointers
 /// beat repeated binary searches.
-pub fn choose_strategy<L: AsRef<[NodeId]>>(lists: &[L]) -> SlcaStrategy {
+fn choose_strategy<L: AsRef<[NodeId]>>(lists: &[L]) -> SlcaStrategy {
     let k = lists.len();
     if k < 2 {
         return SlcaStrategy::ScanEager;
@@ -91,6 +91,7 @@ pub fn choose_strategy<L: AsRef<[NodeId]>>(lists: &[L]) -> SlcaStrategy {
 /// keyword count is supported (k ≤ 64 runs on inlined `u64` masks, wider
 /// queries on boxed masks — the old 64-list `assert!` made a degenerate
 /// many-keyword query a library panic).
+// xlint: allow(L10, "the oracle of crates/xmlsearch/tests/workloads.rs, crates/xmlsearch/tests/proptests.rs and the tests of elca.rs")
 pub fn slca_bruteforce<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L]) -> Vec<NodeId> {
     if lists.is_empty() || lists.iter().any(|l| l.as_ref().is_empty()) {
         return Vec::new();

@@ -29,7 +29,6 @@ pub struct DocBuilder {
     symbols: SymbolTable,
     arena: Arena,
     stack: Vec<NodeId>,
-    doctype: Option<(String, crate::dtd::Dtd)>,
 }
 
 impl DocBuilder {
@@ -38,18 +37,12 @@ impl DocBuilder {
         let mut symbols = SymbolTable::with_capacity(32);
         let mut arena = Arena::default();
         let root = arena.push_element(symbols.intern(root_label), None);
-        DocBuilder { symbols, arena, stack: vec![root], doctype: None }
+        DocBuilder { symbols, arena, stack: vec![root] }
     }
 
     /// Pre-allocate space for roughly `n` nodes.
     pub fn reserve(&mut self, n: usize) -> &mut Self {
         self.arena.reserve(n);
-        self
-    }
-
-    /// Attach a parsed DTD (used by generators that also emit a DOCTYPE).
-    pub fn with_dtd(&mut self, dtd: crate::dtd::Dtd, doctype_name: &str) -> &mut Self {
-        self.doctype = Some((doctype_name.to_string(), dtd));
         self
     }
 
@@ -101,27 +94,17 @@ impl DocBuilder {
         self
     }
 
-    /// The element currently being built (useful to remember IDs).
-    pub fn current_id(&self) -> NodeId {
-        self.current()
-    }
-
     /// Finish building.
     ///
     /// # Panics
-    /// Panics if `begin` calls are unbalanced; use [`try_build`](Self::try_build)
-    /// for a fallible variant.
+    /// Panics if `begin` calls are unbalanced.
     pub fn build(self) -> Document {
         self.try_build().expect("unbalanced begin()/end() in DocBuilder")
     }
 
     /// Finish building, returning `None` if `begin`/`end` are unbalanced.
-    pub fn try_build(self) -> Option<Document> {
-        if self.stack.len() != 1 {
-            return None;
-        }
-        let (doctype_name, dtd) = self.doctype.map_or((None, None), |(n, d)| (Some(n), Some(d)));
-        Some(self.arena.finish(self.symbols, doctype_name, dtd))
+    fn try_build(self) -> Option<Document> {
+        (self.stack.len() == 1).then(|| self.arena.finish(self.symbols, None, None))
     }
 }
 
@@ -162,12 +145,12 @@ mod tests {
     #[test]
     fn current_id_tracks_open_element() {
         let mut b = DocBuilder::new("a");
-        let root = b.current_id();
+        let root = b.current();
         b.begin("b");
-        let bid = b.current_id();
+        let bid = b.current();
         assert_ne!(root, bid);
         b.end();
-        assert_eq!(b.current_id(), root);
+        assert_eq!(b.current(), root);
     }
 
     #[test]

@@ -26,14 +26,13 @@
 //! is exactly the ID range `[n, subtree_end(n))`. Everything else is
 //! derived from that: the first child of `n` is `n + 1` when it lies inside
 //! the interval, the next sibling of a child `c` is `subtree_end(c)`, an
-//! ancestor test is two compares, and a node's rank among its siblings and
-//! its [`Dewey`] label are computed on demand. [`Document::debug_validate`]
-//! checks the invariants against pointer walks.
+//! ancestor test is two compares, and a node's rank among its siblings is
+//! computed on demand. [`Document::debug_validate`] checks the invariants
+//! against pointer walks.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::dewey::Dewey;
 use crate::id32;
 use crate::symbol::{Symbol, SymbolTable};
 
@@ -293,6 +292,7 @@ impl Document {
     /// DOCTYPE — true of a document and its
     /// [projections](Document::project), which hold the same allocation
     /// rather than copies of it.
+    // xlint: allow(L10, "tests/alloc_budget.rs and tests/document_digest.rs check projections share")
     pub fn shares_symbols_with(&self, other: &Document) -> bool {
         Arc::ptr_eq(&self.shared, &other.shared)
     }
@@ -439,6 +439,7 @@ impl Document {
     }
 
     /// Preorder iterator over the **element** nodes of the subtree at `id`.
+    // xlint: allow(L10, "tests/document_digest.rs, crates/{xmltree,analyzer,xmlsearch}/tests/proptests.rs and the tests of crates/datagen/src/retailer.rs walk elements with it")
     pub fn subtree_elements(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.subtree(id).filter(move |&n| self.is_element(n))
     }
@@ -469,29 +470,9 @@ impl Document {
         a <= b && b.0 < self.end(a)
     }
 
-    /// The Dewey order label of `id`: the ranks on its root path, computed
-    /// on demand (O(depth · siblings)).
-    pub fn dewey(&self, id: NodeId) -> Dewey {
-        let mut comps: Vec<u32> = self
-            .ancestors_or_self(id)
-            .filter(|&n| self.parent(n).is_some())
-            .map(|n| self.rank(n))
-            .collect();
-        comps.reverse();
-        Dewey::from_components(comps)
-    }
-
-    /// Resolve a Dewey label back to a node, if it addresses one.
-    pub fn node_by_dewey(&self, dewey: &Dewey) -> Option<NodeId> {
-        let mut cur = self.root();
-        for &rank in dewey.components() {
-            cur = self.children(cur).nth(rank as usize)?;
-        }
-        Some(cur)
-    }
-
     /// Lowest common ancestor of two nodes: the nearest ancestor-or-self
     /// of `a` whose interval contains `b`.
+    // xlint: allow(L10, "crates/xmltree/tests/proptests.rs holds it to an ancestor-set walk")
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
         self.ancestors_or_self(a).find(|&x| self.is_ancestor_or_self(x, b)).unwrap_or(self.root())
     }
@@ -505,6 +486,7 @@ impl Document {
     }
 
     /// First element with the given label in document order.
+    // xlint: allow(L10, "a test helper of crates/xmltree/tests/corpus.rs and of the tests of crates/analyzer/src/{classify,features,keys}.rs and crates/core/src/{baselines,snippet,selector/*}.rs")
     pub fn first_element_with_label(&self, label: &str) -> Option<NodeId> {
         let sym = self.shared.symbols.get(label)?;
         self.label.iter().position(|&l| l == sym.0).map(NodeId::from_index)
@@ -599,6 +581,7 @@ impl Document {
     /// id 0, parents before their children, preorder contiguity and
     /// subtree intervals, text ranges inside the buffer. Used by tests and
     /// debug builds.
+    // xlint: allow(L10, "crates/xmltree/tests/{corpus,proptests}.rs, tests/document_digest.rs and the tests of crates/datagen/src/*.rs and crates/bench/src/lib.rs validate with it")
     pub fn debug_validate(&self) -> Result<(), String> {
         let n = self.label.len();
         if n == 0 {
@@ -757,43 +740,20 @@ mod tests {
     }
 
     #[test]
-    fn dewey_round_trip() {
-        let d = sample();
-        for n in d.all_nodes() {
-            let dw = d.dewey(n);
-            assert_eq!(d.node_by_dewey(&dw), Some(n), "dewey {dw} of {n}");
-        }
-    }
-
-    #[test]
-    fn dewey_of_root_is_empty() {
-        let d = sample();
-        assert!(d.dewey(d.root()).is_root());
-    }
-
-    #[test]
-    fn lca_matches_dewey_lca() {
+    fn lca_and_ancestor_tests_agree_with_parent_walks() {
         let d = sample();
         let nodes: Vec<NodeId> = d.all_nodes().collect();
         for &a in &nodes {
             for &b in &nodes {
-                let via_tree = d.lca(a, b);
-                let via_dewey = d.node_by_dewey(&d.dewey(a).lca(&d.dewey(b))).unwrap();
-                assert_eq!(via_tree, via_dewey);
-            }
-        }
-    }
-
-    #[test]
-    fn ancestor_tests_agree_with_dewey() {
-        let d = sample();
-        let nodes: Vec<NodeId> = d.all_nodes().collect();
-        for &a in &nodes {
-            for &b in &nodes {
-                assert_eq!(
-                    d.is_ancestor_or_self(a, b),
-                    d.dewey(a).is_ancestor_or_self_of(&d.dewey(b))
-                );
+                assert_eq!(d.is_ancestor_or_self(a, b), d.is_ancestor_or_self_by_walk(a, b));
+                let deepest_common = nodes
+                    .iter()
+                    .copied()
+                    .filter(|&x| {
+                        d.is_ancestor_or_self_by_walk(x, a) && d.is_ancestor_or_self_by_walk(x, b)
+                    })
+                    .max_by_key(|&x| d.depth(x));
+                assert_eq!(Some(d.lca(a, b)), deepest_common, "lca({a}, {b})");
             }
         }
     }

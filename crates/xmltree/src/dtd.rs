@@ -4,11 +4,12 @@
 //! node is considered as an entity if it corresponds to a `*`-node in the
 //! DTD" (§2.1). This module parses `<!ELEMENT ...>` declarations (content
 //! models with `?`/`*`/`+`, sequences, choices, mixed content, `EMPTY`,
-//! `ANY`) and `<!ATTLIST ...>` declarations, and answers the one question
-//! that matters downstream: *can child label `c` occur more than once under
-//! parent label `p`?* ([`Dtd::is_repeatable`]).
+//! `ANY`) and answers the one question that matters downstream: *can child
+//! label `c` occur more than once under parent label `p`?*
+//! ([`Dtd::is_repeatable`]). `<!ATTLIST ...>` declarations are checked for
+//! well-formedness and not kept: attributes play no part in that question.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::error::{Error, Position, Result};
 
@@ -16,11 +17,11 @@ use crate::error::{Error, Position, Result};
 /// handful of levels; the limit exists so a malformed internal subset
 /// (`((((…))))` with thousands of parens) surfaces as [`Error::Dtd`]
 /// instead of exhausting the parser's call stack.
-pub const MAX_PARTICLE_DEPTH: usize = 128;
+const MAX_PARTICLE_DEPTH: usize = 128;
 
 /// Occurrence indicator on a content particle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Occurrence {
+enum Occurrence {
     /// Exactly once (no indicator).
     One,
     /// `?` — zero or one.
@@ -33,14 +34,14 @@ pub enum Occurrence {
 
 impl Occurrence {
     /// Whether this indicator allows more than one occurrence.
-    pub fn repeats(self) -> bool {
+    fn repeats(self) -> bool {
         matches!(self, Occurrence::ZeroOrMore | Occurrence::OneOrMore)
     }
 }
 
 /// A node of a content-model expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParticleKind {
+enum ParticleKind {
     /// A child element name.
     Name(String),
     /// `(a, b, c)` — sequence.
@@ -51,16 +52,16 @@ pub enum ParticleKind {
 
 /// A content particle with its occurrence indicator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContentParticle {
+struct ContentParticle {
     /// The particle body.
-    pub kind: ParticleKind,
+    kind: ParticleKind,
     /// The trailing `?`/`*`/`+` (or none).
-    pub occurrence: Occurrence,
+    occurrence: Occurrence,
 }
 
 /// The content model of an element declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContentModel {
+enum ContentModel {
     /// `EMPTY`.
     Empty,
     /// `ANY`.
@@ -72,24 +73,10 @@ pub enum ContentModel {
     Children(ContentParticle),
 }
 
-/// One `<!ATTLIST>` attribute definition (type and default are kept as raw
-/// strings; only the names matter to the analyzer).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttDef {
-    /// Attribute name.
-    pub name: String,
-    /// Declared type (e.g. `CDATA`, `ID`, enumeration text).
-    pub att_type: String,
-    /// Default declaration (`#REQUIRED`, `#IMPLIED`, `#FIXED "v"`, or a
-    /// literal default).
-    pub default: String,
-}
-
 /// A parsed internal DTD subset.
 #[derive(Debug, Clone, Default)]
 pub struct Dtd {
     elements: HashMap<String, ContentModel>,
-    attlists: HashMap<String, Vec<AttDef>>,
 }
 
 impl Dtd {
@@ -97,26 +84,6 @@ impl Dtd {
     /// DOCTYPE declaration).
     pub fn parse(internal: &str) -> Result<Dtd> {
         DtdParser::new(internal).parse()
-    }
-
-    /// The content model declared for `element`, if any.
-    pub fn content_model(&self, element: &str) -> Option<&ContentModel> {
-        self.elements.get(element)
-    }
-
-    /// Attribute definitions declared for `element`.
-    pub fn attributes(&self, element: &str) -> &[AttDef] {
-        self.attlists.get(element).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Whether `element` has an `<!ELEMENT>` declaration.
-    pub fn declares(&self, element: &str) -> bool {
-        self.elements.contains_key(element)
-    }
-
-    /// All declared element names (unordered).
-    pub fn declared_elements(&self) -> impl Iterator<Item = &str> {
-        self.elements.keys().map(|s| s.as_str())
     }
 
     /// Can `child` occur more than once under `parent`?
@@ -136,33 +103,6 @@ impl Dtd {
                 count == Count::Many
             }
         })
-    }
-
-    /// The set of child labels that can repeat under `parent` — the
-    /// "`*`-nodes" of the paper.
-    pub fn repeatable_children(&self, parent: &str) -> HashSet<String> {
-        let mut out = HashSet::new();
-        let Some(model) = self.elements.get(parent) else {
-            return out;
-        };
-        match model {
-            ContentModel::Empty => {}
-            ContentModel::Any => {
-                // Anything declared can repeat under ANY.
-                out.extend(self.elements.keys().cloned());
-            }
-            ContentModel::Mixed(names) => out.extend(names.iter().cloned()),
-            ContentModel::Children(p) => {
-                let mut names = HashSet::new();
-                collect_names(p, &mut names);
-                for n in names {
-                    if self.is_repeatable(parent, &n) == Some(true) {
-                        out.insert(n);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -220,19 +160,6 @@ fn max_occurrences(p: &ContentParticle, target: &str, enclosing_repeats: bool, c
                 }
             }
             *count = best;
-        }
-    }
-}
-
-fn collect_names(p: &ContentParticle, out: &mut HashSet<String>) {
-    match &p.kind {
-        ParticleKind::Name(n) => {
-            out.insert(n.clone());
-        }
-        ParticleKind::Seq(parts) | ParticleKind::Choice(parts) => {
-            for part in parts {
-                collect_names(part, out);
-            }
         }
     }
 }
@@ -360,9 +287,8 @@ impl<'a> DtdParser<'a> {
             }
             if self.consume_str("<!ATTLIST") {
                 self.skip_ws();
-                let elem = self.read_name()?;
-                let defs = self.parse_attdefs()?;
-                dtd.attlists.entry(elem).or_default().extend(defs);
+                self.read_name()?;
+                self.parse_attdefs()?;
                 continue;
             }
             if self.consume_str("<!ENTITY") || self.consume_str("<!NOTATION") {
@@ -502,72 +428,52 @@ impl<'a> DtdParser<'a> {
         Ok(ContentParticle { kind, occurrence })
     }
 
-    fn parse_attdefs(&mut self) -> Result<Vec<AttDef>> {
-        let mut defs = Vec::new();
+    /// Check the attribute definitions of an `<!ATTLIST>` through its
+    /// closing `>`: each is a name, a type (a name, an enumeration, or
+    /// `NOTATION` and its enumeration) and a default declaration.
+    fn parse_attdefs(&mut self) -> Result<()> {
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.bump();
-                    return Ok(defs);
+                    return Ok(());
                 }
                 None => return Err(self.err("unterminated <!ATTLIST>")),
                 _ => {}
             }
-            let name = self.read_name()?;
+            self.read_name()?;
             self.skip_ws();
-            // Type: a name, or an enumeration `(a|b|c)`.
-            let att_type = if self.peek() == Some(b'(') {
-                let start = self.pos.offset;
+            if self.peek() == Some(b'(') {
                 self.skip_until(b')')?;
-                self.source[start..self.pos.offset].to_string()
-            } else {
-                let t = self.read_name()?;
-                if t == "NOTATION" {
-                    self.skip_ws();
-                    if self.peek() == Some(b'(') {
-                        self.skip_until(b')')?;
-                    }
-                }
-                t
-            };
-            self.skip_ws();
-            // Default declaration.
-            let default = if self.consume_str("#REQUIRED") {
-                "#REQUIRED".to_string()
-            } else if self.consume_str("#IMPLIED") {
-                "#IMPLIED".to_string()
-            } else if self.consume_str("#FIXED") {
+            } else if self.read_name()? == "NOTATION" {
                 self.skip_ws();
-                let lit = self.read_literal()?;
-                format!("#FIXED {lit}")
-            } else {
-                self.read_literal()?
-            };
-            defs.push(AttDef { name, att_type, default });
+                if self.peek() == Some(b'(') {
+                    self.skip_until(b')')?;
+                }
+            }
+            self.skip_ws();
+            if self.consume_str("#REQUIRED") || self.consume_str("#IMPLIED") {
+                continue;
+            }
+            if self.consume_str("#FIXED") {
+                self.skip_ws();
+            }
+            self.skip_literal()?;
         }
     }
 
-    fn read_literal(&mut self) -> Result<String> {
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => {
-                self.bump();
-                q
-            }
-            _ => return Err(self.err("expected a quoted default value")),
+    /// Skip a quoted default value.
+    fn skip_literal(&mut self) -> Result<()> {
+        let Some(quote @ (b'"' | b'\'')) = self.peek() else {
+            return Err(self.err("expected a quoted default value"));
         };
-        let start = self.pos.offset;
+        self.bump();
         loop {
-            match self.peek() {
+            match self.bump() {
                 None => return Err(self.err("unterminated default value")),
-                Some(b) if b == quote => {
-                    let lit = self.source[start..self.pos.offset].to_string();
-                    self.bump();
-                    return Ok(lit);
-                }
-                Some(_) => {
-                    self.bump();
-                }
+                Some(b) if b == quote => return Ok(()),
+                Some(_) => {}
             }
         }
     }
@@ -601,9 +507,9 @@ mod tests {
     #[test]
     fn parses_the_retailer_dtd() {
         let dtd = Dtd::parse(RETAILER_DTD).unwrap();
-        assert!(dtd.declares("retailer"));
-        assert!(dtd.declares("category"));
-        assert_eq!(dtd.declared_elements().count(), 11);
+        assert!(dtd.elements.contains_key("retailer"));
+        assert!(dtd.elements.contains_key("category"));
+        assert_eq!(dtd.elements.len(), 11);
     }
 
     #[test]
@@ -667,7 +573,7 @@ mod tests {
     fn pcdata_only_has_no_element_children() {
         let dtd = Dtd::parse("<!ELEMENT name (#PCDATA)>").unwrap();
         assert_eq!(dtd.is_repeatable("name", "x"), Some(false));
-        assert!(matches!(dtd.content_model("name"), Some(ContentModel::Mixed(v)) if v.is_empty()));
+        assert!(matches!(dtd.elements.get("name"), Some(ContentModel::Mixed(v)) if v.is_empty()));
     }
 
     #[test]
@@ -678,21 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn attlist_definitions_are_kept() {
+    fn an_element_declared_after_an_attlist_still_parses() {
         let dtd = Dtd::parse(
-            "<!ELEMENT store EMPTY>\n\
-             <!ATTLIST store id ID #REQUIRED\n\
+            "<!ATTLIST store id ID #REQUIRED\n\
                              city CDATA #IMPLIED\n\
-                             kind (outlet|flagship) \"outlet\">",
+                             kind (outlet|flagship) \"outlet\"\n\
+                             code CDATA #FIXED 'x'>\n\
+             <!ELEMENT store (item*)>",
         )
         .unwrap();
-        let atts = dtd.attributes("store");
-        assert_eq!(atts.len(), 3);
-        assert_eq!(atts[0].name, "id");
-        assert_eq!(atts[0].att_type, "ID");
-        assert_eq!(atts[0].default, "#REQUIRED");
-        assert_eq!(atts[2].default, "outlet");
-        assert!(atts[2].att_type.contains("outlet|flagship"));
+        assert_eq!(dtd.is_repeatable("store", "item"), Some(true));
     }
 
     #[test]
@@ -714,17 +615,6 @@ mod tests {
         let dtd = Dtd::parse("<!ATTLIST store sign CDATA 'a > b'><!ELEMENT store (x*)>")
             .unwrap();
         assert_eq!(dtd.is_repeatable("store", "x"), Some(true));
-    }
-
-    #[test]
-    fn repeatable_children_set() {
-        let dtd = Dtd::parse(RETAILER_DTD).unwrap();
-        let r = dtd.repeatable_children("retailer");
-        assert!(r.contains("store"));
-        assert!(!r.contains("name"));
-        let c = dtd.repeatable_children("clothes");
-        assert!(c.contains("category"));
-        assert!(!c.contains("fitting"));
     }
 
     #[test]

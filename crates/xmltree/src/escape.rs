@@ -2,43 +2,27 @@
 
 use std::fmt;
 
-use crate::error::{Error, Position, Result};
-
 /// Escape `s` for use as XML character data (text content).
 ///
 /// Escapes `&`, `<`, `>`; leaves quotes alone (they are only special inside
 /// attribute values).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s, false);
+    escape_text_into(&mut out, s);
     out
 }
 
 /// Append `s` to `out` escaped as character data, as [`escape_text`].
 pub(crate) fn escape_text_into(out: &mut String, s: &str) {
-    escape_into(out, s, false);
-}
-
-/// Escape `s` for use inside a double-quoted attribute value.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s, true);
-    out
-}
-
-fn escape_into(out: &mut String, s: &str, attr: bool) {
     let mut rest = s;
-    while let Some((i, b)) = rest
-        .bytes()
-        .enumerate()
-        .find(|&(_, b)| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"'))
+    while let Some((i, b)) =
+        rest.bytes().enumerate().find(|&(_, b)| matches!(b, b'&' | b'<' | b'>'))
     {
         out.push_str(rest.get(..i).unwrap_or_default());
         out.push_str(match b {
             b'&' => "&amp;",
             b'<' => "&lt;",
-            b'>' => "&gt;",
-            _ => "&quot;",
+            _ => "&gt;",
         });
         rest = rest.get(i + 1..).unwrap_or_default();
     }
@@ -46,14 +30,8 @@ fn escape_into(out: &mut String, s: &str, attr: bool) {
 }
 
 /// Resolve a single entity or character reference body (the text between
-/// `&` and `;`).
-///
-/// Supports the five XML predefined entities plus decimal (`#123`) and
+/// `&` and `;`): the five XML predefined entities plus decimal (`#123`) and
 /// hexadecimal (`#x1F`) character references.
-pub fn resolve_reference(body: &str, position: Position) -> Result<char> {
-    resolve(body).ok_or_else(|| Error::BadReference { reference: body.to_string(), position })
-}
-
 fn resolve(body: &str) -> Option<char> {
     match body {
         "amp" => return Some('&'),
@@ -90,13 +68,6 @@ pub fn unescape_into<W: fmt::Write>(raw: &str, out: &mut W) -> std::result::Resu
     out.write_str(rest).map_err(|_| String::new())
 }
 
-/// Unescape a string that may contain entity and character references.
-pub fn unescape(s: &str, position: Position) -> Result<String> {
-    let mut out = String::with_capacity(s.len());
-    unescape_into(s, &mut out).map_err(|reference| Error::BadReference { reference, position })?;
-    Ok(out)
-}
-
 /// A [`fmt::Write`] sink that keeps nothing: validation without output.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Discard;
@@ -119,49 +90,37 @@ mod tests {
         assert_eq!(escape_text(r#"say "hi""#), r#"say "hi""#);
     }
 
-    #[test]
-    fn escape_attr_also_escapes_quotes() {
-        assert_eq!(escape_attr(r#"a "b" & c"#), "a &quot;b&quot; &amp; c");
+    fn unescaped(s: &str) -> std::result::Result<String, String> {
+        let mut out = String::new();
+        unescape_into(s, &mut out).map(|()| out)
     }
 
     #[test]
     fn predefined_entities_resolve() {
-        let p = Position::start();
-        assert_eq!(resolve_reference("amp", p).unwrap(), '&');
-        assert_eq!(resolve_reference("lt", p).unwrap(), '<');
-        assert_eq!(resolve_reference("gt", p).unwrap(), '>');
-        assert_eq!(resolve_reference("quot", p).unwrap(), '"');
-        assert_eq!(resolve_reference("apos", p).unwrap(), '\'');
+        assert_eq!(unescaped("&amp;&lt;&gt;&quot;&apos;").unwrap(), "&<>\"'");
     }
 
     #[test]
     fn numeric_references_resolve() {
-        let p = Position::start();
-        assert_eq!(resolve_reference("#65", p).unwrap(), 'A');
-        assert_eq!(resolve_reference("#x41", p).unwrap(), 'A');
-        assert_eq!(resolve_reference("#x1F600", p).unwrap(), '😀');
+        assert_eq!(unescaped("&#65;&#x41;&#x1F600;").unwrap(), "AA😀");
     }
 
     #[test]
     fn bad_references_error() {
-        let p = Position::start();
-        assert!(resolve_reference("bogus", p).is_err());
-        assert!(resolve_reference("#xZZ", p).is_err());
+        assert!(unescaped("&bogus;").is_err());
+        assert!(unescaped("&#xZZ;").is_err());
         // Surrogate code point is not a char.
-        assert!(resolve_reference("#xD800", p).is_err());
+        assert!(unescaped("&#xD800;").is_err());
     }
 
     #[test]
     fn unescape_round_trips_escape() {
-        let p = Position::start();
         let original = r#"Brook & Brothers <"outwear">"#;
-        let escaped = escape_attr(original);
-        assert_eq!(unescape(&escaped, p).unwrap(), original);
+        assert_eq!(unescaped(&escape_text(original)).unwrap(), original);
     }
 
     #[test]
     fn unescape_detects_unterminated_reference() {
-        assert!(unescape("a &amp b", Position::start()).is_err());
         assert_eq!(unescape_into("x &amp b and more", &mut Discard), Err("amp b and mo".into()));
         assert_eq!(unescape_into("&bogus;", &mut Discard), Err("bogus".into()));
     }

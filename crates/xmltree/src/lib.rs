@@ -13,10 +13,6 @@
 //!   subtree-end / text-offset columns, text lives in one buffer and labels
 //!   are interned in a [`SymbolTable`]. A subtree is an ID interval, so
 //!   children, ancestor tests and LCAs are integer arithmetic.
-//! * [`Dewey`] — Dewey order labels (the path of child ranks from the root)
-//!   with document-order comparison, ancestor tests and longest-common-prefix
-//!   (LCA) computation, computed on demand by [`Document::dewey`] (tests and
-//!   oracles; the search algorithms run on intervals).
 //! * [`dtd`] — an internal-subset DTD parser. Its main product is the set of
 //!   `*`-nodes (elements that may repeat under a parent), which the paper's
 //!   Data Analyzer uses to classify nodes into entities / attributes /
@@ -24,9 +20,7 @@
 //! * [`schema`] — structural summary inference for documents without a DTD:
 //!   a DataGuide-style path summary recording, per label path, whether
 //!   siblings with that label ever repeat.
-//! * [`serialize`] — compact and pretty printers.
-//! * [`path`] — a tiny path-expression language (`/a/b`, `//label`, `*`)
-//!   used by tests, examples and the data generators.
+//! * `serialize` — compact and pretty printers, as [`Document`] methods.
 //! * [`builder`] — an ergonomic programmatic document builder.
 //!
 //! # Quick example
@@ -49,21 +43,17 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
-pub mod dewey;
 pub mod document;
 pub mod dtd;
 pub mod error;
 pub mod escape;
 pub mod parser;
-pub mod path;
 pub mod schema;
-pub mod serialize;
-pub mod stats;
+mod serialize;
 pub mod symbol;
 pub mod tokenizer;
 
 pub use builder::DocBuilder;
-pub use dewey::Dewey;
 pub use document::{ChildNodes, Document, NodeId, NodeKind};
 pub use dtd::Dtd;
 pub use error::{Error, Position, Result};

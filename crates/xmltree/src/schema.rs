@@ -66,7 +66,6 @@ pub struct Schema {
     paths: Vec<PathInfo>,
     /// (parent path, child label) → child path.
     lookup: HashMap<(Option<PathId>, Symbol), PathId>,
-    root_path: PathId,
 }
 
 impl Schema {
@@ -74,8 +73,7 @@ impl Schema {
     /// one was parsed, and every node's path by [`crate::NodeId::index`] (a
     /// text node is on its parent's path).
     pub fn infer(doc: &Document) -> (Schema, Vec<PathId>) {
-        let mut schema =
-            Schema { paths: Vec::new(), lookup: HashMap::new(), root_path: PathId(0) };
+        let mut schema = Schema { paths: Vec::new(), lookup: HashMap::new() };
         let mut node_paths = vec![PathId(0); doc.len()];
 
         // Pass 1: assign paths in preorder and collect counts.
@@ -84,7 +82,6 @@ impl Schema {
         // node has no label to summarize and gets a placeholder path.
         let root_label = doc.label(root).unwrap_or(Symbol::from_index(0));
         let root_path = schema.intern_path(None, root_label);
-        schema.root_path = root_path;
         node_paths[root.index()] = root_path;
         schema.paths[root_path.index()].instance_count = 1;
         schema.paths[root_path.index()].max_siblings = 1;
@@ -160,19 +157,9 @@ impl Schema {
         id
     }
 
-    /// The path of the document root.
-    pub fn root_path(&self) -> PathId {
-        self.root_path
-    }
-
     /// Summary data for a path.
     pub fn info(&self, path: PathId) -> &PathInfo {
         &self.paths[path.index()]
-    }
-
-    /// Whether `path` is a `*`-node (may repeat under its parent).
-    pub fn is_starred(&self, path: PathId) -> bool {
-        self.paths[path.index()].starred
     }
 
     /// Number of distinct label paths.
@@ -185,33 +172,6 @@ impl Schema {
         self.paths.iter().enumerate().map(|(i, p)| (PathId(crate::id32(i)), p))
     }
 
-    /// Render a path as `/a/b/c`.
-    pub fn path_string(&self, path: PathId, doc: &Document) -> String {
-        let mut labels = Vec::new();
-        let mut cur = Some(path);
-        while let Some(p) = cur {
-            let info = &self.paths[p.index()];
-            labels.push(doc.resolve(info.label));
-            cur = info.parent;
-        }
-        labels.reverse();
-        let mut out = String::new();
-        for l in labels {
-            out.push('/');
-            out.push_str(l);
-        }
-        out
-    }
-
-    /// Find a path by its `/a/b/c` string.
-    pub fn path_by_string(&self, s: &str, doc: &Document) -> Option<PathId> {
-        let mut cur: Option<PathId> = None;
-        for part in s.split('/').filter(|p| !p.is_empty()) {
-            let sym = doc.symbols().get(part)?;
-            cur = Some(*self.lookup.get(&(cur, sym))?);
-        }
-        cur
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +188,22 @@ mod tests {
         .unwrap()
     }
 
+    /// The label path of the first element labelled `label` (each label in
+    /// these documents is on one path).
+    fn path(d: &Document, paths: &[PathId], label: &str) -> PathId {
+        paths[d.first_element_with_label(label).unwrap().index()]
+    }
+
     #[test]
     fn repeated_siblings_are_starred_without_dtd() {
         let d = doc_no_dtd();
-        let (s, _) = Schema::infer(&d);
-        let store = s.path_by_string("/retailer/store", &d).unwrap();
-        assert!(s.is_starred(store));
-        let name = s.path_by_string("/retailer/name", &d).unwrap();
-        assert!(!s.is_starred(name));
-        let city = s.path_by_string("/retailer/store/city", &d).unwrap();
-        assert!(!s.is_starred(city), "one city per store in the data");
+        let (s, paths) = Schema::infer(&d);
+        let store = path(&d, &paths, "store");
+        assert!(s.info(store).starred);
+        let name = path(&d, &paths, "name");
+        assert!(!s.info(name).starred);
+        let city = path(&d, &paths, "city");
+        assert!(!s.info(city).starred, "one city per store in the data");
     }
 
     #[test]
@@ -253,21 +219,21 @@ mod tests {
              <retailer><name>BB</name><store><city>Houston</city></store></retailer>",
         )
         .unwrap();
-        let (s, _) = Schema::infer(&d);
-        let store = s.path_by_string("/retailer/store", &d).unwrap();
-        assert!(s.is_starred(store), "DTD star wins over single instance");
-        let city = s.path_by_string("/retailer/store/city", &d).unwrap();
-        assert!(!s.is_starred(city));
+        let (s, paths) = Schema::infer(&d);
+        let store = path(&d, &paths, "store");
+        assert!(s.info(store).starred, "DTD star wins over single instance");
+        let city = path(&d, &paths, "city");
+        assert!(!s.info(city).starred);
     }
 
     #[test]
     fn instance_counts_and_siblings() {
         let d = doc_no_dtd();
-        let (s, _) = Schema::infer(&d);
-        let store = s.path_by_string("/retailer/store", &d).unwrap();
+        let (s, paths) = Schema::infer(&d);
+        let store = path(&d, &paths, "store");
         assert_eq!(s.info(store).instance_count, 2);
         assert_eq!(s.info(store).max_siblings, 2);
-        let city = s.path_by_string("/retailer/store/city", &d).unwrap();
+        let city = path(&d, &paths, "city");
         assert_eq!(s.info(city).instance_count, 2);
         assert_eq!(s.info(city).max_siblings, 1);
     }
@@ -283,8 +249,9 @@ mod tests {
         let path_of = |n: NodeId| paths[n.index()];
         let names = d.elements_with_label("name");
         assert_ne!(path_of(names[0]), path_of(names[1]));
-        assert_eq!(s.path_string(path_of(names[0]), &d), "/retailer/name");
-        assert_eq!(s.path_string(path_of(names[1]), &d), "/retailer/store/name");
+        let store = d.first_element_with_label("store").unwrap();
+        assert_eq!(s.info(path_of(names[0])).parent, Some(path_of(d.root())));
+        assert_eq!(s.info(path_of(names[1])).parent, Some(path_of(store)));
     }
 
     #[test]
@@ -299,11 +266,11 @@ mod tests {
     #[test]
     fn has_text_and_element_child_flags() {
         let d = doc_no_dtd();
-        let (s, _) = Schema::infer(&d);
-        let retailer = s.root_path();
+        let (s, paths) = Schema::infer(&d);
+        let retailer = paths[d.root().index()];
         assert!(s.info(retailer).has_element_child);
         assert!(!s.info(retailer).has_text_child);
-        let name = s.path_by_string("/retailer/name", &d).unwrap();
+        let name = path(&d, &paths, "name");
         assert!(s.info(name).has_text_child);
         assert!(!s.info(name).has_element_child);
     }
@@ -311,16 +278,8 @@ mod tests {
     #[test]
     fn root_is_never_starred() {
         let d = doc_no_dtd();
-        let (s, _) = Schema::infer(&d);
-        assert!(!s.is_starred(s.root_path()));
-    }
-
-    #[test]
-    fn path_by_string_rejects_unknown() {
-        let d = doc_no_dtd();
-        let (s, _) = Schema::infer(&d);
-        assert!(s.path_by_string("/retailer/warehouse", &d).is_none());
-        assert!(s.path_by_string("/store", &d).is_none());
+        let (s, paths) = Schema::infer(&d);
+        assert!(!s.info(paths[d.root().index()]).starred);
     }
 
     #[test]

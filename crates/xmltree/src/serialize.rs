@@ -14,13 +14,6 @@ impl Document {
         out
     }
 
-    /// Serialize the subtree at `node` compactly.
-    pub fn subtree_to_xml(&self, node: NodeId) -> String {
-        let mut out = String::new();
-        write_compact(self, node, &mut out);
-        out
-    }
-
     /// Append the compact XML of the projection of `root`'s subtree onto
     /// `nodes` — exactly what `self.project(root, nodes).to_xml_string()`
     /// returns, written straight from this document: no projected columns,
@@ -268,6 +261,7 @@ mod tests {
     fn subtree_serialization() {
         let d = Document::parse_str("<a><b><c>x</c></b><d/></a>").unwrap();
         let b = d.first_element_with_label("b").unwrap();
-        assert_eq!(d.subtree_to_xml(b), "<b><c>x</c></b>");
+        let whole: Vec<NodeId> = d.subtree(b).collect();
+        assert_eq!(d.project(b, &whole).to_xml_string(), "<b><c>x</c></b>");
     }
 }

@@ -269,16 +269,6 @@ impl<'a> Tokenizer<'a> {
         Tokenizer { cursor: Cursor { src: source, at: 0 } }
     }
 
-    /// Tokenize the entire input into a vector.
-    pub fn tokenize_all(source: &'a str) -> Result<Vec<Token<'a>>> {
-        let mut t = Tokenizer::new(source);
-        let mut out = Vec::new();
-        while let Some(tok) = t.next_token()? {
-            out.push(tok);
-        }
-        Ok(out)
-    }
-
     /// Produce the next token, or `None` at end of input.
     pub fn next_token(&mut self) -> Result<Option<Token<'a>>> {
         let c = &mut self.cursor;
@@ -388,8 +378,17 @@ fn is_name_char(b: u8) -> bool {
 mod tests {
     use super::*;
 
+    fn tokenize_all(source: &str) -> Result<Vec<Token<'_>>> {
+        let mut t = Tokenizer::new(source);
+        let mut out = Vec::new();
+        while let Some(tok) = t.next_token()? {
+            out.push(tok);
+        }
+        Ok(out)
+    }
+
     fn lex(s: &str) -> Vec<Token<'_>> {
-        Tokenizer::tokenize_all(s).unwrap()
+        tokenize_all(s).unwrap()
     }
 
     fn attributes<'a>(token: &Token<'a>) -> Vec<(&'a str, &'a str)> {
@@ -427,7 +426,7 @@ mod tests {
         unescape_into(value.value, &mut out).unwrap();
         assert_eq!(out, "x & y");
         // A bad reference fails the tag, at the value.
-        let err = Tokenizer::tokenize_all("<a>\n<b v='&bogus;'/></a>").unwrap_err();
+        let err = tokenize_all("<a>\n<b v='&bogus;'/></a>").unwrap_err();
         assert!(matches!(
             err,
             Error::BadReference { position: Position { line: 2, column: 7, .. }, .. }
@@ -480,7 +479,7 @@ mod tests {
 
     #[test]
     fn error_positions_are_reported() {
-        let err = Tokenizer::tokenize_all("<a>\n<b oops></a>").unwrap_err();
+        let err = tokenize_all("<a>\n<b oops></a>").unwrap_err();
         match err {
             Error::Syntax { position, .. } => {
                 assert_eq!(position.line, 2);
@@ -491,10 +490,10 @@ mod tests {
 
     #[test]
     fn unterminated_constructs_error() {
-        assert!(Tokenizer::tokenize_all("<a>text").is_ok()); // tag matching is the parser's job
-        assert!(Tokenizer::tokenize_all("<!-- never closed").is_err());
-        assert!(Tokenizer::tokenize_all("<![CDATA[ open").is_err());
-        assert!(Tokenizer::tokenize_all("<a attr=\"unclosed>").is_err());
+        assert!(tokenize_all("<a>text").is_ok()); // tag matching is the parser's job
+        assert!(tokenize_all("<!-- never closed").is_err());
+        assert!(tokenize_all("<![CDATA[ open").is_err());
+        assert!(tokenize_all("<a attr=\"unclosed>").is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Corpus tests: realistic and adversarial documents through the full
 //! parse → navigate → serialize cycle.
 
-use extract_xml::{path, Document, Error, ParseOptions, Schema};
+use extract_xml::{Document, Error, ParseOptions, Schema};
 
 #[test]
 fn dblp_like_record() {
@@ -39,13 +39,12 @@ fn dblp_like_record() {
     assert_eq!(dtd.is_repeatable("article", "author"), Some(true));
     assert_eq!(dtd.is_repeatable("article", "title"), Some(false));
 
-    let (schema, _) = Schema::infer(&doc);
-    let author_path = schema.path_by_string("/dblp/article/author", &doc).unwrap();
-    assert!(schema.is_starred(author_path), "DTD says author+");
-    let title_path = schema.path_by_string("/dblp/article/title", &doc).unwrap();
-    assert!(!schema.is_starred(title_path));
+    let (schema, paths) = Schema::infer(&doc);
+    let starred = |label| schema.info(paths[doc.elements_with_label(label)[0].index()]).starred;
+    assert!(starred("author"), "DTD says author+");
+    assert!(!starred("title"));
 
-    let authors = path::select(&doc, "//author").unwrap();
+    let authors = doc.elements_with_label("author");
     assert_eq!(authors.len(), 4);
     assert_eq!(doc.text_of(authors[0]), Some("Yu Huang"));
 }
@@ -65,13 +64,12 @@ fn config_file_with_attributes_and_comments() {
 </config>"#;
     let doc = Document::parse_str(src).unwrap();
     // XML attributes became child elements.
-    let env = path::select_first(&doc, "/config/env").unwrap().unwrap();
-    assert_eq!(doc.text_of(env), Some("prod"));
-    let flags = path::select(&doc, "//flag").unwrap();
+    let env = doc.element_children(doc.root()).find(|&c| doc.label_str(c) == Some("env"));
+    assert_eq!(doc.text_of(env.unwrap()), Some("prod"));
+    let flags = doc.elements_with_label("flag");
     assert_eq!(flags.len(), 2);
-    let (schema, _) = Schema::infer(&doc);
-    let flag_path = schema.path_by_string("/config/features/flag", &doc).unwrap();
-    assert!(schema.is_starred(flag_path), "two flag siblings");
+    let (schema, paths) = Schema::infer(&doc);
+    assert!(schema.info(paths[flags[0].index()]).starred, "two flag siblings");
 }
 
 #[test]
@@ -131,7 +129,6 @@ fn deep_narrow_document() {
     assert_eq!(doc.element_count(), depth);
     let deepest = doc.first_element_with_label(&format!("l{}", depth - 1)).unwrap();
     assert_eq!(doc.depth(deepest), depth - 1);
-    assert_eq!(doc.dewey(deepest).depth(), depth - 1);
     assert_eq!(doc.text_of(deepest), Some("leaf"));
 }
 
@@ -146,7 +143,7 @@ fn wide_flat_document() {
     let doc = Document::parse_str(&src).unwrap();
     assert_eq!(doc.element_count(), width + 1);
     let last = doc.elements_with_label("c")[width - 1];
-    assert_eq!(doc.dewey(last).components(), &[(width - 1) as u32]);
+    assert_eq!(doc.rank(last), (width - 1) as u32);
     assert_eq!(doc.text_of(last), Some("4999"));
 }
 

@@ -11,7 +11,6 @@ use std::time::Instant;
 
 use extract::datagen::auction::AuctionConfig;
 use extract::prelude::*;
-use extract::xml::stats::DocumentStats;
 
 fn main() {
     let target: usize = std::env::args()
@@ -22,7 +21,6 @@ fn main() {
     let t = Instant::now();
     let doc = AuctionConfig::with_target_nodes(target, 42).generate();
     println!("generated {} nodes in {:?}", doc.len(), t.elapsed());
-    println!("{}", DocumentStats::compute(&doc));
 
     let t = Instant::now();
     let extract = Extract::new(&doc);

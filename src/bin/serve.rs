@@ -274,7 +274,6 @@ fn main() -> ExitCode {
         trace_capacity: options.trace_capacity,
         slow_request: Duration::from_millis(options.slow_ms),
         fault,
-        ..Default::default()
     };
     let app_config = SearchAppConfig {
         snippet: ExtractConfig::with_bound(options.bound),

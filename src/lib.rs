@@ -10,7 +10,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`xml`] | `extract-xml` | borrowed-token parser, structure-of-arrays DOM, Dewey labels, DTD, schema inference |
+//! | [`xml`] | `extract-xml` | borrowed-token parser, structure-of-arrays DOM, DTD `*`-nodes, schema inference |
 //! | [`index`] | `extract-index` | inverted keyword index, per-document segments, token → document directory |
 //! | [`search`] | `extract-search` | SLCA / ELCA / XSeek engines, ranking |
 //! | [`analyzer`] | `extract-analyzer` | entity model, key mining, feature statistics |
@@ -39,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// XML substrate: parsing, structure-of-arrays DOM, Dewey order labels, DTD, schema.
+/// XML substrate: parsing, structure-of-arrays DOM, DTD, schema.
 pub mod xml {
     pub use extract_xml::*;
 }

@@ -424,7 +424,7 @@ mod tests {
         assert_eq!(resp.status, 200, "{:?}", std::str::from_utf8(&resp.body));
         let v = body_json(&resp);
         assert_eq!(v.get("epoch").and_then(Value::as_u64), Some(1));
-        assert_eq!(v.get("updated").and_then(Value::as_bool), Some(false));
+        assert_eq!(v.get("updated"), Some(&Value::Bool(false)));
         let after = get(&app, "/search", &[("q", "gap ohio")]);
         assert_eq!(after.corpus_epoch, Some(1));
         assert_eq!(result_docs(&after), ["ohio"]);
@@ -461,7 +461,7 @@ mod tests {
             b"<stores><store><name>Wrangler</name><state>Texas</state></store></stores>",
         );
         assert_eq!(resp.status, 200);
-        assert_eq!(body_json(&resp).get("updated").and_then(Value::as_bool), Some(true));
+        assert_eq!(body_json(&resp).get("updated"), Some(&Value::Bool(true)));
         // The old content is gone, the new is found — same document name.
         assert_eq!(result_docs(&get(&app, "/search", &[("q", "levis")])), Vec::<String>::new());
         assert_eq!(result_docs(&get(&app, "/search", &[("q", "wrangler")])), ["stores"]);

@@ -470,13 +470,6 @@ impl<'d> QuerySession<'d> {
         self.caches.snippet_stats()
     }
 
-    /// Drop all cached pages and snippets (counters reset too). The
-    /// documents' engines are the corpus's and stay built.
-    pub fn clear_cache(&self) {
-        lock_unpoisoned(&self.caches.corpus_pages).clear();
-        lock_unpoisoned(&self.caches.snippets).clear();
-    }
-
     /// The request's query, normalized once for every cache key built
     /// from it — `None` when result caching is off and no key ever is.
     fn query_text(&self, query: &KeywordQuery) -> Option<QueryText> {
@@ -796,9 +789,6 @@ mod tests {
         session.answer_corpus(qs[0], &config);
         let after = session.corpus_page_stats();
         assert!(after.hits > pages.hits, "serial repeat must hit: {pages:?} -> {after:?}");
-        session.clear_cache();
-        assert_eq!(session.corpus_page_stats(), CacheStats::default());
-        assert_eq!(session.snippet_stats(), CacheStats::default());
     }
 
     #[test]
