@@ -472,7 +472,7 @@ impl Document {
 
     /// Lowest common ancestor of two nodes: the nearest ancestor-or-self
     /// of `a` whose interval contains `b`.
-    // xlint: allow(L10, "crates/xmltree/tests/proptests.rs holds it to an ancestor-set walk")
+    // xlint: allow(L10, "crates/xmltree/tests/proptests.rs holds it to Dewey prefixes and an ancestor-set walk")
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
         self.ancestors_or_self(a).find(|&x| self.is_ancestor_or_self(x, b)).unwrap_or(self.root())
     }
@@ -739,21 +739,57 @@ mod tests {
         assert_eq!(ids, sorted, "preorder must equal ID order");
     }
 
+    /// A node's Dewey label, read off its parent walk: the child ranks on
+    /// the path from the root.
+    fn dewey(d: &Document, n: NodeId) -> Vec<u32> {
+        let mut comps: Vec<u32> =
+            d.ancestors_or_self(n).filter(|&x| d.parent(x).is_some()).map(|x| d.rank(x)).collect();
+        comps.reverse();
+        comps
+    }
+
+    /// The node a Dewey label addresses, found by walking down the children.
+    fn node_by_dewey(d: &Document, dewey: &[u32]) -> Option<NodeId> {
+        dewey.iter().try_fold(d.root(), |cur, &rank| d.children(cur).nth(rank as usize))
+    }
+
     #[test]
-    fn lca_and_ancestor_tests_agree_with_parent_walks() {
+    fn dewey_round_trip() {
+        let d = sample();
+        for n in d.all_nodes() {
+            let dw = dewey(&d, n);
+            assert_eq!(node_by_dewey(&d, &dw), Some(n), "dewey {dw:?} of {n}");
+        }
+    }
+
+    #[test]
+    fn dewey_of_root_is_empty() {
+        let d = sample();
+        assert!(dewey(&d, d.root()).is_empty());
+    }
+
+    #[test]
+    fn lca_matches_dewey_lca() {
         let d = sample();
         let nodes: Vec<NodeId> = d.all_nodes().collect();
         for &a in &nodes {
             for &b in &nodes {
-                assert_eq!(d.is_ancestor_or_self(a, b), d.is_ancestor_or_self_by_walk(a, b));
-                let deepest_common = nodes
-                    .iter()
-                    .copied()
-                    .filter(|&x| {
-                        d.is_ancestor_or_self_by_walk(x, a) && d.is_ancestor_or_self_by_walk(x, b)
-                    })
-                    .max_by_key(|&x| d.depth(x));
-                assert_eq!(Some(d.lca(a, b)), deepest_common, "lca({a}, {b})");
+                let (da, db) = (dewey(&d, a), dewey(&d, b));
+                let common = da.iter().zip(&db).take_while(|(x, y)| x == y).count();
+                assert_eq!(Some(d.lca(a, b)), node_by_dewey(&d, &da[..common]), "lca({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn ancestor_tests_agree_with_dewey() {
+        let d = sample();
+        let nodes: Vec<NodeId> = d.all_nodes().collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                let by_dewey = dewey(&d, b).starts_with(&dewey(&d, a));
+                assert_eq!(d.is_ancestor_or_self(a, b), by_dewey, "{a} over {b}");
+                assert_eq!(by_dewey, d.is_ancestor_or_self_by_walk(a, b));
             }
         }
     }

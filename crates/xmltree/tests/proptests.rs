@@ -56,6 +56,18 @@ fn build_into(b: &mut DocBuilder, spec: &SpecNode) {
     }
 }
 
+/// A node's Dewey label, read off its parent walk: the child ranks on the
+/// path from the root.
+fn dewey(doc: &Document, n: NodeId) -> Vec<u32> {
+    let mut comps: Vec<u32> = doc
+        .ancestors_or_self(n)
+        .filter(|&x| doc.parent(x).is_some())
+        .map(|x| doc.rank(x))
+        .collect();
+    comps.reverse();
+    comps
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -82,16 +94,35 @@ proptest! {
     }
 
     #[test]
-    fn lca_agrees_with_a_parent_walk(spec in spec_strategy()) {
+    fn dewey_round_trip_and_order(spec in spec_strategy()) {
         let doc = build(&spec);
         // IDs are preorder positions: what makes `lca` an interval test.
         doc.debug_validate().unwrap();
+        let nodes: Vec<NodeId> = doc.subtree(doc.root()).collect();
+        let deweys: Vec<Vec<u32>> = nodes.iter().map(|&n| dewey(&doc, n)).collect();
+        for (n, dw) in nodes.iter().zip(&deweys) {
+            let found =
+                dw.iter().try_fold(doc.root(), |cur, &rank| doc.children(cur).nth(rank as usize));
+            prop_assert_eq!(found, Some(*n));
+        }
+        // Dewey order must agree with preorder position, i.e. with ID order.
+        for w in deweys.windows(2) {
+            prop_assert!(w[0] < w[1]);
+        }
+    }
+
+    #[test]
+    fn lca_agrees_with_dewey_prefix(spec in spec_strategy()) {
+        let doc = build(&spec);
         let nodes: Vec<NodeId> = doc.all_nodes().collect();
         // Cap the quadratic check for big trees, sampling across the tree.
         let sample: Vec<NodeId> = nodes.iter().copied().step_by(nodes.len().div_ceil(20)).collect();
         for &a in &sample {
             let above_a: HashSet<NodeId> = doc.ancestors_or_self(a).collect();
             for &b in &sample {
+                let (da, db) = (dewey(&doc, a), dewey(&doc, b));
+                let common = da.iter().zip(&db).take_while(|(x, y)| x == y).count();
+                prop_assert_eq!(dewey(&doc, doc.lca(a, b)), da[..common].to_vec());
                 let walked = doc.ancestors_or_self(b).find(|n| above_a.contains(n));
                 prop_assert_eq!(Some(doc.lca(a, b)), walked);
             }
