@@ -537,51 +537,85 @@ mod tests {
         assert!(r.body.is_empty());
     }
 
+    /// A reader that hands out `sent` and then times out, the way a
+    /// socket under a read deadline does when the client goes quiet.
+    fn stalls_after(sent: &str) -> BufReader<io::Chain<&[u8], Silent>> {
+        BufReader::new(sent.as_bytes().chain(Silent))
+    }
+
+    struct Silent;
+
+    impl Read for Silent {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
     #[test]
     fn malformed_requests_map_to_400() {
-        for raw in [
-            "GET\r\n\r\n",
-            "GET /x\r\n\r\n",
-            "GET /x SMTP/1.0\r\n\r\n",
-            "GET /x HTTP/2\r\n\r\n",
-            "GET /x HTTP/1.\r\n\r\n",
-            "GET /x HTTP/1.one\r\n\r\n",
-            "get /x HTTP/1.1\r\n\r\n",
-            "GET /x HTTP/1.1 extra\r\n\r\n",
-            "GET /%zz HTTP/1.1\r\n\r\n",
-            "GET /s?q=%f0%28 HTTP/1.1\r\n\r\n", // invalid UTF-8 after decode
-            "GET /x HTTP/1.1\r\nno-colon\r\n\r\n",
-            "GET /x HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        // The reason is the `{"error": …}` body the client gets back.
+        for (raw, reason) in [
+            ("GET\r\n\r\n", "missing request target"),
+            ("GET /x\r\n\r\n", "missing HTTP version"),
+            ("GET /x SMTP/1.0\r\n\r\n", "malformed request line"),
+            ("GET /x HTTP/2\r\n\r\n", "malformed request line"),
+            ("GET /x HTTP/1.\r\n\r\n", "malformed request line"),
+            ("GET /x HTTP/1.one\r\n\r\n", "malformed request line"),
+            ("get /x HTTP/1.1\r\n\r\n", "malformed method"),
+            (" /x HTTP/1.1\r\n\r\n", "malformed method"),
+            ("GET /x HTTP/1.1 extra\r\n\r\n", "malformed request line"),
+            ("GET /%zz HTTP/1.1\r\n\r\n", "malformed path encoding"),
+            // Invalid UTF-8 after decode.
+            ("GET /s?q=%f0%28 HTTP/1.1\r\n\r\n", "malformed query encoding"),
+            ("GET /x HTTP/1.1\r\nno-colon\r\n\r\n", "malformed header"),
+            ("GET /x HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "malformed Content-Length"),
+            ("GET /x HTTP/1.1\r\nHost: x", "truncated line"),
+            ("GET /x HT", "truncated line"),
         ] {
             let err = parse(raw).unwrap_err();
             assert_eq!(err.status(), Some(400), "{raw:?} → {err:?}");
-            assert!(!err.reason().is_empty());
+            assert_eq!(err.reason(), reason, "{raw:?}");
         }
+        let err = read_request(&mut &b"GET /x HTTP/1.1\r\nHost: \xff\r\n\r\n"[..]).unwrap_err();
+        assert_eq!((err.status(), err.reason()), (Some(400), "non-UTF-8 line"));
     }
 
     #[test]
     fn ambiguous_framing_is_rejected() {
         // Duplicate Content-Length — even when the copies agree — is
         // ambiguous framing, not a negotiation.
-        for raw in [
-            "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi",
-            "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nhi!",
+        for (raw, reason) in [
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi",
+                "duplicate Content-Length",
+            ),
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nhi!",
+                "duplicate Content-Length",
+            ),
             // Values `usize::from_str` accepts but HTTP forbids.
-            "POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi",
-            "POST /x HTTP/1.1\r\nContent-Length: 2 2\r\n\r\nhi",
-            "POST /x HTTP/1.1\r\nContent-Length: 2,2\r\n\r\nhi",
-            "POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n",
+            ("POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi", "malformed Content-Length"),
+            ("POST /x HTTP/1.1\r\nContent-Length: 2 2\r\n\r\nhi", "malformed Content-Length"),
+            ("POST /x HTTP/1.1\r\nContent-Length: 2,2\r\n\r\nhi", "malformed Content-Length"),
+            ("POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n", "malformed Content-Length"),
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+                "malformed Content-Length",
+            ),
         ] {
             let err = parse(raw).unwrap_err();
             assert_eq!(err.status(), Some(400), "{raw:?} → {err:?}");
+            assert_eq!(err.reason(), reason, "{raw:?}");
         }
         // Transfer-Encoding is not implemented → 501, never guessed at.
         for raw in [
             "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 2\r\n\r\nhi",
+            "POST /x HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding: identity\r\n\r\nhi",
         ] {
             let err = parse(raw).unwrap_err();
             assert_eq!(err.status(), Some(501), "{raw:?} → {err:?}");
+            assert_eq!(err.reason(), "Transfer-Encoding not supported", "{raw:?}");
         }
     }
 
@@ -594,14 +628,31 @@ mod tests {
     #[test]
     fn limits_map_to_4xx() {
         let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE + 10));
-        assert_eq!(parse(&long_line).unwrap_err().status(), Some(431));
+        let err = parse(&long_line).unwrap_err();
+        assert_eq!((err.status(), err.reason()), (Some(431), "request line too long"));
+        let long_header =
+            format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "p".repeat(MAX_HEADER_LINE));
+        let err = parse(&long_header).unwrap_err();
+        assert_eq!((err.status(), err.reason()), (Some(431), "header line too long"));
         let many_headers = format!(
             "GET /x HTTP/1.1\r\n{}\r\n",
             (0..MAX_HEADERS + 1).map(|i| format!("h{i}: v\r\n")).collect::<String>()
         );
-        assert_eq!(parse(&many_headers).unwrap_err().status(), Some(431));
+        let err = parse(&many_headers).unwrap_err();
+        assert_eq!((err.status(), err.reason()), (Some(431), "too many headers"));
         let big_body = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert_eq!(parse(&big_body).unwrap_err().status(), Some(413));
+        let err = parse(&big_body).unwrap_err();
+        assert_eq!((err.status(), err.reason()), (Some(413), "request body too large"));
+        // Exactly at each cap is fine: a line of `MAX_REQUEST_LINE` bytes
+        // before its `\n` (the `\r` counts), and `MAX_HEADERS` head lines
+        // after the request line (the blank one that ends the head counts).
+        let target = "a".repeat(MAX_REQUEST_LINE - "GET / HTTP/1.1\r".len());
+        assert!(parse(&format!("GET /{target} HTTP/1.1\r\n\r\n")).is_ok());
+        let full = format!(
+            "GET /x HTTP/1.1\r\n{}\r\n",
+            (0..MAX_HEADERS - 1).map(|i| format!("h{i}: v\r\n")).collect::<String>()
+        );
+        assert!(parse(&full).is_ok());
     }
 
     #[test]
@@ -609,6 +660,28 @@ mod tests {
         let err = parse("").unwrap_err();
         assert!(matches!(err, HttpError::ClosedEarly));
         assert_eq!(err.status(), None);
+        assert_eq!(err.reason(), "connection closed");
+    }
+
+    #[test]
+    fn silence_before_the_first_byte_is_idle_and_after_it_is_stalled() {
+        let err = read_request(&mut stalls_after("")).unwrap_err();
+        assert!(matches!(err, HttpError::IdleTimeout), "{err:?}");
+        assert_eq!((err.status(), err.reason()), (None, "idle connection"));
+        // A half-sent request line, a request line without its headers'
+        // end, a half-sent header and a short body are all mid-request.
+        for sent in [
+            "G",
+            "GET /x HT",
+            "GET /x HTTP/1.1\r\n",
+            "GET /x HTTP/1.1\r\nHost: x",
+            "POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhi",
+        ] {
+            let err = read_request(&mut stalls_after(sent)).unwrap_err();
+            assert!(matches!(err, HttpError::Stalled), "{sent:?} → {err:?}");
+            assert_eq!(err.status(), Some(408), "{sent:?}");
+            assert_eq!(err.reason(), "request incomplete before the read deadline", "{sent:?}");
+        }
     }
 
     #[test]
