@@ -253,22 +253,8 @@ impl RouterApp {
             ("GET", "/stats") => Response::json(200, self.render_stats()),
             ("GET", "/healthz") => self.healthz(),
             ("GET", "/metrics") => self.metrics(),
-            ("GET", "/debug/traces") => match &self.server {
-                Some(handle) => Response::json(200, obs_http::traces_json(handle.obs())),
-                None => Response::error(503, "no server attached"),
-            },
-            ("POST", "/shutdown") => match &self.server {
-                Some(handle) => {
-                    handle.shutdown();
-                    let mut w = JsonWriter::new();
-                    w.obj_begin();
-                    w.key("draining");
-                    w.bool(true);
-                    w.obj_end();
-                    Response::json(200, w.finish())
-                }
-                None => Response::error(503, "no server attached"),
-            },
+            ("GET", "/debug/traces") => obs_http::traces_route(self.server.as_ref()),
+            ("POST", "/shutdown") => obs_http::shutdown_route(self.server.as_ref()),
             (_, "/search" | "/stats" | "/healthz" | "/metrics" | "/debug/traces"
             | "/shutdown") => Response::error(405, "method not allowed"),
             _ => Response::error(404, "no such route"),
@@ -368,24 +354,13 @@ impl RouterApp {
         Response::json(if ok { 200 } else { 503 }, w.finish())
     }
 
-    /// `/search`: validate exactly like the shard daemon, then scatter.
+    /// `/search`: validate exactly like the shard daemon (one rule,
+    /// [`Request::search_params`]), then scatter.
     fn search(&self, request: &Request) -> Response {
-        let Some(q) = request.param("q").filter(|q| !q.trim().is_empty()) else {
-            return Response::error(400, "missing query parameter q");
-        };
-        let k = match request.param("k") {
-            None => self.config.default_k,
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(k) if k >= 1 => k.min(self.config.max_k),
-                _ => return Response::error(400, "k must be an integer >= 1"),
-            },
-        };
-        let offset = match request.param("offset") {
-            None => 0,
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(offset) => offset,
-                Err(_) => return Response::error(400, "offset must be a non-negative integer"),
-            },
+        let (q, k, offset) = match request.search_params(self.config.default_k, self.config.max_k)
+        {
+            Ok(params) => params,
+            Err(response) => return response,
         };
         // Adopt the client's trace ID (the serving layer parses and
         // mints one per request); mint here only when called outside a

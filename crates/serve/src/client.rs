@@ -7,14 +7,17 @@
 //! * [`Connection`] — one persistent socket speaking
 //!   `Content-Length`-framed HTTP/1.1. Every operation takes an
 //!   **absolute deadline**: each underlying read shrinks the socket
-//!   timeout to the time remaining (the same anti-slowloris discipline
-//!   the server applies to clients, pointed the other way), so a
-//!   stalling peer costs exactly `deadline - now`, never
-//!   `per-read-timeout × bytes`. Responses are parsed defensively:
-//!   header count/size limits, digits-only single `Content-Length`, and
-//!   a **configurable body cap** — a corrupt or malicious peer declaring
-//!   a 40 GB body gets a clean [`ClientError::BodyTooLarge`] instead of
-//!   an OOM-sized allocation.
+//!   timeout to the time remaining (the server's own
+//!   [`DeadlineStream`], pointed the other way), so a stalling peer
+//!   costs exactly `deadline - now`, never `per-read-timeout × bytes`.
+//!   A response head is read by the server's own head reader
+//!   ([`http::read_headers`](crate::http)): the same line and header
+//!   limits, a single digits-only `Content-Length`, `Transfer-Encoding`
+//!   refused, `Connection` read token by token. Only the start line
+//!   (`HTTP/1.x` and a three-digit status) and the body cap are the
+//!   client's own — a corrupt or malicious peer declaring a 40 GB body
+//!   gets a clean [`ClientError::BodyTooLarge`] instead of an OOM-sized
+//!   allocation.
 //! * [`HttpClient`] — a [`Connection`] plus a redial policy. A pooled
 //!   keep-alive connection can always be stale (the server evicted it
 //!   while it sat idle); a request that dies *before the first response
@@ -34,11 +37,14 @@
 //! around. The panicking test conveniences in
 //! [`testing`](crate::testing) are thin wrappers over this module.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::http::{MAX_HEADERS, MAX_HEADER_LINE};
+use crate::http::{
+    is_digits, is_timeout, read_body, read_headers, read_line, DeadlineStream, HttpError,
+    MAX_HEADER_LINE,
+};
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -81,7 +87,8 @@ pub enum ClientError {
     /// The peer closed the connection where a response was expected.
     Closed,
     /// The response violated the protocol (bad status line, header
-    /// limits, non-UTF-8 body, ambiguous framing).
+    /// limits, non-UTF-8 body, ambiguous or unsupported framing); the
+    /// message is the server parser's reason for the same fault.
     Malformed(&'static str),
     /// The declared `Content-Length` exceeds [`ClientConfig::max_body`].
     BodyTooLarge {
@@ -109,6 +116,19 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+impl From<HttpError> for ClientError {
+    fn from(e: HttpError) -> ClientError {
+        match e {
+            HttpError::ClosedEarly => ClientError::Closed,
+            HttpError::IdleTimeout | HttpError::Stalled => ClientError::TimedOut,
+            HttpError::Io(e) => ClientError::Io(e),
+            HttpError::Malformed(m) | HttpError::TooLarge(m, _) | HttpError::Unsupported(m) => {
+                ClientError::Malformed(m)
+            }
+        }
+    }
+}
+
 /// One parsed response off the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireResponse {
@@ -116,8 +136,9 @@ pub struct WireResponse {
     pub status: u16,
     /// The body, framed by `Content-Length`.
     pub body: String,
-    /// Whether the server said `Connection: keep-alive` (it always sends
-    /// the header explicitly).
+    /// Whether the server said `Connection: keep-alive` and not `close`
+    /// (it always sends the header explicitly; without one the
+    /// connection is not reused).
     pub keep_alive: bool,
     /// The `Retry-After` header in seconds, when the server sent one
     /// (`503` shed and `429` per-client refusals carry it).
@@ -127,34 +148,6 @@ pub struct WireResponse {
     /// it was computed against; the router uses a change here to refresh
     /// its doc-id remap mid-session.
     pub corpus_epoch: Option<u64>,
-}
-
-/// A `TcpStream` whose reads honor an absolute deadline (mirror of the
-/// server's anti-slowloris stream): each read shrinks `SO_RCVTIMEO` to
-/// the time remaining, so the whole response — not each byte — must land
-/// inside the window.
-#[derive(Debug)]
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Option<Instant>,
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            self.stream.set_read_timeout(Some(remaining))?;
-        }
-        self.stream.read(buf)
-    }
-}
-
-/// Whether an i/o error is a read/write timeout (deadline expiry).
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 /// Time left until `deadline`; none left is [`ClientError::TimedOut`].
@@ -293,36 +286,6 @@ impl Connection {
         })
     }
 
-    /// Read one line terminated by `\n` (tolerating `\r`), capped, into
-    /// `line` (replacing what it held).
-    fn read_line<'l>(
-        &mut self,
-        line: &'l mut Vec<u8>,
-        first: bool,
-    ) -> Result<&'l str, ClientError> {
-        line.clear();
-        // One byte past the cap: a line that long without its newline
-        // is over it.
-        let mut capped = (&mut self.reader).take(MAX_HEADER_LINE as u64 + 1);
-        match capped.read_until(b'\n', line) {
-            Err(e) if is_timeout(&e) => return Err(ClientError::TimedOut),
-            Err(e) => return Err(ClientError::Io(e)),
-            Ok(0) if first => return Err(ClientError::Closed),
-            Ok(_) => {}
-        }
-        if line.pop() != Some(b'\n') {
-            return Err(ClientError::Malformed(if line.len() >= MAX_HEADER_LINE {
-                "header line too long"
-            } else {
-                "truncated line"
-            }));
-        }
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        std::str::from_utf8(line).map_err(|_| ClientError::Malformed("non-UTF-8 line"))
-    }
-
     /// Read one `Content-Length`-framed response, enforcing the body cap
     /// and the absolute `deadline`. After [`ClientError::BodyTooLarge`]
     /// the body is left unread, so the connection must be dropped — the
@@ -333,68 +296,29 @@ impl Connection {
     ) -> Result<WireResponse, ClientError> {
         self.arm_read(deadline)?;
         let mut line = Vec::with_capacity(128);
-        let status: u16 = self
-            .read_line(&mut line, true)?
-            .strip_prefix("HTTP/1.")
-            .and_then(|rest| rest.split_once(' '))
-            .and_then(|(_, rest)| rest.get(..3))
-            .and_then(|s| s.parse().ok())
-            .ok_or(ClientError::Malformed("bad status line"))?;
-        let mut content_length: Option<usize> = None;
-        let mut keep_alive = false;
+        let status_line =
+            read_line(&mut self.reader, &mut line, MAX_HEADER_LINE, "status line too long", true)?;
+        let status = parse_status(status_line).ok_or(ClientError::Malformed("bad status line"))?;
         let mut retry_after = None;
         let mut corpus_epoch = None;
-        for n in 0.. {
-            if n >= MAX_HEADERS {
-                return Err(ClientError::Malformed("too many headers"));
-            }
-            let header = self.read_line(&mut line, false)?;
-            if header.is_empty() {
-                break;
-            }
-            let Some((name, value)) = header.split_once(':') else {
-                return Err(ClientError::Malformed("malformed header"));
-            };
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-                    return Err(ClientError::Malformed("malformed Content-Length"));
-                }
-                let parsed = value
-                    .parse()
-                    .map_err(|_| ClientError::Malformed("malformed Content-Length"))?;
-                if content_length.replace(parsed).is_some() {
-                    return Err(ClientError::Malformed("duplicate Content-Length"));
-                }
-            } else if name.eq_ignore_ascii_case("connection") {
-                keep_alive = value.eq_ignore_ascii_case("keep-alive");
-            } else if name.eq_ignore_ascii_case("retry-after") {
+        let framing = read_headers(&mut self.reader, &mut line, |name, value| {
+            if name.eq_ignore_ascii_case("retry-after") {
                 retry_after = value.parse().ok();
             } else if name.eq_ignore_ascii_case("x-corpus-epoch") {
                 corpus_epoch = value.parse().ok();
             }
-        }
-        let content_length = content_length.unwrap_or(0);
-        if content_length > self.max_body {
-            return Err(ClientError::BodyTooLarge {
-                limit: self.max_body,
-                declared: content_length,
-            });
-        }
-        // The check above already rejected oversized declarations; the
-        // statement-local clamp keeps the allocation bounded even if that
-        // guard drifts away in a refactor (and satisfies L9's rule that
-        // the bound be visible where the wire-sized buffer is built).
-        let mut body = vec![0u8; content_length.min(self.max_body)];
-        self.reader.read_exact(&mut body).map_err(|e| {
-            if is_timeout(&e) { ClientError::TimedOut } else { ClientError::Io(e) }
         })?;
+        let declared = framing.content_length;
+        if declared > self.max_body {
+            return Err(ClientError::BodyTooLarge { limit: self.max_body, declared });
+        }
+        let body = read_body(&mut self.reader, declared, self.max_body)?;
         self.served += 1;
         Ok(WireResponse {
             status,
             body: String::from_utf8(body)
                 .map_err(|_| ClientError::Malformed("non-UTF-8 body"))?,
-            keep_alive,
+            keep_alive: framing.keep_alive.unwrap_or(false),
             retry_after,
             corpus_epoch,
         })
@@ -473,6 +397,15 @@ impl Connection {
             Err(other) => Err(other),
         }
     }
+}
+
+/// The status of a response's start line: `HTTP/1.x`, a space, exactly
+/// three digits, then the end of the line or a space and the reason.
+fn parse_status(line: &str) -> Option<u16> {
+    let (version, rest) = line.split_once(' ')?;
+    let minor = version.strip_prefix("HTTP/1.")?;
+    let code = rest.split(' ').next()?;
+    (is_digits(minor) && code.len() == 3 && is_digits(code)).then(|| code.parse().ok())?
 }
 
 /// A [`Connection`] plus the redial policy: transparently replaces a
@@ -772,6 +705,69 @@ mod tests {
         match conn.request("GET", "/x", Some(deadline())) {
             Err(ClientError::Malformed(what)) => assert_eq!(what, "truncated line"),
             other => panic!("wanted Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_transfer_encoded_answer_is_malformed_and_not_pooled() {
+        // Chunk bytes left on a pooled socket would be read as the head
+        // of the next answer.
+        let addr = canned_server(vec![
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n\
+             2\r\n{}\r\n0\r\n\r\n"
+                .to_string(),
+        ]);
+        let mut client = HttpClient::new(addr, ClientConfig::default());
+        match client.request("GET", "/x", deadline()) {
+            Err(ClientError::Malformed(what)) => assert_eq!(what, "Transfer-Encoding not supported"),
+            other => panic!("wanted Malformed, got {other:?}"),
+        }
+        assert!(client.conn.is_none(), "a connection with unread framing must not be pooled");
+    }
+
+    #[test]
+    fn a_status_is_exactly_three_digits() {
+        for line in [
+            "HTTP/1.1 +20 OK",
+            "HTTP/1.1 2000 OK",
+            "HTTP/1.1 20 OK",
+            "HTTP/1.1 20x OK",
+            "HTTP/1.1  200 OK",
+            "HTTP/1. 200 OK",
+            "HTTP/2 200 OK",
+            "HTTP/1.1",
+        ] {
+            let addr = canned_server(vec![format!("{line}\r\nContent-Length: 0\r\n\r\n")]);
+            let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+            match conn.request("GET", "/x", Some(deadline())) {
+                Err(ClientError::Malformed(what)) => assert_eq!(what, "bad status line", "{line}"),
+                other => panic!("{line}: wanted Malformed, got {other:?}"),
+            }
+        }
+        for (line, status) in [("HTTP/1.0 404 Not Found", 404), ("HTTP/1.1 204", 204)] {
+            let addr = canned_server(vec![format!("{line}\r\nContent-Length: 0\r\n\r\n")]);
+            let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+            let response = conn.request("GET", "/x", Some(deadline())).expect(line);
+            assert_eq!(response.status, status, "{line}");
+        }
+    }
+
+    #[test]
+    fn the_connection_header_is_read_token_by_token() {
+        for (value, keep_alive) in [
+            ("keep-alive, foo", true),
+            ("Foo, Keep-Alive", true),
+            ("keep-alive, close", false),
+            ("close, keep-alive", false),
+            ("foo", false),
+            ("close", false),
+        ] {
+            let addr = canned_server(vec![format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: {value}\r\n\r\n{{}}"
+            )]);
+            let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+            let response = conn.request("GET", "/x", Some(deadline())).expect(value);
+            assert_eq!(response.keep_alive, keep_alive, "Connection: {value}");
         }
     }
 

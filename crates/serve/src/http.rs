@@ -1,5 +1,6 @@
-//! Minimal HTTP/1.1 request parsing and response writing over blocking
-//! streams.
+//! Minimal HTTP/1.1 over blocking streams: request parsing and response
+//! writing for the server, and the one message-head reader both
+//! directions share.
 //!
 //! The daemon speaks exactly the slice of HTTP a snippet service needs:
 //! `GET`/`POST` request lines with percent-encoded query strings, headers
@@ -18,17 +19,26 @@
 //! `Transfer-Encoding` (which this server does not implement) is rejected
 //! with `501` — ambiguous framing is exactly how request smuggling slips
 //! a second request past the parser.
+//!
+//! That framing guard is written once, in [`read_headers`], and the
+//! inter-tier [`client`](crate::client) reads every response through it
+//! too: one line reader ([`read_line`]), one header loop, one body read
+//! ([`read_body`]). A request and a response differ only in their start
+//! line, the headers each side keeps and the cap on the body.
 
 use std::io::{self, BufRead, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 use extract_obs::TraceId;
 
 /// Longest accepted request line, in bytes.
 const MAX_REQUEST_LINE: usize = 8 * 1024;
-/// Most accepted headers.
-pub const MAX_HEADERS: usize = 64;
-/// Longest accepted header line, in bytes.
-pub const MAX_HEADER_LINE: usize = 8 * 1024;
+/// Most accepted head lines after the start line (the blank line that
+/// ends the head counts).
+const MAX_HEADERS: usize = 64;
+/// Longest accepted header line (and response status line), in bytes.
+pub(crate) const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Largest accepted (and discarded) request body, in bytes.
 pub const MAX_BODY: usize = 64 * 1024;
 
@@ -62,6 +72,33 @@ impl Request {
     /// The first value of query parameter `name`.
     pub fn param(&self, name: &str) -> Option<&str> {
         self.query.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+
+    /// The `/search` parameters `(q, k, offset)`, validated the one way
+    /// both tiers answer them: a missing/blank `q` or an unparseable
+    /// number is the `400` to send back, `k` defaults to `default_k` and
+    /// is clamped to `max_k` (the clamp shows in the response's `k`).
+    pub fn search_params(
+        &self,
+        default_k: usize,
+        max_k: usize,
+    ) -> Result<(&str, usize, usize), Response> {
+        let Some(q) = self.param("q").filter(|q| !q.trim().is_empty()) else {
+            return Err(Response::error(400, "missing query parameter q"));
+        };
+        let k = match self.param("k").map(str::parse::<usize>) {
+            None => default_k,
+            Some(Ok(k)) if k >= 1 => k.min(max_k),
+            Some(_) => return Err(Response::error(400, "k must be an integer >= 1")),
+        };
+        let offset = match self.param("offset").map(str::parse::<usize>) {
+            None => 0,
+            Some(Ok(offset)) => offset,
+            Some(Err(_)) => {
+                return Err(Response::error(400, "offset must be a non-negative integer"))
+            }
+        };
+        Ok((q, k, offset))
     }
 }
 
@@ -125,102 +162,124 @@ impl From<io::Error> for HttpError {
 
 /// Whether an i/o error is a blocking-socket read deadline expiring
 /// (Linux reports `WouldBlock` for `SO_RCVTIMEO`, other platforms
-/// `TimedOut`). Shared with the server's grace-probe classification so
-/// the two can never diverge.
+/// `TimedOut`). The server's grace probe and the client read through
+/// this one test, so the two can never diverge.
 pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// Read one line terminated by `\n` (tolerating a trailing `\r`), capped
-/// at `cap` bytes. `idle_ok` marks the one read position (the start of a
-/// request) where silence means *idle* rather than *stalled mid-request*.
-fn read_line<R: BufRead>(
-    r: &mut R,
-    cap: usize,
-    what: &'static str,
-    idle_ok: bool,
-) -> Result<String, HttpError> {
-    let mut buf = Vec::with_capacity(128);
-    loop {
-        let mut byte = 0u8;
-        match r.read(std::slice::from_mut(&mut byte)) {
-            Err(e) if is_timeout(&e) => {
-                if idle_ok && buf.is_empty() {
-                    return Err(HttpError::IdleTimeout);
-                }
-                return Err(HttpError::Stalled);
+/// A `TcpStream` whose reads honor an **absolute** deadline. A plain
+/// `SO_RCVTIMEO` restarts on every received byte, so a drip-feeding
+/// peer (one byte per timeout window — slowloris) could hold a reader
+/// essentially forever while never tripping the per-read timeout. Here
+/// every underlying read shrinks the socket timeout to the time
+/// remaining until the deadline: the whole message, not each byte, must
+/// land inside the window. The server reads requests through it and the
+/// client reads responses through it.
+#[derive(Debug)]
+pub(crate) struct DeadlineStream {
+    pub(crate) stream: TcpStream,
+    pub(crate) deadline: Option<Instant>,
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(io::ErrorKind::WouldBlock.into());
             }
-            Err(e) => return Err(HttpError::Io(e)),
-            Ok(0) => {
-                if idle_ok && buf.is_empty() {
-                    return Err(HttpError::ClosedEarly);
-                }
-                return Err(HttpError::Malformed("truncated line"));
-            }
-            Ok(_) => {
-                if byte == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return String::from_utf8(buf)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 line"));
-                }
-                if buf.len() >= cap {
-                    return Err(HttpError::TooLarge(what, 431));
-                }
-                buf.push(byte);
-            }
+            self.stream.set_read_timeout(Some(remaining))?;
         }
+        self.stream.read(buf)
     }
 }
 
-/// Parse one request from `stream`: request line, headers (all discarded
-/// except `Content-Length`, `Connection` and the trace header), then the
-/// body — retained verbatim (the size cap was already enforced against
-/// the declared `Content-Length`, so a hostile client cannot balloon the
-/// allocation past [`MAX_BODY`]).
-pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, HttpError> {
-    let line = read_line(stream, MAX_REQUEST_LINE, "request line too long", true)?;
-    let mut parts = line.split(' ');
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().ok_or(HttpError::Malformed("missing request target"))?;
-    let version = parts.next().ok_or(HttpError::Malformed("missing HTTP version"))?;
-    if parts.next().is_some() {
-        return Err(HttpError::Malformed("malformed request line"));
-    }
-    let minor = version
-        .strip_prefix("HTTP/1.")
-        .filter(|m| !m.is_empty() && m.bytes().all(|b| b.is_ascii_digit()))
-        .ok_or(HttpError::Malformed("malformed request line"))?;
-    let http11 = minor != "0";
-    if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
-        return Err(HttpError::Malformed("malformed method"));
-    }
+/// Whether `s` is one or more ASCII digits — the only number shape the
+/// head accepts (`usize::from_str` would also take `+5`).
+pub(crate) fn is_digits(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())
+}
 
-    // Framing guard: exactly zero or one Content-Length, digits only.
-    // `usize::from_str` would happily accept `+5`; a smuggler's second
-    // interpretation of the framing starts exactly there.
+/// Read one head line terminated by `\n` (a trailing `\r` dropped) into
+/// `line`, replacing what it held: at most `cap` bytes before the `\n`,
+/// else `too_long` (`431`). `start` marks the one read position — the
+/// first byte of a message — where nothing at all means the peer is
+/// *idle* (a deadline) or *closed early* (EOF); anywhere else, silence
+/// is a stall and EOF a truncated line.
+pub(crate) fn read_line<'l, R: BufRead>(
+    r: &mut R,
+    line: &'l mut Vec<u8>,
+    cap: usize,
+    too_long: &'static str,
+    start: bool,
+) -> Result<&'l str, HttpError> {
+    line.clear();
+    // One byte past the cap: a line that long without its newline is
+    // over it.
+    match r.take(cap as u64 + 1).read_until(b'\n', line) {
+        Err(e) if is_timeout(&e) && start && line.is_empty() => {
+            return Err(HttpError::IdleTimeout)
+        }
+        Err(e) if is_timeout(&e) => return Err(HttpError::Stalled),
+        Err(e) => return Err(HttpError::Io(e)),
+        Ok(0) if start => return Err(HttpError::ClosedEarly),
+        Ok(_) => {}
+    }
+    if line.last() != Some(&b'\n') {
+        return Err(if line.len() > cap {
+            HttpError::TooLarge(too_long, 431)
+        } else {
+            HttpError::Malformed("truncated line")
+        });
+    }
+    line.pop();
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    std::str::from_utf8(line).map_err(|_| HttpError::Malformed("non-UTF-8 line"))
+}
+
+/// What the framing guard keeps of a head.
+#[derive(Debug)]
+pub(crate) struct Framing {
+    /// The body length: the one `Content-Length`, or 0 without one.
+    pub(crate) content_length: usize,
+    /// The `Connection` header read token by token: `Some(false)` when
+    /// any token is `close`, `Some(true)` for `keep-alive` alone, `None`
+    /// when neither appears (the caller applies its default).
+    pub(crate) keep_alive: Option<bool>,
+}
+
+/// Read the header lines after a start line, up to the blank line that
+/// ends the head, enforcing the framing guard both directions share: at
+/// most [`MAX_HEADERS`] lines of at most [`MAX_HEADER_LINE`] bytes, zero
+/// or one digits-only `Content-Length`, no `Transfer-Encoding`. Every
+/// other header goes to `other` as `(name, trimmed value)`.
+pub(crate) fn read_headers<R: BufRead>(
+    r: &mut R,
+    line: &mut Vec<u8>,
+    mut other: impl FnMut(&str, &str),
+) -> Result<Framing, HttpError> {
     let mut content_length: Option<usize> = None;
     let mut keep_alive: Option<bool> = None;
-    let mut trace_id: Option<TraceId> = None;
     for n in 0.. {
         if n >= MAX_HEADERS {
             return Err(HttpError::TooLarge("too many headers", 431));
         }
-        let header = read_line(stream, MAX_HEADER_LINE, "header line too long", false)?;
+        let header = read_line(r, line, MAX_HEADER_LINE, "header line too long", false)?;
         if header.is_empty() {
             break;
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(HttpError::Malformed("malformed header"));
         };
+        let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let value = value.trim();
-            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(HttpError::Malformed("malformed Content-Length"));
-            }
-            let parsed =
-                value.parse().map_err(|_| HttpError::Malformed("malformed Content-Length"))?;
+            let parsed = Some(value)
+                .filter(|v| is_digits(v))
+                .and_then(|v| v.parse().ok())
+                .ok_or(HttpError::Malformed("malformed Content-Length"))?;
             if content_length.replace(parsed).is_some() {
                 return Err(HttpError::Malformed("duplicate Content-Length"));
             }
@@ -237,30 +296,73 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, HttpError> {
                     keep_alive = Some(true);
                 }
             }
-        } else if name.eq_ignore_ascii_case(extract_obs::TRACE_HEADER) {
-            // First well-formed value wins; malformed values stay None
-            // so the server mints a fresh ID instead of propagating
-            // attacker-shaped strings.
-            if trace_id.is_none() {
-                trace_id = TraceId::parse(value);
-            }
+        } else {
+            other(name, value);
         }
     }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY {
+    Ok(Framing { content_length: content_length.unwrap_or(0), keep_alive })
+}
+
+/// Read a `content_length`-byte body the caller has already held to
+/// `cap` (the clamp keeps the allocation bounded should that check ever
+/// move). EOF before the last byte is a truncated body, a deadline a
+/// stall.
+pub(crate) fn read_body<R: Read>(
+    r: &mut R,
+    content_length: usize,
+    cap: usize,
+) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::with_capacity(content_length.min(cap));
+    match r.take(content_length as u64).read_to_end(&mut body) {
+        Ok(n) if n == content_length => Ok(body),
+        Ok(_) => Err(HttpError::Malformed("truncated body")),
+        Err(e) if is_timeout(&e) => Err(HttpError::Stalled),
+        Err(e) => Err(HttpError::Io(e)),
+    }
+}
+
+/// Parse one request from `stream`: request line, headers (all discarded
+/// except `Content-Length`, `Connection` and the trace header), then the
+/// body — retained verbatim (the size cap was already enforced against
+/// the declared `Content-Length`, so a hostile client cannot balloon the
+/// allocation past [`MAX_BODY`]).
+pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, HttpError> {
+    let mut line = Vec::with_capacity(128);
+    let start = read_line(stream, &mut line, MAX_REQUEST_LINE, "request line too long", true)?;
+    let mut parts = start.split(' ');
+    let method = parts.next().unwrap_or("");
+    let target = parts.next().ok_or(HttpError::Malformed("missing request target"))?;
+    let version = parts.next().ok_or(HttpError::Malformed("missing HTTP version"))?;
+    if parts.next().is_some() {
+        return Err(HttpError::Malformed("malformed request line"));
+    }
+    let minor = version
+        .strip_prefix("HTTP/1.")
+        .filter(|m| is_digits(m))
+        .ok_or(HttpError::Malformed("malformed request line"))?;
+    let http11 = minor != "0";
+    if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
+        return Err(HttpError::Malformed("malformed method"));
+    }
+    let (method, target) = (method.to_string(), target.to_string());
+
+    let mut trace_id: Option<TraceId> = None;
+    let framing = read_headers(stream, &mut line, |name, value| {
+        // First well-formed value wins; malformed values stay None so
+        // the server mints a fresh ID instead of propagating
+        // attacker-shaped strings.
+        if trace_id.is_none() && name.eq_ignore_ascii_case(extract_obs::TRACE_HEADER) {
+            trace_id = TraceId::parse(value);
+        }
+    })?;
+    if framing.content_length > MAX_BODY {
         return Err(HttpError::TooLarge("request body too large", 413));
     }
-    let mut body = Vec::with_capacity(content_length.min(MAX_BODY));
-    match stream.take(content_length as u64).read_to_end(&mut body) {
-        Ok(n) if n == content_length => {}
-        Ok(_) => return Err(HttpError::Malformed("truncated body")),
-        Err(e) if is_timeout(&e) => return Err(HttpError::Stalled),
-        Err(e) => return Err(HttpError::Io(e)),
-    }
+    let body = read_body(stream, framing.content_length, MAX_BODY)?;
 
     let (path_raw, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
-        None => (target, None),
+        None => (target.as_str(), None),
     };
     let path =
         percent_decode(path_raw, false).ok_or(HttpError::Malformed("malformed path encoding"))?;
@@ -276,11 +378,11 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, HttpError> {
         }
     }
     Ok(Request {
-        method: method.to_string(),
+        method,
         path,
         query,
         http11,
-        keep_alive: keep_alive.unwrap_or(http11),
+        keep_alive: framing.keep_alive.unwrap_or(http11),
         trace_id,
         body,
     })

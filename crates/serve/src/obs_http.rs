@@ -1,6 +1,7 @@
-//! HTTP-facing rendering of the observability state — shared by the
-//! shard daemon's and the router's `/debug/traces` and `/metrics`
-//! routes so the two tiers speak the same wire format.
+//! HTTP-facing rendering of the observability state and server control
+//! — shared by the shard daemon's and the router's `/debug/traces`,
+//! `/metrics` and `/shutdown` routes so the two tiers speak the same
+//! wire format.
 
 use extract_obs::{expo, PromWriter, RequestObs, Stage};
 
@@ -8,11 +9,35 @@ use crate::http::Response;
 use crate::json::JsonWriter;
 use crate::server::{ServerHandle, ServerStats};
 
+/// `GET /debug/traces` in either tier: the flight recorder of the
+/// server the app runs in, or `503` outside one.
+pub fn traces_route(server: Option<&ServerHandle>) -> Response {
+    match server {
+        Some(handle) => Response::json(200, traces_json(handle.obs())),
+        None => Response::error(503, "no server attached"),
+    }
+}
+
+/// `POST /shutdown` in either tier: start the drain of the server the
+/// app runs in and answer `{"draining": true}`, or `503` outside one.
+pub fn shutdown_route(server: Option<&ServerHandle>) -> Response {
+    let Some(handle) = server else {
+        return Response::error(503, "no server attached");
+    };
+    handle.shutdown();
+    let mut w = JsonWriter::new();
+    w.obj_begin();
+    w.key("draining");
+    w.bool(true);
+    w.obj_end();
+    Response::json(200, w.finish())
+}
+
 /// The flight recorder as JSON: `{"capacity": N, "traces": [...]}` with
 /// one object per trace (oldest first) carrying the zero-padded hex
 /// trace ID, recorder sequence number, route, status, end-to-end time
 /// and per-stage nanoseconds (stages that did not run are omitted).
-pub fn traces_json(obs: &RequestObs) -> String {
+fn traces_json(obs: &RequestObs) -> String {
     let mut w = JsonWriter::new();
     w.obj_begin();
     w.key("capacity");

@@ -18,9 +18,8 @@
 //!   greedy client cannot occupy the whole pool. The key is the
 //!   *canonical* peer IP: an IPv4-mapped IPv6 peer (`::ffff:127.0.0.1`)
 //!   pays the same budget as `127.0.0.1` instead of dodging it.
-//! * **Keep-alive** — when [`ServeConfig::keep_alive`] is on, a
-//!   connection whose request asked for persistence is answered
-//!   `Connection: keep-alive` and reused. A worker serves back-to-back
+//! * **Keep-alive** — a connection whose request asked for persistence
+//!   is answered `Connection: keep-alive` and reused. A worker serves back-to-back
 //!   requests from the same socket only while the queue is empty (a
 //!   short [`KEEPALIVE_GRACE`] read bridges the client's turnaround);
 //!   the moment other work is waiting — or the client goes quiet — the
@@ -70,7 +69,7 @@
 //! the daemon keeps serving.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -80,7 +79,9 @@ use extract_obs::{lock_unpoisoned, RequestObs, Stage, TraceId, TraceRecord};
 
 use crate::event::{arm_reset, bind_reuseaddr, Epoll};
 use crate::fault::{FaultAction, FaultPlan};
-use crate::http::{is_timeout, read_request, write_response, HttpError, Request, Response};
+use crate::http::{
+    is_timeout, read_request, write_response, DeadlineStream, HttpError, Request, Response,
+};
 
 /// Server tuning knobs: pool and queue sizes, per-client fairness,
 /// timeouts, keep-alive reuse, fault injection and tracing. Parked
@@ -99,12 +100,10 @@ pub struct ServeConfig {
     /// Socket read/write timeout, so a stalled peer can occupy a worker
     /// for at most this long (a mid-request stall is answered `408`).
     pub io_timeout: Duration,
-    /// Honor `Connection: keep-alive` and reuse connections. When off,
-    /// every response carries `Connection: close` (the PR-4 behavior).
-    pub keep_alive: bool,
     /// Most requests served on one connection before the server closes
     /// it (`0` = unlimited). Bounds how long one socket can pin parser
-    /// state and how long a pipelining client can monopolize reuse.
+    /// state and how long a pipelining client can monopolize reuse; `1`
+    /// answers every request `Connection: close`.
     pub max_requests_per_connection: u64,
     /// How long a kept-alive connection may sit parked with no request
     /// before the readiness loop evicts (closes) it.
@@ -129,7 +128,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             per_client_inflight: 64,
             io_timeout: Duration::from_secs(10),
-            keep_alive: true,
             max_requests_per_connection: 256,
             idle_timeout: Duration::from_secs(5),
             fault: None,
@@ -215,32 +213,6 @@ struct Counters {
     io_errors: AtomicU64,
 }
 
-/// A `TcpStream` whose reads honor an **absolute** deadline. A plain
-/// `SO_RCVTIMEO` restarts on every received byte, so a drip-feeding
-/// client (one request-line byte per timeout window — slowloris) could
-/// pin a worker essentially forever while never tripping the per-read
-/// timeout. Here every underlying read shrinks the socket timeout to
-/// the time remaining until the deadline: the whole request, not each
-/// byte, must land inside the window.
-#[derive(Debug)]
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Option<Instant>,
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(std::io::ErrorKind::WouldBlock.into());
-            }
-            self.stream.set_read_timeout(Some(remaining))?;
-        }
-        self.stream.read(buf)
-    }
-}
-
 /// One admitted connection with (at least the prefix of) a request to
 /// read. The buffered reader travels with the connection so pipelined
 /// bytes survive queueing, parking and worker hand-offs.
@@ -271,7 +243,9 @@ impl Conn {
     }
 
     /// Arm the absolute read deadline `window` from now (see
-    /// [`DeadlineStream`]).
+    /// [`DeadlineStream`]: the whole request, not each byte, must land
+    /// inside it, so a client dripping one byte per timeout window
+    /// cannot pin a worker).
     fn set_read_deadline(&mut self, window: Duration) {
         self.reader.get_mut().deadline = Some(Instant::now() + window);
     }
@@ -779,8 +753,7 @@ where
     if conn.served > 1 {
         shared.counters.reused.fetch_add(1, Ordering::Relaxed);
     }
-    let keep_alive = config.keep_alive
-        && request.keep_alive
+    let keep_alive = request.keep_alive
         && (config.max_requests_per_connection == 0
             || conn.served < config.max_requests_per_connection);
     // Fault injection (tests and the smoke harness only; `fault` is

@@ -1,17 +1,17 @@
-//! Test and load-generator support: a tiny raw-HTTP loopback client (one
+//! Test and load-generator support: a one-request loopback fetch (one
 //! fresh connection per request), a persistent keep-alive client, plus
 //! the concurrency latches the deterministic server tests are built on.
 //! Shared by this crate's integration tests, the umbrella `tests/serve.rs`
-//! suite, the `serve` binary's self-check and the `obs_overhead` guard
-//! so the wire-format knowledge lives in one place. Not part of the
-//! serving API.
+//! suite, the `serve` binary's self-check and the `obs_overhead` guard.
+//! Not part of the serving API.
 //!
-//! The wire machinery itself lives in [`client`](crate::client) — the
-//! production inter-tier client the router is built on. What this module
-//! adds is the *test temperament*: generous 20 s deadlines and loud
-//! panics instead of `Result`s.
+//! Neither client parses HTTP: both ride
+//! [`client::Connection`](crate::client::Connection), the production
+//! inter-tier client the router is built on, which reads every response
+//! head through the server's own parser. What this module adds is the
+//! *test temperament*: generous 20 s deadlines and loud panics instead of
+//! `Result`s.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -24,30 +24,21 @@ pub use crate::client::WireResponse;
 /// How long a test client waits before declaring the server hung.
 const TEST_DEADLINE: Duration = Duration::from_secs(20);
 
-/// Issue one `method target` request over a fresh connection (with
-/// `Connection: close`, so keep-alive servers hang up after answering),
-/// returning `(status, body)`. The read timeout turns a dropped
-/// connection or a hang into a loud panic — exactly what a test wants.
+/// Issue one `method target` request over a fresh connection with
+/// `Connection: close`, returning `(status, body)` once the server has
+/// hung up — so whatever the server counts for the exchange is counted
+/// when this returns. The deadline turns a dropped connection or a hang
+/// into a loud panic — exactly what a test wants.
 ///
 /// # Panics
-/// On connect/send/read failure or a malformed status line.
+/// On connect/send/read failure, a malformed response, or a server that
+/// keeps the connection open after answering `Connection: close`.
 pub fn fetch(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(TEST_DEADLINE)).unwrap();
-    write!(stream, "{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .expect("send");
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .expect("read response — the server must never drop a connection");
-    let status = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .unwrap_or_else(|| panic!("malformed response {raw:?}"))
-        .parse()
-        .expect("status code");
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
+    let mut client = KeepAliveClient::connect(addr);
+    client.send(method, target, &["Connection: close"]);
+    let response = client.read_response();
+    assert!(client.at_eof(), "{method} {target}: the server kept a closing connection open");
+    (response.status, response.body)
 }
 
 /// A persistent HTTP/1.1 client: many requests, one socket. Responses

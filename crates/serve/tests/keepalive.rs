@@ -139,7 +139,9 @@ fn connection_close_is_honored_mid_stream() {
 
 #[test]
 fn keep_alive_can_be_disabled_server_side() {
-    let config = ServeConfig { keep_alive: false, ..Default::default() };
+    // One request a connection: every response closes, however the
+    // client asks.
+    let config = ServeConfig { max_requests_per_connection: 1, ..Default::default() };
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let (addr, handle) = (server.local_addr(), server.handle());
     let gate = Gate::default();
@@ -147,11 +149,16 @@ fn keep_alive_can_be_disabled_server_side() {
     std::thread::scope(|scope| {
         let _drain = DrainOnDrop(handle.clone());
         scope.spawn(|| server.run(echo_handler(&gate)));
-        let mut client = KeepAliveClient::connect(addr);
-        let response = client.request("GET", "/x");
-        assert_eq!(response.status, 200);
-        assert!(!response.keep_alive, "keep-alive off: every response closes");
-        assert!(client.at_eof());
+        for _ in 0..2 {
+            let mut client = KeepAliveClient::connect(addr);
+            client.send("GET", "/x", &["Connection: keep-alive"]);
+            let response = client.read_response();
+            assert_eq!(response.status, 200);
+            assert!(!response.keep_alive, "keep-alive off: every response closes");
+            assert!(client.at_eof());
+        }
+        let stats = handle.stats();
+        assert_eq!(stats.reused_requests, 0, "{stats:?}");
         handle.shutdown();
     });
 }

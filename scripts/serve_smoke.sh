@@ -6,12 +6,16 @@
 #
 # Usage: scripts/serve_smoke.sh
 #
-# Two layers:
+# Three layers:
 #   1. `serve --self-check` — the daemon's built-in loopback round
 #      (including two requests over one kept-alive socket), which needs
 #      no external tools at all;
-#   2. when `curl` is available, the same probes again from a real
-#      external client over the wire, plus a keep-alive probe: two
+#   2. raw bytes over a bash `/dev/tcp` socket against the shipped
+#      binary's framing guard: a duplicate `Content-Length` is a `400`
+#      that closes the connection, `Transfer-Encoding` a `501`, and a
+#      fresh `/search` after both still answers `200`;
+#   3. when `curl` is available, the self-check's probes again from a
+#      real external client over the wire, plus a keep-alive probe: two
 #      requests on one reused connection, verified against the server's
 #      own `reused_requests` counter on /stats.
 #
@@ -29,13 +33,7 @@ cargo build --release --offline --bin serve --bin jsonv
 echo "==> serve_smoke: built-in self-check (ephemeral port, loopback round)"
 "$SERVE" --self-check --gen-docs 6 --gen-nodes 500 --workers 2 --queue-depth 8
 
-if ! command -v curl >/dev/null; then
-    echo "serve_smoke: curl not available — self-check covered the wire probes"
-    echo "serve_smoke: green"
-    exit 0
-fi
-
-echo "==> serve_smoke: external probes over the wire (curl)"
+echo "==> serve_smoke: booting the daemon for external probes"
 OUT=$(mktemp)
 "$SERVE" --port 0 --gen-docs 6 --gen-nodes 500 --workers 2 --queue-depth 8 >"$OUT" &
 PID=$!
@@ -58,48 +56,98 @@ if [[ -z "$URL" ]]; then
     exit 1
 fi
 echo "serve_smoke: daemon ready at $URL"
+ADDR=${URL#http://}
 
-probe() { # probe METHOD PATH EXPECTED_STATUS
-    local method=$1 path=$2 want=$3 body status
-    body=$(mktemp)
-    status=$(curl -s -X "$method" -o "$body" -w '%{http_code}' "$URL$path")
-    if [[ "$status" != "$want" ]]; then
-        echo "serve_smoke: $method $path returned $status (want $want)" >&2
-        cat "$body" >&2
-        rm -f "$body"
-        exit 1
-    fi
-    "$JSONV" "$body" || { echo "serve_smoke: $method $path body is not valid JSON" >&2; exit 1; }
-    rm -f "$body"
-    echo "serve_smoke: $method $path → $status, valid JSON"
+raw() { # raw REQUEST → the whole response, read until the server closes
+    local fd
+    exec {fd}<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    printf '%b' "$1" >&"$fd"
+    timeout 10 cat <&"$fd" || true
+    exec {fd}>&-
 }
 
-probe GET  "/healthz" 200
-probe GET  "/search?q=texas&k=3" 200
-probe GET  "/search?q=store+name&k=2&offset=1" 200
-probe GET  "/stats" 200
-probe GET  "/search" 400
-probe GET  "/no-such-route" 404
+raw_probe() { # raw_probe NAME REQUEST STATUS_LINE BODY
+    local name=$1 request=$2 want_status=$3 want_body=$4 response
+    response=$(raw "$request" | tr -d '\r')
+    if [[ "$(head -n 1 <<<"$response")" != "$want_status" ]] \
+        || ! grep -qx 'Connection: close' <<<"$response" \
+        || [[ "$(tail -n 1 <<<"$response")" != "$want_body" ]]; then
+        echo "serve_smoke: $name: want $want_status, Connection: close, $want_body; got" >&2
+        echo "$response" >&2
+        exit 1
+    fi
+    echo "serve_smoke: $name → $want_status, connection closed"
+}
 
-echo "==> serve_smoke: keep-alive probe (two requests, one socket)"
-# One curl invocation with two URLs reuses the connection; the server's
-# own counter proves it (the self-check already covered this without
-# curl, but this exercises a real external client).
-BEFORE=$(curl -s "$URL/stats" | sed -n 's/.*"reused_requests":\([0-9]*\).*/\1/p')
-curl -s "$URL/search?q=texas&k=1" "$URL/healthz" > /dev/null
-AFTER=$(curl -s "$URL/stats" | sed -n 's/.*"reused_requests":\([0-9]*\).*/\1/p')
-if [[ -z "$BEFORE" || -z "$AFTER" ]]; then
-    echo "serve_smoke: /stats is missing the reused_requests counter" >&2
+echo "==> serve_smoke: framing guard over a raw socket"
+raw_probe "duplicate Content-Length" \
+    'POST /ingest?name=smuggle HTTP/1.1\r\nHost: smoke\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi' \
+    'HTTP/1.1 400 Bad Request' '{"error":"duplicate Content-Length"}'
+raw_probe "Transfer-Encoding" \
+    'POST /ingest?name=smuggle HTTP/1.1\r\nHost: smoke\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n' \
+    'HTTP/1.1 501 Not Implemented' '{"error":"Transfer-Encoding not supported"}'
+SEARCH=$(raw 'GET /search?q=texas&k=1 HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' | tr -d '\r')
+if [[ "$(head -n 1 <<<"$SEARCH")" != "HTTP/1.1 200 OK" ]]; then
+    echo "serve_smoke: /search after the framing probes did not answer 200:" >&2
+    echo "$SEARCH" >&2
     exit 1
 fi
-if (( AFTER <= BEFORE )); then
-    echo "serve_smoke: connection was not reused (reused_requests $BEFORE -> $AFTER)" >&2
-    exit 1
+echo "serve_smoke: a fresh /search after both → 200"
+
+if ! command -v curl >/dev/null; then
+    echo "serve_smoke: curl not available — skipping the curl probes"
+else
+    echo "==> serve_smoke: external probes over the wire (curl)"
+
+    probe() { # probe METHOD PATH EXPECTED_STATUS
+        local method=$1 path=$2 want=$3 body status
+        body=$(mktemp)
+        status=$(curl -s -X "$method" -o "$body" -w '%{http_code}' "$URL$path")
+        if [[ "$status" != "$want" ]]; then
+            echo "serve_smoke: $method $path returned $status (want $want)" >&2
+            cat "$body" >&2
+            rm -f "$body"
+            exit 1
+        fi
+        "$JSONV" "$body" || { echo "serve_smoke: $method $path body is not valid JSON" >&2; exit 1; }
+        rm -f "$body"
+        echo "serve_smoke: $method $path → $status, valid JSON"
+    }
+
+    probe GET  "/healthz" 200
+    probe GET  "/search?q=texas&k=3" 200
+    probe GET  "/search?q=store+name&k=2&offset=1" 200
+    probe GET  "/stats" 200
+    probe GET  "/search" 400
+    probe GET  "/no-such-route" 404
+
+    echo "==> serve_smoke: keep-alive probe (two requests, one socket)"
+    # One curl invocation with two URLs reuses the connection; the server's
+    # own counter proves it (the self-check already covered this without
+    # curl, but this exercises a real external client).
+    BEFORE=$(curl -s "$URL/stats" | sed -n 's/.*"reused_requests":\([0-9]*\).*/\1/p')
+    curl -s "$URL/search?q=texas&k=1" "$URL/healthz" > /dev/null
+    AFTER=$(curl -s "$URL/stats" | sed -n 's/.*"reused_requests":\([0-9]*\).*/\1/p')
+    if [[ -z "$BEFORE" || -z "$AFTER" ]]; then
+        echo "serve_smoke: /stats is missing the reused_requests counter" >&2
+        exit 1
+    fi
+    if (( AFTER <= BEFORE )); then
+        echo "serve_smoke: connection was not reused (reused_requests $BEFORE -> $AFTER)" >&2
+        exit 1
+    fi
+    echo "serve_smoke: connection reused (reused_requests $BEFORE -> $AFTER)"
 fi
-echo "serve_smoke: connection reused (reused_requests $BEFORE -> $AFTER)"
 
 echo "==> serve_smoke: graceful shutdown"
-probe POST "/shutdown" 200
+SHUTDOWN=$(raw 'POST /shutdown HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n' | tr -d '\r')
+if [[ "$(head -n 1 <<<"$SHUTDOWN")" != "HTTP/1.1 200 OK" \
+    || "$(tail -n 1 <<<"$SHUTDOWN")" != '{"draining":true}' ]]; then
+    echo "serve_smoke: POST /shutdown did not answer 200 {\"draining\":true}:" >&2
+    echo "$SHUTDOWN" >&2
+    exit 1
+fi
+echo "serve_smoke: POST /shutdown → 200, draining"
 for _ in $(seq 1 100); do
     kill -0 "$PID" 2>/dev/null || break
     sleep 0.2

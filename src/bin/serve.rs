@@ -23,11 +23,10 @@
 //!                    (default 64)
 //!   --per-client N   in-flight cap per peer IP, shed with 429
 //!                    (default workers + queue depth)
-//!   --no-keep-alive  one request per connection (PR-4 behavior); by
-//!                    default HTTP/1.1 connections are kept alive and
-//!                    parked on the epoll readiness loop between requests
 //!   --max-requests N most requests served per connection, 0 = unlimited
-//!                    (default 256)
+//!                    (default 256; 1 answers every request
+//!                    `Connection: close`). Between requests a kept-alive
+//!                    connection is parked on the epoll readiness loop
 //!   --idle-timeout-ms N
 //!                    evict a kept-alive connection parked idle this long
 //!                    (default 5000)
@@ -64,10 +63,9 @@
 //!
 //! and exits 0 after a `POST /shutdown` finished draining.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use extract::corpus::{Corpus, CorpusBuilder};
 use extract::datagen::corpus::CorpusConfig;
@@ -75,7 +73,7 @@ use extract::live::serve_live;
 use extract::prelude::*;
 use extract_core::ExtractConfig;
 use extract_serve::json;
-use extract_serve::ServeConfig;
+use extract_serve::{ClientConfig, Connection, ServeConfig};
 
 struct Options {
     corpus_dir: Option<String>,
@@ -86,7 +84,6 @@ struct Options {
     workers: usize,
     queue_depth: usize,
     per_client: Option<usize>,
-    keep_alive: bool,
     max_requests: u64,
     idle_timeout_ms: u64,
     trace_capacity: usize,
@@ -110,7 +107,6 @@ impl Default for Options {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             queue_depth: 64,
             per_client: None,
-            keep_alive: true,
             max_requests: 256,
             idle_timeout_ms: 5_000,
             trace_capacity: 128,
@@ -128,7 +124,7 @@ impl Default for Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: serve [--corpus DIR | --gen-docs N] [--port P] [--workers N] \
-         [--queue-depth N] [--per-client N] [--no-keep-alive] [--max-requests N] \
+         [--queue-depth N] [--per-client N] [--max-requests N] \
          [--idle-timeout-ms N] [--trace-capacity N] [--slow-ms N] \
          [--gen-nodes N] [--seed S] [--bound N] \
          [--default-k N] [--max-k N] [--cache N] [--fault SPEC]... [--self-check]"
@@ -160,7 +156,6 @@ fn parse_options() -> Result<Options, ExitCode> {
             "--workers" => options.workers = parse_num(&value(&mut i)?)?,
             "--queue-depth" => options.queue_depth = parse_num(&value(&mut i)?)?,
             "--per-client" => options.per_client = Some(parse_num(&value(&mut i)?)?),
-            "--no-keep-alive" => options.keep_alive = false,
             "--max-requests" => options.max_requests = parse_num(&value(&mut i)?)? as u64,
             "--idle-timeout-ms" => {
                 options.idle_timeout_ms = parse_num(&value(&mut i)?)? as u64;
@@ -268,7 +263,6 @@ fn main() -> ExitCode {
             .per_client
             .unwrap_or(options.workers.max(1) + options.queue_depth),
         io_timeout: Duration::from_secs(10),
-        keep_alive: options.keep_alive,
         max_requests_per_connection: options.max_requests,
         idle_timeout: Duration::from_millis(options.idle_timeout_ms),
         trace_capacity: options.trace_capacity,
@@ -286,7 +280,6 @@ fn main() -> ExitCode {
     let docs = corpus.len();
     let nodes = corpus.total_nodes();
     let (workers, queue) = (serve_config.workers, serve_config.queue_depth);
-    let keepalive = if serve_config.keep_alive { "on" } else { "off" };
     let self_check = options.self_check;
     let cache = options.cache;
     let mut checker: Option<std::thread::JoinHandle<bool>> = None;
@@ -296,13 +289,12 @@ fn main() -> ExitCode {
         serve_live(live, &addr, serve_config, app_config, cache, |addr, handle| {
             println!(
                 "extract-serve listening on http://{addr} (docs={docs} nodes={nodes} \
-                 workers={workers} queue={queue} keepalive={keepalive})"
+                 workers={workers} queue={queue})"
             );
             let _ = std::io::stdout().flush();
             if self_check {
-                let expect_keep_alive = keepalive == "on";
                 checker = Some(std::thread::spawn(move || {
-                    let ok = self_check_round(addr, expect_keep_alive);
+                    let ok = self_check_round(addr);
                     if !ok {
                         // Never leave the daemon running on a failed check.
                         handle.shutdown();
@@ -330,31 +322,27 @@ fn main() -> ExitCode {
 /// two requests over one kept-alive socket, an ingest/search/delete
 /// mutation round, then a graceful shutdown (which also ends `main`'s
 /// serve loop).
-fn self_check_round(addr: std::net::SocketAddr, expect_keep_alive: bool) -> bool {
+fn self_check_round(addr: std::net::SocketAddr) -> bool {
     // Keep-alive first: two requests, one socket, both valid JSON.
-    if expect_keep_alive {
-        let mut client = extract_serve::testing::KeepAliveClient::connect(addr);
-        for target in ["/search?q=texas&k=2", "/healthz"] {
-            let response = client.request("GET", target);
-            if response.status != 200 {
-                eprintln!("serve: self-check keep-alive {target}: status {}", response.status);
-                return false;
-            }
-            if let Err(e) = json::parse(&response.body) {
-                eprintln!("serve: self-check keep-alive {target}: invalid JSON: {e}");
-                return false;
-            }
-            if !response.keep_alive {
-                eprintln!(
-                    "serve: self-check keep-alive {target}: connection was not kept alive"
-                );
-                return false;
-            }
-        }
-        eprintln!("serve: self-check keep-alive round: 2 requests on one socket ok");
-        if !self_check_mutation_round(&mut client) {
+    let mut client = extract_serve::testing::KeepAliveClient::connect(addr);
+    for target in ["/search?q=texas&k=2", "/healthz"] {
+        let response = client.request("GET", target);
+        if response.status != 200 {
+            eprintln!("serve: self-check keep-alive {target}: status {}", response.status);
             return false;
         }
+        if let Err(e) = json::parse(&response.body) {
+            eprintln!("serve: self-check keep-alive {target}: invalid JSON: {e}");
+            return false;
+        }
+        if !response.keep_alive {
+            eprintln!("serve: self-check keep-alive {target}: connection was not kept alive");
+            return false;
+        }
+    }
+    eprintln!("serve: self-check keep-alive round: 2 requests on one socket ok");
+    if !self_check_mutation_round(&mut client) {
+        return false;
     }
 
     let checks: [(&str, &str, u16); 4] = [
@@ -364,17 +352,23 @@ fn self_check_round(addr: std::net::SocketAddr, expect_keep_alive: bool) -> bool
         ("POST", "/shutdown", 200),
     ];
     for (method, target, want_status) in checks {
-        match fetch(addr, method, target) {
-            Ok((status, body)) => {
-                if status != want_status {
-                    eprintln!("serve: self-check {method} {target}: status {status}");
+        // One fresh connection a check, closed by the server after it
+        // answers.
+        let deadline = Some(Instant::now() + Duration::from_secs(10));
+        let answer = Connection::connect(addr, &ClientConfig::default()).and_then(|mut conn| {
+            conn.request_with(method, target, &["Connection: close"], deadline)
+        });
+        match answer {
+            Ok(response) => {
+                if response.status != want_status {
+                    eprintln!("serve: self-check {method} {target}: status {}", response.status);
                     return false;
                 }
-                if let Err(e) = json::parse(&body) {
+                if let Err(e) = json::parse(&response.body) {
                     eprintln!("serve: self-check {method} {target}: invalid JSON: {e}");
                     return false;
                 }
-                eprintln!("serve: self-check {method} {target}: {status} ok");
+                eprintln!("serve: self-check {method} {target}: {} ok", response.status);
             }
             Err(e) => {
                 eprintln!("serve: self-check {method} {target}: {e}");
@@ -446,29 +440,4 @@ fn self_check_mutation_round(client: &mut extract_serve::testing::KeepAliveClien
     }
     eprintln!("serve: self-check mutation round: ingest/search/delete ok (epochs {stamped:?})");
     true
-}
-
-fn fetch(
-    addr: std::net::SocketAddr,
-    method: &str,
-    target: &str,
-) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(stream, "{method} {target} HTTP/1.1\r\nHost: self\r\nConnection: close\r\n\r\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status = status_line
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.get(..3))
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::other(format!("bad status line {status_line:?}")))?;
-    let mut line = String::new();
-    while reader.read_line(&mut line)? > 0 && line != "\r\n" {
-        line.clear();
-    }
-    let mut body = String::new();
-    std::io::Read::read_to_string(&mut reader, &mut body)?;
-    Ok((status, body))
 }

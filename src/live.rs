@@ -59,9 +59,7 @@ use extract_obs::{MutationObs, MutationOp, MutationPhase, PromWriter};
 use extract_serve::obs_http;
 use extract_serve::{JsonWriter, Request, Response, ServerHandle};
 
-use crate::serve::{
-    parse_search_params, search_body, write_cache_metrics, write_cache_stats, SearchAppConfig,
-};
+use crate::serve::{search_body, write_cache_metrics, write_cache_stats, SearchAppConfig};
 use crate::session::{QuerySession, SessionCaches};
 
 /// The routing + rendering layer between [`extract_serve::Server`] and a
@@ -127,22 +125,8 @@ impl LiveSearchApp {
                 Response::json(if draining { 503 } else { 200 }, w.finish())
             }
             ("GET", "/metrics") => self.metrics(),
-            ("GET", "/debug/traces") => match &self.server {
-                Some(handle) => Response::json(200, obs_http::traces_json(handle.obs())),
-                None => Response::error(503, "no server attached"),
-            },
-            ("POST", "/shutdown") => match &self.server {
-                Some(handle) => {
-                    handle.shutdown();
-                    let mut w = JsonWriter::new();
-                    w.obj_begin();
-                    w.key("draining");
-                    w.bool(true);
-                    w.obj_end();
-                    Response::json(200, w.finish())
-                }
-                None => Response::error(503, "no server attached"),
-            },
+            ("GET", "/debug/traces") => obs_http::traces_route(self.server.as_ref()),
+            ("POST", "/shutdown") => obs_http::shutdown_route(self.server.as_ref()),
             (_, "/search" | "/ingest" | "/delete" | "/stats" | "/healthz" | "/shutdown"
             | "/metrics" | "/debug/traces") => Response::error(405, "method not allowed"),
             _ => Response::error(404, "no such route"),
@@ -154,7 +138,7 @@ impl LiveSearchApp {
     /// `Arc` clone, one page-cache lookup and a copy of the entry's
     /// already-rendered results into the response.
     fn search(&self, request: &Request) -> Response {
-        let (q, k, offset) = match parse_search_params(request, &self.config) {
+        let (q, k, offset) = match request.search_params(self.config.default_k, self.config.max_k) {
             Ok(params) => params,
             Err(response) => return response,
         };

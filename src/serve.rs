@@ -14,7 +14,7 @@
 use extract_corpus::Corpus;
 use extract_core::{CacheStats, ExtractConfig};
 use extract_obs::{PromWriter, Stage};
-use extract_serve::{JsonWriter, Request, Response};
+use extract_serve::JsonWriter;
 
 use crate::session::{CorpusTopK, QuerySession, SessionCaches};
 
@@ -99,35 +99,6 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     w.help("extract_snippet_cache_bytes", "Snippet XML bytes held by the snippet cache.");
     w.type_("extract_snippet_cache_bytes", "gauge");
     w.sample_u64("extract_snippet_cache_bytes", &[], caches.snippet_cache_bytes() as u64);
-}
-
-/// Validate `/search` parameters: a missing/blank `q` or an unparseable
-/// number is a `400`, `k` is clamped to `max_k` (the clamp is visible in
-/// the response's `k` field).
-pub(crate) fn parse_search_params<'r>(
-    request: &'r Request,
-    config: &SearchAppConfig,
-) -> Result<(&'r str, usize, usize), Response> {
-    let Some(q) = request.param("q").filter(|q| !q.trim().is_empty()) else {
-        return Err(Response::error(400, "missing query parameter q"));
-    };
-    let k = match request.param("k") {
-        None => config.default_k,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(k) if k >= 1 => k.min(config.max_k),
-            _ => return Err(Response::error(400, "k must be an integer >= 1")),
-        },
-    };
-    let offset = match request.param("offset") {
-        None => 0,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(offset) => offset,
-            Err(_) => {
-                return Err(Response::error(400, "offset must be a non-negative integer"))
-            }
-        },
-    };
-    Ok((q, k, offset))
 }
 
 /// The `/search` body for `(q, k, offset)` over `session`'s snapshot —
@@ -220,6 +191,7 @@ mod tests {
     use crate::live::LiveSearchApp;
     use extract_corpus::{CorpusBuilder, LiveCorpus};
     use extract_serve::json::{self, Value};
+    use extract_serve::Request;
 
     fn tiny_corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
