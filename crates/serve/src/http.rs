@@ -246,8 +246,8 @@ pub(crate) struct Framing {
     /// The body length: the one `Content-Length`, or 0 without one.
     pub(crate) content_length: usize,
     /// The `Connection` header read token by token: `Some(false)` when
-    /// any token is `close`, `Some(true)` for `keep-alive` alone, `None`
-    /// when neither appears (the caller applies its default).
+    /// any token is `close`, else `Some(true)` when one is `keep-alive`,
+    /// else `None` (the caller applies its default).
     pub(crate) keep_alive: Option<bool>,
 }
 
