@@ -1,8 +1,13 @@
 //! Property tests for the Data Analyzer: classification totality, entity
-//! resolution consistency, statistics identities, and key-mining soundness.
+//! resolution consistency, statistics identities, key-mining soundness, and
+//! the schema and mined keys against a reference that counts with a map
+//! per node.
 
+use std::collections::{HashMap, HashSet};
+
+use extract_analyzer::keys::KeyQuality;
 use extract_analyzer::{EntityModel, KeyCatalog, NodeCategory, ResultStats};
-use extract_xml::{DocBuilder, Document, NodeId};
+use extract_xml::{DocBuilder, Document, NodeId, PathId, Schema, Symbol};
 use proptest::prelude::*;
 
 const LABELS: [&str; 6] = ["store", "clothes", "name", "city", "merch", "tag"];
@@ -31,10 +36,16 @@ fn build(spec: &SpecNode) -> Document {
     b.build()
 }
 
+/// Value `v`: one of [`VALUES`], or past them a distinct `k{v}` — so an
+/// attribute can be a perfect key.
+fn value_text(v: usize) -> String {
+    VALUES.get(v).map_or_else(|| format!("k{v}"), |word| word.to_string())
+}
+
 fn push(b: &mut DocBuilder, s: &SpecNode) {
     b.begin(LABELS[s.label]);
     if let Some(v) = s.value {
-        b.text(VALUES[v]);
+        b.text(&value_text(v));
     }
     for c in &s.children {
         push(b, c);
@@ -42,8 +53,231 @@ fn push(b: &mut DocBuilder, s: &SpecNode) {
     b.end();
 }
 
+/// Documents whose values are mostly distinct: the key-mining shape.
+fn keyed_spec_strategy() -> impl Strategy<Value = SpecNode> {
+    let leaf = (0usize..LABELS.len(), proptest::option::of(0usize..VALUES.len() + 40))
+        .prop_map(|(label, value)| SpecNode { label, value, children: Vec::new() });
+    leaf.prop_recursive(4, 48, 6, |inner| {
+        (0usize..LABELS.len(), proptest::collection::vec(inner, 0..6)).prop_map(
+            |(label, children)| SpecNode { label, value: None, children },
+        )
+    })
+}
+
+/// A DTD that declares some of [`LABELS`] repeatable and some not, so
+/// starredness comes from it where it speaks and from the data elsewhere.
+const DTD: &str = "<!DOCTYPE db [\
+    <!ELEMENT store (name, city?, clothes*, merch)>\
+    <!ELEMENT merch (tag*, name)>\
+    <!ELEMENT clothes (#PCDATA)>\
+    ]>";
+
+/// One label path as the reference records it.
+#[derive(Debug, Clone, PartialEq)]
+struct ReferencePath {
+    parent: Option<usize>,
+    label: Symbol,
+    depth: u32,
+    instance_count: u32,
+    max_siblings: u32,
+    has_element_child: bool,
+    has_text_child: bool,
+    starred: bool,
+}
+
+/// The schema and each node's path, inferred the map-per-node way: a
+/// `(parent path, label)` map to intern paths, and a fresh label → count
+/// map at every element for its children.
+fn reference_schema(doc: &Document) -> (Vec<ReferencePath>, Vec<usize>) {
+    let mut paths: Vec<ReferencePath> = Vec::new();
+    let mut lookup: HashMap<(Option<usize>, Symbol), usize> = HashMap::new();
+    let mut intern = |paths: &mut Vec<ReferencePath>, parent: Option<usize>, label: Symbol| {
+        *lookup.entry((parent, label)).or_insert_with(|| {
+            let depth = parent.map_or(0, |p| paths[p].depth + 1);
+            paths.push(ReferencePath {
+                parent,
+                label,
+                depth,
+                instance_count: 0,
+                max_siblings: 0,
+                has_element_child: false,
+                has_text_child: false,
+                starred: false,
+            });
+            paths.len() - 1
+        })
+    };
+    let mut node_paths = vec![0; doc.len()];
+    let root = doc.root();
+    let root_path = intern(&mut paths, None, doc.label(root).expect("an element root"));
+    node_paths[root.index()] = root_path;
+    paths[root_path].instance_count = 1;
+    paths[root_path].max_siblings = 1;
+    for node in doc.all_nodes() {
+        if doc.is_text(node) {
+            continue;
+        }
+        let here = node_paths[node.index()];
+        let mut counts: HashMap<Symbol, u32> = HashMap::new();
+        for child in doc.children(node) {
+            let Some(label) = doc.label(child) else {
+                paths[here].has_text_child = true;
+                node_paths[child.index()] = here;
+                continue;
+            };
+            paths[here].has_element_child = true;
+            let path = intern(&mut paths, Some(here), label);
+            node_paths[child.index()] = path;
+            paths[path].instance_count += 1;
+            *counts.entry(label).or_default() += 1;
+        }
+        for (label, count) in counts {
+            let path = intern(&mut paths, Some(here), label);
+            paths[path].max_siblings = paths[path].max_siblings.max(count);
+        }
+    }
+    for i in 0..paths.len() {
+        let Some(parent) = paths[i].parent else { continue };
+        let (parent_label, label) = (doc.resolve(paths[parent].label), doc.resolve(paths[i].label));
+        paths[i].starred = doc
+            .dtd()
+            .and_then(|dtd| dtd.is_repeatable(parent_label, label))
+            .unwrap_or(paths[i].max_siblings >= 2);
+    }
+    (paths, node_paths)
+}
+
+/// The name preference of key mining: identifiers, then names, then the
+/// rest.
+fn name_preference(label: &str) -> i32 {
+    let lower = label.to_lowercase();
+    if lower == "id" || lower == "key" || lower.ends_with("id") {
+        3
+    } else if lower == "name" || lower == "title" {
+        2
+    } else if lower.contains("name") || lower.contains("title") {
+        1
+    } else {
+        0
+    }
+}
+
+/// The key mined for each entity path as `(attribute path, quality,
+/// distinct ratio)`, counted the map-per-node way: a fresh attribute path
+/// → count map at every entity, and a set of value strings per (entity
+/// path, attribute path).
+fn reference_keys(
+    doc: &Document,
+    model: &EntityModel,
+) -> HashMap<PathId, (PathId, KeyQuality, f64)> {
+    #[derive(Default)]
+    struct Stats<'d> {
+        instances_with: u32,
+        multi_valued: bool,
+        values: HashSet<&'d str>,
+        value_count: u32,
+    }
+    let mut stats: HashMap<(PathId, PathId), Stats<'_>> = HashMap::new();
+    for node in doc.all_nodes() {
+        if !doc.is_element(node) || !model.is_entity(node) {
+            continue;
+        }
+        let entity_path = model.path_of(node);
+        let mut seen_here: HashMap<PathId, u32> = HashMap::new();
+        for child in doc.element_children(node) {
+            if !model.is_attribute(child) {
+                continue;
+            }
+            let attribute_path = model.path_of(child);
+            *seen_here.entry(attribute_path).or_default() += 1;
+            if let Some(value) = doc.text_of(child) {
+                let s = stats.entry((entity_path, attribute_path)).or_default();
+                s.values.insert(value);
+                s.value_count += 1;
+            }
+        }
+        for (attribute_path, count) in seen_here {
+            let s = stats.entry((entity_path, attribute_path)).or_default();
+            s.instances_with += 1;
+            s.multi_valued |= count > 1;
+        }
+    }
+    let schema = model.schema();
+    let mut keys: HashMap<PathId, ((PathId, KeyQuality, f64), i32)> = HashMap::new();
+    for ((entity_path, attribute_path), s) in &stats {
+        if s.multi_valued {
+            continue;
+        }
+        let entity_count = schema.info(*entity_path).instance_count;
+        let ratio = if s.value_count == 0 {
+            0.0
+        } else {
+            s.values.len() as f64 / s.value_count as f64
+        };
+        let perfect = s.instances_with == entity_count && s.value_count == entity_count && ratio == 1.0;
+        let name = name_preference(doc.resolve(schema.info(*attribute_path).label));
+        let score = if perfect { 1000 + name } else { name };
+        let quality = if perfect { KeyQuality::Perfect } else { KeyQuality::BestEffort };
+        let candidate = ((*attribute_path, quality, ratio), score);
+        let better = keys.get(entity_path).is_none_or(|&((path, _, r), best)| {
+            score > best
+                || (score == best
+                    && (ratio, std::cmp::Reverse(*attribute_path)) > (r, std::cmp::Reverse(path)))
+        });
+        if better {
+            keys.insert(*entity_path, candidate);
+        }
+    }
+    keys.into_iter().map(|(path, (key, _))| (path, key)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Schema::infer` and `KeyCatalog::mine` equal the map-per-node
+    /// reference: every node's path, every path's fields, and every entity
+    /// path's key — with and without a DTD.
+    #[test]
+    fn schema_and_keys_equal_the_map_per_node_reference(
+        spec in keyed_spec_strategy(),
+        with_dtd in any::<bool>(),
+    ) {
+        let built = build(&spec);
+        let doc = if with_dtd {
+            Document::parse_str(&format!("{DTD}{}", built.to_xml_string())).expect("well-formed")
+        } else {
+            built
+        };
+        let (schema, node_paths) = Schema::infer(&doc);
+        let (expected, expected_nodes) = reference_schema(&doc);
+        let nodes: Vec<usize> = node_paths.iter().map(|p| p.index()).collect();
+        prop_assert_eq!(nodes, expected_nodes);
+        prop_assert_eq!(schema.path_count(), expected.len());
+        for (id, info) in schema.paths() {
+            let actual = ReferencePath {
+                parent: info.parent.map(PathId::index),
+                label: info.label,
+                depth: info.depth,
+                instance_count: info.instance_count,
+                max_siblings: info.max_siblings,
+                has_element_child: info.has_element_child,
+                has_text_child: info.has_text_child,
+                starred: info.starred,
+            };
+            prop_assert_eq!(&actual, &expected[id.index()], "path {}", id.index());
+        }
+
+        let model = EntityModel::analyze(&doc);
+        let catalog = KeyCatalog::mine(&doc, &model);
+        let expected = reference_keys(&doc, &model);
+        prop_assert_eq!(catalog.len(), expected.len());
+        for (path, _) in schema.paths() {
+            let actual = catalog
+                .key_of(path)
+                .map(|k| (k.attribute_path, k.quality, k.distinct_ratio));
+            prop_assert_eq!(actual, expected.get(&path).copied(), "entity path {}", path.index());
+        }
+    }
 
     /// Every element gets exactly one category, and the category honours
     /// the definitions: entities repeat (or are DTD-starred), attributes
@@ -163,7 +397,6 @@ proptest! {
     /// invariant.)
     #[test]
     fn subtree_occurrences_are_a_subset_of_document_occurrences(spec in spec_strategy()) {
-        use std::collections::HashSet;
         let doc = build(&spec);
         let model = EntityModel::analyze(&doc);
         let whole = ResultStats::compute(&doc, &model, doc.root());
@@ -196,13 +429,11 @@ proptest! {
     /// are unique across instances.
     #[test]
     fn mined_keys_are_unique_within_entity_path(spec in spec_strategy()) {
-        use std::collections::HashSet;
         let doc = build(&spec);
         let model = EntityModel::analyze(&doc);
         let catalog = KeyCatalog::mine(&doc, &model);
         // Group entity instances by path and check key-value uniqueness.
-        let mut by_path: std::collections::HashMap<_, Vec<NodeId>> =
-            std::collections::HashMap::new();
+        let mut by_path: HashMap<_, Vec<NodeId>> = HashMap::new();
         for n in doc.subtree_elements(doc.root()) {
             if model.is_entity(n) {
                 by_path.entry(model.path_of(n)).or_default().push(n);
@@ -210,7 +441,7 @@ proptest! {
         }
         for (path, instances) in by_path {
             let Some(key) = catalog.key_of(path) else { continue };
-            if key.quality != extract_analyzer::keys::KeyQuality::Perfect {
+            if key.quality != KeyQuality::Perfect {
                 continue;
             }
             let mut seen = HashSet::new();

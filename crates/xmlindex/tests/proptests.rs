@@ -1,26 +1,53 @@
 //! Property tests: the indexes must be *exactly* consistent with the
 //! document — complete (every true match is indexed) and sound (every
-//! posting is a true match).
+//! posting is a true match) — and the tokenizer must split and lowercase
+//! exactly as `split` on non-alphanumerics plus `str::to_lowercase` does.
 
-use extract_index::{tokenize, InvertedIndex, XmlIndex};
+use extract_index::{tokenize, tokens_of, InvertedIndex, XmlIndex};
 use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
 
 const LABELS: [&str; 5] = ["store", "item", "name", "city", "tag"];
 const VALUES: [&str; 6] = ["texas", "houston", "gold watch", "red Fox", "a-1", ""];
 
+/// Pieces of random text: mixed-case ASCII, digits, separators, and
+/// non-ASCII letters and digits — among them ones whose lowercase is
+/// longer or shorter than they are (`İ` → `i̇`, `ẞ` → `ß`, the Kelvin
+/// sign → `k`), a final-sigma case (`Σ` lowercases by position), a
+/// titlecase digraph and a combining mark.
+const FRAGMENTS: [&str; 30] = [
+    "a", "Z", "Texas", "hOuSTon", "7", "042", " ", "-", "_", ".", ", ", "/", "İ", "ẞ", "ß",
+    "Σ", "ΟΔΟΣ", "é", "É", "\u{212A}", "ǅ", "\u{345}", "٣", "½", "中", "🦀", "Straße", "İstanbul",
+    "naïve", "\u{0307}",
+];
+
+/// A random string of up to `max` fragments.
+fn text_strategy(max: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..FRAGMENTS.len(), 0..max)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+/// A label or a value: one of the fixed words (so tokens repeat across
+/// elements) or random text.
+fn word_strategy(words: &'static [&'static str]) -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0usize..words.len()).prop_map(move |i| words[i].to_string()),
+        text_strategy(6),
+    ]
+}
+
 #[derive(Debug, Clone)]
 struct SpecNode {
-    label: usize,
-    value: Option<usize>,
+    label: String,
+    value: Option<String>,
     children: Vec<SpecNode>,
 }
 
 fn spec_strategy() -> impl Strategy<Value = SpecNode> {
-    let leaf = (0usize..LABELS.len(), proptest::option::of(0usize..VALUES.len()))
+    let leaf = (word_strategy(&LABELS), proptest::option::of(word_strategy(&VALUES)))
         .prop_map(|(label, value)| SpecNode { label, value, children: Vec::new() });
     leaf.prop_recursive(4, 48, 6, |inner| {
-        (0usize..LABELS.len(), proptest::collection::vec(inner, 0..6)).prop_map(
+        (word_strategy(&LABELS), proptest::collection::vec(inner, 0..6)).prop_map(
             |(label, children)| SpecNode { label, value: None, children },
         )
     })
@@ -33,16 +60,25 @@ fn build(spec: &SpecNode) -> Document {
 }
 
 fn push(b: &mut DocBuilder, s: &SpecNode) {
-    b.begin(LABELS[s.label]);
-    if let Some(v) = s.value {
-        if !VALUES[v].is_empty() {
-            b.text(VALUES[v]);
+    b.begin(&s.label);
+    if let Some(v) = &s.value {
+        if !v.is_empty() {
+            b.text(v);
         }
     }
     for c in &s.children {
         push(b, c);
     }
     b.end();
+}
+
+/// The tokenizer's definition: maximal runs of alphanumeric characters,
+/// each lowercased by `str::to_lowercase`.
+fn reference_tokens(text: &str) -> Vec<String> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|run| !run.is_empty())
+        .map(str::to_lowercase)
+        .collect()
 }
 
 /// Reference: does element `n` match `token` by label or direct text?
@@ -63,13 +99,14 @@ proptest! {
     fn inverted_index_is_sound_and_complete(spec in spec_strategy()) {
         let doc = build(&spec);
         let index = InvertedIndex::build(&doc);
-        // Tokens worth checking: all label tokens + all value tokens.
+        // Tokens worth checking: every label and text token + all the
+        // fixed words' tokens.
         let mut tokens: Vec<String> = Vec::new();
-        for l in LABELS {
-            tokens.extend(tokenize::tokenize(l));
+        for n in doc.all_nodes() {
+            tokens.extend(reference_tokens(doc.label_str(n).or(doc.text(n)).unwrap_or("")));
         }
-        for v in VALUES {
-            tokens.extend(tokenize::tokenize(v));
+        for word in LABELS.iter().chain(&VALUES) {
+            tokens.extend(reference_tokens(word));
         }
         tokens.push("zzz-not-there".into());
         tokens.sort();
@@ -105,11 +142,10 @@ proptest! {
             if !doc.is_element(node) {
                 continue;
             }
-            let mut toks: Vec<String> =
-                tokenize::tokenize(doc.label_str(node).unwrap_or(""));
+            let mut toks: Vec<String> = reference_tokens(doc.label_str(node).unwrap_or(""));
             for c in doc.children(node) {
                 if let Some(t) = doc.text(c) {
-                    toks.extend(tokenize::tokenize(t));
+                    toks.extend(reference_tokens(t));
                 }
             }
             toks.sort();
@@ -146,6 +182,46 @@ proptest! {
         let fresh = InvertedIndex::build(&doc);
         for token in ["store", "texas", "gold"] {
             prop_assert_eq!(index.postings(token), fresh.postings(token));
+        }
+    }
+
+    /// Every tokenizer entry point agrees with the definition on random
+    /// text: `tokens_of` and `tokenize` yield its tokens in order,
+    /// `contains_token` finds exactly them, and an index over one element
+    /// with that label and text interns them in first-occurrence order.
+    #[test]
+    fn the_tokenizer_equals_split_and_lowercase(
+        label in text_strategy(12),
+        text in text_strategy(24),
+    ) {
+        for s in [&label, &text] {
+            let expected = reference_tokens(s);
+            prop_assert_eq!(&tokens_of(s).collect::<Vec<_>>(), &expected, "tokens_of {:?}", s);
+            prop_assert_eq!(&tokenize(s), &expected, "tokenize {:?}", s);
+            for token in expected.iter().map(String::as_str).chain(["i", "k", "σ", "ς", "ss", ""]) {
+                prop_assert_eq!(
+                    tokenize::contains_token(s, token),
+                    expected.iter().any(|t| t == token),
+                    "contains_token({:?}, {:?})", s, token
+                );
+            }
+        }
+        let mut b = DocBuilder::new(&label);
+        if !text.is_empty() {
+            b.text(&text);
+        }
+        let doc = b.build();
+        let index = InvertedIndex::build(&doc);
+        let mut first_seen: Vec<String> = Vec::new();
+        for token in reference_tokens(&label).into_iter().chain(reference_tokens(&text)) {
+            if !first_seen.contains(&token) {
+                first_seen.push(token);
+            }
+        }
+        let interned: Vec<&str> = index.tokens().map(|(_, t)| t).collect();
+        prop_assert_eq!(interned, first_seen.iter().map(String::as_str).collect::<Vec<_>>());
+        for token in &first_seen {
+            prop_assert_eq!(index.postings(token), &[doc.root()][..], "token {}", token);
         }
     }
 }
