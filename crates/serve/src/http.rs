@@ -34,8 +34,8 @@ use extract_obs::TraceId;
 
 /// Longest accepted request line, in bytes.
 const MAX_REQUEST_LINE: usize = 8 * 1024;
-/// Most accepted head lines after the start line (the blank line that
-/// ends the head counts).
+/// Most accepted header lines after the start line (the blank line that
+/// ends the head is not a header and does not count).
 const MAX_HEADERS: usize = 64;
 /// Longest accepted header line (and response status line), in bytes.
 pub(crate) const MAX_HEADER_LINE: usize = 8 * 1024;
@@ -264,12 +264,12 @@ pub(crate) fn read_headers<R: BufRead>(
     let mut content_length: Option<usize> = None;
     let mut keep_alive: Option<bool> = None;
     for n in 0.. {
-        if n >= MAX_HEADERS {
-            return Err(HttpError::TooLarge("too many headers", 431));
-        }
         let header = read_line(r, line, MAX_HEADER_LINE, "header line too long", false)?;
         if header.is_empty() {
             break;
+        }
+        if n >= MAX_HEADERS {
+            return Err(HttpError::TooLarge("too many headers", 431));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(HttpError::Malformed("malformed header"));
@@ -746,13 +746,14 @@ mod tests {
         let err = parse(&big_body).unwrap_err();
         assert_eq!((err.status(), err.reason()), (Some(413), "request body too large"));
         // Exactly at each cap is fine: a line of `MAX_REQUEST_LINE` bytes
-        // before its `\n` (the `\r` counts), and `MAX_HEADERS` head lines
-        // after the request line (the blank one that ends the head counts).
+        // before its `\n` (the `\r` counts), and `MAX_HEADERS` header lines
+        // after the request line (the blank one that ends the head is not
+        // a header).
         let target = "a".repeat(MAX_REQUEST_LINE - "GET / HTTP/1.1\r".len());
         assert!(parse(&format!("GET /{target} HTTP/1.1\r\n\r\n")).is_ok());
         let full = format!(
             "GET /x HTTP/1.1\r\n{}\r\n",
-            (0..MAX_HEADERS - 1).map(|i| format!("h{i}: v\r\n")).collect::<String>()
+            (0..MAX_HEADERS).map(|i| format!("h{i}: v\r\n")).collect::<String>()
         );
         assert!(parse(&full).is_ok());
     }
