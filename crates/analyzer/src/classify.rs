@@ -129,9 +129,8 @@ pub struct EntityModel {
     features: usize,
 }
 
-/// A valued attribute's feature, waiting for its id.
+/// A valued attribute's value, waiting for its feature id.
 struct Numbering {
-    ftype: FeatureType,
     /// The value's first eight bytes and its length ([`inline_key`]).
     prefix: u64,
     len: usize,
@@ -139,6 +138,10 @@ struct Numbering {
     /// id.
     node: NodeId,
 }
+
+/// No feature type: a path that is not an attribute's, or an attribute's
+/// with no entity above it.
+const UNTYPED: u32 = u32::MAX;
 
 impl EntityModel {
     /// Analyze `doc`: infer the schema (DTD-aware), classify every path,
@@ -191,34 +194,56 @@ impl EntityModel {
     /// label, value)`, the owner being the label of the nearest entity
     /// above it, numbered in statistics order — equal triples share an id.
     /// One with no entity above it is only marked [`Slot::Orphan`].
+    ///
+    /// The owner and the attribute label are both fixed by the attribute's
+    /// label path, so the types are ranked once a path: the attributes are
+    /// grouped by their type's rank, and each group sorted by value.
     fn number_features(&mut self, doc: &Document) {
-        // The label of each element's nearest entity ancestor-or-self; a
-        // parent precedes its children in document order.
-        let mut owners: Vec<Option<Symbol>> = vec![None; doc.len()];
-        let mut pending: Vec<Numbering> = Vec::new();
+        let paths = self.schema.path_count();
+        // By path: the label of the nearest entity path at or above it. A
+        // parent path is interned before its children.
+        let mut owners: Vec<Option<Symbol>> = Vec::with_capacity(paths);
+        let mut typed: Vec<(FeatureType, PathId)> = Vec::new();
+        for (path, info) in self.schema.paths() {
+            let above = info.parent.and_then(|p| owners.get(p.index()).copied().flatten());
+            let category = self.category_of_path(path);
+            if let (NodeCategory::Attribute, Some(entity)) = (category, above) {
+                typed.push((FeatureType { entity, attribute: info.label }, path));
+            }
+            owners.push((category == NodeCategory::Entity).then_some(info.label).or(above));
+        }
+        // By path: its feature type's rank in type order, or `UNTYPED`.
+        typed.sort_unstable();
+        let mut ranks = vec![UNTYPED; paths];
+        let mut ftypes: Vec<FeatureType> = Vec::new();
+        for (ftype, path) in typed {
+            if ftypes.last() != Some(&ftype) {
+                ftypes.push(ftype);
+            }
+            ranks[path.index()] = entry(0, ftypes.len() - 1);
+        }
+
+        // Every valued attribute under its type's rank, grouped by rank.
+        let mut pending: Vec<(u32, Numbering)> = Vec::new();
         for node in doc.all_nodes() {
-            let Some(attribute) = doc.label(node) else { continue };
-            let parent = doc.parent(node);
-            let above = parent.and_then(|p| owners[p.index()]);
-            let category = self.category(node);
-            let entity = (category == NodeCategory::Entity).then_some(attribute);
-            owners[node.index()] = entity.or(above);
-            let (NodeCategory::Attribute, Some(value), Some(_)) =
-                (category, doc.text_of(node), parent)
-            else {
+            let Slot::Element(path) = self.slot(node) else { continue };
+            if self.category_of_path(path) != NodeCategory::Attribute || doc.parent(node).is_none() {
                 continue;
-            };
-            let Some(entity) = above else {
+            }
+            let Some(value) = doc.text_of(node) else { continue };
+            let rank = ranks[path.index()];
+            if rank == UNTYPED {
                 self.column[node.index()] = ORPHAN;
                 continue;
-            };
+            }
             let (prefix, len) = inline_key(value);
-            pending.push(Numbering { ftype: FeatureType { entity, attribute }, prefix, len, node });
+            pending.push((rank, Numbering { prefix, len, node }));
         }
+        pending.sort_unstable_by_key(|&(rank, _)| rank);
 
         let text = |n: &Numbering| doc.text_of(n.node).unwrap_or_default();
         let order = |a: &Numbering, b: &Numbering| {
-            (a.ftype, a.prefix, a.len).cmp(&(b.ftype, b.prefix, b.len)).then_with(|| {
+            (a.prefix, a.len).cmp(&(b.prefix, b.len)).then_with(|| {
                 // Eight bytes and the length spell out a short value.
                 if a.len <= 8 {
                     Ordering::Equal
@@ -227,22 +252,24 @@ impl EntityModel {
                 }
             })
         };
-        pending.sort_unstable_by(order);
         let mut id = 0;
-        let mut previous: Option<&Numbering> = None;
-        for n in &pending {
-            if let Some(p) = previous {
-                if order(p, n) != Ordering::Equal {
+        for bucket in pending.chunk_by_mut(|(a, _), (b, _)| a == b) {
+            let Some(&(rank, _)) = bucket.first() else { continue };
+            bucket.sort_unstable_by(|(_, a), (_, b)| order(a, b));
+            if !self.types.is_empty() {
+                id += 1;
+            }
+            self.types.push((ftypes[rank as usize], entry(0, id)));
+            let mut previous: Option<&Numbering> = None;
+            for (_, n) in bucket.iter() {
+                if previous.is_some_and(|p| order(p, n) != Ordering::Equal) {
                     id += 1;
                 }
+                self.column[n.node.index()] = entry(FEATURE, id);
+                previous = Some(n);
             }
-            if previous.is_none_or(|p| p.ftype != n.ftype) {
-                self.types.push((n.ftype, entry(0, id)));
-            }
-            self.column[n.node.index()] = entry(FEATURE, id);
-            previous = Some(n);
         }
-        self.features = if pending.is_empty() { 0 } else { id + 1 };
+        self.features = if self.types.is_empty() { 0 } else { id + 1 };
     }
 
     /// The underlying structural summary.

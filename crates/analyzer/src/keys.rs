@@ -13,8 +13,6 @@
 //!   ratio among single-occurrence attributes is used as a best-effort key
 //!   (flagged [`KeyQuality::BestEffort`]).
 
-use std::collections::{HashMap, HashSet};
-
 use extract_xml::{Document, NodeId, PathId};
 
 use crate::classify::EntityModel;
@@ -49,95 +47,107 @@ pub struct KeyCatalog {
 
 impl KeyCatalog {
     /// Mine keys for every entity path in `doc`.
+    ///
+    /// An entity's attribute child is on a child path of the entity's
+    /// path, so the attribute path alone names the (entity path, attribute
+    /// path) pair, and every count below is a table indexed by path — one
+    /// scratch for the whole walk, not a map per entity.
     pub fn mine(doc: &Document, model: &EntityModel) -> KeyCatalog {
         let schema = model.schema();
-        // Gather, per (entity path, attribute child path): number of owning
-        // instances that contain it, whether any instance has it twice, and
-        // the multiset of values. An entity's attribute child is a valued
-        // attribute owned by that entity, so under one pair of paths its
-        // feature id stands for its value: equal ids, equal values.
-        #[derive(Default)]
+        let paths = schema.path_count();
+        // Per attribute path: the number of owning instances that contain
+        // it, whether any instance has it twice, and its values. Under one
+        // attribute path a valued attribute's feature id stands for its
+        // value: equal ids, equal values.
+        #[derive(Clone, Default)]
         struct AttrStats {
             instances_with: u32,
             multi_valued: bool,
-            values: HashSet<u32>,
             value_count: u32,
+            distinct_values: u32,
         }
-        let mut stats: HashMap<(PathId, PathId), AttrStats> = HashMap::new();
+        let mut stats = vec![AttrStats::default(); paths];
+        // Every (attribute path, feature id) seen; sorted, it counts each
+        // path's distinct values.
+        let mut values: Vec<(PathId, u32)> = Vec::new();
+        // One entity's attribute children per path, and the paths it had.
+        let mut here = vec![0u32; paths];
+        let mut touched: Vec<PathId> = Vec::new();
 
         for node in doc.all_nodes() {
             if !doc.is_element(node) || !model.is_entity(node) {
                 continue;
             }
-            let entity_path = model.path_of(node);
-            let mut seen_here: HashMap<PathId, u32> = HashMap::new();
             for child in doc.element_children(node) {
                 if !model.is_attribute(child) {
                     continue;
                 }
                 let attr_path = model.path_of(child);
-                *seen_here.entry(attr_path).or_insert(0) += 1;
+                let count = &mut here[attr_path.index()];
+                if *count == 0 {
+                    touched.push(attr_path);
+                }
+                *count += 1;
                 if let Some(value) = model.feature_of(child) {
-                    let s = stats.entry((entity_path, attr_path)).or_default();
-                    s.values.insert(value);
-                    s.value_count += 1;
+                    values.push((attr_path, value));
+                    stats[attr_path.index()].value_count += 1;
                 }
             }
-            for (attr_path, count) in seen_here {
-                let s = stats.entry((entity_path, attr_path)).or_default();
+            for attr_path in touched.drain(..) {
+                let count = std::mem::take(&mut here[attr_path.index()]);
+                let s = &mut stats[attr_path.index()];
                 s.instances_with += 1;
-                if count > 1 {
-                    s.multi_valued = true;
-                }
+                s.multi_valued |= count > 1;
             }
+        }
+        values.sort_unstable();
+        values.dedup();
+        for (attr_path, _) in values {
+            stats[attr_path.index()].distinct_values += 1;
         }
 
         // Score candidates per entity path.
-        let mut keys: HashMap<PathId, (MinedKey, i32)> = HashMap::new();
-        for ((entity_path, attr_path), s) in &stats {
-            if s.multi_valued {
+        let mut keys: Vec<Option<MinedKey>> = vec![None; paths];
+        let mut scores = vec![0i32; paths];
+        for (attr_path, info) in schema.paths() {
+            let s = &stats[attr_path.index()];
+            let Some(entity_path) = info.parent else { continue };
+            if s.instances_with == 0 || s.multi_valued {
                 continue;
             }
-            let entity_count = schema.info(*entity_path).instance_count;
+            let entity_count = schema.info(entity_path).instance_count;
             let covers_all = s.instances_with == entity_count;
             let distinct_ratio = if s.value_count == 0 {
                 0.0
             } else {
-                s.values.len() as f64 / s.value_count as f64
+                s.distinct_values as f64 / s.value_count as f64
             };
             let perfect = covers_all && s.value_count == entity_count && distinct_ratio == 1.0;
-            let name_score = name_preference(doc.resolve(schema.info(*attr_path).label));
+            let name_score = name_preference(doc.resolve(info.label));
             // Perfect keys always beat best-effort ones; among equals the
             // name preference, then distinct ratio, then path order decide.
             let score = if perfect { 1000 + name_score } else { name_score };
             let candidate = MinedKey {
-                attribute_path: *attr_path,
+                attribute_path: attr_path,
                 quality: if perfect { KeyQuality::Perfect } else { KeyQuality::BestEffort },
                 distinct_ratio,
             };
-            match keys.get(entity_path) {
-                Some((existing, existing_score)) => {
-                    let better = score > *existing_score
-                        || (score == *existing_score
+            let (slot, best) = (&mut keys[entity_path.index()], &mut scores[entity_path.index()]);
+            let better = match slot {
+                Some(existing) => {
+                    score > *best
+                        || (score == *best
                             && (candidate.distinct_ratio, std::cmp::Reverse(attr_path))
-                                > (existing.distinct_ratio, std::cmp::Reverse(&existing.attribute_path)));
-                    if better {
-                        keys.insert(*entity_path, (candidate, score));
-                    }
+                                > (existing.distinct_ratio, std::cmp::Reverse(existing.attribute_path)))
                 }
-                None => {
-                    keys.insert(*entity_path, (candidate, score));
-                }
+                None => true,
+            };
+            if better {
+                *slot = Some(candidate);
+                *best = score;
             }
         }
-
-        let mut dense = vec![None; schema.path_count()];
-        for (path, (key, _)) in keys {
-            if let Some(slot) = dense.get_mut(path.index()) {
-                *slot = Some(key);
-            }
-        }
-        KeyCatalog { keys: dense }
+        KeyCatalog { keys }
     }
 
     /// The mined key for an entity path.

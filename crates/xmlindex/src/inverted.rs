@@ -30,7 +30,7 @@
 
 use extract_xml::{Document, NodeId, SymbolTable};
 
-use crate::tokenize::tokens_of;
+use crate::tokenize::TokenBuffer;
 
 /// An interned query token. Ids are dense (`0..vocabulary_size`) and stable
 /// for the lifetime of the index they came from.
@@ -77,25 +77,47 @@ pub struct InvertedIndex {
 
 impl InvertedIndex {
     /// Build the index over all elements of `doc`.
+    ///
+    /// The build allocates per document, not per token: tokens are
+    /// lowercased into one reused buffer and interned from there, and each
+    /// distinct label is tokenized once — at its first element, so tokens
+    /// are still interned in first-occurrence order — its token ids kept in
+    /// a table indexed by label symbol for the rest of the walk.
     pub fn build(doc: &Document) -> InvertedIndex {
         let mut tokens = SymbolTable::new();
+        let mut lower = TokenBuffer::default();
+        // `label_spans[label]` indexes `label_tokens` with the label's token
+        // ids once its first element has been seen.
+        let mut label_spans: Vec<Option<(u32, u32)>> = vec![None; doc.symbols().len()];
+        let mut label_tokens: Vec<u32> = Vec::new();
         // (token, element) pairs in document order; counting-sorted into the
         // arena afterwards so each per-token range stays in document order.
-        let mut pairs: Vec<(u32, NodeId)> = Vec::new();
+        // About one a node on data-oriented XML: sized once, not doubled.
+        let mut pairs: Vec<(u32, NodeId)> = Vec::with_capacity(doc.len());
         let mut seen: Vec<u32> = Vec::with_capacity(8);
         for node in doc.all_nodes() {
-            let Some(label) = doc.label_str(node) else {
+            let Some(label) = doc.label(node) else {
                 continue;
             };
+            let span = match label_spans.get(label.index()).copied().flatten() {
+                Some(span) => span,
+                None => {
+                    let start = id32(label_tokens.len());
+                    lower.for_each(doc.resolve(label), |tok| {
+                        label_tokens.push(id32(tokens.intern(tok).index()));
+                    });
+                    let span = (start, id32(label_tokens.len()));
+                    if let Some(slot) = label_spans.get_mut(label.index()) {
+                        *slot = Some(span);
+                    }
+                    span
+                }
+            };
             seen.clear();
-            for tok in tokens_of(label) {
-                seen.push(id32(tokens.intern(&tok).index()));
-            }
+            seen.extend_from_slice(&label_tokens[span.0 as usize..span.1 as usize]);
             for child in doc.children(node) {
                 if let Some(text) = doc.text(child) {
-                    for tok in tokens_of(text) {
-                        seen.push(id32(tokens.intern(&tok).index()));
-                    }
+                    lower.for_each(text, |tok| seen.push(id32(tokens.intern(tok).index())));
                 }
             }
             // Per-element dedup: sort + dedup is O(t log t) in the element's

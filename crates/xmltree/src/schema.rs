@@ -86,6 +86,18 @@ impl Schema {
         schema.paths[root_path.index()].instance_count = 1;
         schema.paths[root_path.index()].max_siblings = 1;
 
+        // Same-label children per parent instance, counted by child path
+        // (under one parent path a label is one child path) into one
+        // scratch for the whole walk: `siblings[path]` counts the current
+        // element's children on `path`, and `touched` lists the paths to
+        // fold into `max_siblings` and reset when the element is done.
+        let mut siblings: Vec<u32> = Vec::new();
+        let mut touched: Vec<PathId> = Vec::new();
+        // By label symbol: the last (parent path, child path) it was
+        // interned under. A label mostly sits under one parent path, so
+        // this answers most children without hashing; a miss asks
+        // `lookup`.
+        let mut last_path: Vec<Option<(PathId, PathId)>> = vec![None; doc.symbols().len()];
         for node in doc.subtree(root) {
             if doc.is_text(node) {
                 if let Some(p) = doc.parent(node) {
@@ -94,8 +106,6 @@ impl Schema {
                 continue;
             }
             let node_path = node_paths[node.index()];
-            // Count same-label children per this parent instance.
-            let mut sibling_counts: HashMap<Symbol, u32> = HashMap::new();
             for child in doc.children(node) {
                 let Some(label) = doc.label(child) else {
                     schema.paths[node_path.index()].has_text_child = true;
@@ -103,14 +113,30 @@ impl Schema {
                     continue;
                 };
                 schema.paths[node_path.index()].has_element_child = true;
-                let child_path = schema.intern_path(Some(node_path), label);
+                let child_path = match last_path.get(label.index()) {
+                    Some(&Some((parent, child))) if parent == node_path => child,
+                    _ => {
+                        let child = schema.intern_path(Some(node_path), label);
+                        if let Some(slot) = last_path.get_mut(label.index()) {
+                            *slot = Some((node_path, child));
+                        }
+                        child
+                    }
+                };
                 node_paths[child.index()] = child_path;
                 schema.paths[child_path.index()].instance_count += 1;
-                *sibling_counts.entry(label).or_insert(0) += 1;
+                if siblings.len() <= child_path.index() {
+                    siblings.resize(schema.paths.len(), 0);
+                }
+                let count = &mut siblings[child_path.index()];
+                if *count == 0 {
+                    touched.push(child_path);
+                }
+                *count += 1;
             }
-            for (label, count) in sibling_counts {
-                let child_path = schema.lookup[&(Some(node_path), label)];
-                let info = &mut schema.paths[child_path.index()];
+            for path in touched.drain(..) {
+                let count = std::mem::take(&mut siblings[path.index()]);
+                let info = &mut schema.paths[path.index()];
                 info.max_siblings = info.max_siblings.max(count);
             }
         }

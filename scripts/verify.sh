@@ -15,6 +15,10 @@
 #      cargo test --release -p extract-core -p extract-analyzer
 #                                     — the LRU reference model and the
 #                                       analyzer oracles, likewise
+#      PROPTEST_CASES=2048 cargo test --release
+#          -p extract-xml -p extract-index -p extract-corpus
+#                                     — the interner, tokenizer, index and
+#                                       routing oracles at CI's case count
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -48,6 +52,8 @@ run cargo test -q --offline
 run cargo test -q --offline --release --test alloc_budget
 run cargo test -q --offline --release -p extract-search
 run cargo test -q --offline --release -p extract-core -p extract-analyzer
+run env PROPTEST_CASES=2048 cargo test -q --offline --release \
+    -p extract-xml -p extract-index -p extract-corpus
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

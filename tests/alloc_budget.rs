@@ -28,7 +28,12 @@
 //!    buffer, a node is four `u32` column entries, and the label table is
 //!    three buffers however many labels it holds — interning 10 000
 //!    distinct strings is a few dozen allocations;
-//! 7. the per-request session allocates nothing: the documents' engines
+//! 7. building a document's engine (index, entity model, keys) allocates
+//!    per document, not per token, element or entity: tokens are
+//!    lowercased into one reused buffer, a label is tokenized once, and
+//!    sibling and attribute counts go into one reused scratch — so four
+//!    times the nodes under the same labels costs a few allocations more;
+//! 8. the per-request session allocates nothing: the documents' engines
 //!    are the snapshot's, so there is no engine table to build — and an
 //!    engine lives exactly as long as its document generation: shared by
 //!    every snapshot holding it, fresh for a new generation, freed with
@@ -42,6 +47,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use extract::core::ilist::IListScratch;
+use extract::core::EngineParts;
 use extract::corpus::Routes;
 use extract::prelude::*;
 use extract::xml::SymbolTable;
@@ -187,6 +193,19 @@ const ALLOCATIONS_PER_PARSE: u64 = 18;
 /// set and flags.
 const ALLOCATIONS_PER_MISS: u64 = 35;
 
+/// What [`EngineParts::build`] of [`parsed_document`] allocated at commit
+/// ab95997, in a release build: index 5 503 (a `String` per token), entity
+/// model 1 136 and keys 1 148 (a hash map per element, per entity).
+const PARENT_ALLOCATIONS_PER_ENGINE_BUILD: u64 = 7_787;
+
+/// What that build allocates now, 92 in release and debug builds alike:
+/// the index's token table (three buffers grown by doubling), its
+/// (token, element) pairs sized to the node count, arena, offsets, label
+/// memo and lowercasing buffer (41); the model's schema, node columns,
+/// counting scratch and per-path feature types, and the values waiting for
+/// their ids (31); the keys' per-path tables and value list (20).
+const ALLOCATIONS_PER_ENGINE_BUILD: u64 = 92;
+
 /// Document 0 of the benchmark-shaped corpus as XML (dblp, 4 093 nodes,
 /// 53 KB), and the same generator at `scale` times the node target.
 fn parsed_document(scale: usize) -> String {
@@ -219,6 +238,43 @@ fn parsing_allocates_per_label_not_per_node() {
         "{} nodes took {big_allocations} allocations, {} took {allocations}",
         big.len(),
         doc.len()
+    );
+}
+
+#[test]
+fn an_engine_build_allocates_per_document_not_per_token() {
+    let build = |xml: &str| {
+        let doc = Document::parse_str(xml).expect("well-formed");
+        let (index, index_allocations) = allocations_of(|| XmlIndex::build(&doc));
+        let (model, model_allocations) = allocations_of(|| EntityModel::analyze(&doc));
+        let (keys, keys_allocations) = allocations_of(|| KeyCatalog::mine(&doc, &model));
+        let (_, allocations) = allocations_of(|| EngineParts::build(&doc));
+        println!(
+            "engine build of {} nodes: index {index_allocations}, model {model_allocations}, \
+             keys {keys_allocations} allocations (parent {PARENT_ALLOCATIONS_PER_ENGINE_BUILD} \
+             in all)",
+            doc.len()
+        );
+        let stages = index_allocations + model_allocations + keys_allocations;
+        assert_eq!(allocations, stages + 3, "the three stages and an `Arc` around each");
+        drop((index, keys));
+        (doc.len(), stages)
+    };
+    let (nodes, allocations) = build(&parsed_document(1));
+    assert_eq!(nodes, 4_093);
+    assert!(
+        allocations <= ALLOCATIONS_PER_ENGINE_BUILD,
+        "{allocations} allocations to build the engine of {nodes} nodes"
+    );
+    assert!(allocations * 50 <= PARENT_ALLOCATIONS_PER_ENGINE_BUILD);
+    // Four times the nodes under the same labels: the buffers that grow
+    // by doubling (the token table's three, the features and key values
+    // waiting to be sorted) double a couple more times, nothing per node.
+    let (big_nodes, big_allocations) = build(&parsed_document(4));
+    assert!(big_nodes > 3 * nodes, "{big_nodes} nodes");
+    assert!(
+        big_allocations <= allocations + 10,
+        "{big_nodes} nodes took {big_allocations} allocations, {nodes} took {allocations}"
     );
 }
 
