@@ -9,7 +9,7 @@
 use crate::document::{Arena, Document, NodeId};
 use crate::error::{Error, Position, Result};
 use crate::escape::unescape_into;
-use crate::symbol::{Symbol, SymbolTable};
+use crate::symbol::SymbolTable;
 use crate::tokenizer::{Token, Tokenizer};
 
 /// Options controlling tree construction.
@@ -50,36 +50,10 @@ impl Default for ParseOptions {
 /// corpora): the node columns are sized from the input once, not grown.
 const BYTES_PER_NODE: usize = 12;
 
-/// A direct-mapped cache of recent names in front of the label table: a
-/// start tag whose name is cached costs a byte comparison instead of a
-/// keyed hash and a probe. The slot comes from the name's length and its
-/// first and last bytes; names a client chose can only make it miss, and
-/// a miss asks the table.
-struct RecentNames([Option<Symbol>; 64]);
-
-impl RecentNames {
-    fn intern(&mut self, symbols: &mut SymbolTable, name: &str) -> Symbol {
-        let bytes = name.as_bytes();
-        let (first, last) = (bytes.first().copied().unwrap_or(0), bytes.last().copied().unwrap_or(0));
-        let slot = (bytes.len() ^ usize::from(first) ^ usize::from(last) << 3) % self.0.len();
-        if let Some(&Some(symbol)) = self.0.get(slot) {
-            if symbols.try_resolve(symbol) == Some(name) {
-                return symbol;
-            }
-        }
-        let symbol = symbols.intern(name);
-        if let Some(entry) = self.0.get_mut(slot) {
-            *entry = Some(symbol);
-        }
-        symbol
-    }
-}
-
 /// Parse `source` into a [`Document`].
 pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
     let mut tokenizer = Tokenizer::new(source);
     let mut symbols = SymbolTable::with_capacity(64);
-    let mut names = RecentNames([None; 64]);
     let (mut doctype_name, mut dtd) = (None, None);
     let mut arena = Arena::with_capacity(source.len() / BYTES_PER_NODE + 1, source.len() / 3);
     // Stack of open elements.
@@ -96,12 +70,12 @@ pub fn parse(source: &str, options: &ParseOptions) -> Result<Document> {
                 if stack.len() >= options.max_depth {
                     return Err(Error::TooDeep { limit: options.max_depth, position: at(offset) });
                 }
-                let id = arena.push_element(names.intern(&mut symbols, name), stack.last().copied());
+                let id = arena.push_element(symbols.intern(name), stack.last().copied());
                 has_root = true;
                 if options.attributes_as_elements {
                     for attribute in attributes {
                         let attribute = attribute?;
-                        let attr_id = arena.push_element(names.intern(&mut symbols, attribute.name), Some(id));
+                        let attr_id = arena.push_element(symbols.intern(attribute.name), Some(id));
                         let start = arena.text.len();
                         unescape_into(attribute.value, &mut arena.text)
                             .map_err(|reference| bad_reference(reference, at(attribute.offset)))?;
