@@ -256,7 +256,11 @@ fn an_engine_build_allocates_per_document_not_per_token() {
             doc.len()
         );
         let stages = index_allocations + model_allocations + keys_allocations;
-        assert_eq!(allocations, stages + 3, "the three stages and an `Arc` around each");
+        assert!(
+            allocations <= stages + 3,
+            "{allocations} allocations for an engine whose stages take {stages}: the parts \
+             around them must not allocate per node"
+        );
         drop((index, keys));
         (doc.len(), stages)
     };
