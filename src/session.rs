@@ -1079,6 +1079,62 @@ mod tests {
         }
     }
 
+    /// The three-identical-documents corpus of the window oracles, built
+    /// once: every score of a query comes three times, once per document.
+    fn twins() -> &'static Corpus {
+        static TWINS: OnceLock<Corpus> = OnceLock::new();
+        TWINS.get_or_init(|| {
+            let mut builder = CorpusBuilder::new();
+            for name in ["twin-a", "twin-b", "twin-c"] {
+                let twin = RetailerConfig { retailers: 3, seed: 0xA, ..Default::default() };
+                builder.add_parsed(name, twin.generate());
+            }
+            builder.finish()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Windows of several queries asked in any order through one
+        /// shared cache bundle — so a later window may be served from
+        /// what an earlier one left, a deeper one may outgrow it, and an
+        /// empty or past-the-end one needs only its total — each equal
+        /// to the same slice of a cache-less session's unbounded answer:
+        /// results, order, scores to the bit, snippets and `total`.
+        #[test]
+        fn windows_through_shared_caches_equal_slices_of_the_unbounded_answer(
+            capacity in 0usize..3,
+            asks in proptest::collection::vec((0usize..4, 0usize..6, 0usize..64), 1..16),
+        ) {
+            let corpus = twins();
+            let config = ExtractConfig::with_bound(8);
+            let queries = ["store texas", "texas", "name", "zzz"];
+            let reference = QuerySession::from_corpus_with_options(corpus, 1, 0);
+            let full: Vec<CorpusPage> =
+                queries.iter().map(|q| reference.answer_corpus(q, &config)).collect();
+            let capacity = [1, 3, 4096][capacity];
+            let session = QuerySession::from_corpus_with_options(corpus, 1, capacity);
+            let row = |a: &CorpusAnswer| (a.doc, a.root, a.score.to_bits(), a.snippet.to_string());
+            for (query, k, offset) in asks {
+                let full = &full[query];
+                let total = full.len();
+                let k = [0, 1, 3, 10, 50, usize::MAX][k];
+                // Offsets from 0 to a few past the end, and `usize::MAX`.
+                let offset = if offset == 63 { usize::MAX } else { offset * (total + 3) / 62 };
+                let page = session.answer_corpus_topk(queries[query], &config, k, offset);
+                proptest::prop_assert_eq!(page.total, total, "k={} offset={}", k, offset);
+                let start = offset.min(total);
+                let want = &full[start..start.saturating_add(k).min(total)];
+                proptest::prop_assert_eq!(
+                    page.results.iter().map(row).collect::<Vec<_>>(),
+                    want.iter().map(row).collect::<Vec<_>>(),
+                    "{} k={} offset={}", queries[query], k, offset
+                );
+            }
+        }
+    }
+
     /// Three documents with equal scores across them: the window serves
     /// each `[offset, offset + k)` slice of the (score desc, document,
     /// root) order — at offset 0, at offset `k`, past the end, and at

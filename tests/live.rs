@@ -27,6 +27,9 @@
 //!    `400` naming the line and column the input ended at.
 //! 7. **One counter table**: every `/stats` `server` key has its
 //!    `extract_server_` family on `/metrics`.
+//! 8. **No ranking crosses a mutation**: once a query has been ranked,
+//!    a delete of a document it matched and an ingest it matches show in
+//!    every later window of it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -202,6 +205,49 @@ proptest! {
         prop_assert_eq!(&search_bytes(&uncached, q, k, offset), &miss);
         prop_assert_eq!(uncached.caches().corpus_page_stats().hits, 0);
     }
+}
+
+/// No ranking crosses a mutation: rank a query over several windows, then
+/// delete a document it matched and ingest one it matches. Every window
+/// asked after that — the ones asked before and ones never asked — carries
+/// the new total and the new documents, as a cache-less session over the
+/// new snapshot answers it.
+#[test]
+fn no_ranking_of_a_query_crosses_a_mutation() {
+    let app = live_app(4, 4096);
+    let windows = [(10, 0), (2, 1), (1, 3), (3, 2)];
+    for &(k, offset) in &windows[..2] {
+        search_bytes(&app, "texas", k, offset);
+    }
+    let before = json::parse(&search_bytes(&app, "texas", 10, 0)).expect("JSON");
+    assert_eq!(before.get("total").and_then(Value::as_u64), Some(4));
+
+    // The delete frees slot 0 and the ingest reuses it: a ranking that
+    // named documents by slot across epochs would serve the wrong one.
+    let delete = request("POST", "/delete", &[("doc", doc_name(0))], b"");
+    assert_eq!(app.handle(&delete).status, 200);
+    let late = doc_xml(9, 0);
+    let ingest = request("POST", "/ingest", &[("name", "late".to_string())], late.as_bytes());
+    assert_eq!(app.handle(&ingest).status, 200);
+
+    let snapshot = app.corpus().snapshot();
+    let config = SearchAppConfig::default().snippet;
+    let reference = QuerySession::for_snapshot(&snapshot, 1, Arc::new(SessionCaches::new(0)));
+    for &(k, offset) in &windows {
+        let want = search_body(&reference, &config, "texas", k, offset);
+        assert_eq!(search_bytes(&app, "texas", k, offset), want, "k={k} offset={offset}");
+    }
+    let after = json::parse(&search_bytes(&app, "texas", 10, 0)).expect("JSON");
+    assert_eq!(after.get("total").and_then(Value::as_u64), Some(4));
+    let docs: Vec<&str> = after
+        .get("results")
+        .and_then(Value::as_arr)
+        .expect("results")
+        .iter()
+        .filter_map(|r| r.get("doc").and_then(Value::as_str))
+        .collect();
+    assert!(docs.contains(&"late"), "the ingested document is served: {docs:?}");
+    assert!(!docs.contains(&"doc-0"), "the deleted document is not: {docs:?}");
 }
 
 /// The page key holds the *normalized* query, the body echoes the *raw*
