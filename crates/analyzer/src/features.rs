@@ -386,15 +386,18 @@ impl<'d> ResultStats<'d> {
 
     /// The value at position `index` of [`ResultStats::values`].
     pub fn value(&self, index: usize) -> Option<ValueStats<'d>> {
+        let (count, type_total, type_distinct) = self.counts(index)?;
+        let run = self.tables.values.get(index)?;
+        Some(ValueStats { ftype: run.ftype, value: self.text(run), count, type_total, type_distinct })
+    }
+
+    /// `(N(e,a,v), N(e,a), D(e,a))` of the value at position `index` of
+    /// [`ResultStats::values`]: its [`ResultStats::value`] counts, read
+    /// without its text.
+    pub fn counts(&self, index: usize) -> Option<(u32, u32, u32)> {
         let run = self.tables.values.get(index)?;
         let of_type = self.tables.types.get(run.type_index)?;
-        Some(ValueStats {
-            ftype: run.ftype,
-            value: self.text(run),
-            count: count32(run.end - run.start),
-            type_total: of_type.total,
-            type_distinct: of_type.distinct,
-        })
+        Some((count32(run.end - run.start), of_type.total, of_type.distinct))
     }
 
     /// The result's entity nodes (the root included when it is one), in

@@ -49,26 +49,74 @@ pub fn dominance_score(stats: &ResultStats<'_>, ftype: FeatureType, value: &str)
     Some(stats.n_value(ftype, value) as f64 * d as f64 / n_type as f64)
 }
 
+/// A ranked feature with its `(entity, attribute, value)` labels,
+/// resolved once for the sort that breaks score ties.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Labelled<'d> {
+    ranked: Ranked,
+    labels: (&'d str, &'d str, &'d str),
+}
+
+/// `buffer`'s allocation as an empty buffer of `U`. Called with `T` and `U`
+/// the same type up to lifetimes, so the collect reuses the allocation in
+/// place: a scratch that outlives every document keeps its buffer of
+/// borrowed labels warm that way.
+fn recycle<T, U>(mut buffer: Vec<T>) -> Vec<U> {
+    buffer.clear();
+    buffer.into_iter().filter_map(|_| None).collect()
+}
+
+/// The features of a result that `score` ranks — a score from a value's
+/// `(N(e,a,v), N(e,a), D(e,a))`, `None` to leave it out — into `out`,
+/// sorted by decreasing score, then `(entity, attribute, value)` labels: a
+/// total order, since a `(type, value)` pair occurs once, so an unstable
+/// sort gives the one answer. Scores read only counts; each ranked
+/// feature's labels are resolved once, into `labelled`. Warm buffers
+/// allocate nothing.
+fn rank_into<'d>(
+    doc: &'d Document,
+    stats: &ResultStats<'d>,
+    score: impl Fn(u32, u32, u32) -> Option<f64>,
+    out: &mut Vec<Ranked>,
+    labelled: &mut Vec<Labelled<'static>>,
+) {
+    let mut buffer: Vec<Labelled<'d>> = recycle(std::mem::take(labelled));
+    for value in 0.. {
+        let Some((count, total, distinct)) = stats.counts(value) else { break };
+        let Some(score) = score(count, total, distinct) else { continue };
+        let Some(v) = stats.value(value) else { continue };
+        let labels = (doc.resolve(v.ftype.entity), doc.resolve(v.ftype.attribute), v.value);
+        buffer.push(Labelled { ranked: Ranked { value, score }, labels });
+    }
+    buffer.sort_unstable_by(|a, b| {
+        b.ranked.score.total_cmp(&a.ranked.score).then_with(|| a.labels.cmp(&b.labels))
+    });
+    out.clear();
+    out.extend(buffer.iter().map(|l| l.ranked));
+    *labelled = recycle(buffer);
+}
+
 /// The dominant features of a result into `out`, sorted by decreasing
 /// score, then `(entity, attribute, value)` labels — a total,
-/// deterministic order. A warm `out` allocates nothing.
-pub(crate) fn dominant_into(doc: &Document, stats: &ResultStats<'_>, out: &mut Vec<Ranked>) {
-    out.clear();
-    for (value, v) in stats.values().enumerate() {
-        let d = v.type_distinct;
-        let score = v.count as f64 * d as f64 / v.type_total as f64;
-        if score > 1.0 || d == 1 {
-            out.push(Ranked { value, score });
-        }
-    }
-    sort_by_score_then_labels(doc, stats, out);
+/// deterministic order. Warm buffers allocate nothing.
+pub(crate) fn dominant_into<'d>(
+    doc: &'d Document,
+    stats: &ResultStats<'d>,
+    out: &mut Vec<Ranked>,
+    labelled: &mut Vec<Labelled<'static>>,
+) {
+    let dominant = |count: u32, total: u32, distinct: u32| {
+        let score = f64::from(count) * f64::from(distinct) / f64::from(total);
+        (score > 1.0 || distinct == 1).then_some(score)
+    };
+    rank_into(doc, stats, dominant, out, labelled);
 }
 
 /// All dominant features of a result, sorted by decreasing score, then
 /// `(entity, attribute, value)` labels — a total, deterministic order.
 pub fn dominant_features(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
     let mut ranked = Vec::new();
-    dominant_into(doc, stats, &mut ranked);
+    dominant_into(doc, stats, &mut ranked, &mut Vec::new());
     owned(stats, &ranked, |v| v.type_distinct == 1)
 }
 
@@ -91,20 +139,6 @@ fn owned(
         .collect()
 }
 
-/// Decreasing score, then `(entity, attribute, value)` labels: a total
-/// order, since a `(type, value)` pair occurs once — so an unstable sort
-/// (which needs no buffer) gives the one answer.
-fn sort_by_score_then_labels(doc: &Document, stats: &ResultStats<'_>, ranked: &mut [Ranked]) {
-    let labels = |r: &Ranked| {
-        stats.value(r.value).map(|v| {
-            (doc.resolve(v.ftype.entity), doc.resolve(v.ftype.attribute), v.value)
-        })
-    };
-    ranked.sort_unstable_by(|a, b| {
-        b.score.total_cmp(&a.score).then_with(|| labels(a).cmp(&labels(b)))
-    });
-}
-
 /// Ablation of the paper's §2.3 argument: rank features by **raw occurrence
 /// count** instead of the normalized dominance score. The paper argues this
 /// is unreliable — "though the number of occurrences of feature Houston is
@@ -113,12 +147,9 @@ fn sort_by_score_then_labels(doc: &Document, stats: &ResultStats<'_>, ranked: &m
 /// failure: with raw counts, high-frequency low-signal values (casual, man)
 /// crowd out Houston entirely.
 pub fn features_by_raw_frequency(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
-    let mut ranked: Vec<Ranked> = stats
-        .values()
-        .enumerate()
-        .map(|(value, v)| Ranked { value, score: v.count as f64 })
-        .collect();
-    sort_by_score_then_labels(doc, stats, &mut ranked);
+    let mut ranked = Vec::new();
+    let raw = |count: u32, _, _| Some(f64::from(count));
+    rank_into(doc, stats, raw, &mut ranked, &mut Vec::new());
     owned(stats, &ranked, |_| false)
 }
 

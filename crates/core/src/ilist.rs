@@ -25,7 +25,7 @@ use extract_analyzer::{EntityModel, FeatureTables, FeatureType, KeyCatalog, Resu
 use extract_search::{KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId, Symbol};
 
-use crate::dominance::{self, Ranked};
+use crate::dominance::{self, Labelled, Ranked};
 use crate::key::{self, KeyAt, ResultKey};
 use crate::return_entity::{self, ReturnEntities};
 use crate::selector::{Candidates, SelectionOutcome};
@@ -218,6 +218,9 @@ pub struct IListScratch {
     features: FeatureTables,
     /// Its dominant features, IList order.
     dominant: Vec<Ranked>,
+    /// The dominant features' labels while they are sorted (empty between
+    /// results: the labels borrow the result's document).
+    labelled: Vec<Labelled<'static>>,
     /// The result's entity nodes keyed and sorted by label: one run per
     /// entity type.
     by_label: Vec<(Symbol, NodeId)>,
@@ -310,7 +313,7 @@ impl IListScratch {
     ) {
         let stats = ResultStats::compute_with(doc, model, root, std::mem::take(&mut self.features));
         let IListScratch {
-            dominant, by_label, types, names, returns, key: key_at, entries, arena, ..
+            dominant, labelled, by_label, types, names, returns, key: key_at, entries, arena, ..
         } = self;
 
         // Entity types (§2.1) and dominant features (§2.3) first: together
@@ -323,7 +326,7 @@ impl IListScratch {
         types.sort_unstable_by(|a, b| {
             b.1.len().cmp(&a.1.len()).then_with(|| doc.resolve(a.0).cmp(doc.resolve(b.0)))
         });
-        dominance::dominant_into(doc, &stats, dominant);
+        dominance::dominant_into(doc, &stats, dominant, labelled);
         if let Some(cap) = options.max_dominant_features {
             dominant.truncate(cap);
         }

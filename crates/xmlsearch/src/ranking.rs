@@ -69,9 +69,9 @@ pub fn score(doc: &Document, result: &QueryResult) -> f64 {
 /// count the postings inside the root's ID interval (two binary searches
 /// each). `lists` holds the query's posting lists in query order. Equal,
 /// bit for bit, to [`score`] of [`QueryResult::build`] for the same root.
-/// No request calls this: it is the reference [`sweep_scores`] is tested
-/// against, one root at a time and in any order.
-// xlint: allow(L10, "the reference of crates/xmlsearch/tests/proptests.rs for sweep_scores")
+/// The reference [`sweep_scores`] is tested against, one root at a time
+/// and in any order — and how a served page scores its few results, since
+/// a cached ranking keeps their order but not their scores.
 pub fn score_root<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L], root: NodeId) -> f64 {
     let end = doc.subtree_end(root);
     score_counts(

@@ -19,6 +19,10 @@
 #          -p extract-xml -p extract-index -p extract-corpus
 #                                     — the interner, tokenizer, index and
 #                                       routing oracles at CI's case count
+#      PROPTEST_CASES=2048 cargo test --release -p extract --lib session::
+#                                     — the window oracles (the ranking
+#                                       prefix arithmetic saturates at
+#                                       usize::MAX) at CI's case count
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -54,6 +58,7 @@ run cargo test -q --offline --release -p extract-search
 run cargo test -q --offline --release -p extract-core -p extract-analyzer
 run env PROPTEST_CASES=2048 cargo test -q --offline --release \
     -p extract-xml -p extract-index -p extract-corpus
+run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --lib session::
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

@@ -37,20 +37,23 @@ impl Default for SearchAppConfig {
     }
 }
 
-/// The result caches by their wire names — one table behind `/stats`
-/// and `/metrics`.
-fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats); 2] {
+/// The result caches by their wire names, each with its counters and the
+/// entries it holds — one table behind `/stats` and `/metrics`.
+fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats, usize); 3] {
+    let (pages, rankings, snippets) = caches.entries();
     [
-        ("corpus_page_cache", caches.corpus_page_stats()),
-        ("snippet_cache", caches.snippet_stats()),
+        ("corpus_page_cache", caches.corpus_page_stats(), pages),
+        ("ranking_cache", caches.ranking_stats(), rankings),
+        ("snippet_cache", caches.snippet_stats(), snippets),
     ]
 }
 
-/// The cache members of `/stats`' `session` object: per-cache counters,
-/// then the bytes each cache holds — rendered `/search` results in the
-/// page cache, snippet XML in the snippet cache.
+/// The cache members of `/stats`' `session` object: per-cache counters
+/// and entries, then what the caches hold — rendered `/search` results in
+/// the page cache, snippet XML in the snippet cache, ranked results in the
+/// ranking cache.
 pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
-    for (name, stats) in cache_counters(caches) {
+    for (name, stats, entries) in cache_counters(caches) {
         w.key(name);
         w.obj_begin();
         w.key("hits");
@@ -59,21 +62,27 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
         w.num_u64(stats.misses);
         w.key("evictions");
         w.num_u64(stats.evictions);
+        w.key("entries");
+        w.num_u64(entries as u64);
         w.obj_end();
     }
     w.key("corpus_page_body_bytes");
     w.num_u64(caches.corpus_page_body_bytes() as u64);
     w.key("snippet_cache_bytes");
     w.num_u64(caches.snippet_cache_bytes() as u64);
+    w.key("ranking_cache_results");
+    w.num_u64(caches.ranking_cache_results() as u64);
 }
 
-/// The cache families of `/metrics`: hit/miss/eviction counters per
-/// cache, the rendered `/search` bytes the corpus page cache holds and the
-/// snippet XML bytes the snippet cache holds.
+/// The cache families of `/metrics`: hit/miss/eviction counters and
+/// entries per cache, the rendered `/search` bytes the corpus page cache
+/// holds, the snippet XML bytes the snippet cache holds and the ranked
+/// results the ranking cache holds.
 pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
+    let counters = cache_counters(caches);
     w.help("extract_cache_events_total", "Session cache hits/misses/evictions.");
     w.type_("extract_cache_events_total", "counter");
-    for (cache, stats) in cache_counters(caches) {
+    for (cache, stats, _) in counters {
         for (event, value) in [
             ("hit", stats.hits),
             ("miss", stats.misses),
@@ -85,6 +94,11 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
                 value,
             );
         }
+    }
+    w.help("extract_cache_entries", "Entries held by each session cache.");
+    w.type_("extract_cache_entries", "gauge");
+    for (cache, _, entries) in counters {
+        w.sample_u64("extract_cache_entries", &[("cache", cache)], entries as u64);
     }
     w.help(
         "extract_corpus_page_cache_body_bytes",
@@ -99,6 +113,9 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     w.help("extract_snippet_cache_bytes", "Snippet XML bytes held by the snippet cache.");
     w.type_("extract_snippet_cache_bytes", "gauge");
     w.sample_u64("extract_snippet_cache_bytes", &[], caches.snippet_cache_bytes() as u64);
+    w.help("extract_ranking_cache_results", "Ranked results held by the ranking cache.");
+    w.type_("extract_ranking_cache_results", "gauge");
+    w.sample_u64("extract_ranking_cache_results", &[], caches.ranking_cache_results() as u64);
 }
 
 /// The `/search` body for `(q, k, offset)` over `session`'s snapshot —
@@ -320,6 +337,28 @@ mod tests {
         );
         let snippet_bytes = session.get("snippet_cache_bytes").and_then(Value::as_u64);
         assert!(snippet_bytes.is_some_and(|b| b > 0), "snippet cache holds bytes: {session:?}");
+        // One ranking of "texas" (2 results) for its first page miss; the
+        // repeat was a page hit and asked no ranking.
+        let rankings = |v: &Value, key: &str| {
+            let session = v.get("session").expect("session section");
+            let cache = session.get("ranking_cache").expect("ranking cache");
+            cache.get(key).and_then(Value::as_u64).expect("ranking cache counter")
+        };
+        let results = |v: &Value| {
+            let session = v.get("session").expect("session section");
+            session.get("ranking_cache_results").and_then(Value::as_u64)
+        };
+        let counters = ["hits", "misses", "evictions", "entries"].map(|key| rankings(&v, key));
+        assert_eq!(counters, [0, 1, 0, 1], "{session:?}");
+        assert_eq!(results(&v), Some(2), "{session:?}");
+        // Another window of the query is a page miss served from that
+        // ranking.
+        app.handle(&request("GET", "/search", &[("q", "texas"), ("k", "1"), ("offset", "1")]));
+        let resp = app.handle(&request("GET", "/stats", &[]));
+        let v = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let counters = ["hits", "misses", "evictions", "entries"].map(|key| rankings(&v, key));
+        assert_eq!(counters, [1, 1, 0, 1], "{v:?}");
+        assert_eq!(results(&v), Some(2));
         assert!(v.get("server").is_none(), "no server attached");
         // Snippets containing XML quotes survive the JSON layer.
         let resp = app.handle(&request("GET", "/search", &[("q", "levis quoted"), ("k", "5")]));

@@ -18,8 +18,8 @@
 //! document. The per-document ranked results are merged into one page
 //! ordered by (score desc, document asc, root asc).
 //!
-//! Caching is two-level, both LRU, and both hold only what `/search`
-//! sends:
+//! Caching is three caches, all LRU, and all hold only what `/search`
+//! needs:
 //!
 //! 1. a **page cache** (`normalized query + config + window + epoch →`
 //!    [`CorpusTopK`]) makes a repeated hot query a single hash lookup
@@ -27,7 +27,14 @@
 //!    generation are all skipped. The entry also keeps the window's
 //!    `/search` rendering once it has been served, so a hit re-serves
 //!    bytes;
-//! 2. the per-result snippet cache (`query + (DocId, root) + config →`
+//! 2. a **ranking cache** (`normalized query + epoch →` the exact total
+//!    and the best-first prefix of results, 8 bytes each) makes every
+//!    window of a query a slice of one search: a page miss whose query was
+//!    ranked deep enough this epoch — for any window, under any snippet
+//!    config — routes, but skips SLCA, lifting and scoring. A window
+//!    deeper than the cached prefix ranks again and stores the deeper
+//!    prefix, up to `MAX_RANKED` results;
+//! 3. the per-result snippet cache (`query + (DocId, root) + config →`
 //!    the snippet's XML as an `Arc<str>`) catches queries whose page entry
 //!    was evicted and amortizes snippet generation across overlapping
 //!    result sets — one shared cache serves every document of a corpus
@@ -35,13 +42,13 @@
 //!    `Arc`s, so a snippet's bytes exist once however many pages show
 //!    them.
 //!
-//! Both sit behind `Mutex`es held only to look up and to store: a miss
+//! They sit behind `Mutex`es held only to look up and to store: a miss
 //! takes the snippet cache's lock once to look up its whole window and
 //! once more to store the snippets it computed. A lock is never held
 //! during computation, nor while an entry is freed: what an insert evicts
 //! or a mutation invalidates is handed out of the cache and dropped after
 //! the guard — so contention stays negligible next to the work they save.
-//! Both caches are `O(1)` a lookup, insert or eviction
+//! Every cache is `O(1)` a lookup, insert or eviction
 //! ([`LruCache`]), and every key hashes the request's query text as the
 //! one keyed hash [`QueryText`] took when the request was parsed. A cached
 //! snippet is one allocation (its bytes), so freeing one that another
@@ -56,9 +63,10 @@
 //! over in document order with no sort), each result is ranked by one
 //! integer key — score, then offer order, which is (document, root) order
 //! — and the best `offset + k` are kept in a buffer of at most twice that
-//! size — any other result is only counted. Only the served tail `[offset,
-//! offset + k)` is sorted, and only its ≤ `k` roots ever reach the snippet
-//! kernel. The kernel runs in
+//! size — any other result is only counted. Only those are sorted, and
+//! only the served `[offset, offset + k)` slice of them — ≤ `k` roots,
+//! their scores recounted ([`ranking::score_root`]) — ever reaches the
+//! snippet kernel. The kernel runs in
 //! this thread's [`IListScratch`](extract_core::ilist::IListScratch) —
 //! statistics, IList, selection and XML in one pass over reused buffers,
 //! reading each keyword's matches from the same posting lists — and what
@@ -71,9 +79,10 @@
 //! shares one bundle across the per-snapshot sessions it builds per
 //! request ([`QuerySession::for_snapshot`]), so page and snippet caches
 //! stay warm across epoch swaps. Safety across mutations comes from the
-//! keys: snippet keys carry generational [`DocId`]s and page keys carry
-//! the corpus epoch, so entries computed against an older snapshot can
-//! never answer for a newer one.
+//! keys: snippet keys carry generational [`DocId`]s and page and ranking
+//! keys carry the corpus epoch, so entries computed against an older
+//! snapshot can never answer for a newer one — which is also why a
+//! ranking may name a document by its slot alone.
 //!
 //! ```
 //! use extract::prelude::*;
@@ -92,7 +101,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
@@ -113,6 +122,15 @@ const DEFAULT_WORKERS: usize = 4;
 /// snippets, so the page cache keeps a smaller hot set than the snippet
 /// cache.
 const PAGE_CAPACITY: usize = 128;
+
+/// Ranking-cache capacity: a ranking on the benchmark corpus averages 94
+/// results, ~750 bytes, about a quarter of a rendered page, so this many
+/// rankings cost about what the page cache does.
+const RANKINGS: usize = 512;
+
+/// The deepest ranking the ranking cache stores: a window deeper than
+/// this ranks without storing what it ranked.
+const MAX_RANKED: usize = 1024;
 
 /// One corpus result as `/search` serves it: which document and root it
 /// is, its ranking score, and its snippet's XML.
@@ -201,24 +219,17 @@ fn with_scratch<T>(f: impl FnOnce(&mut IListScratch) -> T) -> T {
     })
 }
 
-/// One ranked result before it is built: where it is, and its place on
-/// the page as one integer.
+/// One ranked result before it is built: where it is, and its place in
+/// the ranking as one integer.
 #[derive(Debug, Clone, Copy)]
 struct Ranked {
-    /// Page order, ascending: the score's total-order bits, inverted so a
-    /// higher score comes first ([`descending_bits`]), above the offer's
+    /// Ranking order, ascending: the score's total-order bits, inverted so
+    /// a higher score comes first ([`descending_bits`]), above the offer's
     /// sequence number — (document, root) order, since candidates arrive
     /// in ascending `DocId` and each one's roots in document order.
     key: u128,
     doc: DocId,
     root: NodeId,
-}
-
-impl Ranked {
-    /// The ranking score, recovered from the key's upper half.
-    fn score(&self) -> f64 {
-        f64::from_bits(!((self.key >> 64) as u64))
-    }
 }
 
 /// `score` as a `u64` that orders like [`ranking::by_score_desc`]:
@@ -230,34 +241,31 @@ fn descending_bits(score: f64) -> u64 {
     !score.to_bits()
 }
 
-/// The best `offset + k` results offered so far and how many were offered
-/// in all; [`Window::finish`] hands over the served tail `[offset, offset +
-/// k)` of them in page order — score descending, then document, then root.
-/// Offers go into a buffer of at most `2 · (offset + k)` results; when it
-/// fills, a `select_nth` cuts it back to the best `offset + k`, and the
-/// worst of those becomes the cut-off. A later offer that does not beat
-/// the cut-off cannot make the window and is only counted. `k == 0` counts
-/// and keeps nothing; `offset + k` saturating at `usize::MAX` never fills,
-/// so it keeps everything.
+/// The best `keep` results offered so far, and how many were offered in
+/// all; [`Window::finish`] hands them over as a [`Ranking`] — score
+/// descending, then document, then root. Offers go into a buffer of at
+/// most `2 · keep` results; when it fills, a `select_nth` cuts it back to
+/// the best `keep`, and the worst of those becomes the cut-off. A later
+/// offer that does not beat the cut-off cannot make the ranking's prefix
+/// and is only counted. `keep == 0` counts and keeps nothing; `keep ==
+/// usize::MAX` never fills, so it keeps everything.
 struct Window {
-    offset: usize,
     keep: usize,
     kept: Vec<Ranked>,
     /// The key of the worst kept result at the last cut, once there has
     /// been one.
     cutoff: Option<u128>,
     total: usize,
-    /// The last offer's place, to check that offers arrive in page-key
+    /// The last offer's place, to check that offers arrive in ranking-key
     /// order.
     #[cfg(debug_assertions)]
     last: Option<(DocId, NodeId)>,
 }
 
 impl Window {
-    fn new(offset: usize, k: usize) -> Window {
+    fn new(keep: usize) -> Window {
         Window {
-            offset,
-            keep: offset.saturating_add(k),
+            keep,
             kept: Vec::new(),
             cutoff: None,
             total: 0,
@@ -267,7 +275,7 @@ impl Window {
     }
 
     /// Offer the next result; results must come in (document, root) order,
-    /// which makes the offer count a tie-break in page order.
+    /// which makes the offer count a tie-break in ranking order.
     fn offer(&mut self, doc: DocId, score: f64, root: NodeId) {
         #[cfg(debug_assertions)]
         {
@@ -295,28 +303,75 @@ impl Window {
         }
     }
 
-    /// The served tail, sorted, and the number of offers: the best
-    /// `offset` results are partitioned off ahead of it, unsorted, and
-    /// dropped.
-    fn finish(mut self) -> (Vec<Ranked>, usize) {
+    /// The best `keep` results, sorted, and the number of offers.
+    fn finish(mut self) -> Ranking {
         if self.kept.len() > self.keep {
             self.cut();
         }
-        let skipped = self.offset.min(self.kept.len());
-        if skipped > 0 && skipped < self.kept.len() {
-            self.kept.select_nth_unstable_by_key(skipped, |at| at.key);
-        }
-        self.kept.drain(..skipped);
         self.kept.sort_unstable_by_key(|at| at.key);
-        (self.kept, self.total)
+        let best = self.kept.iter().map(|at| Hit::new(at.doc, at.root)).collect();
+        Ranking { total: self.total, best }
     }
 }
 
-/// The shareable cache state of one serving lineage: result pages and
-/// per-result snippets. A standalone [`QuerySession`] owns a private
-/// bundle; live serving keeps one bundle alive across the per-snapshot
-/// sessions it builds, so caches survive corpus mutations (see the module
-/// docs for why that is safe).
+/// One ranked result as a [`Ranking`] keeps it, in 8 bytes: the slot of
+/// its document and its root. Within one corpus epoch a slot names one
+/// document, and the request's routes hold that document's [`DocId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hit {
+    slot: u32,
+    root: NodeId,
+}
+
+impl Hit {
+    fn new(doc: DocId, root: NodeId) -> Hit {
+        Hit { slot: slot_of(doc), root }
+    }
+}
+
+/// `doc`'s slot as the `u32` it is: [`DocId::index`] only widens it.
+fn slot_of(doc: DocId) -> u32 {
+    u32::try_from(doc.index()).unwrap_or(u32::MAX)
+}
+
+/// A query's ranking over one corpus epoch: the exact number of results,
+/// and the best of them in ranking order (score descending, then document,
+/// then root) — every one, or a prefix as deep as some window asked.
+#[derive(Debug, Clone)]
+struct Ranking {
+    total: usize,
+    best: Arc<[Hit]>,
+}
+
+impl Ranking {
+    /// The `[offset, offset + k)` slice of the whole ranking, when this
+    /// ranking's prefix holds all of it — an empty slice (`k == 0`, or an
+    /// offset at or past the end) needs only the total.
+    fn window(&self, offset: usize, k: usize) -> Option<&[Hit]> {
+        let start = offset.min(self.total);
+        let end = offset.saturating_add(k).min(self.total);
+        if start == end {
+            return Some(&[]);
+        }
+        self.best.get(start..end)
+    }
+}
+
+/// Ranking-cache key: a ranking depends on the query and the corpus, not
+/// on the snippet config or the window.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct RankingKey {
+    /// Normalized query.
+    query: QueryText,
+    /// Corpus epoch the ranking was computed against.
+    epoch: u64,
+}
+
+/// The shareable cache state of one serving lineage: result pages,
+/// query rankings and per-result snippets. A standalone [`QuerySession`]
+/// owns a private bundle; live serving keeps one bundle alive across the
+/// per-snapshot sessions it builds, so caches survive corpus mutations
+/// (see the module docs for why that is safe).
 #[derive(Debug)]
 pub struct SessionCaches {
     cache_capacity: usize,
@@ -324,35 +379,56 @@ pub struct SessionCaches {
     /// value is the answer itself — the served slice, the full result
     /// count, and the slice's rendered bytes once `/search` has served it.
     corpus_pages: Mutex<LruCache<PageKey, CorpusTopK>>,
+    /// Each query's ranking at an epoch, as deep as the deepest window
+    /// that ranked it: every window of the query is a slice of it.
+    rankings: Mutex<LruCache<RankingKey, Ranking>>,
+    /// Lookups that found their query's ranking too shallow for the
+    /// window — hits to the map, misses to the window, which ranks again.
+    shallow_rankings: AtomicU64,
     /// Each snippet's compact XML, shared with the pages showing it.
     snippets: Mutex<LruCache<CacheKey, Arc<str>>>,
 }
 
 impl SessionCaches {
     /// A fresh bundle; `cache_capacity` sizes the snippet cache and (capped
-    /// at an internal bound) the page cache, `0` disables result caching.
+    /// at internal bounds) the page and ranking caches, `0` disables result
+    /// caching.
     pub fn new(cache_capacity: usize) -> SessionCaches {
         SessionCaches {
             cache_capacity,
             corpus_pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
+            rankings: Mutex::new(LruCache::new(cache_capacity.min(RANKINGS))),
+            shallow_rankings: AtomicU64::new(0),
             snippets: Mutex::new(LruCache::new(cache_capacity)),
         }
     }
 
-    /// Drop every cached snippet of `doc` — result pages are left to the
-    /// epoch key, and the document's engine goes with the last snapshot
-    /// holding it. Invalidation hygiene for a dead document generation:
-    /// the generational keys already guarantee its bytes can't be served,
-    /// this frees their memory eagerly.
+    /// Drop every cached snippet of `doc` — result pages and rankings are
+    /// left to the epoch key, and the document's engine goes with the
+    /// last snapshot holding it. Invalidation hygiene for a dead document
+    /// generation: the generational keys already guarantee its bytes can't
+    /// be served, this frees their memory eagerly.
     pub fn invalidate_doc(&self, doc: DocId) {
         purge(&self.snippets, |k| k.doc() != doc);
     }
 
-    /// Drop result pages computed before `epoch` (their keys can never
-    /// match again once the corpus moved on — this reclaims the memory
-    /// instead of waiting for LRU pressure).
+    /// Drop result pages and rankings computed before `epoch` (their keys
+    /// can never match again once the corpus moved on — this reclaims the
+    /// memory instead of waiting for LRU pressure).
     pub fn retire_pages_before(&self, epoch: u64) {
         purge(&self.corpus_pages, |k| k.epoch() >= epoch);
+        purge(&self.rankings, |k| k.epoch >= epoch);
+    }
+
+    /// The ranking of `key` if one is cached whose prefix holds the
+    /// `[offset, offset + k)` window; a too-shallow one counts as a miss.
+    fn ranking(&self, key: &RankingKey, offset: usize, k: usize) -> Option<Ranking> {
+        let ranking = lock_unpoisoned(&self.rankings).get(key)?;
+        if ranking.window(offset, k).is_none() {
+            self.shallow_rankings.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(ranking)
     }
 
     /// Corpus page-cache counters since the bundle was created.
@@ -360,9 +436,30 @@ impl SessionCaches {
         lock_unpoisoned(&self.corpus_pages).stats()
     }
 
+    /// Ranking-cache counters since the bundle was created: a lookup that
+    /// found its query's ranking too shallow for its window is a miss.
+    pub fn ranking_stats(&self) -> CacheStats {
+        let stats = lock_unpoisoned(&self.rankings).stats();
+        let shallow = self.shallow_rankings.load(Ordering::Relaxed);
+        CacheStats {
+            hits: stats.hits.saturating_sub(shallow),
+            misses: stats.misses + shallow,
+            evictions: stats.evictions,
+        }
+    }
+
     /// Per-result snippet-cache counters since the bundle was created.
     pub fn snippet_stats(&self) -> CacheStats {
         lock_unpoisoned(&self.snippets).stats()
+    }
+
+    /// Entries each cache holds right now: pages, rankings, snippets.
+    pub(crate) fn entries(&self) -> (usize, usize, usize) {
+        (
+            lock_unpoisoned(&self.corpus_pages).len(),
+            lock_unpoisoned(&self.rankings).len(),
+            lock_unpoisoned(&self.snippets).len(),
+        )
     }
 
     /// Bytes of rendered `/search` results the corpus page cache holds
@@ -375,6 +472,13 @@ impl SessionCaches {
             .filter_map(|page| page.rendered.get())
             .map(|rendered| rendered.len())
             .sum()
+    }
+
+    /// Ranked results the ranking cache holds right now, 8 bytes each (at
+    /// most [`RANKINGS`] rankings of at most [`MAX_RANKED`]). Summed on
+    /// demand, like [`SessionCaches::corpus_page_body_bytes`].
+    pub fn ranking_cache_results(&self) -> usize {
+        lock_unpoisoned(&self.rankings).values().map(|ranking| ranking.best.len()).sum()
     }
 
     /// Bytes of snippet XML the snippet cache holds right now — all a
@@ -487,21 +591,15 @@ impl<'d> QuerySession<'d> {
     }
 
     /// Search + rank: score every result root of every candidate document
-    /// by counting, and keep the `[offset, offset + k)` window of them in
-    /// page order. Returns that window and how many results there are in
-    /// all. Nothing is built for any result here: a result is a key in a
-    /// buffer of at most `2 · (offset + k)` ([`Window`]) or, once it cannot
-    /// make the window, only a count. Each candidate's posting lists go
+    /// by counting, and keep the best `keep` of them in ranking order.
+    /// Returns them and how many results there are in all, as a
+    /// [`Ranking`]. Nothing is built for any result here: a result is a
+    /// key in a buffer of at most `2 · keep` ([`Window`]) or, once it cannot
+    /// make the prefix, only a count. Each candidate's posting lists go
     /// into the request's `lists`; the buffers SLCA, entity lifting and the
     /// scoring sweep work in are shared by every candidate.
-    fn search(
-        &self,
-        routes: &Routes,
-        lists: &mut Vec<&'d [NodeId]>,
-        offset: usize,
-        k: usize,
-    ) -> (Vec<Ranked>, usize) {
-        let mut window = Window::new(offset, k);
+    fn search(&self, routes: &Routes, lists: &mut Vec<&'d [NodeId]>, keep: usize) -> Ranking {
+        let mut window = Window::new(keep);
         let mut buffers = ROOTS.take();
         for (doc, ids) in routes.iter() {
             self.lists_of(doc, ids, lists);
@@ -513,66 +611,67 @@ impl<'d> QuerySession<'d> {
         window.finish()
     }
 
-    /// The served window's answers, their snippets via the shared snippet
-    /// cache when enabled (`text` is the request's normalized query then):
-    /// one lock looks up every result of the window, the misses run the
-    /// snippet kernel in this thread's scratch on the document's borrowed
-    /// engine and its posting lists (in the request's `lists`), and one
-    /// more lock stores the bytes they wrote.
+    /// The served window's answers: each result's document from the
+    /// routes, its score recounted over its posting lists
+    /// ([`ranking::score_root`], equal to the sweep's to the bit), and its
+    /// snippet via the shared snippet cache when enabled (`text` is the
+    /// request's normalized query then): one lock looks up every result of
+    /// the window, the misses run the snippet kernel in this thread's
+    /// scratch on the document's borrowed engine and its posting lists (in
+    /// the request's `lists`), and one more lock stores the bytes they
+    /// wrote.
     fn answers(
         &self,
-        served: &[Ranked],
+        hits: &[Hit],
         routes: &Routes,
         lists: &mut Vec<&'d [NodeId]>,
         query: &KeywordQuery,
         text: Option<&QueryText>,
         config: &ExtractConfig,
     ) -> Vec<CorpusAnswer> {
-        let mut compute = |doc: DocId, root: NodeId| -> Arc<str> {
-            let extract = Extract::borrowing(self.corpus.doc(doc), self.corpus.engine(doc));
+        // Each result's document, root and score and, in its last field,
+        // first the cached bytes the lookup found, then — once the window
+        // has taken those — the bytes a miss computed, to be stored. Within
+        // the epoch a slot names one candidate, and candidates come in
+        // `DocId` (slot, then generation) order.
+        let docs = routes.docs();
+        let mut served = Vec::with_capacity(hits.len());
+        served.extend(hits.iter().filter_map(|hit| {
+            let row = docs.binary_search_by_key(&hit.slot, |&doc| slot_of(doc)).ok()?;
+            let doc = *docs.get(row)?;
             self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
-            with_scratch(|scratch| {
-                Arc::from(extract.snippet_xml(query, lists, root, config, scratch))
-            })
-        };
-        let answer = |at: Ranked, snippet| {
-            CorpusAnswer { doc: at.doc, score: at.score(), root: at.root, snippet }
-        };
-        let Some(text) = text else {
-            return served.iter().map(|&at| answer(at, compute(at.doc, at.root))).collect();
-        };
-        // Each result's key and, in its second half, first the cached
-        // bytes the lookup found, then — once the window has taken those —
-        // the bytes a miss computed, to be stored.
-        let mut keyed: Vec<(CacheKey, Option<Arc<str>>)> = served
-            .iter()
-            .map(|at| (CacheKey::for_doc(text, at.doc, at.root, config), None))
-            .collect();
-        {
+            let score = ranking::score_root(self.corpus.doc(doc), lists, hit.root);
+            Some((doc, hit.root, score, None::<Arc<str>>))
+        }));
+        let key = |text: &QueryText, doc, root| CacheKey::for_doc(text, doc, root, config);
+        if let Some(text) = text {
             let mut snippets = lock_unpoisoned(&self.caches.snippets);
-            for (key, hit) in &mut keyed {
-                *hit = snippets.get(key);
+            for (doc, root, _, hit) in &mut served {
+                *hit = snippets.get(&key(text, *doc, *root));
             }
         }
         let mut misses = 0;
         let window = served
-            .iter()
-            .zip(&mut keyed)
-            .map(|(&at, (_, slot))| {
+            .iter_mut()
+            .map(|(doc, root, score, slot)| {
                 let snippet = slot.take().unwrap_or_else(|| {
-                    let fresh = compute(at.doc, at.root);
+                    let extract = Extract::borrowing(self.corpus.doc(*doc), self.corpus.engine(*doc));
+                    self.lists_of(*doc, routes.ids_of(*doc).unwrap_or_default(), lists);
+                    let fresh: Arc<str> = with_scratch(|scratch| {
+                        Arc::from(extract.snippet_xml(query, lists, *root, config, scratch))
+                    });
                     *slot = Some(Arc::clone(&fresh));
                     misses += 1;
                     fresh
                 });
-                answer(at, snippet)
+                CorpusAnswer { doc: *doc, score: *score, root: *root, snippet }
             })
             .collect();
-        if misses > 0 {
-            let fresh = keyed.into_iter().filter_map(|(key, xml)| Some((key, xml?)));
+        if let Some(text) = text.filter(|_| misses > 0) {
+            let fresh = served.into_iter().filter_map(|(doc, root, _, xml)| Some((doc, root, xml?)));
             let displaced: Vec<Arc<str>> = {
                 let mut snippets = lock_unpoisoned(&self.caches.snippets);
-                fresh.filter_map(|(key, xml)| snippets.insert(key, xml)).collect()
+                fresh.filter_map(|(doc, root, xml)| snippets.insert(key(text, doc, root), xml)).collect()
             };
             drop(displaced);
         }
@@ -603,6 +702,13 @@ impl<'d> QuerySession<'d> {
     /// and ranking are cheap next to per-result IList + instance
     /// selection, which this makes proportional to the page size.
     ///
+    /// Every window is a slice of the query's ranking: one the ranking
+    /// cache holds for this epoch when its prefix reaches the window, or
+    /// else one ranked `offset + k` deep here, which the cache then keeps
+    /// (up to [`MAX_RANKED`] results) — so the windows of one query share
+    /// one search. Routing runs either way: the snippet kernel reads the
+    /// candidates' posting lists.
+    ///
     /// The window is byte-identical to the same slice of an unbounded
     /// [`QuerySession::answer_corpus`] answer (pinned by tests): ranking
     /// stays deterministic in (score desc, doc asc, root asc) order, so
@@ -619,33 +725,45 @@ impl<'d> QuerySession<'d> {
     ) -> CorpusTopK {
         let query = KeywordQuery::parse(query_str);
         let text = self.query_text(&query);
+        let epoch = self.corpus.epoch();
         let pkey = text
             .as_ref()
-            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(self.corpus.epoch()));
+            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(epoch));
         if let Some(pkey) = &pkey {
             if let Some(page) = lock_unpoisoned(&self.caches.corpus_pages).get(pkey) {
                 return page;
             }
         }
-        // Stage 1 — search + rank only: no snippet work yet, and nothing
-        // built for a result outside the window. Timed as the request's
-        // `search` span (the cache-hit return above records no stage at
-        // all — a hit does no search work).
+        // Stage 1 — routing and the query's ranking: no snippet work yet,
+        // and nothing built for a result outside the window. Timed as the
+        // request's `search` span, also when the ranking comes from the
+        // cache (the page-hit return above records no stage at all — a hit
+        // does no search work).
         // Routing resolves each keyword once, here: every candidate comes
         // with the keywords' token ids in its segment, by which search and
         // the snippet kernel read its posting lists into `lists`.
+        let rkey = text.as_ref().map(|text| RankingKey { query: text.clone(), epoch });
         let mut routes = ROUTES.take();
         let mut lists = Vec::new();
-        let (served, total) = extract_obs::time_stage(extract_obs::Stage::Search, || {
+        let ranking = extract_obs::time_stage(extract_obs::Stage::Search, || {
             self.corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
-            self.search(&routes, &mut lists, offset, k)
+            let cached = rkey.as_ref().and_then(|rkey| self.caches.ranking(rkey, offset, k));
+            cached.unwrap_or_else(|| {
+                let ranked = self.search(&routes, &mut lists, offset.saturating_add(k));
+                if let Some(rkey) = rkey.filter(|_| ranked.best.len() <= MAX_RANKED) {
+                    store(&self.caches.rankings, rkey, ranked.clone());
+                }
+                ranked
+            })
         });
         // Stage 2 — snippets for the served window only (the `snippet`
         // span).
+        let served = ranking.window(offset, k).unwrap_or_default();
         let window = extract_obs::time_stage(extract_obs::Stage::Snippet, || {
-            self.answers(&served, &routes, &mut lists, &query, text.as_ref(), config)
+            self.answers(served, &routes, &mut lists, &query, text.as_ref(), config)
         });
         ROUTES.set(routes);
+        let total = ranking.total;
         let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };
         if let Some(pkey) = pkey {
             store(&self.caches.corpus_pages, pkey, page.clone());
@@ -1135,10 +1253,11 @@ mod tests {
         }
     }
 
-    /// Three documents with equal scores across them: the window serves
-    /// each `[offset, offset + k)` slice of the (score desc, document,
-    /// root) order — at offset 0, at offset `k`, past the end, and at
-    /// every offset in between, with cuts on the way.
+    /// Three documents with equal scores across them: a ranking kept
+    /// `keep` deep is the first `keep` of the (score desc, document, root)
+    /// order, with cuts on the way, and serves each `[offset, offset + k)`
+    /// slice its prefix holds — at offset 0, at offset `k`, past the end,
+    /// and at every offset in between.
     #[test]
     fn window_ties_across_documents_come_out_in_document_and_root_order() {
         let offers: Vec<(DocId, f64, NodeId)> = (0..3)
@@ -1150,24 +1269,32 @@ mod tests {
         let mut reference = offers.clone();
         reference
             .sort_by(|a, b| ranking::by_score_desc(a.1, b.1).then((a.0, a.2).cmp(&(b.0, b.2))));
-        let served = |offset: usize, k: usize| {
-            let mut window = Window::new(offset, k);
+        let reference: Vec<Hit> =
+            reference.iter().map(|&(doc, _, root)| Hit::new(doc, root)).collect();
+        let ranked = |keep: usize| {
+            let mut window = Window::new(keep);
             for &(doc, score, root) in &offers {
                 window.offer(doc, score, root);
             }
-            let (served, total) = window.finish();
-            assert_eq!(total, offers.len());
-            served.iter().map(|at| (at.doc, at.score(), at.root)).collect::<Vec<_>>()
+            let ranking = window.finish();
+            assert_eq!(ranking.total, offers.len());
+            ranking
         };
         let (d, n) = (DocId::from_index, NodeId::from_index);
-        assert_eq!(served(0, 2), [(d(0), 2.0, n(4)), (d(1), 2.0, n(4))]);
-        assert_eq!(served(2, 2), [(d(2), 2.0, n(4)), (d(0), 1.0, n(1))]);
-        assert_eq!(served(9, 2), []);
-        for k in [0, 1, 2, 3, 4, 9, usize::MAX] {
-            for offset in 0..=10 {
-                let start = offset.min(reference.len());
-                let want = &reference[start..start.saturating_add(k).min(reference.len())];
-                assert_eq!(served(offset, k), want, "k={k} offset={offset}");
+        assert_eq!(*ranked(2).best, [Hit::new(d(0), n(4)), Hit::new(d(1), n(4))]);
+        assert_eq!(ranked(4).window(2, 2), Some(&[Hit::new(d(2), n(4)), Hit::new(d(0), n(1))][..]));
+        assert_eq!(ranked(11).window(9, 2), Some(&[][..]));
+        for keep in [0, 1, 2, 3, 4, 9, 11, usize::MAX] {
+            let ranking = ranked(keep);
+            assert_eq!(*ranking.best, reference[..keep.min(reference.len())], "keep={keep}");
+            for k in [0, 1, 2, 3, 4, 9, usize::MAX] {
+                for offset in 0..=10 {
+                    let start = offset.min(reference.len());
+                    let end = start.saturating_add(k).min(reference.len());
+                    let held = end <= keep || start == end;
+                    let want = held.then(|| &reference[start..end]);
+                    assert_eq!(ranking.window(offset, k), want, "keep={keep} k={k} offset={offset}");
+                }
             }
         }
     }
@@ -1186,8 +1313,7 @@ mod tests {
                 );
             }
             let key = u128::from(descending_bits(a)) << 64 | 7;
-            let at = Ranked { key, doc: DocId::from_index(0), root: NodeId::from_index(0) };
-            assert_eq!(at.score().to_bits(), a.to_bits());
+            assert_eq!(!((key >> 64) as u64), a.to_bits());
         }
     }
 
@@ -1195,7 +1321,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "offers out of (document, root) order")]
     fn window_rejects_offers_out_of_order() {
-        let mut window = Window::new(0, 10);
+        let mut window = Window::new(10);
         window.offer(DocId::from_index(1), 1.0, NodeId::from_index(3));
         window.offer(DocId::from_index(0), 1.0, NodeId::from_index(5));
     }

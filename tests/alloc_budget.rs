@@ -8,7 +8,9 @@
 //! 1. a whole `answer_corpus_topk` miss at `k = 10` allocates at most a
 //!    quarter of what the parent commit of the first budget did on this
 //!    corpus, and at most a third of what it cost while a cached snippet
-//!    was an owned IList, snippet and tree;
+//!    was an owned IList, snippet and tree — each such miss ranks, once,
+//!    and a page miss served from its query's cached ranking pays for its
+//!    window alone;
 //! 2. at a fixed window, a miss that ranks 13 177 results allocates no
 //!    more than one that ranks 176: the ranked `(doc, score, root)`
 //!    triples live in a buffer of at most twice the window, and SLCA, the
@@ -132,21 +134,36 @@ const DOCUMENT_QUERIES: [&str; 3] =
 
 const PAGE: usize = 10;
 
-/// A bundle of caches after every query has searched once on this thread,
-/// so the counts below are page misses on warm search buffers, not their
-/// first growth. The warm-up window is empty: no snippet is generated or
-/// cached.
+/// A bundle of empty caches after every query has searched once on this
+/// thread, so the counts below are page misses on warm search buffers, not
+/// their first growth. The warm-up goes through a cache-less bundle, so it
+/// leaves no page, ranking or snippet behind, and its window is empty: no
+/// snippet is generated.
 fn warm_caches(corpus: &Corpus, capacity: usize, config: &ExtractConfig) -> Arc<SessionCaches> {
-    let caches = Arc::new(SessionCaches::new(capacity));
+    let uncached = Arc::new(SessionCaches::new(0));
     for q in ENTITY_QUERIES.iter().chain(&DOCUMENT_QUERIES) {
-        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(&caches));
+        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(&uncached));
         session.answer_corpus_topk(q, config, 0, usize::MAX);
     }
-    caches
+    Arc::new(SessionCaches::new(capacity))
 }
 
 /// One request as the daemon serves it: a fresh session over the shared
 /// caches, one window. Returns the page and the allocations it cost.
+fn window(
+    corpus: &Corpus,
+    caches: &Arc<SessionCaches>,
+    config: &ExtractConfig,
+    q: &str,
+    (k, offset): (usize, usize),
+) -> (extract::CorpusTopK, u64) {
+    allocations_of(|| {
+        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
+        session.answer_corpus_topk(q, config, k, offset)
+    })
+}
+
+/// The first `k` results of `q` as one request: [`window`] at offset 0.
 fn miss(
     corpus: &Corpus,
     caches: &Arc<SessionCaches>,
@@ -154,10 +171,7 @@ fn miss(
     q: &str,
     k: usize,
 ) -> (extract::CorpusTopK, u64) {
-    allocations_of(|| {
-        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
-        session.answer_corpus_topk(q, config, k, 0)
-    })
+    window(corpus, caches, config, q, (k, 0))
 }
 
 /// What the parent commit (64650ee) allocates per miss: the mean over
@@ -186,12 +200,19 @@ const PARENT_ALLOCATIONS_PER_PARSE: u64 = 8_615;
 /// plus 2.
 const ALLOCATIONS_PER_PARSE: u64 = 18;
 
-/// What a whole page miss at `k = 10` may allocate, the mean over
-/// [`ENTITY_QUERIES`]: 34 since routing hands each candidate its token ids
-/// in buffers the worker keeps (35 before). Each request still allocates
-/// its routing's list of borrowed directory lists and its query's dedup
-/// set and flags.
+/// What a whole page miss at `k = 10` that ranks may allocate, the mean
+/// over [`ENTITY_QUERIES`]: 35 since the ranking it stores is one
+/// allocation of its own (34 since routing hands each candidate its token
+/// ids in buffers the worker keeps, 35 before). Each request still
+/// allocates its routing's list of borrowed directory lists and its
+/// query's dedup set and flags.
 const ALLOCATIONS_PER_MISS: u64 = 35;
+
+/// What a page miss at `k = 10` served from its query's cached ranking may
+/// allocate, the mean over [`ENTITY_QUERIES`]: 23, with no search buffer
+/// and no ranking of its own — routing's per-request lists, the query, the
+/// served window and its ten snippets.
+const ALLOCATIONS_PER_RANKED_MISS: u64 = 24;
 
 /// What [`EngineParts::build`] of [`parsed_document`] allocated at commit
 /// ab95997, in a release build: index 5 503 (a `String` per token), entity
@@ -296,7 +317,34 @@ fn allocations_per_miss() -> u64 {
         total += allocations;
     }
     assert_eq!(caches.corpus_page_stats().hits, 0, "every request above was a miss");
+    let rankings = caches.ranking_stats();
+    assert_eq!(rankings.hits, 0, "every request above ranked: {rankings:?}");
+    assert_eq!(rankings.misses, ENTITY_QUERIES.len() as u64, "one ranking a request");
     total / ENTITY_QUERIES.len() as u64
+}
+
+/// The mean allocations of a page miss at `k = 10` served from the query's
+/// cached ranking, over [`ENTITY_QUERIES`]: the second page of each query
+/// ranks it 20 deep, and then its first page is a page miss that routes,
+/// reads the ranking, scores its ten results and generates their snippets.
+fn allocations_per_ranked_miss() -> u64 {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let caches = warm_caches(&corpus, 4096, &config);
+    let mut total = 0;
+    for q in ENTITY_QUERIES {
+        window(&corpus, &caches, &config, q, (PAGE, PAGE));
+        let (page, allocations) = miss(&corpus, &caches, &config, q, PAGE);
+        assert_eq!(page.results.len(), PAGE, "{q}: a full page");
+        println!("{q:20} serves 10 of {:6} results in {allocations} allocations", page.total);
+        total += allocations;
+    }
+    assert_eq!(caches.corpus_page_stats().hits, 0, "every request above was a page miss");
+    let rankings = caches.ranking_stats();
+    let queries = ENTITY_QUERIES.len() as u64;
+    assert_eq!((rankings.misses, rankings.hits), (queries, queries), "{rankings:?}");
+    assert_eq!(caches.snippet_stats().hits, 0, "the two pages share no result");
+    total / queries
 }
 
 #[test]
@@ -315,6 +363,13 @@ fn a_miss_stays_within_its_pinned_budget() {
     let per_miss = allocations_per_miss();
     println!("allocations per miss: {per_miss} (budget {ALLOCATIONS_PER_MISS})");
     assert!(per_miss <= ALLOCATIONS_PER_MISS, "{per_miss} allocations per miss");
+}
+
+#[test]
+fn a_miss_served_from_a_cached_ranking_stays_within_its_pinned_budget() {
+    let per_miss = allocations_per_ranked_miss();
+    println!("allocations per ranked miss: {per_miss} (budget {ALLOCATIONS_PER_RANKED_MISS})");
+    assert!(per_miss <= ALLOCATIONS_PER_RANKED_MISS, "{per_miss} allocations per ranked miss");
 }
 
 #[test]

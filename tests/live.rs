@@ -418,7 +418,8 @@ fn a_cut_off_ingest_is_a_400_that_names_where_the_input_ended() {
 
 /// `/stats` `server` and `/metrics` `extract_server_*` render one counter
 /// table: every `/stats` key, in its pinned order, has its family — a
-/// `_total` counter or a gauge.
+/// `_total` counter or a gauge. Likewise every session cache's counters
+/// and entries.
 #[test]
 fn every_stats_server_key_has_its_metrics_family() {
     let (tx, rx) = mpsc::channel();
@@ -464,6 +465,19 @@ fn every_stats_server_key_has_its_metrics_family() {
             "/stats server.{key} has no extract_server_ family:\n{metrics}"
         );
     }
+    // Every session cache on `/stats` has its counters and entries on
+    // `/metrics`, the ranking cache included.
+    for cache in ["corpus_page_cache", "ranking_cache", "snippet_cache"] {
+        assert!(stats.contains(&format!("\"{cache}\":{{\"hits\":")), "/stats {cache}: {stats}");
+        for event in ["hit", "miss", "eviction"] {
+            let sample = format!("extract_cache_events_total{{cache=\"{cache}\",event=\"{event}\"}} ");
+            assert!(metrics.contains(&sample), "no {sample}:\n{metrics}");
+        }
+        let entries = format!("extract_cache_entries{{cache=\"{cache}\"}} ");
+        assert!(metrics.contains(&entries), "no {entries}:\n{metrics}");
+    }
+    assert!(stats.contains("\"ranking_cache_results\":"), "{stats}");
+    assert!(metrics.contains("\nextract_ranking_cache_results "), "{metrics}");
 }
 
 /// `/stats` — every scrape, the router's doc-count bootstrap — reads the
