@@ -388,7 +388,8 @@ impl<'d> ResultStats<'d> {
     pub fn value(&self, index: usize) -> Option<ValueStats<'d>> {
         let (count, type_total, type_distinct) = self.counts(index)?;
         let run = self.tables.values.get(index)?;
-        Some(ValueStats { ftype: run.ftype, value: self.text(run), count, type_total, type_distinct })
+        let (ftype, value) = (run.ftype, self.text(run));
+        Some(ValueStats { ftype, value, count, type_total, type_distinct })
     }
 
     /// `(N(e,a,v), N(e,a), D(e,a))` of the value at position `index` of

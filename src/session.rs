@@ -422,7 +422,7 @@ impl SessionCaches {
 
     /// The ranking of `key` if one is cached whose prefix holds the
     /// `[offset, offset + k)` window; a too-shallow one counts as a miss.
-    fn ranking(&self, key: &RankingKey, offset: usize, k: usize) -> Option<Ranking> {
+    fn cached_ranking(&self, key: &RankingKey, offset: usize, k: usize) -> Option<Ranking> {
         let ranking = lock_unpoisoned(&self.rankings).get(key)?;
         if ranking.window(offset, k).is_none() {
             self.shallow_rankings.fetch_add(1, Ordering::Relaxed);
@@ -646,8 +646,8 @@ impl<'d> QuerySession<'d> {
         let key = |text: &QueryText, doc, root| CacheKey::for_doc(text, doc, root, config);
         if let Some(text) = text {
             let mut snippets = lock_unpoisoned(&self.caches.snippets);
-            for (doc, root, _, hit) in &mut served {
-                *hit = snippets.get(&key(text, *doc, *root));
+            for (doc, root, _, cached) in &mut served {
+                *cached = snippets.get(&key(text, *doc, *root));
             }
         }
         let mut misses = 0;
@@ -655,7 +655,8 @@ impl<'d> QuerySession<'d> {
             .iter_mut()
             .map(|(doc, root, score, slot)| {
                 let snippet = slot.take().unwrap_or_else(|| {
-                    let extract = Extract::borrowing(self.corpus.doc(*doc), self.corpus.engine(*doc));
+                    let (document, engine) = (self.corpus.doc(*doc), self.corpus.engine(*doc));
+                    let extract = Extract::borrowing(document, engine);
                     self.lists_of(*doc, routes.ids_of(*doc).unwrap_or_default(), lists);
                     let fresh: Arc<str> = with_scratch(|scratch| {
                         Arc::from(extract.snippet_xml(query, lists, *root, config, scratch))
@@ -668,10 +669,12 @@ impl<'d> QuerySession<'d> {
             })
             .collect();
         if let Some(text) = text.filter(|_| misses > 0) {
-            let fresh = served.into_iter().filter_map(|(doc, root, _, xml)| Some((doc, root, xml?)));
+            let fresh = served
+                .into_iter()
+                .filter_map(|(doc, root, _, xml)| Some((key(text, doc, root), xml?)));
             let displaced: Vec<Arc<str>> = {
                 let mut snippets = lock_unpoisoned(&self.caches.snippets);
-                fresh.filter_map(|(doc, root, xml)| snippets.insert(key(text, doc, root), xml)).collect()
+                fresh.filter_map(|(key, xml)| snippets.insert(key, xml)).collect()
             };
             drop(displaced);
         }
@@ -747,7 +750,7 @@ impl<'d> QuerySession<'d> {
         let mut lists = Vec::new();
         let ranking = extract_obs::time_stage(extract_obs::Stage::Search, || {
             self.corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
-            let cached = rkey.as_ref().and_then(|rkey| self.caches.ranking(rkey, offset, k));
+            let cached = rkey.as_ref().and_then(|rkey| self.caches.cached_ranking(rkey, offset, k));
             cached.unwrap_or_else(|| {
                 let ranked = self.search(&routes, &mut lists, offset.saturating_add(k));
                 if let Some(rkey) = rkey.filter(|_| ranked.best.len() <= MAX_RANKED) {
@@ -764,7 +767,8 @@ impl<'d> QuerySession<'d> {
         });
         ROUTES.set(routes);
         let total = ranking.total;
-        let page = CorpusTopK { results: window.into(), total, k, offset, rendered: Arc::default() };
+        let results = window.into();
+        let page = CorpusTopK { results, total, k, offset, rendered: Arc::default() };
         if let Some(pkey) = pkey {
             store(&self.caches.corpus_pages, pkey, page.clone());
         }
@@ -1293,7 +1297,8 @@ mod tests {
                     let end = start.saturating_add(k).min(reference.len());
                     let held = end <= keep || start == end;
                     let want = held.then(|| &reference[start..end]);
-                    assert_eq!(ranking.window(offset, k), want, "keep={keep} k={k} offset={offset}");
+                    let at = format!("keep={keep} k={k} offset={offset}");
+                    assert_eq!(ranking.window(offset, k), want, "{at}");
                 }
             }
         }

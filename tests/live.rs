@@ -470,7 +470,8 @@ fn every_stats_server_key_has_its_metrics_family() {
     for cache in ["corpus_page_cache", "ranking_cache", "snippet_cache"] {
         assert!(stats.contains(&format!("\"{cache}\":{{\"hits\":")), "/stats {cache}: {stats}");
         for event in ["hit", "miss", "eviction"] {
-            let sample = format!("extract_cache_events_total{{cache=\"{cache}\",event=\"{event}\"}} ");
+            let labels = format!("cache=\"{cache}\",event=\"{event}\"");
+            let sample = format!("extract_cache_events_total{{{labels}}} ");
             assert!(metrics.contains(&sample), "no {sample}:\n{metrics}");
         }
         let entries = format!("extract_cache_entries{{cache=\"{cache}\"}} ");
