@@ -267,6 +267,51 @@ mod tests {
     }
 
     #[test]
+    fn ties_order_by_label_text_not_by_interning_order() {
+        // `zeta` before `alpha` and `b` before `a` in the label table, so
+        // symbol order is the reverse of text order on every tie.
+        let doc = Document::parse_str(
+            "<r>\
+             <zeta><b>q</b><a>x</a></zeta>\
+             <zeta><b>q</b><a>x</a></zeta>\
+             <zeta><b>p</b><a>y</a></zeta>\
+             <alpha><b>q</b></alpha>\
+             <alpha><b>q</b></alpha>\
+             <alpha><b>p</b></alpha>\
+             </r>",
+        )
+        .unwrap();
+        let model = EntityModel::analyze(&doc);
+        let stats = ResultStats::compute(&doc, &model, doc.root());
+        let doms = dominant_features(&doc, &stats);
+        // DS = 4/3 for all three: (alpha, b, q), (zeta, a, x), (zeta, b, q).
+        let order: Vec<(&str, &str, &str)> = doms
+            .iter()
+            .map(|d| (doc.resolve(d.ftype.entity), doc.resolve(d.ftype.attribute), &*d.value))
+            .collect();
+        assert_eq!(order, [("alpha", "b", "q"), ("zeta", "a", "x"), ("zeta", "b", "q")]);
+    }
+
+    #[test]
+    fn tied_values_of_one_type_order_by_text_not_by_the_statistics_order() {
+        // The statistics order values by (first eight bytes, length, rest):
+        // `abcdefghZ` before `abcdefghAA`. The text order is the reverse.
+        let doc = Document::parse_str(
+            "<r>\
+             <s><c>abcdefghZ</c></s><s><c>abcdefghZ</c></s>\
+             <s><c>abcdefghAA</c></s><s><c>abcdefghAA</c></s>\
+             <s><c>q</c></s>\
+             </r>",
+        )
+        .unwrap();
+        let model = EntityModel::analyze(&doc);
+        let stats = ResultStats::compute(&doc, &model, doc.root());
+        let values: Vec<String> = dominant_features(&doc, &stats).into_iter().map(|d| d.value).collect();
+        // DS = 2·3/5 = 1.2 for both; `q` scores 0.6.
+        assert_eq!(values, ["abcdefghAA", "abcdefghZ"]);
+    }
+
+    #[test]
     fn raw_frequency_ranking_buries_low_count_dominant_values() {
         let doc = setup();
         let stats = stats_of(&doc);

@@ -573,4 +573,243 @@ mod tests {
         let store_pos = display.iter().position(|s| s == "store").unwrap();
         assert!(clothes_pos < store_pos, "3 clothes beat 1 store: {display:?}");
     }
+
+    /// The IList of the whole document for `q`, by display text.
+    fn display_of(xml: &str, q: &str) -> Vec<String> {
+        let doc = Document::parse_str(xml).unwrap();
+        let model = EntityModel::analyze(&doc);
+        let catalog = KeyCatalog::mine(&doc, &model);
+        let index = XmlIndex::build(&doc);
+        let query = KeywordQuery::parse(q);
+        let result = QueryResult::build(&doc, &index, &query, doc.root());
+        build_ilist(&doc, &model, &catalog, &query, &result, &Default::default()).display(&doc)
+    }
+
+    #[test]
+    fn equal_count_entity_types_sort_by_label_text_not_interning_order() {
+        // `zeta` is interned before `alpha`, so its symbol is smaller; two
+        // instances each, so only the text can order them.
+        let display = display_of(
+            "<r><zeta><v>1</v></zeta><alpha><w>2</w></alpha>\
+             <zeta><v>3</v></zeta><alpha><w>4</w></alpha></r>",
+            "nothing",
+        );
+        let alpha = display.iter().position(|s| s == "alpha").unwrap();
+        let zeta = display.iter().position(|s| s == "zeta").unwrap();
+        assert!(alpha < zeta, "equal counts order by text: {display:?}");
+    }
+
+    #[test]
+    fn equal_score_features_sort_by_label_text_not_interning_order() {
+        // Every type is trivially dominant (one value, score 1): the order
+        // is by (entity, attribute, value) text, although `zeta`, `zz` and
+        // `mm` are interned before `alpha` and `aa`. (The key of the first
+        // `zeta`, `x`, comes before the features.)
+        let display = display_of(
+            "<r><zeta><zz>x</zz><mm>w</mm><aa>y</aa></zeta><zeta><zz>x</zz><mm>w</mm><aa>y</aa></zeta>\
+             <alpha><zz>u</zz></alpha><alpha><zz>u</zz></alpha></r>",
+            "nothing",
+        );
+        assert_eq!(display, ["nothing", "alpha", "zeta", "x", "u", "y", "w"]);
+    }
+
+    /// A document over `K` (U+212A KELVIN SIGN), Greek with a final sigma,
+    /// a dotted capital I and a sharp s: which texts say the same thing is
+    /// decided by `str::to_lowercase`, not char by char.
+    const UNICODE: &str = "<r>\
+        <rec><v>\u{212A}</v><w>\u{39F}\u{394}\u{39F}\u{3A3}</w><x>\u{130}stanbul</x><y>Stra\u{DF}e</y></rec>\
+        <rec><v>\u{212A}</v><w>\u{39F}\u{394}\u{39F}\u{3A3}</w><x>\u{130}stanbul</x><y>Stra\u{DF}e</y></rec>\
+        </r>";
+
+    #[test]
+    fn kelvin_sign_is_said_by_the_keyword_k() {
+        // `K`.to_lowercase() is ASCII `k`: the trivially dominant feature
+        // is the keyword's duplicate.
+        let display = display_of(UNICODE, "k");
+        assert_eq!(display.iter().filter(|s| s.to_lowercase() == "k").count(), 1, "{display:?}");
+        assert_eq!(display[0], "k");
+    }
+
+    #[test]
+    fn a_final_sigma_matches_its_lowercase_word_only() {
+        // `ΟΔΟΣ` lowercases to `οδος` (final sigma), never to `οδοσ`.
+        let upper = "\u{39F}\u{394}\u{39F}\u{3A3}";
+        let display = display_of(UNICODE, "\u{3BF}\u{3B4}\u{3BF}\u{3C2}");
+        assert!(!display.iter().any(|s| s == upper), "said by the keyword: {display:?}");
+        let display = display_of(UNICODE, "\u{3BF}\u{3B4}\u{3BF}\u{3C3}");
+        assert!(display.iter().any(|s| s == upper), "a medial sigma differs: {display:?}");
+    }
+
+    #[test]
+    fn dotted_capital_i_and_sharp_s_are_not_folded_further() {
+        // `İstanbul` lowercases to `i̇stanbul` (with U+0307), and `ß` stays
+        // `ß`: neither is the ASCII keyword's duplicate.
+        let display = display_of(UNICODE, "istanbul strasse");
+        assert!(display.iter().any(|s| s == "\u{130}stanbul"), "{display:?}");
+        assert!(display.iter().any(|s| s == "Stra\u{DF}e"), "{display:?}");
+        // Spelled as the document spells them, they are duplicates.
+        let display = display_of(UNICODE, "\u{130}stanbul stra\u{DF}e");
+        assert!(!display.iter().any(|s| s == "\u{130}stanbul"), "{display:?}");
+        assert!(!display.iter().any(|s| s == "Stra\u{DF}e"), "{display:?}");
+    }
+
+    #[test]
+    fn unicode_labels_dedupe_against_values_and_keywords() {
+        // Entity labels `STRASSE` and `οδος`; values `strasse` and `ΟΔΟΣ`
+        // under them. The label comes first and wins; the values repeat it.
+        let display = display_of(
+            "<r><STRASSE><n>strasse</n></STRASSE><STRASSE><n>strasse</n></STRASSE>\
+             <\u{3BF}\u{3B4}\u{3BF}\u{3C2}><n>\u{39F}\u{394}\u{39F}\u{3A3}</n></\u{3BF}\u{3B4}\u{3BF}\u{3C2}>\
+             <\u{3BF}\u{3B4}\u{3BF}\u{3C2}><n>\u{39F}\u{394}\u{39F}\u{3A3}</n></\u{3BF}\u{3B4}\u{3BF}\u{3C2}></r>",
+            "nothing",
+        );
+        assert_eq!(display, ["nothing", "STRASSE", "\u{3BF}\u{3B4}\u{3BF}\u{3C2}"]);
+    }
+
+    mod reference {
+        //! The IList as the paper orders it, built from the statistics
+        //! with text sorts and the quadratic case-insensitive dedup the
+        //! kernel shipped with: the oracle for the kernel's own order and
+        //! dedup.
+
+        use super::*;
+        use crate::{key, return_entity};
+        use extract_analyzer::ResultStats;
+
+        /// Whether two texts say the same thing: equal once lowercased.
+        fn same_text(a: &str, b: &str) -> bool {
+            a.eq_ignore_ascii_case(b) || a.to_lowercase() == b.to_lowercase()
+        }
+
+        /// Keep each candidate no earlier kept one says: a scan of the list.
+        fn unlisted(kept: &[(String, Vec<NodeId>)], text: &str) -> bool {
+            !kept.iter().any(|(t, _)| same_text(t, text))
+        }
+
+        /// `(display text, instances)` of every item, in rank order.
+        pub(super) fn ilist(
+            doc: &Document,
+            model: &EntityModel,
+            catalog: &KeyCatalog,
+            query: &KeywordQuery,
+            result: &QueryResult,
+        ) -> Vec<(String, Vec<NodeId>)> {
+            let stats = ResultStats::compute(doc, model, result.root);
+            let mut candidates: Vec<(String, Vec<NodeId>)> = Vec::new();
+            for (i, k) in query.keywords().iter().enumerate() {
+                candidates.push((k.clone(), result.matches.get(i).cloned().unwrap_or_default()));
+            }
+            let mut types: Vec<(&str, Vec<NodeId>)> = Vec::new();
+            for &e in stats.entities() {
+                let label = doc.label_str(e).unwrap();
+                match types.iter_mut().find(|(l, _)| *l == label) {
+                    Some((_, nodes)) => nodes.push(e),
+                    None => types.push((label, vec![e])),
+                }
+            }
+            types.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(b.0)));
+            candidates.extend(types.into_iter().map(|(l, nodes)| (l.to_string(), nodes)));
+            let returns = return_entity::identify(doc, model, query, result);
+            if let Some(k) = key::identify(doc, model, catalog, &returns) {
+                candidates.push((k.value, k.instances));
+            }
+            let mut features: Vec<(f64, (&str, &str, &str), usize)> = Vec::new();
+            for (i, v) in stats.values().enumerate() {
+                let (count, total, distinct) =
+                    (f64::from(v.count), f64::from(v.type_total), f64::from(v.type_distinct));
+                let score = count * distinct / total;
+                if score > 1.0 || v.type_distinct == 1 {
+                    let labels =
+                        (doc.resolve(v.ftype.entity), doc.resolve(v.ftype.attribute), v.value);
+                    features.push((score, labels, i));
+                }
+            }
+            features.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for (_, (_, _, value), i) in features {
+                candidates.push((value.to_string(), stats.instances(i).to_vec()));
+            }
+            let mut kept: Vec<(String, Vec<NodeId>)> = Vec::new();
+            for (text, instances) in candidates {
+                if unlisted(&kept, &text) {
+                    kept.push((text, instances));
+                }
+            }
+            kept
+        }
+    }
+
+    /// Labels and values the random documents draw from: ASCII, and texts
+    /// whose case folding is not char by char.
+    const ALPHABET: [&str; 14] = [
+        "k", "K", "\u{212A}", "\u{39F}\u{394}\u{39F}\u{3A3}", "\u{3BF}\u{3B4}\u{3BF}\u{3C2}",
+        "\u{3BF}\u{3B4}\u{3BF}\u{3C3}", "\u{130}stanbul", "istanbul", "Stra\u{DF}e", "STRASSE",
+        "strasse", "zeta", "alpha", "Alpha",
+    ];
+
+    #[derive(Debug, Clone)]
+    struct Spec {
+        label: usize,
+        value: Option<usize>,
+        children: Vec<Spec>,
+    }
+
+    fn spec() -> impl Strategy<Value = Spec> {
+        use proptest::prelude::*;
+        let leaf = (0..ALPHABET.len(), proptest::option::of(0..ALPHABET.len()))
+            .prop_map(|(label, value)| Spec { label, value, children: Vec::new() });
+        leaf.prop_recursive(3, 32, 4, |inner| {
+            (0..ALPHABET.len(), proptest::collection::vec(inner, 0..4))
+                .prop_map(|(label, children)| Spec { label, value: None, children })
+        })
+    }
+
+    fn build_spec(b: &mut extract_xml::DocBuilder, s: &Spec) {
+        b.begin(ALPHABET[s.label]);
+        if let Some(v) = s.value {
+            b.text(ALPHABET[v]);
+        }
+        for c in &s.children {
+            build_spec(b, c);
+        }
+        b.end();
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every element's IList, for random queries over the alphabet,
+        /// equals the reference: the same items in the same order with
+        /// the same instances — so dedup agrees with the quadratic
+        /// `to_lowercase` scan and every tie is broken by text.
+        #[test]
+        fn the_ilist_equals_the_text_sorted_quadratic_reference(
+            specs in proptest::collection::vec(spec(), 1..4),
+            words in proptest::collection::vec(0..ALPHABET.len(), 1..4),
+        ) {
+            let mut b = extract_xml::DocBuilder::new("db");
+            for s in &specs {
+                build_spec(&mut b, s);
+                build_spec(&mut b, s);
+            }
+            let doc = b.build();
+            let model = EntityModel::analyze(&doc);
+            let catalog = KeyCatalog::mine(&doc, &model);
+            let index = XmlIndex::build(&doc);
+            let query = KeywordQuery::from_keywords(words.iter().map(|&w| ALPHABET[w]));
+            let options = IListOptions::default();
+            for root in (0..doc.len()).map(NodeId::from_index).filter(|&n| doc.label(n).is_some()) {
+                let result = QueryResult::build(&doc, &index, &query, root);
+                let il = build_ilist(&doc, &model, &catalog, &query, &result, &options);
+                let got: Vec<(String, Vec<NodeId>)> = il
+                    .items()
+                    .iter()
+                    .map(|r| (r.item.display_text(&doc), r.instances.clone()))
+                    .collect();
+                let want = reference::ilist(&doc, &model, &catalog, &query, &result);
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
 }
