@@ -12,8 +12,10 @@
 //! size one (`D(e,a) = 1`) is trivially dominant even though its score is
 //! exactly 1. Dominant features enter the IList in decreasing score order.
 
+use std::cmp::Ordering;
+
 use extract_analyzer::{FeatureType, ResultStats, ValueStats};
-use extract_xml::Document;
+use extract_xml::{Document, Symbol};
 
 /// A dominant feature of one query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,74 +51,78 @@ pub fn dominance_score(stats: &ResultStats<'_>, ftype: FeatureType, value: &str)
     Some(stats.n_value(ftype, value) as f64 * d as f64 / n_type as f64)
 }
 
-/// A ranked feature with its `(entity, attribute, value)` labels,
-/// resolved once for the sort that breaks score ties.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Labelled<'d> {
-    ranked: Ranked,
-    labels: (&'d str, &'d str, &'d str),
+/// Sort `items` by `rank`, breaking its ties by `text`: one sort by `rank`
+/// alone, then one sort of each run of equal rank by `text` — the only
+/// compares that read text. `text` must order every run totally (labels
+/// are interned once, so two labels of one document differ in text when
+/// they differ in symbol), which makes the unstable sorts give the one
+/// answer.
+pub(crate) fn sort_ties_by_text<T>(
+    items: &mut [T],
+    rank: impl Fn(&T, &T) -> Ordering,
+    mut text: impl FnMut(&T, &T) -> Ordering,
+) {
+    items.sort_unstable_by(&rank);
+    for run in items.chunk_by_mut(|a, b| rank(a, b) == Ordering::Equal) {
+        if run.len() > 1 {
+            run.sort_unstable_by(&mut text);
+        }
+    }
 }
 
-/// `buffer`'s allocation as an empty buffer of `U`. Called with `T` and `U`
-/// the same type up to lifetimes, so the collect reuses the allocation in
-/// place: a scratch that outlives every document keeps its buffer of
-/// borrowed labels warm that way.
-fn recycle<T, U>(mut buffer: Vec<T>) -> Vec<U> {
-    buffer.clear();
-    buffer.into_iter().filter_map(|_| None).collect()
+/// The text order of two labels of `doc`, read only when they differ.
+pub(crate) fn label_order(doc: &Document, a: Symbol, b: Symbol) -> Ordering {
+    if a == b {
+        Ordering::Equal
+    } else {
+        doc.resolve(a).cmp(doc.resolve(b))
+    }
 }
 
 /// The features of a result that `score` ranks — a score from a value's
 /// `(N(e,a,v), N(e,a), D(e,a))`, `None` to leave it out — into `out`,
-/// sorted by decreasing score, then `(entity, attribute, value)` labels: a
-/// total order, since a `(type, value)` pair occurs once, so an unstable
-/// sort gives the one answer. Scores read only counts; each ranked
-/// feature's labels are resolved once, into `labelled`. Warm buffers
-/// allocate nothing.
-fn rank_into<'d>(
-    doc: &'d Document,
-    stats: &ResultStats<'d>,
+/// sorted by decreasing score, then `(entity, attribute, value)` text: a
+/// total order, since a `(type, value)` pair occurs once. Scores read only
+/// counts, and text is read only to order equal scores. Warm, `out`
+/// allocates nothing.
+fn rank_into(
+    doc: &Document,
+    stats: &ResultStats<'_>,
     score: impl Fn(u32, u32, u32) -> Option<f64>,
     out: &mut Vec<Ranked>,
-    labelled: &mut Vec<Labelled<'static>>,
 ) {
-    let mut buffer: Vec<Labelled<'d>> = recycle(std::mem::take(labelled));
+    out.clear();
     for value in 0.. {
         let Some((count, total, distinct)) = stats.counts(value) else { break };
-        let Some(score) = score(count, total, distinct) else { continue };
-        let Some(v) = stats.value(value) else { continue };
-        let labels = (doc.resolve(v.ftype.entity), doc.resolve(v.ftype.attribute), v.value);
-        buffer.push(Labelled { ranked: Ranked { value, score }, labels });
+        if let Some(score) = score(count, total, distinct) {
+            out.push(Ranked { value, score });
+        }
     }
-    buffer.sort_unstable_by(|a, b| {
-        b.ranked.score.total_cmp(&a.ranked.score).then_with(|| a.labels.cmp(&b.labels))
-    });
-    out.clear();
-    out.extend(buffer.iter().map(|l| l.ranked));
-    *labelled = recycle(buffer);
+    let text = |a: &Ranked, b: &Ranked| match (stats.value(a.value), stats.value(b.value)) {
+        (Some(a), Some(b)) => label_order(doc, a.ftype.entity, b.ftype.entity)
+            .then_with(|| label_order(doc, a.ftype.attribute, b.ftype.attribute))
+            .then_with(|| a.value.cmp(b.value)),
+        _ => Ordering::Equal,
+    };
+    sort_ties_by_text(out, |a, b| b.score.total_cmp(&a.score), text);
 }
 
 /// The dominant features of a result into `out`, sorted by decreasing
-/// score, then `(entity, attribute, value)` labels — a total,
-/// deterministic order. Warm buffers allocate nothing.
-pub(crate) fn dominant_into<'d>(
-    doc: &'d Document,
-    stats: &ResultStats<'d>,
-    out: &mut Vec<Ranked>,
-    labelled: &mut Vec<Labelled<'static>>,
-) {
+/// score, then `(entity, attribute, value)` text — a total, deterministic
+/// order. Warm, `out` allocates nothing.
+pub(crate) fn dominant_into(doc: &Document, stats: &ResultStats<'_>, out: &mut Vec<Ranked>) {
     let dominant = |count: u32, total: u32, distinct: u32| {
         let score = f64::from(count) * f64::from(distinct) / f64::from(total);
         (score > 1.0 || distinct == 1).then_some(score)
     };
-    rank_into(doc, stats, dominant, out, labelled);
+    rank_into(doc, stats, dominant, out);
 }
 
 /// All dominant features of a result, sorted by decreasing score, then
 /// `(entity, attribute, value)` labels — a total, deterministic order.
 pub fn dominant_features(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
     let mut ranked = Vec::new();
-    dominant_into(doc, stats, &mut ranked, &mut Vec::new());
+    dominant_into(doc, stats, &mut ranked);
     owned(stats, &ranked, |v| v.type_distinct == 1)
 }
 
@@ -149,7 +155,7 @@ fn owned(
 pub fn features_by_raw_frequency(doc: &Document, stats: &ResultStats<'_>) -> Vec<DominantFeature> {
     let mut ranked = Vec::new();
     let raw = |count: u32, _, _| Some(f64::from(count));
-    rank_into(doc, stats, raw, &mut ranked, &mut Vec::new());
+    rank_into(doc, stats, raw, &mut ranked);
     owned(stats, &ranked, |_| false)
 }
 

@@ -6,7 +6,11 @@
 //! the dominant features in decreasing dominance-score order (Figure 3).
 //! Duplicates are suppressed case-insensitively — e.g. for the query
 //! "Texas apparel retailer" the entity name `retailer` and the trivially
-//! dominant feature `(store, state, Texas)` never appear twice.
+//! dominant feature `(store, state, Texas)` never appear twice. Two texts
+//! are the same when `str::to_lowercase` makes them equal (so `K`, the
+//! Kelvin sign, says `k`, and `ΟΔΟΣ` says `οδος` but not `οδοσ`); an item
+//! is looked up among the listed ones by the hash of its lowercased bytes,
+//! and its text is compared only with an entry whose hash it shares.
 //!
 //! Every item carries its **instances**: the element nodes of the query
 //! result that contain the item's information, which is exactly what the
@@ -25,7 +29,7 @@ use extract_analyzer::{EntityModel, FeatureTables, FeatureType, KeyCatalog, Resu
 use extract_search::{KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId, Symbol};
 
-use crate::dominance::{self, Labelled, Ranked};
+use crate::dominance::{self, Ranked};
 use crate::key::{self, KeyAt, ResultKey};
 use crate::return_entity::{self, ReturnEntities};
 use crate::selector::{Candidates, SelectionOutcome};
@@ -200,13 +204,121 @@ struct Entry {
     source: Source,
     /// Whether its text is ASCII, which [`same_text`] decides in place.
     ascii: bool,
+    /// [`folded_hash`] of its text.
+    hash: u64,
     instances: Range<usize>,
 }
 
+/// The hash of `text` lowercased by `str::to_lowercase`, so any two texts
+/// [`same_text`] calls equal hash alike. An ASCII text is lowered in place
+/// eight bytes at a time; any other is lowercased first (`K`, U+212A, is
+/// `k` then, and a final `Σ` is `ς`: no per-character fold gets either
+/// right). Not keyed: a collision costs one text compare, and a list
+/// crafted to collide costs what comparing against every entry did.
+fn folded_hash(text: &str) -> u64 {
+    if text.is_ascii() {
+        hash_lowered(text.as_bytes())
+    } else {
+        hash_lowered(text.to_lowercase().as_bytes())
+    }
+}
+
+/// Hash `bytes` with every ASCII capital lowered. The bytes of a
+/// lowercased text pass unchanged, so both arms of [`folded_hash`] agree.
+fn hash_lowered(bytes: &[u8]) -> u64 {
+    const LOW: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // Per byte below 0x80: bit 7 of `b + 0x3f` says `b >= b'A'`, of
+    // `b + 0x25` says `b > b'Z'`; neither sum carries into the next byte.
+    let lower = |word: u64| {
+        let low = word & LOW;
+        let capital = (low + 0x3f3f_3f3f_3f3f_3f3f) & !(low + 0x2525_2525_2525_2525) & !word & HIGH;
+        word | (capital >> 2)
+    };
+    let mut hash = bytes.len() as u64;
+    for chunk in bytes.chunks(8) {
+        let mut word = [0; 8];
+        if let Some(to) = word.get_mut(..chunk.len()) {
+            to.copy_from_slice(chunk);
+        }
+        hash = (hash.rotate_left(23) ^ lower(u64::from_le_bytes(word)))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    hash
+}
+
+/// The texts on an IList by [`folded_hash`]: an open-addressing table of
+/// positions in the list, at most half full, so checking an item against
+/// the list reads the text of only an entry whose hash it shares.
+#[derive(Debug, Default)]
+struct Listed {
+    /// An entry's position, or [`Listed::EMPTY`].
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: a hash's slot is its top bits.
+    shift: u32,
+}
+
+impl Listed {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Empty the table, sized for a list of up to `items` entries.
+    fn reset(&mut self, items: usize) {
+        let len = items.saturating_mul(2).max(8).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(len, Listed::EMPTY);
+        self.shift = 64 - len.trailing_zeros();
+    }
+
+    /// The slot a new entry with `hash` goes in — `None` when an entry
+    /// already says what `(text, ascii)` says.
+    fn vacancy(
+        &self,
+        entries: &[Entry],
+        said: impl Fn(&Entry) -> bool,
+        hash: u64,
+    ) -> Option<usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = usize::try_from(hash >> self.shift).unwrap_or_default() & mask;
+        loop {
+            let &slot = self.slots.get(at)?;
+            if slot == Listed::EMPTY {
+                return Some(at);
+            }
+            let entry = entries.get(slot as usize)?;
+            if entry.hash == hash && said(entry) {
+                return None;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Record entry `index` in slot `at` (from [`Listed::vacancy`]); a
+    /// table more than half full is rebuilt twice as large.
+    fn take(&mut self, at: usize, index: usize, entries: &[Entry]) {
+        if let (Some(slot), Ok(index)) = (self.slots.get_mut(at), u32::try_from(index)) {
+            *slot = index;
+        }
+        if entries.len() * 2 > self.slots.len() {
+            self.reset(entries.len());
+            let mask = self.slots.len() - 1;
+            for (index, entry) in entries.iter().enumerate() {
+                let mut at = usize::try_from(entry.hash >> self.shift).unwrap_or_default() & mask;
+                while self.slots.get(at).is_some_and(|&s| s != Listed::EMPTY) {
+                    at = (at + 1) & mask;
+                }
+                self.take(at, index, &[]);
+            }
+        }
+    }
+}
+
 /// The snippet kernel's working memory, reused from one result to the
-/// next: the result's feature statistics, its entity types, return
-/// entities and key, the IList built from them (items as sources and
-/// ranges of one instance arena), the selected snippet tree and its XML.
+/// next: the result's feature statistics, its entity types (sorted by
+/// instance count, label text read only among equal counts), dominant
+/// features (likewise by score), return entities and key, the IList built
+/// from them (items as sources and ranges of one instance arena, with a
+/// table of their lowercased-text hashes for the duplicate check), the
+/// selected snippet tree and its XML.
 /// Every buffer keeps its capacity between calls, so a warm scratch builds
 /// and renders a snippet without allocating. Drive it through
 /// [`crate::Extract::snippet_xml`] (the served bytes) or
@@ -218,26 +330,25 @@ pub struct IListScratch {
     features: FeatureTables,
     /// Its dominant features, IList order.
     dominant: Vec<Ranked>,
-    /// The dominant features' labels while they are sorted (empty between
-    /// results: the labels borrow the result's document).
-    labelled: Vec<Labelled<'static>>,
     /// The result's entity nodes keyed and sorted by label: one run per
     /// entity type.
     by_label: Vec<(Symbol, NodeId)>,
     /// One `by_label` run per entity type, in IList order.
     types: Vec<(Symbol, Range<usize>)>,
-    /// Attribute labels known to match a keyword, or not.
-    names: Vec<(Symbol, bool)>,
     /// The return entities.
     returns: ReturnEntities,
     /// The result key, its instances in `arena`.
     key: Option<KeyAt>,
     /// The IList, in rank order.
     entries: Vec<Entry>,
+    /// Its texts, by hash.
+    listed: Listed,
     /// Every item's instances, back to back.
     arena: Vec<NodeId>,
     /// The last selection over `entries`.
     selection: SelectionOutcome,
+    /// The bits of its snippet tree.
+    marks: Vec<u64>,
     /// The last rendered snippet.
     xml: String,
 }
@@ -265,35 +376,30 @@ fn same_text((a, a_ascii): (&str, bool), (b, b_ascii): (&str, bool)) -> bool {
     a.eq_ignore_ascii_case(b) || (!(a_ascii && b_ascii) && a.to_lowercase() == b.to_lowercase())
 }
 
-/// `None` when an item saying what `source` says is on the list already
-/// (the earlier, more important item wins); otherwise whether its text is
-/// ASCII, for the entry that will list it.
-fn unlisted(
-    entries: &[Entry],
-    doc: &Document,
-    query: &KeywordQuery,
-    source: &Source,
-) -> Option<bool> {
-    let text = source.text(doc, query);
-    let ascii = text.is_ascii();
-    let said = |e: &Entry| same_text((e.source.text(doc, query), e.ascii), (text, ascii));
-    (!entries.iter().any(said)).then_some(ascii)
-}
-
-/// Append `source` if it is [`unlisted`]. Instances are only collected for
-/// items that make it onto the list.
+/// Append `source` unless an item saying what it says is on the list
+/// already (the earlier, more important item wins). `instances` puts the
+/// item's instances in the arena and says where; it runs only for an item
+/// that makes it onto the list.
 fn push(
-    entries: &mut Vec<Entry>,
-    arena: &mut Vec<NodeId>,
+    (entries, listed, arena): (&mut Vec<Entry>, &mut Listed, &mut Vec<NodeId>),
     (doc, query): (&Document, &KeywordQuery),
     source: Source,
-    instances: impl IntoIterator<Item = NodeId>,
+    instances: impl FnOnce(&mut Vec<NodeId>) -> Range<usize>,
 ) {
-    if let Some(ascii) = unlisted(entries, doc, query, &source) {
-        let start = arena.len();
-        arena.extend(instances);
-        entries.push(Entry { source, ascii, instances: start..arena.len() });
+    let text = source.text(doc, query);
+    let (ascii, hash) = (text.is_ascii(), folded_hash(text));
+    let said = |e: &Entry| same_text((e.source.text(doc, query), e.ascii), (text, ascii));
+    if let Some(at) = listed.vacancy(entries, said, hash) {
+        entries.push(Entry { source, ascii, hash, instances: instances(arena) });
+        listed.take(at, entries.len() - 1, entries);
     }
+}
+
+/// Append `nodes` to `arena`: their range of it.
+fn append(arena: &mut Vec<NodeId>, nodes: impl IntoIterator<Item = NodeId>) -> Range<usize> {
+    let start = arena.len();
+    arena.extend(nodes);
+    start..arena.len()
 }
 
 impl IListScratch {
@@ -313,7 +419,15 @@ impl IListScratch {
     ) {
         let stats = ResultStats::compute_with(doc, model, root, std::mem::take(&mut self.features));
         let IListScratch {
-            dominant, labelled, by_label, types, names, returns, key: key_at, entries, arena, ..
+            dominant,
+            by_label,
+            types,
+            returns,
+            key: key_at,
+            entries,
+            listed,
+            arena,
+            ..
         } = self;
 
         // Entity types (§2.1) and dominant features (§2.3) first: together
@@ -321,43 +435,48 @@ impl IListScratch {
         // instances are grouped by label; types are ordered by descending
         // instance count (more instances ⇒ more of the result is about
         // them), ties alphabetically — this reproduces Figure 3's "…,
-        // clothes, store, …".
+        // clothes, store, …". Only tied counts read label text.
         return_entity::group_by_label(doc, stats.entities(), by_label, types);
-        types.sort_unstable_by(|a, b| {
-            b.1.len().cmp(&a.1.len()).then_with(|| doc.resolve(a.0).cmp(doc.resolve(b.0)))
-        });
-        dominance::dominant_into(doc, &stats, dominant, labelled);
+        dominance::sort_ties_by_text(
+            types,
+            |a, b| b.1.len().cmp(&a.1.len()),
+            |a, b| dominance::label_order(doc, a.0, b.0),
+        );
+        dominance::dominant_into(doc, &stats, dominant);
         if let Some(cap) = options.max_dominant_features {
             dominant.truncate(cap);
         }
 
         entries.clear();
         arena.clear();
+        listed.reset(query.len() + types.len() + 1 + dominant.len());
         let at = (doc, query);
 
         // 1. Query keywords, in query order ("IList is initialized with the
         //    query keywords", §2).
         for i in 0..query.len() {
-            push(entries, arena, at, Source::Keyword(i), matches(i).iter().copied());
+            let list = (&mut *entries, &mut *listed, &mut *arena);
+            push(list, at, Source::Keyword(i), |arena| append(arena, matches(i).iter().copied()));
         }
 
         // 2. Entity names.
         for (label, run) in types.iter() {
             let nodes = by_label.get(run.clone()).unwrap_or_default();
-            push(entries, arena, at, Source::EntityName(*label), nodes.iter().map(|&(_, e)| e));
+            let list = (&mut *entries, &mut *listed, &mut *arena);
+            let instances = |arena: &mut Vec<NodeId>| append(arena, nodes.iter().map(|&(_, e)| e));
+            push(list, at, Source::EntityName(*label), instances);
         }
 
         // 3. The result key (§2.2) — identified, with its instances, even
         //    when a keyword already says it: the owned IList records it.
         let runs = (by_label.as_slice(), types.as_slice());
-        return_entity::identify_into(doc, model, query, root, runs, names, returns);
+        return_entity::identify_into(doc, model, query, root, &matches, runs, returns);
         *key_at = key::identify_into(doc, model, catalog, returns, arena);
         if let Some(k) = key_at {
             let source =
                 Source::ResultKey { entity: k.entity, attribute: k.attribute, node: k.node };
-            if let Some(ascii) = unlisted(entries, doc, query, &source) {
-                entries.push(Entry { source, ascii, instances: k.instances.clone() });
-            }
+            let list = (&mut *entries, &mut *listed, &mut *arena);
+            push(list, at, source, |_| k.instances.clone());
         }
 
         // 4. Dominant features in decreasing dominance score.
@@ -367,15 +486,20 @@ impl IListScratch {
                 continue;
             };
             let source = Source::Feature { ftype: v.ftype, node, score: d.score };
-            push(entries, arena, at, source, instances.iter().copied());
+            let list = (&mut *entries, &mut *listed, &mut *arena);
+            push(list, at, source, |arena| append(arena, instances.iter().copied()));
         }
 
         self.features = stats.into_tables();
     }
 
-    /// The built items for a selector, and the outcome it writes.
-    pub(crate) fn items_and_selection(&mut self) -> (Items<'_>, &mut SelectionOutcome) {
-        (Items { entries: &self.entries, arena: &self.arena }, &mut self.selection)
+    /// The built items for a selector, and the outcome it writes with the
+    /// buffer of its tree's bits.
+    pub(crate) fn items_and_selection(
+        &mut self,
+    ) -> (Items<'_>, (&mut SelectionOutcome, &mut Vec<u64>)) {
+        let items = Items { entries: &self.entries, arena: &self.arena };
+        (items, (&mut self.selection, &mut self.marks))
     }
 
     /// The last selection.

@@ -254,7 +254,7 @@ impl<'d> Extract<'d> {
             SelectorKind::Exact => exact_select(doc, &items, root, bound, ExactLimits::default()),
         };
         match exact {
-            Some(outcome) => *selection = outcome,
+            Some(outcome) => *selection.0 = outcome,
             None => {
                 greedy_into(doc, &items, root, bound, InstancePolicy::CheapestInstance, selection)
             }

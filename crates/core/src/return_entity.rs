@@ -51,22 +51,12 @@ pub fn identify(
     query: &KeywordQuery,
     result: &QueryResult,
 ) -> ReturnEntities {
-    identify_among(doc, model, query, result.root, &model.entities_in(doc, result.root))
-}
-
-/// [`identify`] for a caller that already holds the entity nodes of the
-/// result rooted at `root` (`entities`, document order).
-fn identify_among(
-    doc: &Document,
-    model: &EntityModel,
-    query: &KeywordQuery,
-    root: NodeId,
-    entities: &[NodeId],
-) -> ReturnEntities {
     let (mut by_label, mut runs) = (Vec::new(), Vec::new());
-    group_by_label(doc, entities, &mut by_label, &mut runs);
+    group_by_label(doc, &model.entities_in(doc, result.root), &mut by_label, &mut runs);
     let mut out = ReturnEntities::default();
-    identify_into(doc, model, query, root, (&by_label, &runs), &mut Vec::new(), &mut out);
+    let matches = |i: usize| result.matches.get(i).map(Vec::as_slice).unwrap_or_default();
+    let runs = (by_label.as_slice(), runs.as_slice());
+    identify_into(doc, model, query, result.root, matches, runs, &mut out);
     out
 }
 
@@ -97,19 +87,26 @@ pub(crate) fn group_by_label(
     }
 }
 
-/// The §2.2 rules over the result's entity types, into `out`: `by_label`
-/// and `runs` come from [`group_by_label`] (runs in any order). The rules
-/// look at types in order of their first instance, so "the first type, in
-/// that order, that matches" is the matching run whose first node is
-/// smallest. `names` is a buffer for which attribute labels match a
-/// keyword, so each distinct label is tokenized once.
-pub(crate) fn identify_into(
+/// The §2.2 rules over the entity types of the result rooted at `root`,
+/// into `out`: `by_label` and `runs` group its entity nodes as
+/// [`group_by_label`] leaves them (runs in any order), and `matches(i)` is
+/// keyword `i`'s matches inside the result. The rules look at types in order of their first instance,
+/// so "the first type, in that order, that matches" is the matching run
+/// whose first node is smallest.
+///
+/// A label that says a keyword makes its element a match of that keyword
+/// (the index posts an element under its label's tokens as under its
+/// text's), so the two name rules read only the matches: an entity match
+/// whose label says its keyword names its type (rule 1), an attribute
+/// match whose label says it, a child of an entity, names that entity's
+/// type (rule 2). Nothing else of the result is walked.
+pub(crate) fn identify_into<'m>(
     doc: &Document,
     model: &EntityModel,
     query: &KeywordQuery,
     root: NodeId,
+    matches: impl Fn(usize) -> &'m [NodeId],
     (by_label, runs): EntityRuns<'_>,
-    names: &mut Vec<(Symbol, bool)>,
     out: &mut ReturnEntities,
 ) {
     out.label = None;
@@ -119,48 +116,42 @@ pub(crate) fn identify_into(
         out.instances.push(root);
         return;
     }
-    let nodes = |run: &Range<usize>| by_label.get(run.clone()).unwrap_or_default();
-    let first = |run: &Range<usize>| nodes(run).first().map(|&(_, n)| n);
-    let matches = |name: &str| query.keywords().iter().any(|k| contains_token(name, k));
-
-    // Rule 1: entity name matches a keyword.
-    let named = runs
-        .iter()
-        .filter(|(label, _)| matches(doc.resolve(*label)))
-        .min_by_key(|(_, run)| first(run));
-    if let Some((label, run)) = named {
-        return chosen(out, *label, ReturnEntityReason::NameMatch, nodes(run));
-    }
-
-    // Rule 2: an attribute name of the entity matches a keyword. A type
-    // whose first instance comes after the best so far cannot win, so it
-    // is not checked.
-    names.clear();
-    let mut named = |label: Symbol| match names.iter().find(|&&(l, _)| l == label) {
-        Some(&(_, hit)) => hit,
-        None => {
-            let hit = matches(doc.resolve(label));
-            names.push((label, hit));
-            hit
-        }
+    // The matches of each keyword that are of `kind` and whose label says
+    // the keyword.
+    let matches = &matches;
+    let named = |kind: fn(&EntityModel, NodeId) -> bool| {
+        (0..query.len()).flat_map(move |i| {
+            let keyword = query.keywords().get(i).map_or("", String::as_str);
+            matches(i).iter().copied().filter(move |&m| {
+                kind(model, m)
+                    && doc.label(m).is_some_and(|l| contains_token(doc.resolve(l), keyword))
+            })
+        })
     };
-    let mut best: Option<(NodeId, Symbol, &Range<usize>)> = None;
-    for (label, run) in runs {
-        let Some(start) = first(run) else { continue };
-        if best.is_some_and(|(at, _, _)| at < start) {
-            continue;
-        }
-        let attr_match = nodes(run).iter().any(|&(_, e)| {
-            doc.element_children(e)
-                .filter(|&a| model.is_attribute(a))
-                .any(|a| doc.label(a).is_some_and(&mut named))
+    let instances = |label: Symbol| {
+        let start = by_label.partition_point(|&(l, _)| l < label);
+        let len = by_label.get(start..).map_or(0, |rest| {
+            rest.iter().take_while(|&&(l, _)| l == label).count()
         });
-        if attr_match {
-            best = Some((start, *label, run));
-        }
+        by_label.get(start..start + len).unwrap_or_default()
+    };
+
+    // Rule 1: entity name matches a keyword. Every instance of such a
+    // type is a match, so the smallest match names the first type.
+    let first = named(EntityModel::is_entity).min();
+    if let Some(label) = first.and_then(|e| doc.label(e)) {
+        return chosen(out, label, ReturnEntityReason::NameMatch, instances(label));
     }
-    if let Some((_, label, run)) = best {
-        return chosen(out, label, ReturnEntityReason::AttributeNameMatch, nodes(run));
+
+    // Rule 2: an attribute name of the entity matches a keyword: the
+    // type whose first instance is smallest among those holding one.
+    let holders = named(EntityModel::is_attribute)
+        .filter(|&a| a != root)
+        .filter_map(|a| doc.parent(a).filter(|&e| model.is_entity(e)))
+        .filter_map(|e| doc.label(e));
+    let best = holders.min_by_key(|&label| instances(label).first().map(|&(_, e)| e));
+    if let Some(label) = best {
+        return chosen(out, label, ReturnEntityReason::AttributeNameMatch, instances(label));
     }
 
     // Rule 3: the highest entities.
@@ -270,6 +261,129 @@ mod tests {
         let re = identify(&doc, &model, &q, &r);
         assert!(re.label.is_none());
         assert_eq!(re.instances, vec![doc.root()]);
+    }
+
+    mod walk {
+        //! The rules as first written: every entity type's label checked,
+        //! every instance's attribute children walked, the highest
+        //! entities found by a scan of the result.
+
+        use super::*;
+
+        pub(super) fn identify(
+            doc: &Document,
+            model: &EntityModel,
+            query: &KeywordQuery,
+            root: NodeId,
+        ) -> ReturnEntities {
+            let entities = model.entities_in(doc, root);
+            let (mut by_label, mut runs) = (Vec::new(), Vec::new());
+            group_by_label(doc, &entities, &mut by_label, &mut runs);
+            let mut out = ReturnEntities::default();
+            if runs.is_empty() {
+                out.instances.push(root);
+                return out;
+            }
+            let nodes = |run: &Range<usize>| &by_label[run.clone()];
+            let first = |run: &Range<usize>| nodes(run)[0].1;
+            let matches = |name: &str| query.keywords().iter().any(|k| contains_token(name, k));
+            let named = runs
+                .iter()
+                .filter(|(label, _)| matches(doc.resolve(*label)))
+                .min_by_key(|(_, run)| first(run));
+            if let Some((label, run)) = named {
+                chosen(&mut out, *label, ReturnEntityReason::NameMatch, nodes(run));
+                return out;
+            }
+            let attributed = runs
+                .iter()
+                .filter(|(_, run)| {
+                    nodes(run).iter().any(|&(_, e)| {
+                        doc.element_children(e)
+                            .filter(|&a| model.is_attribute(a))
+                            .any(|a| matches(doc.label_str(a).unwrap()))
+                    })
+                })
+                .min_by_key(|(_, run)| first(run));
+            if let Some((label, run)) = attributed {
+                chosen(&mut out, *label, ReturnEntityReason::AttributeNameMatch, nodes(run));
+                return out;
+            }
+            let highest: Vec<NodeId> = entities
+                .iter()
+                .copied()
+                .filter(|&e| {
+                    e == root || !doc.ancestors_or_self(e).skip(1).take_while(|&a| a >= root).any(|a| model.is_entity(a))
+                })
+                .collect();
+            out.label = highest.first().and_then(|&h| doc.label(h));
+            out.instances = highest;
+            out
+        }
+    }
+
+    const WORDS: [&str; 8] =
+        ["store", "name", "open_auction", "auction", "city", "Texas", "item", "name_id"];
+
+    #[derive(Debug, Clone)]
+    struct Spec {
+        label: usize,
+        value: Option<usize>,
+        children: Vec<Spec>,
+    }
+
+    fn spec() -> impl proptest::strategy::Strategy<Value = Spec> {
+        use proptest::prelude::*;
+        let leaf = (0..WORDS.len(), proptest::option::of(0..WORDS.len()))
+            .prop_map(|(label, value)| Spec { label, value, children: Vec::new() });
+        leaf.prop_recursive(3, 32, 4, |inner| {
+            (0..WORDS.len(), proptest::collection::vec(inner, 0..4))
+                .prop_map(|(label, children)| Spec { label, value: None, children })
+        })
+    }
+
+    fn build_spec(b: &mut extract_xml::DocBuilder, s: &Spec) {
+        b.begin(WORDS[s.label]);
+        if let Some(v) = s.value {
+            b.text(WORDS[v]);
+        }
+        for c in &s.children {
+            build_spec(b, c);
+        }
+        b.end();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Reading the rules off the keyword matches picks what walking
+        /// every entity type and attribute does, at every element root.
+        #[test]
+        fn the_rules_read_from_matches_equal_the_walk(
+            specs in proptest::collection::vec(spec(), 1..4),
+            words in proptest::collection::vec(0..WORDS.len(), 1..4),
+        ) {
+            let mut b = extract_xml::DocBuilder::new("db");
+            for s in &specs {
+                build_spec(&mut b, s);
+                build_spec(&mut b, s);
+            }
+            let (doc, model, index) = {
+                let doc = b.build();
+                let model = EntityModel::analyze(&doc);
+                let index = XmlIndex::build(&doc);
+                (doc, model, index)
+            };
+            let q = KeywordQuery::from_keywords(words.iter().map(|&w| WORDS[w]));
+            for root in (0..doc.len()).map(NodeId::from_index).filter(|&n| doc.label(n).is_some()) {
+                let got = identify(&doc, &model, &q, &result_for(&doc, &index, &q, root));
+                let want = walk::identify(&doc, &model, &q, root);
+                proptest::prop_assert_eq!(
+                    (got.label, got.reason, got.instances),
+                    (want.label, want.reason, want.instances)
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,42 +43,47 @@ pub fn greedy_select_with_policy<C: Candidates + ?Sized>(
     policy: InstancePolicy,
 ) -> SelectionOutcome {
     let mut out = SelectionOutcome::default();
-    greedy_into(doc, ilist, root, bound, policy, &mut out);
+    greedy_into(doc, ilist, root, bound, policy, (&mut out, &mut Vec::new()));
     out
 }
 
-/// [`greedy_select_with_policy`] into `out`, whose buffers are reused: a
-/// warm outcome allocates nothing.
+/// [`greedy_select_with_policy`] into `out`, whose buffers are reused, as
+/// is `marks`, the tree's bits: warm, they allocate nothing.
 pub(crate) fn greedy_into<C: Candidates + ?Sized>(
     doc: &Document,
     ilist: &C,
     root: NodeId,
     bound: usize,
     policy: InstancePolicy,
-    out: &mut SelectionOutcome,
+    (out, marks): (&mut SelectionOutcome, &mut Vec<u64>),
 ) {
     out.covered.clear();
     out.skipped.clear();
-    let mut tree = SnippetTree::reusing(doc, root, std::mem::take(&mut out.nodes));
+    let buffers = (std::mem::take(&mut out.nodes), std::mem::take(marks));
+    let mut tree = SnippetTree::reusing(doc, root, buffers);
     for idx in 0..ilist.item_count() {
         let budget = bound.saturating_sub(tree.edges());
         let mut best: Option<(usize, NodeId)> = None;
         for &inst in ilist.instances(idx) {
-            let Some(cost) = tree.cost(inst) else {
-                continue; // outside the result subtree
-            };
             match policy {
                 InstancePolicy::CheapestInstance => {
-                    // Strictly-less keeps the earliest instance on ties
-                    // (instances arrive in document order).
-                    if best.map(|(c, _)| cost < c).unwrap_or(true) {
-                        best = Some((cost, inst));
-                        if cost == 0 {
-                            break; // cannot do better
-                        }
+                    // Only a cost below the best so far can win (ties keep
+                    // the earliest instance: instances arrive in document
+                    // order), and only one within the budget is taken, so
+                    // a walk up stops there.
+                    let limit = best.map_or(budget.saturating_add(1), |(c, _)| c);
+                    let Some(cost) = tree.cost_below(inst, limit) else {
+                        continue; // outside the result subtree, or no cheaper
+                    };
+                    best = Some((cost, inst));
+                    if cost == 0 {
+                        break; // cannot do better
                     }
                 }
                 InstancePolicy::FirstInstance => {
+                    let Some(cost) = tree.cost(inst) else {
+                        continue; // outside the result subtree
+                    };
                     best = Some((cost, inst));
                     break; // take the first in-subtree instance, whatever it costs
                 }
@@ -93,7 +98,7 @@ pub(crate) fn greedy_into<C: Candidates + ?Sized>(
         }
     }
     out.edges = tree.edges();
-    out.nodes = tree.into_nodes();
+    (out.nodes, *marks) = tree.into_parts();
 }
 
 #[cfg(test)]

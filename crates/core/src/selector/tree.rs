@@ -1,10 +1,11 @@
 //! The growing snippet tree: an ancestor-closed set of element nodes under
 //! a result root, with O(depth) marginal-cost queries.
 //!
-//! The set is a sorted `Vec` — a snippet tree holds at most `bound + 1`
-//! nodes, so a binary search beats hashing, the set is already in the
-//! document order the XML writer walks, and the buffer can be handed in
-//! warm ([`SnippetTree::reusing`]).
+//! The set is kept twice: as a sorted `Vec` — a snippet tree holds at most
+//! `bound + 1` nodes, it is already in the document order the XML writer
+//! walks, and the buffer can be handed in warm ([`SnippetTree::reusing`]) —
+//! and as one bit per node of the root's interval, so asking whether a
+//! node is included, at every step of every cost walk, is one bit test.
 
 use extract_xml::{Document, NodeId};
 
@@ -15,26 +16,31 @@ pub struct SnippetTree<'d> {
     root: NodeId,
     /// Sorted.
     included: Vec<NodeId>,
+    /// Bit `i` says whether node `root + i` is included.
+    marks: Vec<u64>,
     edges: usize,
 }
 
 impl<'d> SnippetTree<'d> {
     /// Start a tree containing only `root` (zero edges).
     pub fn new(doc: &'d Document, root: NodeId) -> SnippetTree<'d> {
-        SnippetTree::reusing(doc, root, Vec::new())
+        SnippetTree::reusing(doc, root, (Vec::new(), Vec::new()))
     }
 
-    /// [`SnippetTree::new`] over a buffer from an earlier tree
-    /// ([`SnippetTree::into_nodes`]): its contents are discarded, its
+    /// [`SnippetTree::new`] over the buffers of an earlier tree
+    /// ([`SnippetTree::into_parts`]): their contents are discarded, their
     /// capacity kept.
     pub(crate) fn reusing(
         doc: &'d Document,
         root: NodeId,
-        mut buffer: Vec<NodeId>,
+        (mut included, mut marks): (Vec<NodeId>, Vec<u64>),
     ) -> SnippetTree<'d> {
-        buffer.clear();
-        buffer.push(root);
-        SnippetTree { doc, root, included: buffer, edges: 0 }
+        included.clear();
+        marks.clear();
+        marks.resize(doc.subtree_size(root).div_ceil(64), 0);
+        let mut tree = SnippetTree { doc, root, included, marks, edges: 0 };
+        tree.include(root);
+        tree
     }
 
     /// The result root.
@@ -49,18 +55,27 @@ impl<'d> SnippetTree<'d> {
 
     /// Whether `node` is already included.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.included.binary_search(&node).is_ok()
+        let Some(at) = node.index().checked_sub(self.root.index()) else {
+            return false;
+        };
+        self.marks.get(at / 64).is_some_and(|word| word >> (at % 64) & 1 != 0)
     }
 
     /// Number of **new** edges that including `node` (and its ancestors up
     /// to the nearest included node) would add; `None` if `node` is not in
     /// the root's subtree.
     pub fn cost(&self, node: NodeId) -> Option<usize> {
+        self.cost_below(node, usize::MAX)
+    }
+
+    /// [`SnippetTree::cost`] when it is below `limit`, else `None`: the
+    /// walk up stops after `limit` steps.
+    pub(crate) fn cost_below(&self, node: NodeId, limit: usize) -> Option<usize> {
         if !self.doc.is_ancestor_or_self(self.root, node) {
             return None;
         }
         // The walk meets the root at the latest.
-        self.doc.ancestors_or_self(node).position(|a| self.contains(a))
+        self.doc.ancestors_or_self(node).take(limit).position(|a| self.contains(a))
     }
 
     /// Include `node` and its ancestors up to the nearest included node.
@@ -70,12 +85,22 @@ impl<'d> SnippetTree<'d> {
         let Some(added) = self.cost(node) else {
             return 0;
         };
-        for a in self.doc.ancestors_or_self(node).take(added) {
-            let at = self.included.partition_point(|&n| n < a);
-            self.included.insert(at, a);
+        let doc = self.doc;
+        for a in doc.ancestors_or_self(node).take(added) {
+            self.include(a);
         }
         self.edges += added;
         added
+    }
+
+    /// Put `node`, a node of the root's interval, in both sets.
+    fn include(&mut self, node: NodeId) {
+        let at = self.included.partition_point(|&n| n < node);
+        self.included.insert(at, node);
+        let bit = node.index().wrapping_sub(self.root.index());
+        if let Some(word) = self.marks.get_mut(bit / 64) {
+            *word |= 1 << (bit % 64);
+        }
     }
 
     /// The included node set (sorted, ancestor-closed, root included).
@@ -86,6 +111,12 @@ impl<'d> SnippetTree<'d> {
     /// Consume into the node set.
     pub fn into_nodes(self) -> Vec<NodeId> {
         self.included
+    }
+
+    /// Consume into the node set and the buffer of its bits, for
+    /// [`SnippetTree::reusing`].
+    pub(crate) fn into_parts(self) -> (Vec<NodeId>, Vec<u64>) {
+        (self.included, self.marks)
     }
 }
 
@@ -171,10 +202,11 @@ mod tests {
         assert_eq!((t.nodes(), t.edges()), (&[a][..], 0));
         let c = d.first_element_with_label("c").unwrap();
         t.add(c);
-        let buffer = t.into_nodes();
-        let capacity = buffer.capacity();
-        let t = SnippetTree::reusing(&d, d.root(), buffer);
+        let buffers = t.into_parts();
+        let capacity = buffers.0.capacity();
+        let t = SnippetTree::reusing(&d, d.root(), buffers);
         assert_eq!((t.nodes(), t.edges()), (&[d.root()][..], 0));
+        assert!(!t.contains(c), "the bits of the earlier tree are cleared");
         assert_eq!(t.into_nodes().capacity(), capacity);
     }
 }
