@@ -402,6 +402,17 @@ impl<'d> ResultStats<'d> {
         Some(ValueStats { ftype, value, count, type_total, type_distinct })
     }
 
+    /// The feature type of the value at position `index` of
+    /// [`ResultStats::values`], read without its counts or text.
+    pub fn value_type(&self, index: usize) -> Option<FeatureType> {
+        self.tables.values.get(index).map(|run| run.ftype)
+    }
+
+    /// The text of the value at position `index` of [`ResultStats::values`].
+    pub fn value_text(&self, index: usize) -> Option<&'d str> {
+        self.tables.values.get(index).map(|run| self.text(run))
+    }
+
     /// `(N(e,a,v), N(e,a), D(e,a))` of the value at position `index` of
     /// [`ResultStats::values`]: its [`ResultStats::value`] counts, read
     /// without its text.

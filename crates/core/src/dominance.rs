@@ -98,11 +98,14 @@ fn rank_into(
             out.push(Ranked { value, score });
         }
     }
-    let text = |a: &Ranked, b: &Ranked| match (stats.value(a.value), stats.value(b.value)) {
-        (Some(a), Some(b)) => label_order(doc, a.ftype.entity, b.ftype.entity)
-            .then_with(|| label_order(doc, a.ftype.attribute, b.ftype.attribute))
-            .then_with(|| a.value.cmp(b.value)),
-        _ => Ordering::Equal,
+    // Labels are compared by symbol first, and values only within a type.
+    let text = |a: &Ranked, b: &Ranked| {
+        let (Some(x), Some(y)) = (stats.value_type(a.value), stats.value_type(b.value)) else {
+            return Ordering::Equal;
+        };
+        label_order(doc, x.entity, y.entity)
+            .then_with(|| label_order(doc, x.attribute, y.attribute))
+            .then_with(|| stats.value_text(a.value).cmp(&stats.value_text(b.value)))
     };
     sort_ties_by_text(out, |a, b| b.score.total_cmp(&a.score), text);
 }
