@@ -248,8 +248,9 @@ fn hash_lowered(bytes: &[u8]) -> u64 {
 }
 
 /// The texts on an IList by [`folded_hash`]: an open-addressing table of
-/// positions in the list, at most half full, so checking an item against
-/// the list reads the text of only an entry whose hash it shares.
+/// positions in the list, sized at least twice the items a result can
+/// list, so checking an item against the list reads the text of only an
+/// entry whose hash it shares.
 #[derive(Debug, Default)]
 struct Listed {
     /// An entry's position, or [`Listed::EMPTY`].
@@ -270,7 +271,7 @@ impl Listed {
     }
 
     /// The slot a new entry with `hash` goes in — `None` when an entry
-    /// already says what `(text, ascii)` says.
+    /// already says what the new one does (`said`).
     fn vacancy(
         &self,
         entries: &[Entry],
@@ -279,35 +280,25 @@ impl Listed {
     ) -> Option<usize> {
         let mask = self.slots.len().wrapping_sub(1);
         let mut at = usize::try_from(hash >> self.shift).unwrap_or_default() & mask;
-        loop {
+        for _ in 0..self.slots.len() {
             let &slot = self.slots.get(at)?;
             if slot == Listed::EMPTY {
                 return Some(at);
             }
-            let entry = entries.get(slot as usize)?;
-            if entry.hash == hash && said(entry) {
+            if entries.get(slot as usize).is_some_and(|e| e.hash == hash && said(e)) {
                 return None;
             }
             at = (at + 1) & mask;
         }
+        // A full table: `reset` sizes it past every item a result can
+        // list, so this is never reached; the item would go unrecorded.
+        Some(usize::MAX)
     }
 
-    /// Record entry `index` in slot `at` (from [`Listed::vacancy`]); a
-    /// table more than half full is rebuilt twice as large.
-    fn take(&mut self, at: usize, index: usize, entries: &[Entry]) {
+    /// Record entry `index` in slot `at` (from [`Listed::vacancy`]).
+    fn take(&mut self, at: usize, index: usize) {
         if let (Some(slot), Ok(index)) = (self.slots.get_mut(at), u32::try_from(index)) {
             *slot = index;
-        }
-        if entries.len() * 2 > self.slots.len() {
-            self.reset(entries.len());
-            let mask = self.slots.len() - 1;
-            for (index, entry) in entries.iter().enumerate() {
-                let mut at = usize::try_from(entry.hash >> self.shift).unwrap_or_default() & mask;
-                while self.slots.get(at).is_some_and(|&s| s != Listed::EMPTY) {
-                    at = (at + 1) & mask;
-                }
-                self.take(at, index, &[]);
-            }
         }
     }
 }
@@ -391,7 +382,7 @@ fn push(
     let said = |e: &Entry| same_text((e.source.text(doc, query), e.ascii), (text, ascii));
     if let Some(at) = listed.vacancy(entries, said, hash) {
         entries.push(Entry { source, ascii, hash, instances: instances(arena) });
-        listed.take(at, entries.len() - 1, entries);
+        listed.take(at, entries.len() - 1);
     }
 }
 
@@ -469,8 +460,7 @@ impl IListScratch {
 
         // 3. The result key (§2.2) — identified, with its instances, even
         //    when a keyword already says it: the owned IList records it.
-        let runs = (by_label.as_slice(), types.as_slice());
-        return_entity::identify_into(doc, model, query, root, &matches, runs, returns);
+        return_entity::identify_into(doc, model, query, root, &matches, by_label, returns);
         *key_at = key::identify_into(doc, model, catalog, returns, arena);
         if let Some(k) = key_at {
             let source =

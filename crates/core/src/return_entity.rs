@@ -55,15 +55,9 @@ pub fn identify(
     group_by_label(doc, &model.entities_in(doc, result.root), &mut by_label, &mut runs);
     let mut out = ReturnEntities::default();
     let matches = |i: usize| result.matches.get(i).map(Vec::as_slice).unwrap_or_default();
-    let runs = (by_label.as_slice(), runs.as_slice());
-    identify_into(doc, model, query, result.root, matches, runs, &mut out);
+    identify_into(doc, model, query, result.root, matches, &by_label, &mut out);
     out
 }
-
-/// A result's entities grouped by type, as [`group_by_label`] leaves
-/// them: the `(label, node)` pairs, sorted, and one `(label, range of the
-/// pairs)` run per type.
-pub(crate) type EntityRuns<'a> = (&'a [(Symbol, NodeId)], &'a [(Symbol, Range<usize>)]);
 
 /// Group entity nodes by label: `by_label` is `(label, node)` sorted, so
 /// each type's instances are one run in document order, and `runs` holds
@@ -136,10 +130,10 @@ fn sorted(
 }
 
 /// The §2.2 rules over the entity types of the result rooted at `root`,
-/// into `out`: `by_label` and `runs` group its entity nodes as
-/// [`group_by_label`] leaves them (runs in any order), and `matches(i)` is
-/// keyword `i`'s matches inside the result. The rules look at types in order of their first instance,
-/// so "the first type, in that order, that matches" is the matching run
+/// into `out`: `by_label` holds its entity nodes as [`group_by_label`]
+/// leaves them, and `matches(i)` is keyword `i`'s matches inside the
+/// result. The rules look at types in order of their first instance, so
+/// "the first type, in that order, that matches" is the matching type
 /// whose first node is smallest.
 ///
 /// A label that says a keyword makes its element a match of that keyword
@@ -154,13 +148,13 @@ pub(crate) fn identify_into<'m>(
     query: &KeywordQuery,
     root: NodeId,
     matches: impl Fn(usize) -> &'m [NodeId],
-    (by_label, runs): EntityRuns<'_>,
+    by_label: &[(Symbol, NodeId)],
     out: &mut ReturnEntities,
 ) {
     out.label = None;
     out.reason = ReturnEntityReason::HighestEntity;
     out.instances.clear();
-    if runs.is_empty() {
+    if by_label.is_empty() {
         out.instances.push(root);
         return;
     }
