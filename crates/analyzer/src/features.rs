@@ -111,8 +111,8 @@ pub struct FeatureTables {
     /// By feature id: how often the result holds it, then, while nodes are
     /// placed, where its next one goes. All zero between fills.
     counts: Vec<u32>,
-    /// The feature ids the result holds, each once with its first node
-    /// (needed only to merge orphans); sorted by id before use.
+    /// The feature ids the result holds, each once with its first node;
+    /// sorted by id before use.
     present: Vec<(u32, NodeId)>,
     /// The result's attributes with no entity above them (they have no
     /// id), with their type under this root; sorted by type and value.
@@ -208,17 +208,7 @@ impl FeatureTables {
             let (prefix, len) = inline_key(value);
             (ftype, prefix, len, value)
         };
-        // The ids in order: sorted, or — when the result holds a good share
-        // of the document's ids and no orphan needs a node to compare
-        // against — read off the counts in one pass.
-        let features = counts.get(..model.feature_count()).unwrap_or_default();
-        if orphans.is_empty() && present.len() * 4 >= features.len() {
-            present.clear();
-            let held = features.iter().zip(0..).filter(|&(&count, _)| count > 0);
-            present.extend(held.map(|(_, feature)| (feature, root)));
-        } else {
-            present.sort_unstable_by_key(|&(feature, _)| feature);
-        }
+        present.sort_unstable_by_key(|&(feature, _)| feature);
         orphans.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(a.1.cmp(&b.1)));
         nodes.resize(occurrences.len() + orphans.len(), root);
         // Move the orphans of the `(type, value)` at the head of `queue` to
@@ -240,8 +230,8 @@ impl FeatureTables {
         let mut kind = 0;
         let mut start = 0;
         for &(feature, node) in present.iter() {
-            if let Some(later) = kinds.get(kind + 1..) {
-                kind += later.partition_point(|&(_, first)| first <= feature);
+            while kinds.get(kind + 1).is_some_and(|&(_, first)| first <= feature) {
+                kind += 1;
             }
             let (Some(&(ftype, _)), Some(count)) =
                 (kinds.get(kind), counts.get_mut(feature as usize))

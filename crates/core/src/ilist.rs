@@ -210,8 +210,8 @@ struct Entry {
 }
 
 /// The hash of `text` lowercased by `str::to_lowercase`, so any two texts
-/// [`same_text`] calls equal hash alike. An ASCII text is lowered in place
-/// eight bytes at a time; any other is lowercased first (`K`, U+212A, is
+/// [`same_text`] calls equal hash alike. An ASCII text is lowered byte by
+/// byte as it is hashed; any other is lowercased first (`K`, U+212A, is
 /// `k` then, and a final `Σ` is `ς`: no per-character fold gets either
 /// right). Not keyed: a collision costs one text compare, and a list
 /// crafted to collide costs what comparing against every entry did.
@@ -226,90 +226,19 @@ fn folded_hash(text: &str) -> u64 {
 /// Hash `bytes` with every ASCII capital lowered. The bytes of a
 /// lowercased text pass unchanged, so both arms of [`folded_hash`] agree.
 fn hash_lowered(bytes: &[u8]) -> u64 {
-    const LOW: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    // Per byte below 0x80: bit 7 of `b + 0x3f` says `b >= b'A'`, of
-    // `b + 0x25` says `b > b'Z'`; neither sum carries into the next byte.
-    let lower = |word: u64| {
-        let low = word & LOW;
-        let capital = (low + 0x3f3f_3f3f_3f3f_3f3f) & !(low + 0x2525_2525_2525_2525) & !word & HIGH;
-        word | (capital >> 2)
-    };
-    let mut hash = bytes.len() as u64;
-    for chunk in bytes.chunks(8) {
-        let mut word = [0; 8];
-        if let Some(to) = word.get_mut(..chunk.len()) {
-            to.copy_from_slice(chunk);
-        }
-        hash = (hash.rotate_left(23) ^ lower(u64::from_le_bytes(word)))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    hash
-}
-
-/// The texts on an IList by [`folded_hash`]: an open-addressing table of
-/// positions in the list, sized at least twice the items a result can
-/// list, so checking an item against the list reads the text of only an
-/// entry whose hash it shares.
-#[derive(Debug, Default)]
-struct Listed {
-    /// An entry's position, or [`Listed::EMPTY`].
-    slots: Vec<u32>,
-    /// `64 − log2(slots.len())`: a hash's slot is its top bits.
-    shift: u32,
-}
-
-impl Listed {
-    const EMPTY: u32 = u32::MAX;
-
-    /// Empty the table, sized for a list of up to `items` entries.
-    fn reset(&mut self, items: usize) {
-        let len = items.saturating_mul(2).max(8).next_power_of_two();
-        self.slots.clear();
-        self.slots.resize(len, Listed::EMPTY);
-        self.shift = 64 - len.trailing_zeros();
-    }
-
-    /// The slot a new entry with `hash` goes in — `None` when an entry
-    /// already says what the new one does (`said`).
-    fn vacancy(
-        &self,
-        entries: &[Entry],
-        said: impl Fn(&Entry) -> bool,
-        hash: u64,
-    ) -> Option<usize> {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut at = usize::try_from(hash >> self.shift).unwrap_or_default() & mask;
-        for _ in 0..self.slots.len() {
-            let &slot = self.slots.get(at)?;
-            if slot == Listed::EMPTY {
-                return Some(at);
-            }
-            if entries.get(slot as usize).is_some_and(|e| e.hash == hash && said(e)) {
-                return None;
-            }
-            at = (at + 1) & mask;
-        }
-        // A full table: `reset` sizes it past every item a result can
-        // list, so this is never reached; the item would go unrecorded.
-        Some(usize::MAX)
-    }
-
-    /// Record entry `index` in slot `at` (from [`Listed::vacancy`]).
-    fn take(&mut self, at: usize, index: usize) {
-        if let (Some(slot), Ok(index)) = (self.slots.get_mut(at), u32::try_from(index)) {
-            *slot = index;
-        }
-    }
+    bytes.iter().fold(bytes.len() as u64, |hash, &b| {
+        let byte = u64::from(b.to_ascii_lowercase());
+        (hash.rotate_left(5) ^ byte).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    })
 }
 
 /// The snippet kernel's working memory, reused from one result to the
 /// next: the result's feature statistics, its entity types (sorted by
 /// instance count, label text read only among equal counts), dominant
 /// features (likewise by score), return entities and key, the IList built
-/// from them (items as sources and ranges of one instance arena, with a
-/// table of their lowercased-text hashes for the duplicate check), the
-/// selected snippet tree and its XML.
+/// from them (items as sources and ranges of one instance arena, each with
+/// the hash of its lowercased text for the duplicate check), the selected
+/// snippet tree and its XML.
 /// Every buffer keeps its capacity between calls, so a warm scratch builds
 /// and renders a snippet without allocating. Drive it through
 /// [`crate::Extract::snippet_xml`] (the served bytes) or
@@ -332,8 +261,6 @@ pub struct IListScratch {
     key: Option<KeyAt>,
     /// The IList, in rank order.
     entries: Vec<Entry>,
-    /// Its texts, by hash.
-    listed: Listed,
     /// Every item's instances, back to back.
     arena: Vec<NodeId>,
     /// The last selection over `entries`.
@@ -368,21 +295,23 @@ fn same_text((a, a_ascii): (&str, bool), (b, b_ascii): (&str, bool)) -> bool {
 }
 
 /// Append `source` unless an item saying what it says is on the list
-/// already (the earlier, more important item wins). `instances` puts the
-/// item's instances in the arena and says where; it runs only for an item
-/// that makes it onto the list.
+/// already (the earlier, more important item wins): the list is scanned
+/// by hash, and only an entry with the same hash has its text compared.
+/// `instances` puts the item's instances in the arena and says where; it
+/// runs only for an item that makes it onto the list.
 fn push(
-    (entries, listed, arena): (&mut Vec<Entry>, &mut Listed, &mut Vec<NodeId>),
+    (entries, arena): (&mut Vec<Entry>, &mut Vec<NodeId>),
     (doc, query): (&Document, &KeywordQuery),
     source: Source,
     instances: impl FnOnce(&mut Vec<NodeId>) -> Range<usize>,
 ) {
     let text = source.text(doc, query);
     let (ascii, hash) = (text.is_ascii(), folded_hash(text));
-    let said = |e: &Entry| same_text((e.source.text(doc, query), e.ascii), (text, ascii));
-    if let Some(at) = listed.vacancy(entries, said, hash) {
+    let said = |e: &Entry| {
+        e.hash == hash && same_text((e.source.text(doc, query), e.ascii), (text, ascii))
+    };
+    if !entries.iter().any(said) {
         entries.push(Entry { source, ascii, hash, instances: instances(arena) });
-        listed.take(at, entries.len() - 1);
     }
 }
 
@@ -416,7 +345,6 @@ impl IListScratch {
             returns,
             key: key_at,
             entries,
-            listed,
             arena,
             ..
         } = self;
@@ -440,20 +368,19 @@ impl IListScratch {
 
         entries.clear();
         arena.clear();
-        listed.reset(query.len() + types.len() + 1 + dominant.len());
         let at = (doc, query);
 
         // 1. Query keywords, in query order ("IList is initialized with the
         //    query keywords", §2).
         for i in 0..query.len() {
-            let list = (&mut *entries, &mut *listed, &mut *arena);
+            let list = (&mut *entries, &mut *arena);
             push(list, at, Source::Keyword(i), |arena| append(arena, matches(i).iter().copied()));
         }
 
         // 2. Entity names.
         for (label, run) in types.iter() {
             let nodes = by_label.get(run.clone()).unwrap_or_default();
-            let list = (&mut *entries, &mut *listed, &mut *arena);
+            let list = (&mut *entries, &mut *arena);
             let instances = |arena: &mut Vec<NodeId>| append(arena, nodes.iter().map(|&(_, e)| e));
             push(list, at, Source::EntityName(*label), instances);
         }
@@ -465,7 +392,7 @@ impl IListScratch {
         if let Some(k) = key_at {
             let source =
                 Source::ResultKey { entity: k.entity, attribute: k.attribute, node: k.node };
-            let list = (&mut *entries, &mut *listed, &mut *arena);
+            let list = (&mut *entries, &mut *arena);
             push(list, at, source, |_| k.instances.clone());
         }
 
@@ -476,7 +403,7 @@ impl IListScratch {
                 continue;
             };
             let source = Source::Feature { ftype: v.ftype, node, score: d.score };
-            let list = (&mut *entries, &mut *listed, &mut *arena);
+            let list = (&mut *entries, &mut *arena);
             push(list, at, source, |arena| append(arena, instances.iter().copied()));
         }
 

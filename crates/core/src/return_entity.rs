@@ -108,6 +108,12 @@ pub(crate) fn group_by_label(
 }
 
 /// Entity types a result may hold for [`group_by_label`] to count them.
+/// Each new type is inserted into the sorted runs, so counting costs
+/// the square of the types; it beats the sort only when a type has many
+/// instances. Timed on shuffled entities, at 64 types with 256 instances
+/// each the count still wins (0.44 ms against 0.63), at 128 it no longer
+/// does (1.09 against 1.05). No benchmark result comes near: the
+/// benchmark's documents and ingest bodies hold 2–4 entity types each.
 const COUNTED_TYPES: usize = 64;
 
 /// [`group_by_label`] by one sort of the `(label, node)` pairs.

@@ -124,7 +124,12 @@ proptest! {
         }
     }
 
-    /// Coverage is monotone in the bound for the greedy selector.
+    /// Coverage is monotone in the bound: the exact optimum's in size, the
+    /// greedy selector's in IList rank order. The greedy picks an item's
+    /// instance by its cost alone, and the bound only says whether it fits,
+    /// so a larger bound takes the items a smaller one takes up to the first
+    /// the smaller one skips — and takes that one. Its item count may still
+    /// fall: an item taken there can crowd out cheaper ones after it.
     #[test]
     fn greedy_coverage_monotone_in_bound(
         spec in spec_strategy(),
@@ -133,13 +138,25 @@ proptest! {
         let doc = build(&spec);
         let extract = Extract::new(&doc);
         let query = KeywordQuery::from_keywords(keywords);
+        let limits = ExactLimits { max_states: 200_000 };
         for result in extract.search(&query, Algorithm::XSeek).into_iter().take(2) {
             let ilist = extract.ilist(&query, &result, &ExtractConfig::default());
-            let mut last = 0usize;
+            let mut last: Option<(Vec<usize>, Option<usize>)> = None;
             for bound in [0usize, 2, 4, 8, 16, 32] {
-                let out = greedy_select(&doc, &ilist, result.root, bound);
-                prop_assert!(out.coverage() >= last, "bound {bound}");
-                last = out.coverage();
+                let covered = greedy_select(&doc, &ilist, result.root, bound).covered;
+                let exact = exact_select(&doc, &ilist, result.root, bound, limits)
+                    .map(|out| out.coverage());
+                if let Some((before, exact_before)) = &last {
+                    let first_change =
+                        (0..ilist.len()).find(|i| before.contains(i) != covered.contains(i));
+                    if let Some(item) = first_change {
+                        prop_assert!(covered.contains(&item), "bound {bound} drops item {item}");
+                    }
+                    if let (Some(before), Some(now)) = (exact_before, exact) {
+                        prop_assert!(now >= *before, "bound {bound}: exact {before} → {now}");
+                    }
+                }
+                last = Some((covered, exact));
             }
         }
     }

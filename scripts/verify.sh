@@ -15,13 +15,13 @@
 #      cargo test --release -p extract-core -p extract-analyzer
 #                                     — the LRU reference model and the
 #                                       analyzer oracles, likewise
-#      PROPTEST_CASES=2048 cargo test --release
-#          -p extract-core --lib --test figures --test lru_model
+#      PROPTEST_CASES=2048 cargo test --release -p extract-core
 #      PROPTEST_CASES=2048 cargo test --release --test snippet_digest
 #                                     — the snippet kernel's oracles (IList
 #                                       dedup and order, return entities,
-#                                       the tree) and the served snippet
-#                                       bytes at CI's case count
+#                                       the tree, the selectors) and the
+#                                       served snippet bytes at CI's case
+#                                       count
 #      PROPTEST_CASES=2048 cargo test --release
 #          -p extract-xml -p extract-index -p extract-corpus
 #                                     — the interner, tokenizer, index and
@@ -63,8 +63,7 @@ run cargo test -q --offline
 run cargo test -q --offline --release --test alloc_budget
 run cargo test -q --offline --release -p extract-search
 run cargo test -q --offline --release -p extract-core -p extract-analyzer
-run env PROPTEST_CASES=2048 cargo test -q --offline --release \
-    -p extract-core --lib --test figures --test lru_model
+run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract-core
 run env PROPTEST_CASES=2048 cargo test -q --offline --release --test snippet_digest
 run env PROPTEST_CASES=2048 cargo test -q --offline --release \
     -p extract-xml -p extract-index -p extract-corpus
