@@ -1,12 +1,9 @@
-//! Benchmark harness utilities: controlled workloads, timing helpers and
-//! table rendering shared by the `experiments` and `corpus_scale` binaries.
-//! The shipped daemons are measured end to end by the repo's `benchmark/`
-//! harness, not here.
+//! Paper-experiment utilities: controlled workloads, timing helpers and
+//! table rendering for the `experiments` binary. The shipped daemons are
+//! measured end to end by the repo's `benchmark/` harness, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod corpus_scale;
 
 use std::time::{Duration, Instant};
 

@@ -214,7 +214,7 @@ pub struct CacheStats {
 
 
 /// Default retention capacity of `Default`-constructed caches.
-pub const DEFAULT_CAPACITY: usize = 256;
+const DEFAULT_CAPACITY: usize = 256;
 
 /// A generic LRU cache: a get, an insert and an eviction each cost one
 /// hash-map operation and a few link updates, `O(1)`.

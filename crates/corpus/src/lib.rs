@@ -19,8 +19,8 @@
 //!   usable for every following document.
 //! * [`Corpus`] — an immutable snapshot: the slot table, the directory,
 //!   and query-routing via [`Corpus::candidate_docs_str`] (which documents
-//!   contain every keyword of a query, plus the [`FanIn`] work counters
-//!   the corpus benchmark reports) and [`Corpus::route`] (the same
+//!   contain every keyword of a query, plus the [`FanIn`] count of
+//!   directory entries it touched) and [`Corpus::route`] (the same
 //!   documents, each with the keywords' token ids in its segment).
 //! * [`live::LiveCorpus`] — add/update/delete mutations, each publishing
 //!   an [`std::sync::Arc`]`<Corpus>` snapshot under a bumped epoch while
@@ -490,9 +490,9 @@ impl Corpus {
     }
 
     /// The documents containing **every** one of the (already normalized)
-    /// `keywords`, in ascending [`DocId`] order, plus the index-entry
-    /// fan-in the routing touched. A keyword absent from the whole corpus
-    /// yields no candidates.
+    /// `keywords`, in ascending [`DocId`] order, plus the directory
+    /// entries the routing touched ([`FanIn`]). A keyword absent from the
+    /// whole corpus yields no candidates.
     pub fn candidate_docs_str(&self, keywords: &[&str]) -> (Vec<DocId>, FanIn) {
         let mut fanin = FanIn::default();
         let mut out = Vec::new();
@@ -505,42 +505,8 @@ impl Corpus {
     /// each beside the keywords' token ids in its segment
     /// (`self.engine(doc).index()`), so searching a candidate hashes no
     /// keyword again.
-    pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes, fanin: &mut FanIn) {
-        self.directory.route(keywords, routes, fanin);
-    }
-
-    /// The documents containing every token, the way a store with **no
-    /// directory** has to compute them: read every posting of every token
-    /// in every segment and intersect the document sets. Produces the same
-    /// candidates as [`ShardedPostings::candidate_docs`] (pinned by tests);
-    /// exists so the corpus benchmark can measure the fan-in the directory
-    /// avoids.
-    pub fn candidate_docs_by_scan(
-        &self,
-        tokens: &[&str],
-        out: &mut Vec<DocId>,
-        fanin: &mut FanIn,
-    ) {
-        out.clear();
-        for (i, token) in tokens.iter().enumerate() {
-            let mut docs: Vec<DocId> = Vec::new();
-            for entry in self.entries() {
-                let postings = entry.engine.index().postings(token);
-                fanin.postings_touched += postings.len() as u64;
-                if !postings.is_empty() {
-                    docs.push(entry.id);
-                }
-            }
-            // Slot order is `DocId` order: `docs` is sorted.
-            if i == 0 {
-                *out = docs;
-            } else {
-                out.retain(|d| docs.binary_search(d).is_ok());
-            }
-            if out.is_empty() {
-                return;
-            }
-        }
+    pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes) {
+        self.directory.route(keywords, routes);
     }
 
     /// Estimated heap footprint in bytes: the directory, the slot table,
@@ -620,25 +586,6 @@ mod tests {
         assert!(none.is_empty());
         let (empty, _) = corpus.candidate_docs_str(&[]);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn directory_fanin_is_lower_than_scan() {
-        let corpus = corpus();
-        for q in [&["texas"][..], &["texas", "store"], &["ohio", "vldb"], &["zzz"], &[]] {
-            let (by_directory, directory) = corpus.candidate_docs_str(q);
-            let (mut by_scan, mut scan) = (vec![DocId::from_index(9)], FanIn::default());
-            corpus.candidate_docs_by_scan(q, &mut by_scan, &mut scan);
-            assert_eq!(by_directory, by_scan, "query {q:?}");
-            assert!(directory.total() <= scan.total(), "{q:?}: {directory:?} vs {scan:?}");
-        }
-        let (_, directory) = corpus.candidate_docs_str(&["texas", "store"]);
-        let mut scan = FanIn::default();
-        corpus.candidate_docs_by_scan(&["texas", "store"], &mut Vec::new(), &mut scan);
-        assert!(
-            directory.total() < scan.total(),
-            "directory path must touch fewer entries: {directory:?} vs {scan:?}"
-        );
     }
 
     #[test]

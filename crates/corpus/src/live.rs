@@ -97,7 +97,7 @@ impl LiveCorpus {
     }
 
     /// [`LiveCorpus::from_corpus`] with explicit mutation options.
-    pub fn from_corpus_with_options(corpus: Corpus, options: CorpusOptions) -> LiveCorpus {
+    fn from_corpus_with_options(corpus: Corpus, options: CorpusOptions) -> LiveCorpus {
         LiveCorpus {
             options,
             writer: Mutex::new(Writer::resume(&corpus)),

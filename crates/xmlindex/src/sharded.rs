@@ -12,8 +12,7 @@
 //!   beside the token's id in that document's segment ([`DocToken`]), in
 //!   one list. Candidate generation ([`ShardedPostings::candidate_docs`])
 //!   intersects directory lists rarest-keyword-first, and [`FanIn`] counts
-//!   the index entries each strategy touched — the number the corpus
-//!   benchmark reports.
+//!   the directory entries it touched.
 //! * **Routing hands over token ids.** [`ShardedPostings::route`] runs the
 //!   same intersection, then reads each surviving candidate's token ids
 //!   out of the lists it already holds ([`Routes`]). A miss resolves each
@@ -109,21 +108,19 @@ impl std::fmt::Display for DocId {
     }
 }
 
-/// Work counters for candidate generation: how many index entries a
-/// routing strategy touched. This is the "SLCA candidate fan-in" metric the
-/// corpus benchmark compares between the directory and the scan.
+/// Work counter for candidate generation: how many directory entries
+/// [`ShardedPostings::candidate_docs`] touched — the "SLCA candidate
+/// fan-in".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FanIn {
-    /// Postings read from per-document segments.
-    pub postings_touched: u64,
     /// Directory entries read (including binary-search probes).
     pub directory_touched: u64,
 }
 
 impl FanIn {
-    /// Total index entries touched — the headline fan-in number.
+    /// Index entries touched — all of them directory entries.
     pub fn total(&self) -> u64 {
-        self.postings_touched + self.directory_touched
+        self.directory_touched
     }
 }
 
@@ -209,18 +206,16 @@ impl ShardedPostings {
     /// receives the candidates in ascending [`DocId`] order; `fanin`
     /// accumulates the directory entries touched.
     pub fn candidate_docs(&self, tokens: &[&str], out: &mut Vec<DocId>, fanin: &mut FanIn) {
-        self.intersect(tokens, &mut Vec::new(), out, fanin);
+        fanin.directory_touched += self.intersect(tokens, &mut Vec::new(), out);
     }
 
     /// Route a query: [`ShardedPostings::candidate_docs`] into
     /// `routes`, then each candidate's token ids, read from the directory
     /// lists the intersection already holds — one forward pass per list
-    /// over the ascending candidates. Each keyword is hashed once, here;
-    /// `fanin` counts the intersection's entries, as
-    /// [`ShardedPostings::candidate_docs`] does.
-    pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes, fanin: &mut FanIn) {
+    /// over the ascending candidates. Each keyword is hashed once, here.
+    pub fn route<S: AsRef<str>>(&self, keywords: &[S], routes: &mut Routes) {
         let mut lists = Vec::with_capacity(keywords.len());
-        self.intersect(keywords, &mut lists, &mut routes.docs, fanin);
+        self.intersect(keywords, &mut lists, &mut routes.docs);
         let width = keywords.len();
         routes.width = width;
         routes.ids.clear();
@@ -240,32 +235,32 @@ impl ShardedPostings {
     /// The intersection behind [`ShardedPostings::candidate_docs`] and
     /// [`ShardedPostings::route`]: `lists` receives each keyword's list
     /// and query position, rarest first; `out` the documents in all of
-    /// them.
+    /// them. Returns the directory entries touched.
     fn intersect<'a, S: AsRef<str>>(
         &'a self,
         keywords: &[S],
         lists: &mut Vec<Borrowed<'a>>,
         out: &mut Vec<DocId>,
-        fanin: &mut FanIn,
-    ) {
+    ) -> u64 {
         out.clear();
         lists.clear();
         lists.extend(keywords.iter().enumerate().map(|(at, k)| (self.entries_for(k.as_ref()), at)));
         lists.sort_by_key(|(list, _)| list.len());
         let Some(((rarest, _), rest)) = lists.split_first() else {
-            return;
+            return 0;
         };
-        fanin.directory_touched += rarest.len() as u64;
+        let mut touched = rarest.len() as u64;
         out.extend(rarest.iter().map(|entry| entry.doc));
         for (list, _) in rest {
             if out.is_empty() {
-                return;
+                break;
             }
             // One binary-search probe per surviving candidate.
             let probe = u64::from(usize::BITS - list.len().leading_zeros());
-            fanin.directory_touched += (out.len() as u64).saturating_mul(probe);
+            touched += (out.len() as u64).saturating_mul(probe);
             out.retain(|d| list.binary_search_by_key(d, |entry| entry.doc).is_ok());
         }
+        touched
     }
 
     /// Estimated heap footprint of the directory in bytes at its live
@@ -488,12 +483,10 @@ mod tests {
         // One `Routes` for every query, as a worker keeps it.
         let mut routes = Routes::default();
         for q in queries {
-            let (mut docs, mut by_docs) = (Vec::new(), FanIn::default());
-            sp.candidate_docs(&q, &mut docs, &mut by_docs);
-            let mut by_route = FanIn::default();
-            sp.route(&q, &mut routes, &mut by_route);
+            let mut docs = Vec::new();
+            sp.candidate_docs(&q, &mut docs, &mut FanIn::default());
+            sp.route(&q, &mut routes);
             assert_eq!(routes.docs(), docs, "{q:?}");
-            assert_eq!(by_route, by_docs, "{q:?}: the same intersection");
             assert_eq!(routes.iter().count(), docs.len());
             for (doc, ids) in routes.iter() {
                 let segment = &segments[doc.index()];

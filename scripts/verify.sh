@@ -12,24 +12,26 @@
 #      cargo test --release -p extract-search
 #                                     — the search proptests where integer
 #                                       overflow wraps instead of panicking
-#      cargo test --release -p extract-core -p extract-analyzer
-#                                     — the LRU reference model and the
-#                                       analyzer oracles, likewise
+#      cargo test --release -p extract-analyzer
+#                                     — the analyzer oracles, likewise
 #      PROPTEST_CASES=2048 cargo test --release -p extract-core
 #      PROPTEST_CASES=2048 cargo test --release --test snippet_digest
 #                                     — the snippet kernel's oracles (IList
 #                                       dedup and order, return entities,
-#                                       the tree, the selectors) and the
-#                                       served snippet bytes at CI's case
-#                                       count
+#                                       the tree, the selectors), the LRU
+#                                       reference model and the served
+#                                       snippet bytes at CI's case count
 #      PROPTEST_CASES=2048 cargo test --release
 #          -p extract-xml -p extract-index -p extract-corpus
 #                                     — the interner, tokenizer, index and
 #                                       routing oracles at CI's case count
 #      PROPTEST_CASES=2048 cargo test --release -p extract --lib session::
+#      PROPTEST_CASES=2048 cargo test --release -p extract --test corpus
 #                                     — the window oracles (the ranking
 #                                       prefix arithmetic saturates at
-#                                       usize::MAX) at CI's case count
+#                                       usize::MAX) and the corpus oracles
+#                                       (sessions on several threads over
+#                                       one cache bundle) at CI's case count
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -62,12 +64,13 @@ run cargo build --release --offline
 run cargo test -q --offline
 run cargo test -q --offline --release --test alloc_budget
 run cargo test -q --offline --release -p extract-search
-run cargo test -q --offline --release -p extract-core -p extract-analyzer
+run cargo test -q --offline --release -p extract-analyzer
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract-core
 run env PROPTEST_CASES=2048 cargo test -q --offline --release --test snippet_digest
 run env PROPTEST_CASES=2048 cargo test -q --offline --release \
     -p extract-xml -p extract-index -p extract-corpus
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --lib session::
+run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --test corpus
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

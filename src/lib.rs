@@ -76,8 +76,8 @@ pub mod datagen {
 }
 
 /// Concurrent query serving: [`QuerySession`](session::QuerySession), a
-/// per-request session over one corpus snapshot with shared page and
-/// snippet caches and a std-thread pool for batches.
+/// per-request session over one corpus snapshot with shared page,
+/// ranking and snippet caches, answering on its caller's thread.
 pub mod session;
 
 /// The `/search` wire format: request parameters, the one body producer

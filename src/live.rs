@@ -302,8 +302,8 @@ impl LiveSearchApp {
 /// handle, serve. The app owns the corpus (no borrow: snapshots are
 /// `Arc`-shared), so the daemon can apply mutations for as long as it
 /// serves. `cache_capacity` sizes the session caches (0 disables).
-/// Requests are answered on the *server's* worker pool, so the session's
-/// own batch pool is left at one thread. Returns when the server has
+/// Requests are answered on the server's worker threads, each request's
+/// session on the thread that took it. Returns when the server has
 /// drained; `on_ready` runs once the socket is accepting.
 pub fn serve_live(
     corpus: LiveCorpus,

@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn search_returns_valid_json_pages() {
         let corpus = tiny_corpus();
-        let session = QuerySession::from_corpus(&corpus);
+        let session = QuerySession::from_corpus(&corpus, 64);
         let body = search_body(&session, &ExtractConfig::default(), "texas", 10, 0);
         let v = json::parse(&body).expect("valid JSON");
         assert_eq!(v.get("query").and_then(Value::as_str), Some("texas"));

@@ -1,10 +1,11 @@
 //! A thread-safe query session over one corpus snapshot — the serving
 //! layer between a [`Corpus`] and the `/search` wire format.
 //!
-//! [`QuerySession`] is a borrowed [`Corpus`], a worker count for batches
-//! and a shared cache bundle — one over a shared bundle
-//! ([`QuerySession::for_snapshot`]) allocates nothing, so the daemon
-//! builds one per request. [`QuerySession::answer_corpus_topk`]
+//! [`QuerySession`] is a borrowed [`Corpus`] and a shared cache bundle —
+//! one over a shared bundle ([`QuerySession::for_snapshot`]) allocates
+//! nothing, so the daemon builds one per request, and a session answers on
+//! its caller's thread: concurrency is the callers', each with its own
+//! session over the one bundle. [`QuerySession::answer_corpus_topk`]
 //! routes each query through the corpus's token → document directory
 //! ([`Corpus::route`]) so only documents containing **every** keyword are
 //! searched, each handed the keywords' token ids in its segment: a miss
@@ -93,30 +94,27 @@
 //! builder.add_document("ohio", "<stores><store><name>Gap</name>\
 //!     <state>Ohio</state></store></stores>").unwrap();
 //! let corpus = builder.finish();
-//! let session = QuerySession::from_corpus(&corpus);
-//! let page = session.answer_corpus("store texas", &ExtractConfig::with_bound(6));
-//! assert_eq!(page.len(), 1);
-//! assert_eq!(corpus.name(page[0].doc), "texas");
+//! let session = QuerySession::from_corpus(&corpus, 64);
+//! let page = session.answer_corpus_topk("store texas", &ExtractConfig::with_bound(6), 10, 0);
+//! assert_eq!(page.total, 1);
+//! assert_eq!(corpus.name(page.results[0].doc), "texas");
 //! ```
 
 use std::cell::{Cell, RefCell};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use extract_core::cache::{CacheKey, LruCache, PageKey, QueryText};
 use extract_core::ilist::IListScratch;
 use extract_core::{CacheStats, Extract, ExtractConfig};
-use extract_corpus::{Corpus, DocId, FanIn, Routes};
+use extract_corpus::{Corpus, DocId, Routes};
 use extract_index::TokenId;
 use extract_obs::lock_unpoisoned;
 use extract_search::ranking;
 use extract_search::xseek::RootsBuffers;
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
-
-/// Default worker count when the host's parallelism cannot be queried.
-const DEFAULT_WORKERS: usize = 4;
 
 /// Page-cache capacity: whole result pages are bigger than single
 /// snippets, so the page cache keeps a smaller hot set than the snippet
@@ -489,47 +487,24 @@ impl SessionCaches {
     }
 }
 
-/// A thread-safe query-answering session over one corpus snapshot.
+/// A query-answering session over one corpus snapshot: it answers on its
+/// caller's thread, and any number of sessions may share one cache bundle.
 #[derive(Debug)]
 pub struct QuerySession<'d> {
     corpus: &'d Corpus,
-    workers: usize,
     caches: Arc<SessionCaches>,
 }
 
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(DEFAULT_WORKERS)
-        .max(2)
-}
-
 impl<'d> QuerySession<'d> {
-    /// Serve a corpus with default pool and cache sizing. Every document's
+    /// Serve a corpus over a private cache bundle of `cache_capacity`
+    /// ([`SessionCaches::new`]; `0` disables caching). Every document's
     /// engine was built when it arrived: a query only reads it.
     ///
     /// # Panics
     /// If the corpus holds no documents.
-    pub fn from_corpus(corpus: &'d Corpus) -> QuerySession<'d> {
-        QuerySession::from_corpus_with_options(
-            corpus,
-            default_workers(),
-            extract_core::cache::DEFAULT_CAPACITY,
-        )
-    }
-
-    /// [`QuerySession::from_corpus`] with explicit worker count and cache
-    /// capacity (`0` disables caching).
-    ///
-    /// # Panics
-    /// If the corpus holds no documents.
-    pub fn from_corpus_with_options(
-        corpus: &'d Corpus,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> QuerySession<'d> {
+    pub fn from_corpus(corpus: &'d Corpus, cache_capacity: usize) -> QuerySession<'d> {
         assert!(!corpus.is_empty(), "QuerySession requires a non-empty corpus");
-        QuerySession::for_snapshot(corpus, workers, Arc::new(SessionCaches::new(cache_capacity)))
+        QuerySession { corpus, caches: Arc::new(SessionCaches::new(cache_capacity)) }
     }
 
     /// A session over a (possibly empty) corpus **snapshot**, reusing an
@@ -540,12 +515,16 @@ impl<'d> QuerySession<'d> {
     /// snippet caches stay warm across epoch swaps. Unlike
     /// [`QuerySession::from_corpus`], an empty corpus is allowed — a live
     /// corpus legitimately passes through empty.
+    ///
+    /// `_workers` is unused: the session answers on its caller's thread.
+    /// It stays only because the frozen `benchmark/` harness passes it, and
+    /// leaves with the harness's next revision (ROADMAP item 5(a)).
     pub fn for_snapshot(
         corpus: &'d Corpus,
-        workers: usize,
+        _workers: usize,
         caches: Arc<SessionCaches>,
     ) -> QuerySession<'d> {
-        QuerySession { corpus, workers: workers.max(1), caches }
+        QuerySession { corpus, caches }
     }
 
     /// The cache bundle behind this session — share it with
@@ -557,21 +536,6 @@ impl<'d> QuerySession<'d> {
     /// The corpus snapshot this session answers from.
     pub fn corpus(&self) -> &'d Corpus {
         self.corpus
-    }
-
-    /// The pool size used by the batch entry points.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Corpus page-cache counters since session start.
-    pub fn corpus_page_stats(&self) -> CacheStats {
-        self.caches.corpus_page_stats()
-    }
-
-    /// Per-result snippet-cache counters since session start.
-    pub fn snippet_stats(&self) -> CacheStats {
-        self.caches.snippet_stats()
     }
 
     /// The request's query, normalized once for every cache key built
@@ -681,22 +645,8 @@ impl<'d> QuerySession<'d> {
         window
     }
 
-    /// Answer one query against the whole corpus: route through the
-    /// directory to the documents containing **every**
-    /// keyword, run per-document search + ranking + snippet generation on
-    /// exactly those, and merge into one page ordered by (score
-    /// descending, document ascending, root ascending) — identical to
-    /// answering each document standalone and merging with the same rule
-    /// (pinned by the equivalence proptests). Safe to call from many
-    /// threads at once.
-    ///
-    /// This is the unbounded page: it delegates to
-    /// [`QuerySession::answer_corpus_topk`] with `k = usize::MAX`.
-    pub fn answer_corpus(&self, query_str: &str, config: &ExtractConfig) -> CorpusPage {
-        self.answer_corpus_topk(query_str, config, usize::MAX, 0).results
-    }
-
-    /// Answer one corpus query with a **rank cutoff**: route, search and
+    /// Answer one corpus query with a **rank cutoff**: route through the
+    /// directory to the documents containing **every** keyword, search and
     /// rank everywhere the query can match (so `total` and the global
     /// order are exact), but generate snippets **only** for the
     /// `[offset, offset + k)` window actually being served. A broad query
@@ -712,9 +662,10 @@ impl<'d> QuerySession<'d> {
     /// one search. Routing runs either way: the snippet kernel reads the
     /// candidates' posting lists.
     ///
-    /// The window is byte-identical to the same slice of an unbounded
-    /// [`QuerySession::answer_corpus`] answer (pinned by tests): ranking
-    /// stays deterministic in (score desc, doc asc, root asc) order, so
+    /// The window is byte-identical to the same slice of the unbounded
+    /// answer (`k = usize::MAX`, `offset = 0`), and that answer to each
+    /// document answered standalone and merged in (score desc, doc asc,
+    /// root asc) order (pinned by tests): ranking stays deterministic, so
     /// consecutive pages tile the full list without overlap or gaps.
     /// An `offset` at or past the end yields an empty window with the
     /// exact `total` intact. Cached pages are keyed by the window too
@@ -749,7 +700,7 @@ impl<'d> QuerySession<'d> {
         let mut routes = ROUTES.take();
         let mut lists = Vec::new();
         let ranking = extract_obs::time_stage(extract_obs::Stage::Search, || {
-            self.corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
+            self.corpus.route(query.keywords(), &mut routes);
             let cached = rkey.as_ref().and_then(|rkey| self.caches.cached_ranking(rkey, offset, k));
             cached.unwrap_or_else(|| {
                 let ranked = self.search(&routes, &mut lists, offset.saturating_add(k));
@@ -774,58 +725,6 @@ impl<'d> QuerySession<'d> {
         }
         page
     }
-
-    /// [`QuerySession::answer_corpus`] over a batch on the worker pool:
-    /// `workers` scoped threads pull queries from a shared cursor until
-    /// the batch drains. The output is index-aligned with `queries` and
-    /// identical to calling [`QuerySession::answer_corpus`] serially.
-    pub fn answer_corpus_batch(
-        &self,
-        queries: &[&str],
-        config: &ExtractConfig,
-    ) -> Vec<CorpusPage> {
-        self.run_pool(queries, |q| self.answer_corpus(q, config))
-    }
-
-    /// Run `f` over `items` across the worker pool, returning results
-    /// aligned with `items`. Falls back to a serial loop for tiny batches
-    /// or single-worker sessions. A worker's panic is re-raised here, as
-    /// the serial loop would have raised it.
-    fn run_pool<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        let workers = self.workers.min(items.len());
-        if workers <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut answered: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            mine.push((i, f(item)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| {
-                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        answered.sort_unstable_by_key(|(i, _)| *i);
-        answered.into_iter().map(|(_, answer)| answer).collect()
-    }
 }
 
 #[cfg(test)]
@@ -835,9 +734,10 @@ mod tests {
     use extract_corpus::CorpusBuilder;
     use extract_datagen::dblp::DblpConfig;
     use extract_datagen::retailer::RetailerConfig;
+    use std::sync::atomic::AtomicUsize;
 
-    /// One document: the default retailer database the batch and cache
-    /// tests below were written against.
+    /// One document: the default retailer database the concurrency and
+    /// cache tests below were written against.
     fn retailer_corpus() -> Corpus {
         let mut builder = CorpusBuilder::new();
         builder.add_parsed("retailer", RetailerConfig::default().generate());
@@ -864,6 +764,49 @@ mod tests {
             .collect()
     }
 
+    /// The query's whole answer: every result, best first.
+    fn unbounded(session: &QuerySession<'_>, q: &str, config: &ExtractConfig) -> CorpusPage {
+        session.answer_corpus_topk(q, config, usize::MAX, 0).results
+    }
+
+    /// A page as rows: document, root, score bits and snippet bytes.
+    fn rows(page: &[CorpusAnswer]) -> Vec<(DocId, NodeId, u64, String)> {
+        page.iter().map(|a| (a.doc, a.root, a.score.to_bits(), a.snippet.to_string())).collect()
+    }
+
+    /// `queries` answered the way the daemon answers requests: `threads`
+    /// scoped threads, each taking every `threads`-th query through its
+    /// own [`QuerySession::for_snapshot`] session over the one shared
+    /// `caches`. Each page must equal a cache-less serial answer byte for
+    /// byte, roots and order included. Index-aligned with `queries`.
+    fn answer_on_threads(
+        corpus: &Corpus,
+        caches: &Arc<SessionCaches>,
+        threads: usize,
+        queries: &[&str],
+        config: &ExtractConfig,
+    ) -> Vec<CorpusPage> {
+        let mut answered: Vec<(usize, CorpusPage)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|first| {
+                    scope.spawn(move || {
+                        let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
+                        let mine = queries.iter().enumerate().skip(first).step_by(threads);
+                        mine.map(|(i, q)| (i, unbounded(&session, q, config))).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("an answering thread")).collect()
+        });
+        answered.sort_unstable_by_key(|(i, _)| *i);
+        let reference = QuerySession::from_corpus(corpus, 0);
+        for (q, (_, page)) in queries.iter().zip(&answered) {
+            let serial = unbounded(&reference, q, config);
+            assert_eq!(rows(page), rows(&serial), "{q} on {threads} threads");
+        }
+        answered.into_iter().map(|(_, page)| page).collect()
+    }
+
     #[test]
     fn concurrent_batch_matches_serial_execution() {
         let corpus = retailer_corpus();
@@ -879,11 +822,10 @@ mod tests {
             .map(|page| page.iter().map(|s| s.snippet.to_xml()).collect())
             .collect();
 
-        for workers in [4, 8] {
-            let session = QuerySession::from_corpus_with_options(&corpus, workers, 64);
-            assert_eq!(session.workers(), workers);
-            let concurrent = session.answer_corpus_batch(&qs, &config);
-            assert_eq!(serial_xml, render(&concurrent), "workers={workers}");
+        for threads in [4, 8] {
+            let caches = Arc::new(SessionCaches::new(64));
+            let concurrent = answer_on_threads(&corpus, &caches, threads, &qs, &config);
+            assert_eq!(serial_xml, render(&concurrent), "threads={threads}");
             // Roots and ranking order must match too, not just rendering.
             for (s, c) in serial.iter().zip(concurrent.iter()) {
                 let roots_s: Vec<_> = s.iter().map(|r| r.result.root).collect();
@@ -896,41 +838,42 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_page_cache() {
         let corpus = retailer_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 4, 64);
+        let caches = Arc::new(SessionCaches::new(64));
         let config = ExtractConfig::with_bound(8);
         let qs = queries();
-        session.answer_corpus_batch(&qs, &config);
-        let pages = session.corpus_page_stats();
-        // 8 queries, 5 distinct. Batch scheduling may race any number of
-        // worker threads past the same miss (under a loaded machine even
-        // every duplicate can go concurrent), so the only deterministic
-        // batch-side claim is the miss floor.
+        answer_on_threads(&corpus, &caches, 4, &qs, &config);
+        let pages = caches.corpus_page_stats();
+        // 8 queries, 5 distinct. The threads may race any number of
+        // sessions past the same miss (under a loaded machine even every
+        // duplicate can go concurrent), so the only deterministic
+        // concurrent claim is the miss floor.
         assert!(pages.misses >= 5, "5 distinct queries: {pages:?}");
-        // A *serial* repeat after the batch is deterministic: the page
-        // is cached, so it must hit.
-        session.answer_corpus(qs[0], &config);
-        let after = session.corpus_page_stats();
+        // A *serial* repeat afterwards is deterministic: the page is
+        // cached, so it must hit.
+        let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
+        unbounded(&session, qs[0], &config);
+        let after = caches.corpus_page_stats();
         assert!(after.hits > pages.hits, "serial repeat must hit: {pages:?} -> {after:?}");
     }
 
     #[test]
     fn snippet_cache_backstops_page_eviction() {
         let corpus = retailer_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 4096);
+        let session = QuerySession::from_corpus(&corpus, 4096);
         let config = ExtractConfig::with_bound(8);
         // Fill the page cache past its capacity with distinct one-off
         // queries, then re-issue the first query: the page entry may be
         // gone but every per-result snippet must come from the snippet
         // cache (zero fresh computations can't be asserted directly, so
         // assert hits instead).
-        session.answer_corpus("texas apparel retailer", &config);
+        unbounded(&session, "texas apparel retailer", &config);
         for i in 0..PAGE_CAPACITY + 8 {
             // Distinct normalized queries (numbers tokenize fine).
-            session.answer_corpus(&format!("texas {i}"), &config);
+            unbounded(&session, &format!("texas {i}"), &config);
         }
-        let before = session.snippet_stats().hits;
-        session.answer_corpus("texas apparel retailer", &config);
-        let after = session.snippet_stats();
+        let before = session.caches().snippet_stats().hits;
+        unbounded(&session, "texas apparel retailer", &config);
+        let after = session.caches().snippet_stats();
         assert!(
             after.hits > before,
             "page was evicted, snippets must hit: {after:?}"
@@ -938,26 +881,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_and_single_worker_paths() {
-        let corpus = retailer_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 8);
-        let config = ExtractConfig::default();
-        assert!(session.answer_corpus_batch(&[], &config).is_empty());
-        let one = session.answer_corpus_batch(&["store texas"], &config);
-        assert_eq!(one.len(), 1);
-        assert_eq!(render(&one), render(&[session.answer_corpus("store texas", &config)]));
-    }
-
-    #[test]
     fn cache_disabled_session_still_answers() {
         let corpus = retailer_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 4, 0);
+        let session = QuerySession::from_corpus(&corpus, 0);
         let config = ExtractConfig::with_bound(6);
-        let a = session.answer_corpus("houston jeans", &config);
-        let b = session.answer_corpus("houston jeans", &config);
+        let a = unbounded(&session, "houston jeans", &config);
+        let b = unbounded(&session, "houston jeans", &config);
         assert_eq!(render(&[a]), render(&[b]));
-        assert_eq!(session.corpus_page_stats().hits, 0, "capacity 0 never hits");
-        assert_eq!(session.snippet_stats().hits, 0);
+        assert_eq!(session.caches().corpus_page_stats().hits, 0, "capacity 0 never hits");
+        assert_eq!(session.caches().snippet_stats().hits, 0);
     }
 
     // ---- Corpus sessions -------------------------------------------------
@@ -1009,10 +941,10 @@ mod tests {
     #[test]
     fn corpus_answers_equal_standalone_merge() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 2, 64);
+        let session = QuerySession::from_corpus(&corpus, 64);
         let config = ExtractConfig::with_bound(8);
         for q in ["store texas", "houston jeans", "keyword search", "texas", "zzz"] {
-            let page = session.answer_corpus(q, &config);
+            let page = unbounded(&session, q, &config);
             let got: Vec<(DocId, String)> =
                 page.iter().map(|a| (a.doc, a.snippet.to_string())).collect();
             assert_eq!(got, merge_standalone(&corpus, q, &config), "query {q}");
@@ -1022,28 +954,28 @@ mod tests {
     #[test]
     fn corpus_batch_matches_serial_and_hits_cache() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 4, 128);
+        let caches = Arc::new(SessionCaches::new(128));
+        let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
         let config = ExtractConfig::with_bound(8);
         let qs = ["store texas", "keyword search", "store texas", "houston", "keyword search"];
-        let serial: Vec<CorpusPage> =
-            qs.iter().map(|q| session.answer_corpus(q, &config)).collect();
-        let stats = session.corpus_page_stats();
+        let serial: Vec<CorpusPage> = qs.iter().map(|q| unbounded(&session, q, &config)).collect();
+        let stats = caches.corpus_page_stats();
         assert!(stats.hits >= 2, "repeats must hit the corpus page cache: {stats:?}");
-        let batch = session.answer_corpus_batch(&qs, &config);
-        for (s, b) in serial.iter().zip(batch.iter()) {
-            let xs: Vec<_> = s.iter().map(|a| (a.doc, a.root)).collect();
-            let xb: Vec<_> = b.iter().map(|a| (a.doc, a.root)).collect();
-            assert_eq!(xs, xb);
+        // The same queries on four threads over the warm bundle.
+        let concurrent = answer_on_threads(&corpus, &caches, 4, &qs, &config);
+        for (s, c) in serial.iter().zip(concurrent.iter()) {
+            assert_eq!(rows(s), rows(c));
         }
+        assert!(caches.corpus_page_stats().hits >= stats.hits + 5, "every page was warm");
     }
 
     #[test]
     fn topk_windows_tile_the_unbounded_page_exactly() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 0); // caches off
+        let session = QuerySession::from_corpus(&corpus, 0); // caches off
         let config = ExtractConfig::with_bound(8);
         for q in ["texas", "store texas", "keyword search", "name"] {
-            let full = session.answer_corpus(q, &config);
+            let full = unbounded(&session, q, &config);
             for k in [1, 2, 3, full.len().max(1)] {
                 let mut tiled: Vec<(DocId, String)> = Vec::new();
                 let mut offset = 0;
@@ -1071,13 +1003,13 @@ mod tests {
     #[test]
     fn topk_only_snippets_the_served_window() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 4096);
+        let session = QuerySession::from_corpus(&corpus, 4096);
         let config = ExtractConfig::with_bound(8);
         // "texas" matches many results across documents; serve one.
         let page = session.answer_corpus_topk("texas", &config, 1, 0);
         assert!(page.total > 1, "need a broad query for this test: {}", page.total);
         assert_eq!(page.results.len(), 1);
-        let stats = session.snippet_stats();
+        let stats = session.caches().snippet_stats();
         assert_eq!(
             stats.hits + stats.misses,
             1,
@@ -1088,9 +1020,9 @@ mod tests {
     #[test]
     fn topk_past_the_end_and_cache_windows_never_alias() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 64);
+        let session = QuerySession::from_corpus(&corpus, 64);
         let config = ExtractConfig::with_bound(8);
-        let full = session.answer_corpus("store texas", &config);
+        let full = unbounded(&session, "store texas", &config);
         // Past-the-end offset: empty window, exact total.
         let past = session.answer_corpus_topk("store texas", &config, 5, full.len() + 10);
         assert!(past.results.is_empty());
@@ -1099,10 +1031,10 @@ mod tests {
         let tail = session.answer_corpus_topk("store texas", &config, usize::MAX, 1);
         assert_eq!(tail.results.len(), full.len().saturating_sub(1));
         // Repeating a window hits the cache; a different window misses.
-        let before = session.corpus_page_stats().hits;
+        let before = session.caches().corpus_page_stats().hits;
         let again = session.answer_corpus_topk("store texas", &config, 5, full.len() + 10);
         assert!(again.results.is_empty() && again.total == full.len());
-        assert_eq!(session.corpus_page_stats().hits, before + 1, "same window must hit");
+        assert_eq!(session.caches().corpus_page_stats().hits, before + 1, "same window must hit");
         let first = session.answer_corpus_topk("store texas", &config, 1, 0);
         assert_eq!(first.results.len(), full.len().min(1), "k=1 window, not a stale alias");
     }
@@ -1120,13 +1052,10 @@ mod tests {
             builder.add_parsed(name, twin.generate());
         }
         let corpus = builder.finish();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+        let session = QuerySession::from_corpus(&corpus, 0);
         let config = ExtractConfig::with_bound(8);
-        let rows = |answers: &[CorpusAnswer]| -> Vec<(DocId, NodeId, u64, String)> {
-            answers.iter().map(|a| (a.doc, a.root, a.score.to_bits(), a.snippet.to_string())).collect()
-        };
         for q in ["store texas", "texas"] {
-            let full = session.answer_corpus(q, &config);
+            let full = unbounded(&session, q, &config);
             let total = full.len();
             assert!(total > 2 * (5 + 3), "{q}: only {total} results");
             let tied_across_documents = |end: usize| {
@@ -1171,10 +1100,10 @@ mod tests {
             }
             builder.add_parsed("dblp", DblpConfig { papers: 12, ..Default::default() }.generate());
             let corpus = builder.finish();
-            let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+            let session = QuerySession::from_corpus(&corpus, 0);
             let config = ExtractConfig::with_bound(8);
             let q = ["store texas", "texas", "name", "paper", "zzz"][query];
-            let full = session.answer_corpus(q, &config);
+            let full = unbounded(&session, q, &config);
             let pick = |n: usize| match n {
                 5 => full.len(),
                 6 => full.len() + 3,
@@ -1186,13 +1115,7 @@ mod tests {
             proptest::prop_assert_eq!(page.total, full.len());
             let start = offset.min(full.len());
             let want = &full[start..start.saturating_add(k).min(full.len())];
-            let row = |a: &CorpusAnswer| {
-                (a.doc, a.root, a.score.to_bits(), a.snippet.to_string())
-            };
-            proptest::prop_assert_eq!(
-                page.results.iter().map(row).collect::<Vec<_>>(),
-                want.iter().map(row).collect::<Vec<_>>()
-            );
+            proptest::prop_assert_eq!(rows(&page.results), rows(want));
             if q == "store texas" {
                 let tied =
                     full.windows(2).any(|w| w[0].score == w[1].score && w[0].doc != w[1].doc);
@@ -1232,12 +1155,11 @@ mod tests {
             let corpus = twins();
             let config = ExtractConfig::with_bound(8);
             let queries = ["store texas", "texas", "name", "zzz"];
-            let reference = QuerySession::from_corpus_with_options(corpus, 1, 0);
+            let reference = QuerySession::from_corpus(corpus, 0);
             let full: Vec<CorpusPage> =
-                queries.iter().map(|q| reference.answer_corpus(q, &config)).collect();
+                queries.iter().map(|q| unbounded(&reference, q, &config)).collect();
             let capacity = [1, 3, 4096][capacity];
-            let session = QuerySession::from_corpus_with_options(corpus, 1, capacity);
-            let row = |a: &CorpusAnswer| (a.doc, a.root, a.score.to_bits(), a.snippet.to_string());
+            let session = QuerySession::from_corpus(corpus, capacity);
             for (query, k, offset) in asks {
                 let full = &full[query];
                 let total = full.len();
@@ -1249,8 +1171,8 @@ mod tests {
                 let start = offset.min(total);
                 let want = &full[start..start.saturating_add(k).min(total)];
                 proptest::prop_assert_eq!(
-                    page.results.iter().map(row).collect::<Vec<_>>(),
-                    want.iter().map(row).collect::<Vec<_>>(),
+                    rows(&page.results),
+                    rows(want),
                     "{} k={} offset={}", queries[query], k, offset
                 );
             }
@@ -1334,11 +1256,11 @@ mod tests {
     #[test]
     fn routing_skips_unrelated_documents() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 64);
+        let session = QuerySession::from_corpus(&corpus, 64);
         let config = ExtractConfig::with_bound(8);
         // "sigmod" only exists in the dblp document: the three retailer
         // documents are never searched.
-        let page = session.answer_corpus("paper sigmod", &config);
+        let page = unbounded(&session, "paper sigmod", &config);
         assert!(!page.is_empty());
         assert!(page.iter().all(|a| corpus.name(a.doc) == "dblp"));
         let (candidates, fanin) = corpus.candidate_docs_str(&["paper", "sigmod"]);
@@ -1349,18 +1271,15 @@ mod tests {
     #[test]
     fn empty_query_yields_empty_corpus_page() {
         let corpus = small_corpus();
-        let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
-        assert!(session.answer_corpus("", &ExtractConfig::default()).is_empty());
-        assert!(session
-            .answer_corpus_batch(&[], &ExtractConfig::default())
-            .is_empty());
+        let session = QuerySession::from_corpus(&corpus, 0);
+        assert!(unbounded(&session, "", &ExtractConfig::default()).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "non-empty corpus")]
     fn empty_corpus_session_panics_early() {
         let corpus = CorpusBuilder::new().finish();
-        let _ = QuerySession::from_corpus(&corpus);
+        let _ = QuerySession::from_corpus(&corpus, 0);
     }
 
     // ---- Shared caches / snapshot sessions -------------------------------
@@ -1372,14 +1291,14 @@ mod tests {
         let config = ExtractConfig::with_bound(8);
         {
             let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-            session.answer_corpus("store texas", &config);
+            unbounded(&session, "store texas", &config);
         }
         // A fresh session over the same snapshot: the page comes from the
         // shared cache without touching a single engine.
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-        let misses = session.corpus_page_stats().misses;
-        session.answer_corpus("store texas", &config);
-        let stats = session.corpus_page_stats();
+        let misses = session.caches().corpus_page_stats().misses;
+        unbounded(&session, "store texas", &config);
+        let stats = session.caches().corpus_page_stats();
         assert_eq!(stats.misses, misses, "warm page must hit: {stats:?}");
         assert!(stats.hits > 0);
     }
@@ -1394,13 +1313,13 @@ mod tests {
         };
         let first = {
             let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-            session.answer_corpus("paper sigmod", &config)
+            unbounded(&session, "paper sigmod", &config)
         };
         let built = models();
         // Result caching is disabled, so the second session re-runs search
         // + snippets — on the same engines, byte-identically.
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-        let again = session.answer_corpus("paper sigmod", &config);
+        let again = unbounded(&session, "paper sigmod", &config);
         assert_eq!(first.len(), again.len());
         for (a, b) in first.iter().zip(again.iter()) {
             assert_eq!(a.doc, b.doc);
@@ -1414,7 +1333,7 @@ mod tests {
         let corpus = CorpusBuilder::new().finish();
         let caches = Arc::new(SessionCaches::new(16));
         let session = QuerySession::for_snapshot(&corpus, 1, caches);
-        assert!(session.answer_corpus("anything", &ExtractConfig::default()).is_empty());
+        assert!(unbounded(&session, "anything", &ExtractConfig::default()).is_empty());
     }
 
     /// `invalidate_doc` purges a dead generation's snippets; its engine
@@ -1425,8 +1344,9 @@ mod tests {
         let caches = Arc::new(SessionCaches::new(128));
         let config = ExtractConfig::with_bound(8);
         let snapshot = live.snapshot();
-        let page = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches))
-            .answer_corpus("store texas", &config);
+        let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+        let page = unbounded(&session, "store texas", &config);
+        drop(session);
         let victim = page[0].doc;
         let victims = page.iter().filter(|a| a.doc == victim).count();
         let cached = lock_unpoisoned(&caches.snippets).len();
@@ -1552,13 +1472,13 @@ mod tests {
         assert!(fresh.total >= k + offset, "the window is full: {}", fresh.total);
         assert_eq!(fresh.results.len(), k);
         let k = k as u64;
-        let stats = session.snippet_stats();
+        let stats = session.caches().snippet_stats();
         assert_eq!(stats.hits + stats.misses, k, "one lookup per result: {stats:?}");
         assert_eq!(stats.misses, k, "a fresh window misses every snippet: {stats:?}");
 
         caches.retire_pages_before(1);
         let again = session.answer_corpus_topk("store texas", &config, 5, offset);
-        let after = session.snippet_stats();
+        let after = session.caches().snippet_stats();
         assert_eq!(after.hits, stats.hits + k, "every snippet hits: {after:?}");
         assert_eq!(after.misses, stats.misses, "{after:?}");
         for (a, b) in fresh.results.iter().zip(again.results.iter()) {
@@ -1572,12 +1492,12 @@ mod tests {
         let caches = Arc::new(SessionCaches::new(128));
         let config = ExtractConfig::with_bound(8);
         let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
-        session.answer_corpus("store texas", &config);
+        unbounded(&session, "store texas", &config);
         caches.retire_pages_before(1); // corpus moved to epoch 1
-        let misses = session.corpus_page_stats().misses;
-        session.answer_corpus("store texas", &config);
+        let misses = session.caches().corpus_page_stats().misses;
+        unbounded(&session, "store texas", &config);
         assert_eq!(
-            session.corpus_page_stats().misses,
+            session.caches().corpus_page_stats().misses,
             misses + 1,
             "retired page must miss"
         );

@@ -468,7 +468,7 @@ fn a_served_snippet_on_a_warm_scratch_is_its_bytes() {
     for (at, q) in ENTITY_QUERIES.into_iter().enumerate() {
         let query = KeywordQuery::parse(q);
         let mut routes = Routes::default();
-        corpus.route(query.keywords(), &mut routes, &mut FanIn::default());
+        corpus.route(query.keywords(), &mut routes);
         for &id in routes.docs().iter().take(3) {
             let extract = Extract::new(corpus.doc(id));
             for ranked in extract.ranked_results(&query).into_iter().take(PAGE) {

@@ -1,7 +1,10 @@
 //! End-to-end corpus tests: the corpus query path must be **exactly** the
 //! merge of standalone per-document runs, and a DBLP-scale corpus (200+
 //! documents, 10^6+ nodes) must build through the streaming path and serve
-//! mixed-document batches.
+//! mixed-document batches — each on several threads, the way the daemon
+//! answers requests.
+
+use std::sync::Arc;
 
 use extract::prelude::*;
 use extract_datagen::corpus::CorpusConfig;
@@ -40,18 +43,56 @@ fn render(page: &CorpusPage) -> Vec<(DocId, NodeId, String)> {
         .collect()
 }
 
+/// The query's whole answer: every result, best first.
+fn unbounded(session: &QuerySession<'_>, q: &str, config: &ExtractConfig) -> CorpusPage {
+    session.answer_corpus_topk(q, config, usize::MAX, 0).results
+}
+
+/// `queries` answered the way the daemon answers requests: `threads`
+/// scoped threads, each taking every `threads`-th query through its own
+/// `QuerySession::for_snapshot` session over the one shared `caches`.
+/// Index-aligned with `queries`.
+fn answer_on_threads(
+    corpus: &Corpus,
+    caches: &Arc<SessionCaches>,
+    threads: usize,
+    queries: &[&str],
+    config: &ExtractConfig,
+) -> Vec<CorpusPage> {
+    let mut answered: Vec<(usize, CorpusPage)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|first| {
+                scope.spawn(move || {
+                    let session = QuerySession::for_snapshot(corpus, 1, Arc::clone(caches));
+                    let mine = queries.iter().enumerate().skip(first).step_by(threads);
+                    mine.map(|(i, q)| (i, unbounded(&session, q, config))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("an answering thread")).collect()
+    });
+    answered.sort_unstable_by_key(|(i, _)| *i);
+    answered.into_iter().map(|(_, page)| page).collect()
+}
+
+/// A page as rows: document, root, score bits and snippet bytes.
+fn rows(page: &CorpusPage) -> Vec<(DocId, NodeId, u64, String)> {
+    page.iter().map(|a| (a.doc, a.root, a.score.to_bits(), a.snippet.to_string())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The acceptance equivalence: corpus answers == standalone per-doc
-    /// answers merged, over randomized corpus shapes, seeds, worker
-    /// counts and cache settings.
+    /// answers merged, over randomized corpus shapes, seeds, thread
+    /// counts and cache settings; answers on threads sharing one cache
+    /// bundle == a cache-less serial session's, byte for byte.
     #[test]
     fn corpus_query_results_equal_standalone_merge(
         seed in 0u64..1_000,
         retailer_docs in 1usize..4,
         dblp_docs in 1usize..3,
-        workers in 1usize..5,
+        threads in 1usize..5,
         cache in prop_oneof![Just(0usize), Just(64usize)],
     ) {
         let mut b = CorpusBuilder::new();
@@ -76,7 +117,8 @@ proptest! {
             );
         }
         let corpus = b.finish();
-        let session = QuerySession::from_corpus_with_options(&corpus, workers, cache);
+        let caches = Arc::new(SessionCaches::new(cache));
+        let serial = QuerySession::from_corpus(&corpus, 0);
         let config = ExtractConfig::with_bound(8);
         let queries = [
             "store texas",
@@ -86,21 +128,20 @@ proptest! {
             "texas",
             "zzz nowhere",
         ];
-        // Serial and batch must both equal the standalone merge.
-        let batch = session.answer_corpus_batch(&queries, &config);
-        for (q, page) in queries.iter().zip(batch.iter()) {
-            let expected = merge_standalone(&corpus, q, &config);
-            prop_assert_eq!(&render(page), &expected, "batch query {}", q);
-            let serial = session.answer_corpus(q, &config);
-            prop_assert_eq!(&render(&serial), &expected, "serial query {}", q);
+        // Serial must equal the standalone merge, and the threads serial.
+        let concurrent = answer_on_threads(&corpus, &caches, threads, &queries, &config);
+        for (q, page) in queries.iter().zip(concurrent.iter()) {
+            let want = unbounded(&serial, q, &config);
+            prop_assert_eq!(&render(&want), &merge_standalone(&corpus, q, &config), "query {}", q);
+            prop_assert_eq!(rows(page), rows(&want), "query {} on {} threads", q, threads);
         }
     }
 }
 
 /// The PR acceptance run: ≥200 generated documents, ≥10^6 total nodes,
 /// built via the streaming path (one generated document alive at a time)
-/// and served through `QuerySession::answer_corpus` with mixed-document
-/// batches routed by the directory.
+/// and served on four threads over one cache bundle, mixed-document
+/// queries routed by the directory.
 #[test]
 fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
     let cfg = CorpusConfig { documents: 200, target_nodes_per_doc: 5_400, seed: 0xBEEF };
@@ -114,16 +155,20 @@ fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
     assert!(corpus.postings().total_postings() >= 1_000_000);
     assert_eq!(corpus.len(), 200, "one slot per document");
 
-    let session = QuerySession::from_corpus_with_options(&corpus, 4, 1024);
+    let caches = Arc::new(SessionCaches::new(1024));
     let config = ExtractConfig::with_bound(8);
-    // Selective mixed-document queries (the bench exercises the broad
-    // ones; a debug-mode test keeps result sets bounded).
+    // Selective mixed-document queries: the broad ones' result sets are
+    // too big for a debug-mode test.
     let queries: Vec<&str> = CorpusConfig::query_mix()
         .into_iter()
         .filter(|q| !q.contains("name"))
         .collect();
-    let pages = session.answer_corpus_batch(&queries, &config);
+    let pages = answer_on_threads(&corpus, &caches, 4, &queries, &config);
     assert_eq!(pages.len(), queries.len());
+    let serial = QuerySession::from_corpus(&corpus, 0);
+    for (q, page) in queries.iter().zip(&pages) {
+        assert_eq!(rows(page), rows(&unbounded(&serial, q, &config)), "{q}");
+    }
 
     // Every flavour-specific query found results in its flavour's docs.
     let non_empty = pages.iter().filter(|p| !p.is_empty()).count();
@@ -149,9 +194,9 @@ fn dblp_scale_corpus_builds_streaming_and_serves_batches() {
     // Routing did real work and the page cache serves repeats.
     let keywords: Vec<&str> = queries[0].split_whitespace().collect();
     assert!(corpus.candidate_docs_str(&keywords).1.directory_touched > 0);
-    let before = session.corpus_page_stats();
-    session.answer_corpus(queries[0], &config);
-    let after = session.corpus_page_stats();
+    let before = caches.corpus_page_stats();
+    unbounded(&QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches)), queries[0], &config);
+    let after = caches.corpus_page_stats();
     assert_eq!(after.hits, before.hits + 1, "repeat is a page-cache hit");
 }
 
@@ -179,8 +224,8 @@ fn corpus_ingestion_survives_malformed_documents() {
     assert_eq!(b.rejected().len(), 5);
     let corpus = b.finish();
     assert_eq!(corpus.len(), 2);
-    let session = QuerySession::from_corpus_with_options(&corpus, 1, 16);
-    let page = session.answer_corpus("texas", &ExtractConfig::with_bound(6));
+    let session = QuerySession::from_corpus(&corpus, 16);
+    let page = unbounded(&session, "texas", &ExtractConfig::with_bound(6));
     let docs: Vec<&str> = page.iter().map(|a| corpus.name(a.doc)).collect();
     assert!(docs.contains(&"good-1") && docs.contains(&"good-2"), "{docs:?}");
 }

@@ -356,7 +356,7 @@ fn sessions_across_an_ingest_never_serve_each_others_body() {
 fn hostile_ingest_stream_cannot_grow_the_rejection_log() {
     let options = CorpusOptions { max_rejected: 3, ..CorpusOptions::default() };
     let app = LiveSearchApp::new(
-        LiveCorpus::from_corpus_with_options(seed_corpus(1), options),
+        LiveCorpus::with_options(options),
         SearchAppConfig::default(),
         64,
     );

@@ -110,7 +110,7 @@ proptest! {
 
         let app_config = SearchAppConfig::default();
         // The union daemon's answers, caches off.
-        let reference = QuerySession::from_corpus_with_options(&union, 1, 0);
+        let reference = QuerySession::from_corpus(&union, 0);
 
         std::thread::scope(|scope| {
             // Two real shard daemons over real sockets; the ready
@@ -250,7 +250,7 @@ fn router_survives_shard_death_and_heals_on_restart_under_load() {
         builder.add_parsed(&name, doc);
     }
     let corpus_a = builder.finish();
-    let reference_a = QuerySession::from_corpus_with_options(&corpus_a, 1, 0);
+    let reference_a = QuerySession::from_corpus(&corpus_a, 0);
     let snippet_config = extract_core::ExtractConfig::with_bound(10);
 
     let app = RouterApp::new(RouterConfig {

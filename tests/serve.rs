@@ -45,7 +45,7 @@ fn cached_app() -> LiveSearchApp {
 /// built corpus, serially, caches off.
 fn reference(cases: &[(String, usize, usize)]) -> Vec<String> {
     let corpus = test_corpus();
-    let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+    let session = QuerySession::from_corpus(&corpus, 0);
     let config = app_config().snippet;
     cases.iter().map(|(q, k, o)| search_body(&session, &config, q, *k, *o)).collect()
 }
@@ -302,7 +302,7 @@ fn healthz_reports_draining_with_503_once_shutdown_begins() {
 #[test]
 fn corpus_snippet_text_roundtrips_through_the_json_writer() {
     let corpus = test_corpus();
-    let session = QuerySession::from_corpus_with_options(&corpus, 1, 0);
+    let session = QuerySession::from_corpus(&corpus, 0);
     let config = extract_core::ExtractConfig::with_bound(12);
     let mut checked = 0usize;
     for q in CorpusConfig::query_mix() {
