@@ -61,12 +61,8 @@ pub fn identify(
 
 /// Group entity nodes by label: `by_label` is `(label, node)` sorted, so
 /// each type's instances are one run in document order, and `runs` holds
-/// one `(label, range of by_label)` per type, in label order.
-///
-/// `entities` come in document order, so a count per label lays the runs
-/// out: each entity goes after the ones before it in its run. A result
-/// holds few entity types; one with more than [`COUNTED_TYPES`] is sorted
-/// instead.
+/// one `(label, range of by_label)` per type, in label order — one sort
+/// of the pairs, O(n log n) whatever the mix of types.
 pub(crate) fn group_by_label(
     doc: &Document,
     entities: &[NodeId],
@@ -74,56 +70,7 @@ pub(crate) fn group_by_label(
     runs: &mut Vec<(Symbol, Range<usize>)>,
 ) {
     by_label.clear();
-    runs.clear();
-    let labelled = entities.iter().filter_map(|&e| Some((doc.label(e)?, e)));
-    for (label, _) in labelled.clone() {
-        match runs.binary_search_by_key(&label, |&(l, _)| l) {
-            Ok(at) => {
-                if let Some((_, run)) = runs.get_mut(at) {
-                    run.end += 1;
-                }
-            }
-            Err(_) if runs.len() == COUNTED_TYPES => return sorted(labelled, by_label, runs),
-            Err(at) => runs.insert(at, (label, 0..1)),
-        }
-    }
-    // Each run's start, with `end` as the cursor its entities fill.
-    let mut start = 0;
-    for (_, run) in runs.iter_mut() {
-        let len = run.len();
-        *run = start..start;
-        start += len;
-    }
-    let Some(first) = labelled.clone().next() else { return };
-    by_label.resize(start, first);
-    for (label, e) in labelled {
-        let Ok(at) = runs.binary_search_by_key(&label, |&(l, _)| l) else { continue };
-        if let Some((_, run)) = runs.get_mut(at) {
-            if let Some(slot) = by_label.get_mut(run.end) {
-                *slot = (label, e);
-            }
-            run.end += 1;
-        }
-    }
-}
-
-/// Entity types a result may hold for [`group_by_label`] to count them.
-/// Each new type is inserted into the sorted runs, so counting costs
-/// the square of the types; it beats the sort only when a type has many
-/// instances. Timed on shuffled entities, at 64 types with 256 instances
-/// each the count still wins (0.44 ms against 0.63), at 128 it no longer
-/// does (1.09 against 1.05). No benchmark result comes near: the
-/// benchmark's documents and ingest bodies hold 2–4 entity types each.
-const COUNTED_TYPES: usize = 64;
-
-/// [`group_by_label`] by one sort of the `(label, node)` pairs.
-fn sorted(
-    labelled: impl Iterator<Item = (Symbol, NodeId)>,
-    by_label: &mut Vec<(Symbol, NodeId)>,
-    runs: &mut Vec<(Symbol, Range<usize>)>,
-) {
-    by_label.clear();
-    by_label.extend(labelled);
+    by_label.extend(entities.iter().filter_map(|&e| Some((doc.label(e)?, e))));
     by_label.sort_unstable();
     runs.clear();
     let mut start = 0;
@@ -430,36 +377,6 @@ mod tests {
                     (got.label, got.reason, got.instances),
                     (want.label, want.reason, want.instances)
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn grouping_by_count_equals_grouping_by_sort() {
-        // 3 and 70 entity types (two instances each, interleaved): the
-        // count, and past `COUNTED_TYPES` the sort, give the same runs.
-        for types in [3, 70] {
-            let mut xml = String::from("<r>");
-            for round in 0..2 {
-                for t in (0..types).rev() {
-                    xml.push_str(&format!("<e{t}><v>{round}</v></e{t}>"));
-                }
-            }
-            xml.push_str("</r>");
-            let doc = Document::parse_str(&xml).unwrap();
-            let model = EntityModel::analyze(&doc);
-            let entities = model.entities_in(&doc, doc.root());
-            assert_eq!(entities.len(), 2 * types);
-            let (mut by_label, mut runs) = (Vec::new(), Vec::new());
-            group_by_label(&doc, &entities, &mut by_label, &mut runs);
-            let mut want: Vec<(Symbol, NodeId)> =
-                entities.iter().map(|&e| (doc.label(e).unwrap(), e)).collect();
-            want.sort();
-            assert_eq!(by_label, want);
-            assert_eq!(runs.len(), types);
-            for (label, run) in &runs {
-                assert_eq!(run.len(), 2);
-                assert!(by_label[run.clone()].iter().all(|(l, _)| l == label));
             }
         }
     }

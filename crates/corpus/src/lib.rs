@@ -401,6 +401,16 @@ impl Corpus {
         self.slots.len()
     }
 
+    /// One past the highest live slot (0 when no document is live): the
+    /// width of the id range this snapshot's documents occupy. A slot
+    /// freed below a live one stays inside it, so a delete moves no other
+    /// document's id; free slots at the top are outside it, so an ingest
+    /// undone by its delete leaves the width where it was. Costs a step
+    /// per free slot at the top.
+    pub fn id_span(&self) -> usize {
+        self.slots.iter().rposition(|slot| slot.entry.is_some()).map_or(0, |last| last + 1)
+    }
+
     /// The mutation epoch this snapshot was published under (`0` for a
     /// corpus built once by [`CorpusBuilder`]; a [`LiveCorpus`] bumps it
     /// on every successful mutation).

@@ -383,6 +383,29 @@ mod tests {
     }
 
     #[test]
+    fn the_id_span_keeps_low_holes_and_drops_free_slots_at_the_top() {
+        let live = LiveCorpus::new();
+        assert_eq!(live.snapshot().id_span(), 0);
+        for name in ["a", "b", "c"] {
+            live.ingest(name, STORES).unwrap();
+        }
+        live.delete("a").unwrap();
+        assert_eq!(live.snapshot().id_span(), 3, "a hole below a live slot stays");
+        live.ingest("d", DBLP).unwrap();
+        live.delete("d").unwrap();
+        live.delete("c").unwrap();
+        assert_eq!(live.snapshot().id_span(), 2, "free slots at the top leave");
+        assert_eq!(live.snapshot().slot_count(), 3);
+        live.ingest("e", SHOPS).unwrap();
+        live.ingest("f", SHOPS).unwrap();
+        assert_eq!(live.snapshot().id_span(), 3);
+        for name in ["b", "e", "f"] {
+            live.delete(name).unwrap();
+        }
+        assert_eq!(live.snapshot().id_span(), 0);
+    }
+
+    #[test]
     fn freed_low_slots_are_reused_lowest_first() {
         let live = LiveCorpus::new();
         live.ingest("a", STORES).unwrap();

@@ -18,11 +18,14 @@
 //! The merge must reproduce — exactly — what a single daemon over the
 //! union corpus would have returned. Three rules make that hold:
 //!
-//! 1. **Doc-id remapping.** Each shard numbers its documents from zero.
-//!    The router assigns shard `i` the id range starting at
-//!    `doc_bases[i]` (prefix sums of shard corpus sizes in configured
-//!    shard order), so a hit's global id is `base + local id` — the same
-//!    id the document would carry in the concatenated corpus.
+//! 1. **Doc-id remapping.** Each shard numbers its documents by slot
+//!    from zero. The router assigns shard `i` the id range starting at
+//!    `doc_bases[i]` (prefix sums of the shards' id spans — one past
+//!    the highest live slot — in configured shard order, each read off
+//!    the `X-Corpus-Slots` of the answer being merged), so a hit's
+//!    global id is `base + local id` — the same id the document would
+//!    carry in the concatenated corpus, where a slot freed below a live
+//!    one stays taken too.
 //! 2. **Ordering.** Hits sort by the session tier's documented rule:
 //!    score descending, then global doc id ascending, then root node id
 //!    ascending. Ties across shards are broken by the remapped ids, so

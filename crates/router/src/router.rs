@@ -10,6 +10,13 @@
 //! its hedge delay *escalates* (counted in
 //! [`RouterCounters::escalations`]) to the machinery below.
 //!
+//! Global doc ids: every shard answer carries the slots its snapshot's
+//! ids span (`X-Corpus-Slots`), and the merge places each shard's ids
+//! after the spans of the shards before it — read off the answers it
+//! merges, so an id range and its page always come from one snapshot
+//! and nothing is learned ahead of a request. A shard that did not
+//! answer spans the width it last answered with.
+//!
 //! Failure policy, end to end:
 //!
 //! - Every client request gets **one absolute deadline**
@@ -49,10 +56,6 @@ use crate::health::Breaker;
 use crate::merge::{self, MergedPage, ShardPage, ShardTally};
 use crate::pool::ClientPool;
 
-/// `doc_count` sentinel: not learned yet.
-const DOC_COUNT_UNKNOWN: u64 = u64::MAX;
-/// `corpus_epoch` sentinel: not learned yet.
-const EPOCH_UNKNOWN: u64 = u64::MAX;
 /// `Retry-After` seconds when every shard is unavailable.
 const UNAVAILABLE_RETRY_AFTER_SECS: u32 = 1;
 /// Grace past the request deadline when waiting on attempt threads —
@@ -84,7 +87,7 @@ fn bump(counter: &AtomicU64) {
 }
 
 /// One shard: its connection pool, breaker, latency histogram, and the
-/// document count the doc-id remapping is built from.
+/// width of its doc-id range as it last answered.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
@@ -93,13 +96,9 @@ pub struct Shard {
     /// Lock-free log₂-bucketed latency of successful exchanges; the
     /// hedge delay and `/stats`/`/metrics` percentiles read snapshots.
     latency: Histogram,
-    doc_count: AtomicU64,
-    /// The corpus epoch the shard last reported. Live shards mutate
-    /// their corpus without restarting, so the router watches the
-    /// `X-Corpus-Epoch` stamp on every search answer and relearns the
-    /// shard's document count the moment the epoch moves — not only on
-    /// breaker heal.
-    corpus_epoch: AtomicU64,
+    /// The `X-Corpus-Slots` of the shard's last usable answer (0 before
+    /// its first): what the shard's range spans in a request it misses.
+    width: AtomicU64,
 }
 
 impl Shard {
@@ -109,8 +108,7 @@ impl Shard {
             pool: ClientPool::new(addr, config.client.clone(), config.max_idle_per_shard),
             breaker: Breaker::new(config.breaker_threshold, config.breaker_cooldown),
             latency: Histogram::new(),
-            doc_count: AtomicU64::new(DOC_COUNT_UNKNOWN),
-            corpus_epoch: AtomicU64::new(EPOCH_UNKNOWN),
+            width: AtomicU64::new(0),
         }
     }
 
@@ -122,23 +120,6 @@ impl Shard {
     /// The shard's breaker (tests and `/stats` read its state).
     pub fn breaker(&self) -> &Breaker {
         &self.breaker
-    }
-
-    /// Documents this shard reported, once learned.
-    // xlint: allow(L10, "crates/router/tests/scatter.rs checks what a probe relearns through it")
-    pub fn doc_count(&self) -> Option<u64> {
-        match self.doc_count.load(Ordering::SeqCst) {
-            DOC_COUNT_UNKNOWN => None,
-            n => Some(n),
-        }
-    }
-
-    /// The corpus epoch this shard last reported, once learned.
-    pub fn corpus_epoch(&self) -> Option<u64> {
-        match self.corpus_epoch.load(Ordering::SeqCst) {
-            EPOCH_UNKNOWN => None,
-            n => Some(n),
-        }
     }
 
     fn record_latency(&self, sample: Duration) {
@@ -165,6 +146,13 @@ impl Shard {
     fn latency_snapshot(&self) -> extract_obs::Snapshot {
         self.latency.snapshot()
     }
+}
+
+/// A shard's usable `/search` answer: its body, and the width of its
+/// doc-id range in the snapshot that body was computed against.
+struct Answer {
+    body: String,
+    width: u64,
 }
 
 /// Why a shard produced no usable page for a request.
@@ -385,16 +373,16 @@ impl RouterApp {
             headers: &[&trace_header],
             deadline: Instant::now() + self.config.request_deadline,
         };
-        let bodies = extract_obs::time_stage(Stage::Search, || self.gather(&ask));
+        let answers = extract_obs::time_stage(Stage::Search, || self.gather(&ask));
         extract_obs::time_stage(Stage::Serialize, || {
             // The pages borrow the shard bodies: a hit is three numbers
             // and two byte ranges, never a copy of its snippet.
-            let pages: Vec<Option<ShardPage<'_>>> = bodies
+            let pages: Vec<Option<ShardPage<'_>>> = answers
                 .iter()
                 .enumerate()
-                .map(|(index, body)| {
-                    let reason = match body {
-                        Ok(body) => match merge::parse_page(body) {
+                .map(|(index, answer)| {
+                    let reason = match answer {
+                        Ok(answer) => match merge::parse_page(&answer.body) {
                             Ok(page) => return Some(page),
                             Err(reason) => reason,
                         },
@@ -414,7 +402,7 @@ impl RouterApp {
                     .with_retry_after(UNAVAILABLE_RETRY_AFTER_SECS);
             }
             let merged: MergedPage<'_> =
-                merge::merge_pages(&pages, &self.doc_bases(), k, offset, requested_k);
+                merge::merge_pages(&pages, &self.doc_bases(&answers), k, offset, requested_k);
             let partial = answered < queried || merged.truncated;
             if partial {
                 bump(&self.counters.partial_responses);
@@ -424,18 +412,26 @@ impl RouterApp {
         })
     }
 
-    /// Global doc-id bases: prefix sums of per-shard document counts in
-    /// configured order. An unlearned count contributes zero — its shard
-    /// cannot have answered (the gather learns the count first), and
-    /// the response is already marked partial.
-    fn doc_bases(&self) -> Vec<u64> {
-        let mut bases = Vec::with_capacity(self.shards.len());
+    /// Global doc-id bases: prefix sums of the shards' id spans in
+    /// configured order. A shard that answered counts the span of the
+    /// very snapshot its page comes from; one that did not counts the
+    /// span it last answered with (0 before its first answer) — its rows
+    /// are missing, and the response is already marked partial.
+    fn doc_bases(&self, answers: &[Result<Answer, ShardFailure>]) -> Vec<u64> {
         let mut base: u64 = 0;
-        for shard in self.shards.iter() {
-            bases.push(base);
-            base = base.saturating_add(shard.doc_count().unwrap_or(0));
-        }
-        bases
+        self.shards
+            .iter()
+            .zip(answers)
+            .map(|(shard, answer)| {
+                let at = base;
+                let width = match answer {
+                    Ok(answer) => answer.width,
+                    Err(_) => shard.width.load(Ordering::Relaxed),
+                };
+                base = base.saturating_add(width);
+                at
+            })
+            .collect()
     }
 
     /// The scatter primitive: write the request to every shard in
@@ -481,29 +477,15 @@ impl RouterApp {
         Ok(response)
     }
 
-    /// Every shard's `/search` body for this request, in shard order:
-    /// breaker gate and doc-count bootstrap, one inline exchange per
-    /// shard, and only for a shard whose exchange failed, answered
-    /// unusably or outlived its hedge delay the retry / hedge machinery.
-    fn gather(&self, ask: &Ask) -> Vec<Result<String, ShardFailure>> {
-        let mut outcomes: Vec<Result<String, ShardFailure>> =
+    /// Every shard's `/search` answer for this request, in shard order:
+    /// breaker gate, one inline exchange per shard, and only for a shard
+    /// whose exchange failed, answered unusably or outlived its hedge
+    /// delay the retry / hedge machinery.
+    fn gather(&self, ask: &Ask) -> Vec<Result<Answer, ShardFailure>> {
+        let mut outcomes: Vec<Result<Answer, ShardFailure>> =
             self.shards.iter().map(|_| Err(ShardFailure::Skipped)).collect();
-        let mut live: Vec<&Arc<Shard>> =
+        let live: Vec<&Arc<Shard>> =
             self.shards.iter().filter(|s| s.breaker.allows_requests()).collect();
-        let unlearned: Vec<&Arc<Shard>> =
-            live.iter().copied().filter(|s| s.doc_count().is_none()).collect();
-        let learned = self.learn_doc_counts(&unlearned, ask.deadline, None);
-        for (shard, _) in unlearned.iter().zip(learned).filter(|(_, learned)| !learned) {
-            // A shard that can't even report its corpus size is failing:
-            // count it against the breaker like any other failed attempt.
-            if shard.breaker.on_failure() {
-                bump(&self.counters.breaker_opens);
-            }
-            live.retain(|s| s.index != shard.index);
-            if let Some(outcome) = outcomes.get_mut(shard.index) {
-                *outcome = Err(ShardFailure::Failed("doc count unavailable".to_string()));
-            }
-        }
         let started = Instant::now();
         let sent = Self::send_all(&live, ask);
         let settle = &|shard, attempt| self.settle(shard, attempt, started, ask);
@@ -538,7 +520,7 @@ impl RouterApp {
         }
         for (shard, leg) in settled {
             if let Some(outcome) = outcomes.get_mut(shard.index) {
-                *outcome = self.page_body(shard, leg, ask.deadline);
+                *outcome = Self::answer(shard, leg);
             }
         }
         outcomes
@@ -698,69 +680,23 @@ impl RouterApp {
         Err(last_error)
     }
 
-    /// A settled shard leg's page body: a non-200 is a failure, and an
-    /// answer stamped with an epoch other than the one the shard's
-    /// document count belongs to relearns that count first. A live shard
-    /// stamps every answer with its corpus epoch; if it moved, the shard
-    /// mutated mid-session and this request's doc-id remap may be stale:
-    /// relearn *before* the merge reads `doc_bases`, so the global ids
-    /// stay correct without waiting for a breaker heal. The new epoch is
-    /// published only together with its count — after a failed relearn
-    /// the next request sees the old epoch and tries again.
-    fn page_body(
-        &self,
-        shard: &Arc<Shard>,
+    /// A settled shard leg's answer. A non-200 is a failure, and so is
+    /// a `200` without a parseable `X-Corpus-Slots`: its ids could not
+    /// be placed. The width goes on record for requests the shard
+    /// misses.
+    fn answer(
+        shard: &Shard,
         settled: Result<WireResponse, ShardFailure>,
-        deadline: Instant,
-    ) -> Result<String, ShardFailure> {
+    ) -> Result<Answer, ShardFailure> {
         let response = settled?;
         if response.status != 200 {
             return Err(ShardFailure::Failed(format!("shard answered {}", response.status)));
         }
-        let moved = response.corpus_epoch.filter(|epoch| shard.corpus_epoch() != Some(*epoch));
-        if let Some(epoch) = moved {
-            if self.learn_doc_counts(&[shard], deadline, Some(epoch)) != [true] {
-                return Err(ShardFailure::Failed(
-                    "doc count unavailable after epoch change".to_string(),
-                ));
-            }
-        }
-        Ok(response.body)
-    }
-
-    /// Learn the shards' document counts (and corpus epochs) from their
-    /// `/stats`, one scatter under the caller's deadline; says per shard
-    /// whether its count is now known. `answer_epoch` stands in for a
-    /// shard whose `/stats` names no epoch.
-    fn learn_doc_counts(
-        &self,
-        shards: &[&Arc<Shard>],
-        deadline: Instant,
-        answer_epoch: Option<u64>,
-    ) -> Vec<bool> {
-        shards
-            .iter()
-            .zip(Self::get_all(shards, "/stats", deadline))
-            .map(|(shard, response)| {
-                let Some(stats) = Self::ok_json(response) else {
-                    return false;
-                };
-                let corpus = stats.get("corpus");
-                let Some(documents) =
-                    corpus.and_then(|v| v.get("documents")).and_then(Value::as_u64)
-                else {
-                    return false;
-                };
-                // Count before epoch: whoever reads the new epoch reads
-                // the count that belongs to it.
-                shard.doc_count.store(documents.min(DOC_COUNT_UNKNOWN - 1), Ordering::SeqCst);
-                let epoch = corpus.and_then(|v| v.get("epoch")).and_then(Value::as_u64);
-                if let Some(epoch) = epoch.or(answer_epoch) {
-                    shard.corpus_epoch.store(epoch.min(EPOCH_UNKNOWN - 1), Ordering::SeqCst);
-                }
-                true
-            })
-            .collect()
+        let Some(width) = response.corpus_slots else {
+            return Err(ShardFailure::Failed("answer without X-Corpus-Slots".to_string()));
+        };
+        shard.width.store(width, Ordering::Relaxed);
+        Ok(Answer { body: response.body, width })
     }
 
     /// The parsed body of a `200`, else nothing.
@@ -772,34 +708,19 @@ impl RouterApp {
     /// One background probe round: re-check every shard whose breaker
     /// wants a probe — one after the other, each under its own probe
     /// deadline, so a shard that swallows its whole deadline cannot
-    /// starve the next one's healing — then (re-)learn missing document
-    /// counts in one scatter.
+    /// starve the next one's healing.
     // xlint: allow(L10, "crates/router/tests/scatter.rs and tests/router.rs step the prober by hand")
     pub fn probe_round(&self) {
         for shard in self.shards.iter().filter(|s| s.breaker.probe_due()) {
             bump(&self.counters.probes);
             let deadline = Instant::now() + self.config.probe_deadline;
             match shard.pool.request("GET", "/healthz", deadline) {
-                Ok(response) if response.status == 200 => {
-                    // The shard may have restarted with a different
-                    // corpus: relearn its size and epoch from scratch.
-                    shard.doc_count.store(DOC_COUNT_UNKNOWN, Ordering::SeqCst);
-                    shard.corpus_epoch.store(EPOCH_UNKNOWN, Ordering::SeqCst);
-                    shard.breaker.on_success();
-                }
+                Ok(response) if response.status == 200 => shard.breaker.on_success(),
                 _ => {
                     shard.breaker.on_failure();
                 }
             }
         }
-        let unlearned: Vec<&Arc<Shard>> = self
-            .shards
-            .iter()
-            .filter(|s| s.breaker.allows_requests() && s.doc_count().is_none())
-            .collect();
-        self.counters.probes.fetch_add(unlearned.len() as u64, Ordering::Relaxed);
-        let deadline = Instant::now() + self.config.probe_deadline;
-        self.learn_doc_counts(&unlearned, deadline, None);
     }
 
     /// The `/stats` body: router counters, per-shard health, and
@@ -859,15 +780,15 @@ impl RouterApp {
             w.str(&shard.pool.addr().to_string());
             w.key("breaker");
             w.str(shard.breaker.state().name());
-            w.key("documents");
-            match shard.doc_count() {
-                Some(n) => w.num_u64(n),
-                None => w.null(),
-            }
-            w.key("corpus_epoch");
-            match shard.corpus_epoch() {
-                Some(n) => w.num_u64(n),
-                None => w.null(),
+            let corpus = |key| {
+                stats.as_ref().and_then(|v| v.get("corpus")?.get(key)).and_then(Value::as_u64)
+            };
+            for (key, corpus_key) in [("documents", "documents"), ("corpus_epoch", "epoch")] {
+                w.key(key);
+                match corpus(corpus_key) {
+                    Some(n) => w.num_u64(n),
+                    None => w.null(),
+                }
             }
             w.key("idle_connections");
             w.num_u64(shard.pool.idle() as u64);
@@ -911,9 +832,9 @@ impl RouterApp {
 }
 
 /// Bind, serve and probe until shutdown: the router's counterpart of the
-/// umbrella crate's `serve_live`. Spawns the background prober (first round
-/// runs synchronously so doc counts are learned before the socket is
-/// announced), runs the server until drained, then joins the prober.
+/// umbrella crate's `serve_live`. Spawns the background prober, runs the
+/// server until drained, then joins the prober. Nothing is learned before
+/// the socket is announced: each shard's id range comes with its answers.
 pub fn serve_router(
     addr: &str,
     serve_config: extract_serve::ServeConfig,
@@ -925,7 +846,6 @@ pub fn serve_router(
     let mut app = RouterApp::new(router_config);
     app.attach_server(handle.clone());
     let app = Arc::new(app);
-    app.probe_round();
     let prober = {
         let app = Arc::clone(&app);
         let handle = handle.clone();

@@ -18,7 +18,8 @@ use extract_serve::{
 type Hit = (u64, u64, f64);
 
 /// A stub shard: answers `/search` with its canned hits (respecting the
-/// requested `k`), `/stats` with its document count, `/healthz` with ok.
+/// requested `k`) stamped with its id span, `/stats` with that span as
+/// its documents, `/healthz` with ok.
 fn shard_body(hits: &[Hit], k: usize, q: &str) -> String {
     let page: Vec<&Hit> = hits.iter().take(k).collect();
     let mut w = JsonWriter::new();
@@ -87,7 +88,9 @@ fn spawn_shard(
 ) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
     let config = ServeConfig { fault: fault.map(Arc::new), ..stub_config() };
     spawn_stub(addr, config, move |request| match request.path.as_str() {
-        "/search" => Response::json(200, search_body(&hits, request)),
+        "/search" => {
+            Response::json(200, search_body(&hits, request)).with_corpus_slots(documents)
+        }
         "/stats" => Response::json(200, stats_body(documents)),
         _ => Response::error(404, "no such route"),
     })
@@ -237,11 +240,14 @@ fn dead_shard_degrades_to_partial_200_and_opens_its_breaker() {
 fn restarted_shard_heals_through_the_prober_without_router_restart() {
     let (a, ha, ta) = spawn_shard("127.0.0.1:0", vec![(0, 1, 0.9)], 1, None);
     let (b, hb, tb) = spawn_shard("127.0.0.1:0", vec![(0, 2, 0.8)], 1, None);
-    let app = RouterApp::new(router_config(vec![a, b]));
+    // Shard B comes first, so its width places shard A's ids.
+    let app = RouterApp::new(router_config(vec![b, a]));
+    let shard_b = || app.shards().first().expect("shard B");
 
-    // Healthy first: both shards answer.
+    // Healthy first: both shards answer, A's document behind B's one.
     let body = body_json(&get(&app, "/search", &[("q", "x")]));
     assert_eq!(body.get("partial"), Some(&Value::Bool(false)));
+    assert_eq!(doc_ids(&body), vec![1, 0]);
 
     // Kill shard B and burn its breaker open.
     hb.shutdown();
@@ -249,12 +255,14 @@ fn restarted_shard_heals_through_the_prober_without_router_restart() {
     loop {
         let response = get(&app, "/search", &[("q", "x")]);
         assert_eq!(response.status, 200);
-        if !app.shards().get(1).expect("shard 1").breaker().allows_requests() {
+        if !shard_b().breaker().allows_requests() {
             break;
         }
     }
+    // B is missing, yet A's ids keep their place behind B's last width.
     let body = body_json(&get(&app, "/search", &[("q", "x")]));
     assert_eq!(body.get("partial"), Some(&Value::Bool(true)));
+    assert_eq!(doc_ids(&body), vec![1]);
 
     // Resurrect shard B on the same port (SO_REUSEADDR) with a bigger
     // corpus, wait out the cooldown, and let the prober heal it.
@@ -264,7 +272,7 @@ fn restarted_shard_heals_through_the_prober_without_router_restart() {
     loop {
         std::thread::sleep(Duration::from_millis(50));
         app.probe_round();
-        if app.shards().get(1).expect("shard 1").breaker().allows_requests() {
+        if shard_b().breaker().allows_requests() {
             break;
         }
         assert!(Instant::now() < deadline, "breaker never closed after restart");
@@ -272,8 +280,8 @@ fn restarted_shard_heals_through_the_prober_without_router_restart() {
     let body = body_json(&get(&app, "/search", &[("q", "x"), ("k", "10")]));
     assert_eq!(body.get("partial"), Some(&Value::Bool(false)));
     assert_eq!(body.get("total").and_then(Value::as_u64), Some(3));
-    // The prober relearned the restarted shard's corpus size.
-    assert_eq!(app.shards().get(1).and_then(|s| s.doc_count()), Some(2));
+    // The healed page places A behind the restarted shard's two slots.
+    assert_eq!(doc_ids(&body), vec![2, 0, 1]);
 
     ha.shutdown();
     hb2.shutdown();
@@ -418,26 +426,24 @@ fn router_healthz_and_stats_report_shard_state() {
 }
 
 #[test]
-fn a_failed_relearn_does_not_publish_the_new_epoch() {
+fn a_width_that_moves_remaps_on_that_very_answer() {
     use std::sync::atomic::AtomicU64;
-    // Shard A stamps its answers with a corpus epoch and reports a
-    // document count that grows with it; its second `/stats` (the first
-    // relearn) fails once.
+    // Shard A stamps its answers with a corpus epoch and an id span
+    // that grows with it, and counts the `/stats` it is asked for.
     let epoch = Arc::new(AtomicU64::new(1));
-    let fault = FaultPlan::from_specs(&["status:/stats:code=500:after=1:count=1"]);
-    let config = ServeConfig { fault: Some(Arc::new(fault.expect("plan"))), ..stub_config() };
+    let stats_asked = Arc::new(AtomicU64::new(0));
     let (a, ha, ta) = {
-        let epoch = Arc::clone(&epoch);
-        spawn_stub("127.0.0.1:0", config, move |request| {
+        let (epoch, stats_asked) = (Arc::clone(&epoch), Arc::clone(&stats_asked));
+        spawn_stub("127.0.0.1:0", stub_config(), move |request| {
             let now = epoch.load(Ordering::SeqCst);
             match request.path.as_str() {
+                // Epoch 1 holds two slots, epoch 2 five.
                 "/search" => Response::json(200, search_body(&[(0, 1, 0.9)], request))
-                    .with_corpus_epoch(now),
-                // Epoch 1 holds two documents, epoch 2 five.
+                    .with_corpus_epoch(now)
+                    .with_corpus_slots(3 * now - 1),
                 "/stats" => {
-                    let documents = 3 * now - 1;
-                    let corpus = format!("{{\"documents\":{documents},\"epoch\":{now}}}");
-                    Response::json(200, format!("{{\"corpus\":{corpus}}}"))
+                    stats_asked.fetch_add(1, Ordering::SeqCst);
+                    Response::json(200, stats_body(3 * now - 1))
                 }
                 _ => Response::error(404, "no such route"),
             }
@@ -446,24 +452,45 @@ fn a_failed_relearn_does_not_publish_the_new_epoch() {
     let (b, hb, tb) = spawn_shard("127.0.0.1:0", vec![(0, 4, 0.7)], 3, None);
     let app = RouterApp::new(router_config(vec![a, b]));
 
-    // Epoch 1: shard B's only document sits behind A's two.
+    // Epoch 1: shard B's only document sits behind A's two slots.
     let body = body_json(&get(&app, "/search", &[("q", "x")]));
     assert_eq!(body.get("partial"), Some(&Value::Bool(false)));
     assert_eq!(doc_ids(&body), vec![0, 2]);
 
-    // A grows to five documents; the relearn its new epoch triggers
-    // fails, so A drops out of this answer — flagged, not silent.
+    // A grows to five slots: the first answer after the growth places B
+    // behind them — whole, with no request to anything but `/search`.
     epoch.store(2, Ordering::SeqCst);
     let body = body_json(&get(&app, "/search", &[("q", "x")]));
-    assert_eq!(body.get("partial"), Some(&Value::Bool(true)));
-    assert_eq!(app.shards().first().and_then(|s| s.corpus_epoch()), Some(1));
-
-    // The next request must try again — the failed attempt published
-    // nothing — and remap B behind A's five documents.
-    let body = body_json(&get(&app, "/search", &[("q", "x")]));
     assert_eq!(body.get("partial"), Some(&Value::Bool(false)));
-    assert_eq!(doc_ids(&body), vec![0, 5], "stale remap served after a failed relearn");
-    assert_eq!(app.shards().first().and_then(|s| s.doc_count()), Some(5));
+    assert_eq!(doc_ids(&body), vec![0, 5], "stale remap served after the width moved");
+    assert_eq!(stats_asked.load(Ordering::SeqCst), 0, "the router asked a shard's /stats");
+
+    ha.shutdown();
+    hb.shutdown();
+    let _ = (ta.join(), tb.join());
+}
+
+#[test]
+fn an_answer_without_a_width_is_a_dropped_leg() {
+    // Shard A answers `/search` with a page but no `X-Corpus-Slots`:
+    // its ids cannot be placed, so its leg drops like a failed one and
+    // B's ids start where A's never-seen range does, at 0.
+    let (a, ha, ta) = spawn_stub("127.0.0.1:0", stub_config(), |request| {
+        match request.path.as_str() {
+            "/search" => Response::json(200, search_body(&[(0, 1, 0.9)], request)),
+            _ => Response::error(404, "no such route"),
+        }
+    });
+    let (b, hb, tb) = spawn_shard("127.0.0.1:0", vec![(0, 4, 0.7)], 3, None);
+    let app = RouterApp::new(router_config(vec![a, b]));
+
+    let response = get(&app, "/search", &[("q", "x")]);
+    assert_eq!(response.status, 200);
+    let body = body_json(&response);
+    assert_eq!(body.get("partial"), Some(&Value::Bool(true)));
+    let shards = body.get("shards").expect("shards block");
+    assert_eq!(shards.get("answered").and_then(Value::as_u64), Some(1));
+    assert_eq!(doc_ids(&body), vec![0]);
 
     ha.shutdown();
     hb.shutdown();
@@ -476,8 +503,9 @@ fn a_keep_alive_the_shard_closed_is_redialed_without_a_retry() {
     // socket is dead by the second request.
     let config = ServeConfig { idle_timeout: Duration::from_millis(40), ..stub_config() };
     let (a, ha, ta) = spawn_stub("127.0.0.1:0", config, |request| match request.path.as_str() {
-        "/search" => Response::json(200, search_body(&[(0, 1, 0.9)], request)),
-        "/stats" => Response::json(200, stats_body(1)),
+        "/search" => {
+            Response::json(200, search_body(&[(0, 1, 0.9)], request)).with_corpus_slots(1)
+        }
         _ => Response::error(404, "no such route"),
     });
     let app = RouterApp::new(router_config(vec![a]));

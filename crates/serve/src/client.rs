@@ -145,9 +145,13 @@ pub struct WireResponse {
     pub retry_after: Option<u64>,
     /// The `X-Corpus-Epoch` header, when the server sent one. Live
     /// daemons stamp every answer with the epoch of the corpus snapshot
-    /// it was computed against; the router uses a change here to refresh
-    /// its doc-id remap mid-session.
+    /// it was computed against.
     pub corpus_epoch: Option<u64>,
+    /// The `X-Corpus-Slots` header, when the server sent one that
+    /// parses: the slots the ids of the snapshot a live daemon's
+    /// `/search` answer was computed against span — the width of its
+    /// doc-id range, which the router places the answer's ids by.
+    pub corpus_slots: Option<u64>,
 }
 
 /// Time left until `deadline`; none left is [`ClientError::TimedOut`].
@@ -301,11 +305,14 @@ impl Connection {
         let status = parse_status(status_line).ok_or(ClientError::Malformed("bad status line"))?;
         let mut retry_after = None;
         let mut corpus_epoch = None;
+        let mut corpus_slots = None;
         let framing = read_headers(&mut self.reader, &mut line, |name, value| {
             if name.eq_ignore_ascii_case("retry-after") {
                 retry_after = value.parse().ok();
             } else if name.eq_ignore_ascii_case("x-corpus-epoch") {
                 corpus_epoch = value.parse().ok();
+            } else if name.eq_ignore_ascii_case("x-corpus-slots") {
+                corpus_slots = value.parse().ok();
             }
         })?;
         let declared = framing.content_length;
@@ -321,6 +328,7 @@ impl Connection {
             keep_alive: framing.keep_alive.unwrap_or(false),
             retry_after,
             corpus_epoch,
+            corpus_slots,
         })
     }
 
@@ -652,6 +660,24 @@ mod tests {
         assert_eq!(response.body, "{}");
         assert_eq!(response.retry_after, Some(7));
         assert!(!response.keep_alive);
+    }
+
+    #[test]
+    fn the_corpus_stamps_are_read_and_a_garbled_width_is_none() {
+        let stamped = |slots: &str| {
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Corpus-Epoch: 4\r\n\
+                 x-corpus-slots: {slots}\r\nConnection: keep-alive\r\n\r\n{{}}"
+            )
+        };
+        let addr = canned_server(vec![stamped("9"), stamped("-1"), ok_response("{}", true)]);
+        let mut conn = Connection::connect(addr, &ClientConfig::default()).expect("connect");
+        let response = conn.request("GET", "/x", Some(deadline())).expect("response");
+        assert_eq!((response.corpus_epoch, response.corpus_slots), (Some(4), Some(9)));
+        let response = conn.request("GET", "/x", Some(deadline())).expect("response");
+        assert_eq!((response.corpus_epoch, response.corpus_slots), (Some(4), None));
+        let response = conn.request("GET", "/x", Some(deadline())).expect("response");
+        assert_eq!((response.corpus_epoch, response.corpus_slots), (None, None));
     }
 
     #[test]

@@ -460,11 +460,17 @@ pub struct Response {
     /// callers (the router) get the echo; untraced clients see
     /// byte-identical responses with or without instrumentation.
     pub trace_id: Option<TraceId>,
-    /// When set, an `X-Corpus-Epoch: <n>` header is written. Live
-    /// daemons stamp every answer with the corpus epoch it was computed
-    /// against, so the router can detect a mutated shard from the
-    /// response itself instead of waiting for the next probe round.
+    /// When set, an `X-Corpus-Epoch: <n>` header is written: the corpus
+    /// epoch a live daemon's answer was computed against, so a client
+    /// can tell which world an answer comes from.
     pub corpus_epoch: Option<u64>,
+    /// When set, an `X-Corpus-Slots: <n>` header is written: the slots
+    /// the ids of the snapshot a live daemon's `/search` answer was
+    /// computed against span (through its highest live slot). A shard's
+    /// doc ids are its slots, so this is the width of its id range, and
+    /// the router places each shard's range by the widths on the answers
+    /// it merges.
+    pub corpus_slots: Option<u64>,
 }
 
 impl Response {
@@ -477,6 +483,7 @@ impl Response {
             retry_after: None,
             trace_id: None,
             corpus_epoch: None,
+            corpus_slots: None,
         }
     }
 
@@ -502,6 +509,13 @@ impl Response {
         self.corpus_epoch = Some(epoch);
         self
     }
+
+    /// Stamp this response with the id span of the snapshot it was
+    /// computed against (written as `X-Corpus-Slots`).
+    pub fn with_corpus_slots(mut self, slots: u64) -> Response {
+        self.corpus_slots = Some(slots);
+        self
+    }
 }
 
 /// The reason phrase for the status codes the daemon emits.
@@ -522,7 +536,7 @@ fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// Room for the longest head [`write_response`] emits (status line, the
-/// three fixed headers and all three optional ones come to ~230 bytes),
+/// three fixed headers and all four optional ones come to ~245 bytes),
 /// so head and body share one allocation.
 const HEAD_CAPACITY: usize = 256;
 
@@ -559,6 +573,9 @@ pub fn write_response<W: Write>(
     }
     if let Some(n) = response.corpus_epoch {
         write!(wire, "X-Corpus-Epoch: {n}\r\n")?;
+    }
+    if let Some(n) = response.corpus_slots {
+        write!(wire, "X-Corpus-Slots: {n}\r\n")?;
     }
     let connection: &[u8] = if keep_alive {
         b"Connection: keep-alive\r\n\r\n"
@@ -844,7 +861,8 @@ mod tests {
         // Absent by default — static daemons stay byte-identical.
         let mut out = Vec::new();
         write_response(&mut out, &Response::json(200, "{}".into()), true).unwrap();
-        assert!(!String::from_utf8(out).unwrap().contains("X-Corpus-Epoch"));
+        let text = String::from_utf8(out).unwrap();
+        assert!(!text.contains("X-Corpus-Epoch") && !text.contains("X-Corpus-Slots"), "{text}");
     }
 
     #[test]
@@ -864,7 +882,8 @@ mod tests {
     fn full_head_is_pinned_byte_for_byte_and_fits_its_capacity() {
         let mut response = Response::error(503, "over capacity")
             .with_retry_after(u32::MAX)
-            .with_corpus_epoch(u64::MAX);
+            .with_corpus_epoch(u64::MAX)
+            .with_corpus_slots(u64::MAX);
         response.trace_id = TraceId::parse("ffffffffffffffff");
         let mut out = Vec::new();
         write_response(&mut out, &response, true).unwrap();
@@ -877,6 +896,7 @@ mod tests {
              Retry-After: 4294967295\r\n\
              X-Trace-Id: ffffffffffffffff\r\n\
              X-Corpus-Epoch: 18446744073709551615\r\n\
+             X-Corpus-Slots: 18446744073709551615\r\n\
              Connection: keep-alive\r\n\r\n\
              {\"error\":\"over capacity\"}"
         );

@@ -82,6 +82,7 @@ pub fn metrics_response(w: PromWriter) -> Response {
         retry_after: None,
         trace_id: None,
         corpus_epoch: None,
+        corpus_slots: None,
     }
 }
 

@@ -32,6 +32,10 @@
 #                                       usize::MAX) and the corpus oracles
 #                                       (sessions on several threads over
 #                                       one cache bundle) at CI's case count
+#      PROPTEST_CASES=32 cargo test --release --test router
+#                                     — router ≡ union daemon byte for
+#                                       byte (windows, ties, a delete) at
+#                                       CI's case count
 #   3. cargo clippy ... -D warnings   — lint-clean across all targets
 #   4. xlint --deny-warnings          — workspace invariants (lock order,
 #                                       condvar loops, panic-free serving
@@ -71,6 +75,7 @@ run env PROPTEST_CASES=2048 cargo test -q --offline --release \
     -p extract-xml -p extract-index -p extract-corpus
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --lib session::
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --test corpus
+run env PROPTEST_CASES=32 cargo test -q --offline --release --test router
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings
 run scripts/xlint_list_check.sh

@@ -14,8 +14,13 @@
 //! | `/healthz` | `GET` | liveness probe (`503` once draining) |
 //! | `/shutdown` | `POST` | begin graceful drain |
 //!
-//! `/search` answers carry an `X-Corpus-Epoch` header so the router can
-//! spot a mutated shard from the response itself.
+//! `/search` answers carry the snapshot they were computed against in two
+//! headers: `X-Corpus-Epoch`, and `X-Corpus-Slots` — the slots its ids
+//! span ([`Corpus::id_span`](extract_corpus::Corpus::id_span): through
+//! the highest live slot), the width of the shard's doc-id range, which
+//! the router places the answer's ids by. A slot freed below a live one
+//! stays in the span, so such a delete keeps every other document's
+//! global id.
 //!
 //! The concurrency model is RCU-shaped and entirely `std`-safe:
 //!
@@ -145,7 +150,9 @@ impl LiveSearchApp {
         let snapshot = self.corpus.snapshot();
         let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&self.caches));
         let body = search_body(&session, &self.config.snippet, q, k, offset);
-        Response::json(200, body).with_corpus_epoch(snapshot.epoch())
+        Response::json(200, body)
+            .with_corpus_epoch(snapshot.epoch())
+            .with_corpus_slots(snapshot.id_span() as u64)
     }
 
     /// `POST /ingest?name=…` with the XML document as the request body:
@@ -260,8 +267,8 @@ impl LiveSearchApp {
 
     /// The `/stats` body: server counters (when attached) and the session
     /// caches' counters, then the corpus — live document count, bounded
-    /// rejection counters and `epoch`; the router's doc-count bootstrap
-    /// reads `corpus.documents` and `corpus.epoch` from here.
+    /// rejection counters and `epoch`; the router's `/stats` reports each
+    /// shard's `corpus.documents` and `corpus.epoch` from here.
     pub fn render_stats(&self) -> String {
         let snapshot = self.corpus.snapshot();
         let (rejected, rejected_dropped) = self.corpus.rejection_stats();
@@ -391,6 +398,28 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.corpus_epoch, Some(0));
         assert_eq!(result_docs(&resp), ["stores", "papers"]);
+    }
+
+    #[test]
+    fn search_carries_the_id_span_which_a_low_delete_keeps() {
+        let app = app();
+        assert_eq!(get(&app, "/search", &[("q", "texas")]).corpus_slots, Some(2));
+        let resp = request(&app, "POST", "/delete", &[("doc", "stores")], b"");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.corpus_slots, None, "only /search answers carry the width");
+        let after = get(&app, "/search", &[("q", "texas")]);
+        assert_eq!(after.corpus_slots, Some(2), "a slot freed below a live one stays");
+        assert_eq!(result_docs(&after), ["papers"]);
+        let ohio = b"<stores><store><name>Gap</name><state>Ohio</state></store></stores>";
+        for name in ["ohio", "more"] {
+            let resp = request(&app, "POST", "/ingest", &[("name", name)], ohio);
+            assert_eq!(resp.status, 200);
+        }
+        assert_eq!(get(&app, "/search", &[("q", "texas")]).corpus_slots, Some(3));
+        let resp = request(&app, "POST", "/delete", &[("doc", "more")], b"");
+        assert_eq!(resp.status, 200);
+        let after = get(&app, "/search", &[("q", "texas")]);
+        assert_eq!(after.corpus_slots, Some(2), "an undone ingest leaves the width");
     }
 
     #[test]

@@ -481,7 +481,7 @@ fn every_stats_server_key_has_its_metrics_family() {
     assert!(metrics.contains("\nextract_ranking_cache_results "), "{metrics}");
 }
 
-/// `/stats` — every scrape, the router's doc-count bootstrap — reads the
+/// `/stats` — every scrape, the router's own `/stats` — reads the
 /// rejection counters under the writer lock, so an ingest must not hold
 /// that lock while it parses, indexes or analyzes the document. One thread
 /// ingests a document big enough to take a long while over those; the

@@ -5,7 +5,9 @@
 //!    byte-identical (through the `results` array) to one uncached
 //!    daemon over the union corpus — every window `(k, offset)`,
 //!    including cross-shard score ties, which are broken by the remapped
-//!    global doc ids.
+//!    global doc ids — also after a delete on the first shard (below
+//!    its highest slot the shard's id range holds; of its highest slot
+//!    the range closes, as a union without the document numbers it).
 //! 2. **Fault tolerance** (subprocess test): under concurrent load, one
 //!    of two shard daemons hard-exits via `--fault` injection; every
 //!    client keeps getting `200`, responses degrade to
@@ -30,6 +32,7 @@ use extract::prelude::*;
 use extract::serve::{search_body, SearchAppConfig};
 use extract_datagen::corpus::CorpusConfig;
 use extract_router::{RouterApp, RouterConfig};
+use extract_serve::http::percent_encode;
 use extract_serve::json::{self, Value};
 use extract_serve::{ClientConfig, Request, Response, ServeConfig};
 use proptest::prelude::*;
@@ -59,6 +62,19 @@ fn with_router_suffix(reference: &str, partial: bool, queried: u64, answered: u6
     )
 }
 
+/// Shuts the servers down when dropped — also while an assertion
+/// unwinds, so the thread scope serving them can end and the failure
+/// surfaces instead of hanging.
+struct ShutdownOnDrop(Vec<extract_serve::ServerHandle>);
+
+impl Drop for ShutdownOnDrop {
+    fn drop(&mut self) {
+        for handle in &self.0 {
+            handle.shutdown();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -66,13 +82,18 @@ proptest! {
     /// union, byte for byte, across a grid of (query, k, offset)
     /// windows. `dups` duplicates documents across the partition
     /// boundary, forcing identical scores whose order is only defined
-    /// by the global doc-id remapping.
+    /// by the global doc-id remapping. Then one left document is deleted
+    /// on shard 0, and the grid runs again: a slot freed below a live one
+    /// keeps its place in both numberings, so shard 1's ids must not
+    /// move; shard 0's highest slot freed closes its range, as a union
+    /// built without the document numbers it.
     #[test]
     fn partitioned_router_pages_match_the_union_daemon(
         seed in 0u64..1_000,
         left_docs in 1usize..4,
         right_docs in 1usize..4,
         dups in 0usize..3,
+        victim in 0usize..3,
         nodes in prop_oneof![Just(200usize), Just(500usize)],
     ) {
         let left_config =
@@ -87,30 +108,36 @@ proptest! {
         // scores tie with shard 0's originals in every query.
         let mut left = CorpusBuilder::new();
         let mut right = CorpusBuilder::new();
-        let mut union = CorpusBuilder::new();
-        for (name, doc) in left_config.documents() {
-            union.add_parsed(&format!("s0-{name}"), doc);
-        }
         for (name, doc) in left_config.documents() {
             left.add_parsed(&format!("s0-{name}"), doc);
-        }
-        for (name, doc) in right_config.documents() {
-            union.add_parsed(&format!("s1-{name}"), doc);
         }
         for (name, doc) in right_config.documents() {
             right.add_parsed(&format!("s1-{name}"), doc);
         }
         for (name, doc) in left_config.documents().take(dups) {
-            union.add_parsed(&format!("dup-{name}"), doc);
-        }
-        for (name, doc) in left_config.documents().take(dups) {
             right.add_parsed(&format!("dup-{name}"), doc);
         }
-        let (left, right, union) = (left.finish(), right.finish(), union.finish());
+        let (left, right) = (left.finish(), right.finish());
+        // The union of the two shards in shard order, less `skip`.
+        let union_of = |skip: Option<&str>| {
+            let mut union = CorpusBuilder::new();
+            let docs = left_config.documents().map(|(name, doc)| (format!("s0-{name}"), doc));
+            let docs = docs
+                .chain(right_config.documents().map(|(name, doc)| (format!("s1-{name}"), doc)))
+                .chain(
+                    left_config.documents().take(dups).map(|(name, doc)| (format!("dup-{name}"), doc)),
+                );
+            for (name, doc) in docs.filter(|(name, _)| Some(name.as_str()) != skip) {
+                union.add_parsed(&name, doc);
+            }
+            union.finish()
+        };
+        let union = LiveCorpus::from_corpus(union_of(None));
+        let victim_slot = victim % left_docs;
+        let victim = left_config.documents().nth(victim_slot).map(|(name, _)| name);
+        let victim = format!("s0-{}", victim.expect("a left document"));
 
         let app_config = SearchAppConfig::default();
-        // The union daemon's answers, caches off.
-        let reference = QuerySession::from_corpus(&union, 0);
 
         std::thread::scope(|scope| {
             // Two real shard daemons over real sockets; the ready
@@ -142,6 +169,7 @@ proptest! {
             }
             let (first, handle_a) = slots[0].take().expect("shard 0");
             let (second, handle_b) = slots[1].take().expect("shard 1");
+            let _shutdown = ShutdownOnDrop(vec![handle_a, handle_b]);
 
             let router = RouterApp::new(RouterConfig {
                 shards: vec![first, second],
@@ -152,30 +180,49 @@ proptest! {
 
             let windows: [(usize, usize); 6] =
                 [(1, 0), (3, 0), (5, 2), (2, 1), (50, 0), (4, 7)];
-            for q in CorpusConfig::query_mix().into_iter().take(4) {
-                for (k, offset) in windows {
-                    let response = get(
-                        &router,
-                        "/search",
-                        &[
-                            ("q", q.to_string()),
-                            ("k", k.to_string()),
-                            ("offset", offset.to_string()),
-                        ],
-                    );
-                    assert_eq!(response.status, 200, "q={q} k={k} offset={offset}");
-                    let union_body = search_body(&reference, &app_config.snippet, q, k, offset);
-                    let want = with_router_suffix(&union_body, false, 2, 2);
-                    assert_eq!(
-                        body_text(&response),
-                        want,
-                        "router page must be byte-identical to the union daemon \
-                         (q={q} k={k} offset={offset} seed={seed} dups={dups})"
-                    );
+            let grid = |union: &Corpus, deleted: Option<&str>| {
+                // The union daemon's answers, caches off.
+                let reference = QuerySession::from_corpus(union, 0);
+                for q in CorpusConfig::query_mix().into_iter().take(4) {
+                    for (k, offset) in windows {
+                        let response = get(
+                            &router,
+                            "/search",
+                            &[
+                                ("q", q.to_string()),
+                                ("k", k.to_string()),
+                                ("offset", offset.to_string()),
+                            ],
+                        );
+                        assert_eq!(response.status, 200, "q={q} k={k} offset={offset}");
+                        let union_body =
+                            search_body(&reference, &app_config.snippet, q, k, offset);
+                        let want = with_router_suffix(&union_body, false, 2, 2);
+                        assert_eq!(
+                            body_text(&response),
+                            want,
+                            "router page must be byte-identical to the union daemon \
+                             (q={q} k={k} offset={offset} seed={seed} dups={dups} \
+                             deleted={deleted:?})"
+                        );
+                    }
                 }
+            };
+            grid(&union.snapshot(), None);
+            let mut shard_a = extract_serve::testing::KeepAliveClient::connect(first);
+            let target = format!("/delete?doc={}", percent_encode(&victim));
+            let deleted = shard_a.request("POST", &target);
+            assert_eq!(deleted.status, 200, "{}", deleted.body);
+            // A slot freed below a live one keeps its place in both
+            // numberings. Shard 0's highest slot freed leaves its id span,
+            // so the router then numbers like a union without the
+            // document.
+            assert!(union.delete(&victim).is_some(), "{victim} is in the union");
+            if victim_slot + 1 < left_docs {
+                grid(&union.snapshot(), Some(&victim));
+            } else {
+                grid(&union_of(Some(&victim)), Some(&victim));
             }
-            handle_a.shutdown();
-            handle_b.shutdown();
         });
     }
 }
