@@ -30,6 +30,10 @@
 //! 8. **No ranking crosses a mutation**: once a query has been ranked,
 //!    a delete of a document it matched and an ingest it matches show in
 //!    every later window of it.
+//! 9. **The caches against a model**: random searches, ingests (new
+//!    names, updates, freed slots), deletes and malformed ingests through
+//!    one app with every cache on answer every `/search` byte for byte
+//!    as a cache-less twin that saw the same mutations.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -248,6 +252,102 @@ fn no_ranking_of_a_query_crosses_a_mutation() {
         .collect();
     assert!(docs.contains(&"late"), "the ingested document is served: {docs:?}");
     assert!(!docs.contains(&"doc-0"), "the deleted document is not: {docs:?}");
+}
+
+/// The documents the model test ingests: store and paper lists small
+/// enough to rank in microseconds, several of which share the keywords of
+/// one query — and, ingested under two names, whole rankings — so results
+/// tie across documents.
+const MODEL_BODIES: [&str; 4] = [
+    "<stores><store><name>Levis</name><state>Texas</state></store>\
+     <store><name>Gap</name><state>Ohio</state></store></stores>",
+    "<stores><store><name>Gap</name><state>Texas</state><city>Houston</city></store></stores>",
+    "<dblp><paper><title>texas snippets</title><venue>VLDB</venue></paper>\
+     <paper><title>store names</title><venue>SIGMOD</venue></paper></dblp>",
+    "<stores><store><name>Levis</name><state>Texas</state></store>\
+     <store><name>Levis Kids</name><state>Texas</state></store>\
+     <store><name>Wrangler</name><state>Texas</state></store></stores>",
+];
+
+/// The names the model test ingests and deletes under: the first three
+/// are the seed documents.
+const MODEL_NAMES: [&str; 6] = ["m-a", "m-b", "m-c", "m-d", "m-e", "m-f"];
+
+/// The queries the model test asks: broad ones matching every body, one
+/// matching a single store, and one matching nothing.
+const MODEL_QUERIES: [&str; 6] = ["texas", "store texas", "levis", "gap ohio", "name", "zzz"];
+
+/// Three seed documents, two of them with one body: every score of theirs
+/// comes twice.
+fn model_app(cache_capacity: usize) -> LiveSearchApp {
+    let mut builder = CorpusBuilder::new();
+    for (name, body) in MODEL_NAMES.iter().zip([0, 3, 0]) {
+        builder.add_document(name, MODEL_BODIES[body]).expect("seed doc parses");
+    }
+    LiveSearchApp::new(
+        LiveCorpus::from_corpus(builder.finish()),
+        SearchAppConfig::default(),
+        cache_capacity,
+    )
+}
+
+/// The `/search` body of `(q, k, offset)`: over HTTP, or for `k == 0`
+/// (which `/search` refuses) from `search_body` on a session over the
+/// app's current snapshot and cache bundle, as the route builds it.
+fn model_search(app: &LiveSearchApp, q: &str, k: usize, offset: usize) -> String {
+    if k == 0 {
+        let snapshot = app.corpus().snapshot();
+        let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(app.caches()));
+        return search_body(&session, &SearchAppConfig::default().snippet, q, 0, offset);
+    }
+    search_bytes(app, q, k, offset)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The session's caches against a sequential model: one app with every
+    /// cache on and a cache-less twin take the same random steps —
+    /// searches of any window (`k` from 0 to the clamp, offsets past the
+    /// end), ingests of a new name, of an existing one (an update) and
+    /// into a slot a delete freed, deletes, and malformed ingests. Each
+    /// mutation answers both alike (so their `DocId`s agree), and every
+    /// search — asked twice of the cached app, the repeat a page hit —
+    /// answers the twin's bytes.
+    #[test]
+    fn every_search_through_the_caches_equals_a_cacheless_twin(
+        steps in proptest::collection::vec((0usize..10, 0usize..6, 0usize..5, 0usize..16), 1..48),
+    ) {
+        let (cached, twin) = (model_app(4096), model_app(0));
+        for (op, a, b, c) in steps {
+            let mutation = match op {
+                0..=5 => None,
+                6 | 7 => {
+                    let name = [("name", MODEL_NAMES[a].to_string())];
+                    Some(request("POST", "/ingest", &name, MODEL_BODIES[b % 4].as_bytes()))
+                }
+                8 => Some(request("POST", "/delete", &[("doc", MODEL_NAMES[a].to_string())], b"")),
+                _ => {
+                    let name = [("name", MODEL_NAMES[a].to_string())];
+                    Some(request("POST", "/ingest", &name, b"<stores><store><name>cut"))
+                }
+            };
+            if let Some(mutation) = mutation {
+                let (got, want) = (cached.handle(&mutation), twin.handle(&mutation));
+                prop_assert_eq!(got.status, want.status, "{} {:?}", mutation.path, mutation.query);
+                prop_assert_eq!(&got.body, &want.body, "{} {:?}", mutation.path, mutation.query);
+                continue;
+            }
+            let q = MODEL_QUERIES[a];
+            let k = [0, 1, 3, 10, usize::MAX][b];
+            let offset = if c == 15 { usize::MAX } else { c };
+            let want = model_search(&twin, q, k, offset);
+            for ask in ["miss", "repeat"] {
+                let got = model_search(&cached, q, k, offset);
+                prop_assert_eq!(&got, &want, "{} of {:?} k={} offset={}", ask, q, k, offset);
+            }
+        }
+    }
 }
 
 /// The page key holds the *normalized* query, the body echoes the *raw*
