@@ -49,6 +49,13 @@
 //!   generational arena exists to kill);
 //! * page keys carry the corpus **epoch** — whole-corpus aggregates are
 //!   retired per mutation ([`SessionCaches::retire_pages_before`]);
+//! * rankings are keyed by the normalized query alone and carry the
+//!   generational [`DocId`]s they ranked: a request diffs them against its
+//!   own snapshot's routes before serving any of them, drops the results
+//!   of a document that left and ranks one that arrived alone, so a
+//!   mutation costs the rankings it touches one document's work each, not
+//!   a search over the whole corpus — for a reader on any snapshot, an
+//!   in-flight one included;
 //! * the snippets of a dead generation — the replaced one on update, the
 //!   deleted one on delete — are purged eagerly
 //!   ([`SessionCaches::invalidate_doc`]); untouched documents keep their
@@ -219,7 +226,8 @@ impl LiveSearchApp {
     /// one of a delete; an ingest's own id is live, and a reader may
     /// already have cached valid snippets of it from the just-published
     /// snapshot — and retire result pages of every earlier epoch. Nothing
-    /// else is touched — untouched documents stay cache-hot. Then the
+    /// else is touched — untouched documents stay cache-hot, and rankings
+    /// are patched by the readers that find them. Then the
     /// mutation's cost goes on record, this phase included (a delete's
     /// parse and index are not series: dropped).
     fn apply_invalidation(&self, op: MutationOp, mutation: &Mutation) {

@@ -37,23 +37,29 @@ impl Default for SearchAppConfig {
     }
 }
 
+/// One result cache's row of [`cache_counters`]: its wire name, its
+/// counters, the entries it holds and — the ranking cache only — how many
+/// of its hits were served from a ranking patched to a mutation.
+type CacheRow = (&'static str, CacheStats, usize, Option<u64>);
+
 /// The result caches by their wire names, each with its counters and the
 /// entries it holds — one table behind `/stats` and `/metrics`.
-fn cache_counters(caches: &SessionCaches) -> [(&'static str, CacheStats, usize); 3] {
+fn cache_counters(caches: &SessionCaches) -> [CacheRow; 3] {
     let (pages, rankings, snippets) = caches.entries();
     [
-        ("corpus_page_cache", caches.corpus_page_stats(), pages),
-        ("ranking_cache", caches.ranking_stats(), rankings),
-        ("snippet_cache", caches.snippet_stats(), snippets),
+        ("corpus_page_cache", caches.corpus_page_stats(), pages, None),
+        ("ranking_cache", caches.ranking_stats(), rankings, Some(caches.ranking_patches())),
+        ("snippet_cache", caches.snippet_stats(), snippets, None),
     ]
 }
 
 /// The cache members of `/stats`' `session` object: per-cache counters
-/// and entries, then what the caches hold — rendered `/search` results in
-/// the page cache, snippet XML in the snippet cache, ranked results in the
-/// ranking cache.
+/// and entries (and the ranking cache's `patches`, hits among its hits),
+/// then what the caches hold — rendered `/search` results in the page
+/// cache, snippet XML in the snippet cache, ranked results in the ranking
+/// cache.
 pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
-    for (name, stats, entries) in cache_counters(caches) {
+    for (name, stats, entries, patches) in cache_counters(caches) {
         w.key(name);
         w.obj_begin();
         w.key("hits");
@@ -64,6 +70,10 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
         w.num_u64(stats.evictions);
         w.key("entries");
         w.num_u64(entries as u64);
+        if let Some(patches) = patches {
+            w.key("patches");
+            w.num_u64(patches);
+        }
         w.obj_end();
     }
     w.key("corpus_page_body_bytes");
@@ -74,20 +84,26 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
     w.num_u64(caches.ranking_cache_results() as u64);
 }
 
-/// The cache families of `/metrics`: hit/miss/eviction counters and
-/// entries per cache, the rendered `/search` bytes the corpus page cache
+/// The cache families of `/metrics`: hit/miss/eviction counters (and the
+/// ranking cache's patches) and entries per cache, the rendered `/search`
+/// bytes the corpus page cache
 /// holds, the snippet XML bytes the snippet cache holds and the ranked
 /// results the ranking cache holds.
 pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     let counters = cache_counters(caches);
-    w.help("extract_cache_events_total", "Session cache hits/misses/evictions.");
+    w.help(
+        "extract_cache_events_total",
+        "Session cache hits/misses/evictions, and ranking hits served patched.",
+    );
     w.type_("extract_cache_events_total", "counter");
-    for (cache, stats, _) in counters {
-        for (event, value) in [
-            ("hit", stats.hits),
-            ("miss", stats.misses),
-            ("eviction", stats.evictions),
-        ] {
+    for (cache, stats, _, patches) in counters {
+        let events = [
+            ("hit", Some(stats.hits)),
+            ("miss", Some(stats.misses)),
+            ("eviction", Some(stats.evictions)),
+            ("patch", patches),
+        ];
+        for (event, value) in events.into_iter().filter_map(|(event, v)| Some((event, v?))) {
             w.sample_u64(
                 "extract_cache_events_total",
                 &[("cache", cache), ("event", event)],
@@ -97,7 +113,7 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     }
     w.help("extract_cache_entries", "Entries held by each session cache.");
     w.type_("extract_cache_entries", "gauge");
-    for (cache, _, entries) in counters {
+    for (cache, _, entries, _) in counters {
         w.sample_u64("extract_cache_entries", &[("cache", cache)], entries as u64);
     }
     w.help(
@@ -348,17 +364,29 @@ mod tests {
             let session = v.get("session").expect("session section");
             session.get("ranking_cache_results").and_then(Value::as_u64)
         };
-        let counters = ["hits", "misses", "evictions", "entries"].map(|key| rankings(&v, key));
-        assert_eq!(counters, [0, 1, 0, 1], "{session:?}");
+        let keys = ["hits", "misses", "evictions", "entries", "patches"];
+        let counters = keys.map(|key| rankings(&v, key));
+        assert_eq!(counters, [0, 1, 0, 1, 0], "{session:?}");
         assert_eq!(results(&v), Some(2), "{session:?}");
         // Another window of the query is a page miss served from that
         // ranking.
         app.handle(&request("GET", "/search", &[("q", "texas"), ("k", "1"), ("offset", "1")]));
         let resp = app.handle(&request("GET", "/stats", &[]));
         let v = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        let counters = ["hits", "misses", "evictions", "entries"].map(|key| rankings(&v, key));
-        assert_eq!(counters, [1, 1, 0, 1], "{v:?}");
+        let counters = keys.map(|key| rankings(&v, key));
+        assert_eq!(counters, [1, 1, 0, 1, 0], "{v:?}");
         assert_eq!(results(&v), Some(2));
+        // A delete of one of its documents: the next window is a page miss
+        // served from the ranking patched to the one candidate left — a
+        // hit, and a patch.
+        let resp = app.handle(&request("POST", "/delete", &[("doc", "papers")]));
+        assert_eq!(resp.status, 200);
+        app.handle(&request("GET", "/search", &[("q", "texas")]));
+        let resp = app.handle(&request("GET", "/stats", &[]));
+        let v = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let counters = keys.map(|key| rankings(&v, key));
+        assert_eq!(counters, [2, 1, 0, 1, 1], "{v:?}");
+        assert_eq!(results(&v), Some(1), "the patched ranking replaced the stored one");
         assert!(v.get("server").is_none(), "no server attached");
         // Snippets containing XML quotes survive the JSON layer.
         let resp = app.handle(&request("GET", "/search", &[("q", "levis quoted"), ("k", "5")]));

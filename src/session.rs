@@ -28,13 +28,18 @@
 //!    generation are all skipped. The entry also keeps the window's
 //!    `/search` rendering once it has been served, so a hit re-serves
 //!    bytes;
-//! 2. a **ranking cache** (`normalized query + epoch →` the exact total
-//!    and the best-first prefix of results, 8 bytes each) makes every
-//!    window of a query a slice of one search: a page miss whose query was
-//!    ranked deep enough this epoch — for any window, under any snippet
-//!    config — routes, but skips SLCA, lifting and scoring. A window
-//!    deeper than the cached prefix ranks again and stores the deeper
-//!    prefix, up to `MAX_RANKED` results;
+//! 2. a **ranking cache** (`normalized query →` the exact total, the
+//!    best-first prefix of results, 8 bytes each, and the candidate
+//!    documents ranked, each with its result count) makes every window of
+//!    a query a slice of one search: a page miss whose query was ranked
+//!    deep enough — for any window, under any snippet config, at any epoch
+//!    — routes, but skips SLCA, lifting and scoring over the documents its
+//!    ranking already holds. The routes are diffed against the stored
+//!    candidates: a document that left takes its results out of the prefix
+//!    and the total, and one that arrived is ranked alone and merged in, so
+//!    a mutation patches the rankings it touches instead of retiring them
+//!    all. A window deeper than the cached prefix ranks again and stores
+//!    the deeper prefix, up to `MAX_RANKED` results;
 //! 3. the per-result snippet cache (`query + (DocId, root) + config →`
 //!    the snippet's XML as an `Arc<str>`) catches queries whose page entry
 //!    was evicted and amortizes snippet generation across overlapping
@@ -80,10 +85,13 @@
 //! shares one bundle across the per-snapshot sessions it builds per
 //! request ([`QuerySession::for_snapshot`]), so page and snippet caches
 //! stay warm across epoch swaps. Safety across mutations comes from the
-//! keys: snippet keys carry generational [`DocId`]s and page and ranking
+//! keys and one check: snippet keys carry generational [`DocId`]s and page
 //! keys carry the corpus epoch, so entries computed against an older
-//! snapshot can never answer for a newer one — which is also why a
-//! ranking may name a document by its slot alone.
+//! snapshot can never answer for a newer one; a ranking carries the
+//! [`DocId`]s it ranked, and is diffed against the routes of the snapshot
+//! reading it before any of it is served — older or newer, the patched
+//! ranking holds that snapshot's candidates only, which is why it may name
+//! a document by its slot alone.
 //!
 //! ```
 //! use extract::prelude::*;
@@ -206,7 +214,16 @@ thread_local! {
     /// token ids): warm after its first miss, so routing allocates
     /// nothing.
     static ROUTES: Cell<Routes> = Cell::default();
+
+    /// This thread's ranking buffer (the results a [`Window`] keeps): warm
+    /// after its first miss, so a search allocates nothing for it.
+    static KEPT: Cell<Vec<Ranked>> = Cell::default();
 }
+
+/// The largest ranking buffer a thread keeps for its next search: a
+/// window that kept more — deeper than any stored ranking — frees its
+/// buffer rather than pin it to the thread.
+const KEPT_REUSED: usize = 2 * MAX_RANKED;
 
 /// Run `f` on this thread's kernel scratch (on a fresh one should it be
 /// in use — the kernel does not re-enter, so it never is).
@@ -262,9 +279,11 @@ struct Window {
 
 impl Window {
     fn new(keep: usize) -> Window {
+        let mut kept = KEPT.take();
+        kept.clear();
         Window {
             keep,
-            kept: Vec::new(),
+            kept,
             cutoff: None,
             total: 0,
             #[cfg(debug_assertions)]
@@ -301,20 +320,24 @@ impl Window {
         }
     }
 
-    /// The best `keep` results, sorted, and the number of offers.
-    fn finish(mut self) -> Ranking {
+    /// The best `keep` results, sorted, and the number of offers, as the
+    /// ranking of `candidates` — the documents that made the offers.
+    fn finish(mut self, candidates: Arc<[Candidate]>) -> Ranking {
         if self.kept.len() > self.keep {
             self.cut();
         }
         self.kept.sort_unstable_by_key(|at| at.key);
         let best = self.kept.iter().map(|at| Hit::new(at.doc, at.root)).collect();
-        Ranking { total: self.total, best }
+        if self.kept.capacity() <= KEPT_REUSED {
+            KEPT.set(self.kept);
+        }
+        Ranking { total: self.total, best, candidates }
     }
 }
 
 /// One ranked result as a [`Ranking`] keeps it, in 8 bytes: the slot of
-/// its document and its root. Within one corpus epoch a slot names one
-/// document, and the request's routes hold that document's [`DocId`].
+/// its document and its root. Among a ranking's candidates a slot names
+/// one document, and the request's routes hold that document's [`DocId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Hit {
     slot: u32,
@@ -332,13 +355,43 @@ fn slot_of(doc: DocId) -> u32 {
     u32::try_from(doc.index()).unwrap_or(u32::MAX)
 }
 
-/// A query's ranking over one corpus epoch: the exact number of results,
-/// and the best of them in ranking order (score descending, then document,
-/// then root) — every one, or a prefix as deep as some window asked.
+/// The routed candidate in `hit`'s slot. Every hit of a ranking served to
+/// `docs` names one — a patched ranking holds no hit of a document the
+/// routes lack — so a hit without one is a bug, which a debug build stops
+/// at rather than serve a short page.
+fn routed(hit: &Hit, docs: &[DocId]) -> Option<DocId> {
+    let row = docs.binary_search_by_key(&hit.slot, |&doc| slot_of(doc));
+    debug_assert!(row.is_ok(), "ranked slot {} is not a routed candidate", hit.slot);
+    docs.get(row.ok()?).copied()
+}
+
+/// One candidate document of a ranking, and how many results it holds.
+type Candidate = (DocId, u32);
+
+/// A count of results as a [`Candidate`] keeps it: a document holds fewer
+/// results than nodes, and its nodes are `u32`s.
+fn count_of(results: usize) -> u32 {
+    u32::try_from(results).unwrap_or(u32::MAX)
+}
+
+/// A result's place in ranking order among one snapshot's candidates: its
+/// score's [`descending_bits`], then its slot, then its root.
+type Place = (u64, u32, NodeId);
+
+/// A query's ranking over one set of candidate documents: the exact number
+/// of results, the best of them in ranking order (score descending, then
+/// document, then root) — every one, or a prefix as deep as some window
+/// asked — and the candidates it ranked. A result depends on its document
+/// alone, and a [`DocId`] pins a document's bytes, so the ranking is exact
+/// for any snapshot that routes the query to the same candidates, and
+/// [`QuerySession::patch`] makes it exact for one that routes elsewhere.
 #[derive(Debug, Clone)]
 struct Ranking {
     total: usize,
     best: Arc<[Hit]>,
+    /// Every candidate ranked, in `DocId` order, with its result count —
+    /// the ones that hold none included.
+    candidates: Arc<[Candidate]>,
 }
 
 impl Ranking {
@@ -355,16 +408,6 @@ impl Ranking {
     }
 }
 
-/// Ranking-cache key: a ranking depends on the query and the corpus, not
-/// on the snippet config or the window.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct RankingKey {
-    /// Normalized query.
-    query: QueryText,
-    /// Corpus epoch the ranking was computed against.
-    epoch: u64,
-}
-
 /// The shareable cache state of one serving lineage: result pages,
 /// query rankings and per-result snippets. A standalone [`QuerySession`]
 /// owns a private bundle; live serving keeps one bundle alive across the
@@ -377,12 +420,16 @@ pub struct SessionCaches {
     /// value is the answer itself — the served slice, the full result
     /// count, and the slice's rendered bytes once `/search` has served it.
     corpus_pages: Mutex<LruCache<PageKey, CorpusTopK>>,
-    /// Each query's ranking at an epoch, as deep as the deepest window
-    /// that ranked it: every window of the query is a slice of it.
-    rankings: Mutex<LruCache<RankingKey, Ranking>>,
+    /// Each normalized query's latest ranking, as deep as the deepest
+    /// window that ranked it, with the candidates it ranked: every window
+    /// of the query is a slice of it once it is patched to the request's
+    /// routes.
+    rankings: Mutex<LruCache<QueryText, Ranking>>,
     /// Lookups that found their query's ranking too shallow for the
     /// window — hits to the map, misses to the window, which ranks again.
     shallow_rankings: AtomicU64,
+    /// Lookups served from a ranking patched to other candidates — hits.
+    patched_rankings: AtomicU64,
     /// Each snippet's compact XML, shared with the pages showing it.
     snippets: Mutex<LruCache<CacheKey, Arc<str>>>,
 }
@@ -397,36 +444,28 @@ impl SessionCaches {
             corpus_pages: Mutex::new(LruCache::new(cache_capacity.min(PAGE_CAPACITY))),
             rankings: Mutex::new(LruCache::new(cache_capacity.min(RANKINGS))),
             shallow_rankings: AtomicU64::new(0),
+            patched_rankings: AtomicU64::new(0),
             snippets: Mutex::new(LruCache::new(cache_capacity)),
         }
     }
 
-    /// Drop every cached snippet of `doc` — result pages and rankings are
-    /// left to the epoch key, and the document's engine goes with the
-    /// last snapshot holding it. Invalidation hygiene for a dead document
-    /// generation: the generational keys already guarantee its bytes can't
-    /// be served, this frees their memory eagerly.
+    /// Drop every cached snippet of `doc` — result pages are left to the
+    /// epoch key, rankings to the candidate check that patches them, and
+    /// the document's engine goes with the last snapshot holding it.
+    /// Invalidation hygiene for a dead document generation: the
+    /// generational keys already guarantee its bytes can't be served, this
+    /// frees their memory eagerly.
     pub fn invalidate_doc(&self, doc: DocId) {
         purge(&self.snippets, |k| k.doc() != doc);
     }
 
-    /// Drop result pages and rankings computed before `epoch` (their keys
-    /// can never match again once the corpus moved on — this reclaims the
-    /// memory instead of waiting for LRU pressure).
+    /// Drop result pages computed before `epoch` (their keys can never
+    /// match again once the corpus moved on — this reclaims the memory
+    /// instead of waiting for LRU pressure). Rankings stay: the request
+    /// that reads one checks it against its own routes and patches it
+    /// there, so only their LRU bounds them.
     pub fn retire_pages_before(&self, epoch: u64) {
         purge(&self.corpus_pages, |k| k.epoch() >= epoch);
-        purge(&self.rankings, |k| k.epoch >= epoch);
-    }
-
-    /// The ranking of `key` if one is cached whose prefix holds the
-    /// `[offset, offset + k)` window; a too-shallow one counts as a miss.
-    fn cached_ranking(&self, key: &RankingKey, offset: usize, k: usize) -> Option<Ranking> {
-        let ranking = lock_unpoisoned(&self.rankings).get(key)?;
-        if ranking.window(offset, k).is_none() {
-            self.shallow_rankings.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(ranking)
     }
 
     /// Corpus page-cache counters since the bundle was created.
@@ -435,7 +474,8 @@ impl SessionCaches {
     }
 
     /// Ranking-cache counters since the bundle was created: a lookup that
-    /// found its query's ranking too shallow for its window is a miss.
+    /// found its query's ranking too shallow for its window is a miss, one
+    /// served from a patched ranking a hit.
     pub fn ranking_stats(&self) -> CacheStats {
         let stats = lock_unpoisoned(&self.rankings).stats();
         let shallow = self.shallow_rankings.load(Ordering::Relaxed);
@@ -444,6 +484,13 @@ impl SessionCaches {
             misses: stats.misses + shallow,
             evictions: stats.evictions,
         }
+    }
+
+    /// Ranking-cache lookups since the bundle was created that were served
+    /// from a ranking patched to the request's candidates (a subset of the
+    /// hits of [`SessionCaches::ranking_stats`]).
+    pub fn ranking_patches(&self) -> u64 {
+        self.patched_rankings.load(Ordering::Relaxed)
     }
 
     /// Per-result snippet-cache counters since the bundle was created.
@@ -556,27 +603,161 @@ impl<'d> QuerySession<'d> {
 
     /// Search + rank: score every result root of every candidate document
     /// by counting, and keep the best `keep` of them in ranking order.
-    /// Returns them and how many results there are in all, as a
-    /// [`Ranking`]. Nothing is built for any result here: a result is a
-    /// key in a buffer of at most `2 · keep` ([`Window`]) or, once it cannot
-    /// make the prefix, only a count. Each candidate's posting lists go
-    /// into the request's `lists`; the buffers SLCA, entity lifting and the
-    /// scoring sweep work in are shared by every candidate.
+    /// Returns them, how many results there are in all and how many each
+    /// candidate holds, as a [`Ranking`]. Nothing is built for any result
+    /// here: a result is a key in a buffer of at most `2 · keep`
+    /// ([`Window`]) or, once it cannot make the prefix, only a count. Each
+    /// candidate's posting lists go into the request's `lists`; the buffers
+    /// SLCA, entity lifting and the scoring sweep work in are shared by
+    /// every candidate.
     fn search(&self, routes: &Routes, lists: &mut Vec<&'d [NodeId]>, keep: usize) -> Ranking {
         let mut window = Window::new(keep);
         let mut buffers = ROOTS.take();
-        for (doc, ids) in routes.iter() {
-            self.lists_of(doc, ids, lists);
-            let emit = |root, score| window.offer(doc, score, root);
-            let (document, model) = (self.corpus.doc(doc), self.corpus.engine(doc).model());
-            ranking::scored_roots(document, model, lists, &mut buffers, emit);
-        }
+        let candidates = routes
+            .iter()
+            .map(|(doc, ids)| {
+                let before = window.total;
+                self.lists_of(doc, ids, lists);
+                let emit = |root, score| window.offer(doc, score, root);
+                let (document, model) = (self.corpus.doc(doc), self.corpus.engine(doc).model());
+                ranking::scored_roots(document, model, lists, &mut buffers, emit);
+                (doc, count_of(window.total - before))
+            })
+            .collect();
         ROOTS.set(buffers);
-        window.finish()
+        window.finish(candidates)
+    }
+
+    /// `hit`'s place in ranking order over the routed candidates, its score
+    /// recounted over its posting lists ([`ranking::score_root`], equal to
+    /// the sweep's to the bit).
+    fn place_of(&self, hit: &Hit, routes: &Routes, lists: &mut Vec<&'d [NodeId]>) -> Option<Place> {
+        let doc = routed(hit, routes.docs())?;
+        self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
+        let score = ranking::score_root(self.corpus.doc(doc), lists, hit.root);
+        Some((descending_bits(score), hit.slot, hit.root))
+    }
+
+    /// `ranking` made exact for this snapshot's `routes`, or `None` when it
+    /// already is: it ranked these very candidates. A result depends on
+    /// its document alone and a [`DocId`] pins a document, so the two
+    /// candidate lists differ by exactly the documents whose results
+    /// differ — between any two snapshots, older or newer:
+    ///
+    /// - a ranked candidate the routes lack (deleted, or an update's old
+    ///   generation) leaves: its results drop out of the prefix and its
+    ///   count out of the total, and what remains is an exact prefix of
+    ///   the rest;
+    /// - a routed candidate the ranking lacks (new, or the new generation
+    ///   in a reused slot) is ranked alone and merged in by (score, slot,
+    ///   root) — all its results when the prefix is the whole ranking,
+    ///   else only those above the prefix's last entry: below it, results
+    ///   the prefix never held may rank in between.
+    ///
+    /// Removal runs first, so a reused slot's old results never meet its
+    /// new ones.
+    fn patch(
+        &self,
+        ranking: &Ranking,
+        routes: &Routes,
+        lists: &mut Vec<&'d [NodeId]>,
+    ) -> Option<Ranking> {
+        let (ranked, docs) = (&*ranking.candidates, routes.docs());
+        if ranked.iter().map(|&(doc, _)| doc).eq(docs.iter().copied()) {
+            return None;
+        }
+        let mut gone = Vec::new();
+        let mut total = ranking.total;
+        for &(doc, count) in ranked.iter().filter(|(doc, _)| docs.binary_search(doc).is_err()) {
+            gone.push(slot_of(doc));
+            total = total.saturating_sub(usize::try_from(count).unwrap_or(usize::MAX));
+        }
+        let held = || ranking.best.iter().filter(|hit| !gone.contains(&hit.slot));
+        let kept = held().count();
+        let whole = kept == total;
+        let mut fresh: Vec<(Place, Hit)> = Vec::new();
+        let mut buffers = ROOTS.take();
+        let candidates: Arc<[Candidate]> = routes
+            .iter()
+            .map(|(doc, ids)| match ranked.binary_search_by_key(&doc, |&(was, _)| was) {
+                Ok(row) => ranked.get(row).copied().unwrap_or((doc, 0)),
+                Err(_) => {
+                    let (before, slot) = (fresh.len(), slot_of(doc));
+                    self.lists_of(doc, ids, lists);
+                    let emit = |root, score| {
+                        fresh.push(((descending_bits(score), slot, root), Hit { slot, root }));
+                    };
+                    let (document, model) = (self.corpus.doc(doc), self.corpus.engine(doc).model());
+                    ranking::scored_roots(document, model, lists, &mut buffers, emit);
+                    (doc, count_of(fresh.len() - before))
+                }
+            })
+            .collect();
+        ROOTS.set(buffers);
+        total += fresh.len();
+        fresh.sort_unstable_by_key(|&(place, _)| place);
+        if !whole {
+            let last = held().next_back().and_then(|hit| self.place_of(hit, routes, lists));
+            fresh.retain(|&(place, _)| last.is_some_and(|last| place < last));
+        }
+        let mut best = Vec::with_capacity(kept + fresh.len());
+        let mut fresh = fresh.into_iter().peekable();
+        let mut held = held();
+        while fresh.peek().is_some() {
+            let Some(hit) = held.next() else { break };
+            let place = self.place_of(hit, routes, lists);
+            while let Some((_, above)) = fresh.next_if(|&(at, _)| Some(at) < place) {
+                best.push(above);
+            }
+            best.push(*hit);
+        }
+        best.extend(fresh.map(|(_, hit)| hit));
+        best.extend(held);
+        Some(Ranking { total, best: best.into(), candidates })
+    }
+
+    /// The query's ranking over this snapshot, deep enough for the
+    /// `[offset, offset + k)` window. With result caching on (`text` is the
+    /// request's normalized query then) it is the cached one when that one
+    /// ranked the routed candidates — patched to them when it ranked
+    /// others ([`QuerySession::patch`]), and stored so patched — if its
+    /// prefix holds the window; else the window ranks here, `offset + k`
+    /// deep, and the cache keeps that ranking (up to [`MAX_RANKED`]
+    /// results). A too-shallow cached ranking counts as a miss.
+    fn ranking(
+        &self,
+        text: Option<&QueryText>,
+        routes: &Routes,
+        lists: &mut Vec<&'d [NodeId]>,
+        (offset, k): (usize, usize),
+    ) -> Ranking {
+        let caches = &self.caches;
+        let cached = text.and_then(|text| lock_unpoisoned(&caches.rankings).get(text));
+        if let Some((text, cached)) = text.zip(cached) {
+            let patched = self.patch(&cached, routes, lists);
+            match patched {
+                Some(patched) if patched.window(offset, k).is_some() => {
+                    caches.patched_rankings.fetch_add(1, Ordering::Relaxed);
+                    if patched.best.len() <= MAX_RANKED {
+                        store(&caches.rankings, text.clone(), patched.clone());
+                    }
+                    return patched;
+                }
+                None if cached.window(offset, k).is_some() => return cached,
+                _ => {
+                    caches.shallow_rankings.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let ranked = self.search(routes, lists, offset.saturating_add(k));
+        if let Some(text) = text.filter(|_| ranked.best.len() <= MAX_RANKED) {
+            store(&caches.rankings, text.clone(), ranked.clone());
+        }
+        ranked
     }
 
     /// The served window's answers: each result's document from the
-    /// routes, its score recounted over its posting lists
+    /// routes ([`routed`]), its score recounted over its posting lists
     /// ([`ranking::score_root`], equal to the sweep's to the bit), and its
     /// snippet via the shared snippet cache when enabled (`text` is the
     /// request's normalized query then): one lock looks up every result of
@@ -595,14 +776,10 @@ impl<'d> QuerySession<'d> {
     ) -> Vec<CorpusAnswer> {
         // Each result's document, root and score and, in its last field,
         // first the cached bytes the lookup found, then — once the window
-        // has taken those — the bytes a miss computed, to be stored. Within
-        // the epoch a slot names one candidate, and candidates come in
-        // `DocId` (slot, then generation) order.
-        let docs = routes.docs();
+        // has taken those — the bytes a miss computed, to be stored.
         let mut served = Vec::with_capacity(hits.len());
         served.extend(hits.iter().filter_map(|hit| {
-            let row = docs.binary_search_by_key(&hit.slot, |&doc| slot_of(doc)).ok()?;
-            let doc = *docs.get(row)?;
+            let doc = routed(hit, routes.docs())?;
             self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
             let score = ranking::score_root(self.corpus.doc(doc), lists, hit.root);
             Some((doc, hit.root, score, None::<Arc<str>>))
@@ -655,12 +832,13 @@ impl<'d> QuerySession<'d> {
     /// and ranking are cheap next to per-result IList + instance
     /// selection, which this makes proportional to the page size.
     ///
-    /// Every window is a slice of the query's ranking: one the ranking
-    /// cache holds for this epoch when its prefix reaches the window, or
-    /// else one ranked `offset + k` deep here, which the cache then keeps
-    /// (up to [`MAX_RANKED`] results) — so the windows of one query share
-    /// one search. Routing runs either way: the snippet kernel reads the
-    /// candidates' posting lists.
+    /// Every window is a slice of the query's ranking: the one the ranking
+    /// cache holds, checked against this snapshot's candidates and patched
+    /// where a mutation changed them, when its prefix reaches the window,
+    /// or else one ranked `offset + k` deep here, which the cache then
+    /// keeps (up to [`MAX_RANKED`] results) — so the windows of one query
+    /// share one search, across mutations too. Routing runs either way:
+    /// the candidate check and the snippet kernel need it.
     ///
     /// The window is byte-identical to the same slice of the unbounded
     /// answer (`k = usize::MAX`, `offset = 0`), and that answer to each
@@ -679,10 +857,9 @@ impl<'d> QuerySession<'d> {
     ) -> CorpusTopK {
         let query = KeywordQuery::parse(query_str);
         let text = self.query_text(&query);
-        let epoch = self.corpus.epoch();
         let pkey = text
             .as_ref()
-            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(epoch));
+            .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(self.corpus.epoch()));
         if let Some(pkey) = &pkey {
             if let Some(page) = lock_unpoisoned(&self.caches.corpus_pages).get(pkey) {
                 return page;
@@ -696,19 +873,11 @@ impl<'d> QuerySession<'d> {
         // Routing resolves each keyword once, here: every candidate comes
         // with the keywords' token ids in its segment, by which search and
         // the snippet kernel read its posting lists into `lists`.
-        let rkey = text.as_ref().map(|text| RankingKey { query: text.clone(), epoch });
         let mut routes = ROUTES.take();
         let mut lists = Vec::new();
         let ranking = extract_obs::time_stage(extract_obs::Stage::Search, || {
             self.corpus.route(query.keywords(), &mut routes);
-            let cached = rkey.as_ref().and_then(|rkey| self.caches.cached_ranking(rkey, offset, k));
-            cached.unwrap_or_else(|| {
-                let ranked = self.search(&routes, &mut lists, offset.saturating_add(k));
-                if let Some(rkey) = rkey.filter(|_| ranked.best.len() <= MAX_RANKED) {
-                    store(&self.caches.rankings, rkey, ranked.clone());
-                }
-                ranked
-            })
+            self.ranking(text.as_ref(), &routes, &mut lists, (offset, k))
         });
         // Stage 2 — snippets for the served window only (the `snippet`
         // span).
@@ -1202,7 +1371,7 @@ mod tests {
             for &(doc, score, root) in &offers {
                 window.offer(doc, score, root);
             }
-            let ranking = window.finish();
+            let ranking = window.finish(Arc::default());
             assert_eq!(ranking.total, offers.len());
             ranking
         };
@@ -1251,6 +1420,16 @@ mod tests {
         let mut window = Window::new(10);
         window.offer(DocId::from_index(1), 1.0, NodeId::from_index(3));
         window.offer(DocId::from_index(0), 1.0, NodeId::from_index(5));
+    }
+
+    /// A served hit names a routed candidate; one that does not would
+    /// serve a short page — what a wrong patch looks like — so a debug
+    /// build stops there.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ranked slot 1 is not a routed candidate")]
+    fn a_hit_outside_the_routes_stops_a_debug_build() {
+        routed(&Hit::new(DocId::from_index(1), NodeId::from_index(0)), &[DocId::from_index(0)]);
     }
 
     #[test]
@@ -1484,6 +1663,136 @@ mod tests {
         for (a, b) in fresh.results.iter().zip(again.results.iter()) {
             assert!(Arc::ptr_eq(&a.snippet, &b.snippet), "served from the stored bytes");
         }
+    }
+
+    // ---- Rankings across mutations ----------------------------------------
+
+    /// The retailer database of the window oracles as XML: ingested under
+    /// several names, its results tie across documents.
+    fn twin_xml(seed: u64) -> String {
+        RetailerConfig { retailers: 3, seed, ..Default::default() }.generate().to_xml_string()
+    }
+
+    /// A live corpus of `names`, each the seed-`0xA` twin.
+    fn live_twins(names: &[&str]) -> extract_corpus::LiveCorpus {
+        let live = extract_corpus::LiveCorpus::from_corpus(CorpusBuilder::new().finish());
+        for name in names {
+            live.ingest(name, &twin_xml(0xA)).expect("the twin parses");
+        }
+        live
+    }
+
+    /// `session`'s `[offset, offset + k)` window of "store texas", checked
+    /// result for result (scores to the bit, snippet bytes) and total
+    /// against a cache-less session over the same snapshot.
+    fn checked(session: &QuerySession<'_>, k: usize, offset: usize) -> CorpusTopK {
+        let config = ExtractConfig::with_bound(8);
+        let page = session.answer_corpus_topk("store texas", &config, k, offset);
+        let uncached = Arc::new(SessionCaches::new(0));
+        let reference = QuerySession::for_snapshot(session.corpus(), 1, uncached);
+        let want = reference.answer_corpus_topk("store texas", &config, k, offset);
+        assert_eq!(page.total, want.total, "k={k} offset={offset}");
+        assert_eq!(rows(&page.results), rows(&want.results), "k={k} offset={offset}");
+        page
+    }
+
+    /// The ranking cache's hits, misses and patches.
+    fn ranking_counts(caches: &SessionCaches) -> (u64, u64, u64) {
+        let stats = caches.ranking_stats();
+        (stats.hits, stats.misses, caches.ranking_patches())
+    }
+
+    /// A delete of a candidate whose results sat in the prefix: they leave
+    /// it, the rest is still the exact prefix of the new ranking and
+    /// serves what it holds, and a window it no longer reaches ranks again.
+    #[test]
+    fn a_deleted_candidate_leaves_an_exact_prefix() {
+        let live = live_twins(&["twin-a", "twin-b", "twin-c"]);
+        let caches = Arc::new(SessionCaches::new(128));
+        let before = live.snapshot();
+        let ranked = checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), 3, 0);
+        let docs: Vec<&str> = ranked.results.iter().map(|a| before.name(a.doc)).collect();
+        assert_eq!(docs, ["twin-a", "twin-b", "twin-c"], "the prefix ties across documents");
+        assert_eq!(ranking_counts(&caches), (0, 1, 0));
+
+        live.delete("twin-a").expect("a live document");
+        let after = live.snapshot();
+        let session = QuerySession::for_snapshot(&after, 1, Arc::clone(&caches));
+        let page = checked(&session, 2, 0);
+        assert_eq!(page.total, ranked.total / 3 * 2, "the total lost twin-a's results");
+        assert_eq!(ranking_counts(&caches), (1, 1, 1), "served from the patched prefix");
+        checked(&session, 1, 1);
+        assert_eq!(ranking_counts(&caches), (2, 1, 1), "the patched ranking was stored");
+        checked(&session, 3, 0);
+        assert_eq!(ranking_counts(&caches), (2, 2, 1), "two deep: the third ranks again");
+    }
+
+    /// A delete, then an ingest into the freed slot: the slot's old
+    /// generation leaves the ranking before its new one is merged in, so no
+    /// window mixes the two — whole rankings and partial ones alike.
+    #[test]
+    fn a_reused_slot_leaves_before_it_is_merged_in() {
+        for (ranked_k, asked) in [(usize::MAX, (5, 2)), (4, (2, 1))] {
+            let live = live_twins(&["twin-a", "twin-b", "twin-c"]);
+            let caches = Arc::new(SessionCaches::new(128));
+            let before = live.snapshot();
+            checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), ranked_k, 0);
+
+            live.delete("twin-a").expect("a live document");
+            let reborn = live.ingest("reborn", &twin_xml(0xB)).expect("the twin parses");
+            assert_eq!(reborn.id.index(), 0, "the freed slot is reused");
+            let after = live.snapshot();
+            let session = QuerySession::for_snapshot(&after, 1, Arc::clone(&caches));
+            checked(&session, asked.0, asked.1);
+            assert_eq!(ranking_counts(&caches), (1, 1, 1), "ranked {ranked_k} deep: a patch");
+            for (k, offset) in [(usize::MAX, 0), (3, 4), (1, 0)] {
+                checked(&session, k, offset);
+            }
+        }
+    }
+
+    /// An added document whose results rank below a partial prefix's last
+    /// entry: between the two, results the prefix never held may rank — here
+    /// the other twin's — so none of the new ones are kept; the prefix serves
+    /// what it holds, and a deeper window ranks again.
+    #[test]
+    fn an_added_document_below_a_partial_prefix_is_left_out() {
+        let live = live_twins(&["twin-a", "twin-b"]);
+        let caches = Arc::new(SessionCaches::new(128));
+        let before = live.snapshot();
+        let ranked = checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), 1, 0);
+
+        live.ingest("twin-c", &twin_xml(0xA)).expect("the twin parses");
+        let after = live.snapshot();
+        let session = QuerySession::for_snapshot(&after, 1, Arc::clone(&caches));
+        let page = checked(&session, 1, 0);
+        assert_eq!(page.total, ranked.total / 2 * 3, "the total gained twin-c's results");
+        assert_eq!(ranking_counts(&caches), (1, 1, 1), "served from the patched prefix");
+        let deeper = checked(&session, 2, 0);
+        let docs: Vec<&str> = deeper.results.iter().map(|a| after.name(a.doc)).collect();
+        assert_eq!(docs, ["twin-a", "twin-b"], "twin-b ranks between the prefix and twin-c");
+        assert_eq!(ranking_counts(&caches), (1, 2, 1), "the prefix was one deep: ranked again");
+    }
+
+    /// A ranking stored by a session on a newer snapshot serves a session
+    /// still pinned to an older one that snapshot's own results: the diff
+    /// runs in either direction.
+    #[test]
+    fn a_newer_ranking_serves_an_older_snapshot_its_own_results() {
+        let live = live_twins(&["twin-a", "twin-b", "twin-c"]);
+        let caches = Arc::new(SessionCaches::new(128));
+        let older = live.snapshot();
+        live.delete("twin-b").expect("a live document");
+        live.ingest("reborn", &twin_xml(0xB)).expect("the twin parses");
+        let newer = live.snapshot();
+        let new_session = QuerySession::for_snapshot(&newer, 1, Arc::clone(&caches));
+        let old_session = QuerySession::for_snapshot(&older, 1, Arc::clone(&caches));
+        checked(&new_session, usize::MAX, 0);
+        let old = checked(&old_session, 4, 1);
+        assert!(old.results.iter().any(|a| older.name(a.doc) == "twin-b"), "the old world's twin");
+        assert_eq!(ranking_counts(&caches), (1, 1, 1), "patched back to the older candidates");
+        checked(&new_session, 3, 2);
+        assert_eq!(ranking_counts(&caches), (2, 1, 2), "and forward again");
     }
 
     #[test]

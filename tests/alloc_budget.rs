@@ -10,7 +10,8 @@
 //!    corpus, and at most a third of what it cost while a cached snippet
 //!    was an owned IList, snippet and tree — each such miss ranks, once,
 //!    and a page miss served from its query's cached ranking pays for its
-//!    window alone;
+//!    window alone — and, when a mutation changed the query's candidates,
+//!    for ranking the one new document besides;
 //! 2. at a fixed window, a miss that ranks 13 177 results allocates no
 //!    more than one that ranks 176: the ranked `(doc, score, root)`
 //!    triples live in a buffer of at most twice the window, and SLCA, the
@@ -203,7 +204,9 @@ const ALLOCATIONS_PER_PARSE: u64 = 18;
 /// What a whole page miss at `k = 10` that ranks may allocate, the mean
 /// over [`ENTITY_QUERIES`]: 35 since the ranking it stores is one
 /// allocation of its own (34 since routing hands each candidate its token
-/// ids in buffers the worker keeps, 35 before). Each request still
+/// ids in buffers the worker keeps, 35 before). It measures 32 since the
+/// results a search keeps go into a buffer the worker keeps, the stored
+/// ranking's candidate list being one allocation more. Each request still
 /// allocates its routing's list of borrowed directory lists and its
 /// query's dedup set and flags.
 const ALLOCATIONS_PER_MISS: u64 = 35;
@@ -213,6 +216,12 @@ const ALLOCATIONS_PER_MISS: u64 = 35;
 /// and no ranking of its own — routing's per-request lists, the query, the
 /// served window and its ten snippets.
 const ALLOCATIONS_PER_RANKED_MISS: u64 = 24;
+
+/// What a page miss at `k = 10` served from a ranking patched to an ingest
+/// may allocate, the mean over [`ENTITY_QUERIES`]: what one that ranks may
+/// ([`ALLOCATIONS_PER_MISS`]) — it ranks one document instead of all, and
+/// stores the patched ranking instead of a fresh one.
+const ALLOCATIONS_PER_PATCHED_MISS: u64 = ALLOCATIONS_PER_MISS;
 
 /// What [`EngineParts::build`] of [`parsed_document`] allocated at commit
 /// ab95997, in a release build: index 5 503 (a `String` per token), entity
@@ -347,6 +356,35 @@ fn allocations_per_ranked_miss() -> u64 {
     total / queries
 }
 
+/// The mean allocations of a page miss at `k = 10` served from a ranking
+/// patched to an ingest, over [`ENTITY_QUERIES`]: the second page of each
+/// query ranks it 20 deep, a copy of the document of its best result is
+/// ingested under a new name, and then its first page on the new snapshot
+/// is a page miss that routes, finds the copy among the candidates, ranks
+/// it alone, merges it into the prefix and generates ten snippets.
+fn allocations_per_patched_miss() -> u64 {
+    let live = LiveCorpus::from_corpus(corpus());
+    let config = ExtractConfig::default();
+    let caches = warm_caches(&live.snapshot(), 4096, &config);
+    let mut total = 0;
+    for (i, q) in ENTITY_QUERIES.into_iter().enumerate() {
+        let ranked = live.snapshot();
+        let (second, _) = window(&ranked, &caches, &config, q, (PAGE, PAGE));
+        let copied = ranked.doc(second.results[0].doc).to_xml_string();
+        live.ingest(&format!("copy-{i}"), &copied).expect("a copy parses");
+        let (page, allocations) = miss(&live.snapshot(), &caches, &config, q, PAGE);
+        assert_eq!(page.results.len(), PAGE, "{q}: a full page");
+        println!("{q:20} serves 10 of {:6} results in {allocations} allocations", page.total);
+        total += allocations;
+    }
+    assert_eq!(caches.corpus_page_stats().hits, 0, "every request above was a page miss");
+    let (rankings, patches) = (caches.ranking_stats(), caches.ranking_patches());
+    let queries = ENTITY_QUERIES.len() as u64;
+    assert_eq!((rankings.misses, rankings.hits), (queries, queries), "{rankings:?}");
+    assert_eq!(patches, queries, "every first page was served from a patched ranking");
+    total / queries
+}
+
 #[test]
 fn a_miss_allocates_a_quarter_of_what_the_parent_did() {
     let per_miss = allocations_per_miss();
@@ -370,6 +408,15 @@ fn a_miss_served_from_a_cached_ranking_stays_within_its_pinned_budget() {
     let per_miss = allocations_per_ranked_miss();
     println!("allocations per ranked miss: {per_miss} (budget {ALLOCATIONS_PER_RANKED_MISS})");
     assert!(per_miss <= ALLOCATIONS_PER_RANKED_MISS, "{per_miss} allocations per ranked miss");
+}
+
+#[test]
+fn a_miss_served_from_a_patched_ranking_stays_within_its_pinned_budget() {
+    let per_miss = allocations_per_patched_miss();
+    println!(
+        "allocations per patched miss: {per_miss} (budget {ALLOCATIONS_PER_PATCHED_MISS})"
+    );
+    assert!(per_miss <= ALLOCATIONS_PER_PATCHED_MISS, "{per_miss} allocations per patched miss");
 }
 
 #[test]

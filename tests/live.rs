@@ -577,6 +577,10 @@ fn every_stats_server_key_has_its_metrics_family() {
         let entries = format!("extract_cache_entries{{cache=\"{cache}\"}} ");
         assert!(metrics.contains(&entries), "no {entries}:\n{metrics}");
     }
+    // The ranking cache also counts the hits it served patched.
+    assert!(stats.contains("\"entries\":0,\"patches\":0}"), "/stats patches: {stats}");
+    let patches = "extract_cache_events_total{cache=\"ranking_cache\",event=\"patch\"} 0\n";
+    assert!(metrics.contains(patches), "no {patches}:\n{metrics}");
     assert!(stats.contains("\"ranking_cache_results\":"), "{stats}");
     assert!(metrics.contains("\nextract_ranking_cache_results "), "{metrics}");
 }
