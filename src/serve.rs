@@ -86,9 +86,8 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
 
 /// The cache families of `/metrics`: hit/miss/eviction counters (and the
 /// ranking cache's patches) and entries per cache, the rendered `/search`
-/// bytes the corpus page cache
-/// holds, the snippet XML bytes the snippet cache holds and the ranked
-/// results the ranking cache holds.
+/// bytes the corpus page cache holds, the snippet XML bytes the snippet
+/// cache holds and the ranked results the ranking cache holds.
 pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     let counters = cache_counters(caches);
     w.help(
