@@ -1795,6 +1795,63 @@ mod tests {
         assert_eq!(ranking_counts(&caches), (2, 1, 2), "and forward again");
     }
 
+    /// `n` entities, each one result of "store texas" (and of "zz"), the
+    /// `i`-th with `i % 7` empty siblings: its score is one of seven, so a
+    /// ranking interleaves documents tier by tier.
+    fn entities_xml(n: usize) -> String {
+        let entity = |i| format!("<s><n>zz</n><m>store texas</m>{}</s>", "<x/>".repeat(i % 7));
+        format!("<r>{}</r>", (0..n).map(entity).collect::<String>())
+    }
+
+    /// A whole ranking patched past [`MAX_RANKED`] by an ingest is stored as
+    /// its first [`MAX_RANKED`] results: the page misses inside them patch
+    /// once in all, and every later one is a plain ranking hit.
+    #[test]
+    fn a_ranking_patched_past_the_cap_is_patched_once() {
+        let live = extract_corpus::LiveCorpus::from_corpus(CorpusBuilder::new().finish());
+        live.ingest("many-a", &entities_xml(520)).expect("the entities parse");
+        let caches = Arc::new(SessionCaches::new(128));
+        let before = live.snapshot();
+        let whole = checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), usize::MAX, 0);
+        assert_eq!(whole.total, 520);
+
+        live.ingest("many-b", &entities_xml(520)).expect("the entities parse");
+        let after = live.snapshot();
+        let session = QuerySession::for_snapshot(&after, 1, Arc::clone(&caches));
+        let windows = [(10, 0), (10, 10), (1, 1023), (24, 1000), (100, 500), (3, 7), (7, 3)];
+        for (k, offset) in windows {
+            assert_eq!(checked(&session, k, offset).total, 1040);
+        }
+        let misses = windows.len() as u64;
+        assert_eq!(ranking_counts(&caches), (misses, 1, 1), "one patch, then plain hits");
+    }
+
+    /// Windows at and past [`MAX_RANKED`] through one shared bundle — before
+    /// and after an ingest, and after a delete — each equal a cache-less
+    /// twin's: a ranking deeper than the cap is stored as an exact prefix,
+    /// and a window past that prefix ranks again.
+    #[test]
+    fn windows_across_the_cap_equal_a_cacheless_twin() {
+        let live = extract_corpus::LiveCorpus::from_corpus(CorpusBuilder::new().finish());
+        for name in ["many-a", "many-b"] {
+            live.ingest(name, &entities_xml(700)).expect("the entities parse");
+        }
+        let caches = Arc::new(SessionCaches::new(128));
+        let windows = [(10, 0), (10, 1000), (10, 1020), (10, 1030), (10, 2040), (usize::MAX, 0)];
+        let round = |live: &extract_corpus::LiveCorpus, total: usize| {
+            let snapshot = live.snapshot();
+            let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+            for (k, offset) in windows {
+                assert_eq!(checked(&session, k, offset).total, total, "k={k} offset={offset}");
+            }
+        };
+        round(&live, 1400);
+        live.ingest("many-c", &entities_xml(700)).expect("the entities parse");
+        round(&live, 2100);
+        live.delete("many-a").expect("a live document");
+        round(&live, 1400);
+    }
+
     #[test]
     fn retire_pages_before_drops_old_epoch_windows() {
         let corpus = small_corpus(); // epoch 0

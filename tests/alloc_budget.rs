@@ -456,6 +456,52 @@ fn ranking_more_results_allocates_no_more_at_a_fixed_window() {
     );
 }
 
+/// A document of `n` entities, each one result of "zz" with `pad` empty
+/// siblings beside its match: the more siblings, the lower its score.
+fn entities(n: usize, pad: usize) -> String {
+    let entity = format!("<s><n>zz</n>{}</s>", "<x/>".repeat(pad));
+    format!("<r>{}</r>", entity.repeat(n))
+}
+
+/// A page miss at `k = 10` served from a ranking of "zz" patched to an
+/// ingest of a document holding `added` results: the query is ranked whole
+/// over a 50-result document, the other document is ingested, and its first
+/// page is a page miss that ranks the added document alone and merges it
+/// below the held results. Returns the total and the miss's allocations.
+fn patched_miss_allocations(added: usize) -> (usize, u64) {
+    let live = LiveCorpus::from_corpus(CorpusBuilder::new().finish());
+    live.ingest("held", &entities(50, 0)).expect("the entities parse");
+    let config = ExtractConfig::default();
+    let caches = Arc::new(SessionCaches::new(4096));
+    window(&live.snapshot(), &caches, &config, "zz", (usize::MAX, 0));
+    live.ingest("added", &entities(added, 1)).expect("the entities parse");
+    let (page, allocations) = miss(&live.snapshot(), &caches, &config, "zz", PAGE);
+    assert_eq!(page.results.len(), PAGE, "a full page");
+    assert_eq!(caches.ranking_patches(), 1, "served from a patched ranking");
+    (page.total, allocations)
+}
+
+#[test]
+fn patching_in_more_results_allocates_no_more_at_a_fixed_window() {
+    let added = [100, 10_000];
+    // One round grows this thread's search, ranking and snippet buffers to
+    // both documents; the second is what a warm worker pays.
+    for n in added {
+        patched_miss_allocations(n);
+    }
+    let [(few, few_allocations), (most, most_allocations)] = added.map(|n| {
+        let (total, allocations) = patched_miss_allocations(n);
+        println!("patching in {n:6} results took {allocations} allocations");
+        (total, allocations)
+    });
+    assert_eq!((few, most), (150, 10_050));
+    assert!(
+        most_allocations <= few_allocations,
+        "patching to {most} results took {most_allocations} allocations, {few} took \
+         {few_allocations}"
+    );
+}
+
 #[test]
 fn a_snippet_is_a_bounded_number_of_allocations() {
     let corpus = corpus();
