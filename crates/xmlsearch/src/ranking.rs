@@ -81,24 +81,25 @@ pub fn score_root<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L], root: NodeId)
     )
 }
 
-/// The first position at or after `from` whose posting is not before
-/// `target` — `from` plus the [`slice::partition_point`] of the tail, found
-/// by galloping: look at the entry under the cursor, then at the 2nd, 4th,
-/// 8th, … from it until one reaches `target`, then binary-search the last
-/// step. A cursor that moves a short way pays for that distance, not for
-/// the list.
-fn gallop(list: &[NodeId], from: usize, target: NodeId) -> usize {
+/// The first position at or after `from` in a `list` sorted by `before`
+/// (true, then false) where `before` is false — `from` plus the
+/// [`slice::partition_point`] of the tail, found by galloping: test the
+/// entry under the cursor, then the 2nd, 4th, 8th, … from it until one
+/// fails, then binary-search the last step. A cursor that moves a short way
+/// pays for that distance, not for the list — which is also why a ranking
+/// patch places each added result in the held prefix with it.
+pub fn gallop<T>(list: &[T], from: usize, mut before: impl FnMut(&T) -> bool) -> usize {
     let tail = list.get(from..).unwrap_or_default();
-    if tail.first().is_none_or(|&n| n >= target) {
+    if !tail.first().is_some_and(&mut before) {
         return from;
     }
     let mut step = 2;
-    while tail.get(step - 1).is_some_and(|&n| n < target) {
+    while tail.get(step - 1).is_some_and(&mut before) {
         step *= 2;
     }
     let lo = step / 2;
     let probed = tail.get(lo..step.min(tail.len())).unwrap_or_default();
-    from + lo + probed.partition_point(|&n| n < target)
+    from + lo + probed.partition_point(before)
 }
 
 /// Score `roots` — disjoint and in document order — in one forward sweep
@@ -124,8 +125,8 @@ pub fn sweep_scores<L: AsRef<[NodeId]>>(
         let end = doc.subtree_end(root);
         let counts = lists.iter().zip(cursors.iter_mut()).map(|(list, at)| {
             let list = list.as_ref();
-            let start = gallop(list, *at, root);
-            *at = gallop(list, start, end);
+            let start = gallop(list, *at, |&n| n < root);
+            *at = gallop(list, start, |&n| n < end);
             *at - start
         });
         emit(root, score_counts(table, counts, doc.subtree_size(root)));

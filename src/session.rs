@@ -36,10 +36,10 @@
 //!    — routes, but skips SLCA, lifting and scoring over the documents its
 //!    ranking already holds. The routes are diffed against the stored
 //!    candidates: a document that left takes its results out of the prefix
-//!    and the total, and one that arrived is ranked alone and merged in, so
-//!    a mutation patches the rankings it touches instead of retiring them
-//!    all. A window deeper than the cached prefix ranks again and stores
-//!    the deeper prefix, up to `MAX_RANKED` results;
+//!    and the total, and one that arrived is ranked alone and merged in —
+//!    a search is that patch of the empty ranking. A window deeper than the
+//!    prefix ranks again, and what was ranked is stored as its first
+//!    `MAX_RANKED` results, an exact prefix still;
 //! 3. the per-result snippet cache (`query + (DocId, root) + config →`
 //!    the snippet's XML as an `Arc<str>`) catches queries whose page entry
 //!    was evicted and amortizes snippet generation across overlapping
@@ -108,6 +108,7 @@
 //! assert_eq!(corpus.name(page.results[0].doc), "texas");
 //! ```
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,7 +120,7 @@ use extract_core::{CacheStats, Extract, ExtractConfig};
 use extract_corpus::{Corpus, DocId, Routes};
 use extract_index::TokenId;
 use extract_obs::lock_unpoisoned;
-use extract_search::ranking;
+use extract_search::ranking::{self, gallop};
 use extract_search::xseek::RootsBuffers;
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
@@ -134,8 +135,8 @@ const PAGE_CAPACITY: usize = 128;
 /// rankings cost about what the page cache does.
 const RANKINGS: usize = 512;
 
-/// The deepest ranking the ranking cache stores: a window deeper than
-/// this ranks without storing what it ranked.
+/// The deepest ranking the ranking cache stores: a deeper one is stored as
+/// its first `MAX_RANKED` results, and a window past them ranks again.
 const MAX_RANKED: usize = 1024;
 
 /// One corpus result as `/search` serves it: which document and root it
@@ -247,6 +248,13 @@ struct Ranked {
     root: NodeId,
 }
 
+impl Ranked {
+    /// Its place in ranking order: its key's score bits, slot, root.
+    fn place(&self) -> (u64, u32, NodeId) {
+        ((self.key >> 64) as u64, slot_of(self.doc), self.root)
+    }
+}
+
 /// `score` as a `u64` that orders like [`ranking::by_score_desc`]:
 /// ascending key, descending score. A score is never negative (a sum of
 /// `ln(1 + n)` over a positive denominator), and non-negative `f64`s order
@@ -257,13 +265,14 @@ fn descending_bits(score: f64) -> u64 {
 }
 
 /// The best `keep` results offered so far, and how many were offered in
-/// all; [`Window::finish`] hands them over as a [`Ranking`] — score
+/// all; [`Window::best`] hands them over in ranking order — score
 /// descending, then document, then root. Offers go into a buffer of at
-/// most `2 · keep` results; when it fills, a `select_nth` cuts it back to
-/// the best `keep`, and the worst of those becomes the cut-off. A later
-/// offer that does not beat the cut-off cannot make the ranking's prefix
-/// and is only counted. `keep == 0` counts and keeps nothing; `keep ==
-/// usize::MAX` never fills, so it keeps everything.
+/// most `2 · keep` results, the thread's own ([`KEPT`]); when it fills, a
+/// `select_nth` cuts it back to the best `keep`, and the worst of those
+/// becomes the cut-off. A later offer that does not beat the cut-off
+/// cannot make the ranking's prefix and is only counted. `keep == 0`
+/// counts and keeps nothing; `keep == usize::MAX` never fills, so it keeps
+/// everything.
 struct Window {
     keep: usize,
     kept: Vec<Ranked>,
@@ -320,18 +329,23 @@ impl Window {
         }
     }
 
-    /// The best `keep` results, sorted, and the number of offers, as the
-    /// ranking of `candidates` — the documents that made the offers.
-    fn finish(mut self, candidates: Arc<[Candidate]>) -> Ranking {
+    /// The best `keep` results offered, in ranking order.
+    fn best(&mut self) -> &[Ranked] {
         if self.kept.len() > self.keep {
             self.cut();
         }
         self.kept.sort_unstable_by_key(|at| at.key);
-        let best = self.kept.iter().map(|at| Hit::new(at.doc, at.root)).collect();
-        if self.kept.capacity() <= KEPT_REUSED {
-            KEPT.set(self.kept);
+        &self.kept
+    }
+}
+
+impl Drop for Window {
+    /// Hand the buffer back to the thread, unless it grew past [`KEPT_REUSED`].
+    fn drop(&mut self) {
+        let kept = std::mem::take(&mut self.kept);
+        if kept.capacity() <= KEPT_REUSED {
+            KEPT.set(kept);
         }
-        Ranking { total: self.total, best, candidates }
     }
 }
 
@@ -374,18 +388,14 @@ fn count_of(results: usize) -> u32 {
     u32::try_from(results).unwrap_or(u32::MAX)
 }
 
-/// A result's place in ranking order among one snapshot's candidates: its
-/// score's [`descending_bits`], then its slot, then its root.
-type Place = (u64, u32, NodeId);
-
 /// A query's ranking over one set of candidate documents: the exact number
 /// of results, the best of them in ranking order (score descending, then
 /// document, then root) — every one, or a prefix as deep as some window
 /// asked — and the candidates it ranked. A result depends on its document
 /// alone, and a [`DocId`] pins a document's bytes, so the ranking is exact
 /// for any snapshot that routes the query to the same candidates, and
-/// [`QuerySession::patch`] makes it exact for one that routes elsewhere.
-#[derive(Debug, Clone)]
+/// [`QuerySession::rank`] makes it exact for one that routes elsewhere.
+#[derive(Debug, Clone, Default)]
 struct Ranking {
     total: usize,
     best: Arc<[Hit]>,
@@ -601,129 +611,105 @@ impl<'d> QuerySession<'d> {
         lists.extend(ids.iter().map(|&id| index.postings_by_id(id)));
     }
 
-    /// Search + rank: score every result root of every candidate document
-    /// by counting, and keep the best `keep` of them in ranking order.
-    /// Returns them, how many results there are in all and how many each
-    /// candidate holds, as a [`Ranking`]. Nothing is built for any result
-    /// here: a result is a key in a buffer of at most `2 · keep`
-    /// ([`Window`]) or, once it cannot make the prefix, only a count. Each
-    /// candidate's posting lists go into the request's `lists`; the buffers
-    /// SLCA, entity lifting and the scoring sweep work in are shared by
-    /// every candidate.
-    fn search(&self, routes: &Routes, lists: &mut Vec<&'d [NodeId]>, keep: usize) -> Ranking {
-        let mut window = Window::new(keep);
-        let mut buffers = ROOTS.take();
-        let candidates = routes
-            .iter()
-            .map(|(doc, ids)| {
-                let before = window.total;
-                self.lists_of(doc, ids, lists);
-                let emit = |root, score| window.offer(doc, score, root);
-                let (document, model) = (self.corpus.doc(doc), self.corpus.engine(doc).model());
-                ranking::scored_roots(document, model, lists, &mut buffers, emit);
-                (doc, count_of(window.total - before))
-            })
-            .collect();
-        ROOTS.set(buffers);
-        window.finish(candidates)
-    }
-
-    /// `hit`'s place in ranking order over the routed candidates, its score
-    /// recounted over its posting lists ([`ranking::score_root`], equal to
-    /// the sweep's to the bit).
-    fn place_of(&self, hit: &Hit, routes: &Routes, lists: &mut Vec<&'d [NodeId]>) -> Option<Place> {
-        let doc = routed(hit, routes.docs())?;
-        self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
-        let score = ranking::score_root(self.corpus.doc(doc), lists, hit.root);
-        Some((descending_bits(score), hit.slot, hit.root))
-    }
-
-    /// `ranking` made exact for this snapshot's `routes`, or `None` when it
-    /// already is: it ranked these very candidates. A result depends on
-    /// its document alone and a [`DocId`] pins a document, so the two
-    /// candidate lists differ by exactly the documents whose results
-    /// differ — between any two snapshots, older or newer:
-    ///
-    /// - a ranked candidate the routes lack (deleted, or an update's old
-    ///   generation) leaves: its results drop out of the prefix and its
-    ///   count out of the total, and what remains is an exact prefix of
-    ///   the rest;
-    /// - a routed candidate the ranking lacks (new, or the new generation
-    ///   in a reused slot) is ranked alone and merged in by (score, slot,
-    ///   root) — all its results when the prefix is the whole ranking,
-    ///   else only those above the prefix's last entry: below it, results
-    ///   the prefix never held may rank in between.
-    ///
-    /// Removal runs first, so a reused slot's old results never meet its
-    /// new ones.
-    fn patch(
+    /// `hit`'s routed document, and its score recounted over its posting
+    /// lists ([`ranking::score_root`], equal to the sweep's to the bit).
+    fn scored(
         &self,
-        ranking: &Ranking,
+        hit: &Hit,
         routes: &Routes,
         lists: &mut Vec<&'d [NodeId]>,
-    ) -> Option<Ranking> {
-        let (ranked, docs) = (&*ranking.candidates, routes.docs());
-        if ranked.iter().map(|&(doc, _)| doc).eq(docs.iter().copied()) {
-            return None;
-        }
+    ) -> Option<(DocId, f64)> {
+        let doc = routed(hit, routes.docs())?;
+        self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
+        Some((doc, ranking::score_root(self.corpus.doc(doc), lists, hit.root)))
+    }
+
+    /// `held` made exact for this snapshot's `routes`, at most `keep` deep;
+    /// a search ranks from the empty ranking. A result depends on its
+    /// document alone, so a held candidate the routes lack (deleted, or an
+    /// old generation) takes its results out of the prefix and the total —
+    /// first, so a reused slot's old results never meet its new ones — and a
+    /// routed one `held` lacks is ranked alone into a [`Window`] of `keep`,
+    /// whose best are merged into the prefix by (score, slot, root), each
+    /// placed by [`gallop`] on from the last. The merge is cut at `keep`
+    /// and, unless the prefix is the whole ranking, below its last entry:
+    /// results the prefix never held may rank in between.
+    fn rank(
+        &self,
+        held: &Ranking,
+        routes: &Routes,
+        lists: &mut Vec<&'d [NodeId]>,
+        keep: usize,
+    ) -> Ranking {
+        let (ranked, docs) = (&*held.candidates, routes.docs());
         let mut gone = Vec::new();
-        let mut total = ranking.total;
+        let mut total = held.total;
         for &(doc, count) in ranked.iter().filter(|(doc, _)| docs.binary_search(doc).is_err()) {
             gone.push(slot_of(doc));
             total = total.saturating_sub(usize::try_from(count).unwrap_or(usize::MAX));
         }
-        let held = || ranking.best.iter().filter(|hit| !gone.contains(&hit.slot));
-        let kept = held().count();
-        let whole = kept == total;
-        let mut fresh: Vec<(Place, Hit)> = Vec::new();
+        let survivors: Cow<'_, [Hit]> = if gone.is_empty() {
+            Cow::Borrowed(&held.best)
+        } else {
+            held.best.iter().filter(|hit| !gone.contains(&hit.slot)).copied().collect()
+        };
+        let whole = survivors.len() == total;
+        let mut window = Window::new(keep);
         let mut buffers = ROOTS.take();
-        let candidates: Arc<[Candidate]> = routes
+        let candidates = routes
             .iter()
             .map(|(doc, ids)| match ranked.binary_search_by_key(&doc, |&(was, _)| was) {
                 Ok(row) => ranked.get(row).copied().unwrap_or((doc, 0)),
                 Err(_) => {
-                    let (before, slot) = (fresh.len(), slot_of(doc));
+                    let before = window.total;
                     self.lists_of(doc, ids, lists);
-                    let emit = |root, score| {
-                        fresh.push(((descending_bits(score), slot, root), Hit { slot, root }));
-                    };
+                    let emit = |root, score| window.offer(doc, score, root);
                     let (document, model) = (self.corpus.doc(doc), self.corpus.engine(doc).model());
                     ranking::scored_roots(document, model, lists, &mut buffers, emit);
-                    (doc, count_of(fresh.len() - before))
+                    (doc, count_of(window.total - before))
                 }
             })
             .collect();
         ROOTS.set(buffers);
-        total += fresh.len();
-        fresh.sort_unstable_by_key(|&(place, _)| place);
+        total += window.total;
+        let mut place = |hit: &Hit| {
+            let (_, score) = self.scored(hit, routes, lists)?;
+            Some((descending_bits(score), hit.slot, hit.root))
+        };
+        let mut fresh = window.best();
         if !whole {
-            let last = held().next_back().and_then(|hit| self.place_of(hit, routes, lists));
-            fresh.retain(|&(place, _)| last.is_some_and(|last| place < last));
+            let last = survivors.last().and_then(&mut place);
+            let cut = fresh.partition_point(|at| last.is_some_and(|last| at.place() < last));
+            fresh = fresh.get(..cut).unwrap_or_default();
         }
-        let mut best = Vec::with_capacity(kept + fresh.len());
-        let mut fresh = fresh.into_iter().peekable();
-        let mut held = held();
-        while fresh.peek().is_some() {
-            let Some(hit) = held.next() else { break };
-            let place = self.place_of(hit, routes, lists);
-            while let Some((_, above)) = fresh.next_if(|&(at, _)| Some(at) < place) {
-                best.push(above);
-            }
-            best.push(*hit);
-        }
-        best.extend(fresh.map(|(_, hit)| hit));
-        best.extend(held);
-        Some(Ranking { total, best: best.into(), candidates })
+        let mut above = |hit: &Hit, at: &Ranked| place(hit).is_some_and(|place| place < at.place());
+        // A survivor past the end is never asked for (a slot no routes hold
+        // would stand in).
+        let len = (survivors.len() + fresh.len()).min(keep);
+        let (mut taken, mut fresh) = (0, fresh.iter().peekable());
+        let mut due = fresh.peek().map(|at| gallop(&survivors, 0, |hit| above(hit, at)));
+        let best = (0..len)
+            .map(|_| match fresh.next_if(|_| due == Some(taken)) {
+                Some(at) => {
+                    due = fresh.peek().map(|at| gallop(&survivors, taken, |hit| above(hit, at)));
+                    Hit::new(at.doc, at.root)
+                }
+                None => {
+                    taken += 1;
+                    let stand_in = Hit { slot: u32::MAX, root: NodeId::from_index(0) };
+                    survivors.get(taken - 1).copied().unwrap_or(stand_in)
+                }
+            })
+            .collect();
+        Ranking { total, best, candidates }
     }
 
-    /// The query's ranking over this snapshot, deep enough for the
-    /// `[offset, offset + k)` window. With result caching on (`text` is the
-    /// request's normalized query then) it is the cached one when that one
-    /// ranked the routed candidates — patched to them when it ranked
-    /// others ([`QuerySession::patch`]), and stored so patched — if its
-    /// prefix holds the window; else the window ranks here, `offset + k`
-    /// deep, and the cache keeps that ranking (up to [`MAX_RANKED`]
-    /// results). A too-shallow cached ranking counts as a miss.
+    /// The query's ranking over this snapshot, deep enough for the window:
+    /// with caching on (`text` is the request's query), the cached ranking
+    /// if it ranked the routed candidates and holds the window, else that
+    /// one patched ([`QuerySession::rank`], at least [`MAX_RANKED`] deep) if
+    /// that holds it, else the empty ranking ranked `offset + k` deep, which
+    /// counts as a miss. What was ranked is stored as its first [`MAX_RANKED`].
     fn ranking(
         &self,
         text: Option<&QueryText>,
@@ -732,26 +718,27 @@ impl<'d> QuerySession<'d> {
         (offset, k): (usize, usize),
     ) -> Ranking {
         let caches = &self.caches;
+        let end = offset.saturating_add(k);
         let cached = text.and_then(|text| lock_unpoisoned(&caches.rankings).get(text));
-        if let Some((text, cached)) = text.zip(cached) {
-            let patched = self.patch(&cached, routes, lists);
-            match patched {
-                Some(patched) if patched.window(offset, k).is_some() => {
-                    caches.patched_rankings.fetch_add(1, Ordering::Relaxed);
-                    if patched.best.len() <= MAX_RANKED {
-                        store(&caches.rankings, text.clone(), patched.clone());
-                    }
-                    return patched;
-                }
-                None if cached.window(offset, k).is_some() => return cached,
-                _ => {
-                    caches.shallow_rankings.fetch_add(1, Ordering::Relaxed);
-                }
+        let mut patched = None;
+        if let Some(cached) = cached {
+            if !cached.candidates.iter().map(|&(doc, _)| doc).eq(routes.docs().iter().copied()) {
+                let patch = self.rank(&cached, routes, lists, end.max(MAX_RANKED));
+                patched = Some(patch).filter(|patch| patch.window(offset, k).is_some());
+            } else if cached.window(offset, k).is_some() {
+                return cached;
             }
+            let counter = match patched {
+                Some(_) => &caches.patched_rankings,
+                None => &caches.shallow_rankings,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-        let ranked = self.search(routes, lists, offset.saturating_add(k));
-        if let Some(text) = text.filter(|_| ranked.best.len() <= MAX_RANKED) {
-            store(&caches.rankings, text.clone(), ranked.clone());
+        let ranked = patched.unwrap_or_else(|| self.rank(&Ranking::default(), routes, lists, end));
+        if let Some(text) = text {
+            let cut = ranked.best.get(..MAX_RANKED).filter(|cut| cut.len() < ranked.best.len());
+            let best = cut.map_or_else(|| Arc::clone(&ranked.best), Arc::from);
+            store(&caches.rankings, text.clone(), Ranking { best, ..ranked.clone() });
         }
         ranked
     }
@@ -779,9 +766,7 @@ impl<'d> QuerySession<'d> {
         // has taken those — the bytes a miss computed, to be stored.
         let mut served = Vec::with_capacity(hits.len());
         served.extend(hits.iter().filter_map(|hit| {
-            let doc = routed(hit, routes.docs())?;
-            self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
-            let score = ranking::score_root(self.corpus.doc(doc), lists, hit.root);
+            let (doc, score) = self.scored(hit, routes, lists)?;
             Some((doc, hit.root, score, None::<Arc<str>>))
         }));
         let key = |text: &QueryText, doc, root| CacheKey::for_doc(text, doc, root, config);
@@ -832,13 +817,12 @@ impl<'d> QuerySession<'d> {
     /// and ranking are cheap next to per-result IList + instance
     /// selection, which this makes proportional to the page size.
     ///
-    /// Every window is a slice of the query's ranking: the one the ranking
-    /// cache holds, checked against this snapshot's candidates and patched
-    /// where a mutation changed them, when its prefix reaches the window,
-    /// or else one ranked `offset + k` deep here, which the cache then
-    /// keeps (up to [`MAX_RANKED`] results) — so the windows of one query
-    /// share one search, across mutations too. Routing runs either way:
-    /// the candidate check and the snippet kernel need it.
+    /// Every window is a slice of the query's ranking: the cached one,
+    /// patched where a mutation changed its candidates, when its prefix
+    /// reaches the window, else one ranked `offset + k` deep here, which
+    /// the cache keeps ([`QuerySession::ranking`]) — so the windows of one
+    /// query share one search and one patch. Routing runs either way: the
+    /// candidate check and the snippet kernel need it.
     ///
     /// The window is byte-identical to the same slice of the unbounded
     /// answer (`k = usize::MAX`, `offset = 0`), and that answer to each
@@ -1371,7 +1355,8 @@ mod tests {
             for &(doc, score, root) in &offers {
                 window.offer(doc, score, root);
             }
-            let ranking = window.finish(Arc::default());
+            let best = window.best().iter().map(|at| Hit::new(at.doc, at.root)).collect();
+            let ranking = Ranking { total: window.total, best, candidates: Arc::default() };
             assert_eq!(ranking.total, offers.len());
             ranking
         };
@@ -1812,8 +1797,8 @@ mod tests {
         live.ingest("many-a", &entities_xml(520)).expect("the entities parse");
         let caches = Arc::new(SessionCaches::new(128));
         let before = live.snapshot();
-        let whole = checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), usize::MAX, 0);
-        assert_eq!(whole.total, 520);
+        let ranker = QuerySession::for_snapshot(&before, 1, Arc::clone(&caches));
+        assert_eq!(checked(&ranker, usize::MAX, 0).total, 520);
 
         live.ingest("many-b", &entities_xml(520)).expect("the entities parse");
         let after = live.snapshot();
