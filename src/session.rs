@@ -1811,6 +1811,34 @@ mod tests {
         assert_eq!(ranking_counts(&caches), (misses, 1, 1), "one patch, then plain hits");
     }
 
+    /// A patch that adds more results than it keeps is still an exact
+    /// prefix, `keep` deep: the results its window dropped rank below the
+    /// `keep`-th, and so do the held ones it cut. Every caller keeps at
+    /// least [`MAX_RANKED`], so only a direct call reaches the cut.
+    #[test]
+    fn a_patch_cut_at_keep_is_an_exact_prefix() {
+        let live = live_twins(&["twin-a"]);
+        let caches = Arc::new(SessionCaches::new(128));
+        let before = live.snapshot();
+        checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), usize::MAX, 0);
+        let query = KeywordQuery::parse("store texas");
+        let held = lock_unpoisoned(&caches.rankings).get(&QueryText::from(&query));
+        let held = held.expect("the whole ranking was stored");
+
+        live.ingest("twin-b", &twin_xml(0xA)).expect("the twin parses");
+        let after = live.snapshot();
+        let session = QuerySession::for_snapshot(&after, 1, Arc::new(SessionCaches::new(0)));
+        let whole = unbounded(&session, "store texas", &ExtractConfig::with_bound(8));
+        let want: Vec<Hit> = whole.iter().map(|a| Hit::new(a.doc, a.root)).collect();
+        let mut routes = Routes::default();
+        after.route(query.keywords(), &mut routes);
+        for keep in [0, 1, 2, 5, held.total, want.len() - 1, want.len(), usize::MAX] {
+            let ranked = session.rank(&held, &routes, &mut Vec::new(), keep);
+            assert_eq!(ranked.total, want.len(), "keep={keep}");
+            assert_eq!(*ranked.best, want[..keep.min(want.len())], "keep={keep}");
+        }
+    }
+
     /// Windows at and past [`MAX_RANKED`] through one shared bundle — before
     /// and after an ingest, and after a delete — each equal a cache-less
     /// twin's: a ranking deeper than the cap is stored as an exact prefix,
