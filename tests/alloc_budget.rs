@@ -53,6 +53,7 @@ use extract::core::ilist::IListScratch;
 use extract::core::EngineParts;
 use extract::corpus::Routes;
 use extract::prelude::*;
+use extract::serve::search_body;
 use extract::xml::SymbolTable;
 use extract::session::SessionCaches;
 use extract_datagen::corpus::CorpusConfig;
@@ -223,6 +224,14 @@ const ALLOCATIONS_PER_RANKED_MISS: u64 = 24;
 /// stores the patched ranking instead of a fresh one.
 const ALLOCATIONS_PER_PATCHED_MISS: u64 = ALLOCATIONS_PER_MISS;
 
+/// What a page miss at `k = 10` through [`search_body`] whose ranking and
+/// ten snippets are all cached may allocate, the mean over
+/// [`ENTITY_QUERIES`]: 18, what it measured while the snippet cache held
+/// snippet XML (routing's per-request lists, the query, the served window,
+/// the page, its rendered results and the body), in release and debug
+/// builds alike.
+const ALLOCATIONS_PER_CACHED_MISS: u64 = 18;
+
 /// What [`EngineParts::build`] of [`parsed_document`] allocated at commit
 /// ab95997, in a release build: index 5 503 (a `String` per token), entity
 /// model 1 136 and keys 1 148 (a hash map per element, per entity).
@@ -383,6 +392,48 @@ fn allocations_per_patched_miss() -> u64 {
     assert_eq!((rankings.misses, rankings.hits), (queries, queries), "{rankings:?}");
     assert_eq!(patches, queries, "every first page was served from a patched ranking");
     total / queries
+}
+
+/// The mean allocations of a `/search` body at `k = 10` that is a page miss
+/// whose ranking and ten snippets are all cached, over [`ENTITY_QUERIES`]:
+/// the first page of each query is served once, its page retired, and then
+/// served again — routing, the ranking lookup, ten snippet hits, the
+/// rendered results and the body.
+fn allocations_per_cached_miss() -> u64 {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let caches = warm_caches(&corpus, 4096, &config);
+    let body = |q: &str| {
+        allocations_of(|| {
+            let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
+            search_body(&session, &config, q, PAGE, 0)
+        })
+    };
+    let mut total = 0;
+    for q in ENTITY_QUERIES {
+        let (first, _) = body(q);
+        caches.retire_pages_before(1);
+        let snippets = caches.snippet_stats();
+        let (again, allocations) = body(q);
+        assert_eq!(again, first, "{q}: the same bytes");
+        let after = caches.snippet_stats();
+        assert_eq!(after.hits - snippets.hits, PAGE as u64, "{q}: ten snippet hits");
+        assert_eq!(after.misses, snippets.misses, "{q}: no snippet generated");
+        println!("{q:20} serves a cached page miss in {allocations} allocations");
+        total += allocations;
+    }
+    let queries = ENTITY_QUERIES.len() as u64;
+    assert_eq!(caches.corpus_page_stats().misses, 2 * queries, "every body was a page miss");
+    let rankings = caches.ranking_stats();
+    assert_eq!((rankings.misses, rankings.hits), (queries, queries), "{rankings:?}");
+    total / queries
+}
+
+#[test]
+fn a_cached_page_miss_stays_within_its_pinned_budget() {
+    let per_miss = allocations_per_cached_miss();
+    println!("allocations per cached miss: {per_miss} (budget {ALLOCATIONS_PER_CACHED_MISS})");
+    assert!(per_miss <= ALLOCATIONS_PER_CACHED_MISS, "{per_miss} allocations per cached miss");
 }
 
 #[test]

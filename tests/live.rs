@@ -211,6 +211,78 @@ proptest! {
     }
 }
 
+/// A page miss whose every snippet is cached serves what a cache-less twin
+/// renders: windows overlapping one already served, the same window once an
+/// unrelated ingest has retired its page, and a window after a delete and an
+/// ingest into the freed slot under another name, where each position's
+/// `doc` and `doc_id` move on while its result comes out of the cache.
+/// Every one of those windows is a page miss made of snippet hits alone.
+#[test]
+fn page_misses_made_of_cached_snippets_equal_a_cacheless_twin() {
+    let (cached, twin) = (live_app(12, 4096), live_app(12, 0));
+    let windows = |app: &LiveSearchApp| {
+        let stats = (app.caches().corpus_page_stats(), app.caches().snippet_stats());
+        (stats.0.misses, stats.0.hits, stats.1.misses, stats.1.hits)
+    };
+    // Each window: its body against the twin's, and the page and snippet
+    // lookups it added — one page miss, and `(snippet misses, snippet hits)`.
+    let check = |k: usize, offset: usize, snippets: (u64, u64)| {
+        let before = windows(&cached);
+        let got = search_bytes(&cached, "texas", k, offset);
+        assert_eq!(got, search_bytes(&twin, "texas", k, offset), "k={k} offset={offset}");
+        let after = windows(&cached);
+        let added = (after.0 - before.0, after.1 - before.1, after.2 - before.2, after.3 - before.3);
+        assert_eq!(added, (1, 0, snippets.0, snippets.1), "k={k} offset={offset}");
+        json::parse(&got).expect("JSON")
+    };
+    let docs = |page: &Value| -> Vec<(String, u64)> {
+        let results = page.get("results").and_then(Value::as_arr).expect("results");
+        let field = |r: &Value, key| r.get(key).cloned().expect("a result field");
+        results
+            .iter()
+            .map(|r| {
+                let doc = field(r, "doc").as_str().expect("a name").to_string();
+                (doc, field(r, "doc_id").as_u64().expect("an id"))
+            })
+            .collect()
+    };
+
+    // Overlapping windows: the first generates ten snippets, the later
+    // ones take theirs out of the snippet cache.
+    let first = check(10, 0, (10, 0));
+    assert_eq!(first.get("total").and_then(Value::as_u64), Some(12));
+    check(3, 0, (0, 3));
+    check(5, 5, (0, 5));
+
+    // An unrelated ingest moves the epoch and retires every page; the
+    // window is a page miss again, and every snippet is still cached.
+    let unrelated = b"<notes><note>elsewhere</note></notes>";
+    for app in [&cached, &twin] {
+        let ingest = request("POST", "/ingest", &[("name", "unrelated".to_string())], unrelated);
+        assert_eq!(app.handle(&ingest).status, 200);
+    }
+    let again = check(10, 0, (0, 10));
+    assert_eq!(docs(&again), docs(&first), "the same results after an unrelated ingest");
+
+    // A delete of doc-1, then an ingest of another name into its freed
+    // slot: positions 1.. now show the next documents, from the cache.
+    for app in [&cached, &twin] {
+        let delete = request("POST", "/delete", &[("doc", doc_name(1))], b"");
+        assert_eq!(app.handle(&delete).status, 200);
+        let ingest = request("POST", "/ingest", &[("name", "moved".to_string())], unrelated);
+        let reborn = app.handle(&ingest);
+        assert_eq!(reborn.status, 200);
+        let reborn = json::parse(std::str::from_utf8(&reborn.body).expect("utf-8")).expect("JSON");
+        assert_eq!(reborn.get("doc_id").and_then(Value::as_u64), Some(1), "the freed slot");
+    }
+    let moved = check(9, 0, (0, 9));
+    assert_eq!(moved.get("total").and_then(Value::as_u64), Some(11));
+    let want: Vec<(String, u64)> =
+        [0, 2, 3, 4, 5, 6, 7, 8, 9].map(|i| (doc_name(i), i as u64)).into();
+    assert_eq!(docs(&moved), want, "doc-1 left; the rest moved up a position");
+    check(3, 1, (0, 3));
+}
+
 /// No ranking crosses a mutation: rank a query over several windows, then
 /// delete a document it matched and ingest one it matches. Every window
 /// asked after that — the ones asked before and ones never asked — carries
