@@ -243,6 +243,22 @@ impl JsonWriter {
         self.buf.push_str(tail);
     }
 
+    /// Empty the writer for its next document, with room for `bytes` of
+    /// it: a writer reused a value at a time keeps the room its buffers
+    /// grew to, so it allocates only while its largest value grows.
+    pub fn reset(&mut self, bytes: usize) {
+        self.buf.clear();
+        self.buf.reserve(bytes);
+        self.has_elem.clear();
+        self.pending_key = false;
+    }
+
+    /// The document written so far — one complete value once every
+    /// container is closed.
+    pub fn as_str(&self) -> &str {
+        &self.buf
+    }
+
     /// The finished document.
     ///
     /// # Panics

@@ -27,16 +27,20 @@
 #                                       routing oracles at CI's case count
 #      PROPTEST_CASES=2048 cargo test --release -p extract --lib session::
 #      PROPTEST_CASES=2048 cargo test --release -p extract --test corpus
-#      PROPTEST_CASES=2048 cargo test --release -p extract --test live
+#      PROPTEST_CASES=2048 cargo test --release -p extract --test live --
 #          every_search_through_the_caches_equals_a_cacheless_twin
+#          miss_hit_and_uncached_bodies_are_byte_equal
+#          page_misses_made_of_cached_snippets_equal_a_cacheless_twin
 #                                     — the window oracles (the ranking
 #                                       prefix arithmetic saturates at
 #                                       usize::MAX), the corpus oracles
 #                                       (sessions on several threads over
-#                                       one cache bundle) and the caches
+#                                       one cache bundle), the caches
 #                                       against a cache-less twin across
 #                                       random mutations (the rankings
-#                                       patched to them) at CI's case count
+#                                       patched to them) and the joined
+#                                       result objects of page misses at
+#                                       CI's case count
 #      PROPTEST_CASES=32 cargo test --release --test router
 #                                     — router ≡ union daemon byte for
 #                                       byte (windows, ties, a delete) at
@@ -80,8 +84,10 @@ run env PROPTEST_CASES=2048 cargo test -q --offline --release \
     -p extract-xml -p extract-index -p extract-corpus
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --lib session::
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --test corpus
-run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --test live \
-    every_search_through_the_caches_equals_a_cacheless_twin
+run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --test live -- \
+    every_search_through_the_caches_equals_a_cacheless_twin \
+    miss_hit_and_uncached_bodies_are_byte_equal \
+    page_misses_made_of_cached_snippets_equal_a_cacheless_twin
 run env PROPTEST_CASES=32 cargo test -q --offline --release --test router
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo run --offline -q -p extract-xlint -- --deny-warnings

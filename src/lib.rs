@@ -89,7 +89,7 @@ pub mod serve;
 /// keep answering on their snapshot while the corpus changes underneath.
 pub mod live;
 
-pub use session::{CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, SessionCaches};
+pub use session::{CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, ResultObject, SessionCaches};
 
 /// The most common imports in one place.
 pub mod prelude {
@@ -102,5 +102,7 @@ pub mod prelude {
 
     pub use crate::live::LiveSearchApp;
     pub use crate::serve::SearchAppConfig;
-    pub use crate::session::{CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, SessionCaches};
+    pub use crate::session::{
+        CorpusAnswer, CorpusPage, CorpusTopK, QuerySession, ResultObject, SessionCaches,
+    };
 }

@@ -11,10 +11,14 @@
 //! panic. Every body — including every error — is JSON from the
 //! escape-correct writer, so clients can always parse what they get.
 
-use extract_corpus::Corpus;
+use std::cell::RefCell;
+use std::sync::Arc;
+
+use extract_corpus::DocId;
 use extract_core::{CacheStats, ExtractConfig};
 use extract_obs::{PromWriter, Stage};
 use extract_serve::JsonWriter;
+use extract_xml::NodeId;
 
 use crate::session::{CorpusTopK, QuerySession, SessionCaches};
 
@@ -56,8 +60,8 @@ fn cache_counters(caches: &SessionCaches) -> [CacheRow; 3] {
 /// The cache members of `/stats`' `session` object: per-cache counters
 /// and entries (and the ranking cache's `patches`, hits among its hits),
 /// then what the caches hold — rendered `/search` results in the page
-/// cache, snippet XML in the snippet cache, ranked results in the ranking
-/// cache.
+/// cache, rendered result objects in the snippet cache, ranked results in
+/// the ranking cache.
 pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
     for (name, stats, entries, patches) in cache_counters(caches) {
         w.key(name);
@@ -86,7 +90,7 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
 
 /// The cache families of `/metrics`: hit/miss/eviction counters (and the
 /// ranking cache's patches) and entries per cache, the rendered `/search`
-/// bytes the corpus page cache holds, the snippet XML bytes the snippet
+/// bytes the corpus page cache holds, the rendered result bytes the snippet
 /// cache holds and the ranked results the ranking cache holds.
 pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     let counters = cache_counters(caches);
@@ -125,7 +129,10 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
         &[],
         caches.corpus_page_body_bytes() as u64,
     );
-    w.help("extract_snippet_cache_bytes", "Snippet XML bytes held by the snippet cache.");
+    w.help(
+        "extract_snippet_cache_bytes",
+        "Rendered /search result object bytes held by the snippet cache.",
+    );
     w.type_("extract_snippet_cache_bytes", "gauge");
     w.sample_u64("extract_snippet_cache_bytes", &[], caches.snippet_cache_bytes() as u64);
     w.help("extract_ranking_cache_results", "Ranked results held by the ranking cache.");
@@ -138,9 +145,11 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
 /// router's merge path pins it): the daemon serves it, and tests call it
 /// for a pinned snapshot to know the expected bytes without a socket.
 ///
-/// The `results` array is the expensive part (ten snippets escaped into
-/// JSON), and it is a pure function of the page —
-/// so it is rendered once per page-cache entry and kept in the entry
+/// The `results` array is most of the body. Each result's object was
+/// written once, when its snippet was generated ([`result_object`]), and
+/// the snippet cache keeps it, so a page miss joins its results' objects
+/// and escapes nothing. The array is a pure function of the page, so it is
+/// joined once per page-cache entry and kept in the entry
 /// ([`CorpusTopK::rendered`]). A page hit splices those bytes behind the
 /// request's own header fields: the page key holds the *normalized*
 /// query while `"query"` echoes the *raw* one, so the echo is never
@@ -157,7 +166,7 @@ pub fn search_body(
     // recorded by the request that renders, so a page hit records none.
     let page = session.answer_corpus_topk(q, snippet, k, offset);
     let results = page.rendered.get_or_init(|| {
-        extract_obs::time_stage(Stage::Serialize, || render_results(&page, session.corpus()))
+        extract_obs::time_stage(Stage::Serialize, || render_results(&page))
     });
     let mut w = JsonWriter::with_capacity(HEADER_CAPACITY + q.len() + results.len());
     w.obj_begin();
@@ -182,37 +191,75 @@ pub fn search_body(
 /// sizing hint: the buffer grows if a body ever needs more).
 const HEADER_CAPACITY: usize = 128;
 
-/// Buffer room for what one result holds besides its document name and
-/// snippet — five keys, three numbers, punctuation (a sizing hint, like
-/// [`HEADER_CAPACITY`]).
+/// Room for what one result's object holds besides its document name and
+/// snippet — five keys, three numbers, punctuation — and a few escapes (a
+/// sizing hint, like [`HEADER_CAPACITY`]).
 const RESULT_CAPACITY: usize = 112;
 
-/// One page's `results` array, as JSON: each snippet's cached XML,
-/// escaped — into a buffer sized for it up front.
-fn render_results(page: &CorpusTopK, corpus: &Corpus) -> Box<str> {
-    let bytes: usize = page
-        .results
-        .iter()
-        .map(|answer| RESULT_CAPACITY + corpus.name(answer.doc).len() + answer.snippet.len())
-        .sum();
-    let mut w = JsonWriter::with_capacity(bytes + 2);
-    w.arr_begin();
-    for answer in page.results.iter() {
+/// The room a thread's result writer starts with: more than all but the
+/// rarest objects take (a snippet's XML averages ~150 bytes at the
+/// daemon's bound), so serving does not grow it a doubling at a time.
+const RESULT_ROOM: usize = 4096;
+
+thread_local! {
+    /// This thread's result writer: warm after its first snippet miss, so
+    /// writing a result's object allocates nothing but the object.
+    static RESULT: RefCell<JsonWriter> = RefCell::new(JsonWriter::with_capacity(RESULT_ROOM));
+}
+
+/// One result's object as `/search` serves it, `{"doc":…,"doc_id":…,
+/// "root":…,"score":…,"snippet":…}` — the one producer of a result's
+/// bytes, written into this thread's writer (a fresh one should it be in
+/// use — it does not re-enter, so it never is) and handed out as one
+/// allocation. Every byte is a function of the snippet cache's key: a
+/// [`DocId`] pins the name and the slot, and the score depends on the
+/// result's document alone — so the snippet cache keeps the object, and a
+/// page joins what it holds ([`render_results`]).
+pub(crate) fn result_object(
+    name: &str,
+    doc: DocId,
+    root: NodeId,
+    score: f64,
+    snippet: &str,
+) -> Arc<str> {
+    let write = |w: &mut JsonWriter| {
+        w.reset(RESULT_CAPACITY + name.len() + snippet.len());
         w.obj_begin();
         w.key("doc");
-        w.str(corpus.name(answer.doc));
+        w.str(name);
         w.key("doc_id");
-        w.num_u64(answer.doc.index() as u64);
+        w.num_u64(doc.index() as u64);
         w.key("root");
-        w.num_u64(answer.root.index() as u64);
+        w.num_u64(root.index() as u64);
         w.key("score");
-        w.num_f64(answer.score);
+        w.num_f64(score);
         w.key("snippet");
-        w.str(&answer.snippet);
+        w.str(snippet);
         w.obj_end();
+        Arc::from(w.as_str())
+    };
+    RESULT.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut writer) => write(&mut writer),
+        Err(_) => write(&mut JsonWriter::new()),
+    })
+}
+
+/// One page's `results` array, as JSON: its results' objects joined, into
+/// a buffer of their size.
+fn render_results(page: &CorpusTopK) -> Box<str> {
+    let objects = page.results.iter().map(|answer| answer.snippet.object());
+    let joined: usize = objects.clone().map(|object| object.len()).sum();
+    let commas = page.results.len().saturating_sub(1);
+    let mut out = String::with_capacity(joined + commas + 2);
+    out.push('[');
+    for (at, object) in objects.enumerate() {
+        if at > 0 {
+            out.push(',');
+        }
+        out.push_str(object);
     }
-    w.arr_end();
-    w.finish().into_boxed_str()
+    out.push(']');
+    out.into_boxed_str()
 }
 
 // The wire format's cases, driven the way the daemon serves them:
@@ -221,7 +268,7 @@ fn render_results(page: &CorpusTopK, corpus: &Corpus) -> Box<str> {
 mod tests {
     use super::*;
     use crate::live::LiveSearchApp;
-    use extract_corpus::{CorpusBuilder, LiveCorpus};
+    use extract_corpus::{Corpus, CorpusBuilder, LiveCorpus};
     use extract_serve::json::{self, Value};
     use extract_serve::Request;
 

@@ -26,7 +26,7 @@
 //!    [`CorpusTopK`]) makes a repeated hot query a single hash lookup
 //!    plus an `Arc` clone — routing, search, ranking and snippet
 //!    generation are all skipped. The entry also keeps the window's
-//!    `/search` rendering once it has been served, so a hit re-serves
+//!    `/search` results array once it has been served, so a hit re-serves
 //!    bytes;
 //! 2. a **ranking cache** (`normalized query →` the exact total, the
 //!    best-first prefix of results, 8 bytes each, and the candidate
@@ -41,12 +41,16 @@
 //!    prefix ranks again, and what was ranked is stored as its first
 //!    `MAX_RANKED` results, an exact prefix still;
 //! 3. the per-result snippet cache (`query + (DocId, root) + config →`
-//!    the snippet's XML as an `Arc<str>`) catches queries whose page entry
-//!    was evicted and amortizes snippet generation across overlapping
-//!    result sets — one shared cache serves every document of a corpus
-//!    thanks to the [`DocId`]-qualified keys. Corpus pages hold the same
-//!    `Arc`s, so a snippet's bytes exist once however many pages show
-//!    them.
+//!    the result's score and its `/search` object as an `Arc<str>`,
+//!    [`ResultObject`]) catches queries whose page entry was evicted and
+//!    amortizes snippet generation across overlapping result sets — one
+//!    shared cache serves every document of a corpus thanks to the
+//!    [`DocId`]-qualified keys. Every byte of the object is a function of
+//!    the key (a [`DocId`] pins the document's name and slot, a score
+//!    depends on its document alone), so it is written once, when the
+//!    kernel runs, and a page miss made of hits recounts no score, escapes
+//!    no byte and joins the objects. Corpus pages hold the same `Arc`s, so
+//!    a result's bytes exist once however many pages show them.
 //!
 //! They sit behind `Mutex`es held only to look up and to store: a miss
 //! takes the snippet cache's lock once to look up its whole window and
@@ -57,8 +61,8 @@
 //! Every cache is `O(1)` a lookup, insert or eviction
 //! ([`LruCache`]), and every key hashes the request's query text as the
 //! one keyed hash [`QueryText`] took when the request was parsed. A cached
-//! snippet is one allocation (its bytes), so freeing one that another
-//! worker built costs one cross-thread free. A miss's kernel borrows the
+//! snippet is one allocation (its object's bytes), so freeing one that
+//! another worker built costs one cross-thread free. A miss's kernel borrows the
 //! document's engine from the snapshot: it clones nothing.
 //!
 //! A miss pays for the window it serves, not for the results it ranks:
@@ -69,16 +73,19 @@
 //! over in document order with no sort), each result is ranked by one
 //! integer key — score, then offer order, which is (document, root) order
 //! — and the best `offset + k` are kept in a buffer of at most twice that
-//! size — any other result is only counted. Only those are sorted, and
-//! only the served `[offset, offset + k)` slice of them — ≤ `k` roots,
-//! their scores recounted ([`ranking::score_root`]) — ever reaches the
-//! snippet kernel. The kernel runs in
-//! this thread's [`IListScratch`](extract_core::ilist::IListScratch) —
-//! statistics, IList, selection and XML in one pass over reused buffers,
-//! reading each keyword's matches from the same posting lists — and what
-//! it leaves is the snippet's bytes
-//! ([`Extract::snippet_xml`](extract_core::Extract::snippet_xml)): no
-//! `QueryResult`, owned IList or snippet tree is built to serve a page.
+//! size — any other result is only counted (a window starting past the
+//! end keeps at most `MAX_RANKED`: it needs only the total). Only those
+//! are sorted, and only the served `[offset, offset + k)` slice of them —
+//! ≤ `k` roots — ever reaches the snippet cache, and only its misses, their
+//! scores recounted ([`ranking::score_root`]), the snippet kernel. The
+//! kernel runs in this thread's
+//! [`IListScratch`](extract_core::ilist::IListScratch) — statistics, IList,
+//! selection and XML in one pass over reused buffers, reading each
+//! keyword's matches from the same posting lists — and what it leaves is
+//! the snippet's bytes
+//! ([`Extract::snippet_xml`](extract_core::Extract::snippet_xml)), which
+//! go straight into the result's object: no `QueryResult`, owned IList or
+//! snippet tree is built to serve a page.
 //!
 //! All cache state lives in an [`SessionCaches`] bundle behind an `Arc`.
 //! A standalone session owns a private bundle; the live serving layer
@@ -125,6 +132,8 @@ use extract_search::xseek::RootsBuffers;
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
 
+use crate::serve;
+
 /// Page-cache capacity: whole result pages are bigger than single
 /// snippets, so the page cache keeps a smaller hot set than the snippet
 /// cache.
@@ -140,7 +149,8 @@ const RANKINGS: usize = 512;
 const MAX_RANKED: usize = 1024;
 
 /// One corpus result as `/search` serves it: which document and root it
-/// is, its ranking score, and its snippet's XML.
+/// is, its ranking score, and its snippet — rendered as the result's
+/// `/search` object.
 #[derive(Debug, Clone)]
 pub struct CorpusAnswer {
     /// The document the result root lives in.
@@ -150,11 +160,50 @@ pub struct CorpusAnswer {
     pub score: f64,
     /// The result root in `doc`.
     pub root: NodeId,
-    /// The snippet's compact XML — shared with the snippet-cache entry it
-    /// came from (or went into), so a snippet's bytes exist once however
-    /// many cached pages show them.
-    pub snippet: Arc<str>,
+    /// The result's `/search` object, which derefs to the snippet's
+    /// compact XML — shared with the snippet-cache entry it came from (or
+    /// went into), so a result's bytes exist once however many cached
+    /// pages show them.
+    pub snippet: ResultObject,
 }
+
+/// A result's `/search` object, `{"doc":…,"doc_id":…,"root":…,"score":…,
+/// "snippet":…}`, as the snippet cache holds it: written once, when the
+/// snippet kernel ran, and joined into every page that shows the result.
+/// It derefs to the snippet's compact XML, read back out of the object the
+/// first time it is asked for — serving never asks.
+#[derive(Debug, Clone)]
+pub struct ResultObject {
+    object: Arc<str>,
+    xml: OnceLock<Box<str>>,
+}
+
+impl ResultObject {
+    fn new(object: Arc<str>) -> ResultObject {
+        ResultObject { object, xml: OnceLock::new() }
+    }
+
+    /// The object's bytes, as `/search` serves them.
+    pub fn object(&self) -> &Arc<str> {
+        &self.object
+    }
+}
+
+impl std::ops::Deref for ResultObject {
+    type Target = str;
+
+    /// The snippet's compact XML: the object's `snippet` string, unescaped.
+    fn deref(&self) -> &str {
+        self.xml.get_or_init(|| {
+            let parsed = extract_serve::json::parse(&self.object).ok();
+            let snippet = parsed.as_ref().and_then(|object| object.get("snippet"));
+            snippet.and_then(extract_serve::json::Value::as_str).unwrap_or_default().into()
+        })
+    }
+}
+
+/// A snippet-cache entry: the result's score, and its object.
+type Rendered = (f64, Arc<str>);
 
 /// One answered corpus query: results merged across documents, shared
 /// immutably.
@@ -440,8 +489,9 @@ pub struct SessionCaches {
     shallow_rankings: AtomicU64,
     /// Lookups served from a ranking patched to other candidates — hits.
     patched_rankings: AtomicU64,
-    /// Each snippet's compact XML, shared with the pages showing it.
-    snippets: Mutex<LruCache<CacheKey, Arc<str>>>,
+    /// Each result's score and `/search` object, shared with the pages
+    /// showing it.
+    snippets: Mutex<LruCache<CacheKey, Rendered>>,
 }
 
 impl SessionCaches {
@@ -536,11 +586,12 @@ impl SessionCaches {
         lock_unpoisoned(&self.rankings).values().map(|ranking| ranking.best.len()).sum()
     }
 
-    /// Bytes of snippet XML the snippet cache holds right now — all a
-    /// cached snippet is. Summed on demand, like
+    /// Bytes of rendered result objects the snippet cache holds right now
+    /// — each result's `/search` object, its snippet escaped inside, all a
+    /// cached snippet is but for its score. Summed on demand, like
     /// [`SessionCaches::corpus_page_body_bytes`].
     pub fn snippet_cache_bytes(&self) -> usize {
-        lock_unpoisoned(&self.snippets).values().map(|xml| xml.len()).sum()
+        lock_unpoisoned(&self.snippets).values().map(|(_, object)| object.len()).sum()
     }
 }
 
@@ -708,8 +759,9 @@ impl<'d> QuerySession<'d> {
     /// with caching on (`text` is the request's query), the cached ranking
     /// if it ranked the routed candidates and holds the window, else that
     /// one patched ([`QuerySession::rank`], at least [`MAX_RANKED`] deep) if
-    /// that holds it, else the empty ranking ranked `offset + k` deep, which
-    /// counts as a miss. What was ranked is stored as its first [`MAX_RANKED`].
+    /// that holds it, else the empty ranking ranked as deep as the window
+    /// needs, which counts as a miss. What was ranked is stored as its first
+    /// [`MAX_RANKED`].
     fn ranking(
         &self,
         text: Option<&QueryText>,
@@ -734,7 +786,18 @@ impl<'d> QuerySession<'d> {
             };
             counter.fetch_add(1, Ordering::Relaxed);
         }
-        let ranked = patched.unwrap_or_else(|| self.rank(&Ranking::default(), routes, lists, end));
+        // Ranked at most `MAX_RANKED` deep first: that holds every window
+        // ending there, and any window starting past the end, which needs
+        // only the total — only a window inside a deeper ranking ranks
+        // again, `offset + k` deep.
+        let ranked = patched.unwrap_or_else(|| {
+            let empty = Ranking::default();
+            let bounded = self.rank(&empty, routes, lists, end.min(MAX_RANKED));
+            match bounded.window(offset, k) {
+                Some(_) => bounded,
+                None => self.rank(&empty, routes, lists, end),
+            }
+        });
         if let Some(text) = text {
             let cut = ranked.best.get(..MAX_RANKED).filter(|cut| cut.len() < ranked.best.len());
             let best = cut.map_or_else(|| Arc::clone(&ranked.best), Arc::from);
@@ -744,14 +807,15 @@ impl<'d> QuerySession<'d> {
     }
 
     /// The served window's answers: each result's document from the
-    /// routes ([`routed`]), its score recounted over its posting lists
-    /// ([`ranking::score_root`], equal to the sweep's to the bit), and its
-    /// snippet via the shared snippet cache when enabled (`text` is the
-    /// request's normalized query then): one lock looks up every result of
-    /// the window, the misses run the snippet kernel in this thread's
-    /// scratch on the document's borrowed engine and its posting lists (in
-    /// the request's `lists`), and one more lock stores the bytes they
-    /// wrote.
+    /// routes ([`routed`]), and its score and `/search` object via the
+    /// shared snippet cache when enabled (`text` is the request's
+    /// normalized query then): one lock looks up every result of the
+    /// window, and a hit is served as it was stored — no score recounted,
+    /// no byte escaped. A miss recounts its score over its posting lists
+    /// ([`ranking::score_root`], equal to the sweep's to the bit, in the
+    /// request's `lists`), runs the snippet kernel in this thread's scratch
+    /// on the document's borrowed engine, and writes the result's object
+    /// ([`serve::result_object`]); one more lock stores those objects.
     fn answers(
         &self,
         hits: &[Hit],
@@ -761,46 +825,50 @@ impl<'d> QuerySession<'d> {
         text: Option<&QueryText>,
         config: &ExtractConfig,
     ) -> Vec<CorpusAnswer> {
-        // Each result's document, root and score and, in its last field,
-        // first the cached bytes the lookup found, then — once the window
-        // has taken those — the bytes a miss computed, to be stored.
+        // Each result's document and root and, in its last field, first the
+        // cached entry the lookup found, then — once the window has taken
+        // those — the entry a miss computed, to be stored.
         let mut served = Vec::with_capacity(hits.len());
         served.extend(hits.iter().filter_map(|hit| {
-            let (doc, score) = self.scored(hit, routes, lists)?;
-            Some((doc, hit.root, score, None::<Arc<str>>))
+            Some((routed(hit, routes.docs())?, hit.root, None::<Rendered>))
         }));
         let key = |text: &QueryText, doc, root| CacheKey::for_doc(text, doc, root, config);
         if let Some(text) = text {
             let mut snippets = lock_unpoisoned(&self.caches.snippets);
-            for (doc, root, _, cached) in &mut served {
+            for (doc, root, cached) in &mut served {
                 *cached = snippets.get(&key(text, *doc, *root));
             }
         }
         let mut misses = 0;
         let window = served
             .iter_mut()
-            .map(|(doc, root, score, slot)| {
-                let snippet = slot.take().unwrap_or_else(|| {
+            .map(|(doc, root, slot)| {
+                let (score, object) = slot.take().unwrap_or_else(|| {
                     let (document, engine) = (self.corpus.doc(*doc), self.corpus.engine(*doc));
-                    let extract = Extract::borrowing(document, engine);
                     self.lists_of(*doc, routes.ids_of(*doc).unwrap_or_default(), lists);
-                    let fresh: Arc<str> = with_scratch(|scratch| {
-                        Arc::from(extract.snippet_xml(query, lists, *root, config, scratch))
+                    let score = ranking::score_root(document, lists, *root);
+                    let extract = Extract::borrowing(document, engine);
+                    let object = with_scratch(|scratch| {
+                        let xml = extract.snippet_xml(query, lists, *root, config, scratch);
+                        serve::result_object(self.corpus.name(*doc), *doc, *root, score, xml)
                     });
-                    *slot = Some(Arc::clone(&fresh));
+                    *slot = Some((score, Arc::clone(&object)));
                     misses += 1;
-                    fresh
+                    (score, object)
                 });
-                CorpusAnswer { doc: *doc, score: *score, root: *root, snippet }
+                CorpusAnswer { doc: *doc, score, root: *root, snippet: ResultObject::new(object) }
             })
             .collect();
         if let Some(text) = text.filter(|_| misses > 0) {
-            let fresh = served
-                .into_iter()
-                .filter_map(|(doc, root, _, xml)| Some((key(text, doc, root), xml?)));
-            let displaced: Vec<Arc<str>> = {
+            // Taken out of `served` in place: collecting from its
+            // `into_iter` would reuse and shrink its buffer, one
+            // reallocation a window.
+            let fresh = served.iter_mut().filter_map(|(doc, root, rendered)| {
+                Some((key(text, *doc, *root), rendered.take()?))
+            });
+            let displaced: Vec<Rendered> = {
                 let mut snippets = lock_unpoisoned(&self.caches.snippets);
-                fresh.filter_map(|(key, xml)| snippets.insert(key, xml)).collect()
+                fresh.filter_map(|(key, rendered)| snippets.insert(key, rendered)).collect()
             };
             drop(displaced);
         }
@@ -1646,7 +1714,8 @@ mod tests {
         assert_eq!(after.hits, stats.hits + k, "every snippet hits: {after:?}");
         assert_eq!(after.misses, stats.misses, "{after:?}");
         for (a, b) in fresh.results.iter().zip(again.results.iter()) {
-            assert!(Arc::ptr_eq(&a.snippet, &b.snippet), "served from the stored bytes");
+            let (a, b) = (a.snippet.object(), b.snippet.object());
+            assert!(Arc::ptr_eq(a, b), "served from the stored bytes");
         }
     }
 
@@ -1837,6 +1906,38 @@ mod tests {
             assert_eq!(ranked.total, want.len(), "keep={keep}");
             assert_eq!(*ranked.best, want[..keep.min(want.len())], "keep={keep}");
         }
+    }
+
+    /// A window starting past the end of its query's results needs only the
+    /// total: it ranks a bounded prefix — so the thread's ranking buffer
+    /// never grows past [`KEPT_REUSED`] and is handed back — serves an empty
+    /// window with the exact total, and stores the first [`MAX_RANKED`]
+    /// results as a cache-less session ranks them.
+    #[test]
+    fn a_window_past_the_end_ranks_a_bounded_prefix() {
+        let live = extract_corpus::LiveCorpus::from_corpus(CorpusBuilder::new().finish());
+        for name in ["many-a", "many-b", "many-c"] {
+            live.ingest(name, &entities_xml(1000)).expect("the entities parse");
+        }
+        let snapshot = live.snapshot();
+        let caches = Arc::new(SessionCaches::new(128));
+        let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+        drop(KEPT.take());
+        let page = checked(&session, 10, 1_000_000);
+        assert_eq!((page.total, page.results.len()), (3000, 0), "the total, and no result");
+        let kept = KEPT.take().capacity();
+        assert!(kept > 0 && kept <= KEPT_REUSED, "a buffer of {kept} was not handed back");
+        checked(&session, 10, MAX_RANKED - 10);
+        assert_eq!(ranking_counts(&caches), (1, 1, 0), "a window it holds is a ranking hit");
+
+        let query = QueryText::from(&KeywordQuery::parse("store texas"));
+        let stored = lock_unpoisoned(&caches.rankings).get(&query).expect("a stored ranking");
+        assert_eq!(stored.total, 3000);
+        let uncached = QuerySession::for_snapshot(&snapshot, 1, Arc::new(SessionCaches::new(0)));
+        let config = ExtractConfig::with_bound(8);
+        let first = uncached.answer_corpus_topk("store texas", &config, MAX_RANKED, 0).results;
+        let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.root)).collect();
+        assert_eq!(*stored.best, want, "the stored prefix is a cache-less ranking's");
     }
 
     /// Windows at and past [`MAX_RANKED`] through one shared bundle — before

@@ -22,7 +22,7 @@
 //!    result size", experiment E5) — and a *served* snippet, on a warm
 //!    kernel scratch, is the allocation of its bytes and nothing else;
 //! 4. a cached snippet is its bytes: the page and the snippet cache hold
-//!    one `Arc<str>`;
+//!    one `Arc<str>`, the result's rendered `/search` object;
 //! 5. a document's engine is built when it arrives: the first query to
 //!    reach a freshly ingested document allocates no more than a repeat of
 //!    it — no second vocabulary, no entity analysis;
@@ -659,20 +659,23 @@ fn a_cached_snippet_is_its_bytes() {
     for q in ["store texas", "paper sigmod"] {
         let (page, _) = miss(&corpus, &caches, &config, q, PAGE);
         // The page holds the snippet cache's `Arc`s: a smaller window of
-        // the same query is a page miss whose snippets all come back out
-        // of the snippet cache, as the very allocations the page holds.
+        // the same query is a page miss whose result objects all come back
+        // out of the snippet cache, as the very allocations the page holds
+        // — and each still reads back as its snippet's XML.
         let (cached, _) = miss(&corpus, &caches, &config, q, PAGE - 1);
         assert_eq!(cached.results.len(), PAGE - 1);
         for (served, cached) in page.results.iter().zip(cached.results.iter()) {
-            assert!(Arc::ptr_eq(&served.snippet, &cached.snippet), "{q}: one snippet, shared");
-            assert!(cached.snippet.starts_with('<'), "{q}: {}", cached.snippet);
+            let object = cached.snippet.object();
+            assert!(Arc::ptr_eq(served.snippet.object(), object), "{q}: one object, shared");
+            assert!(object.starts_with("{\"doc\":"), "{q}: {object}");
+            assert!(cached.snippet.starts_with('<'), "{q}: {}", &*cached.snippet);
         }
     }
     assert_eq!(caches.corpus_page_stats().hits, 0, "every window above was a page miss");
     assert_eq!(caches.snippet_stats().hits, 2 * (PAGE as u64 - 1));
     // What the cache holds is those bytes, and nothing per entry besides.
     let bytes = caches.snippet_cache_bytes();
-    println!("20 cached snippets hold {bytes} bytes of XML");
+    println!("20 cached snippets hold {bytes} bytes of result objects");
     assert!(bytes > 0 && bytes < 2 * PAGE * 1024, "{bytes} bytes for {} snippets", 2 * PAGE);
 }
 
