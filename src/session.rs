@@ -662,17 +662,18 @@ impl<'d> QuerySession<'d> {
         lists.extend(ids.iter().map(|&id| index.postings_by_id(id)));
     }
 
-    /// `hit`'s routed document, and its score recounted over its posting
-    /// lists ([`ranking::score_root`], equal to the sweep's to the bit).
-    fn scored(
+    /// The score of `root` in the routed `doc`, recounted over its posting
+    /// lists ([`ranking::score_root`], equal to the sweep's to the bit),
+    /// which it leaves in `lists`.
+    fn score(
         &self,
-        hit: &Hit,
+        doc: DocId,
+        root: NodeId,
         routes: &Routes,
         lists: &mut Vec<&'d [NodeId]>,
-    ) -> Option<(DocId, f64)> {
-        let doc = routed(hit, routes.docs())?;
+    ) -> f64 {
         self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
-        Some((doc, ranking::score_root(self.corpus.doc(doc), lists, hit.root)))
+        ranking::score_root(self.corpus.doc(doc), lists, root)
     }
 
     /// `held` made exact for this snapshot's `routes`, at most `keep` deep;
@@ -724,7 +725,7 @@ impl<'d> QuerySession<'d> {
         ROOTS.set(buffers);
         total += window.total;
         let mut place = |hit: &Hit| {
-            let (_, score) = self.scored(hit, routes, lists)?;
+            let score = self.score(routed(hit, routes.docs())?, hit.root, routes, lists);
             Some((descending_bits(score), hit.slot, hit.root))
         };
         let mut fresh = window.best();
@@ -844,9 +845,8 @@ impl<'d> QuerySession<'d> {
             .iter_mut()
             .map(|(doc, root, slot)| {
                 let (score, object) = slot.take().unwrap_or_else(|| {
+                    let score = self.score(*doc, *root, routes, lists);
                     let (document, engine) = (self.corpus.doc(*doc), self.corpus.engine(*doc));
-                    self.lists_of(*doc, routes.ids_of(*doc).unwrap_or_default(), lists);
-                    let score = ranking::score_root(document, lists, *root);
                     let extract = Extract::borrowing(document, engine);
                     let object = with_scratch(|scratch| {
                         let xml = extract.snippet_xml(query, lists, *root, config, scratch);
