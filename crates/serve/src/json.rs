@@ -243,12 +243,11 @@ impl JsonWriter {
         self.buf.push_str(tail);
     }
 
-    /// Empty the writer for its next document, with room for `bytes` of
-    /// it: a writer reused a value at a time keeps the room its buffers
-    /// grew to, so it allocates only while its largest value grows.
-    pub fn reset(&mut self, bytes: usize) {
+    /// Empty the writer for its next document, keeping the room its
+    /// buffers grew to: a writer reused a value at a time allocates only
+    /// while its largest value grows.
+    pub fn clear(&mut self) {
         self.buf.clear();
-        self.buf.reserve(bytes);
         self.has_elem.clear();
         self.pending_key = false;
     }

@@ -191,11 +191,6 @@ pub fn search_body(
 /// sizing hint: the buffer grows if a body ever needs more).
 const HEADER_CAPACITY: usize = 128;
 
-/// Room for what one result's object holds besides its document name and
-/// snippet — five keys, three numbers, punctuation — and a few escapes (a
-/// sizing hint, like [`HEADER_CAPACITY`]).
-const RESULT_CAPACITY: usize = 112;
-
 /// The room a thread's result writer starts with: more than all but the
 /// rarest objects take (a snippet's XML averages ~150 bytes at the
 /// daemon's bound), so serving does not grow it a doubling at a time.
@@ -223,7 +218,7 @@ pub(crate) fn result_object(
     snippet: &str,
 ) -> Arc<str> {
     let write = |w: &mut JsonWriter| {
-        w.reset(RESULT_CAPACITY + name.len() + snippet.len());
+        w.clear();
         w.obj_begin();
         w.key("doc");
         w.str(name);

@@ -62,8 +62,8 @@
 //! ([`LruCache`]), and every key hashes the request's query text as the
 //! one keyed hash [`QueryText`] took when the request was parsed. A cached
 //! snippet is one allocation (its object's bytes), so freeing one that
-//! another worker built costs one cross-thread free. A miss's kernel borrows the
-//! document's engine from the snapshot: it clones nothing.
+//! another worker built costs one cross-thread free. A miss's kernel
+//! borrows the document's engine from the snapshot: it clones nothing.
 //!
 //! A miss pays for the window it serves, not for the results it ranks:
 //! every result root of every candidate document is *scored by counting*
