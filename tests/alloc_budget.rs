@@ -22,7 +22,10 @@
 //!    result size", experiment E5) — and a *served* snippet, on a warm
 //!    kernel scratch, is the allocation of its bytes and nothing else;
 //! 4. a cached snippet is its bytes: the page and the snippet cache hold
-//!    one `Arc<str>`, the result's rendered `/search` object;
+//!    one `Arc<str>`, the result's rendered `/search` object — and a
+//!    `/search` page miss whose ranking and snippets are all cached joins
+//!    those objects, allocating no more than it did while it escaped
+//!    cached XML;
 //! 5. a document's engine is built when it arrives: the first query to
 //!    reach a freshly ingested document allocates no more than a repeat of
 //!    it — no second vocabulary, no entity analysis;
