@@ -2,9 +2,11 @@
 //! clear sequences at small capacities, replayed on a `VecDeque` that keeps
 //! entries in recency order (front = least recently used). Every value the
 //! cache returns or hands back, its counters, its length and the multiset
-//! of what it holds must equal the model's after every step.
+//! of what it holds must equal the model's after every step — over
+//! plain keys, and over keys that mostly share a hash.
 
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 use extract_core::cache::LruCache;
 use extract_core::CacheStats;
@@ -140,6 +142,55 @@ proptest! {
             prop_assert_eq!(cache.stats(), model.stats, "stats after step {}", step);
             prop_assert_eq!(cache.len(), model.entries.len(), "len after step {}", step);
             prop_assert_eq!(cache.is_empty(), model.entries.is_empty());
+            prop_assert_eq!(sorted(cache.values().copied().collect()), model.values());
+        }
+    }
+}
+
+/// A key whose hash says only its parity: the twelve keys fall into two
+/// hash classes, so lookups, refreshes, evictions, `retain` and `clear`
+/// all meet keys that share a hash and differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Colliding(u8);
+
+impl Hash for Colliding {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.0 % 2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reference model again, over keys that collide: every answer,
+    /// hand-back, counter and content equal the model's after every step.
+    #[test]
+    fn lru_cache_over_colliding_keys_equals_the_reference_model(
+        capacity in 0usize..9,
+        ops in proptest::collection::vec(op_strategy(), 0..80),
+    ) {
+        let mut cache: LruCache<Colliding, u32> = LruCache::new(capacity);
+        let mut model = Model::new(capacity);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Get(key) => {
+                    prop_assert_eq!(cache.get(&Colliding(key)), model.get(key), "step {}", step);
+                }
+                Op::Insert(key, value) => {
+                    let handed = cache.insert(Colliding(key), value);
+                    prop_assert_eq!(handed, model.insert(key, value), "step {}", step);
+                }
+                Op::Retain(mask) => {
+                    let removed = cache.retain(|k| kept(mask, k.0));
+                    prop_assert_eq!(sorted(removed), sorted(model.retain(mask)), "step {}", step);
+                }
+                Op::Clear => {
+                    cache.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(cache.stats(), model.stats, "stats after step {}", step);
+            prop_assert_eq!(cache.len(), model.entries.len(), "len after step {}", step);
             prop_assert_eq!(sorted(cache.values().copied().collect()), model.values());
         }
     }

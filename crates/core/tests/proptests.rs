@@ -1,11 +1,12 @@
 //! Property tests for the snippet generator: structural invariants that
 //! must hold for any document, query and bound.
 
+use extract_core::ilist::{build_ilist, IList, IListOptions, IListScratch};
 use extract_core::quality::items_covered_by;
 use extract_core::selector::{exact_select, greedy_select, ExactLimits};
 use extract_core::{Extract, ExtractConfig};
-use extract_search::{Algorithm, KeywordQuery};
-use extract_xml::{DocBuilder, Document};
+use extract_search::{Algorithm, KeywordQuery, QueryResult};
+use extract_xml::{DocBuilder, Document, NodeId};
 use proptest::prelude::*;
 
 const LABELS: [&str; 5] = ["store", "clothes", "name", "city", "tag"];
@@ -60,8 +61,68 @@ fn query_strategy() -> impl Strategy<Value = Vec<String>> {
     )
 }
 
+/// Everything an IList says, comparably: each item with its instances,
+/// the return entities and the result key.
+fn said(ilist: &IList, doc: &Document) -> impl PartialEq + std::fmt::Debug {
+    let items: Vec<_> = ilist
+        .items()
+        .iter()
+        .map(|r| (r.item.clone(), r.item.display_text(doc), r.instances.clone()))
+        .collect();
+    let returns = &ilist.return_entities;
+    let returns = (returns.label, returns.reason, returns.instances.clone());
+    (items, returns, ilist.result_key.clone())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The document-root result and one child entity of the root, served
+    /// twice through one reused engine and scratch (first as bytes, then as
+    /// an owned IList and snippet), under the default config and a capped
+    /// one: each IList equals, item for item, the one `build_ilist` builds
+    /// from the model and catalog alone, and each snippet's bytes equal
+    /// what a fresh engine writes on a fresh scratch — whatever the engine
+    /// remembered of an earlier result, on the root or off it.
+    #[test]
+    fn whole_document_results_equal_a_fresh_engine(
+        spec in spec_strategy(),
+        keywords in query_strategy(),
+        bound in 0usize..20,
+        cap in 0usize..4,
+    ) {
+        let doc = build(&spec);
+        let extract = Extract::new(&doc);
+        let query = KeywordQuery::from_keywords(keywords);
+        let lists = query.lists(extract.index());
+        let model = extract.model();
+        let child = doc.children(doc.root()).find(|&c| model.is_entity(c));
+        let roots: Vec<NodeId> = std::iter::once(doc.root()).chain(child).collect();
+        let configs = [
+            ExtractConfig::with_bound(bound),
+            ExtractConfig { max_dominant_features: Some(cap), ..ExtractConfig::with_bound(bound) },
+        ];
+        let mut scratch = IListScratch::default();
+        for pass in 0..2 {
+            for config in &configs {
+                for &root in &roots {
+                    let at = format!("pass {pass}, root {root:?}, cap {:?}", config.max_dominant_features);
+                    let served = extract.snippet_xml(&query, &lists, root, config, &mut scratch).to_string();
+                    let result = QueryResult::build(&doc, extract.index(), &query, root);
+                    let owned = extract.snippet_of(&query, result.clone(), config, &mut scratch);
+                    let options = IListOptions { max_dominant_features: config.max_dominant_features };
+                    let want = build_ilist(&doc, model, extract.keys(), &query, &result, &options);
+                    prop_assert_eq!(said(&owned.ilist, &doc), said(&want, &doc), "{}", at);
+                    let fresh = Extract::new(&doc);
+                    let bytes = fresh
+                        .snippet_xml(&query, &lists, root, config, &mut IListScratch::default())
+                        .to_string();
+                    prop_assert_eq!(&served, &bytes, "{}", at);
+                    prop_assert_eq!(owned.snippet.to_xml(), bytes, "{}", at);
+                }
+            }
+        }
+    }
 
     /// The four hard invariants of a snippet: bound respected, tree is
     /// ancestor-closed, tree is inside the result, covered items really

@@ -654,6 +654,44 @@ fn a_served_snippet_on_a_warm_scratch_is_its_bytes() {
     }
 }
 
+/// A whole-document result served on a warm scratch, the document's
+/// engine warm too (its first whole-document snippet already served):
+/// like any served snippet, the `Arc<str>` of its bytes and nothing else.
+#[test]
+fn a_served_whole_document_snippet_on_a_warm_scratch_is_its_bytes() {
+    let corpus = corpus();
+    let config = ExtractConfig::default();
+    let mut scratch = IListScratch::default();
+    let mut served = Vec::new();
+    for q in DOCUMENT_QUERIES {
+        let query = KeywordQuery::parse(q);
+        let mut routes = Routes::default();
+        corpus.route(query.keywords(), &mut routes);
+        served.extend(routes.docs().iter().take(4).map(|&id| (query.clone(), id)));
+    }
+    assert!(served.len() >= 8, "only {} documents", served.len());
+    // The first pass serves each document's root once; the second is warm.
+    for pass in 0..2 {
+        let mut most = 0;
+        for (query, id) in &served {
+            let (doc, engine) = (corpus.doc(*id), corpus.engine(*id));
+            let extract = Extract::borrowing(doc, engine);
+            let lists = query.lists(engine.index());
+            let (xml, allocations) = allocations_of(|| {
+                let xml: Arc<str> =
+                    Arc::from(extract.snippet_xml(query, &lists, doc.root(), &config, &mut scratch));
+                xml
+            });
+            assert!(xml.starts_with('<'), "{query}: {xml}");
+            most = most.max(allocations);
+        }
+        println!("pass {pass}: at most {most} allocations per served whole-document snippet");
+        if pass == 1 {
+            assert!(most <= 2, "a served whole-document snippet took {most} allocations");
+        }
+    }
+}
+
 #[test]
 fn a_cached_snippet_is_its_bytes() {
     let corpus = corpus();
