@@ -15,7 +15,11 @@
 //!
 //! Eviction is least-recently-used with a configurable capacity, built on
 //! the generic [`LruCache`] (which the serving layer also reuses for whole
-//! result pages). The cache is a plain mutable structure; concurrent
+//! result pages and query rankings). It indexes each key by one keyed
+//! 64-bit hash, taken once an operation: the slot that holds an entry
+//! holds the only copy of its key and that hash, keys whose hashes share
+//! their low bits are chained, and a chain is read by stored hash first,
+//! then by full key. The cache is a plain mutable structure; concurrent
 //! callers (e.g. a query session's worker pool) wrap it in a `Mutex`,
 //! holding the lock only for lookups and inserts — the serving layer
 //! takes it once to look up a page's snippets and once to store the ones
@@ -24,8 +28,7 @@
 //! the entries they remove back to the caller, who drops them after the
 //! guard.
 
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
@@ -38,12 +41,11 @@ use crate::pipeline::{ExtractConfig, SelectorKind};
 /// The normalized text of a query ([`KeywordQuery`] display form:
 /// lowercased tokens, deduplicated, original order), shared and hashed
 /// once: a request normalizes its query once, and every key it builds —
-/// the page key, one snippet key per served result, and the key copies
-/// the caches keep beside their entries — holds the same allocation and
-/// the same hash.
+/// the page key and one snippet key per served result, which the caches
+/// keep as they are given — holds the same allocation and the same hash.
 ///
 /// The hash is the text's under one process-wide keyed [`RandomState`],
-/// and a key hashes it as a `u64`, so a cache map (itself keyed) never
+/// and a key hashes it as a `u64`, so a cache (itself keyed) never
 /// rehashes the text. The query is client-supplied: keying both hashes is
 /// what keeps a client from choosing texts that collide.
 #[derive(Debug, Clone)]
@@ -216,21 +218,30 @@ pub struct CacheStats {
 /// Default retention capacity of `Default`-constructed caches.
 const DEFAULT_CAPACITY: usize = 256;
 
-/// A generic LRU cache: a get, an insert and an eviction each cost one
-/// hash-map operation and a few link updates, `O(1)`.
+/// A generic LRU cache: a get, an insert and an eviction each hash the key
+/// once and cost a chain walk and a few link updates, `O(1)` expected.
 ///
 /// `capacity` bounds the number of retained entries; inserting into a full
 /// cache evicts the least-recently-used one. Entries live in a slab — a
 /// `Vec` of slots — threaded on an intrusive doubly linked recency list of
-/// `u32` slot indices, most recent at the head; the map takes a key to its
-/// slot. A hit relinks its slot at the head; an insert into a full cache
-/// reuses the tail's slot for the newcomer. A capacity of `0` disables
-/// retention entirely (every `get` misses).
+/// `u32` slot indices, most recent at the head. A slot holds the only copy
+/// of its key, beside the key's 64-bit hash under the cache's own keyed
+/// [`RandomState`]. The index is a power-of-two table of chain heads, no
+/// shorter than the slab: a key's chain is the one its hash's low bits
+/// name, its slots linked through `next`, and a lookup compares a slot's
+/// full key only when their hashes are equal. A slot leaves its chain by
+/// its stored hash, so an eviction or a removal hashes nothing. A hit
+/// relinks its slot at the head; an insert into a full cache reuses the
+/// tail's slot for the newcomer. A capacity of `0` disables retention
+/// entirely (every `get` misses).
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    /// Key → slot index.
-    map: HashMap<K, u32>,
-    /// The entries; every slot is on the recency list.
+    /// The keyed hasher of this cache's keys.
+    hasher: RandomState,
+    /// The first slot of each chain, [`NIL`] for an empty one; empty, or a
+    /// power of two at least the slab's length.
+    chains: Vec<u32>,
+    /// The entries; every slot is on the recency list and on its chain.
     slots: Vec<Slot<K, V>>,
     /// Most recently used slot, [`NIL`] when empty.
     head: u32,
@@ -240,19 +251,22 @@ pub struct LruCache<K, V> {
     stats: CacheStats,
 }
 
-/// The end of the recency list.
+/// The end of the recency list and of a chain.
 const NIL: u32 = u32::MAX;
 
-/// One cached entry and its recency links.
+/// One cached entry, its hash and its links.
 #[derive(Debug)]
 struct Slot<K, V> {
-    /// A copy of the map's key, so an eviction can remove it.
     key: K,
+    /// The key's hash under the cache's hasher.
+    hash: u64,
     value: V,
     /// The next more recently used slot.
     newer: u32,
     /// The next less recently used slot.
     older: u32,
+    /// The next slot of its chain.
+    next: u32,
 }
 
 /// The `u32` link of slot `index`.
@@ -266,17 +280,21 @@ fn link(index: usize) -> u32 {
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Default for LruCache<K, V> {
+impl<K: Eq + Hash, V: Clone> Default for LruCache<K, V> {
     fn default() -> Self {
         LruCache::new(DEFAULT_CAPACITY)
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     /// A cache retaining at most `capacity` values.
     pub fn new(capacity: usize) -> LruCache<K, V> {
         LruCache {
-            map: HashMap::with_capacity(capacity.min(1024)),
+            hasher: RandomState::new(),
+            chains: match capacity.min(1024) {
+                0 => Vec::new(),
+                chains => vec![NIL; chains.next_power_of_two()],
+            },
             slots: Vec::with_capacity(capacity.min(1024)),
             head: NIL,
             tail: NIL,
@@ -289,8 +307,8 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// cache stays the owner so eviction never invalidates callers. (Wrap
     /// big values in `Arc` to make the clone `O(1)`.)
     pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.map.get(key) {
-            Some(&at) => {
+        match self.find(key, self.hasher.hash_one(key)) {
+            Some(at) => {
                 self.stats.hits += 1;
                 self.touch(at);
                 Some(self.slots[at as usize].value.clone())
@@ -311,32 +329,93 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         if self.capacity == 0 {
             return Some(value);
         }
-        let vacant = match self.map.entry(key) {
-            Entry::Occupied(entry) => {
-                let at = *entry.get();
-                let old = std::mem::replace(&mut self.slots[at as usize].value, value);
-                self.touch(at);
-                return Some(old);
-            }
-            Entry::Vacant(vacant) => vacant,
-        };
-        let slot = Slot { key: vacant.key().clone(), value, newer: NIL, older: NIL };
+        let hash = self.hasher.hash_one(&key);
+        if let Some(at) = self.find(&key, hash) {
+            let old = std::mem::replace(&mut self.slots[at as usize].value, value);
+            self.touch(at);
+            return Some(old);
+        }
+        let slot = Slot { key, hash, value, newer: NIL, older: NIL, next: NIL };
         if self.slots.len() < self.capacity {
             let at = link(self.slots.len());
-            vacant.insert(at);
             self.slots.push(slot);
+            if self.chains.len() < self.slots.len() {
+                self.grow_chains();
+            } else {
+                self.chain_in(at);
+            }
             self.push_head(at);
             return None;
         }
         // Full: the newcomer takes the least recently used entry's slot.
         let at = self.tail;
-        vacant.insert(at);
+        self.chain_out(at);
         self.unlink(at);
         let evicted = std::mem::replace(&mut self.slots[at as usize], slot);
+        self.chain_in(at);
         self.push_head(at);
-        self.map.remove(&evicted.key);
         self.stats.evictions += 1;
         Some(evicted.value)
+    }
+
+    /// The chain a hash names (the table is not empty).
+    fn chain(&self, hash: u64) -> usize {
+        // The low bits pick the chain: the table is a power of two no
+        // longer than the address space, so the mask keeps it in range.
+        (hash & (self.chains.len() as u64 - 1)) as usize
+    }
+
+    /// The slot holding `key`, whose hash is `hash`.
+    fn find(&self, key: &K, hash: u64) -> Option<u32> {
+        if self.chains.is_empty() {
+            return None;
+        }
+        let mut at = self.chains[self.chain(hash)];
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            if slot.hash == hash && slot.key == *key {
+                return Some(at);
+            }
+            at = slot.next;
+        }
+        None
+    }
+
+    /// Put slot `at` at the front of the chain its stored hash names.
+    fn chain_in(&mut self, at: u32) {
+        let chain = self.chain(self.slots[at as usize].hash);
+        self.slots[at as usize].next = std::mem::replace(&mut self.chains[chain], at);
+    }
+
+    /// Take slot `at` off the chain its stored hash names.
+    fn chain_out(&mut self, at: u32) {
+        let next = self.slots[at as usize].next;
+        self.repoint(at, next);
+    }
+
+    /// Make whatever links to slot `from` in its chain — the chain's head
+    /// or the slot before it — link to `to` instead.
+    fn repoint(&mut self, from: u32, to: u32) {
+        let chain = self.chain(self.slots[from as usize].hash);
+        let mut before = self.chains[chain];
+        if before == from {
+            self.chains[chain] = to;
+            return;
+        }
+        while self.slots[before as usize].next != from {
+            before = self.slots[before as usize].next;
+        }
+        self.slots[before as usize].next = to;
+    }
+
+    /// Grow the chain table to the slab's length, rounded up to a power of
+    /// two, and rechain every slot by its stored hash.
+    fn grow_chains(&mut self) {
+        self.chains.clear();
+        self.chains.resize(self.slots.len().next_power_of_two(), NIL);
+        for at in 0..self.slots.len() {
+            self.chain_in(link(at));
+        }
     }
 
     /// Make slot `at` the most recently used.
@@ -405,8 +484,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// trees only after the guard.
     ///
     /// A removed slot is refilled by the slab's last one, which is
-    /// relinked and re-pointed in the map — one map operation per removal
-    /// and per move, so `O(n)` for the scan and `O(1)` a removal.
+    /// relinked on the recency list and in its chain — a chain walk per
+    /// removal and per move and no key hashed, so `O(n)` for the scan and
+    /// `O(1)` expected a removal.
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<V> {
         let mut removed = Vec::new();
         let mut at = 0;
@@ -417,8 +497,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             }
             let gone = link(at);
             self.unlink(gone);
+            self.chain_out(gone);
+            let last = link(self.slots.len() - 1);
+            if last != gone {
+                self.repoint(last, gone);
+            }
             let slot = self.slots.swap_remove(at);
-            self.map.remove(&slot.key);
             removed.push(slot.value);
             if at < self.slots.len() {
                 self.relocate(gone);
@@ -427,15 +511,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         removed
     }
 
-    /// Re-point the neighbours and the map entry of the slot that moved to
-    /// index `to`.
+    /// Re-point the recency neighbours of the slot that moved to index
+    /// `to` (its chain already links it there).
     fn relocate(&mut self, to: u32) {
         let Slot { newer, older, .. } = self.slots[to as usize];
         self.join(newer, to);
         self.join(to, older);
-        if let Some(index) = self.map.get_mut(&self.slots[to as usize].key) {
-            *index = to;
-        }
     }
 
     /// The retained values, in no particular order (recency untouched,
@@ -447,7 +528,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 
     /// Drop all entries and reset the counters.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.chains.fill(NIL);
         self.slots.clear();
         (self.head, self.tail) = (NIL, NIL);
         self.stats = CacheStats::default();
@@ -456,7 +537,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// The keys from least to most recently used: the recency list walked
     /// from its tail.
     #[cfg(test)]
-    fn lru_order(&self) -> Vec<K> {
+    fn lru_order(&self) -> Vec<K>
+    where
+        K: Clone,
+    {
         let mut order = Vec::new();
         let mut at = self.tail;
         while at != NIL {
@@ -707,9 +791,9 @@ mod tests {
         // Survivors are evicted in their pre-retain order: 1, 3, then 0.
         cache.insert(10, 10); // fills the freed seat, evicts nothing
         for (newcomer, victim) in [(11, 1), (12, 3), (13, 0)] {
-            assert!(cache.map.contains_key(&victim), "{victim} outlives {newcomer}'s arrival");
+            assert!(cache.lru_order().contains(&victim), "{victim} outlives {newcomer}'s arrival");
             cache.insert(newcomer, newcomer);
-            assert!(!cache.map.contains_key(&victim), "{victim} is the LRU for {newcomer}");
+            assert!(!cache.lru_order().contains(&victim), "{victim} is the LRU for {newcomer}");
             assert_eq!(cache.len(), 4);
         }
         assert_eq!(cache.stats().evictions, 3, "the retain itself evicted nothing");
