@@ -22,8 +22,15 @@
 //! one instance arena, so building a result's IList copies no text and,
 //! warm, allocates nothing. The owned [`IList`] is read out of the scratch
 //! afterwards, for callers that keep it.
+//!
+//! A result's entity types and dominant features depend on its subtree
+//! alone, not on the query (§2.1, §2.3), so for a result rooted at the
+//! document root they are one answer per document: its [`Summary`], kept
+//! as the document's root record by the first snippet of a whole-document
+//! result and read by every later one in place of the statistics scan.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use extract_analyzer::{EntityModel, FeatureTables, FeatureType, KeyCatalog, ResultStats};
 use extract_search::{KeywordQuery, QueryResult};
@@ -31,7 +38,7 @@ use extract_xml::{Document, NodeId, Symbol};
 
 use crate::dominance::{self, Ranked};
 use crate::key::{self, KeyAt, ResultKey};
-use crate::return_entity::{self, ReturnEntities};
+use crate::return_entity::{self, EntityTypes, ReturnEntities};
 use crate::selector::{Candidates, SelectionOutcome};
 
 /// One kind of information worth showing in a snippet.
@@ -232,13 +239,91 @@ fn hash_lowered(bytes: &[u8]) -> u64 {
     })
 }
 
+/// What steps 2 and 4 of a result's IList read: its entity types, ordered
+/// by instance count (label text read only among equal counts), and its
+/// dominant features, ordered by score (likewise), every one of them — a
+/// function of the result's subtree alone. For the document root it is the
+/// root record; otherwise the scratch fills one per result.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Summary {
+    /// The result's entity nodes, one run per type, each in document order.
+    entities: Vec<NodeId>,
+    /// One `entities` run per entity type, in IList order.
+    types: Vec<(Symbol, Range<usize>)>,
+    /// The dominant features, in IList order, uncapped.
+    dominant: Vec<Dominant>,
+    /// Their instances, back to back.
+    instances: Vec<NodeId>,
+}
+
+/// A dominant feature as a [`Summary`] keeps it: its type, its score and
+/// the range of its instances.
+#[derive(Debug, Clone)]
+struct Dominant {
+    ftype: FeatureType,
+    score: f64,
+    instances: Range<usize>,
+}
+
+/// The buffers [`Summary::fill`] works in: the statistics tables, the
+/// entity nodes keyed by label, and the ranked features.
+type SummaryScratch<'a> = (&'a mut FeatureTables, &'a mut Vec<(Symbol, NodeId)>, &'a mut Vec<Ranked>);
+
+impl Summary {
+    /// The entity types and dominant features of the result rooted at
+    /// `root`, from its statistics: entity instances are grouped by label,
+    /// and types are ordered by descending instance count (more instances
+    /// ⇒ more of the result is about them), ties alphabetically — this
+    /// reproduces Figure 3's "…, clothes, store, …"; features by
+    /// descending dominance score. Only tied counts and scores read text.
+    fn fill(
+        &mut self,
+        (doc, model, root): (&Document, &EntityModel, NodeId),
+        (tables, by_label, ranked): SummaryScratch<'_>,
+    ) {
+        let stats = ResultStats::compute_with(doc, model, root, std::mem::take(tables));
+        return_entity::group_by_label(doc, stats.entities(), by_label, &mut self.types);
+        self.entities.clear();
+        self.entities.extend(by_label.iter().map(|&(_, e)| e));
+        dominance::sort_ties_by_text(
+            &mut self.types,
+            |a, b| b.1.len().cmp(&a.1.len()),
+            |a, b| dominance::label_order(doc, a.0, b.0),
+        );
+        dominance::dominant_into(doc, &stats, ranked);
+        self.dominant.clear();
+        self.instances.clear();
+        for d in ranked.iter() {
+            if let Some(ftype) = stats.value_type(d.value) {
+                let instances = append(&mut self.instances, stats.instances(d.value).iter().copied());
+                self.dominant.push(Dominant { ftype, score: d.score, instances });
+            }
+        }
+        *tables = stats.into_tables();
+    }
+
+    /// Its entity nodes, grouped by type.
+    fn entity_types(&self) -> EntityTypes<'_> {
+        EntityTypes { nodes: &self.entities, runs: &self.types }
+    }
+
+    /// The heap bytes it holds.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.entities.capacity() * size_of::<NodeId>()
+            + self.types.capacity() * size_of::<(Symbol, Range<usize>)>()
+            + self.dominant.capacity() * size_of::<Dominant>()
+            + self.instances.capacity() * size_of::<NodeId>()
+    }
+}
+
 /// The snippet kernel's working memory, reused from one result to the
-/// next: the result's feature statistics, its entity types (sorted by
-/// instance count, label text read only among equal counts), dominant
-/// features (likewise by score), return entities and key, the IList built
-/// from them (items as sources and ranges of one instance arena, each with
-/// the hash of its lowercased text for the duplicate check), the selected
-/// snippet tree and its XML.
+/// next: the result's feature statistics and [`Summary`] (unless the
+/// document's root record stands in for it), its return entities and key,
+/// the IList built from them (items as sources and ranges of one instance
+/// arena, each with the hash of its lowercased text for the duplicate
+/// check), the selected snippet tree and its XML.
 /// Every buffer keeps its capacity between calls, so a warm scratch builds
 /// and renders a snippet without allocating. Drive it through
 /// [`crate::Extract::snippet_xml`] (the served bytes) or
@@ -248,13 +333,13 @@ fn hash_lowered(bytes: &[u8]) -> u64 {
 pub struct IListScratch {
     /// The result's feature statistics.
     features: FeatureTables,
-    /// Its dominant features, IList order.
-    dominant: Vec<Ranked>,
+    /// Its features ranked, as positions in the statistics.
+    ranked: Vec<Ranked>,
     /// The result's entity nodes keyed and sorted by label: one run per
     /// entity type.
     by_label: Vec<(Symbol, NodeId)>,
-    /// One `by_label` run per entity type, in IList order.
-    types: Vec<(Symbol, Range<usize>)>,
+    /// The result's entity types and dominant features.
+    summary: Summary,
     /// The return entities.
     returns: ReturnEntities,
     /// The result key, its instances in `arena`.
@@ -324,8 +409,10 @@ fn append(arena: &mut Vec<NodeId>, nodes: impl IntoIterator<Item = NodeId>) -> R
 
 impl IListScratch {
     /// Build the IList of the result rooted at `root` for `query` (paper
-    /// §2.1–§2.3); `matches(i)` is keyword `i`'s match nodes inside the
-    /// result, document order.
+    /// §2.1–§2.3); `matches(i)` is keyword `i`'s matches inside the
+    /// result, document order. `record` is the document's root record for
+    /// a result rooted at the document root: read if built, else built
+    /// here from the statistics and kept.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build<'m>(
         &mut self,
@@ -336,12 +423,13 @@ impl IListScratch {
         root: NodeId,
         matches: impl Fn(usize) -> &'m [NodeId],
         options: &IListOptions,
+        record: Option<&OnceLock<Summary>>,
     ) {
-        let stats = ResultStats::compute_with(doc, model, root, std::mem::take(&mut self.features));
         let IListScratch {
-            dominant,
+            features,
+            ranked,
             by_label,
-            types,
+            summary,
             returns,
             key: key_at,
             entries,
@@ -350,21 +438,18 @@ impl IListScratch {
         } = self;
 
         // Entity types (§2.1) and dominant features (§2.3) first: together
-        // with the keywords and the key they bound the list's length. Entity
-        // instances are grouped by label; types are ordered by descending
-        // instance count (more instances ⇒ more of the result is about
-        // them), ties alphabetically — this reproduces Figure 3's "…,
-        // clothes, store, …". Only tied counts read label text.
-        return_entity::group_by_label(doc, stats.entities(), by_label, types);
-        dominance::sort_ties_by_text(
-            types,
-            |a, b| b.1.len().cmp(&a.1.len()),
-            |a, b| dominance::label_order(doc, a.0, b.0),
-        );
-        dominance::dominant_into(doc, &stats, dominant);
-        if let Some(cap) = options.max_dominant_features {
-            dominant.truncate(cap);
-        }
+        // with the keywords and the key they bound the list's length.
+        let result = (doc, model, root);
+        let summary: &Summary = match record {
+            Some(record) => record.get_or_init(|| {
+                summary.fill(result, (features, by_label, ranked));
+                summary.clone()
+            }),
+            None => {
+                summary.fill(result, (features, by_label, ranked));
+                summary
+            }
+        };
 
         entries.clear();
         arena.clear();
@@ -378,16 +463,17 @@ impl IListScratch {
         }
 
         // 2. Entity names.
-        for (label, run) in types.iter() {
-            let nodes = by_label.get(run.clone()).unwrap_or_default();
+        for (label, run) in &summary.types {
+            let nodes = summary.entities.get(run.clone()).unwrap_or_default();
             let list = (&mut *entries, &mut *arena);
-            let instances = |arena: &mut Vec<NodeId>| append(arena, nodes.iter().map(|&(_, e)| e));
+            let instances = |arena: &mut Vec<NodeId>| append(arena, nodes.iter().copied());
             push(list, at, Source::EntityName(*label), instances);
         }
 
         // 3. The result key (§2.2) — identified, with its instances, even
         //    when a keyword already says it: the owned IList records it.
-        return_entity::identify_into(doc, model, query, root, &matches, by_label, returns);
+        let types = summary.entity_types();
+        return_entity::identify_into(doc, model, query, root, &matches, types, returns);
         *key_at = key::identify_into(doc, model, catalog, returns, arena);
         if let Some(k) = key_at {
             let source =
@@ -397,17 +483,16 @@ impl IListScratch {
         }
 
         // 4. Dominant features in decreasing dominance score.
-        for d in dominant.iter() {
-            let instances = stats.instances(d.value);
-            let (Some(v), Some(&node)) = (stats.value(d.value), instances.first()) else {
+        let cap = options.max_dominant_features.unwrap_or(usize::MAX);
+        for d in summary.dominant.iter().take(cap) {
+            let instances = summary.instances.get(d.instances.clone()).unwrap_or_default();
+            let Some(&node) = instances.first() else {
                 continue;
             };
-            let source = Source::Feature { ftype: v.ftype, node, score: d.score };
+            let source = Source::Feature { ftype: d.ftype, node, score: d.score };
             let list = (&mut *entries, &mut *arena);
             push(list, at, source, |arena| append(arena, instances.iter().copied()));
         }
-
-        self.features = stats.into_tables();
     }
 
     /// The built items for a selector, and the outcome it writes with the
@@ -465,7 +550,7 @@ pub fn build_ilist(
     options: &IListOptions,
 ) -> IList {
     let mut scratch = IListScratch::default();
-    scratch.build(doc, model, catalog, query, result.root, matches_of(result), options);
+    scratch.build(doc, model, catalog, query, result.root, matches_of(result), options, None);
     scratch.to_ilist(doc, query)
 }
 

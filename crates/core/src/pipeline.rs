@@ -14,7 +14,7 @@
 //! what a library caller keeps, from a built [`QueryResult`]).
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use extract_analyzer::{EntityModel, KeyCatalog};
 use extract_index::XmlIndex;
@@ -23,7 +23,7 @@ use extract_search::result::postings_within;
 use extract_search::{Algorithm, KeywordQuery, QueryResult};
 use extract_xml::{Document, NodeId};
 
-use crate::ilist::{build_ilist, matches_of, IList, IListOptions, IListScratch};
+use crate::ilist::{build_ilist, matches_of, IList, IListOptions, IListScratch, Summary};
 use crate::selector::{exact_select, greedy_into, ExactLimits, InstancePolicy};
 use crate::snippet::Snippet;
 
@@ -83,11 +83,24 @@ fn options(config: &ExtractConfig) -> IListOptions {
 /// keys — behind `Arc`s so many [`Extract`] engines (e.g. one per query
 /// snapshot of a live corpus) can share one build. Cloning is three
 /// refcount bumps.
+///
+/// Beside the keys sits the document's **root record**: the entity types
+/// and dominant features of the result rooted at the document root, which
+/// depend on the document alone. The first snippet of that result builds
+/// it, every later one reads it in place of the statistics scan, and every
+/// clone of the parts shares it; a build makes none.
 #[derive(Debug, Clone)]
 pub struct EngineParts {
     index: Arc<XmlIndex>,
     model: Arc<EntityModel>,
-    keys: Arc<KeyCatalog>,
+    keys: Arc<Keys>,
+}
+
+/// The mined keys, and the root record beside them.
+#[derive(Debug)]
+struct Keys {
+    catalog: KeyCatalog,
+    root: OnceLock<Summary>,
 }
 
 impl EngineParts {
@@ -95,7 +108,8 @@ impl EngineParts {
     pub fn build(doc: &Document) -> EngineParts {
         let index = XmlIndex::build(doc);
         let model = EntityModel::analyze(doc);
-        let keys = KeyCatalog::mine(doc, &model);
+        let catalog = KeyCatalog::mine(doc, &model);
+        let keys = Keys { catalog, root: OnceLock::new() };
         EngineParts { index: Arc::new(index), model: Arc::new(model), keys: Arc::new(keys) }
     }
 
@@ -157,7 +171,7 @@ impl<'d> Extract<'d> {
 
     /// The mined key catalog.
     pub fn keys(&self) -> &KeyCatalog {
-        &self.parts.keys
+        &self.parts.keys.catalog
     }
 
     /// Run `algorithm` for `query` over this engine's index and entity
@@ -168,7 +182,7 @@ impl<'d> Extract<'d> {
 
     /// Build the IList of one query result (§2.1–§2.3).
     pub fn ilist(&self, query: &KeywordQuery, result: &QueryResult, config: &ExtractConfig) -> IList {
-        build_ilist(self.doc, &self.parts.model, &self.parts.keys, query, result, &options(config))
+        build_ilist(self.doc, &self.parts.model, self.keys(), query, result, &options(config))
     }
 
     /// Generate the snippet of one query result (§2.4).
@@ -236,7 +250,8 @@ impl<'d> Extract<'d> {
         scratch.render(self.doc, root)
     }
 
-    /// The kernel: build the IList into `scratch`, then select over it.
+    /// The kernel: build the IList into `scratch` (a result rooted at the
+    /// document root reads or builds the root record), then select over it.
     fn run<'m>(
         &self,
         query: &KeywordQuery,
@@ -246,7 +261,8 @@ impl<'d> Extract<'d> {
         scratch: &mut IListScratch,
     ) {
         let (doc, model, keys) = (self.doc, &*self.parts.model, &*self.parts.keys);
-        scratch.build(doc, model, keys, query, root, matches, &options(config));
+        let record = (root == doc.root()).then_some(&keys.root);
+        scratch.build(doc, model, &keys.catalog, query, root, matches, &options(config), record);
         let (items, selection) = scratch.items_and_selection();
         let bound = config.size_bound;
         let exact = match config.selector {
@@ -376,6 +392,31 @@ mod tests {
         assert!(extract
             .snippets_for_query("zzz qqq", &Default::default())
             .is_empty());
+    }
+
+    #[test]
+    fn the_first_whole_document_snippet_builds_the_root_record_every_clone_reads() {
+        let doc = Document::parse_str(STORES).unwrap();
+        let parts = EngineParts::build(&doc);
+        let twin = parts.clone();
+        assert!(parts.keys.root.get().is_none(), "a build makes no record");
+        let extract = Extract::borrowing(&doc, &parts);
+        let query = KeywordQuery::parse("texas jeans");
+        let lists = query.lists(extract.index());
+        let config = ExtractConfig::with_bound(8);
+        let mut scratch = IListScratch::default();
+        let store = doc.elements_with_label("store")[0];
+        extract.snippet_xml(&query, &lists, store, &config, &mut scratch);
+        assert!(twin.keys.root.get().is_none(), "a result below the root builds none");
+        let first = extract.snippet_xml(&query, &lists, doc.root(), &config, &mut scratch).to_string();
+        let record = twin.keys.root.get().expect("built once, and shared by every clone");
+        // The entity nodes and the dominant features' instances: no
+        // statistics tables.
+        assert!(record.heap_bytes() <= 8 * doc.len(), "{} bytes", record.heap_bytes());
+        let again = Extract::borrowing(&doc, &twin);
+        let read = again.snippet_xml(&query, &lists, doc.root(), &config, &mut scratch);
+        assert_eq!(read, first, "read back, the record gives the bytes the scan gave");
+        assert!(std::ptr::eq(twin.keys.root.get().unwrap(), record), "and is not rebuilt");
     }
 
     #[test]

@@ -53,10 +53,46 @@ pub fn identify(
 ) -> ReturnEntities {
     let (mut by_label, mut runs) = (Vec::new(), Vec::new());
     group_by_label(doc, &model.entities_in(doc, result.root), &mut by_label, &mut runs);
+    let nodes: Vec<NodeId> = by_label.iter().map(|&(_, e)| e).collect();
     let mut out = ReturnEntities::default();
     let matches = |i: usize| result.matches.get(i).map(Vec::as_slice).unwrap_or_default();
-    identify_into(doc, model, query, result.root, matches, &by_label, &mut out);
+    let types = EntityTypes { nodes: &nodes, runs: &runs };
+    identify_into(doc, model, query, result.root, matches, types, &mut out);
     out
+}
+
+/// A result's entity nodes grouped by type: `nodes` is [`group_by_label`]'s
+/// pairs with the labels dropped — one run per type, each in document
+/// order — and `runs` names each type's label and run, in any order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntityTypes<'a> {
+    pub(crate) nodes: &'a [NodeId],
+    pub(crate) runs: &'a [(Symbol, Range<usize>)],
+}
+
+impl<'a> EntityTypes<'a> {
+    /// The instances of the type `label`, document order.
+    fn instances(self, label: Symbol) -> &'a [NodeId] {
+        let run = self.runs.iter().find(|(l, _)| *l == label);
+        run.and_then(|(_, run)| self.nodes.get(run.clone())).unwrap_or_default()
+    }
+}
+
+/// An entity node as a grouping holds it: alone, or beside its label.
+trait EntityNode: Copy {
+    fn node(self) -> NodeId;
+}
+
+impl EntityNode for NodeId {
+    fn node(self) -> NodeId {
+        self
+    }
+}
+
+impl EntityNode for (Symbol, NodeId) {
+    fn node(self) -> NodeId {
+        self.1
+    }
 }
 
 /// Group entity nodes by label: `by_label` is `(label, node)` sorted, so
@@ -83,9 +119,8 @@ pub(crate) fn group_by_label(
 }
 
 /// The §2.2 rules over the entity types of the result rooted at `root`,
-/// into `out`: `by_label` holds its entity nodes as [`group_by_label`]
-/// leaves them, and `matches(i)` is keyword `i`'s matches inside the
-/// result. The rules look at types in order of their first instance, so
+/// into `out`: `types` holds its entity nodes grouped by type, and
+/// `matches(i)` is keyword `i`'s matches inside the result. The rules look at types in order of their first instance, so
 /// "the first type, in that order, that matches" is the matching type
 /// whose first node is smallest.
 ///
@@ -101,13 +136,13 @@ pub(crate) fn identify_into<'m>(
     query: &KeywordQuery,
     root: NodeId,
     matches: impl Fn(usize) -> &'m [NodeId],
-    by_label: &[(Symbol, NodeId)],
+    types: EntityTypes<'_>,
     out: &mut ReturnEntities,
 ) {
     out.label = None;
     out.reason = ReturnEntityReason::HighestEntity;
     out.instances.clear();
-    if by_label.is_empty() {
+    if types.nodes.is_empty() {
         out.instances.push(root);
         return;
     }
@@ -123,13 +158,7 @@ pub(crate) fn identify_into<'m>(
             })
         })
     };
-    let instances = |label: Symbol| {
-        let start = by_label.partition_point(|&(l, _)| l < label);
-        let len = by_label.get(start..).map_or(0, |rest| {
-            rest.iter().take_while(|&&(l, _)| l == label).count()
-        });
-        by_label.get(start..start + len).unwrap_or_default()
-    };
+    let instances = |label: Symbol| types.instances(label);
 
     // Rule 1: entity name matches a keyword. Every instance of such a
     // type is a match, so the smallest match names the first type.
@@ -144,7 +173,7 @@ pub(crate) fn identify_into<'m>(
         .filter(|&a| a != root)
         .filter_map(|a| doc.parent(a).filter(|&e| model.is_entity(e)))
         .filter_map(|e| doc.label(e));
-    let best = holders.min_by_key(|&label| instances(label).first().map(|&(_, e)| e));
+    let best = holders.min_by_key(|&label| instances(label).first().copied());
     if let Some(label) = best {
         return chosen(out, label, ReturnEntityReason::AttributeNameMatch, instances(label));
     }
@@ -158,11 +187,11 @@ fn chosen(
     out: &mut ReturnEntities,
     label: Symbol,
     reason: ReturnEntityReason,
-    instances: &[(Symbol, NodeId)],
+    instances: &[impl EntityNode],
 ) {
     out.label = Some(label);
     out.reason = reason;
-    out.instances.extend(instances.iter().map(|&(_, e)| e));
+    out.instances.extend(instances.iter().map(|&e| e.node()));
 }
 
 #[cfg(test)]
