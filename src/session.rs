@@ -759,9 +759,10 @@ impl<'d> QuerySession<'d> {
     /// The query's ranking over this snapshot, deep enough for the window:
     /// with caching on (`text` is the request's query), the cached ranking
     /// if it ranked the routed candidates and holds the window, else that
-    /// one patched ([`QuerySession::rank`], at least [`MAX_RANKED`] deep) if
-    /// that holds it, else the empty ranking ranked as deep as the window
-    /// needs, which counts as a miss. What was ranked is stored as its first
+    /// one patched ([`QuerySession::rank`], [`MAX_RANKED`] deep, or as deep
+    /// as a window inside a deeper ranking needs) if that holds it, else
+    /// the empty ranking ranked as deep as the window needs, which counts
+    /// as a miss. What was ranked is stored as its first
     /// [`MAX_RANKED`].
     fn ranking(
         &self,
@@ -776,7 +777,14 @@ impl<'d> QuerySession<'d> {
         let mut patched = None;
         if let Some(cached) = cached {
             if !cached.candidates.iter().map(|&(doc, _)| doc).eq(routes.docs().iter().copied()) {
-                let patch = self.rank(&cached, routes, lists, end.max(MAX_RANKED));
+                // Patched `MAX_RANKED` deep first, as a fresh ranking is
+                // ranked below: only a window inside a deeper ranking is
+                // patched again, `offset + k` deep.
+                let patch = self.rank(&cached, routes, lists, MAX_RANKED);
+                let patch = match patch.window(offset, k) {
+                    None if end > MAX_RANKED => self.rank(&cached, routes, lists, end),
+                    _ => patch,
+                };
                 patched = Some(patch).filter(|patch| patch.window(offset, k).is_some());
             } else if cached.window(offset, k).is_some() {
                 return cached;
@@ -1935,6 +1943,43 @@ mod tests {
         assert_eq!(stored.total, 3000);
         let uncached = QuerySession::for_snapshot(&snapshot, 1, Arc::new(SessionCaches::new(0)));
         let config = ExtractConfig::with_bound(8);
+        let first = uncached.answer_corpus_topk("store texas", &config, MAX_RANKED, 0).results;
+        let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.root)).collect();
+        assert_eq!(*stored.best, want, "the stored prefix is a cache-less ranking's");
+    }
+
+    /// A window starting past the end of its query's results, on a
+    /// snapshot that added a document to its cached ranking, needs only the
+    /// total: the patch keeps a bounded prefix — so the thread's ranking
+    /// buffer is handed back though the new document holds more results
+    /// than [`KEPT_REUSED`] — serves an empty window with the exact total,
+    /// counts as a patch, and stores the first [`MAX_RANKED`] results as a
+    /// cache-less session ranks them.
+    #[test]
+    fn a_window_past_the_end_patches_a_bounded_prefix() {
+        let live = extract_corpus::LiveCorpus::from_corpus(CorpusBuilder::new().finish());
+        for name in ["many-a", "many-b"] {
+            live.ingest(name, &entities_xml(600)).expect("the entities parse");
+        }
+        let caches = Arc::new(SessionCaches::new(128));
+        let before = live.snapshot();
+        checked(&QuerySession::for_snapshot(&before, 1, Arc::clone(&caches)), MAX_RANKED, 0);
+        live.ingest("many-c", &entities_xml(KEPT_REUSED + 500)).expect("the entities parse");
+        let snapshot = live.snapshot();
+        let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+        drop(KEPT.take());
+        let config = ExtractConfig::with_bound(8);
+        let page = session.answer_corpus_topk("store texas", &config, 10, 1_000_000);
+        let kept = KEPT.take().capacity();
+        assert!(kept > 0 && kept <= KEPT_REUSED, "a buffer of {kept} was not handed back");
+        let total = 1200 + KEPT_REUSED + 500;
+        assert_eq!((page.total, page.results.len()), (total, 0), "the total, and no result");
+        assert_eq!(ranking_counts(&caches), (1, 1, 1), "served by a patch");
+
+        let query = QueryText::from(&KeywordQuery::parse("store texas"));
+        let stored = lock_unpoisoned(&caches.rankings).get(&query).expect("a stored ranking");
+        assert_eq!((stored.total, stored.best.len()), (total, MAX_RANKED));
+        let uncached = QuerySession::for_snapshot(&snapshot, 1, Arc::new(SessionCaches::new(0)));
         let first = uncached.answer_corpus_topk("store texas", &config, MAX_RANKED, 0).results;
         let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.root)).collect();
         assert_eq!(*stored.best, want, "the stored prefix is a cache-less ranking's");
