@@ -18,9 +18,15 @@
 #      PROPTEST_CASES=2048 cargo test --release --test snippet_digest
 #                                     — the snippet kernel's oracles (IList
 #                                       dedup and order, return entities,
-#                                       the tree, the selectors), the LRU
-#                                       reference model and the served
-#                                       snippet bytes at CI's case count
+#                                       the tree, the selectors, whole-
+#                                       document results read from the
+#                                       root record), the LRU reference
+#                                       models and the served snippet
+#                                       bytes at CI's case count
+#      PROPTEST_CASES=16384 cargo test --release -p extract-core
+#          --test lru_model           — the LRU reference models again,
+#                                       colliding keys walking the hash
+#                                       chains (well under a second)
 #      PROPTEST_CASES=2048 cargo test --release
 #          -p extract-xml -p extract-index -p extract-corpus
 #                                     — the interner, tokenizer, index and
@@ -80,6 +86,7 @@ run cargo test -q --offline --release -p extract-search
 run cargo test -q --offline --release -p extract-analyzer
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract-core
 run env PROPTEST_CASES=2048 cargo test -q --offline --release --test snippet_digest
+run env PROPTEST_CASES=16384 cargo test -q --offline --release -p extract-core --test lru_model
 run env PROPTEST_CASES=2048 cargo test -q --offline --release \
     -p extract-xml -p extract-index -p extract-corpus
 run env PROPTEST_CASES=2048 cargo test -q --offline --release -p extract --lib session::
