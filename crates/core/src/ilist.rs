@@ -267,7 +267,8 @@ struct Dominant {
 
 /// The buffers [`Summary::fill`] works in: the statistics tables, the
 /// entity nodes keyed by label, and the ranked features.
-type SummaryScratch<'a> = (&'a mut FeatureTables, &'a mut Vec<(Symbol, NodeId)>, &'a mut Vec<Ranked>);
+type SummaryScratch<'a> =
+    (&'a mut FeatureTables, &'a mut Vec<(Symbol, NodeId)>, &'a mut Vec<Ranked>);
 
 impl Summary {
     /// The entity types and dominant features of the result rooted at
@@ -295,7 +296,8 @@ impl Summary {
         self.instances.clear();
         for d in ranked.iter() {
             if let Some(ftype) = stats.value_type(d.value) {
-                let instances = append(&mut self.instances, stats.instances(d.value).iter().copied());
+                let nodes = stats.instances(d.value).iter().copied();
+                let instances = append(&mut self.instances, nodes);
                 self.dominant.push(Dominant { ftype, score: d.score, instances });
             }
         }

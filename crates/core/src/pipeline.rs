@@ -408,7 +408,8 @@ mod tests {
         let store = doc.elements_with_label("store")[0];
         extract.snippet_xml(&query, &lists, store, &config, &mut scratch);
         assert!(twin.keys.root.get().is_none(), "a result below the root builds none");
-        let first = extract.snippet_xml(&query, &lists, doc.root(), &config, &mut scratch).to_string();
+        let first = extract.snippet_xml(&query, &lists, doc.root(), &config, &mut scratch);
+        let first = first.to_string();
         let record = twin.keys.root.get().expect("built once, and shared by every clone");
         // The entity nodes and the dominant features' instances: no
         // statistics tables.

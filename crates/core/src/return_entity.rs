@@ -120,9 +120,9 @@ pub(crate) fn group_by_label(
 
 /// The §2.2 rules over the entity types of the result rooted at `root`,
 /// into `out`: `types` holds its entity nodes grouped by type, and
-/// `matches(i)` is keyword `i`'s matches inside the result. The rules look at types in order of their first instance, so
-/// "the first type, in that order, that matches" is the matching type
-/// whose first node is smallest.
+/// `matches(i)` is keyword `i`'s matches inside the result. The rules look
+/// at types in order of their first instance, so "the first type, in that
+/// order, that matches" is the matching type whose first node is smallest.
 ///
 /// A label that says a keyword makes its element a match of that keyword
 /// (the index posts an element under its label's tokens as under its
