@@ -320,6 +320,25 @@ mod tests {
         }
     }
 
+    /// A page's `/search` body is the same bytes whether the page missed,
+    /// hit for the first time or hit again.
+    #[test]
+    fn a_page_renders_its_body_on_its_first_hit() {
+        let corpus = tiny_corpus();
+        let session = QuerySession::from_corpus(&corpus, 64);
+        let config = ExtractConfig::default();
+        let body = || search_body(&session, &config, "Texas", 10, 0);
+        let missed = body();
+        assert_eq!(session.caches().corpus_page_stats().misses, 1);
+        let first_hit = body();
+        let second_hit = body();
+        assert_eq!(session.caches().corpus_page_stats().hits, 2);
+        assert_eq!(first_hit, missed, "a first hit serves the miss's bytes");
+        assert_eq!(second_hit, missed, "a second hit serves them again");
+        let uncached = QuerySession::from_corpus(&corpus, 0);
+        assert_eq!(search_body(&uncached, &config, "Texas", 10, 0), missed);
+    }
+
     #[test]
     fn search_pagination_and_clamping() {
         let app = app(SearchAppConfig { max_k: 1, ..Default::default() });
