@@ -27,6 +27,11 @@
 //! a value is freed: [`LruCache::insert`] and [`LruCache::retain`] hand
 //! the entries they remove back to the caller, who drops them after the
 //! guard.
+//!
+//! The snippet cache also has a door ([`LruCache::admitting`]): once it is
+//! full, a result it does not hold is stored only on its second sight, so
+//! a stream of results that never recur within the cache's reach leaves
+//! the results that do recur where they are.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -212,6 +217,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
+    /// Inserts a full admitting cache turned away at its door: the key's
+    /// first sight within the door's last two generations.
+    pub rejections: u64,
 }
 
 
@@ -234,10 +242,17 @@ const DEFAULT_CAPACITY: usize = 256;
 /// relinks its slot at the head; an insert into a full cache reuses the
 /// tail's slot for the newcomer. A capacity of `0` disables retention
 /// entirely (every `get` misses).
+///
+/// An admitting cache ([`LruCache::admitting`]) puts a door before the
+/// eviction: when the cache is full, a key it does not hold takes the
+/// tail's slot only if its hash was offered within the door's last two
+/// generations. Otherwise the door records the hash and `insert` hands the
+/// value back, counted as a rejection. A cache that is not full admits
+/// everything.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub struct LruCache<K, V, S = RandomState> {
     /// The keyed hasher of this cache's keys.
-    hasher: RandomState,
+    hasher: S,
     /// The first slot of each chain, [`NIL`] for an empty one; empty, or a
     /// power of two at least the slab's length.
     chains: Vec<u32>,
@@ -249,6 +264,8 @@ pub struct LruCache<K, V> {
     tail: u32,
     capacity: usize,
     stats: CacheStats,
+    /// The admission door of an admitting cache.
+    door: Option<Door>,
 }
 
 /// The end of the recency list and of a chain.
@@ -289,8 +306,24 @@ impl<K: Eq + Hash, V: Clone> Default for LruCache<K, V> {
 impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     /// A cache retaining at most `capacity` values.
     pub fn new(capacity: usize) -> LruCache<K, V> {
+        LruCache::with_hasher(capacity, RandomState::new())
+    }
+}
+
+impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> LruCache<K, V, S> {
+    /// A cache retaining at most `capacity` values that, once full, admits
+    /// a key it does not hold on its second sight ([`Door`]).
+    pub fn admitting(capacity: usize) -> LruCache<K, V, S> {
+        let mut cache = LruCache::with_hasher(capacity, S::default());
+        cache.door = (capacity > 0).then(|| Door::new(capacity));
+        cache
+    }
+}
+
+impl<K: Eq + Hash, V: Clone, S: BuildHasher> LruCache<K, V, S> {
+    fn with_hasher(capacity: usize, hasher: S) -> LruCache<K, V, S> {
         LruCache {
-            hasher: RandomState::new(),
+            hasher,
             chains: match capacity.min(1024) {
                 0 => Vec::new(),
                 chains => vec![NIL; chains.next_power_of_two()],
@@ -300,6 +333,7 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
             tail: NIL,
             capacity,
             stats: CacheStats::default(),
+            door: None,
         }
     }
 
@@ -324,7 +358,8 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     /// when full. The value this displaces — the key's previous value, or
     /// the evicted entry's — is handed back rather than dropped here: a
     /// caller holding a lock around the cache frees it after the guard
-    /// (with caching disabled that is `value` itself).
+    /// (with caching disabled, or turned away at an admitting cache's
+    /// door, that is `value` itself).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         if self.capacity == 0 {
             return Some(value);
@@ -335,8 +370,13 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
             self.touch(at);
             return Some(old);
         }
+        let full = self.slots.len() >= self.capacity;
+        if full && self.door.as_mut().is_some_and(|door| !door.admits(hash)) {
+            self.stats.rejections += 1;
+            return Some(value);
+        }
         let slot = Slot { key, hash, value, newer: NIL, older: NIL, next: NIL };
-        if self.slots.len() < self.capacity {
+        if !full {
             let at = link(self.slots.len());
             self.slots.push(slot);
             if self.chains.len() < self.slots.len() {
@@ -468,8 +508,8 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
         self.capacity
     }
 
-    /// Hit/miss/eviction counters since construction (or the last
-    /// [`LruCache::clear`]).
+    /// Hit/miss/eviction/rejection counters since construction (or the
+    /// last [`LruCache::clear`]).
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -526,12 +566,15 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
         self.slots.iter().map(|slot| &slot.value)
     }
 
-    /// Drop all entries and reset the counters.
+    /// Drop all entries, empty the door and reset the counters.
     pub fn clear(&mut self) {
         self.chains.fill(NIL);
         self.slots.clear();
         (self.head, self.tail) = (NIL, NIL);
         self.stats = CacheStats::default();
+        if let Some(door) = &mut self.door {
+            door.clear();
+        }
     }
 
     /// The keys from least to most recently used: the recency list walked
@@ -548,6 +591,84 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
             at = self.slots[at as usize].newer;
         }
         order
+    }
+}
+
+/// Bits a door gives each cache entry, in each of its two bitsets: at
+/// 8 a false sighting admits a one-time key often enough to erode what
+/// the cache holds.
+const DOOR_BITS_PER_ENTRY: usize = 16;
+
+/// TinyLFU's doorkeeper (Einziger, Friedman and Manes, "TinyLFU: A Highly
+/// Efficient Cache Admission Policy", ACM TOS 2017): the hashes a full
+/// cache turned away, over two generations. A generation ends after
+/// `capacity` first sightings; then the older bitset is emptied and
+/// records the next. A hash sets two bits of a bitset, read from bits
+/// 32–47 and 48–63 of the hash (the chains index by its low bits), so a
+/// hash is "seen" while both of its bits are set in either bitset — the
+/// rare false sighting admits a key on its first offer.
+#[derive(Debug)]
+struct Door {
+    /// The generation being recorded.
+    fresh: Vec<u64>,
+    /// The generation before it.
+    old: Vec<u64>,
+    /// The index mask of a bit: each bitset holds a power of two of them.
+    mask: u64,
+    /// First sightings recorded in `fresh`.
+    recorded: usize,
+    /// First sightings that end a generation: the cache's capacity.
+    generation: usize,
+}
+
+impl Door {
+    /// A door for a cache of `capacity` entries: two bitsets of
+    /// [`DOOR_BITS_PER_ENTRY`] bits an entry, rounded up to a power of two
+    /// of at least 64 (16 KB both at 4 096 entries).
+    fn new(capacity: usize) -> Door {
+        let bits = capacity.saturating_mul(DOOR_BITS_PER_ENTRY).next_power_of_two().max(64);
+        Door {
+            fresh: vec![0; bits / 64],
+            old: vec![0; bits / 64],
+            mask: bits as u64 - 1,
+            recorded: 0,
+            generation: capacity,
+        }
+    }
+
+    /// The two bits of `hash`: each its word and its mask in the word.
+    fn probes(&self, hash: u64) -> [(usize, u64); 2] {
+        [hash.rotate_right(32), hash.rotate_right(48)].map(|bits| {
+            let bit = bits & self.mask;
+            ((bit / 64) as usize, 1 << (bit % 64))
+        })
+    }
+
+    /// Whether `hash` was offered within the last two generations. If it
+    /// was not, this offer is recorded as its first sighting.
+    fn admits(&mut self, hash: u64) -> bool {
+        let probes = self.probes(hash);
+        let seen = |bits: &[u64]| probes.iter().all(|&(word, bit)| bits[word] & bit != 0);
+        if seen(&self.fresh) || seen(&self.old) {
+            return true;
+        }
+        for (word, bit) in probes {
+            self.fresh[word] |= bit;
+        }
+        self.recorded += 1;
+        if self.recorded >= self.generation {
+            std::mem::swap(&mut self.fresh, &mut self.old);
+            self.fresh.fill(0);
+            self.recorded = 0;
+        }
+        false
+    }
+
+    /// Forget every sighting.
+    fn clear(&mut self) {
+        self.fresh.fill(0);
+        self.old.fill(0);
+        self.recorded = 0;
     }
 }
 
@@ -812,6 +933,77 @@ mod tests {
         assert!(cache.retain(|_| true).is_empty());
         let mut off: LruCache<u32, &str> = LruCache::new(0);
         assert_eq!(off.insert(1, "one"), Some("one"), "nothing is retained, nothing is lost");
+    }
+
+    /// A hasher that spreads a small integer key `x` to `x | x << 32 | x <<
+    /// 48`: both of its door bits are bit `x`, so keys below 64 never make
+    /// a false sighting and a door test is exact.
+    #[derive(Debug, Default)]
+    struct Spread(u64);
+
+    impl Hasher for Spread {
+        fn write(&mut self, bytes: &[u8]) {
+            for &byte in bytes.iter().rev() {
+                self.0 = self.0 << 8 | u64::from(byte);
+            }
+        }
+
+        fn finish(&self) -> u64 {
+            self.0 | self.0 << 32 | self.0 << 48
+        }
+    }
+
+    impl BuildHasher for Spread {
+        type Hasher = Spread;
+
+        fn build_hasher(&self) -> Spread {
+            Spread::default()
+        }
+    }
+
+    #[test]
+    fn a_full_admitting_cache_stores_a_key_on_its_second_sight() {
+        let mut cache: LruCache<u32, &str, Spread> = LruCache::admitting(2);
+        assert_eq!(cache.insert(1, "one"), None, "a cache that is not full admits");
+        assert_eq!(cache.insert(2, "two"), None);
+        assert_eq!(cache.insert(3, "three"), Some("three"), "a first sight is turned away");
+        assert_eq!(cache.lru_order(), [1, 2], "and displaces nothing");
+        assert_eq!(cache.insert(3, "three"), Some("one"), "a second sight evicts the LRU");
+        assert_eq!(cache.lru_order(), [2, 3]);
+        assert_eq!(cache.insert(3, "tres"), Some("three"), "a held key is refreshed");
+        let stats = cache.stats();
+        assert_eq!((stats.rejections, stats.evictions), (1, 1), "{stats:?}");
+        cache.retain(|k| *k != 2);
+        assert_eq!(cache.insert(4, "four"), None, "a retain leaves room, and room admits");
+    }
+
+    #[test]
+    fn a_door_forgets_what_it_saw_two_generations_ago() {
+        // A generation is two first sightings at capacity 2: 10 and 11 make
+        // one, 12 and 13 the next, so at 14 the door holds 12 to 14.
+        let mut cache: LruCache<u32, u32, Spread> = LruCache::admitting(2);
+        cache.insert(0, 0);
+        cache.insert(1, 1);
+        for key in 10..15 {
+            assert_eq!(cache.insert(key, key), Some(key), "{key}: a first sight");
+        }
+        assert_eq!(cache.insert(10, 10), Some(10), "10 was seen three generations ago");
+        assert_eq!(cache.insert(14, 14), Some(0), "14 was seen within the last two");
+        assert_eq!(cache.stats().rejections, 6);
+        cache.clear();
+        assert_eq!(cache.stats(), CacheStats::default());
+        cache.insert(0, 0);
+        cache.insert(1, 1);
+        assert_eq!(cache.insert(10, 10), Some(10), "a cleared door has seen nothing");
+    }
+
+    #[test]
+    fn a_door_takes_sixteen_bits_an_entry_in_each_generation() {
+        let door = Door::new(4096);
+        assert_eq!((door.fresh.len(), door.old.len()), (1024, 1024), "8 KB each");
+        assert_eq!(Door::new(1).fresh.len(), 1, "at least one word");
+        let off: LruCache<u32, u32, Spread> = LruCache::admitting(0);
+        assert!(off.door.is_none(), "nothing is stored, nothing needs a door");
     }
 
     #[test]

@@ -26,7 +26,9 @@
 #      PROPTEST_CASES=16384 cargo test --release -p extract-core
 #          --test lru_model           — the LRU reference models again,
 #                                       colliding keys walking the hash
-#                                       chains (well under a second)
+#                                       chains, plain and admitting caches
+#                                       (the snippet cache's door) alike
+#                                       (well under a second)
 #      PROPTEST_CASES=2048 cargo test --release
 #          -p extract-xml -p extract-index -p extract-corpus
 #                                     — the interner, tokenizer, index and

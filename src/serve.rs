@@ -41,29 +41,37 @@ impl Default for SearchAppConfig {
     }
 }
 
+/// A counter one result cache keeps beyond hits, misses and evictions:
+/// its `/stats` key, its `/metrics` event and its value.
+type CacheExtra = (&'static str, &'static str, u64);
+
 /// One result cache's row of [`cache_counters`]: its wire name, its
-/// counters, the entries it holds and — the ranking cache only — how many
-/// of its hits were served from a ranking patched to a mutation.
-type CacheRow = (&'static str, CacheStats, usize, Option<u64>);
+/// counters, the entries it holds and its own counter — the ranking
+/// cache's hits served from a ranking patched to a mutation, the snippet
+/// cache's inserts its door turned away.
+type CacheRow = (&'static str, CacheStats, usize, Option<CacheExtra>);
 
 /// The result caches by their wire names, each with its counters and the
 /// entries it holds — one table behind `/stats` and `/metrics`.
 fn cache_counters(caches: &SessionCaches) -> [CacheRow; 3] {
     let (pages, rankings, snippets) = caches.entries();
+    let snippet_stats = caches.snippet_stats();
+    let patches = ("patches", "patch", caches.ranking_patches());
+    let rejections = ("rejections", "reject", snippet_stats.rejections);
     [
         ("corpus_page_cache", caches.corpus_page_stats(), pages, None),
-        ("ranking_cache", caches.ranking_stats(), rankings, Some(caches.ranking_patches())),
-        ("snippet_cache", caches.snippet_stats(), snippets, None),
+        ("ranking_cache", caches.ranking_stats(), rankings, Some(patches)),
+        ("snippet_cache", snippet_stats, snippets, Some(rejections)),
     ]
 }
 
 /// The cache members of `/stats`' `session` object: per-cache counters
-/// and entries (and the ranking cache's `patches`, hits among its hits),
-/// then what the caches hold — rendered `/search` results in the page
-/// cache, rendered result objects in the snippet cache, ranked results in
-/// the ranking cache.
+/// and entries (and the ranking cache's `patches`, hits among its hits,
+/// and the snippet cache's `rejections`), then what the caches hold —
+/// rendered `/search` results in the page cache, rendered result objects
+/// in the snippet cache, ranked results in the ranking cache.
 pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
-    for (name, stats, entries, patches) in cache_counters(caches) {
+    for (name, stats, entries, extra) in cache_counters(caches) {
         w.key(name);
         w.obj_begin();
         w.key("hits");
@@ -74,9 +82,9 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
         w.num_u64(stats.evictions);
         w.key("entries");
         w.num_u64(entries as u64);
-        if let Some(patches) = patches {
-            w.key("patches");
-            w.num_u64(patches);
+        if let Some((key, _, value)) = extra {
+            w.key(key);
+            w.num_u64(value);
         }
         w.obj_end();
     }
@@ -89,24 +97,22 @@ pub(crate) fn write_cache_stats(w: &mut JsonWriter, caches: &SessionCaches) {
 }
 
 /// The cache families of `/metrics`: hit/miss/eviction counters (and the
-/// ranking cache's patches) and entries per cache, the rendered `/search`
+/// ranking cache's patches and the snippet cache's rejections) and entries
+/// per cache, the rendered `/search`
 /// bytes the corpus page cache holds, the rendered result bytes the snippet
 /// cache holds and the ranked results the ranking cache holds.
 pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
     let counters = cache_counters(caches);
     w.help(
         "extract_cache_events_total",
-        "Session cache hits/misses/evictions, and ranking hits served patched.",
+        "Session cache hits/misses/evictions, ranking hits served patched, and snippet \
+         inserts turned away at the door.",
     );
     w.type_("extract_cache_events_total", "counter");
-    for (cache, stats, _, patches) in counters {
-        let events = [
-            ("hit", Some(stats.hits)),
-            ("miss", Some(stats.misses)),
-            ("eviction", Some(stats.evictions)),
-            ("patch", patches),
-        ];
-        for (event, value) in events.into_iter().filter_map(|(event, v)| Some((event, v?))) {
+    for (cache, stats, _, extra) in counters {
+        let events = [("hit", stats.hits), ("miss", stats.misses), ("eviction", stats.evictions)];
+        let extra = extra.map(|(_, event, value)| (event, value));
+        for (event, value) in events.into_iter().chain(extra) {
             w.sample_u64(
                 "extract_cache_events_total",
                 &[("cache", cache), ("event", event)],
@@ -147,10 +153,11 @@ pub(crate) fn write_cache_metrics(w: &mut PromWriter, caches: &SessionCaches) {
 ///
 /// The `results` array is most of the body. Each result's object was
 /// written once, when its snippet was generated ([`result_object`]), and
-/// the snippet cache keeps it, so a page miss joins its results' objects
-/// and escapes nothing. The array is a pure function of the page, so it is
-/// joined once per page-cache entry and kept in the entry
-/// ([`CorpusTopK::rendered`]). A page hit splices those bytes behind the
+/// the snippet cache keeps it, so a page miss writes its results' objects
+/// into the body as they are and escapes nothing. The array is a pure
+/// function of the page, so a page's first hit joins it once and keeps it
+/// in the page-cache entry ([`CorpusTopK::rendered`]) — a page that is
+/// never hit holds no body. A page hit splices those bytes behind the
 /// request's own header fields: the page key holds the *normalized*
 /// query while `"query"` echoes the *raw* one, so the echo is never
 /// cached.
@@ -162,13 +169,17 @@ pub fn search_body(
     offset: usize,
 ) -> String {
     // `answer_corpus_topk` times its own `search` and `snippet`
-    // stages; rendering the results is this request's `serialize` span —
-    // recorded by the request that renders, so a page hit records none.
+    // stages; writing or joining the results is this request's `serialize`
+    // span — recorded by the request that renders, so a page hit that
+    // re-serves stored bytes records none.
     let page = session.answer_corpus_topk(q, snippet, k, offset);
-    let results = page.rendered.get_or_init(|| {
-        extract_obs::time_stage(Stage::Serialize, || render_results(&page))
+    let rendered = page.hit.then(|| {
+        page.rendered.get_or_init(|| {
+            extract_obs::time_stage(Stage::Serialize, || render_results(&page))
+        })
     });
-    let mut w = JsonWriter::with_capacity(HEADER_CAPACITY + q.len() + results.len());
+    let results_len = rendered.map_or_else(|| results_len(&page), |results| results.len());
+    let mut w = JsonWriter::with_capacity(HEADER_CAPACITY + q.len() + results_len);
     w.obj_begin();
     w.key("query");
     w.str(q);
@@ -181,7 +192,16 @@ pub fn search_body(
     w.key("count");
     w.num_u64(page.results.len() as u64);
     w.key("results");
-    w.raw(results);
+    match rendered {
+        Some(results) => w.raw(results),
+        None => extract_obs::time_stage(Stage::Serialize, || {
+            w.arr_begin();
+            for answer in page.results.iter() {
+                w.raw(answer.snippet.object());
+            }
+            w.arr_end();
+        }),
+    }
     w.obj_end();
     w.finish()
 }
@@ -239,19 +259,23 @@ pub(crate) fn result_object(
     })
 }
 
+/// The length of a page's `results` array: its results' objects, the
+/// commas between them and the brackets.
+fn results_len(page: &CorpusTopK) -> usize {
+    let joined: usize = page.results.iter().map(|answer| answer.snippet.object().len()).sum();
+    joined + page.results.len().saturating_sub(1) + 2
+}
+
 /// One page's `results` array, as JSON: its results' objects joined, into
 /// a buffer of their size.
 fn render_results(page: &CorpusTopK) -> Box<str> {
-    let objects = page.results.iter().map(|answer| answer.snippet.object());
-    let joined: usize = objects.clone().map(|object| object.len()).sum();
-    let commas = page.results.len().saturating_sub(1);
-    let mut out = String::with_capacity(joined + commas + 2);
+    let mut out = String::with_capacity(results_len(page));
     out.push('[');
-    for (at, object) in objects.enumerate() {
+    for (at, answer) in page.results.iter().enumerate() {
         if at > 0 {
             out.push(',');
         }
-        out.push_str(object);
+        out.push_str(answer.snippet.object());
     }
     out.push(']');
     out.into_boxed_str()
@@ -321,7 +345,9 @@ mod tests {
     }
 
     /// A page's `/search` body is the same bytes whether the page missed,
-    /// hit for the first time or hit again.
+    /// hit for the first time or hit again; the miss writes its results
+    /// into its response and leaves the page cache no body, and the first
+    /// hit stores the one the second hit serves.
     #[test]
     fn a_page_renders_its_body_on_its_first_hit() {
         let corpus = tiny_corpus();
@@ -330,7 +356,11 @@ mod tests {
         let body = || search_body(&session, &config, "Texas", 10, 0);
         let missed = body();
         assert_eq!(session.caches().corpus_page_stats().misses, 1);
+        assert_eq!(session.caches().corpus_page_body_bytes(), 0, "a miss stores no body");
         let first_hit = body();
+        let results = missed.split_once("\"results\":").map(|(_, rest)| rest.len() - 1);
+        let stored = session.caches().corpus_page_body_bytes();
+        assert_eq!(Some(stored), results, "the first hit stores the results array");
         let second_hit = body();
         assert_eq!(session.caches().corpus_page_stats().hits, 2);
         assert_eq!(first_hit, missed, "a first hit serves the miss's bytes");
@@ -460,6 +490,33 @@ mod tests {
             .and_then(Value::as_str)
             .expect("the quoted store is found");
         assert!(snippet.contains("Levis \"Quoted\""), "{snippet}");
+    }
+
+    /// The snippet cache's door counts what it turns away: `/stats` reports
+    /// it as the snippet cache's `rejections`, `/metrics` as its `reject`
+    /// event.
+    #[test]
+    fn stats_and_metrics_report_snippet_rejections() {
+        let app = LiveSearchApp::new(
+            LiveCorpus::from_corpus(tiny_corpus()),
+            SearchAppConfig::default(),
+            1,
+        );
+        // "texas" has two results for a one-entry snippet cache: the second
+        // is a first sight at a full cache, and so is the first on "vldb".
+        app.handle(&request("GET", "/search", &[("q", "texas")]));
+        app.handle(&request("GET", "/search", &[("q", "vldb")]));
+        let resp = app.handle(&request("GET", "/stats", &[]));
+        let v = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let cache = v.get("session").and_then(|s| s.get("snippet_cache")).expect("snippet cache");
+        let counter = |key: &str| cache.get(key).and_then(Value::as_u64);
+        assert_eq!(counter("rejections"), Some(2), "{cache:?}");
+        assert_eq!((counter("entries"), counter("evictions")), (Some(1), Some(0)), "{cache:?}");
+        let mut metrics = PromWriter::new();
+        write_cache_metrics(&mut metrics, app.caches());
+        let metrics = metrics.finish();
+        let sample = "extract_cache_events_total{cache=\"snippet_cache\",event=\"reject\"} 2\n";
+        assert!(metrics.contains(sample), "no {sample}:\n{metrics}");
     }
 
     #[test]

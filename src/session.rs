@@ -225,11 +225,15 @@ pub struct CorpusTopK {
     pub offset: usize,
     /// The window's `results` array as `/search` serves it, filled by the
     /// wire-format producer (`serve::search_body`) the first time this
-    /// page is rendered. The cell is shared with the page-cache entry, so
-    /// the rendered bytes live and die with the page they were rendered
-    /// from — same key, same epoch, same eviction — and a later hit
-    /// serves them as they are.
+    /// page is served from the page cache: a miss writes its results
+    /// straight into its response, so a page that is never hit holds no
+    /// body. The cell is shared with the page-cache entry, so the rendered
+    /// bytes live and die with the page they were rendered from — same
+    /// key, same epoch, same eviction — and a later hit serves them as
+    /// they are.
     pub(crate) rendered: Arc<OnceLock<Box<str>>>,
+    /// Whether this answer was served from the page cache.
+    pub(crate) hit: bool,
 }
 
 /// Insert under the cache's lock; free what the insert displaced (an
@@ -505,7 +509,7 @@ impl SessionCaches {
             rankings: Mutex::new(LruCache::new(cache_capacity.min(RANKINGS))),
             shallow_rankings: AtomicU64::new(0),
             patched_rankings: AtomicU64::new(0),
-            snippets: Mutex::new(LruCache::new(cache_capacity)),
+            snippets: Mutex::new(LruCache::admitting(cache_capacity)),
         }
     }
 
@@ -542,7 +546,7 @@ impl SessionCaches {
         CacheStats {
             hits: stats.hits.saturating_sub(shallow),
             misses: stats.misses + shallow,
-            evictions: stats.evictions,
+            ..stats
         }
     }
 
@@ -922,7 +926,7 @@ impl<'d> QuerySession<'d> {
             .map(|text| PageKey::bounded(text, config, k, offset).at_epoch(self.corpus.epoch()));
         if let Some(pkey) = &pkey {
             if let Some(page) = lock_unpoisoned(&self.caches.corpus_pages).get(pkey) {
-                return page;
+                return CorpusTopK { hit: true, ..page };
             }
         }
         // Stage 1 — routing and the query's ranking: no snippet work yet,
@@ -948,7 +952,7 @@ impl<'d> QuerySession<'d> {
         ROUTES.set(routes);
         let total = ranking.total;
         let results = window.into();
-        let page = CorpusTopK { results, total, k, offset, rendered: Arc::default() };
+        let page = CorpusTopK { results, total, k, offset, rendered: Arc::default(), hit: false };
         if let Some(pkey) = pkey {
             store(&self.caches.corpus_pages, pkey, page.clone());
         }
@@ -2009,6 +2013,44 @@ mod tests {
         round(&live, 2100);
         live.delete("many-a").expect("a live document");
         round(&live, 1400);
+    }
+
+    /// A full snippet cache under a scan of results asked once each keeps
+    /// the results it holds: its door turns every one-time result away
+    /// (served all the same, byte for byte), so a window of the first
+    /// results it stored still hits — plain LRU would have evicted them to
+    /// the scan. A result asked a second time is stored.
+    #[test]
+    fn a_full_snippet_cache_keeps_its_hot_results_through_a_scan() {
+        const CAPACITY: usize = 4096;
+        const SCAN: usize = 20;
+        let mut builder = CorpusBuilder::new();
+        builder.add_document("many", &entities_xml(CAPACITY + SCAN)).expect("the entities parse");
+        let corpus = builder.finish();
+        let caches = Arc::new(SessionCaches::new(CAPACITY));
+        let session = QuerySession::for_snapshot(&corpus, 1, Arc::clone(&caches));
+        let filled = checked(&session, CAPACITY, 0);
+        assert_eq!(filled.results.len(), CAPACITY, "the snippet cache is full");
+        for offset in CAPACITY..CAPACITY + SCAN {
+            checked(&session, 1, offset);
+        }
+        let scanned = caches.snippet_stats();
+        assert_eq!(scanned.misses, (CAPACITY + SCAN) as u64, "{scanned:?}");
+        assert_eq!((scanned.rejections, scanned.evictions), (SCAN as u64, 0), "{scanned:?}");
+
+        caches.retire_pages_before(1);
+        checked(&session, 10, 0);
+        let hot = caches.snippet_stats();
+        assert_eq!(hot.hits, scanned.hits + 10, "the first results stored still hit: {hot:?}");
+
+        let last = CAPACITY + SCAN - 1;
+        checked(&session, 1, last);
+        let second = caches.snippet_stats();
+        assert_eq!(second.misses, hot.misses + 1, "{second:?}");
+        assert_eq!((second.rejections, second.evictions), (SCAN as u64, 1), "admitted: {second:?}");
+        caches.retire_pages_before(1);
+        checked(&session, 1, last);
+        assert_eq!(caches.snippet_stats().hits, second.hits + 1, "and served from the cache");
     }
 
     #[test]
