@@ -312,7 +312,8 @@ impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
 
 impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> LruCache<K, V, S> {
     /// A cache retaining at most `capacity` values that, once full, admits
-    /// a key it does not hold on its second sight ([`Door`]).
+    /// a key it does not hold on its second sight: TinyLFU's doorkeeper,
+    /// two bitsets of 16 bits an entry (16 KB at 4 096 entries).
     pub fn admitting(capacity: usize) -> LruCache<K, V, S> {
         let mut cache = LruCache::with_hasher(capacity, S::default());
         cache.door = (capacity > 0).then(|| Door::new(capacity));

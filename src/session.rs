@@ -26,8 +26,9 @@
 //!    [`CorpusTopK`]) makes a repeated hot query a single hash lookup
 //!    plus an `Arc` clone — routing, search, ranking and snippet
 //!    generation are all skipped. The entry also keeps the window's
-//!    `/search` results array once it has been served, so a hit re-serves
-//!    bytes;
+//!    `/search` results array once it has been served from the cache, so
+//!    a hit re-serves bytes, and a page that is never hit holds none (a
+//!    miss writes its results into its response);
 //! 2. a **ranking cache** (`normalized query →` the exact total, the
 //!    best-first prefix of results, 8 bytes each, and the candidate
 //!    documents ranked, each with its result count) makes every window of
@@ -50,14 +51,22 @@
 //!    depends on its document alone), so it is written once, when the
 //!    kernel runs, and a page miss made of hits recounts no score, escapes
 //!    no byte and joins the objects. Corpus pages hold the same `Arc`s, so
-//!    a result's bytes exist once however many pages show them.
+//!    a result's bytes exist once however many pages show them. Only this
+//!    cache has a door ([`LruCache::admitting`]): once full, it stores a
+//!    result it does not hold on its second sight within the door's last
+//!    two generations, and turns the first away — served all the same,
+//!    its object freed after the guard by the thread that made it, and
+//!    counted as a rejection. A stream of results that do not recur within
+//!    the cache's reach so neither stores nor evicts, and the results that
+//!    do recur stay. Pages and rankings stay plain LRU (ROADMAP item 16
+//!    records why).
 //!
 //! They sit behind `Mutex`es held only to look up and to store: a miss
 //! takes the snippet cache's lock once to look up its whole window and
 //! once more to store the snippets it computed. A lock is never held
 //! during computation, nor while an entry is freed: what an insert evicts
-//! or a mutation invalidates is handed out of the cache and dropped after
-//! the guard — so contention stays negligible next to the work they save.
+//! or turns away, or a mutation invalidates, is handed out of the cache and
+//! dropped after the guard — so contention stays negligible next to the work they save.
 //! Every cache is `O(1)` a lookup, insert or eviction
 //! ([`LruCache`]), and every key hashes the request's query text as the
 //! one keyed hash [`QueryText`] took when the request was parsed. A cached
