@@ -70,8 +70,8 @@ pub fn score(doc: &Document, result: &QueryResult) -> f64 {
 /// each). `lists` holds the query's posting lists in query order. Equal,
 /// bit for bit, to [`score`] of [`QueryResult::build`] for the same root.
 /// The reference [`sweep_scores`] is tested against, one root at a time
-/// and in any order — and how a served page scores its few results, since
-/// a cached ranking keeps their order but not their scores.
+/// and in any order; serving keeps the sweep's scores and never recounts.
+// xlint: allow(L10, "crates/xmlsearch/tests/proptests.rs checks sweep_scores against it")
 pub fn score_root<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L], root: NodeId) -> f64 {
     let end = doc.subtree_end(root);
     score_counts(
@@ -86,9 +86,8 @@ pub fn score_root<L: AsRef<[NodeId]>>(doc: &Document, lists: &[L], root: NodeId)
 /// [`slice::partition_point`] of the tail, found by galloping: test the
 /// entry under the cursor, then the 2nd, 4th, 8th, … from it until one
 /// fails, then binary-search the last step. A cursor that moves a short way
-/// pays for that distance, not for the list — which is also why a ranking
-/// patch places each added result in the held prefix with it.
-pub fn gallop<T>(list: &[T], from: usize, mut before: impl FnMut(&T) -> bool) -> usize {
+/// pays for that distance, not for the list.
+fn gallop<T>(list: &[T], from: usize, mut before: impl FnMut(&T) -> bool) -> usize {
     let tail = list.get(from..).unwrap_or_default();
     if !tail.first().is_some_and(&mut before) {
         return from;

@@ -39,8 +39,8 @@ use crate::symbol::{Symbol, SymbolTable};
 /// Index of a node within its [`Document`].
 ///
 /// IDs are assigned in document (preorder) order, so `a < b` means node `a`
-/// starts before node `b` in the document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// starts before node `b` in the document; the default is the root's.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

@@ -30,36 +30,38 @@
 //!    a hit re-serves bytes, and a page that is never hit holds none (a
 //!    miss writes its results into its response);
 //! 2. a **ranking cache** (`normalized query →` the exact total, the
-//!    best-first prefix of results, 8 bytes each, and the candidate
-//!    documents ranked, each with its result count) makes every window of
-//!    a query a slice of one search: a page miss whose query was ranked
-//!    deep enough — for any window, under any snippet config, at any epoch
-//!    — routes, but skips SLCA, lifting and scoring over the documents its
-//!    ranking already holds. The routes are diffed against the stored
-//!    candidates: a document that left takes its results out of the prefix
-//!    and the total, and one that arrived is ranked alone and merged in —
-//!    a search is that patch of the empty ranking. A window deeper than the
-//!    prefix ranks again, and what was ranked is stored as its first
-//!    `MAX_RANKED` results, an exact prefix still;
+//!    best-first prefix of results, 16 bytes each with the score the
+//!    ranking counted, and the candidate documents ranked, each with
+//!    its result count) makes every window of a query a slice of one
+//!    search and every served score the one the search counted: a page
+//!    miss whose query was ranked deep enough — for any window, under
+//!    any snippet config, at any epoch — routes, but skips SLCA,
+//!    lifting and scoring over the documents its ranking already holds.
+//!    The routes are diffed against the stored candidates: a document
+//!    that left takes its results out of the prefix and the total, and
+//!    one that arrived is ranked alone and merged in — a search is that
+//!    patch of the empty ranking. A window deeper than the prefix ranks
+//!    again, and what was ranked is stored as its first `MAX_RANKED`
+//!    results, an exact prefix still;
 //! 3. the per-result snippet cache (`query + (DocId, root) + config →`
-//!    the result's score and its `/search` object as an `Arc<str>`,
-//!    [`ResultObject`]) catches queries whose page entry was evicted and
-//!    amortizes snippet generation across overlapping result sets — one
-//!    shared cache serves every document of a corpus thanks to the
-//!    [`DocId`]-qualified keys. Every byte of the object is a function of
-//!    the key (a [`DocId`] pins the document's name and slot, a score
-//!    depends on its document alone), so it is written once, when the
-//!    kernel runs, and a page miss made of hits recounts no score, escapes
-//!    no byte and joins the objects. Corpus pages hold the same `Arc`s, so
-//!    a result's bytes exist once however many pages show them. Only this
-//!    cache has a door ([`LruCache::admitting`]): once full, it stores a
-//!    result it does not hold on its second sight within the door's last
-//!    two generations, and turns the first away — served all the same,
-//!    its object freed after the guard by the thread that made it, and
-//!    counted as a rejection. A stream of results that do not recur within
-//!    the cache's reach so neither stores nor evicts, and the results that
-//!    do recur stay. Pages and rankings stay plain LRU (ROADMAP item 16
-//!    records why).
+//!    the result's `/search` object as an `Arc<str>`, [`ResultObject`])
+//!    catches queries whose page entry was evicted and amortizes
+//!    snippet generation across overlapping result sets — one shared
+//!    cache serves every document of a corpus thanks to the
+//!    [`DocId`]-qualified keys. Every byte of the object is a function
+//!    of the key (a [`DocId`] pins the document's name and slot, a
+//!    score depends on its document alone), so it is written once, when
+//!    the kernel runs, and a page miss made of hits escapes no byte and
+//!    joins the objects. Corpus pages hold the same `Arc`s, so a
+//!    result's bytes exist once however many pages show them. Only this
+//!    cache has a door ([`LruCache::admitting`]): once full, it stores
+//!    a result it does not hold on its second sight within the door's
+//!    last two generations, and turns the first away — served all the
+//!    same, its object freed after the guard by the thread that made
+//!    it, and counted as a rejection. A stream of results that do not
+//!    recur within the cache's reach so neither stores nor evicts, and
+//!    the results that do recur stay. Pages and rankings stay plain LRU
+//!    (ROADMAP item 16 records why).
 //!
 //! They sit behind `Mutex`es held only to look up and to store: a miss
 //! takes the snippet cache's lock once to look up its whole window and
@@ -79,15 +81,15 @@
 //! (its keyword matches are the postings inside its ID interval, found by
 //! one forward merge over each keyword's posting list,
 //! [`ranking::scored_roots`], on roots that SLCA and entity lifting hand
-//! over in document order with no sort), each result is ranked by one
-//! integer key — score, then offer order, which is (document, root) order
-//! — and the best `offset + k` are kept in a buffer of at most twice that
-//! size — any other result is only counted (a window starting past the
-//! end keeps at most `MAX_RANKED`: it needs only the total). Only those
-//! are sorted, and only the served `[offset, offset + k)` slice of them —
-//! ≤ `k` roots — ever reaches the snippet cache, and only its misses, their
-//! scores recounted ([`ranking::score_root`]), the snippet kernel. The
-//! kernel runs in this thread's
+//! over in document order with no sort), each result is ranked as one
+//! 16-byte hit — score, then slot, then root, which within one snapshot is
+//! (document, root) order — and the best `offset + k` are kept in a buffer
+//! of at most twice that size — any other result is only counted (a window
+//! starting past the end keeps at most `MAX_RANKED`: it needs only the
+//! total). Only those are sorted, and only the served `[offset, offset +
+//! k)` slice of them — ≤ `k` hits, each with the score the sweep counted —
+//! ever reaches the snippet cache, and only its misses the snippet kernel.
+//! No score is counted twice. The kernel runs in this thread's
 //! [`IListScratch`](extract_core::ilist::IListScratch) — statistics, IList,
 //! selection and XML in one pass over reused buffers, reading each
 //! keyword's matches from the same posting lists — and what it leaves is
@@ -136,7 +138,7 @@ use extract_core::{CacheStats, Extract, ExtractConfig};
 use extract_corpus::{Corpus, DocId, Routes};
 use extract_index::TokenId;
 use extract_obs::lock_unpoisoned;
-use extract_search::ranking::{self, gallop};
+use extract_search::ranking;
 use extract_search::xseek::RootsBuffers;
 use extract_search::KeywordQuery;
 use extract_xml::NodeId;
@@ -211,9 +213,6 @@ impl std::ops::Deref for ResultObject {
     }
 }
 
-/// A snippet-cache entry: the result's score, and its object.
-type Rendered = (f64, Arc<str>);
-
 /// One answered corpus query: results merged across documents, shared
 /// immutably.
 pub type CorpusPage = Arc<[CorpusAnswer]>;
@@ -280,7 +279,7 @@ thread_local! {
 
     /// This thread's ranking buffer (the results a [`Window`] keeps): warm
     /// after its first miss, so a search allocates nothing for it.
-    static KEPT: Cell<Vec<Ranked>> = Cell::default();
+    static KEPT: Cell<Vec<Hit>> = Cell::default();
 }
 
 /// The largest ranking buffer a thread keeps for its next search: a
@@ -297,23 +296,29 @@ fn with_scratch<T>(f: impl FnOnce(&mut IListScratch) -> T) -> T {
     })
 }
 
-/// One ranked result before it is built: where it is, and its place in
-/// the ranking as one integer.
-#[derive(Debug, Clone, Copy)]
-struct Ranked {
-    /// Ranking order, ascending: the score's total-order bits, inverted so
-    /// a higher score comes first ([`descending_bits`]), above the offer's
-    /// sequence number — (document, root) order, since candidates arrive
-    /// in ascending `DocId` and each one's roots in document order.
-    key: u128,
-    doc: DocId,
+/// One ranked result, in 16 bytes: its score, the slot of its document
+/// and its root. Fields order like the ranking — score descending, then
+/// slot, then root — and among the candidates of one snapshot a slot
+/// names one document, so that is (score, document, root) order; the
+/// request's routes hold the document's [`DocId`]. The score is the one
+/// the ranking sweep counted: nothing counts it again.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Hit {
+    /// The score's total-order bits, inverted so a higher score comes
+    /// first ([`descending_bits`]).
+    bits: u64,
+    slot: u32,
     root: NodeId,
 }
 
-impl Ranked {
-    /// Its place in ranking order: its key's score bits, slot, root.
-    fn place(&self) -> (u64, u32, NodeId) {
-        ((self.key >> 64) as u64, slot_of(self.doc), self.root)
+impl Hit {
+    fn new(doc: DocId, score: f64, root: NodeId) -> Hit {
+        Hit { bits: descending_bits(score), slot: slot_of(doc), root }
+    }
+
+    /// The score, to the bit, as the ranking sweep counted it.
+    fn score(&self) -> f64 {
+        f64::from_bits(!self.bits)
     }
 }
 
@@ -337,13 +342,12 @@ fn descending_bits(score: f64) -> u64 {
 /// everything.
 struct Window {
     keep: usize,
-    kept: Vec<Ranked>,
-    /// The key of the worst kept result at the last cut, once there has
-    /// been one.
-    cutoff: Option<u128>,
+    kept: Vec<Hit>,
+    /// The worst kept result at the last cut, once there has been one.
+    cutoff: Option<Hit>,
     total: usize,
-    /// The last offer's place, to check that offers arrive in ranking-key
-    /// order.
+    /// The last offer's document and root, to check that offers arrive in
+    /// (document, root) order.
     #[cfg(debug_assertions)]
     last: Option<(DocId, NodeId)>,
 }
@@ -363,19 +367,19 @@ impl Window {
     }
 
     /// Offer the next result; results must come in (document, root) order,
-    /// which makes the offer count a tie-break in ranking order.
+    /// the order of one snapshot's candidates and their roots.
     fn offer(&mut self, doc: DocId, score: f64, root: NodeId) {
         #[cfg(debug_assertions)]
         {
             debug_assert!(self.last < Some((doc, root)), "offers out of (document, root) order");
             self.last = Some((doc, root));
         }
-        let key = u128::from(descending_bits(score)) << 64 | self.total as u128;
+        let hit = Hit::new(doc, score, root);
         self.total += 1;
-        if self.keep == 0 || self.cutoff.is_some_and(|cut| key > cut) {
+        if self.keep == 0 || self.cutoff.is_some_and(|cut| hit > cut) {
             return;
         }
-        self.kept.push(Ranked { key, doc, root });
+        self.kept.push(hit);
         if self.kept.len() >= self.keep.saturating_mul(2) {
             self.cut();
         }
@@ -385,18 +389,18 @@ impl Window {
     /// them as the cut-off.
     fn cut(&mut self) {
         if let Some(last) = self.keep.checked_sub(1).filter(|&last| last < self.kept.len()) {
-            self.kept.select_nth_unstable_by_key(last, |at| at.key);
+            self.kept.select_nth_unstable(last);
             self.kept.truncate(self.keep);
-            self.cutoff = self.kept.last().map(|at| at.key);
+            self.cutoff = self.kept.last().copied();
         }
     }
 
     /// The best `keep` results offered, in ranking order.
-    fn best(&mut self) -> &[Ranked] {
+    fn best(&mut self) -> &[Hit] {
         if self.kept.len() > self.keep {
             self.cut();
         }
-        self.kept.sort_unstable_by_key(|at| at.key);
+        self.kept.sort_unstable();
         &self.kept
     }
 }
@@ -408,21 +412,6 @@ impl Drop for Window {
         if kept.capacity() <= KEPT_REUSED {
             KEPT.set(kept);
         }
-    }
-}
-
-/// One ranked result as a [`Ranking`] keeps it, in 8 bytes: the slot of
-/// its document and its root. Among a ranking's candidates a slot names
-/// one document, and the request's routes hold that document's [`DocId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Hit {
-    slot: u32,
-    root: NodeId,
-}
-
-impl Hit {
-    fn new(doc: DocId, root: NodeId) -> Hit {
-        Hit { slot: slot_of(doc), root }
     }
 }
 
@@ -502,9 +491,8 @@ pub struct SessionCaches {
     shallow_rankings: AtomicU64,
     /// Lookups served from a ranking patched to other candidates — hits.
     patched_rankings: AtomicU64,
-    /// Each result's score and `/search` object, shared with the pages
-    /// showing it.
-    snippets: Mutex<LruCache<CacheKey, Rendered>>,
+    /// Each result's `/search` object, shared with the pages showing it.
+    snippets: Mutex<LruCache<CacheKey, Arc<str>>>,
 }
 
 impl SessionCaches {
@@ -592,7 +580,7 @@ impl SessionCaches {
             .sum()
     }
 
-    /// Ranked results the ranking cache holds right now, 8 bytes each (at
+    /// Ranked results the ranking cache holds right now, 16 bytes each (at
     /// most [`RANKINGS`] rankings of at most [`MAX_RANKED`]). Summed on
     /// demand, like [`SessionCaches::corpus_page_body_bytes`].
     pub fn ranking_cache_results(&self) -> usize {
@@ -601,10 +589,10 @@ impl SessionCaches {
 
     /// Bytes of rendered result objects the snippet cache holds right now
     /// — each result's `/search` object, its snippet escaped inside, all a
-    /// cached snippet is but for its score. Summed on demand, like
+    /// cached snippet is. Summed on demand, like
     /// [`SessionCaches::corpus_page_body_bytes`].
     pub fn snippet_cache_bytes(&self) -> usize {
-        lock_unpoisoned(&self.snippets).values().map(|(_, object)| object.len()).sum()
+        lock_unpoisoned(&self.snippets).values().map(|object| object.len()).sum()
     }
 }
 
@@ -675,30 +663,16 @@ impl<'d> QuerySession<'d> {
         lists.extend(ids.iter().map(|&id| index.postings_by_id(id)));
     }
 
-    /// The score of `root` in the routed `doc`, recounted over its posting
-    /// lists ([`ranking::score_root`], equal to the sweep's to the bit),
-    /// which it leaves in `lists`.
-    fn score(
-        &self,
-        doc: DocId,
-        root: NodeId,
-        routes: &Routes,
-        lists: &mut Vec<&'d [NodeId]>,
-    ) -> f64 {
-        self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
-        ranking::score_root(self.corpus.doc(doc), lists, root)
-    }
-
     /// `held` made exact for this snapshot's `routes`, at most `keep` deep;
     /// a search ranks from the empty ranking. A result depends on its
     /// document alone, so a held candidate the routes lack (deleted, or an
     /// old generation) takes its results out of the prefix and the total —
     /// first, so a reused slot's old results never meet its new ones — and a
     /// routed one `held` lacks is ranked alone into a [`Window`] of `keep`,
-    /// whose best are merged into the prefix by (score, slot, root), each
-    /// placed by [`gallop`] on from the last. The merge is cut at `keep`
-    /// and, unless the prefix is the whole ranking, below its last entry:
-    /// results the prefix never held may rank in between.
+    /// whose best are merged into the prefix in [`Hit`] order — every hit
+    /// carries its score, so nothing is recounted. The merge is cut at
+    /// `keep` and, unless the prefix is the whole ranking, below its last
+    /// entry: results the prefix never held may rank in between.
     fn rank(
         &self,
         held: &Ranking,
@@ -737,33 +711,23 @@ impl<'d> QuerySession<'d> {
             .collect();
         ROOTS.set(buffers);
         total += window.total;
-        let mut place = |hit: &Hit| {
-            let score = self.score(routed(hit, routes.docs())?, hit.root, routes, lists);
-            Some((descending_bits(score), hit.slot, hit.root))
-        };
         let mut fresh = window.best();
         if !whole {
-            let last = survivors.last().and_then(&mut place);
-            let cut = fresh.partition_point(|at| last.is_some_and(|last| at.place() < last));
+            let cut = fresh.partition_point(|at| survivors.last().is_some_and(|last| at < last));
             fresh = fresh.get(..cut).unwrap_or_default();
         }
-        let mut above = |hit: &Hit, at: &Ranked| place(hit).is_some_and(|place| place < at.place());
-        // A survivor past the end is never asked for (a slot no routes hold
-        // would stand in).
+        // Collected from an exact-length map, in one allocation: `len` never
+        // outruns the two lists, so every step takes a head, never the
+        // default.
         let len = (survivors.len() + fresh.len()).min(keep);
-        let (mut taken, mut fresh) = (0, fresh.iter().peekable());
-        let mut due = fresh.peek().map(|at| gallop(&survivors, 0, |hit| above(hit, at)));
+        let (mut prefix, mut fresh) = (survivors.iter().peekable(), fresh.iter().peekable());
         let best = (0..len)
-            .map(|_| match fresh.next_if(|_| due == Some(taken)) {
-                Some(at) => {
-                    due = fresh.peek().map(|at| gallop(&survivors, taken, |hit| above(hit, at)));
-                    Hit::new(at.doc, at.root)
-                }
-                None => {
-                    taken += 1;
-                    let stand_in = Hit { slot: u32::MAX, root: NodeId::from_index(0) };
-                    survivors.get(taken - 1).copied().unwrap_or(stand_in)
-                }
+            .map(|_| {
+                let next = match fresh.peek() {
+                    Some(at) => prefix.next_if(|hit| hit < at).or_else(|| fresh.next()),
+                    None => prefix.next(),
+                };
+                next.copied().unwrap_or_default()
             })
             .collect();
         Ranking { total, best, candidates }
@@ -829,15 +793,14 @@ impl<'d> QuerySession<'d> {
     }
 
     /// The served window's answers: each result's document from the
-    /// routes ([`routed`]), and its score and `/search` object via the
-    /// shared snippet cache when enabled (`text` is the request's
+    /// routes ([`routed`]), its score from its hit, and its `/search` object
+    /// via the shared snippet cache when enabled (`text` is the request's
     /// normalized query then): one lock looks up every result of the
-    /// window, and a hit is served as it was stored — no score recounted,
-    /// no byte escaped. A miss recounts its score over its posting lists
-    /// ([`ranking::score_root`], equal to the sweep's to the bit, in the
-    /// request's `lists`), runs the snippet kernel in this thread's scratch
-    /// on the document's borrowed engine, and writes the result's object
-    /// ([`serve::result_object`]); one more lock stores those objects.
+    /// window, and a hit is served as it was stored — no byte escaped. A
+    /// miss reads its posting lists into the request's `lists`, runs the
+    /// snippet kernel in this thread's scratch on the document's borrowed
+    /// engine, and writes the result's object ([`serve::result_object`]);
+    /// one more lock stores those objects.
     fn answers(
         &self,
         hits: &[Hit],
@@ -847,49 +810,51 @@ impl<'d> QuerySession<'d> {
         text: Option<&QueryText>,
         config: &ExtractConfig,
     ) -> Vec<CorpusAnswer> {
-        // Each result's document and root and, in its last field, first the
-        // cached entry the lookup found, then — once the window has taken
-        // those — the entry a miss computed, to be stored.
+        // Each result's document and hit and, in its last field, first the
+        // cached object the lookup found, then — once the window has taken
+        // those — the object a miss computed, to be stored.
         let mut served = Vec::with_capacity(hits.len());
-        served.extend(hits.iter().filter_map(|hit| {
-            Some((routed(hit, routes.docs())?, hit.root, None::<Rendered>))
-        }));
-        let key = |text: &QueryText, doc, root| CacheKey::for_doc(text, doc, root, config);
+        served.extend(
+            hits.iter()
+                .filter_map(|&hit| Some((routed(&hit, routes.docs())?, hit, None::<Arc<str>>))),
+        );
+        let key = |text: &QueryText, doc, hit: &Hit| CacheKey::for_doc(text, doc, hit.root, config);
         if let Some(text) = text {
             let mut snippets = lock_unpoisoned(&self.caches.snippets);
-            for (doc, root, cached) in &mut served {
-                *cached = snippets.get(&key(text, *doc, *root));
+            for (doc, hit, cached) in &mut served {
+                *cached = snippets.get(&key(text, *doc, hit));
             }
         }
         let mut misses = 0;
         let window = served
             .iter_mut()
-            .map(|(doc, root, slot)| {
-                let (score, object) = slot.take().unwrap_or_else(|| {
-                    let score = self.score(*doc, *root, routes, lists);
-                    let (document, engine) = (self.corpus.doc(*doc), self.corpus.engine(*doc));
+            .map(|(doc, hit, slot)| {
+                let (doc, root, score) = (*doc, hit.root, hit.score());
+                let object = slot.take().unwrap_or_else(|| {
+                    self.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), lists);
+                    let (document, engine) = (self.corpus.doc(doc), self.corpus.engine(doc));
                     let extract = Extract::borrowing(document, engine);
                     let object = with_scratch(|scratch| {
-                        let xml = extract.snippet_xml(query, lists, *root, config, scratch);
-                        serve::result_object(self.corpus.name(*doc), *doc, *root, score, xml)
+                        let xml = extract.snippet_xml(query, lists, root, config, scratch);
+                        serve::result_object(self.corpus.name(doc), doc, root, score, xml)
                     });
-                    *slot = Some((score, Arc::clone(&object)));
+                    *slot = Some(Arc::clone(&object));
                     misses += 1;
-                    (score, object)
+                    object
                 });
-                CorpusAnswer { doc: *doc, score, root: *root, snippet: ResultObject::new(object) }
+                CorpusAnswer { doc, score, root, snippet: ResultObject::new(object) }
             })
             .collect();
         if let Some(text) = text.filter(|_| misses > 0) {
             // Taken out of `served` in place: collecting from its
             // `into_iter` would reuse and shrink its buffer, one
             // reallocation a window.
-            let fresh = served.iter_mut().filter_map(|(doc, root, rendered)| {
-                Some((key(text, *doc, *root), rendered.take()?))
-            });
-            let displaced: Vec<Rendered> = {
+            let fresh = served
+                .iter_mut()
+                .filter_map(|(doc, hit, object)| Some((key(text, *doc, hit), object.take()?)));
+            let displaced: Vec<Arc<str>> = {
                 let mut snippets = lock_unpoisoned(&self.caches.snippets);
-                fresh.filter_map(|(key, rendered)| snippets.insert(key, rendered)).collect()
+                fresh.filter_map(|(key, object)| snippets.insert(key, object)).collect()
             };
             drop(displaced);
         }
@@ -1438,20 +1403,21 @@ mod tests {
         reference
             .sort_by(|a, b| ranking::by_score_desc(a.1, b.1).then((a.0, a.2).cmp(&(b.0, b.2))));
         let reference: Vec<Hit> =
-            reference.iter().map(|&(doc, _, root)| Hit::new(doc, root)).collect();
+            reference.iter().map(|&(doc, score, root)| Hit::new(doc, score, root)).collect();
         let ranked = |keep: usize| {
             let mut window = Window::new(keep);
             for &(doc, score, root) in &offers {
                 window.offer(doc, score, root);
             }
-            let best = window.best().iter().map(|at| Hit::new(at.doc, at.root)).collect();
+            let best = window.best().into();
             let ranking = Ranking { total: window.total, best, candidates: Arc::default() };
             assert_eq!(ranking.total, offers.len());
             ranking
         };
         let (d, n) = (DocId::from_index, NodeId::from_index);
-        assert_eq!(*ranked(2).best, [Hit::new(d(0), n(4)), Hit::new(d(1), n(4))]);
-        assert_eq!(ranked(4).window(2, 2), Some(&[Hit::new(d(2), n(4)), Hit::new(d(0), n(1))][..]));
+        assert_eq!(*ranked(2).best, [Hit::new(d(0), 2.0, n(4)), Hit::new(d(1), 2.0, n(4))]);
+        let want = [Hit::new(d(2), 2.0, n(4)), Hit::new(d(0), 1.0, n(1))];
+        assert_eq!(ranked(4).window(2, 2), Some(&want[..]));
         assert_eq!(ranked(11).window(9, 2), Some(&[][..]));
         for keep in [0, 1, 2, 3, 4, 9, 11, usize::MAX] {
             let ranking = ranked(keep);
@@ -1503,7 +1469,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "ranked slot 1 is not a routed candidate")]
     fn a_hit_outside_the_routes_stops_a_debug_build() {
-        routed(&Hit::new(DocId::from_index(1), NodeId::from_index(0)), &[DocId::from_index(0)]);
+        let hit = Hit::new(DocId::from_index(1), 1.0, NodeId::from_index(0));
+        routed(&hit, &[DocId::from_index(0)]);
     }
 
     #[test]
@@ -1870,6 +1837,55 @@ mod tests {
         assert_eq!(ranking_counts(&caches), (2, 1, 2), "and forward again");
     }
 
+    /// Every hit of the stored ranking carries the score its own document
+    /// gives its root ([`ranking::score_root`], to the bit), and the hits
+    /// are a cache-less session's best, in order: after a search, a
+    /// delete's patch, an ingest's patch and an ingest into the freed slot
+    /// — from a whole ranking and from a partial one.
+    #[test]
+    fn every_stored_hit_carries_its_own_score() {
+        let query = KeywordQuery::parse("store texas");
+        let config = ExtractConfig::with_bound(8);
+        for ranked_k in [usize::MAX, 4] {
+            let live = live_twins(&["twin-a", "twin-b", "twin-c"]);
+            let caches = Arc::new(SessionCaches::new(128));
+            let stored_scores_hold = |(k, offset): (usize, usize), patches: u64| {
+                let snapshot = live.snapshot();
+                let session = QuerySession::for_snapshot(&snapshot, 1, Arc::clone(&caches));
+                checked(&session, k, offset);
+                assert_eq!(caches.ranking_patches(), patches, "ranked {ranked_k} deep");
+                let text = QueryText::from(&query);
+                let stored = lock_unpoisoned(&caches.rankings).get(&text).expect("stored");
+                let mut routes = Routes::default();
+                snapshot.route(query.keywords(), &mut routes);
+                let mut lists = Vec::new();
+                for hit in stored.best.iter() {
+                    let doc = routed(hit, routes.docs()).expect("a routed candidate");
+                    session.lists_of(doc, routes.ids_of(doc).unwrap_or_default(), &mut lists);
+                    let score = ranking::score_root(snapshot.doc(doc), &lists, hit.root);
+                    let at = format!("ranked {ranked_k} deep, {} {}", snapshot.name(doc), hit.root);
+                    assert_eq!(hit.score().to_bits(), score.to_bits(), "{at}");
+                }
+                let uncached = Arc::new(SessionCaches::new(0));
+                let uncached = QuerySession::for_snapshot(&snapshot, 1, uncached);
+                let deep = stored.best.len();
+                let want = uncached.answer_corpus_topk("store texas", &config, deep, 0).results;
+                let want: Vec<Hit> =
+                    want.iter().map(|a| Hit::new(a.doc, a.score, a.root)).collect();
+                assert_eq!(*stored.best, want, "ranked {ranked_k} deep");
+            };
+            stored_scores_hold((ranked_k, 0), 0);
+            live.delete("twin-b").expect("a live document");
+            stored_scores_hold((2, 0), 1);
+            live.ingest("twin-d", &twin_xml(0xC)).expect("the twin parses");
+            stored_scores_hold((1, 0), 2);
+            live.delete("twin-a").expect("a live document");
+            let reborn = live.ingest("reborn", &twin_xml(0xB)).expect("the twin parses");
+            assert_eq!(reborn.id.index(), 0, "the freed slot is reused");
+            stored_scores_hold((1, 0), 3);
+        }
+    }
+
     /// `n` entities, each one result of "store texas" (and of "zz"), the
     /// `i`-th with `i % 7` empty siblings: its score is one of seven, so a
     /// ranking interleaves documents tier by tier.
@@ -1919,7 +1935,7 @@ mod tests {
         let after = live.snapshot();
         let session = QuerySession::for_snapshot(&after, 1, Arc::new(SessionCaches::new(0)));
         let whole = unbounded(&session, "store texas", &ExtractConfig::with_bound(8));
-        let want: Vec<Hit> = whole.iter().map(|a| Hit::new(a.doc, a.root)).collect();
+        let want: Vec<Hit> = whole.iter().map(|a| Hit::new(a.doc, a.score, a.root)).collect();
         let mut routes = Routes::default();
         after.route(query.keywords(), &mut routes);
         for keep in [0, 1, 2, 5, held.total, want.len() - 1, want.len(), usize::MAX] {
@@ -1957,7 +1973,7 @@ mod tests {
         let uncached = QuerySession::for_snapshot(&snapshot, 1, Arc::new(SessionCaches::new(0)));
         let config = ExtractConfig::with_bound(8);
         let first = uncached.answer_corpus_topk("store texas", &config, MAX_RANKED, 0).results;
-        let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.root)).collect();
+        let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.score, a.root)).collect();
         assert_eq!(*stored.best, want, "the stored prefix is a cache-less ranking's");
     }
 
@@ -1994,7 +2010,7 @@ mod tests {
         assert_eq!((stored.total, stored.best.len()), (total, MAX_RANKED));
         let uncached = QuerySession::for_snapshot(&snapshot, 1, Arc::new(SessionCaches::new(0)));
         let first = uncached.answer_corpus_topk("store texas", &config, MAX_RANKED, 0).results;
-        let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.root)).collect();
+        let want: Vec<Hit> = first.iter().map(|a| Hit::new(a.doc, a.score, a.root)).collect();
         assert_eq!(*stored.best, want, "the stored prefix is a cache-less ranking's");
     }
 
