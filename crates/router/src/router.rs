@@ -82,6 +82,65 @@ pub struct RouterCounters {
     pub probes: AtomicU64,
 }
 
+/// One router counter as `(stats key, metric name, help, value)`.
+type CounterRow = (&'static str, &'static str, &'static str, u64);
+
+impl RouterCounters {
+    /// Every counter, in `/stats` order: the one table behind the `/stats`
+    /// `router` object and the `/metrics` `extract_router_*_total`
+    /// families. Wins load before fired, so a read never shows more wins
+    /// than fired hedges (a hedge that fires and wins between the two loads
+    /// inflates `fired`, never `wins`).
+    fn table(&self) -> [CounterRow; 7] {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let hedge_wins = load(&self.hedge_wins);
+        [
+            (
+                "retries",
+                "extract_router_retries_total",
+                "Shard attempts re-tried after a failure.",
+                load(&self.retries),
+            ),
+            (
+                "hedges_fired",
+                "extract_router_hedges_fired_total",
+                "Hedged second requests launched.",
+                load(&self.hedges_fired),
+            ),
+            (
+                "hedge_wins",
+                "extract_router_hedge_wins_total",
+                "Hedged requests whose response was used.",
+                hedge_wins,
+            ),
+            (
+                "escalations",
+                "extract_router_scatter_escalations_total",
+                "Shard attempts that left the inline path.",
+                load(&self.escalations),
+            ),
+            (
+                "breaker_opens",
+                "extract_router_breaker_opens_total",
+                "Distinct breaker open transitions.",
+                load(&self.breaker_opens),
+            ),
+            (
+                "partial_responses",
+                "extract_router_partial_responses_total",
+                "200 responses flagged partial.",
+                load(&self.partial_responses),
+            ),
+            (
+                "probes",
+                "extract_router_probes_total",
+                "Background health probes sent.",
+                load(&self.probes),
+            ),
+        ]
+    }
+}
+
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
@@ -257,34 +316,10 @@ impl RouterApp {
             return Response::error(503, "no server attached");
         };
         let mut w = PromWriter::new();
-        // Read wins before fired so the scrape can never show more wins
-        // than fired hedges (a hedge that wins between the two loads
-        // inflates `fired`, never `wins`).
-        let hedge_wins = self.counters.hedge_wins.load(Ordering::Relaxed);
-        let hedges_fired = self.counters.hedges_fired.load(Ordering::Relaxed);
-        for (name, help, value) in [
-            ("retries", "Shard attempts re-tried after a failure.", {
-                self.counters.retries.load(Ordering::Relaxed)
-            }),
-            ("hedges_fired", "Hedged second requests launched.", hedges_fired),
-            ("hedge_wins", "Hedged requests whose response was used.", hedge_wins),
-            ("scatter_escalations", "Shard attempts that left the inline path.", {
-                self.counters.escalations.load(Ordering::Relaxed)
-            }),
-            ("breaker_opens", "Distinct breaker open transitions.", {
-                self.counters.breaker_opens.load(Ordering::Relaxed)
-            }),
-            ("partial_responses", "200 responses flagged partial.", {
-                self.counters.partial_responses.load(Ordering::Relaxed)
-            }),
-            ("probes", "Background health probes sent.", {
-                self.counters.probes.load(Ordering::Relaxed)
-            }),
-        ] {
-            let metric = format!("extract_router_{name}_total");
-            w.help(&metric, help);
-            w.type_(&metric, "counter");
-            w.sample_u64(&metric, &[], value);
+        for (_, metric, help, value) in self.counters.table() {
+            w.help(metric, help);
+            w.type_(metric, "counter");
+            w.sample_u64(metric, &[], value);
         }
         w.help(
             "extract_router_shard_breaker_closed",
@@ -746,31 +781,16 @@ impl RouterApp {
                 .filter_map(Value::as_u64)
                 .sum()
         };
-        // Load wins before fired: the invariant is wins <= fired, and a
-        // hedge that fires-and-wins between the two loads must inflate
-        // `fired` (harmless), never `wins`.
-        let hedge_wins = self.counters.hedge_wins.load(Ordering::Relaxed);
-        let hedges_fired = self.counters.hedges_fired.load(Ordering::Relaxed);
         let mut w = JsonWriter::new();
         w.obj_begin();
         w.key("router");
         w.obj_begin();
         w.key("shards");
         w.num_u64(self.shards.len() as u64);
-        w.key("retries");
-        w.num_u64(self.counters.retries.load(Ordering::Relaxed));
-        w.key("hedges_fired");
-        w.num_u64(hedges_fired);
-        w.key("hedge_wins");
-        w.num_u64(hedge_wins);
-        w.key("escalations");
-        w.num_u64(self.counters.escalations.load(Ordering::Relaxed));
-        w.key("breaker_opens");
-        w.num_u64(self.counters.breaker_opens.load(Ordering::Relaxed));
-        w.key("partial_responses");
-        w.num_u64(self.counters.partial_responses.load(Ordering::Relaxed));
-        w.key("probes");
-        w.num_u64(self.counters.probes.load(Ordering::Relaxed));
+        for (key, _, _, value) in self.counters.table() {
+            w.key(key);
+            w.num_u64(value);
+        }
         w.obj_end();
         w.key("shards");
         w.arr_begin();

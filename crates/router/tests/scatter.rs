@@ -563,3 +563,40 @@ fn the_healthy_path_never_escalates_and_nothing_waits_out_a_timer() {
     hb.shutdown();
     let _ = (ta.join(), tb.join());
 }
+
+/// `/stats` and `/metrics` name every router counter by its one pair of
+/// names, in one order, and read the same value under both: the `/stats`
+/// keys the benchmark harness reads (`retries`, `hedges_fired`) and the
+/// metric names the smoke scripts grep
+/// (`extract_router_scatter_escalations_total`).
+#[test]
+fn stats_and_metrics_read_every_router_counter_under_its_names() {
+    let server = Server::bind("127.0.0.1:0", stub_config()).expect("bind");
+    let mut app = RouterApp::new(router_config(Vec::new()));
+    app.attach_server(server.handle());
+    let c = app.counters();
+    let names = [
+        ("retries", "extract_router_retries_total", &c.retries),
+        ("hedges_fired", "extract_router_hedges_fired_total", &c.hedges_fired),
+        ("hedge_wins", "extract_router_hedge_wins_total", &c.hedge_wins),
+        ("escalations", "extract_router_scatter_escalations_total", &c.escalations),
+        ("breaker_opens", "extract_router_breaker_opens_total", &c.breaker_opens),
+        ("partial_responses", "extract_router_partial_responses_total", &c.partial_responses),
+        ("probes", "extract_router_probes_total", &c.probes),
+    ];
+    for (value, (_, _, counter)) in (11..).zip(names) {
+        counter.store(value, Ordering::Relaxed);
+    }
+    let stats = get(&app, "/stats", &[]);
+    let stats = std::str::from_utf8(&stats.body).expect("utf-8 body");
+    let metrics = get(&app, "/metrics", &[]);
+    let metrics = std::str::from_utf8(&metrics.body).expect("utf-8 body");
+    let mut after = (0, 0);
+    for (value, (key, metric, _)) in (11..).zip(names) {
+        let in_stats = stats.find(&format!("\"{key}\":{value}")).expect(key);
+        let sample = format!("# TYPE {metric} counter\n{metric} {value}\n");
+        let in_metrics = metrics.find(&sample).expect(metric);
+        assert!(in_stats > after.0 && in_metrics > after.1, "{key} out of order");
+        after = (in_stats, in_metrics);
+    }
+}
