@@ -208,23 +208,31 @@ const ALLOCATIONS_PER_PARSE: u64 = 18;
 /// What a whole page miss at `k = 10` that ranks may allocate, the mean
 /// over [`ENTITY_QUERIES`]: 35 since the ranking it stores is one
 /// allocation of its own (34 since routing hands each candidate its token
-/// ids in buffers the worker keeps, 35 before). It measures 32 since the
-/// results a search keeps go into a buffer the worker keeps, the stored
-/// ranking's candidate list being one allocation more. Each request still
-/// allocates its routing's list of borrowed directory lists and its
-/// query's dedup set and flags.
+/// ids in buffers the worker keeps, 35 before). It measured 32 once the
+/// results a search keeps went into a buffer the worker keeps, the stored
+/// ranking's candidate list being one allocation more, and measures 34
+/// since the snippet kernel's scratch gained the per-result summary's
+/// buffers: [`warm_caches`] ranks but runs no snippet kernel, so these
+/// requests grow the thread's kernel scratch as their results first need
+/// it — with the kernel warmed as well, a miss measures 25, before the
+/// summary and since. Each request still allocates its routing's list of
+/// borrowed directory lists and its query's dedup set and flags.
 const ALLOCATIONS_PER_MISS: u64 = 35;
 
 /// What a page miss at `k = 10` served from its query's cached ranking may
-/// allocate, the mean over [`ENTITY_QUERIES`]: 23, with no search buffer
+/// allocate, the mean over [`ENTITY_QUERIES`]: 24, with no search buffer
 /// and no ranking of its own — routing's per-request lists, the query, the
-/// served window and its ten snippets.
+/// served window and its ten snippets. It measured 23 until the kernel
+/// scratch gained the per-result summary's buffers, one of which first
+/// grows on "houston jeans" (25 → 26): kernel growth, as under
+/// [`ALLOCATIONS_PER_MISS`] — with the kernel warmed it measures 23 still.
 const ALLOCATIONS_PER_RANKED_MISS: u64 = 24;
 
 /// What a page miss at `k = 10` served from a ranking patched to an ingest
 /// may allocate, the mean over [`ENTITY_QUERIES`]: what one that ranks may
 /// ([`ALLOCATIONS_PER_MISS`]) — it ranks one document instead of all, and
-/// stores the patched ranking instead of a fresh one.
+/// stores the patched ranking instead of a fresh one. It measures 26 (25
+/// with the kernel warmed, and before the summary's buffers).
 const ALLOCATIONS_PER_PATCHED_MISS: u64 = ALLOCATIONS_PER_MISS;
 
 /// What a page miss at `k = 10` through [`search_body`] whose ranking and
